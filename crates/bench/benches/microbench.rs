@@ -5,7 +5,8 @@
 //!   collector absorbing the garbage) vs paged records (with iteration
 //!   resets absorbing them).
 //! - `field_access`: reading/writing record fields on both backends.
-//! - `array_access`: i64 array element access on both backends.
+//! - `array_access`: i64 array element access on both backends, and bulk
+//!   against per-element fill / fold of a 64-double array.
 //! - `reclamation`: reclaiming one iteration's worth of records — a full
 //!   GC cycle vs an `iteration_end` page recycle.
 //! - `lock_pool`: the §3.4 shared lock pool, uncontended enter/exit.
@@ -125,6 +126,49 @@ fn array_access() {
             }
             black_box(acc);
         });
+
+        // Bulk vs per-element on an edge-array-sized run: the bulk calls
+        // resolve the record and check bounds once per 64 doubles.
+        let arr = store.alloc_array(ElemTy::I64, 64).unwrap();
+        store.add_root(arr);
+        let data: Vec<f64> = (0..64).map(f64::from).collect();
+        let batch = 10_000;
+        bench(
+            &format!("array_access/{name}/fill_64_f64/per_element"),
+            batch,
+            5,
+            || {
+                for (i, &v) in black_box(&data).iter().enumerate() {
+                    store.array_set_f64(arr, i, v);
+                }
+            },
+        );
+        bench(
+            &format!("array_access/{name}/fill_64_f64/bulk"),
+            batch,
+            5,
+            || store.array_write_f64s(arr, 0, black_box(&data)),
+        );
+        bench(
+            &format!("array_access/{name}/fold_64_f64/per_element"),
+            batch,
+            5,
+            || {
+                let mut sum = 0.0;
+                for i in 0..64 {
+                    sum += store.array_get_f64(black_box(arr), i);
+                }
+                black_box(sum);
+            },
+        );
+        bench(
+            &format!("array_access/{name}/fold_64_f64/bulk"),
+            batch,
+            5,
+            || {
+                black_box(store.array_f64s(black_box(arr)).fold(0.0, |sum, x| sum + x));
+            },
+        );
     }
 }
 

@@ -727,9 +727,111 @@ impl Store {
 
     /// Reads the whole contents of a `U8` array.
     pub fn array_read_bytes(&self, r: Rec) -> Vec<u8> {
+        self.array_bytes(r).to_vec()
+    }
+
+    // ----- bulk array access -------------------------------------------------
+    //
+    // The per-element accessors above pay the backend match, a record
+    // resolve, a header read and a bounds check per element. The methods
+    // below pay them once per call and then move a whole run over the
+    // array's contiguous element storage; sequential callers (an engine
+    // filling or scanning an edge array) use these, random access keeps the
+    // per-element API.
+
+    /// The contents of a primitive (`U8`/`I32`/`I64`) array, borrowed:
+    /// little-endian elements, back to back — for a `U8` array, its bytes.
+    /// Unlike [`Store::array_read_bytes`] nothing is copied, so this is the
+    /// way to compare or hash keys in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not a primitive array.
+    pub fn array_bytes(&self, r: Rec) -> &[u8] {
         match &self.inner {
-            Inner::Heap { heap, .. } => heap.array_read_bytes(Self::h(r)),
-            Inner::Facade { paged, .. } => paged.array_read_bytes(Self::p(r)),
+            Inner::Heap { heap, .. } => heap.array_bytes(Self::h(r)),
+            Inner::Facade { paged, .. } => paged.array_bytes(Self::p(r)),
+        }
+    }
+
+    fn array_bytes_mut(&mut self, r: Rec) -> &mut [u8] {
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => heap.array_bytes_mut(Self::h(r)),
+            Inner::Facade { paged, .. } => paged.array_bytes_mut(Self::p(r)),
+        }
+    }
+
+    /// Copies `data` into consecutive `N`-byte elements from `start` on,
+    /// after one bounds check for the whole run.
+    fn write_elems<const N: usize, T: Copy>(
+        &mut self,
+        r: Rec,
+        start: usize,
+        data: &[T],
+        encode: fn(T) -> [u8; N],
+    ) {
+        let body = self.array_bytes_mut(r);
+        let len = body.len() / N;
+        assert!(
+            start <= len && data.len() <= len - start,
+            "bulk write of {} elements at index {start} out of bounds (len {len})",
+            data.len()
+        );
+        for (slot, &v) in body[start * N..].chunks_exact_mut(N).zip(data) {
+            slot.copy_from_slice(&encode(v));
+        }
+    }
+
+    /// Bulk-writes `data` into an `I32` array, element `start` onwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before writing anything, if the run does not fit between
+    /// `start` and the array's end.
+    pub fn array_write_i32s(&mut self, r: Rec, start: usize, data: &[i32]) {
+        self.write_elems(r, start, data, i32::to_le_bytes);
+    }
+
+    /// Bulk-writes `data` into an `I64` array, element `start` onwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before writing anything, if the run does not fit between
+    /// `start` and the array's end.
+    pub fn array_write_i64s(&mut self, r: Rec, start: usize, data: &[i64]) {
+        self.write_elems(r, start, data, i64::to_le_bytes);
+    }
+
+    /// Bulk-writes doubles into an `I64` array, element `start` onwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before writing anything, if the run does not fit between
+    /// `start` and the array's end.
+    pub fn array_write_f64s(&mut self, r: Rec, start: usize, data: &[f64]) {
+        self.write_elems(r, start, data, f64::to_le_bytes);
+    }
+
+    /// Streams the elements of an `I32` array in index order.
+    pub fn array_i32s(&self, r: Rec) -> impl ExactSizeIterator<Item = i32> + '_ {
+        self.array_bytes(r)
+            .chunks_exact(4)
+            .map(|c| i32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+    }
+
+    /// Streams the elements of an `I64` array as doubles, in index order.
+    pub fn array_f64s(&self, r: Rec) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.array_bytes(r)
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+    }
+
+    /// Replaces every double of an `I64` array by `f` of it, in place and in
+    /// index order.
+    pub fn array_map_f64s(&mut self, r: Rec, mut f: impl FnMut(f64) -> f64) {
+        for slot in self.array_bytes_mut(r).chunks_exact_mut(8) {
+            let v = f64::from_le_bytes((&*slot).try_into().expect("8-byte chunk"));
+            slot.copy_from_slice(&f(v).to_le_bytes());
         }
     }
 

@@ -787,7 +787,12 @@ impl PagedHeap {
     ///
     /// Returns [`HeapError::NotAnArray`] if `r` is not an array record.
     pub fn array_kind(&self, r: PageRef) -> Result<ElemKind, HeapError> {
-        match Self::u16_of(self.record_bytes(r), 0) {
+        Self::kind_of(self.record_bytes(r))
+    }
+
+    #[inline]
+    fn kind_of(b: &[u8]) -> Result<ElemKind, HeapError> {
+        match Self::u16_of(b, 0) {
             ARRAY_TYPE_U8 => Ok(ElemKind::U8),
             ARRAY_TYPE_I32 => Ok(ElemKind::I32),
             ARRAY_TYPE_I64 => Ok(ElemKind::I64),
@@ -863,10 +868,50 @@ impl PagedHeap {
 
     /// Reads the whole contents of a `U8` array.
     pub fn array_read_bytes(&self, r: PageRef) -> Vec<u8> {
-        let b = self.record_bytes(r);
-        let len = Self::u32_of(b, 4) as usize;
+        self.array_bytes(r).to_vec()
+    }
+
+    /// Byte range of a primitive array's element storage within its record
+    /// slice: exactly `len × element size` bytes, so a caller that chunks
+    /// the range by the wrong width still cannot leave the record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record is not a `U8`, `I32` or `I64` array.
+    #[inline]
+    fn body_range(b: &[u8]) -> std::ops::Range<usize> {
+        let kind = match Self::kind_of(b) {
+            Ok(kind) if kind != ElemKind::Ref => kind,
+            other => panic!("bulk access needs a primitive array, found {other:?}"),
+        };
         let at = ARRAY_HEADER_BYTES as usize;
-        b[at..at + len].to_vec()
+        at..at + Self::u32_of(b, 4) as usize * kind.size() as usize
+    }
+
+    /// The element storage of a primitive (`U8`/`I32`/`I64`) array,
+    /// borrowed: little-endian elements, back to back. This is the bulk
+    /// access path — the record is resolved and its header read once, and
+    /// the caller then walks the slice with plain offset arithmetic (the
+    /// access pattern §3.2 generates, and why the paper hand-models
+    /// `System.arraycopy`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not a primitive array.
+    pub fn array_bytes(&self, r: PageRef) -> &[u8] {
+        let b = self.record_bytes(r);
+        &b[Self::body_range(b)]
+    }
+
+    /// Mutable counterpart of [`PagedHeap::array_bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not a primitive array.
+    pub fn array_bytes_mut(&mut self, r: PageRef) -> &mut [u8] {
+        let b = self.record_bytes_mut(r);
+        let range = Self::body_range(b);
+        &mut b[range]
     }
 
     /// Reads a `Ref` array element.
@@ -959,6 +1004,31 @@ mod tests {
         let d = h.alloc_array(ElemKind::I64, 2).unwrap();
         h.array_set_f64(d, 1, 0.5);
         assert_eq!(h.array_get_f64(d, 1), 0.5);
+    }
+
+    #[test]
+    fn array_bytes_span_exactly_the_elements() {
+        let mut h = PagedHeap::new();
+        let a = h.alloc_array(ElemKind::I32, 3).unwrap();
+        let next = h.alloc_array(ElemKind::I32, 1).unwrap();
+        h.array_set_i32(next, 0, -1);
+        assert_eq!(h.array_bytes(a).len(), 12);
+        h.array_bytes_mut(a).fill(0xAB);
+        assert_eq!(h.array_get_i32(a, 2), i32::from_le_bytes([0xAB; 4]));
+        assert_eq!(h.array_get_i32(next, 0), -1, "neighbour untouched");
+        let empty = h.alloc_array(ElemKind::I64, 0).unwrap();
+        assert!(h.array_bytes(empty).is_empty());
+        let big = h.alloc_array(ElemKind::I64, PAGE_CAPACITY).unwrap();
+        assert!(big.is_oversize());
+        assert_eq!(h.array_bytes(big).len(), 8 * PAGE_CAPACITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "primitive array")]
+    fn array_bytes_reject_ref_arrays() {
+        let mut h = PagedHeap::new();
+        let refs = h.alloc_array(ElemKind::Ref, 2).unwrap();
+        h.array_bytes(refs);
     }
 
     #[test]

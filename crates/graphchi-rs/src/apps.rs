@@ -146,6 +146,90 @@ impl VertexView<'_> {
             self.store.get_i32(e, pointer_fields::NEIGHBOR) as u32
         }
     }
+
+    // ----- sequential access ------------------------------------------------
+    //
+    // The per-edge accessors above are the random-access API: each call
+    // re-reads the vertex's array field and resolves the array again. A
+    // program that visits every edge of a side in order uses the methods
+    // below, which read the field once and then walk the side: under `P'`
+    // one bulk store call over the inlined value array, under `P` the
+    // `ChiPointer` records one by one.
+
+    /// Folds `f` over the values of one side's edges, in edge order. The
+    /// side is named by its two `ChiVertex` fields: the edge array (walked
+    /// under `P`) and the inlined value array (walked under `P'`).
+    fn fold_edge_values<A>(
+        &self,
+        edges: usize,
+        values: usize,
+        init: A,
+        mut f: impl FnMut(A, f64) -> A,
+    ) -> A {
+        if self.inlined {
+            let vals = self.store.get_rec(self.vertex, values);
+            return self.store.array_f64s(vals).fold(init, f);
+        }
+        let arr = self.store.get_rec(self.vertex, edges);
+        let mut acc = init;
+        for i in 0..self.store.array_len(arr) {
+            let e = self.store.array_get_rec(arr, i);
+            acc = f(acc, self.store.get_f64(e, pointer_fields::VALUE));
+        }
+        acc
+    }
+
+    /// Replaces the value of each of one side's edges by `f` of it, in edge
+    /// order. Under `P` an edge whose value `f` leaves unchanged is not
+    /// written, as a program testing before `setValue` would not write it.
+    fn map_edge_values(&mut self, edges: usize, values: usize, mut f: impl FnMut(f64) -> f64) {
+        if self.inlined {
+            let vals = self.store.get_rec(self.vertex, values);
+            return self.store.array_map_f64s(vals, f);
+        }
+        let arr = self.store.get_rec(self.vertex, edges);
+        for i in 0..self.store.array_len(arr) {
+            let e = self.store.array_get_rec(arr, i);
+            let old = self.store.get_f64(e, pointer_fields::VALUE);
+            let new = f(old);
+            if new.to_bits() != old.to_bits() {
+                self.store.set_f64(e, pointer_fields::VALUE, new);
+            }
+        }
+    }
+
+    /// Folds `f` over the in-edge values, in edge order.
+    pub fn fold_in_edge_values<A>(&self, init: A, f: impl FnMut(A, f64) -> A) -> A {
+        self.fold_edge_values(vertex_fields::IN_EDGES, vertex_fields::IN_VALUES, init, f)
+    }
+
+    /// Folds `f` over the out-edge values, in edge order.
+    pub fn fold_out_edge_values<A>(&self, init: A, f: impl FnMut(A, f64) -> A) -> A {
+        self.fold_edge_values(vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES, init, f)
+    }
+
+    /// Replaces every in-edge value by `f` of it, in edge order.
+    pub fn map_in_edge_values(&mut self, f: impl FnMut(f64) -> f64) {
+        self.map_edge_values(vertex_fields::IN_EDGES, vertex_fields::IN_VALUES, f);
+    }
+
+    /// Replaces every out-edge value by `f` of it, in edge order.
+    pub fn map_out_edge_values(&mut self, f: impl FnMut(f64) -> f64) {
+        self.map_edge_values(vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES, f);
+    }
+
+    /// Sets every out-edge value to `v`.
+    pub fn fill_out_edge_values(&mut self, v: f64) {
+        if self.inlined {
+            let vals = self.store.get_rec(self.vertex, vertex_fields::OUT_VALUES);
+            return self.store.array_map_f64s(vals, |_| v);
+        }
+        let arr = self.store.get_rec(self.vertex, vertex_fields::OUT_EDGES);
+        for i in 0..self.store.array_len(arr) {
+            let e = self.store.array_get_rec(arr, i);
+            self.store.set_f64(e, pointer_fields::VALUE, v);
+        }
+    }
 }
 
 /// A GraphChi vertex program. `Sync` because the engine's workers share
@@ -218,16 +302,11 @@ impl VertexProgram for PageRank {
     }
 
     fn update(&self, v: &mut VertexView<'_>) -> bool {
-        let mut sum = 0.0;
-        for i in 0..v.num_in() {
-            sum += v.in_edge_value(i);
-        }
+        let sum = v.fold_in_edge_values(0.0, |sum, x| sum + x);
         let rank = 0.15 + 0.85 * sum;
         v.set_value(rank);
         let share = rank / v.num_out().max(1) as f64;
-        for i in 0..v.num_out() {
-            v.set_out_edge_value(i, share);
-        }
+        v.fill_out_edge_values(share);
         true
     }
 }
@@ -273,28 +352,16 @@ impl VertexProgram for ConnectedComponents {
     }
 
     fn update(&self, v: &mut VertexView<'_>) -> bool {
-        let mut label = v.value();
-        for i in 0..v.num_in() {
-            label = label.min(v.in_edge_value(i));
-        }
-        for i in 0..v.num_out() {
-            label = label.min(v.out_edge_value(i));
-        }
+        let label = v.fold_in_edge_values(v.value(), f64::min);
+        let label = v.fold_out_edge_values(label, f64::min);
         let changed = label < v.value();
         v.set_value(label);
         // Labels may only *decrease*: an unconditional write would clobber
         // a fresher, lower label that a neighbour updated into the shared
         // edge earlier in the same pass, livelocking propagation.
-        for i in 0..v.num_in() {
-            if label < v.in_edge_value(i) {
-                v.set_in_edge_value(i, label);
-            }
-        }
-        for i in 0..v.num_out() {
-            if label < v.out_edge_value(i) {
-                v.set_out_edge_value(i, label);
-            }
-        }
+        let lower = |x: f64| if label < x { label } else { x };
+        v.map_in_edge_values(lower);
+        v.map_out_edge_values(lower);
         changed
     }
 }
@@ -352,19 +419,12 @@ impl VertexProgram for ShortestPaths {
 
     fn update(&self, v: &mut VertexView<'_>) -> bool {
         // dist = min(dist, min over in-edges of (neighbor dist + 1)).
-        let mut dist = v.value();
-        for i in 0..v.num_in() {
-            dist = dist.min(v.in_edge_value(i));
-        }
+        let dist = v.fold_in_edge_values(v.value(), f64::min);
         let changed = dist < v.value();
         v.set_value(dist);
         // Out-edges carry dist + 1 to successors.
         let relaxed = dist + 1.0;
-        for i in 0..v.num_out() {
-            if relaxed < v.out_edge_value(i) {
-                v.set_out_edge_value(i, relaxed);
-            }
-        }
+        v.map_out_edge_values(|x| if relaxed < x { relaxed } else { x });
         changed
     }
 }

@@ -80,20 +80,16 @@ fn sort_worker(
         }
 
         // Sort record indices, comparing through the store (the data-path
-        // work the paper's ES pays for).
+        // work the paper's ES pays for). Keys are compared in place,
+        // borrowed from the store: a comparison allocates nothing.
+        let key = |i: u32| store.get_rec(store.array_get_rec(arr, i as usize), 1);
         let mut order: Vec<u32> = (0..chunk.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            let ka = store.array_read_bytes(store.get_rec(store.array_get_rec(arr, a as usize), 1));
-            let kb = store.array_read_bytes(store.get_rec(store.array_get_rec(arr, b as usize), 1));
-            ka.cmp(&kb)
-        });
+        order.sort_by(|&a, &b| store.array_bytes(key(a)).cmp(store.array_bytes(key(b))));
 
         // Spill the sorted run (records leave the data path).
         let run: Vec<Vec<u8>> = order
             .iter()
-            .map(|&i| {
-                store.array_read_bytes(store.get_rec(store.array_get_rec(arr, i as usize), 1))
-            })
+            .map(|&i| store.array_read_bytes(key(i)))
             .collect();
         runs.push(run);
 

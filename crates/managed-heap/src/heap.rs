@@ -692,10 +692,57 @@ impl Heap {
 
     /// Reads the whole contents of a `U8` array into a fresh vector.
     pub fn array_read_bytes(&self, obj: ObjRef) -> Vec<u8> {
-        let len = self.array_len(obj);
-        let mut out = vec![0u8; len];
-        self.read(obj, 0, &mut out);
-        out
+        self.array_bytes(obj).to_vec()
+    }
+
+    /// Whether the array lives in the old generation, and the byte range of
+    /// its element storage within that space: exactly `len × element size`
+    /// bytes, so a caller that chunks the range by the wrong width still
+    /// cannot leave the object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obj` is not a `U8`, `I32` or `I64` array. `Ref` arrays
+    /// are excluded because a store into one must go through the write
+    /// barrier ([`Heap::array_set_ref`]).
+    #[inline]
+    fn body_span(&self, obj: ObjRef) -> (bool, std::ops::Range<usize>) {
+        let e = self.entry(obj);
+        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
+        let kind = tag_elem_kind(e.class);
+        assert!(
+            e.is(F_ARRAY) && kind != ElemKind::Ref,
+            "bulk access needs a primitive array"
+        );
+        let at = (e.addr + ARRAY_HEADER_BYTES) as usize;
+        (e.is(F_OLD), at..at + e.len as usize * kind.size() as usize)
+    }
+
+    /// The element storage of a primitive (`U8`/`I32`/`I64`) array,
+    /// borrowed: little-endian elements, back to back. This is the bulk
+    /// access path — the object-table entry is resolved once and the caller
+    /// then walks the slice. The borrow keeps the collector out: nothing
+    /// can allocate (and so move the array) while the slice is alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obj` is not a primitive array.
+    pub fn array_bytes(&self, obj: ObjRef) -> &[u8] {
+        let (old, range) = self.body_span(obj);
+        let space = if old { &self.old } else { &self.young };
+        &space.bytes[range]
+    }
+
+    /// Mutable counterpart of [`Heap::array_bytes`]. Primitive elements
+    /// hold no references, so no write barrier is needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obj` is not a primitive array.
+    pub fn array_bytes_mut(&mut self, obj: ObjRef) -> &mut [u8] {
+        let (old, range) = self.body_span(obj);
+        let space = if old { &mut self.old } else { &mut self.young };
+        &mut space.bytes[range]
     }
 
     /// Reads a `Ref` array element.
@@ -793,6 +840,36 @@ mod tests {
         let l = h.alloc_array(ElemKind::I64, 2).unwrap();
         h.array_set_f64(l, 0, -1.5);
         assert_eq!(h.array_get_f64(l, 0), -1.5);
+    }
+
+    #[test]
+    fn array_bytes_span_exactly_the_elements_across_collections() {
+        let mut h = small_heap();
+        let a = h.alloc_array(ElemKind::I32, 3).unwrap();
+        h.add_root(a);
+        let next = h.alloc_array(ElemKind::I32, 1).unwrap();
+        h.add_root(next);
+        h.array_set_i32(next, 0, -1);
+        assert_eq!(h.array_bytes(a).len(), 12);
+        h.array_bytes_mut(a).fill(0xAB);
+        // The collector moves (and eventually promotes) the array; the
+        // bulk view follows the object-table entry like any accessor.
+        for _ in 0..4 {
+            h.collect_full();
+            assert_eq!(h.array_bytes(a), [0xAB; 12]);
+        }
+        assert!(h.is_old(a));
+        assert_eq!(h.array_get_i32(next, 0), -1, "neighbour untouched");
+        let empty = h.alloc_array(ElemKind::I64, 0).unwrap();
+        assert!(h.array_bytes(empty).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "primitive array")]
+    fn array_bytes_reject_ref_arrays() {
+        let mut h = small_heap();
+        let refs = h.alloc_array(ElemKind::Ref, 2).unwrap();
+        h.array_bytes_mut(refs);
     }
 
     #[test]

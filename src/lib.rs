@@ -19,8 +19,8 @@
 //! - [`heap`] — the simulated managed heap with a generational collector
 //!   (the baseline the paper measures against).
 //! - [`vm`] — an interpreter that executes IR programs on either backend.
-//! - [`store`] — the `RecordStore` abstraction the Big Data frameworks use to
-//!   run their data paths on either backend.
+//! - [`store`] — the `Store` type the Big Data frameworks use to run their
+//!   data paths on either backend.
 //! - [`graphchi`], [`hyracks`], [`gps`] — the three evaluated frameworks.
 //! - [`datagen`] — synthetic workload generators.
 //! - [`metrics`] — timers, memory accounting, and report tables.
@@ -45,5 +45,5 @@ pub use hyracks_rs as hyracks;
 pub use managed_heap as heap;
 pub use metrics;
 
-/// The `RecordStore` abstraction over the two storage backends.
+/// `Store`: one record store over the two storage backends.
 pub use data_store as store;

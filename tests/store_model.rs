@@ -158,6 +158,129 @@ fn byte_arrays_roundtrip() {
     }
 }
 
+/// Seeded bulk-array operations — write a run at an offset, stream the
+/// elements back, map in place, borrow the bytes — mirrored in `Vec` models,
+/// with a collection forced after every operation (a no-op on the facade
+/// backend; on the heap backend it moves the arrays under the next call).
+fn bulk_ops_match_model(mut store: Store, len: usize, rng: &mut SplitMix64) {
+    let doubles = store.alloc_array(ElemTy::I64, len).unwrap();
+    store.add_root(doubles);
+    let ints = store.alloc_array(ElemTy::I32, len).unwrap();
+    store.add_root(ints);
+    let bytes = store.alloc_array(ElemTy::U8, len).unwrap();
+    store.add_root(bytes);
+    // Doubles are modelled by bit pattern, so NaNs compare too.
+    let mut doubles_model = vec![0u64; len];
+    let mut ints_model = vec![0i32; len];
+    let mut bytes_model = vec![0u8; len];
+
+    for _ in 0..24 {
+        let start = rng.next_below(len as u64 + 1) as usize;
+        let run = rng.next_below((len - start) as u64 + 1) as usize;
+        match rng.next_below(6) {
+            0 => {
+                let data: Vec<f64> = (0..run).map(|_| rng.next_u64() as f64 / 7.0).collect();
+                store.array_write_f64s(doubles, start, &data);
+                for (m, v) in doubles_model[start..].iter_mut().zip(&data) {
+                    *m = v.to_bits();
+                }
+            }
+            1 => {
+                let data: Vec<i64> = (0..run).map(|_| rng.next_u64() as i64).collect();
+                store.array_write_i64s(doubles, start, &data);
+                for (m, &v) in doubles_model[start..].iter_mut().zip(&data) {
+                    *m = v as u64;
+                }
+            }
+            2 => {
+                let data: Vec<i32> = (0..run).map(|_| rng.next_u64() as i32).collect();
+                store.array_write_i32s(ints, start, &data);
+                ints_model[start..start + run].copy_from_slice(&data);
+            }
+            3 => {
+                let f = |x: f64| x * 0.5 + 1.0;
+                store.array_map_f64s(doubles, f);
+                for m in &mut doubles_model {
+                    *m = f(f64::from_bits(*m)).to_bits();
+                }
+            }
+            4 => {
+                let data: Vec<u8> = (0..start).map(|_| rng.next_u64() as u8).collect();
+                store.array_write_bytes(bytes, &data);
+                bytes_model[..start].copy_from_slice(&data);
+            }
+            _ => {
+                // A single element through the random-access API: both
+                // APIs address the same storage.
+                if len > 0 {
+                    let i = start.min(len - 1);
+                    store.array_set_f64(doubles, i, 0.25);
+                    doubles_model[i] = 0.25f64.to_bits();
+                    store.array_set_i32(ints, i, -7);
+                    ints_model[i] = -7;
+                }
+            }
+        }
+        store.collect();
+
+        let streamed = store.array_f64s(doubles);
+        assert_eq!(streamed.len(), len);
+        assert!(streamed.map(f64::to_bits).eq(doubles_model.iter().copied()));
+        assert!(store.array_i32s(ints).eq(ints_model.iter().copied()));
+        assert_eq!(store.array_bytes(bytes), bytes_model);
+    }
+    for i in 0..len {
+        assert_eq!(store.array_get_i64(doubles, i) as u64, doubles_model[i]);
+        assert_eq!(store.array_get_i32(ints, i), ints_model[i]);
+    }
+    assert_eq!(store.array_read_bytes(bytes), bytes_model);
+}
+
+#[test]
+fn bulk_array_ops_match_vec_model() {
+    let page = facade_runtime::PAGE_CAPACITY;
+    // Record sizes on the facade backend are `8 + len × element size`:
+    // empty, small, the last `I64` length below the large-record threshold
+    // (half a page) and the first one on it, and one no page can hold.
+    let fixed = [
+        0,
+        1,
+        2,
+        (page / 2 - 8) / 8,
+        (page / 2 - 8) / 8 + 1,
+        page / 8 + 1,
+    ];
+    for case in 0..24u64 {
+        let mut rng = SplitMix64::new(0xB01C + case);
+        let len = match fixed.get(case as usize) {
+            Some(&len) => len,
+            None => 1 + rng.next_below(300) as usize,
+        };
+        for backend in [Backend::Heap, Backend::Facade] {
+            let store = Store::builder().backend(backend).budget(16 << 20).build();
+            bulk_ops_match_model(store, len, &mut rng.clone());
+        }
+    }
+}
+
+fn bulk_write_past_the_end(backend: Backend) {
+    let mut store = Store::builder().backend(backend).budget(1 << 20).build();
+    let arr = store.alloc_array(ElemTy::I64, 8).unwrap();
+    store.array_write_f64s(arr, 7, &[1.0, 2.0]);
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn heap_bulk_write_past_the_end_panics() {
+    bulk_write_past_the_end(Backend::Heap);
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn facade_bulk_write_past_the_end_panics() {
+    bulk_write_past_the_end(Backend::Facade);
+}
+
 #[test]
 fn facade_iterations_isolate_allocations() {
     for case in 0..32u64 {
