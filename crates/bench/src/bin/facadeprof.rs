@@ -5,25 +5,23 @@
 //!
 //! - `facadeprof <trace.json>` — analyse an exported Chrome trace (any
 //!   `target/experiments/*_trace.json` written by the bench binaries).
-//!   Pass `--report <BENCH.json>` to print the observed `speedup_vs_1`
-//!   column next to the Amdahl projection.
 //! - `facadeprof --run graphchi|hyracks [--threads N]` — run the workload
-//!   inline (a 1-thread reference then an N-thread run, default 4) and
-//!   profile the N-thread timeline. Requires a `--features tracing` build
-//!   to capture anything.
+//!   inline (a 1-thread reference then an N-thread run, default 4),
+//!   profile the N-thread timeline and print the observed speedup next to
+//!   the Amdahl projection. Requires a `--features tracing` build to
+//!   capture anything.
 //!
-//! `--json` swaps the text report for the profile's JSON (the same object
-//! the bench reports embed under `"profile"`).
+//! `--json` swaps the text report for the profile's JSON.
 //!
 //! Exit codes: 0 report printed, 1 empty timeline (likely a build without
 //! `--features tracing`), 2 usage or I/O error.
 
-use facade_bench::json::Json;
-use facade_bench::{json, mem_unit, scale, speedup};
+use facade_bench::{mem_unit, scale, speedup};
 use facade_prof::{ProfEvent, ProfKind, Profile};
+use metrics::json::{self, Json};
 
 const USAGE: &str = "\
-usage: facadeprof <trace.json> [--report <BENCH.json>] [--json]
+usage: facadeprof <trace.json> [--json]
        facadeprof --run graphchi|hyracks [--threads N] [--json]
 
 Reads a Chrome trace exported by the bench binaries (or runs a workload
@@ -63,16 +61,13 @@ fn main() {
     } else {
         let path = args
             .iter()
-            .filter(|a| !a.starts_with("--"))
-            .filter(|a| Some(a.as_str()) != flag_value("--report").as_deref())
-            .next_back()
+            .rfind(|a| !a.starts_with("--"))
             .unwrap_or_else(|| fail("expected a trace file or --run"));
         let raw = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
         let events = parse_chrome_trace(&raw)
             .unwrap_or_else(|e| fail(&format!("{path} is not a Chrome trace export: {e}")));
-        let observed = flag_value("--report").map_or_else(Vec::new, |r| read_speedups(&r));
-        (events, observed)
+        (events, Vec::new())
     };
 
     if events.is_empty() {
@@ -136,32 +131,6 @@ fn parse_chrome_trace(raw: &str) -> Result<Vec<ProfEvent>, String> {
         });
     }
     Ok(events)
-}
-
-/// Pulls `(threads, speedup_vs_1)` rows out of a bench report for the
-/// "observed speedup" line; a malformed report just yields no line.
-fn read_speedups(path: &str) -> Vec<(u32, f64)> {
-    let Ok(raw) = std::fs::read_to_string(path) else {
-        eprintln!("facadeprof: cannot read --report {path}; skipping observed speedups");
-        return Vec::new();
-    };
-    let Ok(doc) = json::parse(&raw) else {
-        eprintln!("facadeprof: --report {path} is not valid JSON; skipping observed speedups");
-        return Vec::new();
-    };
-    doc.get("runs")
-        .and_then(Json::as_array)
-        .map(|runs| {
-            runs.iter()
-                .filter_map(|r| {
-                    Some((
-                        r.get("threads")?.as_u64()? as u32,
-                        r.get("speedup_vs_1")?.as_f64()?,
-                    ))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 /// Runs a workload inline: a 1-thread reference (for the observed-speedup

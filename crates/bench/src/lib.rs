@@ -1,5 +1,9 @@
-//! Shared helpers for the benchmark binaries that regenerate the paper's
-//! tables and figures.
+//! Shared helpers for the binaries that regenerate the paper's tables and
+//! figures, and for the tools (`facadec`, `facadeprof`, `heapstat`).
+//!
+//! This crate reproduces the paper's evaluation; it measures nothing for
+//! regression purposes. The benchmark that accepts or rejects a change is
+//! the standalone `benchmark/` package (see `benchmark/README.md`).
 //!
 //! Every binary honours two environment variables:
 //!
@@ -10,9 +14,6 @@
 //!
 //! Results are printed as paper-style text tables and also written as JSON
 //! lines under `target/experiments/` for `EXPERIMENTS.md` regeneration.
-
-pub mod gate;
-pub mod json;
 
 use metrics::report::RunRecord;
 use std::fs;
@@ -53,25 +54,6 @@ pub fn threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// The host's CPU count, as bench reports record it under `host_cpus`.
-///
-/// On a 1-CPU host every thread count time-slices one core, so the
-/// `speedup_vs_1` column of such a report is scheduler noise. This prints
-/// a loud warning in that case: never refresh a checked-in baseline's
-/// speedups from a 1-CPU run. The regression gate reads the recorded
-/// `host_cpus` and skips its speedup checks when either report says 1.
-pub fn host_cpus() -> usize {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cpus == 1 {
-        eprintln!(
-            "WARNING: 1-CPU host — speedup_vs_1 in this report carries no \
-             parallel-efficiency signal; do not promote it to a checked-in \
-             baseline"
-        );
-    }
-    cpus
-}
-
 /// Formats a duration as fractional seconds (the paper's table format).
 pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
@@ -94,76 +76,30 @@ pub fn write_records(name: &str, records: &[RunRecord]) {
 
 /// Drains the process-wide trace buffers and exports them twice: a Chrome
 /// `trace_event` file at `target/experiments/{name}_trace.json` (load it at
-/// `chrome://tracing` or <https://ui.perfetto.dev>) and a returned
-/// per-span-name summary as a JSON object string, ready to embed in a
-/// bench report under a `"trace"` key.
+/// `chrome://tracing` or <https://ui.perfetto.dev>, or feed it to
+/// `facadeprof`) and a returned per-span-name summary as a JSON object
+/// string. The recorder's dropped-event count (buffer-cap overflow) is
+/// folded into the summary.
 ///
 /// With tracing disabled (the default build) the buffers are empty: the
 /// file records zero events and the summary is `{"events": 0, ...}`.
 /// Build the bench binaries with `--features tracing` to capture spans.
 pub fn export_trace(name: &str) -> String {
-    export_trace_from(name, &facade_trace::drain())
-}
-
-/// [`export_trace`] over an already-drained timeline — for binaries that
-/// drain per run (to profile one run in isolation) and still want the
-/// whole sweep in one Chrome file. Folds the recorder's dropped-event
-/// count (buffer-cap overflow) into the summary.
-pub fn export_trace_from(name: &str, events: &[facade_trace::TraceEvent]) -> String {
-    let mut summary = facade_trace::summary::summarize(events);
+    let events = facade_trace::drain();
+    let mut summary = facade_trace::summary::summarize(&events);
     summary.events_dropped = facade_trace::take_events_dropped();
     let dir = PathBuf::from("target/experiments");
     if fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{name}_trace.json"));
-        let _ = fs::write(&path, facade_trace::chrome::render(events));
+        let _ = fs::write(&path, facade_trace::chrome::render(&events));
         eprintln!("wrote {} ({} events)", path.display(), events.len());
     }
     summary.to_json()
 }
 
-/// Builds the `"profile"` JSON section of a bench report: the facade-prof
-/// analysis (lanes, concurrency histograms, critical path, serial
-/// fraction) of one run's drained events. `"null"` when the timeline is
-/// empty (tracing disabled) so the section stays honest instead of
-/// claiming a measured-zero profile.
-pub fn profile_json(events: &[facade_trace::TraceEvent]) -> String {
-    if events.is_empty() {
-        return "null".to_string();
-    }
-    facade_prof::Profile::build(&facade_prof::from_trace(events)).to_json()
-}
-
-/// Handles the `--serve-metrics <addr>` flag shared by bench_trajectory and
-/// bench_hyracks: when present in `args`, binds the global metrics
-/// registry's Prometheus exposition at `addr`, serves until at least one
-/// request has been answered (one scrape: `curl http://<addr>/metrics`),
-/// then shuts the server down and returns. Call it after the report is
-/// written so the scrape sees final values.
-pub fn serve_metrics_if_requested(args: &[String]) {
-    let Some(pos) = args.iter().position(|a| a == "--serve-metrics") else {
-        return;
-    };
-    let Some(addr) = args.get(pos + 1) else {
-        eprintln!("--serve-metrics requires an address, e.g. --serve-metrics 127.0.0.1:9184");
-        std::process::exit(2);
-    };
-    let server = metrics::MetricsServer::bind(addr, metrics::Registry::global_shared())
-        .unwrap_or_else(|e| {
-            eprintln!("--serve-metrics {addr}: bind failed: {e}");
-            std::process::exit(2);
-        });
-    eprintln!(
-        "serving metrics at http://{}/metrics (exits after the first scrape)",
-        server.local_addr()
-    );
-    let handle = server.start(1);
-    handle.wait_for_requests(1);
-    handle.shutdown();
-}
-
-/// Renders a [`data_store::StoreCensus`] as one JSON object, for the
-/// `census`/`heap` sections of bench reports. Deterministic: rows and
-/// per-type counts are name-sorted by construction.
+/// Renders a [`data_store::StoreCensus`] as one JSON object, for
+/// `heapstat`'s report. Deterministic: rows and per-type counts are
+/// name-sorted by construction.
 pub fn census_json(census: &data_store::StoreCensus) -> String {
     fn push_json_str(out: &mut String, s: &str) {
         out.push('"');
@@ -246,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn census_json_round_trips_through_the_gate_parser() {
+    fn census_json_round_trips_through_the_json_parser() {
         let census = data_store::StoreCensus {
             backend: "heap",
             rows: vec![data_store::CensusRow {
@@ -260,7 +196,7 @@ mod tests {
             records_allocated: 1_000,
             records_by_type: vec![("Vertex".to_string(), 1_000)],
         };
-        let doc = crate::json::parse(&census_json(&census)).expect("valid JSON");
+        let doc = metrics::json::parse(&census_json(&census)).expect("valid JSON");
         assert_eq!(doc.get("backend").unwrap().as_str(), Some("heap"));
         assert_eq!(doc.get("live_objects").unwrap().as_u64(), Some(7));
         let rows = doc.get("rows").unwrap().as_array().unwrap();

@@ -286,8 +286,8 @@ fn p_elem(e: ElemTy) -> PElem {
     }
 }
 
-/// Configures and builds a [`Store`]: the one construction path covering
-/// every combination the deprecated ad-hoc constructors used to express.
+/// Configures and builds a [`Store`]: the one construction path, covering
+/// every backend / budget / pool / fault-plan combination.
 ///
 /// Defaults: facade backend, no budget (unbounded), private pages, no
 /// fault plan — each knob is opt-in.
@@ -460,56 +460,6 @@ impl Store {
     /// Starts configuring a store; see [`StoreBuilder`].
     pub fn builder() -> StoreBuilder {
         StoreBuilder::default()
-    }
-
-    /// Creates a heap-backed store (`P`) with the given byte budget.
-    #[deprecated(note = "use `Store::builder().backend(Backend::Heap).budget(..).build()`")]
-    pub fn heap(budget_bytes: usize) -> Self {
-        Self::builder()
-            .backend(Backend::Heap)
-            .budget(budget_bytes)
-            .build()
-    }
-
-    /// Creates a heap-backed store with an explicit configuration.
-    #[deprecated(note = "use `Store::builder().backend(Backend::Heap).heap_config(..).build()`")]
-    pub fn heap_with_config(config: HeapConfig) -> Self {
-        Self::builder()
-            .backend(Backend::Heap)
-            .heap_config(config)
-            .build()
-    }
-
-    /// Creates a facade-backed store (`P'`) with the given byte budget,
-    /// enforced over native pages per the paper's fair-comparison rule.
-    #[deprecated(note = "use `Store::builder().budget(..).build()`")]
-    pub fn facade(budget_bytes: usize) -> Self {
-        Self::builder().budget(budget_bytes).build()
-    }
-
-    /// Installs a fault schedule on the facade backend's paged heap (a
-    /// no-op on the heap backend, which has no paged allocator to inject
-    /// into). Clone one plan across the stores of a run to inject against
-    /// the process-wide allocation sequence.
-    #[cfg(feature = "fault-injection")]
-    #[deprecated(note = "use `StoreBuilder::fault_plan` at construction")]
-    pub fn set_fault_plan(&mut self, plan: facade_runtime::FaultPlan) {
-        if let Inner::Facade { paged, .. } = &mut self.inner {
-            paged.set_fault_plan(plan);
-        }
-    }
-
-    /// Creates a facade-backed store with no budget.
-    #[deprecated(note = "use `Store::builder().build()`")]
-    pub fn facade_unbounded() -> Self {
-        Self::builder().build()
-    }
-
-    /// Creates a facade-backed store whose pages come from (and return to) a
-    /// shared [`PagePool`]. See [`StoreBuilder::pool`].
-    #[deprecated(note = "use `Store::builder().budget(..).pool(..).build()`")]
-    pub fn facade_shared(budget_bytes: usize, pool: Arc<PagePool>) -> Self {
-        Self::builder().budget(budget_bytes).pool(pool).build()
     }
 
     /// Returns `true` if this store uses the facade (paged) backend.
@@ -1059,9 +1009,10 @@ impl Store {
     }
 
     /// Counters of the shared [`PagePool`] this store draws from; `None` on
-    /// the heap backend or when the store was not built with
-    /// [`Store::facade_shared`]. Workers over one pool see one set of
-    /// counters, so reading any store's is enough for a run-level report.
+    /// the heap backend or when the store was built with neither
+    /// [`StoreBuilder::pool`] nor [`StoreBuilder::pool_backing`]. Workers
+    /// over one pool see one set of counters, so reading any store's is
+    /// enough for a run-level report.
     pub fn pool_counters(&self) -> Option<PoolCounters> {
         match &self.inner {
             Inner::Heap { .. } => None,

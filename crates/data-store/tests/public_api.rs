@@ -2,9 +2,8 @@
 //! unified job API (`facade-job`) and the daemon built on it
 //! (`facade-server`) — is written out (declaration signatures, per source
 //! file) and compared against the checked-in snapshot under `api/`. An
-//! unreviewed API change — a renamed builder method, a constructor losing
-//! its deprecation shim, a struct going private — fails this test before
-//! it reaches a consumer.
+//! unreviewed API change — a renamed builder method, a struct going
+//! private — fails this test before it reaches a consumer.
 //!
 //! To accept an intentional change, regenerate the snapshot:
 //!
@@ -162,37 +161,17 @@ fn public_api_matches_snapshot() {
     }
 }
 
-/// The deprecated constructors are part of the compatibility contract this
-/// PR makes: they must stay on the surface until a major release removes
-/// them deliberately (which will show up as a reviewed snapshot change).
+/// The store builder and the unified job API are contracts: the one store
+/// constructor, the spec/handle/runner trio and the dispatcher entry points
+/// must stay on the snapshot so a consumer-breaking rename is a reviewed
+/// change.
 #[test]
-fn snapshot_pins_the_deprecated_constructors() {
+fn snapshot_pins_the_builder_and_job_api_surface() {
     let snapshot = fs::read_to_string(manifest_dir().join("api/public-api.txt"))
         .expect("snapshot is checked in");
     for item in [
-        "pub fn heap(budget_bytes: usize) -> Self",
-        "pub fn heap_with_config(config: HeapConfig) -> Self",
-        "pub fn facade(budget_bytes: usize) -> Self",
-        "pub fn facade_unbounded() -> Self",
-        "pub fn facade_shared(budget_bytes: usize, pool: Arc<PagePool>) -> Self",
-        "pub fn builder() -> StoreBuilder",
-        "pub struct StoreBuilder",
-    ] {
-        assert!(
-            snapshot.contains(item),
-            "snapshot must pin `{item}` on the public surface"
-        );
-    }
-}
-
-/// The unified job API the server redesign introduced is a contract too:
-/// the spec/handle/runner trio and the dispatcher entry points must stay on
-/// the snapshot so a consumer-breaking rename is a reviewed change.
-#[test]
-fn snapshot_pins_the_job_api_surface() {
-    let snapshot = fs::read_to_string(manifest_dir().join("api/public-api.txt"))
-        .expect("snapshot is checked in");
-    for item in [
+        "lib.rs: pub fn builder() -> StoreBuilder",
+        "lib.rs: pub struct StoreBuilder",
         "facade-job/spec.rs: pub struct JobSpec",
         "facade-job/dispatch.rs: pub struct JobHandle",
         "facade-job/runner.rs: pub trait JobRunner: Send + Sync",
@@ -204,7 +183,7 @@ fn snapshot_pins_the_job_api_surface() {
     ] {
         assert!(
             snapshot.contains(item),
-            "snapshot must pin `{item}` on the job-API surface"
+            "snapshot must pin `{item}` on the public surface"
         );
     }
 }

@@ -11,10 +11,11 @@
 //!
 //! Every stage records a pretty-printed snapshot of the program (plus the
 //! facade-pool bounds once they exist) and its wall-clock duration; the
-//! golden tests in `tests/golden.rs` pin those snapshots, and
-//! `bench_compiler` turns the durations into BENCH_compiler.json. Executing
-//! the resulting `P` / `P'` pair — and proving their outputs identical —
-//! is the runtime half of the loop, in `facade_vm::run_dual`.
+//! golden tests in `tests/golden.rs` pin those snapshots, and the
+//! `compile_run` workload of `benchmark/` reports the durations as its
+//! `facade_compiler.*` per-layer metrics. Executing the resulting `P` / `P'`
+//! pair — and proving their outputs identical — is the runtime half of the
+//! loop, in `facade_vm::run_dual`.
 
 use crate::error::CompileError;
 use crate::meta::PagedMeta;

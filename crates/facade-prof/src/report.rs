@@ -30,9 +30,8 @@ fn json_string(out: &mut String, s: &str) {
 }
 
 impl Profile {
-    /// Renders the profile as one JSON object — the `"profile"` section the
-    /// bench binaries embed in `BENCH_*.json` and `regression_gate` reads
-    /// (`idle_pct`, `serial_fraction`).
+    /// Renders the profile as one JSON object — what `facadeprof --json`
+    /// prints (`idle_pct`, `serial_fraction`, lanes, critical path).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         let _ = write!(

@@ -37,7 +37,7 @@
 //! [`chrome::render`] turns a drained timeline into Chrome `trace_event`
 //! JSON (load it at `chrome://tracing` or <https://ui.perfetto.dev>);
 //! [`summary::summarize`] folds it into per-span aggregate statistics for
-//! embedding in `BENCH_*.json` reports. See `docs/OBSERVABILITY.md`.
+//! machine-readable reports. See `docs/OBSERVABILITY.md`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

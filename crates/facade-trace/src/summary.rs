@@ -4,8 +4,8 @@
 //! much, in total". [`summarize`] folds a drained timeline into per-name
 //! span statistics (count, total/max duration), instant counts, and
 //! per-name counter statistics (count, min/max/last sample), and
-//! [`TraceSummary::to_json`] renders them as the `trace` section embedded
-//! in `BENCH_*.json` by the bench binaries.
+//! [`TraceSummary::to_json`] renders them as one JSON object (what
+//! `facade_bench::export_trace` returns).
 //!
 //! ```
 //! {

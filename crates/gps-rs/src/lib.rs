@@ -22,6 +22,16 @@
 //! Three applications match §4.3's evaluation set: [`PageRank`],
 //! [`KMeans`], and [`RandomWalk`].
 //!
+//! # Scope: paper reproduction only
+//!
+//! This crate exists to reproduce §4.3 and is driven by exactly two
+//! callers: the `gps_eval` binary of `facade-bench` and
+//! `examples/gps_kmeans.rs`. It is deliberately *not* a
+//! `facade_job::JobRunner` and is not in the serving graph — `JobSpec`
+//! has no GPS workload, `facade-server` never loads it, and `benchmark/`
+//! does not measure it. That is a decision, not a to-do: a third runner
+//! would add a workload to serve, not evidence for the paper's claim.
+//!
 //! # Examples
 //!
 //! ```

@@ -812,16 +812,6 @@ impl Engine {
         &self.csr
     }
 
-    /// Former name of [`Engine::execute`]; forwards unchanged.
-    #[deprecated(
-        since = "0.10.0",
-        note = "renamed to `execute` when the unified job API landed; use `Engine::execute` \
-                (or submit a `facade_job::JobSpec`)"
-    )]
-    pub fn run(&mut self, app: &dyn VertexProgram) -> Result<RunOutcome, EngineError> {
-        self.execute(app)
-    }
-
     /// Runs `app` to convergence (or its iteration bound).
     ///
     /// Subintervals are distributed round-robin over `config.threads`

@@ -34,8 +34,8 @@
 //! budget; facade workers draw pages from one shared pool. Workers read a
 //! frozen interval-start snapshot and buffer their writes, and the main
 //! thread replays the buffers in subinterval order — so the output is
-//! bit-identical at every thread count (asserted by the engine tests and by
-//! the `bench_trajectory` binary on the real workload).
+//! bit-identical at every thread count (asserted by the engine test
+//! `parallel_runs_are_bit_identical_to_sequential`).
 //!
 //! # Failure handling
 //!

@@ -175,14 +175,12 @@ impl ClusterConfig {
 
 /// The simulated cluster as a resident object: configure once, submit jobs.
 ///
-/// This is the unified entry point the job API (the `facade-job` runners)
-/// and the serving daemon build on; the free functions
-/// [`run_wordcount`](crate::run_wordcount) and
-/// [`run_external_sort`](crate::run_external_sort) are deprecated shims
-/// over it. The struct holds only configuration — worker stores live for
-/// one job phase — so one `Cluster` can execute any number of jobs, and a
-/// host sharing its [`ClusterConfig::pool`] across clusters multiplexes
-/// them over one page economy.
+/// This is the one entry point to both jobs; the job API (the `facade-job`
+/// runners) and the serving daemon build on it. The struct holds only
+/// configuration — worker stores live for one job phase — so one `Cluster`
+/// can execute any number of jobs, and a host sharing its
+/// [`ClusterConfig::pool`] across clusters multiplexes them over one page
+/// economy.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,

@@ -123,7 +123,8 @@ fn merge_runs(runs: Vec<Vec<Vec<u8>>>) -> Vec<Vec<u8>> {
     out
 }
 
-/// Runs the ES job over `corpus` on the simulated cluster.
+/// Runs the ES job over `corpus` on the simulated cluster; the
+/// implementation behind [`crate::Cluster::external_sort`].
 ///
 /// With [`ClusterConfig::checkpoint_dir`] set, the sorted partitions are
 /// committed as a checksummed manifest the moment the sort phase completes;
@@ -135,20 +136,6 @@ fn merge_runs(runs: Vec<Vec<Vec<u8>>>) -> Vec<Vec<u8>> {
 /// Returns [`JobFailure`] (`OME(n)`) if any worker exhausts its budget, or
 /// an injected-crash failure when the fault plan's `crash_in_phase` fires
 /// (phase 0 = sort, phase 1 = finish).
-#[deprecated(
-    since = "0.10.0",
-    note = "superseded by the resident `Cluster` API: \
-            `Cluster::new(&config).external_sort(corpus)` (or submit a `facade_job::JobSpec`)"
-)]
-pub fn run_external_sort(
-    corpus: &[String],
-    config: &ClusterConfig,
-) -> Result<EsOutput, JobFailure> {
-    external_sort_job(corpus, config)
-}
-
-/// The implementation behind [`crate::Cluster::external_sort`] and the
-/// deprecated [`run_external_sort`] shim.
 pub(crate) fn external_sort_job(
     corpus: &[String],
     config: &ClusterConfig,

@@ -42,9 +42,5 @@ pub use cluster::{
     Cluster, ClusterConfig, FailureCause, JobFailure, JobStats, RetryPolicy, WorkerReport,
 };
 pub use extsort::EsOutput;
-#[allow(deprecated)]
-pub use extsort::run_external_sort;
 pub use metrics::report::Backend;
 pub use wordcount::WcOutput;
-#[allow(deprecated)]
-pub use wordcount::run_wordcount;

@@ -146,7 +146,8 @@ fn reduce_worker(
     Ok(out)
 }
 
-/// Runs the WC job over `corpus` on the simulated cluster.
+/// Runs the WC job over `corpus` on the simulated cluster; the
+/// implementation behind [`crate::Cluster::word_count`].
 ///
 /// With [`ClusterConfig::checkpoint_dir`] set, the map phase's output is
 /// committed as a checksummed manifest the moment it completes; a restart
@@ -158,17 +159,6 @@ fn reduce_worker(
 /// Returns [`JobFailure`] (`OME(n)`) if any worker exhausts its per-node
 /// budget, or an injected-crash failure when the fault plan's
 /// `crash_in_phase` fires (phase 0 = map, phase 1 = reduce).
-#[deprecated(
-    since = "0.10.0",
-    note = "superseded by the resident `Cluster` API: \
-            `Cluster::new(&config).word_count(corpus)` (or submit a `facade_job::JobSpec`)"
-)]
-pub fn run_wordcount(corpus: &[String], config: &ClusterConfig) -> Result<WcOutput, JobFailure> {
-    wordcount_job(corpus, config)
-}
-
-/// The implementation behind [`crate::Cluster::word_count`] and the
-/// deprecated [`run_wordcount`] shim.
 pub(crate) fn wordcount_job(
     corpus: &[String],
     config: &ClusterConfig,

@@ -1,5 +1,4 @@
-//! A minimal hand-rolled HTTP/1.1 server, and the Prometheus exposition
-//! endpoint built on it.
+//! A minimal hand-rolled HTTP/1.1 server.
 //!
 //! [`HttpServer`] is the workspace's one HTTP front end: a blocking
 //! [`TcpListener`] served by a **bounded acceptor pool** — `N` OS threads
@@ -9,21 +8,12 @@
 //! path, query pairs, body bounded by `Content-Length`), dispatched through
 //! a [`Handler`], and answered with `Connection: close` (curl, Prometheus
 //! scrapers, and the facade-server clients all speak this fine).
-//!
-//! [`MetricsServer`] is the Prometheus endpoint on top: `GET /metrics` →
-//! `200 text/plain; version=0.0.4`. It began life as a one-shot listener
-//! (accept one, answer one) behind the bench binaries' `--serve-metrics`
-//! flag; [`MetricsServer::start`] now promotes the same bind into a
-//! persistent concurrent server with graceful shutdown, which is what the
-//! facade-server daemon mounts at `/metrics`. The one-shot
-//! [`serve_one`](MetricsServer::serve_one) survives for the smoke path.
 
-use crate::Registry;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest request head accepted before the connection is dropped; a
 /// request line plus ordinary client headers fits comfortably.
@@ -33,9 +23,16 @@ const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// kilobyte; anything bigger than this is not one of ours).
 const MAX_BODY_BYTES: usize = 256 * 1024;
 
-/// Per-connection socket timeout so a stalled peer cannot wedge an
-/// acceptor thread forever.
+/// Per-operation socket timeout (the first read, every write) so a stalled
+/// peer cannot wedge an acceptor thread forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// One request, one deadline: head and body must both have arrived this long
+/// after the acceptor started reading. `IO_TIMEOUT` alone bounds each read,
+/// not their sum — a peer dribbling one byte every few seconds would hold an
+/// acceptor for the whole `MAX_HEAD_BYTES` + `MAX_BODY_BYTES`, and a handful
+/// of them wedge the bounded pool.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A parsed HTTP request: what a [`Handler`] dispatches on.
 #[derive(Debug, Clone)]
@@ -153,6 +150,40 @@ where
 /// A bound-but-not-yet-serving HTTP server. Drive it with
 /// [`serve_one`](HttpServer::serve_one) (tests, smoke runs) or promote it
 /// to a persistent concurrent server with [`start`](HttpServer::start).
+///
+/// A Prometheus exposition endpoint is one closure over a
+/// [`Registry`](crate::Registry):
+///
+/// ```
+/// use metrics::{HttpServer, Registry, Request, Response};
+/// use std::sync::Arc;
+///
+/// let registry = Arc::new(Registry::new());
+/// registry.counter("demo_requests_total").inc();
+/// let scraped = Arc::clone(&registry);
+/// let server = HttpServer::bind(
+///     "127.0.0.1:0",
+///     Arc::new(move |req: &Request| match (req.method.as_str(), req.path.as_str()) {
+///         ("GET", "/metrics") => Response::text(scraped.render_prometheus()),
+///         _ => Response::not_found("try /metrics"),
+///     }),
+/// )
+/// .unwrap();
+/// let addr = server.local_addr();
+/// // Persistent mode: a bounded acceptor pool serves scrape after scrape.
+/// let handle = server.start(2);
+/// for _ in 0..3 {
+///     use std::io::{Read, Write};
+///     let mut s = std::net::TcpStream::connect(addr).unwrap();
+///     s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+///     let mut body = String::new();
+///     s.read_to_string(&mut body).unwrap();
+///     assert!(body.starts_with("HTTP/1.1 200 OK"));
+///     assert!(body.contains("demo_requests_total"));
+/// }
+/// assert!(handle.requests_served() >= 3);
+/// handle.shutdown();
+/// ```
 pub struct HttpServer {
     listener: TcpListener,
     handler: Arc<dyn Handler>,
@@ -269,14 +300,6 @@ impl HttpServerHandle {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Blocks until at least `n` requests have been answered — how the
-    /// bench binaries' `--serve-metrics` flag waits for its one scrape.
-    pub fn wait_for_requests(&self, n: u64) {
-        while self.served.load(Ordering::Relaxed) < n {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
     /// Graceful shutdown: flags the pool, unblocks every acceptor stuck in
     /// `accept` by self-connecting, and joins the threads. In-flight
     /// requests finish; no new connections are accepted afterwards.
@@ -328,9 +351,25 @@ impl From<std::io::Error> for RequestError {
     }
 }
 
+/// Arms the read timeout with what is left until `deadline`; a spent
+/// deadline makes the request malformed (too slow), answered `400`.
+fn arm_remaining(stream: &TcpStream, deadline: Instant) -> Result<(), RequestError> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(RequestError::Malformed);
+    }
+    stream.set_read_timeout(Some(left))?;
+    Ok(())
+}
+
 /// Reads and parses one request. `Ok(None)` means the peer connected and
 /// sent nothing (the shutdown self-connect does exactly that).
+///
+/// The first read runs under the `IO_TIMEOUT` that `answer` set (a request
+/// that arrives in one segment costs no extra syscall); every further read
+/// is armed with the time left until `REQUEST_DEADLINE`.
 fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, RequestError> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut buf = Vec::with_capacity(256);
     let mut chunk = [0u8; 512];
     let head_end = loop {
@@ -348,6 +387,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, RequestError>
         if buf.len() >= MAX_HEAD_BYTES {
             return Err(RequestError::Malformed);
         }
+        arm_remaining(stream, deadline)?;
     };
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
     let mut lines = head.lines();
@@ -370,6 +410,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, RequestError>
     }
     let mut body = buf[head_end..].to_vec();
     while body.len() < content_length {
+        arm_remaining(stream, deadline)?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(RequestError::Malformed);
@@ -444,85 +485,31 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// The handler behind [`MetricsServer`]: `GET /metrics` renders `registry`
-/// at response time, so each scrape sees current values.
-struct MetricsHandler {
-    registry: Arc<Registry>,
-}
-
-impl Handler for MetricsHandler {
-    fn handle(&self, request: &Request) -> Response {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/metrics") => Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: self.registry.render_prometheus(),
-            },
-            ("GET", _) => Response::not_found("try /metrics"),
-            _ => Response::method_not_allowed(),
-        }
-    }
-}
-
-/// The Prometheus exposition endpoint: an [`HttpServer`] whose handler
-/// serves a [`Registry`]'s text rendering at `GET /metrics`.
-///
-/// ```
-/// use metrics::{MetricsServer, Registry};
-/// use std::sync::Arc;
-///
-/// let registry = Arc::new(Registry::new());
-/// registry.counter("demo_requests_total").inc();
-/// let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
-/// let addr = server.local_addr();
-/// // Persistent mode: a bounded acceptor pool serves scrape after scrape.
-/// let handle = server.start(2);
-/// for _ in 0..3 {
-///     use std::io::{Read, Write};
-///     let mut s = std::net::TcpStream::connect(addr).unwrap();
-///     s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-///     let mut body = String::new();
-///     s.read_to_string(&mut body).unwrap();
-///     assert!(body.starts_with("HTTP/1.1 200 OK"));
-///     assert!(body.contains("demo_requests_total"));
-/// }
-/// assert!(handle.requests_served() >= 3);
-/// handle.shutdown();
-/// ```
-pub struct MetricsServer {
-    server: HttpServer,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:9184"`; port 0 picks a free one) and
-    /// serves `registry`'s Prometheus text from it.
-    pub fn bind(addr: &str, registry: Arc<Registry>) -> std::io::Result<MetricsServer> {
-        let server = HttpServer::bind(addr, Arc::new(MetricsHandler { registry }))?;
-        Ok(MetricsServer { server })
-    }
-
-    /// The bound address — useful when binding port 0.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
-    }
-
-    /// Accepts exactly one connection, answers exactly one request, closes
-    /// the connection — the smoke-test path. See [`HttpServer::serve_one`].
-    pub fn serve_one(&self) -> std::io::Result<()> {
-        self.server.serve_one()
-    }
-
-    /// Promotes this bind into a persistent concurrent server with
-    /// `acceptors` pool threads. See [`HttpServer::start`].
-    pub fn start(self, acceptors: usize) -> HttpServerHandle {
-        self.server.start(acceptors)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use crate::Registry;
+    use std::io::{ErrorKind, Read, Write};
+
+    /// The Prometheus endpoint most tests drive: `GET /metrics` renders
+    /// `registry` at response time, so each scrape sees current values.
+    fn metrics_server(registry: Arc<Registry>) -> HttpServer {
+        HttpServer::bind(
+            "127.0.0.1:0",
+            Arc::new(
+                move |req: &Request| match (req.method.as_str(), req.path.as_str()) {
+                    ("GET", "/metrics") => Response {
+                        status: 200,
+                        content_type: "text/plain; version=0.0.4; charset=utf-8",
+                        body: registry.render_prometheus(),
+                    },
+                    ("GET", _) => Response::not_found("try /metrics"),
+                    _ => Response::method_not_allowed(),
+                },
+            ),
+        )
+        .expect("bind a free port")
+    }
 
     fn request(addr: SocketAddr, raw: &str) -> std::thread::JoinHandle<String> {
         let raw = raw.to_string();
@@ -540,7 +527,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.counter("http_test_total").add(3);
         registry.gauge("http_test_gauge").set(7);
-        let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let server = metrics_server(Arc::clone(&registry));
         let client = request(
             server.local_addr(),
             "GET /metrics HTTP/1.1\r\nHost: t\r\nUser-Agent: test\r\n\r\n",
@@ -566,7 +553,7 @@ mod tests {
     fn each_scrape_sees_current_values() {
         let registry = Arc::new(Registry::new());
         let counter = registry.counter("http_live_total");
-        let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let server = metrics_server(Arc::clone(&registry));
         counter.inc();
         let first = request(server.local_addr(), "GET /metrics HTTP/1.1\r\n\r\n");
         server.serve_one().unwrap();
@@ -578,21 +565,25 @@ mod tests {
     }
 
     #[test]
-    fn unknown_paths_get_404_and_bad_methods_405() {
-        let server = MetricsServer::bind("127.0.0.1:0", Arc::new(Registry::new())).unwrap();
+    fn unknown_paths_get_404_bad_methods_405_and_malformed_lines_400() {
+        let server = metrics_server(Arc::new(Registry::new()));
         let client = request(server.local_addr(), "GET /other HTTP/1.1\r\n\r\n");
         server.serve_one().unwrap();
         assert!(client.join().unwrap().starts_with("HTTP/1.1 404"));
         let client = request(server.local_addr(), "POST /metrics HTTP/1.1\r\n\r\n");
         server.serve_one().unwrap();
         assert!(client.join().unwrap().starts_with("HTTP/1.1 405"));
+        // A request line without a target never reaches the handler.
+        let client = request(server.local_addr(), "GET\r\n\r\n");
+        server.serve_one().unwrap();
+        assert!(client.join().unwrap().starts_with("HTTP/1.1 400"));
     }
 
     #[test]
     fn query_strings_are_ignored() {
         let registry = Arc::new(Registry::new());
         registry.counter("http_query_total").inc();
-        let server = MetricsServer::bind("127.0.0.1:0", registry).unwrap();
+        let server = metrics_server(registry);
         let client = request(server.local_addr(), "GET /metrics?ts=1 HTTP/1.1\r\n\r\n");
         server.serve_one().unwrap();
         let response = client.join().unwrap();
@@ -608,7 +599,7 @@ mod tests {
         // behind and refuses new work.
         let registry = Arc::new(Registry::new());
         registry.counter("http_many_total").add(9);
-        let server = MetricsServer::bind("127.0.0.1:0", registry).unwrap();
+        let server = metrics_server(registry);
         let addr = server.local_addr();
         let handle = server.start(3);
         let clients: Vec<_> = (0..16)
@@ -649,7 +640,7 @@ mod tests {
     fn bad_escapes_in_the_query_do_not_kill_the_acceptor() {
         let registry = Arc::new(Registry::new());
         registry.counter("http_survive_total").inc();
-        let server = MetricsServer::bind("127.0.0.1:0", registry).unwrap();
+        let server = metrics_server(registry);
         let addr = server.local_addr();
         // One acceptor: if the bad request wedged it, the follow-up would
         // never be answered.
@@ -661,6 +652,48 @@ mod tests {
             .unwrap();
         assert!(good.starts_with("HTTP/1.1 200 OK"), "{good}");
         assert!(good.contains("http_survive_total 1"), "{good}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_dribbling_client_is_cut_off_at_the_request_deadline() {
+        let registry = Arc::new(Registry::new());
+        registry.counter("http_deadline_total").inc();
+        let server = metrics_server(registry);
+        let addr = server.local_addr();
+        // One acceptor: while the slow peer holds it nobody else is served.
+        let handle = server.start(1);
+        let started = Instant::now();
+        let mut slow = TcpStream::connect(addr).unwrap();
+        slow.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        slow.write_all(b"GET /metrics HTTP/1.1\r\nX-Slow: ")
+            .unwrap();
+        let mut sink = [0u8; 256];
+        // One header byte per ~100 ms: every server-side read succeeds far
+        // inside IO_TIMEOUT, so only the whole-request deadline ends this
+        // (the head limit is 80x further away at this rate).
+        let cut_off = loop {
+            if slow.write_all(b"x").is_err() {
+                break started.elapsed();
+            }
+            match slow.read(&mut sink).map_err(|e| e.kind()) {
+                // Our own 100 ms read timeout: the server is still listening.
+                Err(ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                // A 400, EOF or reset: the server let go of us.
+                _ => break started.elapsed(),
+            }
+            assert!(
+                started.elapsed() < REQUEST_DEADLINE + Duration::from_secs(3),
+                "a dribbling peer must not outlive the request deadline"
+            );
+        };
+        assert!(cut_off >= REQUEST_DEADLINE, "cut off early: {cut_off:?}");
+        let good = request(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            .join()
+            .unwrap();
+        assert!(good.starts_with("HTTP/1.1 200 OK"), "{good}");
+        assert!(good.contains("http_deadline_total 1"), "{good}");
         handle.shutdown();
     }
 

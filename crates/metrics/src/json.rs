@@ -4,7 +4,7 @@
 //! The workspace *writes* JSON by hand (no serialization dependency); this
 //! module is the matching reader: a small recursive-descent parser
 //! producing a [`Json`] tree with just enough accessors for its consumers
-//! — the bench regression gate comparing reports, and the job/server
+//! — `facadeprof` reading exported Chrome traces, and the job/server
 //! layers parsing `JobSpec` submissions off the wire. It lives in
 //! `metrics` because that is the workspace's dependency-free base crate.
 //!

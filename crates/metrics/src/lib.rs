@@ -14,11 +14,11 @@
 //! - [`Registry`] / [`Sampler`] — a process-wide live-metrics registry
 //!   (named counters, gauges, histograms; lock-free hot path; Prometheus and
 //!   JSON exposition) with an optional background sampling thread.
-//! - [`HttpServer`] / [`MetricsServer`] — a hand-rolled HTTP/1.1 server
-//!   (bounded acceptor pool, graceful shutdown, no dependencies) and the
-//!   Prometheus exposition endpoint built on it (`GET /metrics`).
+//! - [`HttpServer`] — a hand-rolled HTTP/1.1 server (bounded acceptor
+//!   pool, one deadline per request, graceful shutdown, no dependencies);
+//!   a Prometheus endpoint is one [`Handler`] closure over a [`Registry`].
 //! - [`json`] — the matching hand-rolled JSON reader for everything the
-//!   workspace writes by hand (bench reports, job submissions).
+//!   workspace writes by hand (experiment reports, job submissions).
 //! - [`FailureCause`] — the worker-failure vocabulary shared by the
 //!   engines' degradation ladders (OOM vs. panic, transient vs. not).
 //! - [`report`] — serializable experiment records.
@@ -50,7 +50,7 @@ pub mod report;
 
 pub use failure::{FailureCause, panic_message};
 pub use histogram::DurationHistogram;
-pub use http::{Handler, HttpServer, HttpServerHandle, MetricsServer, Request, Response};
+pub use http::{Handler, HttpServer, HttpServerHandle, Request, Response};
 pub use memory::{MemoryTracker, OutOfMemory, format_bytes};
 pub use registry::{Counter, Gauge, Histogram, Registry, Sampler};
 pub use resilience::{DegradationAction, DegradationEvent, ResilienceReport};

@@ -165,14 +165,6 @@ struct Inner {
     histograms: BTreeMap<String, Histogram>,
 }
 
-/// Backing store for [`Registry::global`] / [`Registry::global_shared`]:
-/// an `Arc` in a never-dropped static, so both a `&'static` borrow and
-/// owning clones are sound.
-fn global_cell() -> &'static Arc<Registry> {
-    static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(Registry::new()))
-}
-
 /// A named-metric registry: counters, gauges, and histograms looked up by
 /// name, lock-free to update, with Prometheus-text and JSON exposition.
 ///
@@ -192,14 +184,8 @@ impl Registry {
     /// The process-wide shared registry, for call sites without a handle to
     /// a specific one (pool gauges, engine internals).
     pub fn global() -> &'static Registry {
-        global_cell()
-    }
-
-    /// An owning handle to [`Registry::global`], for consumers that need a
-    /// shared-ownership registry (the [`crate::MetricsServer`], a
-    /// [`Sampler`] thread). Same instance, same metrics.
-    pub fn global_shared() -> Arc<Registry> {
-        Arc::clone(global_cell())
+        static GLOBAL: OnceLock<Registry> = OnceLock::new();
+        GLOBAL.get_or_init(Registry::new)
     }
 
     /// Returns the counter named `name`, registering it at zero on first use.
