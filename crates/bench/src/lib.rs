@@ -17,41 +17,44 @@
 
 use metrics::report::RunRecord;
 use std::fs;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
+
+/// The value of environment variable `name`, or `default` when it is unset.
+/// A value that does not parse ends the process: a typo in a sizing knob
+/// must not silently run (and report) a different experiment.
+fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Err(_) => default,
+        Ok(raw) => raw.parse().unwrap_or_else(|_| {
+            eprintln!("invalid {name}={raw:?}");
+            std::process::exit(2)
+        }),
+    }
+}
 
 /// The workload scale factor from `FACADE_SCALE`.
 pub fn scale() -> f64 {
-    std::env::var("FACADE_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.2)
+    env_or("FACADE_SCALE", 0.2)
 }
 
 /// Bytes per "GB" of the paper's budgets, from `FACADE_MEM_UNIT`.
 pub fn mem_unit() -> usize {
-    std::env::var("FACADE_MEM_UNIT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4 << 20)
+    env_or("FACADE_MEM_UNIT", 4 << 20)
 }
 
 /// Number of simulated cluster workers, from `FACADE_WORKERS`.
 pub fn workers() -> usize {
-    std::env::var("FACADE_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
+    env_or("FACADE_WORKERS", 4)
 }
 
 /// GraphChi engine worker threads, from `FACADE_THREADS` (default: every
-/// available core).
+/// available core; `0` is rejected like any other invalid value).
 pub fn threads() -> usize {
-    std::env::var("FACADE_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    let cores = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+    env_or("FACADE_THREADS", cores).get()
 }
 
 /// Formats a duration as fractional seconds (the paper's table format).
@@ -101,48 +104,35 @@ pub fn export_trace(name: &str) -> String {
 /// `heapstat`'s report. Deterministic: rows and per-type counts are
 /// name-sorted by construction.
 pub fn census_json(census: &data_store::StoreCensus) -> String {
-    fn push_json_str(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-    let mut out = String::new();
-    out.push_str("{\"backend\": ");
-    push_json_str(&mut out, census.backend);
-    out.push_str(&format!(
-        ", \"live_objects\": {}, \"live_bytes\": {}, \"records_allocated\": {}, \"rows\": [",
-        census.live_objects, census.live_bytes, census.records_allocated
-    ));
-    for (i, row) in census.rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"name\": ");
-        push_json_str(&mut out, &row.name);
-        out.push_str(&format!(
-            ", \"count\": {}, \"shallow_bytes\": {}, \"header_bytes\": {}}}",
-            row.count, row.shallow_bytes, row.header_bytes
-        ));
-    }
-    out.push_str("], \"records_by_type\": {");
-    for (i, (name, count)) in census.records_by_type.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_json_str(&mut out, name);
-        out.push_str(&format!(": {count}"));
-    }
-    out.push_str("}}");
-    out
+    use metrics::json::escape;
+    let rows: Vec<String> = census
+        .rows
+        .iter()
+        .map(|row| {
+            format!(
+                "{{\"name\": \"{}\", \"count\": {}, \"shallow_bytes\": {}, \"header_bytes\": {}}}",
+                escape(&row.name),
+                row.count,
+                row.shallow_bytes,
+                row.header_bytes
+            )
+        })
+        .collect();
+    let by_type: Vec<String> = census
+        .records_by_type
+        .iter()
+        .map(|(name, count)| format!("\"{}\": {count}", escape(name)))
+        .collect();
+    format!(
+        "{{\"backend\": \"{}\", \"live_objects\": {}, \"live_bytes\": {}, \
+         \"records_allocated\": {}, \"rows\": [{}], \"records_by_type\": {{{}}}}}",
+        escape(census.backend),
+        census.live_objects,
+        census.live_bytes,
+        census.records_allocated,
+        rows.join(", "),
+        by_type.join(", ")
+    )
 }
 
 /// Percentage reduction from `before` to `after` (positive = improvement).

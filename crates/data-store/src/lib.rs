@@ -40,6 +40,7 @@ pub mod collections;
 #[cfg(feature = "fault-injection")]
 pub use facade_runtime::FaultPlan;
 pub use facade_runtime::checkpoint;
+pub use facade_runtime::recovery;
 #[doc(hidden)]
 pub use facade_runtime::test_support;
 use facade_runtime::{

@@ -538,6 +538,40 @@ mod tests {
     }
 
     #[test]
+    fn running_cluster_jobs_stop_at_the_next_partition_claim() {
+        // Many small partitions on one thread, on a shared pool: the map
+        // phase takes far longer than the cancel round trip, and if WC
+        // ignored the flag the job would complete and the status
+        // assertions below fail. The canceled job's epoch must still hand
+        // every page back.
+        let pool = Arc::new(PagePool::new(PagePoolConfig::default()));
+        let mut config = DispatcherConfig::new(1, Dataset::synthetic(100, 400, 2_000_000, 3));
+        config.pool = Some(Arc::clone(&pool));
+        let d = Dispatcher::new(config);
+        let h = d
+            .submit(JobSpec {
+                workers: 512,
+                ..quick_spec(Workload::WordCount)
+            })
+            .unwrap();
+        while h.status() == JobStatus::Queued {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(h.cancel(), "the job is still running");
+        assert_eq!(h.wait().unwrap_err(), JobError::Canceled);
+        assert_eq!(h.status(), JobStatus::Canceled);
+        d.shutdown();
+        assert_eq!(pool.live_epochs(), 0, "the canceled job's epoch retired");
+        // Every page handed out came back, plus the fresh pages the job's
+        // heaps created and donated (all the idle pool now holds).
+        let c = pool.counters();
+        assert_eq!(
+            c.pages_returned,
+            c.pages_handed_out + pool.available() as u64
+        );
+    }
+
+    #[test]
     fn full_queue_rejects_and_invalid_specs_bounce() {
         let d = Dispatcher::new(DispatcherConfig {
             executors: 1,

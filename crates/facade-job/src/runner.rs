@@ -21,9 +21,9 @@ pub struct ExecContext {
     /// untagged).
     pub epoch: u64,
     /// The job's cancellation flag ([`JobHandle::cancel`](crate::JobHandle)
-    /// sets it). Iterative engines poll it at interval boundaries so a
-    /// running job stops instead of finishing its remaining passes;
-    /// single-pass cluster jobs (WC/ES) are bounded and run to completion.
+    /// sets it). Both engines poll it at their unit of consistency — graph
+    /// jobs at interval boundaries, cluster jobs (WC/ES) before each
+    /// partition claim — so a running job stops instead of finishing.
     pub cancel: Arc<AtomicBool>,
 }
 
@@ -195,18 +195,20 @@ impl JobRunner for HyracksRunner {
             pool: ctx.pool.clone(),
             job_epoch: ctx.epoch,
             checkpoint_dir: spec.checkpoint_dir.clone(),
-            resume: spec.checkpoint_dir.is_some(),
+            cancel: Arc::clone(&ctx.cancel),
             #[cfg(feature = "fault-injection")]
             fault_plan: spec.fault_plan.clone(),
             ..ClusterConfig::default()
         };
         let started = Instant::now();
         let cluster = Cluster::new(&config);
+        let failed = |e: hyracks_rs::JobFailure| match e.cause {
+            hyracks_rs::FailureCause::Canceled => JobError::Canceled,
+            _ => JobError::Failed(e.to_string()),
+        };
         let (output, stats) = match &spec.workload {
             Workload::WordCount => {
-                let wc = cluster
-                    .word_count(&data.corpus)
-                    .map_err(|e| JobError::Failed(e.to_string()))?;
+                let wc = cluster.word_count(&data.corpus).map_err(failed)?;
                 (
                     JobOutput::WordCount {
                         distinct: wc.distinct_words,
@@ -217,9 +219,7 @@ impl JobRunner for HyracksRunner {
                 )
             }
             Workload::ExternalSort => {
-                let es = cluster
-                    .external_sort(&data.corpus)
-                    .map_err(|e| JobError::Failed(e.to_string()))?;
+                let es = cluster.external_sort(&data.corpus).map_err(failed)?;
                 (
                     JobOutput::ExternalSort {
                         rows: es.total_records,

@@ -83,6 +83,8 @@ pub struct JobSpec {
     /// Frame granularity for cluster workloads.
     pub frame_bytes: usize,
     /// Directory for phase/interval checkpoints (`None` = no durability).
+    /// Setting it also means resume: a job that finds a verified checkpoint
+    /// of the same spec and data there continues from it.
     pub checkpoint_dir: Option<PathBuf>,
     /// Free-form label echoed through reports and server listings.
     pub tag: String,

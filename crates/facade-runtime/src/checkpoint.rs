@@ -30,7 +30,12 @@
 //! leaves either the previous checkpoint or none at all. The only way to
 //! observe a torn manifest is the fault-injection torn-write mode, which
 //! deliberately bypasses the rename protocol.
+//!
+//! The engines never call the file functions themselves: a [`Checkpointer`]
+//! owns the policy, and every decoder of these untrusted bytes goes through
+//! one bounds-checked [`Cursor`].
 
+use metrics::ResilienceReport;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -211,8 +216,7 @@ impl From<std::io::Error> for RecoveryError {
 // --- manifest --------------------------------------------------------------
 
 /// An in-memory checkpoint manifest: fingerprint + cursor + named binary
-/// sections. Build one with [`Manifest::new`] and [`Manifest::push`], then
-/// persist with [`write_manifest`].
+/// sections; [`Checkpointer::commit`] builds and persists one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Job-shape fingerprint; restore refuses manifests whose fingerprint
@@ -226,21 +230,6 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// An empty manifest for the given fingerprint and cursor.
-    #[must_use]
-    pub fn new(fingerprint: u64, cursor: [u64; 2]) -> Self {
-        Self {
-            fingerprint,
-            cursor,
-            sections: Vec::new(),
-        }
-    }
-
-    /// Append a named section.
-    pub fn push(&mut self, name: &str, payload: Vec<u8>) {
-        self.sections.push((name.to_string(), payload));
-    }
-
     /// The payload of the section named `name`, if present.
     #[must_use]
     pub fn section(&self, name: &str) -> Option<&[u8]> {
@@ -250,10 +239,11 @@ impl Manifest {
             .map(|(_, p)| p.as_slice())
     }
 
-    /// Total payload bytes across all sections.
-    #[must_use]
-    pub fn payload_bytes(&self) -> usize {
-        self.sections.iter().map(|(_, p)| p.len()).sum()
+    /// The payload of a section the resuming job cannot do without; its
+    /// absence is a [`RecoveryError::Malformed`] checkpoint.
+    pub fn require(&self, name: &str) -> Result<&[u8], RecoveryError> {
+        self.section(name)
+            .ok_or_else(|| RecoveryError::Malformed(format!("missing section `{name}`")))
     }
 }
 
@@ -289,58 +279,98 @@ pub fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
     head
 }
 
+/// Bounds-checked little-endian reader over untrusted checkpoint bytes: the
+/// manifest itself and every section payload decode through it. Running
+/// off the end is [`RecoveryError::Truncated`] (the torn-write signature),
+/// leftover bytes at [`Cursor::finish`] are [`RecoveryError::Malformed`];
+/// it never panics and never allocates from a length it has not checked.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A reader positioned at the start of `bytes`.
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, at: 0 }
+    }
+
+    /// Bytes consumed so far.
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.at
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], RecoveryError> {
+        let end = self
+            .at
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(RecoveryError::Truncated)?;
+        let slice = &self.bytes[self.at..end];
+        self.at = end;
+        Ok(slice)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, RecoveryError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, RecoveryError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// Ends the read: every byte must have been consumed.
+    pub fn finish(self) -> Result<(), RecoveryError> {
+        match self.bytes.len() - self.at {
+            0 => Ok(()),
+            n => Err(RecoveryError::Malformed(format!(
+                "{n} trailing bytes after section payload"
+            ))),
+        }
+    }
+}
+
 /// Decode and verify a manifest from its on-disk byte layout. Checks, in
 /// order: magic, version, header completeness, header checksum, payload
 /// completeness, then every section checksum.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, RecoveryError> {
-    let need = |at: usize, n: usize| {
-        if at.checked_add(n).is_none_or(|end| end > bytes.len()) {
-            Err(RecoveryError::Truncated)
-        } else {
-            Ok(())
-        }
-    };
-    need(0, 4)?;
-    if bytes[0..4] != MAGIC {
+    let mut cursor = Cursor::new(bytes);
+    if cursor.take(4)? != MAGIC {
         return Err(RecoveryError::BadMagic);
     }
-    need(4, 4)?;
-    let version = read_u32_le(bytes, 4);
+    let version = cursor.u32()?;
     if version != VERSION {
         return Err(RecoveryError::BadVersion(version));
     }
-    need(8, 28)?;
-    let fingerprint = read_u64_le(bytes, 8);
-    let cursor = [read_u64_le(bytes, 16), read_u64_le(bytes, 24)];
-    let n_sections = read_u32_le(bytes, 32) as usize;
-    let mut at = 36usize;
-    let mut dir: Vec<(String, u64, u64)> = Vec::with_capacity(n_sections);
+    let fingerprint = cursor.u64()?;
+    let position = [cursor.u64()?, cursor.u64()?];
+    let n_sections = cursor.u32()?;
+    // Not pre-sized: `n_sections` is not yet covered by any checksum.
+    let mut dir: Vec<(String, u64, u64)> = Vec::new();
     for _ in 0..n_sections {
-        need(at, 4)?;
-        let name_len = read_u32_le(bytes, at) as usize;
-        at += 4;
-        need(at, name_len)?;
-        let name = String::from_utf8(bytes[at..at + name_len].to_vec())
+        let name_len = cursor.u32()? as usize;
+        let name = String::from_utf8(cursor.take(name_len)?.to_vec())
             .map_err(|_| RecoveryError::Malformed("section name is not utf-8".into()))?;
-        at += name_len;
-        need(at, 16)?;
-        let payload_len = read_u64_le(bytes, at);
-        let payload_sum = read_u64_le(bytes, at + 8);
-        at += 16;
-        dir.push((name, payload_len, payload_sum));
+        dir.push((name, cursor.u64()?, cursor.u64()?));
     }
-    need(at, 8)?;
-    let header_sum = read_u64_le(bytes, at);
-    if xxh64(&bytes[..at], HEADER_SEED) != header_sum {
+    let header = &bytes[..cursor.position()];
+    if xxh64(header, HEADER_SEED) != cursor.u64()? {
         return Err(RecoveryError::ManifestChecksum);
     }
-    at += 8;
-    let mut sections = Vec::with_capacity(n_sections);
+    let mut sections = Vec::with_capacity(dir.len());
     for (name, payload_len, payload_sum) in dir {
         let len = usize::try_from(payload_len).map_err(|_| RecoveryError::Truncated)?;
-        need(at, len)?;
-        let payload = &bytes[at..at + len];
-        at += len;
+        let payload = cursor.take(len)?;
         if xxh64(payload, PAYLOAD_SEED) != payload_sum {
             return Err(RecoveryError::SectionChecksum { section: name });
         }
@@ -348,7 +378,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, RecoveryError> {
     }
     Ok(Manifest {
         fingerprint,
-        cursor,
+        cursor: position,
         sections,
     })
 }
@@ -421,6 +451,136 @@ pub fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
+// --- checkpointer ----------------------------------------------------------
+
+/// The checkpoint policy of one job, owned in one place for both engines:
+/// which file, which fingerprint, what counts as a discard, how a commit is
+/// made durable, and what happens to the file when the job completes.
+///
+/// A job with a checkpoint directory builds one, then:
+/// [`restore`](Self::restore) once at start (a verified checkpoint resumes
+/// the job; a damaged or foreign one is discarded and counted),
+/// [`commit`](Self::commit) at every durable boundary, and
+/// [`finish`](Self::finish) on completion. A job that dies in between
+/// leaves its last commit behind for the next run with the same
+/// fingerprint.
+#[derive(Debug, Clone)]
+pub struct Checkpointer {
+    path: PathBuf,
+    fingerprint: u64,
+    #[cfg(feature = "fault-injection")]
+    fault_plan: Option<crate::FaultPlan>,
+}
+
+impl Checkpointer {
+    /// A checkpointer for the file at `path`, accepting and producing only
+    /// manifests stamped with `fingerprint` (the job shape: engine, input,
+    /// value-affecting configuration, program).
+    #[must_use]
+    pub fn new(path: PathBuf, fingerprint: u64) -> Self {
+        Self {
+            path,
+            fingerprint,
+            #[cfg(feature = "fault-injection")]
+            fault_plan: None,
+        }
+    }
+
+    /// Subjects commits to `plan`'s torn-write mode.
+    #[cfg(feature = "fault-injection")]
+    #[must_use]
+    pub fn fault_plan(mut self, plan: Option<crate::FaultPlan>) -> Self {
+        self.fault_plan = plan;
+        self
+    }
+
+    /// Reads and verifies the checkpoint: checksums, then fingerprint.
+    /// [`RecoveryError::Missing`] when there is none; any other error means
+    /// a file was present and failed verification.
+    fn load(&self) -> Result<Manifest, RecoveryError> {
+        let manifest = read_manifest(&self.path)?;
+        if manifest.fingerprint != self.fingerprint {
+            return Err(RecoveryError::FingerprintMismatch {
+                expected: self.fingerprint,
+                found: manifest.fingerprint,
+            });
+        }
+        Ok(manifest)
+    }
+
+    /// The resume decision. `None` is a cold start: silently when no
+    /// checkpoint exists, counted once in `torn_checkpoints_discarded`
+    /// when one exists but fails verification (checksums, then
+    /// fingerprint) or `decode` rejects its section shapes. `Some` is a
+    /// verified resume, counted in `recoveries` and traced as a
+    /// `checkpoint_resume` instant. Never panics on damaged input and
+    /// never yields a partial restore.
+    pub fn restore<T>(
+        &self,
+        report: &mut ResilienceReport,
+        decode: impl FnOnce(&Manifest) -> Result<T, RecoveryError>,
+    ) -> Option<T> {
+        match self.load().and_then(|manifest| {
+            let state = decode(&manifest)?;
+            Ok((manifest.cursor, state))
+        }) {
+            Ok((cursor, state)) => {
+                report.recoveries += 1;
+                facade_trace::instant(
+                    "checkpoint_resume",
+                    &[("cursor0", cursor[0].into()), ("cursor1", cursor[1].into())],
+                );
+                Some(state)
+            }
+            Err(RecoveryError::Missing(_)) => None,
+            Err(_) => {
+                report.torn_checkpoints_discarded += 1;
+                None
+            }
+        }
+    }
+
+    /// Commits one durable boundary, best-effort: an I/O failure degrades
+    /// to "no checkpoint taken" (the previous one survives the atomic
+    /// rename) rather than failing a healthy job. Under the fault plan's
+    /// torn-write mode the file is deliberately truncated mid-write instead
+    /// — a simulated crash during the checkpoint itself — and does not
+    /// count as written.
+    pub fn commit(
+        &self,
+        cursor: [u64; 2],
+        sections: Vec<(String, Vec<u8>)>,
+        report: &mut ResilienceReport,
+    ) {
+        let manifest = Manifest {
+            fingerprint: self.fingerprint,
+            cursor,
+            sections,
+        };
+        #[cfg(feature = "fault-injection")]
+        if self
+            .fault_plan
+            .as_ref()
+            .is_some_and(crate::FaultPlan::tear_checkpoint_write)
+        {
+            let _ = write_manifest_torn(&self.path, &manifest);
+            return;
+        }
+        if write_manifest(&self.path, &manifest).is_ok() {
+            report.checkpoints_written += 1;
+        }
+    }
+
+    /// The job completed: its checkpoint is obsolete (resuming a finished
+    /// job would replay its tail). Removal is best-effort — a leftover only
+    /// costs a fingerprint-checked restore attempt — and the run's
+    /// checkpoint counters go to the process-wide metrics registry.
+    pub fn finish(&self, report: &ResilienceReport) {
+        let _ = std::fs::remove_file(&self.path);
+        report.publish_checkpoint_gauges(metrics::Registry::global());
+    }
+}
+
 // --- primitive codecs ------------------------------------------------------
 
 /// Encode a `f64` slice as little-endian bytes (the engines' vertex/edge
@@ -437,16 +597,12 @@ pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
 /// Decode a little-endian `f64` section; the byte length must be a
 /// multiple of 8.
 pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>, RecoveryError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(RecoveryError::Malformed(format!(
-            "f64 section length {} is not a multiple of 8",
-            bytes.len()
-        )));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect())
+    let mut cursor = Cursor::new(bytes);
+    let values = (0..bytes.len() / 8)
+        .map(|_| cursor.u64().map(f64::from_bits))
+        .collect::<Result<_, _>>()?;
+    cursor.finish()?;
+    Ok(values)
 }
 
 #[cfg(test)]
@@ -454,10 +610,14 @@ mod tests {
     use super::*;
 
     fn sample() -> Manifest {
-        let mut m = Manifest::new(0xDEAD_BEEF, [3, 7]);
-        m.push("values", encode_f64s(&[1.0, 2.5, -3.25]));
-        m.push("state", vec![1, 0, 42, 0, 0, 0, 0, 0, 0]);
-        m
+        Manifest {
+            fingerprint: 0xDEAD_BEEF,
+            cursor: [3, 7],
+            sections: vec![
+                ("values".into(), encode_f64s(&[1.0, 2.5, -3.25])),
+                ("state".into(), vec![1, 0, 42, 0, 0, 0, 0, 0, 0]),
+            ],
+        }
     }
 
     #[test]
@@ -567,6 +727,95 @@ mod tests {
             Err(RecoveryError::Missing(_)) => {}
             other => panic!("expected Missing, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cursor_rejects_every_strict_prefix_and_any_trailing_byte() {
+        // take(3) | u32 | u64: 15 bytes exactly.
+        let mut bytes = b"abc".to_vec();
+        bytes.extend_from_slice(&7u32.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        let read = |bytes: &[u8]| -> Result<(Vec<u8>, u32, u64), RecoveryError> {
+            let mut c = Cursor::new(bytes);
+            let out = (c.take(3)?.to_vec(), c.u32()?, c.u64()?);
+            c.finish()?;
+            Ok(out)
+        };
+        assert_eq!(read(&bytes).unwrap(), (b"abc".to_vec(), 7, u64::MAX));
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(read(&bytes[..cut]), Err(RecoveryError::Truncated)),
+                "prefix of {cut} bytes"
+            );
+        }
+        bytes.push(0);
+        assert!(matches!(read(&bytes), Err(RecoveryError::Malformed(_))));
+        // A length that would wrap the offset is a truncation, not a panic.
+        let mut c = Cursor::new(&bytes);
+        c.take(1).unwrap();
+        assert!(matches!(c.take(usize::MAX), Err(RecoveryError::Truncated)));
+        assert_eq!(c.position(), 1, "a failed read consumes nothing");
+    }
+
+    #[test]
+    fn checkpointer_restores_commits_discards_and_cleans_up() {
+        let dir = crate::test_support::TempDir::new("ckpt_policy");
+        let path = dir.path().join("job.fckp");
+        let ckpt = Checkpointer::new(path.clone(), 0xF00D);
+        let decode = |m: &Manifest| decode_f64s(m.require("values")?);
+
+        // Nothing on disk: a silent cold start.
+        let mut report = ResilienceReport::default();
+        assert_eq!(ckpt.restore(&mut report, decode), None);
+        assert!(report.is_clean());
+
+        // Commit, then a verified restore.
+        let sections = vec![("values".to_string(), encode_f64s(&[1.5, -2.0]))];
+        ckpt.commit([2, 3], sections, &mut report);
+        assert_eq!(report.checkpoints_written, 1);
+        assert_eq!(ckpt.load().unwrap().cursor, [2, 3]);
+        assert_eq!(ckpt.restore(&mut report, decode), Some(vec![1.5, -2.0]));
+        assert_eq!(
+            (report.recoveries, report.torn_checkpoints_discarded),
+            (1, 0)
+        );
+
+        // Each way a present file can be unusable is one counted discard:
+        // a foreign fingerprint, a section shape `decode` rejects, damage.
+        let foreign = Checkpointer::new(path.clone(), 0xBEEF);
+        assert!(matches!(
+            foreign.load(),
+            Err(RecoveryError::FingerprintMismatch { found: 0xF00D, .. })
+        ));
+        let mut report = ResilienceReport::default();
+        assert_eq!(foreign.restore(&mut report, decode), None);
+        let shape = |m: &Manifest| m.require("absent").map(<[u8]>::to_vec);
+        assert_eq!(ckpt.restore(&mut report, shape), None);
+        write_manifest_torn(&path, &ckpt.load().unwrap()).unwrap();
+        assert_eq!(ckpt.restore(&mut report, decode), None);
+        assert_eq!(
+            (report.recoveries, report.torn_checkpoints_discarded),
+            (0, 3)
+        );
+
+        ckpt.finish(&report);
+        assert!(!path.exists(), "a finished job removes its checkpoint");
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn torn_commits_are_not_counted_and_do_not_restore() {
+        let dir = crate::test_support::TempDir::new("ckpt_torn_commit");
+        let plan = crate::FaultPlan::builder(1)
+            .torn_checkpoint_writes()
+            .build();
+        let ckpt = Checkpointer::new(dir.path().join("job.fckp"), 7).fault_plan(Some(plan.clone()));
+        let mut report = ResilienceReport::default();
+        ckpt.commit([1, 0], vec![("s".into(), vec![9; 64])], &mut report);
+        assert_eq!(report.checkpoints_written, 0, "a torn write is no commit");
+        assert_eq!(plan.faults_injected(), 1);
+        assert_eq!(ckpt.restore(&mut report, |_| Ok(())), None);
+        assert_eq!(report.torn_checkpoints_discarded, 1);
     }
 
     #[test]

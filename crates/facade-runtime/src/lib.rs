@@ -45,11 +45,12 @@ mod locks;
 mod page;
 mod pool;
 mod pools;
+pub mod recovery;
 mod stats;
 #[doc(hidden)]
 pub mod test_support;
 
-pub use checkpoint::{Manifest, RecoveryError};
+pub use checkpoint::{Checkpointer, Manifest, RecoveryError};
 pub use error::HeapError;
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultPlan, FaultPlanBuilder};

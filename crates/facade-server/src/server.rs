@@ -364,6 +364,33 @@ impl FacadeServer {
     }
 }
 
+/// Runs one small job per workload through the normal submission path so
+/// every `/query/*` endpoint has a result to serve from the first request.
+fn warm_boot(state: &Arc<ServerState>) {
+    let specs = [
+        Workload::PageRank { iterations: 5 },
+        Workload::ConnectedComponents { max_iterations: 30 },
+        Workload::WordCount,
+        Workload::ExternalSort,
+    ]
+    .map(|workload| JobSpec {
+        workload,
+        tag: "warm-boot".into(),
+        ..JobSpec::default()
+    });
+    let handles: Vec<_> = specs
+        .into_iter()
+        .filter_map(|spec| {
+            let id = state.submit(spec).ok()?.0;
+            let jobs = state.jobs.lock().unwrap_or_else(|p| p.into_inner());
+            Some(jobs.get(&id)?.handle.clone())
+        })
+        .collect();
+    for handle in handles {
+        let _ = handle.wait();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,32 +434,5 @@ mod tests {
         evict_terminal(&mut jobs, 4);
         assert_eq!(jobs.len(), 4, "at the cap nothing more is evicted");
         d.shutdown();
-    }
-}
-
-/// Runs one small job per workload through the normal submission path so
-/// every `/query/*` endpoint has a result to serve from the first request.
-fn warm_boot(state: &Arc<ServerState>) {
-    let specs = [
-        Workload::PageRank { iterations: 5 },
-        Workload::ConnectedComponents { max_iterations: 30 },
-        Workload::WordCount,
-        Workload::ExternalSort,
-    ]
-    .map(|workload| JobSpec {
-        workload,
-        tag: "warm-boot".into(),
-        ..JobSpec::default()
-    });
-    let handles: Vec<_> = specs
-        .into_iter()
-        .filter_map(|spec| {
-            let id = state.submit(spec).ok()?.0;
-            let jobs = state.jobs.lock().unwrap_or_else(|p| p.into_inner());
-            Some(jobs.get(&id)?.handle.clone())
-        })
-        .collect();
-    for handle in handles {
-        let _ = handle.wait();
     }
 }

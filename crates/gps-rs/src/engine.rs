@@ -1,10 +1,11 @@
 //! The BSP engine: workers, supersteps, message exchange.
 
 use crate::kernels::{Outgoing, VertexKernel};
+use data_store::recovery::scoped_each;
 use data_store::{ClassTag, ElemTy, FieldTy, PagePool, Rec, Store, StoreStats};
 use datagen::Graph;
 use metrics::report::Backend;
-use metrics::{OutOfMemory, PhaseTimer, phases};
+use metrics::{FailureCause, OutOfMemory, PhaseTimer, phases};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -34,18 +35,23 @@ impl Default for GpsConfig {
     }
 }
 
-/// A failed run (some worker ran out of memory).
+/// A failed run: some worker ran out of memory (the paper's `OME(n)`) or
+/// panicked. GPS has no retry ladder — the first failure ends the run.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
     /// Time from start to failure.
     pub after: Duration,
-    /// The failing allocation.
-    pub cause: OutOfMemory,
+    /// What the first failing worker (in worker order) died of.
+    pub cause: FailureCause,
 }
 
 impl fmt::Display for JobFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "OME({:.1}): {}", self.after.as_secs_f64(), self.cause)
+        let tag = match self.cause {
+            FailureCause::OutOfMemory(_) => "OME",
+            _ => "FAILED",
+        };
+        write!(f, "{tag}({:.1}): {}", self.after.as_secs_f64(), self.cause)
     }
 }
 
@@ -83,16 +89,12 @@ struct Worker {
 }
 
 fn store_for(config: &GpsConfig, pool: Option<&Arc<PagePool>>) -> Store {
-    match (config.backend, pool) {
-        (Backend::Heap, _) => Store::builder()
-            .backend(Backend::Heap)
-            .budget(config.per_worker_budget)
-            .build(),
-        (Backend::Facade, Some(pool)) => Store::builder()
-            .budget(config.per_worker_budget)
-            .pool(Arc::clone(pool))
-            .build(),
-        (Backend::Facade, None) => Store::builder().budget(config.per_worker_budget).build(),
+    let builder = Store::builder()
+        .backend(config.backend)
+        .budget(config.per_worker_budget);
+    match pool {
+        Some(pool) => builder.pool(Arc::clone(pool)).build(),
+        None => builder.build(),
     }
 }
 
@@ -100,12 +102,9 @@ fn store_for(config: &GpsConfig, pool: Option<&Arc<PagePool>>) -> Store {
 ///
 /// # Errors
 ///
-/// Returns [`JobFailure`] when a worker exhausts its memory budget.
-///
-/// # Panics
-///
-/// Panics if a kernel returns a `PerEdge` message vector whose length
-/// differs from the vertex's out-degree.
+/// Returns [`JobFailure`] when a worker exhausts its memory budget, or
+/// panics — e.g. on a kernel returning a `PerEdge` message vector whose
+/// length differs from the vertex's out-degree.
 pub fn run(
     graph: &Graph,
     kernel: &mut dyn VertexKernel,
@@ -114,7 +113,7 @@ pub fn run(
     let started = Instant::now();
     let n_workers = config.workers.max(1);
     let n = graph.vertices as usize;
-    let fail = |cause: OutOfMemory, started: Instant| JobFailure {
+    let fail = |cause: FailureCause, started: Instant| JobFailure {
         after: started.elapsed(),
         cause,
     };
@@ -146,7 +145,7 @@ pub fn run(
             let local_count = lists.len();
             let values = store
                 .alloc_array(ElemTy::I64, local_count.max(1))
-                .map_err(|e| fail(e, started))?;
+                .map_err(|e| fail(e.into(), started))?;
             store.add_root(values);
             let mut out_offsets = Vec::with_capacity(local_count + 1);
             let mut out_dst = Vec::new();
@@ -186,35 +185,23 @@ pub fn run(
         let kernel_ref: &dyn VertexKernel = kernel;
 
         // One superstep on every worker (parallel, shared-nothing).
-        type StepOut = (Vec<Vec<(u32, f64)>>, Vec<f64>, u64, Duration, Duration);
-        let results: Vec<Result<StepOut, OutOfMemory>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .iter_mut()
-                .zip(inboxes.iter_mut())
-                .enumerate()
-                .map(|(w, (worker, inbox))| {
-                    let globals = globals.clone();
-                    scope.spawn(move || {
-                        superstep_on_worker(
-                            w, n_workers, worker, inbox, kernel_ref, &globals, superstep, batch,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker"))
-                .collect()
-        });
+        let results = scoped_each(
+            workers.iter_mut().zip(inboxes.iter_mut()),
+            |w, (worker, inbox)| {
+                superstep_on_worker(
+                    w, n_workers, worker, inbox, kernel_ref, &globals, superstep, batch,
+                )
+            },
+        );
 
         let mut any_message = false;
         let mut any_active = false;
         let mut acc = kernel.accumulator();
-        let mut failure: Option<OutOfMemory> = None;
+        let mut failure: Option<FailureCause> = None;
         let mut new_inboxes: Vec<Vec<(u32, f64)>> = (0..n_workers).map(|_| Vec::new()).collect();
         for result in results {
             match result {
-                Ok((outgoing, contrib, sent, load_t, update_t)) => {
+                Ok(Ok((outgoing, contrib, sent, load_t, update_t))) => {
                     edges_processed += sent;
                     timer.add(phases::LOAD, load_t);
                     timer.add(phases::UPDATE, update_t);
@@ -228,7 +215,8 @@ pub fn run(
                         }
                     }
                 }
-                Err(e) => failure = Some(failure.take().unwrap_or(e)),
+                Ok(Err(oom)) => failure = failure.or(Some(oom.into())),
+                Err(panic) => failure = failure.or(Some(FailureCause::WorkerPanic(panic))),
             }
         }
         if let Some(cause) = failure {
@@ -512,5 +500,42 @@ mod failure_tests {
         let err = run(&g, &mut PageRank::new(5), &config).unwrap_err();
         let text = err.to_string();
         assert!(text.starts_with("OME("), "{text}");
+    }
+
+    #[test]
+    fn worker_panic_surfaces_as_job_failure() {
+        /// Sends one message too many on every out-edge list.
+        struct BadArity;
+        impl VertexKernel for BadArity {
+            fn name(&self) -> &'static str {
+                "BAD"
+            }
+            fn max_supersteps(&self) -> usize {
+                2
+            }
+            fn initial_value(&self, _: u32, _: u32) -> f64 {
+                0.0
+            }
+            fn compute(
+                &self,
+                _: u32,
+                out_degree: u32,
+                value: f64,
+                _: f64,
+                _: u32,
+                _: &[f64],
+                _: usize,
+            ) -> (f64, Outgoing, bool) {
+                let per_edge = vec![1.0; out_degree as usize + 1];
+                (value, Outgoing::PerEdge(per_edge), true)
+            }
+        }
+        let g = Graph::generate(&GraphSpec::new(50, 200, 3));
+        let err = run(&g, &mut BadArity, &GpsConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err.cause, FailureCause::WorkerPanic(m) if m.contains("PerEdge arity")),
+            "{err}"
+        );
+        assert!(err.to_string().starts_with("FAILED("), "{err}");
     }
 }

@@ -242,6 +242,15 @@ pub trait VertexProgram: Sync {
     /// Maximum number of full passes over the graph.
     fn iterations(&self) -> usize;
 
+    /// Every constructor parameter that shapes the result beyond
+    /// [`name`](Self::name) and [`iterations`](Self::iterations), as bytes.
+    /// The engine hashes them into the checkpoint fingerprint, so a
+    /// checkpoint is never resumed by the same program under different
+    /// parameters; a parameterised program must override this.
+    fn parameters(&self) -> Vec<u8> {
+        Vec::new()
+    }
+
     /// Initial vertex value.
     fn initial_value(&self, vertex: u32, out_degree: u32) -> f64;
 
@@ -395,6 +404,10 @@ impl VertexProgram for ShortestPaths {
 
     fn iterations(&self) -> usize {
         self.max_iterations
+    }
+
+    fn parameters(&self) -> Vec<u8> {
+        self.source.to_le_bytes().to_vec()
     }
 
     fn initial_value(&self, vertex: u32, _out_degree: u32) -> f64 {

@@ -3,22 +3,20 @@
 
 use crate::apps::{VertexProgram, VertexView, pointer_fields, vertex_fields};
 use crate::preprocess::Csr;
+use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
+use data_store::recovery::{self, RetryPolicy, guarded, scoped_each};
 use data_store::{
-    ClassTag, ElemTy, FieldTy, PagePool, PauseRecord, PoolCounters, Store, StoreCensus, StoreStats,
+    ClassTag, ElemTy, FieldTy, PagePool, PauseRecord, PoolCounters, RecoveryError, Store,
+    StoreCensus, StoreStats,
 };
 use datagen::Graph;
 use metrics::report::Backend;
-use metrics::{
-    DegradationAction, FailureCause, OutOfMemory, PhaseTimer, ResilienceReport, panic_message,
-    phases,
-};
+use metrics::{DegradationAction, FailureCause, OutOfMemory, PhaseTimer, ResilienceReport, phases};
 use std::error::Error;
 use std::fmt;
-use std::panic::{AssertUnwindSafe, catch_unwind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Allocation-site ids the engine attributes its phases to. Under the heap
 /// backend the store's allocation-site profile (see
@@ -63,9 +61,10 @@ pub struct EngineConfig {
     /// per-interval snapshot and the main thread commits their writes in
     /// subinterval order.
     pub threads: usize,
-    /// How the engine responds to worker failures (out-of-memory, panics):
-    /// see [`RetryPolicy`]. Degraded configurations preserve bit-identical
-    /// output because only interval boundaries are semantically visible.
+    /// Whether the engine responds to worker failures (out-of-memory,
+    /// panics) at all: see [`RetryPolicy`] and [`Engine::execute`] for the
+    /// ladder. Degraded configurations preserve bit-identical output
+    /// because only interval boundaries are semantically visible.
     pub retry: RetryPolicy,
     /// Shared [`PagePool`] the facade workers draw from. `None` (the
     /// default) keeps today's behaviour: every run builds a private pool.
@@ -86,9 +85,11 @@ pub struct EngineConfig {
     /// Directory for interval-granularity checkpoints. When set, the
     /// engine writes a manifest (vertex values, edge values, loop cursor)
     /// after every committed interval via an atomic tmp-file-then-rename,
-    /// and [`Engine::resume_from`] can replay a crashed run from the last
-    /// durable boundary. `None` (the default) disables durability entirely
-    /// — no I/O is added to the commit path.
+    /// and a run that finds a verified checkpoint of the same graph,
+    /// configuration and program there resumes from its interval boundary
+    /// instead of cold-starting (a damaged or foreign one is discarded and
+    /// counted). `None` (the default) disables durability entirely — no
+    /// I/O is added to the commit path.
     pub checkpoint_dir: Option<PathBuf>,
     /// Host-requested cancellation flag, polled at interval boundaries
     /// (the unit of consistency): when a multi-job host (the
@@ -118,38 +119,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Failure response policy: how often to retry and how far to degrade.
-///
-/// A failed interval is retried against rebuilt stores. Transient failures
-/// (worker panics, injected faults) retry at the same configuration up to
-/// [`RetryPolicy::transient_retries`] times; deterministic out-of-memory
-/// failures walk the degradation ladder instead — halve the worker count to
-/// the serial fallback, then halve the subinterval budget down to its floor
-/// — because retrying an exhausted budget unchanged cannot succeed. Every
-/// retry sleeps an exponentially growing backoff.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Master switch; `false` restores fail-fast behaviour.
-    pub enabled: bool,
-    /// Same-configuration retries granted to transient failures per rung.
-    pub transient_retries: u32,
-    /// First backoff sleep; doubles per retry.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            transient_retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
-
 /// A run that failed even after retries and degradation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
@@ -174,8 +143,9 @@ pub enum EngineError {
     },
     /// The fault plan's `crash_at_interval` fired: the run aborted
     /// mid-job, directly after committing (and checkpointing) the named
-    /// interval. A fresh engine restarted with [`Engine::resume_from`]
-    /// continues from that durable boundary.
+    /// interval. A fresh engine run with the same
+    /// [`EngineConfig::checkpoint_dir`] continues from that durable
+    /// boundary.
     Crashed {
         /// Pass the crash fired in.
         pass: usize,
@@ -237,9 +207,7 @@ impl From<EngineError> for FailureCause {
             EngineError::Oom { source, .. } => FailureCause::OutOfMemory(source),
             EngineError::WorkerPanicked { message, .. } => FailureCause::WorkerPanic(message),
             crash @ EngineError::Crashed { .. } => FailureCause::InjectedCrash(crash.to_string()),
-            // Cancellation is host-initiated and never enters the retry
-            // ladder; the arm exists only to keep the match total.
-            EngineError::Canceled => FailureCause::WorkerPanic("job canceled".into()),
+            EngineError::Canceled => FailureCause::Canceled,
         }
     }
 }
@@ -256,62 +224,48 @@ struct SubFailure {
 }
 
 impl SubFailure {
-    fn into_engine_error(self) -> EngineError {
-        match self.kind {
+    /// The run's error for a failure of `kind` at `(worker, subinterval)`.
+    fn engine_error((worker, subinterval): (usize, usize), kind: FailureCause) -> EngineError {
+        match kind {
             FailureCause::OutOfMemory(source) => EngineError::Oom {
-                worker: self.worker,
-                subinterval: self.subinterval,
+                worker,
+                subinterval,
                 source,
             },
-            FailureCause::WorkerPanic(message) => EngineError::WorkerPanicked {
-                worker: self.worker,
-                subinterval: self.subinterval,
-                message,
-            },
-            // `FailureCause` is non-exhaustive; any future kind surfaces
-            // with its rendered message rather than being dropped.
+            // `FailureCause` is non-exhaustive; any kind other than a panic
+            // surfaces with its rendered message rather than being dropped.
             cause => EngineError::WorkerPanicked {
-                worker: self.worker,
-                subinterval: self.subinterval,
-                message: cause.to_string(),
+                worker,
+                subinterval,
+                message: match cause {
+                    FailureCause::WorkerPanic(message) => message,
+                    other => other.to_string(),
+                },
             },
         }
     }
 }
 
-/// Runs one unit of work with both failure modes caught: an `Err` from the
-/// work itself becomes [`FailureCause::OutOfMemory`], a panic becomes
-/// [`FailureCause::WorkerPanic`]. `AssertUnwindSafe` is sound here because
-/// every caller discards (and rebuilds) the stores the closure touched
-/// whenever it reports a failure.
+/// [`guarded`] with the failing worker attached; the subinterval index is
+/// filled in by [`Engine::collect_bufs`].
 fn catch_failure<T>(
     worker: usize,
     work: impl FnOnce() -> Result<T, OutOfMemory>,
 ) -> Result<T, SubFailure> {
-    match catch_unwind(AssertUnwindSafe(work)) {
-        Ok(Ok(v)) => Ok(v),
-        Ok(Err(oom)) => Err(SubFailure {
-            worker,
-            subinterval: 0,
-            kind: FailureCause::OutOfMemory(oom),
-        }),
-        Err(payload) => Err(SubFailure {
-            worker,
-            subinterval: 0,
-            kind: FailureCause::WorkerPanic(panic_message(payload.as_ref())),
-        }),
-    }
+    guarded(work).map_err(|kind| SubFailure {
+        worker,
+        subinterval: 0,
+        kind,
+    })
 }
 
-/// The degradation ladder: current rung plus retry bookkeeping. Rungs are
-/// sticky — once the engine degrades, the rest of the run stays degraded —
-/// so a budget that proved too optimistic is not re-trusted every interval.
+/// The engine's rungs under the shared [`recovery::Ladder`]: worker count,
+/// then subinterval edge budget.
 #[derive(Debug)]
 struct Ladder {
     threads: usize,
     shrink: u32,
-    rung_retries: u32,
-    backoff_step: u32,
+    retry: recovery::Ladder,
 }
 
 impl Ladder {
@@ -319,8 +273,7 @@ impl Ladder {
         Self {
             threads,
             shrink: 0,
-            rung_retries: 0,
-            backoff_step: 0,
+            retry: recovery::Ladder::default(),
         }
     }
 
@@ -336,17 +289,29 @@ impl Ladder {
         Self::edge_budget_at(config, self.threads, self.shrink)
     }
 
-    fn sleep_backoff(&mut self, policy: &RetryPolicy) {
-        let factor = 1u32 << self.backoff_step.min(16);
-        let delay = policy.base_backoff.saturating_mul(factor);
-        std::thread::sleep(delay.min(policy.max_backoff));
-        self.backoff_step += 1;
+    /// One rung down: halve the worker count to serial, then halve the
+    /// edge budget to its floor; `None` once serial at the floor.
+    fn step_down(
+        config: &EngineConfig,
+        threads: &mut usize,
+        shrink: &mut u32,
+    ) -> Option<DegradationAction> {
+        if *threads > 1 {
+            let from = *threads;
+            *threads /= 2;
+            Some(DegradationAction::ReduceThreads { from, to: *threads })
+        } else if Self::edge_budget_at(config, 1, *shrink + 1)
+            < Self::edge_budget_at(config, 1, *shrink)
+        {
+            *shrink += 1;
+            Some(DegradationAction::ShrinkBudget { shrink: *shrink })
+        } else {
+            None
+        }
     }
 
-    /// Decides how to respond to `failure`: retry at the same rung
-    /// (transient failures), step down a rung (threads, then budget), or —
-    /// when the ladder is exhausted or retry is disabled — surface the
-    /// failure as the run's error. Records the decision in `resilience`.
+    /// Hands `failure` to the shared ladder; what it hands back (retry
+    /// disabled, or no rung left) is the run's error.
     fn respond(
         &mut self,
         config: &EngineConfig,
@@ -354,69 +319,12 @@ impl Ladder {
         phase: &str,
         resilience: &mut ResilienceReport,
     ) -> Result<(), EngineError> {
-        let policy = &config.retry;
-        if !policy.enabled {
-            return Err(failure.into_engine_error());
-        }
-        if failure.kind.is_transient() && self.rung_retries < policy.transient_retries {
-            self.rung_retries += 1;
-            resilience.record_retry(phase, &failure.kind);
-            facade_trace::instant(
-                "ladder_retry",
-                &[
-                    ("phase", phase.to_string().into()),
-                    ("attempt", self.rung_retries.into()),
-                ],
-            );
-            self.sleep_backoff(policy);
-            return Ok(());
-        }
-        if self.threads > 1 {
-            let from = self.threads;
-            self.threads /= 2;
-            resilience.record_degradation(
-                phase,
-                DegradationAction::ReduceThreads {
-                    from,
-                    to: self.threads,
-                },
-                &failure.kind,
-            );
-            facade_trace::instant(
-                "ladder_degrade",
-                &[
-                    ("phase", phase.to_string().into()),
-                    ("action", "reduce_threads".into()),
-                    ("threads", self.threads.into()),
-                ],
-            );
-        } else if Self::edge_budget_at(config, self.threads, self.shrink + 1)
-            < Self::edge_budget_at(config, self.threads, self.shrink)
-        {
-            self.shrink += 1;
-            resilience.record_degradation(
-                phase,
-                DegradationAction::ShrinkBudget {
-                    shrink: self.shrink,
-                },
-                &failure.kind,
-            );
-            facade_trace::instant(
-                "ladder_degrade",
-                &[
-                    ("phase", phase.to_string().into()),
-                    ("action", "shrink_budget".into()),
-                    ("shrink", self.shrink.into()),
-                ],
-            );
-        } else {
-            // Serial, minimum budget, still failing: the ladder is out of
-            // rungs.
-            return Err(failure.into_engine_error());
-        }
-        self.rung_retries = 0;
-        self.sleep_backoff(policy);
-        Ok(())
+        let at = (failure.worker, failure.subinterval);
+        self.retry
+            .respond(&config.retry, phase, failure.kind, resilience, || {
+                Self::step_down(config, &mut self.threads, &mut self.shrink)
+            })
+            .map_err(|kind| SubFailure::engine_error(at, kind))
     }
 }
 
@@ -471,13 +379,18 @@ fn build_stores(config: &EngineConfig, threads: usize) -> (Vec<Store>, Schema) {
     // single-threaded one — so `pages_from_pool`/`pages_to_pool` are
     // comparable across thread counts instead of degenerating to zero at
     // `threads == 1`. A host-provided pool (multi-job serving) is used
-    // as-is; otherwise the run builds a private one.
-    let external = config.backend == Backend::Facade && config.pool.is_some();
+    // as-is; otherwise the run builds a private one. Fault plans target
+    // this run's private resources only: a shared pool serves other jobs
+    // too, so injected pool faults stay off it.
     let pool = (config.backend == Backend::Facade).then(|| {
-        config
-            .pool
-            .clone()
-            .unwrap_or_else(|| Arc::new(PagePool::with_default_config()))
+        config.pool.clone().unwrap_or_else(|| {
+            let pool = Arc::new(PagePool::with_default_config());
+            #[cfg(feature = "fault-injection")]
+            if let Some(plan) = &config.fault_plan {
+                pool.set_fault_plan(plan.clone());
+            }
+            pool
+        })
     });
     let mut stores: Vec<Store> = (0..threads)
         .map(|_| {
@@ -495,14 +408,6 @@ fn build_stores(config: &EngineConfig, threads: usize) -> (Vec<Store>, Schema) {
             builder.build()
         })
         .collect();
-    // Fault plans target this run's private resources only: a shared pool
-    // serves other jobs too, so injected pool faults stay off it.
-    #[cfg(feature = "fault-injection")]
-    if let (Some(plan), Some(pool), false) = (&config.fault_plan, &pool, external) {
-        pool.set_fault_plan(plan.clone());
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = external;
     // Register the same classes in every store; the tags are identical
     // because registration order is.
     let mut schema = None;
@@ -623,23 +528,11 @@ struct PrefetchQueue {
 /// plus `(subinterval index, outcome)` for every subinterval it processed.
 type WorkerOutput = (PhaseTimer, Vec<(usize, Result<CommitBuf, SubFailure>)>);
 
-/// State restored from a verified checkpoint, consumed by the next
-/// [`Engine::execute`]. The cursor is deliberately *not* normalized at pass
-/// boundaries: a checkpoint taken after the last interval of a pass stores
-/// `interval == intervals.len()`, so the resumed loop skips every interval
-/// of that pass and still executes its `passes += 1` / convergence check.
-/// One consistent interval-boundary snapshot handed to
-/// [`Engine::write_checkpoint`]: the committed state plus the loop cursor
-/// a resumed run continues from.
-struct CheckpointCut<'a> {
-    pass: usize,
-    next_interval: usize,
-    changed: bool,
-    edges_processed: u64,
-    values: &'a [f64],
-    edge_values: &'a [f64],
-}
-
+/// State restored from a verified checkpoint. The cursor is deliberately
+/// *not* normalized at pass boundaries: a checkpoint taken after the last
+/// interval of a pass stores `interval == intervals.len()`, so the resumed
+/// loop skips every interval of that pass and still executes its
+/// `passes += 1` / convergence check.
 #[derive(Debug)]
 struct ResumeState {
     values: Vec<f64>,
@@ -650,16 +543,30 @@ struct ResumeState {
     changed: bool,
 }
 
+/// Encodes one consistent interval-boundary snapshot — the committed
+/// state plus the loop flags a resumed run continues with — as the
+/// checkpoint sections [`Engine::decode_resume`] reads back.
+fn encode_sections(
+    changed: bool,
+    edges_processed: u64,
+    values: &[f64],
+    edge_values: &[f64],
+) -> Vec<(String, Vec<u8>)> {
+    let mut state = vec![u8::from(changed)];
+    state.extend_from_slice(&edges_processed.to_le_bytes());
+    vec![
+        ("values".into(), ckpt::encode_f64s(values)),
+        ("edge_values".into(), ckpt::encode_f64s(edge_values)),
+        ("engine_state".into(), state),
+    ]
+}
+
 /// The GraphChi-style engine. Construct once per (graph, config) and run
 /// one or more vertex programs.
 #[derive(Debug)]
 pub struct Engine {
     csr: Csr,
     config: EngineConfig,
-    resume: Option<ResumeState>,
-    /// Checkpoints [`Engine::resume_from`] rejected (torn writes,
-    /// corruption); folded into the next run's resilience report.
-    discarded_checkpoints: u64,
 }
 
 impl Engine {
@@ -670,8 +577,6 @@ impl Engine {
         Self {
             csr: Csr::build(graph),
             config,
-            resume: None,
-            discarded_checkpoints: 0,
         }
     }
 
@@ -682,129 +587,94 @@ impl Engine {
         dir.join("graphchi.fckp")
     }
 
-    /// Fingerprint binding a checkpoint to the run shape that produced it.
-    /// Covers the graph (vertex/edge counts) and the value-affecting config
-    /// (interval count, inlining) — but *not* threads or budget, because
-    /// output is bit-identical across those and a resumed run may
-    /// legitimately use a different worker count than the crashed one.
-    fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(40);
-        bytes.extend_from_slice(b"graphchi");
-        bytes.extend_from_slice(&u64::from(self.csr.vertices).to_le_bytes());
-        bytes.extend_from_slice(&self.csr.edges.to_le_bytes());
-        bytes.extend_from_slice(&(self.config.intervals as u64).to_le_bytes());
-        bytes.extend_from_slice(&u64::from(self.config.inline_records).to_le_bytes());
-        data_store::checkpoint::xxh64(&bytes, 0)
-    }
-
-    /// Loads and verifies the checkpoint at `path`; the next [`Engine::execute`]
-    /// then replays from that interval boundary instead of cold-starting.
-    ///
-    /// # Errors
-    ///
-    /// [`data_store::RecoveryError::Missing`] when no checkpoint exists (a plain cold
-    /// start — nothing was discarded); any other variant means the file was
-    /// present but failed verification (torn write, corruption, or a
-    /// fingerprint from a different graph/config). Verification failures
-    /// are counted and surface as `torn_checkpoints_discarded` in the next
-    /// run's [`ResilienceReport`]; the caller falls back to a cold start
-    /// either way. Never panics on damaged input.
-    pub fn resume_from(&mut self, path: &Path) -> Result<(), data_store::RecoveryError> {
-        use data_store::RecoveryError;
-        use data_store::checkpoint as ckpt;
-        let load = || -> Result<ResumeState, RecoveryError> {
-            let manifest = ckpt::read_manifest(path)?;
-            if manifest.fingerprint != self.fingerprint() {
-                return Err(RecoveryError::FingerprintMismatch {
-                    expected: self.fingerprint(),
-                    found: manifest.fingerprint,
-                });
-            }
-            let need = |name: &str| -> Result<&[u8], RecoveryError> {
-                manifest
-                    .section(name)
-                    .ok_or_else(|| RecoveryError::Malformed(format!("missing section `{name}`")))
-            };
-            let values = ckpt::decode_f64s(need("values")?)?;
-            let edge_values = ckpt::decode_f64s(need("edge_values")?)?;
-            if values.len() != self.csr.vertices as usize
-                || edge_values.len() != self.csr.edges as usize
-            {
-                return Err(RecoveryError::Malformed(format!(
-                    "value arrays sized {}/{}, graph has {}/{}",
-                    values.len(),
-                    edge_values.len(),
-                    self.csr.vertices,
-                    self.csr.edges
-                )));
-            }
-            let state = need("engine_state")?;
-            if state.len() != 9 {
-                return Err(RecoveryError::Malformed(format!(
-                    "engine_state is {} bytes, expected 9",
-                    state.len()
-                )));
-            }
-            let mut edges = [0u8; 8];
-            edges.copy_from_slice(&state[1..9]);
-            Ok(ResumeState {
-                values,
-                edge_values,
-                pass: manifest.cursor[0] as usize,
-                interval: manifest.cursor[1] as usize,
-                edges_processed: u64::from_le_bytes(edges),
-                changed: state[0] != 0,
-            })
-        };
-        match load() {
-            Ok(state) => {
-                self.resume = Some(state);
-                Ok(())
-            }
-            Err(e) => {
-                // A missing file is a routine cold start; anything else is
-                // a damaged checkpoint the run must report as discarded.
-                if !matches!(e, RecoveryError::Missing(_)) {
-                    self.discarded_checkpoints += 1;
-                }
-                Err(e)
-            }
+    /// The checkpoint policy for a run of `app` from the cold-start state
+    /// `initial` (vertex values, edge values), when durability is
+    /// configured. Resuming is automatic, so the fingerprint is all that
+    /// keeps foreign state out; it covers everything the values are a
+    /// function of: the value-affecting config (interval count, inlining),
+    /// the program (name, iteration bound, [`VertexProgram::parameters`],
+    /// and its initial state, which catches an undeclared parameter that
+    /// shows there) and the graph's *contents* (the out-CSR is the edge
+    /// list, edge ids included). Not threads or budget: output is
+    /// bit-identical across those, and a resumed run may legitimately use
+    /// a different worker count than the crashed one.
+    fn checkpointer(
+        &self,
+        app: &dyn VertexProgram,
+        initial: (&[f64], &[f64]),
+    ) -> Option<Checkpointer> {
+        let dir = self.config.checkpoint_dir.as_deref()?;
+        // `{:?}` quotes and escapes the name, so it cannot run into the
+        // parameter bytes behind it.
+        let (config, passes) = (&self.config, app.iterations());
+        let mut shape = format!(
+            "graphchi {} {} {passes} {:?} ",
+            config.intervals,
+            config.inline_records,
+            app.name()
+        )
+        .into_bytes();
+        shape.extend(app.parameters());
+        let mut fingerprint = ckpt::xxh64(&shape, 0);
+        for ids in [&self.csr.out_offsets, &self.csr.out_dst, &self.csr.out_eid] {
+            let bytes: Vec<u8> = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
+            fingerprint = ckpt::xxh64(&bytes, fingerprint);
         }
-    }
-
-    /// Writes the post-commit checkpoint, if durability is configured.
-    /// Best-effort: an I/O failure degrades to "no checkpoint taken" (the
-    /// previous durable one, if any, survives the atomic-rename protocol)
-    /// rather than failing an otherwise healthy run. Under the fault plan's
-    /// torn-write mode the manifest is deliberately truncated mid-write to
-    /// simulate a crash during the checkpoint itself.
-    fn write_checkpoint(&self, cut: &CheckpointCut<'_>, resilience: &mut ResilienceReport) {
-        use data_store::checkpoint as ckpt;
-        let Some(dir) = &self.config.checkpoint_dir else {
-            return;
-        };
-        let path = Self::checkpoint_path(dir);
-        let mut manifest = ckpt::Manifest::new(
-            self.fingerprint(),
-            [cut.pass as u64, cut.next_interval as u64],
-        );
-        manifest.push("values", ckpt::encode_f64s(cut.values));
-        manifest.push("edge_values", ckpt::encode_f64s(cut.edge_values));
-        let mut state = vec![u8::from(cut.changed)];
-        state.extend_from_slice(&cut.edges_processed.to_le_bytes());
-        manifest.push("engine_state", state);
+        for state in [initial.0, initial.1] {
+            fingerprint = ckpt::xxh64(&ckpt::encode_f64s(state), fingerprint);
+        }
+        let ckpt = Checkpointer::new(Self::checkpoint_path(dir), fingerprint);
         #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &self.config.fault_plan {
-            if plan.tear_checkpoint_write() {
-                // Torn writes are not durable commits, so they don't count
-                // toward `checkpoints_written`.
-                let _ = ckpt::write_manifest_torn(&path, &manifest);
-                return;
+        let ckpt = ckpt.fault_plan(self.config.fault_plan.clone());
+        Some(ckpt)
+    }
+
+    /// The cold-start persistent state: every vertex's and every edge's
+    /// initial value under `app`.
+    fn initial_state(&self, app: &dyn VertexProgram) -> (Vec<f64>, Vec<f64>) {
+        let values = (0..self.csr.vertices)
+            .map(|v| app.initial_value(v, self.csr.out_degree(v)))
+            .collect();
+        let mut edge_values = vec![0.0; self.csr.edges as usize];
+        for v in 0..self.csr.vertices {
+            let init = app.initial_edge_value(v, self.csr.out_degree(v));
+            let span = self.csr.out_offsets[v as usize] as usize
+                ..self.csr.out_offsets[v as usize + 1] as usize;
+            for slot in span {
+                edge_values[self.csr.out_eid[slot] as usize] = init;
             }
         }
-        if ckpt::write_manifest(&path, &manifest).is_ok() {
-            resilience.checkpoints_written += 1;
+        (values, edge_values)
+    }
+
+    /// Decodes a verified manifest's sections, failing closed on any shape
+    /// that does not fit this graph.
+    fn decode_resume(&self, manifest: &Manifest) -> Result<ResumeState, RecoveryError> {
+        let values = ckpt::decode_f64s(manifest.require("values")?)?;
+        let edge_values = ckpt::decode_f64s(manifest.require("edge_values")?)?;
+        if values.len() != self.csr.vertices as usize
+            || edge_values.len() != self.csr.edges as usize
+        {
+            return Err(RecoveryError::Malformed(format!(
+                "value arrays sized {}/{}, graph has {}/{}",
+                values.len(),
+                edge_values.len(),
+                self.csr.vertices,
+                self.csr.edges
+            )));
         }
+        let mut state = ckpt::Cursor::new(manifest.require("engine_state")?);
+        let changed = state.take(1)?[0] != 0;
+        let edges_processed = state.u64()?;
+        state.finish()?;
+        Ok(ResumeState {
+            values,
+            edge_values,
+            pass: manifest.cursor[0] as usize,
+            interval: manifest.cursor[1] as usize,
+            edges_processed,
+            changed,
+        })
     }
 
     /// The engine's CSR index.
@@ -823,11 +693,15 @@ impl Engine {
     /// A worker failure — out-of-memory or panic — no longer kills the
     /// run. The interval's buffered writes are discarded (nothing was
     /// committed), the worker stores are torn down and rebuilt, and the
-    /// interval is retried per [`RetryPolicy`]: transient failures at the
-    /// same configuration, budget exhaustion one rung down the degradation
-    /// ladder (halve the worker count to serial, then halve the
-    /// subinterval budget). Because only interval boundaries are
+    /// interval is retried per the shared [`recovery::Ladder`]: transient
+    /// failures at the same configuration, budget exhaustion one rung down
+    /// the degradation ladder (halve the worker count to serial, then halve
+    /// the subinterval budget). Because only interval boundaries are
     /// semantically visible, a degraded retry commits bit-identical values.
+    ///
+    /// With [`EngineConfig::checkpoint_dir`] set, every committed interval
+    /// is checkpointed, and a verified checkpoint of this graph, config and
+    /// program found there at start is resumed from.
     ///
     /// # Errors
     ///
@@ -861,18 +735,8 @@ impl Engine {
         }
 
         // Persistent (simulated on-disk) state: vertex values + edge values.
-        let mut values: Vec<f64> = (0..self.csr.vertices)
-            .map(|v| app.initial_value(v, self.csr.out_degree(v)))
-            .collect();
-        let mut edge_values: Vec<f64> = vec![0.0; self.csr.edges as usize];
-        for v in 0..self.csr.vertices {
-            let init = app.initial_edge_value(v, self.csr.out_degree(v));
-            let span = self.csr.out_offsets[v as usize] as usize
-                ..self.csr.out_offsets[v as usize + 1] as usize;
-            for slot in span {
-                edge_values[self.csr.out_eid[slot] as usize] = init;
-            }
-        }
+        let (mut values, mut edge_values) = self.initial_state(app);
+        let checkpointer = self.checkpointer(app, (&values, &edge_values));
 
         let intervals = self.csr.intervals(self.config.intervals);
 
@@ -885,17 +749,15 @@ impl Engine {
         // A verified checkpoint replaces the cold-start state. `passes`
         // starts at the cursor's pass because every earlier pass already
         // ran to completion before the checkpoint was taken.
-        let (start_pass, start_interval, resumed_changed) = match self.resume.take() {
+        let resumed = checkpointer
+            .as_ref()
+            .and_then(|c| c.restore(&mut resilience, |m| self.decode_resume(m)));
+        let (start_pass, start_interval, resumed_changed) = match resumed {
             Some(r) => {
                 values = r.values;
                 edge_values = r.edge_values;
                 passes = r.pass;
                 edges_processed = r.edges_processed;
-                resilience.recoveries += 1;
-                facade_trace::instant(
-                    "checkpoint_resume",
-                    &[("pass", r.pass.into()), ("interval", r.interval.into())],
-                );
                 (r.pass, r.interval, r.changed)
             }
             None => (0, 0, false),
@@ -980,17 +842,18 @@ impl Engine {
                             // pass ends: resuming at `intervals.len()` skips
                             // the rest of the pass but still runs its
                             // convergence check.
-                            self.write_checkpoint(
-                                &CheckpointCut {
-                                    pass,
-                                    next_interval: iv_idx + 1,
-                                    changed,
-                                    edges_processed,
-                                    values: &values,
-                                    edge_values: &edge_values,
-                                },
-                                &mut resilience,
-                            );
+                            if let Some(c) = &checkpointer {
+                                c.commit(
+                                    [pass as u64, iv_idx as u64 + 1],
+                                    encode_sections(
+                                        changed,
+                                        edges_processed,
+                                        &values,
+                                        &edge_values,
+                                    ),
+                                    &mut resilience,
+                                );
+                            }
                             #[cfg(feature = "fault-injection")]
                             if let Some(plan) = &self.config.fault_plan {
                                 if plan.should_crash_at_interval(committed_intervals) {
@@ -1042,15 +905,8 @@ impl Engine {
             // no store's stats record.
             resilience.faults_injected = plan.faults_injected();
         }
-        resilience.torn_checkpoints_discarded += self.discarded_checkpoints;
-        self.discarded_checkpoints = 0;
-        if let Some(dir) = &self.config.checkpoint_dir {
-            // The run completed: its checkpoint is obsolete (resuming a
-            // finished run would replay the final interval). Best-effort —
-            // a leftover file only costs a harmless fingerprint-checked
-            // resume attempt.
-            let _ = std::fs::remove_file(Self::checkpoint_path(dir));
-            resilience.publish_checkpoint_gauges(metrics::Registry::global());
+        if let Some(c) = &checkpointer {
+            c.finish(&resilience);
         }
         timer.add(phases::GC, stats.gc_time);
         timer.freeze_total();
@@ -1191,112 +1047,92 @@ impl Engine {
             slots: (0..subs.len()).map(|_| Mutex::new(None)).collect(),
         };
         let window = threads * 2;
-        let worker_out: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let prefetch = &prefetch;
-            let handles: Vec<_> = stores
-                .iter_mut()
-                .enumerate()
-                .map(|(w, store)| {
-                    scope.spawn(move || {
-                        let mut t = PhaseTimer::new();
-                        let mut out = Vec::new();
-                        let mut idx = w;
-                        while idx < subs.len() {
-                            prefetch.started.fetch_add(1, Ordering::Relaxed);
-                            let pre = prefetch.slots[idx]
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .take();
-                            let mut sub_t = PhaseTimer::new();
-                            let r = catch_failure(w, || {
-                                this.process_subinterval(
-                                    store,
-                                    schema,
-                                    app,
-                                    subs[idx],
-                                    values,
-                                    edge_values,
-                                    pre,
-                                    &mut sub_t,
-                                )
-                            });
-                            t.merge(&sub_t);
-                            let failed = r.is_err();
-                            out.push((idx, r));
-                            if failed {
-                                break;
-                            }
-                            idx += threads;
-                            // Pipeline: before blocking on its own next
-                            // load, gather windows for upcoming
-                            // subintervals — its own or a busy peer's —
-                            // while the claim window is open.
-                            loop {
-                                let started = prefetch.started.load(Ordering::Relaxed);
-                                let candidate = prefetch.next.load(Ordering::Relaxed);
-                                if candidate >= subs.len() || candidate >= started + window {
-                                    break;
-                                }
-                                if prefetch
-                                    .next
-                                    .compare_exchange(
-                                        candidate,
-                                        candidate + 1,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    )
-                                    .is_ok()
-                                {
-                                    let gathered = this.prefetch_sub(subs[candidate], edge_values);
-                                    *prefetch.slots[candidate]
-                                        .lock()
-                                        .unwrap_or_else(|p| p.into_inner()) = Some(gathered);
-                                }
-                            }
-                        }
-                        // The interval's records are all dead now; hand
-                        // the pages back so other workers (and the next
-                        // interval) adopt them instead of growing.
-                        store.release_pages();
-                        (t, out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(w, h)| match h.join() {
-                    Ok(res) => res,
-                    // The thread died outside the catch (e.g. while
-                    // releasing pages); report it against the worker's
-                    // first subinterval so the ladder can respond.
-                    Err(payload) => (
-                        PhaseTimer::new(),
-                        if w < subs.len() {
-                            vec![(
-                                w,
-                                Err(SubFailure {
-                                    worker: w,
-                                    subinterval: w,
-                                    kind: FailureCause::WorkerPanic(panic_message(
-                                        payload.as_ref(),
-                                    )),
-                                }),
-                            )]
-                        } else {
-                            Vec::new()
-                        },
-                    ),
-                })
-                .collect()
+        let prefetch = &prefetch;
+        let worker_out = scoped_each(stores.iter_mut(), |w, store| -> WorkerOutput {
+            let mut t = PhaseTimer::new();
+            let mut out = Vec::new();
+            let mut idx = w;
+            while idx < subs.len() {
+                prefetch.started.fetch_add(1, Ordering::Relaxed);
+                let pre = prefetch.slots[idx]
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .take();
+                let mut sub_t = PhaseTimer::new();
+                let r = catch_failure(w, || {
+                    this.process_subinterval(
+                        store,
+                        schema,
+                        app,
+                        subs[idx],
+                        values,
+                        edge_values,
+                        pre,
+                        &mut sub_t,
+                    )
+                });
+                t.merge(&sub_t);
+                let failed = r.is_err();
+                out.push((idx, r));
+                if failed {
+                    break;
+                }
+                idx += threads;
+                // Pipeline: before blocking on its own next
+                // load, gather windows for upcoming
+                // subintervals — its own or a busy peer's —
+                // while the claim window is open.
+                loop {
+                    let started = prefetch.started.load(Ordering::Relaxed);
+                    let candidate = prefetch.next.load(Ordering::Relaxed);
+                    if candidate >= subs.len() || candidate >= started + window {
+                        break;
+                    }
+                    if prefetch
+                        .next
+                        .compare_exchange(
+                            candidate,
+                            candidate + 1,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        )
+                        .is_ok()
+                    {
+                        let gathered = this.prefetch_sub(subs[candidate], edge_values);
+                        *prefetch.slots[candidate]
+                            .lock()
+                            .unwrap_or_else(|p| p.into_inner()) = Some(gathered);
+                    }
+                }
+            }
+            // The interval's records are all dead now; hand
+            // the pages back so other workers (and the next
+            // interval) adopt them instead of growing.
+            store.release_pages();
+            (t, out)
         });
 
         let mut slots: Vec<Option<Result<CommitBuf, SubFailure>>> = Vec::new();
         slots.resize_with(subs.len(), || None);
-        for (t, out) in worker_out {
-            timer.merge(&t);
-            for (idx, r) in out {
-                slots[idx] = Some(r);
+        for (w, joined) in worker_out.into_iter().enumerate() {
+            match joined {
+                Ok((t, out)) => {
+                    timer.merge(&t);
+                    for (idx, r) in out {
+                        slots[idx] = Some(r);
+                    }
+                }
+                // The thread died outside the catch (e.g. while releasing
+                // pages); report it against the worker's first subinterval
+                // so the ladder can respond.
+                Err(message) if w < subs.len() => {
+                    slots[w] = Some(Err(SubFailure {
+                        worker: w,
+                        subinterval: w,
+                        kind: FailureCause::WorkerPanic(message),
+                    }));
+                }
+                Err(_) => {}
             }
         }
         slots
@@ -1320,18 +1156,16 @@ impl Engine {
 
     /// Gathers one subinterval's shard window from the frozen snapshot —
     /// the CSR-chasing, cache-missing half of `sub_load` — without touching
-    /// any store. Runs on whichever worker has slack, overlapping the next
-    /// subinterval's load with the current one's update.
-    fn prefetch_sub(&self, (start, end): (u32, u32), edge_values: &[f64]) -> PrefetchedSub {
+    /// any store: one tight pass per side, so the misses overlap instead
+    /// of each one stalling the store calls behind it.
+    fn gather_sub(&self, (start, end): (u32, u32), edge_values: &[f64]) -> PrefetchedSub {
         let csr = &self.csr;
-        let started = std::time::Instant::now();
         // A vertex range's adjacency slots are contiguous in the CSR, so
         // each side of the window is one run.
         let ins = csr.in_offsets[start as usize] as usize..csr.in_offsets[end as usize] as usize;
         let outs = csr.out_offsets[start as usize] as usize..csr.out_offsets[end as usize] as usize;
-        let (in_total, out_total) = (ins.len(), outs.len());
-        let mut in_meta = Vec::with_capacity(2 * in_total);
-        let mut in_vals = Vec::with_capacity(in_total);
+        let mut in_meta = Vec::with_capacity(2 * ins.len());
+        let mut in_vals = Vec::with_capacity(ins.len());
         gather_edges(
             &csr.in_src[ins.clone()],
             &csr.in_eid[ins],
@@ -1339,8 +1173,8 @@ impl Engine {
             &mut in_meta,
             &mut in_vals,
         );
-        let mut out_meta = Vec::with_capacity(2 * out_total);
-        let mut out_vals = Vec::with_capacity(out_total);
+        let mut out_meta = Vec::with_capacity(2 * outs.len());
+        let mut out_vals = Vec::with_capacity(outs.len());
         gather_edges(
             &csr.out_dst[outs.clone()],
             &csr.out_eid[outs],
@@ -1348,32 +1182,39 @@ impl Engine {
             &mut out_meta,
             &mut out_vals,
         );
-        let flow = facade_trace::next_flow_id();
-        facade_trace::complete_with_flow(
-            "sub_prefetch",
-            started,
-            flow,
-            &[
-                ("first_vertex", start.into()),
-                ("edges", (in_total + out_total).into()),
-            ],
-        );
         PrefetchedSub {
             in_meta,
             in_vals,
             out_meta,
             out_vals,
-            flow,
+            flow: 0,
         }
+    }
+
+    /// [`Engine::gather_sub`] ahead of time, as its own `sub_prefetch`
+    /// span: runs on whichever worker has slack, overlapping the next
+    /// subinterval's load with the current one's update.
+    fn prefetch_sub(&self, sub: (u32, u32), edge_values: &[f64]) -> PrefetchedSub {
+        let started = std::time::Instant::now();
+        let mut window = self.gather_sub(sub, edge_values);
+        window.flow = facade_trace::next_flow_id();
+        let edges = window.in_vals.len() + window.out_vals.len();
+        facade_trace::complete_with_flow(
+            "sub_prefetch",
+            started,
+            window.flow,
+            &[("first_vertex", sub.0.into()), ("edges", edges.into())],
+        );
+        window
     }
 
     /// Loads, updates, and buffers the writeback of one subinterval. This
     /// is one sub-iteration in the FACADE sense: everything allocated here
     /// dies here. Reads come from the frozen interval-start snapshot;
     /// writes go into the returned [`CommitBuf`] for the main thread to
-    /// replay in order. When a [`PrefetchedSub`] window is supplied, the
-    /// load phase streams its flat arrays instead of gathering from the
-    /// CSR — same writes, same order, bit-identical records.
+    /// replay in order. The load phase streams a [`PrefetchedSub`] window:
+    /// the one a peer gathered ahead, or else its own, gathered first — same
+    /// writes, same order, bit-identical records.
     #[allow(clippy::too_many_arguments)]
     fn process_subinterval(
         &self,
@@ -1402,14 +1243,12 @@ impl Engine {
             Some(store.add_root(vertex_arr))
         };
         let inlined = store.is_facade() && self.config.inline_records;
+        let ahead = prefetched.is_some();
+        let window = prefetched.unwrap_or_else(|| self.gather_sub((start, end), edge_values));
         let mut load = || -> Result<(), OutOfMemory> {
-            // Edges consumed so far from the prefetched window; its flat
-            // arrays are in vertex order, mirroring the inline gather.
-            let mut in_seen = 0usize;
-            let mut out_seen = 0usize;
-            // Without a window, each vertex's runs are gathered here
-            // first, so either way a whole array moves in one store call.
-            let (mut meta_buf, mut vals_buf) = (Vec::new(), Vec::new());
+            // Edges consumed so far from the window; its flat arrays are in
+            // vertex order.
+            let (mut in_seen, mut out_seen) = (0usize, 0usize);
             for v in start..end {
                 let vi = (v - start) as usize;
                 let vr = store.alloc(schema.vertex)?;
@@ -1423,103 +1262,39 @@ impl Engine {
                 let n_out = csr.out_degree(v) as usize;
                 store.set_i32(vr, vertex_fields::NUM_IN, n_in as i32);
                 store.set_i32(vr, vertex_fields::NUM_OUT, n_out as i32);
-
-                if inlined {
-                    // P': the compiler's inlining optimization flattens the
-                    // ChiPointer records into parallel primitive arrays,
-                    // each filled by one bulk store call — from the
-                    // prefetched window's slices when there is one,
-                    // gathered from the CSR otherwise.
-                    let in_meta = store.alloc_array(ElemTy::I32, 2 * n_in)?;
-                    store.set_rec(vr, vertex_fields::IN_EDGES, in_meta);
-                    let in_vals = store.alloc_array(ElemTy::I64, n_in)?;
-                    store.set_rec(vr, vertex_fields::IN_VALUES, in_vals);
-                    if let Some(p) = prefetched.as_ref() {
-                        let meta = &p.in_meta[2 * in_seen..2 * (in_seen + n_in)];
-                        store.array_write_i32s(in_meta, 0, meta);
-                        let vals = &p.in_vals[in_seen..in_seen + n_in];
-                        store.array_write_f64s(in_vals, 0, vals);
-                    } else {
-                        let base = csr.in_offsets[v as usize] as usize;
-                        let (src, eid) = (
-                            &csr.in_src[base..base + n_in],
-                            &csr.in_eid[base..base + n_in],
-                        );
-                        meta_buf.clear();
-                        vals_buf.clear();
-                        gather_edges(src, eid, edge_values, &mut meta_buf, &mut vals_buf);
-                        store.array_write_i32s(in_meta, 0, &meta_buf);
-                        store.array_write_f64s(in_vals, 0, &vals_buf);
+                let sides = [
+                    (
+                        (vertex_fields::IN_EDGES, vertex_fields::IN_VALUES),
+                        &window.in_meta[2 * in_seen..2 * (in_seen + n_in)],
+                        &window.in_vals[in_seen..in_seen + n_in],
+                    ),
+                    (
+                        (vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES),
+                        &window.out_meta[2 * out_seen..2 * (out_seen + n_out)],
+                        &window.out_vals[out_seen..out_seen + n_out],
+                    ),
+                ];
+                for ((edges_field, values_field), meta, vals) in sides {
+                    if inlined {
+                        // P': the compiler's inlining optimization flattens
+                        // the ChiPointer records into parallel primitive
+                        // arrays, each filled by one bulk store call.
+                        let meta_arr = store.alloc_array(ElemTy::I32, meta.len())?;
+                        store.set_rec(vr, edges_field, meta_arr);
+                        let vals_arr = store.alloc_array(ElemTy::I64, vals.len())?;
+                        store.set_rec(vr, values_field, vals_arr);
+                        store.array_write_i32s(meta_arr, 0, meta);
+                        store.array_write_f64s(vals_arr, 0, vals);
+                        continue;
                     }
-                    let out_meta = store.alloc_array(ElemTy::I32, 2 * n_out)?;
-                    store.set_rec(vr, vertex_fields::OUT_EDGES, out_meta);
-                    let out_vals = store.alloc_array(ElemTy::I64, n_out)?;
-                    store.set_rec(vr, vertex_fields::OUT_VALUES, out_vals);
-                    if let Some(p) = prefetched.as_ref() {
-                        let meta = &p.out_meta[2 * out_seen..2 * (out_seen + n_out)];
-                        store.array_write_i32s(out_meta, 0, meta);
-                        let vals = &p.out_vals[out_seen..out_seen + n_out];
-                        store.array_write_f64s(out_vals, 0, vals);
-                    } else {
-                        let base = csr.out_offsets[v as usize] as usize;
-                        let (dst, eid) = (
-                            &csr.out_dst[base..base + n_out],
-                            &csr.out_eid[base..base + n_out],
-                        );
-                        meta_buf.clear();
-                        vals_buf.clear();
-                        gather_edges(dst, eid, edge_values, &mut meta_buf, &mut vals_buf);
-                        store.array_write_i32s(out_meta, 0, &meta_buf);
-                        store.array_write_f64s(out_vals, 0, &vals_buf);
-                    }
-                    in_seen += n_in;
-                    out_seen += n_out;
-                    continue;
-                }
-
-                let in_arr = store.alloc_array(ElemTy::Ref, n_in)?;
-                store.set_rec(vr, vertex_fields::IN_EDGES, in_arr);
-                if let Some(p) = prefetched.as_ref() {
-                    for i in 0..n_in {
-                        let k = in_seen + i;
+                    let arr = store.alloc_array(ElemTy::Ref, vals.len())?;
+                    store.set_rec(vr, edges_field, arr);
+                    for (i, (pair, &val)) in meta.chunks_exact(2).zip(vals).enumerate() {
                         let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, p.in_meta[2 * k]);
-                        store.set_i32(e, pointer_fields::EDGE_ID, p.in_meta[2 * k + 1]);
-                        store.set_f64(e, pointer_fields::VALUE, p.in_vals[k]);
-                        store.array_set_rec(in_arr, i, e);
-                    }
-                } else {
-                    let base = csr.in_offsets[v as usize] as usize;
-                    for i in 0..n_in {
-                        let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, csr.in_src[base + i] as i32);
-                        let eid = csr.in_eid[base + i];
-                        store.set_i32(e, pointer_fields::EDGE_ID, eid as i32);
-                        store.set_f64(e, pointer_fields::VALUE, edge_values[eid as usize]);
-                        store.array_set_rec(in_arr, i, e);
-                    }
-                }
-
-                let out_arr = store.alloc_array(ElemTy::Ref, n_out)?;
-                store.set_rec(vr, vertex_fields::OUT_EDGES, out_arr);
-                if let Some(p) = prefetched.as_ref() {
-                    for i in 0..n_out {
-                        let k = out_seen + i;
-                        let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, p.out_meta[2 * k]);
-                        store.set_i32(e, pointer_fields::EDGE_ID, p.out_meta[2 * k + 1]);
-                        store.set_f64(e, pointer_fields::VALUE, p.out_vals[k]);
-                        store.array_set_rec(out_arr, i, e);
-                    }
-                } else {
-                    let base = csr.out_offsets[v as usize] as usize;
-                    for i in 0..n_out {
-                        let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, csr.out_dst[base + i] as i32);
-                        let eid = csr.out_eid[base + i];
-                        store.set_i32(e, pointer_fields::EDGE_ID, eid as i32);
-                        store.set_f64(e, pointer_fields::VALUE, edge_values[eid as usize]);
-                        store.array_set_rec(out_arr, i, e);
+                        store.set_i32(e, pointer_fields::NEIGHBOR, pair[0]);
+                        store.set_i32(e, pointer_fields::EDGE_ID, pair[1]);
+                        store.set_f64(e, pointer_fields::VALUE, val);
+                        store.array_set_rec(arr, i, e);
                     }
                 }
                 in_seen += n_in;
@@ -1532,11 +1307,8 @@ impl Engine {
         facade_trace::complete_with_flow(
             "sub_load",
             load_start,
-            prefetched.as_ref().map_or(0, |p| p.flow),
-            &[
-                ("first_vertex", start.into()),
-                ("prefetched", prefetched.is_some().into()),
-            ],
+            window.flow,
+            &[("first_vertex", start.into()), ("prefetched", ahead.into())],
         );
         if let Err(e) = load_result {
             if let Some(root) = root {
@@ -1598,19 +1370,17 @@ impl Engine {
                 }
                 continue;
             }
-            let out_arr = store.get_rec(vr, vertex_fields::OUT_EDGES);
-            for i in 0..store.array_len(out_arr) {
-                let e = store.array_get_rec(out_arr, i);
-                let eid = store.get_i32(e, pointer_fields::EDGE_ID) as u32;
-                edge_writes.push((eid, store.get_f64(e, pointer_fields::VALUE)));
-            }
-            if app.writes_in_edges() {
-                let in_arr = store.get_rec(vr, vertex_fields::IN_EDGES);
-                for i in 0..store.array_len(in_arr) {
-                    let e = store.array_get_rec(in_arr, i);
+            let mut stream = |edges_field| {
+                let arr = store.get_rec(vr, edges_field);
+                for i in 0..store.array_len(arr) {
+                    let e = store.array_get_rec(arr, i);
                     let eid = store.get_i32(e, pointer_fields::EDGE_ID) as u32;
                     edge_writes.push((eid, store.get_f64(e, pointer_fields::VALUE)));
                 }
+            };
+            stream(vertex_fields::OUT_EDGES);
+            if app.writes_in_edges() {
+                stream(vertex_fields::IN_EDGES);
             }
         }
         timer.add(phases::LOAD, wb_start.elapsed());
@@ -1730,9 +1500,9 @@ mod tests {
     fn resume_rejects_a_foreign_fingerprint_and_reports_the_discard() {
         let tmp = data_store::test_support::TempDir::new("graphchi-fprint");
         let path = Engine::checkpoint_path(tmp.path());
-        let mut foreign = data_store::checkpoint::Manifest::new(0xDEAD_BEEF, [0, 1]);
-        foreign.push("values", Vec::new());
-        data_store::checkpoint::write_manifest(&path, &foreign).expect("write manifest");
+        let mut written = ResilienceReport::default();
+        Checkpointer::new(path.clone(), 0xDEAD_BEEF).commit([0, 1], Vec::new(), &mut written);
+        assert_eq!(written.checkpoints_written, 1);
         let g = tiny_graph();
         let mut engine = Engine::new(
             &g,
@@ -1744,13 +1514,11 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let err = engine.resume_from(&path).expect_err("foreign checkpoint");
-        assert!(
-            matches!(err, data_store::RecoveryError::FingerprintMismatch { .. }),
-            "{err}"
-        );
-        // The discarded checkpoint surfaces in the next run's report, and
-        // the cold start still produces a correct result.
+        // The file is intact; the only thing wrong with it is whose it is.
+        let foreign = ckpt::read_manifest(&path).expect("verifies");
+        assert_eq!(foreign.fingerprint, 0xDEAD_BEEF);
+        // The discarded checkpoint surfaces in the run's report, and the
+        // cold start still produces a correct result.
         let out = engine.execute(&PageRank::new(1)).expect("cold start");
         assert_eq!(out.resilience.torn_checkpoints_discarded, 1);
         assert!(!out.resilience.is_clean(), "a discard is not a clean run");

@@ -40,14 +40,14 @@
 //! # Failure handling
 //!
 //! Worker failures (out-of-memory, panics) do not kill a run. The failed
-//! interval is discarded and retried under a *degradation ladder*
-//! ([`RetryPolicy`]): transient failures retry at the same configuration,
-//! deterministic budget exhaustion steps down a rung — halve the worker
-//! count to serial, then halve the subinterval budget to its floor. Every
-//! retry and rung is recorded in the run's
-//! [`metrics::ResilienceReport`], and — under the `tracing` feature — as
-//! `ladder_retry`/`ladder_degrade` instant events in the trace timeline
-//! (see `docs/OBSERVABILITY.md`).
+//! interval is discarded and retried under the *degradation ladder* both
+//! engines share (`data_store::recovery`, switched by [`RetryPolicy`]):
+//! transient failures retry at the same configuration, deterministic
+//! budget exhaustion steps down a rung — here: halve the worker count to
+//! serial, then halve the subinterval budget to its floor. Every retry and
+//! rung is recorded in the run's [`metrics::ResilienceReport`], and — under
+//! the `tracing` feature — as instant events in the trace timeline (see
+//! `docs/OBSERVABILITY.md`).
 //!
 //! # Examples
 //!
@@ -74,7 +74,8 @@ mod preprocess;
 pub use apps::{
     ConnectedComponents, PageRank, SSSP_INFINITY, ShortestPaths, VertexProgram, VertexView,
 };
-pub use engine::{Engine, EngineConfig, EngineError, RetryPolicy, RunOutcome, alloc_sites};
+pub use data_store::recovery::RetryPolicy;
+pub use engine::{Engine, EngineConfig, EngineError, RunOutcome, alloc_sites};
 pub use metrics::FailureCause;
 pub use metrics::report::Backend;
 pub use preprocess::Csr;

@@ -1,29 +1,20 @@
 //! Job-phase checkpointing for the simulated cluster.
 //!
 //! Both jobs checkpoint the output of their expensive first phase (WC's map
-//! output, ES's sorted partitions) into a [`data_store::checkpoint`]
-//! manifest in [`crate::ClusterConfig::checkpoint_dir`], committed with the
-//! atomic tmp-file-then-rename protocol. A restarted job with
-//! [`crate::ClusterConfig::resume`] set verifies the manifest (checksums
-//! and a fingerprint over the job, partitioning, and corpus) and skips the
-//! completed phase; a damaged or foreign checkpoint is discarded — counted
-//! in the resilience report — and the job cold-starts instead. Both paths
-//! produce bit-identical output, because the checkpoint stores exactly the
-//! phase payloads the live run would have produced, in partition order.
+//! output, ES's sorted partitions) through the shared `Checkpointer` that
+//! [`crate::ClusterConfig::checkpointer`] builds; what lives here is only
+//! what is specific to this engine: the job fingerprint, the section codecs
+//! and the crash hook. A resumed job and a live one produce bit-identical
+//! output, because the checkpoint stores exactly the phase payloads the
+//! live run would have produced, in partition order.
 
 use crate::cluster::{ClusterConfig, JobFailure};
 use data_store::RecoveryError;
-use data_store::checkpoint::{self, Manifest};
-use metrics::ResilienceReport;
-use std::path::Path;
+use data_store::checkpoint::{self, Cursor};
 use std::time::Instant;
 
-/// Fingerprint binding a checkpoint to the job shape that produced it: the
-/// job name, the data decomposition (`workers`, which fixes partition
-/// contents), and the corpus itself. Deliberately excludes `threads`,
-/// budgets, and frame sizes — output is bit-identical across those, so a
-/// resumed job may finish under a different execution configuration.
-/// Computed only when checkpointing is configured.
+/// Fingerprint of a job shape: see [`ClusterConfig::checkpointer`] for what
+/// it covers and why. Computed only when checkpointing is configured.
 pub(crate) fn job_fingerprint(job: &str, workers: usize, corpus: &[String]) -> u64 {
     let mut state = checkpoint::xxh64(job.as_bytes(), workers as u64);
     for word in corpus {
@@ -46,21 +37,6 @@ pub(crate) fn encode_pairs(pairs: &[(Vec<u8>, i64)]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_pairs`]; fails closed on any length mismatch.
-pub(crate) fn decode_pairs(bytes: &[u8]) -> Result<Vec<(Vec<u8>, i64)>, RecoveryError> {
-    let mut cursor = Cursor::new(bytes);
-    let n = cursor.u64()?;
-    let mut out = Vec::with_capacity(usize::try_from(n).unwrap_or(0).min(bytes.len()));
-    for _ in 0..n {
-        let len = cursor.u32()? as usize;
-        let word = cursor.take(len)?.to_vec();
-        let count = i64::from_le_bytes(cursor.take(8)?.try_into().expect("8 bytes"));
-        out.push((word, count));
-    }
-    cursor.finish()?;
-    Ok(out)
-}
-
 /// Serializes one sorted partition of byte strings (ES sort output).
 pub(crate) fn encode_words(words: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 * words.len() + 8);
@@ -72,120 +48,33 @@ pub(crate) fn encode_words(words: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_words`]; fails closed on any length mismatch.
-pub(crate) fn decode_words(bytes: &[u8]) -> Result<Vec<Vec<u8>>, RecoveryError> {
+/// Decodes a counted list of length-prefixed byte strings, each followed by
+/// whatever `rest` reads after it; fails closed on any length mismatch.
+fn decode_list<T>(
+    bytes: &[u8],
+    rest: impl Fn(&mut Cursor<'_>, Vec<u8>) -> Result<T, RecoveryError>,
+) -> Result<Vec<T>, RecoveryError> {
     let mut cursor = Cursor::new(bytes);
     let n = cursor.u64()?;
-    let mut out = Vec::with_capacity(usize::try_from(n).unwrap_or(0).min(bytes.len()));
+    // Not pre-sized from `n`: each entry is bounds-checked as it is read.
+    let mut out = Vec::new();
     for _ in 0..n {
         let len = cursor.u32()? as usize;
-        out.push(cursor.take(len)?.to_vec());
+        let word = cursor.take(len)?.to_vec();
+        out.push(rest(&mut cursor, word)?);
     }
     cursor.finish()?;
     Ok(out)
 }
 
-/// Bounds-checked little-endian reader over a section payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
+/// Inverse of [`encode_pairs`].
+pub(crate) fn decode_pairs(bytes: &[u8]) -> Result<Vec<(Vec<u8>, i64)>, RecoveryError> {
+    decode_list(bytes, |cursor, word| Ok((word, cursor.u64()? as i64)))
 }
 
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RecoveryError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| {
-                RecoveryError::Malformed(format!(
-                    "section payload truncated at byte {} (wanted {n} more of {})",
-                    self.at,
-                    self.bytes.len()
-                ))
-            })?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, RecoveryError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, RecoveryError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn finish(self) -> Result<(), RecoveryError> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(RecoveryError::Malformed(format!(
-                "{} trailing bytes after section payload",
-                self.bytes.len() - self.at
-            )))
-        }
-    }
-}
-
-/// Commits `manifest` at `path`, best-effort: an I/O failure degrades to
-/// "no checkpoint taken" rather than failing a healthy job, and the
-/// previous durable checkpoint (if any) survives the atomic rename. Under
-/// the fault plan's torn-write mode the file is deliberately truncated
-/// mid-write instead — a simulated crash during the checkpoint itself —
-/// and does not count as written.
-pub(crate) fn write_job_checkpoint(
-    config: &ClusterConfig,
-    path: &Path,
-    manifest: &Manifest,
-    resilience: &mut ResilienceReport,
-) {
-    #[cfg(feature = "fault-injection")]
-    if let Some(plan) = &config.fault_plan {
-        if plan.tear_checkpoint_write() {
-            let _ = checkpoint::write_manifest_torn(path, manifest);
-            return;
-        }
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = config;
-    if checkpoint::write_manifest(path, manifest).is_ok() {
-        resilience.checkpoints_written += 1;
-    }
-}
-
-/// Loads and verifies the checkpoint at `path` for a resuming job.
-/// `None` means cold start: either no checkpoint exists (routine — nothing
-/// recorded) or the file was damaged or from a different job/corpus, in
-/// which case the discard is counted in `resilience`. Never panics on
-/// damaged input.
-pub(crate) fn load_job_checkpoint(
-    path: &Path,
-    fingerprint: u64,
-    resilience: &mut ResilienceReport,
-) -> Option<Manifest> {
-    let manifest = match checkpoint::read_manifest(path) {
-        Ok(m) => m,
-        Err(RecoveryError::Missing(_)) => return None,
-        Err(_) => {
-            resilience.torn_checkpoints_discarded += 1;
-            return None;
-        }
-    };
-    if manifest.fingerprint != fingerprint {
-        resilience.torn_checkpoints_discarded += 1;
-        return None;
-    }
-    Some(manifest)
+/// Inverse of [`encode_words`]: [`decode_pairs`] without the count.
+pub(crate) fn decode_words(bytes: &[u8]) -> Result<Vec<Vec<u8>>, RecoveryError> {
+    decode_list(bytes, |_, word| Ok(word))
 }
 
 /// Fires the fault plan's `crash_in_phase` fault: aborts the job with an

@@ -12,47 +12,27 @@
 //! output.
 
 use crate::steal::WorkQueue;
+use data_store::RecoveryError;
+use data_store::checkpoint::Checkpointer;
+use data_store::recovery::{Ladder, RetryPolicy, guarded, scoped_each};
 use data_store::{PagePool, PauseRecord, PoolCounters, Store, StoreCensus, StoreStats};
 use metrics::report::Backend;
-use metrics::{DegradationAction, OutOfMemory, ResilienceReport, panic_message};
+use metrics::{DegradationAction, OutOfMemory, ResilienceReport};
 use std::error::Error;
 use std::fmt;
-use std::panic::{AssertUnwindSafe, catch_unwind};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 pub use metrics::FailureCause;
 
-/// How a job phase responds to worker failures.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Master switch; off restores fail-fast (any worker failure kills the
-    /// job immediately, the paper's `OME(n)` behaviour).
-    pub enabled: bool,
-    /// Same-configuration retries granted to transient failures (worker
-    /// panics, injected faults) before the phase degrades.
-    pub transient_retries: u32,
-    /// Degradation rungs: each rung halves the phase's working granularity
-    /// (frame bytes for WC, run length for ES) for the retried partitions.
-    pub max_degrade_levels: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            transient_retries: 2,
-            max_degrade_levels: 6,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
+/// Degradation rungs of a job phase: each halves the phase's working
+/// granularity (frame bytes for WC, run length for ES) for the retried
+/// partitions. A constant because no caller ever chose another cap: six
+/// rungs is 64× finer than configured, and a partition that still does not
+/// fit there is out of memory for a reason shrinking does not address.
+pub(crate) const MAX_DEGRADE_LEVELS: u32 = 6;
 
 /// Cluster and per-node sizing.
 #[derive(Debug, Clone)]
@@ -75,7 +55,8 @@ pub struct ClusterConfig {
     pub per_worker_budget: usize,
     /// Frame granularity in input bytes; each frame is one sub-iteration.
     pub frame_bytes: usize,
-    /// Failure-handling policy for job phases.
+    /// Whether job phases respond to worker failures at all (the shared
+    /// retry/degradation ladder, see [`RetryPolicy`]).
     pub retry: RetryPolicy,
     /// Shared [`PagePool`] the job's facade workers draw from. `None` (the
     /// default) builds a private per-job pool; a multi-job host (the
@@ -96,16 +77,20 @@ pub struct ClusterConfig {
     /// Directory for job-phase checkpoints. When set, each job commits its
     /// expensive first phase's output (WC map output, ES sorted partitions)
     /// as a checksummed manifest via atomic tmp-file-then-rename, and
-    /// removes it when the job completes. `None` (the default) adds no I/O.
+    /// removes it when the job completes — and a job that finds a verified
+    /// checkpoint of itself there (same job, partitioning and corpus)
+    /// skips the already-committed phase. A missing checkpoint is a routine
+    /// cold start; a damaged one (torn write, corruption, foreign
+    /// fingerprint) is discarded — counted in the job's resilience report
+    /// — and the job cold-starts. Either way the output is bit-identical
+    /// to an uninterrupted run. `None` (the default) adds no I/O.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Attempt crash-restart recovery: verify the checkpoint left in
-    /// [`checkpoint_dir`](Self::checkpoint_dir) and skip the already-
-    /// committed phase. A missing checkpoint is a routine cold start; a
-    /// damaged one (torn write, corruption, foreign fingerprint) is
-    /// discarded — counted in the job's resilience report — and the job
-    /// cold-starts. Either way the output is bit-identical to an
-    /// uninterrupted run.
-    pub resume: bool,
+    /// Host-requested cancellation flag, polled whenever a pool thread is
+    /// about to claim a partition and between phases: when a multi-job
+    /// host (the `facade-server` dispatcher) sets it, the job stops with
+    /// [`FailureCause::Canceled`] instead of finishing its remaining
+    /// partitions and phases. The default flag is never set.
+    pub cancel: Arc<AtomicBool>,
 }
 
 impl Default for ClusterConfig {
@@ -122,7 +107,7 @@ impl Default for ClusterConfig {
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
             checkpoint_dir: None,
-            resume: false,
+            cancel: Arc::new(AtomicBool::new(false)),
         }
     }
 }
@@ -134,6 +119,22 @@ impl ClusterConfig {
         self.checkpoint_dir
             .as_ref()
             .map(|dir| dir.join(format!("{job}.fckp")))
+    }
+
+    /// The checkpoint policy of the named job over `corpus`, when
+    /// durability is configured. The fingerprint binds a checkpoint to the
+    /// job shape that produced it: the job name, the data decomposition
+    /// (`workers`, which fixes partition contents), and the corpus itself.
+    /// It deliberately excludes `threads`, budgets, and frame sizes —
+    /// output is bit-identical across those, so a resumed job may finish
+    /// under a different execution configuration.
+    pub(crate) fn checkpointer(&self, job: &str, corpus: &[String]) -> Option<Checkpointer> {
+        let path = self.checkpoint_path(job)?;
+        let fingerprint = crate::checkpoint::job_fingerprint(job, self.workers, corpus);
+        let ckpt = Checkpointer::new(path, fingerprint);
+        #[cfg(feature = "fault-injection")]
+        let ckpt = ckpt.fault_plan(self.fault_plan.clone());
+        Some(ckpt)
     }
 
     pub(crate) fn make_store(&self, pool: Option<&Arc<PagePool>>) -> Store {
@@ -319,6 +320,7 @@ impl fmt::Display for JobFailure {
             FailureCause::WorkerPanic(m) => {
                 write!(f, "FAILED({:.1}): {m}", self.after.as_secs_f64())
             }
+            FailureCause::Canceled => write!(f, "CANCELED({:.1})", self.after.as_secs_f64()),
             cause => write!(f, "FAILED({:.1}): {cause}", self.after.as_secs_f64()),
         }
     }
@@ -340,35 +342,17 @@ pub(crate) fn round_robin<T: Clone>(items: &[T], n: usize) -> Vec<Vec<T>> {
     parts
 }
 
-/// What one pool thread brings back from a scheduling round.
-#[derive(Debug)]
-struct ThreadRound<R> {
-    /// Per-partition outcomes, tagged with the partition id.
-    results: Vec<(usize, Result<R, FailureCause>)>,
-    partitions: u64,
-    stats: StoreStats,
-    census: StoreCensus,
-    pauses: Vec<PauseRecord>,
-}
-
-impl<R> Default for ThreadRound<R> {
-    fn default() -> Self {
-        Self {
-            results: Vec::new(),
-            partitions: 0,
-            stats: StoreStats::default(),
-            census: StoreCensus::default(),
-            pauses: Vec::new(),
-        }
-    }
-}
+/// What one pool thread brings back from a scheduling round: per-partition
+/// outcomes tagged with the partition id, and the thread's share of the
+/// round's costs.
+type ThreadRound<R> = (Vec<(usize, Result<R, FailureCause>)>, WorkerReport);
 
 /// Folds a finished (or poisoned) store into a thread's accumulation. The
 /// census is taken first, so the facade side reports what the store still
 /// held; only healthy stores release pages here (a failed store may hold
 /// open iterations), but dropping an unhealthy store is still leak-free:
 /// the paged heap's drop salvages its recycled pages back to the pool.
-fn retire_store<R>(store: &mut Store, healthy: bool, acc: &mut ThreadRound<R>) {
+fn retire_store(store: &mut Store, healthy: bool, acc: &mut WorkerReport) {
     acc.census.merge(&store.census());
     if healthy {
         store.release_pages();
@@ -421,10 +405,8 @@ where
     N: Fn(&mut Store) -> S + Sync,
     F: Fn(usize, &mut Store, &S, I, u32) -> Result<R, OutOfMemory> + Sync,
 {
-    let policy = &config.retry;
+    let mut ladder = Ladder::default();
     let mut level = 0u32;
-    let mut transient_left = policy.transient_retries;
-    let mut backoff_step = 0u32;
     let mut slots: Vec<Option<R>> = partitions.iter().map(|_| None).collect();
     let mut pending: Vec<(usize, I)> = partitions.into_iter().enumerate().collect();
 
@@ -444,191 +426,147 @@ where
         // still key by partition id, so the claim order — and who stole
         // what — never shows in the output.
         let queue = WorkQueue::new(0..pending.len(), nthreads);
-        let round: Vec<Result<ThreadRound<R>, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|w| {
-                    let (worker, init) = (&worker, &init);
-                    let (config, pending, queue) = (&*config, &pending, &queue);
-                    scope.spawn(move || {
-                        let mut acc = ThreadRound::default();
-                        let mut store = config.make_store(pool);
-                        let mut schema = init(&mut store);
-                        while let Some(claim) = queue.claim(w) {
-                            let (pos, stolen_from) = claim.into_parts();
-                            let (id, input) = (pending[pos].0, pending[pos].1.clone());
-                            // Stolen claims mint a flow id shared by the
-                            // steal instant and the partition_run span, so
-                            // the profiler chains rebalanced work across
-                            // threads; own claims stay unlinked.
-                            let flow = if stolen_from.is_some() {
-                                facade_trace::next_flow_id()
-                            } else {
-                                0
-                            };
-                            if let Some(victim) = stolen_from {
-                                facade_trace::instant_with_flow(
-                                    "steal",
-                                    flow,
-                                    &[
-                                        ("phase", phase.to_string().into()),
-                                        ("thief", w.into()),
-                                        ("victim", victim.into()),
-                                        ("partition", id.into()),
-                                    ],
-                                );
-                            }
-                            let run_span = facade_trace::span_with_flow(
-                                "partition_run",
-                                flow,
-                                &[
-                                    ("phase", phase.to_string().into()),
-                                    ("partition", id.into()),
-                                    ("worker", w.into()),
-                                    ("stolen", stolen_from.is_some().into()),
-                                ],
-                            );
-                            let out = match catch_unwind(AssertUnwindSafe(|| {
-                                worker(id, &mut store, &schema, input, level)
-                            })) {
-                                Ok(Ok(r)) => Ok(r),
-                                Ok(Err(oom)) => Err(FailureCause::OutOfMemory(oom)),
-                                Err(payload) => {
-                                    Err(FailureCause::WorkerPanic(panic_message(payload.as_ref())))
-                                }
-                            };
-                            drop(run_span);
-                            let failed = out.is_err();
-                            acc.partitions += 1;
-                            acc.results.push((id, out));
-                            if failed {
-                                // Retire the possibly-poisoned store and give
-                                // the thread's remaining claims a fresh one:
-                                // one failure never poisons siblings — and
-                                // the siblings keep stealing this thread's
-                                // unclaimed share while it rebuilds.
-                                retire_store(&mut store, false, &mut acc);
-                                store = config.make_store(pool);
-                                schema = init(&mut store);
-                            }
-                        }
-                        // Any failure already swapped in a fresh store, so
-                        // the one retired here is always healthy.
-                        retire_store(&mut store, true, &mut acc);
-                        acc
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(|p| panic_message(p.as_ref())))
-                .collect()
+        let round = scoped_each(0..nthreads, |w, _| -> ThreadRound<R> {
+            let mut results = Vec::new();
+            let mut acc = WorkerReport {
+                worker: w,
+                ..WorkerReport::default()
+            };
+            let mut store = config.make_store(pool);
+            let mut schema = init(&mut store);
+            while let Some(claim) = queue.claim(w) {
+                // A canceled job runs nothing further; a partition already
+                // running finishes and its store retires normally.
+                if config.cancel.load(Ordering::Acquire) {
+                    break;
+                }
+                let (pos, stolen_from) = claim.into_parts();
+                let (id, input) = (pending[pos].0, pending[pos].1.clone());
+                // Stolen claims mint a flow id shared by the
+                // steal instant and the partition_run span, so
+                // the profiler chains rebalanced work across
+                // threads; own claims stay unlinked.
+                let flow = if stolen_from.is_some() {
+                    facade_trace::next_flow_id()
+                } else {
+                    0
+                };
+                if let Some(victim) = stolen_from {
+                    facade_trace::instant_with_flow(
+                        "steal",
+                        flow,
+                        &[
+                            ("phase", phase.to_string().into()),
+                            ("thief", w.into()),
+                            ("victim", victim.into()),
+                            ("partition", id.into()),
+                        ],
+                    );
+                }
+                let run_span = facade_trace::span_with_flow(
+                    "partition_run",
+                    flow,
+                    &[
+                        ("phase", phase.to_string().into()),
+                        ("partition", id.into()),
+                        ("worker", w.into()),
+                        ("stolen", stolen_from.is_some().into()),
+                    ],
+                );
+                let out = guarded(|| worker(id, &mut store, &schema, input, level));
+                drop(run_span);
+                let failed = out.is_err();
+                acc.partitions += 1;
+                results.push((id, out));
+                if failed {
+                    // Retire the possibly-poisoned store and give
+                    // the thread's remaining claims a fresh one:
+                    // one failure never poisons siblings — and
+                    // the siblings keep stealing this thread's
+                    // unclaimed share while it rebuilds.
+                    retire_store(&mut store, false, &mut acc);
+                    store = config.make_store(pool);
+                    schema = init(&mut store);
+                }
+            }
+            // Any failure already swapped in a fresh store, so
+            // the one retired here is always healthy.
+            retire_store(&mut store, true, &mut acc);
+            (results, acc)
         });
 
+        // The lowest failing partition is the one reported, independent of
+        // which thread (or position within it) lost the race.
         let mut failed: Option<(usize, FailureCause)> = None;
-        let mut still_pending: Vec<usize> = Vec::new();
+        let mut fail_partition = |id: usize, cause: FailureCause| {
+            if failed.as_ref().is_none_or(|(fid, _)| id < *fid) {
+                failed = Some((id, cause));
+            }
+        };
+        let mut errored: Vec<usize> = Vec::new();
         // A thread that died outside the per-partition catch (e.g. while
         // retiring a store) loses its whole round, results included; the
         // sweep below reconstructs which partitions that cost.
         let mut lost_thread: Option<String> = None;
-        for (w, joined) in round.into_iter().enumerate() {
-            let thread_round = match joined {
-                Ok(t) => t,
-                Err(message) => {
-                    lost_thread.get_or_insert(message);
-                    ThreadRound::default()
-                }
-            };
-            stats.absorb(&thread_round.stats);
-            stats.census.merge(&thread_round.census);
-            for (id, result) in &thread_round.results {
-                if let Err(cause) = result {
-                    still_pending.push(*id);
-                    // Report the lowest failing partition, independent of
-                    // which thread (or position within it) lost the race.
-                    if failed.as_ref().is_none_or(|(fid, _)| id < fid) {
-                        failed = Some((*id, cause.clone()));
+        for (worker, joined) in round.into_iter().enumerate() {
+            let (results, report) = joined.unwrap_or_else(|message| {
+                lost_thread.get_or_insert(message);
+                let report = WorkerReport::default();
+                (Vec::new(), WorkerReport { worker, ..report })
+            });
+            stats.absorb(&report.stats);
+            stats.census.merge(&report.census);
+            stats.fold_worker(report);
+            for (id, result) in results {
+                match result {
+                    Ok(r) => slots[id] = Some(r),
+                    Err(cause) => {
+                        errored.push(id);
+                        fail_partition(id, cause);
                     }
                 }
             }
-            for (id, result) in thread_round.results {
-                if let Ok(r) = result {
-                    slots[id] = Some(r);
-                }
-            }
-            stats.fold_worker(WorkerReport {
-                worker: w,
-                partitions: thread_round.partitions,
-                stats: thread_round.stats,
-                census: thread_round.census,
-                pauses: thread_round.pauses,
-            });
         }
-        // Any pending partition with neither a payload nor a recorded
-        // failure was claimed by (or stranded behind) a lost thread; under
-        // stealing the claim map is dynamic, so the sweep — not a static
-        // deal — is what accounts for them.
-        for (id, _) in &pending {
-            if slots[*id].is_none() && !still_pending.contains(id) {
-                let message = lost_thread
-                    .clone()
-                    .unwrap_or_else(|| "partition produced no result".to_string());
-                still_pending.push(*id);
-                if failed.as_ref().is_none_or(|(fid, _)| id < fid) {
-                    failed = Some((*id, FailureCause::WorkerPanic(message)));
-                }
-            }
-        }
-        pending.retain(|(id, _)| still_pending.contains(id));
         drop(span);
-
-        let Some((id, cause)) = failed else {
-            continue;
-        };
+        pending.retain(|(id, _)| slots[*id].is_none());
         let fail = |cause: FailureCause| JobFailure {
             after: started.elapsed(),
             cause,
         };
-        if !policy.enabled {
-            return Err(fail(cause));
+        // A cancel leaves partitions unclaimed, which the sweep below would
+        // misread as lost. One that lands as the round's last partition
+        // completes discards nothing: the job polls again between phases.
+        if !pending.is_empty() && config.cancel.load(Ordering::Acquire) {
+            return Err(fail(FailureCause::Canceled));
         }
-        let unit = format!("{phase} partition {id}");
-        if cause.is_transient() && transient_left > 0 {
-            transient_left -= 1;
-            stats.resilience.record_retry(unit, &cause);
-            facade_trace::instant(
-                "ladder_retry",
-                &[
-                    ("phase", phase.to_string().into()),
-                    ("partition", id.into()),
-                ],
-            );
-        } else if level < policy.max_degrade_levels {
-            level += 1;
-            transient_left = policy.transient_retries;
-            stats.resilience.record_degradation(
-                unit,
-                DegradationAction::ShrinkBudget { shrink: level },
-                &cause,
-            );
-            facade_trace::instant(
-                "ladder_degrade",
-                &[
-                    ("phase", phase.to_string().into()),
-                    ("action", "shrink_budget".into()),
-                    ("level", level.into()),
-                ],
-            );
-        } else {
-            return Err(fail(cause));
+        // Any pending partition without a recorded failure was claimed by
+        // (or stranded behind) a lost thread; under stealing the claim map
+        // is dynamic, so the sweep — not a static deal — is what accounts
+        // for them.
+        for (id, _) in pending.iter().filter(|(id, _)| !errored.contains(id)) {
+            let message = lost_thread
+                .clone()
+                .unwrap_or_else(|| "partition produced no result".to_string());
+            fail_partition(*id, FailureCause::WorkerPanic(message));
         }
-        let factor = 1u32 << backoff_step.min(16);
-        std::thread::sleep(
-            policy
-                .base_backoff
-                .saturating_mul(factor)
-                .min(policy.max_backoff),
-        );
-        backoff_step += 1;
+
+        let Some((id, cause)) = failed else {
+            continue;
+        };
+        ladder
+            .respond(
+                &config.retry,
+                &format!("{phase} partition {id}"),
+                cause,
+                &mut stats.resilience,
+                || {
+                    (level < MAX_DEGRADE_LEVELS).then(|| {
+                        level += 1;
+                        DegradationAction::ShrinkBudget { shrink: level }
+                    })
+                },
+            )
+            .map_err(fail)?;
     }
 
     Ok(slots
@@ -637,15 +575,84 @@ where
         .collect())
 }
 
-/// End-of-job pool accounting: records the shared pool's counters in the
-/// stats and publishes its occupancy gauges to the process-wide metrics
-/// registry under `facade_pool_*` — the same exposition the GraphChi engine
-/// feeds, so the registry sees both engines.
-pub(crate) fn finish_pool(stats: &mut JobStats, pool: Option<&Arc<PagePool>>) {
+/// How one partition's payload goes into a checkpoint section and back.
+type SectionCodec<T> = (
+    fn(&[T]) -> Vec<u8>,
+    fn(&[u8]) -> Result<Vec<T>, RecoveryError>,
+);
+
+/// A job's durable first phase, shared by both jobs. A verified checkpoint's
+/// `{section}{i}` payloads replace the phase entirely — the decode is
+/// lossless and in partition order, so nothing downstream can tell them
+/// from the live phase's output; otherwise `run` executes the phase, its
+/// output is committed the moment it completes, and the `crash_in_phase(0)`
+/// fault fires. Either way the host's cancel flag is polled once more before
+/// the job moves on to what follows.
+pub(crate) fn first_phase<T>(
+    config: &ClusterConfig,
+    checkpointer: Option<&Checkpointer>,
+    stats: &mut JobStats,
+    started: Instant,
+    (phase, section): (&str, &str),
+    (encode, decode): SectionCodec<T>,
+    run: impl FnOnce(&mut JobStats) -> Result<Vec<Vec<T>>, JobFailure>,
+) -> Result<Vec<Vec<T>>, JobFailure> {
+    let name = |i: usize| format!("{section}{i}");
+    let resumed = checkpointer.and_then(|c| {
+        c.restore(&mut stats.resilience, |m| {
+            (0..config.workers)
+                .map(|i| decode(m.require(&name(i))?))
+                .collect()
+        })
+    });
+    let out = match resumed {
+        Some(parts) => parts,
+        None => {
+            let out = run(stats)?;
+            if let Some(c) = checkpointer {
+                let sections = out.iter().enumerate().map(|(i, r)| (name(i), encode(r)));
+                c.commit([1, 0], sections.collect(), &mut stats.resilience);
+            }
+            crate::checkpoint::maybe_crash(config, 0, phase, started)?;
+            out
+        }
+    };
+    if config.cancel.load(Ordering::Acquire) {
+        return Err(JobFailure {
+            after: started.elapsed(),
+            cause: FailureCause::Canceled,
+        });
+    }
+    Ok(out)
+}
+
+/// End-of-job accounting, shared by both jobs: wall time; the shared
+/// pool's counters into the stats and its occupancy gauges to the
+/// process-wide metrics registry under `facade_pool_*` (the exposition the
+/// GraphChi engine also feeds); the now-obsolete checkpoint retired; and
+/// the fault plan's own injection count, which also sees pool-level
+/// injections no store's stats record.
+pub(crate) fn finish_job(
+    config: &ClusterConfig,
+    stats: &mut JobStats,
+    started: Instant,
+    pool: Option<&Arc<PagePool>>,
+    checkpointer: Option<&Checkpointer>,
+) {
+    stats.elapsed = started.elapsed();
     if let Some(pool) = pool {
         stats.pool = Some(pool.counters());
         pool.publish_gauges(metrics::Registry::global(), "facade_pool");
     }
+    if let Some(c) = checkpointer {
+        c.finish(&stats.resilience);
+    }
+    #[cfg(feature = "fault-injection")]
+    if let Some(plan) = &config.fault_plan {
+        stats.resilience.faults_injected = plan.faults_injected();
+    }
+    #[cfg(not(feature = "fault-injection"))]
+    let _ = config;
 }
 
 #[cfg(test)]
@@ -775,10 +782,7 @@ mod tests {
         let failure = result.unwrap_err();
         assert!(failure.to_string().starts_with("OME("), "{failure}");
         // Deterministic OOM: the phase walked every degrade rung first.
-        assert_eq!(
-            stats.resilience.degradations,
-            u64::from(config.retry.max_degrade_levels)
-        );
+        assert_eq!(stats.resilience.degradations, u64::from(MAX_DEGRADE_LEVELS));
     }
 
     #[test]
@@ -937,6 +941,84 @@ mod tests {
         let c = pool.counters();
         assert_eq!(c.pages_returned, c.pages_handed_out + stats.pages_created);
         assert_eq!(pool.available() as u64, stats.pages_created);
+    }
+
+    #[test]
+    fn cancel_mid_phase_stops_claiming_and_the_epoch_reconciles() {
+        // One pool thread, eight partitions; partition 2's worker raises
+        // the host's cancel flag mid-phase. Nothing after it runs, the
+        // phase reports `Canceled` (not a ladder failure), and every page
+        // the job's epoch touched is back in the shared pool.
+        let pool = Arc::new(PagePool::with_default_config());
+        let epoch = pool.begin_epoch();
+        let config = ClusterConfig {
+            workers: 8,
+            threads: 1,
+            backend: Backend::Facade,
+            pool: Some(Arc::clone(&pool)),
+            job_epoch: epoch,
+            ..ClusterConfig::default()
+        };
+        let mut stats = JobStats::default();
+        let parts = round_robin(&(0..64).collect::<Vec<_>>(), 8);
+        let failure = run_phase(
+            &config,
+            "map",
+            Instant::now(),
+            parts,
+            &mut stats,
+            Some(&pool),
+            |store| store.register_class("T", &[FieldTy::I64]),
+            |id, store, c, xs: Vec<i32>, _| {
+                let it = store.iteration_start();
+                for _ in &xs {
+                    store.alloc(*c)?;
+                }
+                store.iteration_end(it);
+                if id == 2 {
+                    config.cancel.store(true, Ordering::Release);
+                }
+                Ok(xs.len())
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(failure.cause, FailureCause::Canceled), "{failure}");
+        assert!(failure.to_string().starts_with("CANCELED("), "{failure}");
+        let ran: u64 = stats.per_worker.iter().map(|w| w.partitions).sum();
+        assert_eq!(ran, 3, "partitions 0..=2 ran, the other five never did");
+        assert!(stats.resilience.is_clean(), "a cancel is not a failure");
+        let ledger = pool.retire_epoch(epoch).expect("epoch was live");
+        assert!(stats.pages_created > 0);
+        assert_eq!(ledger.pages_in, ledger.pages_out + stats.pages_created);
+    }
+
+    #[test]
+    fn cancel_landing_with_the_last_partition_keeps_the_finished_phase() {
+        let config = ClusterConfig {
+            workers: 4,
+            threads: 1,
+            ..ClusterConfig::default()
+        };
+        let mut stats = JobStats::default();
+        let parts = round_robin(&(0..8).collect::<Vec<_>>(), 4);
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let out = run_phase(
+            &config,
+            "map",
+            Instant::now(),
+            parts,
+            &mut stats,
+            None,
+            |_| (),
+            |_, _store, _, xs: Vec<i32>, _| {
+                if ran.fetch_add(1, Ordering::SeqCst) == 3 {
+                    config.cancel.store(true, Ordering::Release);
+                }
+                Ok(xs.len())
+            },
+        )
+        .expect("nothing was left to cancel");
+        assert_eq!(out, vec![2; 4]);
     }
 
     #[test]

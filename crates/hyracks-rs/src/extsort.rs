@@ -1,11 +1,10 @@
 //! The external-sort job (ES of Table 3): budget-bounded run generation
 //! over store records, sorted-run spilling, and k-way merging.
 
-use crate::checkpoint::{
-    decode_words, encode_words, job_fingerprint, load_job_checkpoint, maybe_crash,
-    write_job_checkpoint,
+use crate::checkpoint::{decode_words, encode_words, maybe_crash};
+use crate::cluster::{
+    ClusterConfig, JobFailure, JobStats, finish_job, first_phase, round_robin, run_phase,
 };
-use crate::cluster::{ClusterConfig, JobFailure, JobStats, finish_pool, round_robin, run_phase};
 use crate::hashtable::hash_bytes;
 use data_store::{ClassTag, ElemTy, FieldTy, Store};
 use metrics::OutOfMemory;
@@ -128,8 +127,8 @@ fn merge_runs(runs: Vec<Vec<Vec<u8>>>) -> Vec<Vec<u8>> {
 ///
 /// With [`ClusterConfig::checkpoint_dir`] set, the sorted partitions are
 /// committed as a checksummed manifest the moment the sort phase completes;
-/// a restart with [`ClusterConfig::resume`] verifies it and recomputes only
-/// the checksum, bit-identical to an uninterrupted run.
+/// a job that finds its own verified checkpoint there recomputes only the
+/// checksum, bit-identical to an uninterrupted run.
 ///
 /// # Errors
 ///
@@ -143,68 +142,33 @@ pub(crate) fn external_sort_job(
     let started = Instant::now();
     let mut stats = JobStats::default();
     let pool = config.job_page_pool();
-    let ckpt = config
-        .checkpoint_path("es")
-        .map(|path| (path, job_fingerprint("es", config.workers, corpus)));
+    let ckpt = config.checkpointer("es", corpus);
 
-    // A verified checkpoint replaces the sort phase entirely: the decoded
-    // partitions are byte-for-byte the live phase's output, in worker
-    // order, so the order-sensitive checksum below cannot tell them apart.
-    let mut resumed: Option<Vec<Vec<Vec<u8>>>> = None;
-    if config.resume {
-        if let Some((path, fingerprint)) = &ckpt {
-            if let Some(manifest) = load_job_checkpoint(path, *fingerprint, &mut stats.resilience) {
-                let parts: Result<Vec<_>, _> = (0..config.workers)
-                    .map(|i| {
-                        manifest
-                            .section(&format!("sorted{i}"))
-                            .ok_or_else(|| {
-                                data_store::RecoveryError::Malformed(format!(
-                                    "missing section `sorted{i}`"
-                                ))
-                            })
-                            .and_then(decode_words)
-                    })
-                    .collect();
-                match parts {
-                    Ok(parts) => {
-                        stats.resilience.recoveries += 1;
-                        resumed = Some(parts);
-                    }
-                    Err(_) => stats.resilience.torn_checkpoints_discarded += 1,
-                }
-            }
-        }
-    }
-
-    let sorted = match resumed {
-        Some(parts) => parts,
-        None => {
-            let partitions = round_robin(corpus, config.workers);
-            let budget = config.per_worker_budget;
-            let out = run_phase(
+    // Sort phase (or its checkpoint: the order-sensitive checksum below
+    // cannot tell decoded partitions from live ones).
+    let budget = config.per_worker_budget;
+    let sorted: Vec<Vec<Vec<u8>>> = first_phase(
+        config,
+        ckpt.as_ref(),
+        &mut stats,
+        started,
+        ("sort", "sorted"),
+        (encode_words, decode_words),
+        |stats| {
+            run_phase(
                 config,
                 "sort",
                 started,
-                partitions,
-                &mut stats,
+                round_robin(corpus, config.workers),
+                stats,
                 pool.as_ref(),
                 |store| store.register_class("LineRecord", &[FieldTy::I32, FieldTy::Ref]),
                 |_, store, line_class, part, level| {
                     sort_worker(store, *line_class, part, budget, level)
                 },
-            )?;
-            if let Some((path, fingerprint)) = &ckpt {
-                let mut manifest = data_store::checkpoint::Manifest::new(*fingerprint, [1, 0]);
-                for (i, part) in out.iter().enumerate() {
-                    manifest.push(&format!("sorted{i}"), encode_words(part));
-                }
-                write_job_checkpoint(config, path, &manifest, &mut stats.resilience);
-            }
-            maybe_crash(config, 0, "sort", started)?;
-            out
-        }
-    };
+            )
+        },
+    )?;
 
     let mut total = 0u64;
     let mut checksum = 0u64;
@@ -219,22 +183,7 @@ pub(crate) fn external_sort_job(
     // A crash here restarts from the sort checkpoint and redoes only the
     // checksum.
     maybe_crash(config, 1, "finish", started)?;
-    stats.elapsed = started.elapsed();
-    finish_pool(&mut stats, pool.as_ref());
-    if let Some((path, _)) = &ckpt {
-        // The job completed: its checkpoint is obsolete. Best-effort — a
-        // leftover only costs a fingerprint-checked resume attempt.
-        let _ = std::fs::remove_file(path);
-        stats
-            .resilience
-            .publish_checkpoint_gauges(metrics::Registry::global());
-    }
-    #[cfg(feature = "fault-injection")]
-    if let Some(plan) = &config.fault_plan {
-        // The plan's counter also sees pool-level injections, which no
-        // store's stats record.
-        stats.resilience.faults_injected = plan.faults_injected();
-    }
+    finish_job(config, &mut stats, started, pool.as_ref(), ckpt.as_ref());
     Ok(EsOutput {
         total_records: total,
         checksum,
@@ -298,7 +247,6 @@ mod tests {
 
     #[test]
     fn resume_replays_a_sort_checkpoint_bit_identically() {
-        use crate::checkpoint::{encode_words, job_fingerprint};
         use crate::cluster::round_robin;
         let tmp = data_store::test_support::TempDir::new("es-resume");
         let words = corpus(&CorpusSpec::new(30_000, 31));
@@ -312,23 +260,31 @@ mod tests {
         // the sort phase: each partition's words, sorted, under the job
         // fingerprint (sort output is a pure function of the partition).
         let path = cfg.checkpoint_path("es").unwrap();
-        let mut manifest = data_store::checkpoint::Manifest::new(
-            job_fingerprint("es", cfg.workers, &words),
-            [1, 0],
-        );
-        for (i, part) in round_robin(&words, cfg.workers).into_iter().enumerate() {
+        let sections = round_robin(&words, cfg.workers).into_iter().enumerate();
+        let sections = sections.map(|(i, part)| {
             let mut sorted: Vec<Vec<u8>> = part.into_iter().map(String::into_bytes).collect();
             sorted.sort();
-            manifest.push(&format!("sorted{i}"), encode_words(&sorted));
-        }
-        data_store::checkpoint::write_manifest(&path, &manifest).unwrap();
+            (format!("sorted{i}"), encode_words(&sorted))
+        });
+        let ckpt = cfg
+            .checkpointer("es", &words)
+            .expect("checkpoint_dir is set");
+        ckpt.commit([1, 0], sections.collect(), &mut Default::default());
 
-        let resumed = crate::Cluster::new(&ClusterConfig {
-            resume: true,
-            ..cfg.clone()
-        })
-        .external_sort(&words)
-        .unwrap();
+        // Cancel is polled between phases too: with the sort phase resumed
+        // no partition is ever claimed, yet a canceled job stops short of
+        // the checksum — and leaves the checkpoint for a later resubmission.
+        cfg.cancel.store(true, std::sync::atomic::Ordering::Release);
+        let canceled = crate::Cluster::new(&cfg).external_sort(&words).unwrap_err();
+        assert!(
+            matches!(canceled.cause, crate::FailureCause::Canceled),
+            "{canceled}"
+        );
+        assert!(path.exists());
+        cfg.cancel
+            .store(false, std::sync::atomic::Ordering::Release);
+
+        let resumed = crate::Cluster::new(&cfg).external_sort(&words).unwrap();
         assert_eq!(
             resumed.payload(),
             base.payload(),

@@ -38,9 +38,8 @@ pub mod hashtable;
 mod steal;
 pub mod wordcount;
 
-pub use cluster::{
-    Cluster, ClusterConfig, FailureCause, JobFailure, JobStats, RetryPolicy, WorkerReport,
-};
+pub use cluster::{Cluster, ClusterConfig, FailureCause, JobFailure, JobStats, WorkerReport};
+pub use data_store::recovery::RetryPolicy;
 pub use extsort::EsOutput;
 pub use metrics::report::Backend;
 pub use wordcount::WcOutput;

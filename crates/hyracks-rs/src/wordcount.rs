@@ -2,11 +2,10 @@
 //! map phase (tokenize + local aggregation), a hash shuffle, and a reduce
 //! phase, each worker's aggregation living in the record store.
 
-use crate::checkpoint::{
-    decode_pairs, encode_pairs, job_fingerprint, load_job_checkpoint, maybe_crash,
-    write_job_checkpoint,
+use crate::checkpoint::{decode_pairs, encode_pairs, maybe_crash};
+use crate::cluster::{
+    ClusterConfig, JobFailure, JobStats, finish_job, first_phase, round_robin, run_phase,
 };
-use crate::cluster::{ClusterConfig, JobFailure, JobStats, finish_pool, round_robin, run_phase};
 use crate::hashtable::{WordTable, WordTableClasses, hash_bytes, register_classes};
 use data_store::{ClassTag, ElemTy, FieldTy, Store};
 use metrics::OutOfMemory;
@@ -150,9 +149,9 @@ fn reduce_worker(
 /// implementation behind [`crate::Cluster::word_count`].
 ///
 /// With [`ClusterConfig::checkpoint_dir`] set, the map phase's output is
-/// committed as a checksummed manifest the moment it completes; a restart
-/// with [`ClusterConfig::resume`] verifies it and goes straight to the
-/// shuffle, bit-identical to an uninterrupted run.
+/// committed as a checksummed manifest the moment it completes; a job that
+/// finds its own verified checkpoint there goes straight to the shuffle,
+/// bit-identical to an uninterrupted run.
 ///
 /// # Errors
 ///
@@ -166,73 +165,34 @@ pub(crate) fn wordcount_job(
     let started = Instant::now();
     let mut stats = JobStats::default();
     let pool = config.job_page_pool();
-    let ckpt = config
-        .checkpoint_path("wc")
-        .map(|path| (path, job_fingerprint("wc", config.workers, corpus)));
+    let ckpt = config.checkpointer("wc", corpus);
 
-    // A verified checkpoint replaces the map phase entirely; the decode is
-    // lossless and in partition order, so the shuffle below sees the exact
-    // pairs the live map produced.
-    let mut resumed: Option<Vec<MapPartition>> = None;
-    if config.resume {
-        if let Some((path, fingerprint)) = &ckpt {
-            if let Some(manifest) = load_job_checkpoint(path, *fingerprint, &mut stats.resilience) {
-                let parts: Result<Vec<_>, _> = (0..config.workers)
-                    .map(|i| {
-                        manifest
-                            .section(&format!("map{i}"))
-                            .ok_or_else(|| {
-                                data_store::RecoveryError::Malformed(format!(
-                                    "missing section `map{i}`"
-                                ))
-                            })
-                            .and_then(decode_pairs)
-                    })
-                    .collect();
-                match parts {
-                    Ok(parts) => {
-                        stats.resilience.recoveries += 1;
-                        resumed = Some(parts);
-                    }
-                    // Checksums passed but the payload shape didn't: a
-                    // format drift counts as a discarded checkpoint too.
-                    Err(_) => stats.resilience.torn_checkpoints_discarded += 1,
-                }
-            }
-        }
-    }
-
-    // Map phase. A degraded retry halves the frame size per rung: frames
-    // are sub-iteration granularity, invisible in the counts, but smaller
-    // frames mean less transient churn alive at once.
-    let map_out = match resumed {
-        Some(parts) => parts,
-        None => {
-            let partitions = round_robin(corpus, config.workers);
-            let out = run_phase(
+    // Map phase (or its checkpoint). A degraded retry halves the frame size
+    // per rung: frames are sub-iteration granularity, invisible in the
+    // counts, but smaller frames mean less transient churn alive at once.
+    let map_out: Vec<MapPartition> = first_phase(
+        config,
+        ckpt.as_ref(),
+        &mut stats,
+        started,
+        ("map", "map"),
+        (encode_pairs, decode_pairs),
+        |stats| {
+            run_phase(
                 config,
                 "map",
                 started,
-                partitions,
-                &mut stats,
+                round_robin(corpus, config.workers),
+                stats,
                 pool.as_ref(),
                 wc_schema,
                 |_, store, schema, part, level| {
                     let frame = (config.frame_bytes >> level.min(16)).max(64);
                     map_worker(store, schema, part, frame)
                 },
-            )?;
-            if let Some((path, fingerprint)) = &ckpt {
-                let mut manifest = data_store::checkpoint::Manifest::new(*fingerprint, [1, 0]);
-                for (i, part) in out.iter().enumerate() {
-                    manifest.push(&format!("map{i}"), encode_pairs(part));
-                }
-                write_job_checkpoint(config, path, &manifest, &mut stats.resilience);
-            }
-            maybe_crash(config, 0, "map", started)?;
-            out
-        }
-    };
+            )
+        },
+    )?;
 
     // Hash shuffle: word → reducer.
     let mut shuffled: Vec<Vec<(Vec<u8>, i64)>> = (0..config.workers).map(|_| Vec::new()).collect();
@@ -267,22 +227,7 @@ pub(crate) fn wordcount_job(
     counts.sort_unstable();
     let distinct = counts.len() as u64;
     let total = counts.iter().map(|(_, c)| c).sum::<i64>();
-    stats.elapsed = started.elapsed();
-    finish_pool(&mut stats, pool.as_ref());
-    if let Some((path, _)) = &ckpt {
-        // The job completed: its checkpoint is obsolete. Best-effort — a
-        // leftover only costs a fingerprint-checked resume attempt.
-        let _ = std::fs::remove_file(path);
-        stats
-            .resilience
-            .publish_checkpoint_gauges(metrics::Registry::global());
-    }
-    #[cfg(feature = "fault-injection")]
-    if let Some(plan) = &config.fault_plan {
-        // The plan's counter also sees pool-level injections, which no
-        // store's stats record.
-        stats.resilience.faults_injected = plan.faults_injected();
-    }
+    finish_job(config, &mut stats, started, pool.as_ref(), ckpt.as_ref());
     Ok(WcOutput {
         distinct_words: distinct,
         total_count: total,
@@ -362,14 +307,9 @@ mod tests {
             !cfg.checkpoint_path("wc").unwrap().exists(),
             "a completed job removes its checkpoint"
         );
-        // Resuming with no checkpoint on disk is a routine cold start:
+        // Re-running with no checkpoint on disk is a routine cold start:
         // nothing recovered, nothing discarded.
-        let resumed = crate::Cluster::new(&ClusterConfig {
-            resume: true,
-            ..cfg.clone()
-        })
-        .word_count(&words)
-        .unwrap();
+        let resumed = crate::Cluster::new(&cfg).word_count(&words).unwrap();
         assert_eq!(resumed.stats.resilience.recoveries, 0);
         assert!(resumed.stats.resilience.is_clean());
         assert_eq!(resumed.total_count, base.total_count);

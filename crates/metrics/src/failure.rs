@@ -28,6 +28,9 @@ pub enum FailureCause {
     /// crash-restart recovery. Not transient — the remedy is a restart
     /// that resumes from the last durable checkpoint, not a retry.
     InjectedCrash(String),
+    /// The host canceled the job; the engine stopped at its next
+    /// consistency boundary. Never enters a ladder — nothing failed.
+    Canceled,
 }
 
 impl FailureCause {
@@ -40,7 +43,7 @@ impl FailureCause {
         match self {
             FailureCause::OutOfMemory(e) => e.is_injected(),
             FailureCause::WorkerPanic(_) => true,
-            FailureCause::InjectedCrash(_) => false,
+            FailureCause::InjectedCrash(_) | FailureCause::Canceled => false,
         }
     }
 }
@@ -51,6 +54,7 @@ impl fmt::Display for FailureCause {
             FailureCause::OutOfMemory(e) => write!(f, "{e}"),
             FailureCause::WorkerPanic(m) => write!(f, "worker panicked: {m}"),
             FailureCause::InjectedCrash(m) => write!(f, "injected crash: {m}"),
+            FailureCause::Canceled => f.write_str("job canceled"),
         }
     }
 }
@@ -59,7 +63,9 @@ impl Error for FailureCause {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             FailureCause::OutOfMemory(e) => Some(e),
-            FailureCause::WorkerPanic(_) | FailureCause::InjectedCrash(_) => None,
+            FailureCause::WorkerPanic(_)
+            | FailureCause::InjectedCrash(_)
+            | FailureCause::Canceled => None,
         }
     }
 }

@@ -408,19 +408,8 @@ mod tests {
         // correctly between sibling containers.
         let deep = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(parse(&deep).is_ok());
-        let siblings = format!(
-            "[{}, {}]",
-            format!(
-                "{}1{}",
-                "[".repeat(MAX_DEPTH - 1),
-                "]".repeat(MAX_DEPTH - 1)
-            ),
-            format!(
-                "{}2{}",
-                "[".repeat(MAX_DEPTH - 1),
-                "]".repeat(MAX_DEPTH - 1)
-            ),
-        );
+        let (open, close) = ("[".repeat(MAX_DEPTH - 1), "]".repeat(MAX_DEPTH - 1));
+        let siblings = format!("[{open}1{close}, {open}2{close}]");
         assert!(parse(&siblings).is_ok());
         let too_deep = format!(
             "{}1{}",

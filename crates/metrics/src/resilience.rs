@@ -288,12 +288,16 @@ mod tests {
 
     #[test]
     fn checkpoint_counters_merge_and_shape_cleanliness() {
-        let mut a = ResilienceReport::default();
-        a.checkpoints_written = 4;
+        let mut a = ResilienceReport {
+            checkpoints_written: 4,
+            ..ResilienceReport::default()
+        };
         assert!(a.is_clean(), "writing checkpoints is routine");
-        let mut b = ResilienceReport::default();
-        b.recoveries = 1;
-        b.torn_checkpoints_discarded = 2;
+        let b = ResilienceReport {
+            recoveries: 1,
+            torn_checkpoints_discarded: 2,
+            ..ResilienceReport::default()
+        };
         assert!(!b.is_clean(), "a resumed run is not a clean run");
         a.merge(&b);
         assert_eq!(

@@ -11,10 +11,15 @@
 #![cfg(feature = "fault-injection")]
 
 use facade::datagen::{CorpusSpec, Graph, GraphSpec, corpus};
-use facade::graphchi::{Backend, Engine, EngineConfig, EngineError, PageRank};
+use facade::graphchi::{
+    Backend, ConnectedComponents, Engine, EngineConfig, EngineError, PageRank, ShortestPaths,
+    VertexProgram,
+};
 use facade::hyracks::{Cluster, ClusterConfig};
-use facade::store::FaultPlan;
+use facade::job::{Dataset, ExecContext, GraphChiRunner, JobOutput, JobRunner, JobSpec, Workload};
+use facade::store::checkpoint::read_manifest;
 use facade::store::test_support::TempDir;
+use facade::store::{FaultPlan, RecoveryError};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -34,7 +39,8 @@ fn graphchi_config(threads: usize) -> EngineConfig {
 
 /// GraphChi, clean crash: the run dies directly after committing (and
 /// checkpointing) its fifth interval — one interval into the second pass —
-/// and a fresh engine resumes from that boundary.
+/// and a fresh engine given the same checkpoint directory resumes from
+/// that boundary.
 #[test]
 fn graphchi_recovers_bit_identically_at_every_thread_count() {
     let graph = crash_graph();
@@ -67,9 +73,10 @@ fn graphchi_recovers_bit_identically_at_every_thread_count() {
 
         // Restart: fresh engine (fresh process, in spirit), no fault plan.
         config.fault_plan = None;
-        let mut engine = Engine::new(&graph, config);
-        engine.resume_from(&ckpt).expect("checkpoint verifies");
-        let recovered = engine.execute(&app).expect("resumed run completes");
+        read_manifest(&ckpt).expect("checkpoint verifies");
+        let recovered = Engine::new(&graph, config)
+            .execute(&app)
+            .expect("resumed run completes");
 
         assert_eq!(
             recovered.values, reference.values,
@@ -117,17 +124,16 @@ fn graphchi_torn_checkpoint_falls_back_to_a_cold_start() {
         assert!(ckpt.exists(), "the torn checkpoint is still on disk");
 
         config.fault_plan = None;
-        let mut engine = Engine::new(&graph, config);
-        let err = engine
-            .resume_from(&ckpt)
-            .expect_err("a torn checkpoint must fail verification");
+        let err = read_manifest(&ckpt).expect_err("a torn checkpoint must fail verification");
         assert!(
-            !matches!(err, facade::store::RecoveryError::Missing(_)),
+            !matches!(err, RecoveryError::Missing(_)),
             "torn, not missing: {err}"
         );
 
-        // Cold start on the same engine: correct bits, discard on record.
-        let recovered = engine.execute(&app).expect("cold start completes");
+        // The restart cold-starts: correct bits, discard on record.
+        let recovered = Engine::new(&graph, config)
+            .execute(&app)
+            .expect("cold start completes");
         assert_eq!(
             recovered.values, reference.values,
             "threads={threads}: cold-started vector must be bit-identical"
@@ -138,6 +144,143 @@ fn graphchi_torn_checkpoint_falls_back_to_a_cold_start() {
             !ckpt.exists(),
             "the completed run removes the torn leftover"
         );
+    }
+}
+
+/// Crashes `crashed` (a graph and a program) one interval into its second
+/// pass, then offers the checkpoint it left to each of `others` on the same
+/// directory. Every one of them must discard it (counted), cold-start to
+/// its own reference bits, and leave no file behind.
+fn assert_foreign_checkpoint_is_discarded(
+    seed: u64,
+    crashed: (&Graph, &dyn VertexProgram),
+    others: &[(&Graph, &dyn VertexProgram)],
+) {
+    let tmp = TempDir::new(&format!("foreign-graphchi-{seed}"));
+    let ckpt = Engine::checkpoint_path(tmp.path());
+    let mut config = graphchi_config(2);
+    config.checkpoint_dir = Some(tmp.path().to_path_buf());
+    config.fault_plan = Some(FaultPlan::builder(seed).crash_at_interval(5).build());
+    Engine::new(crashed.0, config.clone())
+        .execute(crashed.1)
+        .expect_err("the crash fault must abort the run");
+    config.fault_plan = None;
+    let leftover = std::fs::read(&ckpt).expect("the crash left a checkpoint behind");
+
+    for &(graph, app) in others {
+        let reference = Engine::new(graph, graphchi_config(2))
+            .execute(app)
+            .expect("uninterrupted run");
+        // The previous leg's completed run removed the file.
+        std::fs::write(&ckpt, &leftover).expect("restore the leftover");
+        read_manifest(&ckpt).expect("intact: only the fingerprint is foreign");
+        let out = Engine::new(graph, config.clone())
+            .execute(app)
+            .expect("cold start completes");
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&out.values),
+            bits(&reference.values),
+            "{} x{}",
+            app.name(),
+            app.iterations()
+        );
+        assert_eq!(out.passes, reference.passes);
+        assert_eq!(out.resilience.recoveries, 0, "{}", app.name());
+        assert_eq!(out.resilience.torn_checkpoints_discarded, 1);
+        assert!(!ckpt.exists());
+    }
+}
+
+/// The fingerprint covers the program: a checkpoint a crashed
+/// `PageRank::new(3)` left behind must not be replayed into a different
+/// program, or the same program with a different iteration bound, run on
+/// the same graph and directory.
+#[test]
+fn graphchi_checkpoint_of_another_program_is_discarded() {
+    let graph = crash_graph();
+    assert_foreign_checkpoint_is_discarded(
+        96,
+        (&graph, &PageRank::new(3)),
+        &[
+            (&graph, &ConnectedComponents::new(30)),
+            (&graph, &PageRank::new(4)),
+        ],
+    );
+}
+
+/// ... and the program's parameters, and the graph's contents: the same
+/// program from another source vertex, and the same program on a graph of
+/// the same size with different edges, are foreign too. Resuming is
+/// automatic, so either one slipping through would be silent wrong output.
+#[test]
+fn graphchi_checkpoint_of_other_parameters_or_another_graph_is_discarded() {
+    let graph = Graph::generate(&GraphSpec::new(600, 3_000, 41));
+    assert_foreign_checkpoint_is_discarded(
+        98,
+        (&graph, &ShortestPaths::new(0, 30)),
+        &[(&graph, &ShortestPaths::new(7, 30))],
+    );
+    let sibling = Graph::generate(&GraphSpec::new(600, 3_000, 42));
+    assert_eq!(
+        (sibling.vertices, sibling.edges.len()),
+        (graph.vertices, graph.edges.len()),
+        "same shape, different edges"
+    );
+    assert_ne!(sibling.edges, graph.edges);
+    assert_foreign_checkpoint_is_discarded(
+        99,
+        (&graph, &PageRank::new(3)),
+        &[(&sibling, &PageRank::new(3))],
+    );
+}
+
+/// The served path: a `JobSpec` with a `checkpoint_dir`, crashed through
+/// `GraphChiRunner`, then the *same spec* resubmitted without the fault
+/// plan. Supplying the directory is the whole recovery protocol.
+#[test]
+fn resubmitted_graph_job_resumes_from_its_checkpoint_dir() {
+    let data = Dataset::new(Vec::new(), crash_graph());
+    let ctx = ExecContext::default();
+    let values = |spec: &JobSpec| {
+        let report = GraphChiRunner.execute(spec, &data, &ctx);
+        report.map(|r| match r.output {
+            JobOutput::Vertices { values } => (values, r.resilience),
+            other => panic!("PageRank produced {other:?}"),
+        })
+    };
+    for threads in THREAD_COUNTS {
+        let tmp = TempDir::new(&format!("crash-job-{threads}"));
+        let spec = JobSpec {
+            workload: Workload::PageRank { iterations: 3 },
+            threads,
+            intervals: 4,
+            checkpoint_dir: Some(tmp.path().to_path_buf()),
+            ..JobSpec::default()
+        };
+        let (reference, _) = values(&JobSpec {
+            checkpoint_dir: None,
+            ..spec.clone()
+        })
+        .expect("uninterrupted run");
+
+        let crashing = JobSpec {
+            fault_plan: Some(FaultPlan::builder(97).crash_at_interval(5).build()),
+            ..spec.clone()
+        };
+        let err = values(&crashing).expect_err("the crash fault must abort the job");
+        assert!(err.to_string().contains("injected crash"), "{err}");
+
+        let (recovered, resilience) = values(&spec).expect("resubmitted job completes");
+        assert_eq!(
+            recovered.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "threads={threads}: resumed job must be bit-identical"
+        );
+        assert_eq!(resilience.recoveries, 1, "threads={threads}");
+        assert_eq!(resilience.torn_checkpoints_discarded, 0);
+        let leftovers = std::fs::read_dir(tmp.path()).expect("dir exists").count();
+        assert_eq!(leftovers, 0, "a completed job leaves its directory empty");
     }
 }
 
@@ -186,7 +329,6 @@ fn wordcount_recovers_bit_identically_at_every_thread_count() {
         assert!(ckpt.exists(), "the crash left a durable checkpoint behind");
 
         config.fault_plan = None;
-        config.resume = true;
         let recovered = Cluster::new(&config)
             .word_count(&words)
             .expect("resumed job completes");
@@ -229,7 +371,6 @@ fn extsort_recovers_and_survives_torn_checkpoints() {
         assert!(ckpt.exists());
 
         config.fault_plan = None;
-        config.resume = true;
         let recovered = Cluster::new(&config)
             .external_sort(&words)
             .expect("resumed job completes");
@@ -257,7 +398,6 @@ fn extsort_recovers_and_survives_torn_checkpoints() {
         assert!(ckpt.exists(), "the torn checkpoint is still on disk");
 
         config.fault_plan = None;
-        config.resume = true;
         let recovered = Cluster::new(&config)
             .external_sort(&words)
             .expect("cold start completes");
@@ -304,20 +444,18 @@ fn corrupt_checkpoint_bytes_fail_closed_and_cold_start() {
         let mut damaged = pristine.clone();
         damaged[offset] ^= 0x20;
         std::fs::write(&ckpt, &damaged).expect("write damaged checkpoint");
-        let mut engine = Engine::new(&graph, config.clone());
-        let err = engine
-            .resume_from(&ckpt)
-            .expect_err("one flipped byte must fail verification");
+        let err = read_manifest(&ckpt).expect_err("one flipped byte must fail verification");
         assert!(
-            !matches!(err, facade::store::RecoveryError::Missing(_)),
+            !matches!(err, RecoveryError::Missing(_)),
             "offset {offset}: corrupt, not missing"
         );
     }
 
     // The fallback after the last rejection: cold start, reference bits.
-    let mut engine = Engine::new(&graph, config);
-    assert!(engine.resume_from(&ckpt).is_err());
-    let recovered = engine.execute(&app).expect("cold start completes");
+    assert!(read_manifest(&ckpt).is_err());
+    let recovered = Engine::new(&graph, config)
+        .execute(&app)
+        .expect("cold start completes");
     assert_eq!(recovered.values, reference.values);
     assert_eq!(recovered.resilience.torn_checkpoints_discarded, 1);
 }

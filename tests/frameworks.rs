@@ -210,3 +210,54 @@ fn budget_ordering_facade_completes_at_least_as_much_as_heap() {
         );
     }
 }
+
+#[test]
+fn checkpoint_dir_does_not_perturb_job_output_and_is_left_empty() {
+    // The same spec with and without durability, through the job API, on
+    // both engines: identical output, one checkpoint per durable boundary
+    // (every committed interval for PR; the one first phase for WC/ES),
+    // nothing resumed or discarded, nothing left behind.
+    use facade::job::{Dataset, ExecContext, JobSpec, Workload, default_runners};
+    use facade::store::test_support::TempDir;
+    let data = Dataset::synthetic(300, 1_500, 20_000, 7);
+    let runners = default_runners();
+    let ctx = ExecContext::default();
+    let (passes, intervals) = (3, 4);
+    for (workload, boundaries) in [
+        (
+            Workload::PageRank { iterations: passes },
+            passes * intervals,
+        ),
+        (Workload::WordCount, 1),
+        (Workload::ExternalSort, 1),
+    ] {
+        let run = |spec: &JobSpec| {
+            let runner = runners.iter().find(|r| r.supports(&spec.workload)).unwrap();
+            runner.execute(spec, &data, &ctx).expect("job completes")
+        };
+        let tmp = TempDir::new(&format!("durable-{}", workload.kind()));
+        let plain = JobSpec {
+            workload: workload.clone(),
+            intervals,
+            ..JobSpec::default()
+        };
+        let durable = JobSpec {
+            checkpoint_dir: Some(tmp.path().to_path_buf()),
+            ..plain.clone()
+        };
+        let (base, out) = (run(&plain), run(&durable));
+        assert_eq!(
+            out.output.fingerprint(),
+            base.output.fingerprint(),
+            "{workload}"
+        );
+        assert_eq!(base.resilience.checkpoints_written, 0, "{workload}");
+        assert_eq!(
+            out.resilience.checkpoints_written, boundaries as u64,
+            "{workload}"
+        );
+        assert!(out.resilience.is_clean(), "{workload}");
+        let leftovers = std::fs::read_dir(tmp.path()).expect("dir exists").count();
+        assert_eq!(leftovers, 0, "{workload}: directory empty after completion");
+    }
+}
