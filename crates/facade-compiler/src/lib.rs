@@ -68,7 +68,8 @@ pub use error::CompileError;
 pub use meta::PagedMeta;
 pub use passes::{EpochStats, FastAllocStats, PassConfig, PromoteStats};
 pub use pipeline::{
-    Compiled, PassStats, PipelineError, Stage, compile, compile_text, render_with_bounds,
+    Compiled, PassStats, PipelineError, Stage, StageRender, compile, compile_text,
+    render_with_bounds,
 };
 pub use report::TransformReport;
 

@@ -373,11 +373,22 @@ pub fn promote(program: &mut Program, meta: &PagedMeta) -> PromoteStats {
         let Some(body) = &program.method(m).body else {
             continue;
         };
-        let candidates: Vec<(Local, ClassId)> = (0..body.locals.len())
-            .filter_map(|i| {
-                let l = Local(i as u32);
-                promotion_candidate(program, meta, body, l).map(|c| (l, c))
+        // Only a local some allocation writes can qualify; most methods
+        // have none, and the per-local scan below is a whole-body walk.
+        let mut allocated: Vec<Local> = body
+            .blocks
+            .iter()
+            .flat_map(|block| &block.instrs)
+            .filter_map(|instr| match instr {
+                Instr::PageAlloc { dst, .. } | Instr::PageAllocFast { dst, .. } => Some(*dst),
+                _ => None,
             })
+            .collect();
+        allocated.sort_unstable();
+        allocated.dedup();
+        let candidates: Vec<(Local, ClassId)> = allocated
+            .into_iter()
+            .filter_map(|l| promotion_candidate(program, meta, body, l).map(|c| (l, c)))
             .collect();
         if candidates.is_empty() {
             continue;
@@ -450,7 +461,7 @@ pub fn fastalloc(program: &mut Program) -> FastAllocStats {
     let mut stats = FastAllocStats::default();
     let method_ids: Vec<MethodId> = program.methods().map(|(id, _)| id).collect();
     for m in method_ids {
-        let Some(body) = program.method_mut(m).body.as_mut() else {
+        let Some(body) = &program.method(m).body else {
             continue;
         };
         let n = body.blocks.len();
@@ -474,18 +485,33 @@ pub fn fastalloc(program: &mut Program) -> FastAllocStats {
                 _ => {}
             }
         }
-        for (bi, block) in body.blocks.iter_mut().enumerate() {
-            if !in_loop[bi] {
-                continue;
-            }
-            for instr in &mut block.instrs {
-                if let Instr::PageAlloc { dst, class } = instr {
-                    *instr = Instr::PageAllocFast {
-                        dst: *dst,
-                        class: *class,
-                    };
-                    stats.sites_marked += 1;
-                }
+        let sites: Vec<(usize, usize)> = body
+            .blocks
+            .iter()
+            .enumerate()
+            .filter(|(bi, _)| in_loop[*bi])
+            .flat_map(|(bi, block)| {
+                let allocs = block.instrs.iter().enumerate();
+                allocs
+                    .filter(|(_, i)| matches!(i, Instr::PageAlloc { .. }))
+                    .map(move |(ii, _)| (bi, ii))
+            })
+            .collect();
+        if sites.is_empty() {
+            // An untouched definition stays shared with every earlier
+            // snapshot of the program.
+            continue;
+        }
+        let body = program
+            .method_mut(m)
+            .body
+            .as_mut()
+            .expect("body inspected above");
+        for (bi, ii) in sites {
+            let instr = &mut body.blocks[bi].instrs[ii];
+            if let Instr::PageAlloc { dst, class } = *instr {
+                *instr = Instr::PageAllocFast { dst, class };
+                stats.sites_marked += 1;
             }
         }
     }

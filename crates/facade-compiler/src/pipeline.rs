@@ -9,9 +9,14 @@
 //! (epoch, promote, fastalloc; each re-verified) → P' + metadata
 //! ```
 //!
-//! Every stage records a pretty-printed snapshot of the program (plus the
-//! facade-pool bounds once they exist) and its wall-clock duration; the
-//! golden tests in `tests/golden.rs` pin those snapshots, and the
+//! Every stage records a snapshot of the program (plus the facade-pool
+//! bounds once they exist) and its wall-clock duration. A snapshot is a
+//! [`Program`] clone — it shares every class and method definition with the
+//! program the later stages keep editing, and a pass copies only the
+//! definitions it rewrites — so taking one costs reference-count bumps, not
+//! a copy of the IR. The pretty-printed text is produced on the first read
+//! of [`Stage::render`] and kept; a compile whose text nobody reads renders
+//! nothing. The golden tests in `tests/golden.rs` pin that text, and the
 //! `compile_run` workload of `benchmark/` reports the durations as its
 //! `facade_compiler.*` per-layer metrics. Executing the resulting `P` / `P'`
 //! pair — and proving their outputs identical — is the runtime half of the
@@ -22,9 +27,11 @@ use crate::meta::PagedMeta;
 use crate::passes::{self, EpochStats, FastAllocStats, PassConfig, PromoteStats};
 use crate::report::TransformReport;
 use crate::{DataSpec, transform};
-use facade_ir::{ParseError, Program, VerifyError};
+use facade_ir::{ClassId, ParseError, Program, VerifyError};
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// One pipeline stage's evidence: its name, the IR snapshot after it ran,
@@ -35,10 +42,76 @@ pub struct Stage {
     /// `pass_fastalloc`); also the golden snapshot's file stem.
     pub name: &'static str,
     /// Pretty-printed program after the stage, with a `;; bound` footer
-    /// once pool bounds exist.
-    pub render: String,
-    /// Wall-clock duration of the stage.
+    /// once pool bounds exist. Rendered on first read.
+    pub render: StageRender,
+    /// Wall-clock duration of the stage (snapshot included, rendering not).
     pub duration: Duration,
+}
+
+/// A stage's IR text, rendered from its snapshot on first read.
+///
+/// Dereferences to `str` (so `stage.render.lines()`, `.contains(..)` and
+/// `&*stage.render` all work) and prints through `Display`. Every read
+/// returns the same text; a clone renders identically.
+#[derive(Clone)]
+pub struct StageRender {
+    program: Program,
+    /// Footer lines: each data class with its pool bound, in type-ID
+    /// order. Empty for the `source` stage, which has no bounds yet.
+    bounds: Vec<(ClassId, u16)>,
+    text: OnceLock<String>,
+}
+
+impl StageRender {
+    fn snapshot(program: &Program, meta: Option<&PagedMeta>) -> Self {
+        Self {
+            program: program.clone(),
+            bounds: meta.map(bounds_footer).unwrap_or_default(),
+            text: OnceLock::new(),
+        }
+    }
+
+    /// How many lines the text has, without rendering it.
+    pub fn line_count(&self) -> usize {
+        if let Some(text) = self.text.get() {
+            return text.lines().count();
+        }
+        // Mirrors `Program::render`: a header and a closing brace per class
+        // around one line per field; per method a signature, and for a body
+        // the locals, a label per block, a line per instruction and
+        // terminator, and a closing brace; the entry marker; the footer.
+        let p = &self.program;
+        let classes: usize = p.classes().map(|(_, c)| 2 + c.fields.len()).sum();
+        let methods: usize = p
+            .methods()
+            .map(|(_, m)| match &m.body {
+                Some(body) => 3 + body.blocks.len() + body.instr_count(),
+                None => 1,
+            })
+            .sum();
+        classes + methods + usize::from(p.entry().is_some()) + self.bounds.len()
+    }
+}
+
+impl Deref for StageRender {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.text
+            .get_or_init(|| render_text(&self.program, &self.bounds))
+    }
+}
+
+impl fmt::Display for StageRender {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl fmt::Debug for StageRender {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// Per-pass statistics; `None` when the pass was disabled.
@@ -119,28 +192,30 @@ impl From<CompileError> for PipelineError {
     }
 }
 
-/// Renders `program` with a `;; bound <Class> = N` footer per data class,
-/// so bound-shrinking is visible in golden snapshots.
-pub fn render_with_bounds(program: &Program, meta: &PagedMeta) -> String {
+fn bounds_footer(meta: &PagedMeta) -> Vec<(ClassId, u16)> {
+    meta.data_classes
+        .iter()
+        .map(|&class| {
+            let tid = facade_runtime::TypeId(meta.type_id(class));
+            (class, meta.bounds.bound(tid))
+        })
+        .collect()
+}
+
+fn render_text(program: &Program, bounds: &[(ClassId, u16)]) -> String {
     use std::fmt::Write;
     let mut out = program.render();
-    for &class in &meta.data_classes {
-        let tid = meta.type_id(class);
-        writeln!(
-            out,
-            ";; bound {} = {}",
-            program.class(class).name,
-            meta.bounds.bound(facade_runtime::TypeId(tid))
-        )
-        .unwrap();
+    for &(class, bound) in bounds {
+        writeln!(out, ";; bound {} = {bound}", program.class(class).name)
+            .expect("writing to a String cannot fail");
     }
     out
 }
 
-fn verified(program: &Program, stage: &'static str) -> Result<(), PipelineError> {
-    program
-        .verify()
-        .map_err(|error| PipelineError::Verify { stage, error })
+/// Renders `program` with a `;; bound <Class> = N` footer per data class,
+/// so bound-shrinking is visible in golden snapshots.
+pub fn render_with_bounds(program: &Program, meta: &PagedMeta) -> String {
+    render_text(program, &bounds_footer(meta))
 }
 
 /// Runs the full pipeline on an already-built program.
@@ -155,65 +230,62 @@ pub fn compile(
     spec: &DataSpec,
     config: &PassConfig,
 ) -> Result<Compiled, PipelineError> {
+    compile_owned(source.clone(), spec, config)
+}
+
+fn compile_owned(
+    source: Program,
+    spec: &DataSpec,
+    config: &PassConfig,
+) -> Result<Compiled, PipelineError> {
     let mut stages = Vec::new();
+    // Closes a stage: the verifier on its output, then the snapshot, both
+    // inside the stage's duration.
+    let mut stage = |name: &'static str,
+                     program: &Program,
+                     meta: Option<&PagedMeta>,
+                     start: Instant|
+     -> Result<(), PipelineError> {
+        program
+            .verify()
+            .map_err(|error| PipelineError::Verify { stage: name, error })?;
+        stages.push(Stage {
+            name,
+            render: StageRender::snapshot(program, meta),
+            duration: start.elapsed(),
+        });
+        Ok(())
+    };
 
     let start = Instant::now();
-    verified(source, "source")?;
-    stages.push(Stage {
-        name: "source",
-        render: source.render(),
-        duration: start.elapsed(),
-    });
+    stage("source", &source, None, start)?;
 
     let start = Instant::now();
-    let out = transform(source, spec)?;
+    let out = transform(&source, spec)?;
     let mut program = out.program;
     let mut meta = out.meta;
     let report = out.report;
-    verified(&program, "transformed")?;
-    stages.push(Stage {
-        name: "transformed",
-        render: render_with_bounds(&program, &meta),
-        duration: start.elapsed(),
-    });
+    stage("transformed", &program, Some(&meta), start)?;
 
     let mut pass_stats = PassStats::default();
     if config.epoch {
         let start = Instant::now();
-        let stats = passes::epoch(&mut program, &mut meta);
-        verified(&program, "pass_epoch")?;
-        stages.push(Stage {
-            name: "pass_epoch",
-            render: render_with_bounds(&program, &meta),
-            duration: start.elapsed(),
-        });
-        pass_stats.epoch = Some(stats);
+        pass_stats.epoch = Some(passes::epoch(&mut program, &mut meta));
+        stage("pass_epoch", &program, Some(&meta), start)?;
     }
     if config.promote {
         let start = Instant::now();
-        let stats = passes::promote(&mut program, &meta);
-        verified(&program, "pass_promote")?;
-        stages.push(Stage {
-            name: "pass_promote",
-            render: render_with_bounds(&program, &meta),
-            duration: start.elapsed(),
-        });
-        pass_stats.promote = Some(stats);
+        pass_stats.promote = Some(passes::promote(&mut program, &meta));
+        stage("pass_promote", &program, Some(&meta), start)?;
     }
     if config.fastalloc {
         let start = Instant::now();
-        let stats = passes::fastalloc(&mut program);
-        verified(&program, "pass_fastalloc")?;
-        stages.push(Stage {
-            name: "pass_fastalloc",
-            render: render_with_bounds(&program, &meta),
-            duration: start.elapsed(),
-        });
-        pass_stats.fastalloc = Some(stats);
+        pass_stats.fastalloc = Some(passes::fastalloc(&mut program));
+        stage("pass_fastalloc", &program, Some(&meta), start)?;
     }
 
     Ok(Compiled {
-        source: source.clone(),
+        source,
         transformed: program,
         meta,
         report,
@@ -223,7 +295,7 @@ pub fn compile(
 }
 
 /// Parses the textual IR form, then runs [`compile`] — the `facadec` entry
-/// point.
+/// point. The parsed program becomes [`Compiled::source`] as is.
 ///
 /// # Errors
 ///
@@ -233,8 +305,7 @@ pub fn compile_text(
     spec: &DataSpec,
     config: &PassConfig,
 ) -> Result<Compiled, PipelineError> {
-    let program = Program::parse(text)?;
-    compile(&program, spec, config)
+    compile_owned(Program::parse(text)?, spec, config)
 }
 
 #[cfg(test)]
@@ -271,6 +342,61 @@ mod tests {
         assert!(compiled.stage("pass_epoch").is_none());
         assert!(compiled.stage("transformed").is_some());
         assert!(compiled.passes.epoch.is_none());
+    }
+
+    #[test]
+    fn nothing_is_rendered_until_read_and_line_counts_need_no_render() {
+        for entry in corpus::all() {
+            let compiled = compile(&entry.program, &entry.spec, &PassConfig::all()).unwrap();
+            for stage in &compiled.stages {
+                let counted = stage.render.line_count();
+                assert!(stage.render.text.get().is_none(), "{}", stage.name);
+                assert_eq!(
+                    counted,
+                    stage.render.lines().count(),
+                    "{}/{}",
+                    entry.name,
+                    stage.name
+                );
+                assert_eq!(stage.render.line_count(), counted, "after rendering");
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_keep_the_text_of_their_stage_after_later_passes_ran() {
+        // Copy-on-write is not aliasing: every pass below has already
+        // rewritten `churn` by the time the earlier snapshots are read.
+        let entry = corpus::epoch_scratch();
+        let all = compile(&entry.program, &entry.spec, &PassConfig::all()).unwrap();
+        let none = compile(&entry.program, &entry.spec, &PassConfig::none()).unwrap();
+        let text = |c: &Compiled, stage: &str| c.stage(stage).unwrap().render.to_string();
+        assert_eq!(text(&all, "source"), entry.program.render());
+        assert_eq!(text(&all, "transformed"), text(&none, "transformed"));
+        assert!(!text(&all, "transformed").contains("iterationStart"));
+        assert!(text(&all, "pass_epoch").contains("iterationStart"));
+        assert!(!text(&all, "pass_promote").contains("allocateFast"));
+        assert!(text(&all, "pass_fastalloc").contains("allocateFast"));
+        assert_eq!(
+            text(&all, "pass_fastalloc"),
+            render_with_bounds(&all.transformed, &all.meta)
+        );
+    }
+
+    #[test]
+    fn a_render_reads_the_same_str_every_time_and_clones_identically() {
+        let entry = corpus::figure2();
+        let compiled = compile(&entry.program, &entry.spec, &PassConfig::all()).unwrap();
+        let stage = compiled.stage("pass_epoch").unwrap();
+        let unread = stage.clone();
+        let first: &str = &stage.render;
+        let second: &str = &stage.render;
+        assert!(std::ptr::eq(first, second));
+        let read = stage.clone();
+        assert_eq!(*unread.render, *first);
+        assert_eq!(*read.render, *first);
+        assert_eq!(format!("{}", stage.render), first);
+        assert_eq!(format!("{:?}", stage.render), format!("{first:?}"));
     }
 
     #[test]

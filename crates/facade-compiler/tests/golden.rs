@@ -50,7 +50,7 @@ fn golden_snapshots_match() {
         for stage in &compiled.stages {
             let path = dir.join(format!("{}.ir", stage.name));
             if update_mode() {
-                fs::write(&path, &stage.render).unwrap();
+                fs::write(&path, &*stage.render).unwrap();
                 continue;
             }
             let want = fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -60,7 +60,7 @@ fn golden_snapshots_match() {
                     path.display()
                 )
             });
-            if want != stage.render {
+            if want != *stage.render {
                 mismatches.push(format!("{}/{}", entry.name, stage.name));
             }
         }

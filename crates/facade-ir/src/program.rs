@@ -3,14 +3,21 @@
 
 use crate::class::{ClassDef, FieldDef, MethodDef};
 use crate::types::{ClassId, MethodId, Ty};
+use std::sync::Arc;
 
 /// A complete program: classes, interfaces, methods, and an optional entry
 /// point. Programs are *closed worlds* — exactly the assumption the FACADE
 /// compiler relies on (§3.1).
+///
+/// Definitions are shared copy-on-write: `clone` bumps one reference count
+/// per class and method, and [`Program::class_mut`] / [`Program::method_mut`]
+/// copy a definition only if another clone still shares it. A clone is
+/// therefore a cheap, independent snapshot — later edits to either side
+/// never show through the other.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    classes: Vec<ClassDef>,
-    methods: Vec<MethodDef>,
+    classes: Vec<Arc<ClassDef>>,
+    methods: Vec<Arc<MethodDef>>,
     entry: Option<MethodId>,
 }
 
@@ -22,16 +29,16 @@ impl Program {
 
     /// Adds a class definition; used by the builder and the transformation.
     pub fn add_class(&mut self, def: ClassDef) -> ClassId {
-        self.classes.push(def);
+        self.classes.push(Arc::new(def));
         ClassId((self.classes.len() - 1) as u32)
     }
 
     /// Adds a method definition and registers it with its declaring class.
     pub fn add_method(&mut self, def: MethodDef) -> MethodId {
         let class = def.class;
-        self.methods.push(def);
+        self.methods.push(Arc::new(def));
         let id = MethodId((self.methods.len() - 1) as u32);
-        self.classes[class.0 as usize].methods.push(id);
+        self.class_mut(class).methods.push(id);
         id
     }
 
@@ -40,7 +47,7 @@ impl Program {
         self.classes
             .iter()
             .enumerate()
-            .map(|(i, c)| (ClassId(i as u32), c))
+            .map(|(i, c)| (ClassId(i as u32), &**c))
     }
 
     /// The methods, in id order.
@@ -48,7 +55,7 @@ impl Program {
         self.methods
             .iter()
             .enumerate()
-            .map(|(i, m)| (MethodId(i as u32), m))
+            .map(|(i, m)| (MethodId(i as u32), &**m))
     }
 
     /// Number of classes.
@@ -70,9 +77,10 @@ impl Program {
         &self.classes[id.0 as usize]
     }
 
-    /// Mutable access to a class definition.
+    /// Mutable access to a class definition (copied first if a clone of
+    /// this program still shares it).
     pub fn class_mut(&mut self, id: ClassId) -> &mut ClassDef {
-        &mut self.classes[id.0 as usize]
+        Arc::make_mut(&mut self.classes[id.0 as usize])
     }
 
     /// Looks up a method definition.
@@ -84,9 +92,10 @@ impl Program {
         &self.methods[id.0 as usize]
     }
 
-    /// Mutable access to a method definition.
+    /// Mutable access to a method definition (copied first if a clone of
+    /// this program still shares it).
     pub fn method_mut(&mut self, id: MethodId) -> &mut MethodDef {
-        &mut self.methods[id.0 as usize]
+        Arc::make_mut(&mut self.methods[id.0 as usize])
     }
 
     /// Finds a class by name.
@@ -345,6 +354,31 @@ mod tests {
         assert_eq!(p.resolve_virtual(b, base), overridden);
         // C has no override: inherits B's.
         assert_eq!(p.resolve_virtual(c, base), overridden);
+    }
+
+    #[test]
+    fn a_clone_is_an_independent_snapshot() {
+        let mut p = Program::new();
+        let a = p.add_class(class("A", None, vec![field("x", Ty::I32)]));
+        let m = p.add_method(MethodDef {
+            name: "run".into(),
+            class: a,
+            params: vec![],
+            ret: None,
+            is_static: true,
+            body: None,
+        });
+        let snapshot = p.clone();
+        assert!(std::ptr::eq(p.method(m), snapshot.method(m)), "shared");
+        p.method_mut(m).name = "walk".into();
+        p.class_mut(a).fields.clear();
+        assert_eq!(snapshot.method(m).name, "run");
+        assert_eq!(snapshot.class(a).fields.len(), 1);
+        assert_eq!(p.method(m).name, "walk");
+        // An unshared definition is edited in place.
+        let before: *const MethodDef = p.method(m);
+        p.method_mut(m).is_static = false;
+        assert!(std::ptr::eq(before, p.method(m)));
     }
 
     #[test]

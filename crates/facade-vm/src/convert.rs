@@ -71,11 +71,8 @@ impl Vm<'_> {
             .heap_ref()
             .class_of(obj)
             .expect("non-array object has a class");
-        let ir_class = self.ir_class_of(hclass.0);
-        let meta = self.meta_ref().ok_or_else(|| {
-            VmError::IllegalInstruction("conversion without paged metadata".into())
-        })?;
-        let tid = *meta.type_ids.get(&ir_class).ok_or_else(|| {
+        let ir_class = self.ir_class_of(hclass);
+        let tid = self.tables().type_id(ir_class).ok_or_else(|| {
             VmError::IllegalInstruction(format!(
                 "converting non-data class `{}` to a record",
                 self.program_ref().class(ir_class).name
@@ -177,10 +174,10 @@ impl Vm<'_> {
             return Ok(obj);
         }
         let tid = self.paged_ref().type_of(rec).0;
-        let meta = self.meta_ref().ok_or_else(|| {
-            VmError::IllegalInstruction("conversion without paged metadata".into())
-        })?;
-        let ir_class = meta.class_of_type[&tid];
+        let ir_class = self
+            .tables()
+            .class_of_type(tid)
+            .expect("a non-array record has a registered data class");
         let hclass = self.heap_class_of(ir_class);
         let obj = self.heap_mut().alloc(hclass)?;
         temp_roots.push(self.heap_mut().add_root(obj));

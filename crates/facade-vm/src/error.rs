@@ -1,5 +1,6 @@
 //! Interpreter errors.
 
+use crate::interp::MAX_CALL_DEPTH;
 use metrics::OutOfMemory;
 use std::error::Error;
 use std::fmt;
@@ -20,6 +21,9 @@ pub enum VmError {
     IllegalInstruction(String),
     /// Execution exceeded the configured step budget (runaway loop guard).
     StepBudgetExceeded,
+    /// A call would have made more than 65 536 frames active at once
+    /// (runaway recursion guard; the depth is fixed, not a setting).
+    CallDepthExceeded,
 }
 
 impl fmt::Display for VmError {
@@ -31,6 +35,9 @@ impl fmt::Display for VmError {
             VmError::NoEntry => write!(f, "program has no entry point"),
             VmError::IllegalInstruction(what) => write!(f, "illegal instruction: {what}"),
             VmError::StepBudgetExceeded => write!(f, "step budget exceeded"),
+            VmError::CallDepthExceeded => {
+                write!(f, "call depth exceeded ({MAX_CALL_DEPTH} active frames)")
+            }
         }
     }
 }

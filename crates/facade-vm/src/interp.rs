@@ -1,19 +1,20 @@
 //! The interpreter proper.
 
+use crate::decode::{DecodedMethod, Kind, NO_LOCAL, Op, Tables, check_call, decode_method};
 use crate::error::VmError;
 use crate::value::{FacadeSlot, Value};
 use facade_compiler::PagedMeta;
-use facade_ir::{
-    BinOp, CallTarget, ClassId, CmpOp, Instr, Local, MethodId, Program, Terminator, Ty,
-};
+use facade_ir::{ClassId, MethodId, Program};
 use facade_runtime::{
-    ElemKind as PElem, FacadePools, IterationId, PageRef, PagedHeap, PagedHeapConfig,
-    TypeId as PTypeId,
+    FacadePools, IterationId, PageRef, PagedHeap, PagedHeapConfig, TypeId as PTypeId,
 };
-use managed_heap::{
-    ClassId as HClassId, ElemKind as HElem, FieldKind as HField, Heap, HeapConfig, ObjRef, RootId,
-};
+use managed_heap::{ClassId as HClassId, Heap, HeapConfig, ObjRef, RootId};
 use std::collections::HashMap;
+
+/// Frames a run may have active at once; the call that would exceed it
+/// fails with [`VmError::CallDepthExceeded`]. Frames live on an explicit
+/// stack, so this bounds memory, not the host stack.
+pub(crate) const MAX_CALL_DEPTH: usize = 1 << 16;
 
 /// Configuration for a [`Vm`].
 #[derive(Debug, Clone)]
@@ -41,7 +42,7 @@ impl Default for VmConfig {
 /// allocation statistics.
 ///
 /// Today these track the `fastalloc` optimization pass: how often the
-/// bump-pointer hint on [`Instr::PageAllocFast`] paid off (`fast_alloc_hits`)
+/// bump-pointer hint on [`facade_ir::Instr::PageAllocFast`] paid off (`fast_alloc_hits`)
 /// versus fell back to the general allocator (`fast_alloc_misses`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
@@ -59,10 +60,7 @@ pub struct Vm<'p> {
     heap: Heap,
     paged: PagedHeap,
     pools: Option<FacadePools>,
-    /// IR class → managed-heap class.
-    class_map: HashMap<ClassId, HClassId>,
-    /// Managed-heap class → IR class.
-    rev_class: HashMap<u16, ClassId>,
+    tables: Tables,
     /// Heap-mode monitors: object → reentrancy count.
     heap_monitors: HashMap<u32, u32>,
     /// Paged-mode monitors: lock ID → reentrancy count (IDs live in the
@@ -72,48 +70,160 @@ pub struct Vm<'p> {
     next_lock_id: u16,
     iteration_stack: Vec<IterationId>,
     output: Vec<String>,
-    steps: u64,
     exec_stats: ExecStats,
     config: VmConfig,
+    exec: Exec,
 }
 
-fn heap_field_kind(ty: &Ty) -> HField {
-    match ty {
-        Ty::I32 => HField::I32,
-        Ty::I64 | Ty::F64 => HField::I64,
-        _ => HField::Ref,
-    }
+/// What a run executes on: the decoded methods and the explicit stacks.
+/// Taken out of the [`Vm`] for the duration of a call so the dispatch loop
+/// can hold the running method's code while it mutates the heaps.
+#[derive(Debug, Default)]
+struct Exec {
+    /// Indexed by `MethodId`; filled on a method's first call.
+    decoded: Vec<Option<DecodedMethod>>,
+    stacks: Stacks,
+    steps: u64,
 }
 
-fn heap_elem_kind(ty: &Ty) -> HElem {
-    match ty {
-        Ty::I32 => HElem::I32,
-        Ty::I64 | Ty::F64 => HElem::I64,
-        _ => HElem::Ref,
-    }
-}
-
-fn paged_elem_kind(ty: &Ty) -> PElem {
-    match ty {
-        Ty::I32 => PElem::I32,
-        Ty::I64 | Ty::F64 => PElem::I64,
-        _ => PElem::Ref,
-    }
-}
-
-pub(crate) fn default_value(ty: &Ty) -> Value {
-    match ty {
-        Ty::I32 => Value::I32(0),
-        Ty::I64 => Value::I64(0),
-        Ty::F64 => Value::F64(0.0),
-        Ty::Ref(_) | Ty::Array(_) => Value::Obj(ObjRef::NULL),
-        Ty::PageRef | Ty::Facade(_) => Value::Page(PageRef::NULL),
-    }
-}
-
-struct Frame {
-    locals: Vec<Value>,
+#[derive(Debug, Default)]
+struct Stacks {
+    /// Every active frame's locals, back to back; one untyped 64-bit slot
+    /// per local, read according to the local's [`Kind`].
+    slots: Vec<u64>,
+    frames: Vec<Frame>,
+    /// One root per `Obj` local of every active frame, back to back.
     roots: Vec<RootId>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    method: MethodId,
+    /// Where to resume when the frame's current call returns.
+    pc: usize,
+    /// Start of the frame's locals in `slots`.
+    fp: usize,
+    /// Start of the frame's roots in `roots`.
+    rp: usize,
+    /// The caller's local the result goes to, or [`NO_LOCAL`].
+    ret_dst: u32,
+}
+
+impl Stacks {
+    /// Pushes a frame for `callee`: zeroed locals (zero is every kind's
+    /// default), arguments copied from the caller's `arg_locals`, and one GC
+    /// root per `Obj` local. Returns the frame's `(fp, rp)`.
+    fn push_frame(
+        &mut self,
+        heap: &mut Heap,
+        method: MethodId,
+        callee: &DecodedMethod,
+        caller_fp: usize,
+        arg_locals: &[u32],
+        ret_dst: u32,
+    ) -> (usize, usize) {
+        let (fp, rp) = (self.slots.len(), self.roots.len());
+        self.slots.resize(fp + callee.kinds.len(), 0);
+        for (i, &arg) in arg_locals.iter().enumerate() {
+            self.slots[fp + i] = self.slots[caller_fp + arg as usize];
+        }
+        for &l in &callee.obj_locals {
+            let held = as_obj(self.slots[fp + l as usize]);
+            self.roots.push(heap.add_root(held));
+        }
+        self.frames.push(Frame {
+            method,
+            pc: 0,
+            fp,
+            rp,
+            ret_dst,
+        });
+        (fp, rp)
+    }
+}
+
+// ----- slot encodings: a local's 64 bits, by kind ----------------------------
+
+#[inline]
+fn as_i32(bits: u64) -> i32 {
+    bits as u32 as i32
+}
+#[inline]
+fn from_i32(v: i32) -> u64 {
+    u64::from(v as u32)
+}
+#[inline]
+fn as_i64(bits: u64) -> i64 {
+    bits as i64
+}
+#[inline]
+fn from_i64(v: i64) -> u64 {
+    v as u64
+}
+#[inline]
+fn from_bool(v: bool) -> u64 {
+    u64::from(v)
+}
+#[inline]
+fn as_obj(bits: u64) -> ObjRef {
+    ObjRef::from_raw(bits as u32)
+}
+#[inline]
+fn from_obj(r: ObjRef) -> u64 {
+    u64::from(r.raw())
+}
+
+const FACADE_RECEIVER: u64 = 1 << 32;
+const FACADE_PARAM: u64 = 2 << 32;
+
+/// A bound facade slot as bits: tag above bit 32, pool index in bits 16..32,
+/// type id in the low 16. Zero stays "unbound".
+fn from_facade(slot: FacadeSlot) -> u64 {
+    match slot {
+        FacadeSlot::Receiver { type_id } => FACADE_RECEIVER | u64::from(type_id),
+        FacadeSlot::Param { type_id, index } => {
+            FACADE_PARAM | u64::from(index) << 16 | u64::from(type_id)
+        }
+    }
+}
+
+fn as_facade(bits: u64) -> Option<FacadeSlot> {
+    let type_id = bits as u16;
+    match bits & !0xFFFF_FFFF {
+        FACADE_RECEIVER => Some(FacadeSlot::Receiver { type_id }),
+        FACADE_PARAM => Some(FacadeSlot::Param {
+            type_id,
+            index: (bits >> 16) as u16,
+        }),
+        _ => None,
+    }
+}
+
+fn value_bits(v: Value) -> (Kind, u64) {
+    match v {
+        Value::I32(x) => (Kind::I32, from_i32(x)),
+        Value::I64(x) => (Kind::I64, from_i64(x)),
+        Value::F64(x) => (Kind::F64, x.to_bits()),
+        Value::Obj(r) => (Kind::Obj, from_obj(r)),
+        Value::Page(r) => (Kind::Page, r.raw()),
+        Value::Facade(slot) => (Kind::Facade, from_facade(slot)),
+    }
+}
+
+fn value_of(kind: Kind, bits: u64) -> Value {
+    match kind {
+        Kind::I32 => Value::I32(as_i32(bits)),
+        Kind::I64 => Value::I64(as_i64(bits)),
+        Kind::F64 => Value::F64(f64::from_bits(bits)),
+        Kind::Obj => Value::Obj(as_obj(bits)),
+        Kind::Page => Value::Page(PageRef::from_raw(bits)),
+        // An unbound facade local reads as the null page reference.
+        Kind::Facade => as_facade(bits).map_or(Value::Page(PageRef::NULL), Value::Facade),
+    }
+}
+
+fn illegal(what: impl Into<String>) -> VmError {
+    VmError::IllegalInstruction(what.into())
 }
 
 impl<'p> Vm<'p> {
@@ -134,29 +244,14 @@ impl<'p> Vm<'p> {
         config: VmConfig,
     ) -> Self {
         let mut heap = Heap::new(config.heap.clone());
-        let mut class_map = HashMap::new();
-        let mut rev_class = HashMap::new();
-        for (id, class) in program.classes() {
-            if class.is_interface() {
-                continue;
-            }
-            let kinds: Vec<HField> = program
-                .flat_fields(id)
-                .iter()
-                .map(|(_, f)| heap_field_kind(&f.ty))
-                .collect();
-            let hid = heap.register_class(&class.name, &kinds);
-            class_map.insert(id, hid);
-            rev_class.insert(hid.0, id);
-        }
+        let tables = Tables::new(program, meta, &mut heap);
         let mut paged = PagedHeap::with_config(config.paged.clone());
         let mut pools = None;
         if let Some(meta) = meta {
             for &class in &meta.data_classes {
                 let tid = meta.type_id(class);
                 let layout = meta.layout(tid);
-                let fields: Vec<facade_runtime::FieldKind> = layout.fields().to_vec();
-                let got = paged.register_type(layout.name(), &fields);
+                let got = paged.register_type(layout.name(), layout.fields());
                 assert_eq!(got.0, tid, "type-id registration order mismatch");
             }
             pools = Some(FacadePools::new(&meta.bounds));
@@ -167,17 +262,16 @@ impl<'p> Vm<'p> {
             heap,
             paged,
             pools,
-            class_map,
-            rev_class,
+            tables,
             heap_monitors: HashMap::new(),
             page_monitor_counts: HashMap::new(),
             free_lock_ids: Vec::new(),
             next_lock_id: 1,
             iteration_stack: Vec::new(),
             output: Vec::new(),
-            steps: 0,
             exec_stats: ExecStats::default(),
             config,
+            exec: Exec::default(),
         }
     }
 
@@ -212,20 +306,16 @@ impl<'p> Vm<'p> {
         self.pools.as_ref()
     }
 
-    /// Instructions executed so far.
+    /// Instructions executed so far: one per IR instruction reached,
+    /// terminators excluded.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.exec.steps
     }
 
     /// Interpreter-side execution counters (fast-path allocation hits and
     /// misses).
     pub fn exec_stats(&self) -> ExecStats {
         self.exec_stats
-    }
-
-    fn meta(&self) -> Result<&'p PagedMeta, VmError> {
-        self.meta
-            .ok_or_else(|| VmError::IllegalInstruction("paged instruction in heap mode".into()))
     }
 
     // Crate-internal accessors used by the conversion functions.
@@ -241,71 +331,33 @@ impl<'p> Vm<'p> {
     pub(crate) fn paged_mut(&mut self) -> &mut PagedHeap {
         &mut self.paged
     }
-    pub(crate) fn meta_ref(&self) -> Option<&'p PagedMeta> {
-        self.meta
-    }
     pub(crate) fn program_ref(&self) -> &'p Program {
         self.program
     }
-    pub(crate) fn ir_class_of(&self, heap_class: u16) -> ClassId {
-        self.rev_class[&heap_class]
+    pub(crate) fn ir_class_of(&self, heap_class: HClassId) -> ClassId {
+        self.tables.ir_class(heap_class)
     }
     pub(crate) fn heap_class_of(&self, ir_class: ClassId) -> HClassId {
-        self.class_map[&ir_class]
+        self.tables
+            .heap_class(ir_class)
+            .expect("data classes are concrete")
+    }
+    pub(crate) fn tables(&self) -> &Tables {
+        &self.tables
     }
 
-    fn new_frame(&mut self, method: MethodId, args: Vec<Value>) -> Frame {
-        let body = self
-            .program
-            .method(method)
-            .body
-            .as_ref()
-            .expect("callable method has a body");
-        let mut locals: Vec<Value> = body.locals.iter().map(default_value).collect();
-        locals[..args.len()].copy_from_slice(&args);
-        let roots: Vec<RootId> = locals
-            .iter()
-            .map(|v| match v {
-                Value::Obj(r) => self.heap.add_root(*r),
-                _ => self.heap.add_root(ObjRef::NULL),
-            })
-            .collect();
-        Frame { locals, roots }
+    /// The facade pools, for ops the decoder admits in paged mode only.
+    fn pools_mut(&mut self) -> &mut FacadePools {
+        self.pools
+            .as_mut()
+            .expect("the decoder admits facade ops in paged mode only")
     }
 
-    fn drop_frame(&mut self, frame: Frame) {
-        for r in frame.roots {
-            self.heap.remove_root(r);
-        }
-    }
-
-    fn set_local(&mut self, frame: &mut Frame, l: Local, v: Value) {
-        let i = l.0 as usize;
-        frame.locals[i] = v;
-        let root = frame.roots[i];
-        match v {
-            Value::Obj(r) => self.heap.set_root(root, r),
-            _ => self.heap.set_root(root, ObjRef::NULL),
-        }
-    }
-
-    fn facade_peek(&mut self, slot: FacadeSlot) -> PageRef {
-        let pools = self.pools.as_mut().expect("paged mode");
+    fn facade(&mut self, slot: FacadeSlot) -> &mut facade_runtime::Facade {
+        let pools = self.pools_mut();
         match slot {
-            FacadeSlot::Receiver { type_id } => pools.receiver(PTypeId(type_id)).peek(),
-            FacadeSlot::Param { type_id, index } => {
-                pools.param(PTypeId(type_id), index as usize).peek()
-            }
-        }
-    }
-
-    fn facade_release(&mut self, slot: FacadeSlot) -> PageRef {
-        let pools = self.pools.as_mut().expect("paged mode");
-        match slot {
-            FacadeSlot::Receiver { type_id } => pools.receiver(PTypeId(type_id)).release(),
-            FacadeSlot::Param { type_id, index } => {
-                pools.param(PTypeId(type_id), index as usize).release()
-            }
+            FacadeSlot::Receiver { type_id } => pools.receiver(PTypeId(type_id)),
+            FacadeSlot::Param { type_id, index } => pools.param(PTypeId(type_id), index as usize),
         }
     }
 
@@ -313,491 +365,621 @@ impl<'p> Vm<'p> {
     ///
     /// # Errors
     ///
-    /// Any runtime failure ([`VmError`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `method` has no body (abstract) — virtual dispatch resolves
-    /// implementations before calling.
+    /// Any runtime failure ([`VmError`]), including
+    /// [`VmError::IllegalInstruction`] when `method` has no body or `args`
+    /// do not fit its parameters.
     pub fn call(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
-        let mut frame = self.new_frame(method, args);
-        let result = self.exec(method, &mut frame);
-        self.drop_frame(frame);
+        let mut ex = std::mem::take(&mut self.exec);
+        if ex.decoded.is_empty() {
+            ex.decoded.resize_with(self.program.method_count(), || None);
+        }
+        let result = self.interpret(&mut ex, method, &args);
+        // A failed run leaves its frames behind; a finished one left none.
+        for root in ex.stacks.roots.drain(..) {
+            self.heap.remove_root(root);
+        }
+        ex.stacks.frames.clear();
+        ex.stacks.slots.clear();
+        self.exec = ex;
         result
     }
 
+    /// The dispatch loop: runs `entry` and everything it calls on the
+    /// explicit frame stack until the entry frame returns.
     #[allow(clippy::too_many_lines)]
-    fn exec(&mut self, method: MethodId, frame: &mut Frame) -> Result<Option<Value>, VmError> {
-        let body = self
-            .program
-            .method(method)
-            .body
-            .as_ref()
-            .expect("callable method has a body");
-        let mut bb = 0usize;
-        loop {
-            let block = &body.blocks[bb];
-            for instr in &block.instrs {
-                self.steps += 1;
-                if let Some(budget) = self.config.step_budget {
-                    if self.steps > budget {
-                        return Err(VmError::StepBudgetExceeded);
-                    }
-                }
-                self.exec_instr(method, body, frame, instr)?;
-            }
-            match block.term.as_ref().expect("verified body") {
-                Terminator::Return(None) => return Ok(None),
-                Terminator::Return(Some(l)) => return Ok(Some(frame.locals[l.0 as usize])),
-                Terminator::Jump(t) => bb = t.0 as usize,
-                Terminator::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    bb = if frame.locals[cond.0 as usize].as_i32() != 0 {
-                        then_bb.0 as usize
-                    } else {
-                        else_bb.0 as usize
-                    };
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_instr(
+    fn interpret(
         &mut self,
-        method: MethodId,
-        body: &facade_ir::Body,
-        frame: &mut Frame,
-        instr: &Instr,
-    ) -> Result<(), VmError> {
-        use Instr::*;
-        let get = |f: &Frame, l: Local| f.locals[l.0 as usize];
-        match instr {
-            ConstI32(d, v) => self.set_local(frame, *d, Value::I32(*v)),
-            ConstI64(d, v) => self.set_local(frame, *d, Value::I64(*v)),
-            ConstF64(d, v) => self.set_local(frame, *d, Value::F64(*v)),
-            ConstNull(d) => {
-                let v = default_value(body.local_ty(*d));
-                self.set_local(frame, *d, v);
-            }
-            Move { dst, src } => {
-                let v = get(frame, *src);
-                self.set_local(frame, *dst, v);
-            }
-            Bin { dst, op, a, b } => {
-                let v = eval_bin(*op, get(frame, *a), get(frame, *b))?;
-                self.set_local(frame, *dst, v);
-            }
-            Cmp { dst, op, a, b } => {
-                let v = eval_cmp(*op, get(frame, *a), get(frame, *b));
-                self.set_local(frame, *dst, Value::I32(v as i32));
-            }
-            NumCast { dst, src } => {
-                let v = num_cast(body.local_ty(*dst), get(frame, *src));
-                self.set_local(frame, *dst, v);
-            }
-            New { dst, class } => {
-                let hid = self.class_map[class];
-                let obj = self.heap.alloc(hid)?;
-                self.set_local(frame, *dst, Value::Obj(obj));
-            }
-            NewArray { dst, elem, len } => {
-                let n = get(frame, *len).as_i32().max(0) as usize;
-                let arr = self.heap.alloc_array(heap_elem_kind(elem), n)?;
-                self.set_local(frame, *dst, Value::Obj(arr));
-            }
-            GetField { dst, obj, field } => {
-                let o = get(frame, *obj).as_obj();
-                if o.is_null() {
-                    return Err(VmError::NullDeref(format!("getfield #{field}")));
+        ex: &mut Exec,
+        entry: MethodId,
+        entry_args: &[Value],
+    ) -> Result<Option<Value>, VmError> {
+        let Exec {
+            decoded,
+            stacks: st,
+            steps,
+        } = ex;
+        let (program, paged_mode) = (self.program, self.meta.is_some());
+        let budget = self.config.step_budget.unwrap_or(u64::MAX);
+
+        // The entry arguments sit below the entry frame like a caller's
+        // locals, so entering is an ordinary call from slot 0.
+        let (arg_kinds, arg_bits): (Vec<Kind>, Vec<u64>) =
+            entry_args.iter().map(|&v| value_bits(v)).unzip();
+        st.slots.extend(arg_bits);
+        let arg_locals: Vec<u32> = (0..entry_args.len() as u32).collect();
+
+        let slot = &mut decoded[entry.0 as usize];
+        if slot.is_none() {
+            *slot = Some(decode_method(program, &self.tables, paged_mode, entry)?);
+        }
+        let mut cur = decoded[entry.0 as usize].as_ref().expect("decoded above");
+        check_call(arg_kinds.into_iter(), None, cur.params(), cur.ret).map_err(illegal)?;
+        let (mut fp, mut rp) = st.push_frame(&mut self.heap, entry, cur, 0, &arg_locals, NO_LOCAL);
+        let mut code: &[Op] = &cur.code;
+        let mut pc = 0usize;
+
+        macro_rules! get {
+            ($l:expr) => {
+                st.slots[fp + $l as usize]
+            };
+        }
+        macro_rules! set {
+            ($l:expr, $bits:expr) => {
+                st.slots[fp + $l as usize] = $bits
+            };
+        }
+        // `dst = f(a, b)` over two locals of one kind.
+        macro_rules! bin {
+            ($r:expr, $get:expr, $put:expr, |$x:ident, $y:ident| $e:expr) => {{
+                let ($x, $y) = ($get(get!($r.a)), $get(get!($r.b)));
+                set!($r.dst, $put($e));
+            }};
+        }
+        // A heap reference into an `Obj` local: the slot and its GC root.
+        macro_rules! set_obj {
+            ($l:expr, $r:expr) => {{
+                let r: ObjRef = $r;
+                set!($l, from_obj(r));
+                let root = st.roots[rp + cur.root_of[$l as usize] as usize];
+                self.heap.set_root(root, r);
+            }};
+        }
+        // A non-null heap / page reference out of a local.
+        macro_rules! obj {
+            ($l:expr, $what:expr) => {{
+                let r = as_obj(get!($l));
+                if r.is_null() {
+                    return Err(VmError::NullDeref($what.into()));
                 }
-                let v = match body.local_ty(*dst) {
-                    Ty::I32 => Value::I32(self.heap.get_i32(o, *field)),
-                    Ty::I64 => Value::I64(self.heap.get_i64(o, *field)),
-                    Ty::F64 => Value::F64(self.heap.get_f64(o, *field)),
-                    _ => Value::Obj(self.heap.get_ref(o, *field)),
-                };
-                self.set_local(frame, *dst, v);
-            }
-            SetField { obj, field, src } => {
-                let o = get(frame, *obj).as_obj();
-                if o.is_null() {
-                    return Err(VmError::NullDeref(format!("setfield #{field}")));
+                r
+            }};
+        }
+        macro_rules! page {
+            ($l:expr, $what:expr) => {{
+                let r = PageRef::from_raw(get!($l));
+                if r.is_null() {
+                    return Err(VmError::NullDeref($what.into()));
                 }
-                match get(frame, *src) {
-                    Value::I32(v) => self.heap.set_i32(o, *field, v),
-                    Value::I64(v) => self.heap.set_i64(o, *field, v),
-                    Value::F64(v) => self.heap.set_f64(o, *field, v),
-                    Value::Obj(r) => self.heap.set_ref(o, *field, r),
-                    other => {
-                        return Err(VmError::IllegalInstruction(format!(
-                            "setfield of {other:?} into heap object"
-                        )));
+                r
+            }};
+        }
+        macro_rules! nonzero {
+            ($y:expr) => {
+                if $y == 0 {
+                    return Err(VmError::DivisionByZero);
+                }
+            };
+        }
+        let f64_of = f64::from_bits;
+        let of_f64 = f64::to_bits;
+
+        loop {
+            let op = code[pc];
+            pc += 1;
+            *steps += u64::from(!op.is_terminator());
+            if *steps > budget {
+                return Err(VmError::StepBudgetExceeded);
+            }
+            match op {
+                Op::Jump(target) => pc = target as usize,
+                Op::Branch {
+                    cond,
+                    then_pc,
+                    else_pc,
+                } => {
+                    pc = if as_i32(get!(cond)) != 0 {
+                        then_pc
+                    } else {
+                        else_pc
+                    } as usize;
+                }
+                Op::Ret(_) | Op::RetVoid => {
+                    let value = match op {
+                        Op::Ret(l) => Some(get!(l)),
+                        _ => None,
+                    };
+                    let ret_kind = cur.ret;
+                    let done = st.frames.pop().expect("a frame is running");
+                    for root in st.roots.drain(done.rp..) {
+                        self.heap.remove_root(root);
+                    }
+                    st.slots.truncate(done.fp);
+                    let Some(caller) = st.frames.last() else {
+                        return Ok(value.zip(ret_kind).map(|(bits, kind)| value_of(kind, bits)));
+                    };
+                    cur = decoded[caller.method.0 as usize]
+                        .as_ref()
+                        .expect("an active frame's method is decoded");
+                    code = &cur.code;
+                    (pc, fp, rp) = (caller.pc, caller.fp, caller.rp);
+                    match (done.ret_dst, value) {
+                        (NO_LOCAL, Some(bits)) => {
+                            // A discarded data-typed return: release the
+                            // facade the callee bound at its return site so
+                            // the pool slot is immediately reusable.
+                            if let Some(slot) =
+                                as_facade(bits).filter(|_| ret_kind == Some(Kind::Facade))
+                            {
+                                let _ = self.facade(slot).release();
+                            }
+                        }
+                        (dst, Some(bits)) if cur.kinds[dst as usize] == Kind::Obj => {
+                            set_obj!(dst, as_obj(bits));
+                        }
+                        (dst, Some(bits)) => set!(dst, bits),
+                        (_, None) => {}
                     }
                 }
-            }
-            ArrayGet { dst, arr, idx } => {
-                let a = get(frame, *arr).as_obj();
-                if a.is_null() {
-                    return Err(VmError::NullDeref("arrayget".into()));
+                Op::Illegal(msg) => {
+                    return Err(illegal(cur.msgs[msg as usize].clone()));
                 }
-                let i = get(frame, *idx).as_i32() as usize;
-                let v = match body.local_ty(*dst) {
-                    Ty::I32 => Value::I32(self.heap.array_get_i32(a, i)),
-                    Ty::I64 => Value::I64(self.heap.array_get_i64(a, i)),
-                    Ty::F64 => Value::F64(self.heap.array_get_f64(a, i)),
-                    _ => Value::Obj(self.heap.array_get_ref(a, i)),
-                };
-                self.set_local(frame, *dst, v);
-            }
-            ArraySet { arr, idx, src } => {
-                let a = get(frame, *arr).as_obj();
-                if a.is_null() {
-                    return Err(VmError::NullDeref("arrayset".into()));
+                Op::Nop => {}
+                Op::Const { dst, bits } => set!(dst, bits),
+                Op::NullObj(dst) => set_obj!(dst, ObjRef::NULL),
+                Op::Move(r) => set!(r.dst, get!(r.src)),
+                Op::MoveObj(r) => set_obj!(r.dst, as_obj(get!(r.src))),
+
+                Op::AddI32(r) => bin!(r, as_i32, from_i32, |x, y| x.wrapping_add(y)),
+                Op::SubI32(r) => bin!(r, as_i32, from_i32, |x, y| x.wrapping_sub(y)),
+                Op::MulI32(r) => bin!(r, as_i32, from_i32, |x, y| x.wrapping_mul(y)),
+                Op::DivI32(r) => bin!(r, as_i32, from_i32, |x, y| {
+                    nonzero!(y);
+                    x.wrapping_div(y)
+                }),
+                Op::RemI32(r) => bin!(r, as_i32, from_i32, |x, y| {
+                    nonzero!(y);
+                    x.wrapping_rem(y)
+                }),
+                Op::AndI32(r) => bin!(r, as_i32, from_i32, |x, y| x & y),
+                Op::OrI32(r) => bin!(r, as_i32, from_i32, |x, y| x | y),
+                Op::XorI32(r) => bin!(r, as_i32, from_i32, |x, y| x ^ y),
+                Op::ShlI32(r) => bin!(r, as_i32, from_i32, |x, y| x.wrapping_shl(y as u32)),
+                Op::ShrI32(r) => bin!(r, as_i32, from_i32, |x, y| x.wrapping_shr(y as u32)),
+                Op::AddI64(r) => bin!(r, as_i64, from_i64, |x, y| x.wrapping_add(y)),
+                Op::SubI64(r) => bin!(r, as_i64, from_i64, |x, y| x.wrapping_sub(y)),
+                Op::MulI64(r) => bin!(r, as_i64, from_i64, |x, y| x.wrapping_mul(y)),
+                Op::DivI64(r) => bin!(r, as_i64, from_i64, |x, y| {
+                    nonzero!(y);
+                    x.wrapping_div(y)
+                }),
+                Op::RemI64(r) => bin!(r, as_i64, from_i64, |x, y| {
+                    nonzero!(y);
+                    x.wrapping_rem(y)
+                }),
+                Op::AndI64(r) => bin!(r, as_i64, from_i64, |x, y| x & y),
+                Op::OrI64(r) => bin!(r, as_i64, from_i64, |x, y| x | y),
+                Op::XorI64(r) => bin!(r, as_i64, from_i64, |x, y| x ^ y),
+                Op::ShlI64(r) => bin!(r, as_i64, from_i64, |x, y| x.wrapping_shl(y as u32)),
+                Op::ShrI64(r) => bin!(r, as_i64, from_i64, |x, y| x.wrapping_shr(y as u32)),
+                Op::AddF64(r) => bin!(r, f64_of, of_f64, |x, y| x + y),
+                Op::SubF64(r) => bin!(r, f64_of, of_f64, |x, y| x - y),
+                Op::MulF64(r) => bin!(r, f64_of, of_f64, |x, y| x * y),
+                Op::DivF64(r) => bin!(r, f64_of, of_f64, |x, y| x / y),
+                Op::RemF64(r) => bin!(r, f64_of, of_f64, |x, y| x % y),
+
+                Op::EqI32(r) => bin!(r, as_i32, from_bool, |x, y| x == y),
+                Op::NeI32(r) => bin!(r, as_i32, from_bool, |x, y| x != y),
+                Op::LtI32(r) => bin!(r, as_i32, from_bool, |x, y| x < y),
+                Op::LeI32(r) => bin!(r, as_i32, from_bool, |x, y| x <= y),
+                Op::GtI32(r) => bin!(r, as_i32, from_bool, |x, y| x > y),
+                Op::GeI32(r) => bin!(r, as_i32, from_bool, |x, y| x >= y),
+                Op::EqI64(r) => bin!(r, as_i64, from_bool, |x, y| x == y),
+                Op::NeI64(r) => bin!(r, as_i64, from_bool, |x, y| x != y),
+                Op::LtI64(r) => bin!(r, as_i64, from_bool, |x, y| x < y),
+                Op::LeI64(r) => bin!(r, as_i64, from_bool, |x, y| x <= y),
+                Op::GtI64(r) => bin!(r, as_i64, from_bool, |x, y| x > y),
+                Op::GeI64(r) => bin!(r, as_i64, from_bool, |x, y| x >= y),
+                Op::EqF64(r) => bin!(r, f64_of, from_bool, |x, y| x == y),
+                Op::NeF64(r) => bin!(r, f64_of, from_bool, |x, y| x != y),
+                Op::LtF64(r) => bin!(r, f64_of, from_bool, |x, y| x < y),
+                Op::LeF64(r) => bin!(r, f64_of, from_bool, |x, y| x <= y),
+                Op::GtF64(r) => bin!(r, f64_of, from_bool, |x, y| x > y),
+                Op::GeF64(r) => bin!(r, f64_of, from_bool, |x, y| x >= y),
+                Op::EqRef(r) => bin!(r, std::convert::identity, from_bool, |x, y| x == y),
+                Op::NeRef(r) => bin!(r, std::convert::identity, from_bool, |x, y| x != y),
+
+                Op::I64ToI32(r) => set!(r.dst, from_i32(as_i64(get!(r.src)) as i32)),
+                Op::F64ToI32(r) => set!(r.dst, from_i32(f64_of(get!(r.src)) as i32)),
+                Op::I32ToI64(r) => set!(r.dst, from_i64(i64::from(as_i32(get!(r.src))))),
+                Op::F64ToI64(r) => set!(r.dst, from_i64(f64_of(get!(r.src)) as i64)),
+                Op::I32ToF64(r) => set!(r.dst, of_f64(f64::from(as_i32(get!(r.src))))),
+                Op::I64ToF64(r) => set!(r.dst, of_f64(as_i64(get!(r.src)) as f64)),
+
+                Op::New { dst, class } => set_obj!(dst, self.heap.alloc(class)?),
+                Op::NewArray { dst, len, elem } => {
+                    let n = as_i32(get!(len)).max(0) as usize;
+                    set_obj!(dst, self.heap.alloc_array(elem, n)?);
                 }
-                let i = get(frame, *idx).as_i32() as usize;
-                match get(frame, *src) {
-                    Value::I32(v) => self.heap.array_set_i32(a, i, v),
-                    Value::I64(v) => self.heap.array_set_i64(a, i, v),
-                    Value::F64(v) => self.heap.array_set_f64(a, i, v),
-                    Value::Obj(r) => self.heap.array_set_ref(a, i, r),
-                    other => {
-                        return Err(VmError::IllegalInstruction(format!(
-                            "arrayset of {other:?} into heap array"
-                        )));
+                Op::GetFieldI32(f) => {
+                    let o = obj!(f.obj, format!("getfield #{}", f.slot));
+                    set!(f.val, from_i32(self.heap.get_i32(o, f.slot as usize)));
+                }
+                Op::GetFieldI64(f) => {
+                    let o = obj!(f.obj, format!("getfield #{}", f.slot));
+                    set!(f.val, from_i64(self.heap.get_i64(o, f.slot as usize)));
+                }
+                Op::GetFieldF64(f) => {
+                    let o = obj!(f.obj, format!("getfield #{}", f.slot));
+                    set!(f.val, of_f64(self.heap.get_f64(o, f.slot as usize)));
+                }
+                Op::GetFieldRef(f) => {
+                    let o = obj!(f.obj, format!("getfield #{}", f.slot));
+                    set_obj!(f.val, self.heap.get_ref(o, f.slot as usize));
+                }
+                Op::SetFieldI32(f) => {
+                    let o = obj!(f.obj, format!("setfield #{}", f.slot));
+                    self.heap.set_i32(o, f.slot as usize, as_i32(get!(f.val)));
+                }
+                Op::SetFieldI64(f) => {
+                    let o = obj!(f.obj, format!("setfield #{}", f.slot));
+                    self.heap.set_i64(o, f.slot as usize, as_i64(get!(f.val)));
+                }
+                Op::SetFieldF64(f) => {
+                    let o = obj!(f.obj, format!("setfield #{}", f.slot));
+                    self.heap.set_f64(o, f.slot as usize, f64_of(get!(f.val)));
+                }
+                Op::SetFieldRef(f) => {
+                    let o = obj!(f.obj, format!("setfield #{}", f.slot));
+                    self.heap.set_ref(o, f.slot as usize, as_obj(get!(f.val)));
+                }
+                Op::ArrayGetI32(r) => {
+                    let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
+                    set!(r.dst, from_i32(self.heap.array_get_i32(a, i)));
+                }
+                Op::ArrayGetI64(r) => {
+                    let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
+                    set!(r.dst, from_i64(self.heap.array_get_i64(a, i)));
+                }
+                Op::ArrayGetF64(r) => {
+                    let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
+                    set!(r.dst, of_f64(self.heap.array_get_f64(a, i)));
+                }
+                Op::ArrayGetRef(r) => {
+                    let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
+                    set_obj!(r.dst, self.heap.array_get_ref(a, i));
+                }
+                Op::ArraySetI32(r) => {
+                    let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
+                    self.heap.array_set_i32(a, i, as_i32(get!(r.dst)));
+                }
+                Op::ArraySetI64(r) => {
+                    let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
+                    self.heap.array_set_i64(a, i, as_i64(get!(r.dst)));
+                }
+                Op::ArraySetF64(r) => {
+                    let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
+                    self.heap.array_set_f64(a, i, f64_of(get!(r.dst)));
+                }
+                Op::ArraySetRef(r) => {
+                    let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
+                    self.heap.array_set_ref(a, i, as_obj(get!(r.dst)));
+                }
+                Op::ArrayLen(r) => {
+                    let a = obj!(r.src, "arraylength");
+                    set!(r.dst, from_i32(self.heap.array_len(a) as i32));
+                }
+                Op::InstanceOf { dst, src, class } => {
+                    let r = as_obj(get!(src));
+                    let is = !r.is_null()
+                        && self
+                            .heap
+                            .class_of(r)
+                            .is_some_and(|h| program.is_subtype(self.tables.ir_class(h), class));
+                    set!(dst, from_bool(is));
+                }
+                Op::MonitorEnter(l) => {
+                    let o = obj!(l, "monitorenter");
+                    *self.heap_monitors.entry(o.raw()).or_default() += 1;
+                }
+                Op::MonitorExit(l) => {
+                    let count = self.heap_monitors.entry(get!(l) as u32).or_default();
+                    *count = count.saturating_sub(1);
+                }
+                Op::Print { src, kind } => {
+                    let line = self.format_slot(kind, get!(src));
+                    self.output.push(line);
+                }
+
+                Op::Call { .. } | Op::CallVirtual { .. } => {
+                    // `virtual_argc` is set for a virtual call: its callee,
+                    // and so the callee's signature, is only known now.
+                    let (dst, callee_id, args, virtual_argc) = match op {
+                        Op::Call { dst, callee, args } => (dst, callee, args, None),
+                        Op::CallVirtual {
+                            dst,
+                            declared,
+                            args,
+                        } => {
+                            let recv = cur.args[args as usize];
+                            let class =
+                                self.receiver_class(cur.kinds[recv as usize], get!(recv))?;
+                            let callee = self.implementation(class, declared)?;
+                            let argc = program.method(declared).param_slot_count();
+                            (dst, callee, args, Some(argc))
+                        }
+                        _ => unreachable!("matched as a call above"),
+                    };
+                    if st.frames.len() >= MAX_CALL_DEPTH {
+                        return Err(VmError::CallDepthExceeded);
                     }
-                }
-            }
-            ArrayLen { dst, arr } => {
-                let a = get(frame, *arr).as_obj();
-                if a.is_null() {
-                    return Err(VmError::NullDeref("arraylength".into()));
-                }
-                let n = self.heap.array_len(a) as i32;
-                self.set_local(frame, *dst, Value::I32(n));
-            }
-            Call { dst, target, args } => {
-                let argv: Vec<Value> = args.iter().map(|&a| get(frame, a)).collect();
-                let callee = self.dispatch(*target, &argv)?;
-                let ret = self.call(callee, argv)?;
-                match (dst, ret) {
-                    (Some(d), Some(v)) => self.set_local(frame, *d, v),
-                    (None, Some(Value::Facade(slot))) => {
-                        // Discarded data-typed return: release the facade the
-                        // callee bound at its return site so the pool slot is
-                        // immediately reusable.
-                        let _ = self.facade_release(slot);
+                    let caller_id = st.frames.last().expect("a frame is running").method;
+                    // From here on `cur` is dead until reassigned: a first
+                    // call writes the decoded-method table.
+                    let slot = &mut decoded[callee_id.0 as usize];
+                    if slot.is_none() {
+                        *slot = Some(decode_method(program, &self.tables, paged_mode, callee_id)?);
                     }
-                    _ => {}
+                    let caller = decoded[caller_id.0 as usize]
+                        .as_ref()
+                        .expect("an active frame's method is decoded");
+                    let callee = decoded[callee_id.0 as usize]
+                        .as_ref()
+                        .expect("decoded above");
+                    // A static call site was checked against its callee when
+                    // it was decoded.
+                    let argc = virtual_argc.unwrap_or(callee.params().len());
+                    let arg_locals = &caller.args[args as usize..][..argc];
+                    if virtual_argc.is_some() {
+                        let arg_kinds = arg_locals.iter().map(|&a| caller.kinds[a as usize]);
+                        let dst_kind = (dst != NO_LOCAL).then(|| caller.kinds[dst as usize]);
+                        check_call(arg_kinds, dst_kind, callee.params(), callee.ret)
+                            .map_err(illegal)?;
+                    }
+                    st.frames.last_mut().expect("a frame is running").pc = pc;
+                    (fp, rp) =
+                        st.push_frame(&mut self.heap, callee_id, callee, fp, arg_locals, dst);
+                    cur = callee;
+                    code = &cur.code;
+                    pc = 0;
                 }
-            }
-            InstanceOf { dst, src, class } => {
-                let v = match get(frame, *src) {
-                    Value::Obj(r) if !r.is_null() => match self.heap.class_of(r) {
-                        Some(h) => self.program.is_subtype(self.rev_class[&h.0], *class),
-                        None => false,
-                    },
-                    _ => false,
-                };
-                self.set_local(frame, *dst, Value::I32(v as i32));
-            }
-            MonitorEnter(l) => {
-                let o = get(frame, *l).as_obj();
-                if o.is_null() {
-                    return Err(VmError::NullDeref("monitorenter".into()));
-                }
-                *self.heap_monitors.entry(o.raw()).or_default() += 1;
-            }
-            MonitorExit(l) => {
-                let o = get(frame, *l).as_obj();
-                let count = self.heap_monitors.entry(o.raw()).or_default();
-                *count = count.saturating_sub(1);
-            }
-            Print(l) => {
-                let line = self.format_value(get(frame, *l));
-                self.output.push(line);
-            }
-            IterationStart => {
-                if self.meta.is_some() {
+
+                Op::IterationStart => {
                     let it = self.paged.iteration_start();
                     self.iteration_stack.push(it);
                 }
-            }
-            IterationEnd => {
-                if self.meta.is_some() {
-                    let it = self.iteration_stack.pop().ok_or_else(|| {
-                        VmError::IllegalInstruction("unmatched iteration end".into())
-                    })?;
+                Op::IterationEnd => {
+                    let it = self
+                        .iteration_stack
+                        .pop()
+                        .ok_or_else(|| illegal("unmatched iteration end"))?;
                     self.paged.iteration_end(it);
                 }
-            }
-
-            // ----- paged forms ------------------------------------------
-            PageAlloc { dst, class } => {
-                let tid = self.meta()?.type_id(*class);
-                let r = self.paged.alloc(PTypeId(tid))?;
-                self.set_local(frame, *dst, Value::Page(r));
-            }
-            PageAllocFast { dst, class } => {
-                let tid = self.meta()?.type_id(*class);
-                let r = match self.paged.alloc_fast(PTypeId(tid)) {
-                    Some(r) => {
-                        self.exec_stats.fast_alloc_hits += 1;
-                        r
-                    }
-                    None => {
-                        self.exec_stats.fast_alloc_misses += 1;
-                        self.paged.alloc(PTypeId(tid))?
-                    }
-                };
-                self.set_local(frame, *dst, Value::Page(r));
-            }
-            PageNewArray { dst, elem, len } => {
-                self.meta()?;
-                let n = get(frame, *len).as_i32().max(0) as usize;
-                let r = self.paged.alloc_array(paged_elem_kind(elem), n)?;
-                self.set_local(frame, *dst, Value::Page(r));
-            }
-            PageGetField {
-                dst, obj, field, ..
-            } => {
-                let r = get(frame, *obj).as_page();
-                if r.is_null() {
-                    return Err(VmError::NullDeref(format!("paged getfield #{field}")));
+                Op::PageAlloc { dst, tid } => set!(dst, self.paged.alloc(PTypeId(tid))?.raw()),
+                Op::PageAllocFast { dst, tid } => {
+                    let r = match self.paged.alloc_fast(PTypeId(tid)) {
+                        Some(r) => {
+                            self.exec_stats.fast_alloc_hits += 1;
+                            r
+                        }
+                        None => {
+                            self.exec_stats.fast_alloc_misses += 1;
+                            self.paged.alloc(PTypeId(tid))?
+                        }
+                    };
+                    set!(dst, r.raw());
                 }
-                let v = match body.local_ty(*dst) {
-                    Ty::I32 => Value::I32(self.paged.get_i32(r, *field)),
-                    Ty::I64 => Value::I64(self.paged.get_i64(r, *field)),
-                    Ty::F64 => Value::F64(self.paged.get_f64(r, *field)),
-                    _ => Value::Page(self.paged.get_ref(r, *field)),
-                };
-                self.set_local(frame, *dst, v);
-            }
-            PageSetField {
-                obj, field, src, ..
-            } => {
-                let r = get(frame, *obj).as_page();
-                if r.is_null() {
-                    return Err(VmError::NullDeref(format!("paged setfield #{field}")));
+                Op::PageNewArray { dst, len, elem } => {
+                    let n = as_i32(get!(len)).max(0) as usize;
+                    set!(dst, self.paged.alloc_array(elem, n)?.raw());
                 }
-                match get(frame, *src) {
-                    Value::I32(v) => self.paged.set_i32(r, *field, v),
-                    Value::I64(v) => self.paged.set_i64(r, *field, v),
-                    Value::F64(v) => self.paged.set_f64(r, *field, v),
-                    Value::Page(p) => self.paged.set_ref(r, *field, p),
-                    other => {
-                        return Err(VmError::IllegalInstruction(format!(
-                            "paged setfield of {other:?}"
-                        )));
-                    }
+                Op::PageGetFieldI32(f) => {
+                    let o = page!(f.obj, format!("paged getfield #{}", f.slot));
+                    set!(f.val, from_i32(self.paged.get_i32(o, f.slot as usize)));
                 }
-            }
-            PageArrayGet {
-                dst,
-                arr,
-                idx,
-                elem,
-            } => {
-                let a = get(frame, *arr).as_page();
-                if a.is_null() {
-                    return Err(VmError::NullDeref("paged arrayget".into()));
+                Op::PageGetFieldI64(f) => {
+                    let o = page!(f.obj, format!("paged getfield #{}", f.slot));
+                    set!(f.val, from_i64(self.paged.get_i64(o, f.slot as usize)));
                 }
-                let i = get(frame, *idx).as_i32() as usize;
-                let v = match elem {
-                    Ty::I32 => Value::I32(self.paged.array_get_i32(a, i)),
-                    Ty::I64 => Value::I64(self.paged.array_get_i64(a, i)),
-                    Ty::F64 => Value::F64(self.paged.array_get_f64(a, i)),
-                    _ => Value::Page(self.paged.array_get_ref(a, i)),
-                };
-                self.set_local(frame, *dst, v);
-            }
-            PageArraySet { arr, idx, src, .. } => {
-                let a = get(frame, *arr).as_page();
-                if a.is_null() {
-                    return Err(VmError::NullDeref("paged arrayset".into()));
+                Op::PageGetFieldF64(f) => {
+                    let o = page!(f.obj, format!("paged getfield #{}", f.slot));
+                    set!(f.val, of_f64(self.paged.get_f64(o, f.slot as usize)));
                 }
-                let i = get(frame, *idx).as_i32() as usize;
-                match get(frame, *src) {
-                    Value::I32(v) => self.paged.array_set_i32(a, i, v),
-                    Value::I64(v) => self.paged.array_set_i64(a, i, v),
-                    Value::F64(v) => self.paged.array_set_f64(a, i, v),
-                    Value::Page(p) => self.paged.array_set_ref(a, i, p),
-                    other => {
-                        return Err(VmError::IllegalInstruction(format!(
-                            "paged arrayset of {other:?}"
-                        )));
-                    }
+                Op::PageGetFieldRef(f) => {
+                    let o = page!(f.obj, format!("paged getfield #{}", f.slot));
+                    set!(f.val, self.paged.get_ref(o, f.slot as usize).raw());
                 }
-            }
-            PageArrayLen { dst, arr } => {
-                let a = get(frame, *arr).as_page();
-                if a.is_null() {
-                    return Err(VmError::NullDeref("paged arraylength".into()));
+                Op::PageSetFieldI32(f) => {
+                    let o = page!(f.obj, format!("paged setfield #{}", f.slot));
+                    self.paged.set_i32(o, f.slot as usize, as_i32(get!(f.val)));
                 }
-                let n = self.paged.array_len(a) as i32;
-                self.set_local(frame, *dst, Value::I32(n));
-            }
-            BindParam {
-                dst,
-                class,
-                index,
-                src,
-            } => {
-                let tid = self.meta()?.type_id(*class);
-                let r = get(frame, *src).as_page();
-                let pools = self.pools.as_mut().expect("paged mode");
-                pools.param(PTypeId(tid), *index).bind(r);
-                self.set_local(
-                    frame,
-                    *dst,
-                    Value::Facade(FacadeSlot::Param {
+                Op::PageSetFieldI64(f) => {
+                    let o = page!(f.obj, format!("paged setfield #{}", f.slot));
+                    self.paged.set_i64(o, f.slot as usize, as_i64(get!(f.val)));
+                }
+                Op::PageSetFieldF64(f) => {
+                    let o = page!(f.obj, format!("paged setfield #{}", f.slot));
+                    self.paged.set_f64(o, f.slot as usize, f64_of(get!(f.val)));
+                }
+                Op::PageSetFieldRef(f) => {
+                    let o = page!(f.obj, format!("paged setfield #{}", f.slot));
+                    let v = PageRef::from_raw(get!(f.val));
+                    self.paged.set_ref(o, f.slot as usize, v);
+                }
+                Op::PageArrayGetI32(r) => {
+                    let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
+                    set!(r.dst, from_i32(self.paged.array_get_i32(a, i)));
+                }
+                Op::PageArrayGetI64(r) => {
+                    let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
+                    set!(r.dst, from_i64(self.paged.array_get_i64(a, i)));
+                }
+                Op::PageArrayGetF64(r) => {
+                    let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
+                    set!(r.dst, of_f64(self.paged.array_get_f64(a, i)));
+                }
+                Op::PageArrayGetRef(r) => {
+                    let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
+                    set!(r.dst, self.paged.array_get_ref(a, i).raw());
+                }
+                Op::PageArraySetI32(r) => {
+                    let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
+                    self.paged.array_set_i32(a, i, as_i32(get!(r.dst)));
+                }
+                Op::PageArraySetI64(r) => {
+                    let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
+                    self.paged.array_set_i64(a, i, as_i64(get!(r.dst)));
+                }
+                Op::PageArraySetF64(r) => {
+                    let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
+                    self.paged.array_set_f64(a, i, f64_of(get!(r.dst)));
+                }
+                Op::PageArraySetRef(r) => {
+                    let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
+                    self.paged
+                        .array_set_ref(a, i, PageRef::from_raw(get!(r.dst)));
+                }
+                Op::PageArrayLen(r) => {
+                    let a = page!(r.src, "paged arraylength");
+                    set!(r.dst, from_i32(self.paged.array_len(a) as i32));
+                }
+                Op::BindParam {
+                    dst,
+                    src,
+                    tid,
+                    index,
+                } => {
+                    let slot = FacadeSlot::Param {
                         type_id: tid,
-                        index: *index as u16,
-                    }),
-                );
-            }
-            Resolve { dst, src, .. } => {
-                let r = get(frame, *src).as_page();
-                if r.is_null() {
-                    return Err(VmError::NullDeref("resolve".into()));
+                        index,
+                    };
+                    self.facade(slot).bind(PageRef::from_raw(get!(src)));
+                    set!(dst, from_facade(slot));
                 }
-                let tid = self.paged.type_of(r).0;
-                let pools = self.pools.as_mut().expect("paged mode");
-                pools.receiver(PTypeId(tid)).bind(r);
-                self.set_local(
-                    frame,
-                    *dst,
-                    Value::Facade(FacadeSlot::Receiver { type_id: tid }),
-                );
-            }
-            ReleaseFacade { dst, facade } => {
-                let v = get(frame, *facade);
-                let Value::Facade(slot) = v else {
-                    return Err(VmError::IllegalInstruction(format!(
-                        "release of non-facade {v:?}"
-                    )));
-                };
-                let r = self.facade_release(slot);
-                self.set_local(frame, *dst, Value::Page(r));
-            }
-            PageInstanceOf { dst, src, class } => {
-                let meta = self.meta()?;
-                let v = match get(frame, *src) {
-                    Value::Page(r) if !r.is_null() => {
-                        let tid = self.paged.type_of(r).0;
-                        match meta.class_of_type.get(&tid) {
-                            Some(&c) => self.program.is_subtype(c, *class),
-                            None => false, // arrays
+                Op::Resolve(r) => {
+                    let record = page!(r.src, "resolve");
+                    let slot = FacadeSlot::Receiver {
+                        type_id: self.paged.type_of(record).0,
+                    };
+                    self.facade(slot).bind(record);
+                    set!(r.dst, from_facade(slot));
+                }
+                Op::ReleaseFacade(r) => {
+                    let slot = as_facade(get!(r.src))
+                        .ok_or_else(|| illegal("release of an unbound facade"))?;
+                    set!(r.dst, self.facade(slot).release().raw());
+                }
+                Op::PageInstanceOf { dst, src, class } => {
+                    let r = PageRef::from_raw(get!(src));
+                    // Arrays have no data class.
+                    let is = !r.is_null()
+                        && self
+                            .tables
+                            .class_of_type(self.paged.type_of(r).0)
+                            .is_some_and(|c| program.is_subtype(c, class));
+                    set!(dst, from_bool(is));
+                }
+                Op::PageMonitorEnter(l) => {
+                    let r = page!(l, "paged monitorenter");
+                    let mut id = self.paged.lock_word(r);
+                    if id == 0 {
+                        id = self.free_lock_ids.pop().unwrap_or_else(|| {
+                            let id = self.next_lock_id;
+                            self.next_lock_id += 1;
+                            id
+                        });
+                        self.paged.set_lock_word(r, id);
+                    }
+                    *self.page_monitor_counts.entry(id).or_default() += 1;
+                }
+                Op::PageMonitorExit(l) => {
+                    let r = PageRef::from_raw(get!(l));
+                    let id = self.paged.lock_word(r);
+                    if id != 0 {
+                        let count = self.page_monitor_counts.entry(id).or_default();
+                        *count = count.saturating_sub(1);
+                        if *count == 0 {
+                            // Return the lock to the pool and zero the record's
+                            // lock field (§3.4).
+                            self.paged.set_lock_word(r, 0);
+                            self.free_lock_ids.push(id);
                         }
                     }
-                    _ => false,
-                };
-                self.set_local(frame, *dst, Value::I32(v as i32));
-            }
-            PageMonitorEnter(l) => {
-                let r = get(frame, *l).as_page();
-                if r.is_null() {
-                    return Err(VmError::NullDeref("paged monitorenter".into()));
                 }
-                let mut id = self.paged.lock_word(r);
-                if id == 0 {
-                    id = self.free_lock_ids.pop().unwrap_or_else(|| {
-                        let id = self.next_lock_id;
-                        self.next_lock_id += 1;
-                        id
-                    });
-                    self.paged.set_lock_word(r, id);
+                Op::ConvertToPage(r) => {
+                    let record = self.convert_to_page(as_obj(get!(r.src)))?;
+                    set!(r.dst, record.raw());
                 }
-                *self.page_monitor_counts.entry(id).or_default() += 1;
-            }
-            PageMonitorExit(l) => {
-                let r = get(frame, *l).as_page();
-                let id = self.paged.lock_word(r);
-                if id != 0 {
-                    let count = self.page_monitor_counts.entry(id).or_default();
-                    *count = count.saturating_sub(1);
-                    if *count == 0 {
-                        // Return the lock to the pool and zero the record's
-                        // lock field (§3.4).
-                        self.paged.set_lock_word(r, 0);
-                        self.free_lock_ids.push(id);
-                    }
+                Op::ConvertToHeap(r) => {
+                    let o = self.convert_to_heap(PageRef::from_raw(get!(r.src)))?;
+                    set_obj!(r.dst, o);
                 }
-            }
-            ConvertToPage { dst, src, .. } => {
-                let v = get(frame, *src).as_obj();
-                let r = self.convert_to_page(v)?;
-                self.set_local(frame, *dst, Value::Page(r));
-            }
-            ConvertToHeap { dst, src, .. } => {
-                let r = get(frame, *src).as_page();
-                let v = self.convert_to_heap(r)?;
-                self.set_local(frame, *dst, Value::Obj(v));
-            }
-        }
-        let _ = method;
-        Ok(())
-    }
-
-    fn dispatch(&mut self, target: CallTarget, args: &[Value]) -> Result<MethodId, VmError> {
-        match target {
-            CallTarget::Static(m) | CallTarget::Special(m) => Ok(m),
-            CallTarget::Virtual(declared) => {
-                let recv = args.first().copied().ok_or_else(|| {
-                    VmError::IllegalInstruction("virtual call without receiver".into())
-                })?;
-                let runtime_class = match recv {
-                    Value::Obj(r) => {
-                        if r.is_null() {
-                            return Err(VmError::NullDeref("virtual dispatch".into()));
-                        }
-                        let h = self.heap.class_of(r).ok_or_else(|| {
-                            VmError::IllegalInstruction("dispatch on array".into())
-                        })?;
-                        self.rev_class[&h.0]
-                    }
-                    Value::Facade(slot) => {
-                        let r = self.facade_peek(slot);
-                        if r.is_null() {
-                            return Err(VmError::NullDeref("virtual dispatch".into()));
-                        }
-                        let tid = self.paged.type_of(r).0;
-                        let meta = self.meta()?;
-                        let data_class = meta.class_of_type[&tid];
-                        meta.facade(data_class).expect("facade generated")
-                    }
-                    other => {
-                        return Err(VmError::IllegalInstruction(format!(
-                            "virtual dispatch on {other:?}"
-                        )));
-                    }
-                };
-                Ok(self.program.resolve_virtual(runtime_class, declared))
             }
         }
     }
 
-    fn format_value(&mut self, v: Value) -> String {
-        match v {
+    /// The IR class virtual dispatch starts from: the receiver's runtime
+    /// class, or for a facade the facade class of the bound record's type.
+    fn receiver_class(&mut self, kind: Kind, bits: u64) -> Result<ClassId, VmError> {
+        if kind == Kind::Obj {
+            let r = as_obj(bits);
+            if r.is_null() {
+                return Err(VmError::NullDeref("virtual dispatch".into()));
+            }
+            let h = self
+                .heap
+                .class_of(r)
+                .ok_or_else(|| illegal("dispatch on array"))?;
+            return Ok(self.tables.ir_class(h));
+        }
+        let slot =
+            as_facade(bits).ok_or_else(|| illegal("virtual dispatch on an unbound facade"))?;
+        let r = self.facade(slot).peek();
+        if r.is_null() {
+            return Err(VmError::NullDeref("virtual dispatch".into()));
+        }
+        self.tables
+            .class_of_type(self.paged.type_of(r).0)
+            .and_then(|data_class| self.meta?.facade(data_class))
+            .ok_or_else(|| illegal("virtual dispatch on a record without a facade class"))
+    }
+
+    /// The method a virtual call of `declared` runs on a `class` receiver.
+    fn implementation(&self, class: ClassId, declared: MethodId) -> Result<MethodId, VmError> {
+        let program = self.program;
+        program.try_resolve_virtual(class, declared).ok_or_else(|| {
+            let want = program.method(declared);
+            illegal(format!(
+                "no implementation of {}::{} found from class {}",
+                program.class(want.class).name,
+                want.name,
+                program.class(class).name
+            ))
+        })
+    }
+
+    fn format_slot(&mut self, kind: Kind, bits: u64) -> String {
+        match value_of(kind, bits) {
             Value::I32(x) => x.to_string(),
             Value::I64(x) => x.to_string(),
             Value::F64(x) => format!("{x}"),
-            Value::Obj(r) => {
-                if r.is_null() {
-                    "null".into()
-                } else {
-                    match self.heap.class_of(r) {
-                        Some(h) => self.program.class(self.rev_class[&h.0]).name.clone(),
-                        None => "array".into(),
-                    }
-                }
-            }
+            Value::Obj(r) if r.is_null() => "null".into(),
+            Value::Obj(r) => match self.heap.class_of(r) {
+                Some(h) => self.program.class(self.ir_class_of(h)).name.clone(),
+                None => "array".into(),
+            },
             Value::Page(r) => self.format_page(r),
             Value::Facade(slot) => {
-                let r = self.facade_peek(slot);
+                let r = self.facade(slot).peek();
                 self.format_page(r)
             }
         }
@@ -807,143 +989,12 @@ impl<'p> Vm<'p> {
         if r.is_null() {
             return "null".into();
         }
-        let tid = self.paged.type_of(r).0;
-        match self.meta.and_then(|m| m.class_of_type.get(&tid)) {
-            Some(&c) => self.program.class(c).name.clone(),
+        match self.tables.class_of_type(self.paged.type_of(r).0) {
+            Some(c) => self.program.class(c).name.clone(),
             None => "array".into(),
         }
     }
 }
 
-fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {
-    use BinOp::*;
-    Ok(match (a, b) {
-        (Value::I32(x), Value::I32(y)) => Value::I32(match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            Div => {
-                if y == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-                x.wrapping_div(y)
-            }
-            Rem => {
-                if y == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            And => x & y,
-            Or => x | y,
-            Xor => x ^ y,
-            Shl => x.wrapping_shl(y as u32),
-            Shr => x.wrapping_shr(y as u32),
-        }),
-        (Value::I64(x), Value::I64(y)) => Value::I64(match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            Div => {
-                if y == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-                x.wrapping_div(y)
-            }
-            Rem => {
-                if y == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            And => x & y,
-            Or => x | y,
-            Xor => x ^ y,
-            Shl => x.wrapping_shl(y as u32),
-            Shr => x.wrapping_shr(y as u32),
-        }),
-        (Value::F64(x), Value::F64(y)) => Value::F64(match op {
-            Add => x + y,
-            Sub => x - y,
-            Mul => x * y,
-            Div => x / y,
-            Rem => x % y,
-            _ => {
-                return Err(VmError::IllegalInstruction(format!(
-                    "bitwise op {op:?} on f64"
-                )));
-            }
-        }),
-        (a, b) => {
-            return Err(VmError::IllegalInstruction(format!(
-                "binary op on {a:?} and {b:?}"
-            )));
-        }
-    })
-}
-
-fn eval_cmp(op: CmpOp, a: Value, b: Value) -> bool {
-    use CmpOp::*;
-    match (a, b) {
-        (Value::I32(x), Value::I32(y)) => match op {
-            Eq => x == y,
-            Ne => x != y,
-            Lt => x < y,
-            Le => x <= y,
-            Gt => x > y,
-            Ge => x >= y,
-        },
-        (Value::I64(x), Value::I64(y)) => match op {
-            Eq => x == y,
-            Ne => x != y,
-            Lt => x < y,
-            Le => x <= y,
-            Gt => x > y,
-            Ge => x >= y,
-        },
-        (Value::F64(x), Value::F64(y)) => match op {
-            Eq => x == y,
-            Ne => x != y,
-            Lt => x < y,
-            Le => x <= y,
-            Gt => x > y,
-            Ge => x >= y,
-        },
-        (Value::Obj(x), Value::Obj(y)) => match op {
-            Eq => x == y,
-            Ne => x != y,
-            _ => false,
-        },
-        (Value::Page(x), Value::Page(y)) => match op {
-            Eq => x == y,
-            Ne => x != y,
-            _ => false,
-        },
-        _ => false,
-    }
-}
-
-fn num_cast(dst: &Ty, v: Value) -> Value {
-    let as_f64 = match v {
-        Value::I32(x) => x as f64,
-        Value::I64(x) => x as f64,
-        Value::F64(x) => x,
-        other => panic!("numeric cast of {other:?}"),
-    };
-    match dst {
-        Ty::I32 => Value::I32(match v {
-            Value::I32(x) => x,
-            Value::I64(x) => x as i32,
-            Value::F64(x) => x as i32,
-            _ => unreachable!("verified numeric cast"),
-        }),
-        Ty::I64 => Value::I64(match v {
-            Value::I32(x) => x as i64,
-            Value::F64(x) => x as i64,
-            Value::I64(x) => x,
-            _ => unreachable!(),
-        }),
-        Ty::F64 => Value::F64(as_f64),
-        other => panic!("numeric cast into {other}"),
-    }
-}
+#[cfg(test)]
+mod tests;

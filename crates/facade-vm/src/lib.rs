@@ -52,6 +52,7 @@
 #![deny(missing_docs)]
 
 mod convert;
+mod decode;
 mod driver;
 mod error;
 mod interp;

@@ -255,3 +255,121 @@ fn deep_recursion_with_data_arguments_keeps_pools_consistent() {
     vm2.run().unwrap();
     assert_eq!(vm2.output(), ["99", "99"]);
 }
+
+#[test]
+fn runaway_recursion_is_a_typed_error() {
+    let text = include_str!("runaway_recursion.ir");
+    let program = facade_ir::Program::parse(text).unwrap();
+    program.verify().unwrap();
+    let mut vm = Vm::new_heap(&program);
+    assert_eq!(vm.run().unwrap_err(), VmError::CallDepthExceeded);
+    // main's two instructions, then one call per frame up to the limit.
+    assert_eq!(vm.steps(), 2 + 65_535);
+    assert!(
+        VmError::CallDepthExceeded
+            .to_string()
+            .contains("call depth")
+    );
+    // The failed run unwound: the VM runs again from a clean stack.
+    assert_eq!(vm.run().unwrap_err(), VmError::CallDepthExceeded);
+}
+
+#[test]
+fn references_in_locals_survive_collections_across_calls() {
+    // A 40-node list is built while the young space (4 KiB) fills many
+    // times over, then held in main's local — and in `sum`'s parameter —
+    // while `garbage` allocates 4000 more nodes. Every node must still
+    // carry its value afterwards.
+    let program = facade_ir::Program::parse(
+        "class Node {
+  i64 v;
+  Node next;
+  static Node build(i32) {
+   locals: i32, Node, Node, i32, i32, i32, i64
+   bb0:
+     v1 = null
+     v3 = 0
+     v5 = 1
+     goto bb1
+   bb1:
+     v4 = v3 Lt v0
+     if v4 then bb2 else bb3
+   bb2:
+     v2 = new Node
+     v6 = cast v3
+     v2.f0 = v6
+     v2.f1 = v1
+     v1 = v2
+     v3 = v3 Add v5
+     goto bb1
+   bb3:
+     return v1
+  }
+  static void garbage(i32) {
+   locals: i32, Node, i32, i32, i32
+   bb0:
+     v2 = 0
+     v4 = 1
+     goto bb1
+   bb1:
+     v3 = v2 Lt v0
+     if v3 then bb2 else bb3
+   bb2:
+     v1 = new Node
+     v2 = v2 Add v4
+     goto bb1
+   bb3:
+     return
+  }
+  static i64 sum(Node, i32) {
+   locals: Node, i32, i64, i64, Node, i32
+   bb0:
+     static Node::garbage(v1)
+     v2 = 0L
+     v4 = null
+     goto bb1
+   bb1:
+     v5 = v0 Ne v4
+     if v5 then bb2 else bb3
+   bb2:
+     v3 = v0.f0
+     v2 = v2 Add v3
+     v0 = v0.f1
+     goto bb1
+   bb3:
+     return v2
+  }
+}
+class Main {
+  static void main() {
+   locals: i32, Node, i32, i64
+   bb0:
+     v0 = 40
+     v1 = static Node::build(v0)
+     v2 = 4000
+     static Node::garbage(v2)
+     v3 = static Node::sum(v1, v2)
+     print v3
+     v3 = static Node::sum(v1, v2)
+     print v3
+     return
+  }
+}
+entry Main::main
+",
+    )
+    .unwrap();
+    program.verify().unwrap();
+    let config = VmConfig {
+        heap: managed_heap::HeapConfig::with_capacity(16 << 10),
+        ..VmConfig::default()
+    };
+    let mut vm = Vm::with_config(&program, None, config);
+    vm.run().unwrap();
+    assert_eq!(vm.output(), ["780", "780"]); // 0 + 1 + … + 39
+    assert!(
+        vm.heap().stats().collections() >= 10,
+        "only {} collections",
+        vm.heap().stats().collections()
+    );
+}
