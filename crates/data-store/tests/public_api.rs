@@ -1,6 +1,8 @@
 //! Public-API snapshot check: the `pub` surface of `data-store` — plus the
-//! unified job API (`facade-job`) and the daemon built on it
-//! (`facade-server`) — is written out (declaration signatures, per source
+//! unified job API (`facade-job`), the daemon built on it (`facade-server`)
+//! and the three files a run's configuration passes through on the way down
+//! (`graphchi-rs/src/engine.rs`, `hyracks-rs/src/cluster.rs`,
+//! `facade-runtime/src/pool.rs`) — is written out (declaration signatures, per source
 //! file) and compared against the checked-in snapshot under `api/`. An
 //! unreviewed API change — a renamed builder method, a struct going
 //! private — fails this test before it reaches a consumer.
@@ -81,24 +83,30 @@ fn render_crate(entries: &mut Vec<String>, label: &str, src: &Path) {
     files.sort();
 
     for path in files {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let name = if label.is_empty() {
-            name
-        } else {
-            format!("{label}/{name}")
-        };
-        let text = fs::read_to_string(&path).expect("source file reads");
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            if is_pub_decl(line.trim()) {
-                entries.push(format!("{name}: {}", signature(&lines, i)));
-            }
+        render_file(entries, label, &path);
+    }
+}
+
+/// Renders one source file's public surface (see [`render_crate`]).
+fn render_file(entries: &mut Vec<String>, label: &str, path: &Path) {
+    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+    let name = if label.is_empty() {
+        name
+    } else {
+        format!("{label}/{name}")
+    };
+    let text = fs::read_to_string(path).expect("source file reads");
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if is_pub_decl(line.trim()) {
+            entries.push(format!("{name}: {}", signature(&lines, i)));
         }
     }
 }
 
-/// Renders the whole pinned surface: data-store plus the job-API crates
-/// layered on top of it, sorted for stability.
+/// Renders the whole pinned surface: data-store, the job-API crates layered
+/// on top of it and the engine-config / page-pool files beneath it, sorted
+/// for stability.
 fn render_surface() -> String {
     let crates_dir = manifest_dir().parent().unwrap().to_path_buf();
     let mut entries: Vec<String> = Vec::new();
@@ -113,6 +121,15 @@ fn render_surface() -> String {
         "facade-server",
         &crates_dir.join("facade-server/src"),
     );
+    // The run-configuration path below the job API: the two engine configs
+    // and the page pool. A config that grows a field shows up here.
+    for (label, file) in [
+        ("graphchi-rs", "graphchi-rs/src/engine.rs"),
+        ("hyracks-rs", "hyracks-rs/src/cluster.rs"),
+        ("facade-runtime", "facade-runtime/src/pool.rs"),
+    ] {
+        render_file(&mut entries, label, &crates_dir.join(file));
+    }
     entries.sort();
     entries.dedup();
     let mut out = String::new();
@@ -154,7 +171,7 @@ fn public_api_matches_snapshot() {
             }
         }
         panic!(
-            "the pinned public API (data-store / facade-job / facade-server) changed:\n{diff}\n\
+            "the pinned public API (data-store / facade-job / facade-server / engine configs / pool) changed:\n{diff}\n\
              If intentional, review the diff and regenerate the snapshot:\n  \
              FACADE_UPDATE_API=1 cargo test -p data-store --test public_api"
         );
