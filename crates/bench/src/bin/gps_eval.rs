@@ -43,7 +43,7 @@ fn main() {
                     workers: n_workers,
                     backend,
                     per_worker_budget: budget,
-                    batch_messages: 1024,
+                    ..GpsConfig::default()
                 };
                 let mut kernel: Box<dyn VertexKernel> = match app {
                     "PR" => Box::new(PageRank::new(5)),

@@ -34,8 +34,31 @@
 //! }
 //! # Ok::<(), metrics::OutOfMemory>(())
 //! ```
+//!
+//! # The run environment
+//!
+//! An engine run is sized by its engine's config and *hosted* by a
+//! [`RunEnv`]: the page pool and epoch, the cancellation flag, the
+//! checkpoint directory and (under `fault-injection`) the fault plan a host
+//! lends it. Every engine config carries one as `env`, and the engines
+//! build their worker stores through it rather than through the builder:
+//!
+//! ```
+//! use data_store::{Backend, RunEnv};
+//!
+//! # let dir = std::env::temp_dir();
+//! let env = RunEnv {
+//!     checkpoint_dir: Some(dir),
+//!     ..RunEnv::default()
+//! };
+//! // In an engine: EngineConfig { backend, budget_bytes, env, ..EngineConfig::default() }
+//! let pool = env.page_pool(Backend::Facade); // the host's pool, else a private one
+//! let worker = env.store(Backend::Facade, 4 << 20, pool.as_ref());
+//! assert!(worker.is_facade() && !env.canceled());
+//! ```
 
 pub mod collections;
+mod run_env;
 
 #[cfg(feature = "fault-injection")]
 pub use facade_runtime::FaultPlan;
@@ -46,17 +69,14 @@ pub use facade_runtime::test_support;
 use facade_runtime::{
     ElemKind as PElem, FieldKind as PField, PageRef, PagedHeap, PagedHeapConfig, TypeId,
 };
-pub use facade_runtime::{
-    EpochLedger, NO_EPOCH, PagePool, PagePoolConfig, PoolBacking, PoolCounters, RecoveryError,
-};
-pub use managed_heap::{
-    AllocSiteStat, CensusRow, HeapCensus, HeapConfig, PauseRecord, merge_site_profiles,
-};
+pub use facade_runtime::{EpochLedger, NO_EPOCH, PagePool, PoolCounters, RecoveryError};
+pub use managed_heap::{AllocSiteStat, CensusRow, HeapCensus, PauseRecord, merge_site_profiles};
 use managed_heap::{
-    ClassId as HClassId, ElemKind as HElem, FieldKind as HField, Heap, ObjRef, RootId,
+    ClassId as HClassId, ElemKind as HElem, FieldKind as HField, Heap, HeapConfig, ObjRef, RootId,
 };
 use metrics::OutOfMemory;
 pub use metrics::report::Backend;
+pub use run_env::RunEnv;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -309,9 +329,7 @@ fn p_elem(e: ElemTy) -> PElem {
 pub struct StoreBuilder {
     backend: Backend,
     budget_bytes: Option<usize>,
-    heap_config: Option<HeapConfig>,
     pool: Option<Arc<PagePool>>,
-    pool_backing: Option<PoolBacking>,
     job_epoch: u64,
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<FaultPlan>,
@@ -322,9 +340,7 @@ impl Default for StoreBuilder {
         Self {
             backend: Backend::Facade,
             budget_bytes: None,
-            heap_config: None,
             pool: None,
-            pool_backing: None,
             job_epoch: NO_EPOCH,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
@@ -353,15 +369,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Full heap-generation control for the heap backend; overrides
-    /// [`budget`](Self::budget) there, and is ignored by the facade backend
-    /// (which has no generations to size).
-    #[must_use]
-    pub fn heap_config(mut self, config: HeapConfig) -> Self {
-        self.heap_config = Some(config);
-        self
-    }
-
     /// Draws the facade backend's pages from (and returns them to) a shared
     /// [`PagePool`]. Per-worker stores built over one pool converge on a
     /// single process-wide working set of pages: what one worker releases
@@ -371,18 +378,6 @@ impl StoreBuilder {
     #[must_use]
     pub fn pool(mut self, pool: Arc<PagePool>) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Backs the facade store's pages with the given [`PoolBacking`] —
-    /// typically [`PoolBacking::File`], giving this store a private
-    /// file-backed page pool whose free pages spill to disk beyond the
-    /// resident cap. Ignored when an explicit shared
-    /// [`pool`](Self::pool) is supplied (a shared pool carries its own
-    /// backing) and by the heap backend.
-    #[must_use]
-    pub fn pool_backing(mut self, backing: PoolBacking) -> Self {
-        self.pool_backing = Some(backing);
         self
     }
 
@@ -415,8 +410,8 @@ impl StoreBuilder {
         let inner = match self.backend {
             Backend::Heap => {
                 let config = self
-                    .heap_config
-                    .or_else(|| self.budget_bytes.map(HeapConfig::with_capacity))
+                    .budget_bytes
+                    .map(HeapConfig::with_capacity)
                     .unwrap_or_default();
                 Inner::Heap {
                     heap: Heap::new(config),
@@ -428,16 +423,9 @@ impl StoreBuilder {
                     budget_bytes: self.budget_bytes.map(|b| b as u64),
                     job_epoch: self.job_epoch,
                 };
-                let paged = match (self.pool, self.pool_backing) {
-                    (Some(pool), _) => PagedHeap::with_pool(config, pool),
-                    (None, Some(backing)) => PagedHeap::with_pool(
-                        config,
-                        Arc::new(PagePool::new(PagePoolConfig {
-                            backing,
-                            ..PagePoolConfig::default()
-                        })),
-                    ),
-                    (None, None) => PagedHeap::with_config(config),
+                let paged = match self.pool {
+                    Some(pool) => PagedHeap::with_pool(config, pool),
+                    None => PagedHeap::with_config(config),
                 };
                 Inner::Facade {
                     paged,
@@ -1010,8 +998,8 @@ impl Store {
     }
 
     /// Counters of the shared [`PagePool`] this store draws from; `None` on
-    /// the heap backend or when the store was built with neither
-    /// [`StoreBuilder::pool`] nor [`StoreBuilder::pool_backing`]. Workers
+    /// the heap backend or when the store was built without a
+    /// [`StoreBuilder::pool`]. Workers
     /// over one pool see one set of counters, so reading any store's is
     /// enough for a run-level report.
     pub fn pool_counters(&self) -> Option<PoolCounters> {

@@ -2,10 +2,10 @@
 //! unified job API (`facade-job`), the daemon built on it (`facade-server`)
 //! and the three files a run's configuration passes through on the way down
 //! (`graphchi-rs/src/engine.rs`, `hyracks-rs/src/cluster.rs`,
-//! `facade-runtime/src/pool.rs`) — is written out (declaration signatures, per source
-//! file) and compared against the checked-in snapshot under `api/`. An
-//! unreviewed API change — a renamed builder method, a struct going
-//! private — fails this test before it reaches a consumer.
+//! `facade-runtime/src/pool.rs`) — is written out (declaration signatures,
+//! per source file) and compared against the checked-in snapshot under
+//! `api/`. An unreviewed API change — a renamed builder method, a struct
+//! going private — fails this test before it reaches a consumer.
 //!
 //! To accept an intentional change, regenerate the snapshot:
 //!

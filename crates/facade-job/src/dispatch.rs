@@ -392,6 +392,7 @@ fn run_one(shared: &Shared, job: QueuedJob) {
         pool: uses_shared_pool.then(|| Arc::clone(shared.pool.as_ref().expect("checked"))),
         epoch,
         cancel: Arc::clone(&state.cancel),
+        ..ExecContext::default()
     };
 
     let runner = shared.runners.iter().find(|r| r.supports(&spec.workload));
@@ -434,7 +435,6 @@ fn run_one(shared: &Shared, job: QueuedJob) {
 mod tests {
     use super::*;
     use crate::Workload;
-    use data_store::PagePoolConfig;
 
     fn dispatcher(executors: usize, pool: Option<Arc<PagePool>>) -> Dispatcher {
         let mut config = DispatcherConfig::new(executors, Dataset::synthetic(200, 800, 15_000, 3));
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn shared_pool_jobs_get_reconciled_epochs() {
-        let pool = Arc::new(PagePool::new(PagePoolConfig::default()));
+        let pool = Arc::new(PagePool::with_default_config());
         let d = dispatcher(2, Some(Arc::clone(&pool)));
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -544,7 +544,7 @@ mod tests {
         // ignored the flag the job would complete and the status
         // assertions below fail. The canceled job's epoch must still hand
         // every page back.
-        let pool = Arc::new(PagePool::new(PagePoolConfig::default()));
+        let pool = Arc::new(PagePool::with_default_config());
         let mut config = DispatcherConfig::new(1, Dataset::synthetic(100, 400, 2_000_000, 3));
         config.pool = Some(Arc::clone(&pool));
         let d = Dispatcher::new(config);

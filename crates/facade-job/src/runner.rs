@@ -1,31 +1,19 @@
 //! The [`JobRunner`] trait and its two engine adapters.
 
 use crate::{Dataset, JobError, JobOutput, JobSpec, Workload};
-use data_store::{EpochLedger, PagePool, PoolCounters};
+use data_store::{EpochLedger, PoolCounters};
 use graphchi_rs::{ConnectedComponents, Engine, EngineConfig, PageRank};
 use hyracks_rs::{Cluster, ClusterConfig};
 use metrics::ResilienceReport;
-use std::sync::Arc;
-use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
-/// Execution-time context a host threads into a run: the shared page pool
-/// (or `None` for a private per-job pool) and the job's pool epoch. The
-/// dispatcher mints one epoch per admitted job so the pool can attribute —
-/// and bulk-reconcile — every page the job touches.
-#[derive(Debug, Clone, Default)]
-pub struct ExecContext {
-    /// Shared pool facade-backed stores draw from; `None` = private pool.
-    pub pool: Option<Arc<PagePool>>,
-    /// Epoch tag for this job's pool traffic ([`data_store::NO_EPOCH`] =
-    /// untagged).
-    pub epoch: u64,
-    /// The job's cancellation flag ([`JobHandle::cancel`](crate::JobHandle)
-    /// sets it). Both engines poll it at their unit of consistency — graph
-    /// jobs at interval boundaries, cluster jobs (WC/ES) before each
-    /// partition claim — so a running job stops instead of finishing.
-    pub cancel: Arc<AtomicBool>,
-}
+/// Execution-time context a host threads into a run: [`data_store::RunEnv`]
+/// under the name the job API has always used. The dispatcher lends its
+/// shared pool, mints one epoch per admitted job — so the pool can
+/// attribute, and bulk-reconcile, every page the job touches — and shares
+/// the job's cancellation flag ([`JobHandle::cancel`](crate::JobHandle)
+/// sets it); the runners add the spec's `checkpoint_dir` and fault plan.
+pub use data_store::RunEnv as ExecContext;
 
 /// Per-epoch page accounting at job retirement, with the reconciliation
 /// verdict: a retired job must have returned every page it drew *plus*
@@ -34,7 +22,7 @@ pub struct ExecContext {
 pub struct EpochSummary {
     /// The epoch the dispatcher minted for this job.
     pub epoch: u64,
-    /// The final ledger [`PagePool::retire_epoch`] returned.
+    /// The final ledger [`data_store::PagePool::retire_epoch`] returned.
     pub ledger: EpochLedger,
     /// Fresh pages the job's heaps created (the expected donation surplus).
     pub pages_created: u64,
@@ -93,6 +81,17 @@ pub trait JobRunner: Send + Sync {
     ) -> Result<JobReport, JobError>;
 }
 
+/// The environment one job runs in: what the host lent (`ctx`) plus what
+/// the submission asked for.
+fn run_env(spec: &JobSpec, ctx: &ExecContext) -> ExecContext {
+    ExecContext {
+        checkpoint_dir: spec.checkpoint_dir.clone(),
+        #[cfg(feature = "fault-injection")]
+        fault_plan: spec.fault_plan.clone(),
+        ..ctx.clone()
+    }
+}
+
 /// Routes graph workloads (PR/CC) to the GraphChi-style engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GraphChiRunner;
@@ -121,12 +120,7 @@ impl JobRunner for GraphChiRunner {
             } else {
                 spec.threads
             },
-            pool: ctx.pool.clone(),
-            job_epoch: ctx.epoch,
-            checkpoint_dir: spec.checkpoint_dir.clone(),
-            cancel: Arc::clone(&ctx.cancel),
-            #[cfg(feature = "fault-injection")]
-            fault_plan: spec.fault_plan.clone(),
+            env: run_env(spec, ctx),
             ..EngineConfig::default()
         };
         let started = Instant::now();
@@ -192,13 +186,7 @@ impl JobRunner for HyracksRunner {
             // The spec's budget is per worker here: a cluster node's -Xmx.
             per_worker_budget: spec.budget_bytes,
             frame_bytes: spec.frame_bytes,
-            pool: ctx.pool.clone(),
-            job_epoch: ctx.epoch,
-            checkpoint_dir: spec.checkpoint_dir.clone(),
-            cancel: Arc::clone(&ctx.cancel),
-            #[cfg(feature = "fault-injection")]
-            fault_plan: spec.fault_plan.clone(),
-            ..ClusterConfig::default()
+            env: run_env(spec, ctx),
         };
         let started = Instant::now();
         let cluster = Cluster::new(&config);

@@ -3,7 +3,7 @@
 use metrics::json::{self, Json};
 use metrics::report::Backend;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Component, Path, PathBuf};
 
 /// The workloads the unified job API can run, spanning both engines: WC/ES
 /// execute on the Hyracks-style cluster, PR/CC on the GraphChi-style
@@ -84,7 +84,9 @@ pub struct JobSpec {
     pub frame_bytes: usize,
     /// Directory for phase/interval checkpoints (`None` = no durability).
     /// Setting it also means resume: a job that finds a verified checkpoint
-    /// of the same spec and data there continues from it.
+    /// of the same spec and data there continues from it. Rust callers may
+    /// name any directory; one that arrives over the wire
+    /// ([`JobSpec::from_json`]) is confined to the host's working directory.
     pub checkpoint_dir: Option<PathBuf>,
     /// Free-form label echoed through reports and server listings.
     pub tag: String,
@@ -158,6 +160,33 @@ pub const MAX_THREADS: usize = 512;
 
 /// Ceiling on execution intervals (the paper fixes 20; leave headroom).
 pub const MAX_INTERVALS: usize = 10_000;
+
+/// Longest `checkpoint_dir` the wire may carry, in bytes.
+const MAX_WIRE_CHECKPOINT_DIR: usize = 255;
+
+/// Checks a `checkpoint_dir` that came off the wire. The job will create,
+/// rename and delete files there with the daemon's privileges, so a client
+/// only gets to name a directory *below the daemon's working directory*: a
+/// relative path of at most [`MAX_WIRE_CHECKPOINT_DIR`] bytes whose
+/// `/`-separated components are all plain names — no root or prefix, no
+/// `.` or `..`, nothing empty (so no `//` and no trailing `/`), no NUL.
+fn wire_checkpoint_dir(raw: &str) -> Result<PathBuf, SpecError> {
+    let plain_names = raw
+        .split('/')
+        .all(|c| !c.is_empty() && c != "." && c != ".." && !c.contains('\0'));
+    // The component walk is what knows a platform's roots and prefixes.
+    let relative = Path::new(raw)
+        .components()
+        .all(|c| matches!(c, Component::Normal(_)));
+    if raw.len() <= MAX_WIRE_CHECKPOINT_DIR && plain_names && relative {
+        Ok(PathBuf::from(raw))
+    } else {
+        Err(SpecError(format!(
+            "checkpoint_dir must be a relative path of at most {MAX_WIRE_CHECKPOINT_DIR} bytes \
+             made of plain names (no root, `.`, `..` or empty component), got {raw:?}"
+        )))
+    }
+}
 
 impl JobSpec {
     /// Checks the spec for shapes no engine can run. Returns the spec back
@@ -258,7 +287,10 @@ impl JobSpec {
 
     /// Parses a JSON job submission. Unknown keys are ignored (callers may
     /// decorate); missing keys fall back to [`JobSpec::default`]; the
-    /// result is [`validated`](JobSpec::validated).
+    /// result is [`validated`](JobSpec::validated). This is the wire
+    /// boundary, so a `checkpoint_dir` must be a relative path of plain
+    /// names (it resolves against the host's working directory); anything
+    /// else is a [`SpecError`].
     pub fn from_json(text: &str) -> Result<JobSpec, SpecError> {
         let doc = json::parse(text).map_err(|e| SpecError(format!("bad JSON: {e}")))?;
         let mut spec = JobSpec::default();
@@ -294,7 +326,7 @@ impl JobSpec {
         usize_field("budget_bytes", &mut spec.budget_bytes);
         usize_field("frame_bytes", &mut spec.frame_bytes);
         if let Some(dir) = doc.get("checkpoint_dir").and_then(Json::as_str) {
-            spec.checkpoint_dir = Some(PathBuf::from(dir));
+            spec.checkpoint_dir = Some(wire_checkpoint_dir(dir)?);
         }
         if let Some(tag) = doc.get("tag").and_then(Json::as_str) {
             spec.tag = tag.to_string();
@@ -321,7 +353,7 @@ mod tests {
                 intervals: 12,
                 budget_bytes: 8 << 20,
                 frame_bytes: 4 << 10,
-                checkpoint_dir: Some(PathBuf::from("/tmp/ckpt dir")),
+                checkpoint_dir: Some(PathBuf::from("ckpt dir/job 7")),
                 tag: "with \"quotes\" and\nnewline".into(),
                 ..JobSpec::default()
             },
@@ -352,6 +384,48 @@ mod tests {
             JobSpec::from_json("{\"workload\": \"page_rank\", \"iterations\": 0}").is_err(),
             "zero-iteration PR is unrunnable"
         );
+    }
+
+    #[test]
+    fn wire_checkpoint_dir_stays_below_the_working_directory() {
+        let parse = |dir: &str| {
+            JobSpec::from_json(&format!(
+                "{{\"checkpoint_dir\": \"{}\"}}",
+                json::escape(dir)
+            ))
+        };
+        let longest = "d".repeat(MAX_WIRE_CHECKPOINT_DIR);
+        for dir in ["ckpt", "ckpt/job1", "a b/c.d/..e", longest.as_str()] {
+            let spec =
+                parse(dir).unwrap_or_else(|e| panic!("{dir:?} is a plain relative path: {e}"));
+            assert_eq!(spec.checkpoint_dir, Some(PathBuf::from(dir)));
+        }
+        let too_long = "d".repeat(MAX_WIRE_CHECKPOINT_DIR + 1);
+        for dir in [
+            "",
+            "/tmp/x",
+            "/",
+            "../x",
+            "a/../../x",
+            "a/..",
+            ".",
+            "./a",
+            "a/./b",
+            "a//b",
+            "a/",
+            "a/b\0c",
+            too_long.as_str(),
+        ] {
+            let err = parse(dir).expect_err(&format!("{dir:?} must be rejected"));
+            assert!(err.0.contains("checkpoint_dir"), "{err}");
+        }
+        // The rule binds the wire only: a Rust caller's absolute temp dir
+        // passes `validated()` untouched.
+        let local = JobSpec {
+            checkpoint_dir: Some(std::env::temp_dir()),
+            ..JobSpec::default()
+        };
+        assert!(local.validated().is_ok());
     }
 
     #[test]

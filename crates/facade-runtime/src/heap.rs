@@ -1324,57 +1324,6 @@ mod tests {
     }
 
     #[test]
-    fn retirement_reconciles_through_a_file_backed_pool() {
-        // The PR 6 reconciliation check, replayed against PoolBacking::File
-        // with a zero resident cap: every page the heap returns — recycled
-        // pages AND the thread-confined cache flushed at retirement — must
-        // land in the pool file, and nothing may strand in either tier.
-        use crate::pool::PoolBacking;
-        let dir = crate::test_support::TempDir::new("heap_file_pool");
-        let pool = Arc::new(PagePool::new(crate::PagePoolConfig {
-            shards: 2,
-            backing: PoolBacking::File {
-                path: dir.path().join("heap.pool"),
-                mem_pages: 0,
-            },
-        }));
-        let mut donor = PagedHeap::with_pool(PagedHeapConfig::default(), Arc::clone(&pool));
-        let t = donor.register_type("T", &[FieldKind::I64; 4]);
-        let it = donor.iteration_start();
-        for _ in 0..10_000 {
-            donor.alloc(t).unwrap();
-        }
-        donor.iteration_end(it);
-        let supply = donor.release_pages_to_pool();
-        assert!(supply > POOL_BATCH, "donor must overfill one batch");
-        assert_eq!(
-            pool.counters().pages_spilled,
-            supply as u64,
-            "cap 0: the whole supply lives in the file"
-        );
-
-        let mut h = PagedHeap::with_pool(PagedHeapConfig::default(), Arc::clone(&pool));
-        let t = h.register_type("T", &[FieldKind::I64; 4]);
-        let it = h.iteration_start();
-        h.alloc(t).unwrap();
-        h.iteration_end(it);
-        assert_eq!(h.stats().pages_from_pool, POOL_BATCH as u64);
-        drop(h); // retirement via Drop: cache + free pages flush through spill
-        assert_eq!(pool.available(), supply, "no page strands at retirement");
-        let c = pool.counters();
-        assert_eq!(
-            c.pages_returned - supply as u64,
-            c.pages_handed_out,
-            "pool traffic reconciles through the file tier"
-        );
-        assert_eq!(c.pages_faulted_in, POOL_BATCH as u64);
-        assert_eq!(c.pages_spilled, supply as u64 + POOL_BATCH as u64);
-        drop(donor); // the donor's Arc keeps the pool (and its file) alive
-        drop(pool);
-        assert!(dir.leaked_pool_files().is_empty(), "backing cleaned up");
-    }
-
-    #[test]
     fn continuous_allocations_are_contiguous() {
         // §3.6 policy 1: consecutive requests of one size class land
         // contiguously on the same page.

@@ -59,9 +59,6 @@ pub use layout::{ElemKind, FieldKind, RecordLayout, TypeId};
 pub use locks::{LockPool, LockPoolConfig};
 pub use metrics::OutOfMemory;
 pub use page::{PAGE_BYTES, PAGE_CAPACITY, PAGE_RESERVED, PageRef};
-pub use pool::{
-    EpochLedger, NO_EPOCH, POOL_BATCH, PagePool, PagePoolConfig, PoolBacking, PoolCounters,
-    PooledPage,
-};
+pub use pool::{EpochLedger, NO_EPOCH, POOL_BATCH, PagePool, PoolCounters, PooledPage};
 pub use pools::{Facade, FacadePools, PoolBounds};
 pub use stats::NativeStats;

@@ -14,23 +14,8 @@
 //! optimization (only bytes below the mark are re-zeroed on the next bump
 //! allocation — a page that recycles through the pool is never wholesale
 //! re-zeroed).
-//!
-//! # File backing
-//!
-//! With [`PoolBacking::File`] the pool gains a second, durable tier: a
-//! single pool file managed with `pread`/`pwrite`, holding whole pages as
-//! fixed-size slabs. Releases keep up to `mem_pages` buffers resident in
-//! the in-memory shards and **spill** the overflow to file slots; acquires
-//! drain the shards first and then **fault pages back in** from the file.
-//! The budget the heaps enforce is unchanged — the file only bounds how
-//! much of the *free* page supply stays in RAM, which is what makes the
-//! out-of-core story real instead of simulated. Spill and fault-in
-//! latencies land in [`PoolCounters`] and as `page_spill` /
-//! `page_fault_in` trace spans. The pool deletes its backing file on drop.
 
 use crate::page::{PAGE_BYTES, PAGE_RESERVED};
-use std::os::unix::fs::FileExt;
-use std::path::PathBuf;
 use std::sync::Mutex;
 #[cfg(feature = "fault-injection")]
 use std::sync::atomic::AtomicBool;
@@ -98,83 +83,10 @@ impl Default for PooledPage {
     }
 }
 
-/// Where a [`PagePool`]'s free pages live.
-#[derive(Debug, Clone)]
-pub enum PoolBacking {
-    /// Purely volatile: every free page is an in-memory buffer (the
-    /// default, and the only mode before durability existed).
-    Memory,
-    /// Two-tier: up to `mem_pages` free pages stay resident in the
-    /// in-memory shards; the overflow is spilled as fixed-size slabs into
-    /// the pool file at `path` (created/truncated on pool construction,
-    /// deleted on drop) and faulted back in on demand.
-    File {
-        /// Pool file location; convention is a `.pool` extension so the
-        /// test hygiene guard can spot leaked backings.
-        path: PathBuf,
-        /// Resident free-page cap. `0` spills every released page — the
-        /// fully out-of-core configuration.
-        mem_pages: usize,
-    },
-}
-
-/// Configuration for a [`PagePool`].
-#[derive(Debug, Clone)]
-pub struct PagePoolConfig {
-    /// Number of free-list shards. More shards = less mutex contention;
-    /// the default (8) is enough for the worker counts the frameworks use.
-    pub shards: usize,
-    /// Free-page storage tier; defaults to [`PoolBacking::Memory`].
-    pub backing: PoolBacking,
-}
-
-impl Default for PagePoolConfig {
-    fn default() -> Self {
-        Self {
-            shards: 8,
-            backing: PoolBacking::Memory,
-        }
-    }
-}
-
-/// The durable tier of a file-backed pool: slot allocation state plus the
-/// spill/fault-in counters.
-#[derive(Debug)]
-struct FileBacking {
-    path: PathBuf,
-    file: std::fs::File,
-    mem_pages: usize,
-    state: Mutex<FileState>,
-    /// Free pages currently resident in the in-memory shards (approximate
-    /// under concurrency; `mem_pages` is a soft cap).
-    resident: AtomicU64,
-    spilled: AtomicU64,
-    faulted_in: AtomicU64,
-    spill_ns_total: AtomicU64,
-    spill_ns_max: AtomicU64,
-    fault_in_ns_total: AtomicU64,
-    fault_in_ns_max: AtomicU64,
-}
-
-/// Slot bookkeeping for the pool file: which slots hold spilled pages
-/// (with their dirty watermarks) and which are free for reuse.
-#[derive(Debug, Default)]
-struct FileState {
-    /// Spilled pages: `(slot index, dirty watermark)`.
-    stored: Vec<(u64, u64)>,
-    /// Previously used slots now free; reused before the file grows.
-    free_slots: Vec<u64>,
-    next_slot: u64,
-}
-
-impl FileBacking {
-    fn guard(&self) -> std::sync::MutexGuard<'_, FileState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
+/// Free-list shards. More shards = less mutex contention; eight is enough
+/// for the worker counts the frameworks use, and no caller ever asked for
+/// another number.
+const SHARDS: usize = 8;
 
 /// A process-wide pool of 32 KiB pages shared by per-thread page managers.
 ///
@@ -207,8 +119,6 @@ pub struct PagePool {
     release_calls: AtomicU64,
     release_ns_total: AtomicU64,
     release_ns_max: AtomicU64,
-    /// The durable tier, present only under [`PoolBacking::File`].
-    backing: Option<FileBacking>,
     /// Next job epoch to mint; starts at 1 so [`NO_EPOCH`] is never issued.
     next_epoch: AtomicU64,
     /// Live (begun, not yet retired) epoch ledgers. A `Vec` keyed by epoch
@@ -265,18 +175,6 @@ pub struct PoolCounters {
     pub release_ns_total: u64,
     /// Slowest single batch release, in nanoseconds.
     pub release_ns_max: u64,
-    /// Pages evicted to the pool file (file backing only).
-    pub pages_spilled: u64,
-    /// Pages faulted back in from the pool file (file backing only).
-    pub pages_faulted_in: u64,
-    /// Total nanoseconds spent writing spilled pages.
-    pub spill_ns_total: u64,
-    /// Slowest single spill batch, in nanoseconds.
-    pub spill_ns_max: u64,
-    /// Total nanoseconds spent faulting pages back in.
-    pub fault_in_ns_total: u64,
-    /// Slowest single fault-in batch, in nanoseconds.
-    pub fault_in_ns_max: u64,
 }
 
 impl PoolCounters {
@@ -293,61 +191,13 @@ impl PoolCounters {
             .checked_div(self.release_calls)
             .unwrap_or(0)
     }
-
-    /// Mean per-page spill latency in nanoseconds (0 if nothing spilled).
-    pub fn mean_spill_ns(&self) -> u64 {
-        self.spill_ns_total
-            .checked_div(self.pages_spilled)
-            .unwrap_or(0)
-    }
-
-    /// Mean per-page fault-in latency in nanoseconds (0 if nothing
-    /// faulted in).
-    pub fn mean_fault_in_ns(&self) -> u64 {
-        self.fault_in_ns_total
-            .checked_div(self.pages_faulted_in)
-            .unwrap_or(0)
-    }
 }
 
 impl PagePool {
-    /// Creates an empty pool with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero, or if [`PoolBacking::File`] names a
-    /// path whose pool file cannot be created — a misconfiguration, not a
-    /// runtime condition (later per-page I/O errors degrade gracefully).
-    pub fn new(config: PagePoolConfig) -> Self {
-        assert!(config.shards > 0, "page pool needs at least one shard");
-        let backing = match config.backing {
-            PoolBacking::Memory => None,
-            PoolBacking::File { path, mem_pages } => {
-                let file = std::fs::OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(&path)
-                    .unwrap_or_else(|e| panic!("cannot create pool file {}: {e}", path.display()));
-                Some(FileBacking {
-                    path,
-                    file,
-                    mem_pages,
-                    state: Mutex::new(FileState::default()),
-                    resident: AtomicU64::new(0),
-                    spilled: AtomicU64::new(0),
-                    faulted_in: AtomicU64::new(0),
-                    spill_ns_total: AtomicU64::new(0),
-                    spill_ns_max: AtomicU64::new(0),
-                    fault_in_ns_total: AtomicU64::new(0),
-                    fault_in_ns_max: AtomicU64::new(0),
-                })
-            }
-        };
+    /// Creates an empty pool.
+    pub fn with_default_config() -> Self {
         Self {
-            backing,
-            shards: (0..config.shards).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             cursor: AtomicUsize::new(0),
             handed_out: AtomicU64::new(0),
             returned: AtomicU64::new(0),
@@ -378,11 +228,6 @@ impl PagePool {
         // Release pairs with the acquire load in `acquire_batch`: a thread
         // that sees the flag also sees the plan behind the mutex.
         self.fault_armed.store(true, Ordering::Release);
-    }
-
-    /// Creates an empty pool with the default shard count.
-    pub fn with_default_config() -> Self {
-        Self::new(PagePoolConfig::default())
     }
 
     fn shard_guard(&self, idx: usize) -> std::sync::MutexGuard<'_, Vec<PooledPage>> {
@@ -451,12 +296,6 @@ impl PagePool {
                 }
             }
         }
-        if let Some(fb) = &self.backing {
-            fb.resident.fetch_sub(out.len() as u64, Ordering::Relaxed);
-            if out.len() < max {
-                self.fault_in(fb, max - out.len(), &mut out);
-            }
-        }
         self.handed_out
             .fetch_add(out.len() as u64, Ordering::Relaxed);
         if epoch != NO_EPOCH && !out.is_empty() {
@@ -517,40 +356,6 @@ impl PagePool {
         }
     }
 
-    /// Reads up to `want` spilled pages back from the pool file. A read
-    /// error re-parks the slot and stops — the caller falls back to fresh
-    /// pages, and the spilled page stays retrievable later.
-    fn fault_in(&self, fb: &FileBacking, want: usize, out: &mut Vec<PooledPage>) {
-        let timed = Instant::now();
-        let mut state = fb.guard();
-        let mut got = 0usize;
-        while got < want {
-            let Some((slot, dirty)) = state.stored.pop() else {
-                break;
-            };
-            let mut bytes = vec![0u8; PAGE_BYTES];
-            if let Err(e) = fb.file.read_exact_at(&mut bytes, slot * PAGE_BYTES as u64) {
-                debug_assert!(false, "pool file read failed: {e}");
-                state.stored.push((slot, dirty));
-                break;
-            }
-            state.free_slots.push(slot);
-            out.push(PooledPage {
-                bytes,
-                dirty: usize::try_from(dirty).unwrap_or(PAGE_BYTES),
-            });
-            got += 1;
-        }
-        drop(state);
-        if got > 0 {
-            let ns = u64::try_from(timed.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            fb.faulted_in.fetch_add(got as u64, Ordering::Relaxed);
-            fb.fault_in_ns_total.fetch_add(ns, Ordering::Relaxed);
-            fb.fault_in_ns_max.fetch_max(ns, Ordering::Relaxed);
-            facade_trace::complete("page_fault_in", timed, &[("pages", got.into())]);
-        }
-    }
-
     fn note_acquire(&self, timed: Instant, pages: usize) {
         if pages > 0 {
             // `in_pool` may transiently read low under concurrent releases;
@@ -567,10 +372,7 @@ impl PagePool {
         }
     }
 
-    /// Returns pages to the pool for other threads to reuse. Under file
-    /// backing, pages beyond the resident cap are spilled to the pool
-    /// file; either way every page stays acquirable, so `in_pool` (and the
-    /// occupancy high-water mark) counts both tiers.
+    /// Returns pages to the pool for other threads to reuse.
     pub fn release_batch(&self, pages: Vec<PooledPage>) {
         self.release_batch_tagged(pages, NO_EPOCH)
     }
@@ -590,27 +392,8 @@ impl PagePool {
         self.returned.fetch_add(count, Ordering::Relaxed);
         let now_in_pool = self.in_pool.fetch_add(count, Ordering::Relaxed) + count;
         self.occupancy_hwm.fetch_max(now_in_pool, Ordering::Relaxed);
-        let mut pages = pages;
-        let overflow = match &self.backing {
-            Some(fb) => {
-                let resident =
-                    usize::try_from(fb.resident.load(Ordering::Relaxed)).unwrap_or(usize::MAX);
-                let keep = fb.mem_pages.saturating_sub(resident).min(pages.len());
-                fb.resident.fetch_add(keep as u64, Ordering::Relaxed);
-                pages.split_off(keep)
-            }
-            None => Vec::new(),
-        };
-        if !pages.is_empty() {
-            let n = self.shards.len();
-            let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let mut shard = self.shard_guard(start % n);
-            shard.extend(pages);
-        }
-        if !overflow.is_empty() {
-            let fb = self.backing.as_ref().expect("overflow implies backing");
-            self.spill(fb, overflow);
-        }
+        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
+        self.shard_guard(start % self.shards.len()).extend(pages);
         let ns = u64::try_from(timed.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.release_calls.fetch_add(1, Ordering::Relaxed);
         self.release_ns_total.fetch_add(ns, Ordering::Relaxed);
@@ -618,56 +401,11 @@ impl PagePool {
         facade_trace::complete("pool_release", timed, &[("pages", count.into())]);
     }
 
-    /// Evicts `pages` to file slots. A write error keeps the page resident
-    /// instead (the supply never shrinks on I/O trouble; the cap is soft).
-    fn spill(&self, fb: &FileBacking, pages: Vec<PooledPage>) {
-        let timed = Instant::now();
-        let mut spilled = 0usize;
-        let mut state = fb.guard();
-        for page in pages {
-            let slot = state.free_slots.pop().unwrap_or_else(|| {
-                let s = state.next_slot;
-                state.next_slot += 1;
-                s
-            });
-            if let Err(e) = fb.file.write_all_at(&page.bytes, slot * PAGE_BYTES as u64) {
-                debug_assert!(false, "pool file write failed: {e}");
-                state.free_slots.push(slot);
-                fb.resident.fetch_add(1, Ordering::Relaxed);
-                let n = self.shards.len();
-                let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-                self.shard_guard(start % n).push(page);
-                continue;
-            }
-            state.stored.push((slot, page.dirty as u64));
-            spilled += 1;
-        }
-        drop(state);
-        if spilled > 0 {
-            let ns = u64::try_from(timed.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            fb.spilled.fetch_add(spilled as u64, Ordering::Relaxed);
-            fb.spill_ns_total.fetch_add(ns, Ordering::Relaxed);
-            fb.spill_ns_max.fetch_max(ns, Ordering::Relaxed);
-            facade_trace::complete("page_spill", timed, &[("pages", spilled.into())]);
-        }
-    }
-
-    /// Pages currently sitting in the pool, ready to hand out — both the
-    /// resident tier and (under file backing) the spilled tier.
+    /// Pages currently sitting in the pool, ready to hand out.
     pub fn available(&self) -> usize {
-        let resident: usize = (0..self.shards.len())
+        (0..self.shards.len())
             .map(|i| self.shard_guard(i).len())
-            .sum();
-        resident
-            + self
-                .backing
-                .as_ref()
-                .map_or(0, |fb| fb.guard().stored.len())
-    }
-
-    /// The backing file's path, when the pool is file-backed.
-    pub fn backing_path(&self) -> Option<&std::path::Path> {
-        self.backing.as_ref().map(|fb| fb.path.as_path())
+            .sum()
     }
 
     /// Total pages ever handed out by [`PagePool::acquire_batch`].
@@ -693,30 +431,6 @@ impl PagePool {
             release_calls: self.release_calls.load(Ordering::Relaxed),
             release_ns_total: self.release_ns_total.load(Ordering::Relaxed),
             release_ns_max: self.release_ns_max.load(Ordering::Relaxed),
-            pages_spilled: self
-                .backing
-                .as_ref()
-                .map_or(0, |fb| fb.spilled.load(Ordering::Relaxed)),
-            pages_faulted_in: self
-                .backing
-                .as_ref()
-                .map_or(0, |fb| fb.faulted_in.load(Ordering::Relaxed)),
-            spill_ns_total: self
-                .backing
-                .as_ref()
-                .map_or(0, |fb| fb.spill_ns_total.load(Ordering::Relaxed)),
-            spill_ns_max: self
-                .backing
-                .as_ref()
-                .map_or(0, |fb| fb.spill_ns_max.load(Ordering::Relaxed)),
-            fault_in_ns_total: self
-                .backing
-                .as_ref()
-                .map_or(0, |fb| fb.fault_in_ns_total.load(Ordering::Relaxed)),
-            fault_in_ns_max: self
-                .backing
-                .as_ref()
-                .map_or(0, |fb| fb.fault_in_ns_max.load(Ordering::Relaxed)),
         }
     }
 
@@ -740,23 +454,6 @@ impl PagePool {
         set("occupancy_hwm", c.occupancy_hwm);
         set("mean_acquire_ns", c.mean_acquire_ns());
         set("mean_release_ns", c.mean_release_ns());
-        if self.backing.is_some() {
-            set("spilled", c.pages_spilled);
-            set("faulted_in", c.pages_faulted_in);
-            set("mean_spill_ns", c.mean_spill_ns());
-            set("mean_fault_in_ns", c.mean_fault_in_ns());
-        }
-    }
-}
-
-impl Drop for PagePool {
-    fn drop(&mut self) {
-        // The pool file holds only free pages — state that is meaningless
-        // once the pool is gone — so hygiene wins: remove it. (Durability
-        // of *useful* state is the checkpoint manifest's job.)
-        if let Some(fb) = &self.backing {
-            let _ = std::fs::remove_file(&fb.path);
-        }
     }
 }
 
@@ -797,36 +494,31 @@ mod tests {
 
     #[test]
     fn acquire_from_empty_pool_is_empty() {
-        let pool = PagePool::new(PagePoolConfig {
-            shards: 2,
-            ..PagePoolConfig::default()
-        });
+        let pool = PagePool::with_default_config();
         assert!(pool.acquire_batch(4).is_empty());
         assert_eq!(pool.pages_handed_out(), 0);
     }
 
     #[test]
     fn batches_spread_across_shards_but_drain_fully() {
-        let pool = PagePool::new(PagePoolConfig {
-            shards: 4,
-            ..PagePoolConfig::default()
-        });
-        for _ in 0..10 {
+        // One page per release: the round-robin cursor lands them on every
+        // shard, with a second lap on the first two.
+        let pool = PagePool::with_default_config();
+        let pages = SHARDS + 2;
+        for _ in 0..pages {
             pool.release_batch(vec![PooledPage::new()]);
         }
-        assert_eq!(pool.available(), 10);
+        assert!(pool.shards.iter().all(|s| !s.lock().unwrap().is_empty()));
+        assert_eq!(pool.available(), pages);
         // One acquire visits every shard if needed.
-        let got = pool.acquire_batch(10);
-        assert_eq!(got.len(), 10);
+        let got = pool.acquire_batch(pages);
+        assert_eq!(got.len(), pages);
         assert_eq!(pool.available(), 0);
     }
 
     #[test]
     fn counters_track_latency_and_occupancy_hwm() {
-        let pool = PagePool::new(PagePoolConfig {
-            shards: 2,
-            ..PagePoolConfig::default()
-        });
+        let pool = PagePool::with_default_config();
         pool.release_batch((0..6).map(|_| PooledPage::new()).collect());
         pool.release_batch(vec![PooledPage::new()]); // peak: 7 in pool
         let got = pool.acquire_batch(5);
@@ -853,60 +545,6 @@ mod tests {
         let got = pool.acquire_batch(1);
         assert_eq!(got[0].dirty, 128);
         assert_eq!(got[0].bytes[100], 0xAB, "pool does not re-zero");
-    }
-
-    fn file_pool(dir: &crate::test_support::TempDir, mem_pages: usize, shards: usize) -> PagePool {
-        PagePool::new(PagePoolConfig {
-            shards,
-            backing: PoolBacking::File {
-                path: dir.path().join("pages.pool"),
-                mem_pages,
-            },
-        })
-    }
-
-    #[test]
-    fn file_backing_spills_and_faults_back_bit_identically() {
-        let dir = crate::test_support::TempDir::new("pool_file");
-        let pool = file_pool(&dir, 0, 2); // mem_pages = 0: spill everything
-        let mut p = PooledPage::new();
-        p.bytes[PAGE_RESERVED] = 0xCD;
-        p.bytes[PAGE_BYTES - 1] = 0xEF;
-        p.dirty = 4096;
-        pool.release_batch(vec![p]);
-        let c = pool.counters();
-        assert_eq!(c.pages_spilled, 1, "cap 0 spills every page");
-        assert_eq!(pool.available(), 1, "spilled pages stay acquirable");
-
-        let got = pool.acquire_batch(1);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].bytes[PAGE_RESERVED], 0xCD);
-        assert_eq!(got[0].bytes[PAGE_BYTES - 1], 0xEF);
-        assert_eq!(got[0].dirty, 4096, "watermark survives the round trip");
-        let c = pool.counters();
-        assert_eq!(c.pages_faulted_in, 1);
-        assert!(c.fault_in_ns_total > 0 && c.mean_fault_in_ns() <= c.fault_in_ns_max);
-        assert_eq!(c.pages_handed_out, 1);
-        assert_eq!(c.pages_returned, 1);
-        assert_eq!(c.occupancy_hwm, 1, "hwm counts both tiers");
-    }
-
-    #[test]
-    fn file_backing_honours_the_resident_cap() {
-        let dir = crate::test_support::TempDir::new("pool_cap");
-        let pool = file_pool(&dir, 3, 2);
-        pool.release_batch((0..8).map(|_| PooledPage::new()).collect());
-        let c = pool.counters();
-        assert_eq!(c.pages_spilled, 5, "3 resident, 5 spilled");
-        assert_eq!(pool.available(), 8);
-        // Drain everything: shard pages first, then fault-ins.
-        let got = pool.acquire_batch(8);
-        assert_eq!(got.len(), 8);
-        assert_eq!(pool.counters().pages_faulted_in, 5);
-        assert_eq!(pool.available(), 0);
-        // Slots freed by fault-in are reused: spill again, file stays 5 slots.
-        pool.release_batch(got);
-        assert_eq!(pool.counters().pages_spilled, 10);
     }
 
     #[test]
@@ -971,23 +609,5 @@ mod tests {
         assert_eq!(ledger.pages_in, 4);
         assert_eq!(ledger.pages_out, 2);
         assert_eq!(ledger.balance(), -2);
-    }
-
-    #[test]
-    fn file_backing_removes_its_pool_file_on_drop() {
-        let dir = crate::test_support::TempDir::new("pool_drop");
-        let path = dir.path().join("pages.pool");
-        let pool = PagePool::new(PagePoolConfig {
-            shards: 1,
-            backing: PoolBacking::File {
-                path: path.clone(),
-                mem_pages: 0,
-            },
-        });
-        pool.release_batch(vec![PooledPage::new()]);
-        assert!(path.exists(), "spill creates real bytes on disk");
-        drop(pool);
-        assert!(!path.exists(), "drop removes the backing file");
-        assert!(dir.leaked_pool_files().is_empty());
     }
 }

@@ -22,23 +22,6 @@ pub const BASE_BACKOFF: Duration = Duration::from_millis(1);
 /// Backoff ceiling: the whole ladder then sleeps well under a second.
 pub const MAX_BACKOFF: Duration = Duration::from_millis(50);
 
-/// How an engine responds to worker failures. The retry budget and backoff
-/// are constants ([`TRANSIENT_RETRIES`], [`BASE_BACKOFF`], [`MAX_BACKOFF`]):
-/// no caller ever set them, and output is bit-identical at every rung, so
-/// the only real choice is whether to respond at all.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Master switch; `false` restores the paper's fail-fast contract (any
-    /// worker failure ends the run immediately, Table 3's `OME(n)`).
-    pub enabled: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { enabled: true }
-    }
-}
-
 /// Runs one unit of work with both failure modes caught: an `Err` from the
 /// work itself becomes [`FailureCause::OutOfMemory`], a panic becomes
 /// [`FailureCause::WorkerPanic`]. `AssertUnwindSafe` is sound because every
@@ -71,19 +54,15 @@ impl Ladder {
     ///
     /// # Errors
     ///
-    /// Hands `cause` back when `policy` is disabled or `step_down` returns
-    /// `None` (no rung left): the run's error.
+    /// Hands `cause` back when `step_down` returns `None` (no rung left):
+    /// the run's error — for a memory failure, Table 3's `OME(n)`.
     pub fn respond(
         &mut self,
-        policy: &RetryPolicy,
         unit: &str,
         cause: FailureCause,
         report: &mut ResilienceReport,
         step_down: impl FnOnce() -> Option<DegradationAction>,
     ) -> Result<(), FailureCause> {
-        if !policy.enabled {
-            return Err(cause);
-        }
         if cause.is_transient() && self.rung_retries < TRANSIENT_RETRIES {
             self.rung_retries += 1;
             report.record_retry(unit, &cause);
@@ -162,20 +141,20 @@ mod tests {
 
     #[test]
     fn transient_budget_resets_per_rung() {
-        let (policy, mut ladder) = (RetryPolicy::default(), Ladder::default());
+        let mut ladder = Ladder::default();
         let mut report = ResilienceReport::default();
         let mut level = 0;
         // Two retries, then the third transient failure steps down; the new
         // rung gets a fresh budget of two.
         for expected in [(1, 0), (2, 0), (2, 1), (3, 1), (4, 1), (4, 2)] {
             ladder
-                .respond(&policy, "unit", panic(), &mut report, || shrink(&mut level))
+                .respond("unit", panic(), &mut report, || shrink(&mut level))
                 .expect("rungs left");
             assert_eq!((report.retries, report.degradations), expected);
         }
         // A deterministic failure never spends the retry budget.
         ladder
-            .respond(&policy, "unit", oom(), &mut report, || shrink(&mut level))
+            .respond("unit", oom(), &mut report, || shrink(&mut level))
             .expect("rungs left");
         assert_eq!((report.retries, report.degradations), (4, 3));
         assert_eq!(report.events.last().unwrap().phase, "unit");
@@ -193,26 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_policy_fails_fast_on_the_first_cause() {
-        let mut report = ResilienceReport::default();
-        let err = Ladder::default()
-            .respond(
-                &RetryPolicy { enabled: false },
-                "unit",
-                panic(),
-                &mut report,
-                || unreachable!("a disabled ladder never steps down"),
-            )
-            .unwrap_err();
-        assert!(matches!(err, FailureCause::WorkerPanic(m) if m == "boom"));
-        assert!(report.is_clean(), "nothing recorded: nothing was handled");
-    }
-
-    #[test]
     fn exhausted_step_down_returns_the_original_cause() {
         let mut report = ResilienceReport::default();
         let err = Ladder::default()
-            .respond(&RetryPolicy::default(), "unit", oom(), &mut report, || None)
+            .respond("unit", oom(), &mut report, || None)
             .unwrap_err();
         assert!(matches!(err, FailureCause::OutOfMemory(_)), "{err}");
         assert_eq!(report.degradations, 0);

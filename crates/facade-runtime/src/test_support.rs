@@ -1,11 +1,8 @@
-//! Test-only on-disk hygiene helpers: per-test temp directories with a
-//! leak guard.
+//! Test-only on-disk hygiene helper: per-test temp directories.
 //!
-//! The durability tests create real files (pool backings, checkpoint
-//! manifests). Every such artifact must live under a [`TempDir`] so test
-//! runs never litter the repo root, and so a forgotten `*.pool` file — a
-//! [`crate::PagePool`] whose `Drop` cleanup was skipped — is *reported*
-//! rather than silently accumulating in `/tmp`.
+//! The durability tests create real files (checkpoint manifests). Every
+//! such artifact must live under a [`TempDir`] so test runs never litter
+//! the repo root or accumulate in `/tmp`.
 //!
 //! Hand-rolled (no `tempfile` crate): unique names come from the pid plus
 //! a process-wide counter, which is collision-free within a test binary
@@ -17,9 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// A uniquely named directory under the system temp dir, removed
-/// recursively on drop. Before removal the guard sweeps for leaked
-/// `*.pool` files (a file-backed [`crate::PagePool`] is expected to delete
-/// its own backing on drop) and reports them on stderr.
+/// recursively on drop.
 #[derive(Debug)]
 pub struct TempDir {
     path: PathBuf,
@@ -44,38 +39,10 @@ impl TempDir {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// `*.pool` files still present under the directory — pool backings
-    /// whose owning [`crate::PagePool`] was leaked instead of dropped.
-    #[must_use]
-    pub fn leaked_pool_files(&self) -> Vec<PathBuf> {
-        let mut leaked = Vec::new();
-        let mut stack = vec![self.path.clone()];
-        while let Some(dir) = stack.pop() {
-            let Ok(entries) = std::fs::read_dir(&dir) else {
-                continue;
-            };
-            for entry in entries.flatten() {
-                let p = entry.path();
-                if p.is_dir() {
-                    stack.push(p);
-                } else if p.extension().is_some_and(|e| e == "pool") {
-                    leaked.push(p);
-                }
-            }
-        }
-        leaked
-    }
 }
 
 impl Drop for TempDir {
     fn drop(&mut self) {
-        for leaked in self.leaked_pool_files() {
-            eprintln!(
-                "warning: leaked pool backing file {} (PagePool not dropped?)",
-                leaked.display()
-            );
-        }
         let _ = std::fs::remove_dir_all(&self.path);
     }
 }
@@ -93,14 +60,5 @@ mod tests {
         drop(a);
         assert!(!kept.exists(), "drop must remove the directory");
         drop(b);
-    }
-
-    #[test]
-    fn leak_guard_spots_pool_files() {
-        let dir = TempDir::new("leakguard");
-        std::fs::write(dir.path().join("stranded.pool"), b"pages").unwrap();
-        let leaked = dir.leaked_pool_files();
-        assert_eq!(leaked.len(), 1);
-        assert!(leaked[0].ends_with("stranded.pool"));
     }
 }

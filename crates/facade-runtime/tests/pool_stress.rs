@@ -1,19 +1,14 @@
 //! Multi-thread stress over the shared page pool: however acquires and
 //! releases interleave, a page must never be held by two live owners.
 
-use facade_runtime::{
-    FieldKind, NativeStats, PagePool, PagePoolConfig, PagedHeap, PagedHeapConfig, PooledPage,
-};
+use facade_runtime::{FieldKind, NativeStats, PagePool, PagedHeap, PagedHeapConfig, PooledPage};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 #[test]
 fn concurrent_acquire_release_never_double_hands_a_page() {
     const SEED_PAGES: usize = 16;
-    let pool = Arc::new(PagePool::new(PagePoolConfig {
-        shards: 4,
-        ..PagePoolConfig::default()
-    }));
+    let pool = Arc::new(PagePool::with_default_config());
     // Seed with a small set so the threads genuinely contend for the same
     // buffers rather than each settling on a private supply.
     pool.release_batch((0..SEED_PAGES).map(|_| PooledPage::new()).collect());
@@ -21,7 +16,9 @@ fn concurrent_acquire_release_never_double_hands_a_page() {
     // Every page an *live* owner holds, by buffer address. Insert must
     // never collide; remove must always find its entry.
     let live: Arc<Mutex<HashSet<usize>>> = Arc::new(Mutex::new(HashSet::new()));
-    let workers: Vec<_> = (0..8)
+    // Two threads per free-list shard (the pool has eight), so shard
+    // mutexes are contended as well as the page supply.
+    let workers: Vec<_> = (0..16)
         .map(|t| {
             let pool = Arc::clone(&pool);
             let live = Arc::clone(&live);

@@ -227,6 +227,71 @@ fn eight_concurrent_submissions_are_bit_identical_to_standalone_runs() {
 }
 
 #[test]
+fn wire_checkpoint_dir_is_confined_to_the_daemons_working_directory() {
+    // No other test in this binary touches a relative path, so moving the
+    // process into a scratch directory is safe — and it is what "resolved
+    // against the daemon's working directory" means.
+    let cwd = data_store::test_support::TempDir::new("server-cwd");
+    std::fs::create_dir_all(cwd.path().join("ckpt/job1")).unwrap();
+    let home = std::env::current_dir().unwrap();
+    std::env::set_current_dir(cwd.path()).expect("enter the scratch directory");
+    let server = FacadeServer::start(server_config()).expect("boot");
+    let addr = server.local_addr();
+
+    // Absolute, climbing, and climbing-after-descending paths never reach
+    // the queue — or the filesystem.
+    let outside = format!("facade-e2e-escape-{}", std::process::id());
+    let tmp = std::env::temp_dir();
+    for dir in [
+        tmp.join(&outside).display().to_string(),
+        format!("../{outside}"),
+        format!("a/../../{outside}"),
+    ] {
+        let body = format!("{{\"workload\": \"page_rank\", \"checkpoint_dir\": \"{dir}\"}}");
+        let (status, resp) = http(addr, "POST", "/jobs", &body);
+        assert_eq!(status, 400, "{dir}: {resp}");
+        assert!(resp.contains("checkpoint_dir"), "{resp}");
+    }
+    let entries = |dir: &std::path::Path| std::fs::read_dir(dir).unwrap().count();
+    assert!(!tmp.join(&outside).exists() && !cwd.path().join("a").exists());
+    assert_eq!(entries(cwd.path()), 1, "only `ckpt` lives in the cwd");
+    let (_, stats) = http(addr, "GET", "/stats", "");
+    let queued = json::parse(&stats).unwrap();
+    let queued = queued.get("jobs").and_then(|j| j.get("total"));
+    assert_eq!(
+        queued.and_then(Json::as_u64),
+        Some(0),
+        "rejected before queueing: {stats}"
+    );
+
+    // A plain relative path is accepted: the job checkpoints there, every
+    // interval, and leaves the directory empty when it completes.
+    let id = submit(
+        addr,
+        "{\"workload\": \"page_rank\", \"iterations\": 2, \"intervals\": 3, \
+         \"budget_bytes\": 4194304, \"checkpoint_dir\": \"ckpt/job1\"}",
+    );
+    let doc = wait_for_job(addr, id);
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("completed"));
+    let written = doc
+        .get("result")
+        .and_then(|r| r.get("resilience"))
+        .and_then(|r| r.get("checkpoints_written"))
+        .and_then(Json::as_u64);
+    assert_eq!(
+        written,
+        Some(2 * 3),
+        "one checkpoint per committed interval"
+    );
+    assert_eq!(entries(&cwd.path().join("ckpt/job1")), 0);
+    assert_eq!(entries(cwd.path()), 1);
+
+    let report = server.shutdown();
+    assert!(report.clean(), "{report}");
+    std::env::set_current_dir(home).unwrap();
+}
+
+#[test]
 fn overload_sheds_through_the_ladder_and_drains_clean() {
     let mut config = server_config();
     // Capacity fits one small job; everything else must shrink or shed.

@@ -539,11 +539,19 @@ mod tests {
     use super::*;
 
     // The registry and epoch are process-global, and the test harness runs
-    // tests on concurrent threads: every test filters drained events by
-    // names unique to itself instead of asserting on the whole timeline.
+    // tests on concurrent threads. Every test filters drained events by
+    // names unique to itself, which keeps foreign events out of its
+    // assertions; holding `serial()` keeps another test's `drain()` from
+    // taking its own events first.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A failed test poisons the lock; the next one still has to run.
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn spans_nest_and_order() {
+        let _serial = serial();
         {
             let _outer = span!("t_nest_outer", level = 0usize);
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -579,6 +587,7 @@ mod tests {
 
     #[test]
     fn threads_get_distinct_tids_and_one_timeline() {
+        let _serial = serial();
         // The barrier keeps every thread alive until all four have recorded
         // their span: live threads must have distinct tids (only exited
         // threads recycle theirs).
@@ -612,6 +621,7 @@ mod tests {
 
     #[test]
     fn exited_threads_recycle_their_tids() {
+        let _serial = serial();
         // 20 sequential threads, each exiting before the next starts: tids
         // must be reused, not minted fresh each time. Other tests run
         // concurrently and may steal a freed tid occasionally, so assert a
@@ -640,6 +650,7 @@ mod tests {
 
     #[test]
     fn complete_records_retroactive_span() {
+        let _serial = serial();
         let started = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(2));
         complete("t_complete", started, &[("bytes", 512u64.into())]);
@@ -657,6 +668,7 @@ mod tests {
 
     #[test]
     fn instants_and_counters_record() {
+        let _serial = serial();
         instant("t_instant", &[("kind", "test".into())]);
         counter("t_counter", 7.5);
         let events = drain();
@@ -671,6 +683,7 @@ mod tests {
 
     #[test]
     fn flow_ids_link_producer_and_consumer() {
+        let _serial = serial();
         let flow = next_flow_id();
         assert_ne!(flow, 0, "minted flow ids are non-zero");
         assert_ne!(next_flow_id(), flow, "ids are process-unique");
@@ -703,6 +716,7 @@ mod tests {
 
     #[test]
     fn drain_empties_buffers() {
+        let _serial = serial();
         instant("t_drain_once", &[]);
         let first = drain();
         assert!(first.iter().any(|e| e.name == "t_drain_once"));

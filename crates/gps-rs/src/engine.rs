@@ -2,13 +2,12 @@
 
 use crate::kernels::{Outgoing, VertexKernel};
 use data_store::recovery::scoped_each;
-use data_store::{ClassTag, ElemTy, FieldTy, PagePool, Rec, Store, StoreStats};
+use data_store::{ClassTag, ElemTy, FieldTy, Iteration, Rec, RunEnv, Store, StoreStats};
 use datagen::Graph;
 use metrics::report::Backend;
 use metrics::{FailureCause, OutOfMemory, PhaseTimer, phases};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -22,6 +21,12 @@ pub struct GpsConfig {
     pub per_worker_budget: usize,
     /// Message batch size in messages (GPS's message buffer granularity).
     pub batch_messages: usize,
+    /// What the host lends the run. The worker stores come from
+    /// [`RunEnv::store`] over [`RunEnv::page_pool`], so a host pool, its
+    /// epoch and a fault plan are honoured; GPS has no checkpoints and no
+    /// cancellation point (it is not in the serving graph), so
+    /// `checkpoint_dir` and `cancel` are not consulted.
+    pub env: RunEnv,
 }
 
 impl Default for GpsConfig {
@@ -31,6 +36,7 @@ impl Default for GpsConfig {
             backend: Backend::Heap,
             per_worker_budget: 32 << 20,
             batch_messages: 1024,
+            env: RunEnv::default(),
         }
     }
 }
@@ -76,6 +82,9 @@ pub struct GpsOutcome {
 /// Per-worker state persisting across supersteps.
 struct Worker {
     store: Store,
+    /// The whole run as one iteration: the value array lives in it, each
+    /// superstep nests inside it, and ending it hands every page back.
+    run_scope: Iteration,
     /// Local vertex values: one big primitive array (GPS style).
     values: Rec,
     /// Local vertex ids are `worker + i * workers`.
@@ -86,16 +95,6 @@ struct Worker {
     out_dst: Vec<u32>,
     envelope: ClassTag,
     active: Vec<bool>,
-}
-
-fn store_for(config: &GpsConfig, pool: Option<&Arc<PagePool>>) -> Store {
-    let builder = Store::builder()
-        .backend(config.backend)
-        .budget(config.per_worker_budget);
-    match pool {
-        Some(pool) => builder.pool(Arc::clone(pool)).build(),
-        None => builder.build(),
-    }
 }
 
 /// Runs `kernel` over `graph` on the simulated GPS cluster.
@@ -121,8 +120,7 @@ pub fn run(
     // One shared page supply for every facade worker: a superstep's
     // message churn is iteration-scoped, so pages freed by one worker's
     // barrier feed the next superstep on all of them.
-    let pool = (n_workers > 1 && config.backend == Backend::Facade)
-        .then(|| Arc::new(PagePool::with_default_config()));
+    let pool = config.env.page_pool(config.backend);
 
     // Partition vertices v → worker v % W; build per-worker CSR.
     let mut workers: Vec<Worker> = Vec::with_capacity(n_workers);
@@ -137,7 +135,11 @@ pub fn run(
             adj[w][s as usize / n_workers].push(d);
         }
         for (w, lists) in adj.into_iter().enumerate() {
-            let mut store = store_for(config, pool.as_ref());
+            let mut store =
+                config
+                    .env
+                    .store(config.backend, config.per_worker_budget, pool.as_ref());
+            let run_scope = store.iteration_start();
             let envelope = store.register_class(
                 "MessageEnvelope",
                 &[FieldTy::I32, FieldTy::I32, FieldTy::Ref],
@@ -156,6 +158,7 @@ pub fn run(
             }
             let mut worker = Worker {
                 store,
+                run_scope,
                 values,
                 local_count,
                 out_offsets,
@@ -240,10 +243,14 @@ pub fn run(
     // Gather values and stats.
     let mut values = vec![0.0f64; n];
     let mut stats = StoreStats::default();
-    for (w, worker) in workers.iter().enumerate() {
+    for (w, worker) in workers.iter_mut().enumerate() {
         for i in 0..worker.local_count {
             values[w + i * n_workers] = worker.store.array_get_f64(worker.values, i);
         }
+        // Retire the store: with the run's iteration ended nothing is live,
+        // so every page goes back to the pool and a host's epoch reconciles.
+        worker.store.iteration_end(worker.run_scope);
+        worker.store.release_pages();
         stats.merge(&worker.store.stats());
     }
     timer.add(phases::GC, stats.gc_time);
@@ -397,6 +404,7 @@ mod tests {
             backend,
             per_worker_budget: 16 << 20,
             batch_messages: 64,
+            ..GpsConfig::default()
         }
     }
 
@@ -495,7 +503,7 @@ mod failure_tests {
             workers: 2,
             backend: Backend::Facade,
             per_worker_budget: 128 << 10, // far too small for the messages
-            batch_messages: 1024,
+            ..GpsConfig::default()
         };
         let err = run(&g, &mut PageRank::new(5), &config).unwrap_err();
         let text = err.to_string();

@@ -4,9 +4,9 @@
 use crate::apps::{VertexProgram, VertexView, pointer_fields, vertex_fields};
 use crate::preprocess::Csr;
 use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
-use data_store::recovery::{self, RetryPolicy, guarded, scoped_each};
+use data_store::recovery::{self, guarded, scoped_each};
 use data_store::{
-    ClassTag, ElemTy, FieldTy, PagePool, PauseRecord, PoolCounters, RecoveryError, Store,
+    ClassTag, ElemTy, FieldTy, PauseRecord, PoolCounters, RecoveryError, RunEnv, Store,
     StoreCensus, StoreStats,
 };
 use datagen::Graph;
@@ -15,8 +15,8 @@ use metrics::{DegradationAction, FailureCause, OutOfMemory, PhaseTimer, Resilien
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Allocation-site ids the engine attributes its phases to. Under the heap
 /// backend the store's allocation-site profile (see
@@ -29,6 +29,9 @@ pub mod alloc_sites {
     /// Subinterval load phase (`ChiVertex`, `ChiPointer`, edge arrays).
     pub const LOAD: u32 = 2;
 }
+
+/// File name of the engine's checkpoint within a checkpoint directory.
+const CHECKPOINT_FILE: &str = "graphchi.fckp";
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -55,48 +58,21 @@ pub struct EngineConfig {
     pub inline_records: bool,
     /// Worker threads processing subintervals. Each worker owns a private
     /// [`Store`] (its page manager, under the facade backend) sized to
-    /// `budget_bytes / threads`; facade workers draw pages from one shared
-    /// [`PagePool`]. `1` runs everything inline on the calling thread. The
-    /// result is bit-identical for every thread count: workers read a
-    /// per-interval snapshot and the main thread commits their writes in
-    /// subinterval order.
+    /// `budget_bytes / threads`; facade workers draw pages from the run's
+    /// one pool ([`RunEnv::page_pool`]). `1` runs everything inline on the
+    /// calling thread. The result is bit-identical for every thread count:
+    /// workers read a per-interval snapshot and the main thread commits
+    /// their writes in subinterval order.
     pub threads: usize,
-    /// Whether the engine responds to worker failures (out-of-memory,
-    /// panics) at all: see [`RetryPolicy`] and [`Engine::execute`] for the
-    /// ladder. Degraded configurations preserve bit-identical output
-    /// because only interval boundaries are semantically visible.
-    pub retry: RetryPolicy,
-    /// Shared [`PagePool`] the facade workers draw from. `None` (the
-    /// default) keeps today's behaviour: every run builds a private pool.
-    /// A multi-job host (the `facade-server` daemon) passes its resident
-    /// pool here so concurrent runs share one page economy; fault plans are
-    /// then *not* installed on the pool (it isn't this run's to sabotage).
-    /// Ignored under [`Backend::Heap`].
-    pub pool: Option<Arc<PagePool>>,
-    /// Epoch tag stamped on every pool page this run acquires or releases
-    /// (see [`PagePool::begin_epoch`]). Meaningful only with an external
-    /// [`pool`](EngineConfig::pool); the default
-    /// [`NO_EPOCH`](data_store::NO_EPOCH) leaves traffic untagged.
-    pub job_epoch: u64,
-    /// Fault schedule installed on every worker store and the shared page
-    /// pool, for reproducible robustness testing.
-    #[cfg(feature = "fault-injection")]
-    pub fault_plan: Option<data_store::FaultPlan>,
-    /// Directory for interval-granularity checkpoints. When set, the
-    /// engine writes a manifest (vertex values, edge values, loop cursor)
-    /// after every committed interval via an atomic tmp-file-then-rename,
-    /// and a run that finds a verified checkpoint of the same graph,
-    /// configuration and program there resumes from its interval boundary
-    /// instead of cold-starting (a damaged or foreign one is discarded and
-    /// counted). `None` (the default) disables durability entirely — no
-    /// I/O is added to the commit path.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Host-requested cancellation flag, polled at interval boundaries
-    /// (the unit of consistency): when a multi-job host (the
-    /// `facade-server` dispatcher) sets it, the run stops before the next
-    /// interval with [`EngineError::Canceled`] instead of finishing its
-    /// remaining passes. The default flag is never set.
-    pub cancel: Arc<AtomicBool>,
+    /// What the host lends the run: page pool and epoch, cancellation flag,
+    /// checkpoint directory, fault plan. The engine polls
+    /// [`RunEnv::canceled`] at interval boundaries (the unit of
+    /// consistency) and stops with [`EngineError::Canceled`]; with
+    /// [`RunEnv::checkpoint_dir`] set it checkpoints vertex values, edge
+    /// values and the loop cursor after every committed interval and
+    /// resumes from a verified checkpoint of the same graph, configuration
+    /// and program found there.
+    pub env: RunEnv,
 }
 
 impl Default for EngineConfig {
@@ -108,13 +84,7 @@ impl Default for EngineConfig {
             bytes_per_edge: 96,
             inline_records: true,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            retry: RetryPolicy::default(),
-            pool: None,
-            job_epoch: data_store::NO_EPOCH,
-            #[cfg(feature = "fault-injection")]
-            fault_plan: None,
-            checkpoint_dir: None,
-            cancel: Arc::new(AtomicBool::new(false)),
+            env: RunEnv::default(),
         }
     }
 }
@@ -144,7 +114,7 @@ pub enum EngineError {
     /// The fault plan's `crash_at_interval` fired: the run aborted
     /// mid-job, directly after committing (and checkpointing) the named
     /// interval. A fresh engine run with the same
-    /// [`EngineConfig::checkpoint_dir`] continues from that durable
+    /// [`RunEnv::checkpoint_dir`] continues from that durable
     /// boundary.
     Crashed {
         /// Pass the crash fired in.
@@ -152,7 +122,7 @@ pub enum EngineError {
         /// Interval index whose commit triggered the crash.
         interval: usize,
     },
-    /// The host set [`EngineConfig::cancel`]: the run stopped at the next
+    /// The host set [`RunEnv::cancel`]: the run stopped at the next
     /// interval boundary without committing further work.
     Canceled,
 }
@@ -310,8 +280,8 @@ impl Ladder {
         }
     }
 
-    /// Hands `failure` to the shared ladder; what it hands back (retry
-    /// disabled, or no rung left) is the run's error.
+    /// Hands `failure` to the shared ladder; what it hands back (no rung
+    /// left) is the run's error.
     fn respond(
         &mut self,
         config: &EngineConfig,
@@ -321,7 +291,7 @@ impl Ladder {
     ) -> Result<(), EngineError> {
         let at = (failure.worker, failure.subinterval);
         self.retry
-            .respond(&config.retry, phase, failure.kind, resilience, || {
+            .respond(phase, failure.kind, resilience, || {
                 Self::step_down(config, &mut self.threads, &mut self.shrink)
             })
             .map_err(|kind| SubFailure::engine_error(at, kind))
@@ -370,42 +340,19 @@ struct Schema {
 
 /// Builds the per-worker stores: each worker thread owns one, sized so the
 /// run's combined budget stays `config.budget_bytes`. Facade workers share
-/// one [`PagePool`], so pages released by any worker at interval ends are
-/// adopted by the others instead of being allocated fresh; `threads == 1`
-/// keeps today's single private store.
+/// the run's page pool ([`RunEnv::page_pool`]), so pages released by any
+/// worker at interval ends are adopted by the others instead of being
+/// allocated fresh.
 fn build_stores(config: &EngineConfig, threads: usize) -> (Vec<Store>, Schema) {
     let worker_budget = (config.budget_bytes / threads).max(4096);
-    // Every facade run accounts pages through the pool — including the
-    // single-threaded one — so `pages_from_pool`/`pages_to_pool` are
-    // comparable across thread counts instead of degenerating to zero at
-    // `threads == 1`. A host-provided pool (multi-job serving) is used
-    // as-is; otherwise the run builds a private one. Fault plans target
-    // this run's private resources only: a shared pool serves other jobs
-    // too, so injected pool faults stay off it.
-    let pool = (config.backend == Backend::Facade).then(|| {
-        config.pool.clone().unwrap_or_else(|| {
-            let pool = Arc::new(PagePool::with_default_config());
-            #[cfg(feature = "fault-injection")]
-            if let Some(plan) = &config.fault_plan {
-                pool.set_fault_plan(plan.clone());
-            }
-            pool
-        })
-    });
+    // One page supply per call: a rebuild after a failure starts from a
+    // fresh private pool (or the host's, untouched).
+    let pool = config.env.page_pool(config.backend);
     let mut stores: Vec<Store> = (0..threads)
         .map(|_| {
-            let mut builder = Store::builder()
-                .backend(config.backend)
-                .budget(worker_budget)
-                .job_epoch(config.job_epoch);
-            if let Some(pool) = &pool {
-                builder = builder.pool(Arc::clone(pool));
-            }
-            #[cfg(feature = "fault-injection")]
-            if let Some(plan) = &config.fault_plan {
-                builder = builder.fault_plan(plan.clone());
-            }
-            builder.build()
+            config
+                .env
+                .store(config.backend, worker_budget, pool.as_ref())
         })
         .collect();
     // Register the same classes in every store; the tags are identical
@@ -581,10 +528,10 @@ impl Engine {
     }
 
     /// The checkpoint file this engine reads and writes under `dir`
-    /// (`config.checkpoint_dir`). One file per directory: each committed
+    /// (`config.env.checkpoint_dir`). One file per directory: each committed
     /// interval atomically replaces the previous checkpoint.
     pub fn checkpoint_path(dir: &Path) -> PathBuf {
-        dir.join("graphchi.fckp")
+        dir.join(CHECKPOINT_FILE)
     }
 
     /// The checkpoint policy for a run of `app` from the cold-start state
@@ -603,30 +550,28 @@ impl Engine {
         app: &dyn VertexProgram,
         initial: (&[f64], &[f64]),
     ) -> Option<Checkpointer> {
-        let dir = self.config.checkpoint_dir.as_deref()?;
-        // `{:?}` quotes and escapes the name, so it cannot run into the
-        // parameter bytes behind it.
-        let (config, passes) = (&self.config, app.iterations());
-        let mut shape = format!(
-            "graphchi {} {} {passes} {:?} ",
-            config.intervals,
-            config.inline_records,
-            app.name()
-        )
-        .into_bytes();
-        shape.extend(app.parameters());
-        let mut fingerprint = ckpt::xxh64(&shape, 0);
-        for ids in [&self.csr.out_offsets, &self.csr.out_dst, &self.csr.out_eid] {
-            let bytes: Vec<u8> = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
-            fingerprint = ckpt::xxh64(&bytes, fingerprint);
-        }
-        for state in [initial.0, initial.1] {
-            fingerprint = ckpt::xxh64(&ckpt::encode_f64s(state), fingerprint);
-        }
-        let ckpt = Checkpointer::new(Self::checkpoint_path(dir), fingerprint);
-        #[cfg(feature = "fault-injection")]
-        let ckpt = ckpt.fault_plan(self.config.fault_plan.clone());
-        Some(ckpt)
+        self.config.env.checkpointer(CHECKPOINT_FILE, || {
+            // `{:?}` quotes and escapes the name, so it cannot run into the
+            // parameter bytes behind it.
+            let (config, passes) = (&self.config, app.iterations());
+            let mut shape = format!(
+                "graphchi {} {} {passes} {:?} ",
+                config.intervals,
+                config.inline_records,
+                app.name()
+            )
+            .into_bytes();
+            shape.extend(app.parameters());
+            let mut fingerprint = ckpt::xxh64(&shape, 0);
+            for ids in [&self.csr.out_offsets, &self.csr.out_dst, &self.csr.out_eid] {
+                let bytes: Vec<u8> = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
+                fingerprint = ckpt::xxh64(&bytes, fingerprint);
+            }
+            for state in [initial.0, initial.1] {
+                fingerprint = ckpt::xxh64(&ckpt::encode_f64s(state), fingerprint);
+            }
+            fingerprint
+        })
     }
 
     /// The cold-start persistent state: every vertex's and every edge's
@@ -699,15 +644,14 @@ impl Engine {
     /// the subinterval budget). Because only interval boundaries are
     /// semantically visible, a degraded retry commits bit-identical values.
     ///
-    /// With [`EngineConfig::checkpoint_dir`] set, every committed interval
+    /// With [`RunEnv::checkpoint_dir`] set, every committed interval
     /// is checkpointed, and a verified checkpoint of this graph, config and
     /// program found there at start is resumed from.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] when the failure survives every rung of the
-    /// ladder (or `config.retry.enabled` is off) — the condition Table 3
-    /// reports as `OME(n)`.
+    /// ladder — the condition Table 3 reports as `OME(n)`.
     pub fn execute(&mut self, app: &dyn VertexProgram) -> Result<RunOutcome, EngineError> {
         let mut ladder = Ladder::new(self.config.threads.max(1));
         let mut resilience = ResilienceReport::default();
@@ -780,7 +724,7 @@ impl Engine {
                 // Host cancellation lands here, at the interval boundary —
                 // nothing half-committed is left behind, and a long run
                 // cannot occupy its executor past the next interval.
-                if self.config.cancel.load(Ordering::Acquire) {
+                if self.config.env.canceled() {
                     return Err(EngineError::Canceled);
                 }
                 // Retry loop: the interval commits only when every
@@ -855,7 +799,7 @@ impl Engine {
                                 );
                             }
                             #[cfg(feature = "fault-injection")]
-                            if let Some(plan) = &self.config.fault_plan {
+                            if let Some(plan) = &self.config.env.fault_plan {
                                 if plan.should_crash_at_interval(committed_intervals) {
                                     return Err(EngineError::Crashed {
                                         pass,
@@ -900,7 +844,7 @@ impl Engine {
         let pool = stores[0].pool_counters();
         resilience.faults_injected = stats.faults_injected;
         #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &self.config.fault_plan {
+        if let Some(plan) = &self.config.env.fault_plan {
             // The plan's own counter also sees pool-level injections, which
             // no store's stats record.
             resilience.faults_injected = plan.faults_injected();
@@ -1472,7 +1416,10 @@ mod tests {
                 backend: Backend::Facade,
                 budget_bytes: 16 << 20,
                 intervals: 3,
-                checkpoint_dir: Some(tmp.path().to_path_buf()),
+                env: RunEnv {
+                    checkpoint_dir: Some(tmp.path().to_path_buf()),
+                    ..RunEnv::default()
+                },
                 ..EngineConfig::default()
             },
         );
@@ -1510,7 +1457,10 @@ mod tests {
                 backend: Backend::Facade,
                 budget_bytes: 16 << 20,
                 intervals: 3,
-                checkpoint_dir: Some(tmp.path().to_path_buf()),
+                env: RunEnv {
+                    checkpoint_dir: Some(tmp.path().to_path_buf()),
+                    ..RunEnv::default()
+                },
                 ..EngineConfig::default()
             },
         );
@@ -1562,8 +1512,12 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let result = engine.execute(&PageRank::new(1));
-        assert!(result.is_err(), "expected OME");
+        // The ladder runs out of rungs and hands back what it was given:
+        // a typed, genuine (not injected) allocation failure.
+        match engine.execute(&PageRank::new(1)).unwrap_err() {
+            EngineError::Oom { source, .. } => assert!(!source.is_injected()),
+            other => panic!("expected Oom, got {other}"),
+        }
     }
 
     #[test]
@@ -1991,43 +1945,6 @@ mod resilience_tests {
     }
 
     #[test]
-    fn retry_disabled_surfaces_the_panic_as_a_typed_error() {
-        let g = Graph::generate(&GraphSpec::new(200, 1_000, 9));
-        let mut cfg = config(Backend::Facade, 2);
-        cfg.retry.enabled = false;
-        let err = Engine::new(&g, cfg)
-            .execute(&PanicOnce::new(PageRank::new(2)))
-            .unwrap_err();
-        match err {
-            EngineError::WorkerPanicked { ref message, .. } => {
-                assert!(message.contains("injected worker panic"), "{message}");
-            }
-            other => panic!("expected WorkerPanicked, got {other}"),
-        }
-        assert!(err.to_string().contains("panic"));
-    }
-
-    #[test]
-    fn oom_with_retry_disabled_matches_the_old_contract() {
-        let g = Graph::generate(&GraphSpec::new(5_000, 100_000, 19));
-        let mut cfg = EngineConfig {
-            backend: Backend::Heap,
-            budget_bytes: 48 << 10,
-            intervals: 2,
-            bytes_per_edge: 1,
-            ..EngineConfig::default()
-        };
-        cfg.retry.enabled = false;
-        let err = Engine::new(&g, cfg).execute(&PageRank::new(1)).unwrap_err();
-        match err {
-            EngineError::Oom { source, .. } => {
-                assert!(!source.is_injected());
-            }
-            other => panic!("expected Oom, got {other}"),
-        }
-    }
-
-    #[test]
     fn ladder_halves_threads_then_shrinks_budget() {
         let config = EngineConfig {
             budget_bytes: 1 << 20,
@@ -2068,5 +1985,24 @@ mod resilience_tests {
             }
         }
         assert_eq!(exhausted, 1, "the ladder must eventually give up");
+        // A panic that outlives its same-rung retries on the exhausted
+        // ladder surfaces as a typed error carrying the message.
+        let panicked = || SubFailure {
+            worker: 1,
+            subinterval: 2,
+            kind: FailureCause::WorkerPanic("injected worker panic".into()),
+        };
+        let err = loop {
+            if let Err(e) = ladder.respond(&config, panicked(), "test", &mut resilience) {
+                break e;
+            }
+        };
+        match &err {
+            EngineError::WorkerPanicked { message, .. } => {
+                assert!(message.contains("injected worker panic"), "{message}");
+            }
+            other => panic!("expected WorkerPanicked, got {other}"),
+        }
+        assert!(err.to_string().contains("panic"));
     }
 }

@@ -31,23 +31,24 @@
 //!
 //! [`EngineConfig::threads`] workers process subintervals round-robin, each
 //! against a private [`data_store::Store`] sized to an equal slice of the
-//! budget; facade workers draw pages from one shared pool. Workers read a
-//! frozen interval-start snapshot and buffer their writes, and the main
-//! thread replays the buffers in subinterval order — so the output is
-//! bit-identical at every thread count (asserted by the engine test
-//! `parallel_runs_are_bit_identical_to_sequential`).
+//! budget. The stores come from the run's environment
+//! ([`RunEnv::store`] over [`RunEnv::page_pool`]): one page pool per run —
+//! the host's if it lent one, else a private one — shared by every facade
+//! worker. Workers read a frozen interval-start snapshot and buffer their
+//! writes, and the main thread replays the buffers in subinterval order —
+//! so the output is bit-identical at every thread count (asserted by the
+//! engine test `parallel_runs_are_bit_identical_to_sequential`).
 //!
 //! # Failure handling
 //!
 //! Worker failures (out-of-memory, panics) do not kill a run. The failed
 //! interval is discarded and retried under the *degradation ladder* both
-//! engines share (`data_store::recovery`, switched by [`RetryPolicy`]):
-//! transient failures retry at the same configuration, deterministic
-//! budget exhaustion steps down a rung — here: halve the worker count to
-//! serial, then halve the subinterval budget to its floor. Every retry and
-//! rung is recorded in the run's [`metrics::ResilienceReport`], and — under
-//! the `tracing` feature — as instant events in the trace timeline (see
-//! `docs/OBSERVABILITY.md`).
+//! engines share (`data_store::recovery`, always on): transient failures
+//! retry at the same configuration, deterministic budget exhaustion steps
+//! down a rung — here: halve the worker count to serial, then halve the
+//! subinterval budget to its floor. Every retry and rung is recorded in the
+//! run's [`metrics::ResilienceReport`], and — under the `tracing` feature —
+//! as instant events in the trace timeline (see `docs/OBSERVABILITY.md`).
 //!
 //! # Examples
 //!
@@ -66,6 +67,25 @@
 //! assert_eq!(outcome.values.len(), 500);
 //! # Ok::<(), graphchi_rs::EngineError>(())
 //! ```
+//!
+//! What a *host* lends the run — a shared page pool and its epoch, a
+//! cancellation flag, a checkpoint directory — travels in one field,
+//! [`EngineConfig::env`]:
+//!
+//! ```
+//! # use graphchi_rs::{Backend, EngineConfig, RunEnv};
+//! # let dir = std::env::temp_dir();
+//! let durable = EngineConfig {
+//!     backend: Backend::Facade,
+//!     budget_bytes: 8 << 20,
+//!     env: RunEnv {
+//!         checkpoint_dir: Some(dir),
+//!         ..RunEnv::default()
+//!     },
+//!     ..EngineConfig::default()
+//! };
+//! assert!(!durable.env.canceled());
+//! ```
 
 mod apps;
 mod engine;
@@ -74,7 +94,7 @@ mod preprocess;
 pub use apps::{
     ConnectedComponents, PageRank, SSSP_INFINITY, ShortestPaths, VertexProgram, VertexView,
 };
-pub use data_store::recovery::RetryPolicy;
+pub use data_store::RunEnv;
 pub use engine::{Engine, EngineConfig, EngineError, RunOutcome, alloc_sites};
 pub use metrics::FailureCause;
 pub use metrics::report::Backend;

@@ -2,7 +2,7 @@
 //!
 //! Both jobs checkpoint the output of their expensive first phase (WC's map
 //! output, ES's sorted partitions) through the shared `Checkpointer` that
-//! [`crate::ClusterConfig::checkpointer`] builds; what lives here is only
+//! `cluster::job_checkpointer` builds; what lives here is only
 //! what is specific to this engine: the job fingerprint, the section codecs
 //! and the crash hook. A resumed job and a live one produce bit-identical
 //! output, because the checkpoint stores exactly the phase payloads the
@@ -13,7 +13,7 @@ use data_store::RecoveryError;
 use data_store::checkpoint::{self, Cursor};
 use std::time::Instant;
 
-/// Fingerprint of a job shape: see [`ClusterConfig::checkpointer`] for what
+/// Fingerprint of a job shape: see `cluster::job_checkpointer` for what
 /// it covers and why. Computed only when checkpointing is configured.
 pub(crate) fn job_fingerprint(job: &str, workers: usize, corpus: &[String]) -> u64 {
     let mut state = checkpoint::xxh64(job.as_bytes(), workers as u64);
@@ -88,7 +88,7 @@ pub(crate) fn maybe_crash(
     started: Instant,
 ) -> Result<(), JobFailure> {
     #[cfg(feature = "fault-injection")]
-    if let Some(plan) = &config.fault_plan {
+    if let Some(plan) = &config.env.fault_plan {
         if plan.should_crash_in_phase(phase) {
             return Err(JobFailure {
                 after: started.elapsed(),

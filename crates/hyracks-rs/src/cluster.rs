@@ -4,8 +4,10 @@
 //! [`ClusterConfig::workers`] fixes how the input is partitioned (and so
 //! the job's output, bit for bit), while [`ClusterConfig::threads`] sizes
 //! the pool of OS threads a phase runs those partitions on. Each pool
-//! thread owns one long-lived [`Store`] — on the facade backend all of
-//! them draw pages from the job's shared [`PagePool`] — and partitions are
+//! thread owns one long-lived [`Store`] built by [`RunEnv::store`] — on the
+//! facade backend all of them draw pages from the job's one [`PagePool`]
+//! ([`RunEnv::page_pool`]: the host's, else a private one, so the reduce
+//! phase reuses the map phase's pages) — and partitions are
 //! dealt to threads round-robin, mirroring the per-worker-store pattern of
 //! the GraphChi engine. Results land in slots indexed by partition id, so
 //! any `threads` value (and any retry interleaving) reassembles the same
@@ -14,15 +16,14 @@
 use crate::steal::WorkQueue;
 use data_store::RecoveryError;
 use data_store::checkpoint::Checkpointer;
-use data_store::recovery::{Ladder, RetryPolicy, guarded, scoped_each};
-use data_store::{PagePool, PauseRecord, PoolCounters, Store, StoreCensus, StoreStats};
+use data_store::recovery::{Ladder, guarded, scoped_each};
+use data_store::{PagePool, PauseRecord, PoolCounters, RunEnv, Store, StoreCensus, StoreStats};
 use metrics::report::Backend;
 use metrics::{DegradationAction, OutOfMemory, ResilienceReport};
 use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 pub use metrics::FailureCause;
@@ -55,42 +56,17 @@ pub struct ClusterConfig {
     pub per_worker_budget: usize,
     /// Frame granularity in input bytes; each frame is one sub-iteration.
     pub frame_bytes: usize,
-    /// Whether job phases respond to worker failures at all (the shared
-    /// retry/degradation ladder, see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
-    /// Shared [`PagePool`] the job's facade workers draw from. `None` (the
-    /// default) builds a private per-job pool; a multi-job host (the
-    /// `facade-server` daemon) passes its resident pool here so concurrent
-    /// jobs share one page economy. Fault plans are then *not* installed on
-    /// the pool (it is not this job's to sabotage). Ignored under
-    /// [`Backend::Heap`].
-    pub pool: Option<Arc<PagePool>>,
-    /// Epoch tag stamped on every pool page this job acquires or releases
-    /// (see [`PagePool::begin_epoch`]). Meaningful only with an external
-    /// [`pool`](Self::pool); the default [`NO_EPOCH`](data_store::NO_EPOCH)
-    /// leaves traffic untagged.
-    pub job_epoch: u64,
-    /// Deterministic fault plan installed on every worker store (and the
-    /// job page pool) — the testing harness for the failure paths.
-    #[cfg(feature = "fault-injection")]
-    pub fault_plan: Option<data_store::FaultPlan>,
-    /// Directory for job-phase checkpoints. When set, each job commits its
-    /// expensive first phase's output (WC map output, ES sorted partitions)
-    /// as a checksummed manifest via atomic tmp-file-then-rename, and
-    /// removes it when the job completes — and a job that finds a verified
-    /// checkpoint of itself there (same job, partitioning and corpus)
-    /// skips the already-committed phase. A missing checkpoint is a routine
-    /// cold start; a damaged one (torn write, corruption, foreign
-    /// fingerprint) is discarded — counted in the job's resilience report
-    /// — and the job cold-starts. Either way the output is bit-identical
-    /// to an uninterrupted run. `None` (the default) adds no I/O.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Host-requested cancellation flag, polled whenever a pool thread is
-    /// about to claim a partition and between phases: when a multi-job
-    /// host (the `facade-server` dispatcher) sets it, the job stops with
-    /// [`FailureCause::Canceled`] instead of finishing its remaining
-    /// partitions and phases. The default flag is never set.
-    pub cancel: Arc<AtomicBool>,
+    /// What the host lends the job: page pool and epoch, cancellation flag,
+    /// checkpoint directory, fault plan. The job polls
+    /// [`RunEnv::canceled`] whenever a pool thread is about to claim a
+    /// partition and between phases, stopping with
+    /// [`FailureCause::Canceled`]; with [`RunEnv::checkpoint_dir`] set it
+    /// commits its expensive first phase's output (WC map output, ES sorted
+    /// partitions) there and removes it on completion, and a job that
+    /// finds a verified checkpoint of itself (same job, partitioning and
+    /// corpus) skips the committed phase — the output is bit-identical to
+    /// an uninterrupted run either way.
+    pub env: RunEnv,
 }
 
 impl Default for ClusterConfig {
@@ -101,13 +77,7 @@ impl Default for ClusterConfig {
             backend: Backend::Heap,
             per_worker_budget: 16 << 20,
             frame_bytes: 32 << 10,
-            retry: RetryPolicy::default(),
-            pool: None,
-            job_epoch: data_store::NO_EPOCH,
-            #[cfg(feature = "fault-injection")]
-            fault_plan: None,
-            checkpoint_dir: None,
-            cancel: Arc::new(AtomicBool::new(false)),
+            env: RunEnv::default(),
         }
     }
 }
@@ -116,62 +86,30 @@ impl ClusterConfig {
     /// The checkpoint file the named job (`"wc"`, `"es"`) reads and writes,
     /// or `None` when durability is not configured.
     pub fn checkpoint_path(&self, job: &str) -> Option<PathBuf> {
-        self.checkpoint_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("{job}.fckp")))
+        let dir = self.env.checkpoint_dir.as_ref()?;
+        Some(dir.join(checkpoint_file(job)))
     }
+}
 
-    /// The checkpoint policy of the named job over `corpus`, when
-    /// durability is configured. The fingerprint binds a checkpoint to the
-    /// job shape that produced it: the job name, the data decomposition
-    /// (`workers`, which fixes partition contents), and the corpus itself.
-    /// It deliberately excludes `threads`, budgets, and frame sizes —
-    /// output is bit-identical across those, so a resumed job may finish
-    /// under a different execution configuration.
-    pub(crate) fn checkpointer(&self, job: &str, corpus: &[String]) -> Option<Checkpointer> {
-        let path = self.checkpoint_path(job)?;
-        let fingerprint = crate::checkpoint::job_fingerprint(job, self.workers, corpus);
-        let ckpt = Checkpointer::new(path, fingerprint);
-        #[cfg(feature = "fault-injection")]
-        let ckpt = ckpt.fault_plan(self.fault_plan.clone());
-        Some(ckpt)
-    }
+fn checkpoint_file(job: &str) -> String {
+    format!("{job}.fckp")
+}
 
-    pub(crate) fn make_store(&self, pool: Option<&Arc<PagePool>>) -> Store {
-        let mut builder = Store::builder()
-            .backend(self.backend)
-            .budget(self.per_worker_budget)
-            .job_epoch(self.job_epoch);
-        if let (Backend::Facade, Some(pool)) = (self.backend, pool) {
-            builder = builder.pool(Arc::clone(pool));
-        }
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &self.fault_plan {
-            builder = builder.fault_plan(plan.clone());
-        }
-        builder.build()
-    }
-
-    /// One page supply per job on the facade backend: every phase's worker
-    /// stores draw from (and at phase end return to) the same pool, so the
-    /// reduce phase reuses the map phase's pages instead of growing fresh
-    /// ones on every node. A host-provided [`pool`](Self::pool) is used
-    /// as-is — and is *not* given this job's fault plan, since other jobs
-    /// share it.
-    pub(crate) fn job_page_pool(&self) -> Option<Arc<PagePool>> {
-        if self.backend != Backend::Facade {
-            return None;
-        }
-        if let Some(shared) = &self.pool {
-            return Some(Arc::clone(shared));
-        }
-        let pool = Arc::new(PagePool::with_default_config());
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &self.fault_plan {
-            pool.set_fault_plan(plan.clone());
-        }
-        Some(pool)
-    }
+/// The checkpoint policy of the named job over `corpus`, when durability is
+/// configured. The fingerprint binds a checkpoint to the job shape that
+/// produced it: the job name, the data decomposition (`workers`, which
+/// fixes partition contents), and the corpus itself. It deliberately
+/// excludes `threads`, budgets, and frame sizes — output is bit-identical
+/// across those, so a resumed job may finish under a different execution
+/// configuration.
+pub(crate) fn job_checkpointer(
+    config: &ClusterConfig,
+    job: &str,
+    corpus: &[String],
+) -> Option<Checkpointer> {
+    config.env.checkpointer(&checkpoint_file(job), || {
+        crate::checkpoint::job_fingerprint(job, config.workers, corpus)
+    })
 }
 
 /// The simulated cluster as a resident object: configure once, submit jobs.
@@ -179,8 +117,8 @@ impl ClusterConfig {
 /// This is the one entry point to both jobs; the job API (the `facade-job`
 /// runners) and the serving daemon build on it. The struct holds only
 /// configuration — worker stores live for one job phase — so one `Cluster`
-/// can execute any number of jobs, and a host sharing its
-/// [`ClusterConfig::pool`] across clusters multiplexes them over one page
+/// can execute any number of jobs, and a host lending its
+/// [`RunEnv::pool`] to several clusters multiplexes them over one page
 /// economy.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -385,8 +323,7 @@ fn retire_store(store: &mut Store, healthy: bool, acc: &mut WorkerReport) {
 /// # Errors
 ///
 /// If a worker failure survives the transient retries and every degrade
-/// rung — or `config.retry.enabled` is off, restoring §4.2's "terminates
-/// immediately" behaviour — the phase fails with [`JobFailure`].
+/// rung, the phase fails with [`JobFailure`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_phase<I, S, R, N, F>(
     config: &ClusterConfig,
@@ -432,12 +369,14 @@ where
                 worker: w,
                 ..WorkerReport::default()
             };
-            let mut store = config.make_store(pool);
+            let mut store = config
+                .env
+                .store(config.backend, config.per_worker_budget, pool);
             let mut schema = init(&mut store);
             while let Some(claim) = queue.claim(w) {
                 // A canceled job runs nothing further; a partition already
                 // running finishes and its store retires normally.
-                if config.cancel.load(Ordering::Acquire) {
+                if config.env.canceled() {
                     break;
                 }
                 let (pos, stolen_from) = claim.into_parts();
@@ -485,7 +424,9 @@ where
                     // the siblings keep stealing this thread's
                     // unclaimed share while it rebuilds.
                     retire_store(&mut store, false, &mut acc);
-                    store = config.make_store(pool);
+                    store = config
+                        .env
+                        .store(config.backend, config.per_worker_budget, pool);
                     schema = init(&mut store);
                 }
             }
@@ -536,7 +477,7 @@ where
         // A cancel leaves partitions unclaimed, which the sweep below would
         // misread as lost. One that lands as the round's last partition
         // completes discards nothing: the job polls again between phases.
-        if !pending.is_empty() && config.cancel.load(Ordering::Acquire) {
+        if !pending.is_empty() && config.env.canceled() {
             return Err(fail(FailureCause::Canceled));
         }
         // Any pending partition without a recorded failure was claimed by
@@ -555,7 +496,6 @@ where
         };
         ladder
             .respond(
-                &config.retry,
                 &format!("{phase} partition {id}"),
                 cause,
                 &mut stats.resilience,
@@ -617,7 +557,7 @@ pub(crate) fn first_phase<T>(
             out
         }
     };
-    if config.cancel.load(Ordering::Acquire) {
+    if config.env.canceled() {
         return Err(JobFailure {
             after: started.elapsed(),
             cause: FailureCause::Canceled,
@@ -648,7 +588,7 @@ pub(crate) fn finish_job(
         c.finish(&stats.resilience);
     }
     #[cfg(feature = "fault-injection")]
-    if let Some(plan) = &config.fault_plan {
+    if let Some(plan) = &config.env.fault_plan {
         stats.resilience.faults_injected = plan.faults_injected();
     }
     #[cfg(not(feature = "fault-injection"))]
@@ -659,6 +599,7 @@ pub(crate) fn finish_job(
 mod tests {
     use super::*;
     use data_store::FieldTy;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn round_robin_balances() {
@@ -721,7 +662,7 @@ mod tests {
             backend: Backend::Facade,
             ..ClusterConfig::default()
         };
-        let pool = config.job_page_pool();
+        let pool = config.env.page_pool(config.backend);
         let mut stats = JobStats::default();
         let parts = round_robin(&(0..500).collect::<Vec<_>>(), 2);
         run_phase(
@@ -901,7 +842,10 @@ mod tests {
             backend: Backend::Facade,
             ..ClusterConfig::default()
         };
-        let pool = config.job_page_pool().expect("facade jobs share a pool");
+        let pool = config
+            .env
+            .page_pool(config.backend)
+            .expect("facade jobs share a pool");
         let mut stats = JobStats::default();
         let parts = round_robin(&(0..64).collect::<Vec<_>>(), 8);
         let armed = AtomicBool::new(true);
@@ -955,8 +899,11 @@ mod tests {
             workers: 8,
             threads: 1,
             backend: Backend::Facade,
-            pool: Some(Arc::clone(&pool)),
-            job_epoch: epoch,
+            env: RunEnv {
+                pool: Some(Arc::clone(&pool)),
+                epoch,
+                ..RunEnv::default()
+            },
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
@@ -976,7 +923,7 @@ mod tests {
                 }
                 store.iteration_end(it);
                 if id == 2 {
-                    config.cancel.store(true, Ordering::Release);
+                    config.env.cancel.store(true, Ordering::Release);
                 }
                 Ok(xs.len())
             },
@@ -1012,7 +959,7 @@ mod tests {
             |_| (),
             |_, _store, _, xs: Vec<i32>, _| {
                 if ran.fetch_add(1, Ordering::SeqCst) == 3 {
-                    config.cancel.store(true, Ordering::Release);
+                    config.env.cancel.store(true, Ordering::Release);
                 }
                 Ok(xs.len())
             },
@@ -1022,12 +969,11 @@ mod tests {
     }
 
     #[test]
-    fn retry_disabled_fails_fast_on_panic() {
-        let mut config = ClusterConfig {
+    fn persistent_panic_walks_the_ladder_and_ends_as_failed() {
+        let config = ClusterConfig {
             workers: 2,
             ..ClusterConfig::default()
         };
-        config.retry.enabled = false;
         let mut stats = JobStats::default();
         let parts = round_robin(&(0..2).collect::<Vec<_>>(), 2);
         let result: Result<Vec<()>, _> = run_phase(
@@ -1043,6 +989,7 @@ mod tests {
         let failure = result.unwrap_err();
         assert!(failure.to_string().starts_with("FAILED("), "{failure}");
         assert!(failure.to_string().contains("boom"));
+        assert_eq!(stats.resilience.degradations, u64::from(MAX_DEGRADE_LEVELS));
     }
 
     #[test]

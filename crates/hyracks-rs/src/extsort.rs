@@ -3,7 +3,8 @@
 
 use crate::checkpoint::{decode_words, encode_words, maybe_crash};
 use crate::cluster::{
-    ClusterConfig, JobFailure, JobStats, finish_job, first_phase, round_robin, run_phase,
+    ClusterConfig, JobFailure, JobStats, finish_job, first_phase, job_checkpointer, round_robin,
+    run_phase,
 };
 use crate::hashtable::hash_bytes;
 use data_store::{ClassTag, ElemTy, FieldTy, Store};
@@ -125,7 +126,8 @@ fn merge_runs(runs: Vec<Vec<Vec<u8>>>) -> Vec<Vec<u8>> {
 /// Runs the ES job over `corpus` on the simulated cluster; the
 /// implementation behind [`crate::Cluster::external_sort`].
 ///
-/// With [`ClusterConfig::checkpoint_dir`] set, the sorted partitions are
+/// With [`checkpoint_dir`](data_store::RunEnv::checkpoint_dir) set in the
+/// config's `env`, the sorted partitions are
 /// committed as a checksummed manifest the moment the sort phase completes;
 /// a job that finds its own verified checkpoint there recomputes only the
 /// checksum, bit-identical to an uninterrupted run.
@@ -141,8 +143,8 @@ pub(crate) fn external_sort_job(
 ) -> Result<EsOutput, JobFailure> {
     let started = Instant::now();
     let mut stats = JobStats::default();
-    let pool = config.job_page_pool();
-    let ckpt = config.checkpointer("es", corpus);
+    let pool = config.env.page_pool(config.backend);
+    let ckpt = job_checkpointer(config, "es", corpus);
 
     // Sort phase (or its checkpoint: the order-sensitive checksum below
     // cannot tell decoded partitions from live ones).
@@ -251,7 +253,10 @@ mod tests {
         let tmp = data_store::test_support::TempDir::new("es-resume");
         let words = corpus(&CorpusSpec::new(30_000, 31));
         let cfg = ClusterConfig {
-            checkpoint_dir: Some(tmp.path().to_path_buf()),
+            env: data_store::RunEnv {
+                checkpoint_dir: Some(tmp.path().to_path_buf()),
+                ..Default::default()
+            },
             ..config(Backend::Facade)
         };
         let base = crate::Cluster::new(&cfg).external_sort(&words).unwrap();
@@ -266,22 +271,23 @@ mod tests {
             sorted.sort();
             (format!("sorted{i}"), encode_words(&sorted))
         });
-        let ckpt = cfg
-            .checkpointer("es", &words)
-            .expect("checkpoint_dir is set");
+        let ckpt = job_checkpointer(&cfg, "es", &words).expect("checkpoint_dir is set");
         ckpt.commit([1, 0], sections.collect(), &mut Default::default());
 
         // Cancel is polled between phases too: with the sort phase resumed
         // no partition is ever claimed, yet a canceled job stops short of
         // the checksum — and leaves the checkpoint for a later resubmission.
-        cfg.cancel.store(true, std::sync::atomic::Ordering::Release);
+        cfg.env
+            .cancel
+            .store(true, std::sync::atomic::Ordering::Release);
         let canceled = crate::Cluster::new(&cfg).external_sort(&words).unwrap_err();
         assert!(
             matches!(canceled.cause, crate::FailureCause::Canceled),
             "{canceled}"
         );
         assert!(path.exists());
-        cfg.cancel
+        cfg.env
+            .cancel
             .store(false, std::sync::atomic::Ordering::Release);
 
         let resumed = crate::Cluster::new(&cfg).external_sort(&words).unwrap();

@@ -13,7 +13,9 @@
 //!   pool of `threads` OS threads executes those partitions, each thread
 //!   with its *own* record store and per-node memory budget (real Hyracks
 //!   nodes are separate JVMs, so per-worker stores are the faithful
-//!   decomposition); facade stores draw pages from one shared pool. A
+//!   decomposition); the stores come from the job's environment
+//!   ([`ClusterConfig::env`]: [`RunEnv::store`]), and facade stores draw
+//!   pages from its one pool — the host's, else a private one. A
 //!   worker exceeding its budget fails the job with the out-of-memory
 //!   outcome Table 3 reports as `OME(n)`.
 //! - [`wordcount`] — the WC job: tokenization and per-word aggregation
@@ -30,6 +32,27 @@
 //! whole operator in an outer iteration, matching where the paper says the
 //! iteration calls go ("placed at the beginning and the end of each Hyracks
 //! operator").
+//!
+//! # Examples
+//!
+//! Sizing fields on the config; what a host lends the job (a shared pool
+//! and its epoch, a cancellation flag, a checkpoint directory) in `env`:
+//!
+//! ```
+//! use hyracks_rs::{Backend, Cluster, ClusterConfig, RunEnv};
+//!
+//! # let dir = std::env::temp_dir();
+//! let config = ClusterConfig {
+//!     workers: 2,
+//!     backend: Backend::Facade,
+//!     env: RunEnv {
+//!         checkpoint_dir: Some(dir),
+//!         ..RunEnv::default()
+//!     },
+//!     ..ClusterConfig::default()
+//! };
+//! assert!(Cluster::new(&config).config().checkpoint_path("wc").is_some());
+//! ```
 
 mod checkpoint;
 pub mod cluster;
@@ -39,7 +62,7 @@ mod steal;
 pub mod wordcount;
 
 pub use cluster::{Cluster, ClusterConfig, FailureCause, JobFailure, JobStats, WorkerReport};
-pub use data_store::recovery::RetryPolicy;
+pub use data_store::RunEnv;
 pub use extsort::EsOutput;
 pub use metrics::report::Backend;
 pub use wordcount::WcOutput;

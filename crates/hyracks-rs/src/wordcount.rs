@@ -4,7 +4,8 @@
 
 use crate::checkpoint::{decode_pairs, encode_pairs, maybe_crash};
 use crate::cluster::{
-    ClusterConfig, JobFailure, JobStats, finish_job, first_phase, round_robin, run_phase,
+    ClusterConfig, JobFailure, JobStats, finish_job, first_phase, job_checkpointer, round_robin,
+    run_phase,
 };
 use crate::hashtable::{WordTable, WordTableClasses, hash_bytes, register_classes};
 use data_store::{ClassTag, ElemTy, FieldTy, Store};
@@ -148,7 +149,8 @@ fn reduce_worker(
 /// Runs the WC job over `corpus` on the simulated cluster; the
 /// implementation behind [`crate::Cluster::word_count`].
 ///
-/// With [`ClusterConfig::checkpoint_dir`] set, the map phase's output is
+/// With [`checkpoint_dir`](data_store::RunEnv::checkpoint_dir) set in the
+/// config's `env`, the map phase's output is
 /// committed as a checksummed manifest the moment it completes; a job that
 /// finds its own verified checkpoint there goes straight to the shuffle,
 /// bit-identical to an uninterrupted run.
@@ -164,8 +166,8 @@ pub(crate) fn wordcount_job(
 ) -> Result<WcOutput, JobFailure> {
     let started = Instant::now();
     let mut stats = JobStats::default();
-    let pool = config.job_page_pool();
-    let ckpt = config.checkpointer("wc", corpus);
+    let pool = config.env.page_pool(config.backend);
+    let ckpt = job_checkpointer(config, "wc", corpus);
 
     // Map phase (or its checkpoint). A degraded retry halves the frame size
     // per rung: frames are sub-iteration granularity, invisible in the
@@ -286,7 +288,10 @@ mod tests {
             .word_count(&words)
             .unwrap();
         let cfg = ClusterConfig {
-            checkpoint_dir: Some(tmp.path().to_path_buf()),
+            env: data_store::RunEnv {
+                checkpoint_dir: Some(tmp.path().to_path_buf()),
+                ..Default::default()
+            },
             ..config(Backend::Facade, 32 << 20)
         };
         let out = crate::Cluster::new(&cfg).word_count(&words).unwrap();

@@ -5,11 +5,10 @@
 //! time), a peak memory figure sampled over the run, and per-experiment
 //! tables. This crate provides exactly those building blocks:
 //!
-//! - [`Stopwatch`] — a simple start/stop accumulator.
 //! - [`PhaseTimer`] — named, nestable phase accumulation (`ET`/`UT`/`LT`/`GT`).
-//! - [`MemoryTracker`] — byte accounting with peak tracking and an optional
-//!   budget that turns over-allocation into an out-of-memory error, mimicking
-//!   the JVM's `OutOfMemoryError` behaviour described in §4.2.
+//! - [`OutOfMemory`] — the error a run over its budget ends in, mimicking
+//!   the JVM's `OutOfMemoryError` behaviour described in §4.2 (the heaps do
+//!   their own byte accounting and raise it).
 //! - [`TextTable`] — fixed-width text tables for printing paper-style rows.
 //! - [`Registry`] / [`Sampler`] — a process-wide live-metrics registry
 //!   (named counters, gauges, histograms; lock-free hot path; Prometheus and
@@ -51,8 +50,8 @@ pub mod report;
 pub use failure::{FailureCause, panic_message};
 pub use histogram::DurationHistogram;
 pub use http::{Handler, HttpServer, HttpServerHandle, Request, Response};
-pub use memory::{MemoryTracker, OutOfMemory, format_bytes};
+pub use memory::{OutOfMemory, format_bytes};
 pub use registry::{Counter, Gauge, Histogram, Registry, Sampler};
 pub use resilience::{DegradationAction, DegradationEvent, ResilienceReport};
-pub use stopwatch::{PhaseTimer, Stopwatch, phases};
+pub use stopwatch::{PhaseTimer, phases};
 pub use table::TextTable;

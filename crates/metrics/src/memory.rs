@@ -1,8 +1,7 @@
-//! Byte accounting with peak tracking and optional budgets.
+//! The out-of-memory error and byte formatting.
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The run exceeded its memory budget.
 ///
@@ -81,132 +80,6 @@ impl fmt::Display for OutOfMemory {
 
 impl Error for OutOfMemory {}
 
-/// Thread-safe byte accounting with peak tracking and an optional budget.
-///
-/// All live-byte updates go through [`MemoryTracker::allocate`] and
-/// [`MemoryTracker::release`]; the tracker maintains the high-water mark that
-/// the paper reports as peak memory (`PM`).
-///
-/// # Examples
-///
-/// ```
-/// use metrics::MemoryTracker;
-///
-/// let tracker = MemoryTracker::with_budget(1024);
-/// tracker.allocate(512).unwrap();
-/// tracker.allocate(512).unwrap();
-/// assert!(tracker.allocate(1).is_err());
-/// tracker.release(512);
-/// assert_eq!(tracker.live(), 512);
-/// assert_eq!(tracker.peak(), 1024);
-/// ```
-#[derive(Debug)]
-pub struct MemoryTracker {
-    live: AtomicU64,
-    peak: AtomicU64,
-    budget: Option<u64>,
-}
-
-impl MemoryTracker {
-    /// Creates a tracker with no budget; allocation never fails.
-    pub fn unbounded() -> Self {
-        Self {
-            live: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-            budget: None,
-        }
-    }
-
-    /// Creates a tracker that fails allocations pushing live bytes past
-    /// `budget`.
-    pub fn with_budget(budget: u64) -> Self {
-        Self {
-            live: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-            budget: Some(budget),
-        }
-    }
-
-    /// Records an allocation of `bytes`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfMemory`] if the tracker has a budget and the allocation
-    /// would exceed it; the live count is left unchanged in that case.
-    pub fn allocate(&self, bytes: u64) -> Result<(), OutOfMemory> {
-        let mut current = self.live.load(Ordering::Relaxed);
-        loop {
-            let next = current + bytes;
-            if let Some(budget) = self.budget {
-                if next > budget {
-                    return Err(OutOfMemory::new(next, budget).with_context(
-                        current,
-                        bytes,
-                        "memory-tracker",
-                    ));
-                }
-            }
-            match self.live.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.peak.fetch_max(next, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Records a release of `bytes`. Releasing more than is live saturates at
-    /// zero rather than wrapping.
-    pub fn release(&self, bytes: u64) {
-        let mut current = self.live.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_sub(bytes);
-            match self.live.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Currently live bytes.
-    pub fn live(&self) -> u64 {
-        self.live.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of live bytes over the tracker's lifetime.
-    pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// The configured budget, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
-    /// Resets live and peak counts to zero (the budget is kept).
-    pub fn reset(&self) {
-        self.live.store(0, Ordering::Relaxed);
-        self.peak.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Default for MemoryTracker {
-    fn default() -> Self {
-        Self::unbounded()
-    }
-}
-
 /// Formats a byte count using binary units, e.g. `1.5 MiB`.
 ///
 /// # Examples
@@ -233,74 +106,6 @@ pub fn format_bytes(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unbounded_never_fails() {
-        let t = MemoryTracker::unbounded();
-        t.allocate(u64::MAX / 2).unwrap();
-        assert_eq!(t.live(), u64::MAX / 2);
-    }
-
-    #[test]
-    fn budget_enforced_and_live_unchanged_on_failure() {
-        let t = MemoryTracker::with_budget(100);
-        t.allocate(90).unwrap();
-        let err = t.allocate(20).unwrap_err();
-        assert_eq!(err.budget, 100);
-        assert_eq!(err.attempted, 110);
-        assert_eq!(t.live(), 90);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let t = MemoryTracker::unbounded();
-        t.allocate(100).unwrap();
-        t.release(60);
-        t.allocate(10).unwrap();
-        assert_eq!(t.live(), 50);
-        assert_eq!(t.peak(), 100);
-    }
-
-    #[test]
-    fn release_saturates_at_zero() {
-        let t = MemoryTracker::unbounded();
-        t.allocate(5).unwrap();
-        t.release(50);
-        assert_eq!(t.live(), 0);
-    }
-
-    #[test]
-    fn reset_clears_counts_keeps_budget() {
-        let t = MemoryTracker::with_budget(64);
-        t.allocate(64).unwrap();
-        t.reset();
-        assert_eq!(t.live(), 0);
-        assert_eq!(t.peak(), 0);
-        assert_eq!(t.budget(), Some(64));
-        t.allocate(64).unwrap();
-    }
-
-    #[test]
-    fn concurrent_allocate_release_is_consistent() {
-        use std::sync::Arc;
-        let t = Arc::new(MemoryTracker::unbounded());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        t.allocate(3).unwrap();
-                        t.release(3);
-                    }
-                })
-            })
-            .collect();
-        for th in threads {
-            th.join().unwrap();
-        }
-        assert_eq!(t.live(), 0);
-        assert!(t.peak() >= 3);
-    }
 
     #[test]
     fn out_of_memory_displays_units() {

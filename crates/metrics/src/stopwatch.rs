@@ -11,76 +11,6 @@ pub mod phases {
     pub const UPDATE: &str = "update";
     /// Garbage collection time (`GT`).
     pub const GC: &str = "gc";
-    /// Shuffle/exchange time (Hyracks runs).
-    pub const SHUFFLE: &str = "shuffle";
-    /// Everything else (setup, teardown).
-    pub const OTHER: &str = "other";
-}
-
-/// A restartable stopwatch that accumulates elapsed wall-clock time.
-///
-/// # Examples
-///
-/// ```
-/// use metrics::Stopwatch;
-///
-/// let mut sw = Stopwatch::new();
-/// sw.start();
-/// let _ = (0..1000).sum::<u64>();
-/// sw.stop();
-/// assert!(sw.elapsed().as_nanos() > 0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Stopwatch {
-    accumulated: Duration,
-    started_at: Option<Instant>,
-}
-
-impl Stopwatch {
-    /// Creates a stopped stopwatch with zero accumulated time.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts (or restarts) timing. Starting a running stopwatch is a no-op.
-    pub fn start(&mut self) {
-        if self.started_at.is_none() {
-            self.started_at = Some(Instant::now());
-        }
-    }
-
-    /// Stops timing and folds the elapsed interval into the accumulator.
-    /// Stopping a stopped stopwatch is a no-op.
-    pub fn stop(&mut self) {
-        if let Some(at) = self.started_at.take() {
-            self.accumulated += at.elapsed();
-        }
-    }
-
-    /// Returns `true` while the stopwatch is running.
-    pub fn is_running(&self) -> bool {
-        self.started_at.is_some()
-    }
-
-    /// Total accumulated time, including the in-flight interval if running.
-    pub fn elapsed(&self) -> Duration {
-        match self.started_at {
-            Some(at) => self.accumulated + at.elapsed(),
-            None => self.accumulated,
-        }
-    }
-
-    /// Resets the stopwatch to zero and stops it.
-    pub fn reset(&mut self) {
-        self.accumulated = Duration::ZERO;
-        self.started_at = None;
-    }
-
-    /// Adds an externally measured interval (e.g. reported by a worker
-    /// thread) to the accumulator.
-    pub fn add(&mut self, d: Duration) {
-        self.accumulated += d;
-    }
 }
 
 /// Accumulates wall-clock time under named phases.
@@ -175,47 +105,6 @@ impl Default for PhaseTimer {
 mod tests {
     use super::*;
     use std::thread::sleep;
-
-    #[test]
-    fn stopwatch_accumulates_across_intervals() {
-        let mut sw = Stopwatch::new();
-        sw.start();
-        sleep(Duration::from_millis(2));
-        sw.stop();
-        let first = sw.elapsed();
-        sw.start();
-        sleep(Duration::from_millis(2));
-        sw.stop();
-        assert!(sw.elapsed() > first);
-    }
-
-    #[test]
-    fn stopwatch_double_start_and_stop_are_noops() {
-        let mut sw = Stopwatch::new();
-        sw.start();
-        sw.start();
-        assert!(sw.is_running());
-        sw.stop();
-        sw.stop();
-        assert!(!sw.is_running());
-    }
-
-    #[test]
-    fn stopwatch_reset_clears_everything() {
-        let mut sw = Stopwatch::new();
-        sw.start();
-        sleep(Duration::from_millis(1));
-        sw.reset();
-        assert!(!sw.is_running());
-        assert_eq!(sw.elapsed(), Duration::ZERO);
-    }
-
-    #[test]
-    fn stopwatch_add_external_interval() {
-        let mut sw = Stopwatch::new();
-        sw.add(Duration::from_secs(3));
-        assert_eq!(sw.elapsed(), Duration::from_secs(3));
-    }
 
     #[test]
     fn phase_timer_attributes_time() {

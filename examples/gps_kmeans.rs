@@ -19,7 +19,7 @@ fn main() {
             workers: 4,
             backend,
             per_worker_budget: 16 << 20,
-            batch_messages: 1024,
+            ..GpsConfig::default()
         };
         let out = run(&graph, &mut kernel, &config).expect("run completes");
         let mut sizes = vec![0usize; 4];

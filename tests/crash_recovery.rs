@@ -19,7 +19,7 @@ use facade::hyracks::{Cluster, ClusterConfig};
 use facade::job::{Dataset, ExecContext, GraphChiRunner, JobOutput, JobRunner, JobSpec, Workload};
 use facade::store::checkpoint::read_manifest;
 use facade::store::test_support::TempDir;
-use facade::store::{FaultPlan, RecoveryError};
+use facade::store::{FaultPlan, RecoveryError, RunEnv};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -54,8 +54,8 @@ fn graphchi_recovers_bit_identically_at_every_thread_count() {
         let ckpt = Engine::checkpoint_path(tmp.path());
 
         let mut config = graphchi_config(threads);
-        config.checkpoint_dir = Some(tmp.path().to_path_buf());
-        config.fault_plan = Some(FaultPlan::builder(90).crash_at_interval(5).build());
+        config.env.checkpoint_dir = Some(tmp.path().to_path_buf());
+        config.env.fault_plan = Some(FaultPlan::builder(90).crash_at_interval(5).build());
         let err = Engine::new(&graph, config.clone())
             .execute(&app)
             .expect_err("the crash fault must abort the run");
@@ -72,7 +72,7 @@ fn graphchi_recovers_bit_identically_at_every_thread_count() {
         assert!(ckpt.exists(), "the crash left a durable checkpoint behind");
 
         // Restart: fresh engine (fresh process, in spirit), no fault plan.
-        config.fault_plan = None;
+        config.env.fault_plan = None;
         read_manifest(&ckpt).expect("checkpoint verifies");
         let recovered = Engine::new(&graph, config)
             .execute(&app)
@@ -111,8 +111,8 @@ fn graphchi_torn_checkpoint_falls_back_to_a_cold_start() {
         let ckpt = Engine::checkpoint_path(tmp.path());
 
         let mut config = graphchi_config(threads);
-        config.checkpoint_dir = Some(tmp.path().to_path_buf());
-        config.fault_plan = Some(
+        config.env.checkpoint_dir = Some(tmp.path().to_path_buf());
+        config.env.fault_plan = Some(
             FaultPlan::builder(91)
                 .crash_at_interval(5)
                 .torn_checkpoint_writes()
@@ -123,7 +123,7 @@ fn graphchi_torn_checkpoint_falls_back_to_a_cold_start() {
             .expect_err("the crash fault must abort the run");
         assert!(ckpt.exists(), "the torn checkpoint is still on disk");
 
-        config.fault_plan = None;
+        config.env.fault_plan = None;
         let err = read_manifest(&ckpt).expect_err("a torn checkpoint must fail verification");
         assert!(
             !matches!(err, RecoveryError::Missing(_)),
@@ -159,12 +159,12 @@ fn assert_foreign_checkpoint_is_discarded(
     let tmp = TempDir::new(&format!("foreign-graphchi-{seed}"));
     let ckpt = Engine::checkpoint_path(tmp.path());
     let mut config = graphchi_config(2);
-    config.checkpoint_dir = Some(tmp.path().to_path_buf());
-    config.fault_plan = Some(FaultPlan::builder(seed).crash_at_interval(5).build());
+    config.env.checkpoint_dir = Some(tmp.path().to_path_buf());
+    config.env.fault_plan = Some(FaultPlan::builder(seed).crash_at_interval(5).build());
     Engine::new(crashed.0, config.clone())
         .execute(crashed.1)
         .expect_err("the crash fault must abort the run");
-    config.fault_plan = None;
+    config.env.fault_plan = None;
     let leftover = std::fs::read(&ckpt).expect("the crash left a checkpoint behind");
 
     for &(graph, app) in others {
@@ -295,8 +295,10 @@ fn cluster_config(threads: usize, dir: &TempDir) -> ClusterConfig {
         backend: Backend::Facade,
         per_worker_budget: 16 << 20,
         frame_bytes: 4 << 10,
-        checkpoint_dir: Some(dir.path().to_path_buf()),
-        ..ClusterConfig::default()
+        env: RunEnv {
+            checkpoint_dir: Some(dir.path().to_path_buf()),
+            ..RunEnv::default()
+        },
     }
 }
 
@@ -321,14 +323,14 @@ fn wordcount_recovers_bit_identically_at_every_thread_count() {
         let mut config = cluster_config(threads, &tmp);
         let ckpt = config.checkpoint_path("wc").unwrap();
 
-        config.fault_plan = Some(FaultPlan::builder(92).crash_in_phase(0).build());
+        config.env.fault_plan = Some(FaultPlan::builder(92).crash_in_phase(0).build());
         let failure = Cluster::new(&config)
             .word_count(&words)
             .expect_err("crash aborts the job");
         assert!(failure.to_string().contains("injected crash"), "{failure}");
         assert!(ckpt.exists(), "the crash left a durable checkpoint behind");
 
-        config.fault_plan = None;
+        config.env.fault_plan = None;
         let recovered = Cluster::new(&config)
             .word_count(&words)
             .expect("resumed job completes");
@@ -364,13 +366,13 @@ fn extsort_recovers_and_survives_torn_checkpoints() {
         let tmp = TempDir::new(&format!("crash-es-{threads}"));
         let mut config = cluster_config(threads, &tmp);
         let ckpt = config.checkpoint_path("es").unwrap();
-        config.fault_plan = Some(FaultPlan::builder(93).crash_in_phase(0).build());
+        config.env.fault_plan = Some(FaultPlan::builder(93).crash_in_phase(0).build());
         Cluster::new(&config)
             .external_sort(&words)
             .expect_err("crash aborts the job");
         assert!(ckpt.exists());
 
-        config.fault_plan = None;
+        config.env.fault_plan = None;
         let recovered = Cluster::new(&config)
             .external_sort(&words)
             .expect("resumed job completes");
@@ -386,7 +388,7 @@ fn extsort_recovers_and_survives_torn_checkpoints() {
         let tmp = TempDir::new(&format!("torn-es-{threads}"));
         let mut config = cluster_config(threads, &tmp);
         let ckpt = config.checkpoint_path("es").unwrap();
-        config.fault_plan = Some(
+        config.env.fault_plan = Some(
             FaultPlan::builder(94)
                 .crash_in_phase(0)
                 .torn_checkpoint_writes()
@@ -397,7 +399,7 @@ fn extsort_recovers_and_survives_torn_checkpoints() {
             .expect_err("crash aborts the job");
         assert!(ckpt.exists(), "the torn checkpoint is still on disk");
 
-        config.fault_plan = None;
+        config.env.fault_plan = None;
         let recovered = Cluster::new(&config)
             .external_sort(&words)
             .expect("cold start completes");
@@ -427,12 +429,12 @@ fn corrupt_checkpoint_bytes_fail_closed_and_cold_start() {
     let tmp = TempDir::new("corrupt-graphchi");
     let ckpt = Engine::checkpoint_path(tmp.path());
     let mut config = graphchi_config(2);
-    config.checkpoint_dir = Some(tmp.path().to_path_buf());
-    config.fault_plan = Some(FaultPlan::builder(95).crash_at_interval(3).build());
+    config.env.checkpoint_dir = Some(tmp.path().to_path_buf());
+    config.env.fault_plan = Some(FaultPlan::builder(95).crash_at_interval(3).build());
     Engine::new(&graph, config.clone())
         .execute(&app)
         .expect_err("crash aborts the run");
-    config.fault_plan = None;
+    config.env.fault_plan = None;
     let pristine = std::fs::read(&ckpt).expect("checkpoint bytes");
 
     // Every-byte sweeps are quadratic in verify cost; probe a spread of

@@ -170,6 +170,7 @@ fn gps_pagerank_mass_is_conserved_modulo_dangling() {
             backend: Backend::Facade,
             per_worker_budget: 16 << 20,
             batch_messages: 256,
+            ..GpsConfig::default()
         },
     )
     .unwrap();
@@ -178,6 +179,79 @@ fn gps_pagerank_mass_is_conserved_modulo_dangling() {
     // roughly n + fan-in concentration effects.
     assert!(mass > 0.15 * 500.0, "mass {mass}");
     assert!(out.values.iter().all(|&r| r >= 0.15));
+}
+
+#[test]
+fn every_engine_runs_bit_identically_on_a_host_pool_and_its_epoch_reconciles() {
+    // One run environment for all three engines: a job under a host pool
+    // with a minted epoch equals its private-pool run bit for bit, and at
+    // retirement every page the epoch drew is back, plus the fresh pages
+    // the run created and donated.
+    use facade::gps::{self, GpsConfig};
+    use facade::graphchi::{self, Engine, EngineConfig};
+    use facade::hyracks::{Cluster, ClusterConfig};
+    use facade::store::{PagePool, RunEnv};
+    use std::sync::Arc;
+
+    let host = Arc::new(PagePool::with_default_config());
+    // `job`: environment in, (output, pages created) out.
+    fn check<T: PartialEq>(name: &str, host: &Arc<PagePool>, job: impl Fn(RunEnv) -> (T, u64)) {
+        let (private, _) = job(RunEnv::default());
+        let epoch = host.begin_epoch();
+        let (hosted, pages_created) = job(RunEnv {
+            pool: Some(Arc::clone(host)),
+            epoch,
+            ..RunEnv::default()
+        });
+        assert!(hosted == private, "{name}: output independent of the pool");
+        let ledger = host.retire_epoch(epoch).expect("epoch was live");
+        assert!(ledger.pages_in > 0, "{name}: traffic was tagged");
+        assert_eq!(
+            ledger.pages_in,
+            ledger.pages_out + pages_created,
+            "{name}: {ledger:?}, {pages_created} created"
+        );
+    }
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let graph = Graph::generate(&GraphSpec::new(400, 3_000, 5));
+    let words = corpus(&CorpusSpec::new(40_000, 5));
+
+    check("graphchi pagerank", &host, |env| {
+        let config = EngineConfig {
+            backend: Backend::Facade,
+            budget_bytes: 16 << 20,
+            intervals: 4,
+            threads: 2,
+            env,
+            ..EngineConfig::default()
+        };
+        let out = Engine::new(&graph, config)
+            .execute(&graphchi::PageRank::new(3))
+            .unwrap();
+        (bits(&out.values), out.stats.pages_created)
+    });
+    check("hyracks wordcount", &host, |env| {
+        let config = ClusterConfig {
+            workers: 4,
+            threads: 2,
+            backend: Backend::Facade,
+            env,
+            ..ClusterConfig::default()
+        };
+        let out = Cluster::new(&config).word_count(&words).unwrap();
+        (out.counts, out.stats.pages_created)
+    });
+    check("gps pagerank", &host, |env| {
+        let config = GpsConfig {
+            workers: 3,
+            backend: Backend::Facade,
+            env,
+            ..GpsConfig::default()
+        };
+        let out = gps::run(&graph, &mut gps::PageRank::new(4), &config).unwrap();
+        (bits(&out.values), out.stats.pages_created)
+    });
+    assert_eq!(host.live_epochs(), 0);
 }
 
 #[test]

@@ -119,7 +119,7 @@ mod fault_injection {
                 .pool_acquire_failure_ppm(150_000)
                 .build();
             let mut cfg = config(Backend::Facade, threads);
-            cfg.fault_plan = Some(plan.clone());
+            cfg.env.fault_plan = Some(plan.clone());
             let wc = Cluster::new(&cfg)
                 .word_count(&words)
                 .expect("WC survives the plan");

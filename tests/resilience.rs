@@ -134,7 +134,7 @@ mod fault_injection {
             ];
             for (name, plan) in plans {
                 let mut config = mk(backend);
-                config.fault_plan = Some(plan.clone());
+                config.env.fault_plan = Some(plan.clone());
                 let out = pagerank(config);
                 assert_eq!(
                     reference.values, out.values,
@@ -187,7 +187,7 @@ mod fault_injection {
                 .pool_acquire_failure_ppm(150_000)
                 .build();
             let mut config = mk(threads);
-            config.fault_plan = Some(plan.clone());
+            config.env.fault_plan = Some(plan.clone());
             let faulty = pagerank(config);
             assert_eq!(
                 reference.values, faulty.values,
@@ -224,7 +224,7 @@ mod fault_injection {
                     .poison_recycled_pages()
                     .build();
                 let mut config = mk(backend);
-                config.fault_plan = Some(plan.clone());
+                config.env.fault_plan = Some(plan.clone());
                 let wc = Cluster::new(&config)
                     .word_count(&words)
                     .expect("WC survives the plan");
