@@ -1,8 +1,8 @@
 //! Profile construction: interval sweeps and the critical-path walk.
 
 use crate::{
-    ConcurrencyStat, LaneStat, PathEntry, PhaseStat, ProfEvent, ProfKind, Profile, STEAL_INSTANT,
-    SerialPhase, WAIT_LABEL,
+    ConcurrencyStat, LaneStat, PathEntry, PhaseStat, ProfEvent, ProfKind, Profile, SerialPhase,
+    WAIT_LABEL,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
@@ -43,31 +43,25 @@ impl Profile {
         };
 
         let mut spans: Vec<SpanRec> = Vec::new();
-        // Per-lane raw accounting keyed by tid: (first_ts, last_end, steals, events).
-        let mut lanes_raw: BTreeMap<u64, (u64, u64, u64, u64)> = BTreeMap::new();
+        // Per-lane raw accounting keyed by tid: (first_ts, last_end, events).
+        let mut lanes_raw: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
         for e in events {
             let end = match e.kind {
                 ProfKind::Span { dur_ns } => e.ts_ns.saturating_add(dur_ns),
                 _ => e.ts_ns,
             };
-            let lane = lanes_raw.entry(e.tid).or_insert((e.ts_ns, end, 0, 0));
+            let lane = lanes_raw.entry(e.tid).or_insert((e.ts_ns, end, 0));
             lane.0 = lane.0.min(e.ts_ns);
             lane.1 = lane.1.max(end);
-            lane.3 += 1;
-            match e.kind {
-                ProfKind::Span { dur_ns } => spans.push(SpanRec {
+            lane.2 += 1;
+            if let ProfKind::Span { .. } = e.kind {
+                spans.push(SpanRec {
                     name: intern(&e.name),
                     tid: e.tid,
                     start: e.ts_ns,
-                    end: e.ts_ns.saturating_add(dur_ns),
+                    end,
                     flow: e.flow,
-                }),
-                ProfKind::Instant => {
-                    if e.name == STEAL_INSTANT {
-                        lane.2 += 1;
-                    }
-                }
-                ProfKind::Counter { .. } => {}
+                });
             }
         }
         if lanes_raw.is_empty() {
@@ -88,7 +82,7 @@ impl Profile {
 
         let mut lanes = Vec::with_capacity(lanes_raw.len());
         let (mut idle_total, mut window_total) = (0u64, 0u64);
-        for (&tid, &(first, last, steals, events)) in &lanes_raw {
+        for (&tid, &(first, last, events)) in &lanes_raw {
             let lane_window = last - first;
             let busy: u64 = lane_unions
                 .get(&tid)
@@ -102,7 +96,6 @@ impl Profile {
                 window_ns: lane_window,
                 busy_ns: busy,
                 idle_ns: idle,
-                steals,
                 events,
             });
         }
@@ -588,22 +581,14 @@ mod tests {
     }
 
     #[test]
-    fn idle_and_steals_account_per_lane() {
-        let steal = ProfEvent {
-            name: "steal".to_string(),
-            tid: 2,
-            ts_ns: 45,
-            flow: 0,
-            kind: ProfKind::Instant,
-        };
-        let p = Profile::build(&[span("phase", 1, 0, 100), span("phase", 2, 40, 20), steal]);
+    fn idle_accounts_per_lane() {
+        let p = Profile::build(&[span("phase", 1, 0, 100), span("phase", 2, 40, 20)]);
         let lane1 = p.lanes.iter().find(|l| l.tid == 1).unwrap();
         let lane2 = p.lanes.iter().find(|l| l.tid == 2).unwrap();
         assert_eq!(lane1.busy_ns, 100);
         assert_eq!(lane1.idle_ns, 0);
         assert_eq!(lane2.window_ns, 20, "lane window spans its own events");
         assert_eq!(lane2.busy_ns, 20);
-        assert_eq!(lane2.steals, 1);
         assert_eq!(p.idle_pct, 0.0);
     }
 

@@ -4,7 +4,7 @@
 //! does or does not pay*. [`Profile::build`] consumes a drained timeline
 //! and produces:
 //!
-//! - **per-thread lanes** — busy/idle/steal accounting per recorder tid;
+//! - **per-thread lanes** — busy/idle accounting per recorder tid;
 //! - **per-phase concurrency histograms** — how many workers were actually
 //!   inside `sub_load` / `job_phase` / ... at once, not how many were hired;
 //! - **self-time vs. child-time attribution** — each span name's leaf time
@@ -52,7 +52,7 @@ pub enum ProfKind {
         /// Span duration in nanoseconds.
         dur_ns: u64,
     },
-    /// A point event (steals, fault injections, commits).
+    /// A point event (fault injections, commits, ladder responses).
     Instant,
     /// A sampled counter value.
     Counter {
@@ -99,10 +99,6 @@ pub fn from_trace(events: &[TraceEvent]) -> Vec<ProfEvent> {
     events.iter().map(ProfEvent::from).collect()
 }
 
-/// The instant name counted as a work-steal in lane accounting (emitted by
-/// hyracks' WorkQueue on the thief's thread).
-pub const STEAL_INSTANT: &str = "steal";
-
 /// Critical-path label for time where the chain was stalled: a gap between
 /// the previous activity (or flow producer) and the next span on the path.
 pub const WAIT_LABEL: &str = "(wait)";
@@ -119,8 +115,6 @@ pub struct LaneStat {
     pub busy_ns: u64,
     /// `window_ns − busy_ns`.
     pub idle_ns: u64,
-    /// Number of [`STEAL_INSTANT`] events recorded on this lane.
-    pub steals: u64,
     /// Total events recorded on this lane.
     pub events: u64,
 }

@@ -121,12 +121,11 @@ impl Profile {
             }
             let _ = write!(
                 out,
-                "{{\"tid\": {}, \"window_ms\": {:.3}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}, \"steals\": {}, \"events\": {}}}",
+                "{{\"tid\": {}, \"window_ms\": {:.3}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}, \"events\": {}}}",
                 lane.tid,
                 ms(lane.window_ns),
                 ms(lane.busy_ns),
                 ms(lane.idle_ns),
-                lane.steals,
                 lane.events,
             );
         }
@@ -211,11 +210,10 @@ impl Profile {
         for lane in &self.lanes {
             let _ = writeln!(
                 out,
-                "  tid {:>3}  busy {:>10.3} ms  idle {:>10.3} ms  steals {:>4}  events {}",
+                "  tid {:>3}  busy {:>10.3} ms  idle {:>10.3} ms  events {}",
                 lane.tid,
                 ms(lane.busy_ns),
                 ms(lane.idle_ns),
-                lane.steals,
                 lane.events,
             );
         }

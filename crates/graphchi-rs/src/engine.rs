@@ -4,7 +4,7 @@
 use crate::apps::{VertexProgram, VertexView, pointer_fields, vertex_fields};
 use crate::preprocess::Csr;
 use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
-use data_store::recovery::{self, guarded, scoped_each};
+use data_store::recovery::{self, UnitFailure, guarded};
 use data_store::{
     ClassTag, ElemTy, FieldTy, PauseRecord, PoolCounters, RecoveryError, RunEnv, Store,
     StoreCensus, StoreStats,
@@ -59,8 +59,8 @@ pub struct EngineConfig {
     /// Worker threads processing subintervals. Each worker owns a private
     /// [`Store`] (its page manager, under the facade backend) sized to
     /// `budget_bytes / threads`; facade workers draw pages from the run's
-    /// one pool ([`RunEnv::page_pool`]). `1` runs everything inline on the
-    /// calling thread. The result is bit-identical for every thread count:
+    /// one pool ([`RunEnv::page_pool`]). One worker runs on the calling
+    /// thread. The result is bit-identical for every thread count:
     /// workers read a per-interval snapshot and the main thread commits
     /// their writes in subinterval order.
     pub threads: usize,
@@ -182,51 +182,27 @@ impl From<EngineError> for FailureCause {
     }
 }
 
-/// One failed unit of work, caught before it can kill the run. The `kind`
-/// is the cross-engine [`FailureCause`] vocabulary from `metrics`; this
-/// struct adds the GraphChi-specific context (which worker, which
+/// The run's error for a round's verdict: the cross-engine
+/// [`FailureCause`] plus the GraphChi-specific context (which worker, which
 /// subinterval).
-#[derive(Debug)]
-struct SubFailure {
-    worker: usize,
-    subinterval: usize,
-    kind: FailureCause,
-}
-
-impl SubFailure {
-    /// The run's error for a failure of `kind` at `(worker, subinterval)`.
-    fn engine_error((worker, subinterval): (usize, usize), kind: FailureCause) -> EngineError {
-        match kind {
-            FailureCause::OutOfMemory(source) => EngineError::Oom {
-                worker,
-                subinterval,
-                source,
+fn engine_error(worker: usize, subinterval: usize, cause: FailureCause) -> EngineError {
+    match cause {
+        FailureCause::OutOfMemory(source) => EngineError::Oom {
+            worker,
+            subinterval,
+            source,
+        },
+        // `FailureCause` is non-exhaustive; any kind other than a panic
+        // surfaces with its rendered message rather than being dropped.
+        cause => EngineError::WorkerPanicked {
+            worker,
+            subinterval,
+            message: match cause {
+                FailureCause::WorkerPanic(message) => message,
+                other => other.to_string(),
             },
-            // `FailureCause` is non-exhaustive; any kind other than a panic
-            // surfaces with its rendered message rather than being dropped.
-            cause => EngineError::WorkerPanicked {
-                worker,
-                subinterval,
-                message: match cause {
-                    FailureCause::WorkerPanic(message) => message,
-                    other => other.to_string(),
-                },
-            },
-        }
+        },
     }
-}
-
-/// [`guarded`] with the failing worker attached; the subinterval index is
-/// filled in by [`Engine::collect_bufs`].
-fn catch_failure<T>(
-    worker: usize,
-    work: impl FnOnce() -> Result<T, OutOfMemory>,
-) -> Result<T, SubFailure> {
-    guarded(work).map_err(|kind| SubFailure {
-        worker,
-        subinterval: 0,
-        kind,
-    })
 }
 
 /// The engine's rungs under the shared [`recovery::Ladder`]: worker count,
@@ -251,7 +227,7 @@ impl Ladder {
     /// formula divided by the worker count, right-shifted by the shrink
     /// rung, floored so subintervals never degenerate to single edges.
     fn edge_budget_at(config: &EngineConfig, threads: usize, shrink: u32) -> u64 {
-        let base = config.budget_bytes / config.bytes_per_edge / 3 / threads;
+        let base = config.budget_bytes / config.bytes_per_edge.max(1) / 3 / threads;
         ((base >> shrink.min(63)) as u64).max(16)
     }
 
@@ -285,16 +261,15 @@ impl Ladder {
     fn respond(
         &mut self,
         config: &EngineConfig,
-        failure: SubFailure,
+        failure: UnitFailure,
         phase: &str,
         resilience: &mut ResilienceReport,
     ) -> Result<(), EngineError> {
-        let at = (failure.worker, failure.subinterval);
         self.retry
-            .respond(phase, failure.kind, resilience, || {
+            .respond(phase, failure.cause, resilience, || {
                 Self::step_down(config, &mut self.threads, &mut self.shrink)
             })
-            .map_err(|kind| SubFailure::engine_error(at, kind))
+            .map_err(|cause| engine_error(failure.worker, failure.unit, cause))
     }
 }
 
@@ -471,10 +446,6 @@ struct PrefetchQueue {
     slots: Vec<Mutex<Option<PrefetchedSub>>>,
 }
 
-/// What one worker thread brings back from an interval: its phase timings
-/// plus `(subinterval index, outcome)` for every subinterval it processed.
-type WorkerOutput = (PhaseTimer, Vec<(usize, Result<CommitBuf, SubFailure>)>);
-
 /// State restored from a verified checkpoint. The cursor is deliberately
 /// *not* normalized at pass boundaries: a checkpoint taken after the last
 /// interval of a pass stores `interval == intervals.len()`, so the resumed
@@ -629,8 +600,8 @@ impl Engine {
 
     /// Runs `app` to convergence (or its iteration bound).
     ///
-    /// Subintervals are distributed round-robin over `config.threads`
-    /// workers. Every worker reads the same frozen interval-start snapshot
+    /// `config.threads` workers claim an interval's subintervals one at a
+    /// time. Every worker reads the same frozen interval-start snapshot
     /// of the vertex and edge values and buffers its writes; the main
     /// thread replays the buffers in subinterval order, so the result is
     /// bit-identical for every thread count.
@@ -664,11 +635,16 @@ impl Engine {
         // Degree pass, under the same ladder as interval processing.
         loop {
             let span = facade_trace::span!("degree_pass");
-            let r = catch_failure(0, || self.degree_pass(&mut stores[0], schema));
+            let r = guarded(|| self.degree_pass(&mut stores[0], schema));
             drop(span);
             match r {
                 Ok(()) => break,
-                Err(failure) => {
+                Err(cause) => {
+                    let failure = UnitFailure {
+                        unit: 0,
+                        worker: 0,
+                        cause,
+                    };
                     ladder.respond(&self.config, failure, "degree pass", &mut resilience)?;
                     for store in &stores {
                         retired.merge(&store.stats());
@@ -749,7 +725,7 @@ impl Engine {
                     let subs = self
                         .csr
                         .subintervals(interval, ladder.edge_budget(&self.config));
-                    let slots = self.process_interval(
+                    let outcome = self.process_interval(
                         &mut stores,
                         schema,
                         app,
@@ -761,9 +737,8 @@ impl Engine {
                     // End the attempt span before the ladder's backoff
                     // sleep, so retries show as separate spans rather than
                     // one long one swallowing the sleep.
-                    let collected = Self::collect_bufs(slots);
                     drop(span);
-                    match collected {
+                    match outcome {
                         Ok(bufs) => {
                             for buf in &bufs {
                                 changed |= buf.changed;
@@ -867,36 +842,6 @@ impl Engine {
         })
     }
 
-    /// Flattens the per-subinterval slots into commit buffers, or the
-    /// failure of the lowest failing subinterval index — independent of
-    /// which worker hit it first, so error reporting is deterministic too.
-    fn collect_bufs(
-        slots: Vec<Option<Result<CommitBuf, SubFailure>>>,
-    ) -> Result<Vec<CommitBuf>, SubFailure> {
-        let mut bufs = Vec::with_capacity(slots.len());
-        for (idx, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(buf)) => bufs.push(buf),
-                Some(Err(mut failure)) => {
-                    failure.subinterval = idx;
-                    return Err(failure);
-                }
-                // A gap with no recorded error upstream of it: the worker
-                // died without reporting (e.g. its thread was lost).
-                None => {
-                    return Err(SubFailure {
-                        worker: 0,
-                        subinterval: idx,
-                        kind: FailureCause::WorkerPanic(
-                            "subinterval produced no result".to_string(),
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(bufs)
-    }
-
     /// Degree computation pass: allocates the paper's third data class.
     /// GraphChi computes degrees during sharding; the records are
     /// short-lived. The vertex range is chunked so no single ref array
@@ -930,12 +875,12 @@ impl Engine {
         Ok(())
     }
 
-    /// Processes one interval's subintervals against the frozen snapshot,
-    /// returning one commit buffer per subinterval (in subinterval order).
-    /// With one worker everything runs inline on the calling thread; with
-    /// more, subintervals are dealt round-robin to scoped workers, each
-    /// running against its own store. A worker stops at its first error;
-    /// the resulting gaps sit behind that error in the returned vector.
+    /// Processes one interval's subintervals against the frozen snapshot as
+    /// one [`recovery::round`]: each worker claims subintervals and runs
+    /// them against its own store. Returns one commit buffer per
+    /// subinterval (in subinterval order), or the failure of the lowest
+    /// failing one — independent of which worker hit it first, so error
+    /// reporting is deterministic too.
     #[allow(clippy::too_many_arguments)]
     fn process_interval(
         &self,
@@ -946,140 +891,83 @@ impl Engine {
         values: &[f64],
         edge_values: &[f64],
         timer: &mut PhaseTimer,
-    ) -> Vec<Option<Result<CommitBuf, SubFailure>>> {
-        let threads = stores.len();
-        if threads == 1 {
-            let mut out = Vec::with_capacity(subs.len());
-            for &sub in subs {
-                let store = &mut stores[0];
-                let mut t = PhaseTimer::new();
-                let r = catch_failure(0, || {
-                    self.process_subinterval(
-                        store,
-                        schema,
-                        app,
-                        sub,
-                        values,
-                        edge_values,
-                        None,
-                        &mut t,
-                    )
-                });
-                timer.merge(&t);
-                let failed = r.is_err();
-                out.push(Some(r));
-                if failed {
-                    break;
-                }
-            }
-            // Mirror the worker path: the interval's records are all dead,
-            // so hand the pages back for the next interval to adopt.
-            stores[0].release_pages();
-            out.resize_with(subs.len(), || None);
-            return out;
-        }
-
-        let this: &Engine = self;
-        // The prefetch pipeline: round one's subintervals are claimed
-        // immediately, so gathering starts at `threads`. The window bounds
-        // how many gathered-but-unclaimed windows may exist at once — two
-        // per worker keeps every thread roughly one load ahead without
-        // pinning more than a fraction of the interval's snapshot.
+    ) -> Result<Vec<CommitBuf>, UnitFailure> {
         let prefetch = PrefetchQueue {
-            next: AtomicUsize::new(threads),
+            next: AtomicUsize::new(0),
             started: AtomicUsize::new(0),
             slots: (0..subs.len()).map(|_| Mutex::new(None)).collect(),
         };
-        let window = threads * 2;
-        let prefetch = &prefetch;
-        let worker_out = scoped_each(stores.iter_mut(), |w, store| -> WorkerOutput {
+        // The window bounds how many gathered-but-unclaimed windows may
+        // exist at once. Two per peer keeps every thread roughly one load
+        // ahead without pinning more than a fraction of the interval's
+        // snapshot; a lone worker has no peer's load to overlap with, so
+        // its window is empty and every subinterval gathers inline.
+        let window = (stores.len() - 1) * 2;
+        let outcome = recovery::round(stores.iter_mut(), subs.len(), |store, claims| {
             let mut t = PhaseTimer::new();
-            let mut out = Vec::new();
-            let mut idx = w;
-            while idx < subs.len() {
+            while let Some(ok) = claims.run_next(|idx| {
                 prefetch.started.fetch_add(1, Ordering::Relaxed);
                 let pre = prefetch.slots[idx]
                     .lock()
                     .unwrap_or_else(|p| p.into_inner())
                     .take();
-                let mut sub_t = PhaseTimer::new();
-                let r = catch_failure(w, || {
-                    this.process_subinterval(
-                        store,
-                        schema,
-                        app,
-                        subs[idx],
-                        values,
-                        edge_values,
-                        pre,
-                        &mut sub_t,
-                    )
-                });
-                t.merge(&sub_t);
-                let failed = r.is_err();
-                out.push((idx, r));
-                if failed {
+                self.process_subinterval(
+                    store,
+                    schema,
+                    app,
+                    subs[idx],
+                    values,
+                    edge_values,
+                    pre,
+                    &mut t,
+                )
+            }) {
+                // A store that failed a subinterval may hold open
+                // iterations or leaked roots: this worker runs nothing
+                // further on it, and the retry rebuilds every store.
+                if !ok {
                     break;
                 }
-                idx += threads;
-                // Pipeline: before blocking on its own next
-                // load, gather windows for upcoming
-                // subintervals — its own or a busy peer's —
-                // while the claim window is open.
+                // Pipeline: before blocking on its own next load, gather
+                // windows for upcoming subintervals — whoever will claim
+                // them — while the claim window is open.
                 loop {
                     let started = prefetch.started.load(Ordering::Relaxed);
-                    let candidate = prefetch.next.load(Ordering::Relaxed);
+                    let seen = prefetch.next.load(Ordering::Relaxed);
+                    // What is already claimed is being loaded by its owner.
+                    let candidate = seen.max(started);
                     if candidate >= subs.len() || candidate >= started + window {
                         break;
                     }
                     if prefetch
                         .next
-                        .compare_exchange(
-                            candidate,
-                            candidate + 1,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        )
+                        .compare_exchange(seen, candidate + 1, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                     {
-                        let gathered = this.prefetch_sub(subs[candidate], edge_values);
+                        let gathered = self.prefetch_sub(subs[candidate], edge_values);
                         *prefetch.slots[candidate]
                             .lock()
                             .unwrap_or_else(|p| p.into_inner()) = Some(gathered);
                     }
                 }
             }
-            // The interval's records are all dead now; hand
-            // the pages back so other workers (and the next
-            // interval) adopt them instead of growing.
+            // The interval's records are all dead now; hand the pages back
+            // so other workers (and the next interval) adopt them instead
+            // of growing.
             store.release_pages();
-            (t, out)
+            t
         });
-
-        let mut slots: Vec<Option<Result<CommitBuf, SubFailure>>> = Vec::new();
-        slots.resize_with(subs.len(), || None);
-        for (w, joined) in worker_out.into_iter().enumerate() {
-            match joined {
-                Ok((t, out)) => {
-                    timer.merge(&t);
-                    for (idx, r) in out {
-                        slots[idx] = Some(r);
-                    }
-                }
-                // The thread died outside the catch (e.g. while releasing
-                // pages); report it against the worker's first subinterval
-                // so the ladder can respond.
-                Err(message) if w < subs.len() => {
-                    slots[w] = Some(Err(SubFailure {
-                        worker: w,
-                        subinterval: w,
-                        kind: FailureCause::WorkerPanic(message),
-                    }));
-                }
-                Err(_) => {}
-            }
+        for t in &outcome.workers {
+            timer.merge(t);
         }
-        slots
+        match outcome.failure {
+            Some(failure) => Err(failure),
+            None => Ok(outcome
+                .payloads
+                .into_iter()
+                .map(|buf| buf.expect("a round without a failure filled every slot"))
+                .collect()),
+        }
     }
 
     /// Replays one subinterval's buffered writes into the persistent
@@ -1521,6 +1409,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_bytes_per_edge_runs_instead_of_dividing_by_zero() {
+        let g = Graph::generate(&GraphSpec::new(300, 2_000, 11));
+        let mut engine = Engine::new(
+            &g,
+            EngineConfig {
+                budget_bytes: 16 << 20,
+                intervals: 3,
+                bytes_per_edge: 0,
+                ..EngineConfig::default()
+            },
+        );
+        let out = engine.execute(&PageRank::new(2)).expect("run completes");
+        let reference = run(Backend::Heap, &g, &PageRank::new(2));
+        assert_eq!(out.values, reference.values);
+    }
+
+    #[test]
     fn degree_pass_covers_graphs_beyond_u16_vertices() {
         // Regression: the degree pass used to clamp its ref array to 2^16
         // entries, silently skipping degree records past vertex 65,535.
@@ -1954,10 +1859,10 @@ mod resilience_tests {
         let mut ladder = Ladder::new(4);
         let base = ladder.edge_budget(&config);
         let mut resilience = ResilienceReport::default();
-        let oom_failure = || SubFailure {
+        let oom_failure = || UnitFailure {
+            unit: 0,
             worker: 0,
-            subinterval: 0,
-            kind: FailureCause::OutOfMemory(OutOfMemory::new(2, 1)),
+            cause: FailureCause::OutOfMemory(OutOfMemory::new(2, 1)),
         };
         // Deterministic OOMs walk the rungs: 4 -> 2 -> 1 threads, then
         // budget shrinks, and the per-worker budget never grows.
@@ -1987,10 +1892,10 @@ mod resilience_tests {
         assert_eq!(exhausted, 1, "the ladder must eventually give up");
         // A panic that outlives its same-rung retries on the exhausted
         // ladder surfaces as a typed error carrying the message.
-        let panicked = || SubFailure {
+        let panicked = || UnitFailure {
+            unit: 2,
             worker: 1,
-            subinterval: 2,
-            kind: FailureCause::WorkerPanic("injected worker panic".into()),
+            cause: FailureCause::WorkerPanic("injected worker panic".into()),
         };
         let err = loop {
             if let Err(e) = ladder.respond(&config, panicked(), "test", &mut resilience) {

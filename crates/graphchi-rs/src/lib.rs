@@ -29,9 +29,10 @@
 //!
 //! # Threading
 //!
-//! [`EngineConfig::threads`] workers process subintervals round-robin, each
-//! against a private [`data_store::Store`] sized to an equal slice of the
-//! budget. The stores come from the run's environment
+//! [`EngineConfig::threads`] workers claim subintervals from one cursor
+//! (`data_store::recovery::round`, the worker round both engines share),
+//! each running them against a private [`data_store::Store`] sized to an
+//! equal slice of the budget. The stores come from the run's environment
 //! ([`RunEnv::store`] over [`RunEnv::page_pool`]): one page pool per run —
 //! the host's if it lent one, else a private one — shared by every facade
 //! worker. Workers read a frozen interval-start snapshot and buffer their

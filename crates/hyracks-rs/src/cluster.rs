@@ -7,16 +7,15 @@
 //! thread owns one long-lived [`Store`] built by [`RunEnv::store`] — on the
 //! facade backend all of them draw pages from the job's one [`PagePool`]
 //! ([`RunEnv::page_pool`]: the host's, else a private one, so the reduce
-//! phase reuses the map phase's pages) — and partitions are
-//! dealt to threads round-robin, mirroring the per-worker-store pattern of
-//! the GraphChi engine. Results land in slots indexed by partition id, so
-//! any `threads` value (and any retry interleaving) reassembles the same
-//! output.
+//! phase reuses the map phase's pages) — and claims partitions from the
+//! shared cursor of a [`recovery::round`](data_store::recovery::round), the
+//! same worker round the GraphChi engine runs its subintervals on. Results
+//! land in slots indexed by partition id, so any `threads` value (and any
+//! retry interleaving) reassembles the same output.
 
-use crate::steal::WorkQueue;
 use data_store::RecoveryError;
 use data_store::checkpoint::Checkpointer;
-use data_store::recovery::{Ladder, guarded, scoped_each};
+use data_store::recovery::{Ladder, round};
 use data_store::{PagePool, PauseRecord, PoolCounters, RunEnv, Store, StoreCensus, StoreStats};
 use metrics::report::Backend;
 use metrics::{DegradationAction, OutOfMemory, ResilienceReport};
@@ -43,8 +42,8 @@ pub struct ClusterConfig {
     /// therefore the job's output, independent of [`threads`](Self::threads).
     pub workers: usize,
     /// OS threads executing partitions concurrently. Each thread holds one
-    /// store for the whole scheduling round and takes partitions dealt
-    /// round-robin; `1` serializes the job on a single store. Output is
+    /// store for the whole scheduling round and claims partitions one at a
+    /// time; `1` serializes the job on a single store. Output is
     /// bit-identical for every value. Defaults to the machine's available
     /// parallelism.
     pub threads: usize,
@@ -128,9 +127,11 @@ pub struct Cluster {
 impl Cluster {
     /// A cluster with the given sizing.
     pub fn new(config: &ClusterConfig) -> Cluster {
-        Cluster {
-            config: config.clone(),
-        }
+        let mut config = config.clone();
+        // Partitioning, shuffle and checkpoint sections all divide by the
+        // worker count: a cluster of none runs as a cluster of one.
+        config.workers = config.workers.max(1);
+        Cluster { config }
     }
 
     /// The configuration every submitted job runs under.
@@ -280,11 +281,6 @@ pub(crate) fn round_robin<T: Clone>(items: &[T], n: usize) -> Vec<Vec<T>> {
     parts
 }
 
-/// What one pool thread brings back from a scheduling round: per-partition
-/// outcomes tagged with the partition id, and the thread's share of the
-/// round's costs.
-type ThreadRound<R> = (Vec<(usize, Result<R, FailureCause>)>, WorkerReport);
-
 /// Folds a finished (or poisoned) store into a thread's accumulation. The
 /// census is taken first, so the facade side reports what the store still
 /// held; only healthy stores release pages here (a failed store may hold
@@ -299,20 +295,17 @@ fn retire_store(store: &mut Store, healthy: bool, acc: &mut WorkerReport) {
     acc.pauses.extend(store.pause_records());
 }
 
-/// Runs one phase: every partition through `worker`, on a pool of
-/// `config.threads` OS threads. Each thread builds one store (schema
-/// installed once by `init`) and keeps it across the partitions it claims;
-/// a failing partition retires that thread's store and the thread
-/// continues on a fresh one, so siblings are never poisoned. Partitions
-/// are scheduled through a work-stealing [`WorkQueue`]: each thread's
-/// deque is seeded with its old round-robin share, the overflow waits in a
-/// shared injector, and a thread that runs dry steals from a busy
-/// sibling's tail (emitting a `steal` instant event) — so one slow
-/// partition no longer idles the rest of the pool. The closure's last
-/// argument is the degrade level — 0 on the first attempt, incremented
-/// each time the phase steps down the ladder; workers shrink their working
-/// granularity by `2^level` (frame bytes for WC, run length for ES), which
-/// is output-neutral for both jobs.
+/// Runs one phase: every partition through `worker`, one
+/// [`recovery::round`](data_store::recovery::round) per scheduling round,
+/// its `config.threads` pool threads claiming partitions from one cursor.
+/// Each thread builds one store (schema installed once by `init`) and keeps
+/// it across the partitions it claims; a failing partition retires that
+/// thread's store and the thread continues on a fresh one, so siblings are
+/// never poisoned.
+/// The closure's last argument is the degrade level — 0 on the first
+/// attempt, incremented each time the phase steps down the ladder; workers
+/// shrink their working granularity by `2^level` (frame bytes for WC, run
+/// length for ES), which is output-neutral for both jobs.
 ///
 /// Only the *failed* partitions are retried: completed partitions'
 /// payloads are kept (real cluster schedulers reschedule the failed task,
@@ -323,7 +316,8 @@ fn retire_store(store: &mut Store, healthy: bool, acc: &mut WorkerReport) {
 /// # Errors
 ///
 /// If a worker failure survives the transient retries and every degrade
-/// rung, the phase fails with [`JobFailure`].
+/// rung, the phase fails with [`JobFailure`]; a partition claimed after the
+/// host's cancel flag rose ends it with [`FailureCause::Canceled`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_phase<I, S, R, N, F>(
     config: &ClusterConfig,
@@ -346,6 +340,13 @@ where
     let mut level = 0u32;
     let mut slots: Vec<Option<R>> = partitions.iter().map(|_| None).collect();
     let mut pending: Vec<(usize, I)> = partitions.into_iter().enumerate().collect();
+    let fresh_store = || {
+        let mut store = config
+            .env
+            .store(config.backend, config.per_worker_budget, pool);
+        let schema = init(&mut store);
+        (store, schema)
+    };
 
     while !pending.is_empty() {
         let nthreads = config.threads.max(1).min(pending.len());
@@ -359,138 +360,64 @@ where
             threads = nthreads,
             level = level,
         );
-        // The stealing schedule holds positions into `pending`; results
-        // still key by partition id, so the claim order — and who stole
-        // what — never shows in the output.
-        let queue = WorkQueue::new(0..pending.len(), nthreads);
-        let round = scoped_each(0..nthreads, |w, _| -> ThreadRound<R> {
-            let mut results = Vec::new();
+        // The round's units are positions into `pending`; results key by
+        // partition id, so who claimed what never shows in the output.
+        let outcome = round(0..nthreads, pending.len(), |w, claims| {
             let mut acc = WorkerReport {
                 worker: w,
                 ..WorkerReport::default()
             };
-            let mut store = config
-                .env
-                .store(config.backend, config.per_worker_budget, pool);
-            let mut schema = init(&mut store);
-            while let Some(claim) = queue.claim(w) {
-                // A canceled job runs nothing further; a partition already
+            let (mut store, mut schema) = fresh_store();
+            loop {
+                // A canceled job runs nothing further: this thread's next
+                // claim is answered `Canceled` — which is what makes the
+                // round say so — and it claims no more. A partition already
                 // running finishes and its store retires normally.
-                if config.env.canceled() {
-                    break;
-                }
-                let (pos, stolen_from) = claim.into_parts();
-                let (id, input) = (pending[pos].0, pending[pos].1.clone());
-                // Stolen claims mint a flow id shared by the
-                // steal instant and the partition_run span, so
-                // the profiler chains rebalanced work across
-                // threads; own claims stay unlinked.
-                let flow = if stolen_from.is_some() {
-                    facade_trace::next_flow_id()
-                } else {
-                    0
-                };
-                if let Some(victim) = stolen_from {
-                    facade_trace::instant_with_flow(
-                        "steal",
-                        flow,
-                        &[
-                            ("phase", phase.to_string().into()),
-                            ("thief", w.into()),
-                            ("victim", victim.into()),
-                            ("partition", id.into()),
-                        ],
+                let canceled = config.env.canceled();
+                let ran = claims.run_next(|pos| {
+                    if canceled {
+                        return Err(FailureCause::Canceled);
+                    }
+                    let (id, input) = (pending[pos].0, pending[pos].1.clone());
+                    let _span = facade_trace::span!(
+                        "partition_run",
+                        phase = phase.to_string(),
+                        partition = id,
+                        worker = w,
                     );
-                }
-                let run_span = facade_trace::span_with_flow(
-                    "partition_run",
-                    flow,
-                    &[
-                        ("phase", phase.to_string().into()),
-                        ("partition", id.into()),
-                        ("worker", w.into()),
-                        ("stolen", stolen_from.is_some().into()),
-                    ],
-                );
-                let out = guarded(|| worker(id, &mut store, &schema, input, level));
-                drop(run_span);
-                let failed = out.is_err();
-                acc.partitions += 1;
-                results.push((id, out));
-                if failed {
-                    // Retire the possibly-poisoned store and give
-                    // the thread's remaining claims a fresh one:
-                    // one failure never poisons siblings — and
-                    // the siblings keep stealing this thread's
-                    // unclaimed share while it rebuilds.
-                    retire_store(&mut store, false, &mut acc);
-                    store = config
-                        .env
-                        .store(config.backend, config.per_worker_budget, pool);
-                    schema = init(&mut store);
-                }
-            }
-            // Any failure already swapped in a fresh store, so
-            // the one retired here is always healthy.
-            retire_store(&mut store, true, &mut acc);
-            (results, acc)
-        });
-
-        // The lowest failing partition is the one reported, independent of
-        // which thread (or position within it) lost the race.
-        let mut failed: Option<(usize, FailureCause)> = None;
-        let mut fail_partition = |id: usize, cause: FailureCause| {
-            if failed.as_ref().is_none_or(|(fid, _)| id < *fid) {
-                failed = Some((id, cause));
-            }
-        };
-        let mut errored: Vec<usize> = Vec::new();
-        // A thread that died outside the per-partition catch (e.g. while
-        // retiring a store) loses its whole round, results included; the
-        // sweep below reconstructs which partitions that cost.
-        let mut lost_thread: Option<String> = None;
-        for (worker, joined) in round.into_iter().enumerate() {
-            let (results, report) = joined.unwrap_or_else(|message| {
-                lost_thread.get_or_insert(message);
-                let report = WorkerReport::default();
-                (Vec::new(), WorkerReport { worker, ..report })
-            });
-            stats.absorb(&report.stats);
-            stats.census.merge(&report.census);
-            stats.fold_worker(report);
-            for (id, result) in results {
-                match result {
-                    Ok(r) => slots[id] = Some(r),
-                    Err(cause) => {
-                        errored.push(id);
-                        fail_partition(id, cause);
+                    acc.partitions += 1;
+                    Ok(worker(id, &mut store, &schema, input, level)?)
+                });
+                match ran {
+                    None => break,
+                    Some(true) => {}
+                    Some(false) if canceled => break,
+                    Some(false) => {
+                        // Retire the possibly-poisoned store and give the
+                        // thread's remaining claims a fresh one: one
+                        // failure never poisons siblings.
+                        retire_store(&mut store, false, &mut acc);
+                        (store, schema) = fresh_store();
                     }
                 }
             }
-        }
+            // Any failure already swapped in a fresh store, so the one
+            // retired here is always healthy.
+            retire_store(&mut store, true, &mut acc);
+            acc
+        });
         drop(span);
-        pending.retain(|(id, _)| slots[*id].is_none());
-        let fail = |cause: FailureCause| JobFailure {
-            after: started.elapsed(),
-            cause,
-        };
-        // A cancel leaves partitions unclaimed, which the sweep below would
-        // misread as lost. One that lands as the round's last partition
-        // completes discards nothing: the job polls again between phases.
-        if !pending.is_empty() && config.env.canceled() {
-            return Err(fail(FailureCause::Canceled));
-        }
-        // Any pending partition without a recorded failure was claimed by
-        // (or stranded behind) a lost thread; under stealing the claim map
-        // is dynamic, so the sweep — not a static deal — is what accounts
-        // for them.
-        for (id, _) in pending.iter().filter(|(id, _)| !errored.contains(id)) {
-            let message = lost_thread
-                .clone()
-                .unwrap_or_else(|| "partition produced no result".to_string());
-            fail_partition(*id, FailureCause::WorkerPanic(message));
-        }
 
+        for report in outcome.workers {
+            stats.absorb(&report.stats);
+            stats.census.merge(&report.census);
+            stats.fold_worker(report);
+        }
+        for (pos, payload) in outcome.payloads.into_iter().enumerate() {
+            slots[pending[pos].0] = payload;
+        }
+        let failed = outcome.failure.map(|f| (pending[f.unit].0, f.cause));
+        pending.retain(|(id, _)| slots[*id].is_none());
         let Some((id, cause)) = failed else {
             continue;
         };
@@ -506,7 +433,10 @@ where
                     })
                 },
             )
-            .map_err(fail)?;
+            .map_err(|cause| JobFailure {
+                after: started.elapsed(),
+                cause,
+            })?;
     }
 
     Ok(slots
@@ -608,6 +538,23 @@ mod tests {
         assert_eq!(parts[0], vec![0, 3, 6, 9]);
         assert_eq!(parts[1], vec![1, 4, 7]);
         assert_eq!(parts[2], vec![2, 5, 8]);
+    }
+
+    #[test]
+    fn a_cluster_of_no_workers_runs_as_a_cluster_of_one() {
+        let corpus: Vec<String> = ["b", "a", "a", "c", "a"].map(String::from).to_vec();
+        let sized = |workers| {
+            Cluster::new(&ClusterConfig {
+                workers,
+                ..ClusterConfig::default()
+            })
+        };
+        let (none, one) = (sized(0), sized(1));
+        let wc = none.word_count(&corpus).expect("no division by zero");
+        assert_eq!(wc.counts, one.word_count(&corpus).unwrap().counts);
+        assert_eq!(wc.total_count, 5);
+        let es = none.external_sort(&corpus).expect("no division by zero");
+        assert_eq!(es.checksum, one.external_sort(&corpus).unwrap().checksum);
     }
 
     #[test]
@@ -834,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn store_retirement_mid_steal_leaks_no_pages() {
+    fn store_retirement_mid_round_leaks_no_pages() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let config = ClusterConfig {
             workers: 8,
@@ -859,12 +806,12 @@ mod tests {
             |store| store.register_class("T", &[FieldTy::I64]),
             |id, store, c, xs: Vec<i32>, _| {
                 if id == 1 && armed.swap(false, Ordering::SeqCst) {
-                    // Whichever thread claims (or steals) partition 1
-                    // first panics mid-round; its store — possibly laden
-                    // with pages from earlier claims — is retired
-                    // unhealthy and dropped while the sibling keeps
-                    // stealing its share. The drop must salvage every
-                    // recycled page, or the reconciliation below fails.
+                    // Whichever thread claims partition 1 panics
+                    // mid-round; its store — possibly laden with pages
+                    // from earlier claims — is retired unhealthy and
+                    // dropped while the sibling keeps claiming. The drop
+                    // must salvage every recycled page, or the
+                    // reconciliation below fails.
                     panic!("injected mid-round failure");
                 }
                 let it = store.iteration_start();
@@ -880,8 +827,7 @@ mod tests {
         assert!(stats.resilience.retries >= 1, "panic recorded as retry");
         // Reconciliation: every page ever handed out came back, and the
         // pool now holds exactly the fresh pages the worker heaps donated
-        // at retirement — nothing leaked across the retirement or any
-        // steal.
+        // at retirement — nothing leaked across the retirement.
         let c = pool.counters();
         assert_eq!(c.pages_returned, c.pages_handed_out + stats.pages_created);
         assert_eq!(pool.available() as u64, stats.pages_created);

@@ -58,7 +58,6 @@ mod checkpoint;
 pub mod cluster;
 pub mod extsort;
 pub mod hashtable;
-mod steal;
 pub mod wordcount;
 
 pub use cluster::{Cluster, ClusterConfig, FailureCause, JobFailure, JobStats, WorkerReport};

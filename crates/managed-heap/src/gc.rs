@@ -190,9 +190,8 @@ impl Heap {
         self.young_list = new_young;
 
         // Flip semispaces. The old from-space keeps stale bytes up to its
-        // top; record that so its next use re-zeroes them.
+        // top; they stay committed, so its next use re-zeroes them.
         std::mem::swap(&mut self.young, &mut self.young_to);
-        self.young_to.mark_dirty();
         self.young_to.top = 0;
 
         // Rebuild the remembered set: previous members that still hold young
@@ -286,8 +285,8 @@ impl Heap {
             new_top += size;
             new_old.push(idx);
         }
-        // Bytes between the compacted top and the old bump limit are stale.
-        self.old.mark_dirty();
+        // Bytes between the compacted top and the old bump limit are stale
+        // (and committed: `bump` re-zeroes them).
         self.old.top = new_top;
         self.old_list = new_old;
 
@@ -328,7 +327,6 @@ impl Heap {
         }
         self.young_list = new_young;
         std::mem::swap(&mut self.young, &mut self.young_to);
-        self.young_to.mark_dirty();
         self.young_to.top = 0;
 
         // Clear marks and rebuild the remembered set.

@@ -141,26 +141,33 @@ impl Entry {
 }
 
 /// A contiguous allocation space with bump-pointer allocation.
+///
+/// The capacity is reserved up front but committed — zeroed and counted in
+/// `bytes.len()` — only as the bump pointer first passes over it, the way a
+/// JVM reserves `-Xmx` and touches pages as the heap fills. Building a heap
+/// therefore costs the same whatever state the process allocator is in,
+/// and a short job pays for the bytes it uses, not for the budget.
 #[derive(Debug)]
 pub(crate) struct Space {
+    /// The committed prefix: every byte ever handed out. Allocation
+    /// re-zeroes below its length (see the paged runtime's `Page::dirty`)
+    /// and extends it with zeroes above.
     pub bytes: Vec<u8>,
     pub top: usize,
-    /// High-water mark of bytes ever handed out (see the paged runtime's
-    /// `Page::dirty`): allocation only re-zeroes below it.
-    dirty: usize,
+    capacity: usize,
 }
 
 impl Space {
     fn new(capacity: usize) -> Self {
         Self {
-            bytes: vec![0; capacity],
+            bytes: Vec::with_capacity(capacity),
             top: 0,
-            dirty: 0,
+            capacity,
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.bytes.len()
+        self.capacity
     }
 
     /// Unused bytes remaining in the space.
@@ -174,22 +181,20 @@ impl Space {
         if self.top + size <= self.capacity() {
             let at = self.top;
             self.top += size;
-            // Zero the allocation: survivors of earlier collections may
-            // have left stale bytes behind (only below the dirty mark).
-            let stale_end = self.top.min(self.dirty);
-            if at < stale_end {
-                self.bytes[at..stale_end].fill(0);
+            // Zero the allocation: below the committed length survivors of
+            // earlier collections may have left stale bytes behind; above
+            // it the bytes are committed now.
+            let committed = self.bytes.len();
+            if at < committed {
+                self.bytes[at..self.top.min(committed)].fill(0);
+            }
+            if self.top > committed {
+                self.bytes.resize(self.top, 0);
             }
             Some(at as u32)
         } else {
             None
         }
-    }
-
-    /// Records that everything up to the current top is stale; called when
-    /// a space is reset for reuse (semispace flip, compaction).
-    pub fn mark_dirty(&mut self) {
-        self.dirty = self.dirty.max(self.top);
     }
 }
 
@@ -797,6 +802,22 @@ mod tests {
             tenure_age: 1,
             large_object_bytes: 1024,
         })
+    }
+
+    #[test]
+    fn a_space_commits_what_it_hands_out_and_rezeroes_on_reuse() {
+        let mut space = Space::new(64);
+        assert_eq!((space.capacity(), space.bytes.len()), (64, 0));
+        assert_eq!(space.bump(16), Some(0));
+        assert_eq!(space.bytes.len(), 16, "committed up to the bump pointer");
+        space.bytes.fill(0xAB);
+        // Reset as a semispace flip does: the stale prefix is zeroed again,
+        // the part first handed out now is committed zeroed.
+        space.top = 0;
+        assert_eq!(space.bump(24), Some(0));
+        assert_eq!(space.bytes, vec![0; 24]);
+        assert_eq!(space.bump(41), None, "the reservation is the limit");
+        assert_eq!(space.bump(40), Some(24));
     }
 
     #[test]

@@ -89,8 +89,8 @@ fn per_worker_breakdown_sums_to_job_totals() {
         .sum();
     assert_eq!(per_worker_peak, out.stats.peak_bytes);
     // Every partition executed exactly once per phase (map + reduce);
-    // under work stealing a thread may end a round empty-handed, so the
-    // guarantee is on the sum, not on each thread.
+    // threads claim from one cursor, so one may end a round empty-handed:
+    // the guarantee is on the sum, not on each thread.
     let partitions: u64 = out.stats.per_worker.iter().map(|w| w.partitions).sum();
     assert_eq!(partitions, 12, "6 map + 6 reduce partitions, each once");
     // The shared pool's counters made it into the stats (facade run).
