@@ -7,11 +7,9 @@
 //! transforms them, and reports instructions/second, plus the end-to-end
 //! Figure 2 example (P shown next to P').
 
-use facade_bench::write_records;
 use facade_compiler::{DataSpec, transform};
 use facade_ir::{BinOp, Program, ProgramBuilder, Ty};
 use metrics::TextTable;
-use metrics::report::{Backend, RunRecord};
 
 /// Generates a data-path corpus: `n_classes` data classes in small
 /// hierarchies, each with fields, getters/setters, and compute methods,
@@ -139,7 +137,6 @@ fn main() {
 
     // Part 2: compilation speed over growing corpora.
     let mut table = TextTable::new(&["Data classes", "Instructions", "Time (ms)", "Instr/s"]);
-    let mut records = Vec::new();
     for n in [8usize, 32, 128, 512] {
         let (program, spec) = synthetic_corpus(n);
         let out = transform(&program, &spec).expect("corpus transforms");
@@ -150,19 +147,9 @@ fn main() {
             format!("{:.2}", r.duration.as_secs_f64() * 1e3),
             format!("{:.0}", r.instructions_per_second()),
         ]);
-        let mut rec = RunRecord::new(
-            "compile_speed",
-            "transform",
-            &format!("{n}-classes"),
-            Backend::Facade,
-        );
-        rec.total_secs = r.duration.as_secs_f64();
-        rec.scale = r.instructions_transformed as u64;
-        records.push(rec);
     }
     println!("\n=== Compilation speed ===\n{table}");
     println!("(paper: 752.7-1,102 instructions/second on Soot; transformations finish in seconds)");
-    write_records("compile_speed", &records);
 }
 
 fn render_class(p: &Program, id: facade_ir::ClassId) -> String {

@@ -185,6 +185,18 @@ fn run_inline(workload: &str, threads: usize) -> (Vec<ProfEvent>, Vec<(u32, f64)
                 let es = Cluster::new(&cfg)
                     .external_sort(&words)
                     .expect("ES fits its budget");
+                // Whether the claim cursor spread the partitions evenly.
+                for (job, stats) in [("WC", &wc.stats), ("ES", &es.stats)] {
+                    let spread: Vec<String> = stats
+                        .per_worker
+                        .iter()
+                        .map(|w| format!("t{}={}", w.worker, w.partitions))
+                        .collect();
+                    eprintln!(
+                        "facadeprof: {job} partitions per thread: {}",
+                        spread.join(" ")
+                    );
+                }
                 wc.stats.elapsed.as_secs_f64() + es.stats.elapsed.as_secs_f64()
             };
             eprintln!("facadeprof: Hyracks WC+ES, 1-thread reference then {threads} threads");

@@ -11,11 +11,10 @@
 //! from [`JobReport::work_units`](facade_job::JobReport) over elapsed time.
 
 use datagen::{Graph, GraphSpec};
-use facade_bench::{mem_unit, scale, write_records};
+use facade_bench::{mem_unit, scale};
 use facade_job::{Dataset, ExecContext, GraphChiRunner, JobRunner, JobSpec, Workload};
 use graphchi_rs::Backend;
 use metrics::TextTable;
-use metrics::report::RunRecord;
 
 fn main() {
     let scale = scale();
@@ -28,16 +27,17 @@ fn main() {
     );
 
     let mut table = TextTable::new(&["Edges", "PR (e/s)", "PR' (e/s)", "CC (e/s)", "CC' (e/s)"]);
-    let mut records = Vec::new();
+    // Throughput per cell, in (P, P') pairs.
+    let mut throughputs = Vec::new();
     let ctx = ExecContext::default();
 
     for graph_spec in &series {
         let data = Dataset::new(Vec::new(), Graph::generate(graph_spec));
         let edges = data.graph.edge_count();
         let mut row = vec![format!("{edges}")];
-        for (app_name, workload) in [
-            ("PR", Workload::PageRank { iterations: 4 }),
-            ("CC", Workload::ConnectedComponents { max_iterations: 20 }),
+        for workload in [
+            Workload::PageRank { iterations: 4 },
+            Workload::ConnectedComponents { max_iterations: 20 },
         ] {
             for backend in [Backend::Heap, Backend::Facade] {
                 let spec = JobSpec {
@@ -53,26 +53,20 @@ fn main() {
                     .expect("run completes");
                 let throughput = report.work_units as f64 / report.elapsed.as_secs_f64();
                 row.push(format!("{throughput:.0}"));
-                let mut rec =
-                    RunRecord::new("figure4a", app_name, &format!("{edges}-edges"), backend);
-                rec.budget_bytes = budget as u64;
-                rec.total_secs = report.elapsed.as_secs_f64();
-                rec.scale = report.work_units;
-                records.push(rec);
+                throughputs.push(throughput);
             }
         }
         table.row_owned(row);
     }
     println!("{table}");
-    write_records("figure4a", &records);
 
     // Shape check: P' throughput ≥ P throughput per size.
     let mut wins = 0;
     let mut total = 0;
-    for pair in records.chunks(2) {
+    for pair in throughputs.chunks(2) {
         if let [p, p2] = pair {
             total += 1;
-            if p2.throughput() > p.throughput() {
+            if p2 > p {
                 wins += 1;
             }
         }

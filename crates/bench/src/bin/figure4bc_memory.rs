@@ -5,10 +5,9 @@
 //! two share; `P` bars are missing where it ran out of memory.
 
 use datagen::{CorpusSpec, corpus};
-use facade_bench::{mem_unit, mib, scale, workers, write_records};
+use facade_bench::{mem_unit, mib, scale, workers};
 use hyracks_rs::{Backend, Cluster, ClusterConfig};
 use metrics::TextTable;
-use metrics::report::{Outcome, RunRecord};
 
 fn main() {
     let unit = (mem_unit() as f64 * scale()) as usize;
@@ -18,7 +17,6 @@ fn main() {
 
     for (figure, app) in [("figure4b", "ES"), ("figure4c", "WC")] {
         let mut table = TextTable::new(&["Data", "P PM(M)", "P' PM(M)"]);
-        let mut records = Vec::new();
         for (label, spec) in &series {
             let words = corpus(spec);
             let mut row = vec![label.clone()];
@@ -30,37 +28,16 @@ fn main() {
                     frame_bytes: 32 << 10,
                     ..ClusterConfig::default()
                 };
-                let mut rec = RunRecord::new(figure, app, label, backend);
-                rec.budget_bytes = per_worker_budget as u64;
-                let result = if app == "ES" {
-                    Cluster::new(&config)
-                        .external_sort(&words)
-                        .map(|o| o.stats)
-                        .map_err(|e| e.after)
+                let cluster = Cluster::new(&config);
+                let peak = if app == "ES" {
+                    cluster.external_sort(&words).map(|o| o.stats.peak_bytes)
                 } else {
-                    Cluster::new(&config)
-                        .word_count(&words)
-                        .map(|o| o.stats)
-                        .map_err(|e| e.after)
+                    cluster.word_count(&words).map(|o| o.stats.peak_bytes)
                 };
-                match result {
-                    Ok(stats) => {
-                        rec.peak_bytes = stats.peak_bytes;
-                        rec.total_secs = stats.elapsed.as_secs_f64();
-                        row.push(mib(stats.peak_bytes));
-                    }
-                    Err(after) => {
-                        rec.outcome = Outcome::OutOfMemory {
-                            after_secs: after.as_secs_f64(),
-                        };
-                        row.push("OME".into());
-                    }
-                }
-                records.push(rec);
+                row.push(peak.map_or("OME".into(), mib));
             }
             table.row_owned(row);
         }
-        println!("{} ({app} memory usage):\n{table}", figure);
-        write_records(figure, &records);
+        println!("{figure} ({app} memory usage):\n{table}");
     }
 }

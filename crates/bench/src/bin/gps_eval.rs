@@ -8,10 +8,9 @@
 //! the smallest graph `P` and `P'` are about tied.
 
 use datagen::{Graph, GraphSpec};
-use facade_bench::{mem_unit, mib, reduction_pct, scale, secs, workers, write_records};
+use facade_bench::{mem_unit, mib, reduction_pct, scale, secs, workers};
 use gps_rs::{Backend, GpsConfig, KMeans, PageRank, RandomWalk, VertexKernel, run};
 use metrics::TextTable;
-use metrics::report::RunRecord;
 
 fn main() {
     let scale = scale();
@@ -32,7 +31,6 @@ fn main() {
         "App", "Graph", "ET(s)", "ET'(s)", "dET%", "GT(s)", "GT'(s)", "dGT%", "PM(M)", "PM'(M)",
         "dPM%",
     ]);
-    let mut records = Vec::new();
 
     for (label, spec) in &specs {
         let graph = Graph::generate(spec);
@@ -54,21 +52,9 @@ fn main() {
                     Ok(out) => out,
                     Err(e) => {
                         println!("{app} on {label} under {backend}: {e}");
-                        let mut rec = RunRecord::new("gps", app, label, backend);
-                        rec.outcome = metrics::report::Outcome::OutOfMemory {
-                            after_secs: e.after.as_secs_f64(),
-                        };
-                        records.push(rec);
                         continue;
                     }
                 };
-                let mut rec = RunRecord::new("gps", app, label, backend);
-                rec.budget_bytes = budget as u64;
-                rec.total_secs = out.timer.total().as_secs_f64();
-                rec.gc_secs = out.stats.gc_time.as_secs_f64();
-                rec.peak_bytes = out.stats.peak_bytes;
-                rec.scale = out.edges_processed;
-                records.push(rec);
                 results.push(out);
             }
             if results.len() < 2 {
@@ -106,5 +92,4 @@ fn main() {
         }
     }
     println!("{table}");
-    write_records("gps", &records);
 }

@@ -49,11 +49,7 @@ fn workload(
         let count = CHUNK.min(n - chunk * CHUNK);
         let it = store.iteration_start();
         let arr = store.alloc_array(ElemTy::Ref, count)?;
-        let root = if store.is_facade() {
-            None
-        } else {
-            Some(store.add_root(arr))
-        };
+        let root = store.add_root(arr);
         for i in 0..count {
             let v = store.alloc(vertex)?;
             store.set_i32(v, 0, (chunk * CHUNK + i) as i32);
@@ -64,9 +60,7 @@ fn workload(
             census = Some(store.census());
         }
         live_bytes.store(store.stats().current_bytes, Ordering::Relaxed);
-        if let Some(root) = root {
-            store.remove_root(root);
-        }
+        store.remove_root(root);
         store.iteration_end(it);
     }
     Ok(census.expect("at least one chunk"))
@@ -85,7 +79,7 @@ fn main() {
     let budget = 512 << 10;
     eprintln!("heapstat: {n} Vertex records in chunks of {CHUNK}, budget {budget} bytes");
 
-    let registry = Registry::global();
+    let registry = Registry::new();
     let live_bytes = Arc::new(AtomicU64::new(0));
     let live_gauge = registry.gauge("heapstat_live_bytes");
     let live_hist = registry.histogram("heapstat_live_bytes_sampled");
@@ -124,7 +118,7 @@ fn main() {
         .build();
     let facade = workload(&mut facade_store, n, &live_bytes).expect("facade run fits budget");
     facade_store.release_pages();
-    pool.publish_gauges(registry, "facade_pool");
+    pool.publish_gauges(&registry, "facade_pool");
 
     let samples = sampler.stop();
     eprintln!("heapstat: sampler took {samples} samples");

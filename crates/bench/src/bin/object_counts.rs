@@ -6,11 +6,10 @@
 //! facade run's is pages + the statically bounded facade pool.
 
 use datagen::{Graph, GraphSpec};
-use facade_bench::{mem_unit, scale, write_records};
+use facade_bench::{mem_unit, scale};
 use facade_runtime::PoolBounds;
 use graphchi_rs::{Backend, Engine, EngineConfig, PageRank};
 use metrics::TextTable;
-use metrics::report::RunRecord;
 
 fn main() {
     let scale = scale();
@@ -23,7 +22,6 @@ fn main() {
         "P' facades",
         "reduction",
     ]);
-    let mut records = Vec::new();
 
     for spec in GraphSpec::figure4a_series(scale, 3) {
         let graph = Graph::generate(&spec);
@@ -65,20 +63,10 @@ fn main() {
             format!("{facades}"),
             format!("{:.0}x", p_objects as f64 / p2_total as f64),
         ]);
-        let mut rec = RunRecord::new(
-            "object_counts",
-            "PR",
-            &format!("{}-edges", graph.edge_count()),
-            Backend::Facade,
-        );
-        rec.scale = p_objects;
-        rec.peak_bytes = p2_total;
-        records.push(rec);
     }
     println!("{table}");
     println!(
         "(paper: 14,257,280,923 -> 1,363 = ~10^7x at twitter-2010 scale; the ratio\n\
          grows linearly with dataset size because P is O(s) and P' is O(t*n + p))"
     );
-    write_records("object_counts", &records);
 }

@@ -8,11 +8,18 @@
 //! budget-independent while `P`'s tracks the budget.
 
 use datagen::{Graph, GraphSpec};
-use facade_bench::{export_trace, mem_unit, mib, scale, secs, threads, write_records};
+use facade_bench::{export_trace, mem_unit, mib, scale, secs, threads};
 use graphchi_rs::{Backend, ConnectedComponents, Engine, EngineConfig, PageRank, VertexProgram};
 use metrics::TextTable;
 use metrics::phases;
-use metrics::report::{Outcome, RunRecord};
+
+/// What the shape summary needs from one cell.
+struct Cell {
+    app: &'static str,
+    backend: Backend,
+    total_secs: f64,
+    gc_secs: f64,
+}
 
 fn main() {
     let scale = scale();
@@ -27,13 +34,13 @@ fn main() {
     let graph = Graph::generate(&spec);
 
     let mut table = TextTable::new(&["App", "ET(s)", "UT(s)", "LT(s)", "GT(s)", "PM(M)"]);
-    let mut records = Vec::new();
+    let mut cells = Vec::new();
 
     let apps: Vec<(&str, Box<dyn VertexProgram>)> = vec![
         ("PR", Box::new(PageRank::new(4))),
         ("CC", Box::new(ConnectedComponents::new(20))),
     ];
-    for (name, app) in &apps {
+    for &(name, ref app) in &apps {
         for budget_gb in [8usize, 6, 4] {
             for backend in [Backend::Heap, Backend::Facade] {
                 let config = EngineConfig {
@@ -48,64 +55,58 @@ fn main() {
                     Backend::Heap => format!("{name}-{budget_gb}g"),
                     Backend::Facade => format!("{name}'-{budget_gb}g"),
                 };
-                match engine.execute(app.as_ref()) {
+                // A failed run counts as 0 s in the shape summary's means.
+                let (total, gc) = match engine.execute(app.as_ref()) {
                     Ok(out) => {
+                        let (total, gc) = (out.timer.total(), out.timer.phase(phases::GC));
                         table.row_owned(vec![
-                            label.clone(),
-                            secs(out.timer.total()),
+                            label,
+                            secs(total),
                             secs(out.timer.phase(phases::UPDATE)),
                             secs(out.timer.phase(phases::LOAD)),
-                            secs(out.timer.phase(phases::GC)),
+                            secs(gc),
                             mib(out.stats.peak_bytes),
                         ]);
-                        let mut rec = RunRecord::new("table2", name, "twitter-like", backend);
-                        rec.budget_bytes = (budget_gb * unit) as u64;
-                        rec.total_secs = out.timer.total().as_secs_f64();
-                        rec.update_secs = out.timer.phase(phases::UPDATE).as_secs_f64();
-                        rec.load_secs = out.timer.phase(phases::LOAD).as_secs_f64();
-                        rec.gc_secs = out.timer.phase(phases::GC).as_secs_f64();
-                        rec.peak_bytes = out.stats.peak_bytes;
-                        rec.scale = out.edges_processed;
-                        rec.retries = out.resilience.retries;
-                        rec.degradations = out.resilience.degradations;
-                        records.push(rec);
+                        (total, gc)
                     }
                     Err(e) => {
                         table.row_owned(vec![label, format!("OME: {e}")]);
-                        let mut rec = RunRecord::new("table2", name, "twitter-like", backend);
-                        rec.outcome = Outcome::OutOfMemory { after_secs: 0.0 };
-                        records.push(rec);
+                        Default::default()
                     }
-                }
+                };
+                cells.push(Cell {
+                    app: name,
+                    backend,
+                    total_secs: total.as_secs_f64(),
+                    gc_secs: gc.as_secs_f64(),
+                });
             }
         }
     }
     println!("{table}");
-    write_records("table2", &records);
     // Chrome trace of the whole sweep (GC pauses, pool traffic, engine
-    // phases) — open target/experiments/table2_trace.json in Perfetto.
-    // Empty unless built with `--features tracing`.
+    // phases) — open target/experiments/table2_trace.json in Perfetto or
+    // feed it to `facadeprof`. Empty unless built with `--features tracing`.
     export_trace("table2");
 
     // Shape summary, as the paper reports.
-    summarize(&records);
+    summarize(&cells);
 }
 
-fn summarize(records: &[RunRecord]) {
+fn summarize(cells: &[Cell]) {
     for app in ["PR", "CC"] {
-        let p: Vec<&RunRecord> = records
-            .iter()
-            .filter(|r| r.app == app && r.backend == Backend::Heap)
-            .collect();
-        let p2: Vec<&RunRecord> = records
-            .iter()
-            .filter(|r| r.app == app && r.backend == Backend::Facade)
-            .collect();
+        let of = |backend| -> Vec<&Cell> {
+            cells
+                .iter()
+                .filter(|c| c.app == app && c.backend == backend)
+                .collect()
+        };
+        let (p, p2) = (of(Backend::Heap), of(Backend::Facade));
         if p.is_empty() || p2.is_empty() {
             continue;
         }
-        let et = |rs: &[&RunRecord]| rs.iter().map(|r| r.total_secs).sum::<f64>() / rs.len() as f64;
-        let gt = |rs: &[&RunRecord]| rs.iter().map(|r| r.gc_secs).sum::<f64>() / rs.len() as f64;
+        let et = |cs: &[&Cell]| cs.iter().map(|c| c.total_secs).sum::<f64>() / cs.len() as f64;
+        let gt = |cs: &[&Cell]| cs.iter().map(|c| c.gc_secs).sum::<f64>() / cs.len() as f64;
         println!(
             "{app}: mean ET reduction {:.1}%  mean GC reduction {:.1}x",
             facade_bench::reduction_pct(et(&p), et(&p2)),

@@ -8,10 +8,9 @@
 //! inputs WC' may be slower (pool/page overhead not yet amortized).
 
 use datagen::{CorpusSpec, corpus};
-use facade_bench::{mem_unit, scale, secs, workers, write_records};
+use facade_bench::{mem_unit, scale, secs, workers};
 use hyracks_rs::{Backend, Cluster, ClusterConfig};
 use metrics::TextTable;
-use metrics::report::{Outcome, RunRecord};
 
 fn main() {
     let unit = (mem_unit() as f64 * scale()) as usize;
@@ -24,7 +23,8 @@ fn main() {
     );
 
     let mut table = TextTable::new(&["Data", "ES", "ES'", "WC", "WC'"]);
-    let mut records = Vec::new();
+    // (app, backend, dataset) of every run that completed, in series order.
+    let mut completed = Vec::new();
 
     for (label, spec) in &series {
         let words = corpus(spec);
@@ -38,62 +38,32 @@ fn main() {
                     frame_bytes: 32 << 10,
                     ..ClusterConfig::default()
                 };
-                let mut rec = RunRecord::new("table3", app, label, backend);
-                rec.budget_bytes = per_worker_budget as u64;
-                rec.scale = words.len() as u64;
-                let cell = if runner {
-                    match Cluster::new(&config).external_sort(&words) {
-                        Ok(out) => {
-                            rec.total_secs = out.stats.elapsed.as_secs_f64();
-                            rec.gc_secs = out.stats.gc_time.as_secs_f64();
-                            rec.peak_bytes = out.stats.peak_bytes;
-                            rec.retries = out.stats.resilience.retries;
-                            rec.degradations = out.stats.resilience.degradations;
-                            secs(out.stats.elapsed)
-                        }
-                        Err(e) => {
-                            rec.outcome = Outcome::OutOfMemory {
-                                after_secs: e.after.as_secs_f64(),
-                            };
-                            format!("OME({:.2})", e.after.as_secs_f64())
-                        }
-                    }
+                let cluster = Cluster::new(&config);
+                let elapsed = if runner {
+                    cluster.external_sort(&words).map(|out| out.stats.elapsed)
                 } else {
-                    match Cluster::new(&config).word_count(&words) {
-                        Ok(out) => {
-                            rec.total_secs = out.stats.elapsed.as_secs_f64();
-                            rec.gc_secs = out.stats.gc_time.as_secs_f64();
-                            rec.peak_bytes = out.stats.peak_bytes;
-                            rec.retries = out.stats.resilience.retries;
-                            rec.degradations = out.stats.resilience.degradations;
-                            secs(out.stats.elapsed)
-                        }
-                        Err(e) => {
-                            rec.outcome = Outcome::OutOfMemory {
-                                after_secs: e.after.as_secs_f64(),
-                            };
-                            format!("OME({:.2})", e.after.as_secs_f64())
-                        }
-                    }
+                    cluster.word_count(&words).map(|out| out.stats.elapsed)
                 };
-                row.push(cell);
-                records.push(rec);
+                row.push(match elapsed {
+                    Ok(elapsed) => {
+                        completed.push((app, backend, label));
+                        secs(elapsed)
+                    }
+                    Err(e) => format!("OME({:.2})", e.after.as_secs_f64()),
+                });
             }
         }
         table.row_owned(row);
     }
     println!("{table}");
-    write_records("table3", &records);
 
     // Shape summary: the largest dataset each backend completes, per app.
     for app in ["ES", "WC"] {
         for backend in [Backend::Heap, Backend::Facade] {
-            let max = records
+            let max = completed
                 .iter()
-                .filter(|r| r.app == app && r.backend == backend && r.outcome == Outcome::Completed)
-                .map(|r| r.dataset.clone())
-                .next_back()
-                .unwrap_or_else(|| "none".into());
+                .rfind(|&&(a, b, _)| a == app && b == backend)
+                .map_or("none", |&(_, _, label)| label.as_str());
             println!("{app} under {backend}: largest completed dataset = {max}");
         }
     }

@@ -12,10 +12,9 @@
 //! - `FACADE_MEM_UNIT` — bytes standing in for the paper's "1 GB" of
 //!   memory budget (default 4 MiB).
 //!
-//! Results are printed as paper-style text tables and also written as JSON
-//! lines under `target/experiments/` for `EXPERIMENTS.md` regeneration.
+//! Results are printed as paper-style text tables; the tools write their
+//! artifacts (trace, GC log, metrics exposition) under `target/experiments/`.
 
-use metrics::report::RunRecord;
 use std::fs;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -67,37 +66,28 @@ pub fn mib(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / (1 << 20) as f64)
 }
 
-/// Writes experiment records as JSON lines under `target/experiments/`.
-pub fn write_records(name: &str, records: &[RunRecord]) {
-    let dir = PathBuf::from("target/experiments");
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.jsonl"));
-        let _ = fs::write(&path, metrics::report::to_json_lines(records));
-        eprintln!("wrote {}", path.display());
-    }
-}
-
-/// Drains the process-wide trace buffers and exports them twice: a Chrome
-/// `trace_event` file at `target/experiments/{name}_trace.json` (load it at
-/// `chrome://tracing` or <https://ui.perfetto.dev>, or feed it to
-/// `facadeprof`) and a returned per-span-name summary as a JSON object
-/// string. The recorder's dropped-event count (buffer-cap overflow) is
-/// folded into the summary.
+/// Drains the process-wide trace buffers into a Chrome `trace_event` file
+/// at `target/experiments/{name}_trace.json` (load it at `chrome://tracing`
+/// or <https://ui.perfetto.dev>, or feed it to `facadeprof`), reporting the
+/// event count and the recorder's dropped-event count (buffer-cap overflow)
+/// on stderr.
 ///
-/// With tracing disabled (the default build) the buffers are empty: the
-/// file records zero events and the summary is `{"events": 0, ...}`.
-/// Build the bench binaries with `--features tracing` to capture spans.
-pub fn export_trace(name: &str) -> String {
+/// With tracing disabled (the default build) the buffers are empty and the
+/// file records zero events. Build the bench binaries with
+/// `--features tracing` to capture spans.
+pub fn export_trace(name: &str) {
     let events = facade_trace::drain();
-    let mut summary = facade_trace::summary::summarize(&events);
-    summary.events_dropped = facade_trace::take_events_dropped();
+    let dropped = facade_trace::take_events_dropped();
     let dir = PathBuf::from("target/experiments");
     if fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{name}_trace.json"));
         let _ = fs::write(&path, facade_trace::chrome::render(&events));
-        eprintln!("wrote {} ({} events)", path.display(), events.len());
+        eprintln!(
+            "wrote {} ({} events, {dropped} dropped)",
+            path.display(),
+            events.len()
+        );
     }
-    summary.to_json()
 }
 
 /// Renders a [`data_store::StoreCensus`] as one JSON object, for

@@ -30,20 +30,14 @@ fn hash_bytes(bytes: &[u8]) -> u32 {
 
 /// Releases a backing array: early-freed on the facade backend (§3.6's
 /// resize case), root-dropped for the collector on the heap backend.
-fn retire(store: &mut Store, arr: Rec, root: Option<Root>) {
+fn retire(store: &mut Store, arr: Rec, root: Root) {
     store.free_array_early(arr);
-    if let Some(root) = root {
-        store.remove_root(root);
-    }
+    store.remove_root(root);
 }
 
-fn alloc_backing(store: &mut Store, capacity: usize) -> Result<(Rec, Option<Root>), OutOfMemory> {
+fn alloc_backing(store: &mut Store, capacity: usize) -> Result<(Rec, Root), OutOfMemory> {
     let arr = store.alloc_array(ElemTy::Ref, capacity)?;
-    let root = if store.is_facade() {
-        None
-    } else {
-        Some(store.add_root(arr))
-    };
+    let root = store.add_root(arr);
     Ok((arr, root))
 }
 
@@ -70,7 +64,7 @@ fn alloc_backing(store: &mut Store, capacity: usize) -> Result<(Rec, Option<Root
 #[derive(Debug)]
 pub struct RecList {
     backing: Rec,
-    root: Option<Root>,
+    root: Root,
     capacity: usize,
     len: usize,
 }
@@ -120,7 +114,7 @@ impl RecList {
                 let v = store.array_get_rec(self.backing, i);
                 store.array_set_rec(bigger, i, v);
             }
-            retire(store, self.backing, self.root.take());
+            retire(store, self.backing, self.root);
             self.backing = bigger;
             self.root = new_root;
             self.capacity *= 2;
@@ -171,10 +165,8 @@ impl RecList {
 
     /// Releases the collection's GC root; call when the operator owning it
     /// finishes (iteration reclamation handles the facade backend).
-    pub fn release(mut self, store: &mut Store) {
-        if let Some(root) = self.root.take() {
-            store.remove_root(root);
-        }
+    pub fn release(self, store: &mut Store) {
+        store.remove_root(self.root);
     }
 }
 
@@ -182,7 +174,7 @@ impl RecList {
 #[derive(Debug)]
 pub struct RecDeque {
     backing: Rec,
-    root: Option<Root>,
+    root: Root,
     capacity: usize,
     head: usize,
     len: usize,
@@ -222,7 +214,7 @@ impl RecDeque {
             let v = store.array_get_rec(self.backing, (self.head + i) % self.capacity);
             store.array_set_rec(bigger, i, v);
         }
-        retire(store, self.backing, self.root.take());
+        retire(store, self.backing, self.root);
         self.backing = bigger;
         self.root = new_root;
         self.capacity *= 2;
@@ -261,10 +253,8 @@ impl RecDeque {
     }
 
     /// Releases the collection's GC root.
-    pub fn release(mut self, store: &mut Store) {
-        if let Some(root) = self.root.take() {
-            store.remove_root(root);
-        }
+    pub fn release(self, store: &mut Store) {
+        store.remove_root(self.root);
     }
 }
 
@@ -276,7 +266,7 @@ impl RecDeque {
 #[derive(Debug)]
 pub struct BytesMap {
     buckets: Rec,
-    root: Option<Root>,
+    root: Root,
     entry_class: ClassTag,
     capacity: usize,
     len: usize,
@@ -419,7 +409,7 @@ impl BytesMap {
                 e = next;
             }
         }
-        retire(store, self.buckets, self.root.take());
+        retire(store, self.buckets, self.root);
         self.buckets = bigger;
         self.root = new_root;
         self.capacity = new_capacity;
@@ -441,10 +431,8 @@ impl BytesMap {
     }
 
     /// Releases the map's GC root.
-    pub fn release(mut self, store: &mut Store) {
-        if let Some(root) = self.root.take() {
-            store.remove_root(root);
-        }
+    pub fn release(self, store: &mut Store) {
+        store.remove_root(self.root);
     }
 }
 

@@ -70,7 +70,7 @@ use facade_runtime::{
     ElemKind as PElem, FieldKind as PField, PageRef, PagedHeap, PagedHeapConfig, TypeId,
 };
 pub use facade_runtime::{EpochLedger, NO_EPOCH, PagePool, PoolCounters, RecoveryError};
-pub use managed_heap::{AllocSiteStat, CensusRow, HeapCensus, PauseRecord, merge_site_profiles};
+pub use managed_heap::{CensusRow, PauseRecord};
 use managed_heap::{
     ClassId as HClassId, ElemKind as HElem, FieldKind as HField, Heap, HeapConfig, ObjRef, RootId,
 };
@@ -201,7 +201,7 @@ impl StoreStats {
 /// bounded" reduction, directly measurable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreCensus {
-    /// `"heap"`, `"facade"`, or `"mixed"` after merging across backends.
+    /// `"heap"` or `"facade"`.
     pub backend: &'static str,
     /// Per-class rows (heap) or page/oversize rows (facade), name-sorted.
     pub rows: Vec<CensusRow>,
@@ -217,38 +217,6 @@ pub struct StoreCensus {
     /// Record traffic by type name (facade backend; empty on heap, where
     /// the per-class rows already carry names).
     pub records_by_type: Vec<(String, u64)>,
-}
-
-impl StoreCensus {
-    /// Folds another census into this one (aggregating per-worker stores),
-    /// summing rows and per-type record counts by name. Backends must match
-    /// to keep a label; a cross-backend merge is tagged `"mixed"`.
-    pub fn merge(&mut self, other: &StoreCensus) {
-        if self.backend.is_empty() {
-            self.backend = other.backend;
-        } else if !other.backend.is_empty() && self.backend != other.backend {
-            self.backend = "mixed";
-        }
-        let mut rows = HeapCensus {
-            rows: std::mem::take(&mut self.rows),
-        };
-        rows.merge(&HeapCensus {
-            rows: other.rows.clone(),
-        });
-        self.rows = rows.rows;
-        self.live_objects += other.live_objects;
-        self.live_bytes += other.live_bytes;
-        self.records_allocated += other.records_allocated;
-        for (name, count) in &other.records_by_type {
-            match self
-                .records_by_type
-                .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            {
-                Ok(i) => self.records_by_type[i].1 += count,
-                Err(i) => self.records_by_type.insert(i, (name.clone(), *count)),
-            }
-        }
-    }
 }
 
 // The heap variant is much larger than the facade variant; stores are
@@ -858,26 +826,6 @@ impl Store {
 
     // ----- observability -----------------------------------------------------
 
-    /// Sets the current *allocation site* on the heap backend: subsequent
-    /// allocations are attributed to `site` in the profile returned by
-    /// [`Store::alloc_site_profile`]. Engines call this at phase boundaries
-    /// (degree pass, load, update) with phase-specific ids. A no-op on the
-    /// facade backend, whose pages are not attributed per site.
-    pub fn set_alloc_site(&mut self, site: u32) {
-        if let Inner::Heap { heap, .. } = &mut self.inner {
-            heap.set_alloc_site(site);
-        }
-    }
-
-    /// The allocation-site profile accumulated by the heap backend, sorted
-    /// by site id; empty on the facade backend.
-    pub fn alloc_site_profile(&self) -> Vec<AllocSiteStat> {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.alloc_site_profile(),
-            Inner::Facade { .. } => Vec::new(),
-        }
-    }
-
     /// Per-collection pause records from the heap backend (bounded; see
     /// [`managed_heap::GcStats::MAX_PAUSE_RECORDS`]); empty on facade.
     pub fn pause_records(&self) -> Vec<PauseRecord> {
@@ -1257,26 +1205,20 @@ mod tests {
     }
 
     #[test]
-    fn alloc_sites_and_pause_records_pass_through() {
+    fn pause_records_pass_through() {
         let mut h = Store::builder()
             .backend(Backend::Heap)
             .budget(1 << 20)
             .build();
         let c = h.register_class("T", &[FieldTy::I64]);
-        h.set_alloc_site(2);
         h.alloc(c).unwrap();
         h.collect();
-        let profile = h.alloc_site_profile();
-        assert_eq!(profile.len(), 1);
-        assert_eq!((profile[0].site, profile[0].allocations), (2, 1));
         assert_eq!(h.pause_records().len(), 1, "one record per collection");
 
-        // Facade backend: both are empty no-ops.
+        // Facade backend: no collector, no records.
         let mut f = Store::builder().budget(1 << 20).build();
         let c = f.register_class("T", &[FieldTy::I64]);
-        f.set_alloc_site(2);
         f.alloc(c).unwrap();
-        assert!(f.alloc_site_profile().is_empty());
         assert!(f.pause_records().is_empty());
     }
 
@@ -1327,40 +1269,6 @@ mod tests {
             "record traffic is still attributed by type"
         );
         f.iteration_end(it);
-    }
-
-    #[test]
-    fn census_merge_aggregates_workers() {
-        let mut censuses = Vec::new();
-        for _ in 0..3 {
-            let mut s = Store::builder().budget(8 << 20).build();
-            let c = s.register_class("T", &[FieldTy::I64]);
-            let it = s.iteration_start();
-            for _ in 0..1000 {
-                s.alloc(c).unwrap();
-            }
-            s.iteration_end(it);
-            censuses.push(s.census());
-        }
-        let mut total = StoreCensus::default();
-        for c in &censuses {
-            total.merge(c);
-        }
-        assert_eq!(total.backend, "facade");
-        assert_eq!(total.records_allocated, 3000);
-        let expected: u64 = censuses.iter().map(|c| c.live_objects).sum();
-        assert_eq!(total.live_objects, expected);
-        assert_eq!(total.records_by_type, vec![("T".to_string(), 3000)]);
-
-        // Cross-backend merges are flagged rather than silently mixed in.
-        let mut heap_census = Store::builder()
-            .backend(Backend::Heap)
-            .budget(1 << 20)
-            .build()
-            .census();
-        heap_census.backend = "heap";
-        total.merge(&heap_census);
-        assert_eq!(total.backend, "mixed");
     }
 
     #[test]

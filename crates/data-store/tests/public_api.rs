@@ -204,3 +204,101 @@ fn snapshot_pins_the_builder_and_job_api_surface() {
         );
     }
 }
+
+/// The `pub` fields of `pub struct <name>` in `text`, in declaration order.
+fn struct_fields(text: &str, name: &str) -> Vec<String> {
+    let open = format!("pub struct {name} {{");
+    text.lines()
+        .skip_while(|line| line.trim() != open)
+        .skip(1)
+        .take_while(|line| line.trim() != "}")
+        .filter_map(|line| line.trim().strip_prefix("pub ")?.split_once(':'))
+        .map(|(field, _)| field.to_string())
+        .collect()
+}
+
+/// `true` when `line` reads `.field` as a field: not a longer identifier,
+/// not a method call, not the target of an assignment.
+fn reads_field(line: &str, field: &str) -> bool {
+    let access = format!(".{field}");
+    line.match_indices(&access).any(|(at, _)| {
+        let rest = &line[at + access.len()..];
+        let longer = rest.starts_with(|c: char| c.is_alphanumeric() || c == '_');
+        let rest = rest.trim_start();
+        let assigned = ["=", "+=", "-="]
+            .iter()
+            .any(|op| rest.starts_with(op) && !rest.starts_with("=="));
+        !longer && !rest.starts_with('(') && !assigned
+    })
+}
+
+/// Every non-test `.rs` line under `dir` (recursively), except in the files
+/// whose paths end in one of `exclude`: `tests/` trees are skipped and a
+/// file ends at its `#[cfg(test)]` module.
+fn production_lines(dir: &Path, exclude: &[&str], out: &mut Vec<String>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.map(|e| e.expect("dir entry").path()) {
+        if path.is_dir() {
+            if !path.ends_with("tests") {
+                production_lines(&path, exclude, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && !exclude.iter().any(|file| path.ends_with(file))
+        {
+            let text = fs::read_to_string(&path).expect("source file reads");
+            let lines = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+            out.extend(lines.map(str::to_string));
+        }
+    }
+}
+
+/// Telemetry is pulled (DESIGN.md §2): an engine fills a result field only
+/// if something outside the engine reads it. For every `pub` field of the
+/// three engine result structs, some production line outside the two
+/// defining files — in a workspace crate, a bench bin or the benchmark —
+/// must read `.field`.
+#[test]
+fn every_engine_result_field_has_a_reader() {
+    const ENGINE: &str = "graphchi-rs/src/engine.rs";
+    const CLUSTER: &str = "hyracks-rs/src/cluster.rs";
+    let crates_dir = manifest_dir().parent().unwrap().to_path_buf();
+    let snapshot = fs::read_to_string(manifest_dir().join("api/public-api.txt"))
+        .expect("snapshot is checked in");
+
+    let mut lines = Vec::new();
+    for dir in [crates_dir.clone(), crates_dir.join("../benchmark/src")] {
+        production_lines(&dir, &[ENGINE, CLUSTER], &mut lines);
+    }
+
+    let mut unread = Vec::new();
+    for (file, name) in [
+        (ENGINE, "RunOutcome"),
+        (CLUSTER, "JobStats"),
+        (CLUSTER, "WorkerReport"),
+    ] {
+        let text = fs::read_to_string(crates_dir.join(file)).expect("engine source reads");
+        let fields = struct_fields(&text, name);
+        assert!(
+            !fields.is_empty(),
+            "`pub struct {name}` not found in {file}"
+        );
+        for field in fields {
+            // The snapshot labels an engine file `<crate>/<file>.rs`.
+            let pinned = format!("{}: pub {field}: ", file.replace("/src/", "/"));
+            assert!(
+                snapshot.contains(&pinned),
+                "snapshot must list {name}::{field}"
+            );
+            if !lines.iter().any(|line| reads_field(line, &field)) {
+                unread.push(format!("{name}::{field}"));
+            }
+        }
+    }
+    assert!(
+        unread.is_empty(),
+        "written by an engine on every run, read by nothing outside it: {unread:?}\n\
+         Delete the field, or let the reader take the figure on demand."
+    );
+}

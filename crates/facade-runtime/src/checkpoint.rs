@@ -573,11 +573,10 @@ impl Checkpointer {
 
     /// The job completed: its checkpoint is obsolete (resuming a finished
     /// job would replay its tail). Removal is best-effort — a leftover only
-    /// costs a fingerprint-checked restore attempt — and the run's
-    /// checkpoint counters go to the process-wide metrics registry.
-    pub fn finish(&self, report: &ResilienceReport) {
+    /// costs a fingerprint-checked restore attempt. The run's checkpoint
+    /// counters stay in its [`ResilienceReport`], where hosts read them.
+    pub fn finish(&self) {
         let _ = std::fs::remove_file(&self.path);
-        report.publish_checkpoint_gauges(metrics::Registry::global());
     }
 }
 
@@ -798,7 +797,7 @@ mod tests {
             (0, 3)
         );
 
-        ckpt.finish(&report);
+        ckpt.finish();
         assert!(!path.exists(), "a finished job removes its checkpoint");
     }
 

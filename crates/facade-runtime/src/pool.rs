@@ -437,10 +437,9 @@ impl PagePool {
     /// Publishes the pool's current counters as gauges named
     /// `<prefix>_available`, `<prefix>_handed_out`, `<prefix>_returned`,
     /// `<prefix>_occupancy_hwm`, `<prefix>_mean_acquire_ns`, and
-    /// `<prefix>_mean_release_ns` in `registry` (typically
-    /// [`metrics::Registry::global`] under the prefix `facade_pool`).
-    /// Call again any time to refresh; a background
-    /// [`metrics::Sampler`] can do so periodically.
+    /// `<prefix>_mean_release_ns` in `registry` (the daemon's `/metrics`
+    /// registry, under the prefix `facade_pool`). Call again any time to
+    /// refresh; a background [`metrics::Sampler`] can do so periodically.
     pub fn publish_gauges(&self, registry: &metrics::Registry, prefix: &str) {
         let c = self.counters();
         let set = |suffix: &str, v: u64| {

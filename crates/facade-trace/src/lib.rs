@@ -35,15 +35,13 @@
 //! # Export
 //!
 //! [`chrome::render`] turns a drained timeline into Chrome `trace_event`
-//! JSON (load it at `chrome://tracing` or <https://ui.perfetto.dev>);
-//! [`summary::summarize`] folds it into per-span aggregate statistics for
-//! machine-readable reports. See `docs/OBSERVABILITY.md`.
+//! JSON (load it at `chrome://tracing` or <https://ui.perfetto.dev>, or
+//! feed it to `facadeprof`). See `docs/OBSERVABILITY.md`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod chrome;
-pub mod summary;
 
 #[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -388,7 +386,7 @@ pub fn events_dropped() -> u64 {
 }
 
 /// Returns the dropped-event count and resets it to zero — the per-drain
-/// accounting the bench exporters embed next to the trace summary.
+/// accounting the bench trace exporter prints next to its event count.
 pub fn take_events_dropped() -> u64 {
     #[cfg(feature = "enabled")]
     {

@@ -290,11 +290,7 @@ fn superstep_on_worker(
     let load_start = Instant::now();
     let msg_sum = store.alloc_array(ElemTy::I64, worker.local_count.max(1))?;
     let msg_count = store.alloc_array(ElemTy::I32, worker.local_count.max(1))?;
-    let msg_root = if store.is_facade() {
-        None
-    } else {
-        Some((store.add_root(msg_sum), store.add_root(msg_count)))
-    };
+    let msg_roots = [store.add_root(msg_sum), store.add_root(msg_count)];
     let result = (|| -> Result<(), OutOfMemory> {
         for chunk in inbox.chunks(batch) {
             // One batch record pair: ids + payloads. Both stay rooted while
@@ -331,9 +327,8 @@ fn superstep_on_worker(
     })();
     let load_elapsed = load_start.elapsed();
     if let Err(e) = result {
-        if let Some((r1, r2)) = msg_root {
-            store.remove_root(r1);
-            store.remove_root(r2);
+        for root in msg_roots {
+            store.remove_root(root);
         }
         store.iteration_end(it);
         return Err(e);
@@ -381,9 +376,8 @@ fn superstep_on_worker(
     }
     let update_elapsed = update_start.elapsed();
 
-    if let Some((r1, r2)) = msg_root {
-        store.remove_root(r1);
-        store.remove_root(r2);
+    for root in msg_roots {
+        store.remove_root(root);
     }
     store.iteration_end(it);
     // The superstep's message records are dead; share the freed pages with

@@ -6,8 +6,7 @@ use crate::preprocess::Csr;
 use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
 use data_store::recovery::{self, UnitFailure, guarded};
 use data_store::{
-    ClassTag, ElemTy, FieldTy, PauseRecord, PoolCounters, RecoveryError, RunEnv, Store,
-    StoreCensus, StoreStats,
+    ClassTag, ElemTy, FieldTy, PauseRecord, PoolCounters, RecoveryError, RunEnv, Store, StoreStats,
 };
 use datagen::Graph;
 use metrics::report::Backend;
@@ -17,18 +16,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Allocation-site ids the engine attributes its phases to. Under the heap
-/// backend the store's allocation-site profile (see
-/// [`Store::alloc_site_profile`]) breaks records and bytes down by these
-/// ids; the facade backend has no per-object profile, so the calls are
-/// no-ops there.
-pub mod alloc_sites {
-    /// Degree-pass records (`VertexDegree` plus its container array).
-    pub const DEGREE_PASS: u32 = 1;
-    /// Subinterval load phase (`ChiVertex`, `ChiPointer`, edge arrays).
-    pub const LOAD: u32 = 2;
-}
 
 /// File name of the engine's checkpoint within a checkpoint directory.
 const CHECKPOINT_FILE: &str = "graphchi.fckp";
@@ -291,11 +278,6 @@ pub struct RunOutcome {
     /// Failure-handling record: retries, degradation-ladder steps, and
     /// injected faults the run survived.
     pub resilience: ResilienceReport,
-    /// End-of-run census merged across every worker store: per-class
-    /// live-object rows under [`Backend::Heap`], page/oversize occupancy
-    /// under [`Backend::Facade`] — the engine-level view of the paper's
-    /// Table 3 object-count collapse.
-    pub census: StoreCensus,
     /// Shared page-pool counters (facade backend only).
     pub pool: Option<PoolCounters>,
     /// Per-collection pause records from the surviving worker stores
@@ -809,11 +791,9 @@ impl Engine {
         }
 
         let mut stats = retired;
-        let mut census = StoreCensus::default();
         let mut pauses = Vec::new();
         for store in &stores {
             stats.merge(&store.stats());
-            census.merge(&store.census());
             pauses.extend(store.pause_records());
         }
         let pool = stores[0].pool_counters();
@@ -825,7 +805,7 @@ impl Engine {
             resilience.faults_injected = plan.faults_injected();
         }
         if let Some(c) = &checkpointer {
-            c.finish(&resilience);
+            c.finish();
         }
         timer.add(phases::GC, stats.gc_time);
         timer.freeze_total();
@@ -836,7 +816,6 @@ impl Engine {
             passes,
             edges_processed,
             resilience,
-            census,
             pool,
             pauses,
         })
@@ -849,17 +828,12 @@ impl Engine {
     /// degree record, not just the first 2^16.
     fn degree_pass(&self, store: &mut Store, schema: Schema) -> Result<(), OutOfMemory> {
         const CHUNK: usize = 1 << 16;
-        store.set_alloc_site(alloc_sites::DEGREE_PASS);
         let n = self.csr.vertices as usize;
         for chunk_start in (0..n).step_by(CHUNK) {
             let count = CHUNK.min(n - chunk_start);
             let it = store.iteration_start();
             let arr = store.alloc_array(ElemTy::Ref, count)?;
-            let root = if store.is_facade() {
-                None
-            } else {
-                Some(store.add_root(arr))
-            };
+            let root = store.add_root(arr);
             for i in 0..count {
                 let v = (chunk_start + i) as u32;
                 let d = store.alloc(schema.degree)?;
@@ -867,9 +841,7 @@ impl Engine {
                 store.set_i32(d, 1, self.csr.out_degree(v) as i32);
                 store.array_set_rec(arr, i, d);
             }
-            if let Some(root) = root {
-                store.remove_root(root);
-            }
+            store.remove_root(root);
             store.iteration_end(it);
         }
         Ok(())
@@ -1064,16 +1036,11 @@ impl Engine {
         let count = (end - start) as usize;
 
         // ---- load phase (LT): build ChiVertex + ChiPointer records -------
-        store.set_alloc_site(alloc_sites::LOAD);
         let load_start = std::time::Instant::now();
         let vertex_arr = store.alloc_array(ElemTy::Ref, count)?;
         // Root the container so the heap backend keeps the subinterval's
         // records live across collections triggered mid-load.
-        let root = if store.is_facade() {
-            None
-        } else {
-            Some(store.add_root(vertex_arr))
-        };
+        let root = store.add_root(vertex_arr);
         let inlined = store.is_facade() && self.config.inline_records;
         let ahead = prefetched.is_some();
         let window = prefetched.unwrap_or_else(|| self.gather_sub((start, end), edge_values));
@@ -1143,9 +1110,7 @@ impl Engine {
             &[("first_vertex", start.into()), ("prefetched", ahead.into())],
         );
         if let Err(e) = load_result {
-            if let Some(root) = root {
-                store.remove_root(root);
-            }
+            store.remove_root(root);
             store.iteration_end(it);
             return Err(e);
         }
@@ -1218,9 +1183,7 @@ impl Engine {
         timer.add(phases::LOAD, wb_start.elapsed());
         facade_trace::complete("sub_writeback", wb_start, &[("first_vertex", start.into())]);
 
-        if let Some(root) = root {
-            store.remove_root(root);
-        }
+        store.remove_root(root);
         store.iteration_end(it);
         Ok(CommitBuf {
             first_vertex: start,
@@ -1672,34 +1635,6 @@ mod tests {
             "later intervals adopt released pages instead of growing"
         );
         assert!(out.pool.is_some(), "facade runs expose pool counters");
-    }
-
-    #[test]
-    fn run_census_contrasts_backends() {
-        let g = Graph::generate(&GraphSpec::new(2_000, 30_000, 29));
-        let heap = run(Backend::Heap, &g, &PageRank::new(2));
-        let facade = run(Backend::Facade, &g, &PageRank::new(2));
-        assert_eq!(heap.census.backend, "heap");
-        assert_eq!(facade.census.backend, "facade");
-        assert!(heap.pool.is_none());
-        // The heap census walks real per-class objects.
-        assert!(heap.census.live_objects > 0);
-        assert!(heap.census.rows.iter().any(|r| r.name == "ChiVertex"));
-        // The facade census is page occupancy: bounded by the page budget,
-        // collapsed relative to the record traffic that flowed through it.
-        let vertex_allocs = facade
-            .census
-            .records_by_type
-            .iter()
-            .find(|(name, _)| name == "ChiVertex")
-            .map_or(0, |&(_, count)| count);
-        assert!(vertex_allocs >= 2_000, "every pass re-creates each vertex");
-        assert!(
-            facade.census.live_objects < vertex_allocs / 100,
-            "page count ({}) must collapse against record traffic ({})",
-            facade.census.live_objects,
-            vertex_allocs
-        );
     }
 
     #[test]

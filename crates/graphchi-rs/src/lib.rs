@@ -96,7 +96,7 @@ pub use apps::{
     ConnectedComponents, PageRank, SSSP_INFINITY, ShortestPaths, VertexProgram, VertexView,
 };
 pub use data_store::RunEnv;
-pub use engine::{Engine, EngineConfig, EngineError, RunOutcome, alloc_sites};
+pub use engine::{Engine, EngineConfig, EngineError, RunOutcome};
 pub use metrics::FailureCause;
 pub use metrics::report::Backend;
 pub use preprocess::Csr;

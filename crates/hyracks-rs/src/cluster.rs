@@ -16,7 +16,7 @@
 use data_store::RecoveryError;
 use data_store::checkpoint::Checkpointer;
 use data_store::recovery::{Ladder, round};
-use data_store::{PagePool, PauseRecord, PoolCounters, RunEnv, Store, StoreCensus, StoreStats};
+use data_store::{PagePool, PauseRecord, PoolCounters, RunEnv, Store, StoreStats};
 use metrics::report::Backend;
 use metrics::{DegradationAction, OutOfMemory, ResilienceReport};
 use std::error::Error;
@@ -175,8 +175,6 @@ pub struct WorkerReport {
     pub partitions: u64,
     /// Summed costs of every store this thread retired.
     pub stats: StoreStats,
-    /// Census merged over those stores, taken at each store's retirement.
-    pub census: StoreCensus,
     /// GC pauses this thread's heap-backed stores served.
     pub pauses: Vec<PauseRecord>,
 }
@@ -199,12 +197,8 @@ pub struct JobStats {
     /// Failure-handling record: retries, degradations, and injected faults
     /// the job survived.
     pub resilience: ResilienceReport,
-    /// Census merged across every retired worker store: per-class object
-    /// rows under [`Backend::Heap`], page occupancy under
-    /// [`Backend::Facade`] (taken before pages return to the pool).
-    pub census: StoreCensus,
-    /// Per-pool-thread breakdown of the sums above (store costs, census,
-    /// GC pauses), indexed by thread and merged across phases and rounds.
+    /// Per-pool-thread breakdown of the sums above (store costs, GC
+    /// pauses), indexed by thread and merged across phases and rounds.
     pub per_worker: Vec<WorkerReport>,
     /// End-of-job counters of the shared page pool (facade runs; `None` on
     /// the heap backend, which has no pool).
@@ -234,7 +228,6 @@ impl JobStats {
         let slot = &mut self.per_worker[report.worker];
         slot.partitions += report.partitions;
         slot.stats.merge(&report.stats);
-        slot.census.merge(&report.census);
         slot.pauses.extend(report.pauses);
     }
 }
@@ -281,13 +274,11 @@ pub(crate) fn round_robin<T: Clone>(items: &[T], n: usize) -> Vec<Vec<T>> {
     parts
 }
 
-/// Folds a finished (or poisoned) store into a thread's accumulation. The
-/// census is taken first, so the facade side reports what the store still
-/// held; only healthy stores release pages here (a failed store may hold
-/// open iterations), but dropping an unhealthy store is still leak-free:
-/// the paged heap's drop salvages its recycled pages back to the pool.
+/// Folds a finished (or poisoned) store into a thread's accumulation. Only
+/// healthy stores release pages here (a failed store may hold open
+/// iterations), but dropping an unhealthy store is still leak-free: the
+/// paged heap's drop salvages its recycled pages back to the pool.
 fn retire_store(store: &mut Store, healthy: bool, acc: &mut WorkerReport) {
-    acc.census.merge(&store.census());
     if healthy {
         store.release_pages();
     }
@@ -410,7 +401,6 @@ where
 
         for report in outcome.workers {
             stats.absorb(&report.stats);
-            stats.census.merge(&report.census);
             stats.fold_worker(report);
         }
         for (pos, payload) in outcome.payloads.into_iter().enumerate() {
@@ -497,11 +487,11 @@ pub(crate) fn first_phase<T>(
 }
 
 /// End-of-job accounting, shared by both jobs: wall time; the shared
-/// pool's counters into the stats and its occupancy gauges to the
-/// process-wide metrics registry under `facade_pool_*` (the exposition the
-/// GraphChi engine also feeds); the now-obsolete checkpoint retired; and
-/// the fault plan's own injection count, which also sees pool-level
-/// injections no store's stats record.
+/// pool's counters into [`JobStats::pool`] (a host that serves `/metrics`
+/// publishes gauges from its own pool handle; the engine publishes
+/// nothing); the now-obsolete checkpoint retired; and the fault plan's own
+/// injection count, which also sees pool-level injections no store's stats
+/// record.
 pub(crate) fn finish_job(
     config: &ClusterConfig,
     stats: &mut JobStats,
@@ -512,10 +502,9 @@ pub(crate) fn finish_job(
     stats.elapsed = started.elapsed();
     if let Some(pool) = pool {
         stats.pool = Some(pool.counters());
-        pool.publish_gauges(metrics::Registry::global(), "facade_pool");
     }
     if let Some(c) = checkpointer {
-        c.finish(&stats.resilience);
+        c.finish();
     }
     #[cfg(feature = "fault-injection")]
     if let Some(plan) = &config.env.fault_plan {
@@ -583,14 +572,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.iter().sum::<usize>(), 100);
         assert_eq!(stats.records_allocated, 100);
-        assert_eq!(stats.census.backend, "heap");
-        let row = stats
-            .census
-            .rows
-            .iter()
-            .find(|r| r.name == "T")
-            .expect("census row for T");
-        assert_eq!(row.count, 100, "all 100 records appear in the census");
         // The per-thread breakdown carries the same totals.
         let spread: u64 = stats.per_worker.iter().map(|w| w.partitions).sum();
         assert_eq!(spread, 4, "each partition executed once");
@@ -600,49 +581,6 @@ mod tests {
             .map(|w| w.stats.records_allocated)
             .sum();
         assert_eq!(per_worker_records, 100);
-    }
-
-    #[test]
-    fn run_phase_census_collapses_to_pages_on_facade() {
-        let config = ClusterConfig {
-            workers: 2,
-            backend: Backend::Facade,
-            ..ClusterConfig::default()
-        };
-        let pool = config.env.page_pool(config.backend);
-        let mut stats = JobStats::default();
-        let parts = round_robin(&(0..500).collect::<Vec<_>>(), 2);
-        run_phase(
-            &config,
-            "test",
-            Instant::now(),
-            parts,
-            &mut stats,
-            pool.as_ref(),
-            |store| store.register_class("T", &[FieldTy::I64]),
-            |_, store, c, xs, _| {
-                let it = store.iteration_start();
-                for _ in &xs {
-                    store.alloc(*c)?;
-                }
-                store.iteration_end(it);
-                Ok(xs.len())
-            },
-        )
-        .unwrap();
-        assert_eq!(stats.census.backend, "facade");
-        let traffic = stats
-            .census
-            .records_by_type
-            .iter()
-            .find(|(name, _)| name == "T")
-            .expect("per-type traffic");
-        assert_eq!(traffic.1, 500);
-        assert!(
-            stats.census.live_objects < 50,
-            "pages, not records: {}",
-            stats.census.live_objects
-        );
     }
 
     #[test]

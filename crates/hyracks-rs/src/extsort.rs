@@ -53,11 +53,7 @@ fn sort_worker(
         // One run = one sub-iteration: the run's records die at the spill.
         let sub = store.iteration_start();
         let arr = store.alloc_array(ElemTy::Ref, chunk.len())?;
-        let root = if store.is_facade() {
-            None
-        } else {
-            Some(store.add_root(arr))
-        };
+        let root = store.add_root(arr);
         let mut build = || -> Result<(), OutOfMemory> {
             for (i, word) in chunk.iter().enumerate() {
                 let line = store.alloc(line_class)?;
@@ -71,9 +67,7 @@ fn sort_worker(
         };
         let build_result = build();
         if build_result.is_err() {
-            if let Some(root) = root {
-                store.remove_root(root);
-            }
+            store.remove_root(root);
             store.iteration_end(sub);
             store.iteration_end(operator);
             build_result?;
@@ -93,9 +87,7 @@ fn sort_worker(
             .collect();
         runs.push(run);
 
-        if let Some(root) = root {
-            store.remove_root(root);
-        }
+        store.remove_root(root);
         store.iteration_end(sub);
     }
     store.iteration_end(operator);

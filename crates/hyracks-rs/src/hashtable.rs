@@ -90,7 +90,7 @@ pub struct WordTableClasses {
 #[derive(Debug)]
 pub struct WordTable {
     buckets: Rec,
-    buckets_root: Option<Root>,
+    buckets_root: Root,
     capacity: usize,
     len: usize,
     schema: Schema,
@@ -120,11 +120,7 @@ impl WordTable {
             }
         };
         let buckets = store.alloc_array(ElemTy::Ref, capacity)?;
-        let buckets_root = if store.is_facade() {
-            None
-        } else {
-            Some(store.add_root(buckets))
-        };
+        let buckets_root = store.add_root(buckets);
         Ok(Self {
             buckets,
             buckets_root,
@@ -268,11 +264,7 @@ impl WordTable {
     fn resize(&mut self, store: &mut Store) -> Result<(), OutOfMemory> {
         let new_capacity = self.capacity * 2;
         let new_buckets = store.alloc_array(ElemTy::Ref, new_capacity)?;
-        let new_root = if store.is_facade() {
-            None
-        } else {
-            Some(store.add_root(new_buckets))
-        };
+        let new_root = store.add_root(new_buckets);
         for slot in 0..self.capacity {
             let mut e = store.array_get_rec(self.buckets, slot);
             while !e.is_null() {
@@ -290,9 +282,7 @@ impl WordTable {
         // were briefly live, which is exactly the resize pressure the paper
         // describes for value types).
         store.free_array_early(self.buckets);
-        if let Some(root) = self.buckets_root.take() {
-            store.remove_root(root);
-        }
+        store.remove_root(self.buckets_root);
         self.buckets = new_buckets;
         self.buckets_root = new_root;
         self.capacity = new_capacity;
@@ -315,10 +305,8 @@ impl WordTable {
 
     /// Releases the table's GC root (heap backend); call when the operator
     /// finishes.
-    pub fn release(mut self, store: &mut Store) {
-        if let Some(root) = self.buckets_root.take() {
-            store.remove_root(root);
-        }
+    pub fn release(self, store: &mut Store) {
+        store.remove_root(self.buckets_root);
     }
 }
 

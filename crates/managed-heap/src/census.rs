@@ -4,9 +4,8 @@
 //! instrument behind the paper's Table 3: for each class (and each array
 //! kind) it reports how many live instances exist, how many shallow bytes
 //! they occupy, and how much of that is header overhead (12 bytes per
-//! object, 16 per array). A census can be taken on demand with
-//! [`Heap::census`], or automatically at every GC safepoint with
-//! [`Heap::set_census_at_gc`] (retrieved via [`Heap::last_gc_census`]).
+//! object, 16 per array). A census is taken on demand with
+//! [`Heap::census`]; nothing walks the heap unless a reader asks.
 //!
 //! ```
 //! use managed_heap::{ElemKind, FieldKind, Heap, HeapConfig};
@@ -60,8 +59,7 @@ pub struct CensusRow {
 
 /// A point-in-time histogram of the live heap, one [`CensusRow`] per class.
 ///
-/// Rows are kept sorted by name so that censuses from different heaps (or
-/// workers) merge deterministically.
+/// Rows are kept sorted by name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeapCensus {
     /// Per-class rows, sorted by `name`.
@@ -85,29 +83,6 @@ impl HeapCensus {
     /// Total shallow bytes across all rows.
     pub fn total_shallow_bytes(&self) -> u64 {
         self.rows.iter().map(|r| r.shallow_bytes).sum()
-    }
-
-    /// Total header-overhead bytes across all rows.
-    pub fn total_header_bytes(&self) -> u64 {
-        self.rows.iter().map(|r| r.header_bytes).sum()
-    }
-
-    /// Folds another census into this one, summing rows with matching names
-    /// (used when aggregating per-worker heaps). Rows stay name-sorted.
-    pub fn merge(&mut self, other: &HeapCensus) {
-        for row in &other.rows {
-            match self
-                .rows
-                .binary_search_by(|r| r.name.as_str().cmp(&row.name))
-            {
-                Ok(i) => {
-                    self.rows[i].count += row.count;
-                    self.rows[i].shallow_bytes += row.shallow_bytes;
-                    self.rows[i].header_bytes += row.header_bytes;
-                }
-                Err(i) => self.rows.insert(i, row.clone()),
-            }
-        }
     }
 }
 
@@ -150,23 +125,6 @@ impl Heap {
                 })
                 .collect(),
         }
-    }
-
-    /// Enables (or disables) an automatic census at every GC safepoint: each
-    /// collection's epilogue stores a fresh census, retrievable with
-    /// [`Heap::last_gc_census`]. Off by default — when off, collections pay
-    /// no census cost.
-    pub fn set_census_at_gc(&mut self, enabled: bool) {
-        self.census_at_gc = enabled;
-        if !enabled {
-            self.last_gc_census = None;
-        }
-    }
-
-    /// The census taken at the most recent GC safepoint, if
-    /// [`Heap::set_census_at_gc`] is enabled and a collection has run since.
-    pub fn last_gc_census(&self) -> Option<&HeapCensus> {
-        self.last_gc_census.as_ref()
     }
 }
 
@@ -233,67 +191,5 @@ mod tests {
         // Only the rooted object survives the full collection.
         assert_eq!(census.row("Keep").unwrap().count, 1);
         assert_eq!(census.total_objects(), h.live_objects() as u64);
-    }
-
-    #[test]
-    fn gc_safepoint_census_is_captured_when_enabled() {
-        let mut h = Heap::new(HeapConfig::with_capacity(1 << 20));
-        let c = h.register_class("T", &[FieldKind::I32]);
-        let o = h.alloc(c).unwrap();
-        h.add_root(o);
-        assert!(h.last_gc_census().is_none());
-        h.collect_minor();
-        assert!(
-            h.last_gc_census().is_none(),
-            "no census cost unless enabled"
-        );
-        h.set_census_at_gc(true);
-        h.collect_minor();
-        let census = h.last_gc_census().expect("census at safepoint");
-        assert_eq!(census.row("T").unwrap().count, 1);
-        h.set_census_at_gc(false);
-        assert!(h.last_gc_census().is_none());
-    }
-
-    #[test]
-    fn merge_sums_matching_rows_and_keeps_name_order() {
-        let mut a = HeapCensus {
-            rows: vec![
-                CensusRow {
-                    name: "A".into(),
-                    count: 1,
-                    shallow_bytes: 24,
-                    header_bytes: 12,
-                },
-                CensusRow {
-                    name: "C".into(),
-                    count: 2,
-                    shallow_bytes: 48,
-                    header_bytes: 24,
-                },
-            ],
-        };
-        let b = HeapCensus {
-            rows: vec![
-                CensusRow {
-                    name: "B".into(),
-                    count: 5,
-                    shallow_bytes: 120,
-                    header_bytes: 60,
-                },
-                CensusRow {
-                    name: "C".into(),
-                    count: 1,
-                    shallow_bytes: 24,
-                    header_bytes: 12,
-                },
-            ],
-        };
-        a.merge(&b);
-        let names: Vec<&str> = a.rows.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["A", "B", "C"]);
-        assert_eq!(a.row("C").unwrap().count, 3);
-        assert_eq!(a.row("C").unwrap().shallow_bytes, 72);
-        assert_eq!(a.total_objects(), 9);
     }
 }

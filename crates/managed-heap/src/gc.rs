@@ -357,9 +357,8 @@ impl Heap {
     }
 
     /// Common epilogue of both collectors: folds the pause into the stats
-    /// (time, histogram, per-collection record), takes a safepoint census if
-    /// one was requested, and emits a trace span covering the whole
-    /// stop-the-world window.
+    /// (time, histogram, per-collection record) and emits a trace span
+    /// covering the whole stop-the-world window.
     fn finish_collection(
         &mut self,
         kind: PauseKind,
@@ -380,9 +379,6 @@ impl Heap {
             old_before,
             old_after: self.old.top as u64,
         });
-        if self.census_at_gc {
-            self.last_gc_census = Some(self.census());
-        }
         let name = match kind {
             PauseKind::Minor => "gc_minor",
             PauseKind::Full => "gc_full",

@@ -1,4 +1,4 @@
-//! HotSpot-style GC log: one parseable text line per collection pause.
+//! HotSpot-style GC log: one text line per collection pause.
 //!
 //! # Line grammar
 //!
@@ -13,29 +13,8 @@
 //! ```text
 //! GC(3) minor young: 2048->96 old: 0->1024 promoted: 1024 live: 1120 pause: 18250ns
 //! ```
-//!
-//! [`format_gc_log_line`] and [`parse_gc_log_line`] round-trip exactly;
-//! [`render_gc_log`] writes a whole pause history ([`GcStats::pause_records`])
-//! as an artifact.
-//!
-//! ```
-//! use managed_heap::{format_gc_log_line, parse_gc_log_line, PauseKind, PauseRecord};
-//!
-//! let rec = PauseRecord {
-//!     kind: PauseKind::Minor,
-//!     pause_ns: 18_250,
-//!     promoted_bytes: 1_024,
-//!     live_bytes: 1_120,
-//!     young_before: 2_048,
-//!     young_after: 96,
-//!     old_before: 0,
-//!     old_after: 1_024,
-//! };
-//! let line = format_gc_log_line(3, &rec);
-//! assert_eq!(parse_gc_log_line(&line), Some((3, rec)));
-//! ```
 
-use crate::stats::{GcStats, PauseKind, PauseRecord};
+use crate::stats::PauseRecord;
 
 /// Formats one [`PauseRecord`] as a GC log line:
 ///
@@ -58,154 +37,31 @@ pub fn format_gc_log_line(seq: u64, record: &PauseRecord) -> String {
     )
 }
 
-/// Consumes a `<label> <value>` token pair, returning the value token only
-/// if the label matches.
-fn labeled<'a>(tokens: &mut std::str::SplitWhitespace<'a>, label: &str) -> Option<&'a str> {
-    if tokens.next()? != label {
-        return None;
-    }
-    tokens.next()
-}
-
-/// Parses a line produced by [`format_gc_log_line`] back into its sequence
-/// number and [`PauseRecord`]. Returns `None` on any grammar violation.
-pub fn parse_gc_log_line(line: &str) -> Option<(u64, PauseRecord)> {
-    let rest = line.trim_end().strip_prefix("GC(")?;
-    let (seq, rest) = rest.split_once(") ")?;
-    let seq: u64 = seq.parse().ok()?;
-    let mut tokens = rest.split_whitespace();
-    let kind = match tokens.next()? {
-        "minor" => PauseKind::Minor,
-        "full" => PauseKind::Full,
-        _ => return None,
-    };
-    let arrow = |tok: &str| -> Option<(u64, u64)> {
-        let (before, after) = tok.split_once("->")?;
-        Some((before.parse().ok()?, after.parse().ok()?))
-    };
-    let (young_before, young_after) = arrow(labeled(&mut tokens, "young:")?)?;
-    let (old_before, old_after) = arrow(labeled(&mut tokens, "old:")?)?;
-    let promoted_bytes: u64 = labeled(&mut tokens, "promoted:")?.parse().ok()?;
-    let live_bytes: u64 = labeled(&mut tokens, "live:")?.parse().ok()?;
-    let pause_ns: u64 = labeled(&mut tokens, "pause:")?
-        .strip_suffix("ns")?
-        .parse()
-        .ok()?;
-    if tokens.next().is_some() {
-        return None;
-    }
-    Some((
-        seq,
-        PauseRecord {
-            kind,
-            pause_ns,
-            promoted_bytes,
-            live_bytes,
-            young_before,
-            young_after,
-            old_before,
-            old_after,
-        },
-    ))
-}
-
-/// Renders a whole pause history as a GC log, one line per record (oldest
-/// first, newline-terminated). Suitable for writing straight to a `gc.log`
-/// artifact. Sequence numbers restart at 0 for the oldest retained record;
-/// if the [`GcStats::pause_records`] ring has rotated, earlier collections
-/// are simply absent.
-pub fn render_gc_log(stats: &GcStats) -> String {
-    let mut out = String::new();
-    for (seq, record) in stats.pause_records.iter().enumerate() {
-        out.push_str(&format_gc_log_line(seq as u64, record));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(kind: PauseKind, seed: u64) -> PauseRecord {
-        PauseRecord {
-            kind,
-            pause_ns: 1_000 + seed,
-            promoted_bytes: 64 * seed,
-            live_bytes: 4_096 + seed,
-            young_before: 2_048,
-            young_after: 128 + seed,
-            old_before: 512,
-            old_after: 512 + 64 * seed,
-        }
-    }
+    use crate::stats::PauseKind;
 
     #[test]
-    fn every_record_round_trips_through_format_and_parse() {
-        for (seq, kind) in [
-            (0, PauseKind::Minor),
-            (7, PauseKind::Full),
-            (u64::MAX, PauseKind::Minor),
-        ] {
-            let rec = sample(kind, seq % 100);
-            let line = format_gc_log_line(seq, &rec);
-            assert_eq!(parse_gc_log_line(&line), Some((seq, rec)), "line: {line}");
-        }
-        // Extremes survive too.
+    fn line_text_is_pinned() {
         let rec = PauseRecord {
-            kind: PauseKind::Full,
-            pause_ns: u64::MAX,
-            promoted_bytes: 0,
-            live_bytes: u64::MAX,
-            young_before: 0,
-            young_after: 0,
-            old_before: u64::MAX,
-            old_after: u64::MAX,
+            kind: PauseKind::Minor,
+            pause_ns: 18_250,
+            promoted_bytes: 1_024,
+            live_bytes: 1_120,
+            young_before: 2_048,
+            young_after: 96,
+            old_before: 0,
+            old_after: 1_024,
         };
-        let line = format_gc_log_line(0, &rec);
-        assert_eq!(parse_gc_log_line(&line), Some((0, rec)));
-    }
-
-    #[test]
-    fn malformed_lines_are_rejected() {
-        let good = format_gc_log_line(1, &sample(PauseKind::Minor, 3));
-        assert!(parse_gc_log_line(&good).is_some());
-        for bad in [
-            "",
-            "GC(1) minor",
-            "GC(x) minor young: 1->2 old: 3->4 promoted: 5 live: 6 pause: 7ns",
-            "GC(1) weird young: 1->2 old: 3->4 promoted: 5 live: 6 pause: 7ns",
-            "GC(1) minor young: 1->2 old: 3->4 promoted: 5 live: 6 pause: 7", // missing ns
-            "GC(1) minor young: 1-2 old: 3->4 promoted: 5 live: 6 pause: 7ns", // bad arrow
-            "GC(1) minor old: 3->4 young: 1->2 promoted: 5 live: 6 pause: 7ns", // wrong order
-        ] {
-            assert!(parse_gc_log_line(bad).is_none(), "accepted: {bad:?}");
-        }
-        // Trailing garbage is a violation, not ignored.
-        let trailing = format!("{good} extra");
-        assert!(parse_gc_log_line(&trailing).is_none());
-    }
-
-    #[test]
-    fn render_writes_one_line_per_record_and_all_parse() {
-        let mut stats = GcStats::default();
-        for i in 0..5 {
-            stats.record_pause(sample(
-                if i % 2 == 0 {
-                    PauseKind::Minor
-                } else {
-                    PauseKind::Full
-                },
-                i,
-            ));
-        }
-        let log = render_gc_log(&stats);
-        let lines: Vec<&str> = log.lines().collect();
-        assert_eq!(lines.len(), stats.pause_records.len());
-        for (i, line) in lines.iter().enumerate() {
-            let (seq, rec) = parse_gc_log_line(line).expect("parseable");
-            assert_eq!(seq, i as u64);
-            assert_eq!(rec, stats.pause_records[i]);
-        }
+        assert_eq!(
+            format_gc_log_line(3, &rec),
+            "GC(3) minor young: 2048->96 old: 0->1024 promoted: 1024 live: 1120 pause: 18250ns"
+        );
+        let full = PauseRecord {
+            kind: PauseKind::Full,
+            ..rec
+        };
+        assert!(format_gc_log_line(u64::MAX, &full).starts_with("GC(18446744073709551615) full "));
     }
 }

@@ -3,12 +3,8 @@
 use crate::layout::{
     ARRAY_HEADER_BYTES, ClassId, ClassLayout, ElemKind, FieldKind, OBJECT_HEADER_BYTES,
 };
-use crate::stats::{AllocSiteStat, GcStats};
+use crate::stats::GcStats;
 use metrics::OutOfMemory;
-
-/// Maximum distinguishable allocation-site ids (see
-/// [`Heap::set_alloc_site`]); ids at or above this clamp to site 0.
-pub const MAX_ALLOC_SITES: u32 = 1024;
 
 /// A stable reference to a heap object.
 ///
@@ -217,15 +213,6 @@ pub struct Heap {
     pub(crate) stats: GcStats,
     class_alloc_counts: Vec<u64>,
     array_alloc_count: u64,
-    /// Allocation-site profile: `(allocations, bytes)` indexed by site id.
-    /// Site 0 is "unattributed" and collects everything allocated before
-    /// the first `set_alloc_site` call (and clamped over-range ids).
-    site_profile: Vec<(u64, u64)>,
-    current_site: u32,
-    /// When set, every collection epilogue stores a fresh census in
-    /// `last_gc_census` (see [`Heap::set_census_at_gc`]).
-    pub(crate) census_at_gc: bool,
-    pub(crate) last_gc_census: Option<crate::census::HeapCensus>,
 }
 
 impl Heap {
@@ -257,10 +244,6 @@ impl Heap {
             stats: GcStats::default(),
             class_alloc_counts: Vec::new(),
             array_alloc_count: 0,
-            site_profile: Vec::new(),
-            current_site: 0,
-            census_at_gc: false,
-            last_gc_census: None,
         }
     }
 
@@ -290,31 +273,6 @@ impl Heap {
     /// Number of arrays ever allocated.
     pub fn array_alloc_count(&self) -> u64 {
         self.array_alloc_count
-    }
-
-    /// Sets the *current allocation site*: every subsequent allocation is
-    /// attributed to `site` until the next call. Site ids are small dense
-    /// integers chosen by the caller (an engine phase, an operator id);
-    /// ids at or above [`MAX_ALLOC_SITES`] clamp to the unattributed
-    /// site 0. Costs two array adds per allocation — cheap enough to leave
-    /// on unconditionally.
-    pub fn set_alloc_site(&mut self, site: u32) {
-        self.current_site = if site < MAX_ALLOC_SITES { site } else { 0 };
-    }
-
-    /// The allocation-site profile accumulated so far: one entry per site
-    /// that allocated at least once, sorted by site id.
-    pub fn alloc_site_profile(&self) -> Vec<AllocSiteStat> {
-        self.site_profile
-            .iter()
-            .enumerate()
-            .filter(|(_, &(allocations, _))| allocations > 0)
-            .map(|(site, &(allocations, bytes))| AllocSiteStat {
-                site: site as u32,
-                allocations,
-                bytes,
-            })
-            .collect()
     }
 
     /// Collection and allocation statistics.
@@ -414,12 +372,6 @@ impl Heap {
     }
 
     fn allocate_sized(&mut self, class: u16, len: u32, size: usize) -> Result<ObjRef, OutOfMemory> {
-        let site = self.current_site as usize;
-        if site >= self.site_profile.len() {
-            self.site_profile.resize(site + 1, (0, 0));
-        }
-        self.site_profile[site].0 += 1;
-        self.site_profile[site].1 += size as u64;
         let flags = if class & ARRAY_CLASS_BIT != 0 {
             F_ARRAY
         } else {
@@ -926,25 +878,6 @@ mod tests {
         assert_eq!(h.alloc_count(c), 5);
         assert_eq!(h.array_alloc_count(), 1);
         assert_eq!(h.stats().objects_allocated, 6);
-    }
-
-    #[test]
-    fn alloc_sites_attribute_counts_and_bytes() {
-        let mut h = small_heap();
-        let c = h.register_class("T", &[FieldKind::I64]);
-        h.alloc(c).unwrap(); // before any set_alloc_site: site 0
-        h.set_alloc_site(3);
-        h.alloc(c).unwrap();
-        h.alloc_array(ElemKind::U8, 8).unwrap();
-        h.set_alloc_site(MAX_ALLOC_SITES + 5); // over-range: clamps to 0
-        h.alloc(c).unwrap();
-        let profile = h.alloc_site_profile();
-        assert_eq!(profile.len(), 2);
-        assert_eq!((profile[0].site, profile[0].allocations), (0, 2));
-        assert_eq!((profile[1].site, profile[1].allocations), (3, 2));
-        // One 24-byte object (12B header + 8B field, 8-aligned) plus one
-        // 24-byte array (16B header + 8 elements).
-        assert_eq!(profile[1].bytes, 48);
     }
 
     #[test]

@@ -55,8 +55,8 @@ mod layout;
 mod stats;
 
 pub use census::{CensusRow, HeapCensus, array_class_name};
-pub use gclog::{format_gc_log_line, parse_gc_log_line, render_gc_log};
-pub use heap::{Heap, HeapConfig, MAX_ALLOC_SITES, ObjRef, RootId};
+pub use gclog::format_gc_log_line;
+pub use heap::{Heap, HeapConfig, ObjRef, RootId};
 pub use layout::{ClassId, ClassLayout, ElemKind, FieldKind};
 pub use metrics::OutOfMemory;
-pub use stats::{AllocSiteStat, GcStats, PauseKind, PauseRecord, merge_site_profiles};
+pub use stats::{GcStats, PauseKind, PauseRecord};

@@ -2,23 +2,7 @@
 //!
 //! Besides the aggregate counters ([`GcStats`]), the heap records one
 //! [`PauseRecord`] per collection (bounded; see
-//! [`GcStats::MAX_PAUSE_RECORDS`]) and an allocation-site profile keyed by
-//! caller-supplied site ids (see [`crate::Heap::set_alloc_site`]).
-//!
-//! ```
-//! use managed_heap::{FieldKind, Heap, HeapConfig};
-//!
-//! let mut heap = Heap::new(HeapConfig::with_capacity(1 << 20));
-//! let c = heap.register_class("T", &[FieldKind::I64]);
-//! heap.set_alloc_site(7); // e.g. "vertex values" in the engine
-//! heap.alloc(c).unwrap();
-//! heap.collect_minor();
-//!
-//! let profile = heap.alloc_site_profile();
-//! assert_eq!(profile[0].site, 7);
-//! assert_eq!(profile[0].allocations, 1);
-//! assert_eq!(heap.stats().pause_records.len(), 1);
-//! ```
+//! [`GcStats::MAX_PAUSE_RECORDS`]).
 
 use metrics::DurationHistogram;
 use std::collections::VecDeque;
@@ -68,35 +52,6 @@ pub struct PauseRecord {
     pub old_before: u64,
     /// Old-generation occupancy (bytes) when the collection finished.
     pub old_after: u64,
-}
-
-/// Aggregate allocation statistics for one caller-supplied site id.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocSiteStat {
-    /// The site id passed to [`crate::Heap::set_alloc_site`].
-    pub site: u32,
-    /// Objects and arrays allocated while the site was current.
-    pub allocations: u64,
-    /// Total bytes (headers included, 8-byte aligned) those allocations
-    /// occupied.
-    pub bytes: u64,
-}
-
-/// Folds a per-heap site profile into an aggregate one, summing stats for
-/// matching site ids (used when merging per-worker heaps into a run-level
-/// report). Both slices are assumed sorted by site id, as
-/// [`crate::Heap::alloc_site_profile`] returns them; the result stays
-/// sorted.
-pub fn merge_site_profiles(into: &mut Vec<AllocSiteStat>, other: &[AllocSiteStat]) {
-    for stat in other {
-        match into.binary_search_by_key(&stat.site, |s| s.site) {
-            Ok(i) => {
-                into[i].allocations += stat.allocations;
-                into[i].bytes += stat.bytes;
-            }
-            Err(i) => into.insert(i, *stat),
-        }
-    }
 }
 
 /// Counters accumulated by a [`crate::Heap`] over its lifetime.
@@ -224,81 +179,5 @@ mod tests {
             s.gc_time,
             Duration::from_nanos(1_000) * (GcStats::MAX_PAUSE_RECORDS as u32 + 10)
         );
-    }
-
-    #[test]
-    fn merge_site_profiles_sums_matching_sites() {
-        let mut a = vec![
-            AllocSiteStat {
-                site: 1,
-                allocations: 2,
-                bytes: 64,
-            },
-            AllocSiteStat {
-                site: 5,
-                allocations: 1,
-                bytes: 16,
-            },
-        ];
-        let b = [
-            AllocSiteStat {
-                site: 3,
-                allocations: 4,
-                bytes: 128,
-            },
-            AllocSiteStat {
-                site: 5,
-                allocations: 2,
-                bytes: 32,
-            },
-        ];
-        merge_site_profiles(&mut a, &b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[1].site, 3);
-        assert_eq!(a[2].allocations, 3);
-        assert_eq!(a[2].bytes, 48);
-    }
-
-    fn site(site: u32, allocations: u64, bytes: u64) -> AllocSiteStat {
-        AllocSiteStat {
-            site,
-            allocations,
-            bytes,
-        }
-    }
-
-    #[test]
-    fn merge_site_profiles_keeps_sorted_order_with_interleaved_ids() {
-        let mut a = vec![site(2, 1, 8), site(6, 1, 8), site(9, 1, 8)];
-        let b = [site(1, 1, 8), site(4, 1, 8), site(7, 1, 8), site(10, 1, 8)];
-        merge_site_profiles(&mut a, &b);
-        let ids: Vec<u32> = a.iter().map(|s| s.site).collect();
-        assert_eq!(ids, vec![1, 2, 4, 6, 7, 9, 10], "sorted after interleave");
-        assert!(a.iter().all(|s| s.allocations == 1), "no spurious merges");
-    }
-
-    #[test]
-    fn merge_site_profiles_never_duplicates_a_site() {
-        // Merging the same profile repeatedly must sum in place: the site
-        // list stays deduplicated and the counters scale linearly.
-        let profile = [site(3, 2, 64), site(8, 5, 160)];
-        let mut acc = Vec::new();
-        for _ in 0..3 {
-            merge_site_profiles(&mut acc, &profile);
-        }
-        assert_eq!(acc.len(), 2, "one entry per site id");
-        assert_eq!(acc[0], site(3, 6, 192));
-        assert_eq!(acc[1], site(8, 15, 480));
-    }
-
-    #[test]
-    fn merge_site_profiles_handles_empty_sides() {
-        let profile = [site(1, 1, 8)];
-        let mut empty_target = Vec::new();
-        merge_site_profiles(&mut empty_target, &profile);
-        assert_eq!(empty_target, profile.to_vec(), "empty target adopts other");
-        let mut unchanged = profile.to_vec();
-        merge_site_profiles(&mut unchanged, &[]);
-        assert_eq!(unchanged, profile.to_vec(), "empty other is a no-op");
     }
 }

@@ -10,9 +10,10 @@
 //!   the JVM's `OutOfMemoryError` behaviour described in §4.2 (the heaps do
 //!   their own byte accounting and raise it).
 //! - [`TextTable`] — fixed-width text tables for printing paper-style rows.
-//! - [`Registry`] / [`Sampler`] — a process-wide live-metrics registry
-//!   (named counters, gauges, histograms; lock-free hot path; Prometheus and
-//!   JSON exposition) with an optional background sampling thread.
+//! - [`Registry`] / [`Sampler`] — a live-metrics registry owned by whoever
+//!   serves it (named counters, gauges, histograms; lock-free hot path;
+//!   Prometheus and JSON exposition) with an optional background sampling
+//!   thread.
 //! - [`HttpServer`] — a hand-rolled HTTP/1.1 server (bounded acceptor
 //!   pool, one deadline per request, graceful shutdown, no dependencies);
 //!   a Prometheus endpoint is one [`Handler`] closure over a [`Registry`].
@@ -20,7 +21,7 @@
 //!   workspace writes by hand (experiment reports, job submissions).
 //! - [`FailureCause`] — the worker-failure vocabulary shared by the
 //!   engines' degradation ladders (OOM vs. panic, transient vs. not).
-//! - [`report`] — serializable experiment records.
+//! - [`report`] — the [`report::Backend`] (`P` / `P'`) vocabulary.
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! A process-wide live-metrics registry: named counters, gauges, and
+//! A live-metrics registry: named counters, gauges, and
 //! histograms with a lock-free hot path, Prometheus-style text exposition,
 //! a JSON snapshot, and an optional background sampler.
 //!
@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::Duration;
 
@@ -179,13 +179,6 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-wide shared registry, for call sites without a handle to
-    /// a specific one (pool gauges, engine internals).
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
     }
 
     /// Returns the counter named `name`, registering it at zero on first use.
@@ -492,11 +485,5 @@ mod tests {
         let samples = sampler.stop();
         assert!(samples >= 2, "sampled {samples} times");
         assert_eq!(r.gauge("sampled_occupancy").get(), 456);
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        Registry::global().counter("global_test_counter").add(5);
-        assert_eq!(Registry::global().counter("global_test_counter").get(), 5);
     }
 }

@@ -1,9 +1,4 @@
-//! Serializable experiment records.
-//!
-//! Every benchmark binary emits one [`RunRecord`] per configuration so that
-//! `EXPERIMENTS.md` can be regenerated from machine-readable output.
-
-use std::time::Duration;
+//! The backend vocabulary every run, table row and figure point is keyed by.
 
 /// Which storage backend a run used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,151 +26,6 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Outcome of one benchmark run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
-    /// The run finished.
-    Completed,
-    /// The run exceeded its memory budget after the given number of seconds,
-    /// reported as `OME(n)` in Table 3 of the paper.
-    OutOfMemory {
-        /// Seconds from run start to the fatal allocation failure.
-        after_secs: f64,
-    },
-}
-
-/// One benchmark run: the unit of every table row and figure point.
-#[derive(Debug, Clone)]
-pub struct RunRecord {
-    /// Experiment id from DESIGN.md, e.g. `"table2"`.
-    pub experiment: String,
-    /// Application name, e.g. `"PR"` or `"WC"`.
-    pub app: String,
-    /// Dataset label, e.g. `"twitter-like"` or `"10G-scaled"`.
-    pub dataset: String,
-    /// Which backend this run exercised.
-    pub backend: Backend,
-    /// Memory budget in bytes (0 = unbounded).
-    pub budget_bytes: u64,
-    /// Total execution time in seconds (`ET`).
-    pub total_secs: f64,
-    /// Engine update time in seconds (`UT`).
-    pub update_secs: f64,
-    /// Data load time in seconds (`LT`).
-    pub load_secs: f64,
-    /// Garbage-collection time in seconds (`GT`).
-    pub gc_secs: f64,
-    /// Peak memory in bytes (`PM`).
-    pub peak_bytes: u64,
-    /// Workload scale (edges processed, bytes of input, ...), for
-    /// throughput-style figures.
-    pub scale: u64,
-    /// Same-configuration retries the run needed (0 = clean run).
-    pub retries: u64,
-    /// Degradation-ladder steps the run needed (0 = clean run).
-    pub degradations: u64,
-    /// Whether the run completed or hit the memory budget.
-    pub outcome: Outcome,
-}
-
-impl RunRecord {
-    /// Creates a record with all measurements zeroed.
-    pub fn new(experiment: &str, app: &str, dataset: &str, backend: Backend) -> Self {
-        Self {
-            experiment: experiment.to_string(),
-            app: app.to_string(),
-            dataset: dataset.to_string(),
-            backend,
-            budget_bytes: 0,
-            total_secs: 0.0,
-            update_secs: 0.0,
-            load_secs: 0.0,
-            gc_secs: 0.0,
-            peak_bytes: 0,
-            scale: 0,
-            retries: 0,
-            degradations: 0,
-            outcome: Outcome::Completed,
-        }
-    }
-
-    /// Throughput in `scale` units per second; zero when no time elapsed.
-    pub fn throughput(&self) -> f64 {
-        if self.total_secs > 0.0 {
-            self.scale as f64 / self.total_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Renders the total-time cell, using the paper's `OME(n)` convention for
-    /// out-of-memory runs.
-    pub fn total_cell(&self) -> String {
-        match &self.outcome {
-            Outcome::Completed => format!("{:.1}", self.total_secs),
-            Outcome::OutOfMemory { after_secs } => format!("OME({after_secs:.1})"),
-        }
-    }
-}
-
-/// Converts a `Duration` to fractional seconds for reporting.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
-}
-
-/// Serializes a slice of records as pretty JSON lines (one object per line).
-pub fn to_json_lines(records: &[RunRecord]) -> String {
-    records
-        .iter()
-        .map(serde_json::to_string)
-        .collect::<Result<Vec<_>, _>>()
-        .map(|lines| lines.join("\n"))
-        .unwrap_or_default()
-}
-
-// serde_json is not in the approved offline set; provide a tiny hand-rolled
-// serializer instead so `to_json_lines` works without it.
-mod serde_json {
-    use super::RunRecord;
-    use std::fmt::Write;
-
-    #[derive(Debug)]
-    pub struct Never;
-
-    pub fn to_string(r: &RunRecord) -> Result<String, Never> {
-        let mut s = String::new();
-        let outcome = match &r.outcome {
-            super::Outcome::Completed => "\"completed\"".to_string(),
-            super::Outcome::OutOfMemory { after_secs } => {
-                format!("{{\"oom_after_secs\":{after_secs}}}")
-            }
-        };
-        write!(
-            s,
-            "{{\"experiment\":\"{}\",\"app\":\"{}\",\"dataset\":\"{}\",\"backend\":\"{}\",\
-             \"budget_bytes\":{},\"total_secs\":{},\"update_secs\":{},\"load_secs\":{},\
-             \"gc_secs\":{},\"peak_bytes\":{},\"scale\":{},\"retries\":{},\
-             \"degradations\":{},\"outcome\":{}}}",
-            r.experiment,
-            r.app,
-            r.dataset,
-            r.backend.paper_name(),
-            r.budget_bytes,
-            r.total_secs,
-            r.update_secs,
-            r.load_secs,
-            r.gc_secs,
-            r.peak_bytes,
-            r.scale,
-            r.retries,
-            r.degradations,
-            outcome
-        )
-        .expect("writing to String cannot fail");
-        Ok(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,42 +35,5 @@ mod tests {
         assert_eq!(Backend::Heap.paper_name(), "P");
         assert_eq!(Backend::Facade.paper_name(), "P'");
         assert_eq!(Backend::Facade.to_string(), "P'");
-    }
-
-    #[test]
-    fn throughput_handles_zero_time() {
-        let r = RunRecord::new("e", "a", "d", Backend::Heap);
-        assert_eq!(r.throughput(), 0.0);
-    }
-
-    #[test]
-    fn throughput_computes_rate() {
-        let mut r = RunRecord::new("e", "a", "d", Backend::Heap);
-        r.scale = 100;
-        r.total_secs = 4.0;
-        assert_eq!(r.throughput(), 25.0);
-    }
-
-    #[test]
-    fn total_cell_uses_ome_convention() {
-        let mut r = RunRecord::new("e", "WC", "10G", Backend::Heap);
-        r.outcome = Outcome::OutOfMemory { after_secs: 683.1 };
-        assert_eq!(r.total_cell(), "OME(683.1)");
-        r.outcome = Outcome::Completed;
-        r.total_secs = 1887.1;
-        assert_eq!(r.total_cell(), "1887.1");
-    }
-
-    #[test]
-    fn json_lines_roundtrip_shape() {
-        let mut r = RunRecord::new("table3", "WC", "10G", Backend::Facade);
-        r.total_secs = 1.5;
-        r.retries = 2;
-        r.degradations = 1;
-        let s = to_json_lines(&[r]);
-        assert!(s.contains("\"backend\":\"P'\""), "{s}");
-        assert!(s.contains("\"total_secs\":1.5"), "{s}");
-        assert!(s.contains("\"retries\":2"), "{s}");
-        assert!(s.contains("\"degradations\":1"), "{s}");
     }
 }

@@ -174,24 +174,6 @@ impl ResilienceReport {
             && self.recoveries == 0
             && self.torn_checkpoints_discarded == 0
     }
-
-    /// Publishes the checkpoint counters as `facade_checkpoint_written`,
-    /// `facade_checkpoint_recoveries`, and
-    /// `facade_checkpoint_torn_discarded` gauges in `registry` (typically
-    /// [`crate::Registry::global`]).
-    pub fn publish_checkpoint_gauges(&self, registry: &crate::Registry) {
-        let set = |name: &str, v: u64| {
-            registry
-                .gauge(name)
-                .set(i64::try_from(v).unwrap_or(i64::MAX));
-        };
-        set("facade_checkpoint_written", self.checkpoints_written);
-        set("facade_checkpoint_recoveries", self.recoveries);
-        set(
-            "facade_checkpoint_torn_discarded",
-            self.torn_checkpoints_discarded,
-        );
-    }
 }
 
 impl fmt::Display for ResilienceReport {
@@ -310,12 +292,6 @@ mod tests {
         );
         let text = a.to_string();
         assert!(text.contains("checkpoints 4"), "{text}");
-
-        let registry = crate::Registry::new();
-        a.publish_checkpoint_gauges(&registry);
-        assert_eq!(registry.gauge("facade_checkpoint_written").get(), 4);
-        assert_eq!(registry.gauge("facade_checkpoint_recoveries").get(), 1);
-        assert_eq!(registry.gauge("facade_checkpoint_torn_discarded").get(), 2);
     }
 
     #[test]
