@@ -1,14 +1,17 @@
 //! **E3 — Table 3**: Hyracks external sort (ES) and word count (WC) total
 //! execution times over the {3,5,10,14,19} "GB" dataset series, with
-//! out-of-memory runs reported as `OME(n)`.
+//! out-of-memory runs reported as `OME(n)`; and **E4/E5 — Figure 4(b) and
+//! 4(c)**: the same runs' cluster peak memory, `P` (bars) vs `P'` (line).
 //!
 //! Expected shape: `P'` scales to strictly larger datasets than `P` for WC
 //! (the paper's WC dies at 10GB while WC' finishes 19GB); ES completes on
 //! both but ES' is faster with the gap widening with size; on the smallest
-//! inputs WC' may be slower (pool/page overhead not yet amortized).
+//! inputs WC' may be slower (pool/page overhead not yet amortized). `P'`
+//! uses less memory than `P` at every dataset size the two share; `P` bars
+//! are missing where it ran out of memory.
 
 use datagen::{CorpusSpec, corpus};
-use facade_bench::{mem_unit, scale, secs, workers};
+use facade_bench::{mem_unit, mib, scale, secs, workers};
 use hyracks_rs::{Backend, Cluster, ClusterConfig};
 use metrics::TextTable;
 
@@ -23,13 +26,16 @@ fn main() {
     );
 
     let mut table = TextTable::new(&["Data", "ES", "ES'", "WC", "WC'"]);
+    let memory_table = || TextTable::new(&["Data", "P PM(M)", "P' PM(M)"]);
+    let (mut es_memory, mut wc_memory) = (memory_table(), memory_table());
     // (app, backend, dataset) of every run that completed, in series order.
     let mut completed = Vec::new();
 
     for (label, spec) in &series {
         let words = corpus(spec);
         let mut row = vec![label.clone()];
-        for (app, runner) in [("ES", true), ("WC", false)] {
+        for (app, memory) in [("ES", &mut es_memory), ("WC", &mut wc_memory)] {
+            let mut peaks = vec![label.clone()];
             for backend in [Backend::Heap, Backend::Facade] {
                 let config = ClusterConfig {
                     workers: n_workers,
@@ -39,19 +45,24 @@ fn main() {
                     ..ClusterConfig::default()
                 };
                 let cluster = Cluster::new(&config);
-                let elapsed = if runner {
-                    cluster.external_sort(&words).map(|out| out.stats.elapsed)
+                let stats = if app == "ES" {
+                    cluster.external_sort(&words).map(|out| out.stats)
                 } else {
-                    cluster.word_count(&words).map(|out| out.stats.elapsed)
+                    cluster.word_count(&words).map(|out| out.stats)
                 };
-                row.push(match elapsed {
-                    Ok(elapsed) => {
+                match stats {
+                    Ok(stats) => {
                         completed.push((app, backend, label));
-                        secs(elapsed)
+                        row.push(secs(stats.elapsed));
+                        peaks.push(mib(stats.peak_bytes));
                     }
-                    Err(e) => format!("OME({:.2})", e.after.as_secs_f64()),
-                });
+                    Err(e) => {
+                        row.push(format!("OME({:.2})", e.after.as_secs_f64()));
+                        peaks.push("OME".into());
+                    }
+                }
             }
+            memory.row_owned(peaks);
         }
         table.row_owned(row);
     }
@@ -67,4 +78,7 @@ fn main() {
             println!("{app} under {backend}: largest completed dataset = {max}");
         }
     }
+
+    println!("figure4b (ES memory usage):\n{es_memory}");
+    println!("figure4c (WC memory usage):\n{wc_memory}");
 }

@@ -39,7 +39,7 @@
 //!
 //! An engine run is sized by its engine's config and *hosted* by a
 //! [`RunEnv`]: the page pool and epoch, the cancellation flag, the
-//! checkpoint directory and (under `fault-injection`) the fault plan a host
+//! checkpoint directory and the fault plan a host
 //! lends it. Every engine config carries one as `env`, and the engines
 //! build their worker stores through it rather than through the builder:
 //!
@@ -60,7 +60,6 @@
 pub mod collections;
 mod run_env;
 
-#[cfg(feature = "fault-injection")]
 pub use facade_runtime::FaultPlan;
 pub use facade_runtime::checkpoint;
 pub use facade_runtime::recovery;
@@ -163,9 +162,6 @@ pub struct StoreStats {
     pub objects_traced: u64,
     /// Heap objects allocated for data (heap backend; the paper's `O(s)`).
     pub heap_objects: u64,
-    /// Faults injected by a fault plan (facade backend; always zero without
-    /// the `fault-injection` feature).
-    pub faults_injected: u64,
 }
 
 impl StoreStats {
@@ -185,7 +181,6 @@ impl StoreStats {
         self.pages_to_pool += other.pages_to_pool;
         self.objects_traced += other.objects_traced;
         self.heap_objects += other.heap_objects;
-        self.faults_injected += other.faults_injected;
     }
 }
 
@@ -299,7 +294,6 @@ pub struct StoreBuilder {
     budget_bytes: Option<usize>,
     pool: Option<Arc<PagePool>>,
     job_epoch: u64,
-    #[cfg(feature = "fault-injection")]
     fault_plan: Option<FaultPlan>,
 }
 
@@ -310,7 +304,6 @@ impl Default for StoreBuilder {
             budget_bytes: None,
             pool: None,
             job_epoch: NO_EPOCH,
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
     }
@@ -365,7 +358,6 @@ impl StoreBuilder {
     /// no-op on the heap backend, which has no paged allocator to inject
     /// into). Clone one plan across the stores of a run to inject against
     /// the process-wide allocation sequence.
-    #[cfg(feature = "fault-injection")]
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -391,25 +383,20 @@ impl StoreBuilder {
                     budget_bytes: self.budget_bytes.map(|b| b as u64),
                     job_epoch: self.job_epoch,
                 };
-                let paged = match self.pool {
+                let mut paged = match self.pool {
                     Some(pool) => PagedHeap::with_pool(config, pool),
                     None => PagedHeap::with_config(config),
                 };
+                if let Some(plan) = self.fault_plan {
+                    paged.set_fault_plan(plan);
+                }
                 Inner::Facade {
                     paged,
                     classes: Vec::new(),
                 }
             }
         };
-        #[cfg_attr(not(feature = "fault-injection"), allow(unused_mut))]
-        let mut store = Store { inner };
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = self.fault_plan {
-            if let Inner::Facade { paged, .. } = &mut store.inner {
-                paged.set_fault_plan(plan);
-            }
-        }
-        store
+        Store { inner }
     }
 }
 
@@ -866,7 +853,6 @@ impl Store {
                     pages_to_pool: 0,
                     objects_traced: s.objects_traced,
                     heap_objects: s.objects_allocated,
-                    faults_injected: 0,
                 }
             }
             Inner::Facade { paged, .. } => {
@@ -883,7 +869,6 @@ impl Store {
                     pages_to_pool: s.pages_to_pool,
                     objects_traced: 0,
                     heap_objects: 0,
-                    faults_injected: s.faults_injected,
                 }
             }
         }

@@ -43,7 +43,6 @@ pub struct RunEnv {
     /// every worker store, the checkpoint writer and a *private* pool —
     /// never on a host pool, which serves other runs too and is not this
     /// run's to sabotage.
-    #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<crate::FaultPlan>,
 }
 
@@ -54,7 +53,6 @@ impl Default for RunEnv {
             epoch: NO_EPOCH,
             cancel: Arc::new(AtomicBool::new(false)),
             checkpoint_dir: None,
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
     }
@@ -70,7 +68,6 @@ impl RunEnv {
         (backend == Backend::Facade).then(|| {
             self.pool.clone().unwrap_or_else(|| {
                 let pool = Arc::new(PagePool::with_default_config());
-                #[cfg(feature = "fault-injection")]
                 if let Some(plan) = &self.fault_plan {
                     pool.set_fault_plan(plan.clone());
                 }
@@ -95,7 +92,6 @@ impl RunEnv {
         if let Some(pool) = pool {
             builder = builder.pool(Arc::clone(pool));
         }
-        #[cfg(feature = "fault-injection")]
         if let Some(plan) = &self.fault_plan {
             builder = builder.fault_plan(plan.clone());
         }
@@ -113,10 +109,7 @@ impl RunEnv {
         fingerprint: impl FnOnce() -> u64,
     ) -> Option<Checkpointer> {
         let dir = self.checkpoint_dir.as_deref()?;
-        let ckpt = Checkpointer::new(dir.join(file), fingerprint());
-        #[cfg(feature = "fault-injection")]
-        let ckpt = ckpt.fault_plan(self.fault_plan.clone());
-        Some(ckpt)
+        Some(Checkpointer::new(dir.join(file), fingerprint()).fault_plan(self.fault_plan.clone()))
     }
 
     /// Whether the host has asked the run to stop.

@@ -1,6 +1,6 @@
 //! The one run-environment policy, asserted where it lives: which pool a
 //! run draws from, how its worker stores are tagged, who sees the cancel
-//! flag, and (under `fault-injection`) which pool a fault plan may touch.
+//! flag, and which pool a fault plan may touch.
 
 use data_store::{Backend, EpochLedger, FieldTy, NO_EPOCH, PagePool, RunEnv, Store};
 use std::sync::Arc;
@@ -71,7 +71,6 @@ fn canceled_follows_the_flag_across_clones() {
     assert!(!RunEnv::default().canceled(), "a fresh flag is never set");
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn a_fault_plan_fires_in_every_store_and_every_failure_is_an_injection() {
     let plan = data_store::FaultPlan::builder(41)
@@ -88,7 +87,6 @@ fn a_fault_plan_fires_in_every_store_and_every_failure_is_an_injection() {
     assert_eq!(failures, plan.faults_injected(), "all of them injected");
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn a_fault_plan_sabotages_a_private_pool_but_never_the_hosts() {
     // A plan under which every pool acquire fails, on a stocked pool:

@@ -86,7 +86,6 @@ pub trait JobRunner: Send + Sync {
 fn run_env(spec: &JobSpec, ctx: &ExecContext) -> ExecContext {
     ExecContext {
         checkpoint_dir: spec.checkpoint_dir.clone(),
-        #[cfg(feature = "fault-injection")]
         fault_plan: spec.fault_plan.clone(),
         ..ctx.clone()
     }

@@ -92,7 +92,7 @@ pub struct JobSpec {
     pub tag: String,
     /// Deterministic fault schedule for resilience testing; the runner
     /// installs it on the job's stores (never on a host-shared pool).
-    #[cfg(feature = "fault-injection")]
+    /// Rust-only: [`JobSpec::from_json`] never reads one off the wire.
     pub fault_plan: Option<data_store::FaultPlan>,
 }
 
@@ -108,7 +108,6 @@ impl Default for JobSpec {
             frame_bytes: 16 << 10,
             checkpoint_dir: None,
             tag: String::new(),
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
     }
@@ -340,8 +339,6 @@ mod tests {
     use super::*;
 
     #[test]
-    // The struct update covers the cfg(fault-injection)-only field.
-    #[allow(clippy::needless_update)]
     fn specs_round_trip_through_json() {
         let specs = [
             JobSpec::default(),
@@ -384,6 +381,19 @@ mod tests {
             JobSpec::from_json("{\"workload\": \"page_rank\", \"iterations\": 0}").is_err(),
             "zero-iteration PR is unrunnable"
         );
+    }
+
+    #[test]
+    fn the_wire_cannot_arm_a_fault_plan() {
+        for plan in [
+            "{\"seed\": 1, \"fail_nth_allocation\": 1}",
+            "true",
+            "\"torn\"",
+        ] {
+            let body = format!("{{\"workload\": \"word_count\", \"fault_plan\": {plan}}}");
+            let spec = JobSpec::from_json(&body).expect("an unknown key is ignored");
+            assert!(spec.fault_plan.is_none(), "{body} armed a plan");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Satellite of the server work: the dispatcher must not let concurrency
 //! (or injected faults) leak into job outputs. N parallel clients
 //! submitting mixed WC/PR jobs get bit-identical per-job results to the
-//! same specs run serially.
+//! same specs run serially, and an installed plan that injects nothing
+//! changes nothing.
 
 use facade_job::{Dataset, Dispatcher, DispatcherConfig, JobSpec, Workload};
 use std::sync::Arc;
@@ -97,7 +98,6 @@ fn parallel_mixed_jobs_match_serial_bit_for_bit() {
 /// The fault leg: the same mixed workload with a seeded fault plan on
 /// every job. The engines absorb the faults (retries, degradation); the
 /// outputs must still match the clean serial run bit for bit.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn faulted_parallel_jobs_still_match_the_clean_serial_run() {
     use data_store::FaultPlan;
@@ -124,4 +124,60 @@ fn faulted_parallel_jobs_still_match_the_clean_serial_run() {
         survived, truth,
         "surviving injected faults must not change output bits"
     );
+}
+
+/// The fault hooks are always compiled in, so an installed plan with every
+/// mode off must be indistinguishable from no plan: same output bits, same
+/// page traffic, nothing for the resilience report to record.
+#[test]
+fn an_inert_fault_plan_changes_nothing() {
+    use data_store::{Backend, FaultPlan};
+    use facade_job::{ExecContext, default_runners};
+
+    let data = dataset();
+    let runners = default_runners();
+    let workloads = [
+        Workload::PageRank { iterations: 3 },
+        Workload::ConnectedComponents { max_iterations: 5 },
+        Workload::WordCount,
+        Workload::ExternalSort,
+    ];
+    for workload in workloads {
+        for backend in [Backend::Heap, Backend::Facade] {
+            let run = |fault_plan| {
+                // One thread: with more, which worker adopts a pooled page
+                // is a race, so page counts vary even without a plan.
+                let spec = JobSpec {
+                    workload: workload.clone(),
+                    backend,
+                    threads: 1,
+                    fault_plan,
+                    ..JobSpec::default()
+                };
+                let runner = runners
+                    .iter()
+                    .find(|r| r.supports(&spec.workload))
+                    .expect("every workload has a runner");
+                runner
+                    .execute(&spec, &data, &ExecContext::default())
+                    .unwrap_or_else(|e| panic!("{workload} on {backend}: {e}"))
+            };
+            let clean = run(None);
+            let inert = run(Some(FaultPlan::builder(7).build()));
+            assert_eq!(
+                inert.output.fingerprint(),
+                clean.output.fingerprint(),
+                "{workload} on {backend}: output bits moved"
+            );
+            assert_eq!(
+                inert.pages_created, clean.pages_created,
+                "{workload} on {backend}: page traffic moved"
+            );
+            assert!(
+                inert.resilience.is_clean(),
+                "{workload} on {backend}: {}",
+                inert.resilience
+            );
+        }
+    }
 }

@@ -28,7 +28,7 @@
 //! [`write_manifest`] commits atomically: the encoding is written to
 //! `<path>.tmp`, fsynced, then renamed over `path`, so a crash mid-write
 //! leaves either the previous checkpoint or none at all. The only way to
-//! observe a torn manifest is the fault-injection torn-write mode, which
+//! observe a torn manifest is the fault plan's torn-write mode, which
 //! deliberately bypasses the rename protocol.
 //!
 //! The engines never call the file functions themselves: a [`Checkpointer`]
@@ -468,7 +468,6 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 pub struct Checkpointer {
     path: PathBuf,
     fingerprint: u64,
-    #[cfg(feature = "fault-injection")]
     fault_plan: Option<crate::FaultPlan>,
 }
 
@@ -481,13 +480,11 @@ impl Checkpointer {
         Self {
             path,
             fingerprint,
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
     }
 
     /// Subjects commits to `plan`'s torn-write mode.
-    #[cfg(feature = "fault-injection")]
     #[must_use]
     pub fn fault_plan(mut self, plan: Option<crate::FaultPlan>) -> Self {
         self.fault_plan = plan;
@@ -557,7 +554,6 @@ impl Checkpointer {
             cursor,
             sections,
         };
-        #[cfg(feature = "fault-injection")]
         if self
             .fault_plan
             .as_ref()
@@ -801,7 +797,6 @@ mod tests {
         assert!(!path.exists(), "a finished job removes its checkpoint");
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn torn_commits_are_not_counted_and_do_not_restore() {
         let dir = crate::test_support::TempDir::new("ckpt_torn_commit");

@@ -1,9 +1,11 @@
 //! Deterministic, seeded fault injection for the paged heap and page pool.
 //!
-//! Compiled only with the `fault-injection` cargo feature. A [`FaultPlan`]
-//! describes which faults to inject; cloning it shares the underlying
-//! counters, so one plan threaded through many per-thread heaps injects
-//! faults against the *process-wide* allocation sequence:
+//! Always compiled, never armed by default: every hook is behind a runtime
+//! check for an installed plan (an `Option` on [`crate::PagedHeap`], a
+//! lock-free flag on [`crate::PagePool`]). A [`FaultPlan`] describes which
+//! faults to inject; cloning it shares the underlying counters, so one plan
+//! threaded through many per-thread heaps injects faults against the
+//! *process-wide* allocation sequence:
 //!
 //! - **Fail the N-th allocation** — the N-th `alloc`/`alloc_array` across
 //!   every heap sharing the plan returns an [`metrics::OutOfMemory`] whose

@@ -2,7 +2,6 @@
 //! and record access.
 
 use crate::error::HeapError;
-#[cfg(feature = "fault-injection")]
 use crate::fault::FaultPlan;
 use crate::layout::{
     ARRAY_HEADER_BYTES, ElemKind, FieldKind, RECORD_HEADER_BYTES, RecordLayout, TypeId,
@@ -123,7 +122,6 @@ pub struct PagedHeap {
     /// Cached `bytes_held` (pages + live oversize buffers).
     held_bytes: u64,
     /// Installed fault schedule; consulted on every allocation.
-    #[cfg(feature = "fault-injection")]
     fault: Option<FaultPlan>,
 }
 
@@ -172,7 +170,6 @@ impl PagedHeap {
             stats: NativeStats::default(),
             type_alloc_counts,
             held_bytes: 0,
-            #[cfg(feature = "fault-injection")]
             fault: None,
         }
     }
@@ -180,18 +177,15 @@ impl PagedHeap {
     /// Installs a fault schedule: allocations fail and recycled pages are
     /// poisoned per the plan. Clone one plan across every heap of a run to
     /// inject against the process-wide allocation sequence.
-    #[cfg(feature = "fault-injection")]
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);
     }
 
     /// Returns an injected [`OutOfMemory`] if the installed plan says this
     /// allocation of `size` bytes should fail.
-    #[cfg(feature = "fault-injection")]
-    fn check_alloc_fault(&mut self, size: usize) -> Result<(), OutOfMemory> {
+    fn check_alloc_fault(&self, size: usize) -> Result<(), OutOfMemory> {
         if let Some(plan) = &self.fault {
             if plan.should_fail_allocation() {
-                self.stats.faults_injected += 1;
                 return Err(OutOfMemory::new(
                     self.held_bytes + size as u64,
                     self.config.budget_bytes.unwrap_or(0),
@@ -326,7 +320,6 @@ impl PagedHeap {
             for pages in class_pages {
                 for slot in pages {
                     self.pages[slot as usize].recycle();
-                    #[cfg(feature = "fault-injection")]
                     if let Some(plan) = &self.fault {
                         if plan.poison_recycled_pages() {
                             self.pages[slot as usize].poison_stale();
@@ -521,7 +514,6 @@ impl PagedHeap {
             let raw = self.types[ty.0 as usize].record_bytes();
             ((raw + 7) & !7) as usize
         };
-        #[cfg(feature = "fault-injection")]
         self.check_alloc_fault(size)?;
         self.type_alloc_counts[ty.0 as usize] += 1;
         self.stats.records_allocated += 1;
@@ -542,7 +534,6 @@ impl PagedHeap {
     /// do all allocations under fault injection (so injected faults keep
     /// routing through the one accountable slow path).
     pub fn alloc_fast(&mut self, ty: TypeId) -> Option<PageRef> {
-        #[cfg(feature = "fault-injection")]
         if self.fault.is_some() {
             return None;
         }
@@ -572,7 +563,6 @@ impl PagedHeap {
     pub fn alloc_array(&mut self, kind: ElemKind, len: usize) -> Result<PageRef, OutOfMemory> {
         let raw = ARRAY_HEADER_BYTES as usize + len * kind.size() as usize;
         let size = (raw + 7) & !7;
-        #[cfg(feature = "fault-injection")]
         self.check_alloc_fault(size)?;
         let type_id = match kind {
             ElemKind::U8 => ARRAY_TYPE_U8,

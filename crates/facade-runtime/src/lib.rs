@@ -37,7 +37,6 @@
 
 pub mod checkpoint;
 mod error;
-#[cfg(feature = "fault-injection")]
 mod fault;
 mod heap;
 mod layout;
@@ -52,7 +51,6 @@ pub mod test_support;
 
 pub use checkpoint::{Checkpointer, Manifest, RecoveryError};
 pub use error::HeapError;
-#[cfg(feature = "fault-injection")]
 pub use fault::{FaultPlan, FaultPlanBuilder};
 pub use heap::{FIRST_USER_TYPE, IterationId, ManagerId, PagedHeap, PagedHeapConfig};
 pub use layout::{ElemKind, FieldKind, RecordLayout, TypeId};

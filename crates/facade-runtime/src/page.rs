@@ -148,7 +148,6 @@ impl Page {
     /// stale values. Bytes above the watermark stay pristine zero — the
     /// bump allocator relies on that — and the reserved prefix stays
     /// untouched. No-op on a placeholder (empty buffer).
-    #[cfg(feature = "fault-injection")]
     pub fn poison_stale(&mut self) {
         let end = self.dirty.min(self.bytes.len());
         if end > PAGE_RESERVED {

@@ -17,9 +17,7 @@
 
 use crate::page::{PAGE_BYTES, PAGE_RESERVED};
 use std::sync::Mutex;
-#[cfg(feature = "fault-injection")]
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// How many pages a heap pulls from / pushes to the pool per shard visit.
@@ -127,12 +125,10 @@ pub struct PagePool {
     epochs: Mutex<Vec<(u64, EpochLedger)>>,
     /// Installed fault schedule; consulted on every batch acquire once
     /// [`fault_armed`](Self::fault_armed) says a plan exists.
-    #[cfg(feature = "fault-injection")]
     fault: Mutex<Option<crate::fault::FaultPlan>>,
     /// Lock-free gate in front of the fault mutex: acquires check this
     /// relaxed flag and only lock when a plan was actually installed, so
     /// the common (no-plan) acquire path never touches the fault mutex.
-    #[cfg(feature = "fault-injection")]
     fault_armed: AtomicBool,
 }
 
@@ -211,9 +207,7 @@ impl PagePool {
             release_ns_max: AtomicU64::new(0),
             next_epoch: AtomicU64::new(1),
             epochs: Mutex::new(Vec::new()),
-            #[cfg(feature = "fault-injection")]
             fault: Mutex::new(None),
-            #[cfg(feature = "fault-injection")]
             fault_armed: AtomicBool::new(false),
         }
     }
@@ -222,7 +216,6 @@ impl PagePool {
     /// batch, as if the pool were drained) per the plan's pool-acquire
     /// probability. Callers fall back to fresh pages, so an injected pool
     /// failure is survivable by construction.
-    #[cfg(feature = "fault-injection")]
     pub fn set_fault_plan(&self, plan: crate::fault::FaultPlan) {
         *self.fault.lock().unwrap_or_else(|p| p.into_inner()) = Some(plan);
         // Release pairs with the acquire load in `acquire_batch`: a thread
@@ -267,7 +260,6 @@ impl PagePool {
     /// [`NO_EPOCH`] — or with an epoch already retired — records nothing.
     pub fn acquire_batch_tagged(&self, max: usize, epoch: u64) -> Vec<PooledPage> {
         let timed = Instant::now();
-        #[cfg(feature = "fault-injection")]
         if self.fault_armed.load(Ordering::Acquire) {
             let fault = self.fault.lock().unwrap_or_else(|p| p.into_inner());
             if let Some(plan) = fault.as_ref() {

@@ -23,9 +23,6 @@ pub struct NativeStats {
     pub iterations_ended: u64,
     /// High-water mark of native bytes held.
     pub peak_bytes: u64,
-    /// Faults injected into this heap by a fault plan (always zero without
-    /// the `fault-injection` feature).
-    pub faults_injected: u64,
 }
 
 impl NativeStats {
@@ -42,7 +39,6 @@ impl NativeStats {
         self.iterations_started += other.iterations_started;
         self.iterations_ended += other.iterations_ended;
         self.peak_bytes += other.peak_bytes;
-        self.faults_injected += other.faults_injected;
     }
 }
 
@@ -63,13 +59,11 @@ mod tests {
             iterations_started: 6,
             iterations_ended: 7,
             peak_bytes: 8,
-            faults_injected: 11,
         };
         let b = a.clone();
         a.merge(&b);
         assert_eq!(a.pages_created, 2);
         assert_eq!(a.iterations_ended, 14);
         assert_eq!(a.peak_bytes, 16);
-        assert_eq!(a.faults_injected, 22);
     }
 }

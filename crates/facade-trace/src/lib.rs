@@ -44,7 +44,7 @@
 pub mod chrome;
 
 #[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -363,12 +363,10 @@ pub const DEFAULT_BUFFER_CAP: usize = 1 << 20;
 /// ResilienceReport's bounded event log. A [`drain`] empties the buffers,
 /// so capped threads record again afterwards.
 ///
-/// The initial capacity is [`DEFAULT_BUFFER_CAP`], overridable via the
-/// `FACADE_TRACE_BUFFER_EVENTS` environment variable (read once, at the
-/// first recorded event).
+/// The initial capacity is [`DEFAULT_BUFFER_CAP`].
 pub fn set_buffer_capacity(cap: usize) {
     #[cfg(feature = "enabled")]
-    buffer_cap_cell().store(cap.max(1), Ordering::Relaxed);
+    BUFFER_CAP.store(cap.max(1), Ordering::Relaxed);
     #[cfg(not(feature = "enabled"))]
     let _ = cap;
 }
@@ -498,21 +496,10 @@ fn thread_id() -> u64 {
     local_buffer().tid
 }
 
-/// The live buffer capacity; seeded from `FACADE_TRACE_BUFFER_EVENTS` (or
-/// [`DEFAULT_BUFFER_CAP`]) on first access, adjustable at runtime via
-/// [`set_buffer_capacity`].
+/// The live buffer capacity: [`DEFAULT_BUFFER_CAP`] until
+/// [`set_buffer_capacity`] changes it.
 #[cfg(feature = "enabled")]
-fn buffer_cap_cell() -> &'static std::sync::atomic::AtomicUsize {
-    static CAP: OnceLock<std::sync::atomic::AtomicUsize> = OnceLock::new();
-    CAP.get_or_init(|| {
-        let initial = std::env::var("FACADE_TRACE_BUFFER_EVENTS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_BUFFER_CAP);
-        std::sync::atomic::AtomicUsize::new(initial)
-    })
-}
+static BUFFER_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_BUFFER_CAP);
 
 #[cfg(feature = "enabled")]
 fn dropped_counter() -> &'static AtomicU64 {
@@ -524,7 +511,7 @@ fn dropped_counter() -> &'static AtomicU64 {
 fn push(event: TraceEvent) {
     let buffer = local_buffer();
     let mut events = buffer.events.lock().expect("trace buffer poisoned");
-    if events.len() >= buffer_cap_cell().load(Ordering::Relaxed) {
+    if events.len() >= BUFFER_CAP.load(Ordering::Relaxed) {
         drop(events);
         dropped_counter().fetch_add(1, Ordering::Relaxed);
         return;

@@ -6,7 +6,8 @@ use crate::preprocess::Csr;
 use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
 use data_store::recovery::{self, UnitFailure, guarded};
 use data_store::{
-    ClassTag, ElemTy, FieldTy, PauseRecord, PoolCounters, RecoveryError, RunEnv, Store, StoreStats,
+    ClassTag, ElemTy, FaultPlan, FieldTy, PauseRecord, PoolCounters, RecoveryError, RunEnv, Store,
+    StoreStats,
 };
 use datagen::Graph;
 use metrics::report::Backend;
@@ -755,7 +756,6 @@ impl Engine {
                                     &mut resilience,
                                 );
                             }
-                            #[cfg(feature = "fault-injection")]
                             if let Some(plan) = &self.config.env.fault_plan {
                                 if plan.should_crash_at_interval(committed_intervals) {
                                     return Err(EngineError::Crashed {
@@ -797,13 +797,12 @@ impl Engine {
             pauses.extend(store.pause_records());
         }
         let pool = stores[0].pool_counters();
-        resilience.faults_injected = stats.faults_injected;
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &self.config.env.fault_plan {
-            // The plan's own counter also sees pool-level injections, which
-            // no store's stats record.
-            resilience.faults_injected = plan.faults_injected();
-        }
+        resilience.faults_injected = self
+            .config
+            .env
+            .fault_plan
+            .as_ref()
+            .map_or(0, FaultPlan::faults_injected);
         if let Some(c) = &checkpointer {
             c.finish();
         }

@@ -87,7 +87,6 @@ pub(crate) fn maybe_crash(
     name: &str,
     started: Instant,
 ) -> Result<(), JobFailure> {
-    #[cfg(feature = "fault-injection")]
     if let Some(plan) = &config.env.fault_plan {
         if plan.should_crash_in_phase(phase) {
             return Err(JobFailure {
@@ -98,8 +97,6 @@ pub(crate) fn maybe_crash(
             });
         }
     }
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = (config, phase, name, started);
     Ok(())
 }
 

@@ -16,7 +16,7 @@
 use data_store::RecoveryError;
 use data_store::checkpoint::Checkpointer;
 use data_store::recovery::{Ladder, round};
-use data_store::{PagePool, PauseRecord, PoolCounters, RunEnv, Store, StoreStats};
+use data_store::{FaultPlan, PagePool, PauseRecord, PoolCounters, RunEnv, Store, StoreStats};
 use metrics::report::Backend;
 use metrics::{DegradationAction, OutOfMemory, ResilienceReport};
 use std::error::Error;
@@ -212,7 +212,6 @@ impl JobStats {
         self.records_allocated += s.records_allocated;
         self.peak_bytes += s.peak_bytes;
         self.pages_created += s.pages_created;
-        self.resilience.faults_injected += s.faults_injected;
     }
 
     /// Folds one round's per-thread accumulation into the stable
@@ -489,9 +488,8 @@ pub(crate) fn first_phase<T>(
 /// End-of-job accounting, shared by both jobs: wall time; the shared
 /// pool's counters into [`JobStats::pool`] (a host that serves `/metrics`
 /// publishes gauges from its own pool handle; the engine publishes
-/// nothing); the now-obsolete checkpoint retired; and the fault plan's own
-/// injection count, which also sees pool-level injections no store's stats
-/// record.
+/// nothing); the now-obsolete checkpoint retired; and the fault plan's
+/// injection count (0 without a plan).
 pub(crate) fn finish_job(
     config: &ClusterConfig,
     stats: &mut JobStats,
@@ -506,12 +504,11 @@ pub(crate) fn finish_job(
     if let Some(c) = checkpointer {
         c.finish();
     }
-    #[cfg(feature = "fault-injection")]
-    if let Some(plan) = &config.env.fault_plan {
-        stats.resilience.faults_injected = plan.faults_injected();
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = config;
+    stats.resilience.faults_injected = config
+        .env
+        .fault_plan
+        .as_ref()
+        .map_or(0, FaultPlan::faults_injected);
 }
 
 #[cfg(test)]

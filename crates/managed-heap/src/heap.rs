@@ -211,8 +211,6 @@ pub struct Heap {
     pub(crate) roots: Vec<u32>,
     free_roots: Vec<usize>,
     pub(crate) stats: GcStats,
-    class_alloc_counts: Vec<u64>,
-    array_alloc_count: u64,
 }
 
 impl Heap {
@@ -242,8 +240,6 @@ impl Heap {
             roots: Vec::new(),
             free_roots: Vec::new(),
             stats: GcStats::default(),
-            class_alloc_counts: Vec::new(),
-            array_alloc_count: 0,
         }
     }
 
@@ -252,7 +248,6 @@ impl Heap {
     pub fn register_class(&mut self, name: &str, fields: &[FieldKind]) -> ClassId {
         let id = ClassId(self.classes.len() as u16);
         self.classes.push(ClassLayout::new(name, fields));
-        self.class_alloc_counts.push(0);
         id
     }
 
@@ -263,16 +258,6 @@ impl Heap {
     /// Panics if `class` was not registered with this heap.
     pub fn layout(&self, class: ClassId) -> &ClassLayout {
         &self.classes[class.0 as usize]
-    }
-
-    /// Number of objects ever allocated for `class`.
-    pub fn alloc_count(&self, class: ClassId) -> u64 {
-        self.class_alloc_counts[class.0 as usize]
-    }
-
-    /// Number of arrays ever allocated.
-    pub fn array_alloc_count(&self) -> u64 {
-        self.array_alloc_count
     }
 
     /// Collection and allocation statistics.
@@ -352,7 +337,6 @@ impl Heap {
             let raw = self.classes[class.0 as usize].object_bytes();
             ((raw + 7) & !7) as usize
         };
-        self.class_alloc_counts[class.0 as usize] += 1;
         self.stats.objects_allocated += 1;
         self.allocate_sized(class.0, 0, size)
     }
@@ -366,7 +350,6 @@ impl Heap {
     pub fn alloc_array(&mut self, kind: ElemKind, len: usize) -> Result<ObjRef, OutOfMemory> {
         let raw = ARRAY_HEADER_BYTES as usize + len * kind.size() as usize;
         let size = (raw + 7) & !7;
-        self.array_alloc_count += 1;
         self.stats.objects_allocated += 1;
         self.allocate_sized(elem_kind_tag(kind), len as u32, size)
     }
@@ -875,8 +858,6 @@ mod tests {
             h.alloc(c).unwrap();
         }
         h.alloc_array(ElemKind::I32, 1).unwrap();
-        assert_eq!(h.alloc_count(c), 5);
-        assert_eq!(h.array_alloc_count(), 1);
         assert_eq!(h.stats().objects_allocated, 6);
     }
 

@@ -8,7 +8,6 @@
 //! damaged checkpoint is *discarded* (typed error, counted in the
 //! resilience report, never a panic) and the restart cold-starts to the
 //! same bits instead of resuming from garbage.
-#![cfg(feature = "fault-injection")]
 
 use facade::datagen::{CorpusSpec, Graph, GraphSpec, corpus};
 use facade::graphchi::{

@@ -97,7 +97,6 @@ fn per_worker_breakdown_sums_to_job_totals() {
     assert!(out.stats.pool.is_some(), "pool counters recorded");
 }
 
-#[cfg(feature = "fault-injection")]
 mod fault_injection {
     use super::*;
     use facade::store::FaultPlan;

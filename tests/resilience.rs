@@ -84,7 +84,6 @@ fn heap_backend_degrades_too_and_both_backends_agree() {
     assert_eq!(facade.values, heap.values);
 }
 
-#[cfg(feature = "fault-injection")]
 mod fault_injection {
     use super::*;
     use facade::datagen::{CorpusSpec, corpus};
