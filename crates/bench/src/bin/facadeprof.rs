@@ -8,16 +8,16 @@
 //! - `facadeprof --run graphchi|hyracks [--threads N]` — run the workload
 //!   inline (a 1-thread reference then an N-thread run, default 4),
 //!   profile the N-thread timeline and print the observed speedup next to
-//!   the Amdahl projection. Requires a `--features tracing` build to
-//!   capture anything.
+//!   the Amdahl projection. Both runs record; only the N-thread timeline
+//!   is profiled.
 //!
 //! `--json` swaps the text report for the profile's JSON.
 //!
-//! Exit codes: 0 report printed, 1 empty timeline (likely a build without
-//! `--features tracing`), 2 usage or I/O error.
+//! Exit codes: 0 report printed, 1 empty timeline (a trace file exported
+//! by a run that never armed recording), 2 usage or I/O error.
 
 use facade_bench::{mem_unit, scale, speedup};
-use facade_prof::{ProfEvent, ProfKind, Profile};
+use facade_prof::{EventKind, ProfEvent, Profile};
 use metrics::json::{self, Json};
 
 const USAGE: &str = "\
@@ -72,8 +72,8 @@ fn main() {
 
     if events.is_empty() {
         eprintln!(
-            "facadeprof: timeline is empty — build the bench binaries with \
-             `--features tracing` (and re-export the trace) to capture spans"
+            "facadeprof: timeline is empty — re-export the trace from a run \
+             that calls `facade_trace::set_enabled(true)` before its work"
         );
         std::process::exit(1);
     }
@@ -105,11 +105,11 @@ fn parse_chrome_trace(raw: &str) -> Result<Vec<ProfEvent>, String> {
             .ok_or("event without a name")?
             .to_string();
         let kind = match entry.get("ph").and_then(Json::as_str) {
-            Some("X") => ProfKind::Span {
+            Some("X") => EventKind::Span {
                 dur_ns: entry.get("dur").map_or(0, &micros_to_ns),
             },
-            Some("i") => ProfKind::Instant,
-            Some("C") => ProfKind::Counter {
+            Some("i") => EventKind::Instant,
+            Some("C") => EventKind::Counter {
                 value: entry
                     .get("args")
                     .and_then(|a| a.get("value"))
@@ -136,6 +136,8 @@ fn parse_chrome_trace(raw: &str) -> Result<Vec<ProfEvent>, String> {
 /// Runs a workload inline: a 1-thread reference (for the observed-speedup
 /// line), then the profiled run at `threads`.
 fn run_inline(workload: &str, threads: usize) -> (Vec<ProfEvent>, Vec<(u32, f64)>) {
+    // Both runs record, so the observed speedup compares like with like.
+    facade_trace::set_enabled(true);
     let unit = mem_unit();
     let (base_wall, wall) = match workload {
         "graphchi" => {

@@ -22,6 +22,7 @@ struct Cell {
 }
 
 fn main() {
+    facade_trace::set_enabled(true);
     let scale = scale();
     let unit = mem_unit();
     let threads = threads();
@@ -86,7 +87,7 @@ fn main() {
     println!("{table}");
     // Chrome trace of the whole sweep (GC pauses, pool traffic, engine
     // phases) — open target/experiments/table2_trace.json in Perfetto or
-    // feed it to `facadeprof`. Empty unless built with `--features tracing`.
+    // feed it to `facadeprof`. Recording was armed at the top of `main`.
     export_trace("table2");
 
     // Shape summary, as the paper reports.

@@ -70,24 +70,26 @@ pub fn mib(bytes: u64) -> String {
 /// at `target/experiments/{name}_trace.json` (load it at `chrome://tracing`
 /// or <https://ui.perfetto.dev>, or feed it to `facadeprof`), reporting the
 /// event count and the recorder's dropped-event count (buffer-cap overflow)
-/// on stderr.
+/// on stderr. A file that cannot be written ends the process with exit 2.
 ///
-/// With tracing disabled (the default build) the buffers are empty and the
-/// file records zero events. Build the bench binaries with
-/// `--features tracing` to capture spans.
+/// The file records zero events unless the bin armed recording with
+/// `facade_trace::set_enabled(true)` before the work it traces.
 pub fn export_trace(name: &str) {
     let events = facade_trace::drain();
     let dropped = facade_trace::take_events_dropped();
     let dir = PathBuf::from("target/experiments");
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}_trace.json"));
-        let _ = fs::write(&path, facade_trace::chrome::render(&events));
-        eprintln!(
-            "wrote {} ({} events, {dropped} dropped)",
-            path.display(),
-            events.len()
-        );
+    let path = dir.join(format!("{name}_trace.json"));
+    let written = fs::create_dir_all(&dir)
+        .and_then(|()| fs::write(&path, facade_trace::chrome::render(&events)));
+    if let Err(e) = written {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(2);
     }
+    eprintln!(
+        "wrote {} ({} events, {dropped} dropped)",
+        path.display(),
+        events.len()
+    );
 }
 
 /// Renders a [`data_store::StoreCensus`] as one JSON object, for

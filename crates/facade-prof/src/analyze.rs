@@ -1,7 +1,7 @@
 //! Profile construction: interval sweeps and the critical-path walk.
 
 use crate::{
-    ConcurrencyStat, LaneStat, PathEntry, PhaseStat, ProfEvent, ProfKind, Profile, SerialPhase,
+    ConcurrencyStat, EventKind, LaneStat, PathEntry, PhaseStat, ProfEvent, Profile, SerialPhase,
     WAIT_LABEL,
 };
 use std::cmp::Reverse;
@@ -47,14 +47,14 @@ impl Profile {
         let mut lanes_raw: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
         for e in events {
             let end = match e.kind {
-                ProfKind::Span { dur_ns } => e.ts_ns.saturating_add(dur_ns),
+                EventKind::Span { dur_ns } => e.ts_ns.saturating_add(dur_ns),
                 _ => e.ts_ns,
             };
             let lane = lanes_raw.entry(e.tid).or_insert((e.ts_ns, end, 0));
             lane.0 = lane.0.min(e.ts_ns);
             lane.1 = lane.1.max(end);
             lane.2 += 1;
-            if let ProfKind::Span { .. } = e.kind {
+            if let EventKind::Span { .. } = e.kind {
                 spans.push(SpanRec {
                     name: intern(&e.name),
                     tid: e.tid,
@@ -484,7 +484,7 @@ fn pct_of(ns: u64, window_ns: u64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ProfEvent, ProfKind, Profile, WAIT_LABEL};
+    use crate::{EventKind, ProfEvent, Profile, WAIT_LABEL};
 
     fn span(name: &str, tid: u64, ts_ns: u64, dur_ns: u64) -> ProfEvent {
         ProfEvent {
@@ -492,7 +492,7 @@ mod tests {
             tid,
             ts_ns,
             flow: 0,
-            kind: ProfKind::Span { dur_ns },
+            kind: EventKind::Span { dur_ns },
         }
     }
 

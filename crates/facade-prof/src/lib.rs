@@ -18,15 +18,18 @@
 //!   ([`Profile::projected_speedup`]) and the phase dominating that serial
 //!   time.
 //!
-//! The input type [`ProfEvent`] is deliberately decoupled from
-//! [`facade_trace::TraceEvent`] (owned name, no feature gate) so the
-//! `facadeprof` CLI can rebuild events from an exported Chrome trace as
-//! easily as from a live drain; [`from_trace`] converts a drain wholesale.
+//! The input type [`ProfEvent`] differs from [`facade_trace::TraceEvent`]
+//! only in owning its name, so the `facadeprof` CLI can rebuild events
+//! from an exported Chrome trace as easily as from a live drain;
+//! [`from_trace`] converts a drain wholesale.
 //!
 //! ```
+//! facade_trace::set_enabled(true);
 //! let _span = facade_trace::span!("doc_phase");
 //! drop(_span);
 //! let events = facade_prof::from_trace(&facade_trace::drain());
+//! assert!(events.iter().any(|e| e.name == "doc_phase"
+//!     && matches!(e.kind, facade_prof::EventKind::Span { .. })));
 //! let profile = facade_prof::Profile::build(&events);
 //! assert!(profile.serial_fraction <= 1.0);
 //! let json = profile.to_json();
@@ -43,24 +46,6 @@ use std::collections::BTreeMap;
 
 pub use facade_trace::{EventKind, TraceEvent};
 
-/// Payload of a [`ProfEvent`]; mirrors [`facade_trace::EventKind`] without
-/// the feature gate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProfKind {
-    /// A completed span starting at `ts_ns`.
-    Span {
-        /// Span duration in nanoseconds.
-        dur_ns: u64,
-    },
-    /// A point event (fault injections, commits, ladder responses).
-    Instant,
-    /// A sampled counter value.
-    Counter {
-        /// The sampled value.
-        value: f64,
-    },
-}
-
 /// One event to profile. Built from a live drain ([`from_trace`]) or parsed
 /// back out of a Chrome trace export.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +60,7 @@ pub struct ProfEvent {
     /// unlinked.
     pub flow: u64,
     /// Span, instant, or counter payload.
-    pub kind: ProfKind,
+    pub kind: EventKind,
 }
 
 impl From<&TraceEvent> for ProfEvent {
@@ -85,11 +70,7 @@ impl From<&TraceEvent> for ProfEvent {
             tid: e.tid,
             ts_ns: e.ts_ns,
             flow: e.flow,
-            kind: match e.kind {
-                EventKind::Span { dur_ns } => ProfKind::Span { dur_ns },
-                EventKind::Instant => ProfKind::Instant,
-                EventKind::Counter { value } => ProfKind::Counter { value },
-            },
+            kind: e.kind,
         }
     }
 }

@@ -223,7 +223,7 @@ impl Profile {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ProfEvent, ProfKind, Profile};
+    use crate::{EventKind, ProfEvent, Profile};
 
     fn span(name: &str, tid: u64, ts_ns: u64, dur_ns: u64, flow: u64) -> ProfEvent {
         ProfEvent {
@@ -231,7 +231,7 @@ mod tests {
             tid,
             ts_ns,
             flow,
-            kind: ProfKind::Span { dur_ns },
+            kind: EventKind::Span { dur_ns },
         }
     }
 

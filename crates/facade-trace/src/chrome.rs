@@ -14,10 +14,12 @@
 //! round-trip (`facadeprof` reads them back).
 //!
 //! ```
+//! facade_trace::set_enabled(true);
 //! let _span = facade_trace::span!("render_me");
 //! drop(_span);
 //! let json = facade_trace::chrome::render(&facade_trace::drain());
 //! assert!(json.starts_with("{\"traceEvents\":["));
+//! assert!(json.contains("\"name\":\"render_me\""));
 //! assert!(json.ends_with("]}\n"));
 //! ```
 

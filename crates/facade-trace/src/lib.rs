@@ -8,16 +8,20 @@
 //! process-wide epoch that is pinned by the first event, so events recorded
 //! on different threads order correctly.
 //!
-//! # Feature gate
+//! # Arming
 //!
-//! The crate compiles to **no-ops unless the `enabled` cargo feature is on**
-//! (workspace crates forward their `tracing` feature here). Call sites stay
-//! unconditional — `facade_trace::span!(..)` is free when disabled because
-//! every function body is empty and `#[inline]`.
+//! Recording is compiled into every build and **disarmed until
+//! [`set_enabled`]`(true)`** arms it for the whole process. Call sites stay
+//! unconditional: while disarmed each entry point is one relaxed load and
+//! a return. A span is recorded iff recording was armed when it started;
+//! an instant, counter or retroactive [`complete`] span iff it was armed
+//! when the call was made.
 //!
 //! # Usage
 //!
 //! ```
+//! facade_trace::set_enabled(true);
+//!
 //! // A span measures the lifetime of its guard.
 //! {
 //!     let _span = facade_trace::span!("exec_interval", shard = 3usize);
@@ -27,9 +31,7 @@
 //! facade_trace::instant("fault_injected", &[("kind", "pool_acquire".into())]);
 //!
 //! let events = facade_trace::drain();
-//! if facade_trace::is_enabled() {
-//!     assert!(events.iter().any(|e| e.name == "exec_interval"));
-//! }
+//! assert!(events.iter().any(|e| e.name == "exec_interval"));
 //! ```
 //!
 //! # Export
@@ -43,9 +45,7 @@
 
 pub mod chrome;
 
-#[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-#[cfg(feature = "enabled")]
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -110,7 +110,7 @@ impl From<String> for ArgValue {
 }
 
 /// What kind of event a [`TraceEvent`] is.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// A completed span: a named duration starting at `ts_ns`.
     Span {
@@ -156,11 +156,9 @@ pub struct TraceEvent {
 /// `let _ = ...` drops immediately and records a zero-length span.
 #[must_use = "a span measures the lifetime of its guard; bind it with `let _span = ...`"]
 pub struct SpanGuard {
-    #[cfg(feature = "enabled")]
     active: Option<ActiveSpan>,
 }
 
-#[cfg(feature = "enabled")]
 struct ActiveSpan {
     name: &'static str,
     start_ns: u64,
@@ -170,7 +168,6 @@ struct ActiveSpan {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
         if let Some(active) = self.active.take() {
             let dur_ns = now_ns().saturating_sub(active.start_ns);
             push(TraceEvent {
@@ -185,10 +182,22 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Whether recording is compiled in (the `enabled` cargo feature).
+/// The process-wide recording gate; see [`set_enabled`]. Relaxed on both
+/// sides: it publishes no data, and a thread that sees a switch late only
+/// shifts which events fall inside the armed window.
+static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// Arms (`true`) or disarms (`false`) recording for the whole process.
+/// Disarming keeps what is already buffered for the next [`drain`]; a span
+/// open across the switch is recorded iff it started armed.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Whether recording is armed (see [`set_enabled`]).
 #[inline]
-pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
+pub fn is_enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Starts a span with no arguments; the returned guard records it on drop.
@@ -213,21 +222,13 @@ pub fn span_with_flow(
     flow: u64,
     args: &[(&'static str, ArgValue)],
 ) -> SpanGuard {
-    #[cfg(feature = "enabled")]
-    {
-        SpanGuard {
-            active: Some(ActiveSpan {
-                name,
-                start_ns: now_ns(),
-                flow,
-                args: args.to_vec(),
-            }),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, flow, args);
-        SpanGuard {}
+    SpanGuard {
+        active: is_enabled().then(|| ActiveSpan {
+            name,
+            start_ns: now_ns(),
+            flow,
+            args: args.to_vec(),
+        }),
     }
 }
 
@@ -250,21 +251,19 @@ pub fn complete_with_flow(
     flow: u64,
     args: &[(&'static str, ArgValue)],
 ) {
-    #[cfg(feature = "enabled")]
-    {
-        let dur_ns = saturating_ns(started.elapsed().as_nanos());
-        let ts_ns = now_ns().saturating_sub(dur_ns);
-        push(TraceEvent {
-            name,
-            tid: thread_id(),
-            ts_ns,
-            flow,
-            kind: EventKind::Span { dur_ns },
-            args: args.to_vec(),
-        });
+    if !is_enabled() {
+        return;
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, started, flow, args);
+    let dur_ns = saturating_ns(started.elapsed().as_nanos());
+    let ts_ns = now_ns().saturating_sub(dur_ns);
+    push(TraceEvent {
+        name,
+        tid: thread_id(),
+        ts_ns,
+        flow,
+        kind: EventKind::Span { dur_ns },
+        args: args.to_vec(),
+    });
 }
 
 /// Records a point event (a fault injection, a degradation-ladder step).
@@ -276,7 +275,9 @@ pub fn instant(name: &'static str, args: &[(&'static str, ArgValue)]) {
 /// Records a point event stamped with a flow/task id.
 #[inline]
 pub fn instant_with_flow(name: &'static str, flow: u64, args: &[(&'static str, ArgValue)]) {
-    #[cfg(feature = "enabled")]
+    if !is_enabled() {
+        return;
+    }
     push(TraceEvent {
         name,
         tid: thread_id(),
@@ -285,15 +286,15 @@ pub fn instant_with_flow(name: &'static str, flow: u64, args: &[(&'static str, A
         kind: EventKind::Instant,
         args: args.to_vec(),
     });
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, flow, args);
 }
 
 /// Records a sampled counter value under `name` (rendered as a counter
 /// track in Perfetto).
 #[inline]
 pub fn counter(name: &'static str, value: f64) {
-    #[cfg(feature = "enabled")]
+    if !is_enabled() {
+        return;
+    }
     push(TraceEvent {
         name,
         tid: thread_id(),
@@ -302,48 +303,39 @@ pub fn counter(name: &'static str, value: f64) {
         kind: EventKind::Counter { value },
         args: Vec::new(),
     });
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, value);
 }
 
 /// Mints a process-unique, non-zero flow/task id for linking the producer
 /// and consumer of one unit of work across threads (stamp both sides via
-/// the `*_with_flow` variants). Returns 0 when recording is disabled, so
+/// the `*_with_flow` variants). Returns 0 while recording is disarmed, so
 /// callers can thread the id unconditionally at zero cost.
 #[inline]
 pub fn next_flow_id() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        static NEXT_FLOW: AtomicU64 = AtomicU64::new(1);
-        NEXT_FLOW.fetch_add(1, Ordering::Relaxed)
+    if !is_enabled() {
+        return 0;
     }
-    #[cfg(not(feature = "enabled"))]
-    0
+    static NEXT_FLOW: AtomicU64 = AtomicU64::new(1);
+    NEXT_FLOW.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Collects every thread's buffered events into one timeline sorted by
-/// start time, emptying the buffers. Returns an empty vec when recording is
-/// disabled. Threads may keep recording afterwards; only events already
-/// buffered are taken.
+/// start time, emptying the buffers. Returns an empty vec when nothing was
+/// recorded since the last drain. Threads may keep recording afterwards;
+/// only events already buffered are taken.
 pub fn drain() -> Vec<TraceEvent> {
-    #[cfg(feature = "enabled")]
-    {
-        let mut registry = registry().lock().expect("trace registry poisoned");
-        let mut events = Vec::new();
-        for buffer in registry.iter() {
-            let mut local = buffer.events.lock().expect("trace buffer poisoned");
-            events.append(&mut local);
-        }
-        // Buffers of exited threads (the registry holds the only reference)
-        // are now empty and will never fill again; drop them so a long run
-        // spawning many short-lived workers keeps the registry bounded.
-        registry.retain(|b| Arc::strong_count(b) > 1);
-        drop(registry);
-        events.sort_by_key(|e| e.ts_ns);
-        events
+    let mut registry = registry().lock().expect("trace registry poisoned");
+    let mut events = Vec::new();
+    for buffer in registry.iter() {
+        let mut local = buffer.events.lock().expect("trace buffer poisoned");
+        events.append(&mut local);
     }
-    #[cfg(not(feature = "enabled"))]
-    Vec::new()
+    // Buffers of exited threads (the registry holds the only reference)
+    // are now empty and will never fill again; drop them so a long run
+    // spawning many short-lived workers keeps the registry bounded.
+    registry.retain(|b| Arc::strong_count(b) > 1);
+    drop(registry);
+    events.sort_by_key(|e| e.ts_ns);
+    events
 }
 
 /// Discards all buffered events without returning them.
@@ -358,47 +350,33 @@ pub fn reset() {
 pub const DEFAULT_BUFFER_CAP: usize = 1 << 20;
 
 /// Caps each thread-local buffer at `cap` events (minimum 1). Once a
-/// thread's buffer is full, further events on that thread are counted in
-/// [`events_dropped`] instead of growing the buffer — mirroring the
+/// thread's buffer is full, further events on that thread are counted (see
+/// [`take_events_dropped`]) instead of growing the buffer — mirroring the
 /// ResilienceReport's bounded event log. A [`drain`] empties the buffers,
 /// so capped threads record again afterwards.
 ///
 /// The initial capacity is [`DEFAULT_BUFFER_CAP`].
 pub fn set_buffer_capacity(cap: usize) {
-    #[cfg(feature = "enabled")]
     BUFFER_CAP.store(cap.max(1), Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = cap;
 }
 
-/// Events discarded because a thread-local buffer hit its capacity, since
-/// the last [`take_events_dropped`] (or process start). Zero when recording
-/// is disabled.
-pub fn events_dropped() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        dropped_counter().load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    0
-}
-
-/// Returns the dropped-event count and resets it to zero — the per-drain
-/// accounting the bench trace exporter prints next to its event count.
+/// Returns the number of events discarded because a thread-local buffer hit
+/// its capacity since the last call (or process start), and resets it to
+/// zero — the per-drain accounting the bench trace exporter prints next to
+/// its event count.
 pub fn take_events_dropped() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        dropped_counter().swap(0, Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    0
+    dropped_counter().swap(0, Ordering::Relaxed)
 }
 
 /// Starts a span; sugar over [`span_with`].
 ///
 /// ```
+/// facade_trace::set_enabled(true);
 /// let interval = 3usize;
 /// let _span = facade_trace::span!("exec_interval", interval = interval, pass = 0usize);
+/// drop(_span);
+/// let events = facade_trace::drain();
+/// assert_eq!(events[0].args[0], ("interval", facade_trace::ArgValue::from(3usize)));
 /// ```
 #[macro_export]
 macro_rules! span {
@@ -414,51 +392,43 @@ macro_rules! span {
 }
 
 // ---------------------------------------------------------------------------
-// Recording internals (compiled only when enabled).
+// Recording internals.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
 fn saturating_ns(n: u128) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-#[cfg(feature = "enabled")]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-#[cfg(feature = "enabled")]
 fn now_ns() -> u64 {
     saturating_ns(epoch().elapsed().as_nanos())
 }
 
-#[cfg(feature = "enabled")]
 struct ThreadBuffer {
     tid: u64,
     events: Mutex<Vec<TraceEvent>>,
 }
 
-#[cfg(feature = "enabled")]
 fn registry() -> &'static Mutex<Vec<Arc<ThreadBuffer>>> {
     static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadBuffer>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// Tids handed back by exited threads, reused before minting new ones.
-#[cfg(feature = "enabled")]
 fn free_tids() -> &'static Mutex<Vec<u64>> {
     static FREE: OnceLock<Mutex<Vec<u64>>> = OnceLock::new();
     FREE.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// The thread-local's owner; its drop (thread exit) recycles the tid.
-#[cfg(feature = "enabled")]
 struct LocalHandle {
     buffer: Arc<ThreadBuffer>,
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for LocalHandle {
     fn drop(&mut self) {
         if let Ok(mut free) = free_tids().lock() {
@@ -467,7 +437,6 @@ impl Drop for LocalHandle {
     }
 }
 
-#[cfg(feature = "enabled")]
 fn local_buffer() -> Arc<ThreadBuffer> {
     thread_local! {
         static LOCAL: LocalHandle = {
@@ -491,23 +460,19 @@ fn local_buffer() -> Arc<ThreadBuffer> {
     LOCAL.with(|handle| Arc::clone(&handle.buffer))
 }
 
-#[cfg(feature = "enabled")]
 fn thread_id() -> u64 {
     local_buffer().tid
 }
 
 /// The live buffer capacity: [`DEFAULT_BUFFER_CAP`] until
 /// [`set_buffer_capacity`] changes it.
-#[cfg(feature = "enabled")]
 static BUFFER_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_BUFFER_CAP);
 
-#[cfg(feature = "enabled")]
 fn dropped_counter() -> &'static AtomicU64 {
     static DROPPED: OnceLock<AtomicU64> = OnceLock::new();
     DROPPED.get_or_init(|| AtomicU64::new(0))
 }
 
-#[cfg(feature = "enabled")]
 fn push(event: TraceEvent) {
     let buffer = local_buffer();
     let mut events = buffer.events.lock().expect("trace buffer poisoned");
@@ -527,11 +492,38 @@ mod tests {
     // tests on concurrent threads. Every test filters drained events by
     // names unique to itself, which keeps foreign events out of its
     // assertions; holding `serial()` keeps another test's `drain()` from
-    // taking its own events first.
+    // taking its own events first. Every test starts armed.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         // A failed test poisons the lock; the next one still has to run.
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        guard
+    }
+
+    #[test]
+    fn a_span_is_recorded_iff_it_started_armed() {
+        let _serial = serial();
+        let armed_at_start = span("t_gate_armed_start");
+        set_enabled(false);
+        let disarmed_at_start = span("t_gate_disarmed_start");
+        instant("t_gate_instant", &[]);
+        counter("t_gate_counter", 1.0);
+        complete("t_gate_complete", Instant::now(), &[]);
+        assert_eq!(next_flow_id(), 0, "no flow ids while disarmed");
+        drop(armed_at_start);
+        set_enabled(true);
+        drop(disarmed_at_start);
+        let names: Vec<_> = drain().iter().map(|e| e.name).collect();
+        assert!(names.contains(&"t_gate_armed_start"));
+        for name in [
+            "t_gate_disarmed_start",
+            "t_gate_instant",
+            "t_gate_counter",
+            "t_gate_complete",
+        ] {
+            assert!(!names.contains(&name), "{name} recorded while disarmed");
+        }
     }
 
     #[test]

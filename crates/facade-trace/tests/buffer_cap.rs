@@ -8,6 +8,7 @@
 
 #[test]
 fn cap_drops_excess_events_and_counts_them() {
+    facade_trace::set_enabled(true);
     facade_trace::reset();
     facade_trace::set_buffer_capacity(8);
 
@@ -18,17 +19,20 @@ fn cap_drops_excess_events_and_counts_them() {
     let events = facade_trace::drain();
     let recorded = events.iter().filter(|e| e.name == "capped").count();
     assert_eq!(recorded, 8, "buffer holds exactly the cap");
-    assert_eq!(facade_trace::events_dropped(), 12, "overflow is counted");
 
-    // take_events_dropped hands the count over exactly once.
-    assert_eq!(facade_trace::take_events_dropped(), 12);
-    assert_eq!(facade_trace::events_dropped(), 0);
+    // take_events_dropped hands the overflow count over exactly once.
+    assert_eq!(
+        facade_trace::take_events_dropped(),
+        12,
+        "overflow is counted"
+    );
+    assert_eq!(facade_trace::take_events_dropped(), 0);
 
     // A drain empties the buffer, so the thread records again afterwards.
     facade_trace::instant("after_drain", &[]);
     let events = facade_trace::drain();
     assert!(events.iter().any(|e| e.name == "after_drain"));
-    assert_eq!(facade_trace::events_dropped(), 0);
+    assert_eq!(facade_trace::take_events_dropped(), 0);
 
     // Capacity 0 clamps to 1: the thread can still record one event.
     facade_trace::set_buffer_capacity(0);

@@ -13,9 +13,12 @@ use std::time::Duration;
 
 /// Serializes the tests in this binary: they all call the process-global
 /// `drain()`, so running them concurrently would steal each other's events.
+/// Recording is armed for every test.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    facade_trace::set_enabled(true);
+    guard
 }
 
 fn spans_named<'e>(events: &'e [TraceEvent], name: &str) -> Vec<&'e TraceEvent> {

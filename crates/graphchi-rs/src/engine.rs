@@ -413,8 +413,8 @@ struct PrefetchedSub {
     out_vals: Vec<f64>,
     /// Trace flow id minted by the gatherer: the `sub_prefetch` span on the
     /// gathering thread and the `sub_load` span on the consuming owner share
-    /// it, so the profiler can chain them across threads. 0 when tracing is
-    /// disabled.
+    /// it, so the profiler can chain them across threads. 0 while recording
+    /// is disarmed.
     flow: u64,
 }
 

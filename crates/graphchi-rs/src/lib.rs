@@ -48,7 +48,7 @@
 //! retry at the same configuration, deterministic budget exhaustion steps
 //! down a rung — here: halve the worker count to serial, then halve the
 //! subinterval budget to its floor. Every retry and rung is recorded in the
-//! run's [`metrics::ResilienceReport`], and — under the `tracing` feature —
+//! run's [`metrics::ResilienceReport`], and — while recording is armed —
 //! as instant events in the trace timeline (see `docs/OBSERVABILITY.md`).
 //!
 //! # Examples

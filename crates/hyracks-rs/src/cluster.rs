@@ -311,7 +311,7 @@ fn retire_store(store: &mut Store, healthy: bool, acc: &mut WorkerReport) {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_phase<I, S, R, N, F>(
     config: &ClusterConfig,
-    phase: &str,
+    phase: &'static str,
     started: Instant,
     partitions: Vec<I>,
     stats: &mut JobStats,
@@ -345,7 +345,7 @@ where
         // with a smaller `partitions` arg and a higher `level`).
         let span = facade_trace::span!(
             "job_phase",
-            name = phase.to_string(),
+            name = phase,
             partitions = pending.len(),
             threads = nthreads,
             level = level,
@@ -371,7 +371,7 @@ where
                     let (id, input) = (pending[pos].0, pending[pos].1.clone());
                     let _span = facade_trace::span!(
                         "partition_run",
-                        phase = phase.to_string(),
+                        phase = phase,
                         partition = id,
                         worker = w,
                     );
