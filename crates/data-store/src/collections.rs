@@ -326,7 +326,7 @@ impl BytesMap {
         while !e.is_null() {
             if store.get_i32(e, entry::HASH) as u32 == hash {
                 let k = store.get_rec(e, entry::KEY);
-                if store.array_read_bytes(k) == key {
+                if store.array_bytes(k) == key {
                     return Some(e);
                 }
             }

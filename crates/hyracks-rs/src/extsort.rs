@@ -7,10 +7,11 @@ use crate::cluster::{
     run_phase,
 };
 use crate::hashtable::hash_bytes;
-use data_store::{ClassTag, ElemTy, FieldTy, Store};
+use data_store::{ClassTag, ElemTy, FieldTy, Rec, Store};
 use metrics::OutOfMemory;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
 use std::time::Instant;
 
 /// The result of a completed ES job.
@@ -46,7 +47,7 @@ fn sort_worker(
     // Run length derived from the memory budget, as the external sort
     // operator sizes its in-memory runs from the frame budget.
     let run_len = ((budget / 96) >> degrade_level.min(16)).clamp(16, 1 << 20);
-    let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
 
     let operator = store.iteration_start();
     for chunk in words.chunks(run_len) {
@@ -73,18 +74,29 @@ fn sort_worker(
             build_result?;
         }
 
-        // Sort record indices, comparing through the store (the data-path
-        // work the paper's ES pays for). Keys are compared in place,
-        // borrowed from the store: a comparison allocates nothing.
-        let key = |i: u32| store.get_rec(store.array_get_rec(arr, i as usize), 1);
-        let mut order: Vec<u32> = (0..chunk.len() as u32).collect();
-        order.sort_by(|&a, &b| store.array_bytes(key(a)).cmp(store.array_bytes(key(b))));
+        // Sort an out-of-page array of (normalised key prefix, key array):
+        // each record is resolved once, and a comparison reads the store
+        // only when two prefixes tie. The raw `Rec`s held here are outside
+        // the roots, which is sound because no store allocation happens
+        // from here to the end of the spill, so a heap-backend collection
+        // cannot run (and move them) in between.
+        let mut keys: Vec<(u64, Rec)> = (0..chunk.len())
+            .map(|i| {
+                let bytes = store.get_rec(store.array_get_rec(arr, i), 1);
+                (key_prefix(store.array_bytes(bytes)), bytes)
+            })
+            .collect();
+        // Unstable is safe: keys that compare equal are byte-identical.
+        keys.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| store.array_bytes(a.1).cmp(store.array_bytes(b.1)))
+        });
 
         // Spill the sorted run (records leave the data path).
-        let run: Vec<Vec<u8>> = order
-            .iter()
-            .map(|&i| store.array_read_bytes(key(i)))
-            .collect();
+        let mut run = Run::with_capacity(keys.len(), chunk.iter().map(String::len).sum());
+        for &(_, bytes) in &keys {
+            run.push(store.array_bytes(bytes));
+        }
         runs.push(run);
 
         store.remove_root(root);
@@ -92,24 +104,65 @@ fn sort_worker(
     }
     store.iteration_end(operator);
 
-    Ok(merge_runs(runs))
+    Ok(merge_runs(&runs))
+}
+
+/// A key's first 8 bytes, zero-padded and read big-endian, so integer
+/// order is unsigned bytewise order. Keys differing only past byte 8, or
+/// in trailing zeros (`"ab"` vs `"ab\0"`), tie and need the full bytes.
+fn key_prefix(key: &[u8]) -> u64 {
+    let mut prefix = [0u8; 8];
+    let n = key.len().min(8);
+    prefix[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(prefix)
+}
+
+/// A spilled sorted run, laid out as a run file: every key back to back,
+/// and the offset at which each one ends.
+struct Run {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Run {
+    fn with_capacity(keys: usize, bytes: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(keys),
+        }
+    }
+
+    fn push(&mut self, key: &[u8]) {
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
+    }
+
+    fn key(&self, i: usize) -> Option<&[u8]> {
+        let end = *self.ends.get(i)?;
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some(&self.bytes[start..end])
+    }
 }
 
 /// K-way merge of sorted runs (the merge phase reads spilled run files, a
-/// control-path activity identical for both backends).
-fn merge_runs(runs: Vec<Vec<Vec<u8>>>) -> Vec<Vec<u8>> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heap: BinaryHeap<Reverse<(Vec<u8>, usize, usize)>> = BinaryHeap::new();
-    for (r, run) in runs.iter().enumerate() {
-        if let Some(first) = run.first() {
-            heap.push(Reverse((first.clone(), r, 0)));
-        }
-    }
+/// control-path activity identical for both backends). The heap borrows
+/// keys from the runs; each output key is copied once.
+fn merge_runs(runs: &[Run]) -> Vec<Vec<u8>> {
+    let total: usize = runs.iter().map(|run| run.ends.len()).sum();
+    let mut heap: BinaryHeap<Reverse<(&[u8], usize, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(r, run)| Some(Reverse((run.key(0)?, r, 0))))
+        .collect();
     let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((key, r, i))) = heap.pop() {
-        out.push(key);
-        if let Some(next) = runs[r].get(i + 1) {
-            heap.push(Reverse((next.clone(), r, i + 1)));
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((key, r, i)) = *top;
+        out.push(key.to_vec());
+        match runs[r].key(i + 1) {
+            Some(next) => *top = Reverse((next, r, i + 1)),
+            None => {
+                PeekMut::pop(top);
+            }
         }
     }
     out
@@ -201,16 +254,85 @@ mod tests {
         }
     }
 
+    fn spill(keys: &[&str]) -> Run {
+        let mut run = Run::with_capacity(keys.len(), 0);
+        for key in keys {
+            run.push(key.as_bytes());
+        }
+        run
+    }
+
     #[test]
     fn merge_runs_produces_sorted_output() {
-        let runs = vec![
-            vec![b"a".to_vec(), b"m".to_vec(), b"z".to_vec()],
-            vec![b"b".to_vec(), b"c".to_vec()],
-            vec![],
+        let cases: [&[&[&str]]; 6] = [
+            &[&["a", "m", "z"], &["b", "c"], &[]],
+            &[],
+            &[&[], &[], &[]],
+            &[&["", "", "a", "ab", "b"]],
+            &[&["", "a", "a", "c"], &["a", "b", "c"], &["", "c", "c"]],
+            &[&[], &["x"], &[]],
         ];
-        let merged = merge_runs(runs);
-        assert_eq!(merged.len(), 5);
-        assert!(merged.windows(2).all(|w| w[0] <= w[1]));
+        for runs in cases {
+            let mut expected: Vec<&[u8]> = runs.concat().iter().map(|k| k.as_bytes()).collect();
+            expected.sort();
+            let spilled: Vec<Run> = runs.iter().map(|keys| spill(keys)).collect();
+            assert_eq!(merge_runs(&spilled), expected, "{runs:?}");
+        }
+    }
+
+    #[test]
+    fn key_edge_cases_sort_like_a_byte_sort_on_both_backends() {
+        let long = "x".repeat(100);
+        let mut edge: Vec<String> = [
+            "",
+            "\0",
+            "ab",
+            "ab\0",
+            "abc",
+            "abcdefgh",
+            "abcdefgh\0",
+            "abcdefgh0",
+            "abcdefgh1",
+            "abcdefghij",
+            "abcdefg\u{ff}",
+            "é",
+            "ÿ",
+            "éa",
+            "ÿÿ",
+            "a\u{10ffff}",
+        ]
+        .map(String::from)
+        .into();
+        edge.extend([
+            format!("{}y", &long[1..]),
+            format!("{}\0", &long[1..]),
+            long,
+        ]);
+        edge.extend(std::iter::repeat_n("dup".to_string(), 200));
+        edge.extend(std::iter::repeat_n(String::new(), 20));
+        // Spread the edge keys over the corpus so they land in many runs.
+        let mut words = corpus(&CorpusSpec::new(10_000, 47));
+        for (i, key) in edge.into_iter().enumerate() {
+            let at = (i * 7919) % words.len();
+            words.insert(at, key);
+        }
+        let mut expected: Vec<Vec<u8>> = words.iter().map(|w| w.as_bytes().to_vec()).collect();
+        expected.sort();
+
+        // Levels 0 and 1 sort in one run, levels >= 2 in several.
+        let budget = 96 * 2048;
+        assert!(words.len() < 2048 && words.len() > 2048 >> 2);
+        for backend in [Backend::Heap, Backend::Facade] {
+            for level in 0..=6 {
+                let mut store = data_store::Store::builder()
+                    .backend(backend)
+                    .budget(16 << 20)
+                    .build();
+                let line_class = store.register_class("LineRecord", &[FieldTy::I32, FieldTy::Ref]);
+                let sorted = sort_worker(&mut store, line_class, words.clone(), budget, level);
+                assert_eq!(sorted.unwrap(), expected, "{backend:?} level {level}");
+            }
+        }
     }
 
     #[test]
@@ -294,6 +416,30 @@ mod tests {
             "a resumed run is not a clean run"
         );
         assert!(!path.exists(), "a resumed job still cleans up");
+    }
+
+    #[test]
+    fn data_path_counts_are_pinned() {
+        // Literals recorded before the sort moved out of page: the key
+        // array must leave every store allocation, and so every page and
+        // collection, exactly where it was.
+        let words = corpus(&CorpusSpec::new(40_000, 43));
+        let run = |backend, per_worker_budget| {
+            crate::Cluster::new(&ClusterConfig {
+                threads: 1,
+                per_worker_budget,
+                ..config(backend)
+            })
+            .external_sort(&words)
+            .unwrap()
+            .stats
+        };
+        let facade = run(Backend::Facade, 8 << 20);
+        let heap = run(Backend::Heap, 256 << 10);
+        assert_eq!(facade.pages_created, 3);
+        assert_eq!(facade.records_allocated, 11_190);
+        assert_eq!(heap.records_allocated, 11_190);
+        assert_eq!(heap.gc_count, 8);
     }
 
     #[test]

@@ -161,18 +161,15 @@ impl WordTable {
         }
     }
 
-    fn entry_key_bytes(&self, store: &Store, e: Rec) -> Vec<u8> {
-        match self.schema {
+    fn entry_key_bytes<'s>(&self, store: &'s Store, e: Rec) -> &'s [u8] {
+        let bytes = match self.schema {
             Schema::Heap { .. } => {
                 let s = store.get_rec(e, heap_entry::KEY);
-                let bytes = store.get_rec(s, heap_string::BYTES);
-                store.array_read_bytes(bytes)
+                store.get_rec(s, heap_string::BYTES)
             }
-            Schema::Facade { .. } => {
-                let bytes = store.get_rec(e, facade_entry::BYTES);
-                store.array_read_bytes(bytes)
-            }
-        }
+            Schema::Facade { .. } => store.get_rec(e, facade_entry::BYTES),
+        };
+        store.array_bytes(bytes)
     }
 
     fn entry_count(&self, store: &Store, e: Rec) -> i64 {
@@ -296,7 +293,10 @@ impl WordTable {
         for slot in 0..self.capacity {
             let mut e = store.array_get_rec(self.buckets, slot);
             while !e.is_null() {
-                out.push((self.entry_key_bytes(store, e), self.entry_count(store, e)));
+                out.push((
+                    self.entry_key_bytes(store, e).to_vec(),
+                    self.entry_count(store, e),
+                ));
                 e = self.entry_next(store, e);
             }
         }
