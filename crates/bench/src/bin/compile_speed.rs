@@ -28,12 +28,14 @@ fn synthetic_corpus(n_classes: usize) -> (Program, DataSpec) {
                 cb = cb.extends(p);
             }
         }
+        // The `next` field wants the class's own id, which isn't known while
+        // the builder chain runs; point it at the first class instead (any
+        // data class satisfies the closed-world check).
         let id = cb
             .field("a", Ty::I32)
             .field("b", Ty::I64)
-            .field("next", Ty::Ref(cb_id_hack(&mut names, &name)))
+            .field("next", Ty::Ref(facade_ir::ClassId(0)))
             .build();
-        // fix the self-referential field type now that we know the id
         class_ids.push(id);
         prev = Some(id);
         names.push(name);
@@ -66,25 +68,15 @@ fn synthetic_corpus(n_classes: usize) -> (Program, DataSpec) {
     }
     // A control driver calling each class's methods.
     let main_class = pb.class("Driver").build();
-    let program_snapshot: Vec<_> = class_ids.clone();
     let mut drv = pb.method(main_class, "drive").static_();
-    for &id in &program_snapshot {
-        let o = drv.const_null(Ty::Ref(id));
-        let _ = o;
+    for &id in &class_ids {
+        drv.const_null(Ty::Ref(id));
     }
     drv.ret(None);
     drv.finish();
 
     let spec = DataSpec::new(names);
     (pb.finish(), spec)
-}
-
-// The `next` field wants the class's own id, which isn't known while the
-// builder chain runs; point it at the first class instead (any data class
-// satisfies the closed-world check).
-fn cb_id_hack(names: &mut [String], _name: &str) -> facade_ir::ClassId {
-    let _ = names;
-    facade_ir::ClassId(0)
 }
 
 fn figure2() -> (Program, DataSpec) {

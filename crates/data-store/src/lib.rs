@@ -57,7 +57,6 @@
 //! assert!(worker.is_facade() && !env.canceled());
 //! ```
 
-pub mod collections;
 mod run_env;
 
 pub use facade_runtime::FaultPlan;

@@ -8,12 +8,15 @@
 //! (`epoch_scratch`), and a non-escaping record the `promote` pass
 //! scalar-replaces (`promote_scratch`).
 //!
-//! The golden snapshot tests pin every pipeline stage's render for each
-//! entry, and the equivalence tests prove `P` and `P'` print the same
-//! lines under every pass combination.
+//! Each program's source is its checked-in text,
+//! `crates/facade-compiler/golden/<name>/source.ir`, parsed at load time:
+//! the golden `source` stage is the corpus, not a copy of it. The golden
+//! snapshot tests pin every pipeline stage's render for each entry, and the
+//! equivalence tests prove `P` and `P'` print the same lines under every
+//! pass combination.
 
 use crate::DataSpec;
-use facade_ir::{BinOp, CmpOp, Instr, Program, ProgramBuilder, Ty};
+use facade_ir::Program;
 
 /// One corpus program: a name (the golden directory stem), the program, its
 /// data-class spec, and the exact lines both backends must print.
@@ -45,260 +48,36 @@ pub fn all() -> Vec<CorpusEntry> {
 /// unreachable control method calls a 3-`Student` callee so the
 /// whole-program pool bound is 3 — the `epoch` pass shrinks it back to 1.
 pub fn figure2() -> CorpusEntry {
-    let mut pb = ProgramBuilder::new();
-    let student = pb
-        .class("Student")
-        .field("id", Ty::I32)
-        .field("score", Ty::I32)
-        .build();
-
-    // Student::<init>(this, id) { this.id = id; this.score = id * 2 }
-    let mut ctor = pb.method(student, "<init>").param(Ty::I32);
-    let this = ctor.this_local();
-    let id = ctor.param_local(0);
-    ctor.set_field(this, "id", id);
-    let two = ctor.const_i32(2);
-    let score = ctor.bin(BinOp::Mul, id, two);
-    ctor.set_field(this, "score", score);
-    ctor.ret(None);
-    let ctor_id = ctor.finish();
-
-    // static Student::total(n) { sum = Σ new Student(i).score }
-    let mut total = pb
-        .method(student, "total")
-        .param(Ty::I32)
-        .returns(Ty::I32)
-        .static_();
-    let n = total.param_local(0);
-    let sum = total.local(Ty::I32);
-    let i = total.local(Ty::I32);
-    let zero = total.const_i32(0);
-    total.move_(sum, zero);
-    total.move_(i, zero);
-    let head = total.block();
-    let body = total.block();
-    let done = total.block();
-    total.jump(head);
-    total.switch_to(head);
-    let cont = total.cmp(CmpOp::Lt, i, n);
-    total.branch(cont, body, done);
-    total.switch_to(body);
-    let s = total.new_object(student);
-    total.call_special(ctor_id, vec![s, i]);
-    let sc = total.get_field(s, "score");
-    let sum2 = total.bin(BinOp::Add, sum, sc);
-    total.move_(sum, sum2);
-    let one = total.const_i32(1);
-    let i2 = total.bin(BinOp::Add, i, one);
-    total.move_(i, i2);
-    total.jump(head);
-    total.switch_to(done);
-    total.ret(Some(sum));
-    let total_id = total.finish();
-
-    let main_class = pb.class("Main").build();
-
-    // An unreachable caller of a 3-Student callee: inflates the static
-    // bound the shrinking pass then removes.
-    let mut take3 = pb
-        .method(main_class, "take3")
-        .param(Ty::Ref(student))
-        .param(Ty::Ref(student))
-        .param(Ty::Ref(student))
-        .static_();
-    take3.ret(None);
-    let take3_id = take3.finish();
-    let mut unused = pb.method(main_class, "unusedHelper").static_();
-    let null = unused.const_null(Ty::Ref(student));
-    unused.call_static(take3_id, vec![null, null, null]);
-    unused.ret(None);
-    unused.finish();
-
-    let mut main = pb.method(main_class, "main").static_();
-    let ten = main.const_i32(10);
-    let v = main.call_static(total_id, vec![ten]).unwrap();
-    main.print(v);
-    main.ret(None);
-    let main_id = main.finish();
-
-    let mut program = pb.finish();
-    program.set_entry(main_id);
-    CorpusEntry {
-        name: "figure2",
-        program,
-        spec: DataSpec::new(["Student"]),
-        expected: vec!["90"],
-    }
+    entry(
+        "figure2",
+        include_str!("../golden/figure2/source.ir"),
+        &["Student"],
+        &["90"],
+    )
 }
 
 /// A linked list of paged records, built and summed by data-path methods;
 /// the control entry passes the list head across the boundary twice, so the
 /// goldens show both conversion directions.
 pub fn sum_list() -> CorpusEntry {
-    let mut pb = ProgramBuilder::new();
-    let node_id = {
-        let c = pb.class("Node").field("v", Ty::I32);
-        let id = c.id();
-        c.field("next", Ty::Ref(id)).build()
-    };
-
-    // static Node::build(n): n nodes, values n-1 .. 0 from head to tail.
-    let mut build = pb
-        .method(node_id, "build")
-        .param(Ty::I32)
-        .returns(Ty::Ref(node_id))
-        .static_();
-    let n = build.param_local(0);
-    let head_l = build.local(Ty::Ref(node_id));
-    let i = build.local(Ty::I32);
-    let null = build.const_null(Ty::Ref(node_id));
-    build.move_(head_l, null);
-    let zero = build.const_i32(0);
-    build.move_(i, zero);
-    let head_bb = build.block();
-    let body_bb = build.block();
-    let done_bb = build.block();
-    build.jump(head_bb);
-    build.switch_to(head_bb);
-    let cont = build.cmp(CmpOp::Lt, i, n);
-    build.branch(cont, body_bb, done_bb);
-    build.switch_to(body_bb);
-    let node = build.new_object(node_id);
-    build.set_field(node, "v", i);
-    build.set_field(node, "next", head_l);
-    build.move_(head_l, node);
-    let one = build.const_i32(1);
-    let i2 = build.bin(BinOp::Add, i, one);
-    build.move_(i, i2);
-    build.jump(head_bb);
-    build.switch_to(done_bb);
-    build.ret(Some(head_l));
-    let build_id = build.finish();
-
-    // static Node::sum(head, n): walk exactly n nodes.
-    let mut sum = pb
-        .method(node_id, "sum")
-        .param(Ty::Ref(node_id))
-        .param(Ty::I32)
-        .returns(Ty::I32)
-        .static_();
-    let head = sum.param_local(0);
-    let n = sum.param_local(1);
-    let cur = sum.local(Ty::Ref(node_id));
-    let acc = sum.local(Ty::I32);
-    let i = sum.local(Ty::I32);
-    sum.move_(cur, head);
-    let zero = sum.const_i32(0);
-    sum.move_(acc, zero);
-    sum.move_(i, zero);
-    let head_bb = sum.block();
-    let body_bb = sum.block();
-    let done_bb = sum.block();
-    sum.jump(head_bb);
-    sum.switch_to(head_bb);
-    let cont = sum.cmp(CmpOp::Lt, i, n);
-    sum.branch(cont, body_bb, done_bb);
-    sum.switch_to(body_bb);
-    let v = sum.get_field(cur, "v");
-    let acc2 = sum.bin(BinOp::Add, acc, v);
-    sum.move_(acc, acc2);
-    let next = sum.get_field(cur, "next");
-    sum.move_(cur, next);
-    let one = sum.const_i32(1);
-    let i2 = sum.bin(BinOp::Add, i, one);
-    sum.move_(i, i2);
-    sum.jump(head_bb);
-    sum.switch_to(done_bb);
-    sum.ret(Some(acc));
-    let sum_id = sum.finish();
-
-    let main_class = pb.class("Main").build();
-    let mut main = pb.method(main_class, "main").static_();
-    let twenty = main.const_i32(20);
-    let h = main.call_static(build_id, vec![twenty]).unwrap();
-    let s = main.call_static(sum_id, vec![h, twenty]).unwrap();
-    main.print(s);
-    main.ret(None);
-    let main_id = main.finish();
-
-    let mut program = pb.finish();
-    program.set_entry(main_id);
-    CorpusEntry {
-        name: "sum_list",
-        program,
-        spec: DataSpec::new(["Node"]),
-        expected: vec!["190"],
-    }
+    entry(
+        "sum_list",
+        include_str!("../golden/sum_list/source.ir"),
+        &["Node"],
+        &["190"],
+    )
 }
 
 /// Two data classes behind a data interface; the virtual `area` calls
 /// dispatch through receiver facades and survive devirtualization (two
 /// implementors, so CHA cannot pick one).
 pub fn shapes() -> CorpusEntry {
-    let mut pb = ProgramBuilder::new();
-    let shape = pb.interface("Shape").build();
-    let area_decl = pb.abstract_method(shape, "area", vec![], Some(Ty::I32));
-
-    let circle = pb
-        .class("Circle")
-        .field("r", Ty::I32)
-        .implements(shape)
-        .build();
-    let mut area = pb.method(circle, "area").returns(Ty::I32);
-    let this = area.this_local();
-    let r = area.get_field(this, "r");
-    let r2 = area.bin(BinOp::Mul, r, r);
-    let three = area.const_i32(3);
-    let a = area.bin(BinOp::Mul, r2, three);
-    area.ret(Some(a));
-    area.finish();
-
-    let square = pb
-        .class("Square")
-        .field("s", Ty::I32)
-        .implements(shape)
-        .build();
-    let mut area = pb.method(square, "area").returns(Ty::I32);
-    let this = area.this_local();
-    let s = area.get_field(this, "s");
-    let a = area.bin(BinOp::Mul, s, s);
-    area.ret(Some(a));
-    area.finish();
-
-    // static Circle::drive(): sum the areas of one circle and one square
-    // through the interface type.
-    let mut drive = pb.method(circle, "drive").returns(Ty::I32).static_();
-    let c = drive.new_object(circle);
-    let two = drive.const_i32(2);
-    drive.set_field(c, "r", two);
-    let q = drive.new_object(square);
-    let three = drive.const_i32(3);
-    drive.set_field(q, "s", three);
-    let s1 = drive.local(Ty::Ref(shape));
-    drive.move_(s1, c);
-    let s2 = drive.local(Ty::Ref(shape));
-    drive.move_(s2, q);
-    let a1 = drive.call_virtual(area_decl, vec![s1]).unwrap();
-    let a2 = drive.call_virtual(area_decl, vec![s2]).unwrap();
-    let total = drive.bin(BinOp::Add, a1, a2);
-    drive.ret(Some(total));
-    let drive_id = drive.finish();
-
-    let main_class = pb.class("Main").build();
-    let mut main = pb.method(main_class, "main").static_();
-    let v = main.call_static(drive_id, vec![]).unwrap();
-    main.print(v);
-    main.ret(None);
-    let main_id = main.finish();
-
-    let mut program = pb.finish();
-    program.set_entry(main_id);
-    CorpusEntry {
-        name: "shapes",
-        program,
-        spec: DataSpec::new(["Circle", "Square"]),
-        expected: vec!["21"],
-    }
+    entry(
+        "shapes",
+        include_str!("../golden/shapes/source.ir"),
+        &["Circle", "Square"],
+        &["21"],
+    )
 }
 
 /// Loop-heavy scratch allocation: `Temp` records die the instant the inner
@@ -306,149 +85,42 @@ pub fn shapes() -> CorpusEntry {
 /// `promote` pass must leave them alone — the `epoch` pass brackets the
 /// method and the `fastalloc` pass hints every allocation.
 pub fn epoch_scratch() -> CorpusEntry {
-    let mut pb = ProgramBuilder::new();
-    let temp_id = {
-        let c = pb.class("Temp").field("a", Ty::I64).field("b", Ty::I64);
-        let id = c.id();
-        c.field("link", Ty::Ref(id)).build()
-    };
-
-    // static Temp::churn(rounds, per) -> i64
-    let mut churn = pb
-        .method(temp_id, "churn")
-        .param(Ty::I32)
-        .param(Ty::I32)
-        .returns(Ty::I64)
-        .static_();
-    let rounds = churn.param_local(0);
-    let per = churn.param_local(1);
-    let acc = churn.local(Ty::I64);
-    let round = churn.local(Ty::I32);
-    let zero64 = churn.const_i64(0);
-    churn.move_(acc, zero64);
-    let zero = churn.const_i32(0);
-    churn.move_(round, zero);
-    let out_head = churn.block();
-    let out_body = churn.block();
-    let out_done = churn.block();
-    churn.jump(out_head);
-    churn.switch_to(out_head);
-    let cont = churn.cmp(CmpOp::Lt, round, rounds);
-    churn.branch(cont, out_body, out_done);
-    churn.switch_to(out_body);
-    let i = churn.local(Ty::I32);
-    churn.move_(i, zero);
-    let in_head = churn.block();
-    let in_body = churn.block();
-    let in_done = churn.block();
-    churn.jump(in_head);
-    churn.switch_to(in_head);
-    let icont = churn.cmp(CmpOp::Lt, i, per);
-    churn.branch(icont, in_body, in_done);
-    churn.switch_to(in_body);
-    let t = churn.new_object(temp_id);
-    let i64v = churn.local(Ty::I64);
-    churn.emit(Instr::NumCast { dst: i64v, src: i });
-    churn.set_field(t, "a", i64v);
-    let a = churn.get_field(t, "a");
-    let b = churn.bin(BinOp::Add, a, a);
-    churn.set_field(t, "b", b);
-    let bb = churn.get_field(t, "b");
-    let acc2 = churn.bin(BinOp::Add, acc, bb);
-    churn.move_(acc, acc2);
-    let one = churn.const_i32(1);
-    let i2 = churn.bin(BinOp::Add, i, one);
-    churn.move_(i, i2);
-    churn.jump(in_head);
-    churn.switch_to(in_done);
-    let one = churn.const_i32(1);
-    let r2 = churn.bin(BinOp::Add, round, one);
-    churn.move_(round, r2);
-    churn.jump(out_head);
-    churn.switch_to(out_done);
-    churn.ret(Some(acc));
-    let churn_id = churn.finish();
-
-    let main_class = pb.class("Main").build();
-    let mut main = pb.method(main_class, "main").static_();
-    let five = main.const_i32(5);
-    let forty = main.const_i32(40);
-    let r = main.call_static(churn_id, vec![five, forty]).unwrap();
-    main.print(r);
-    main.ret(None);
-    let main_id = main.finish();
-
-    let mut program = pb.finish();
-    program.set_entry(main_id);
-    CorpusEntry {
-        name: "epoch_scratch",
-        program,
-        spec: DataSpec::new(["Temp"]),
-        expected: vec!["7800"],
-    }
+    entry(
+        "epoch_scratch",
+        include_str!("../golden/epoch_scratch/source.ir"),
+        &["Temp"],
+        &["7800"],
+    )
 }
 
 /// A purely primitive accumulator record that never escapes its frame: the
 /// `promote` pass scalar-replaces it, deleting the allocation entirely.
 pub fn promote_scratch() -> CorpusEntry {
-    let mut pb = ProgramBuilder::new();
-    let acc_class = pb
-        .class("Acc")
-        .field("hi", Ty::I32)
-        .field("lo", Ty::I32)
-        .build();
+    entry(
+        "promote_scratch",
+        include_str!("../golden/promote_scratch/source.ir"),
+        &["Acc"],
+        &["330"],
+    )
+}
 
-    // static Acc::fold(n) -> i32: Σ i * (i + 1)
-    let mut fold = pb
-        .method(acc_class, "fold")
-        .param(Ty::I32)
-        .returns(Ty::I32)
-        .static_();
-    let n = fold.param_local(0);
-    let total = fold.local(Ty::I32);
-    let i = fold.local(Ty::I32);
-    let zero = fold.const_i32(0);
-    fold.move_(total, zero);
-    fold.move_(i, zero);
-    let head = fold.block();
-    let body = fold.block();
-    let done = fold.block();
-    fold.jump(head);
-    fold.switch_to(head);
-    let cont = fold.cmp(CmpOp::Lt, i, n);
-    fold.branch(cont, body, done);
-    fold.switch_to(body);
-    let a = fold.new_object(acc_class);
-    fold.set_field(a, "hi", i);
-    let one = fold.const_i32(1);
-    let ip1 = fold.bin(BinOp::Add, i, one);
-    fold.set_field(a, "lo", ip1);
-    let hi = fold.get_field(a, "hi");
-    let lo = fold.get_field(a, "lo");
-    let prod = fold.bin(BinOp::Mul, hi, lo);
-    let t2 = fold.bin(BinOp::Add, total, prod);
-    fold.move_(total, t2);
-    fold.move_(i, ip1);
-    fold.jump(head);
-    fold.switch_to(done);
-    fold.ret(Some(total));
-    let fold_id = fold.finish();
-
-    let main_class = pb.class("Main").build();
-    let mut main = pb.method(main_class, "main").static_();
-    let ten = main.const_i32(10);
-    let v = main.call_static(fold_id, vec![ten]).unwrap();
-    main.print(v);
-    main.ret(None);
-    let main_id = main.finish();
-
-    let mut program = pb.finish();
-    program.set_entry(main_id);
+/// Parses one corpus program from its golden source text.
+///
+/// # Panics
+///
+/// If the text does not parse; the message names the entry.
+fn entry(
+    name: &'static str,
+    text: &str,
+    data_classes: &[&str],
+    expected: &[&'static str],
+) -> CorpusEntry {
+    let program = Program::parse(text).unwrap_or_else(|e| panic!("corpus entry {name}: {e}"));
     CorpusEntry {
-        name: "promote_scratch",
+        name,
         program,
-        spec: DataSpec::new(["Acc"]),
-        expected: vec!["330"],
+        spec: DataSpec::new(data_classes.iter().copied()),
+        expected: expected.to_vec(),
     }
 }
 
@@ -464,15 +136,6 @@ mod tests {
                 .verify()
                 .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
             assert!(entry.program.entry().is_some(), "{}", entry.name);
-        }
-    }
-
-    #[test]
-    fn corpus_round_trips_through_the_parser() {
-        for entry in all() {
-            let text = entry.program.render();
-            let reparsed = Program::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", entry.name));
-            assert_eq!(reparsed.render(), text, "{}", entry.name);
         }
     }
 }

@@ -25,7 +25,8 @@
 //! On top of the core transformation, the [`pipeline`] module drives the
 //! whole multi-stage flow (parse → verify → transform → optimization
 //! [`passes`] → re-verify) with per-stage IR snapshots, and [`corpus`]
-//! holds the golden programs the snapshot and equivalence tests pin. See
+//! loads the golden programs the snapshot and equivalence tests pin; the
+//! corpus is the checked-in text `golden/<name>/source.ir`. See
 //! `docs/COMPILER.md` for the stage-by-stage architecture.
 //!
 //! # Examples

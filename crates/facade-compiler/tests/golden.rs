@@ -8,11 +8,11 @@
 //! FACADE_UPDATE_GOLDEN=1 cargo test -p facade-compiler --test golden
 //! ```
 //!
-//! The source-stage snapshots are additionally required to round-trip
-//! through the textual parser, so the goldens double as parser fixtures.
+//! The corpus *is* the `golden/<program>/source.ir` text: each entry is
+//! parsed from it, so the `source` stage comparison also proves the text
+//! round-trips through the parser and printer unchanged.
 
 use facade_compiler::{PassConfig, compile};
-use facade_ir::Program;
 use std::fs;
 use std::path::PathBuf;
 
@@ -69,23 +69,6 @@ fn golden_snapshots_match() {
         mismatches.is_empty(),
         "golden mismatches (FACADE_UPDATE_GOLDEN=1 to regenerate): {mismatches:?}"
     );
-}
-
-#[test]
-fn golden_source_snapshots_round_trip_through_the_parser() {
-    if update_mode() {
-        return;
-    }
-    for entry in facade_compiler::corpus::all() {
-        let path = golden_dir(entry.name).join("source.ir");
-        let text = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e}; regenerate goldens first", entry.name));
-        let parsed = Program::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", entry.name));
-        assert_eq!(parsed.render(), text, "{}", entry.name);
-        parsed
-            .verify()
-            .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
-    }
 }
 
 #[test]

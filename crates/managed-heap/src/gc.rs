@@ -574,9 +574,8 @@ mod tests {
         h.collect_full();
         let capacity = h.capacity() as u64;
         let s = h.stats();
-        // One record per collection, and the histogram agrees.
+        // One record per collection.
         assert_eq!(s.pause_records.len() as u64, s.collections());
-        assert_eq!(s.pauses.count(), s.collections());
         // gc_time is exactly the sum of the per-collection pauses: the
         // aggregate and the records derive from the same measurement.
         let sum_ns: u64 = s.pause_records.iter().map(|r| r.pause_ns).sum();

@@ -4,7 +4,6 @@
 //! [`PauseRecord`] per collection (bounded; see
 //! [`GcStats::MAX_PAUSE_RECORDS`]).
 
-use metrics::DurationHistogram;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -76,11 +75,10 @@ pub struct GcStats {
     pub objects_collected: u64,
     /// High-water mark of occupied heap bytes.
     pub peak_bytes: u64,
-    /// Distribution of stop-the-world pause times.
-    pub pauses: DurationHistogram,
     /// The most recent collections, one record each, oldest first. Bounded
     /// at [`GcStats::MAX_PAUSE_RECORDS`]: when full, the oldest record is
-    /// dropped (the histogram above still covers every pause).
+    /// dropped (`gc_time` and the collection counters still cover every
+    /// pause).
     pub pause_records: VecDeque<PauseRecord>,
 }
 
@@ -93,13 +91,12 @@ impl GcStats {
         self.minor_collections + self.full_collections
     }
 
-    /// Records one finished collection: accumulates `gc_time`, feeds the
-    /// pause histogram, and appends the per-collection record (rotating out
-    /// the oldest past [`GcStats::MAX_PAUSE_RECORDS`]).
+    /// Records one finished collection: accumulates `gc_time` and appends
+    /// the per-collection record (rotating out the oldest past
+    /// [`GcStats::MAX_PAUSE_RECORDS`]).
     pub fn record_pause(&mut self, record: PauseRecord) {
         let pause = Duration::from_nanos(record.pause_ns);
         self.gc_time += pause;
-        self.pauses.record(pause);
         if self.pause_records.len() == Self::MAX_PAUSE_RECORDS {
             self.pause_records.pop_front();
         }
@@ -117,7 +114,6 @@ impl GcStats {
         self.objects_allocated += other.objects_allocated;
         self.objects_collected += other.objects_collected;
         self.peak_bytes += other.peak_bytes;
-        self.pauses.merge(&other.pauses);
         self.pause_records
             .extend(other.pause_records.iter().copied());
         while self.pause_records.len() > Self::MAX_PAUSE_RECORDS {
@@ -170,11 +166,6 @@ mod tests {
         assert_eq!(s.pause_records.len(), GcStats::MAX_PAUSE_RECORDS);
         // Oldest records rotated out, newest kept.
         assert_eq!(s.pause_records.front().unwrap().promoted_bytes, 10);
-        assert_eq!(
-            s.pauses.count() as usize,
-            GcStats::MAX_PAUSE_RECORDS + 10,
-            "histogram still counts every pause"
-        );
         assert_eq!(
             s.gc_time,
             Duration::from_nanos(1_000) * (GcStats::MAX_PAUSE_RECORDS as u32 + 10)

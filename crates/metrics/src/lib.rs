@@ -37,7 +37,6 @@
 #![deny(missing_docs)]
 
 mod failure;
-mod histogram;
 mod http;
 mod memory;
 mod registry;
@@ -49,7 +48,6 @@ pub mod json;
 pub mod report;
 
 pub use failure::{FailureCause, panic_message};
-pub use histogram::DurationHistogram;
 pub use http::{Handler, HttpServer, HttpServerHandle, Request, Response};
 pub use memory::{OutOfMemory, format_bytes};
 pub use registry::{Counter, Gauge, Histogram, Registry, Sampler};

@@ -309,126 +309,210 @@ fn facade_iterations_isolate_allocations() {
     }
 }
 
-mod collections_model {
-    use data_store::collections::{BytesMap, RecDeque, RecList};
-    use data_store::{Backend, FieldTy, Rec, Store};
+/// The shared `PagePool`'s job-epoch accounting against a reference ledger:
+/// seeded interleavings of epoch begin/retire and of facade stores built,
+/// filled, recycled, released and dropped under those epochs.
+mod pool_epoch_model {
+    use data_store::{ClassTag, EpochLedger, FieldTy, Iteration, PagePool, Store, StoreStats};
     use datagen::SplitMix64;
-    use std::collections::VecDeque;
+    use std::sync::Arc;
 
-    /// Operations over one list + one deque + one map, mirrored against std
-    /// models. Values are records tagged with their creation index.
-    #[derive(Debug, Clone)]
-    enum ColOp {
-        ListPush,
-        ListPop,
-        DequePushBack,
-        DequePopFront,
-        MapInsert(u16),
-        MapLookup(u16),
+    /// One live facade store and the stats the model has already booked.
+    struct LiveStore {
+        store: Store,
+        epoch: u64,
+        class: ClassTag,
+        open: Option<Iteration>,
+        booked: StoreStats,
     }
 
-    fn random_ops(rng: &mut SplitMix64, len: usize) -> Vec<ColOp> {
-        (0..len)
-            .map(|_| match rng.next_below(14) {
-                0..=2 => ColOp::ListPush,
-                3 => ColOp::ListPop,
-                4..=6 => ColOp::DequePushBack,
-                7..=8 => ColOp::DequePopFront,
-                9..=11 => ColOp::MapInsert(rng.next_below(512) as u16),
-                _ => ColOp::MapLookup(rng.next_below(512) as u16),
-            })
-            .collect()
+    /// One live epoch: its expected ledger, the pages its dropped stores
+    /// created, and the pages it has released so far.
+    struct LiveEpoch {
+        id: u64,
+        ledger: EpochLedger,
+        created: u64,
+        released: u64,
     }
 
-    fn run_model(mut store: Store, ops: &[ColOp]) {
-        let entry = BytesMap::register_class(&mut store);
-        let class = store.register_class("V", &[FieldTy::I64]);
-        let mut list = RecList::new(&mut store, 4).unwrap();
-        let mut deque = RecDeque::new(&mut store, 4).unwrap();
-        let mut map = BytesMap::new(&mut store, entry, 16).unwrap();
-        let mut list_model: Vec<i64> = Vec::new();
-        let mut deque_model: VecDeque<i64> = VecDeque::new();
-        let mut map_model: std::collections::HashMap<u16, i64> = Default::default();
-        let mut counter = 0i64;
-        let mut fresh = |store: &mut Store| -> Rec {
-            counter += 1;
-            let r = store.alloc(class).unwrap();
-            store.set_i64(r, 0, counter);
-            r
-        };
-        let tag = |store: &Store, r: Rec| store.get_i64(r, 0);
-        for op in ops {
-            match op {
-                ColOp::ListPush => {
-                    let r = fresh(&mut store);
-                    let t = tag(&store, r);
-                    list.push(&mut store, r).unwrap();
-                    list_model.push(t);
-                }
-                ColOp::ListPop => {
-                    let got = list.pop(&store).map(|r| tag(&store, r));
-                    assert_eq!(got, list_model.pop());
-                }
-                ColOp::DequePushBack => {
-                    let r = fresh(&mut store);
-                    let t = tag(&store, r);
-                    deque.push_back(&mut store, r).unwrap();
-                    deque_model.push_back(t);
-                }
-                ColOp::DequePopFront => {
-                    let got = deque.pop_front(&store).map(|r| tag(&store, r));
-                    assert_eq!(got, deque_model.pop_front());
-                }
-                ColOp::MapInsert(k) => {
-                    let r = fresh(&mut store);
-                    let t = tag(&store, r);
-                    map.insert(&mut store, format!("k{k}").as_bytes(), r)
-                        .unwrap();
-                    map_model.insert(*k, t);
-                }
-                ColOp::MapLookup(k) => {
-                    let got = map
-                        .get(&store, format!("k{k}").as_bytes())
-                        .map(|r| tag(&store, r));
-                    assert_eq!(got, map_model.get(k).copied(), "key {k}");
-                }
+    /// What the pool must report, derived from the stores' own counters.
+    #[derive(Default)]
+    struct Model {
+        epochs: Vec<LiveEpoch>,
+        handed_out: u64,
+        returned: u64,
+        /// Pages released by epochs already retired.
+        retired_released: u64,
+        /// Acquires larger than the pages the epoch itself or a retired one
+        /// could have left in the pool: they drew another live epoch's.
+        cross_epoch_acquires: u64,
+    }
+
+    impl Model {
+        /// Books pool traffic of `epoch`: `out` pages acquired, then `back`
+        /// pages released.
+        fn book(&mut self, epoch: u64, out: u64, back: u64) {
+            let supply = self.returned - self.handed_out;
+            let e = self.epochs.iter_mut().find(|e| e.id == epoch).unwrap();
+            if out > (e.released + self.retired_released).min(supply) {
+                self.cross_epoch_acquires += 1;
             }
+            e.ledger.pages_out += out;
+            e.ledger.pages_in += back;
+            e.released += back;
+            self.handed_out += out;
+            self.returned += back;
         }
-        // Final full comparison.
-        assert_eq!(list.len(), list_model.len());
-        for (i, &t) in list_model.iter().enumerate() {
-            assert_eq!(tag(&store, list.get(&store, i)), t);
+
+        /// Books whatever `s` moved through the pool since the last call.
+        fn sync(&mut self, s: &mut LiveStore) {
+            let now = s.store.stats();
+            let out = now.pages_from_pool - s.booked.pages_from_pool;
+            let back = now.pages_to_pool - s.booked.pages_to_pool;
+            self.book(s.epoch, out, back);
+            s.booked = now;
         }
-        assert_eq!(map.len(), map_model.len());
-        for (k, &t) in &map_model {
-            let got = map.get(&store, format!("k{k}").as_bytes()).unwrap();
-            assert_eq!(tag(&store, got), t);
+
+        fn check(&self, pool: &PagePool, ctx: &str) {
+            assert_eq!(pool.live_epochs(), self.epochs.len(), "{ctx}");
+            for e in &self.epochs {
+                assert_eq!(pool.epoch_ledger(e.id), Some(e.ledger), "{ctx}: {}", e.id);
+            }
+            assert_eq!(pool.pages_handed_out(), self.handed_out, "{ctx}");
+            assert_eq!(pool.pages_returned(), self.returned, "{ctx}");
+            let supply = self.returned - self.handed_out;
+            assert_eq!(pool.available() as u64, supply, "{ctx}");
+        }
+
+        /// Drops a store after ending its iteration: everything it holds —
+        /// recycled pages and cached pooled buffers — goes back tagged.
+        fn drop_store(&mut self, pool: &PagePool, mut s: LiveStore, ctx: &str) {
+            if let Some(it) = s.open.take() {
+                s.store.iteration_end(it);
+            }
+            self.sync(&mut s);
+            let b = &s.booked;
+            let held = b.pages_created + b.pages_from_pool - b.pages_to_pool;
+            let returned = pool.pages_returned();
+            drop(s.store);
+            assert_eq!(pool.pages_returned() - returned, held, "{ctx}: drop");
+            self.book(s.epoch, 0, held);
+            let e = self.epochs.iter_mut().find(|e| e.id == s.epoch).unwrap();
+            e.created += b.pages_created;
+        }
+
+        /// Retires a live epoch whose stores are all gone.
+        fn retire(&mut self, pool: &PagePool, idx: usize, ctx: &str) {
+            let e = self.epochs.swap_remove(idx);
+            self.retired_released += e.released;
+            let ledger = pool.retire_epoch(e.id).expect("epoch was live");
+            assert_eq!(ledger, e.ledger, "{ctx}: retired ledger");
+            assert_eq!(ledger.pages_in, ledger.pages_out + e.created, "{ctx}");
+            assert_eq!(pool.epoch_ledger(e.id), None, "{ctx}");
+            let supply = pool.pages_returned() - pool.pages_handed_out();
+            assert_eq!(pool.available() as u64, supply, "{ctx}: after retiring");
+        }
+    }
+
+    /// Runs one seeded interleaving with at most `max_epochs` epochs live at
+    /// once; returns how many acquires provably drew another live epoch's
+    /// pages.
+    fn run(seed: u64, max_epochs: usize) -> u64 {
+        let mut rng = SplitMix64::new(seed);
+        let pool = Arc::new(PagePool::with_default_config());
+        let mut model = Model::default();
+        let mut stores: Vec<LiveStore> = Vec::new();
+        for step in 0..40 + rng.next_below(60) {
+            let ctx = format!("seed {seed:#x} step {step}");
+            let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
+            let si = pick(&mut rng, stores.len().max(1));
+            match rng.next_below(7) {
+                0 if model.epochs.len() < max_epochs => model.epochs.push(LiveEpoch {
+                    id: pool.begin_epoch(),
+                    ledger: EpochLedger::default(),
+                    created: 0,
+                    released: 0,
+                }),
+                1 if !model.epochs.is_empty() && stores.len() < 4 => {
+                    let epoch = model.epochs[pick(&mut rng, model.epochs.len())].id;
+                    let mut store = Store::builder()
+                        .budget(16 << 20)
+                        .pool(Arc::clone(&pool))
+                        .job_epoch(epoch)
+                        .build();
+                    let class = store.register_class("T", &[FieldTy::I64; 4]);
+                    stores.push(LiveStore {
+                        store,
+                        epoch,
+                        class,
+                        open: None,
+                        booked: StoreStats::default(),
+                    });
+                }
+                2 | 3 if !stores.is_empty() => {
+                    let s = &mut stores[si];
+                    if s.open.is_none() {
+                        s.open = Some(s.store.iteration_start());
+                    }
+                    for _ in 0..rng.next_below(3000) {
+                        s.store.alloc(s.class).expect("budget is generous");
+                    }
+                    model.sync(s);
+                }
+                4 if !stores.is_empty() => {
+                    let s = &mut stores[si];
+                    if let Some(it) = s.open.take() {
+                        s.store.iteration_end(it);
+                    }
+                    let released = match rng.next_below(2) {
+                        0 => s.store.release_pages() as u64,
+                        _ => 0,
+                    };
+                    let before = s.booked.pages_to_pool;
+                    model.sync(s);
+                    assert_eq!(s.booked.pages_to_pool - before, released, "{ctx}");
+                }
+                5 if !stores.is_empty() => {
+                    model.drop_store(&pool, stores.swap_remove(si), &ctx);
+                }
+                6 => {
+                    let retirable: Vec<usize> = (0..model.epochs.len())
+                        .filter(|&i| stores.iter().all(|s| s.epoch != model.epochs[i].id))
+                        .collect();
+                    if !retirable.is_empty() {
+                        let idx = retirable[pick(&mut rng, retirable.len())];
+                        model.retire(&pool, idx, &ctx);
+                    }
+                }
+                _ => {}
+            }
+            model.check(&pool, &ctx);
+        }
+        // Drain: every store goes, then every epoch retires.
+        let ctx = format!("seed {seed:#x} drain");
+        for s in std::mem::take(&mut stores) {
+            model.drop_store(&pool, s, &ctx);
+        }
+        while !model.epochs.is_empty() {
+            model.retire(&pool, 0, &ctx);
+        }
+        model.check(&pool, &ctx);
+        model.cross_epoch_acquires
+    }
+
+    #[test]
+    fn one_epoch_at_a_time_reconciles_against_the_ledger_model() {
+        for case in 0..48u64 {
+            run(0xE90C_1000 + case, 1);
         }
     }
 
     #[test]
-    fn heap_collections_match_std_models() {
-        for case in 0..32u64 {
-            let mut rng = SplitMix64::new(0xC011_0001 + case);
-            let len = 1 + rng.next_below(300) as usize;
-            let ops = random_ops(&mut rng, len);
-            run_model(
-                Store::builder()
-                    .backend(Backend::Heap)
-                    .budget(64 << 20)
-                    .build(),
-                &ops,
-            );
-        }
-    }
-
-    #[test]
-    fn facade_collections_match_std_models() {
-        for case in 0..32u64 {
-            let mut rng = SplitMix64::new(0xC011_0002 + case);
-            let len = 1 + rng.next_below(300) as usize;
-            let ops = random_ops(&mut rng, len);
-            run_model(Store::builder().budget(64 << 20).build(), &ops);
-        }
+    fn two_interleaved_epochs_trade_pages_and_still_reconcile() {
+        let cross: u64 = (0..48u64).map(|case| run(0xE90C_2000 + case, 2)).sum();
+        assert!(
+            cross > 0,
+            "no acquire drew pages another live epoch donated"
+        );
     }
 }
