@@ -269,6 +269,14 @@ fn p_elem(e: ElemTy) -> PElem {
     }
 }
 
+/// Encodes `data` into the leading `N`-byte elements of `body`.
+#[inline]
+fn encode_into<const N: usize, T: Copy>(body: &mut [u8], data: &[T], encode: fn(T) -> [u8; N]) {
+    for (slot, &v) in body.chunks_exact_mut(N).zip(data) {
+        slot.copy_from_slice(&encode(v));
+    }
+}
+
 /// Configures and builds a [`Store`]: the one construction path, covering
 /// every backend / budget / pool / fault-plan combination.
 ///
@@ -435,6 +443,7 @@ impl Store {
     ///
     /// [`OutOfMemory`] when the budget is exhausted (after a full collection
     /// on the heap backend).
+    #[inline]
     pub fn alloc(&mut self, class: ClassTag) -> Result<Rec, OutOfMemory> {
         match &mut self.inner {
             Inner::Heap { heap, classes } => heap
@@ -451,6 +460,7 @@ impl Store {
     /// # Errors
     ///
     /// [`OutOfMemory`] when the budget is exhausted.
+    #[inline]
     pub fn alloc_array(&mut self, elem: ElemTy, len: usize) -> Result<Rec, OutOfMemory> {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap
@@ -459,6 +469,64 @@ impl Store {
             Inner::Facade { paged, .. } => {
                 paged.alloc_array(p_elem(elem), len).map(|r| Rec(r.raw()))
             }
+        }
+    }
+
+    /// Allocates an `I32` array born holding `data`: on either backend the
+    /// elements are written as the array is allocated, with no zero fill
+    /// first. Same record, placement and counters as [`Store::alloc_array`]
+    /// followed by [`Store::array_write_i32s`].
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfMemory`] when the budget is exhausted.
+    #[inline]
+    pub fn alloc_i32s(&mut self, data: &[i32]) -> Result<Rec, OutOfMemory> {
+        self.alloc_init(ElemTy::I32, data.len(), |body| {
+            encode_into(body, data, i32::to_le_bytes)
+        })
+    }
+
+    /// Allocates an `I64` array born holding the doubles `data` (see
+    /// [`Store::alloc_i32s`]).
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfMemory`] when the budget is exhausted.
+    #[inline]
+    pub fn alloc_f64s(&mut self, data: &[f64]) -> Result<Rec, OutOfMemory> {
+        self.alloc_init(ElemTy::I64, data.len(), |body| {
+            encode_into(body, data, f64::to_le_bytes)
+        })
+    }
+
+    /// Allocates a `U8` array born holding `data` (see
+    /// [`Store::alloc_i32s`]).
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfMemory`] when the budget is exhausted.
+    #[inline]
+    pub fn alloc_bytes(&mut self, data: &[u8]) -> Result<Rec, OutOfMemory> {
+        self.alloc_init(ElemTy::U8, data.len(), |body| body.copy_from_slice(data))
+    }
+
+    /// Allocates an array of `len` elements whose storage `init` writes in
+    /// full before anything else can touch it.
+    #[inline]
+    fn alloc_init(
+        &mut self,
+        elem: ElemTy,
+        len: usize,
+        init: impl FnOnce(&mut [u8]),
+    ) -> Result<Rec, OutOfMemory> {
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => heap
+                .alloc_array_init(h_elem(elem), len, init)
+                .map(|r| Rec(r.raw() as u64)),
+            Inner::Facade { paged, .. } => paged
+                .alloc_array_init(p_elem(elem), len, init)
+                .map(|r| Rec(r.raw())),
         }
     }
 
@@ -475,6 +543,7 @@ impl Store {
     // ----- field access ----------------------------------------------------
 
     /// Reads a 32-bit field.
+    #[inline]
     pub fn get_i32(&self, r: Rec, field: usize) -> i32 {
         match &self.inner {
             Inner::Heap { heap, .. } => heap.get_i32(Self::h(r), field),
@@ -483,6 +552,7 @@ impl Store {
     }
 
     /// Writes a 32-bit field.
+    #[inline]
     pub fn set_i32(&mut self, r: Rec, field: usize, v: i32) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.set_i32(Self::h(r), field, v),
@@ -491,6 +561,7 @@ impl Store {
     }
 
     /// Reads a 64-bit field.
+    #[inline]
     pub fn get_i64(&self, r: Rec, field: usize) -> i64 {
         match &self.inner {
             Inner::Heap { heap, .. } => heap.get_i64(Self::h(r), field),
@@ -499,6 +570,7 @@ impl Store {
     }
 
     /// Writes a 64-bit field.
+    #[inline]
     pub fn set_i64(&mut self, r: Rec, field: usize, v: i64) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.set_i64(Self::h(r), field, v),
@@ -507,6 +579,7 @@ impl Store {
     }
 
     /// Reads a double field.
+    #[inline]
     pub fn get_f64(&self, r: Rec, field: usize) -> f64 {
         match &self.inner {
             Inner::Heap { heap, .. } => heap.get_f64(Self::h(r), field),
@@ -515,6 +588,7 @@ impl Store {
     }
 
     /// Writes a double field.
+    #[inline]
     pub fn set_f64(&mut self, r: Rec, field: usize, v: f64) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.set_f64(Self::h(r), field, v),
@@ -523,6 +597,7 @@ impl Store {
     }
 
     /// Reads a reference field.
+    #[inline]
     pub fn get_rec(&self, r: Rec, field: usize) -> Rec {
         match &self.inner {
             Inner::Heap { heap, .. } => Rec(heap.get_ref(Self::h(r), field).raw() as u64),
@@ -531,6 +606,7 @@ impl Store {
     }
 
     /// Writes a reference field.
+    #[inline]
     pub fn set_rec(&mut self, r: Rec, field: usize, v: Rec) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.set_ref(Self::h(r), field, Self::h(v)),
@@ -541,6 +617,7 @@ impl Store {
     // ----- array access ----------------------------------------------------
 
     /// Array length in elements.
+    #[inline]
     pub fn array_len(&self, r: Rec) -> usize {
         match &self.inner {
             Inner::Heap { heap, .. } => heap.array_len(Self::h(r)),
@@ -549,6 +626,7 @@ impl Store {
     }
 
     /// Reads an `I32` element.
+    #[inline]
     pub fn array_get_i32(&self, r: Rec, i: usize) -> i32 {
         match &self.inner {
             Inner::Heap { heap, .. } => heap.array_get_i32(Self::h(r), i),
@@ -557,6 +635,7 @@ impl Store {
     }
 
     /// Writes an `I32` element.
+    #[inline]
     pub fn array_set_i32(&mut self, r: Rec, i: usize, v: i32) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.array_set_i32(Self::h(r), i, v),
@@ -565,6 +644,7 @@ impl Store {
     }
 
     /// Reads an `I64` element.
+    #[inline]
     pub fn array_get_i64(&self, r: Rec, i: usize) -> i64 {
         match &self.inner {
             Inner::Heap { heap, .. } => heap.array_get_i64(Self::h(r), i),
@@ -573,6 +653,7 @@ impl Store {
     }
 
     /// Writes an `I64` element.
+    #[inline]
     pub fn array_set_i64(&mut self, r: Rec, i: usize, v: i64) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.array_set_i64(Self::h(r), i, v),
@@ -581,16 +662,19 @@ impl Store {
     }
 
     /// Reads an `I64` element as a double.
+    #[inline]
     pub fn array_get_f64(&self, r: Rec, i: usize) -> f64 {
         f64::from_bits(self.array_get_i64(r, i) as u64)
     }
 
     /// Writes an `I64` element as a double.
+    #[inline]
     pub fn array_set_f64(&mut self, r: Rec, i: usize, v: f64) {
         self.array_set_i64(r, i, v.to_bits() as i64);
     }
 
     /// Reads a `U8` element.
+    #[inline]
     pub fn array_get_u8(&self, r: Rec, i: usize) -> u8 {
         match &self.inner {
             Inner::Heap { heap, .. } => heap.array_get_u8(Self::h(r), i),
@@ -599,6 +683,7 @@ impl Store {
     }
 
     /// Writes a `U8` element.
+    #[inline]
     pub fn array_set_u8(&mut self, r: Rec, i: usize, v: u8) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.array_set_u8(Self::h(r), i, v),
@@ -611,6 +696,7 @@ impl Store {
     /// # Panics
     ///
     /// Panics if `data` is longer than the array.
+    #[inline]
     pub fn array_write_bytes(&mut self, r: Rec, data: &[u8]) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.array_write_bytes(Self::h(r), data),
@@ -640,6 +726,7 @@ impl Store {
     /// # Panics
     ///
     /// Panics if `r` is not a primitive array.
+    #[inline]
     pub fn array_bytes(&self, r: Rec) -> &[u8] {
         match &self.inner {
             Inner::Heap { heap, .. } => heap.array_bytes(Self::h(r)),
@@ -647,6 +734,7 @@ impl Store {
         }
     }
 
+    #[inline]
     fn array_bytes_mut(&mut self, r: Rec) -> &mut [u8] {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.array_bytes_mut(Self::h(r)),
@@ -656,6 +744,7 @@ impl Store {
 
     /// Copies `data` into consecutive `N`-byte elements from `start` on,
     /// after one bounds check for the whole run.
+    #[inline]
     fn write_elems<const N: usize, T: Copy>(
         &mut self,
         r: Rec,
@@ -670,9 +759,7 @@ impl Store {
             "bulk write of {} elements at index {start} out of bounds (len {len})",
             data.len()
         );
-        for (slot, &v) in body[start * N..].chunks_exact_mut(N).zip(data) {
-            slot.copy_from_slice(&encode(v));
-        }
+        encode_into(&mut body[start * N..], data, encode);
     }
 
     /// Bulk-writes `data` into an `I32` array, element `start` onwards.
@@ -681,6 +768,7 @@ impl Store {
     ///
     /// Panics, before writing anything, if the run does not fit between
     /// `start` and the array's end.
+    #[inline]
     pub fn array_write_i32s(&mut self, r: Rec, start: usize, data: &[i32]) {
         self.write_elems(r, start, data, i32::to_le_bytes);
     }
@@ -691,6 +779,7 @@ impl Store {
     ///
     /// Panics, before writing anything, if the run does not fit between
     /// `start` and the array's end.
+    #[inline]
     pub fn array_write_i64s(&mut self, r: Rec, start: usize, data: &[i64]) {
         self.write_elems(r, start, data, i64::to_le_bytes);
     }
@@ -701,11 +790,13 @@ impl Store {
     ///
     /// Panics, before writing anything, if the run does not fit between
     /// `start` and the array's end.
+    #[inline]
     pub fn array_write_f64s(&mut self, r: Rec, start: usize, data: &[f64]) {
         self.write_elems(r, start, data, f64::to_le_bytes);
     }
 
     /// Streams the elements of an `I32` array in index order.
+    #[inline]
     pub fn array_i32s(&self, r: Rec) -> impl ExactSizeIterator<Item = i32> + '_ {
         self.array_bytes(r)
             .chunks_exact(4)
@@ -713,6 +804,7 @@ impl Store {
     }
 
     /// Streams the elements of an `I64` array as doubles, in index order.
+    #[inline]
     pub fn array_f64s(&self, r: Rec) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.array_bytes(r)
             .chunks_exact(8)
@@ -721,6 +813,7 @@ impl Store {
 
     /// Replaces every double of an `I64` array by `f` of it, in place and in
     /// index order.
+    #[inline]
     pub fn array_map_f64s(&mut self, r: Rec, mut f: impl FnMut(f64) -> f64) {
         for slot in self.array_bytes_mut(r).chunks_exact_mut(8) {
             let v = f64::from_le_bytes((&*slot).try_into().expect("8-byte chunk"));
@@ -729,6 +822,7 @@ impl Store {
     }
 
     /// Reads a `Ref` element.
+    #[inline]
     pub fn array_get_rec(&self, r: Rec, i: usize) -> Rec {
         match &self.inner {
             Inner::Heap { heap, .. } => Rec(heap.array_get_ref(Self::h(r), i).raw() as u64),
@@ -737,6 +831,7 @@ impl Store {
     }
 
     /// Writes a `Ref` element.
+    #[inline]
     pub fn array_set_rec(&mut self, r: Rec, i: usize, v: Rec) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.array_set_ref(Self::h(r), i, Self::h(v)),

@@ -39,11 +39,35 @@ const LARGE_RECORD_BYTES: usize = PAGE_CAPACITY / 2;
 /// Number of size classes for small records.
 const SIZE_CLASS_LIMITS: [usize; 5] = [64, 256, 1024, 8192, PAGE_CAPACITY];
 
+/// Pages of a size class, the open one included, that a small allocation
+/// tries (newest first) before it takes a fresh page (§3.6 policy 1).
+const FIRST_FIT_PAGES: usize = 4;
+
+/// The size class of a record of `size` (8-rounded) bytes; an oversize
+/// record gets `SIZE_CLASS_LIMITS.len()`, which no page list has.
 fn size_class(size: usize) -> usize {
     SIZE_CLASS_LIMITS
         .iter()
         .position(|&limit| size <= limit)
-        .expect("oversize records do not use size classes")
+        .unwrap_or(SIZE_CLASS_LIMITS.len())
+}
+
+/// What allocating a record of one registered type takes, fixed when the
+/// type is registered: its size rounded up to 8 bytes and its size class.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    size: usize,
+    class: usize,
+}
+
+impl Shape {
+    fn of(layout: &RecordLayout) -> Self {
+        let size = (layout.record_bytes() as usize + 7) & !7;
+        Shape {
+            size,
+            class: size_class(size),
+        }
+    }
 }
 
 /// Sizing for a [`PagedHeap`].
@@ -95,6 +119,8 @@ impl PageManager {
 #[derive(Debug)]
 pub struct PagedHeap {
     types: Vec<RecordLayout>,
+    /// Allocation shape of each entry of `types`.
+    shapes: Vec<Shape>,
     pages: Vec<Page>,
     free_pages: Vec<u32>,
     /// Slots whose buffers were surrendered to the shared pool; reused
@@ -153,6 +179,7 @@ impl PagedHeap {
             type_alloc_counts.push(0);
         }
         Self {
+            shapes: types.iter().map(Shape::of).collect(),
             types,
             pages: Vec::new(),
             free_pages: Vec::new(),
@@ -183,6 +210,7 @@ impl PagedHeap {
 
     /// Returns an injected [`OutOfMemory`] if the installed plan says this
     /// allocation of `size` bytes should fail.
+    #[inline]
     fn check_alloc_fault(&self, size: usize) -> Result<(), OutOfMemory> {
         if let Some(plan) = &self.fault {
             if plan.should_fail_allocation() {
@@ -199,7 +227,9 @@ impl PagedHeap {
     /// Registers a data type and returns its record type ID.
     pub fn register_type(&mut self, name: &str, fields: &[FieldKind]) -> TypeId {
         let id = TypeId(self.types.len() as u16);
-        self.types.push(RecordLayout::new(name, fields));
+        let layout = RecordLayout::new(name, fields);
+        self.shapes.push(Shape::of(&layout));
+        self.types.push(layout);
         self.type_alloc_counts.push(0);
         id
     }
@@ -435,41 +465,65 @@ impl PagedHeap {
         n
     }
 
-    /// Allocates `size` bytes in the current manager and returns the page
-    /// slot and offset.
-    fn allocate_raw(&mut self, size: usize) -> Result<PageRef, OutOfMemory> {
-        debug_assert!(size <= PAGE_CAPACITY);
+    /// Places `size` bytes of size class `class` in the current manager
+    /// (§3.6). The common case is one bump on the class's open page, the
+    /// page [`PagedHeap::alloc_fast`] tries too. With `zero` the bytes read
+    /// as zero; without it the caller must overwrite every one of them.
+    #[inline]
+    fn allocate_raw(
+        &mut self,
+        size: usize,
+        class: usize,
+        zero: bool,
+    ) -> Result<PageRef, OutOfMemory> {
+        if size < LARGE_RECORD_BYTES {
+            if let Some(r) = self.bump_open(size, class, zero) {
+                return Ok(r);
+            }
+        }
+        self.allocate_after_miss(size, class, zero)
+    }
+
+    /// One bump on the open (most recently taken) page of `class` in the
+    /// current manager; `None` if the class has no page yet or it is full.
+    #[inline]
+    fn bump_open(&mut self, size: usize, class: usize, zero: bool) -> Option<PageRef> {
         let mgr_id = *self.iteration_stack.last().expect("default manager") as usize;
-        let class = size_class(size);
-        if size >= LARGE_RECORD_BYTES {
-            // Policy 2: large records start on an empty page.
-            let slot = self.grab_page()?;
-            let offset = self.pages[slot as usize]
-                .bump(size)
-                .expect("fresh page fits a large record");
-            self.managers[mgr_id].class_pages[class].push(slot);
-            return Ok(PageRef::paged(slot, offset));
+        let slot = *self.managers[mgr_id].class_pages[class].last()?;
+        let offset = self.pages[slot as usize].bump(size, zero)?;
+        Some(PageRef::paged(slot, offset))
+    }
+
+    /// [`PagedHeap::allocate_raw`] once the open page could not take the
+    /// record: a record no page can hold gets an oversize buffer, a large
+    /// one starts on an empty page (policy 2), and a small one takes the
+    /// first of the class's older pages it fits, else an empty page
+    /// (policy 1).
+    fn allocate_after_miss(
+        &mut self,
+        size: usize,
+        class: usize,
+        zero: bool,
+    ) -> Result<PageRef, OutOfMemory> {
+        if size > PAGE_CAPACITY {
+            return self.allocate_oversize(size);
         }
-        // Policy 1: continuous allocations go to the current page of the
-        // class; fall back to a short first-fit scan, then a new page.
-        let mut candidates = [u32::MAX; 4];
-        for (i, &slot) in self.managers[mgr_id].class_pages[class]
-            .iter()
-            .rev()
-            .take(4)
-            .enumerate()
-        {
-            candidates[i] = slot;
-        }
-        for &slot in candidates.iter().take_while(|&&s| s != u32::MAX) {
-            if let Some(offset) = self.pages[slot as usize].bump(size) {
-                return Ok(PageRef::paged(slot, offset));
+        let mgr_id = *self.iteration_stack.last().expect("default manager") as usize;
+        if size < LARGE_RECORD_BYTES {
+            let older = self.managers[mgr_id].class_pages[class]
+                .iter()
+                .rev()
+                .skip(1);
+            for &slot in older.take(FIRST_FIT_PAGES - 1) {
+                if let Some(offset) = self.pages[slot as usize].bump(size, zero) {
+                    return Ok(PageRef::paged(slot, offset));
+                }
             }
         }
         let slot = self.grab_page()?;
         let offset = self.pages[slot as usize]
-            .bump(size)
-            .expect("fresh page fits a small record");
+            .bump(size, zero)
+            .expect("an empty page fits any record up to PAGE_CAPACITY");
         self.managers[mgr_id].class_pages[class].push(slot);
         Ok(PageRef::paged(slot, offset))
     }
@@ -509,19 +563,13 @@ impl PagedHeap {
     /// # Errors
     ///
     /// Returns [`OutOfMemory`] if the configured budget would be exceeded.
+    #[inline]
     pub fn alloc(&mut self, ty: TypeId) -> Result<PageRef, OutOfMemory> {
-        let size = {
-            let raw = self.types[ty.0 as usize].record_bytes();
-            ((raw + 7) & !7) as usize
-        };
+        let Shape { size, class } = self.shapes[ty.0 as usize];
         self.check_alloc_fault(size)?;
         self.type_alloc_counts[ty.0 as usize] += 1;
         self.stats.records_allocated += 1;
-        let r = if size > PAGE_CAPACITY {
-            self.allocate_oversize(size)?
-        } else {
-            self.allocate_raw(size)?
-        };
+        let r = self.allocate_raw(size, class, true)?;
         self.write_u16_at(r, 0, ty.0);
         Ok(r)
     }
@@ -533,36 +581,65 @@ impl PagedHeap {
     /// to fall back to `alloc`. Large and oversize records always miss, as
     /// do all allocations under fault injection (so injected faults keep
     /// routing through the one accountable slow path).
+    #[inline]
     pub fn alloc_fast(&mut self, ty: TypeId) -> Option<PageRef> {
-        if self.fault.is_some() {
+        let Shape { size, class } = self.shapes[ty.0 as usize];
+        if self.fault.is_some() || size >= LARGE_RECORD_BYTES {
             return None;
         }
-        let size = {
-            let raw = self.types[ty.0 as usize].record_bytes();
-            ((raw + 7) & !7) as usize
-        };
-        if size >= LARGE_RECORD_BYTES {
-            return None;
-        }
-        let mgr_id = *self.iteration_stack.last().expect("default manager") as usize;
-        let class = size_class(size);
-        let slot = *self.managers[mgr_id].class_pages[class].last()?;
-        let offset = self.pages[slot as usize].bump(size)?;
+        let r = self.bump_open(size, class, true)?;
         self.type_alloc_counts[ty.0 as usize] += 1;
         self.stats.records_allocated += 1;
-        let r = PageRef::paged(slot, offset);
         self.write_u16_at(r, 0, ty.0);
         Some(r)
     }
 
-    /// Allocates an array record of `len` elements of `kind`.
+    /// Allocates an array record of `len` elements of `kind`, zeroed.
     ///
     /// # Errors
     ///
     /// Returns [`OutOfMemory`] if the configured budget would be exceeded.
+    #[inline]
     pub fn alloc_array(&mut self, kind: ElemKind, len: usize) -> Result<PageRef, OutOfMemory> {
-        let raw = ARRAY_HEADER_BYTES as usize + len * kind.size() as usize;
-        let size = (raw + 7) & !7;
+        self.new_array(kind, len, true).map(|(r, _)| r)
+    }
+
+    /// Allocates an array record of `len` elements of `kind` that is born
+    /// with its contents: `init` receives the element storage (exactly
+    /// `len × element size` bytes, as [`PagedHeap::array_bytes_mut`] would
+    /// borrow it) and must write every byte, because it is not zeroed
+    /// first. Placement, the fault check, the counters and the budget are
+    /// those of [`PagedHeap::alloc_array`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OutOfMemory`] if the configured budget would be exceeded;
+    /// `init` is not called then.
+    #[inline]
+    pub fn alloc_array_init(
+        &mut self,
+        kind: ElemKind,
+        len: usize,
+        init: impl FnOnce(&mut [u8]),
+    ) -> Result<PageRef, OutOfMemory> {
+        let (r, elems) = self.new_array(kind, len, false)?;
+        init(elems);
+        Ok(r)
+    }
+
+    /// Allocates an array record and writes its 8-byte header and its
+    /// padding to the next 8-byte boundary; returns the record and its
+    /// element storage, which holds zeroes with `zero` and stale bytes
+    /// without.
+    #[inline]
+    fn new_array(
+        &mut self,
+        kind: ElemKind,
+        len: usize,
+        zero: bool,
+    ) -> Result<(PageRef, &mut [u8]), OutOfMemory> {
+        let body = len * kind.size() as usize;
+        let size = (ARRAY_HEADER_BYTES as usize + body + 7) & !7;
         self.check_alloc_fault(size)?;
         let type_id = match kind {
             ElemKind::U8 => ARRAY_TYPE_U8,
@@ -572,14 +649,15 @@ impl PagedHeap {
         };
         self.type_alloc_counts[type_id as usize] += 1;
         self.stats.records_allocated += 1;
-        let r = if size > PAGE_CAPACITY {
-            self.allocate_oversize(size)?
-        } else {
-            self.allocate_raw(size)?
-        };
-        self.write_u16_at(r, 0, type_id);
-        self.write_u32_at(r, 4, len as u32);
-        Ok(r)
+        let r = self.allocate_raw(size, size_class(size), zero)?;
+        let record = &mut self.record_bytes_mut(r)[..size];
+        let (header, rest) = record.split_at_mut(ARRAY_HEADER_BYTES as usize);
+        header[..2].copy_from_slice(&type_id.to_le_bytes());
+        header[2..4].fill(0); // lock word
+        header[4..].copy_from_slice(&(len as u32).to_le_bytes());
+        let (elems, padding) = rest.split_at_mut(body);
+        padding.fill(0);
+        Ok((r, elems))
     }
 
     /// Frees an oversize buffer early (§3.6: oversize pages "can be
@@ -651,14 +729,10 @@ impl PagedHeap {
         Self::record_bytes_mut_with_types(&mut self.pages, &mut self.oversize, r)
     }
 
-    pub(crate) fn write_u16_at(&mut self, r: PageRef, at: usize, v: u16) {
+    #[inline]
+    fn write_u16_at(&mut self, r: PageRef, at: usize, v: u16) {
         let b = self.record_bytes_mut(r);
         b[at..at + 2].copy_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn write_u32_at(&mut self, r: PageRef, at: usize, v: u32) {
-        let b = self.record_bytes_mut(r);
-        b[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     #[inline]
@@ -708,6 +782,7 @@ impl PagedHeap {
     }
 
     /// Reads a 32-bit field.
+    #[inline]
     pub fn get_i32(&self, r: PageRef, field: usize) -> i32 {
         let b = self.record_bytes(r);
         let at = Self::field_offset_of(&self.types, b, field);
@@ -715,6 +790,7 @@ impl PagedHeap {
     }
 
     /// Writes a 32-bit field.
+    #[inline]
     pub fn set_i32(&mut self, r: PageRef, field: usize, v: i32) {
         let b = Self::record_bytes_mut_with_types(&mut self.pages, &mut self.oversize, r);
         let at = Self::field_offset_of(&self.types, b, field);
@@ -722,6 +798,7 @@ impl PagedHeap {
     }
 
     /// Reads a 64-bit field.
+    #[inline]
     pub fn get_i64(&self, r: PageRef, field: usize) -> i64 {
         let b = self.record_bytes(r);
         let at = Self::field_offset_of(&self.types, b, field);
@@ -729,6 +806,7 @@ impl PagedHeap {
     }
 
     /// Writes a 64-bit field.
+    #[inline]
     pub fn set_i64(&mut self, r: PageRef, field: usize, v: i64) {
         let b = Self::record_bytes_mut_with_types(&mut self.pages, &mut self.oversize, r);
         let at = Self::field_offset_of(&self.types, b, field);
@@ -736,22 +814,26 @@ impl PagedHeap {
     }
 
     /// Reads a 64-bit field as a double.
+    #[inline]
     pub fn get_f64(&self, r: PageRef, field: usize) -> f64 {
         f64::from_bits(self.get_i64(r, field) as u64)
     }
 
     /// Writes a 64-bit field as a double.
+    #[inline]
     pub fn set_f64(&mut self, r: PageRef, field: usize, v: f64) {
         self.set_i64(r, field, v.to_bits() as i64);
     }
 
     /// Reads a reference field.
+    #[inline]
     pub fn get_ref(&self, r: PageRef, field: usize) -> PageRef {
         PageRef::from_raw(self.get_i64(r, field) as u64)
     }
 
     /// Writes a reference field. No write barrier is needed: pages are never
     /// traced (§2.4).
+    #[inline]
     pub fn set_ref(&mut self, r: PageRef, field: usize, v: PageRef) {
         self.set_i64(r, field, v.raw() as i64);
     }
@@ -766,6 +848,7 @@ impl PagedHeap {
     }
 
     /// Length (in elements) of an array record.
+    #[inline]
     pub fn array_len(&self, r: PageRef) -> usize {
         debug_assert!(self.is_array(r), "array_len on non-array record");
         Self::u32_of(self.record_bytes(r), 4) as usize
@@ -792,6 +875,7 @@ impl PagedHeap {
     }
 
     /// Reads an `I32` array element.
+    #[inline]
     pub fn array_get_i32(&self, r: PageRef, idx: usize) -> i32 {
         let b = self.record_bytes(r);
         let at = Self::elem_offset(b, idx, 4);
@@ -799,6 +883,7 @@ impl PagedHeap {
     }
 
     /// Writes an `I32` array element.
+    #[inline]
     pub fn array_set_i32(&mut self, r: PageRef, idx: usize, v: i32) {
         let b = self.record_bytes_mut(r);
         let at = Self::elem_offset(b, idx, 4);
@@ -806,6 +891,7 @@ impl PagedHeap {
     }
 
     /// Reads an `I64` array element.
+    #[inline]
     pub fn array_get_i64(&self, r: PageRef, idx: usize) -> i64 {
         let b = self.record_bytes(r);
         let at = Self::elem_offset(b, idx, 8);
@@ -813,6 +899,7 @@ impl PagedHeap {
     }
 
     /// Writes an `I64` array element.
+    #[inline]
     pub fn array_set_i64(&mut self, r: PageRef, idx: usize, v: i64) {
         let b = self.record_bytes_mut(r);
         let at = Self::elem_offset(b, idx, 8);
@@ -820,22 +907,26 @@ impl PagedHeap {
     }
 
     /// Reads an `I64` array element as a double.
+    #[inline]
     pub fn array_get_f64(&self, r: PageRef, idx: usize) -> f64 {
         f64::from_bits(self.array_get_i64(r, idx) as u64)
     }
 
     /// Writes an `I64` array element as a double.
+    #[inline]
     pub fn array_set_f64(&mut self, r: PageRef, idx: usize, v: f64) {
         self.array_set_i64(r, idx, v.to_bits() as i64);
     }
 
     /// Reads a `U8` array element.
+    #[inline]
     pub fn array_get_u8(&self, r: PageRef, idx: usize) -> u8 {
         let b = self.record_bytes(r);
         b[Self::elem_offset(b, idx, 1)]
     }
 
     /// Writes a `U8` array element.
+    #[inline]
     pub fn array_set_u8(&mut self, r: PageRef, idx: usize, v: u8) {
         let b = self.record_bytes_mut(r);
         let at = Self::elem_offset(b, idx, 1);
@@ -848,6 +939,7 @@ impl PagedHeap {
     /// # Panics
     ///
     /// Panics if `data` is longer than the array.
+    #[inline]
     pub fn array_write_bytes(&mut self, r: PageRef, data: &[u8]) {
         let b = self.record_bytes_mut(r);
         let len = Self::u32_of(b, 4) as usize;
@@ -888,6 +980,7 @@ impl PagedHeap {
     /// # Panics
     ///
     /// Panics if `r` is not a primitive array.
+    #[inline]
     pub fn array_bytes(&self, r: PageRef) -> &[u8] {
         let b = self.record_bytes(r);
         &b[Self::body_range(b)]
@@ -898,6 +991,7 @@ impl PagedHeap {
     /// # Panics
     ///
     /// Panics if `r` is not a primitive array.
+    #[inline]
     pub fn array_bytes_mut(&mut self, r: PageRef) -> &mut [u8] {
         let b = self.record_bytes_mut(r);
         let range = Self::body_range(b);
@@ -905,6 +999,7 @@ impl PagedHeap {
     }
 
     /// Reads a `Ref` array element.
+    #[inline]
     pub fn array_get_ref(&self, r: PageRef, idx: usize) -> PageRef {
         let b = self.record_bytes(r);
         let at = Self::elem_offset(b, idx, 8);
@@ -912,6 +1007,7 @@ impl PagedHeap {
     }
 
     /// Writes a `Ref` array element.
+    #[inline]
     pub fn array_set_ref(&mut self, r: PageRef, idx: usize, v: PageRef) {
         let b = self.record_bytes_mut(r);
         let at = Self::elem_offset(b, idx, 8);
@@ -1323,5 +1419,135 @@ mod tests {
         let b = h.alloc(t).unwrap();
         assert_eq!(a.slot(), b.slot());
         assert_eq!(b.offset() - a.offset(), 16); // 4 hdr + 8 body, aligned
+    }
+
+    /// A fixed mixed-size script: records and arrays in all five size
+    /// classes, a first-fit onto an older page, a large record, an
+    /// oversize array, nested iterations and recycled pages. Returns every
+    /// reference it was handed, in order (0 for a fast-path miss), and the
+    /// heap's `(pages_created, pages_recycled)`.
+    fn placement_script() -> (Vec<u64>, u64, u64) {
+        fn bytes(h: &mut PagedHeap, len: usize) -> u64 {
+            let r = h.alloc_array_init(ElemKind::U8, len, |b| b.fill(0x5A));
+            r.unwrap().raw()
+        }
+        let mut h = PagedHeap::new();
+        let small = h.register_type("Small", &[FieldKind::I32; 2]);
+        let mid = h.register_type("Mid", &[FieldKind::I64; 20]);
+        let big = h.register_type("Big", &[FieldKind::I64; 100]);
+        let mut refs = Vec::new();
+        refs.push(h.alloc(small).unwrap().raw());
+        refs.push(h.alloc(small).unwrap().raw());
+        refs.push(bytes(&mut h, 13)); // 21 → 24 bytes, class 0
+        let outer = h.iteration_start();
+        refs.push(h.alloc(mid).unwrap().raw());
+        refs.push(bytes(&mut h, 200)); // class 1
+        refs.push(h.alloc(big).unwrap().raw());
+        refs.push(bytes(&mut h, 800)); // class 2
+        // Class 3: six 5000-byte arrays leave 2760 bytes on page A; six
+        // 5400-byte ones fill page B to 360 bytes; a 2000-byte array then
+        // misses the open page B and first-fits onto A.
+        for _ in 0..6 {
+            refs.push(bytes(&mut h, 4992));
+        }
+        for _ in 0..6 {
+            refs.push(h.alloc_array(ElemKind::U8, 5392).unwrap().raw());
+        }
+        refs.push(bytes(&mut h, 1992));
+        refs.push(bytes(&mut h, 4992)); // fits neither A nor B: a fresh page
+        // Class 4 and a large record, which starts on an empty page that a
+        // later class-4 record shares.
+        refs.push(bytes(&mut h, 10_000));
+        refs.push(bytes(&mut h, LARGE_RECORD_BYTES));
+        refs.push(bytes(&mut h, 10_000));
+        refs.push(bytes(&mut h, PAGE_CAPACITY)); // oversize
+        let inner = h.iteration_start();
+        refs.push(h.alloc(small).unwrap().raw());
+        refs.push(bytes(&mut h, 5));
+        refs.push(h.alloc(mid).unwrap().raw());
+        h.iteration_end(inner);
+        let inner = h.iteration_start();
+        refs.push(h.alloc(small).unwrap().raw());
+        refs.push(h.alloc_fast(small).map_or(0, PageRef::raw));
+        refs.push(h.alloc_fast(big).map_or(0, PageRef::raw));
+        let ints = h.alloc_array_init(ElemKind::I32, 7, |b| b.fill(0xA5));
+        refs.push(ints.unwrap().raw());
+        h.iteration_end(inner);
+        h.iteration_end(outer);
+        let it = h.iteration_start();
+        refs.push(h.alloc(big).unwrap().raw());
+        refs.push(bytes(&mut h, 4992));
+        h.iteration_end(it);
+        let stats = h.stats();
+        (refs, stats.pages_created, stats.pages_recycled)
+    }
+
+    #[test]
+    fn placement_is_pinned() {
+        // Recorded from the allocator before the open-page fast path and
+        // born-initialised arrays: neither may move a single record.
+        let expected: [u64; 34] = [
+            8,
+            24,
+            40,
+            65544,
+            65712,
+            131080,
+            131888,
+            196616,
+            201616,
+            206616,
+            211616,
+            216616,
+            221616,
+            262152,
+            267552,
+            272952,
+            278352,
+            283752,
+            289152,
+            226616,
+            327688,
+            393224,
+            458760,
+            475152,
+            9223372036854775808,
+            524296,
+            524312,
+            589832,
+            589832,
+            589848,
+            0,
+            589864,
+            458760,
+            393224,
+        ];
+        let (refs, created, recycled) = placement_script();
+        assert_eq!(refs, expected);
+        assert_eq!((created, recycled), (10, 12));
+    }
+
+    #[test]
+    fn born_arrays_write_their_header_and_zero_their_padding() {
+        let mut h = PagedHeap::new();
+        h.set_fault_plan(FaultPlan::builder(1).poison_recycled_pages().build());
+        let it = h.iteration_start();
+        let junk = h.alloc_array(ElemKind::U8, 4000).unwrap();
+        h.array_bytes_mut(junk).fill(0xEE);
+        h.iteration_end(it);
+        // An odd `I32` array on the poisoned page: 8 + 12 bytes, 4 padding.
+        let it = h.iteration_start();
+        let a = h
+            .alloc_array_init(ElemKind::I32, 3, |b| b.fill(0x11))
+            .unwrap();
+        assert_eq!(a, junk, "born on the recycled page");
+        let record = &h.record_bytes(a)[..32];
+        assert_eq!(record[..8], [1, 0, 0, 0, 3, 0, 0, 0], "type, lock, len");
+        assert_eq!(record[8..20], [0x11; 12]);
+        assert_eq!(record[20..24], [0; 4], "padding");
+        assert_eq!(record[24..], [0xDB; 8], "the page was poisoned");
+        assert_eq!(h.array_len(a), 3);
+        assert_eq!(h.array_get_i32(a, 2), 0x1111_1111);
+        h.iteration_end(it);
     }
 }

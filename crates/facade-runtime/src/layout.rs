@@ -104,6 +104,7 @@ impl RecordLayout {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
+    #[inline]
     pub fn offset(&self, idx: usize) -> u32 {
         self.offsets[idx]
     }

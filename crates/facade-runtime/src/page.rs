@@ -29,6 +29,7 @@ impl PageRef {
     pub const NULL: PageRef = PageRef(0);
 
     /// Builds a reference to `offset` within page `slot`.
+    #[inline]
     pub fn paged(slot: u32, offset: u32) -> Self {
         debug_assert!((offset as usize) < PAGE_BYTES);
         debug_assert!(offset != 0, "offset 0 is reserved for null");
@@ -36,44 +37,52 @@ impl PageRef {
     }
 
     /// Builds a reference to entry `index` of the oversize table.
+    #[inline]
     pub fn oversize(index: u32) -> Self {
         PageRef(OVERSIZE_BIT | index as u64)
     }
 
     /// Returns `true` for the null reference.
+    #[inline]
     pub fn is_null(self) -> bool {
         self.0 == 0
     }
 
     /// Returns `true` if this reference points into the oversize table.
+    #[inline]
     pub fn is_oversize(self) -> bool {
         self.0 & OVERSIZE_BIT != 0
     }
 
     /// Page slot of a paged reference.
+    #[inline]
     pub fn slot(self) -> u32 {
         debug_assert!(!self.is_oversize());
         (self.0 >> 16) as u32
     }
 
     /// Byte offset within the page of a paged reference.
+    #[inline]
     pub fn offset(self) -> u32 {
         debug_assert!(!self.is_oversize());
         (self.0 & 0xFFFF) as u32
     }
 
     /// Oversize-table index of an oversize reference.
+    #[inline]
     pub fn oversize_index(self) -> u32 {
         debug_assert!(self.is_oversize());
         (self.0 & 0xFFFF_FFFF) as u32
     }
 
     /// The raw 64-bit encoding (what gets stored into record fields).
+    #[inline]
     pub fn raw(self) -> u64 {
         self.0
     }
 
     /// Reconstructs a reference from its raw encoding.
+    #[inline]
     pub fn from_raw(raw: u64) -> Self {
         PageRef(raw)
     }
@@ -91,9 +100,10 @@ pub(crate) struct Page {
     pub bytes: Vec<u8>,
     pub top: usize,
     /// High-water mark of bytes ever handed out; everything below it may be
-    /// stale and must be re-zeroed on allocation, everything above it is
-    /// still pristine from the initial `calloc`. Avoids double-zeroing
-    /// fresh pages, which dominates allocation cost at volume.
+    /// stale and must be re-zeroed (or overwritten) on allocation,
+    /// everything above it is still pristine from the initial `calloc`.
+    /// Avoids double-zeroing fresh pages, which dominates allocation cost at
+    /// volume.
     dirty: usize,
 }
 
@@ -167,13 +177,17 @@ impl Page {
         self.top == PAGE_RESERVED
     }
 
-    /// Bump-allocates `size` bytes, zeroing them; `None` if the page is full.
-    pub fn bump(&mut self, size: usize) -> Option<u32> {
+    /// Bump-allocates `size` bytes; `None` if the page is full. With `zero`
+    /// the bytes read as zero afterwards (only the stale part below the
+    /// dirty watermark needs a fill). Without it they keep whatever the
+    /// page held, and the caller must overwrite every one of them.
+    #[inline]
+    pub fn bump(&mut self, size: usize, zero: bool) -> Option<u32> {
         if self.top + size <= PAGE_BYTES {
             let at = self.top;
             self.top += size;
             let stale_end = self.top.min(self.dirty);
-            if at < stale_end {
+            if zero && at < stale_end {
                 self.bytes[at..stale_end].fill(0);
             }
             Some(at as u32)
@@ -215,17 +229,17 @@ mod tests {
     fn page_bump_respects_capacity_and_reserve() {
         let mut p = Page::new();
         assert!(p.is_empty());
-        let a = p.bump(100).unwrap();
+        let a = p.bump(100, true).unwrap();
         assert_eq!(a, PAGE_RESERVED as u32);
         assert!(!p.is_empty());
-        assert!(p.bump(PAGE_BYTES).is_none());
+        assert!(p.bump(PAGE_BYTES, true).is_none());
         assert_eq!(p.free(), PAGE_BYTES - PAGE_RESERVED - 100);
     }
 
     #[test]
     fn page_recycle_resets_top() {
         let mut p = Page::new();
-        p.bump(64).unwrap();
+        p.bump(64, true).unwrap();
         p.recycle();
         assert!(p.is_empty());
     }
@@ -233,11 +247,15 @@ mod tests {
     #[test]
     fn bump_zeroes_memory() {
         let mut p = Page::new();
-        let a = p.bump(16).unwrap() as usize;
+        let a = p.bump(16, true).unwrap() as usize;
         p.bytes[a..a + 16].fill(0xAB);
         p.recycle();
-        let b = p.bump(16).unwrap() as usize;
+        let b = p.bump(16, false).unwrap() as usize;
         assert_eq!(a, b);
-        assert!(p.bytes[b..b + 16].iter().all(|&x| x == 0));
+        assert!(p.bytes[b..b + 16].iter().all(|&x| x == 0xAB), "stale kept");
+        p.recycle();
+        let c = p.bump(16, true).unwrap() as usize;
+        assert_eq!(a, c);
+        assert!(p.bytes[c..c + 16].iter().all(|&x| x == 0));
     }
 }

@@ -1076,13 +1076,11 @@ impl Engine {
                     if inlined {
                         // P': the compiler's inlining optimization flattens
                         // the ChiPointer records into parallel primitive
-                        // arrays, each filled by one bulk store call.
-                        let meta_arr = store.alloc_array(ElemTy::I32, meta.len())?;
+                        // arrays, each born holding its contents.
+                        let meta_arr = store.alloc_i32s(meta)?;
                         store.set_rec(vr, edges_field, meta_arr);
-                        let vals_arr = store.alloc_array(ElemTy::I64, vals.len())?;
+                        let vals_arr = store.alloc_f64s(vals)?;
                         store.set_rec(vr, values_field, vals_arr);
-                        store.array_write_i32s(meta_arr, 0, meta);
-                        store.array_write_f64s(vals_arr, 0, vals);
                         continue;
                     }
                     let arr = store.alloc_array(ElemTy::Ref, vals.len())?;

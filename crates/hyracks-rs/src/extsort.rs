@@ -60,9 +60,8 @@ fn sort_worker(
                 let line = store.alloc(line_class)?;
                 store.array_set_rec(arr, i, line);
                 store.set_i32(line, 0, word.len() as i32);
-                let bytes = store.alloc_array(ElemTy::U8, word.len())?;
+                let bytes = store.alloc_bytes(word.as_bytes())?;
                 store.set_rec(line, 1, bytes);
-                store.array_write_bytes(bytes, word.as_bytes());
             }
             Ok(())
         };

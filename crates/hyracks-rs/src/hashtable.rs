@@ -230,9 +230,8 @@ impl WordTable {
                 let sr = store.alloc(string)?;
                 store.set_rec(er, heap_entry::KEY, sr);
                 store.set_i32(sr, heap_string::HASH, hash as i32);
-                let bytes = store.alloc_array(ElemTy::U8, word.len())?;
+                let bytes = store.alloc_bytes(word)?;
                 store.set_rec(sr, heap_string::BYTES, bytes);
-                store.array_write_bytes(bytes, word);
                 let cr = store.alloc(counter)?;
                 store.set_rec(er, heap_entry::VALUE, cr);
                 store.set_i64(cr, 0, delta);
@@ -244,9 +243,8 @@ impl WordTable {
                 store.set_rec(er, facade_entry::NEXT, head);
                 store.set_i32(er, facade_entry::HASH, hash as i32);
                 store.set_i64(er, facade_entry::COUNT, delta);
-                let bytes = store.alloc_array(ElemTy::U8, word.len())?;
+                let bytes = store.alloc_bytes(word)?;
                 store.set_rec(er, facade_entry::BYTES, bytes);
-                store.array_write_bytes(bytes, word);
                 er
             }
         };

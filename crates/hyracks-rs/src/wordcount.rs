@@ -8,7 +8,7 @@ use crate::cluster::{
     run_phase,
 };
 use crate::hashtable::{WordTable, WordTableClasses, hash_bytes, register_classes};
-use data_store::{ClassTag, ElemTy, FieldTy, Store};
+use data_store::{ClassTag, FieldTy, Store};
 use metrics::OutOfMemory;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -92,8 +92,7 @@ fn map_worker(
         for word in frame.iter() {
             // The transient churn of the original user function: a byte
             // array and a token record per token.
-            let bytes = store.alloc_array(ElemTy::U8, word.len())?;
-            store.array_write_bytes(bytes, word.as_bytes());
+            let bytes = store.alloc_bytes(word.as_bytes())?;
             // Read the token back before the next allocation: the array is
             // unrooted garbage-to-be, and a collection may reclaim it.
             let w = store.array_read_bytes(bytes);

@@ -71,17 +71,21 @@ impl Heap {
         // the to-space. The to-space always has room for every survivor,
         // since survivors are a subset of the from-space.
         let (dest_old, addr) = if promote {
-            match self.old.bump(size) {
+            match self.old.bump(size, true) {
                 Some(a) => (true, a),
                 None => (
                     false,
-                    self.young_to.bump(size).expect("to-space sized as from"),
+                    self.young_to
+                        .bump(size, true)
+                        .expect("to-space sized as from"),
                 ),
             }
         } else {
             (
                 false,
-                self.young_to.bump(size).expect("to-space sized as from"),
+                self.young_to
+                    .bump(size, true)
+                    .expect("to-space sized as from"),
             )
         };
         let (src, dst) = (e.addr as usize, addr as usize);
@@ -303,7 +307,7 @@ impl Heap {
             }
             let size = self.object_size(&e);
             let src = e.addr as usize;
-            match self.old.bump(size) {
+            match self.old.bump(size, true) {
                 Some(addr) => {
                     let dst = addr as usize;
                     self.old.bytes[dst..dst + size]
@@ -315,7 +319,10 @@ impl Heap {
                     promoted_bytes += size as u64;
                 }
                 None => {
-                    let addr = self.young_to.bump(size).expect("to-space sized as from");
+                    let addr = self
+                        .young_to
+                        .bump(size, true)
+                        .expect("to-space sized as from");
                     let dst = addr as usize;
                     self.young_to.bytes[dst..dst + size]
                         .copy_from_slice(&self.young.bytes[src..src + size]);

@@ -173,7 +173,11 @@ impl Space {
     }
 
     /// Bump-allocates `size` bytes, returning the offset, or `None` if full.
-    pub fn bump(&mut self, size: usize) -> Option<u32> {
+    /// With `zero` the bytes read as zero afterwards; without it the part
+    /// below the committed length keeps its stale bytes, and the caller
+    /// must overwrite every one of them.
+    #[inline]
+    pub fn bump(&mut self, size: usize, zero: bool) -> Option<u32> {
         if self.top + size <= self.capacity() {
             let at = self.top;
             self.top += size;
@@ -181,7 +185,7 @@ impl Space {
             // earlier collections may have left stale bytes behind; above
             // it the bytes are committed now.
             let committed = self.bytes.len();
-            if at < committed {
+            if zero && at < committed {
                 self.bytes[at..self.top.min(committed)].fill(0);
             }
             if self.top > committed {
@@ -332,13 +336,14 @@ impl Heap {
     ///
     /// Returns [`OutOfMemory`] when the allocation cannot be satisfied even
     /// after a full collection.
+    #[inline]
     pub fn alloc(&mut self, class: ClassId) -> Result<ObjRef, OutOfMemory> {
         let size = {
             let raw = self.classes[class.0 as usize].object_bytes();
             ((raw + 7) & !7) as usize
         };
         self.stats.objects_allocated += 1;
-        self.allocate_sized(class.0, 0, size)
+        self.allocate_sized(class.0, 0, size, true)
     }
 
     /// Allocates an array of `len` elements of `kind`, zero-initialized.
@@ -347,21 +352,76 @@ impl Heap {
     ///
     /// Returns [`OutOfMemory`] when the allocation cannot be satisfied even
     /// after a full collection.
+    #[inline]
     pub fn alloc_array(&mut self, kind: ElemKind, len: usize) -> Result<ObjRef, OutOfMemory> {
-        let raw = ARRAY_HEADER_BYTES as usize + len * kind.size() as usize;
-        let size = (raw + 7) & !7;
-        self.stats.objects_allocated += 1;
-        self.allocate_sized(elem_kind_tag(kind), len as u32, size)
+        self.new_array(kind, len, true).map(|(obj, _)| obj)
     }
 
-    fn allocate_sized(&mut self, class: u16, len: u32, size: usize) -> Result<ObjRef, OutOfMemory> {
+    /// Allocates an array of `len` elements of `kind` that is born with its
+    /// contents: `init` receives the element storage (exactly `len ×
+    /// element size` bytes, as [`Heap::array_bytes_mut`] would borrow it)
+    /// and must write every byte, because it is not zeroed first. Sizing,
+    /// placement and collection are those of [`Heap::alloc_array`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OutOfMemory`] when the allocation cannot be satisfied even
+    /// after a full collection; `init` is not called then.
+    #[inline]
+    pub fn alloc_array_init(
+        &mut self,
+        kind: ElemKind,
+        len: usize,
+        init: impl FnOnce(&mut [u8]),
+    ) -> Result<ObjRef, OutOfMemory> {
+        let (obj, elems) = self.new_array(kind, len, false)?;
+        init(elems);
+        Ok(obj)
+    }
+
+    /// Allocates an array object and zeroes its in-space header and its
+    /// padding to the next 8-byte boundary; returns the object and its
+    /// element storage, which holds zeroes with `zero` and stale bytes
+    /// without.
+    #[inline]
+    fn new_array(
+        &mut self,
+        kind: ElemKind,
+        len: usize,
+        zero: bool,
+    ) -> Result<(ObjRef, &mut [u8]), OutOfMemory> {
+        let body = len * kind.size() as usize;
+        let size = (ARRAY_HEADER_BYTES as usize + body + 7) & !7;
+        self.stats.objects_allocated += 1;
+        let obj = self.allocate_sized(elem_kind_tag(kind), len as u32, size, zero)?;
+        let e = self.table[obj.0 as usize];
+        let space = if e.is(F_OLD) {
+            &mut self.old
+        } else {
+            &mut self.young
+        };
+        let at = e.addr as usize;
+        let (header, rest) = space.bytes[at..at + size].split_at_mut(ARRAY_HEADER_BYTES as usize);
+        header.fill(0);
+        let (elems, padding) = rest.split_at_mut(body);
+        padding.fill(0);
+        Ok((obj, elems))
+    }
+
+    fn allocate_sized(
+        &mut self,
+        class: u16,
+        len: u32,
+        size: usize,
+        zero: bool,
+    ) -> Result<ObjRef, OutOfMemory> {
         let flags = if class & ARRAY_CLASS_BIT != 0 {
             F_ARRAY
         } else {
             0
         };
         if size >= self.config.large_object_bytes || size > self.young.capacity() {
-            let addr = self.alloc_old(size)?;
+            let addr = self.alloc_old(size, zero)?;
             let obj = self.fresh_entry(Entry {
                 class,
                 flags: flags | F_OLD,
@@ -373,16 +433,16 @@ impl Heap {
             self.note_usage();
             return Ok(obj);
         }
-        let addr = match self.young.bump(size) {
+        let addr = match self.young.bump(size, zero) {
             Some(a) => a,
             None => {
                 self.collect_minor();
-                match self.young.bump(size) {
+                match self.young.bump(size, zero) {
                     Some(a) => a,
                     None => {
                         // Young still cannot fit it (heavy survivor load);
                         // fall back to the old space.
-                        let addr = self.alloc_old(size)?;
+                        let addr = self.alloc_old(size, zero)?;
                         let obj = self.fresh_entry(Entry {
                             class,
                             flags: flags | F_OLD,
@@ -409,12 +469,12 @@ impl Heap {
         Ok(obj)
     }
 
-    fn alloc_old(&mut self, size: usize) -> Result<u32, OutOfMemory> {
-        if let Some(a) = self.old.bump(size) {
+    fn alloc_old(&mut self, size: usize, zero: bool) -> Result<u32, OutOfMemory> {
+        if let Some(a) = self.old.bump(size, zero) {
             return Ok(a);
         }
         self.collect_full();
-        self.old.bump(size).ok_or_else(|| {
+        self.old.bump(size, zero).ok_or_else(|| {
             OutOfMemory::new((self.used_bytes() + size) as u64, self.capacity() as u64)
                 .with_context(self.used_bytes() as u64, size as u64, "heap-old-gen")
         })
@@ -473,6 +533,7 @@ impl Heap {
         space.bytes[base..base + data.len()].copy_from_slice(data);
     }
 
+    #[inline]
     fn field_offset(&self, obj: ObjRef, field: usize) -> u32 {
         let e = self.entry(obj);
         debug_assert!(!e.is(F_ARRAY), "field access on array");
@@ -480,6 +541,7 @@ impl Heap {
     }
 
     /// Reads a 32-bit field.
+    #[inline]
     pub fn get_i32(&self, obj: ObjRef, field: usize) -> i32 {
         let mut buf = [0u8; 4];
         self.read(obj, self.field_offset(obj, field), &mut buf);
@@ -487,12 +549,14 @@ impl Heap {
     }
 
     /// Writes a 32-bit field.
+    #[inline]
     pub fn set_i32(&mut self, obj: ObjRef, field: usize, value: i32) {
         let off = self.field_offset(obj, field);
         self.write(obj, off, &value.to_le_bytes());
     }
 
     /// Reads a 64-bit field.
+    #[inline]
     pub fn get_i64(&self, obj: ObjRef, field: usize) -> i64 {
         let mut buf = [0u8; 8];
         self.read(obj, self.field_offset(obj, field), &mut buf);
@@ -500,22 +564,26 @@ impl Heap {
     }
 
     /// Writes a 64-bit field.
+    #[inline]
     pub fn set_i64(&mut self, obj: ObjRef, field: usize, value: i64) {
         let off = self.field_offset(obj, field);
         self.write(obj, off, &value.to_le_bytes());
     }
 
     /// Reads a 64-bit field as a double.
+    #[inline]
     pub fn get_f64(&self, obj: ObjRef, field: usize) -> f64 {
         f64::from_bits(self.get_i64(obj, field) as u64)
     }
 
     /// Writes a 64-bit field as a double.
+    #[inline]
     pub fn set_f64(&mut self, obj: ObjRef, field: usize, value: f64) {
         self.set_i64(obj, field, value.to_bits() as i64);
     }
 
     /// Reads a reference field.
+    #[inline]
     pub fn get_ref(&self, obj: ObjRef, field: usize) -> ObjRef {
         let mut buf = [0u8; 4];
         self.read(obj, self.field_offset(obj, field), &mut buf);
@@ -523,12 +591,14 @@ impl Heap {
     }
 
     /// Writes a reference field, applying the generational write barrier.
+    #[inline]
     pub fn set_ref(&mut self, obj: ObjRef, field: usize, value: ObjRef) {
         let off = self.field_offset(obj, field);
         self.write(obj, off, &value.0.to_le_bytes());
         self.write_barrier(obj, value);
     }
 
+    #[inline]
     pub(crate) fn write_barrier(&mut self, holder: ObjRef, target: ObjRef) {
         if target.is_null() {
             return;
@@ -551,6 +621,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics (debug builds) if `obj` is not an array.
+    #[inline]
     pub fn array_len(&self, obj: ObjRef) -> usize {
         let e = self.entry(obj);
         debug_assert!(e.is(F_ARRAY), "array_len on non-array");
@@ -564,6 +635,7 @@ impl Heap {
         tag_elem_kind(e.class)
     }
 
+    #[inline]
     fn elem_offset(&self, obj: ObjRef, idx: usize) -> u32 {
         let e = self.entry(obj);
         debug_assert!(e.is(F_ARRAY), "element access on non-array");
@@ -572,6 +644,7 @@ impl Heap {
     }
 
     /// Reads an `I32` array element.
+    #[inline]
     pub fn array_get_i32(&self, obj: ObjRef, idx: usize) -> i32 {
         let mut buf = [0u8; 4];
         self.read(obj, self.elem_offset(obj, idx), &mut buf);
@@ -579,12 +652,14 @@ impl Heap {
     }
 
     /// Writes an `I32` array element.
+    #[inline]
     pub fn array_set_i32(&mut self, obj: ObjRef, idx: usize, value: i32) {
         let off = self.elem_offset(obj, idx);
         self.write(obj, off, &value.to_le_bytes());
     }
 
     /// Reads an `I64` array element.
+    #[inline]
     pub fn array_get_i64(&self, obj: ObjRef, idx: usize) -> i64 {
         let mut buf = [0u8; 8];
         self.read(obj, self.elem_offset(obj, idx), &mut buf);
@@ -592,22 +667,26 @@ impl Heap {
     }
 
     /// Writes an `I64` array element.
+    #[inline]
     pub fn array_set_i64(&mut self, obj: ObjRef, idx: usize, value: i64) {
         let off = self.elem_offset(obj, idx);
         self.write(obj, off, &value.to_le_bytes());
     }
 
     /// Reads an `I64` array element as a double.
+    #[inline]
     pub fn array_get_f64(&self, obj: ObjRef, idx: usize) -> f64 {
         f64::from_bits(self.array_get_i64(obj, idx) as u64)
     }
 
     /// Writes an `I64` array element as a double.
+    #[inline]
     pub fn array_set_f64(&mut self, obj: ObjRef, idx: usize, value: f64) {
         self.array_set_i64(obj, idx, value.to_bits() as i64);
     }
 
     /// Reads a `U8` array element.
+    #[inline]
     pub fn array_get_u8(&self, obj: ObjRef, idx: usize) -> u8 {
         let mut buf = [0u8; 1];
         self.read(obj, self.elem_offset(obj, idx), &mut buf);
@@ -615,6 +694,7 @@ impl Heap {
     }
 
     /// Writes a `U8` array element.
+    #[inline]
     pub fn array_set_u8(&mut self, obj: ObjRef, idx: usize, value: u8) {
         let off = self.elem_offset(obj, idx);
         self.write(obj, off, &[value]);
@@ -625,6 +705,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `data` is longer than the array.
+    #[inline]
     pub fn array_write_bytes(&mut self, obj: ObjRef, data: &[u8]) {
         assert!(data.len() <= self.array_len(obj));
         self.write(obj, 0, data);
@@ -667,6 +748,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `obj` is not a primitive array.
+    #[inline]
     pub fn array_bytes(&self, obj: ObjRef) -> &[u8] {
         let (old, range) = self.body_span(obj);
         let space = if old { &self.old } else { &self.young };
@@ -679,6 +761,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `obj` is not a primitive array.
+    #[inline]
     pub fn array_bytes_mut(&mut self, obj: ObjRef) -> &mut [u8] {
         let (old, range) = self.body_span(obj);
         let space = if old { &mut self.old } else { &mut self.young };
@@ -686,6 +769,7 @@ impl Heap {
     }
 
     /// Reads a `Ref` array element.
+    #[inline]
     pub fn array_get_ref(&self, obj: ObjRef, idx: usize) -> ObjRef {
         let mut buf = [0u8; 4];
         self.read(obj, self.elem_offset(obj, idx), &mut buf);
@@ -693,6 +777,7 @@ impl Heap {
     }
 
     /// Writes a `Ref` array element, applying the write barrier.
+    #[inline]
     pub fn array_set_ref(&mut self, obj: ObjRef, idx: usize, value: ObjRef) {
         let off = self.elem_offset(obj, idx);
         self.write(obj, off, &value.0.to_le_bytes());
@@ -743,16 +828,16 @@ mod tests {
     fn a_space_commits_what_it_hands_out_and_rezeroes_on_reuse() {
         let mut space = Space::new(64);
         assert_eq!((space.capacity(), space.bytes.len()), (64, 0));
-        assert_eq!(space.bump(16), Some(0));
+        assert_eq!(space.bump(16, true), Some(0));
         assert_eq!(space.bytes.len(), 16, "committed up to the bump pointer");
         space.bytes.fill(0xAB);
         // Reset as a semispace flip does: the stale prefix is zeroed again,
         // the part first handed out now is committed zeroed.
         space.top = 0;
-        assert_eq!(space.bump(24), Some(0));
+        assert_eq!(space.bump(24, true), Some(0));
         assert_eq!(space.bytes, vec![0; 24]);
-        assert_eq!(space.bump(41), None, "the reservation is the limit");
-        assert_eq!(space.bump(40), Some(24));
+        assert_eq!(space.bump(41, true), None, "the reservation is the limit");
+        assert_eq!(space.bump(40, true), Some(24));
     }
 
     #[test]
@@ -834,6 +919,29 @@ mod tests {
         let mut h = small_heap();
         let a = h.alloc_array(ElemKind::I32, 2).unwrap();
         h.array_get_i32(a, 2);
+    }
+
+    #[test]
+    fn born_arrays_zero_their_header_and_padding_over_stale_bytes() {
+        let mut h = small_heap();
+        let junk = h.alloc_array(ElemKind::U8, 200).unwrap();
+        h.array_bytes_mut(junk).fill(0xEE);
+        // Two flips bring allocation back to the dirtied semispace.
+        h.collect_minor();
+        h.collect_minor();
+        let empty = h.alloc_array_init(ElemKind::U8, 0, |_| {}).unwrap();
+        // An odd `I32` array over the junk's bytes: 16 + 12 bytes, 4 padding.
+        let a = h
+            .alloc_array_init(ElemKind::I32, 3, |b| b.fill(0x11))
+            .unwrap();
+        let (e, at) = (h.entry(a), h.entry(empty).addr as usize + 16);
+        assert_eq!(e.addr as usize, at);
+        let object = &h.young.bytes[at..at + 40];
+        assert_eq!(object[..16], [0; 16], "header");
+        assert_eq!(object[16..28], [0x11; 12]);
+        assert_eq!(object[28..32], [0; 4], "padding");
+        assert_eq!(object[32..], [0xEE; 8], "the space held stale bytes");
+        assert_eq!(h.array_get_i32(a, 2), 0x1111_1111);
     }
 
     #[test]

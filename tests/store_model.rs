@@ -2,7 +2,7 @@
 //! simple reference models, under seeded operation sequences with
 //! collections forced at arbitrary points.
 
-use data_store::{Backend, ElemTy, FieldTy, Rec, Store};
+use data_store::{Backend, ElemTy, FaultPlan, FieldTy, Rec, Store};
 use datagen::SplitMix64;
 
 /// Operations over a set of rooted records with one i64 and one ref field.
@@ -158,68 +158,83 @@ fn byte_arrays_roundtrip() {
     }
 }
 
+/// Memory a store's arrays are born on.
+#[derive(Debug, Clone, Copy)]
+enum Ground {
+    /// Never used before.
+    Fresh,
+    /// Holding stale bytes: recycled pages (facade) or a space a
+    /// collection emptied (heap).
+    Stale,
+    /// Recycled pages a `FaultPlan` filled with `0xDB` (facade; the heap
+    /// backend has no pages to poison, so there it is `Stale`).
+    Poisoned,
+}
+
+/// A 16 MiB store whose next arrays land on `ground`.
+fn store_on(backend: Backend, ground: Ground) -> Store {
+    let mut builder = Store::builder().backend(backend).budget(16 << 20);
+    if let Ground::Poisoned = ground {
+        builder = builder.fault_plan(FaultPlan::builder(7).poison_recycled_pages().build());
+    }
+    let mut store = builder.build();
+    if let Ground::Stale | Ground::Poisoned = ground {
+        // Sixteen 16 000-byte arrays of 0xEE: eight pages, or the first
+        // 256 KiB of the young space. Two collections bring the heap's
+        // allocation space back round to the dirtied semispace.
+        let it = store.iteration_start();
+        for _ in 0..16 {
+            let junk = store.alloc_array(ElemTy::U8, 16_000).unwrap();
+            store.array_write_bytes(junk, &[0xEE; 16_000]);
+        }
+        store.iteration_end(it);
+        store.collect();
+        store.collect();
+    }
+    store
+}
+
 /// Seeded bulk-array operations — write a run at an offset, stream the
 /// elements back, map in place, borrow the bytes — mirrored in `Vec` models,
 /// with a collection forced after every operation (a no-op on the facade
 /// backend; on the heap backend it moves the arrays under the next call).
-fn bulk_ops_match_model(mut store: Store, len: usize, rng: &mut SplitMix64) {
-    let doubles = store.alloc_array(ElemTy::I64, len).unwrap();
-    store.add_root(doubles);
-    let ints = store.alloc_array(ElemTy::I32, len).unwrap();
-    store.add_root(ints);
-    let bytes = store.alloc_array(ElemTy::U8, len).unwrap();
-    store.add_root(bytes);
+/// With `born` the three arrays start from random contents through
+/// `alloc_f64s` / `alloc_i32s` / `alloc_bytes`, else zeroed from
+/// `alloc_array`.
+fn bulk_ops_match_model(mut store: Store, len: usize, born: bool, rng: &mut SplitMix64) {
     // Doubles are modelled by bit pattern, so NaNs compare too.
     let mut doubles_model = vec![0u64; len];
     let mut ints_model = vec![0i32; len];
     let mut bytes_model = vec![0u8; len];
+    let (doubles, ints, bytes) = if born {
+        doubles_model.fill_with(|| rng.next_u64());
+        ints_model.fill_with(|| rng.next_u64() as i32);
+        bytes_model.fill_with(|| rng.next_u64() as u8);
+        let data: Vec<f64> = doubles_model.iter().copied().map(f64::from_bits).collect();
+        let doubles = store.alloc_f64s(&data).unwrap();
+        store.add_root(doubles);
+        let ints = store.alloc_i32s(&ints_model).unwrap();
+        store.add_root(ints);
+        (doubles, ints, store.alloc_bytes(&bytes_model).unwrap())
+    } else {
+        let doubles = store.alloc_array(ElemTy::I64, len).unwrap();
+        store.add_root(doubles);
+        let ints = store.alloc_array(ElemTy::I32, len).unwrap();
+        store.add_root(ints);
+        (doubles, ints, store.alloc_array(ElemTy::U8, len).unwrap())
+    };
+    store.add_root(bytes);
 
-    for _ in 0..24 {
-        let start = rng.next_below(len as u64 + 1) as usize;
-        let run = rng.next_below((len - start) as u64 + 1) as usize;
-        match rng.next_below(6) {
-            0 => {
-                let data: Vec<f64> = (0..run).map(|_| rng.next_u64() as f64 / 7.0).collect();
-                store.array_write_f64s(doubles, start, &data);
-                for (m, v) in doubles_model[start..].iter_mut().zip(&data) {
-                    *m = v.to_bits();
-                }
-            }
-            1 => {
-                let data: Vec<i64> = (0..run).map(|_| rng.next_u64() as i64).collect();
-                store.array_write_i64s(doubles, start, &data);
-                for (m, &v) in doubles_model[start..].iter_mut().zip(&data) {
-                    *m = v as u64;
-                }
-            }
-            2 => {
-                let data: Vec<i32> = (0..run).map(|_| rng.next_u64() as i32).collect();
-                store.array_write_i32s(ints, start, &data);
-                ints_model[start..start + run].copy_from_slice(&data);
-            }
-            3 => {
-                let f = |x: f64| x * 0.5 + 1.0;
-                store.array_map_f64s(doubles, f);
-                for m in &mut doubles_model {
-                    *m = f(f64::from_bits(*m)).to_bits();
-                }
-            }
-            4 => {
-                let data: Vec<u8> = (0..start).map(|_| rng.next_u64() as u8).collect();
-                store.array_write_bytes(bytes, &data);
-                bytes_model[..start].copy_from_slice(&data);
-            }
-            _ => {
-                // A single element through the random-access API: both
-                // APIs address the same storage.
-                if len > 0 {
-                    let i = start.min(len - 1);
-                    store.array_set_f64(doubles, i, 0.25);
-                    doubles_model[i] = 0.25f64.to_bits();
-                    store.array_set_i32(ints, i, -7);
-                    ints_model[i] = -7;
-                }
-            }
+    for step in 0..25 {
+        if step > 0 {
+            bulk_op(
+                &mut store,
+                [doubles, ints, bytes],
+                rng,
+                &mut doubles_model,
+                &mut ints_model,
+                &mut bytes_model,
+            );
         }
         store.collect();
 
@@ -236,16 +251,77 @@ fn bulk_ops_match_model(mut store: Store, len: usize, rng: &mut SplitMix64) {
     assert_eq!(store.array_read_bytes(bytes), bytes_model);
 }
 
+/// One seeded operation of [`bulk_ops_match_model`], applied to the store
+/// and to the models.
+fn bulk_op(
+    store: &mut Store,
+    [doubles, ints, bytes]: [Rec; 3],
+    rng: &mut SplitMix64,
+    doubles_model: &mut [u64],
+    ints_model: &mut [i32],
+    bytes_model: &mut [u8],
+) {
+    let len = doubles_model.len();
+    let start = rng.next_below(len as u64 + 1) as usize;
+    let run = rng.next_below((len - start) as u64 + 1) as usize;
+    match rng.next_below(6) {
+        0 => {
+            let data: Vec<f64> = (0..run).map(|_| rng.next_u64() as f64 / 7.0).collect();
+            store.array_write_f64s(doubles, start, &data);
+            for (m, v) in doubles_model[start..].iter_mut().zip(&data) {
+                *m = v.to_bits();
+            }
+        }
+        1 => {
+            let data: Vec<i64> = (0..run).map(|_| rng.next_u64() as i64).collect();
+            store.array_write_i64s(doubles, start, &data);
+            for (m, &v) in doubles_model[start..].iter_mut().zip(&data) {
+                *m = v as u64;
+            }
+        }
+        2 => {
+            let data: Vec<i32> = (0..run).map(|_| rng.next_u64() as i32).collect();
+            store.array_write_i32s(ints, start, &data);
+            ints_model[start..start + run].copy_from_slice(&data);
+        }
+        3 => {
+            let f = |x: f64| x * 0.5 + 1.0;
+            store.array_map_f64s(doubles, f);
+            for m in doubles_model {
+                *m = f(f64::from_bits(*m)).to_bits();
+            }
+        }
+        4 => {
+            let data: Vec<u8> = (0..start).map(|_| rng.next_u64() as u8).collect();
+            store.array_write_bytes(bytes, &data);
+            bytes_model[..start].copy_from_slice(&data);
+        }
+        _ => {
+            // A single element through the random-access API: both
+            // APIs address the same storage.
+            if len > 0 {
+                let i = start.min(len - 1);
+                store.array_set_f64(doubles, i, 0.25);
+                doubles_model[i] = 0.25f64.to_bits();
+                store.array_set_i32(ints, i, -7);
+                ints_model[i] = -7;
+            }
+        }
+    }
+}
+
 #[test]
 fn bulk_array_ops_match_vec_model() {
     let page = facade_runtime::PAGE_CAPACITY;
     // Record sizes on the facade backend are `8 + len × element size`:
-    // empty, small, the last `I64` length below the large-record threshold
-    // (half a page) and the first one on it, and one no page can hold.
+    // empty, small, odd (an `I32` array with padding after it), the last
+    // `I64` length below the large-record threshold (half a page) and the
+    // first one on it, and one no page can hold.
     let fixed = [
         0,
         1,
         2,
+        7,
         (page / 2 - 8) / 8,
         (page / 2 - 8) / 8 + 1,
         page / 8 + 1,
@@ -257,9 +333,40 @@ fn bulk_array_ops_match_vec_model() {
             None => 1 + rng.next_below(300) as usize,
         };
         for backend in [Backend::Heap, Backend::Facade] {
-            let store = Store::builder().backend(backend).budget(16 << 20).build();
-            bulk_ops_match_model(store, len, &mut rng.clone());
+            for ground in [Ground::Fresh, Ground::Stale, Ground::Poisoned] {
+                for born in [false, true] {
+                    let store = store_on(backend, ground);
+                    bulk_ops_match_model(store, len, born, &mut rng.clone());
+                }
+            }
         }
+    }
+
+    // A constructor the fault plan fails returns a typed error and leaves
+    // the store as it was: the retry succeeds and holds its contents.
+    let plan = FaultPlan::builder(7).fail_nth_allocation(2).build();
+    let mut store = Store::builder()
+        .budget(1 << 20)
+        .fault_plan(plan.clone())
+        .build();
+    let first = store.alloc_i32s(&[1, 2, 3]).unwrap();
+    let err = store.alloc_f64s(&[0.5; 9]).unwrap_err();
+    assert!(err.is_injected(), "{err}");
+    assert_eq!(store.stats().records_allocated, 1);
+    let doubles = store.alloc_f64s(&[0.5; 9]).unwrap();
+    let bytes = store.alloc_bytes(b"born").unwrap();
+    assert!(store.array_i32s(first).eq([1, 2, 3]));
+    assert!(store.array_f64s(doubles).eq([0.5; 9]));
+    assert_eq!(store.array_bytes(bytes), b"born");
+    assert_eq!(plan.faults_injected(), 1);
+
+    // Past the budget both backends refuse with a typed error too, and
+    // the next array that fits is born whole.
+    for backend in [Backend::Heap, Backend::Facade] {
+        let mut store = Store::builder().backend(backend).budget(1 << 20).build();
+        assert!(store.alloc_bytes(&vec![1; 2 << 20]).is_err(), "{backend:?}");
+        let ints = store.alloc_i32s(&[-1, 5]).unwrap();
+        assert!(store.array_i32s(ints).eq([-1, 5]), "{backend:?}");
     }
 }
 
