@@ -269,11 +269,13 @@ fn p_elem(e: ElemTy) -> PElem {
     }
 }
 
-/// Encodes `data` into the leading `N`-byte elements of `body`.
+/// Encodes `data` into the leading `N`-byte elements of `body`. An array
+/// body is a whole number of elements, so `as_chunks_mut` leaves no
+/// remainder behind.
 #[inline]
 fn encode_into<const N: usize, T: Copy>(body: &mut [u8], data: &[T], encode: fn(T) -> [u8; N]) {
-    for (slot, &v) in body.chunks_exact_mut(N).zip(data) {
-        slot.copy_from_slice(&encode(v));
+    for (slot, &v) in body.as_chunks_mut::<N>().0.iter_mut().zip(data) {
+        *slot = encode(v);
     }
 }
 
@@ -798,26 +800,23 @@ impl Store {
     /// Streams the elements of an `I32` array in index order.
     #[inline]
     pub fn array_i32s(&self, r: Rec) -> impl ExactSizeIterator<Item = i32> + '_ {
-        self.array_bytes(r)
-            .chunks_exact(4)
-            .map(|c| i32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        let (elems, _) = self.array_bytes(r).as_chunks::<4>();
+        elems.iter().map(|&c| i32::from_le_bytes(c))
     }
 
     /// Streams the elements of an `I64` array as doubles, in index order.
     #[inline]
     pub fn array_f64s(&self, r: Rec) -> impl ExactSizeIterator<Item = f64> + '_ {
-        self.array_bytes(r)
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        let (elems, _) = self.array_bytes(r).as_chunks::<8>();
+        elems.iter().map(|&c| f64::from_le_bytes(c))
     }
 
     /// Replaces every double of an `I64` array by `f` of it, in place and in
     /// index order.
     #[inline]
     pub fn array_map_f64s(&mut self, r: Rec, mut f: impl FnMut(f64) -> f64) {
-        for slot in self.array_bytes_mut(r).chunks_exact_mut(8) {
-            let v = f64::from_le_bytes((&*slot).try_into().expect("8-byte chunk"));
-            slot.copy_from_slice(&f(v).to_le_bytes());
+        for slot in self.array_bytes_mut(r).as_chunks_mut::<8>().0 {
+            *slot = f(f64::from_le_bytes(*slot)).to_le_bytes();
         }
     }
 

@@ -656,7 +656,11 @@ impl PagedHeap {
         header[2..4].fill(0); // lock word
         header[4..].copy_from_slice(&(len as u32).to_le_bytes());
         let (elems, padding) = rest.split_at_mut(body);
-        padding.fill(0);
+        // Most arrays (every `I64` one, every even-length `I32` one) end on
+        // the 8-byte boundary; skip the empty fill's call for them.
+        if !padding.is_empty() {
+            padding.fill(0);
+        }
         Ok((r, elems))
     }
 

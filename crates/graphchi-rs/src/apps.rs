@@ -12,7 +12,8 @@ use data_store::{Rec, Store};
 /// record-inlining optimization (§3.6: FACADE "inlines all data records
 /// whose size can be statically determined") flattens the pointers into
 /// two parallel primitive arrays per direction: metadata
-/// (`neighbor, edge-id` interleaved) and values.
+/// (`neighbor, edge-id` interleaved) and values. An edge id is the edge's
+/// out-CSR slot (see [`crate::Csr`]).
 pub(crate) mod vertex_fields {
     pub const ID: usize = 0;
     pub const VALUE: usize = 1;
@@ -275,6 +276,18 @@ pub trait VertexProgram: Sync {
         written
     }
 
+    /// Folds a run of written edge values into the stored run of the same
+    /// edges, element by element and in order. The engine calls it once per
+    /// contiguous run of out slots, so [`fold_edge_value`] is called
+    /// statically here rather than through the program's vtable per edge.
+    ///
+    /// [`fold_edge_value`]: Self::fold_edge_value
+    fn fold_edge_values(&self, stored: &mut [f64], written: &[f64]) {
+        for (s, &w) in stored.iter_mut().zip(written) {
+            *s = self.fold_edge_value(*s, w);
+        }
+    }
+
     /// Updates one vertex; returns `true` if the vertex changed (drives
     /// early convergence).
     fn update(&self, v: &mut VertexView<'_>) -> bool;
@@ -361,8 +374,11 @@ impl VertexProgram for ConnectedComponents {
     }
 
     fn update(&self, v: &mut VertexView<'_>) -> bool {
-        let label = v.fold_in_edge_values(v.value(), f64::min);
-        let label = v.fold_out_edge_values(label, f64::min);
+        // Labels are vertex ids (finite, never -0.0), so a plain comparison
+        // is `f64::min` without its NaN handling.
+        let min = |a: f64, b: f64| if b < a { b } else { a };
+        let label = v.fold_in_edge_values(v.value(), min);
+        let label = v.fold_out_edge_values(label, min);
         let changed = label < v.value();
         v.set_value(label);
         // Labels may only *decrease*: an unconditional write would clobber

@@ -6,8 +6,8 @@ use crate::preprocess::Csr;
 use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
 use data_store::recovery::{self, UnitFailure, guarded};
 use data_store::{
-    ClassTag, ElemTy, FaultPlan, FieldTy, PauseRecord, PoolCounters, RecoveryError, RunEnv, Store,
-    StoreStats,
+    ClassTag, ElemTy, FaultPlan, FieldTy, PauseRecord, PoolCounters, Rec, RecoveryError, RunEnv,
+    Store, StoreStats,
 };
 use datagen::Graph;
 use metrics::report::Backend;
@@ -355,28 +355,45 @@ fn register_schema(store: &mut Store) -> Schema {
     }
 }
 
-/// Appends a run of CSR adjacency slots to flat arrays in the layout the
-/// inlined `P'` edge arrays and a [`PrefetchedSub`] window share:
-/// `[neighbor, edge id]*` metadata, and the slots' frozen edge values.
-fn gather_edges(
-    nbr: &[u32],
-    eid: &[u32],
-    edge_values: &[f64],
-    meta: &mut Vec<i32>,
-    vals: &mut Vec<f64>,
+/// The `[neighbor, edge id]*` metadata of a run of CSR adjacency slots, in
+/// the layout the inlined `P'` edge arrays and a [`PrefetchedSub`] window
+/// share.
+fn gather_meta(nbr: &[u32], eid: impl Iterator<Item = u32>) -> Vec<i32> {
+    let mut meta = Vec::with_capacity(2 * nbr.len());
+    meta.extend(nbr.iter().zip(eid).flat_map(|(&n, e)| [n as i32, e as i32]));
+    meta
+}
+
+/// Copies one side of a loaded vertex's edge values into `run`, in edge
+/// order: under `P'` from the side's inlined value array, under `P` from
+/// each `ChiPointer`'s value. The side is named by its two `ChiVertex`
+/// fields: the edge array and the inlined value array.
+fn read_back(
+    store: &Store,
+    vertex: Rec,
+    inlined: bool,
+    (edges, values): (usize, usize),
+    run: &mut [f64],
 ) {
-    meta.extend(
-        nbr.iter()
-            .zip(eid)
-            .flat_map(|(&n, &e)| [n as i32, e as i32]),
-    );
-    vals.extend(eid.iter().map(|&e| edge_values[e as usize]));
+    if inlined {
+        let vals = store.get_rec(vertex, values);
+        for (slot, v) in run.iter_mut().zip(store.array_f64s(vals)) {
+            *slot = v;
+        }
+        return;
+    }
+    let arr = store.get_rec(vertex, edges);
+    for (i, slot) in run.iter_mut().enumerate() {
+        let e = store.array_get_rec(arr, i);
+        *slot = store.get_f64(e, pointer_fields::VALUE);
+    }
 }
 
 /// The buffered effects of one subinterval, produced against a frozen
 /// interval-start snapshot and replayed by the main thread in subinterval
 /// order — the mechanism that makes parallel runs bit-identical to
-/// sequential ones.
+/// sequential ones. The edge runs are the subinterval's gathered window,
+/// overwritten in place by the writeback; position addresses every value.
 #[derive(Debug)]
 struct CommitBuf {
     /// First vertex of the subinterval; `new_values[i]` belongs to
@@ -384,10 +401,12 @@ struct CommitBuf {
     first_vertex: u32,
     /// Post-update vertex values, one per vertex of the subinterval.
     new_values: Vec<f64>,
-    /// `(edge id, written value)` in the exact order the sequential
-    /// writeback visits them; the committer folds each into the persistent
-    /// edge array with the app's [`VertexProgram::fold_edge_value`].
-    edge_writes: Vec<(u32, f64)>,
+    /// Written out-edge values: the subinterval's out slots, in slot
+    /// order, which is vertex order.
+    out_vals: Vec<f64>,
+    /// Written in-edge values, in the subinterval's in-slot order; empty
+    /// unless the program [writes in-edges](VertexProgram::writes_in_edges).
+    in_vals: Vec<f64>,
     /// Whether any vertex reported a change (drives early convergence).
     changed: bool,
 }
@@ -400,7 +419,9 @@ struct CommitBuf {
 /// subintervals owned by busy peers; the owner then streams the flat
 /// arrays into its store instead of chasing CSR indices mid-load. The
 /// content is a pure function of the frozen snapshot, so a prefetched load
-/// writes bit-identical records to an inline one.
+/// writes bit-identical records to an inline one. The value runs outlive
+/// the load: the writeback overwrites them and they become the
+/// subinterval's [`CommitBuf`].
 #[derive(Debug)]
 struct PrefetchedSub {
     /// `(neighbor, edge id)` pairs for every in-edge, in vertex order.
@@ -495,10 +516,13 @@ impl Engine {
     /// function of: the value-affecting config (interval count, inlining),
     /// the program (name, iteration bound, [`VertexProgram::parameters`],
     /// and its initial state, which catches an undeclared parameter that
-    /// shows there) and the graph's *contents* (the out-CSR is the edge
-    /// list, edge ids included). Not threads or budget: output is
-    /// bit-identical across those, and a resumed run may legitimately use
-    /// a different worker count than the crashed one.
+    /// shows there), the graph's *contents* (the out-CSR is the edge list,
+    /// and an edge's out slot is its id) and the edge-value layout
+    /// (`slot-order` in the shape string: edge values indexed by out slot,
+    /// so a checkpoint of another layout is discarded, not misread). Not
+    /// threads or budget: output is bit-identical across those, and a
+    /// resumed run may legitimately use a different worker count than the
+    /// crashed one.
     fn checkpointer(
         &self,
         app: &dyn VertexProgram,
@@ -509,7 +533,7 @@ impl Engine {
             // parameter bytes behind it.
             let (config, passes) = (&self.config, app.iterations());
             let mut shape = format!(
-                "graphchi {} {} {passes} {:?} ",
+                "graphchi slot-order {} {} {passes} {:?} ",
                 config.intervals,
                 config.inline_records,
                 app.name()
@@ -517,7 +541,7 @@ impl Engine {
             .into_bytes();
             shape.extend(app.parameters());
             let mut fingerprint = ckpt::xxh64(&shape, 0);
-            for ids in [&self.csr.out_offsets, &self.csr.out_dst, &self.csr.out_eid] {
+            for ids in [&self.csr.out_offsets, &self.csr.out_dst] {
                 let bytes: Vec<u8> = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
                 fingerprint = ckpt::xxh64(&bytes, fingerprint);
             }
@@ -537,11 +561,7 @@ impl Engine {
         let mut edge_values = vec![0.0; self.csr.edges as usize];
         for v in 0..self.csr.vertices {
             let init = app.initial_edge_value(v, self.csr.out_degree(v));
-            let span = self.csr.out_offsets[v as usize] as usize
-                ..self.csr.out_offsets[v as usize + 1] as usize;
-            for slot in span {
-                edge_values[self.csr.out_eid[slot] as usize] = init;
-            }
+            edge_values[self.csr.out_slots(v, v + 1)].fill(init);
         }
         (values, edge_values)
     }
@@ -725,7 +745,7 @@ impl Engine {
                         Ok(bufs) => {
                             for buf in &bufs {
                                 changed |= buf.changed;
-                                Self::commit(app, buf, &mut values, &mut edge_values);
+                                self.commit(app, buf, &mut values, &mut edge_values);
                             }
                             edges_processed += (interval.0..interval.1)
                                 .map(|v| u64::from(self.csr.degree(v)))
@@ -942,18 +962,36 @@ impl Engine {
     }
 
     /// Replays one subinterval's buffered writes into the persistent
-    /// arrays, folding edge writes with the app's combine rule.
+    /// arrays, folding edge writes with the app's combine rule: for each
+    /// vertex in order, its out run, then its in run. That is the order a
+    /// sequential engine writes them in, so any fold — commutative or not —
+    /// gives the same bits at every thread count. Without in-edge writes
+    /// the subinterval's out runs are adjacent, and fold as one run.
     fn commit(
+        &self,
         app: &dyn VertexProgram,
         buf: &CommitBuf,
         values: &mut [f64],
         edge_values: &mut [f64],
     ) {
-        let base = buf.first_vertex as usize;
-        values[base..base + buf.new_values.len()].copy_from_slice(&buf.new_values);
-        for &(eid, written) in &buf.edge_writes {
-            let eid = eid as usize;
-            edge_values[eid] = app.fold_edge_value(edge_values[eid], written);
+        let start = buf.first_vertex;
+        let end = start + buf.new_values.len() as u32;
+        values[start as usize..end as usize].copy_from_slice(&buf.new_values);
+        let csr = &self.csr;
+        let outs = csr.out_slots(start, end);
+        if !app.writes_in_edges() {
+            app.fold_edge_values(&mut edge_values[outs], &buf.out_vals);
+            return;
+        }
+        let (out_base, in_base) = (outs.start, csr.in_slots(start, end).start);
+        for v in start..end {
+            let outs = csr.out_slots(v, v + 1);
+            let written = &buf.out_vals[outs.start - out_base..outs.end - out_base];
+            app.fold_edge_values(&mut edge_values[outs], written);
+            for i in csr.in_slots(v, v + 1) {
+                let eid = csr.in_eid[i] as usize;
+                edge_values[eid] = app.fold_edge_value(edge_values[eid], buf.in_vals[i - in_base]);
+            }
         }
     }
 
@@ -964,27 +1002,16 @@ impl Engine {
     fn gather_sub(&self, (start, end): (u32, u32), edge_values: &[f64]) -> PrefetchedSub {
         let csr = &self.csr;
         // A vertex range's adjacency slots are contiguous in the CSR, so
-        // each side of the window is one run.
-        let ins = csr.in_offsets[start as usize] as usize..csr.in_offsets[end as usize] as usize;
-        let outs = csr.out_offsets[start as usize] as usize..csr.out_offsets[end as usize] as usize;
-        let mut in_meta = Vec::with_capacity(2 * ins.len());
-        let mut in_vals = Vec::with_capacity(ins.len());
-        gather_edges(
-            &csr.in_src[ins.clone()],
-            &csr.in_eid[ins],
-            edge_values,
-            &mut in_meta,
-            &mut in_vals,
-        );
-        let mut out_meta = Vec::with_capacity(2 * outs.len());
-        let mut out_vals = Vec::with_capacity(outs.len());
-        gather_edges(
-            &csr.out_dst[outs.clone()],
-            &csr.out_eid[outs],
-            edge_values,
-            &mut out_meta,
-            &mut out_vals,
-        );
+        // each side of the window is one run; the out side's edge values
+        // are one run of the snapshot too, because an edge id is its out
+        // slot.
+        let ins = csr.in_slots(start, end);
+        let outs = csr.out_slots(start, end);
+        let in_eid = &csr.in_eid[ins.clone()];
+        let in_meta = gather_meta(&csr.in_src[ins], in_eid.iter().copied());
+        let in_vals = in_eid.iter().map(|&e| edge_values[e as usize]).collect();
+        let out_meta = gather_meta(&csr.out_dst[outs.clone()], outs.clone().map(|e| e as u32));
+        let out_vals = edge_values[outs].to_vec();
         PrefetchedSub {
             in_meta,
             in_vals,
@@ -1132,49 +1159,34 @@ impl Engine {
         );
 
         // ---- writeback (counted as load/IO time, like shard writes) ------
-        // Buffered rather than applied: the `(eid, value)` stream is in the
-        // exact order the sequential engine would fold the writes, so the
-        // main thread's replay reproduces it bit for bit.
+        // Buffered rather than applied, into the window the load streamed
+        // from: each vertex's runs are overwritten in place, so a value's
+        // position names its edge and the main thread's replay folds the
+        // runs in the order the sequential engine would.
         let wb_start = std::time::Instant::now();
+        let writes_in = app.writes_in_edges();
         let mut new_values = Vec::with_capacity(count);
-        let span = |offsets: &[u32]| (offsets[end as usize] - offsets[start as usize]) as usize;
-        let in_writes = if app.writes_in_edges() {
-            span(&csr.in_offsets)
+        let mut out_vals = window.out_vals;
+        let mut in_vals = if writes_in {
+            window.in_vals
         } else {
-            0
+            Vec::new()
         };
-        let mut edge_writes = Vec::with_capacity(span(&csr.out_offsets) + in_writes);
-        for vi in 0..count {
+        let (mut in_seen, mut out_seen) = (0usize, 0usize);
+        for (vi, v) in (start..end).enumerate() {
             let vr = store.array_get_rec(vertex_arr, vi);
             new_values.push(store.get_f64(vr, vertex_fields::VALUE));
-            if inlined {
-                // One resolve per array: the edge ids are the odd elements
-                // of the `[neighbor, edge id]*` metadata.
-                let mut stream = |meta_field, vals_field| {
-                    let vals = store.get_rec(vr, vals_field);
-                    let mut meta = store.array_i32s(store.get_rec(vr, meta_field));
-                    edge_writes.extend(store.array_f64s(vals).map(|value| {
-                        let eid = meta.nth(1).expect("[neighbor, edge id] per edge");
-                        (eid as u32, value)
-                    }));
-                };
-                stream(vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES);
-                if app.writes_in_edges() {
-                    stream(vertex_fields::IN_EDGES, vertex_fields::IN_VALUES);
-                }
-                continue;
-            }
-            let mut stream = |edges_field| {
-                let arr = store.get_rec(vr, edges_field);
-                for i in 0..store.array_len(arr) {
-                    let e = store.array_get_rec(arr, i);
-                    let eid = store.get_i32(e, pointer_fields::EDGE_ID) as u32;
-                    edge_writes.push((eid, store.get_f64(e, pointer_fields::VALUE)));
-                }
-            };
-            stream(vertex_fields::OUT_EDGES);
-            if app.writes_in_edges() {
-                stream(vertex_fields::IN_EDGES);
+            let n_out = csr.out_degree(v) as usize;
+            let outs = &mut out_vals[out_seen..out_seen + n_out];
+            let side = (vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES);
+            read_back(store, vr, inlined, side, outs);
+            out_seen += n_out;
+            if writes_in {
+                let n_in = csr.in_degree(v) as usize;
+                let ins = &mut in_vals[in_seen..in_seen + n_in];
+                let side = (vertex_fields::IN_EDGES, vertex_fields::IN_VALUES);
+                read_back(store, vr, inlined, side, ins);
+                in_seen += n_in;
             }
         }
         timer.add(phases::LOAD, wb_start.elapsed());
@@ -1185,7 +1197,8 @@ impl Engine {
         Ok(CommitBuf {
             first_vertex: start,
             new_values,
-            edge_writes,
+            out_vals,
+            in_vals,
             changed,
         })
     }
@@ -1577,6 +1590,119 @@ mod tests {
                         assert_eq!(got.stats.pages_created, PAGES_BEFORE, "{}", bulk.name());
                     }
                 }
+            }
+        }
+    }
+
+    /// Writes both sides of every edge and folds the two copies with a
+    /// non-commutative rule, so the order the commit folds them in shows
+    /// in the values.
+    struct Blend;
+
+    impl VertexProgram for Blend {
+        fn name(&self) -> &'static str {
+            "BLEND"
+        }
+        fn iterations(&self) -> usize {
+            4
+        }
+        fn initial_value(&self, vertex: u32, _out_degree: u32) -> f64 {
+            f64::from(vertex)
+        }
+        fn initial_edge_value(&self, src: u32, src_out_degree: u32) -> f64 {
+            f64::from(src) / f64::from(src_out_degree.max(1))
+        }
+        fn writes_in_edges(&self) -> bool {
+            true
+        }
+        fn fold_edge_value(&self, stored: f64, written: f64) -> f64 {
+            0.5 * stored + written
+        }
+        fn update(&self, v: &mut VertexView<'_>) -> bool {
+            let sum = v.fold_in_edge_values(0.0, |a, x| a + x);
+            let sum = v.fold_out_edge_values(sum, |a, x| a + 0.5 * x);
+            let value = 0.25 * v.value() + 0.125 * sum;
+            v.set_value(value);
+            v.map_in_edge_values(|x| 0.5 * x + value);
+            v.map_out_edge_values(|x| 0.25 * x - value);
+            true
+        }
+    }
+
+    #[test]
+    fn edge_writes_fold_in_sequential_order() {
+        let g = Graph {
+            vertices: 10,
+            edges: vec![
+                (0, 1),
+                (1, 0),
+                (1, 2),
+                (2, 1),
+                (2, 0),
+                (0, 3),
+                (3, 4),
+                (4, 3),
+                (4, 2),
+                (5, 6),
+                (6, 5),
+                (6, 4),
+                (7, 8),
+                (8, 7),
+                (8, 6),
+                (9, 0),
+                (0, 9),
+                (3, 7),
+                (7, 3),
+                (5, 9),
+                (9, 5),
+                (2, 8),
+                // A self-loop: one slot in vertex 3's out run and in run.
+                (3, 3),
+            ],
+        };
+        // Recorded before edge values were addressed by slot, when the
+        // commit replayed `(edge id, value)` pairs one by one.
+        const WANT: [u64; 10] = [
+            0x3fd2f79f2d555557,
+            0x3f91d5eeaaaaaaa4,
+            0x3fd754b760000000,
+            0x3ff7f5fcc9555556,
+            0x3fc0e83300000000,
+            0x3fe361bf01555555,
+            0x3fe1dbdcac000000,
+            0x3fd87f34b2fffffe,
+            0x3ff233c3bdaaaaaa,
+            0x3ff024b5fa4aaaaa,
+        ];
+        for backend in [Backend::Heap, Backend::Facade] {
+            for threads in [1, 2, 4] {
+                let config = EngineConfig {
+                    backend,
+                    budget_bytes: 2 << 20,
+                    intervals: 2,
+                    // Floors the subinterval edge budget: a few vertices each.
+                    bytes_per_edge: 1 << 20,
+                    threads,
+                    ..EngineConfig::default()
+                };
+                let mut engine = Engine::new(&g, config.clone());
+                // Some edge runs backwards inside one subinterval (its in
+                // copy commits before its out copy) and some crosses two.
+                let budget = Ladder::edge_budget_at(&config, threads, 0);
+                let subs: Vec<(u32, u32)> = (engine.csr().intervals(config.intervals).iter())
+                    .flat_map(|&iv| engine.csr().subintervals(iv, budget))
+                    .collect();
+                let sub_of = |v: u32| subs.iter().position(|&(a, b)| (a..b).contains(&v));
+                assert!(
+                    g.edges
+                        .iter()
+                        .any(|&(s, d)| d < s && sub_of(s) == sub_of(d))
+                );
+                assert!(g.edges.iter().any(|&(s, d)| sub_of(s) != sub_of(d)));
+
+                let out = engine.execute(&Blend).unwrap();
+                let bits: Vec<u64> = out.values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, WANT, "{backend:?} at {threads} threads");
             }
         }
     }

@@ -2,9 +2,11 @@
 //! creation) and interval layout.
 
 use datagen::Graph;
+use std::ops::Range;
 
-/// In- and out-CSR indexes over a graph, with per-edge ids that address the
-//  persistent edge-value array.
+/// In- and out-CSR indexes over a graph. An edge is named by its out-CSR
+/// slot: that slot is its id and its index in the persistent edge-value
+/// array, so a vertex's out-edge values are one contiguous run.
 /// Built once in the control path; identical for `P` and `P'` runs.
 #[derive(Debug, Clone)]
 pub struct Csr {
@@ -16,19 +18,18 @@ pub struct Csr {
     pub out_offsets: Vec<u32>,
     /// Out-neighbors, ordered by source.
     pub out_dst: Vec<u32>,
-    /// Global edge id of each out-adjacency slot.
-    pub out_eid: Vec<u32>,
     /// In-adjacency offsets, length `vertices + 1`.
     pub in_offsets: Vec<u32>,
     /// In-neighbors (sources), ordered by destination.
     pub in_src: Vec<u32>,
-    /// Global edge id of each in-adjacency slot.
+    /// Edge id (out slot) of each in-adjacency slot's edge.
     pub in_eid: Vec<u32>,
 }
 
 impl Csr {
-    /// Builds both CSR directions from an edge list. Edge `i` of the input
-    /// gets global edge id `i`.
+    /// Builds both CSR directions from an edge list. Each vertex's out- and
+    /// in-runs keep the input order of its edges, and each edge's id is the
+    /// out slot it lands in.
     pub fn build(graph: &Graph) -> Self {
         let n = graph.vertices as usize;
         let m = graph.edges.len();
@@ -44,19 +45,17 @@ impl Csr {
             in_offsets[i + 1] += in_offsets[i];
         }
         let mut out_dst = vec![0u32; m];
-        let mut out_eid = vec![0u32; m];
         let mut in_src = vec![0u32; m];
         let mut in_eid = vec![0u32; m];
         let mut out_cursor = out_offsets.clone();
         let mut in_cursor = in_offsets.clone();
-        for (eid, &(s, d)) in graph.edges.iter().enumerate() {
-            let o = out_cursor[s as usize] as usize;
-            out_dst[o] = d;
-            out_eid[o] = eid as u32;
+        for &(s, d) in &graph.edges {
+            let o = out_cursor[s as usize];
+            out_dst[o as usize] = d;
             out_cursor[s as usize] += 1;
             let i = in_cursor[d as usize] as usize;
             in_src[i] = s;
-            in_eid[i] = eid as u32;
+            in_eid[i] = o;
             in_cursor[d as usize] += 1;
         }
         Self {
@@ -64,7 +63,6 @@ impl Csr {
             edges: m as u64,
             out_offsets,
             out_dst,
-            out_eid,
             in_offsets,
             in_src,
             in_eid,
@@ -79,6 +77,17 @@ impl Csr {
     /// In-degree of `v`.
     pub fn in_degree(&self, v: u32) -> u32 {
         self.in_offsets[v as usize + 1] - self.in_offsets[v as usize]
+    }
+
+    /// The out slots of vertices `start..end`: one contiguous run of edge
+    /// ids, in vertex order.
+    pub fn out_slots(&self, start: u32, end: u32) -> Range<usize> {
+        self.out_offsets[start as usize] as usize..self.out_offsets[end as usize] as usize
+    }
+
+    /// The in slots of vertices `start..end`, in vertex order.
+    pub fn in_slots(&self, start: u32, end: u32) -> Range<usize> {
+        self.in_offsets[start as usize] as usize..self.in_offsets[end as usize] as usize
     }
 
     /// Total degree (in + out) of `v` — the loading cost of the vertex.
@@ -129,7 +138,8 @@ mod tests {
     fn small() -> Csr {
         let g = Graph {
             vertices: 4,
-            edges: vec![(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)],
+            // Not sorted by source, so an out slot is not an input index.
+            edges: vec![(3, 0), (1, 2), (0, 1), (2, 3), (0, 2)],
         };
         Csr::build(&g)
     }
@@ -150,15 +160,35 @@ mod tests {
     #[test]
     fn edge_ids_are_consistent_across_directions() {
         let c = small();
-        // Edge (1, 2) has id 2; it must appear with id 2 in both CSRs.
-        let out_slot = (c.out_offsets[1] as usize..c.out_offsets[2] as usize)
-            .find(|&i| c.out_dst[i] == 2)
-            .unwrap();
-        assert_eq!(c.out_eid[out_slot], 2);
-        let in_slot = (c.in_offsets[2] as usize..c.in_offsets[3] as usize)
-            .find(|&i| c.in_src[i] == 1)
-            .unwrap();
-        assert_eq!(c.in_eid[in_slot], 2);
+        // Edge (1, 2) is input edge 1. Its id is its out slot, 2: vertex
+        // 0's two out-edges come first. The in slot of vertex 2 that holds
+        // it names the same slot.
+        let out_slot = c.out_slots(1, 2).find(|&i| c.out_dst[i] == 2).unwrap();
+        assert_eq!(out_slot, 2);
+        let in_slot = c.in_slots(2, 3).find(|&i| c.in_src[i] == 1).unwrap();
+        assert_eq!(c.in_eid[in_slot], out_slot as u32);
+    }
+
+    #[test]
+    fn every_in_slot_names_its_edges_out_slot() {
+        let g = Graph::generate(&GraphSpec::new(700, 6_000, 29));
+        let c = Csr::build(&g);
+        let mut seen = vec![false; c.edges as usize];
+        for d in 0..c.vertices {
+            for i in c.in_slots(d, d + 1) {
+                let (src, eid) = (c.in_src[i], c.in_eid[i] as usize);
+                assert_eq!(c.out_dst[eid], d, "in slot {i} of {d}");
+                assert!(
+                    c.out_slots(src, src + 1).contains(&eid),
+                    "in slot {i} of {d}"
+                );
+                assert!(
+                    !std::mem::replace(&mut seen[eid], true),
+                    "out slot {eid} twice"
+                );
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every out slot has an in slot");
     }
 
     #[test]
