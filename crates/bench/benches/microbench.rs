@@ -9,12 +9,11 @@
 //!   against per-element fill / fold of a 64-double array.
 //! - `reclamation`: reclaiming one iteration's worth of records — a full
 //!   GC cycle vs an `iteration_end` page recycle.
-//! - `lock_pool`: the §3.4 shared lock pool, uncontended enter/exit.
 //! - `pool_contention`: the shared page supply under N-thread
-//!   acquire/release hammering — the contention the per-thread page cache
-//!   and lock-free empty path are meant to absorb. Reported straight from
-//!   the pool's own `PoolCounters` latency accounting (per-call means
-//!   across all threads).
+//!   acquire/release hammering on its one lock — the contention the
+//!   per-thread page cache is meant to absorb. Reported straight from the
+//!   pool's own `PoolCounters` latency accounting (per-call means across
+//!   all threads).
 //! - `conversion`: §3.5 data conversion (heap object graph → paged records).
 //!
 //! Measured with a small in-tree harness (best-of-N batch timing) so the
@@ -22,9 +21,7 @@
 //! `cargo bench -p facade-bench`.
 
 use data_store::{Backend, ElemTy, FieldTy, Store};
-use facade_runtime::LockPool;
 use std::hint::black_box;
-use std::sync::atomic::AtomicU16;
 use std::time::{Duration, Instant};
 
 /// Times `f` over `batch`-sized batches, reporting the best per-call time of
@@ -216,17 +213,8 @@ fn reclamation() {
     }
 }
 
-fn lock_pool() {
-    let pool = LockPool::with_default_config();
-    let word = AtomicU16::new(0);
-    bench("lock_pool/uncontended_enter_exit", 100_000, 5, || {
-        pool.enter(&word);
-        pool.exit(&word);
-    });
-}
-
 fn pool_contention() {
-    use facade_runtime::{POOL_BATCH, PagePool, PooledPage};
+    use facade_runtime::{NO_EPOCH, POOL_BATCH, PagePool, PooledPage};
 
     // §3.6 runs per-thread page managers over one shared page supply, so
     // every worker's refill and retirement meets every other's on this
@@ -238,23 +226,24 @@ fn pool_contention() {
     for threads in [1usize, 2, 4, 8] {
         let pool = PagePool::with_default_config();
         // Seed a batch per thread so acquires mostly find pages instead of
-        // short-circuiting through the empty-pool fast path.
+        // coming back empty.
         pool.release_batch(
             (0..threads * POOL_BATCH)
                 .map(|_| PooledPage::new())
                 .collect(),
+            NO_EPOCH,
         );
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
                     for _ in 0..OPS_PER_THREAD {
-                        let batch = pool.acquire_batch(POOL_BATCH);
+                        let batch = pool.acquire_batch(POOL_BATCH, NO_EPOCH);
                         if batch.is_empty() {
                             // A racing sibling drained the supply; hand one
                             // fresh page back to keep the churn honest.
-                            pool.release_batch(vec![PooledPage::new()]);
+                            pool.release_batch(vec![PooledPage::new()], NO_EPOCH);
                         } else {
-                            pool.release_batch(batch);
+                            pool.release_batch(batch, NO_EPOCH);
                         }
                     }
                 });
@@ -351,7 +340,6 @@ fn main() {
     field_access();
     array_access();
     reclamation();
-    lock_pool();
     pool_contention();
     conversion();
 }

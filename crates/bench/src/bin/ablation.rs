@@ -10,8 +10,10 @@
 //!    Early promotion (age 1) moves per-interval records into the old
 //!    generation, converting cheap nursery collections into mark-compact
 //!    work; late promotion keeps copying them between semispaces.
-//! 3. **Page size-class policy**: first-fit window width 0 (always open a
-//!    fresh page) vs the default 4 — fragmentation vs allocation speed.
+//! 3. **Page size-class packing**: pages, bytes held and allocation time
+//!    for uniform vs mixed record sizes under the default allocator
+//!    (open-page bump, then first-fit over the class's last four pages).
+//!    The first-fit window is a constant, so no other width is compared.
 
 use data_store::{FieldTy, Store};
 use datagen::{Graph, GraphSpec};

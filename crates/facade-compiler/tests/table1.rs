@@ -303,7 +303,8 @@ fn case7_instanceof_becomes_type_id_check() {
     assert!(!instrs.iter().any(|i| matches!(i, Instr::InstanceOf { .. })));
 }
 
-/// Monitors on data records go through the lock pool.
+/// Monitors on data records become the paged monitor instructions
+/// (`lockPool.enter`/`exit` in printed `P'`), which run on record lock IDs.
 #[test]
 fn monitors_on_data_records_use_the_lock_pool() {
     let mut pb = ProgramBuilder::new();

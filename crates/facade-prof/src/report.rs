@@ -1,6 +1,7 @@
 //! Rendering: the `"profile"` JSON section and the ranked text report.
 
 use crate::Profile;
+use facade_trace::chrome::write_json_string;
 use std::fmt::Write as _;
 
 /// Speedup projections included in reports, matching the bench sweep.
@@ -11,22 +12,6 @@ const PATH_TOP_N: usize = 8;
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl Profile {
@@ -57,7 +42,7 @@ impl Profile {
         match &self.dominant_serial_phase {
             Some(d) => {
                 out.push_str("{\"name\": ");
-                json_string(&mut out, &d.name);
+                write_json_string(&mut out, &d.name);
                 let _ = write!(
                     out,
                     ", \"serial_ms\": {:.3}, \"share\": {:.4}}}",
@@ -73,7 +58,7 @@ impl Profile {
                 out.push_str(", ");
             }
             out.push_str("{\"name\": ");
-            json_string(&mut out, &entry.name);
+            write_json_string(&mut out, &entry.name);
             let _ = write!(
                 out,
                 ", \"ms\": {:.3}, \"pct\": {:.2}}}",
@@ -86,7 +71,7 @@ impl Profile {
             if i > 0 {
                 out.push_str(", ");
             }
-            json_string(&mut out, name);
+            write_json_string(&mut out, name);
             let _ = write!(
                 out,
                 ": {{\"mean\": {:.3}, \"max\": {}, \"hist\": {{",
@@ -105,7 +90,7 @@ impl Profile {
             if i > 0 {
                 out.push_str(", ");
             }
-            json_string(&mut out, name);
+            write_json_string(&mut out, name);
             let _ = write!(
                 out,
                 ": {{\"count\": {}, \"total_ms\": {:.3}, \"self_ms\": {:.3}}}",

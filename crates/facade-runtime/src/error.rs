@@ -29,6 +29,9 @@ pub enum HeapError {
         /// Index into the oversize table.
         index: u32,
     },
+    /// [`crate::PagedHeap::monitor_enter`] needed a new lock ID while all
+    /// [`crate::MAX_LOCK_IDS`] were held.
+    LockIdsExhausted,
 }
 
 impl fmt::Display for HeapError {
@@ -41,6 +44,11 @@ impl fmt::Display for HeapError {
             HeapError::OversizeDoubleFree { index } => {
                 write!(f, "oversize double free (index {index})")
             }
+            HeapError::LockIdsExhausted => write!(
+                f,
+                "all {} lock IDs are held (15-bit lock-ID header field)",
+                crate::MAX_LOCK_IDS
+            ),
         }
     }
 }

@@ -20,6 +20,10 @@ pub(crate) const ARRAY_TYPE_REF: u16 = 3;
 /// First type ID handed out by [`PagedHeap::register_type`].
 pub const FIRST_USER_TYPE: u16 = 4;
 
+/// Lock IDs a heap can have installed at once: they must fit the record
+/// header's 15 usable lock-ID bits (§2.1), and 0 means "unlocked".
+pub const MAX_LOCK_IDS: u16 = (1 << 15) - 1;
+
 /// Identifies a page manager in the manager tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ManagerId(pub(crate) u32);
@@ -114,7 +118,10 @@ impl PageManager {
 /// The paged native heap for one thread of execution.
 ///
 /// Multi-threaded programs give each thread its own `PagedHeap` (the paper's
-/// per-thread page managers, §3.6) and share only the [`crate::LockPool`].
+/// per-thread page managers, §3.6) and share at most a [`PagePool`]. The
+/// heap also runs §3.4's lock-ID protocol on its records' header words
+/// ([`PagedHeap::monitor_enter`] / [`PagedHeap::monitor_exit`]); it is
+/// single-threaded, so a monitor never blocks.
 /// See the [crate documentation](crate) for an example.
 #[derive(Debug)]
 pub struct PagedHeap {
@@ -130,7 +137,7 @@ pub struct PagedHeap {
     pool: Option<Arc<PagePool>>,
     /// Thread-confined cache of pooled buffers pulled from the shared pool
     /// but not yet adopted into a slot. A cache hit costs no lock at all;
-    /// refills move whole batches so the shard mutex is touched once per
+    /// refills move whole batches so the pool lock is taken once per
     /// [`POOL_BATCH`] pages. Cached buffers are in transit: they are not
     /// charged against the budget, appear in no census, and are flushed
     /// back to the pool at [`PagedHeap::release_pages_to_pool`] (and on
@@ -149,6 +156,10 @@ pub struct PagedHeap {
     held_bytes: u64,
     /// Installed fault schedule; consulted on every allocation.
     fault: Option<FaultPlan>,
+    /// Monitor holds per installed lock ID, indexed by ID − 1.
+    lock_holds: Vec<u32>,
+    /// Lock IDs returned by their last `monitor_exit`, reused first.
+    free_lock_ids: Vec<u16>,
 }
 
 impl PagedHeap {
@@ -198,6 +209,8 @@ impl PagedHeap {
             type_alloc_counts,
             held_bytes: 0,
             fault: None,
+            lock_holds: Vec::new(),
+            free_lock_ids: Vec::new(),
         }
     }
 
@@ -410,7 +423,7 @@ impl PagedHeap {
             }
         }
         // Thread-confined cache first: a hit adopts a pooled buffer that an
-        // earlier batch refill already paid the shard lock for.
+        // earlier batch refill already paid the pool lock for.
         if let Some(pooled) = self.page_cache.pop() {
             return Ok(self.adopt_page(Page::from_pooled(pooled)));
         }
@@ -424,7 +437,7 @@ impl PagedHeap {
                 Some(budget) => ((budget - self.held_bytes) / PAGE_BYTES as u64) as usize,
                 None => POOL_BATCH,
             };
-            let batch = pool.acquire_batch_tagged(room.min(POOL_BATCH), self.config.job_epoch);
+            let batch = pool.acquire_batch(room.min(POOL_BATCH), self.config.job_epoch);
             if !batch.is_empty() {
                 self.stats.pages_from_pool += batch.len() as u64;
                 self.page_cache.extend(batch);
@@ -461,7 +474,7 @@ impl PagedHeap {
         }
         let n = batch.len();
         self.stats.pages_to_pool += n as u64;
-        pool.release_batch_tagged(batch, self.config.job_epoch);
+        pool.release_batch(batch, self.config.job_epoch);
         n
     }
 
@@ -765,15 +778,62 @@ impl PagedHeap {
         Self::u16_of(self.record_bytes(r), 0) < FIRST_USER_TYPE
     }
 
-    /// The record's lock ID header field (0 = unlocked); see
-    /// [`crate::LockPool`].
-    pub fn lock_word(&self, r: PageRef) -> u16 {
+    /// The record's lock ID header field (0 = unlocked).
+    fn lock_word(&self, r: PageRef) -> u16 {
         Self::u16_of(self.record_bytes(r), 2)
     }
 
-    /// Sets the record's lock ID header field.
-    pub fn set_lock_word(&mut self, r: PageRef, v: u16) {
+    fn set_lock_word(&mut self, r: PageRef, v: u16) {
         self.write_u16_at(r, 2, v);
+    }
+
+    /// `monitorenter` on a record or array (§3.4): the first entry installs
+    /// a lock ID in the record's header word, reusing a released ID first,
+    /// and every entry counts one hold on it. Re-entry is free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::LockIdsExhausted`] when the record needs a new
+    /// ID while all [`MAX_LOCK_IDS`] are held.
+    pub fn monitor_enter(&mut self, r: PageRef) -> Result<(), HeapError> {
+        if let Some(holds) = self.lock_holds_of(self.lock_word(r)) {
+            *holds += 1;
+            return Ok(());
+        }
+        let id = match self.free_lock_ids.pop() {
+            Some(id) => id,
+            None if self.lock_holds.len() < usize::from(MAX_LOCK_IDS) => {
+                self.lock_holds.push(0);
+                self.lock_holds.len() as u16
+            }
+            None => return Err(HeapError::LockIdsExhausted),
+        };
+        self.set_lock_word(r, id);
+        self.lock_holds[usize::from(id) - 1] = 1;
+        Ok(())
+    }
+
+    /// `monitorexit` on a record or array: drops one hold, and the last
+    /// exit zeroes the header word and returns the ID for reuse. A record
+    /// that holds no ID is left alone.
+    pub fn monitor_exit(&mut self, r: PageRef) {
+        let id = self.lock_word(r);
+        let Some(holds) = self.lock_holds_of(id) else {
+            return;
+        };
+        *holds -= 1;
+        if *holds == 0 {
+            self.set_lock_word(r, 0);
+            self.free_lock_ids.push(id);
+        }
+    }
+
+    /// The hold count of `id` if some record holds it. A header word that
+    /// names no held ID (0, or the stale bytes of a reclaimed record) gets
+    /// `None`.
+    fn lock_holds_of(&mut self, id: u16) -> Option<&mut u32> {
+        let holds = self.lock_holds.get_mut(usize::from(id).checked_sub(1)?)?;
+        (*holds > 0).then_some(holds)
     }
 
     // ----- field access -----------------------------------------------------
@@ -1285,15 +1345,31 @@ mod tests {
     }
 
     #[test]
-    fn lock_word_roundtrip() {
+    fn monitors_install_reenter_and_recycle_lock_ids() {
         let mut h = PagedHeap::new();
         let t = h.register_type("T", &[FieldKind::I32]);
-        let r = h.alloc(t).unwrap();
-        assert_eq!(h.lock_word(r), 0);
-        h.set_lock_word(r, 253);
-        assert_eq!(h.lock_word(r), 253);
-        // The type header is untouched by lock writes.
-        assert_eq!(h.type_of(r), t);
+        let (a, b) = (h.alloc(t).unwrap(), h.alloc(t).unwrap());
+        h.monitor_enter(a).unwrap();
+        assert_eq!(h.lock_word(a), 1, "first entry installs an ID");
+        h.monitor_enter(a).unwrap();
+        h.monitor_enter(b).unwrap();
+        assert_eq!(h.lock_word(b), 2);
+        h.monitor_exit(a);
+        assert_eq!(h.lock_word(a), 1, "one hold left after re-entry");
+        h.monitor_exit(a);
+        assert_eq!(h.lock_word(a), 0, "the last exit zeroes the word");
+        assert_eq!(h.type_of(a), t, "the type header is untouched");
+        let c = h.alloc(t).unwrap();
+        h.monitor_enter(c).unwrap();
+        assert_eq!(h.lock_word(c), 1, "a released ID is reused");
+        h.monitor_exit(a); // no ID: a no-op
+        assert_eq!((h.lock_word(b), h.lock_word(c)), (2, 1));
+        // A word naming no held ID (a reclaimed record's stale bytes) is
+        // left alone by an exit and replaced by an entry.
+        h.set_lock_word(a, 0xDBDB);
+        h.monitor_exit(a);
+        h.monitor_enter(a).unwrap();
+        assert_eq!(h.lock_word(a), 3);
     }
 
     #[test]

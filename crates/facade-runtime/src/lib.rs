@@ -1,5 +1,5 @@
 //! The FACADE runtime: paged native storage for data records, iteration-based
-//! memory management, facade pools, and the shared lock pool.
+//! memory management, facade pools, and the shared page pool.
 //!
 //! This crate implements §2.1, §2.3, §3.3, §3.4 and §3.6 of the paper. Data
 //! records live in fixed-size (32 KiB) *pages* of "native" memory — memory
@@ -15,9 +15,12 @@
 //!
 //! The *facade pools* ([`FacadePools`]) hold the statically bounded set of
 //! heap objects the transformed program uses to carry page references
-//! through control code (§2.3), and the *lock pool* ([`LockPool`]) supplies
-//! shared locks for `synchronized` blocks keyed by the lock ID stored in the
-//! record header (§3.4).
+//! through control code (§2.3). A `synchronized` block on a data record
+//! installs a lock ID in the record header (§3.4):
+//! [`PagedHeap::monitor_enter`] / [`PagedHeap::monitor_exit`] run that
+//! protocol. `P'` runs single-threaded in the VM, so a monitor never blocks
+//! and §3.4's cross-thread lock pool is not reproduced. Threads share only
+//! the [`PagePool`], one mutex around a free list of pages (§3.6).
 //!
 //! # Examples
 //!
@@ -40,7 +43,6 @@ mod error;
 mod fault;
 mod heap;
 mod layout;
-mod locks;
 mod page;
 mod pool;
 mod pools;
@@ -52,9 +54,8 @@ pub mod test_support;
 pub use checkpoint::{Checkpointer, Manifest, RecoveryError};
 pub use error::HeapError;
 pub use fault::{FaultPlan, FaultPlanBuilder};
-pub use heap::{FIRST_USER_TYPE, IterationId, ManagerId, PagedHeap, PagedHeapConfig};
+pub use heap::{FIRST_USER_TYPE, IterationId, MAX_LOCK_IDS, ManagerId, PagedHeap, PagedHeapConfig};
 pub use layout::{ElemKind, FieldKind, RecordLayout, TypeId};
-pub use locks::{LockPool, LockPoolConfig};
 pub use metrics::OutOfMemory;
 pub use page::{PAGE_BYTES, PAGE_CAPACITY, PAGE_RESERVED, PageRef};
 pub use pool::{EpochLedger, NO_EPOCH, POOL_BATCH, PagePool, PoolCounters, PooledPage};

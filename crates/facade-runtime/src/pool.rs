@@ -6,27 +6,26 @@
 //! available to every other thread, so the whole process converges on one
 //! working set of pages instead of `threads ×` private ones.
 //!
-//! [`PagePool`] is that supply. It is a sharded free list of page buffers:
-//! acquire and release move *batches* of pages between a thread's
-//! [`crate::PagedHeap`] and one shard, so a worker touches a shard mutex
-//! once per ~8 pages rather than once per page. Buffers carry their dirty
-//! high-water mark across threads, preserving the partial-zeroing
-//! optimization (only bytes below the mark are re-zeroed on the next bump
-//! allocation — a page that recycles through the pool is never wholesale
-//! re-zeroed).
+//! [`PagePool`] is that supply: one free list of page buffers behind one
+//! mutex. Acquire and release move *batches* of pages between a thread's
+//! [`crate::PagedHeap`] and the list, so a worker takes the lock once per
+//! ~8 pages rather than once per page. Buffers carry their dirty high-water
+//! mark across threads, preserving the partial-zeroing optimization (only
+//! bytes below the mark are re-zeroed on the next bump allocation — a page
+//! that recycles through the pool is never wholesale re-zeroed).
 
 use crate::page::{PAGE_BYTES, PAGE_RESERVED};
-use std::sync::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
-/// How many pages a heap pulls from / pushes to the pool per shard visit.
+/// How many pages a heap pulls from / pushes to the pool per lock.
 pub const POOL_BATCH: usize = 8;
 
 /// The epoch tag of untracked page traffic. Epoch `0` is never minted by
-/// [`PagePool::begin_epoch`], so plain [`PagePool::acquire_batch`] /
-/// [`PagePool::release_batch`] calls (which tag with `NO_EPOCH`) stay off
-/// every ledger.
+/// [`PagePool::begin_epoch`], so [`PagePool::acquire_batch`] /
+/// [`PagePool::release_batch`] calls tagged with `NO_EPOCH` stay off every
+/// ledger.
 pub const NO_EPOCH: u64 = 0;
 
 /// Per-epoch page-traffic ledger: how many pages the pool handed to and
@@ -81,10 +80,28 @@ impl Default for PooledPage {
     }
 }
 
-/// Free-list shards. More shards = less mutex contention; eight is enough
-/// for the worker counts the frameworks use, and no caller ever asked for
-/// another number.
-const SHARDS: usize = 8;
+/// Everything the pool's one lock guards.
+#[derive(Debug, Default)]
+struct PoolState {
+    free: Vec<PooledPage>,
+    counters: PoolCounters,
+    /// Live (begun, not yet retired) epoch ledgers. A `Vec` keyed by epoch
+    /// id: a server runs a handful of jobs at once, so a linear scan beats
+    /// hashing.
+    epochs: Vec<(u64, EpochLedger)>,
+    /// Installed fault schedule; consulted on every batch acquire.
+    fault: Option<crate::fault::FaultPlan>,
+}
+
+impl PoolState {
+    /// Charges traffic to a live epoch's ledger; [`NO_EPOCH`] is never one.
+    fn note_epoch(&mut self, epoch: u64, out: u64, back: u64) {
+        if let Some((_, ledger)) = self.epochs.iter_mut().find(|(e, _)| *e == epoch) {
+            ledger.pages_out += out;
+            ledger.pages_in += back;
+        }
+    }
+}
 
 /// A process-wide pool of 32 KiB pages shared by per-thread page managers.
 ///
@@ -93,43 +110,18 @@ const SHARDS: usize = 8;
 /// # Examples
 ///
 /// ```
-/// use facade_runtime::PagePool;
+/// use facade_runtime::{NO_EPOCH, PagePool};
 /// use std::sync::Arc;
 ///
 /// let pool = Arc::new(PagePool::with_default_config());
-/// let pages = pool.acquire_batch(4); // empty pool: nothing to hand out yet
+/// let pages = pool.acquire_batch(4, NO_EPOCH); // empty pool: nothing to hand out yet
 /// assert!(pages.is_empty());
 /// ```
 #[derive(Debug)]
 pub struct PagePool {
-    shards: Vec<Mutex<Vec<PooledPage>>>,
-    /// Round-robin cursor distributing acquires/releases across shards.
-    cursor: AtomicUsize,
-    handed_out: AtomicU64,
-    returned: AtomicU64,
-    /// Pages currently in the pool, tracked lock-free so the occupancy
-    /// high-water mark can be maintained without visiting every shard.
-    in_pool: AtomicU64,
-    occupancy_hwm: AtomicU64,
-    acquire_calls: AtomicU64,
-    acquire_ns_total: AtomicU64,
-    acquire_ns_max: AtomicU64,
-    release_calls: AtomicU64,
-    release_ns_total: AtomicU64,
-    release_ns_max: AtomicU64,
+    state: Mutex<PoolState>,
     /// Next job epoch to mint; starts at 1 so [`NO_EPOCH`] is never issued.
     next_epoch: AtomicU64,
-    /// Live (begun, not yet retired) epoch ledgers. A `Vec` keyed by epoch
-    /// id: a server runs a handful of jobs at once, so a linear scan under
-    /// one mutex beats hashing, and untagged traffic never takes the lock.
-    epochs: Mutex<Vec<(u64, EpochLedger)>>,
-    /// Installed fault schedule; consulted on every batch acquire once
-    /// [`fault_armed`](Self::fault_armed) says a plan exists.
-    fault: Mutex<Option<crate::fault::FaultPlan>>,
-    /// Lock-free gate in front of the fault mutex: acquires check this
-    /// relaxed flag and only lock when a plan was actually installed, so
-    /// the common (no-plan) acquire path never touches the fault mutex.
-    fault_armed: AtomicBool,
 }
 
 /// Observability snapshot of a [`PagePool`]: traffic totals, batch-call
@@ -140,11 +132,11 @@ pub struct PagePool {
 /// # Examples
 ///
 /// ```
-/// use facade_runtime::{PagePool, PooledPage};
+/// use facade_runtime::{NO_EPOCH, PagePool, PooledPage};
 ///
 /// let pool = PagePool::with_default_config();
-/// pool.release_batch(vec![PooledPage::new(), PooledPage::new()]);
-/// pool.acquire_batch(1);
+/// pool.release_batch(vec![PooledPage::new(), PooledPage::new()], NO_EPOCH);
+/// pool.acquire_batch(1, NO_EPOCH);
 /// let c = pool.counters();
 /// assert_eq!(c.pages_returned, 2);
 /// assert_eq!(c.pages_handed_out, 1);
@@ -163,14 +155,10 @@ pub struct PoolCounters {
     pub acquire_calls: u64,
     /// Total nanoseconds spent inside batch acquires.
     pub acquire_ns_total: u64,
-    /// Slowest single batch acquire, in nanoseconds.
-    pub acquire_ns_max: u64,
     /// Number of non-empty batch-release calls.
     pub release_calls: u64,
     /// Total nanoseconds spent inside batch releases.
     pub release_ns_total: u64,
-    /// Slowest single batch release, in nanoseconds.
-    pub release_ns_max: u64,
 }
 
 impl PoolCounters {
@@ -189,27 +177,33 @@ impl PoolCounters {
     }
 }
 
+fn ns_since(timed: Instant) -> u64 {
+    u64::try_from(timed.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 impl PagePool {
     /// Creates an empty pool.
     pub fn with_default_config() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            cursor: AtomicUsize::new(0),
-            handed_out: AtomicU64::new(0),
-            returned: AtomicU64::new(0),
-            in_pool: AtomicU64::new(0),
-            occupancy_hwm: AtomicU64::new(0),
-            acquire_calls: AtomicU64::new(0),
-            acquire_ns_total: AtomicU64::new(0),
-            acquire_ns_max: AtomicU64::new(0),
-            release_calls: AtomicU64::new(0),
-            release_ns_total: AtomicU64::new(0),
-            release_ns_max: AtomicU64::new(0),
+            state: Mutex::new(PoolState::default()),
             next_epoch: AtomicU64::new(1),
-            epochs: Mutex::new(Vec::new()),
-            fault: Mutex::new(None),
-            fault_armed: AtomicBool::new(false),
         }
+    }
+
+    /// The pool's one lock. A poisoned lock only means another thread
+    /// panicked mid-call; the state is plain data and always usable. A
+    /// contended lock emits a `pool_wait` span, so the profiler can tell
+    /// pool-lock waits apart from page work on the same thread.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        match self.state.try_lock() {
+            Ok(g) => return g,
+            Err(TryLockError::Poisoned(poisoned)) => return poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {}
+        }
+        let waited = Instant::now();
+        let guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        facade_trace::complete("pool_wait", waited, &[]);
+        guard
     }
 
     /// Installs a fault schedule: batch acquires fail (return an empty
@@ -217,103 +211,75 @@ impl PagePool {
     /// probability. Callers fall back to fresh pages, so an injected pool
     /// failure is survivable by construction.
     pub fn set_fault_plan(&self, plan: crate::fault::FaultPlan) {
-        *self.fault.lock().unwrap_or_else(|p| p.into_inner()) = Some(plan);
-        // Release pairs with the acquire load in `acquire_batch`: a thread
-        // that sees the flag also sees the plan behind the mutex.
-        self.fault_armed.store(true, Ordering::Release);
-    }
-
-    fn shard_guard(&self, idx: usize) -> std::sync::MutexGuard<'_, Vec<PooledPage>> {
-        // A poisoned shard only means another thread panicked mid-push/pop;
-        // the Vec itself is always structurally valid.
-        match self.shards[idx].try_lock() {
-            Ok(g) => return g,
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => return poisoned.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {}
-        }
-        // Contended: block, and attribute the stall so the profiler can
-        // tell pool-lock waits apart from page work on the same thread.
-        let waited = Instant::now();
-        let guard = match self.shards[idx].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        facade_trace::complete("pool_wait", waited, &[("shard", idx.into())]);
-        guard
+        self.state().fault = Some(plan);
     }
 
     /// Takes up to `max` pages from the pool (possibly fewer, possibly none
-    /// — the caller falls back to creating fresh pages).
-    ///
-    /// The common path is contention-free: with no fault plan installed the
-    /// fault mutex is never locked, and a pool whose `in_pool` counter reads
-    /// zero returns empty without visiting any shard mutex (the dominant
-    /// acquire during warm-up, when every page is still being created
-    /// fresh). A racing concurrent release may make that read stale; the
-    /// caller then creates a fresh page, which is always sound.
-    pub fn acquire_batch(&self, max: usize) -> Vec<PooledPage> {
-        self.acquire_batch_tagged(max, NO_EPOCH)
-    }
-
-    /// [`acquire_batch`](Self::acquire_batch) with the traffic charged to
+    /// — the caller falls back to creating fresh pages), charging them to
     /// `epoch`'s ledger (see [`PagePool::begin_epoch`]). Tagging with
     /// [`NO_EPOCH`] — or with an epoch already retired — records nothing.
-    pub fn acquire_batch_tagged(&self, max: usize, epoch: u64) -> Vec<PooledPage> {
+    pub fn acquire_batch(&self, max: usize, epoch: u64) -> Vec<PooledPage> {
         let timed = Instant::now();
-        if self.fault_armed.load(Ordering::Acquire) {
-            let fault = self.fault.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(plan) = fault.as_ref() {
-                if plan.should_fail_pool_acquire() {
-                    self.note_acquire(timed, 0);
-                    return Vec::new();
-                }
-            }
+        let mut s = self.state();
+        let failed = s
+            .fault
+            .as_ref()
+            .is_some_and(|p| p.should_fail_pool_acquire());
+        let take = if failed { 0 } else { max.min(s.free.len()) };
+        let at = s.free.len() - take;
+        let out: Vec<PooledPage> = s.free.drain(at..).rev().collect();
+        s.note_epoch(epoch, take as u64, 0);
+        let c = &mut s.counters;
+        c.pages_handed_out += take as u64;
+        c.acquire_calls += 1;
+        c.acquire_ns_total += ns_since(timed);
+        drop(s);
+        if take > 0 {
+            facade_trace::complete("pool_acquire", timed, &[("pages", take.into())]);
         }
-        if max == 0 || self.in_pool.load(Ordering::Relaxed) == 0 {
-            self.note_acquire(timed, 0);
-            return Vec::new();
-        }
-        let n = self.shards.len();
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for i in 0..n {
-            if out.len() >= max {
-                break;
-            }
-            let mut shard = self.shard_guard((start + i) % n);
-            while out.len() < max {
-                match shard.pop() {
-                    Some(p) => out.push(p),
-                    None => break,
-                }
-            }
-        }
-        self.handed_out
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        if epoch != NO_EPOCH && !out.is_empty() {
-            self.note_epoch(epoch, out.len() as u64, 0);
-        }
-        self.note_acquire(timed, out.len());
         out
+    }
+
+    /// Returns pages to the pool for other threads to reuse, charging them
+    /// to `epoch`'s ledger. Tagging with [`NO_EPOCH`] — or with an epoch
+    /// already retired — records nothing.
+    pub fn release_batch(&self, pages: Vec<PooledPage>, epoch: u64) {
+        if pages.is_empty() {
+            return;
+        }
+        let timed = Instant::now();
+        let count = pages.len() as u64;
+        let mut s = self.state();
+        s.note_epoch(epoch, 0, count);
+        s.free.extend(pages);
+        let occupancy = s.free.len() as u64;
+        let c = &mut s.counters;
+        c.pages_returned += count;
+        c.occupancy_hwm = c.occupancy_hwm.max(occupancy);
+        c.release_calls += 1;
+        c.release_ns_total += ns_since(timed);
+        drop(s);
+        facade_trace::complete("pool_release", timed, &[("pages", count.into())]);
     }
 
     // ----- job epochs -------------------------------------------------------
 
     /// Mints a fresh job epoch and opens its [`EpochLedger`]. Traffic moved
-    /// with [`acquire_batch_tagged`](Self::acquire_batch_tagged) /
-    /// [`release_batch_tagged`](Self::release_batch_tagged) under the
-    /// returned id is charged to that ledger until
-    /// [`retire_epoch`](Self::retire_epoch) closes it.
+    /// with [`acquire_batch`](Self::acquire_batch) /
+    /// [`release_batch`](Self::release_batch) under the returned id is
+    /// charged to that ledger until [`retire_epoch`](Self::retire_epoch)
+    /// closes it.
     pub fn begin_epoch(&self) -> u64 {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
-        self.epoch_guard().push((epoch, EpochLedger::default()));
+        self.state().epochs.push((epoch, EpochLedger::default()));
         epoch
     }
 
     /// The current ledger of a live epoch; `None` once retired (or never
     /// begun).
     pub fn epoch_ledger(&self, epoch: u64) -> Option<EpochLedger> {
-        self.epoch_guard()
+        self.state()
+            .epochs
             .iter()
             .find(|(e, _)| *e == epoch)
             .map(|(_, l)| *l)
@@ -323,107 +289,37 @@ impl PagePool {
     /// Later traffic tagged with the retired id is ignored, so retirement
     /// must happen only after every holder tagged with it is gone.
     pub fn retire_epoch(&self, epoch: u64) -> Option<EpochLedger> {
-        let mut epochs = self.epoch_guard();
-        let idx = epochs.iter().position(|(e, _)| *e == epoch)?;
-        Some(epochs.swap_remove(idx).1)
+        let mut s = self.state();
+        let idx = s.epochs.iter().position(|(e, _)| *e == epoch)?;
+        Some(s.epochs.swap_remove(idx).1)
     }
 
     /// Number of epochs begun and not yet retired.
     pub fn live_epochs(&self) -> usize {
-        self.epoch_guard().len()
+        self.state().epochs.len()
     }
 
-    fn epoch_guard(&self) -> std::sync::MutexGuard<'_, Vec<(u64, EpochLedger)>> {
-        match self.epochs.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn note_epoch(&self, epoch: u64, out: u64, back: u64) {
-        let mut epochs = self.epoch_guard();
-        if let Some((_, ledger)) = epochs.iter_mut().find(|(e, _)| *e == epoch) {
-            ledger.pages_out += out;
-            ledger.pages_in += back;
-        }
-    }
-
-    fn note_acquire(&self, timed: Instant, pages: usize) {
-        if pages > 0 {
-            // `in_pool` may transiently read low under concurrent releases;
-            // that only ever under-reports the high-water mark.
-            let taken = (pages as u64).min(self.in_pool.load(Ordering::Relaxed));
-            self.in_pool.fetch_sub(taken, Ordering::Relaxed);
-        }
-        let ns = u64::try_from(timed.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.acquire_calls.fetch_add(1, Ordering::Relaxed);
-        self.acquire_ns_total.fetch_add(ns, Ordering::Relaxed);
-        self.acquire_ns_max.fetch_max(ns, Ordering::Relaxed);
-        if pages > 0 {
-            facade_trace::complete("pool_acquire", timed, &[("pages", pages.into())]);
-        }
-    }
-
-    /// Returns pages to the pool for other threads to reuse.
-    pub fn release_batch(&self, pages: Vec<PooledPage>) {
-        self.release_batch_tagged(pages, NO_EPOCH)
-    }
-
-    /// [`release_batch`](Self::release_batch) with the traffic charged to
-    /// `epoch`'s ledger. Tagging with [`NO_EPOCH`] — or with an epoch
-    /// already retired — records nothing.
-    pub fn release_batch_tagged(&self, pages: Vec<PooledPage>, epoch: u64) {
-        if pages.is_empty() {
-            return;
-        }
-        if epoch != NO_EPOCH {
-            self.note_epoch(epoch, 0, pages.len() as u64);
-        }
-        let timed = Instant::now();
-        let count = pages.len() as u64;
-        self.returned.fetch_add(count, Ordering::Relaxed);
-        let now_in_pool = self.in_pool.fetch_add(count, Ordering::Relaxed) + count;
-        self.occupancy_hwm.fetch_max(now_in_pool, Ordering::Relaxed);
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        self.shard_guard(start % self.shards.len()).extend(pages);
-        let ns = u64::try_from(timed.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.release_calls.fetch_add(1, Ordering::Relaxed);
-        self.release_ns_total.fetch_add(ns, Ordering::Relaxed);
-        self.release_ns_max.fetch_max(ns, Ordering::Relaxed);
-        facade_trace::complete("pool_release", timed, &[("pages", count.into())]);
-    }
+    // ----- observability ----------------------------------------------------
 
     /// Pages currently sitting in the pool, ready to hand out.
     pub fn available(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.shard_guard(i).len())
-            .sum()
+        self.state().free.len()
     }
 
     /// Total pages ever handed out by [`PagePool::acquire_batch`].
     pub fn pages_handed_out(&self) -> u64 {
-        self.handed_out.load(Ordering::Relaxed)
+        self.counters().pages_handed_out
     }
 
     /// Total pages ever accepted by [`PagePool::release_batch`].
     pub fn pages_returned(&self) -> u64 {
-        self.returned.load(Ordering::Relaxed)
+        self.counters().pages_returned
     }
 
     /// Snapshots the pool's observability counters (traffic, latency,
     /// occupancy high-water mark). See [`PoolCounters`].
     pub fn counters(&self) -> PoolCounters {
-        PoolCounters {
-            pages_handed_out: self.handed_out.load(Ordering::Relaxed),
-            pages_returned: self.returned.load(Ordering::Relaxed),
-            occupancy_hwm: self.occupancy_hwm.load(Ordering::Relaxed),
-            acquire_calls: self.acquire_calls.load(Ordering::Relaxed),
-            acquire_ns_total: self.acquire_ns_total.load(Ordering::Relaxed),
-            acquire_ns_max: self.acquire_ns_max.load(Ordering::Relaxed),
-            release_calls: self.release_calls.load(Ordering::Relaxed),
-            release_ns_total: self.release_ns_total.load(Ordering::Relaxed),
-            release_ns_max: self.release_ns_max.load(Ordering::Relaxed),
-        }
+        self.state().counters
     }
 
     /// Publishes the pool's current counters as gauges named
@@ -452,15 +348,19 @@ impl PagePool {
 mod tests {
     use super::*;
 
+    fn fresh(n: usize) -> Vec<PooledPage> {
+        (0..n).map(|_| PooledPage::new()).collect()
+    }
+
     #[test]
     fn acquire_release_roundtrip_preserves_buffers() {
         let pool = PagePool::with_default_config();
         let a = PooledPage::new();
         let b = PooledPage::new();
         let (addr_a, addr_b) = (a.addr(), b.addr());
-        pool.release_batch(vec![a, b]);
+        pool.release_batch(vec![a, b], NO_EPOCH);
         assert_eq!(pool.available(), 2);
-        let got = pool.acquire_batch(8);
+        let got = pool.acquire_batch(8, NO_EPOCH);
         assert_eq!(got.len(), 2);
         let addrs: Vec<usize> = got.iter().map(|p| p.addr()).collect();
         assert!(addrs.contains(&addr_a) && addrs.contains(&addr_b));
@@ -472,8 +372,8 @@ mod tests {
     #[test]
     fn publish_gauges_exports_pool_state() {
         let pool = PagePool::with_default_config();
-        pool.release_batch(vec![PooledPage::new(), PooledPage::new()]);
-        let held = pool.acquire_batch(1);
+        pool.release_batch(fresh(2), NO_EPOCH);
+        let held = pool.acquire_batch(1, NO_EPOCH);
         assert_eq!(held.len(), 1);
         let registry = metrics::Registry::new();
         pool.publish_gauges(&registry, "facade_pool");
@@ -486,35 +386,18 @@ mod tests {
     #[test]
     fn acquire_from_empty_pool_is_empty() {
         let pool = PagePool::with_default_config();
-        assert!(pool.acquire_batch(4).is_empty());
+        assert!(pool.acquire_batch(4, NO_EPOCH).is_empty());
         assert_eq!(pool.pages_handed_out(), 0);
-    }
-
-    #[test]
-    fn batches_spread_across_shards_but_drain_fully() {
-        // One page per release: the round-robin cursor lands them on every
-        // shard, with a second lap on the first two.
-        let pool = PagePool::with_default_config();
-        let pages = SHARDS + 2;
-        for _ in 0..pages {
-            pool.release_batch(vec![PooledPage::new()]);
-        }
-        assert!(pool.shards.iter().all(|s| !s.lock().unwrap().is_empty()));
-        assert_eq!(pool.available(), pages);
-        // One acquire visits every shard if needed.
-        let got = pool.acquire_batch(pages);
-        assert_eq!(got.len(), pages);
-        assert_eq!(pool.available(), 0);
     }
 
     #[test]
     fn counters_track_latency_and_occupancy_hwm() {
         let pool = PagePool::with_default_config();
-        pool.release_batch((0..6).map(|_| PooledPage::new()).collect());
-        pool.release_batch(vec![PooledPage::new()]); // peak: 7 in pool
-        let got = pool.acquire_batch(5);
+        pool.release_batch(fresh(6), NO_EPOCH);
+        pool.release_batch(fresh(1), NO_EPOCH); // peak: 7 in pool
+        let got = pool.acquire_batch(5, NO_EPOCH);
         assert_eq!(got.len(), 5);
-        pool.release_batch(got); // back to 7, not a new peak
+        pool.release_batch(got, NO_EPOCH); // back to 7, not a new peak
         let c = pool.counters();
         assert_eq!(c.occupancy_hwm, 7);
         assert_eq!(c.pages_handed_out, 5);
@@ -522,8 +405,6 @@ mod tests {
         assert_eq!(c.acquire_calls, 1);
         assert_eq!(c.release_calls, 3);
         assert!(c.acquire_ns_total > 0 && c.release_ns_total > 0);
-        assert!(c.acquire_ns_max <= c.acquire_ns_total);
-        assert!(c.mean_release_ns() <= c.release_ns_max);
     }
 
     #[test]
@@ -532,28 +413,28 @@ mod tests {
         let mut p = PooledPage::new();
         p.bytes[100] = 0xAB;
         p.dirty = 128;
-        pool.release_batch(vec![p]);
-        let got = pool.acquire_batch(1);
+        pool.release_batch(vec![p], NO_EPOCH);
+        let got = pool.acquire_batch(1, NO_EPOCH);
         assert_eq!(got[0].dirty, 128);
         assert_eq!(got[0].bytes[100], 0xAB, "pool does not re-zero");
     }
 
     #[test]
-    fn epoch_ledgers_track_tagged_traffic_only() {
+    fn epoch_ledgers_track_only_their_own_traffic() {
         let pool = PagePool::with_default_config();
-        pool.release_batch((0..6).map(|_| PooledPage::new()).collect());
+        pool.release_batch(fresh(6), NO_EPOCH);
         let job = pool.begin_epoch();
         assert_ne!(job, NO_EPOCH);
         assert_eq!(pool.live_epochs(), 1);
 
         // Untagged traffic stays off the ledger.
-        let plain = pool.acquire_batch(1);
+        let plain = pool.acquire_batch(1, NO_EPOCH);
         assert_eq!(pool.epoch_ledger(job), Some(EpochLedger::default()));
 
-        let got = pool.acquire_batch_tagged(3, job);
+        let got = pool.acquire_batch(3, job);
         assert_eq!(got.len(), 3);
-        pool.release_batch_tagged(got, job);
-        pool.release_batch(plain);
+        pool.release_batch(got, job);
+        pool.release_batch(plain, NO_EPOCH);
         let ledger = pool.epoch_ledger(job).unwrap();
         assert_eq!(ledger.pages_out, 3);
         assert_eq!(ledger.pages_in, 3);
@@ -575,8 +456,8 @@ mod tests {
         pool.retire_epoch(a);
         // Traffic against a retired (or never-begun) epoch records nothing
         // and corrupts nothing.
-        pool.release_batch_tagged(vec![PooledPage::new()], a);
-        pool.release_batch_tagged(vec![PooledPage::new()], 999_999);
+        pool.release_batch(fresh(1), a);
+        pool.release_batch(fresh(1), 999_999);
         assert_eq!(pool.epoch_ledger(a), None);
         assert_eq!(pool.epoch_ledger(b), Some(EpochLedger::default()));
         assert_eq!(
@@ -593,8 +474,8 @@ mod tests {
         // donation count — the reconciliation signal a server checks.
         let pool = PagePool::with_default_config();
         let job = pool.begin_epoch();
-        pool.release_batch_tagged((0..4).map(|_| PooledPage::new()).collect(), job);
-        let got = pool.acquire_batch_tagged(2, job);
+        pool.release_batch(fresh(4), job);
+        let got = pool.acquire_batch(2, job);
         assert_eq!(got.len(), 2);
         let ledger = pool.retire_epoch(job).unwrap();
         assert_eq!(ledger.pages_in, 4);

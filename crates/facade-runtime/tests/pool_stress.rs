@@ -1,7 +1,9 @@
 //! Multi-thread stress over the shared page pool: however acquires and
 //! releases interleave, a page must never be held by two live owners.
 
-use facade_runtime::{FieldKind, NativeStats, PagePool, PagedHeap, PagedHeapConfig, PooledPage};
+use facade_runtime::{
+    FieldKind, NO_EPOCH, NativeStats, PagePool, PagedHeap, PagedHeapConfig, PooledPage,
+};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
@@ -11,20 +13,23 @@ fn concurrent_acquire_release_never_double_hands_a_page() {
     let pool = Arc::new(PagePool::with_default_config());
     // Seed with a small set so the threads genuinely contend for the same
     // buffers rather than each settling on a private supply.
-    pool.release_batch((0..SEED_PAGES).map(|_| PooledPage::new()).collect());
+    pool.release_batch(
+        (0..SEED_PAGES).map(|_| PooledPage::new()).collect(),
+        NO_EPOCH,
+    );
 
     // Every page an *live* owner holds, by buffer address. Insert must
     // never collide; remove must always find its entry.
     let live: Arc<Mutex<HashSet<usize>>> = Arc::new(Mutex::new(HashSet::new()));
-    // Two threads per free-list shard (the pool has eight), so shard
-    // mutexes are contended as well as the page supply.
+    // Sixteen threads on the pool's one lock, so the lock is contended as
+    // well as the page supply.
     let workers: Vec<_> = (0..16)
         .map(|t| {
             let pool = Arc::clone(&pool);
             let live = Arc::clone(&live);
             std::thread::spawn(move || {
                 for round in 0..200 {
-                    let batch = pool.acquire_batch(1 + (t + round) % 4);
+                    let batch = pool.acquire_batch(1 + (t + round) % 4, NO_EPOCH);
                     {
                         let mut live = live.lock().unwrap();
                         for p in &batch {
@@ -37,7 +42,7 @@ fn concurrent_acquire_release_never_double_hands_a_page() {
                             assert!(live.remove(&p.addr()), "released a page never acquired");
                         }
                     }
-                    pool.release_batch(batch);
+                    pool.release_batch(batch, NO_EPOCH);
                 }
             })
         })

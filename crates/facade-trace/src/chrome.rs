@@ -120,7 +120,9 @@ fn write_args(out: &mut String, flow: u64, args: &[(&'static str, ArgValue)]) {
     out.push('}');
 }
 
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string: quotes, backslashes and
+/// control characters escaped, everything else passed through as UTF-8.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

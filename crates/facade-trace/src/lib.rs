@@ -51,7 +51,7 @@ use std::time::Instant;
 
 /// One argument value attached to a span or instant event.
 ///
-/// Constructed via `From` impls so call sites can write `("shard", 3.into())`
+/// Constructed via `From` impls so call sites can write `("pages", 3.into())`
 /// or use the [`span!`] macro's `key = value` sugar.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {

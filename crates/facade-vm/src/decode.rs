@@ -289,7 +289,6 @@ pub(crate) enum Op {
         class: ClassId,
     },
     MonitorEnter(u32),
-    MonitorExit(u32),
     Print {
         src: u32,
         kind: Kind,
@@ -714,7 +713,12 @@ impl Decoder<'_> {
                 }
             }
             Instr::MonitorEnter(l) => Op::MonitorEnter(self.local(*l, Obj, "monitorenter")?),
-            Instr::MonitorExit(l) => Op::MonitorExit(self.local(*l, Obj, "monitorexit")?),
+            // A heap monitor never blocks in the single-threaded VM, so the
+            // exit is only kind-checked.
+            Instr::MonitorExit(l) => {
+                self.local(*l, Obj, "monitorexit")?;
+                Op::Nop
+            }
             Instr::Print(l) => Op::Print {
                 src: l.0,
                 kind: self.kind(*l)?,

@@ -1,6 +1,7 @@
 //! Interpreter errors.
 
 use crate::interp::MAX_CALL_DEPTH;
+use facade_runtime::MAX_LOCK_IDS;
 use metrics::OutOfMemory;
 use std::error::Error;
 use std::fmt;
@@ -24,6 +25,9 @@ pub enum VmError {
     /// A call would have made more than 65 536 frames active at once
     /// (runaway recursion guard; the depth is fixed, not a setting).
     CallDepthExceeded,
+    /// A paged `monitorenter` needed a lock ID while all 32 767 were held
+    /// (IDs fill a 15-bit record header field; the cap is not a setting).
+    LockIdsExhausted,
 }
 
 impl fmt::Display for VmError {
@@ -37,6 +41,12 @@ impl fmt::Display for VmError {
             VmError::StepBudgetExceeded => write!(f, "step budget exceeded"),
             VmError::CallDepthExceeded => {
                 write!(f, "call depth exceeded ({MAX_CALL_DEPTH} active frames)")
+            }
+            VmError::LockIdsExhausted => {
+                write!(
+                    f,
+                    "lock IDs exhausted ({MAX_LOCK_IDS} record monitors held)"
+                )
             }
         }
     }

@@ -9,7 +9,6 @@ use facade_runtime::{
     FacadePools, IterationId, PageRef, PagedHeap, PagedHeapConfig, TypeId as PTypeId,
 };
 use managed_heap::{ClassId as HClassId, Heap, HeapConfig, ObjRef, RootId};
-use std::collections::HashMap;
 
 /// Frames a run may have active at once; the call that would exceed it
 /// fails with [`VmError::CallDepthExceeded`]. Frames live on an explicit
@@ -61,13 +60,6 @@ pub struct Vm<'p> {
     paged: PagedHeap,
     pools: Option<FacadePools>,
     tables: Tables,
-    /// Heap-mode monitors: object → reentrancy count.
-    heap_monitors: HashMap<u32, u32>,
-    /// Paged-mode monitors: lock ID → reentrancy count (IDs live in the
-    /// record's lock header field, as in §3.4).
-    page_monitor_counts: HashMap<u16, u32>,
-    free_lock_ids: Vec<u16>,
-    next_lock_id: u16,
     iteration_stack: Vec<IterationId>,
     output: Vec<String>,
     exec_stats: ExecStats,
@@ -263,10 +255,6 @@ impl<'p> Vm<'p> {
             paged,
             pools,
             tables,
-            heap_monitors: HashMap::new(),
-            page_monitor_counts: HashMap::new(),
-            free_lock_ids: Vec::new(),
-            next_lock_id: 1,
             iteration_stack: Vec::new(),
             output: Vec::new(),
             exec_stats: ExecStats::default(),
@@ -687,13 +675,10 @@ impl<'p> Vm<'p> {
                             .is_some_and(|h| program.is_subtype(self.tables.ir_class(h), class));
                     set!(dst, from_bool(is));
                 }
+                // The interpreter is single-threaded: a heap monitor never
+                // blocks, so only the null check is observable.
                 Op::MonitorEnter(l) => {
-                    let o = obj!(l, "monitorenter");
-                    *self.heap_monitors.entry(o.raw()).or_default() += 1;
-                }
-                Op::MonitorExit(l) => {
-                    let count = self.heap_monitors.entry(get!(l) as u32).or_default();
-                    *count = count.saturating_sub(1);
+                    obj!(l, "monitorenter");
                 }
                 Op::Print { src, kind } => {
                     let line = self.format_slot(kind, get!(src));
@@ -890,31 +875,11 @@ impl<'p> Vm<'p> {
                 }
                 Op::PageMonitorEnter(l) => {
                     let r = page!(l, "paged monitorenter");
-                    let mut id = self.paged.lock_word(r);
-                    if id == 0 {
-                        id = self.free_lock_ids.pop().unwrap_or_else(|| {
-                            let id = self.next_lock_id;
-                            self.next_lock_id += 1;
-                            id
-                        });
-                        self.paged.set_lock_word(r, id);
-                    }
-                    *self.page_monitor_counts.entry(id).or_default() += 1;
+                    self.paged
+                        .monitor_enter(r)
+                        .map_err(|_| VmError::LockIdsExhausted)?;
                 }
-                Op::PageMonitorExit(l) => {
-                    let r = PageRef::from_raw(get!(l));
-                    let id = self.paged.lock_word(r);
-                    if id != 0 {
-                        let count = self.page_monitor_counts.entry(id).or_default();
-                        *count = count.saturating_sub(1);
-                        if *count == 0 {
-                            // Return the lock to the pool and zero the record's
-                            // lock field (§3.4).
-                            self.paged.set_lock_word(r, 0);
-                            self.free_lock_ids.push(id);
-                        }
-                    }
-                }
+                Op::PageMonitorExit(l) => self.paged.monitor_exit(PageRef::from_raw(get!(l))),
                 Op::ConvertToPage(r) => {
                     let record = self.convert_to_page(as_obj(get!(r.src)))?;
                     set!(r.dst, record.raw());

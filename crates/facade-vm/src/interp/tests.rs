@@ -476,9 +476,6 @@ fn monitors_and_iterations_are_balanced() {
         "     static L::locked()",
     );
     both_print(&p, &["L"], &["5"]);
-    let mut vm = Vm::new_heap(&p);
-    vm.run().unwrap();
-    assert!(vm.heap_monitors.values().all(|&count| count == 0));
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //!   path allocates heap objects into a program `P'` whose data lives in
 //!   native pages, with a statically bounded number of facade objects.
 //! - [`runtime`] — the FACADE runtime: pages, page managers, iteration-based
-//!   reclamation, facade pools, and the shared lock pool.
+//!   reclamation, facade pools, record lock IDs, and the shared page pool.
 //! - [`heap`] — the simulated managed heap with a generational collector
 //!   (the baseline the paper measures against).
 //! - [`vm`] — an interpreter that executes IR programs on either backend.
