@@ -88,8 +88,7 @@ fn main() {
 
 /// Rebuilds profiler events from the Chrome `trace_event` JSON written by
 /// `facade_trace::chrome::render`: `ts`/`dur` come back from fractional
-/// microseconds to nanoseconds, and the synthetic `"flow"` arg restores
-/// cross-thread links.
+/// microseconds to nanoseconds. Span and instant args are not read.
 fn parse_chrome_trace(raw: &str) -> Result<Vec<ProfEvent>, String> {
     let doc = json::parse(raw).map_err(|e| e.to_string())?;
     let entries = doc
@@ -122,11 +121,6 @@ fn parse_chrome_trace(raw: &str) -> Result<Vec<ProfEvent>, String> {
             name,
             tid: entry.get("tid").and_then(Json::as_u64).unwrap_or(0),
             ts_ns: entry.get("ts").map_or(0, &micros_to_ns),
-            flow: entry
-                .get("args")
-                .and_then(|a| a.get("flow"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
             kind,
         });
     }

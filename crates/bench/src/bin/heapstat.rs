@@ -12,8 +12,8 @@
 //! - the managed run is budget-squeezed so the collector runs, producing a
 //!   HotSpot-style GC log (`target/experiments/heapstat_gc.log`) and pause
 //!   percentiles via a [`metrics::Histogram`];
-//! - a background [`metrics::Sampler`] records live-byte occupancy while
-//!   the workload runs;
+//! - live-byte occupancy is recorded into a gauge and a histogram at the
+//!   end of every chunk;
 //! - the facade run draws from a shared [`PagePool`] and publishes the
 //!   pool gauges;
 //! - the registry is exported both ways: Prometheus text
@@ -25,22 +25,21 @@
 use data_store::{Backend, ElemTy, FieldTy, PagePool, Store, StoreCensus};
 use facade_bench::{census_json, mib, scale};
 use managed_heap::format_gc_log_line;
-use metrics::{OutOfMemory, Registry, Sampler, TextTable};
+use metrics::{Gauge, Histogram, OutOfMemory, Registry, TextTable};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 const CHUNK: usize = 2_000;
 
 /// Allocates `n` short-lived `Vertex` records in iteration-bracketed
 /// chunks, mirroring a framework's sub-iteration allocation pattern, and
 /// returns the census taken mid-chunk halfway through — the same logical
-/// point for both backends. `live_bytes` feeds the background sampler.
+/// point for both backends. Each chunk's live bytes, taken before the
+/// chunk's records die, go into the `live` gauge and histogram.
 fn workload(
     store: &mut Store,
     n: usize,
-    live_bytes: &AtomicU64,
+    (live_gauge, live_hist): (&Gauge, &Histogram),
 ) -> Result<StoreCensus, OutOfMemory> {
     let vertex = store.register_class("Vertex", &[FieldTy::I32, FieldTy::F64, FieldTy::Ref]);
     let chunks = n.div_ceil(CHUNK);
@@ -59,7 +58,9 @@ fn workload(
         if chunk == chunks / 2 {
             census = Some(store.census());
         }
-        live_bytes.store(store.stats().current_bytes, Ordering::Relaxed);
+        let live_bytes = store.stats().current_bytes;
+        live_gauge.set(i64::try_from(live_bytes).unwrap_or(i64::MAX));
+        live_hist.record(live_bytes);
         store.remove_root(root);
         store.iteration_end(it);
     }
@@ -80,24 +81,16 @@ fn main() {
     eprintln!("heapstat: {n} Vertex records in chunks of {CHUNK}, budget {budget} bytes");
 
     let registry = Registry::new();
-    let live_bytes = Arc::new(AtomicU64::new(0));
     let live_gauge = registry.gauge("heapstat_live_bytes");
     let live_hist = registry.histogram("heapstat_live_bytes_sampled");
-    let sampler = Sampler::start(Duration::from_millis(1), {
-        let live_bytes = Arc::clone(&live_bytes);
-        move || {
-            let v = live_bytes.load(Ordering::Relaxed);
-            live_gauge.set(i64::try_from(v).unwrap_or(i64::MAX));
-            live_hist.record(v);
-        }
-    });
+    let live = (&live_gauge, &live_hist);
 
     // ---- managed-heap backend (the paper's P) ----------------------------
     let mut managed_store = Store::builder()
         .backend(Backend::Heap)
         .budget(budget)
         .build();
-    let managed = workload(&mut managed_store, n, &live_bytes).expect("managed run fits budget");
+    let managed = workload(&mut managed_store, n, live).expect("managed run fits budget");
     let pauses = managed_store.pause_records();
     let gc_hist = registry.histogram("heapstat_gc_pause_ns");
     let mut gc_log = String::new();
@@ -116,12 +109,9 @@ fn main() {
         .budget(budget)
         .pool(Arc::clone(&pool))
         .build();
-    let facade = workload(&mut facade_store, n, &live_bytes).expect("facade run fits budget");
+    let facade = workload(&mut facade_store, n, live).expect("facade run fits budget");
     facade_store.release_pages();
     pool.publish_gauges(&registry, "facade_pool");
-
-    let samples = sampler.stop();
-    eprintln!("heapstat: sampler took {samples} samples");
 
     // ---- report ----------------------------------------------------------
     let mut table = TextTable::new(&["Backend", "LiveObjects", "LiveMiB", "RecordsAlloc", "GCs"]);
@@ -169,8 +159,7 @@ fn main() {
             "  \"budget_bytes\": {},\n",
             "  \"managed\": {},\n",
             "  \"facade\": {},\n",
-            "  \"gc\": {{\"pauses\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}},\n",
-            "  \"sampler\": {{\"samples\": {}}},\n",
+            "  \"gc\": {{\"pauses\": {}}},\n",
             "  \"metrics\": {}\n",
             "}}\n"
         ),
@@ -179,10 +168,6 @@ fn main() {
         census_json(&managed),
         census_json(&facade),
         pauses.len(),
-        gc_hist.percentile(50.0),
-        gc_hist.percentile(90.0),
-        gc_hist.percentile(99.0),
-        samples,
         registry.snapshot_json(),
     );
     let path = std::env::var("FACADE_HEAPSTAT_OUT")

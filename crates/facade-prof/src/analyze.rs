@@ -13,7 +13,6 @@ struct SpanRec {
     tid: u64,
     start: u64,
     end: u64,
-    flow: u64,
 }
 
 /// A leaf self-time segment: within `[t0, t1)` the span at `spans[span]`
@@ -60,7 +59,6 @@ impl Profile {
                     tid: e.tid,
                     start: e.ts_ns,
                     end,
-                    flow: e.flow,
                 });
             }
         }
@@ -373,10 +371,9 @@ fn self_segments(spans: &[SpanRec], idxs: &[usize]) -> Vec<Seg> {
 
 /// Backward sweep from the latest span end: repeatedly take the most recent
 /// leaf segment on the current lane, attribute its time to its span name
-/// and any gap to [`WAIT_LABEL`], and when the path reaches a span's start
-/// that carries a flow id, jump to the lane of the span that produced that
-/// flow. When the current lane has no earlier activity, fall over to the
-/// globally last-active lane. The attributed total is exactly the window.
+/// and any gap to [`WAIT_LABEL`]. When the current lane has no earlier
+/// activity, fall over to the globally last-active lane. The attributed
+/// total is exactly the window.
 fn critical_path(
     spans: &[SpanRec],
     names: &[String],
@@ -387,14 +384,6 @@ fn critical_path(
 ) -> Vec<PathEntry> {
     let mut attributed: HashMap<usize, u64> = HashMap::new();
     let mut wait_ns = 0u64;
-
-    // Producers by flow id, for the cross-thread jumps.
-    let mut by_flow: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        if s.flow != 0 {
-            by_flow.entry(s.flow).or_default().push(i);
-        }
-    }
 
     let mut cur_tid = spans
         .iter()
@@ -416,20 +405,8 @@ fn critical_path(
             Some(s) => {
                 let eff_end = s.t1.min(cur_t);
                 wait_ns += cur_t - eff_end;
-                let sp = &spans[s.span];
-                *attributed.entry(sp.name).or_default() += eff_end - s.t0;
+                *attributed.entry(spans[s.span].name).or_default() += eff_end - s.t0;
                 cur_t = s.t0;
-                if sp.flow != 0 && sp.start == s.t0 {
-                    let producer = by_flow
-                        .get(&sp.flow)
-                        .into_iter()
-                        .flatten()
-                        .filter(|&&i| i != s.span && spans[i].end <= cur_t)
-                        .max_by_key(|&&i| spans[i].end);
-                    if let Some(&p) = producer {
-                        cur_tid = spans[p].tid;
-                    }
-                }
             }
             None => {
                 // Last active segment anywhere strictly before cur_t.
@@ -491,7 +468,6 @@ mod tests {
             name: name.to_string(),
             tid,
             ts_ns,
-            flow: 0,
             kind: EventKind::Span { dur_ns },
         }
     }
@@ -531,29 +507,6 @@ mod tests {
         // Fully parallel: no serial time for any phase to dominate.
         assert!(p.dominant_serial_phase.is_none());
         assert!((p.projected_speedup(4) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn flow_link_chains_producer_into_the_path() {
-        let mut produce = span("produce", 1, 0, 50);
-        produce.flow = 7;
-        let mut consume = span("consume", 2, 60, 40);
-        consume.flow = 7;
-        let p = Profile::build(&[produce, consume]);
-        assert_eq!(p.window_ns, 100);
-        // Never two busy workers: fully serial.
-        assert!((p.serial_fraction - 1.0).abs() < 1e-9);
-        assert_eq!(path_ns(&p, "consume"), 40);
-        assert_eq!(path_ns(&p, "produce"), 50, "flow jump reaches the producer");
-        assert_eq!(path_ns(&p, WAIT_LABEL), 10, "handoff gap becomes wait");
-        let total: u64 = p.critical_path.iter().map(|e| e.ns).sum();
-        assert_eq!(total, p.window_ns, "path accounts for the whole window");
-        // `produce` (50ns serial) beats `consume` (40ns serial).
-        let dom = p.dominant_serial_phase.as_ref().expect("fully serial run");
-        assert_eq!(dom.name, "produce");
-        assert_eq!(dom.serial_ns, 50);
-        // Amdahl: s = 1 → threading buys nothing.
-        assert!((p.projected_speedup(8) - 1.0).abs() < 1e-9);
     }
 
     #[test]

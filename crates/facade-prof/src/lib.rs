@@ -10,9 +10,9 @@
 //! - **self-time vs. child-time attribution** — each span name's leaf time
 //!   (innermost owner) next to its inclusive total;
 //! - **critical-path extraction** — a backward sweep from the last event
-//!   through same-lane activity and cross-thread flow links (see
-//!   [`facade_trace::next_flow_id`]), attributing every nanosecond of the
-//!   window to a span name or to `(wait)`;
+//!   through same-lane activity, falling over to the last-active lane when
+//!   a lane runs dry, attributing every nanosecond of the window to a span
+//!   name or to `(wait)`;
 //! - an **Amdahl serial-fraction estimate** — the measured fraction of the
 //!   window with ≤ 1 busy worker, plus the speedup ceiling it implies
 //!   ([`Profile::projected_speedup`]) and the phase dominating that serial
@@ -56,9 +56,6 @@ pub struct ProfEvent {
     pub tid: u64,
     /// Start time in nanoseconds since the trace epoch.
     pub ts_ns: u64,
-    /// Flow/task id linking producer and consumer across threads; 0 means
-    /// unlinked.
-    pub flow: u64,
     /// Span, instant, or counter payload.
     pub kind: EventKind,
 }
@@ -69,7 +66,6 @@ impl From<&TraceEvent> for ProfEvent {
             name: e.name.to_string(),
             tid: e.tid,
             ts_ns: e.ts_ns,
-            flow: e.flow,
             kind: e.kind,
         }
     }
@@ -81,7 +77,7 @@ pub fn from_trace(events: &[TraceEvent]) -> Vec<ProfEvent> {
 }
 
 /// Critical-path label for time where the chain was stalled: a gap between
-/// the previous activity (or flow producer) and the next span on the path.
+/// the previous activity and the next span on the path.
 pub const WAIT_LABEL: &str = "(wait)";
 
 /// Busy/idle accounting for one recorder thread over its own active window

@@ -210,20 +210,19 @@ impl Profile {
 mod tests {
     use crate::{EventKind, ProfEvent, Profile};
 
-    fn span(name: &str, tid: u64, ts_ns: u64, dur_ns: u64, flow: u64) -> ProfEvent {
+    fn span(name: &str, tid: u64, ts_ns: u64, dur_ns: u64) -> ProfEvent {
         ProfEvent {
             name: name.to_string(),
             tid,
             ts_ns,
-            flow,
             kind: EventKind::Span { dur_ns },
         }
     }
 
     fn sample() -> Profile {
         Profile::build(&[
-            span("produce", 1, 0, 50_000_000, 3),
-            span("consume", 2, 60_000_000, 40_000_000, 3),
+            span("produce", 1, 0, 50_000_000),
+            span("consume", 2, 60_000_000, 40_000_000),
         ])
     }
 

@@ -327,7 +327,7 @@ impl PagePool {
     /// `<prefix>_occupancy_hwm`, `<prefix>_mean_acquire_ns`, and
     /// `<prefix>_mean_release_ns` in `registry` (the daemon's `/metrics`
     /// registry, under the prefix `facade_pool`). Call again any time to
-    /// refresh; a background [`metrics::Sampler`] can do so periodically.
+    /// refresh.
     pub fn publish_gauges(&self, registry: &metrics::Registry, prefix: &str) {
         let c = self.counters();
         let set = |suffix: &str, v: u64| {

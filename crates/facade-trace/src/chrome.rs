@@ -9,9 +9,8 @@
 //! instants become thread-scoped instant events (`"ph": "i"`), and counters
 //! become counter events (`"ph": "C"`). All events share `pid` 1; the `tid`
 //! is the dense thread id assigned by the recorder, so each worker thread
-//! renders as its own track. A non-zero [`TraceEvent::flow`] id is emitted
-//! as a synthetic `"flow"` arg so cross-thread links survive the JSON
-//! round-trip (`facadeprof` reads them back).
+//! renders as its own track. Span and instant args become the event's
+//! `"args"` object, which `facadeprof` reads back.
 //!
 //! ```
 //! facade_trace::set_enabled(true);
@@ -41,11 +40,11 @@ pub fn render(events: &[TraceEvent]) -> String {
         match event.kind {
             EventKind::Span { dur_ns } => {
                 let _ = write!(out, ",\"ph\":\"X\",\"dur\":{}", Micros(dur_ns));
-                write_args(&mut out, event.flow, &event.args);
+                write_args(&mut out, &event.args);
             }
             EventKind::Instant => {
                 out.push_str(",\"ph\":\"i\",\"s\":\"t\"");
-                write_args(&mut out, event.flow, &event.args);
+                write_args(&mut out, &event.args);
             }
             EventKind::Counter { value } => {
                 let _ = write!(out, ",\"ph\":\"C\",\"args\":{{\"value\":{}}}", Num(value));
@@ -86,21 +85,15 @@ impl std::fmt::Display for Num {
     }
 }
 
-fn write_args(out: &mut String, flow: u64, args: &[(&'static str, ArgValue)]) {
-    if args.is_empty() && flow == 0 {
+fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
+    if args.is_empty() {
         return;
     }
     out.push_str(",\"args\":{");
-    let mut first = true;
-    if flow != 0 {
-        let _ = write!(out, "\"flow\":{flow}");
-        first = false;
-    }
-    for (key, value) in args.iter() {
-        if !first {
+    for (i, (key, value)) in args.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
         write_json_string(out, key);
         out.push(':');
         match value {
@@ -149,7 +142,6 @@ mod tests {
             name,
             tid,
             ts_ns,
-            flow: 0,
             kind: EventKind::Span { dur_ns },
             args: Vec::new(),
         }
@@ -176,7 +168,6 @@ mod tests {
                 name: "fault_injected",
                 tid: 2,
                 ts_ns: 0,
-                flow: 0,
                 kind: EventKind::Instant,
                 args: vec![("kind", ArgValue::Str("pool_acquire"))],
             },
@@ -184,7 +175,6 @@ mod tests {
                 name: "pool_occupancy",
                 tid: 2,
                 ts_ns: 10,
-                flow: 0,
                 kind: EventKind::Counter { value: 12.0 },
                 args: Vec::new(),
             },
@@ -206,29 +196,6 @@ mod tests {
     #[test]
     fn empty_timeline_is_valid_json() {
         assert_eq!(render(&[]), "{\"traceEvents\":[]}\n");
-    }
-
-    #[test]
-    fn flow_ids_render_as_synthetic_arg() {
-        // Flow on a bare span opens the args object for it.
-        let mut ev = span("sub_prefetch", 1, 0, 10_000);
-        ev.flow = 7;
-        let json = render(&[ev]);
-        assert!(json.contains("\"args\":{\"flow\":7}"), "{json}");
-
-        // Flow composes with real args, listed first.
-        let mut ev = span("sub_load", 2, 5, 10_000);
-        ev.flow = 7;
-        ev.args = vec![("prefetched", ArgValue::UInt(1))];
-        let json = render(&[ev]);
-        assert!(
-            json.contains("\"args\":{\"flow\":7,\"prefetched\":1}"),
-            "{json}"
-        );
-
-        // Zero flow stays invisible: no args object on a bare span.
-        let json = render(&[span("plain", 1, 0, 1)]);
-        assert!(!json.contains("\"args\""), "{json}");
     }
 
     fn escaped(s: &str) -> String {

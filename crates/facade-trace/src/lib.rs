@@ -140,11 +140,6 @@ pub struct TraceEvent {
     pub tid: u64,
     /// Start time in nanoseconds since the process trace epoch.
     pub ts_ns: u64,
-    /// Flow/task id linking events that belong to one logical unit of work
-    /// across threads (a prefetched subinterval gathered on thread A and
-    /// consumed on thread B, a stolen partition). `0` means unlinked; mint
-    /// non-zero ids with [`next_flow_id`].
-    pub flow: u64,
     /// Span, instant, or counter payload.
     pub kind: EventKind,
     /// Key/value arguments attached at the call site.
@@ -162,7 +157,6 @@ pub struct SpanGuard {
 struct ActiveSpan {
     name: &'static str,
     start_ns: u64,
-    flow: u64,
     args: Vec<(&'static str, ArgValue)>,
 }
 
@@ -174,7 +168,6 @@ impl Drop for SpanGuard {
                 name: active.name,
                 tid: thread_id(),
                 ts_ns: active.start_ns,
-                flow: active.flow,
                 kind: EventKind::Span { dur_ns },
                 args: active.args,
             });
@@ -211,22 +204,10 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// Prefer the [`span!`] macro, which builds the argument slice for you.
 #[inline]
 pub fn span_with(name: &'static str, args: &[(&'static str, ArgValue)]) -> SpanGuard {
-    span_with_flow(name, 0, args)
-}
-
-/// Starts a span stamped with a flow/task id (see [`next_flow_id`]); the
-/// returned guard records it on drop. Pass `flow` 0 for an unlinked span.
-#[inline]
-pub fn span_with_flow(
-    name: &'static str,
-    flow: u64,
-    args: &[(&'static str, ArgValue)],
-) -> SpanGuard {
     SpanGuard {
         active: is_enabled().then(|| ActiveSpan {
             name,
             start_ns: now_ns(),
-            flow,
             args: args.to_vec(),
         }),
     }
@@ -238,19 +219,6 @@ pub fn span_with_flow(
 /// avoids a guard: call it once at the end with the original start time.
 #[inline]
 pub fn complete(name: &'static str, started: Instant, args: &[(&'static str, ArgValue)]) {
-    complete_with_flow(name, started, 0, args);
-}
-
-/// Records a retroactive span stamped with a flow/task id. The producer and
-/// consumer of one unit of work record the same `flow`, so a profiler can
-/// chain them across threads.
-#[inline]
-pub fn complete_with_flow(
-    name: &'static str,
-    started: Instant,
-    flow: u64,
-    args: &[(&'static str, ArgValue)],
-) {
     if !is_enabled() {
         return;
     }
@@ -260,7 +228,6 @@ pub fn complete_with_flow(
         name,
         tid: thread_id(),
         ts_ns,
-        flow,
         kind: EventKind::Span { dur_ns },
         args: args.to_vec(),
     });
@@ -269,12 +236,6 @@ pub fn complete_with_flow(
 /// Records a point event (a fault injection, a degradation-ladder step).
 #[inline]
 pub fn instant(name: &'static str, args: &[(&'static str, ArgValue)]) {
-    instant_with_flow(name, 0, args);
-}
-
-/// Records a point event stamped with a flow/task id.
-#[inline]
-pub fn instant_with_flow(name: &'static str, flow: u64, args: &[(&'static str, ArgValue)]) {
     if !is_enabled() {
         return;
     }
@@ -282,7 +243,6 @@ pub fn instant_with_flow(name: &'static str, flow: u64, args: &[(&'static str, A
         name,
         tid: thread_id(),
         ts_ns: now_ns(),
-        flow,
         kind: EventKind::Instant,
         args: args.to_vec(),
     });
@@ -299,23 +259,9 @@ pub fn counter(name: &'static str, value: f64) {
         name,
         tid: thread_id(),
         ts_ns: now_ns(),
-        flow: 0,
         kind: EventKind::Counter { value },
         args: Vec::new(),
     });
-}
-
-/// Mints a process-unique, non-zero flow/task id for linking the producer
-/// and consumer of one unit of work across threads (stamp both sides via
-/// the `*_with_flow` variants). Returns 0 while recording is disarmed, so
-/// callers can thread the id unconditionally at zero cost.
-#[inline]
-pub fn next_flow_id() -> u64 {
-    if !is_enabled() {
-        return 0;
-    }
-    static NEXT_FLOW: AtomicU64 = AtomicU64::new(1);
-    NEXT_FLOW.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Collects every thread's buffered events into one timeline sorted by
@@ -510,7 +456,6 @@ mod tests {
         instant("t_gate_instant", &[]);
         counter("t_gate_counter", 1.0);
         complete("t_gate_complete", Instant::now(), &[]);
-        assert_eq!(next_flow_id(), 0, "no flow ids while disarmed");
         drop(armed_at_start);
         set_enabled(true);
         drop(disarmed_at_start);
@@ -656,39 +601,6 @@ mod tests {
         );
         assert!(events.iter().any(|e| e.name == "t_counter"
             && matches!(e.kind, EventKind::Counter { value } if value == 7.5)));
-    }
-
-    #[test]
-    fn flow_ids_link_producer_and_consumer() {
-        let _serial = serial();
-        let flow = next_flow_id();
-        assert_ne!(flow, 0, "minted flow ids are non-zero");
-        assert_ne!(next_flow_id(), flow, "ids are process-unique");
-
-        // Producer side: a retroactive span stamped with the flow.
-        let started = Instant::now();
-        complete_with_flow("t_flow_produce", started, flow, &[]);
-        // Consumer side, another thread: guard span plus an instant.
-        let h = std::thread::spawn(move || {
-            {
-                let _span = span_with_flow("t_flow_consume", flow, &[]);
-            }
-            instant_with_flow("t_flow_instant", flow, &[]);
-        });
-        h.join().unwrap();
-
-        let events = drain();
-        for name in ["t_flow_produce", "t_flow_consume", "t_flow_instant"] {
-            let ev = events
-                .iter()
-                .find(|e| e.name == name)
-                .unwrap_or_else(|| panic!("{name} recorded"));
-            assert_eq!(ev.flow, flow, "{name} carries the shared flow id");
-        }
-        // Unstamped events default to flow 0.
-        instant("t_flow_none", &[]);
-        let ev = drain().into_iter().find(|e| e.name == "t_flow_none");
-        assert_eq!(ev.expect("recorded").flow, 0);
     }
 
     #[test]

@@ -15,8 +15,6 @@ use metrics::{DegradationAction, FailureCause, OutOfMemory, PhaseTimer, Resilien
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// File name of the engine's checkpoint within a checkpoint directory.
 const CHECKPOINT_FILE: &str = "graphchi.fckp";
@@ -356,8 +354,7 @@ fn register_schema(store: &mut Store) -> Schema {
 }
 
 /// The `[neighbor, edge id]*` metadata of a run of CSR adjacency slots, in
-/// the layout the inlined `P'` edge arrays and a [`PrefetchedSub`] window
-/// share.
+/// the layout the inlined `P'` edge arrays and a [`Window`] share.
 fn gather_meta(nbr: &[u32], eid: impl Iterator<Item = u32>) -> Vec<i32> {
     let mut meta = Vec::with_capacity(2 * nbr.len());
     meta.extend(nbr.iter().zip(eid).flat_map(|(&n, e)| [n as i32, e as i32]));
@@ -411,19 +408,15 @@ struct CommitBuf {
     changed: bool,
 }
 
-/// One subinterval's shard window, gathered off the critical path: the
-/// CSR-order `(neighbor, edge id)` metadata and the frozen edge-value
-/// snapshot for every in- and out-edge of the vertex range. Building one
-/// touches only shared immutable state (the CSR and the interval-start
-/// snapshot), so a worker that is ahead can assemble windows for
-/// subintervals owned by busy peers; the owner then streams the flat
-/// arrays into its store instead of chasing CSR indices mid-load. The
-/// content is a pure function of the frozen snapshot, so a prefetched load
-/// writes bit-identical records to an inline one. The value runs outlive
-/// the load: the writeback overwrites them and they become the
+/// One subinterval's shard window: the CSR-order `(neighbor, edge id)`
+/// metadata and the frozen edge-value snapshot for every in- and out-edge
+/// of the vertex range. The load streams these flat arrays into the store
+/// instead of chasing CSR indices between store calls. The content is a
+/// pure function of the CSR and the interval-start snapshot. The value runs
+/// outlive the load: the writeback overwrites them and they become the
 /// subinterval's [`CommitBuf`].
 #[derive(Debug)]
-struct PrefetchedSub {
+struct Window {
     /// `(neighbor, edge id)` pairs for every in-edge, in vertex order.
     in_meta: Vec<i32>,
     /// Frozen edge values for every in-edge, in vertex order.
@@ -432,22 +425,6 @@ struct PrefetchedSub {
     out_meta: Vec<i32>,
     /// Frozen edge values for every out-edge, in vertex order.
     out_vals: Vec<f64>,
-    /// Trace flow id minted by the gatherer: the `sub_prefetch` span on the
-    /// gathering thread and the `sub_load` span on the consuming owner share
-    /// it, so the profiler can chain them across threads. 0 while recording
-    /// is disarmed.
-    flow: u64,
-}
-
-/// Shared prefetch schedule for one interval. `next` hands out gather
-/// tasks exactly once, `started` counts subintervals whose owner has begun
-/// processing (bounding how far ahead the gatherers run, which bounds the
-/// native memory pinned by unclaimed windows), and `slots` parks finished
-/// windows until their owners claim them.
-struct PrefetchQueue {
-    next: AtomicUsize,
-    started: AtomicUsize,
-    slots: Vec<Mutex<Option<PrefetchedSub>>>,
 }
 
 /// State restored from a verified checkpoint. The cursor is deliberately
@@ -883,65 +860,15 @@ impl Engine {
         edge_values: &[f64],
         timer: &mut PhaseTimer,
     ) -> Result<Vec<CommitBuf>, UnitFailure> {
-        let prefetch = PrefetchQueue {
-            next: AtomicUsize::new(0),
-            started: AtomicUsize::new(0),
-            slots: (0..subs.len()).map(|_| Mutex::new(None)).collect(),
-        };
-        // The window bounds how many gathered-but-unclaimed windows may
-        // exist at once. Two per peer keeps every thread roughly one load
-        // ahead without pinning more than a fraction of the interval's
-        // snapshot; a lone worker has no peer's load to overlap with, so
-        // its window is empty and every subinterval gathers inline.
-        let window = (stores.len() - 1) * 2;
         let outcome = recovery::round(stores.iter_mut(), subs.len(), |store, claims| {
             let mut t = PhaseTimer::new();
-            while let Some(ok) = claims.run_next(|idx| {
-                prefetch.started.fetch_add(1, Ordering::Relaxed);
-                let pre = prefetch.slots[idx]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take();
-                self.process_subinterval(
-                    store,
-                    schema,
-                    app,
-                    subs[idx],
-                    values,
-                    edge_values,
-                    pre,
-                    &mut t,
-                )
-            }) {
-                // A store that failed a subinterval may hold open
-                // iterations or leaked roots: this worker runs nothing
-                // further on it, and the retry rebuilds every store.
-                if !ok {
-                    break;
-                }
-                // Pipeline: before blocking on its own next load, gather
-                // windows for upcoming subintervals — whoever will claim
-                // them — while the claim window is open.
-                loop {
-                    let started = prefetch.started.load(Ordering::Relaxed);
-                    let seen = prefetch.next.load(Ordering::Relaxed);
-                    // What is already claimed is being loaded by its owner.
-                    let candidate = seen.max(started);
-                    if candidate >= subs.len() || candidate >= started + window {
-                        break;
-                    }
-                    if prefetch
-                        .next
-                        .compare_exchange(seen, candidate + 1, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        let gathered = self.prefetch_sub(subs[candidate], edge_values);
-                        *prefetch.slots[candidate]
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner()) = Some(gathered);
-                    }
-                }
-            }
+            // A store that failed a subinterval may hold open iterations or
+            // leaked roots: on `Some(false)` this worker runs nothing further
+            // on it, and the retry rebuilds every store.
+            while claims.run_next(|idx| {
+                self.process_subinterval(store, schema, app, subs[idx], values, edge_values, &mut t)
+            }) == Some(true)
+            {}
             // The interval's records are all dead now; hand the pages back
             // so other workers (and the next interval) adopt them instead
             // of growing.
@@ -999,7 +926,7 @@ impl Engine {
     /// the CSR-chasing, cache-missing half of `sub_load` — without touching
     /// any store: one tight pass per side, so the misses overlap instead
     /// of each one stalling the store calls behind it.
-    fn gather_sub(&self, (start, end): (u32, u32), edge_values: &[f64]) -> PrefetchedSub {
+    fn gather_sub(&self, (start, end): (u32, u32), edge_values: &[f64]) -> Window {
         let csr = &self.csr;
         // A vertex range's adjacency slots are contiguous in the CSR, so
         // each side of the window is one run; the out side's edge values
@@ -1012,39 +939,20 @@ impl Engine {
         let in_vals = in_eid.iter().map(|&e| edge_values[e as usize]).collect();
         let out_meta = gather_meta(&csr.out_dst[outs.clone()], outs.clone().map(|e| e as u32));
         let out_vals = edge_values[outs].to_vec();
-        PrefetchedSub {
+        Window {
             in_meta,
             in_vals,
             out_meta,
             out_vals,
-            flow: 0,
         }
-    }
-
-    /// [`Engine::gather_sub`] ahead of time, as its own `sub_prefetch`
-    /// span: runs on whichever worker has slack, overlapping the next
-    /// subinterval's load with the current one's update.
-    fn prefetch_sub(&self, sub: (u32, u32), edge_values: &[f64]) -> PrefetchedSub {
-        let started = std::time::Instant::now();
-        let mut window = self.gather_sub(sub, edge_values);
-        window.flow = facade_trace::next_flow_id();
-        let edges = window.in_vals.len() + window.out_vals.len();
-        facade_trace::complete_with_flow(
-            "sub_prefetch",
-            started,
-            window.flow,
-            &[("first_vertex", sub.0.into()), ("edges", edges.into())],
-        );
-        window
     }
 
     /// Loads, updates, and buffers the writeback of one subinterval. This
     /// is one sub-iteration in the FACADE sense: everything allocated here
     /// dies here. Reads come from the frozen interval-start snapshot;
     /// writes go into the returned [`CommitBuf`] for the main thread to
-    /// replay in order. The load phase streams a [`PrefetchedSub`] window:
-    /// the one a peer gathered ahead, or else its own, gathered first — same
-    /// writes, same order, bit-identical records.
+    /// replay in order. The load phase first gathers the subinterval's
+    /// [`Window`], then streams it into the store.
     #[allow(clippy::too_many_arguments)]
     fn process_subinterval(
         &self,
@@ -1054,7 +962,6 @@ impl Engine {
         (start, end): (u32, u32),
         values: &[f64],
         edge_values: &[f64],
-        prefetched: Option<PrefetchedSub>,
         timer: &mut PhaseTimer,
     ) -> Result<CommitBuf, OutOfMemory> {
         let csr = &self.csr;
@@ -1068,8 +975,7 @@ impl Engine {
         // records live across collections triggered mid-load.
         let root = store.add_root(vertex_arr);
         let inlined = store.is_facade() && self.config.inline_records;
-        let ahead = prefetched.is_some();
-        let window = prefetched.unwrap_or_else(|| self.gather_sub((start, end), edge_values));
+        let window = self.gather_sub((start, end), edge_values);
         let mut load = || -> Result<(), OutOfMemory> {
             // Edges consumed so far from the window; its flat arrays are in
             // vertex order.
@@ -1127,12 +1033,7 @@ impl Engine {
         };
         let load_result = load();
         timer.add(phases::LOAD, load_start.elapsed());
-        facade_trace::complete_with_flow(
-            "sub_load",
-            load_start,
-            window.flow,
-            &[("first_vertex", start.into()), ("prefetched", ahead.into())],
-        );
+        facade_trace::complete("sub_load", load_start, &[("first_vertex", start.into())]);
         if let Err(e) = load_result {
             store.remove_root(root);
             store.iteration_end(it);
@@ -1563,7 +1464,7 @@ mod tests {
         const PAGES_BEFORE: u64 = 7;
         for (bulk, reference) in &pairs {
             for backend in [Backend::Heap, Backend::Facade] {
-                // More than one thread takes the prefetched-window path.
+                // Several threads claim subintervals out of order.
                 for threads in [1, 2, 4] {
                     let run = |app: &dyn VertexProgram| {
                         let config = EngineConfig {
@@ -1833,20 +1734,20 @@ mod resilience_tests {
     use super::*;
     use crate::apps::PageRank;
     use datagen::GraphSpec;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::OnceLock;
 
     /// Wraps an app and panics on the first `update` call — a stand-in for
     /// a transient worker fault (poisoned scratch state, data race).
     struct PanicOnce {
         inner: PageRank,
-        armed: AtomicBool,
+        fired: OnceLock<()>,
     }
 
     impl PanicOnce {
         fn new(inner: PageRank) -> Self {
             Self {
                 inner,
-                armed: AtomicBool::new(true),
+                fired: OnceLock::new(),
             }
         }
     }
@@ -1865,7 +1766,7 @@ mod resilience_tests {
             self.inner.initial_edge_value(src, src_out_degree)
         }
         fn update(&self, v: &mut crate::apps::VertexView<'_>) -> bool {
-            if self.armed.swap(false, Ordering::SeqCst) {
+            if self.fired.set(()).is_ok() {
                 panic!("injected worker panic");
             }
             self.inner.update(v)

@@ -10,10 +10,9 @@
 //!   the JVM's `OutOfMemoryError` behaviour described in §4.2 (the heaps do
 //!   their own byte accounting and raise it).
 //! - [`TextTable`] — fixed-width text tables for printing paper-style rows.
-//! - [`Registry`] / [`Sampler`] — a live-metrics registry owned by whoever
-//!   serves it (named counters, gauges, histograms; lock-free hot path;
-//!   Prometheus and JSON exposition) with an optional background sampling
-//!   thread.
+//! - [`Registry`] — a live-metrics registry owned by whoever serves it
+//!   (named counters, gauges, histograms; lock-free hot path; Prometheus
+//!   and JSON exposition).
 //! - [`HttpServer`] — a hand-rolled HTTP/1.1 server (bounded acceptor
 //!   pool, one deadline per request, graceful shutdown, no dependencies);
 //!   a Prometheus endpoint is one [`Handler`] closure over a [`Registry`].
@@ -50,7 +49,7 @@ pub mod report;
 pub use failure::{FailureCause, panic_message};
 pub use http::{Handler, HttpServer, HttpServerHandle, Request, Response};
 pub use memory::{OutOfMemory, format_bytes};
-pub use registry::{Counter, Gauge, Histogram, Registry, Sampler};
+pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use resilience::{DegradationAction, DegradationEvent, ResilienceReport};
 pub use stopwatch::{PhaseTimer, phases};
 pub use table::TextTable;

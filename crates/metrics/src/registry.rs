@@ -1,6 +1,6 @@
 //! A live-metrics registry: named counters, gauges, and
 //! histograms with a lock-free hot path, Prometheus-style text exposition,
-//! a JSON snapshot, and an optional background sampler.
+//! and a JSON snapshot.
 //!
 //! Instrumented code asks the registry for a handle once ([`Registry::counter`],
 //! [`Registry::gauge`], [`Registry::histogram`]) and then updates it with
@@ -32,10 +32,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::thread;
-use std::time::Duration;
 
 /// A monotonically increasing counter handle. Cloning is cheap and clones
 /// share the same underlying value.
@@ -285,78 +283,6 @@ impl Registry {
     }
 }
 
-/// A background sampling thread that invokes a closure at a fixed interval
-/// (typically to copy heap occupancy, pool high-water marks, or GC pause
-/// percentiles into registry gauges).
-///
-/// The sampler costs nothing unless started: no thread exists and no
-/// instrumentation path checks for one. Once started it takes one sample
-/// immediately and then one per interval until [`Sampler::stop`], which
-/// joins the thread and returns how many samples ran.
-///
-/// ```
-/// use metrics::{Registry, Sampler};
-/// use std::time::Duration;
-///
-/// let registry = Registry::new();
-/// let ticks = registry.counter("sampler_ticks");
-/// let sampler = Sampler::start(Duration::from_millis(1), move || ticks.inc());
-/// std::thread::sleep(Duration::from_millis(10));
-/// let samples = sampler.stop();
-/// assert!(samples >= 1);
-/// assert_eq!(registry.counter("sampler_ticks").get(), samples);
-/// ```
-#[derive(Debug)]
-pub struct Sampler {
-    stop: Arc<AtomicBool>,
-    handle: thread::JoinHandle<u64>,
-}
-
-impl Sampler {
-    /// Spawns the sampling thread. `sample` runs once immediately and then
-    /// once per `interval`; it must not block for long, since `stop` waits
-    /// for the current sample to finish.
-    pub fn start<F>(interval: Duration, mut sample: F) -> Sampler
-    where
-        F: FnMut() + Send + 'static,
-    {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = thread::Builder::new()
-            .name("metrics-sampler".to_string())
-            .spawn(move || {
-                let mut samples = 0u64;
-                loop {
-                    sample();
-                    samples += 1;
-                    // Sleep in short slices so stop() returns promptly even
-                    // with long intervals.
-                    let mut waited = Duration::ZERO;
-                    while waited < interval {
-                        if flag.load(Ordering::Relaxed) {
-                            return samples;
-                        }
-                        let step = (interval - waited).min(Duration::from_millis(5));
-                        thread::sleep(step);
-                        waited += step;
-                    }
-                    if flag.load(Ordering::Relaxed) {
-                        return samples;
-                    }
-                }
-            })
-            .expect("spawn metrics sampler");
-        Sampler { stop, handle }
-    }
-
-    /// Signals the thread to exit and joins it, returning the number of
-    /// samples taken.
-    pub fn stop(self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle.join().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,22 +394,5 @@ mod tests {
             "{json}"
         );
         assert_eq!(json, r.snapshot_json());
-    }
-
-    #[test]
-    fn sampler_samples_and_stops_cleanly() {
-        let r = Registry::new();
-        let g = r.gauge("sampled_occupancy");
-        let source = Arc::new(AtomicU64::new(123));
-        let src = Arc::clone(&source);
-        let sampler = Sampler::start(Duration::from_millis(1), move || {
-            g.set(src.load(Ordering::Relaxed) as i64);
-        });
-        std::thread::sleep(Duration::from_millis(15));
-        source.store(456, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(15));
-        let samples = sampler.stop();
-        assert!(samples >= 2, "sampled {samples} times");
-        assert_eq!(r.gauge("sampled_occupancy").get(), 456);
     }
 }

@@ -158,13 +158,12 @@ mod fault_injection {
         }
     }
 
-    /// The prefetch pipeline under fire: every thread count overlaps
-    /// `sub_load` of upcoming subintervals with `sub_update` of current
-    /// ones, and a seeded fault plan provokes mid-interval retries on top.
-    /// The committed values must still be bit-identical to a fault-free
-    /// serial run — prefetched windows are pure snapshots, so neither who
-    /// gathered a window nor when a retry discarded it can show in the
-    /// output.
+    /// The parallel loader under fire: at every thread count workers load
+    /// some subintervals while others update theirs, and a seeded fault
+    /// plan provokes mid-interval retries on top. The committed values must
+    /// still be bit-identical to a fault-free serial run — a subinterval's
+    /// window is a pure snapshot, so neither which worker gathered it nor
+    /// when a retry discarded it can show in the output.
     #[test]
     fn pipelined_loader_thread_sweep_is_bit_identical_under_seeded_faults() {
         let mk = |threads| EngineConfig {

@@ -10,17 +10,12 @@ use facade::datagen::{CorpusSpec, Graph, GraphSpec, corpus};
 use facade::graphchi::{Engine, EngineConfig, PageRank, RunOutcome};
 use facade::hyracks::{Cluster, ClusterConfig};
 use facade::metrics::report::Backend;
-use facade_trace::TraceEvent;
+use facade_trace::{ArgValue, TraceEvent};
 
 /// Runs `job` disarmed, then armed. Returns both results and the armed
 /// run's drained timeline; leaves recording disarmed.
 fn disarmed_then_armed<T>(job: impl Fn() -> T) -> (T, T, Vec<TraceEvent>) {
     let disarmed = job();
-    assert_eq!(
-        facade_trace::next_flow_id(),
-        0,
-        "no flow ids while disarmed"
-    );
     assert!(
         facade_trace::drain().is_empty(),
         "a disarmed run records nothing"
@@ -60,7 +55,7 @@ fn an_armed_run_records_engine_spans_and_arming_changes_no_output() {
     let graph = Graph::generate(&GraphSpec::new(400, 3_000, 5));
 
     // GraphChi on the facade backend, two workers, with a budget that
-    // splits every interval into several subintervals so workers prefetch.
+    // splits every interval into several subintervals.
     let (off, on, events) = disarmed_then_armed(|| pagerank(&graph, Backend::Facade, 1 << 19));
     assert_eq!(bits(&off.values), bits(&on.values), "facade values moved");
     for name in [
@@ -77,32 +72,38 @@ fn an_armed_run_records_engine_spans_and_arming_changes_no_output() {
             "armed facade run recorded no {name}"
         );
     }
-    // A consumed prefetch window carries its gatherer's flow id into the
-    // owner's `sub_load`. A window its owner claimed before the gatherer
-    // parked it is gathered again inline (flow 0), so a `sub_prefetch` may
-    // have no consumer, but never two.
-    let flows = |name: &str| -> Vec<u64> {
-        events
+    // Every subinterval runs its three phases on whichever worker claimed
+    // it, so each phase names the same multiset of subintervals, and no
+    // load is gathered ahead on another worker.
+    let first_vertices = |name: &str| -> Vec<u64> {
+        let mut firsts: Vec<u64> = events
             .iter()
-            .filter(|e| e.name == name && e.flow != 0)
-            .map(|e| e.flow)
-            .collect()
+            .filter(|e| e.name == name)
+            .map(
+                |e| match e.args.iter().find(|(key, _)| *key == "first_vertex") {
+                    Some((_, ArgValue::UInt(v))) => *v,
+                    other => panic!("{name} has first_vertex {other:?}"),
+                },
+            )
+            .collect();
+        firsts.sort_unstable();
+        firsts
     };
-    let (prefetched, loaded) = (flows("sub_prefetch"), flows("sub_load"));
-    assert!(!prefetched.is_empty(), "no window was prefetched");
-    for flow in &prefetched {
-        assert!(
-            loaded.iter().filter(|&f| f == flow).count() <= 1,
-            "prefetch flow {flow} consumed twice"
-        );
-    }
-    for flow in &loaded {
-        assert_eq!(
-            prefetched.iter().filter(|&f| f == flow).count(),
-            1,
-            "sub_load flow {flow} has no single prefetch"
-        );
-    }
+    let loaded = first_vertices("sub_load");
+    assert!(
+        loaded.len() > count(&events, "exec_interval"),
+        "the budget must split intervals into several subintervals"
+    );
+    assert_eq!(loaded, first_vertices("sub_update"), "one update per load");
+    assert_eq!(
+        loaded,
+        first_vertices("sub_writeback"),
+        "one writeback per load"
+    );
+    assert!(
+        !events.iter().any(|e| e.name.contains("prefetch")),
+        "no subinterval is gathered ahead"
+    );
 
     // GraphChi on the heap backend, with a budget that makes it collect:
     // one GC span per collection the run reports.
