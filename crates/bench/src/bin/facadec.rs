@@ -91,7 +91,7 @@ fn print_stage_table(compiled: &Compiled) {
         eprintln!(
             "{:<16} {:>5}   {:>9.3?}",
             stage.name,
-            stage.render.line_count(),
+            stage.render.lines().count(),
             stage.duration
         );
     }

@@ -108,13 +108,6 @@ fn parse_chrome_trace(raw: &str) -> Result<Vec<ProfEvent>, String> {
                 dur_ns: entry.get("dur").map_or(0, &micros_to_ns),
             },
             Some("i") => EventKind::Instant,
-            Some("C") => EventKind::Counter {
-                value: entry
-                    .get("args")
-                    .and_then(|a| a.get("value"))
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-            },
             other => return Err(format!("unsupported event phase {other:?}")),
         };
         events.push(ProfEvent {

@@ -71,7 +71,7 @@ fn main() {
                         (total, gc)
                     }
                     Err(e) => {
-                        table.row_owned(vec![label, format!("OME: {e}")]);
+                        table.row_owned(vec![label, e.to_string()]);
                         Default::default()
                     }
                 };

@@ -57,8 +57,8 @@ fn main() {
                         peaks.push(mib(stats.peak_bytes));
                     }
                     Err(e) => {
-                        row.push(format!("OME({:.2})", e.after.as_secs_f64()));
-                        peaks.push("OME".into());
+                        row.push(format!("{}({:.2})", e.tag(), e.after.as_secs_f64()));
+                        peaks.push(e.tag().into());
                     }
                 }
             }

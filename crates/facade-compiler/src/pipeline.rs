@@ -70,27 +70,6 @@ impl StageRender {
             text: OnceLock::new(),
         }
     }
-
-    /// How many lines the text has, without rendering it.
-    pub fn line_count(&self) -> usize {
-        if let Some(text) = self.text.get() {
-            return text.lines().count();
-        }
-        // Mirrors `Program::render`: a header and a closing brace per class
-        // around one line per field; per method a signature, and for a body
-        // the locals, a label per block, a line per instruction and
-        // terminator, and a closing brace; the entry marker; the footer.
-        let p = &self.program;
-        let classes: usize = p.classes().map(|(_, c)| 2 + c.fields.len()).sum();
-        let methods: usize = p
-            .methods()
-            .map(|(_, m)| match &m.body {
-                Some(body) => 3 + body.blocks.len() + body.instr_count(),
-                None => 1,
-            })
-            .sum();
-        classes + methods + usize::from(p.entry().is_some()) + self.bounds.len()
-    }
 }
 
 impl Deref for StageRender {
@@ -345,20 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn nothing_is_rendered_until_read_and_line_counts_need_no_render() {
+    fn no_stage_is_rendered_until_read() {
         for entry in corpus::all() {
             let compiled = compile(&entry.program, &entry.spec, &PassConfig::all()).unwrap();
             for stage in &compiled.stages {
-                let counted = stage.render.line_count();
                 assert!(stage.render.text.get().is_none(), "{}", stage.name);
-                assert_eq!(
-                    counted,
-                    stage.render.lines().count(),
-                    "{}/{}",
-                    entry.name,
-                    stage.name
-                );
-                assert_eq!(stage.render.line_count(), counted, "after rendering");
             }
         }
     }

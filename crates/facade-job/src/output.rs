@@ -1,6 +1,6 @@
 //! Job outputs and the fingerprint used to prove bit-identical results.
 
-use metrics::json;
+use metrics::{FailureCause, JobFailure, json};
 
 /// The semantically visible result of a completed job — exactly the data
 /// the FACADE equivalence argument covers. Engine telemetry (timings,
@@ -131,6 +131,18 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+/// An engine run that ended early: a host cancel is the job's
+/// [`JobError::Canceled`], anything else fails it with the engine's
+/// paper-convention rendering (`OME(n): …`).
+impl From<JobFailure> for JobError {
+    fn from(e: JobFailure) -> Self {
+        match e.cause {
+            FailureCause::Canceled => JobError::Canceled,
+            _ => JobError::Failed(e.to_string()),
+        }
+    }
+}
 
 impl JobError {
     /// The JSON error body server responses carry.

@@ -135,11 +135,7 @@ impl JobRunner for GraphChiRunner {
                     self.name()
                 )));
             }
-        }
-        .map_err(|e| match e {
-            graphchi_rs::EngineError::Canceled => JobError::Canceled,
-            e => JobError::Failed(e.to_string()),
-        })?;
+        }?;
         Ok(JobReport {
             spec: spec.clone(),
             output: JobOutput::Vertices {
@@ -189,13 +185,9 @@ impl JobRunner for HyracksRunner {
         };
         let started = Instant::now();
         let cluster = Cluster::new(&config);
-        let failed = |e: hyracks_rs::JobFailure| match e.cause {
-            hyracks_rs::FailureCause::Canceled => JobError::Canceled,
-            _ => JobError::Failed(e.to_string()),
-        };
         let (output, stats) = match &spec.workload {
             Workload::WordCount => {
-                let wc = cluster.word_count(&data.corpus).map_err(failed)?;
+                let wc = cluster.word_count(&data.corpus)?;
                 (
                     JobOutput::WordCount {
                         distinct: wc.distinct_words,
@@ -206,7 +198,7 @@ impl JobRunner for HyracksRunner {
                 )
             }
             Workload::ExternalSort => {
-                let es = cluster.external_sort(&data.corpus).map_err(failed)?;
+                let es = cluster.external_sort(&data.corpus)?;
                 (
                     JobOutput::ExternalSort {
                         rows: es.total_records,

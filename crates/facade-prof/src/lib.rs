@@ -50,13 +50,13 @@ pub use facade_trace::{EventKind, TraceEvent};
 /// back out of a Chrome trace export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfEvent {
-    /// Event name (span/instant/counter name).
+    /// Event name (span or instant name).
     pub name: String,
     /// Dense recorder thread id (one profiling lane per tid).
     pub tid: u64,
     /// Start time in nanoseconds since the trace epoch.
     pub ts_ns: u64,
-    /// Span, instant, or counter payload.
+    /// Span or instant payload.
     pub kind: EventKind,
 }
 

@@ -144,13 +144,11 @@ where
     })
 }
 
-/// The failure a [`round`] reports: which unit, on which worker, and why.
+/// The failure a [`round`] reports: which unit, and why.
 #[derive(Debug)]
 pub struct UnitFailure {
     /// The failing unit's id.
     pub unit: usize,
-    /// Index of the worker that ran (or was lost holding) the unit.
-    pub worker: usize,
     /// What went wrong.
     pub cause: FailureCause,
 }
@@ -170,15 +168,14 @@ pub struct Round<R, T> {
     pub failure: Option<UnitFailure>,
 }
 
-/// A unit's slot: the worker that ran it and how it ended. Written once,
-/// whole, under its lock, so even a poisoned lock guards a valid value.
-type Slot<T> = Mutex<Option<(usize, Result<T, FailureCause>)>>;
+/// A unit's slot: how it ended. Written once, whole, under its lock, so
+/// even a poisoned lock guards a valid value.
+type Slot<T> = Mutex<Option<Result<T, FailureCause>>>;
 
-/// One worker's view of a [`round`]: the shared claim cursor and the
+/// What every worker of a [`round`] shares: the claim cursor and the
 /// unit-indexed outcome slots.
 #[derive(Debug)]
 pub struct Claims<'a, T> {
-    worker: usize,
     cursor: &'a AtomicUsize,
     slots: &'a [Slot<T>],
 }
@@ -199,7 +196,7 @@ impl<T> Claims<'_, T> {
         let slot = self.slots.get(unit)?;
         let outcome = guarded(|| work(unit));
         let ok = outcome.is_ok();
-        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some((self.worker, outcome));
+        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(outcome);
         Some(ok)
     }
 }
@@ -227,35 +224,29 @@ where
 {
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Slot<T>> = (0..units).map(|_| Mutex::new(None)).collect();
-    let joined = scoped_each(workers, |worker, item| {
-        let claims = Claims {
-            worker,
-            cursor: &cursor,
-            slots: &slots,
-        };
-        work(item, &claims)
-    });
+    let claims = Claims {
+        cursor: &cursor,
+        slots: &slots,
+    };
+    let joined = scoped_each(workers, |_, item| work(item, &claims));
 
-    let mut lost: Option<(usize, String)> = None;
+    let mut lost: Option<String> = None;
     let mut returned = Vec::with_capacity(joined.len());
-    for (worker, result) in joined.into_iter().enumerate() {
+    for result in joined {
         match result {
             Ok(r) => returned.push(r),
-            Err(message) => lost = lost.or(Some((worker, message))),
+            Err(message) => lost = lost.or(Some(message)),
         }
     }
     // What a unit nobody answered for is charged with. With no lost worker
     // every worker gave up early, which the engines do only behind a
     // failure of their own — a lower unit, so this one is not the verdict.
-    let unanswered = |unit| {
-        let (worker, message) = lost
-            .clone()
-            .unwrap_or((0, "unit produced no result".to_string()));
-        UnitFailure {
-            unit,
-            worker,
-            cause: FailureCause::WorkerPanic(message),
-        }
+    let unanswered = |unit| UnitFailure {
+        unit,
+        cause: FailureCause::WorkerPanic(
+            lost.clone()
+                .unwrap_or_else(|| "unit produced no result".to_string()),
+        ),
     };
     let mut failure: Option<UnitFailure> = None;
     let payloads = slots
@@ -263,12 +254,8 @@ where
         .enumerate()
         .map(|(unit, slot)| {
             match slot.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                Some((_, Ok(payload))) => return Some(payload),
-                Some((worker, Err(cause))) => failure.get_or_insert(UnitFailure {
-                    unit,
-                    worker,
-                    cause,
-                }),
+                Some(Ok(payload)) => return Some(payload),
+                Some(Err(cause)) => failure.get_or_insert(UnitFailure { unit, cause }),
                 None => failure.get_or_insert_with(|| unanswered(unit)),
             };
             None
@@ -414,7 +401,7 @@ mod tests {
         assert_eq!(out.workers, vec![vec![true, false, false, true]]);
         assert_eq!(out.payloads, vec![Some(0), None, None, Some(3)]);
         let failure = out.failure.expect("two units failed");
-        assert_eq!((failure.unit, failure.worker), (1, 0));
+        assert_eq!(failure.unit, 1);
         assert!(matches!(failure.cause, FailureCause::OutOfMemory(_)));
     }
 
@@ -459,7 +446,7 @@ mod tests {
         assert!(out.workers.is_empty());
         assert_eq!(out.payloads, vec![Some(0), None, None]);
         let failure = out.failure.expect("the worker was lost");
-        assert_eq!((failure.unit, failure.worker), (1, 0));
+        assert_eq!(failure.unit, 1);
         assert_eq!(message(&failure), "died retiring");
 
         // With a sibling: the sibling drains the cursor, so every unit has
@@ -475,7 +462,7 @@ mod tests {
         let payloads: Vec<usize> = out.payloads.into_iter().flatten().collect();
         assert_eq!(payloads, (0..50).collect::<Vec<_>>());
         let failure = out.failure.expect("the worker was lost");
-        assert_eq!((failure.unit, failure.worker), (49, 1));
+        assert_eq!(failure.unit, 49);
         assert_eq!(message(&failure), "died retiring");
     }
 

@@ -3,13 +3,12 @@
 //! The daemon multiplexes many jobs over one memory budget. Admission
 //! reuses the engines' degradation-ladder vocabulary instead of inventing
 //! a second failure model: a job that does not fit as submitted is walked
-//! down [`DegradationAction::ShrinkBudget`] rungs — its budget halved,
+//! down [`ShrinkBudget`](metrics::DegradationAction::ShrinkBudget) rungs — its budget halved,
 //! deterministically, never randomly — until it fits or hits the floor.
 //! Only a job that cannot fit even at the floor is rejected (the HTTP
 //! layer turns that into `429`). The server never panics on overload.
 
 use facade_job::JobSpec;
-use metrics::{DegradationAction, DegradationEvent};
 use std::sync::Mutex;
 
 /// The smallest budget admission will shrink a job to — matches the
@@ -21,15 +20,15 @@ pub const BUDGET_FLOOR_BYTES: usize = 64 << 10;
 pub enum Admission {
     /// The job fits as submitted.
     AsSubmitted,
-    /// The job fits after walking `events.len()` shrink rungs; `spec` is
-    /// the degraded spec actually run.
+    /// The job fits after walking `shrinks` rungs; `spec` is the degraded
+    /// spec actually run.
     Degraded {
         /// The spec after shrinking.
         spec: JobSpec,
-        /// One [`DegradationAction::ShrinkBudget`] event per rung, merged
-        /// into the job's resilience report so admission pressure is
-        /// visible in the same ledger as runtime pressure.
-        events: Vec<DegradationEvent>,
+        /// Rungs walked, each halving the budget. The server reports them
+        /// as the job's `admission_shrinks` and adds them to its
+        /// `server_admission_shrinks` counter.
+        shrinks: u32,
     },
     /// The job cannot fit even at the budget floor.
     Rejected {
@@ -95,19 +94,10 @@ impl AdmissionController {
         }
         // Walk ShrinkBudget rungs: halve until it fits or floors out.
         let mut degraded = spec.clone();
-        let mut events = Vec::new();
+        let mut shrinks = 0;
         while effective_bytes(&degraded) > free && degraded.budget_bytes / 2 >= BUDGET_FLOOR_BYTES {
             degraded.budget_bytes /= 2;
-            events.push(DegradationEvent {
-                phase: "admission".into(),
-                action: DegradationAction::ShrinkBudget {
-                    shrink: events.len() as u32 + 1,
-                },
-                cause: format!(
-                    "pool budget exceeded: {} of {} bytes free",
-                    free, self.capacity_bytes
-                ),
-            });
+            shrinks += 1;
         }
         if effective_bytes(&degraded) > free {
             return Admission::Rejected {
@@ -123,7 +113,7 @@ impl AdmissionController {
         *committed += effective_bytes(&degraded);
         Admission::Degraded {
             spec: degraded,
-            events,
+            shrinks,
         }
     }
 
@@ -165,15 +155,11 @@ mod tests {
     fn oversized_jobs_walk_shrink_rungs_deterministically() {
         let ctl = AdmissionController::new(2 << 20);
         let verdict = ctl.admit(&graph_spec(8 << 20));
-        let Admission::Degraded { spec, events } = verdict else {
+        let Admission::Degraded { spec, shrinks } = verdict else {
             panic!("expected degradation, got {verdict:?}");
         };
         assert_eq!(spec.budget_bytes, 2 << 20, "8 MiB halved twice fits 2 MiB");
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[1].action,
-            DegradationAction::ShrinkBudget { shrink: 2 }
-        );
+        assert_eq!(shrinks, 2);
         // Deterministic: the same submission against the same state gets
         // the same verdict.
         ctl.release(&spec);
@@ -204,10 +190,10 @@ mod tests {
         };
         assert_eq!(effective_bytes(&spec), 4 << 20);
         let ctl = AdmissionController::new(2 << 20);
-        let Admission::Degraded { spec, events } = ctl.admit(&spec) else {
+        let Admission::Degraded { spec, shrinks } = ctl.admit(&spec) else {
             panic!("4 MiB effective into 2 MiB capacity must degrade");
         };
         assert_eq!(effective_bytes(&spec), 2 << 20);
-        assert_eq!(events.len(), 1);
+        assert_eq!(shrinks, 1);
     }
 }

@@ -115,7 +115,7 @@ impl ServerState {
         let spec = spec.validated().map_err(|e| JobError::Invalid(e.0))?;
         let (spec, shrinks) = match self.admission.admit(&spec) {
             Admission::AsSubmitted => (spec, 0),
-            Admission::Degraded { spec, events } => (spec, events.len() as u64),
+            Admission::Degraded { spec, shrinks } => (spec, u64::from(shrinks)),
             Admission::Rejected { reason } => {
                 self.registry.counter("server_jobs_rejected").inc();
                 return Err(JobError::Rejected(reason));

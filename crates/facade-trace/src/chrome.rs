@@ -6,8 +6,7 @@
 //! in Perfetto (<https://ui.perfetto.dev>, *Open trace file*).
 //!
 //! Spans become complete events (`"ph": "X"`) with microsecond `ts`/`dur`,
-//! instants become thread-scoped instant events (`"ph": "i"`), and counters
-//! become counter events (`"ph": "C"`). All events share `pid` 1; the `tid`
+//! and instants become thread-scoped instant events (`"ph": "i"`). All events share `pid` 1; the `tid`
 //! is the dense thread id assigned by the recorder, so each worker thread
 //! renders as its own track. Span and instant args become the event's
 //! `"args"` object, which `facadeprof` reads back.
@@ -45,9 +44,6 @@ pub fn render(events: &[TraceEvent]) -> String {
             EventKind::Instant => {
                 out.push_str(",\"ph\":\"i\",\"s\":\"t\"");
                 write_args(&mut out, &event.args);
-            }
-            EventKind::Counter { value } => {
-                let _ = write!(out, ",\"ph\":\"C\",\"args\":{{\"value\":{}}}", Num(value));
             }
         }
         out.push('}');
@@ -117,19 +113,7 @@ fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
 /// control characters escaped, everything else passed through as UTF-8.
 pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    out.push_str(&metrics::json::escape(s));
     out.push('"');
 }
 
@@ -162,27 +146,16 @@ mod tests {
     }
 
     #[test]
-    fn renders_instants_and_counters() {
-        let events = vec![
-            TraceEvent {
-                name: "fault_injected",
-                tid: 2,
-                ts_ns: 0,
-                kind: EventKind::Instant,
-                args: vec![("kind", ArgValue::Str("pool_acquire"))],
-            },
-            TraceEvent {
-                name: "pool_occupancy",
-                tid: 2,
-                ts_ns: 10,
-                kind: EventKind::Counter { value: 12.0 },
-                args: Vec::new(),
-            },
-        ];
+    fn renders_instants() {
+        let events = vec![TraceEvent {
+            name: "fault_injected",
+            tid: 2,
+            ts_ns: 0,
+            kind: EventKind::Instant,
+            args: vec![("kind", ArgValue::Str("pool_acquire"))],
+        }];
         let json = render(&events);
         assert!(json.contains("\"ph\":\"i\",\"s\":\"t\""), "{json}");
-        assert!(json.contains("\"ph\":\"C\""), "{json}");
-        assert!(json.contains("\"args\":{\"value\":12}"), "{json}");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! [`set_enabled`]`(true)`** arms it for the whole process. Call sites stay
 //! unconditional: while disarmed each entry point is one relaxed load and
 //! a return. A span is recorded iff recording was armed when it started;
-//! an instant, counter or retroactive [`complete`] span iff it was armed
-//! when the call was made.
+//! an instant or retroactive [`complete`] span iff it was armed when the
+//! call was made.
 //!
 //! # Usage
 //!
@@ -119,11 +119,6 @@ pub enum EventKind {
     },
     /// A point event with no duration (fault injections, ladder steps).
     Instant,
-    /// A sampled counter value (pool occupancy, live bytes).
-    Counter {
-        /// The sampled value.
-        value: f64,
-    },
 }
 
 /// One recorded event, as returned by [`drain`].
@@ -140,7 +135,7 @@ pub struct TraceEvent {
     pub tid: u64,
     /// Start time in nanoseconds since the process trace epoch.
     pub ts_ns: u64,
-    /// Span, instant, or counter payload.
+    /// Span or instant payload.
     pub kind: EventKind,
     /// Key/value arguments attached at the call site.
     pub args: Vec<(&'static str, ArgValue)>,
@@ -245,22 +240,6 @@ pub fn instant(name: &'static str, args: &[(&'static str, ArgValue)]) {
         ts_ns: now_ns(),
         kind: EventKind::Instant,
         args: args.to_vec(),
-    });
-}
-
-/// Records a sampled counter value under `name` (rendered as a counter
-/// track in Perfetto).
-#[inline]
-pub fn counter(name: &'static str, value: f64) {
-    if !is_enabled() {
-        return;
-    }
-    push(TraceEvent {
-        name,
-        tid: thread_id(),
-        ts_ns: now_ns(),
-        kind: EventKind::Counter { value },
-        args: Vec::new(),
     });
 }
 
@@ -454,19 +433,13 @@ mod tests {
         set_enabled(false);
         let disarmed_at_start = span("t_gate_disarmed_start");
         instant("t_gate_instant", &[]);
-        counter("t_gate_counter", 1.0);
         complete("t_gate_complete", Instant::now(), &[]);
         drop(armed_at_start);
         set_enabled(true);
         drop(disarmed_at_start);
         let names: Vec<_> = drain().iter().map(|e| e.name).collect();
         assert!(names.contains(&"t_gate_armed_start"));
-        for name in [
-            "t_gate_disarmed_start",
-            "t_gate_instant",
-            "t_gate_counter",
-            "t_gate_complete",
-        ] {
+        for name in ["t_gate_disarmed_start", "t_gate_instant", "t_gate_complete"] {
             assert!(!names.contains(&name), "{name} recorded while disarmed");
         }
     }
@@ -589,18 +562,15 @@ mod tests {
     }
 
     #[test]
-    fn instants_and_counters_record() {
+    fn instants_record() {
         let _serial = serial();
         instant("t_instant", &[("kind", "test".into())]);
-        counter("t_counter", 7.5);
         let events = drain();
         assert!(
             events
                 .iter()
                 .any(|e| e.name == "t_instant" && e.kind == EventKind::Instant)
         );
-        assert!(events.iter().any(|e| e.name == "t_counter"
-            && matches!(e.kind, EventKind::Counter { value } if value == 7.5)));
     }
 
     #[test]

@@ -5,9 +5,7 @@ use data_store::recovery::scoped_each;
 use data_store::{ClassTag, ElemTy, FieldTy, Iteration, Rec, RunEnv, Store, StoreStats};
 use datagen::Graph;
 use metrics::report::Backend;
-use metrics::{FailureCause, OutOfMemory, PhaseTimer, phases};
-use std::error::Error;
-use std::fmt;
+use metrics::{FailureCause, JobFailure, OutOfMemory, PhaseTimer, phases};
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -40,28 +38,6 @@ impl Default for GpsConfig {
         }
     }
 }
-
-/// A failed run: some worker ran out of memory (the paper's `OME(n)`) or
-/// panicked. GPS has no retry ladder — the first failure ends the run.
-#[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Time from start to failure.
-    pub after: Duration,
-    /// What the first failing worker (in worker order) died of.
-    pub cause: FailureCause,
-}
-
-impl fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let tag = match self.cause {
-            FailureCause::OutOfMemory(_) => "OME",
-            _ => "FAILED",
-        };
-        write!(f, "{tag}({:.1}): {}", self.after.as_secs_f64(), self.cause)
-    }
-}
-
-impl Error for JobFailure {}
 
 /// The result of a completed run.
 #[derive(Debug)]

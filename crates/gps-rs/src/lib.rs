@@ -46,12 +46,12 @@
 //! };
 //! let outcome = run(&graph, &mut PageRank::new(3), &config)?;
 //! assert_eq!(outcome.values.len(), 400);
-//! # Ok::<(), gps_rs::JobFailure>(())
+//! # Ok::<(), metrics::JobFailure>(())
 //! ```
 
 mod engine;
 mod kernels;
 
-pub use engine::{GpsConfig, GpsOutcome, JobFailure, run};
+pub use engine::{GpsConfig, GpsOutcome, run};
 pub use kernels::{KMeans, Outgoing, PageRank, RandomWalk, VertexKernel};
 pub use metrics::report::Backend;

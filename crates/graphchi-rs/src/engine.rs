@@ -4,17 +4,18 @@
 use crate::apps::{VertexProgram, VertexView, pointer_fields, vertex_fields};
 use crate::preprocess::Csr;
 use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
-use data_store::recovery::{self, UnitFailure, guarded};
+use data_store::recovery::{self, guarded};
 use data_store::{
     ClassTag, ElemTy, FaultPlan, FieldTy, PauseRecord, PoolCounters, Rec, RecoveryError, RunEnv,
     Store, StoreStats,
 };
 use datagen::Graph;
 use metrics::report::Backend;
-use metrics::{DegradationAction, FailureCause, OutOfMemory, PhaseTimer, ResilienceReport, phases};
-use std::error::Error;
-use std::fmt;
+use metrics::{
+    DegradationAction, FailureCause, JobFailure, OutOfMemory, PhaseTimer, ResilienceReport, phases,
+};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// File name of the engine's checkpoint within a checkpoint directory.
 const CHECKPOINT_FILE: &str = "graphchi.fckp";
@@ -53,7 +54,7 @@ pub struct EngineConfig {
     /// What the host lends the run: page pool and epoch, cancellation flag,
     /// checkpoint directory, fault plan. The engine polls
     /// [`RunEnv::canceled`] at interval boundaries (the unit of
-    /// consistency) and stops with [`EngineError::Canceled`]; with
+    /// consistency) and stops with [`FailureCause::Canceled`]; with
     /// [`RunEnv::checkpoint_dir`] set it checkpoints vertex values, edge
     /// values and the loop cursor after every committed interval and
     /// resumes from a verified checkpoint of the same graph, configuration
@@ -72,122 +73,6 @@ impl Default for EngineConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             env: RunEnv::default(),
         }
-    }
-}
-
-/// A run that failed even after retries and degradation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineError {
-    /// A worker exhausted its memory budget and the degradation ladder had
-    /// no rung left (the condition Table 3 reports as `OME(n)`).
-    Oom {
-        /// Worker that hit the failure.
-        worker: usize,
-        /// Subinterval index within the failing interval.
-        subinterval: usize,
-        /// The underlying allocation failure, with held/requested context.
-        source: OutOfMemory,
-    },
-    /// A worker panicked and the retry budget was exhausted.
-    WorkerPanicked {
-        /// Worker that panicked.
-        worker: usize,
-        /// Subinterval index within the failing interval.
-        subinterval: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
-    /// The fault plan's `crash_at_interval` fired: the run aborted
-    /// mid-job, directly after committing (and checkpointing) the named
-    /// interval. A fresh engine run with the same
-    /// [`RunEnv::checkpoint_dir`] continues from that durable
-    /// boundary.
-    Crashed {
-        /// Pass the crash fired in.
-        pass: usize,
-        /// Interval index whose commit triggered the crash.
-        interval: usize,
-    },
-    /// The host set [`RunEnv::cancel`]: the run stopped at the next
-    /// interval boundary without committing further work.
-    Canceled,
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::Oom {
-                worker,
-                subinterval,
-                source,
-            } => {
-                write!(f, "worker {worker}, subinterval {subinterval}: {source}")
-            }
-            EngineError::WorkerPanicked {
-                worker,
-                subinterval,
-                message,
-            } => {
-                write!(
-                    f,
-                    "worker {worker} panicked in subinterval {subinterval}: {message}"
-                )
-            }
-            EngineError::Crashed { pass, interval } => {
-                write!(
-                    f,
-                    "injected crash after committing interval {interval} of pass {pass}"
-                )
-            }
-            EngineError::Canceled => f.write_str("canceled at an interval boundary"),
-        }
-    }
-}
-
-impl Error for EngineError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            EngineError::Oom { source, .. } => Some(source),
-            EngineError::WorkerPanicked { .. }
-            | EngineError::Crashed { .. }
-            | EngineError::Canceled => None,
-        }
-    }
-}
-
-/// Collapses the engine-specific context back to the cross-engine failure
-/// vocabulary, so callers handling both frameworks match on one shape.
-impl From<EngineError> for FailureCause {
-    fn from(e: EngineError) -> Self {
-        match e {
-            EngineError::Oom { source, .. } => FailureCause::OutOfMemory(source),
-            EngineError::WorkerPanicked { message, .. } => FailureCause::WorkerPanic(message),
-            crash @ EngineError::Crashed { .. } => FailureCause::InjectedCrash(crash.to_string()),
-            EngineError::Canceled => FailureCause::Canceled,
-        }
-    }
-}
-
-/// The run's error for a round's verdict: the cross-engine
-/// [`FailureCause`] plus the GraphChi-specific context (which worker, which
-/// subinterval).
-fn engine_error(worker: usize, subinterval: usize, cause: FailureCause) -> EngineError {
-    match cause {
-        FailureCause::OutOfMemory(source) => EngineError::Oom {
-            worker,
-            subinterval,
-            source,
-        },
-        // `FailureCause` is non-exhaustive; any kind other than a panic
-        // surfaces with its rendered message rather than being dropped.
-        cause => EngineError::WorkerPanicked {
-            worker,
-            subinterval,
-            message: match cause {
-                FailureCause::WorkerPanic(message) => message,
-                other => other.to_string(),
-            },
-        },
     }
 }
 
@@ -242,20 +127,18 @@ impl Ladder {
         }
     }
 
-    /// Hands `failure` to the shared ladder; what it hands back (no rung
+    /// Hands `cause` to the shared ladder; what it hands back (no rung
     /// left) is the run's error.
     fn respond(
         &mut self,
         config: &EngineConfig,
-        failure: UnitFailure,
+        cause: FailureCause,
         phase: &str,
         resilience: &mut ResilienceReport,
-    ) -> Result<(), EngineError> {
-        self.retry
-            .respond(phase, failure.cause, resilience, || {
-                Self::step_down(config, &mut self.threads, &mut self.shrink)
-            })
-            .map_err(|cause| engine_error(failure.worker, failure.unit, cause))
+    ) -> Result<(), FailureCause> {
+        self.retry.respond(phase, cause, resilience, || {
+            Self::step_down(config, &mut self.threads, &mut self.shrink)
+        })
     }
 }
 
@@ -601,9 +484,16 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] when the failure survives every rung of the
-    /// ladder — the condition Table 3 reports as `OME(n)`.
-    pub fn execute(&mut self, app: &dyn VertexProgram) -> Result<RunOutcome, EngineError> {
+    /// Returns [`JobFailure`] when the failure survives every rung of the
+    /// ladder — for a memory failure, the condition Table 3 reports as
+    /// `OME(n)` — when the fault plan's `crash_at_interval` fires, or when
+    /// the host cancels the run.
+    pub fn execute(&mut self, app: &dyn VertexProgram) -> Result<RunOutcome, JobFailure> {
+        let started = Instant::now();
+        let fail = |cause| JobFailure {
+            after: started.elapsed(),
+            cause,
+        };
         let mut ladder = Ladder::new(self.config.threads.max(1));
         let mut resilience = ResilienceReport::default();
         // Stats of stores torn down after a failure, folded into the final
@@ -620,12 +510,9 @@ impl Engine {
             match r {
                 Ok(()) => break,
                 Err(cause) => {
-                    let failure = UnitFailure {
-                        unit: 0,
-                        worker: 0,
-                        cause,
-                    };
-                    ladder.respond(&self.config, failure, "degree pass", &mut resilience)?;
+                    ladder
+                        .respond(&self.config, cause, "degree pass", &mut resilience)
+                        .map_err(fail)?;
                     for store in &stores {
                         retired.merge(&store.stats());
                     }
@@ -681,7 +568,7 @@ impl Engine {
                 // nothing half-committed is left behind, and a long run
                 // cannot occupy its executor past the next interval.
                 if self.config.env.canceled() {
-                    return Err(EngineError::Canceled);
+                    return Err(fail(FailureCause::Canceled));
                 }
                 // Retry loop: the interval commits only when every
                 // subinterval succeeded, so a mid-interval failure leaves
@@ -755,21 +642,22 @@ impl Engine {
                             }
                             if let Some(plan) = &self.config.env.fault_plan {
                                 if plan.should_crash_at_interval(committed_intervals) {
-                                    return Err(EngineError::Crashed {
-                                        pass,
-                                        interval: iv_idx,
-                                    });
+                                    return Err(fail(FailureCause::InjectedCrash(format!(
+                                        "after committing interval {iv_idx} of pass {pass}"
+                                    ))));
                                 }
                             }
                             break;
                         }
-                        Err(failure) => {
-                            ladder.respond(
-                                &self.config,
-                                failure,
-                                &format!("interval {iv_idx}"),
-                                &mut resilience,
-                            )?;
+                        Err(cause) => {
+                            ladder
+                                .respond(
+                                    &self.config,
+                                    cause,
+                                    &format!("interval {iv_idx}"),
+                                    &mut resilience,
+                                )
+                                .map_err(fail)?;
                             // A panicked worker may have left its store with
                             // open iterations or leaked roots; rebuilding is
                             // cheaper to prove correct than repairing.
@@ -846,7 +734,7 @@ impl Engine {
     /// Processes one interval's subintervals against the frozen snapshot as
     /// one [`recovery::round`]: each worker claims subintervals and runs
     /// them against its own store. Returns one commit buffer per
-    /// subinterval (in subinterval order), or the failure of the lowest
+    /// subinterval (in subinterval order), or the cause of the lowest
     /// failing one — independent of which worker hit it first, so error
     /// reporting is deterministic too.
     #[allow(clippy::too_many_arguments)]
@@ -859,7 +747,7 @@ impl Engine {
         values: &[f64],
         edge_values: &[f64],
         timer: &mut PhaseTimer,
-    ) -> Result<Vec<CommitBuf>, UnitFailure> {
+    ) -> Result<Vec<CommitBuf>, FailureCause> {
         let outcome = recovery::round(stores.iter_mut(), subs.len(), |store, claims| {
             let mut t = PhaseTimer::new();
             // A store that failed a subinterval may hold open iterations or
@@ -879,7 +767,7 @@ impl Engine {
             timer.merge(t);
         }
         match outcome.failure {
-            Some(failure) => Err(failure),
+            Some(failure) => Err(failure.cause),
             None => Ok(outcome
                 .payloads
                 .into_iter()
@@ -1276,9 +1164,9 @@ mod tests {
         );
         // The ladder runs out of rungs and hands back what it was given:
         // a typed, genuine (not injected) allocation failure.
-        match engine.execute(&PageRank::new(1)).unwrap_err() {
-            EngineError::Oom { source, .. } => assert!(!source.is_injected()),
-            other => panic!("expected Oom, got {other}"),
+        match engine.execute(&PageRank::new(1)).unwrap_err().cause {
+            FailureCause::OutOfMemory(source) => assert!(!source.is_injected()),
+            other => panic!("expected OutOfMemory, got {other}"),
         }
     }
 
@@ -1818,11 +1706,7 @@ mod resilience_tests {
         let mut ladder = Ladder::new(4);
         let base = ladder.edge_budget(&config);
         let mut resilience = ResilienceReport::default();
-        let oom_failure = || UnitFailure {
-            unit: 0,
-            worker: 0,
-            cause: FailureCause::OutOfMemory(OutOfMemory::new(2, 1)),
-        };
+        let oom_failure = || FailureCause::OutOfMemory(OutOfMemory::new(2, 1));
         // Deterministic OOMs walk the rungs: 4 -> 2 -> 1 threads, then
         // budget shrinks, and the per-worker budget never grows.
         let mut last = base;
@@ -1851,21 +1735,17 @@ mod resilience_tests {
         assert_eq!(exhausted, 1, "the ladder must eventually give up");
         // A panic that outlives its same-rung retries on the exhausted
         // ladder surfaces as a typed error carrying the message.
-        let panicked = || UnitFailure {
-            unit: 2,
-            worker: 1,
-            cause: FailureCause::WorkerPanic("injected worker panic".into()),
-        };
+        let panicked = || FailureCause::WorkerPanic("injected worker panic".into());
         let err = loop {
             if let Err(e) = ladder.respond(&config, panicked(), "test", &mut resilience) {
                 break e;
             }
         };
         match &err {
-            EngineError::WorkerPanicked { message, .. } => {
+            FailureCause::WorkerPanic(message) => {
                 assert!(message.contains("injected worker panic"), "{message}");
             }
-            other => panic!("expected WorkerPanicked, got {other}"),
+            other => panic!("expected WorkerPanic, got {other}"),
         }
         assert!(err.to_string().contains("panic"));
     }

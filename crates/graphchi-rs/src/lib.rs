@@ -50,6 +50,8 @@
 //! subinterval budget to its floor. Every retry and rung is recorded in the
 //! run's [`metrics::ResilienceReport`], and — while recording is armed —
 //! as instant events in the trace timeline (see `docs/OBSERVABILITY.md`).
+//! A failure that outlives the last rung ends the run in the one error
+//! every engine returns, [`metrics::JobFailure`] (`OME(n)` in Table 3).
 //!
 //! # Examples
 //!
@@ -66,7 +68,7 @@
 //! let mut engine = Engine::new(&graph, config);
 //! let outcome = engine.execute(&PageRank::new(3))?;
 //! assert_eq!(outcome.values.len(), 500);
-//! # Ok::<(), graphchi_rs::EngineError>(())
+//! # Ok::<(), metrics::JobFailure>(())
 //! ```
 //!
 //! What a *host* lends the run — a shared page pool and its epoch, a
@@ -96,7 +98,7 @@ pub use apps::{
     ConnectedComponents, PageRank, SSSP_INFINITY, ShortestPaths, VertexProgram, VertexView,
 };
 pub use data_store::RunEnv;
-pub use engine::{Engine, EngineConfig, EngineError, RunOutcome};
+pub use engine::{Engine, EngineConfig, RunOutcome};
 pub use metrics::FailureCause;
 pub use metrics::report::Backend;
 pub use preprocess::Csr;

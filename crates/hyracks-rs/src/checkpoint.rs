@@ -8,9 +8,10 @@
 //! output, because the checkpoint stores exactly the phase payloads the
 //! live run would have produced, in partition order.
 
-use crate::cluster::{ClusterConfig, JobFailure};
+use crate::cluster::ClusterConfig;
 use data_store::RecoveryError;
 use data_store::checkpoint::{self, Cursor};
+use metrics::JobFailure;
 use std::time::Instant;
 
 /// Fingerprint of a job shape: see `cluster::job_checkpointer` for what

@@ -18,9 +18,7 @@ use data_store::checkpoint::Checkpointer;
 use data_store::recovery::{Ladder, round};
 use data_store::{FaultPlan, PagePool, PauseRecord, PoolCounters, RunEnv, Store, StoreStats};
 use metrics::report::Backend;
-use metrics::{DegradationAction, OutOfMemory, ResilienceReport};
-use std::error::Error;
-use std::fmt;
+use metrics::{DegradationAction, JobFailure, OutOfMemory, ResilienceReport};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -228,38 +226,6 @@ impl JobStats {
         slot.partitions += report.partitions;
         slot.stats.merge(&report.stats);
         slot.pauses.extend(report.pauses);
-    }
-}
-
-/// A failed job: some worker failed `after` this long and every rung of the
-/// retry ladder was exhausted (or retry was disabled) — the paper's `OME(n)`
-/// outcome.
-#[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Time from job start to failure.
-    pub after: Duration,
-    /// The surviving worker failure.
-    pub cause: FailureCause,
-}
-
-impl fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.cause {
-            FailureCause::OutOfMemory(e) => {
-                write!(f, "OME({:.1}): {}", self.after.as_secs_f64(), e)
-            }
-            FailureCause::WorkerPanic(m) => {
-                write!(f, "FAILED({:.1}): {m}", self.after.as_secs_f64())
-            }
-            FailureCause::Canceled => write!(f, "CANCELED({:.1})", self.after.as_secs_f64()),
-            cause => write!(f, "FAILED({:.1}): {cause}", self.after.as_secs_f64()),
-        }
-    }
-}
-
-impl Error for JobFailure {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        Some(&self.cause)
     }
 }
 
@@ -871,19 +837,5 @@ mod tests {
         assert!(failure.to_string().starts_with("FAILED("), "{failure}");
         assert!(failure.to_string().contains("boom"));
         assert_eq!(stats.resilience.degradations, u64::from(MAX_DEGRADE_LEVELS));
-    }
-
-    #[test]
-    fn job_failure_displays_paper_convention() {
-        let f = JobFailure {
-            after: Duration::from_secs_f64(683.1),
-            cause: FailureCause::OutOfMemory(OutOfMemory::new(10, 5)),
-        };
-        assert!(f.to_string().starts_with("OME(683.1)"));
-        let p = JobFailure {
-            after: Duration::from_secs_f64(1.0),
-            cause: FailureCause::WorkerPanic("index out of bounds".into()),
-        };
-        assert!(p.to_string().starts_with("FAILED(1.0)"), "{p}");
     }
 }

@@ -3,12 +3,11 @@
 
 use crate::checkpoint::{decode_words, encode_words, maybe_crash};
 use crate::cluster::{
-    ClusterConfig, JobFailure, JobStats, finish_job, first_phase, job_checkpointer, round_robin,
-    run_phase,
+    ClusterConfig, JobStats, finish_job, first_phase, job_checkpointer, round_robin, run_phase,
 };
 use crate::hashtable::hash_bytes;
 use data_store::{ClassTag, ElemTy, FieldTy, Rec, Store};
-use metrics::OutOfMemory;
+use metrics::{JobFailure, OutOfMemory};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::binary_heap::PeekMut;

@@ -60,7 +60,7 @@ pub mod extsort;
 pub mod hashtable;
 pub mod wordcount;
 
-pub use cluster::{Cluster, ClusterConfig, FailureCause, JobFailure, JobStats, WorkerReport};
+pub use cluster::{Cluster, ClusterConfig, FailureCause, JobStats, WorkerReport};
 pub use data_store::RunEnv;
 pub use extsort::EsOutput;
 pub use metrics::report::Backend;

@@ -4,12 +4,11 @@
 
 use crate::checkpoint::{decode_pairs, encode_pairs, maybe_crash};
 use crate::cluster::{
-    ClusterConfig, JobFailure, JobStats, finish_job, first_phase, job_checkpointer, round_robin,
-    run_phase,
+    ClusterConfig, JobStats, finish_job, first_phase, job_checkpointer, round_robin, run_phase,
 };
 use crate::hashtable::{WordTable, WordTableClasses, hash_bytes, register_classes};
 use data_store::{ClassTag, FieldTy, Store};
-use metrics::OutOfMemory;
+use metrics::{JobFailure, OutOfMemory};
 use std::collections::BTreeMap;
 use std::time::Instant;
 

@@ -6,11 +6,13 @@
 //! panics are *transient* (an identical retry can succeed), a genuine
 //! budget exhaustion is deterministic and forces the ladder down a rung.
 //! This module is that vocabulary, extracted so callers match on one shape
-//! regardless of which engine produced the error.
+//! regardless of which engine produced the error — [`JobFailure`] is the
+//! error every engine's run ends in.
 
 use crate::memory::OutOfMemory;
 use std::error::Error;
 use std::fmt;
+use std::time::Duration;
 
 /// Why a worker failed.
 ///
@@ -76,6 +78,49 @@ impl From<OutOfMemory> for FailureCause {
     }
 }
 
+/// A run that ended early: its failure survived the engine's retry ladder
+/// (or the host canceled it) `after` this long. Every engine's entry point
+/// fails with this one type.
+#[derive(Debug, Clone)]
+pub struct JobFailure {
+    /// Time from the run's start to its failure.
+    pub after: Duration,
+    /// What ended the run.
+    pub cause: FailureCause,
+}
+
+impl JobFailure {
+    /// The paper's cell tag for this failure (§4.2, Table 3): `OME` for an
+    /// exhausted budget, `CANCELED` for a host cancel, `FAILED` otherwise.
+    pub fn tag(&self) -> &'static str {
+        match self.cause {
+            FailureCause::OutOfMemory(_) => "OME",
+            FailureCause::Canceled => "CANCELED",
+            _ => "FAILED",
+        }
+    }
+}
+
+/// The paper's convention: `OME(n)`, `CANCELED(n)` or `FAILED(n)` with `n`
+/// the seconds to failure, then the cause.
+impl fmt::Display for JobFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}({:.1})", self.tag(), self.after.as_secs_f64())?;
+        match &self.cause {
+            FailureCause::OutOfMemory(e) => write!(f, ": {e}"),
+            FailureCause::WorkerPanic(m) => write!(f, ": {m}"),
+            FailureCause::Canceled => Ok(()),
+            cause => write!(f, ": {cause}"),
+        }
+    }
+}
+
+impl Error for JobFailure {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        Some(&self.cause)
+    }
+}
+
 /// Renders a `catch_unwind` payload into the message a
 /// [`FailureCause::WorkerPanic`] carries. Handles the two payload shapes
 /// `panic!` produces (`&str` and `String`); anything else is opaque.
@@ -111,6 +156,26 @@ mod tests {
         let panic = FailureCause::WorkerPanic("index out of bounds".into());
         assert!(panic.to_string().contains("worker panicked"), "{panic}");
         assert!(Error::source(&panic).is_none());
+    }
+
+    #[test]
+    fn job_failure_displays_paper_convention() {
+        let failure = |secs, cause| JobFailure {
+            after: Duration::from_secs_f64(secs),
+            cause,
+        };
+        let oom = failure(683.1, FailureCause::from(OutOfMemory::new(10, 5)));
+        assert!(oom.to_string().starts_with("OME(683.1): "), "{oom}");
+        let panic = failure(1.0, FailureCause::WorkerPanic("index out of bounds".into()));
+        assert_eq!(panic.to_string(), "FAILED(1.0): index out of bounds");
+        let crash = failure(2.0, FailureCause::InjectedCrash("after phase 0".into()));
+        assert_eq!(
+            crash.to_string(),
+            "FAILED(2.0): injected crash: after phase 0"
+        );
+        let cancel = failure(0.5, FailureCause::Canceled);
+        assert_eq!(cancel.to_string(), "CANCELED(0.5)");
+        assert!(Error::source(&panic).is_some());
     }
 
     #[test]

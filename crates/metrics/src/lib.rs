@@ -19,7 +19,8 @@
 //! - [`json`] — the matching hand-rolled JSON reader for everything the
 //!   workspace writes by hand (experiment reports, job submissions).
 //! - [`FailureCause`] — the worker-failure vocabulary shared by the
-//!   engines' degradation ladders (OOM vs. panic, transient vs. not).
+//!   engines' degradation ladders (OOM vs. panic, transient vs. not), and
+//!   [`JobFailure`], the one error every engine's run ends in (`OME(n)`).
 //! - [`report`] — the [`report::Backend`] (`P` / `P'`) vocabulary.
 //!
 //! # Examples
@@ -46,7 +47,7 @@ mod table;
 pub mod json;
 pub mod report;
 
-pub use failure::{FailureCause, panic_message};
+pub use failure::{FailureCause, JobFailure, panic_message};
 pub use http::{Handler, HttpServer, HttpServerHandle, Request, Response};
 pub use memory::{OutOfMemory, format_bytes};
 pub use registry::{Counter, Gauge, Histogram, Registry};

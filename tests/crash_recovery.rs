@@ -11,7 +11,7 @@
 
 use facade::datagen::{CorpusSpec, Graph, GraphSpec, corpus};
 use facade::graphchi::{
-    Backend, ConnectedComponents, Engine, EngineConfig, EngineError, PageRank, ShortestPaths,
+    Backend, ConnectedComponents, Engine, EngineConfig, FailureCause, PageRank, ShortestPaths,
     VertexProgram,
 };
 use facade::hyracks::{Cluster, ClusterConfig};
@@ -60,11 +60,8 @@ fn graphchi_recovers_bit_identically_at_every_thread_count() {
             .expect_err("the crash fault must abort the run");
         assert!(
             matches!(
-                err,
-                EngineError::Crashed {
-                    pass: 1,
-                    interval: 0
-                }
+                &err.cause,
+                FailureCause::InjectedCrash(m) if m == "after committing interval 0 of pass 1"
             ),
             "{err}"
         );

@@ -158,14 +158,14 @@ mod fault_injection {
         }
     }
 
-    /// The parallel loader under fire: at every thread count workers load
-    /// some subintervals while others update theirs, and a seeded fault
-    /// plan provokes mid-interval retries on top. The committed values must
-    /// still be bit-identical to a fault-free serial run — a subinterval's
-    /// window is a pure snapshot, so neither which worker gathered it nor
-    /// when a retry discarded it can show in the output.
+    /// The worker round under fire: at every thread count workers claim
+    /// subintervals and each loads, updates and writes back its own, and a
+    /// seeded fault plan provokes mid-interval retries on top. The committed
+    /// values must still be bit-identical to a fault-free serial run — a
+    /// subinterval's window is a pure snapshot, so neither which worker ran
+    /// it nor when a retry discarded it can show in the output.
     #[test]
-    fn pipelined_loader_thread_sweep_is_bit_identical_under_seeded_faults() {
+    fn graphchi_thread_sweep_is_bit_identical_under_seeded_faults() {
         let mk = |threads| EngineConfig {
             backend: Backend::Facade,
             budget_bytes: 16 << 20,
@@ -178,7 +178,7 @@ mod fault_injection {
             let clean = pagerank(mk(threads));
             assert_eq!(
                 reference.values, clean.values,
-                "pipelined run at {threads} threads must match serial"
+                "run at {threads} threads must match serial"
             );
             let plan = FaultPlan::builder(23)
                 .fail_nth_allocation(15_000)
@@ -189,7 +189,7 @@ mod fault_injection {
             let faulty = pagerank(config);
             assert_eq!(
                 reference.values, faulty.values,
-                "faulted pipelined run at {threads} threads must match serial"
+                "faulted run at {threads} threads must match serial"
             );
             assert_eq!(reference.passes, faulty.passes);
             assert!(
