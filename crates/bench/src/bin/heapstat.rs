@@ -42,6 +42,7 @@ fn workload(
     (live_gauge, live_hist): (&Gauge, &Histogram),
 ) -> Result<StoreCensus, OutOfMemory> {
     let vertex = store.register_class("Vertex", &[FieldTy::I32, FieldTy::F64, FieldTy::Ref]);
+    let (id, rank) = (store.field(vertex, 0), store.field(vertex, 1));
     let chunks = n.div_ceil(CHUNK);
     let mut census = None;
     for chunk in 0..chunks {
@@ -51,8 +52,8 @@ fn workload(
         let root = store.add_root(arr);
         for i in 0..count {
             let v = store.alloc(vertex)?;
-            store.set_i32(v, 0, (chunk * CHUNK + i) as i32);
-            store.set_f64(v, 1, 1.0);
+            store.set_i32(v, id, (chunk * CHUNK + i) as i32);
+            store.set_f64(v, rank, 1.0);
             store.array_set_rec(arr, i, v);
         }
         if chunk == chunks / 2 {

@@ -26,10 +26,12 @@
 //! let facade = Store::builder().budget(16 << 20).build();
 //! for mut store in [heap, facade] {
 //!     let vertex = store.register_class("Vertex", &[FieldTy::F64, FieldTy::Ref]);
+//!     // Resolve a field once; every access through it is offset arithmetic.
+//!     let rank = store.field(vertex, 0);
 //!     let it = store.iteration_start();
 //!     let v = store.alloc(vertex)?;
-//!     store.set_f64(v, 0, 0.85);
-//!     assert_eq!(store.get_f64(v, 0), 0.85);
+//!     store.set_f64(v, rank, 0.85);
+//!     assert_eq!(store.get_f64(v, rank), 0.85);
 //!     store.iteration_end(it);
 //! }
 //! # Ok::<(), metrics::OutOfMemory>(())
@@ -107,6 +109,55 @@ pub enum ElemTy {
 /// A registered record class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClassTag(pub u16);
+
+/// A record field resolved once by [`Store::field`]: its byte offset in
+/// the store's records, and the class it belongs to. An accessor given a
+/// `Field` uses the offset as is; one given a bare field index looks the
+/// offset up in the record's class on every access.
+///
+/// A `Field` is valid on every store of the same backend that registered
+/// the same classes in the same order, as a run's per-worker stores do.
+/// Used on a record of another class it panics in debug builds; in release
+/// builds it reads or writes the wrong bytes of the record's page (facade)
+/// or space (heap), never memory outside them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    offset: u32,
+    class: ClassTag,
+}
+
+/// Names a record field to the [`Store`] accessors: a resolved [`Field`],
+/// or a `usize` field index, which the store resolves on each access (the
+/// reflective path, for callers that pick a field at run time). Sealed:
+/// these are the only two.
+pub trait FieldRef: Copy + sealed::Sealed {}
+
+impl FieldRef for Field {}
+impl FieldRef for usize {}
+
+mod sealed {
+    use super::Field;
+
+    /// Seals [`FieldRef`](super::FieldRef).
+    pub trait Sealed {
+        /// The resolved field, or the bare index the store resolves itself.
+        fn resolved(self) -> Result<Field, usize>;
+    }
+
+    impl Sealed for Field {
+        #[inline]
+        fn resolved(self) -> Result<Field, usize> {
+            Ok(self)
+        }
+    }
+
+    impl Sealed for usize {
+        #[inline]
+        fn resolved(self) -> Result<Field, usize> {
+            Err(self)
+        }
+    }
+}
 
 /// A backend-independent record reference. The all-zero value is null.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -437,6 +488,36 @@ impl Store {
         }
     }
 
+    /// Resolves field `index` of `class` to a [`Field`], for the accessors
+    /// to use without looking the class up again.
+    ///
+    /// ```
+    /// use data_store::{FieldTy, Store};
+    ///
+    /// let mut store = Store::builder().build();
+    /// let pair = store.register_class("Pair", &[FieldTy::I32, FieldTy::F64]);
+    /// let value = store.field(pair, 1);
+    /// let r = store.alloc(pair)?;
+    /// store.set_f64(r, value, 2.5);
+    /// assert_eq!(store.get_f64(r, value), 2.5);
+    /// // A bare index names the same field, resolved on every access.
+    /// assert_eq!(store.get_f64(r, 1), 2.5);
+    /// # Ok::<(), metrics::OutOfMemory>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is not registered or has no field `index`.
+    pub fn field(&self, class: ClassTag, index: usize) -> Field {
+        let offset = match &self.inner {
+            Inner::Heap { heap, classes } => heap.field_offset(classes[class.0 as usize], index),
+            Inner::Facade { paged, classes } => {
+                paged.field_offset(classes[class.0 as usize], index)
+            }
+        };
+        Field { offset, class }
+    }
+
     // ----- allocation -----------------------------------------------------
 
     /// Allocates a record of `class`.
@@ -544,75 +625,120 @@ impl Store {
 
     // ----- field access ----------------------------------------------------
 
+    /// Where `field` is in record `r`: `Ok` with the offset of a resolved
+    /// [`Field`] (checked against `r`'s class in debug builds), or `Err`
+    /// with a bare index, which the backend's index accessors resolve.
+    #[inline]
+    fn slot(&self, r: Rec, field: impl FieldRef) -> Result<u32, usize> {
+        field.resolved().map(|f| {
+            if cfg!(debug_assertions) {
+                self.check_class(r, f.class);
+            }
+            f.offset
+        })
+    }
+
+    /// Panics unless `r` is a record of `class`, naming both classes.
+    fn check_class(&self, r: Rec, class: ClassTag) {
+        let (expected, actual) = match &self.inner {
+            Inner::Heap { heap, classes } => {
+                let expected = classes[class.0 as usize];
+                let actual = heap.class_of(Self::h(r));
+                if actual == Some(expected) {
+                    return;
+                }
+                let actual = actual.map_or("an array", |c| heap.layout(c).name());
+                (heap.layout(expected).name(), actual)
+            }
+            Inner::Facade { paged, classes } => {
+                let expected = classes[class.0 as usize];
+                let actual = paged.type_of(Self::p(r));
+                if actual == expected {
+                    return;
+                }
+                (paged.layout(expected).name(), paged.layout(actual).name())
+            }
+        };
+        panic!("a field of class {expected} used on a record of class {actual}");
+    }
+
     /// Reads a 32-bit field.
     #[inline]
-    pub fn get_i32(&self, r: Rec, field: usize) -> i32 {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.get_i32(Self::h(r), field),
-            Inner::Facade { paged, .. } => paged.get_i32(Self::p(r), field),
+    pub fn get_i32(&self, r: Rec, field: impl FieldRef) -> i32 {
+        match (&self.inner, self.slot(r, field)) {
+            (Inner::Heap { heap, .. }, Ok(at)) => heap.get_i32_at(Self::h(r), at),
+            (Inner::Heap { heap, .. }, Err(i)) => heap.get_i32(Self::h(r), i),
+            (Inner::Facade { paged, .. }, Ok(at)) => paged.get_i32_at(Self::p(r), at),
+            (Inner::Facade { paged, .. }, Err(i)) => paged.get_i32(Self::p(r), i),
         }
     }
 
     /// Writes a 32-bit field.
     #[inline]
-    pub fn set_i32(&mut self, r: Rec, field: usize, v: i32) {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.set_i32(Self::h(r), field, v),
-            Inner::Facade { paged, .. } => paged.set_i32(Self::p(r), field, v),
+    pub fn set_i32(&mut self, r: Rec, field: impl FieldRef, v: i32) {
+        match (self.slot(r, field), &mut self.inner) {
+            (Ok(at), Inner::Heap { heap, .. }) => heap.set_i32_at(Self::h(r), at, v),
+            (Err(i), Inner::Heap { heap, .. }) => heap.set_i32(Self::h(r), i, v),
+            (Ok(at), Inner::Facade { paged, .. }) => paged.set_i32_at(Self::p(r), at, v),
+            (Err(i), Inner::Facade { paged, .. }) => paged.set_i32(Self::p(r), i, v),
         }
     }
 
     /// Reads a 64-bit field.
     #[inline]
-    pub fn get_i64(&self, r: Rec, field: usize) -> i64 {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.get_i64(Self::h(r), field),
-            Inner::Facade { paged, .. } => paged.get_i64(Self::p(r), field),
+    pub fn get_i64(&self, r: Rec, field: impl FieldRef) -> i64 {
+        match (&self.inner, self.slot(r, field)) {
+            (Inner::Heap { heap, .. }, Ok(at)) => heap.get_i64_at(Self::h(r), at),
+            (Inner::Heap { heap, .. }, Err(i)) => heap.get_i64(Self::h(r), i),
+            (Inner::Facade { paged, .. }, Ok(at)) => paged.get_i64_at(Self::p(r), at),
+            (Inner::Facade { paged, .. }, Err(i)) => paged.get_i64(Self::p(r), i),
         }
     }
 
     /// Writes a 64-bit field.
     #[inline]
-    pub fn set_i64(&mut self, r: Rec, field: usize, v: i64) {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.set_i64(Self::h(r), field, v),
-            Inner::Facade { paged, .. } => paged.set_i64(Self::p(r), field, v),
+    pub fn set_i64(&mut self, r: Rec, field: impl FieldRef, v: i64) {
+        match (self.slot(r, field), &mut self.inner) {
+            (Ok(at), Inner::Heap { heap, .. }) => heap.set_i64_at(Self::h(r), at, v),
+            (Err(i), Inner::Heap { heap, .. }) => heap.set_i64(Self::h(r), i, v),
+            (Ok(at), Inner::Facade { paged, .. }) => paged.set_i64_at(Self::p(r), at, v),
+            (Err(i), Inner::Facade { paged, .. }) => paged.set_i64(Self::p(r), i, v),
         }
     }
 
     /// Reads a double field.
     #[inline]
-    pub fn get_f64(&self, r: Rec, field: usize) -> f64 {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.get_f64(Self::h(r), field),
-            Inner::Facade { paged, .. } => paged.get_f64(Self::p(r), field),
-        }
+    pub fn get_f64(&self, r: Rec, field: impl FieldRef) -> f64 {
+        f64::from_bits(self.get_i64(r, field) as u64)
     }
 
     /// Writes a double field.
     #[inline]
-    pub fn set_f64(&mut self, r: Rec, field: usize, v: f64) {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.set_f64(Self::h(r), field, v),
-            Inner::Facade { paged, .. } => paged.set_f64(Self::p(r), field, v),
-        }
+    pub fn set_f64(&mut self, r: Rec, field: impl FieldRef, v: f64) {
+        self.set_i64(r, field, v.to_bits() as i64);
     }
 
     /// Reads a reference field.
     #[inline]
-    pub fn get_rec(&self, r: Rec, field: usize) -> Rec {
-        match &self.inner {
-            Inner::Heap { heap, .. } => Rec(heap.get_ref(Self::h(r), field).raw() as u64),
-            Inner::Facade { paged, .. } => Rec(paged.get_ref(Self::p(r), field).raw()),
+    pub fn get_rec(&self, r: Rec, field: impl FieldRef) -> Rec {
+        match (&self.inner, self.slot(r, field)) {
+            (Inner::Heap { heap, .. }, Ok(at)) => Rec(heap.get_ref_at(Self::h(r), at).raw() as u64),
+            (Inner::Heap { heap, .. }, Err(i)) => Rec(heap.get_ref(Self::h(r), i).raw() as u64),
+            (Inner::Facade { paged, .. }, Ok(at)) => Rec(paged.get_i64_at(Self::p(r), at) as u64),
+            (Inner::Facade { paged, .. }, Err(i)) => Rec(paged.get_ref(Self::p(r), i).raw()),
         }
     }
 
     /// Writes a reference field.
     #[inline]
-    pub fn set_rec(&mut self, r: Rec, field: usize, v: Rec) {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.set_ref(Self::h(r), field, Self::h(v)),
-            Inner::Facade { paged, .. } => paged.set_ref(Self::p(r), field, Self::p(v)),
+    pub fn set_rec(&mut self, r: Rec, field: impl FieldRef, v: Rec) {
+        match (self.slot(r, field), &mut self.inner) {
+            (Ok(at), Inner::Heap { heap, .. }) => heap.set_ref_at(Self::h(r), at, Self::h(v)),
+            (Err(i), Inner::Heap { heap, .. }) => heap.set_ref(Self::h(r), i, Self::h(v)),
+            (Ok(at), Inner::Facade { paged, .. }) => {
+                paged.set_i64_at(Self::p(r), at, v.0 as i64);
+            }
+            (Err(i), Inner::Facade { paged, .. }) => paged.set_ref(Self::p(r), i, Self::p(v)),
         }
     }
 

@@ -902,6 +902,61 @@ impl PagedHeap {
         self.set_i64(r, field, v.raw() as i64);
     }
 
+    /// The offset of field `field` in records of type `ty`, header
+    /// included: what the `*_at` accessors take. Fixed once the type is
+    /// registered, so a caller resolves it once and reuses it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ty` is not registered or has no field `field`.
+    #[inline]
+    pub fn field_offset(&self, ty: TypeId, field: usize) -> u32 {
+        debug_assert!(ty.0 >= FIRST_USER_TYPE, "field access on array record");
+        RECORD_HEADER_BYTES + self.types[ty.0 as usize].offset(field)
+    }
+
+    /// Reads the 32-bit field at offset `at` (see [`PagedHeap::field_offset`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the record's page.
+    #[inline]
+    pub fn get_i32_at(&self, r: PageRef, at: u32) -> i32 {
+        Self::u32_of(self.record_bytes(r), at as usize) as i32
+    }
+
+    /// Writes the 32-bit field at offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the record's page.
+    #[inline]
+    pub fn set_i32_at(&mut self, r: PageRef, at: u32, v: i32) {
+        let at = at as usize;
+        self.record_bytes_mut(r)[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Reads the 64-bit field at offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the record's page.
+    #[inline]
+    pub fn get_i64_at(&self, r: PageRef, at: u32) -> i64 {
+        Self::u64_of(self.record_bytes(r), at as usize) as i64
+    }
+
+    /// Writes the 64-bit field at offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the record's page.
+    #[inline]
+    pub fn set_i64_at(&mut self, r: PageRef, at: u32, v: i64) {
+        let at = at as usize;
+        self.record_bytes_mut(r)[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
     // ----- array access -----------------------------------------------------
 
     #[inline]

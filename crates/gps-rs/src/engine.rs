@@ -2,7 +2,7 @@
 
 use crate::kernels::{Outgoing, VertexKernel};
 use data_store::recovery::scoped_each;
-use data_store::{ClassTag, ElemTy, FieldTy, Iteration, Rec, RunEnv, Store, StoreStats};
+use data_store::{ClassTag, ElemTy, Field, FieldTy, Iteration, Rec, RunEnv, Store, StoreStats};
 use datagen::Graph;
 use metrics::report::Backend;
 use metrics::{FailureCause, JobFailure, OutOfMemory, PhaseTimer, phases};
@@ -69,8 +69,34 @@ struct Worker {
     /// graph partition).
     out_offsets: Vec<u32>,
     out_dst: Vec<u32>,
-    envelope: ClassTag,
+    envelope: Envelope,
     active: Vec<bool>,
+}
+
+/// The `MessageEnvelope` class of a message batch (message count,
+/// superstep, payload array) and its fields.
+#[derive(Debug, Clone, Copy)]
+struct Envelope {
+    class: ClassTag,
+    count: Field,
+    superstep: Field,
+    payloads: Field,
+}
+
+impl Envelope {
+    /// Registers the class on `store` and resolves its fields.
+    fn register(store: &mut Store) -> Self {
+        let class = store.register_class(
+            "MessageEnvelope",
+            &[FieldTy::I32, FieldTy::I32, FieldTy::Ref],
+        );
+        Self {
+            class,
+            count: store.field(class, 0),
+            superstep: store.field(class, 1),
+            payloads: store.field(class, 2),
+        }
+    }
 }
 
 /// Runs `kernel` over `graph` on the simulated GPS cluster.
@@ -116,10 +142,7 @@ pub fn run(
                     .env
                     .store(config.backend, config.per_worker_budget, pool.as_ref());
             let run_scope = store.iteration_start();
-            let envelope = store.register_class(
-                "MessageEnvelope",
-                &[FieldTy::I32, FieldTy::I32, FieldTy::Ref],
-            );
+            let envelope = Envelope::register(&mut store);
             let local_count = lists.len();
             let values = store
                 .alloc_array(ElemTy::I64, local_count.max(1))
@@ -267,25 +290,27 @@ fn superstep_on_worker(
     let msg_sum = store.alloc_array(ElemTy::I64, worker.local_count.max(1))?;
     let msg_count = store.alloc_array(ElemTy::I32, worker.local_count.max(1))?;
     let msg_roots = [store.add_root(msg_sum), store.add_root(msg_count)];
+    let envelope = worker.envelope;
     let result = (|| -> Result<(), OutOfMemory> {
+        let (mut dsts, mut vals) = (Vec::new(), Vec::new());
         for chunk in inbox.chunks(batch) {
-            // One batch record pair: ids + payloads. Both stay rooted while
-            // in use: later allocations may collect, and these arrays are
-            // reachable from nothing else.
-            let ids = store.alloc_array(ElemTy::I32, chunk.len())?;
+            // One batch record pair: ids + payloads, each born holding its
+            // contents. Both stay rooted while in use: later allocations
+            // may collect, and these arrays are reachable from nothing else.
+            dsts.clear();
+            vals.clear();
+            for &(dst, value) in chunk {
+                dsts.push(dst as i32);
+                vals.push(value);
+            }
+            let ids = store.alloc_i32s(&dsts)?;
             let ids_root = store.add_root(ids);
-            for (i, &(dst, _)) in chunk.iter().enumerate() {
-                store.array_set_i32(ids, i, dst as i32);
-            }
-            let payloads = store.alloc_array(ElemTy::I64, chunk.len())?;
+            let payloads = store.alloc_f64s(&vals)?;
             let payloads_root = store.add_root(payloads);
-            for (i, &(_, value)) in chunk.iter().enumerate() {
-                store.array_set_f64(payloads, i, value);
-            }
-            let env = store.alloc(worker.envelope)?;
-            store.set_i32(env, 0, chunk.len() as i32);
-            store.set_i32(env, 1, superstep as i32);
-            store.set_rec(env, 2, payloads);
+            let env = store.alloc(envelope.class)?;
+            store.set_i32(env, envelope.count, chunk.len() as i32);
+            store.set_i32(env, envelope.superstep, superstep as i32);
+            store.set_rec(env, envelope.payloads, payloads);
             // Deliver into the per-vertex slots.
             for i in 0..chunk.len() {
                 let dst = store.array_get_i32(ids, i) as usize;

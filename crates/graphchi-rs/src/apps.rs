@@ -1,12 +1,13 @@
 //! Vertex programs: the update callbacks GraphChi applications implement,
 //! plus the two applications the paper evaluates (PR and CC).
 
-use data_store::{Rec, Store};
+use data_store::{Field, Rec, Store};
 
-/// Field indices of the `ChiVertex` record class (see `engine.rs`).
+/// The fields of the `ChiVertex` and `ChiPointer` record classes, resolved
+/// once per store by `engine.rs`, which registers the classes.
 ///
-/// Both backends share the class shape; they differ in what the edge
-/// fields point at. Under the heap backend (`P`), `IN_EDGES`/`OUT_EDGES`
+/// Both backends share the class shapes; they differ in what the edge
+/// fields point at. Under the heap backend (`P`), `in_edges`/`out_edges`
 /// are reference arrays of `ChiPointer` records — the Java object graph
 /// the paper profiles. Under the facade backend (`P'`), the compiler's
 /// record-inlining optimization (§3.6: FACADE "inlines all data records
@@ -14,26 +15,24 @@ use data_store::{Rec, Store};
 /// two parallel primitive arrays per direction: metadata
 /// (`neighbor, edge-id` interleaved) and values. An edge id is the edge's
 /// out-CSR slot (see [`crate::Csr`]).
-pub(crate) mod vertex_fields {
-    pub const ID: usize = 0;
-    pub const VALUE: usize = 1;
-    pub const NUM_IN: usize = 2;
-    pub const NUM_OUT: usize = 3;
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChiFields {
+    pub(crate) id: Field,
+    pub(crate) value: Field,
+    pub(crate) num_in: Field,
+    pub(crate) num_out: Field,
     /// P: ref array of ChiPointer. P': i32 array `[nbr, eid]*`.
-    pub const IN_EDGES: usize = 4;
+    pub(crate) in_edges: Field,
     /// P: ref array of ChiPointer. P': i32 array `[nbr, eid]*`.
-    pub const OUT_EDGES: usize = 5;
+    pub(crate) out_edges: Field,
     /// P': f64 array of in-edge values (unused under P).
-    pub const IN_VALUES: usize = 6;
+    pub(crate) in_values: Field,
     /// P': f64 array of out-edge values (unused under P).
-    pub const OUT_VALUES: usize = 7;
-}
-
-/// Field indices of the `ChiPointer` record class (heap backend only).
-pub(crate) mod pointer_fields {
-    pub const NEIGHBOR: usize = 0;
-    pub const EDGE_ID: usize = 1;
-    pub const VALUE: usize = 2;
+    pub(crate) out_values: Field,
+    /// `ChiPointer` (P only): the neighbor, the edge id and the edge value.
+    pub(crate) pointer_neighbor: Field,
+    pub(crate) pointer_edge_id: Field,
+    pub(crate) pointer_value: Field,
 }
 
 /// A loaded vertex: the view a [`VertexProgram`] updates. All reads and
@@ -43,52 +42,53 @@ pub struct VertexView<'a> {
     pub(crate) store: &'a mut Store,
     pub(crate) vertex: Rec,
     pub(crate) inlined: bool,
+    pub(crate) fields: &'a ChiFields,
 }
 
 impl VertexView<'_> {
     /// The vertex id.
     pub fn id(&self) -> u32 {
-        self.store.get_i32(self.vertex, vertex_fields::ID) as u32
+        self.store.get_i32(self.vertex, self.fields.id) as u32
     }
 
     /// The current vertex value.
     pub fn value(&self) -> f64 {
-        self.store.get_f64(self.vertex, vertex_fields::VALUE)
+        self.store.get_f64(self.vertex, self.fields.value)
     }
 
     /// Sets the vertex value.
     pub fn set_value(&mut self, v: f64) {
-        self.store.set_f64(self.vertex, vertex_fields::VALUE, v);
+        self.store.set_f64(self.vertex, self.fields.value, v);
     }
 
     /// Number of in-edges.
     pub fn num_in(&self) -> usize {
-        self.store.get_i32(self.vertex, vertex_fields::NUM_IN) as usize
+        self.store.get_i32(self.vertex, self.fields.num_in) as usize
     }
 
     /// Number of out-edges.
     pub fn num_out(&self) -> usize {
-        self.store.get_i32(self.vertex, vertex_fields::NUM_OUT) as usize
+        self.store.get_i32(self.vertex, self.fields.num_out) as usize
     }
 
     fn in_edge(&self, i: usize) -> Rec {
-        let arr = self.store.get_rec(self.vertex, vertex_fields::IN_EDGES);
+        let arr = self.store.get_rec(self.vertex, self.fields.in_edges);
         self.store.array_get_rec(arr, i)
     }
 
     fn out_edge(&self, i: usize) -> Rec {
-        let arr = self.store.get_rec(self.vertex, vertex_fields::OUT_EDGES);
+        let arr = self.store.get_rec(self.vertex, self.fields.out_edges);
         self.store.array_get_rec(arr, i)
     }
 
     /// The value carried by in-edge `i`.
     pub fn in_edge_value(&self, i: usize) -> f64 {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::IN_VALUES);
+            let vals = self.store.get_rec(self.vertex, self.fields.in_values);
             self.store.array_get_f64(vals, i)
         } else {
             let e = self.in_edge(i);
-            self.store.get_f64(e, pointer_fields::VALUE)
+            self.store.get_f64(e, self.fields.pointer_value)
         }
     }
 
@@ -96,55 +96,55 @@ impl VertexView<'_> {
     /// as connected components).
     pub fn set_in_edge_value(&mut self, i: usize, v: f64) {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::IN_VALUES);
+            let vals = self.store.get_rec(self.vertex, self.fields.in_values);
             self.store.array_set_f64(vals, i, v);
         } else {
             let e = self.in_edge(i);
-            self.store.set_f64(e, pointer_fields::VALUE, v);
+            self.store.set_f64(e, self.fields.pointer_value, v);
         }
     }
 
     /// The source vertex of in-edge `i`.
     pub fn in_neighbor(&self, i: usize) -> u32 {
         if self.inlined {
-            let meta = self.store.get_rec(self.vertex, vertex_fields::IN_EDGES);
+            let meta = self.store.get_rec(self.vertex, self.fields.in_edges);
             self.store.array_get_i32(meta, 2 * i) as u32
         } else {
             let e = self.in_edge(i);
-            self.store.get_i32(e, pointer_fields::NEIGHBOR) as u32
+            self.store.get_i32(e, self.fields.pointer_neighbor) as u32
         }
     }
 
     /// The value carried by out-edge `i`.
     pub fn out_edge_value(&self, i: usize) -> f64 {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::OUT_VALUES);
+            let vals = self.store.get_rec(self.vertex, self.fields.out_values);
             self.store.array_get_f64(vals, i)
         } else {
             let e = self.out_edge(i);
-            self.store.get_f64(e, pointer_fields::VALUE)
+            self.store.get_f64(e, self.fields.pointer_value)
         }
     }
 
     /// Writes the value of out-edge `i`.
     pub fn set_out_edge_value(&mut self, i: usize, v: f64) {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::OUT_VALUES);
+            let vals = self.store.get_rec(self.vertex, self.fields.out_values);
             self.store.array_set_f64(vals, i, v);
         } else {
             let e = self.out_edge(i);
-            self.store.set_f64(e, pointer_fields::VALUE, v);
+            self.store.set_f64(e, self.fields.pointer_value, v);
         }
     }
 
     /// The destination vertex of out-edge `i`.
     pub fn out_neighbor(&self, i: usize) -> u32 {
         if self.inlined {
-            let meta = self.store.get_rec(self.vertex, vertex_fields::OUT_EDGES);
+            let meta = self.store.get_rec(self.vertex, self.fields.out_edges);
             self.store.array_get_i32(meta, 2 * i) as u32
         } else {
             let e = self.out_edge(i);
-            self.store.get_i32(e, pointer_fields::NEIGHBOR) as u32
+            self.store.get_i32(e, self.fields.pointer_neighbor) as u32
         }
     }
 
@@ -162,8 +162,8 @@ impl VertexView<'_> {
     /// under `P`) and the inlined value array (walked under `P'`).
     fn fold_edge_values<A>(
         &self,
-        edges: usize,
-        values: usize,
+        edges: Field,
+        values: Field,
         init: A,
         mut f: impl FnMut(A, f64) -> A,
     ) -> A {
@@ -175,7 +175,7 @@ impl VertexView<'_> {
         let mut acc = init;
         for i in 0..self.store.array_len(arr) {
             let e = self.store.array_get_rec(arr, i);
-            acc = f(acc, self.store.get_f64(e, pointer_fields::VALUE));
+            acc = f(acc, self.store.get_f64(e, self.fields.pointer_value));
         }
         acc
     }
@@ -183,7 +183,7 @@ impl VertexView<'_> {
     /// Replaces the value of each of one side's edges by `f` of it, in edge
     /// order. Under `P` an edge whose value `f` leaves unchanged is not
     /// written, as a program testing before `setValue` would not write it.
-    fn map_edge_values(&mut self, edges: usize, values: usize, mut f: impl FnMut(f64) -> f64) {
+    fn map_edge_values(&mut self, edges: Field, values: Field, mut f: impl FnMut(f64) -> f64) {
         if self.inlined {
             let vals = self.store.get_rec(self.vertex, values);
             return self.store.array_map_f64s(vals, f);
@@ -191,44 +191,44 @@ impl VertexView<'_> {
         let arr = self.store.get_rec(self.vertex, edges);
         for i in 0..self.store.array_len(arr) {
             let e = self.store.array_get_rec(arr, i);
-            let old = self.store.get_f64(e, pointer_fields::VALUE);
+            let old = self.store.get_f64(e, self.fields.pointer_value);
             let new = f(old);
             if new.to_bits() != old.to_bits() {
-                self.store.set_f64(e, pointer_fields::VALUE, new);
+                self.store.set_f64(e, self.fields.pointer_value, new);
             }
         }
     }
 
     /// Folds `f` over the in-edge values, in edge order.
     pub fn fold_in_edge_values<A>(&self, init: A, f: impl FnMut(A, f64) -> A) -> A {
-        self.fold_edge_values(vertex_fields::IN_EDGES, vertex_fields::IN_VALUES, init, f)
+        self.fold_edge_values(self.fields.in_edges, self.fields.in_values, init, f)
     }
 
     /// Folds `f` over the out-edge values, in edge order.
     pub fn fold_out_edge_values<A>(&self, init: A, f: impl FnMut(A, f64) -> A) -> A {
-        self.fold_edge_values(vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES, init, f)
+        self.fold_edge_values(self.fields.out_edges, self.fields.out_values, init, f)
     }
 
     /// Replaces every in-edge value by `f` of it, in edge order.
     pub fn map_in_edge_values(&mut self, f: impl FnMut(f64) -> f64) {
-        self.map_edge_values(vertex_fields::IN_EDGES, vertex_fields::IN_VALUES, f);
+        self.map_edge_values(self.fields.in_edges, self.fields.in_values, f);
     }
 
     /// Replaces every out-edge value by `f` of it, in edge order.
     pub fn map_out_edge_values(&mut self, f: impl FnMut(f64) -> f64) {
-        self.map_edge_values(vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES, f);
+        self.map_edge_values(self.fields.out_edges, self.fields.out_values, f);
     }
 
     /// Sets every out-edge value to `v`.
     pub fn fill_out_edge_values(&mut self, v: f64) {
         if self.inlined {
-            let vals = self.store.get_rec(self.vertex, vertex_fields::OUT_VALUES);
+            let vals = self.store.get_rec(self.vertex, self.fields.out_values);
             return self.store.array_map_f64s(vals, |_| v);
         }
-        let arr = self.store.get_rec(self.vertex, vertex_fields::OUT_EDGES);
+        let arr = self.store.get_rec(self.vertex, self.fields.out_edges);
         for i in 0..self.store.array_len(arr) {
             let e = self.store.array_get_rec(arr, i);
-            self.store.set_f64(e, pointer_fields::VALUE, v);
+            self.store.set_f64(e, self.fields.pointer_value, v);
         }
     }
 }

@@ -1,13 +1,13 @@
 //! The engine: interval scheduling, subinterval loading, vertex updates,
 //! and writeback.
 
-use crate::apps::{VertexProgram, VertexView, pointer_fields, vertex_fields};
+use crate::apps::{ChiFields, VertexProgram, VertexView};
 use crate::preprocess::Csr;
 use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
 use data_store::recovery::{self, guarded};
 use data_store::{
-    ClassTag, ElemTy, FaultPlan, FieldTy, PauseRecord, PoolCounters, Rec, RecoveryError, RunEnv,
-    Store, StoreStats,
+    ClassTag, ElemTy, FaultPlan, Field, FieldTy, PauseRecord, PoolCounters, Rec, RecoveryError,
+    RunEnv, Store, StoreStats,
 };
 use datagen::Graph;
 use metrics::report::Backend;
@@ -170,11 +170,17 @@ pub struct RunOutcome {
 }
 
 /// Record schema shared by both backends.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Schema {
     vertex: ClassTag,
     pointer: ClassTag,
     degree: ClassTag,
+    /// The `ChiVertex` and `ChiPointer` fields, carried by every
+    /// [`VertexView`].
+    fields: ChiFields,
+    /// The `VertexDegree` fields: in-degree, out-degree.
+    in_degree: Field,
+    out_degree: Field,
 }
 
 /// Builds the per-worker stores: each worker thread owns one, sized so the
@@ -205,7 +211,9 @@ fn build_stores(config: &EngineConfig, threads: usize) -> (Vec<Store>, Schema) {
 
 // The three data classes the paper's profiling found (§4.1). The two
 // value-array fields are only used by the facade backend's inlined
-// layout (see `apps::vertex_fields`).
+// layout (see `apps::ChiFields`). Each field is resolved here, once per
+// store; the stores of a run register the same classes in the same order,
+// so the resolved fields of one are the fields of all.
 fn register_schema(store: &mut Store) -> Schema {
     let vertex = store.register_class(
         "ChiVertex",
@@ -229,10 +237,27 @@ fn register_schema(store: &mut Store) -> Schema {
         ],
     );
     let degree = store.register_class("VertexDegree", &[FieldTy::I32, FieldTy::I32]);
+    let v = |i| store.field(vertex, i);
+    let p = |i| store.field(pointer, i);
     Schema {
         vertex,
         pointer,
         degree,
+        fields: ChiFields {
+            id: v(0),
+            value: v(1),
+            num_in: v(2),
+            num_out: v(3),
+            in_edges: v(4),
+            out_edges: v(5),
+            in_values: v(6),
+            out_values: v(7),
+            pointer_neighbor: p(0),
+            pointer_edge_id: p(1),
+            pointer_value: p(2),
+        },
+        in_degree: store.field(degree, 0),
+        out_degree: store.field(degree, 1),
     }
 }
 
@@ -246,13 +271,14 @@ fn gather_meta(nbr: &[u32], eid: impl Iterator<Item = u32>) -> Vec<i32> {
 
 /// Copies one side of a loaded vertex's edge values into `run`, in edge
 /// order: under `P'` from the side's inlined value array, under `P` from
-/// each `ChiPointer`'s value. The side is named by its two `ChiVertex`
-/// fields: the edge array and the inlined value array.
+/// each `ChiPointer`'s `value` field. The side is named by its two
+/// `ChiVertex` fields: the edge array and the inlined value array.
 fn read_back(
     store: &Store,
     vertex: Rec,
     inlined: bool,
-    (edges, values): (usize, usize),
+    (edges, values): (Field, Field),
+    value: Field,
     run: &mut [f64],
 ) {
     if inlined {
@@ -265,7 +291,7 @@ fn read_back(
     let arr = store.get_rec(vertex, edges);
     for (i, slot) in run.iter_mut().enumerate() {
         let e = store.array_get_rec(arr, i);
-        *slot = store.get_f64(e, pointer_fields::VALUE);
+        *slot = store.get_f64(e, value);
     }
 }
 
@@ -505,7 +531,7 @@ impl Engine {
         // Degree pass, under the same ladder as interval processing.
         loop {
             let span = facade_trace::span!("degree_pass");
-            let r = guarded(|| self.degree_pass(&mut stores[0], schema));
+            let r = guarded(|| self.degree_pass(&mut stores[0], &schema));
             drop(span);
             match r {
                 Ok(()) => break,
@@ -594,7 +620,7 @@ impl Engine {
                         .subintervals(interval, ladder.edge_budget(&self.config));
                     let outcome = self.process_interval(
                         &mut stores,
-                        schema,
+                        &schema,
                         app,
                         &subs,
                         &values,
@@ -710,7 +736,7 @@ impl Engine {
     /// short-lived. The vertex range is chunked so no single ref array
     /// outgrows what a page budget can root at once — every vertex gets a
     /// degree record, not just the first 2^16.
-    fn degree_pass(&self, store: &mut Store, schema: Schema) -> Result<(), OutOfMemory> {
+    fn degree_pass(&self, store: &mut Store, schema: &Schema) -> Result<(), OutOfMemory> {
         const CHUNK: usize = 1 << 16;
         let n = self.csr.vertices as usize;
         for chunk_start in (0..n).step_by(CHUNK) {
@@ -721,8 +747,8 @@ impl Engine {
             for i in 0..count {
                 let v = (chunk_start + i) as u32;
                 let d = store.alloc(schema.degree)?;
-                store.set_i32(d, 0, self.csr.in_degree(v) as i32);
-                store.set_i32(d, 1, self.csr.out_degree(v) as i32);
+                store.set_i32(d, schema.in_degree, self.csr.in_degree(v) as i32);
+                store.set_i32(d, schema.out_degree, self.csr.out_degree(v) as i32);
                 store.array_set_rec(arr, i, d);
             }
             store.remove_root(root);
@@ -741,7 +767,7 @@ impl Engine {
     fn process_interval(
         &self,
         stores: &mut [Store],
-        schema: Schema,
+        schema: &Schema,
         app: &dyn VertexProgram,
         subs: &[(u32, u32)],
         values: &[f64],
@@ -845,7 +871,7 @@ impl Engine {
     fn process_subinterval(
         &self,
         store: &mut Store,
-        schema: Schema,
+        schema: &Schema,
         app: &dyn VertexProgram,
         (start, end): (u32, u32),
         values: &[f64],
@@ -864,6 +890,7 @@ impl Engine {
         let root = store.add_root(vertex_arr);
         let inlined = store.is_facade() && self.config.inline_records;
         let window = self.gather_sub((start, end), edge_values);
+        let fields = &schema.fields;
         let mut load = || -> Result<(), OutOfMemory> {
             // Edges consumed so far from the window; its flat arrays are in
             // vertex order.
@@ -875,20 +902,20 @@ impl Engine {
                 // further allocation: a collection triggered mid-load must
                 // see the half-built record graph as live.
                 store.array_set_rec(vertex_arr, vi, vr);
-                store.set_i32(vr, vertex_fields::ID, v as i32);
-                store.set_f64(vr, vertex_fields::VALUE, values[v as usize]);
+                store.set_i32(vr, fields.id, v as i32);
+                store.set_f64(vr, fields.value, values[v as usize]);
                 let n_in = csr.in_degree(v) as usize;
                 let n_out = csr.out_degree(v) as usize;
-                store.set_i32(vr, vertex_fields::NUM_IN, n_in as i32);
-                store.set_i32(vr, vertex_fields::NUM_OUT, n_out as i32);
+                store.set_i32(vr, fields.num_in, n_in as i32);
+                store.set_i32(vr, fields.num_out, n_out as i32);
                 let sides = [
                     (
-                        (vertex_fields::IN_EDGES, vertex_fields::IN_VALUES),
+                        (fields.in_edges, fields.in_values),
                         &window.in_meta[2 * in_seen..2 * (in_seen + n_in)],
                         &window.in_vals[in_seen..in_seen + n_in],
                     ),
                     (
-                        (vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES),
+                        (fields.out_edges, fields.out_values),
                         &window.out_meta[2 * out_seen..2 * (out_seen + n_out)],
                         &window.out_vals[out_seen..out_seen + n_out],
                     ),
@@ -908,9 +935,9 @@ impl Engine {
                     store.set_rec(vr, edges_field, arr);
                     for (i, (pair, &val)) in meta.chunks_exact(2).zip(vals).enumerate() {
                         let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, pointer_fields::NEIGHBOR, pair[0]);
-                        store.set_i32(e, pointer_fields::EDGE_ID, pair[1]);
-                        store.set_f64(e, pointer_fields::VALUE, val);
+                        store.set_i32(e, fields.pointer_neighbor, pair[0]);
+                        store.set_i32(e, fields.pointer_edge_id, pair[1]);
+                        store.set_f64(e, fields.pointer_value, val);
                         store.array_set_rec(arr, i, e);
                     }
                 }
@@ -937,6 +964,7 @@ impl Engine {
                 store,
                 vertex: vr,
                 inlined,
+                fields,
             };
             changed |= app.update(&mut view);
         }
@@ -964,17 +992,17 @@ impl Engine {
         let (mut in_seen, mut out_seen) = (0usize, 0usize);
         for (vi, v) in (start..end).enumerate() {
             let vr = store.array_get_rec(vertex_arr, vi);
-            new_values.push(store.get_f64(vr, vertex_fields::VALUE));
+            new_values.push(store.get_f64(vr, fields.value));
             let n_out = csr.out_degree(v) as usize;
             let outs = &mut out_vals[out_seen..out_seen + n_out];
-            let side = (vertex_fields::OUT_EDGES, vertex_fields::OUT_VALUES);
-            read_back(store, vr, inlined, side, outs);
+            let side = (fields.out_edges, fields.out_values);
+            read_back(store, vr, inlined, side, fields.pointer_value, outs);
             out_seen += n_out;
             if writes_in {
                 let n_in = csr.in_degree(v) as usize;
                 let ins = &mut in_vals[in_seen..in_seen + n_in];
-                let side = (vertex_fields::IN_EDGES, vertex_fields::IN_VALUES);
-                read_back(store, vr, inlined, side, ins);
+                let side = (fields.in_edges, fields.in_values);
+                read_back(store, vr, inlined, side, fields.pointer_value, ins);
                 in_seen += n_in;
             }
         }

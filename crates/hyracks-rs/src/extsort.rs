@@ -6,7 +6,7 @@ use crate::cluster::{
     ClusterConfig, JobStats, finish_job, first_phase, job_checkpointer, round_robin, run_phase,
 };
 use crate::hashtable::hash_bytes;
-use data_store::{ClassTag, ElemTy, FieldTy, Rec, Store};
+use data_store::{ClassTag, ElemTy, Field, FieldTy, Rec, Store};
 use metrics::{JobFailure, OutOfMemory};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,13 +32,33 @@ impl EsOutput {
     }
 }
 
+/// The `LineRecord` class (key length, key bytes) and its fields.
+#[derive(Debug, Clone, Copy)]
+struct LineRecord {
+    class: ClassTag,
+    len: Field,
+    bytes: Field,
+}
+
+impl LineRecord {
+    /// Registers the class on `store` and resolves its fields.
+    fn register(store: &mut Store) -> Self {
+        let class = store.register_class("LineRecord", &[FieldTy::I32, FieldTy::Ref]);
+        Self {
+            class,
+            len: store.field(class, 0),
+            bytes: store.field(class, 1),
+        }
+    }
+}
+
 /// Builds sorted runs through the record store, spills them, and merges.
 /// `degrade_level` right-shifts the run length: shorter runs hold fewer
 /// live records at once, and the k-way merge makes run partitioning
 /// invisible in the output.
 fn sort_worker(
     store: &mut Store,
-    line_class: ClassTag,
+    line: LineRecord,
     words: Vec<String>,
     budget: usize,
     degrade_level: u32,
@@ -56,11 +76,11 @@ fn sort_worker(
         let root = store.add_root(arr);
         let mut build = || -> Result<(), OutOfMemory> {
             for (i, word) in chunk.iter().enumerate() {
-                let line = store.alloc(line_class)?;
-                store.array_set_rec(arr, i, line);
-                store.set_i32(line, 0, word.len() as i32);
+                let r = store.alloc(line.class)?;
+                store.array_set_rec(arr, i, r);
+                store.set_i32(r, line.len, word.len() as i32);
                 let bytes = store.alloc_bytes(word.as_bytes())?;
-                store.set_rec(line, 1, bytes);
+                store.set_rec(r, line.bytes, bytes);
             }
             Ok(())
         };
@@ -80,7 +100,7 @@ fn sort_worker(
         // cannot run (and move them) in between.
         let mut keys: Vec<(u64, Rec)> = (0..chunk.len())
             .map(|i| {
-                let bytes = store.get_rec(store.array_get_rec(arr, i), 1);
+                let bytes = store.get_rec(store.array_get_rec(arr, i), line.bytes);
                 (key_prefix(store.array_bytes(bytes)), bytes)
             })
             .collect();
@@ -207,10 +227,8 @@ pub(crate) fn external_sort_job(
                 round_robin(corpus, config.workers),
                 stats,
                 pool.as_ref(),
-                |store| store.register_class("LineRecord", &[FieldTy::I32, FieldTy::Ref]),
-                |_, store, line_class, part, level| {
-                    sort_worker(store, *line_class, part, budget, level)
-                },
+                LineRecord::register,
+                |_, store, line, part, level| sort_worker(store, *line, part, budget, level),
             )
         },
     )?;
@@ -326,8 +344,8 @@ mod tests {
                     .backend(backend)
                     .budget(16 << 20)
                     .build();
-                let line_class = store.register_class("LineRecord", &[FieldTy::I32, FieldTy::Ref]);
-                let sorted = sort_worker(&mut store, line_class, words.clone(), budget, level);
+                let line = LineRecord::register(&mut store);
+                let sorted = sort_worker(&mut store, line, words.clone(), budget, level);
                 assert_eq!(sorted.unwrap(), expected, "{backend:?} level {level}");
             }
         }
@@ -353,8 +371,8 @@ mod tests {
             .backend(Backend::Heap)
             .budget(16 << 20)
             .build();
-        let line_class = store.register_class("LineRecord", &[FieldTy::I32, FieldTy::Ref]);
-        let sorted = sort_worker(&mut store, line_class, words.clone(), 64 << 10, 0).unwrap();
+        let line = LineRecord::register(&mut store);
+        let sorted = sort_worker(&mut store, line, words.clone(), 64 << 10, 0).unwrap();
         assert_eq!(sorted.len(), words.len());
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }

@@ -16,7 +16,7 @@
 //! §3.6 names ("pages on this class can be deallocated earlier ... e.g.,
 //! upon the resizing of a data structure").
 
-use data_store::{ClassTag, ElemTy, FieldTy, Rec, Root, Store};
+use data_store::{ClassTag, ElemTy, Field, FieldTy, Rec, Root, Store};
 use metrics::OutOfMemory;
 
 /// FNV-1a over bytes; both schemas store it to avoid re-reading keys.
@@ -29,61 +29,82 @@ pub fn hash_bytes(bytes: &[u8]) -> u32 {
     h
 }
 
-mod heap_entry {
-    pub const HASH: usize = 0;
-    pub const KEY: usize = 1; // -> string record
-    pub const VALUE: usize = 2; // -> boxed counter
-    pub const NEXT: usize = 3;
+/// The heap schema's classes and their fields.
+#[derive(Debug, Clone, Copy)]
+struct HeapSchema {
+    entry: ClassTag,
+    string: ClassTag,
+    counter: ClassTag,
+    entry_hash: Field,
+    /// -> string record
+    entry_key: Field,
+    /// -> boxed counter
+    entry_value: Field,
+    entry_next: Field,
+    string_hash: Field,
+    string_bytes: Field,
+    counter_value: Field,
 }
 
-mod heap_string {
-    pub const HASH: usize = 0;
-    pub const BYTES: usize = 1;
-}
-
-mod facade_entry {
-    pub const HASH: usize = 0;
-    pub const COUNT: usize = 1; // inlined counter
-    pub const BYTES: usize = 2;
-    pub const NEXT: usize = 3;
+/// The facade schema's entry class and its fields.
+#[derive(Debug, Clone, Copy)]
+struct FacadeSchema {
+    entry: ClassTag,
+    hash: Field,
+    /// The inlined counter.
+    count: Field,
+    bytes: Field,
+    next: Field,
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Schema {
-    Heap {
-        entry: ClassTag,
-        string: ClassTag,
-        counter: ClassTag,
-    },
-    Facade {
-        entry: ClassTag,
-    },
+    Heap(HeapSchema),
+    Facade(FacadeSchema),
 }
 
-/// Registers the word-table record classes on a store. Call once per store,
-/// before building any [`WordTable`].
+/// Registers the word-table record classes on a store and resolves their
+/// fields. Call once per store, before building any [`WordTable`]; stores
+/// that register the same classes in the same order share the result.
 pub fn register_classes(store: &mut Store) -> WordTableClasses {
+    let entry = store.register_class(
+        "MapEntry",
+        &[FieldTy::I32, FieldTy::Ref, FieldTy::Ref, FieldTy::Ref],
+    );
+    let string = store.register_class("JString", &[FieldTy::I32, FieldTy::Ref]);
+    let counter = store.register_class("MutableLong", &[FieldTy::I64]);
+    let inlined = store.register_class(
+        "MapEntryInlined",
+        &[FieldTy::I32, FieldTy::I64, FieldTy::Ref, FieldTy::Ref],
+    );
     WordTableClasses {
-        heap_entry: store.register_class(
-            "MapEntry",
-            &[FieldTy::I32, FieldTy::Ref, FieldTy::Ref, FieldTy::Ref],
-        ),
-        heap_string: store.register_class("JString", &[FieldTy::I32, FieldTy::Ref]),
-        heap_counter: store.register_class("MutableLong", &[FieldTy::I64]),
-        facade_entry: store.register_class(
-            "MapEntryInlined",
-            &[FieldTy::I32, FieldTy::I64, FieldTy::Ref, FieldTy::Ref],
-        ),
+        heap: HeapSchema {
+            entry,
+            string,
+            counter,
+            entry_hash: store.field(entry, 0),
+            entry_key: store.field(entry, 1),
+            entry_value: store.field(entry, 2),
+            entry_next: store.field(entry, 3),
+            string_hash: store.field(string, 0),
+            string_bytes: store.field(string, 1),
+            counter_value: store.field(counter, 0),
+        },
+        facade: FacadeSchema {
+            entry: inlined,
+            hash: store.field(inlined, 0),
+            count: store.field(inlined, 1),
+            bytes: store.field(inlined, 2),
+            next: store.field(inlined, 3),
+        },
     }
 }
 
-/// The class tags produced by [`register_classes`].
+/// The classes and fields produced by [`register_classes`].
 #[derive(Debug, Clone, Copy)]
 pub struct WordTableClasses {
-    heap_entry: ClassTag,
-    heap_string: ClassTag,
-    heap_counter: ClassTag,
-    facade_entry: ClassTag,
+    heap: HeapSchema,
+    facade: FacadeSchema,
 }
 
 /// A chained hash table of `word → count` living entirely in the store.
@@ -109,15 +130,9 @@ impl WordTable {
     ) -> Result<Self, OutOfMemory> {
         let capacity = capacity.next_power_of_two().max(16);
         let schema = if store.is_facade() {
-            Schema::Facade {
-                entry: classes.facade_entry,
-            }
+            Schema::Facade(classes.facade)
         } else {
-            Schema::Heap {
-                entry: classes.heap_entry,
-                string: classes.heap_string,
-                counter: classes.heap_counter,
-            }
+            Schema::Heap(classes.heap)
         };
         let buckets = store.alloc_array(ElemTy::Ref, capacity)?;
         let buckets_root = store.add_root(buckets);
@@ -142,56 +157,56 @@ impl WordTable {
 
     fn entry_hash(&self, store: &Store, e: Rec) -> u32 {
         match self.schema {
-            Schema::Heap { .. } => store.get_i32(e, heap_entry::HASH) as u32,
-            Schema::Facade { .. } => store.get_i32(e, facade_entry::HASH) as u32,
+            Schema::Heap(h) => store.get_i32(e, h.entry_hash) as u32,
+            Schema::Facade(f) => store.get_i32(e, f.hash) as u32,
         }
     }
 
     fn entry_next(&self, store: &Store, e: Rec) -> Rec {
         match self.schema {
-            Schema::Heap { .. } => store.get_rec(e, heap_entry::NEXT),
-            Schema::Facade { .. } => store.get_rec(e, facade_entry::NEXT),
+            Schema::Heap(h) => store.get_rec(e, h.entry_next),
+            Schema::Facade(f) => store.get_rec(e, f.next),
         }
     }
 
     fn set_entry_next(&self, store: &mut Store, e: Rec, next: Rec) {
         match self.schema {
-            Schema::Heap { .. } => store.set_rec(e, heap_entry::NEXT, next),
-            Schema::Facade { .. } => store.set_rec(e, facade_entry::NEXT, next),
+            Schema::Heap(h) => store.set_rec(e, h.entry_next, next),
+            Schema::Facade(f) => store.set_rec(e, f.next, next),
         }
     }
 
     fn entry_key_bytes<'s>(&self, store: &'s Store, e: Rec) -> &'s [u8] {
         let bytes = match self.schema {
-            Schema::Heap { .. } => {
-                let s = store.get_rec(e, heap_entry::KEY);
-                store.get_rec(s, heap_string::BYTES)
+            Schema::Heap(h) => {
+                let s = store.get_rec(e, h.entry_key);
+                store.get_rec(s, h.string_bytes)
             }
-            Schema::Facade { .. } => store.get_rec(e, facade_entry::BYTES),
+            Schema::Facade(f) => store.get_rec(e, f.bytes),
         };
         store.array_bytes(bytes)
     }
 
     fn entry_count(&self, store: &Store, e: Rec) -> i64 {
         match self.schema {
-            Schema::Heap { .. } => {
-                let c = store.get_rec(e, heap_entry::VALUE);
-                store.get_i64(c, 0)
+            Schema::Heap(h) => {
+                let c = store.get_rec(e, h.entry_value);
+                store.get_i64(c, h.counter_value)
             }
-            Schema::Facade { .. } => store.get_i64(e, facade_entry::COUNT),
+            Schema::Facade(f) => store.get_i64(e, f.count),
         }
     }
 
     fn add_entry_count(&self, store: &mut Store, e: Rec, delta: i64) {
         match self.schema {
-            Schema::Heap { .. } => {
-                let c = store.get_rec(e, heap_entry::VALUE);
-                let v = store.get_i64(c, 0);
-                store.set_i64(c, 0, v + delta);
+            Schema::Heap(h) => {
+                let c = store.get_rec(e, h.entry_value);
+                let v = store.get_i64(c, h.counter_value);
+                store.set_i64(c, h.counter_value, v + delta);
             }
-            Schema::Facade { .. } => {
-                let v = store.get_i64(e, facade_entry::COUNT);
-                store.set_i64(e, facade_entry::COUNT, v + delta);
+            Schema::Facade(f) => {
+                let v = store.get_i64(e, f.count);
+                store.set_i64(e, f.count, v + delta);
             }
         }
     }
@@ -217,34 +232,30 @@ impl WordTable {
         // Insert at the chain head.
         let head = store.array_get_rec(self.buckets, slot);
         let entry = match self.schema {
-            Schema::Heap {
-                entry,
-                string,
-                counter,
-            } => {
-                let er = store.alloc(entry)?;
+            Schema::Heap(h) => {
+                let er = store.alloc(h.entry)?;
                 // Chain immediately so collections mid-insert see it live.
                 store.array_set_rec(self.buckets, slot, er);
-                store.set_rec(er, heap_entry::NEXT, head);
-                store.set_i32(er, heap_entry::HASH, hash as i32);
-                let sr = store.alloc(string)?;
-                store.set_rec(er, heap_entry::KEY, sr);
-                store.set_i32(sr, heap_string::HASH, hash as i32);
+                store.set_rec(er, h.entry_next, head);
+                store.set_i32(er, h.entry_hash, hash as i32);
+                let sr = store.alloc(h.string)?;
+                store.set_rec(er, h.entry_key, sr);
+                store.set_i32(sr, h.string_hash, hash as i32);
                 let bytes = store.alloc_bytes(word)?;
-                store.set_rec(sr, heap_string::BYTES, bytes);
-                let cr = store.alloc(counter)?;
-                store.set_rec(er, heap_entry::VALUE, cr);
-                store.set_i64(cr, 0, delta);
+                store.set_rec(sr, h.string_bytes, bytes);
+                let cr = store.alloc(h.counter)?;
+                store.set_rec(er, h.entry_value, cr);
+                store.set_i64(cr, h.counter_value, delta);
                 er
             }
-            Schema::Facade { entry } => {
-                let er = store.alloc(entry)?;
+            Schema::Facade(f) => {
+                let er = store.alloc(f.entry)?;
                 store.array_set_rec(self.buckets, slot, er);
-                store.set_rec(er, facade_entry::NEXT, head);
-                store.set_i32(er, facade_entry::HASH, hash as i32);
-                store.set_i64(er, facade_entry::COUNT, delta);
+                store.set_rec(er, f.next, head);
+                store.set_i32(er, f.hash, hash as i32);
+                store.set_i64(er, f.count, delta);
                 let bytes = store.alloc_bytes(word)?;
-                store.set_rec(er, facade_entry::BYTES, bytes);
+                store.set_rec(er, f.bytes, bytes);
                 er
             }
         };

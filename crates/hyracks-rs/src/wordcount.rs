@@ -7,7 +7,7 @@ use crate::cluster::{
     ClusterConfig, JobStats, finish_job, first_phase, job_checkpointer, round_robin, run_phase,
 };
 use crate::hashtable::{WordTable, WordTableClasses, hash_bytes, register_classes};
-use data_store::{ClassTag, FieldTy, Store};
+use data_store::{ClassTag, Field, FieldTy, Store};
 use metrics::{JobFailure, OutOfMemory};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -48,12 +48,19 @@ type MapPartition = Vec<(Vec<u8>, i64)>;
 struct WcSchema {
     classes: WordTableClasses,
     token_class: ClassTag,
+    /// The token's length and hash fields.
+    token_len: Field,
+    token_hash: Field,
 }
 
 fn wc_schema(store: &mut Store) -> WcSchema {
+    let classes = register_classes(store);
+    let token_class = store.register_class("Token", &[FieldTy::I32, FieldTy::I32]);
     WcSchema {
-        classes: register_classes(store),
-        token_class: store.register_class("Token", &[FieldTy::I32, FieldTy::I32]),
+        classes,
+        token_class,
+        token_len: store.field(token_class, 0),
+        token_hash: store.field(token_class, 1),
     }
 }
 
@@ -69,11 +76,12 @@ fn map_worker(
     let WcSchema {
         classes,
         token_class,
-    } = schema;
-    let token_class = *token_class;
+        token_len,
+        token_hash,
+    } = *schema;
 
     let operator = store.iteration_start();
-    let mut table = WordTable::new(store, classes, 4096)?;
+    let mut table = WordTable::new(store, &classes, 4096)?;
 
     let mut frame: Vec<&String> = Vec::new();
     let mut frame_fill = 0usize;
@@ -96,8 +104,8 @@ fn map_worker(
             // unrooted garbage-to-be, and a collection may reclaim it.
             let w = store.array_read_bytes(bytes);
             let token = store.alloc(token_class)?;
-            store.set_i32(token, 0, word.len() as i32);
-            store.set_i32(token, 1, hash_bytes(word.as_bytes()) as i32);
+            store.set_i32(token, token_len, word.len() as i32);
+            store.set_i32(token, token_hash, hash_bytes(word.as_bytes()) as i32);
             *local.entry(w).or_default() += 1;
         }
         store.iteration_end(sub);

@@ -495,79 +495,79 @@ impl Heap {
         &self.table[obj.0 as usize]
     }
 
+    // A field is addressed by its byte offset from the start of the object,
+    // header included. [`Heap::field_offset`] resolves it from a class and
+    // a field index; the `*_at` accessors take it as is, and the index
+    // accessors resolve it from the object's class first.
+
+    /// The offset of field `field` in objects of `class`, header included:
+    /// what the `*_at` accessors take. Fixed once the class is registered,
+    /// so a caller resolves it once and reuses it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is not registered or has no field `field`.
     #[inline]
-    fn body_range(&self, obj: ObjRef, offset: u32, size: u32) -> (&Space, usize) {
+    pub fn field_offset(&self, class: ClassId, field: usize) -> u32 {
+        OBJECT_HEADER_BYTES + self.classes[class.0 as usize].offset(field)
+    }
+
+    /// The offset of field `field` of object `obj`: [`Heap::field_offset`]
+    /// of the object's class, looked up in its object-table entry.
+    #[inline]
+    fn field_offset_of(&self, obj: ObjRef, field: usize) -> u32 {
+        let e = self.entry(obj);
+        debug_assert!(!e.is(F_ARRAY), "field access on array");
+        self.field_offset(ClassId(e.class), field)
+    }
+
+    /// The `N` bytes at header-relative offset `at` of an object or array.
+    #[inline]
+    fn read_at<const N: usize>(&self, obj: ObjRef, at: u32) -> [u8; N] {
         let e = self.entry(obj);
         debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
-        let header = if e.is(F_ARRAY) {
-            ARRAY_HEADER_BYTES
-        } else {
-            OBJECT_HEADER_BYTES
-        };
-        let base = e.addr + header + offset;
-        let space: &Space = if e.is(F_OLD) { &self.old } else { &self.young };
-        debug_assert!((base + size) as usize <= space.top.max(space.capacity()));
-        (space, base as usize)
+        let space = if e.is(F_OLD) { &self.old } else { &self.young };
+        let base = (e.addr + at) as usize;
+        space.bytes[base..base + N]
+            .try_into()
+            .expect("an N-byte range")
     }
 
     #[inline]
-    fn read(&self, obj: ObjRef, offset: u32, out: &mut [u8]) {
-        let (space, base) = self.body_range(obj, offset, out.len() as u32);
-        out.copy_from_slice(&space.bytes[base..base + out.len()]);
-    }
-
-    #[inline]
-    fn write(&mut self, obj: ObjRef, offset: u32, data: &[u8]) {
+    fn write_at<const N: usize>(&mut self, obj: ObjRef, at: u32, data: [u8; N]) {
         let e = *self.entry(obj);
-        let header = if e.is(F_ARRAY) {
-            ARRAY_HEADER_BYTES
-        } else {
-            OBJECT_HEADER_BYTES
-        };
-        let base = (e.addr + header + offset) as usize;
+        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
         let space = if e.is(F_OLD) {
             &mut self.old
         } else {
             &mut self.young
         };
-        space.bytes[base..base + data.len()].copy_from_slice(data);
-    }
-
-    #[inline]
-    fn field_offset(&self, obj: ObjRef, field: usize) -> u32 {
-        let e = self.entry(obj);
-        debug_assert!(!e.is(F_ARRAY), "field access on array");
-        self.classes[e.class as usize].offset(field)
+        let base = (e.addr + at) as usize;
+        space.bytes[base..base + N].copy_from_slice(&data);
     }
 
     /// Reads a 32-bit field.
     #[inline]
     pub fn get_i32(&self, obj: ObjRef, field: usize) -> i32 {
-        let mut buf = [0u8; 4];
-        self.read(obj, self.field_offset(obj, field), &mut buf);
-        i32::from_le_bytes(buf)
+        self.get_i32_at(obj, self.field_offset_of(obj, field))
     }
 
     /// Writes a 32-bit field.
     #[inline]
     pub fn set_i32(&mut self, obj: ObjRef, field: usize, value: i32) {
-        let off = self.field_offset(obj, field);
-        self.write(obj, off, &value.to_le_bytes());
+        self.set_i32_at(obj, self.field_offset_of(obj, field), value);
     }
 
     /// Reads a 64-bit field.
     #[inline]
     pub fn get_i64(&self, obj: ObjRef, field: usize) -> i64 {
-        let mut buf = [0u8; 8];
-        self.read(obj, self.field_offset(obj, field), &mut buf);
-        i64::from_le_bytes(buf)
+        self.get_i64_at(obj, self.field_offset_of(obj, field))
     }
 
     /// Writes a 64-bit field.
     #[inline]
     pub fn set_i64(&mut self, obj: ObjRef, field: usize, value: i64) {
-        let off = self.field_offset(obj, field);
-        self.write(obj, off, &value.to_le_bytes());
+        self.set_i64_at(obj, self.field_offset_of(obj, field), value);
     }
 
     /// Reads a 64-bit field as a double.
@@ -585,16 +585,74 @@ impl Heap {
     /// Reads a reference field.
     #[inline]
     pub fn get_ref(&self, obj: ObjRef, field: usize) -> ObjRef {
-        let mut buf = [0u8; 4];
-        self.read(obj, self.field_offset(obj, field), &mut buf);
-        ObjRef(u32::from_le_bytes(buf))
+        self.get_ref_at(obj, self.field_offset_of(obj, field))
     }
 
     /// Writes a reference field, applying the generational write barrier.
     #[inline]
     pub fn set_ref(&mut self, obj: ObjRef, field: usize, value: ObjRef) {
-        let off = self.field_offset(obj, field);
-        self.write(obj, off, &value.0.to_le_bytes());
+        self.set_ref_at(obj, self.field_offset_of(obj, field), value);
+    }
+
+    /// Reads the 32-bit field at offset `at` (see [`Heap::field_offset`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the object's space.
+    #[inline]
+    pub fn get_i32_at(&self, obj: ObjRef, at: u32) -> i32 {
+        i32::from_le_bytes(self.read_at(obj, at))
+    }
+
+    /// Writes the 32-bit field at offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the object's space.
+    #[inline]
+    pub fn set_i32_at(&mut self, obj: ObjRef, at: u32, value: i32) {
+        self.write_at(obj, at, value.to_le_bytes());
+    }
+
+    /// Reads the 64-bit field at offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the object's space.
+    #[inline]
+    pub fn get_i64_at(&self, obj: ObjRef, at: u32) -> i64 {
+        i64::from_le_bytes(self.read_at(obj, at))
+    }
+
+    /// Writes the 64-bit field at offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the object's space.
+    #[inline]
+    pub fn set_i64_at(&mut self, obj: ObjRef, at: u32, value: i64) {
+        self.write_at(obj, at, value.to_le_bytes());
+    }
+
+    /// Reads the reference field at offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the object's space.
+    #[inline]
+    pub fn get_ref_at(&self, obj: ObjRef, at: u32) -> ObjRef {
+        ObjRef(u32::from_le_bytes(self.read_at(obj, at)))
+    }
+
+    /// Writes the reference field at offset `at`, applying the generational
+    /// write barrier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the object's space.
+    #[inline]
+    pub fn set_ref_at(&mut self, obj: ObjRef, at: u32, value: ObjRef) {
+        self.write_at(obj, at, value.0.to_le_bytes());
         self.write_barrier(obj, value);
     }
 
@@ -635,42 +693,39 @@ impl Heap {
         tag_elem_kind(e.class)
     }
 
+    /// The header-relative offset of element `idx`.
     #[inline]
     fn elem_offset(&self, obj: ObjRef, idx: usize) -> u32 {
         let e = self.entry(obj);
         debug_assert!(e.is(F_ARRAY), "element access on non-array");
         assert!(idx < e.len as usize, "array index {idx} out of bounds");
-        idx as u32 * tag_elem_kind(e.class).size()
+        ARRAY_HEADER_BYTES + idx as u32 * tag_elem_kind(e.class).size()
     }
 
     /// Reads an `I32` array element.
     #[inline]
     pub fn array_get_i32(&self, obj: ObjRef, idx: usize) -> i32 {
-        let mut buf = [0u8; 4];
-        self.read(obj, self.elem_offset(obj, idx), &mut buf);
-        i32::from_le_bytes(buf)
+        i32::from_le_bytes(self.read_at(obj, self.elem_offset(obj, idx)))
     }
 
     /// Writes an `I32` array element.
     #[inline]
     pub fn array_set_i32(&mut self, obj: ObjRef, idx: usize, value: i32) {
         let off = self.elem_offset(obj, idx);
-        self.write(obj, off, &value.to_le_bytes());
+        self.write_at(obj, off, value.to_le_bytes());
     }
 
     /// Reads an `I64` array element.
     #[inline]
     pub fn array_get_i64(&self, obj: ObjRef, idx: usize) -> i64 {
-        let mut buf = [0u8; 8];
-        self.read(obj, self.elem_offset(obj, idx), &mut buf);
-        i64::from_le_bytes(buf)
+        i64::from_le_bytes(self.read_at(obj, self.elem_offset(obj, idx)))
     }
 
     /// Writes an `I64` array element.
     #[inline]
     pub fn array_set_i64(&mut self, obj: ObjRef, idx: usize, value: i64) {
         let off = self.elem_offset(obj, idx);
-        self.write(obj, off, &value.to_le_bytes());
+        self.write_at(obj, off, value.to_le_bytes());
     }
 
     /// Reads an `I64` array element as a double.
@@ -688,16 +743,15 @@ impl Heap {
     /// Reads a `U8` array element.
     #[inline]
     pub fn array_get_u8(&self, obj: ObjRef, idx: usize) -> u8 {
-        let mut buf = [0u8; 1];
-        self.read(obj, self.elem_offset(obj, idx), &mut buf);
-        buf[0]
+        let [b] = self.read_at(obj, self.elem_offset(obj, idx));
+        b
     }
 
     /// Writes a `U8` array element.
     #[inline]
     pub fn array_set_u8(&mut self, obj: ObjRef, idx: usize, value: u8) {
         let off = self.elem_offset(obj, idx);
-        self.write(obj, off, &[value]);
+        self.write_at(obj, off, [value]);
     }
 
     /// Copies a byte slice into a `U8` array starting at element 0.
@@ -708,7 +762,7 @@ impl Heap {
     #[inline]
     pub fn array_write_bytes(&mut self, obj: ObjRef, data: &[u8]) {
         assert!(data.len() <= self.array_len(obj));
-        self.write(obj, 0, data);
+        self.array_bytes_mut(obj)[..data.len()].copy_from_slice(data);
     }
 
     /// Reads the whole contents of a `U8` array into a fresh vector.
@@ -771,16 +825,16 @@ impl Heap {
     /// Reads a `Ref` array element.
     #[inline]
     pub fn array_get_ref(&self, obj: ObjRef, idx: usize) -> ObjRef {
-        let mut buf = [0u8; 4];
-        self.read(obj, self.elem_offset(obj, idx), &mut buf);
-        ObjRef(u32::from_le_bytes(buf))
+        ObjRef(u32::from_le_bytes(
+            self.read_at(obj, self.elem_offset(obj, idx)),
+        ))
     }
 
     /// Writes a `Ref` array element, applying the write barrier.
     #[inline]
     pub fn array_set_ref(&mut self, obj: ObjRef, idx: usize, value: ObjRef) {
         let off = self.elem_offset(obj, idx);
-        self.write(obj, off, &value.0.to_le_bytes());
+        self.write_at(obj, off, value.0.to_le_bytes());
         self.write_barrier(obj, value);
     }
 

@@ -2,7 +2,7 @@
 //! simple reference models, under seeded operation sequences with
 //! collections forced at arbitrary points.
 
-use data_store::{Backend, ElemTy, FaultPlan, FieldTy, Rec, Store};
+use data_store::{Backend, ElemTy, FaultPlan, Field, FieldRef, FieldTy, Rec, Store};
 use datagen::SplitMix64;
 
 /// Operations over a set of rooted records with one i64 and one ref field.
@@ -386,6 +386,167 @@ fn heap_bulk_write_past_the_end_panics() {
 #[should_panic(expected = "out of bounds")]
 fn facade_bulk_write_past_the_end_panics() {
     bulk_write_past_the_end(Backend::Facade);
+}
+
+/// A field value of the [`field_handles_match_vec_model`] model; doubles by
+/// bit pattern, so NaNs compare too.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Val {
+    I32(i32),
+    I64(i64),
+    F64(u64),
+    Ref(Rec),
+}
+
+impl Val {
+    fn zero(ty: FieldTy) -> Self {
+        match ty {
+            FieldTy::I32 => Val::I32(0),
+            FieldTy::I64 => Val::I64(0),
+            FieldTy::F64 => Val::F64(0),
+            FieldTy::Ref => Val::Ref(Rec::NULL),
+        }
+    }
+
+    fn random(ty: FieldTy, rng: &mut SplitMix64, targets: &[Rec]) -> Self {
+        match ty {
+            FieldTy::I32 => Val::I32(rng.next_u64() as i32),
+            FieldTy::I64 => Val::I64(rng.next_u64() as i64),
+            FieldTy::F64 => Val::F64(rng.next_u64()),
+            FieldTy::Ref => match rng.next_below(targets.len() as u64 + 1) as usize {
+                0 => Val::Ref(Rec::NULL),
+                i => Val::Ref(targets[i - 1]),
+            },
+        }
+    }
+
+    fn write(self, store: &mut Store, r: Rec, field: impl FieldRef) {
+        match self {
+            Val::I32(v) => store.set_i32(r, field, v),
+            Val::I64(v) => store.set_i64(r, field, v),
+            Val::F64(bits) => store.set_f64(r, field, f64::from_bits(bits)),
+            Val::Ref(v) => store.set_rec(r, field, v),
+        }
+    }
+
+    fn read(ty: FieldTy, store: &Store, r: Rec, field: impl FieldRef) -> Self {
+        match ty {
+            FieldTy::I32 => Val::I32(store.get_i32(r, field)),
+            FieldTy::I64 => Val::I64(store.get_i64(r, field)),
+            FieldTy::F64 => Val::F64(store.get_f64(r, field).to_bits()),
+            FieldTy::Ref => Val::Ref(store.get_rec(r, field)),
+        }
+    }
+}
+
+/// Registers a one-field class, then `shape` (so the class under test is
+/// not the first), and resolves every field of `shape`.
+fn register_shape(store: &mut Store, shape: &[FieldTy]) -> (data_store::ClassTag, Vec<Field>) {
+    store.register_class("Before", &[FieldTy::I32]);
+    let class = store.register_class("Shape", shape);
+    let fields = (0..shape.len()).map(|i| store.field(class, i)).collect();
+    (class, fields)
+}
+
+/// Field handles against a `Vec` model: random class shapes of 1–12 fields
+/// over every field type (so `I32`s pack and 8-byte fields align), on both
+/// backends and every ground. Each field is written through its `Field`
+/// and read back by index, then written by index and read back through its
+/// `Field` — with the store's own handles, and with handles resolved on
+/// another store that registered the same classes in the same order (the
+/// per-worker pattern of the engines). A collection runs before every read
+/// pass, moving the heap backend's records under the handles.
+#[test]
+fn field_handles_match_vec_model() {
+    const TYS: [FieldTy; 4] = [FieldTy::I32, FieldTy::I64, FieldTy::F64, FieldTy::Ref];
+    for case in 0..16u64 {
+        let mut rng = SplitMix64::new(0xF1E1D + case);
+        let shape: Vec<FieldTy> = (0..1 + rng.next_below(12))
+            .map(|_| TYS[rng.next_below(4) as usize])
+            .collect();
+        for backend in [Backend::Heap, Backend::Facade] {
+            for ground in [Ground::Fresh, Ground::Stale, Ground::Poisoned] {
+                let mut store = store_on(backend, ground);
+                let (class, own) = register_shape(&mut store, &shape);
+                let mut other = Store::builder().backend(backend).build();
+                let (_, borrowed) = register_shape(&mut other, &shape);
+                drop(other);
+                for fields in [own, borrowed] {
+                    let ctx = format!("case {case} {backend:?} {ground:?} {shape:?}");
+                    let targets: Vec<Rec> = (0..3)
+                        .map(|_| {
+                            let t = store.alloc(class).unwrap();
+                            store.add_root(t);
+                            t
+                        })
+                        .collect();
+                    let recs: Vec<Rec> = (0..4)
+                        .map(|_| {
+                            let r = store.alloc(class).unwrap();
+                            store.add_root(r);
+                            r
+                        })
+                        .collect();
+                    let mut model: Vec<Vec<Val>> =
+                        vec![shape.iter().map(|&ty| Val::zero(ty)).collect(); recs.len()];
+                    for round in 0..6 {
+                        // Even rounds write through the handles and read
+                        // by index; odd rounds the other way round.
+                        let by_handle = round % 2 == 0;
+                        for (r, vals) in recs.iter().zip(&mut model) {
+                            for (i, (&ty, val)) in shape.iter().zip(vals.iter_mut()).enumerate() {
+                                if rng.next_below(4) == 0 {
+                                    continue;
+                                }
+                                *val = Val::random(ty, &mut rng, &targets);
+                                if by_handle {
+                                    val.write(&mut store, *r, fields[i]);
+                                } else {
+                                    val.write(&mut store, *r, i);
+                                }
+                            }
+                        }
+                        store.collect();
+                        for (r, vals) in recs.iter().zip(&model) {
+                            for (i, (&ty, &val)) in shape.iter().zip(vals).enumerate() {
+                                let got = if by_handle {
+                                    Val::read(ty, &store, *r, i)
+                                } else {
+                                    Val::read(ty, &store, *r, fields[i])
+                                };
+                                assert_eq!(got, val, "{ctx} round {round} field {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Reads a field of one class through a record of another.
+#[cfg(debug_assertions)]
+fn field_of_another_class(backend: Backend) {
+    let mut store = Store::builder().backend(backend).budget(1 << 20).build();
+    let alpha = store.register_class("Alpha", &[FieldTy::I64]);
+    let beta = store.register_class("Beta", &[FieldTy::I64, FieldTy::I64]);
+    let second = store.field(beta, 1);
+    let r = store.alloc(alpha).unwrap();
+    store.get_i64(r, second);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "a field of class Beta used on a record of class Alpha")]
+fn heap_field_of_another_class_panics_in_debug() {
+    field_of_another_class(Backend::Heap);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "a field of class Beta used on a record of class Alpha")]
+fn facade_field_of_another_class_panics_in_debug() {
+    field_of_another_class(Backend::Facade);
 }
 
 #[test]
