@@ -97,8 +97,12 @@ fn print_stage_table(compiled: &Compiled) {
     }
     let r = &compiled.report;
     eprintln!(
-        "transform: {} classes, {} methods, {} interaction points, {} devirtualized calls",
-        r.classes_transformed, r.methods_transformed, r.interaction_points, r.devirtualized_calls
+        "transform: {} classes, {} methods ({} unreachable cut), {} interaction points, {} devirtualized calls",
+        r.classes_transformed,
+        r.methods_transformed,
+        r.methods_cut,
+        r.interaction_points,
+        r.devirtualized_calls
     );
     if let Some(e) = compiled.passes.epoch {
         eprintln!(

@@ -18,7 +18,11 @@
 //!    and record layouts (§3.2's class hierarchy transformation).
 //! 3. bound computation — compute the per-type facade-pool bounds by inspecting
 //!    every call site (§3.3).
-//! 4. [`transform`] (this crate's entry point) — rewrite instructions per Table 1: data-path methods
+//! 4. reachability cut — every method unreachable from the entry point keeps
+//!    its declaration but loses its body, so the later steps touch only live
+//!    code (Soot's whole-program mode does the same). A program without an
+//!    entry point compiles whole.
+//! 5. [`transform`] (this crate's entry point) — rewrite instructions per Table 1: data-path methods
 //!    become facade methods over page references; control-path call sites
 //!    into the data path get conversions inserted.
 //!
@@ -74,7 +78,7 @@ pub use pipeline::{
 };
 pub use report::TransformReport;
 
-use facade_ir::Program;
+use facade_ir::{MethodId, Program};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -126,7 +130,10 @@ impl DataSpec {
 pub struct TransformOutput {
     /// The transformed program. Control-path methods are rewritten in place;
     /// facade classes and methods are appended; the original data-path
-    /// method bodies remain but become unreachable.
+    /// method bodies remain but become unreachable. A method unreachable
+    /// from the entry point in `P` keeps only its declaration, and so does
+    /// its facade counterpart; every [`facade_ir::MethodId`] of `P` still
+    /// names the same method.
     pub program: Program,
     /// Runtime metadata for `P'`.
     pub meta: PagedMeta,
@@ -148,14 +155,17 @@ pub fn transform(program: &Program, spec: &DataSpec) -> Result<TransformOutput, 
     let mut program = program.clone();
     let instructions_before = program.instr_count();
     let mut meta = hierarchy::generate(&mut program, &data_classes)?;
+    // The pool bounds stay whole-program: the cut comes after them.
     bounds::compute(&program, &mut meta);
+    let (methods_cut, instructions_cut) = cut_unreachable(&mut program);
     let ip_count = transform::run(&mut program, &mut meta)?;
     let devirt = devirt::devirtualize(&mut program);
     let duration = start.elapsed();
     let report = TransformReport {
         classes_transformed: meta.data_classes.len(),
         methods_transformed: meta.method_map.len(),
-        instructions_transformed: instructions_before,
+        methods_cut,
+        instructions_transformed: instructions_before - instructions_cut,
         interaction_points: ip_count,
         devirtualized_calls: devirt.devirtualized,
         duration,
@@ -165,4 +175,79 @@ pub fn transform(program: &Program, spec: &DataSpec) -> Result<TransformOutput, 
         meta,
         report,
     })
+}
+
+/// Strips the body of every method unreachable from the entry point and
+/// returns how many methods and instructions went. Without an entry point
+/// every method may be called, so nothing is cut.
+fn cut_unreachable(program: &mut Program) -> (usize, usize) {
+    if program.entry().is_none() {
+        return (0, 0);
+    }
+    let reachable = passes::reachable_methods(program);
+    let dead: Vec<MethodId> = program
+        .methods()
+        .filter(|(id, def)| def.body.is_some() && !reachable.contains(id))
+        .map(|(id, _)| id)
+        .collect();
+    let mut instructions = 0;
+    for &m in &dead {
+        let body = program.method_mut(m).body.take();
+        instructions += body.map_or(0, |b| b.instr_count());
+    }
+    (dead.len(), instructions)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn without_entry(program: &Program) -> Program {
+        let text = program.render();
+        let (body, _entry_line) = text.rsplit_once("entry ").expect("corpus entries have one");
+        Program::parse(body).expect("a render parses back")
+    }
+
+    #[test]
+    fn a_program_without_an_entry_point_compiles_whole() {
+        for entry in corpus::all() {
+            let program = without_entry(&entry.program);
+            assert!(program.entry().is_none());
+            let out = transform(&program, &entry.spec).unwrap();
+            for (m, def) in program.methods() {
+                assert_eq!(
+                    out.program.method(m).body.is_some(),
+                    def.body.is_some(),
+                    "{}: {}",
+                    entry.name,
+                    program.render_method(m)
+                );
+            }
+            assert_eq!(out.report.methods_cut, 0, "{}", entry.name);
+            assert_eq!(
+                out.report.instructions_transformed,
+                program.instr_count(),
+                "{}",
+                entry.name
+            );
+        }
+        // figure2's counts as they were before the cut existed, then with
+        // its entry point: `take3` (1 instruction) and `unusedHelper` (3)
+        // are cut.
+        let entry = corpus::figure2();
+        let counts = |r: &TransformReport| {
+            (
+                r.classes_transformed,
+                r.methods_transformed,
+                r.methods_cut,
+                r.instructions_transformed,
+                r.interaction_points,
+                r.devirtualized_calls,
+            )
+        };
+        let whole = transform(&without_entry(&entry.program), &entry.spec).unwrap();
+        assert_eq!(counts(&whole.report), (1, 2, 0, 29, 0, 0));
+        let cut = transform(&entry.program, &entry.spec).unwrap();
+        assert_eq!(counts(&cut.report), (1, 2, 2, 25, 0, 0));
+    }
 }

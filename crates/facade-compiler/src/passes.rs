@@ -165,8 +165,9 @@ fn visit_locals(i: &Instr, mut f: impl FnMut(Local)) {
 }
 
 /// Methods reachable from the program entry, conservatively resolving
-/// virtual calls through every subtype override.
-fn reachable_methods(program: &Program) -> BTreeSet<MethodId> {
+/// virtual calls through every subtype override. The reachability cut of
+/// [`crate::transform`] and the [`epoch`] pass both walk with this.
+pub(crate) fn reachable_methods(program: &Program) -> BTreeSet<MethodId> {
     let mut seen = BTreeSet::new();
     let mut queue = VecDeque::new();
     if let Some(e) = program.entry() {
@@ -191,8 +192,11 @@ fn reachable_methods(program: &Program) -> BTreeSet<MethodId> {
                     CallTarget::Static(id) | CallTarget::Special(id) => push(*id),
                     CallTarget::Virtual(id) => {
                         push(*id);
+                        // The declaring class itself too: a body-less `id`
+                        // on a class resolves to an inherited body.
                         let decl_class = program.method(*id).class;
-                        for sub in program.all_subtypes(decl_class) {
+                        let receivers = program.all_subtypes(decl_class);
+                        for sub in std::iter::once(decl_class).chain(receivers) {
                             if let Some(ov) = program.try_resolve_virtual(sub, *id) {
                                 push(ov);
                             }

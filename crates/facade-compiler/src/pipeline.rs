@@ -5,8 +5,9 @@
 //!
 //! ```text
 //! parse/build IR → verify P → closed-world + hierarchy + bounds +
-//! Table 1 transform + devirt → re-verify P' → optimization passes
-//! (epoch, promote, fastalloc; each re-verified) → P' + metadata
+//! reachability cut + Table 1 transform + devirt → re-verify P' →
+//! optimization passes (epoch, promote, fastalloc; each re-verified) →
+//! P' + metadata
 //! ```
 //!
 //! Every stage records a snapshot of the program (plus the facade-pool

@@ -10,7 +10,12 @@ pub struct TransformReport {
     pub classes_transformed: usize,
     /// Number of data-path methods given facade counterparts.
     pub methods_transformed: usize,
-    /// Instructions in the input program (the paper's speed denominator).
+    /// Methods of the input program left with only a declaration because
+    /// the entry point cannot reach them (a data-path one's facade
+    /// counterpart stays body-less too).
+    pub methods_cut: usize,
+    /// Instructions of the input methods actually rewritten, i.e. those not
+    /// cut (the paper's speed denominator).
     pub instructions_transformed: usize,
     /// Interaction points at which conversions were synthesized (§3.5).
     pub interaction_points: usize,
@@ -41,6 +46,7 @@ mod tests {
         let r = TransformReport {
             classes_transformed: 1,
             methods_transformed: 2,
+            methods_cut: 0,
             instructions_transformed: 1000,
             interaction_points: 0,
             devirtualized_calls: 0,
@@ -54,6 +60,7 @@ mod tests {
         let r = TransformReport {
             classes_transformed: 0,
             methods_transformed: 0,
+            methods_cut: 0,
             instructions_transformed: 10,
             interaction_points: 0,
             devirtualized_calls: 0,

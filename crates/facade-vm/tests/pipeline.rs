@@ -6,7 +6,8 @@
 //! object bound — under every pass configuration, since the optimization
 //! passes must be semantics-preserving individually and in combination.
 
-use facade_compiler::{PassConfig, compile, corpus};
+use facade_compiler::{DataSpec, PassConfig, compile, compile_text, corpus};
+use facade_ir::Program;
 use facade_vm::{VmConfig, run_dual};
 
 /// The eight pass combinations: every subset of {epoch, promote, fastalloc}.
@@ -204,4 +205,170 @@ fn golden_source_snapshots_execute_through_the_text_pipeline() {
         ran += 1;
     }
     assert_eq!(ran, 5);
+}
+
+/// `compile_run`'s shape in small: `TEMPS` clones of `epoch_scratch`'s
+/// `Temp` class, of which `main` calls two, plus a data interface whose
+/// two implementors are both reachable by CHA though only `Square` is
+/// ever allocated. `Circle::perimeter` is never called. The control class
+/// `Derived` only declares `get`, so a call to it runs `Base::get`.
+const TEMPS: usize = 20;
+const CALLED: [usize; 2] = [3, 17];
+
+fn cut_program() -> String {
+    let scratch = corpus::epoch_scratch().program.render();
+    let (temp, _) = scratch
+        .split_once("class Main {")
+        .expect("epoch_scratch has a Main class");
+    let mut text: String = (0..TEMPS)
+        .map(|i| temp.replace("Temp", &format!("Temp{i}")))
+        .collect();
+    text.push_str(
+        "interface Shape {
+  i32 area();
+}
+class Circle implements Shape {
+  i32 r;
+  i32 area() {
+   locals: Circle, i32, i32, i32, i32
+   bb0:
+     v1 = v0.f0
+     v2 = v1 Mul v1
+     v3 = 3
+     v4 = v2 Mul v3
+     return v4
+  }
+  i32 perimeter() {
+   locals: Circle, i32, i32, i32
+   bb0:
+     v1 = v0.f0
+     v2 = 6
+     v3 = v1 Mul v2
+     return v3
+  }
+}
+class Square implements Shape {
+  i32 s;
+  i32 area() {
+   locals: Square, i32, i32
+   bb0:
+     v1 = v0.f0
+     v2 = v1 Mul v1
+     return v2
+  }
+  static i32 drive() {
+   locals: Square, i32, Shape, i32
+   bb0:
+     v0 = new Square
+     v1 = 3
+     v0.f0 = v1
+     v2 = v0
+     v3 = virtual Shape::area(v2)
+     return v3
+  }
+}
+class Base {
+  i32 get() {
+   locals: Base, i32
+   bb0:
+     v1 = 11
+     return v1
+  }
+}
+class Derived extends Base {
+  i32 get();
+}
+class Main {
+  static void main() {
+   locals: i32, i32, i64, i32, Derived, i32
+   bb0:
+     v0 = 5
+     v1 = 40
+",
+    );
+    for i in CALLED {
+        text.push_str(&format!(
+            "     v2 = static Temp{i}::churn(v0, v1)\n     print v2\n"
+        ));
+    }
+    text.push_str(
+        "     v3 = static Square::drive()
+     print v3
+     v4 = new Derived
+     v5 = virtual Derived::get(v4)
+     print v5
+     return
+  }
+}
+entry Main::main
+",
+    );
+    text
+}
+
+fn is_reachable(program: &Program, m: facade_ir::MethodId) -> bool {
+    let def = program.method(m);
+    let name = format!("{}::{}", program.class(def.class).name, def.name);
+    let called = CALLED.map(|i| format!("Temp{i}::churn"));
+    called.contains(&name)
+        || [
+            "Main::main",
+            "Square::drive",
+            "Shape::area",
+            "Square::area",
+            // CHA: `Shape::area` reaches it though no Circle is allocated.
+            "Circle::area",
+            "Derived::get",
+            "Base::get",
+        ]
+        .contains(&name.as_str())
+}
+
+#[test]
+fn unreachable_methods_lose_their_bodies_and_nothing_else_changes() {
+    let text = cut_program();
+    let mut data: Vec<String> = (0..TEMPS).map(|i| format!("Temp{i}")).collect();
+    data.extend(["Circle".into(), "Square".into()]);
+    let spec = DataSpec::new(data);
+    // churn(5, 40) sums 2·i over 5 rounds of i < 40; the square's side is 3.
+    let expected = ["7800", "7800", "9", "11"];
+    for (label, config) in all_pass_configs() {
+        let compiled =
+            compile_text(&text, &spec, &config).unwrap_or_else(|e| panic!("[{label}]: {e}"));
+        let (p, p2) = (&compiled.source, &compiled.transformed);
+        let mut cut = 0;
+        for (m, def) in p.methods() {
+            let kept = p2.method(m).body.is_some();
+            if def.body.is_some() && !is_reachable(p, m) {
+                cut += 1;
+            }
+            assert_eq!(
+                kept,
+                def.body.is_some() && is_reachable(p, m),
+                "[{label}] {}",
+                p.render_method(m)
+            );
+            if let Some(&facade) = compiled.meta.method_map.get(&m) {
+                assert_eq!(
+                    p2.method(facade).body.is_some(),
+                    kept,
+                    "[{label}] facade of {m:?}"
+                );
+            }
+        }
+        // Every Temp but the two called, plus Circle::perimeter.
+        assert_eq!(cut, TEMPS - CALLED.len() + 1, "[{label}]");
+        assert_eq!(compiled.report.methods_cut, cut, "[{label}]");
+
+        let run = run_dual(p, p2, &compiled.meta, &VmConfig::default())
+            .unwrap_or_else(|e| panic!("[{label}]: {e}"));
+        assert_eq!(run.output, expected, "[{label}]");
+        assert!(
+            run.boundedness.is_bounded(),
+            "[{label}]: {} live facades > {} × {}",
+            run.boundedness.live_facades,
+            run.boundedness.threads,
+            run.boundedness.facades_per_thread
+        );
+    }
 }
