@@ -832,11 +832,6 @@ impl Store {
         }
     }
 
-    /// Reads the whole contents of a `U8` array.
-    pub fn array_read_bytes(&self, r: Rec) -> Vec<u8> {
-        self.array_bytes(r).to_vec()
-    }
-
     // ----- bulk array access -------------------------------------------------
     //
     // The per-element accessors above pay the backend match, a record
@@ -848,8 +843,8 @@ impl Store {
 
     /// The contents of a primitive (`U8`/`I32`/`I64`) array, borrowed:
     /// little-endian elements, back to back — for a `U8` array, its bytes.
-    /// Unlike [`Store::array_read_bytes`] nothing is copied, so this is the
-    /// way to compare or hash keys in place.
+    /// Nothing is copied, so this is the way to compare or hash keys in
+    /// place; `.to_vec()` it only to keep it past the next allocation.
     ///
     /// # Panics
     ///
@@ -1202,7 +1197,7 @@ mod tests {
 
             let bytes = s.alloc_array(ElemTy::U8, 5).unwrap();
             s.array_write_bytes(bytes, b"abcde");
-            assert_eq!(s.array_read_bytes(bytes), b"abcde");
+            assert_eq!(s.array_bytes(bytes), b"abcde");
             s.array_set_u8(bytes, 4, b'!');
             assert_eq!(s.array_get_u8(bytes, 4), b'!');
 

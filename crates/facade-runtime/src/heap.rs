@@ -1067,11 +1067,6 @@ impl PagedHeap {
         b[at..at + data.len()].copy_from_slice(data);
     }
 
-    /// Reads the whole contents of a `U8` array.
-    pub fn array_read_bytes(&self, r: PageRef) -> Vec<u8> {
-        self.array_bytes(r).to_vec()
-    }
-
     /// Byte range of a primitive array's element storage within its record
     /// slice: exactly `len × element size` bytes, so a caller that chunks
     /// the range by the wrong width still cannot leave the record.
@@ -1198,7 +1193,7 @@ mod tests {
 
         let b = h.alloc_array(ElemKind::U8, 11).unwrap();
         h.array_write_bytes(b, b"hello world");
-        assert_eq!(h.array_read_bytes(b), b"hello world");
+        assert_eq!(h.array_bytes(b), b"hello world");
         h.array_set_u8(b, 0, b'H');
         assert_eq!(h.array_get_u8(b, 0), b'H');
 

@@ -167,9 +167,10 @@ impl Router {
         )
     }
 
-    /// The cached report for one workload kind, or the 503 the caller
-    /// should return while no job of that kind has completed yet.
-    fn cached(&self, kind: &str) -> Result<JobReport, Response> {
+    /// The cached report for one workload kind and its output's
+    /// fingerprint, or the 503 the caller should return while no job of
+    /// that kind has completed yet.
+    fn cached(&self, kind: &str) -> Result<(Arc<JobReport>, u64), Response> {
         let results = self.state.results.lock().unwrap_or_else(|p| p.into_inner());
         results.get(kind).cloned().ok_or_else(|| {
             Response::json(
@@ -188,8 +189,8 @@ impl Router {
             Some(Ok(k)) => k,
             Some(Err(_)) => return Response::bad_request("k must be an integer"),
         };
-        let report = match self.cached("page_rank") {
-            Ok(report) => report,
+        let (report, fingerprint) = match self.cached("page_rank") {
+            Ok(cached) => cached,
             Err(resp) => return resp,
         };
         let JobOutput::Vertices { values } = &report.output else {
@@ -211,7 +212,7 @@ impl Router {
             format!(
                 "{{\"k\": {k}, \"top\": [{}], \"fingerprint\": \"{:016x}\"}}",
                 rows.join(", "),
-                report.output.fingerprint()
+                fingerprint
             ),
         )
     }
@@ -221,8 +222,8 @@ impl Router {
             Some(Ok(v)) => v,
             _ => return Response::bad_request("vertex must be an integer query parameter"),
         };
-        let report = match self.cached("connected_components") {
-            Ok(report) => report,
+        let (report, fingerprint) = match self.cached("connected_components") {
+            Ok(cached) => cached,
             Err(resp) => return resp,
         };
         let JobOutput::Vertices { values } = &report.output else {
@@ -240,8 +241,7 @@ impl Router {
             format!(
                 "{{\"vertex\": {vertex}, \"component\": {}, \"size\": {size}, \
                  \"fingerprint\": \"{:016x}\"}}",
-                *label as u64,
-                report.output.fingerprint()
+                *label as u64, fingerprint
             ),
         )
     }
@@ -250,8 +250,8 @@ impl Router {
         let Some(word) = request.query_value("word") else {
             return Response::bad_request("word must be given as a query parameter");
         };
-        let report = match self.cached("word_count") {
-            Ok(report) => report,
+        let (report, fingerprint) = match self.cached("word_count") {
+            Ok(cached) => cached,
             Err(resp) => return resp,
         };
         let JobOutput::WordCount { counts, .. } = &report.output else {
@@ -269,7 +269,7 @@ impl Router {
             format!(
                 "{{\"word\": \"{}\", \"count\": {count}, \"fingerprint\": \"{:016x}\"}}",
                 json::escape(word),
-                report.output.fingerprint()
+                fingerprint
             ),
         )
     }

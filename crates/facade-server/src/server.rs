@@ -97,9 +97,10 @@ pub(crate) struct ServerState {
     pub(crate) pool: Arc<PagePool>,
     pub(crate) dataset: Dataset,
     pub(crate) jobs: Mutex<BTreeMap<u64, JobEntry>>,
-    /// Latest completed report per workload kind — what the `/query/*`
-    /// endpoints read.
-    pub(crate) results: Mutex<BTreeMap<&'static str, JobReport>>,
+    /// Latest completed report per workload kind, with its output's
+    /// fingerprint hashed once at insert — what the `/query/*` endpoints
+    /// read. A query clones the `Arc`, never the report.
+    pub(crate) results: Mutex<BTreeMap<&'static str, (Arc<JobReport>, u64)>>,
     pub(crate) registry: Arc<Registry>,
     pub(crate) shutdown_requested: (Mutex<bool>, Condvar),
     pub(crate) draining: AtomicBool,
@@ -140,8 +141,9 @@ impl ServerState {
                 match result {
                     Ok(report) => {
                         state.registry.counter("server_jobs_completed").inc();
+                        let cached = (Arc::new(report.clone()), report.output.fingerprint());
                         let mut results = state.results.lock().unwrap_or_else(|p| p.into_inner());
-                        results.insert(kind, report.clone());
+                        results.insert(kind, cached);
                     }
                     Err(JobError::Canceled) => {
                         state.registry.counter("server_jobs_canceled").inc();

@@ -9,6 +9,7 @@
 //! live run would have produced, in partition order.
 
 use crate::cluster::ClusterConfig;
+use crate::extsort::Run;
 use data_store::RecoveryError;
 use data_store::checkpoint::{self, Cursor};
 use metrics::JobFailure;
@@ -38,23 +39,8 @@ pub(crate) fn encode_pairs(pairs: &[(Vec<u8>, i64)]) -> Vec<u8> {
     out
 }
 
-/// Serializes one sorted partition of byte strings (ES sort output).
-pub(crate) fn encode_words(words: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * words.len() + 8);
-    out.extend_from_slice(&(words.len() as u64).to_le_bytes());
-    for word in words {
-        out.extend_from_slice(&(word.len() as u32).to_le_bytes());
-        out.extend_from_slice(word);
-    }
-    out
-}
-
-/// Decodes a counted list of length-prefixed byte strings, each followed by
-/// whatever `rest` reads after it; fails closed on any length mismatch.
-fn decode_list<T>(
-    bytes: &[u8],
-    rest: impl Fn(&mut Cursor<'_>, Vec<u8>) -> Result<T, RecoveryError>,
-) -> Result<Vec<T>, RecoveryError> {
+/// Inverse of [`encode_pairs`]; fails closed on any length mismatch.
+pub(crate) fn decode_pairs(bytes: &[u8]) -> Result<Vec<(Vec<u8>, i64)>, RecoveryError> {
     let mut cursor = Cursor::new(bytes);
     let n = cursor.u64()?;
     // Not pre-sized from `n`: each entry is bounds-checked as it is read.
@@ -62,20 +48,36 @@ fn decode_list<T>(
     for _ in 0..n {
         let len = cursor.u32()? as usize;
         let word = cursor.take(len)?.to_vec();
-        out.push(rest(&mut cursor, word)?);
+        out.push((word, cursor.u64()? as i64));
     }
     cursor.finish()?;
     Ok(out)
 }
 
-/// Inverse of [`encode_pairs`].
-pub(crate) fn decode_pairs(bytes: &[u8]) -> Result<Vec<(Vec<u8>, i64)>, RecoveryError> {
-    decode_list(bytes, |cursor, word| Ok((word, cursor.u64()? as i64)))
+/// Serializes one sorted partition (ES sort output): the key count, then
+/// each key length-prefixed — [`encode_pairs`] without the counts.
+pub(crate) fn encode_run(run: &Run) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + 4 * run.len() + run.key_bytes());
+    out.extend_from_slice(&(run.len() as u64).to_le_bytes());
+    for key in run.keys() {
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(key);
+    }
+    out
 }
 
-/// Inverse of [`encode_words`]: [`decode_pairs`] without the count.
-pub(crate) fn decode_words(bytes: &[u8]) -> Result<Vec<Vec<u8>>, RecoveryError> {
-    decode_list(bytes, |_, word| Ok(word))
+/// Inverse of [`encode_run`]; fails closed on any length mismatch.
+pub(crate) fn decode_run(bytes: &[u8]) -> Result<Run, RecoveryError> {
+    let mut cursor = Cursor::new(bytes);
+    let n = cursor.u64()?;
+    // Not pre-sized from `n`: each key is bounds-checked as it is read.
+    let mut run = Run::default();
+    for _ in 0..n {
+        let len = cursor.u32()? as usize;
+        run.push(cursor.take(len)?);
+    }
+    cursor.finish()?;
+    Ok(run)
 }
 
 /// Fires the fault plan's `crash_in_phase` fault: aborts the job with an
@@ -126,13 +128,27 @@ mod tests {
     }
 
     #[test]
-    fn words_roundtrip_and_fail_closed() {
-        let words = vec![b"b".to_vec(), Vec::new(), b"aa".to_vec()];
-        let bytes = encode_words(&words);
-        assert_eq!(decode_words(&bytes).expect("roundtrip"), words);
-        for cut in 0..bytes.len() {
-            assert!(decode_words(&bytes[..cut]).is_err(), "prefix {cut}");
+    fn run_roundtrip_and_fail_closed() {
+        let mut run = Run::default();
+        for key in [&b"b"[..], b"", b"aa"] {
+            run.push(key);
         }
+        let bytes = encode_run(&run);
+        // The section's wire bytes, as the list-of-words codec wrote them:
+        // a u64 count, then each key behind its u32 length.
+        assert_eq!(
+            bytes,
+            [
+                3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 98, 0, 0, 0, 0, 2, 0, 0, 0, 97, 97
+            ]
+        );
+        assert_eq!(decode_run(&bytes).expect("roundtrip"), run);
+        for cut in 0..bytes.len() {
+            assert!(decode_run(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(decode_run(&trailing).is_err(), "trailing bytes rejected");
     }
 
     #[test]

@@ -230,11 +230,15 @@ impl JobStats {
 }
 
 /// Splits `items` round-robin into `n` partitions (the paper partitions the
-/// dataset "among the slaves in a round-robin manner").
-pub(crate) fn round_robin<T: Clone>(items: &[T], n: usize) -> Vec<Vec<T>> {
-    let mut parts = vec![Vec::with_capacity(items.len() / n + 1); n];
+/// dataset "among the slaves in a round-robin manner"). A partition borrows
+/// its items: splitting allocates one vector per partition, never one per
+/// item.
+pub(crate) fn round_robin<T>(items: &[T], n: usize) -> Vec<Vec<&T>> {
+    let mut parts: Vec<Vec<&T>> = (0..n)
+        .map(|_| Vec::with_capacity(items.len() / n + 1))
+        .collect();
     for (i, item) in items.iter().enumerate() {
-        parts[i % n].push(item.clone());
+        parts[i % n].push(item);
     }
     parts
 }
@@ -257,7 +261,8 @@ fn retire_store(store: &mut Store, healthy: bool, acc: &mut WorkerReport) {
 /// Each thread builds one store (schema installed once by `init`) and keeps
 /// it across the partitions it claims; a failing partition retires that
 /// thread's store and the thread continues on a fresh one, so siblings are
-/// never poisoned.
+/// never poisoned. The worker borrows its partition, so a retry re-reads
+/// the phase's input rather than a copy of it.
 /// The closure's last argument is the degrade level — 0 on the first
 /// attempt, incremented each time the phase steps down the ladder; workers
 /// shrink their working granularity by `2^level` (frame bytes for WC, run
@@ -286,16 +291,16 @@ pub(crate) fn run_phase<I, S, R, N, F>(
     worker: F,
 ) -> Result<Vec<R>, JobFailure>
 where
-    I: Clone + Send + Sync,
+    I: Sync,
     S: Send,
     R: Send,
     N: Fn(&mut Store) -> S + Sync,
-    F: Fn(usize, &mut Store, &S, I, u32) -> Result<R, OutOfMemory> + Sync,
+    F: Fn(usize, &mut Store, &S, &I, u32) -> Result<R, OutOfMemory> + Sync,
 {
     let mut ladder = Ladder::default();
     let mut level = 0u32;
     let mut slots: Vec<Option<R>> = partitions.iter().map(|_| None).collect();
-    let mut pending: Vec<(usize, I)> = partitions.into_iter().enumerate().collect();
+    let mut pending: Vec<usize> = (0..partitions.len()).collect();
     let fresh_store = || {
         let mut store = config
             .env
@@ -334,7 +339,7 @@ where
                     if canceled {
                         return Err(FailureCause::Canceled);
                     }
-                    let (id, input) = (pending[pos].0, pending[pos].1.clone());
+                    let id = pending[pos];
                     let _span = facade_trace::span!(
                         "partition_run",
                         phase = phase,
@@ -342,7 +347,7 @@ where
                         worker = w,
                     );
                     acc.partitions += 1;
-                    Ok(worker(id, &mut store, &schema, input, level)?)
+                    Ok(worker(id, &mut store, &schema, &partitions[id], level)?)
                 });
                 match ran {
                     None => break,
@@ -369,10 +374,10 @@ where
             stats.fold_worker(report);
         }
         for (pos, payload) in outcome.payloads.into_iter().enumerate() {
-            slots[pending[pos].0] = payload;
+            slots[pending[pos]] = payload;
         }
-        let failed = outcome.failure.map(|f| (pending[f.unit].0, f.cause));
-        pending.retain(|(id, _)| slots[*id].is_none());
+        let failed = outcome.failure.map(|f| (pending[f.unit], f.cause));
+        pending.retain(|id| slots[*id].is_none());
         let Some((id, cause)) = failed else {
             continue;
         };
@@ -401,10 +406,7 @@ where
 }
 
 /// How one partition's payload goes into a checkpoint section and back.
-type SectionCodec<T> = (
-    fn(&[T]) -> Vec<u8>,
-    fn(&[u8]) -> Result<Vec<T>, RecoveryError>,
-);
+type SectionCodec<P> = (fn(&P) -> Vec<u8>, fn(&[u8]) -> Result<P, RecoveryError>);
 
 /// A job's durable first phase, shared by both jobs. A verified checkpoint's
 /// `{section}{i}` payloads replace the phase entirely — the decode is
@@ -413,15 +415,15 @@ type SectionCodec<T> = (
 /// output is committed the moment it completes, and the `crash_in_phase(0)`
 /// fault fires. Either way the host's cancel flag is polled once more before
 /// the job moves on to what follows.
-pub(crate) fn first_phase<T>(
+pub(crate) fn first_phase<P>(
     config: &ClusterConfig,
     checkpointer: Option<&Checkpointer>,
     stats: &mut JobStats,
     started: Instant,
     (phase, section): (&str, &str),
-    (encode, decode): SectionCodec<T>,
-    run: impl FnOnce(&mut JobStats) -> Result<Vec<Vec<T>>, JobFailure>,
-) -> Result<Vec<Vec<T>>, JobFailure> {
+    (encode, decode): SectionCodec<P>,
+    run: impl FnOnce(&mut JobStats) -> Result<Vec<P>, JobFailure>,
+) -> Result<Vec<P>, JobFailure> {
     let name = |i: usize| format!("{section}{i}");
     let resumed = checkpointer.and_then(|c| {
         c.restore(&mut stats.resilience, |m| {
@@ -485,11 +487,12 @@ mod tests {
 
     #[test]
     fn round_robin_balances() {
-        let parts = round_robin(&(0..10).collect::<Vec<_>>(), 3);
+        let items: Vec<i32> = (0..10).collect();
+        let parts = round_robin(&items, 3);
         assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0], vec![0, 3, 6, 9]);
-        assert_eq!(parts[1], vec![1, 4, 7]);
-        assert_eq!(parts[2], vec![2, 5, 8]);
+        assert_eq!(parts[0], [&0, &3, &6, &9]);
+        assert_eq!(parts[1], [&1, &4, &7]);
+        assert_eq!(parts[2], [&2, &5, &8]);
     }
 
     #[test]
@@ -516,7 +519,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..100).collect::<Vec<_>>(), 4);
+        let items: Vec<i32> = (0..100).collect();
+        let parts = round_robin(&items, 4);
         let out = run_phase(
             &config,
             "test",
@@ -526,7 +530,7 @@ mod tests {
             None,
             |store| store.register_class("T", &[FieldTy::I64]),
             |_, store, c, xs, _| {
-                for _ in &xs {
+                for _ in xs {
                     store.alloc(*c)?;
                 }
                 Ok(xs.len())
@@ -554,7 +558,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..2).collect::<Vec<_>>(), 2);
+        let items: Vec<i32> = (0..2).collect();
+        let parts = round_robin(&items, 2);
         let result: Result<Vec<()>, _> = run_phase(
             &config,
             "test",
@@ -582,7 +587,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..9).collect::<Vec<_>>(), 3);
+        let items: Vec<i32> = (0..9).collect();
+        let parts = round_robin(&items, 3);
         let attempts = AtomicU32::new(0);
         // Partition 1 needs the phase degraded twice before it succeeds.
         let out = run_phase(
@@ -624,7 +630,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..8).collect::<Vec<_>>(), 4);
+        let items: Vec<i32> = (0..8).collect();
+        let parts = round_robin(&items, 4);
         let attempts = AtomicU32::new(0);
         let out = run_phase(
             &config,
@@ -659,7 +666,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..4).collect::<Vec<_>>(), 2);
+        let items: Vec<i32> = (0..4).collect();
+        let parts = round_robin(&items, 2);
         let armed = AtomicBool::new(true);
         let out = run_phase(
             &config,
@@ -669,7 +677,7 @@ mod tests {
             &mut stats,
             None,
             |_| (),
-            |_, _store, _, xs: Vec<i32>, _| {
+            |_, _store, _, xs: &Vec<&i32>, _| {
                 if armed.swap(false, Ordering::SeqCst) {
                     panic!("injected worker panic");
                 }
@@ -695,7 +703,8 @@ mod tests {
             .page_pool(config.backend)
             .expect("facade jobs share a pool");
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..64).collect::<Vec<_>>(), 8);
+        let items: Vec<i32> = (0..64).collect();
+        let parts = round_robin(&items, 8);
         let armed = AtomicBool::new(true);
         let out = run_phase(
             &config,
@@ -705,7 +714,7 @@ mod tests {
             &mut stats,
             Some(&pool),
             |store| store.register_class("T", &[FieldTy::I64]),
-            |id, store, c, xs: Vec<i32>, _| {
+            |id, store, c, xs: &Vec<&i32>, _| {
                 if id == 1 && armed.swap(false, Ordering::SeqCst) {
                     // Whichever thread claims partition 1 panics
                     // mid-round; its store — possibly laden with pages
@@ -716,7 +725,7 @@ mod tests {
                     panic!("injected mid-round failure");
                 }
                 let it = store.iteration_start();
-                for _ in &xs {
+                for _ in xs {
                     store.alloc(*c)?;
                 }
                 store.iteration_end(it);
@@ -754,7 +763,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..64).collect::<Vec<_>>(), 8);
+        let items: Vec<i32> = (0..64).collect();
+        let parts = round_robin(&items, 8);
         let failure = run_phase(
             &config,
             "map",
@@ -763,9 +773,9 @@ mod tests {
             &mut stats,
             Some(&pool),
             |store| store.register_class("T", &[FieldTy::I64]),
-            |id, store, c, xs: Vec<i32>, _| {
+            |id, store, c, xs: &Vec<&i32>, _| {
                 let it = store.iteration_start();
-                for _ in &xs {
+                for _ in xs {
                     store.alloc(*c)?;
                 }
                 store.iteration_end(it);
@@ -794,7 +804,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..8).collect::<Vec<_>>(), 4);
+        let items: Vec<i32> = (0..8).collect();
+        let parts = round_robin(&items, 4);
         let ran = std::sync::atomic::AtomicUsize::new(0);
         let out = run_phase(
             &config,
@@ -804,7 +815,7 @@ mod tests {
             &mut stats,
             None,
             |_| (),
-            |_, _store, _, xs: Vec<i32>, _| {
+            |_, _store, _, xs: &Vec<&i32>, _| {
                 if ran.fetch_add(1, Ordering::SeqCst) == 3 {
                     config.env.cancel.store(true, Ordering::Release);
                 }
@@ -822,7 +833,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut stats = JobStats::default();
-        let parts = round_robin(&(0..2).collect::<Vec<_>>(), 2);
+        let items: Vec<i32> = (0..2).collect();
+        let parts = round_robin(&items, 2);
         let result: Result<Vec<()>, _> = run_phase(
             &config,
             "test",

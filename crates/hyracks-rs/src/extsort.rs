@@ -1,7 +1,7 @@
 //! The external-sort job (ES of Table 3): budget-bounded run generation
 //! over store records, sorted-run spilling, and k-way merging.
 
-use crate::checkpoint::{decode_words, encode_words, maybe_crash};
+use crate::checkpoint::{decode_run, encode_run, maybe_crash};
 use crate::cluster::{
     ClusterConfig, JobStats, finish_job, first_phase, job_checkpointer, round_robin, run_phase,
 };
@@ -59,10 +59,10 @@ impl LineRecord {
 fn sort_worker(
     store: &mut Store,
     line: LineRecord,
-    words: Vec<String>,
+    words: &[&String],
     budget: usize,
     degrade_level: u32,
-) -> Result<Vec<Vec<u8>>, OutOfMemory> {
+) -> Result<Run, OutOfMemory> {
     // Run length derived from the memory budget, as the external sort
     // operator sizes its in-memory runs from the frame budget.
     let run_len = ((budget / 96) >> degrade_level.min(16)).clamp(16, 1 << 20);
@@ -111,7 +111,7 @@ fn sort_worker(
         });
 
         // Spill the sorted run (records leave the data path).
-        let mut run = Run::with_capacity(keys.len(), chunk.iter().map(String::len).sum());
+        let mut run = Run::with_capacity(keys.len(), chunk.iter().map(|w| w.len()).sum());
         for &(_, bytes) in &keys {
             run.push(store.array_bytes(bytes));
         }
@@ -122,7 +122,7 @@ fn sort_worker(
     }
     store.iteration_end(operator);
 
-    Ok(merge_runs(&runs))
+    Ok(merge_runs(runs))
 }
 
 /// A key's first 8 bytes, zero-padded and read big-endian, so integer
@@ -135,47 +135,77 @@ fn key_prefix(key: &[u8]) -> u64 {
     u64::from_be_bytes(prefix)
 }
 
-/// A spilled sorted run, laid out as a run file: every key back to back,
-/// and the offset at which each one ends.
-struct Run {
+/// A sorted run laid out as a run file: every key back to back, and the
+/// offset at which each one ends. A spilled run is one, and so is a
+/// partition's merged output, which the checksum and the checkpoint read in
+/// place: a partition's keys cost two allocations, not one per key.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Run {
     bytes: Vec<u8>,
     ends: Vec<usize>,
 }
 
 impl Run {
-    fn with_capacity(keys: usize, bytes: usize) -> Self {
+    pub(crate) fn with_capacity(keys: usize, bytes: usize) -> Self {
         Self {
             bytes: Vec::with_capacity(bytes),
             ends: Vec::with_capacity(keys),
         }
     }
 
-    fn push(&mut self, key: &[u8]) {
+    /// Appends `key` after the run's last key.
+    pub(crate) fn push(&mut self, key: &[u8]) {
         self.bytes.extend_from_slice(key);
         self.ends.push(self.bytes.len());
     }
 
+    /// The number of keys.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The summed length of the keys.
+    pub(crate) fn key_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The `i`-th key, or `None` past the last.
     fn key(&self, i: usize) -> Option<&[u8]> {
         let end = *self.ends.get(i)?;
         let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
         Some(&self.bytes[start..end])
     }
+
+    /// The keys in run order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let key = &self.bytes[start..end];
+            start = end;
+            key
+        })
+    }
 }
 
-/// K-way merge of sorted runs (the merge phase reads spilled run files, a
-/// control-path activity identical for both backends). The heap borrows
-/// keys from the runs; each output key is copied once.
-fn merge_runs(runs: &[Run]) -> Vec<Vec<u8>> {
-    let total: usize = runs.iter().map(|run| run.ends.len()).sum();
+/// K-way merge of sorted runs into one (the merge phase reads spilled run
+/// files, a control-path activity identical for both backends). The heap
+/// borrows keys from the runs; each key is copied once, into the merged
+/// run, and a single run is already merged.
+fn merge_runs(mut runs: Vec<Run>) -> Run {
+    if runs.len() == 1 {
+        return runs.pop().expect("one run");
+    }
+    let keys = runs.iter().map(Run::len).sum();
+    let bytes = runs.iter().map(Run::key_bytes).sum();
     let mut heap: BinaryHeap<Reverse<(&[u8], usize, usize)>> = runs
         .iter()
         .enumerate()
         .filter_map(|(r, run)| Some(Reverse((run.key(0)?, r, 0))))
         .collect();
-    let mut out = Vec::with_capacity(total);
+    let mut out = Run::with_capacity(keys, bytes);
     while let Some(mut top) = heap.peek_mut() {
         let Reverse((key, r, i)) = *top;
-        out.push(key.to_vec());
+        out.push(key);
         match runs[r].key(i + 1) {
             Some(next) => *top = Reverse((next, r, i + 1)),
             None => {
@@ -212,13 +242,13 @@ pub(crate) fn external_sort_job(
     // Sort phase (or its checkpoint: the order-sensitive checksum below
     // cannot tell decoded partitions from live ones).
     let budget = config.per_worker_budget;
-    let sorted: Vec<Vec<Vec<u8>>> = first_phase(
+    let sorted: Vec<Run> = first_phase(
         config,
         ckpt.as_ref(),
         &mut stats,
         started,
         ("sort", "sorted"),
-        (encode_words, decode_words),
+        (encode_run, decode_run),
         |stats| {
             run_phase(
                 config,
@@ -237,7 +267,7 @@ pub(crate) fn external_sort_job(
     let mut checksum = 0u64;
     for part in &sorted {
         total += part.len() as u64;
-        for (i, w) in part.iter().enumerate() {
+        for (i, w) in part.keys().enumerate() {
             checksum = checksum
                 .wrapping_mul(31)
                 .wrapping_add(u64::from(hash_bytes(w)) ^ i as u64);
@@ -292,7 +322,8 @@ mod tests {
             let mut expected: Vec<&[u8]> = runs.concat().iter().map(|k| k.as_bytes()).collect();
             expected.sort();
             let spilled: Vec<Run> = runs.iter().map(|keys| spill(keys)).collect();
-            assert_eq!(merge_runs(&spilled), expected, "{runs:?}");
+            let merged = merge_runs(spilled);
+            assert_eq!(merged.keys().collect::<Vec<_>>(), expected, "{runs:?}");
         }
     }
 
@@ -334,6 +365,7 @@ mod tests {
         }
         let mut expected: Vec<Vec<u8>> = words.iter().map(|w| w.as_bytes().to_vec()).collect();
         expected.sort();
+        let words: Vec<&String> = words.iter().collect();
 
         // Levels 0 and 1 sort in one run, levels >= 2 in several.
         let budget = 96 * 2048;
@@ -345,8 +377,9 @@ mod tests {
                     .budget(16 << 20)
                     .build();
                 let line = LineRecord::register(&mut store);
-                let sorted = sort_worker(&mut store, line, words.clone(), budget, level);
-                assert_eq!(sorted.unwrap(), expected, "{backend:?} level {level}");
+                let sorted = sort_worker(&mut store, line, &words, budget, level).unwrap();
+                let keys: Vec<&[u8]> = sorted.keys().collect();
+                assert_eq!(keys, expected, "{backend:?} level {level}");
             }
         }
     }
@@ -372,9 +405,11 @@ mod tests {
             .budget(16 << 20)
             .build();
         let line = LineRecord::register(&mut store);
-        let sorted = sort_worker(&mut store, line, words.clone(), 64 << 10, 0).unwrap();
+        let words: Vec<&String> = words.iter().collect();
+        let sorted = sort_worker(&mut store, line, &words, 64 << 10, 0).unwrap();
         assert_eq!(sorted.len(), words.len());
-        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+        let keys: Vec<&[u8]> = sorted.keys().collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -397,9 +432,13 @@ mod tests {
         let path = cfg.checkpoint_path("es").unwrap();
         let sections = round_robin(&words, cfg.workers).into_iter().enumerate();
         let sections = sections.map(|(i, part)| {
-            let mut sorted: Vec<Vec<u8>> = part.into_iter().map(String::into_bytes).collect();
+            let mut sorted: Vec<&[u8]> = part.iter().map(|w| w.as_bytes()).collect();
             sorted.sort();
-            (format!("sorted{i}"), encode_words(&sorted))
+            let mut run = Run::default();
+            for key in sorted {
+                run.push(key);
+            }
+            (format!("sorted{i}"), encode_run(&run))
         });
         let ckpt = job_checkpointer(&cfg, "es", &words).expect("checkpoint_dir is set");
         ckpt.commit([1, 0], sections.collect(), &mut Default::default());

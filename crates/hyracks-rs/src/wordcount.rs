@@ -70,9 +70,9 @@ fn wc_schema(store: &mut Store) -> WcSchema {
 fn map_worker(
     store: &mut Store,
     schema: &WcSchema,
-    words: Vec<String>,
+    words: &[&String],
     frame_bytes: usize,
-) -> Result<Vec<(Vec<u8>, i64)>, OutOfMemory> {
+) -> Result<MapPartition, OutOfMemory> {
     let WcSchema {
         classes,
         token_class,
@@ -83,51 +83,58 @@ fn map_worker(
     let operator = store.iteration_start();
     let mut table = WordTable::new(store, &classes, 4096)?;
 
-    let mut frame: Vec<&String> = Vec::new();
-    let mut frame_fill = 0usize;
-    let flush = |store: &mut Store,
-                 table: &mut WordTable,
-                 frame: &mut Vec<&String>|
-     -> Result<(), OutOfMemory> {
-        if frame.is_empty() {
-            return Ok(());
-        }
-        // One frame = one nested sub-iteration (§3.6): every token record
-        // allocated here dies here.
-        let sub = store.iteration_start();
-        let mut local: BTreeMap<Vec<u8>, i64> = BTreeMap::new();
-        for word in frame.iter() {
-            // The transient churn of the original user function: a byte
-            // array and a token record per token.
-            let bytes = store.alloc_bytes(word.as_bytes())?;
-            // Read the token back before the next allocation: the array is
-            // unrooted garbage-to-be, and a collection may reclaim it.
-            let w = store.array_read_bytes(bytes);
-            let token = store.alloc(token_class)?;
-            store.set_i32(token, token_len, word.len() as i32);
-            store.set_i32(token, token_hash, hash_bytes(word.as_bytes()) as i32);
-            *local.entry(w).or_default() += 1;
-        }
-        store.iteration_end(sub);
-        // Fold the frame's combiner output into the operator-lifetime table
-        // (allocated between sub-iterations, so entries land in the
-        // operator's page manager).
-        for (w, c) in local {
-            table.add(store, &w, c)?;
-        }
-        frame.clear();
-        Ok(())
-    };
+    let flush =
+        |store: &mut Store, table: &mut WordTable, frame: &[&String]| -> Result<(), OutOfMemory> {
+            if frame.is_empty() {
+                return Ok(());
+            }
+            // One frame = one nested sub-iteration (§3.6): every token record
+            // allocated here dies here.
+            let sub = store.iteration_start();
+            // The frame's combiner is keyed by the frame's own input bytes,
+            // as Hyracks' frame tuple accessors address tuples in the frame
+            // buffer: counting a token allocates nothing outside the store.
+            let mut local: BTreeMap<&[u8], i64> = BTreeMap::new();
+            for word in frame {
+                // The transient churn of the original user function: a byte
+                // array and a token record per token.
+                let bytes = store.alloc_bytes(word.as_bytes())?;
+                // Count the token by the bytes read back from the store, and
+                // before the next allocation: the array is unrooted
+                // garbage-to-be, and a collection may reclaim it.
+                let read = store.array_bytes(bytes);
+                debug_assert_eq!(read, word.as_bytes());
+                match local.get_mut(read) {
+                    Some(count) => *count += 1,
+                    None => {
+                        local.insert(word.as_bytes(), 1);
+                    }
+                }
+                let token = store.alloc(token_class)?;
+                store.set_i32(token, token_len, word.len() as i32);
+                store.set_i32(token, token_hash, hash_bytes(word.as_bytes()) as i32);
+            }
+            store.iteration_end(sub);
+            // Fold the frame's combiner output into the operator-lifetime
+            // table (allocated between sub-iterations, so entries land in the
+            // operator's page manager).
+            for (w, c) in local {
+                table.add(store, w, c)?;
+            }
+            Ok(())
+        };
 
-    for word in &words {
-        frame.push(word);
+    let mut frame_start = 0;
+    let mut frame_fill = 0usize;
+    for (i, word) in words.iter().enumerate() {
         frame_fill += word.len() + 1;
         if frame_fill >= frame_bytes {
-            flush(store, &mut table, &mut frame)?;
+            flush(store, &mut table, &words[frame_start..=i])?;
+            frame_start = i + 1;
             frame_fill = 0;
         }
     }
-    flush(store, &mut table, &mut frame)?;
+    flush(store, &mut table, &words[frame_start..])?;
 
     let out = table.extract(store);
     table.release(store);
@@ -139,12 +146,12 @@ fn map_worker(
 fn reduce_worker(
     store: &mut Store,
     schema: &WcSchema,
-    pairs: Vec<(Vec<u8>, i64)>,
-) -> Result<Vec<(Vec<u8>, i64)>, OutOfMemory> {
+    pairs: &[(Vec<u8>, i64)],
+) -> Result<MapPartition, OutOfMemory> {
     let operator = store.iteration_start();
     let mut table = WordTable::new(store, &schema.classes, 4096)?;
     for (w, c) in pairs {
-        table.add(store, &w, c)?;
+        table.add(store, w, *c)?;
     }
     let out = table.extract(store);
     table.release(store);
@@ -184,7 +191,7 @@ pub(crate) fn wordcount_job(
         &mut stats,
         started,
         ("map", "map"),
-        (encode_pairs, decode_pairs),
+        (|part: &MapPartition| encode_pairs(part), decode_pairs),
         |stats| {
             run_phase(
                 config,
@@ -203,7 +210,7 @@ pub(crate) fn wordcount_job(
     )?;
 
     // Hash shuffle: word → reducer.
-    let mut shuffled: Vec<Vec<(Vec<u8>, i64)>> = (0..config.workers).map(|_| Vec::new()).collect();
+    let mut shuffled: Vec<MapPartition> = (0..config.workers).map(|_| Vec::new()).collect();
     for part in map_out {
         for (w, c) in part {
             let r = hash_bytes(&w) as usize % config.workers;
@@ -230,7 +237,11 @@ pub(crate) fn wordcount_job(
     let mut counts: Vec<(String, i64)> = reduce_out
         .into_iter()
         .flatten()
-        .map(|(w, c)| (String::from_utf8_lossy(&w).into_owned(), c))
+        .map(|(w, c)| {
+            let word = String::from_utf8(w)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+            (word, c)
+        })
         .collect();
     counts.sort_unstable();
     let distinct = counts.len() as u64;

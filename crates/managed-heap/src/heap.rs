@@ -765,11 +765,6 @@ impl Heap {
         self.array_bytes_mut(obj)[..data.len()].copy_from_slice(data);
     }
 
-    /// Reads the whole contents of a `U8` array into a fresh vector.
-    pub fn array_read_bytes(&self, obj: ObjRef) -> Vec<u8> {
-        self.array_bytes(obj).to_vec()
-    }
-
     /// Whether the array lives in the old generation, and the byte range of
     /// its element storage within that space: exactly `len × element size`
     /// bytes, so a caller that chunks the range by the wrong width still
@@ -926,7 +921,7 @@ mod tests {
 
         let b = h.alloc_array(ElemKind::U8, 5).unwrap();
         h.array_write_bytes(b, b"hello");
-        assert_eq!(h.array_read_bytes(b), b"hello");
+        assert_eq!(h.array_bytes(b), b"hello");
 
         let r = h.alloc_array(ElemKind::Ref, 3).unwrap();
         h.array_set_ref(r, 1, a);

@@ -153,7 +153,7 @@ fn byte_arrays_roundtrip() {
             store.add_root(arr);
             store.array_write_bytes(arr, &data);
             store.collect();
-            assert_eq!(store.array_read_bytes(arr), data, "case {case}");
+            assert_eq!(store.array_bytes(arr), data, "case {case}");
         }
     }
 }
@@ -248,7 +248,7 @@ fn bulk_ops_match_model(mut store: Store, len: usize, born: bool, rng: &mut Spli
         assert_eq!(store.array_get_i64(doubles, i) as u64, doubles_model[i]);
         assert_eq!(store.array_get_i32(ints, i), ints_model[i]);
     }
-    assert_eq!(store.array_read_bytes(bytes), bytes_model);
+    assert_eq!(store.array_bytes(bytes), bytes_model);
 }
 
 /// One seeded operation of [`bulk_ops_match_model`], applied to the store
