@@ -625,17 +625,26 @@ impl Store {
 
     // ----- field access ----------------------------------------------------
 
-    /// Where `field` is in record `r`: `Ok` with the offset of a resolved
-    /// [`Field`] (checked against `r`'s class in debug builds), or `Err`
-    /// with a bare index, which the backend's index accessors resolve.
+    /// The offset of `field` in record `r`: a resolved [`Field`]'s own
+    /// (checked against `r`'s class in debug builds), or a bare index
+    /// resolved against `r`'s class.
     #[inline]
-    fn slot(&self, r: Rec, field: impl FieldRef) -> Result<u32, usize> {
-        field.resolved().map(|f| {
-            if cfg!(debug_assertions) {
-                self.check_class(r, f.class);
+    fn offset_of(&self, r: Rec, field: impl FieldRef) -> u32 {
+        match field.resolved() {
+            Ok(f) => {
+                if cfg!(debug_assertions) {
+                    self.check_class(r, f.class);
+                }
+                f.offset
             }
-            f.offset
-        })
+            Err(index) => match &self.inner {
+                Inner::Heap { heap, .. } => {
+                    let class = heap.class_of(Self::h(r)).expect("field access on an array");
+                    heap.field_offset(class, index)
+                }
+                Inner::Facade { paged, .. } => paged.field_offset(paged.type_of(Self::p(r)), index),
+            },
+        }
     }
 
     /// Panics unless `r` is a record of `class`, naming both classes.
@@ -665,44 +674,40 @@ impl Store {
     /// Reads a 32-bit field.
     #[inline]
     pub fn get_i32(&self, r: Rec, field: impl FieldRef) -> i32 {
-        match (&self.inner, self.slot(r, field)) {
-            (Inner::Heap { heap, .. }, Ok(at)) => heap.get_i32_at(Self::h(r), at),
-            (Inner::Heap { heap, .. }, Err(i)) => heap.get_i32(Self::h(r), i),
-            (Inner::Facade { paged, .. }, Ok(at)) => paged.get_i32_at(Self::p(r), at),
-            (Inner::Facade { paged, .. }, Err(i)) => paged.get_i32(Self::p(r), i),
+        let at = self.offset_of(r, field);
+        match &self.inner {
+            Inner::Heap { heap, .. } => heap.get_i32_at(Self::h(r), at),
+            Inner::Facade { paged, .. } => paged.get_i32_at(Self::p(r), at),
         }
     }
 
     /// Writes a 32-bit field.
     #[inline]
     pub fn set_i32(&mut self, r: Rec, field: impl FieldRef, v: i32) {
-        match (self.slot(r, field), &mut self.inner) {
-            (Ok(at), Inner::Heap { heap, .. }) => heap.set_i32_at(Self::h(r), at, v),
-            (Err(i), Inner::Heap { heap, .. }) => heap.set_i32(Self::h(r), i, v),
-            (Ok(at), Inner::Facade { paged, .. }) => paged.set_i32_at(Self::p(r), at, v),
-            (Err(i), Inner::Facade { paged, .. }) => paged.set_i32(Self::p(r), i, v),
+        let at = self.offset_of(r, field);
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => heap.set_i32_at(Self::h(r), at, v),
+            Inner::Facade { paged, .. } => paged.set_i32_at(Self::p(r), at, v),
         }
     }
 
     /// Reads a 64-bit field.
     #[inline]
     pub fn get_i64(&self, r: Rec, field: impl FieldRef) -> i64 {
-        match (&self.inner, self.slot(r, field)) {
-            (Inner::Heap { heap, .. }, Ok(at)) => heap.get_i64_at(Self::h(r), at),
-            (Inner::Heap { heap, .. }, Err(i)) => heap.get_i64(Self::h(r), i),
-            (Inner::Facade { paged, .. }, Ok(at)) => paged.get_i64_at(Self::p(r), at),
-            (Inner::Facade { paged, .. }, Err(i)) => paged.get_i64(Self::p(r), i),
+        let at = self.offset_of(r, field);
+        match &self.inner {
+            Inner::Heap { heap, .. } => heap.get_i64_at(Self::h(r), at),
+            Inner::Facade { paged, .. } => paged.get_i64_at(Self::p(r), at),
         }
     }
 
     /// Writes a 64-bit field.
     #[inline]
     pub fn set_i64(&mut self, r: Rec, field: impl FieldRef, v: i64) {
-        match (self.slot(r, field), &mut self.inner) {
-            (Ok(at), Inner::Heap { heap, .. }) => heap.set_i64_at(Self::h(r), at, v),
-            (Err(i), Inner::Heap { heap, .. }) => heap.set_i64(Self::h(r), i, v),
-            (Ok(at), Inner::Facade { paged, .. }) => paged.set_i64_at(Self::p(r), at, v),
-            (Err(i), Inner::Facade { paged, .. }) => paged.set_i64(Self::p(r), i, v),
+        let at = self.offset_of(r, field);
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => heap.set_i64_at(Self::h(r), at, v),
+            Inner::Facade { paged, .. } => paged.set_i64_at(Self::p(r), at, v),
         }
     }
 
@@ -721,24 +726,20 @@ impl Store {
     /// Reads a reference field.
     #[inline]
     pub fn get_rec(&self, r: Rec, field: impl FieldRef) -> Rec {
-        match (&self.inner, self.slot(r, field)) {
-            (Inner::Heap { heap, .. }, Ok(at)) => Rec(heap.get_ref_at(Self::h(r), at).raw() as u64),
-            (Inner::Heap { heap, .. }, Err(i)) => Rec(heap.get_ref(Self::h(r), i).raw() as u64),
-            (Inner::Facade { paged, .. }, Ok(at)) => Rec(paged.get_i64_at(Self::p(r), at) as u64),
-            (Inner::Facade { paged, .. }, Err(i)) => Rec(paged.get_ref(Self::p(r), i).raw()),
+        let at = self.offset_of(r, field);
+        match &self.inner {
+            Inner::Heap { heap, .. } => Rec(heap.get_ref_at(Self::h(r), at).raw() as u64),
+            Inner::Facade { paged, .. } => Rec(paged.get_i64_at(Self::p(r), at) as u64),
         }
     }
 
     /// Writes a reference field.
     #[inline]
     pub fn set_rec(&mut self, r: Rec, field: impl FieldRef, v: Rec) {
-        match (self.slot(r, field), &mut self.inner) {
-            (Ok(at), Inner::Heap { heap, .. }) => heap.set_ref_at(Self::h(r), at, Self::h(v)),
-            (Err(i), Inner::Heap { heap, .. }) => heap.set_ref(Self::h(r), i, Self::h(v)),
-            (Ok(at), Inner::Facade { paged, .. }) => {
-                paged.set_i64_at(Self::p(r), at, v.0 as i64);
-            }
-            (Err(i), Inner::Facade { paged, .. }) => paged.set_ref(Self::p(r), i, Self::p(v)),
+        let at = self.offset_of(r, field);
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => heap.set_ref_at(Self::h(r), at, Self::h(v)),
+            Inner::Facade { paged, .. } => paged.set_i64_at(Self::p(r), at, v.0 as i64),
         }
     }
 

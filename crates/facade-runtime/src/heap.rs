@@ -721,29 +721,17 @@ impl PagedHeap {
         }
     }
 
-    /// Field-splitting variant of [`PagedHeap::record_bytes`] for mutation:
-    /// returns the record slice together with the layout table so writers
-    /// can resolve field offsets without a second lookup.
     #[inline]
-    fn record_bytes_mut_with_types<'a>(
-        pages: &'a mut [Page],
-        oversize: &'a mut [Option<Vec<u8>>],
-        r: PageRef,
-    ) -> &'a mut [u8] {
+    fn record_bytes_mut(&mut self, r: PageRef) -> &mut [u8] {
         debug_assert!(!r.is_null(), "null page reference");
         if r.is_oversize() {
-            oversize[r.oversize_index() as usize]
+            self.oversize[r.oversize_index() as usize]
                 .as_mut()
                 .expect("use after oversize free")
         } else {
-            let page = &mut pages[r.slot() as usize];
+            let page = &mut self.pages[r.slot() as usize];
             &mut page.bytes[r.offset() as usize..]
         }
-    }
-
-    #[inline]
-    fn record_bytes_mut(&mut self, r: PageRef) -> &mut [u8] {
-        Self::record_bytes_mut_with_types(&mut self.pages, &mut self.oversize, r)
     }
 
     #[inline]
@@ -769,6 +757,7 @@ impl PagedHeap {
 
     /// The record's type ID (first header field), used by `resolve` for
     /// virtual dispatch (§3.2).
+    #[inline]
     pub fn type_of(&self, r: PageRef) -> TypeId {
         TypeId(Self::u16_of(self.record_bytes(r), 0))
     }
@@ -837,70 +826,6 @@ impl PagedHeap {
     }
 
     // ----- field access -----------------------------------------------------
-
-    #[inline]
-    fn field_offset_of(types: &[RecordLayout], b: &[u8], field: usize) -> usize {
-        let ty = Self::u16_of(b, 0);
-        debug_assert!(ty >= FIRST_USER_TYPE, "field access on array record");
-        RECORD_HEADER_BYTES as usize + types[ty as usize].offset(field) as usize
-    }
-
-    /// Reads a 32-bit field.
-    #[inline]
-    pub fn get_i32(&self, r: PageRef, field: usize) -> i32 {
-        let b = self.record_bytes(r);
-        let at = Self::field_offset_of(&self.types, b, field);
-        Self::u32_of(b, at) as i32
-    }
-
-    /// Writes a 32-bit field.
-    #[inline]
-    pub fn set_i32(&mut self, r: PageRef, field: usize, v: i32) {
-        let b = Self::record_bytes_mut_with_types(&mut self.pages, &mut self.oversize, r);
-        let at = Self::field_offset_of(&self.types, b, field);
-        b[at..at + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Reads a 64-bit field.
-    #[inline]
-    pub fn get_i64(&self, r: PageRef, field: usize) -> i64 {
-        let b = self.record_bytes(r);
-        let at = Self::field_offset_of(&self.types, b, field);
-        Self::u64_of(b, at) as i64
-    }
-
-    /// Writes a 64-bit field.
-    #[inline]
-    pub fn set_i64(&mut self, r: PageRef, field: usize, v: i64) {
-        let b = Self::record_bytes_mut_with_types(&mut self.pages, &mut self.oversize, r);
-        let at = Self::field_offset_of(&self.types, b, field);
-        b[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Reads a 64-bit field as a double.
-    #[inline]
-    pub fn get_f64(&self, r: PageRef, field: usize) -> f64 {
-        f64::from_bits(self.get_i64(r, field) as u64)
-    }
-
-    /// Writes a 64-bit field as a double.
-    #[inline]
-    pub fn set_f64(&mut self, r: PageRef, field: usize, v: f64) {
-        self.set_i64(r, field, v.to_bits() as i64);
-    }
-
-    /// Reads a reference field.
-    #[inline]
-    pub fn get_ref(&self, r: PageRef, field: usize) -> PageRef {
-        PageRef::from_raw(self.get_i64(r, field) as u64)
-    }
-
-    /// Writes a reference field. No write barrier is needed: pages are never
-    /// traced (§2.4).
-    #[inline]
-    pub fn set_ref(&mut self, r: PageRef, field: usize, v: PageRef) {
-        self.set_i64(r, field, v.raw() as i64);
-    }
 
     /// The offset of field `field` in records of type `ty`, header
     /// included: what the `*_at` accessors take. Fixed once the type is
@@ -1023,18 +948,6 @@ impl PagedHeap {
         let b = self.record_bytes_mut(r);
         let at = Self::elem_offset(b, idx, 8);
         b[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Reads an `I64` array element as a double.
-    #[inline]
-    pub fn array_get_f64(&self, r: PageRef, idx: usize) -> f64 {
-        f64::from_bits(self.array_get_i64(r, idx) as u64)
-    }
-
-    /// Writes an `I64` array element as a double.
-    #[inline]
-    pub fn array_set_f64(&mut self, r: PageRef, idx: usize, v: f64) {
-        self.array_set_i64(r, idx, v.to_bits() as i64);
     }
 
     /// Reads a `U8` array element.
@@ -1160,14 +1073,15 @@ mod tests {
     fn record_roundtrip_all_field_kinds() {
         let mut h = PagedHeap::new();
         let t = h.register_type("T", &[FieldKind::I32, FieldKind::I64, FieldKind::Ref]);
+        let [f0, f1, f2] = [0, 1, 2].map(|i| h.field_offset(t, i));
         let r = h.alloc(t).unwrap();
-        h.set_i32(r, 0, -5);
-        h.set_i64(r, 1, 1 << 50);
+        h.set_i32_at(r, f0, -5);
+        h.set_i64_at(r, f1, 1 << 50);
         let other = h.alloc(t).unwrap();
-        h.set_ref(r, 2, other);
-        assert_eq!(h.get_i32(r, 0), -5);
-        assert_eq!(h.get_i64(r, 1), 1 << 50);
-        assert_eq!(h.get_ref(r, 2), other);
+        h.set_i64_at(r, f2, other.raw() as i64);
+        assert_eq!(h.get_i32_at(r, f0), -5);
+        assert_eq!(h.get_i64_at(r, f1), 1 << 50);
+        assert_eq!(PageRef::from_raw(h.get_i64_at(r, f2) as u64), other);
         assert_eq!(h.type_of(r), t);
         assert!(!h.is_array(r));
     }
@@ -1176,9 +1090,10 @@ mod tests {
     fn f64_roundtrip() {
         let mut h = PagedHeap::new();
         let t = h.register_type("D", &[FieldKind::I64]);
+        let f0 = h.field_offset(t, 0);
         let r = h.alloc(t).unwrap();
-        h.set_f64(r, 0, -2.75);
-        assert_eq!(h.get_f64(r, 0), -2.75);
+        h.set_i64_at(r, f0, (-2.75f64).to_bits() as i64);
+        assert_eq!(f64::from_bits(h.get_i64_at(r, f0) as u64), -2.75);
     }
 
     #[test]
@@ -1202,8 +1117,8 @@ mod tests {
         assert_eq!(h.array_get_ref(c, 2), a);
 
         let d = h.alloc_array(ElemKind::I64, 2).unwrap();
-        h.array_set_f64(d, 1, 0.5);
-        assert_eq!(h.array_get_f64(d, 1), 0.5);
+        h.array_set_i64(d, 1, 0.5f64.to_bits() as i64);
+        assert_eq!(f64::from_bits(h.array_get_i64(d, 1) as u64), 0.5);
     }
 
     #[test]
@@ -1306,13 +1221,14 @@ mod tests {
     fn default_manager_allocations_persist_across_iterations() {
         let mut h = PagedHeap::new();
         let t = h.register_type("T", &[FieldKind::I32]);
+        let f0 = h.field_offset(t, 0);
         let pre = h.alloc(t).unwrap();
-        h.set_i32(pre, 0, 9);
+        h.set_i32_at(pre, f0, 9);
         let it = h.iteration_start();
         h.alloc(t).unwrap();
         h.iteration_end(it);
         // The pre-iteration record is untouched.
-        assert_eq!(h.get_i32(pre, 0), 9);
+        assert_eq!(h.get_i32_at(pre, f0), 9);
     }
 
     #[test]

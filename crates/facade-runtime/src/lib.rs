@@ -29,11 +29,12 @@
 //!
 //! let mut heap = PagedHeap::new();
 //! let student = heap.register_type("Student", &[FieldKind::I32, FieldKind::Ref]);
+//! let id = heap.field_offset(student, 0); // resolved once, used per access
 //!
 //! let iter = heap.iteration_start();
 //! let s = heap.alloc(student)?;
-//! heap.set_i32(s, 0, 42);
-//! assert_eq!(heap.get_i32(s, 0), 42);
+//! heap.set_i32_at(s, id, 42);
+//! assert_eq!(heap.get_i32_at(s, id), 42);
 //! heap.iteration_end(iter);          // bulk-reclaims every record of the iteration
 //! # Ok::<(), metrics::OutOfMemory>(())
 //! ```

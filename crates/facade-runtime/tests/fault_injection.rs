@@ -75,9 +75,10 @@ fn failed_pool_acquire_falls_back_to_fresh_pages() {
     let handed_out_before = pool.pages_handed_out();
     let mut consumer = PagedHeap::with_pool(PagedHeapConfig::default(), Arc::clone(&pool));
     let ty = counter_type(&mut consumer);
+    let f0 = consumer.field_offset(ty, 0);
     for i in 0..10_000u64 {
         let r = consumer.alloc(ty).expect("fresh-page fallback");
-        consumer.set_i64(r, 0, i as i64);
+        consumer.set_i64_at(r, f0, i as i64);
     }
     assert_eq!(
         pool.pages_handed_out(),
@@ -94,13 +95,14 @@ fn poisoned_recycled_pages_are_rezeroed_before_reuse() {
     let mut heap = PagedHeap::new();
     heap.set_fault_plan(plan.clone());
     let ty = counter_type(&mut heap);
+    let (f0, f1) = (heap.field_offset(ty, 0), heap.field_offset(ty, 1));
 
     // Fill records with non-zero bytes, then reclaim them all.
     let it = heap.iteration_start();
     for _ in 0..5_000 {
         let r = heap.alloc(ty).unwrap();
-        heap.set_i64(r, 0, -1);
-        heap.set_i64(r, 1, i64::MIN);
+        heap.set_i64_at(r, f0, -1);
+        heap.set_i64_at(r, f1, i64::MIN);
     }
     heap.iteration_end(it);
     assert!(
@@ -114,8 +116,16 @@ fn poisoned_recycled_pages_are_rezeroed_before_reuse() {
     let it = heap.iteration_start();
     for _ in 0..5_000 {
         let r = heap.alloc(ty).unwrap();
-        assert_eq!(heap.get_i64(r, 0), 0, "field 0 must be zeroed, not 0xDB");
-        assert_eq!(heap.get_i64(r, 1), 0, "field 1 must be zeroed, not 0xDB");
+        assert_eq!(
+            heap.get_i64_at(r, f0),
+            0,
+            "field 0 must be zeroed, not 0xDB"
+        );
+        assert_eq!(
+            heap.get_i64_at(r, f1),
+            0,
+            "field 1 must be zeroed, not 0xDB"
+        );
     }
     heap.iteration_end(it);
     // No growth on reuse: the second wave ran entirely on poisoned recycled
@@ -161,13 +171,14 @@ fn all_modes_compose_in_one_plan() {
     let mut heap = PagedHeap::with_pool(PagedHeapConfig::default(), Arc::clone(&pool));
     heap.set_fault_plan(plan.clone());
     let ty = counter_type(&mut heap);
+    let f0 = heap.field_offset(ty, 0);
 
     let mut injected = 0u64;
     for round in 0..4 {
         let it = heap.iteration_start();
         for i in 0..2_000u64 {
             match heap.alloc(ty) {
-                Ok(r) => heap.set_i64(r, 0, (round * 10_000 + i) as i64),
+                Ok(r) => heap.set_i64_at(r, f0, (round * 10_000 + i) as i64),
                 Err(e) => {
                     assert!(e.is_injected(), "only injected faults at this budget: {e}");
                     injected += 1;

@@ -77,12 +77,13 @@ fn shared_heaps_stress_the_pool_concurrently() {
                     pool,
                 );
                 let ty = heap.register_type("T", &[FieldKind::I64, FieldKind::I64]);
+                let (f0, f1) = (heap.field_offset(ty, 0), heap.field_offset(ty, 1));
                 for _ in 0..ROUNDS {
                     let it = heap.iteration_start();
                     for _ in 0..RECORDS {
                         let r = heap.alloc(ty).unwrap();
-                        heap.set_i64(r, 0, 42);
-                        assert_eq!(heap.get_i64(r, 1), 0, "records start zeroed");
+                        heap.set_i64_at(r, f0, 42);
+                        assert_eq!(heap.get_i64_at(r, f1), 0, "records start zeroed");
                     }
                     heap.iteration_end(it);
                     heap.release_pages_to_pool();

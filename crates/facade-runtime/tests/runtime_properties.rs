@@ -54,6 +54,8 @@ fn alloc_iteration_invariants_hold() {
         let classes: Vec<_> = (0..4)
             .map(|i| heap.register_type(&format!("T{i}"), &vec![FieldKind::I64; i + 1]))
             .collect();
+        // Field 0 sits right after the header in every type.
+        let f0 = heap.field_offset(classes[0], 0);
         let mut depth = 0usize;
         let mut stack = Vec::new();
         let mut live: Vec<(PageRef, i64)> = Vec::new(); // current scope's records
@@ -63,7 +65,7 @@ fn alloc_iteration_invariants_hold() {
                 Op::Alloc(c) => {
                     let ty = classes[*c as usize % classes.len()];
                     let r = heap.alloc(ty).unwrap();
-                    heap.set_i64(r, 0, k as i64);
+                    heap.set_i64_at(r, f0, k as i64);
                     live.push((r, k as i64));
                     allocated += 1;
                 }
@@ -92,7 +94,7 @@ fn alloc_iteration_invariants_hold() {
             assert_eq!(heap.iteration_depth(), depth, "case {case}");
             // Records of the *current* scope stay readable with their data.
             for &(r, v) in &live {
-                assert_eq!(heap.get_i64(r, 0), v, "case {case}");
+                assert_eq!(heap.get_i64_at(r, f0), v, "case {case}");
             }
         }
         assert_eq!(heap.stats().records_allocated, allocated, "case {case}");

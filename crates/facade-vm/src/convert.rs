@@ -7,11 +7,13 @@
 //! and writes the value into a page"; here the conversion is driven by the
 //! registered layouts, recursing through reference fields and array
 //! elements with memoization so shared structure (and cycles) convert once.
+//! A primitive array's elements are the same little-endian bytes on both
+//! backends, so they are copied as one slice.
 
 use crate::error::VmError;
 use crate::interp::Vm;
 use facade_runtime::{ElemKind as PElem, PageRef, TypeId as PTypeId};
-use managed_heap::{ElemKind as HElem, FieldKind as HField, ObjRef};
+use managed_heap::{ClassId as HClassId, ElemKind as HElem, FieldKind as HField, ObjRef};
 use std::collections::HashMap;
 
 impl Vm<'_> {
@@ -33,72 +35,71 @@ impl Vm<'_> {
         if let Some(&r) = memo.get(&obj.raw()) {
             return Ok(r);
         }
-        if self.heap_ref().is_array(obj) {
-            let len = self.heap_ref().array_len(obj);
-            let kind = self.heap_ref().array_kind(obj);
-            let pk = match kind {
+        let Some(hclass) = self.heap.class_of(obj) else {
+            let len = self.heap.array_len(obj);
+            let pk = match self.heap.array_kind(obj) {
                 HElem::U8 => PElem::U8,
                 HElem::I32 => PElem::I32,
                 HElem::I64 => PElem::I64,
-                HElem::Ref => PElem::Ref,
-            };
-            let rec = self.paged_mut().alloc_array(pk, len)?;
-            memo.insert(obj.raw(), rec);
-            for i in 0..len {
-                match kind {
-                    HElem::U8 => {
-                        let v = self.heap_ref().array_get_u8(obj, i);
-                        self.paged_mut().array_set_u8(rec, i, v);
-                    }
-                    HElem::I32 => {
-                        let v = self.heap_ref().array_get_i32(obj, i);
-                        self.paged_mut().array_set_i32(rec, i, v);
-                    }
-                    HElem::I64 => {
-                        let v = self.heap_ref().array_get_i64(obj, i);
-                        self.paged_mut().array_set_i64(rec, i, v);
-                    }
-                    HElem::Ref => {
-                        let child = self.heap_ref().array_get_ref(obj, i);
+                HElem::Ref => {
+                    let rec = self.paged.alloc_array(PElem::Ref, len)?;
+                    memo.insert(obj.raw(), rec);
+                    for i in 0..len {
+                        let child = self.heap.array_get_ref(obj, i);
                         let r = self.to_page_rec(child, memo)?;
-                        self.paged_mut().array_set_ref(rec, i, r);
+                        self.paged.array_set_ref(rec, i, r);
                     }
+                    return Ok(rec);
                 }
-            }
+            };
+            let bytes = self.heap.array_bytes(obj);
+            let rec = self
+                .paged
+                .alloc_array_init(pk, len, |b| b.copy_from_slice(bytes))?;
+            memo.insert(obj.raw(), rec);
             return Ok(rec);
-        }
-        let hclass = self
-            .heap_ref()
-            .class_of(obj)
-            .expect("non-array object has a class");
-        let ir_class = self.ir_class_of(hclass);
-        let tid = self.tables().type_id(ir_class).ok_or_else(|| {
+        };
+        let ir_class = self.tables.ir_class(hclass);
+        let tid = self.tables.type_id(ir_class).ok_or_else(|| {
             VmError::IllegalInstruction(format!(
                 "converting non-data class `{}` to a record",
-                self.program_ref().class(ir_class).name
+                self.program.class(ir_class).name
             ))
         })?;
-        let rec = self.paged_mut().alloc(PTypeId(tid))?;
+        let rec = self.paged.alloc(PTypeId(tid))?;
         memo.insert(obj.raw(), rec);
-        let kinds: Vec<HField> = self.heap_ref().layout(hclass).fields().to_vec();
-        for (i, kind) in kinds.iter().enumerate() {
+        let mut i = 0;
+        while let Some((kind, h_at, p_at)) = self.field_at(hclass, PTypeId(tid), i) {
+            i += 1;
             match kind {
                 HField::I32 => {
-                    let v = self.heap_ref().get_i32(obj, i);
-                    self.paged_mut().set_i32(rec, i, v);
+                    let v = self.heap.get_i32_at(obj, h_at);
+                    self.paged.set_i32_at(rec, p_at, v);
                 }
                 HField::I64 => {
-                    let v = self.heap_ref().get_i64(obj, i);
-                    self.paged_mut().set_i64(rec, i, v);
+                    let v = self.heap.get_i64_at(obj, h_at);
+                    self.paged.set_i64_at(rec, p_at, v);
                 }
                 HField::Ref => {
-                    let child = self.heap_ref().get_ref(obj, i);
+                    let child = self.heap.get_ref_at(obj, h_at);
                     let r = self.to_page_rec(child, memo)?;
-                    self.paged_mut().set_ref(rec, i, r);
+                    self.paged.set_i64_at(rec, p_at, r.raw() as i64);
                 }
             }
         }
         Ok(rec)
+    }
+
+    /// Field `i` of a data class, by its two layouts (heap class `class`,
+    /// record type `ty`): its kind and its offset in each, or `None` past
+    /// the last field.
+    fn field_at(&self, class: HClassId, ty: PTypeId, i: usize) -> Option<(HField, u32, u32)> {
+        let kind = *self.heap.layout(class).fields().get(i)?;
+        Some((
+            kind,
+            self.heap.field_offset(class, i),
+            self.paged.field_offset(ty, i),
+        ))
     }
 
     /// Converts a paged record graph into heap objects (`convertToA`).
@@ -109,15 +110,10 @@ impl Vm<'_> {
         // The conversion temporarily roots every object it creates so a
         // collection triggered mid-conversion cannot reclaim them; the
         // caller's frame root takes over once the value is stored.
-        let result = out?;
-        if !result.is_null() {
-            // Keep the whole converted graph alive through the returned
-            // root: children are reachable from it by construction.
-        }
         for r in temp_roots {
-            self.heap_mut().remove_root(r);
+            self.heap.remove_root(r);
         }
-        Ok(result)
+        out
     }
 
     #[allow(clippy::wrong_self_convention)]
@@ -133,70 +129,57 @@ impl Vm<'_> {
         if let Some(&o) = memo.get(&rec.raw()) {
             return Ok(o);
         }
-        if self.paged_ref().is_array(rec) {
-            let len = self.paged_ref().array_len(rec);
-            // Infallible: the is_array guard above means the type ID is one
-            // of the four array kinds.
-            let kind = self
-                .paged_ref()
-                .array_kind(rec)
-                .expect("guarded by is_array");
+        if let Ok(kind) = self.paged.array_kind(rec) {
+            let len = self.paged.array_len(rec);
             let hk = match kind {
                 PElem::U8 => HElem::U8,
                 PElem::I32 => HElem::I32,
                 PElem::I64 => HElem::I64,
-                PElem::Ref => HElem::Ref,
-            };
-            let obj = self.heap_mut().alloc_array(hk, len)?;
-            temp_roots.push(self.heap_mut().add_root(obj));
-            memo.insert(rec.raw(), obj);
-            for i in 0..len {
-                match kind {
-                    PElem::U8 => {
-                        let v = self.paged_ref().array_get_u8(rec, i);
-                        self.heap_mut().array_set_u8(obj, i, v);
-                    }
-                    PElem::I32 => {
-                        let v = self.paged_ref().array_get_i32(rec, i);
-                        self.heap_mut().array_set_i32(obj, i, v);
-                    }
-                    PElem::I64 => {
-                        let v = self.paged_ref().array_get_i64(rec, i);
-                        self.heap_mut().array_set_i64(obj, i, v);
-                    }
-                    PElem::Ref => {
-                        let child = self.paged_ref().array_get_ref(rec, i);
+                PElem::Ref => {
+                    let obj = self.heap.alloc_array(HElem::Ref, len)?;
+                    temp_roots.push(self.heap.add_root(obj));
+                    memo.insert(rec.raw(), obj);
+                    for i in 0..len {
+                        let child = self.paged.array_get_ref(rec, i);
                         let o = self.to_heap_rec(child, memo, temp_roots)?;
-                        self.heap_mut().array_set_ref(obj, i, o);
+                        self.heap.array_set_ref(obj, i, o);
                     }
+                    return Ok(obj);
                 }
-            }
+            };
+            let bytes = self.paged.array_bytes(rec);
+            let obj = self
+                .heap
+                .alloc_array_init(hk, len, |b| b.copy_from_slice(bytes))?;
+            temp_roots.push(self.heap.add_root(obj));
+            memo.insert(rec.raw(), obj);
             return Ok(obj);
         }
-        let tid = self.paged_ref().type_of(rec).0;
-        let ir_class = self
-            .tables()
-            .class_of_type(tid)
+        let tid = self.paged.type_of(rec);
+        let hclass = self
+            .tables
+            .class_of_type(tid.0)
+            .and_then(|c| self.tables.heap_class(c))
             .expect("a non-array record has a registered data class");
-        let hclass = self.heap_class_of(ir_class);
-        let obj = self.heap_mut().alloc(hclass)?;
-        temp_roots.push(self.heap_mut().add_root(obj));
+        let obj = self.heap.alloc(hclass)?;
+        temp_roots.push(self.heap.add_root(obj));
         memo.insert(rec.raw(), obj);
-        let kinds: Vec<HField> = self.heap_ref().layout(hclass).fields().to_vec();
-        for (i, kind) in kinds.iter().enumerate() {
+        let mut i = 0;
+        while let Some((kind, h_at, p_at)) = self.field_at(hclass, tid, i) {
+            i += 1;
             match kind {
                 HField::I32 => {
-                    let v = self.paged_ref().get_i32(rec, i);
-                    self.heap_mut().set_i32(obj, i, v);
+                    let v = self.paged.get_i32_at(rec, p_at);
+                    self.heap.set_i32_at(obj, h_at, v);
                 }
                 HField::I64 => {
-                    let v = self.paged_ref().get_i64(rec, i);
-                    self.heap_mut().set_i64(obj, i, v);
+                    let v = self.paged.get_i64_at(rec, p_at);
+                    self.heap.set_i64_at(obj, h_at, v);
                 }
                 HField::Ref => {
-                    let child = self.paged_ref().get_ref(rec, i);
+                    let child = PageRef::from_raw(self.paged.get_i64_at(rec, p_at) as u64);
                     let o = self.to_heap_rec(child, memo, temp_roots)?;
-                    self.heap_mut().set_ref(obj, i, o);
+                    self.heap.set_ref_at(obj, h_at, o);
                 }
             }
         }

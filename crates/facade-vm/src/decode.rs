@@ -4,16 +4,18 @@
 //! one [`Kind`] for its whole life, taken from its declared type, so each IR
 //! instruction becomes exactly one [`Op`] that already knows its operand
 //! representation (`AddI64`, `LtI32`, `GetFieldI64`, …), its resolved class
-//! or type id, and its jump targets as program counters. An instruction
-//! whose operand kinds do not fit — something the verifier rejects — decodes
-//! to [`Op::Illegal`] and fails with a typed error if it is ever reached.
+//! or type id, its field's byte offset in the layout of the class the IR
+//! names (a subclass keeps its superclass's offsets, so it holds for every
+//! object the local can hold), and its jump targets as program counters. An
+//! instruction whose operands do not fit — something the verifier rejects —
+//! decodes to [`Op::Illegal`] and fails with a typed error if it is reached.
 
 use crate::error::VmError;
 use facade_compiler::PagedMeta;
 use facade_ir::{
     BinOp, Body, CallTarget, ClassId, CmpOp, Instr, Local, MethodId, Program, Terminator, Ty,
 };
-use facade_runtime::ElemKind as PElem;
+use facade_runtime::{ElemKind as PElem, FieldKind as PField, PagedHeap, TypeId as PTypeId};
 use managed_heap::{ClassId as HClassId, ElemKind as HElem, FieldKind as HField, Heap};
 
 /// "No local": a call whose result is discarded.
@@ -158,11 +160,12 @@ pub(crate) struct R2 {
     pub(crate) src: u32,
 }
 
-/// A field access: `val` is the local read into or stored from.
+/// A field access: `at` is the field's header-relative byte offset, `val`
+/// the local read into or stored from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FieldOp {
     pub(crate) obj: u32,
-    pub(crate) slot: u32,
+    pub(crate) at: u32,
     pub(crate) val: u32,
 }
 
@@ -265,22 +268,21 @@ pub(crate) enum Op {
         len: u32,
         elem: HElem,
     },
+    /// A 4-byte field: `i32`.
     GetFieldI32(FieldOp),
+    /// An 8-byte field: `i64` or `f64` bits.
     GetFieldI64(FieldOp),
-    GetFieldF64(FieldOp),
+    /// A reference field: the read roots it, the write runs the barrier.
     GetFieldRef(FieldOp),
     SetFieldI32(FieldOp),
     SetFieldI64(FieldOp),
-    SetFieldF64(FieldOp),
     SetFieldRef(FieldOp),
     ArrayGetI32(R3),
     ArrayGetI64(R3),
-    ArrayGetF64(R3),
     ArrayGetRef(R3),
     /// `a[b] = dst` — `dst` names the stored local.
     ArraySetI32(R3),
     ArraySetI64(R3),
-    ArraySetF64(R3),
     ArraySetRef(R3),
     ArrayLen(R2),
     InstanceOf {
@@ -324,23 +326,19 @@ pub(crate) enum Op {
         len: u32,
         elem: PElem,
     },
+    /// A 4-byte record field: `i32`.
     PageGetFieldI32(FieldOp),
+    /// An 8-byte record field: `i64`, `f64` bits or a page reference (pages
+    /// are never traced, so a reference is plain bits).
     PageGetFieldI64(FieldOp),
-    PageGetFieldF64(FieldOp),
-    PageGetFieldRef(FieldOp),
     PageSetFieldI32(FieldOp),
     PageSetFieldI64(FieldOp),
-    PageSetFieldF64(FieldOp),
-    PageSetFieldRef(FieldOp),
     PageArrayGetI32(R3),
+    /// An 8-byte element, by the same rule as [`Op::PageGetFieldI64`].
     PageArrayGetI64(R3),
-    PageArrayGetF64(R3),
-    PageArrayGetRef(R3),
     /// `a[b] = dst`, as for the heap forms.
     PageArraySetI32(R3),
     PageArraySetI64(R3),
-    PageArraySetF64(R3),
-    PageArraySetRef(R3),
     PageArrayLen(R2),
     BindParam {
         dst: u32,
@@ -448,12 +446,16 @@ fn callable(program: &Program, method: MethodId) -> Result<(&Body, usize), Strin
 struct Decoder<'a> {
     program: &'a Program,
     tables: &'a Tables,
-    paged: bool,
+    heap: &'a Heap,
+    /// The paged heap in paged mode; `None` refuses the paged forms.
+    paged: Option<&'a PagedHeap>,
+    /// Declared type of every local.
+    locals: &'a [Ty],
     kinds: &'a [Kind],
     args: Vec<u32>,
 }
 
-impl Decoder<'_> {
+impl<'a> Decoder<'a> {
     fn kind(&self, l: Local) -> Result<Kind, String> {
         self.kinds
             .get(l.0 as usize)
@@ -471,12 +473,9 @@ impl Decoder<'_> {
         }
     }
 
-    fn paged_mode(&self) -> Result<(), String> {
-        if self.paged {
-            Ok(())
-        } else {
-            Err("paged instruction in heap mode".into())
-        }
+    fn paged_mode(&self) -> Result<&'a PagedHeap, String> {
+        self.paged
+            .ok_or_else(|| "paged instruction in heap mode".into())
     }
 
     fn type_id(&self, class: ClassId) -> Result<u16, String> {
@@ -489,8 +488,66 @@ impl Decoder<'_> {
         })
     }
 
-    fn slot(field: usize) -> Result<u32, String> {
-        u32::try_from(field).map_err(|_| format!("field slot {field} out of range"))
+    /// The access moving `val` through field `field` of the class `obj` is
+    /// declared with, built by `make`'s 4-byte, 8-byte or reference form.
+    fn heap_field(
+        &self,
+        (obj, field, val): (Local, usize, Local),
+        what: &str,
+        make: [fn(FieldOp) -> Op; 3],
+    ) -> Result<Op, String> {
+        let (want, make) = match self.kind(val)? {
+            Kind::I32 => (HField::I32, make[0]),
+            Kind::I64 | Kind::F64 => (HField::I64, make[1]),
+            Kind::Obj => (HField::Ref, make[2]),
+            other => return Err(format!("{what} of a heap object field as {other:?}")),
+        };
+        let obj = self.local(obj, Kind::Obj, what)?;
+        let class = match &self.locals[obj as usize] {
+            Ty::Ref(c) => self.tables.heap_class(*c),
+            _ => None,
+        }
+        .ok_or_else(|| format!("{what} on v{obj}, which is not declared with a class"))?;
+        let layout = self.heap.layout(class);
+        if layout.fields().get(field) != Some(&want) {
+            return Err(format!("`{}` has no {want:?} field {field}", layout.name()));
+        }
+        let at = self.heap.field_offset(class, field);
+        Ok(make(FieldOp {
+            obj,
+            at,
+            val: val.0,
+        }))
+    }
+
+    /// The access moving `val` through field `field` of data class
+    /// `class`'s records, built by `make`'s 4-byte or 8-byte form.
+    fn paged_field(
+        &self,
+        (obj, field, val): (Local, usize, Local),
+        class: ClassId,
+        what: &str,
+        make: [fn(FieldOp) -> Op; 2],
+    ) -> Result<Op, String> {
+        let (want, make) = match self.kind(val)? {
+            Kind::I32 => (PField::I32, make[0]),
+            Kind::I64 | Kind::F64 => (PField::I64, make[1]),
+            Kind::Page => (PField::Ref, make[1]),
+            other => return Err(format!("{what} of a record field as {other:?}")),
+        };
+        let paged = self.paged_mode()?;
+        let ty = PTypeId(self.type_id(class)?);
+        let layout = paged.layout(ty);
+        if layout.fields().get(field) != Some(&want) {
+            return Err(format!("`{}` has no {want:?} field {field}", layout.name()));
+        }
+        let obj = self.local(obj, Kind::Page, what)?;
+        let at = paged.field_offset(ty, field);
+        Ok(make(FieldOp {
+            obj,
+            at,
+            val: val.0,
+        }))
     }
 
     fn call_args(&mut self, args: &[Local]) -> Result<u32, String> {
@@ -640,34 +697,16 @@ impl Decoder<'_> {
                 len: self.local(*len, I32, "array length")?,
                 elem: heap_elem_kind(elem),
             },
-            Instr::GetField { dst, obj, field } => {
-                let f = FieldOp {
-                    obj: self.local(*obj, Obj, "getfield")?,
-                    slot: Self::slot(*field)?,
-                    val: dst.0,
-                };
-                match self.kind(*dst)? {
-                    I32 => Op::GetFieldI32(f),
-                    I64 => Op::GetFieldI64(f),
-                    F64 => Op::GetFieldF64(f),
-                    Obj => Op::GetFieldRef(f),
-                    other => return Err(format!("getfield of a heap object into {other:?}")),
-                }
-            }
-            Instr::SetField { obj, field, src } => {
-                let f = FieldOp {
-                    obj: self.local(*obj, Obj, "setfield")?,
-                    slot: Self::slot(*field)?,
-                    val: src.0,
-                };
-                match self.kind(*src)? {
-                    I32 => Op::SetFieldI32(f),
-                    I64 => Op::SetFieldI64(f),
-                    F64 => Op::SetFieldF64(f),
-                    Obj => Op::SetFieldRef(f),
-                    other => return Err(format!("setfield of {other:?} into heap object")),
-                }
-            }
+            Instr::GetField { dst, obj, field } => self.heap_field(
+                (*obj, *field, *dst),
+                "getfield",
+                [Op::GetFieldI32, Op::GetFieldI64, Op::GetFieldRef],
+            )?,
+            Instr::SetField { obj, field, src } => self.heap_field(
+                (*obj, *field, *src),
+                "setfield",
+                [Op::SetFieldI32, Op::SetFieldI64, Op::SetFieldRef],
+            )?,
             Instr::ArrayGet { dst, arr, idx } => {
                 let r = R3 {
                     dst: dst.0,
@@ -676,8 +715,7 @@ impl Decoder<'_> {
                 };
                 match self.kind(*dst)? {
                     I32 => Op::ArrayGetI32(r),
-                    I64 => Op::ArrayGetI64(r),
-                    F64 => Op::ArrayGetF64(r),
+                    I64 | F64 => Op::ArrayGetI64(r),
                     Obj => Op::ArrayGetRef(r),
                     other => return Err(format!("arrayget of a heap array into {other:?}")),
                 }
@@ -690,8 +728,7 @@ impl Decoder<'_> {
                 };
                 match self.kind(*src)? {
                     I32 => Op::ArraySetI32(r),
-                    I64 => Op::ArraySetI64(r),
-                    F64 => Op::ArraySetF64(r),
+                    I64 | F64 => Op::ArraySetI64(r),
                     Obj => Op::ArraySetRef(r),
                     other => return Err(format!("arrayset of {other:?} into heap array")),
                 }
@@ -724,8 +761,7 @@ impl Decoder<'_> {
                 kind: self.kind(*l)?,
             },
             // No-ops under the heap backend.
-            Instr::IterationStart if !self.paged => Op::Nop,
-            Instr::IterationEnd if !self.paged => Op::Nop,
+            Instr::IterationStart | Instr::IterationEnd if self.paged.is_none() => Op::Nop,
             Instr::IterationStart => Op::IterationStart,
             Instr::IterationEnd => Op::IterationEnd,
 
@@ -746,39 +782,27 @@ impl Decoder<'_> {
                 }
             }
             Instr::PageGetField {
-                dst, obj, field, ..
-            } => {
-                self.paged_mode()?;
-                let f = FieldOp {
-                    obj: self.local(*obj, Page, "paged getfield")?,
-                    slot: Self::slot(*field)?,
-                    val: dst.0,
-                };
-                match self.kind(*dst)? {
-                    I32 => Op::PageGetFieldI32(f),
-                    I64 => Op::PageGetFieldI64(f),
-                    F64 => Op::PageGetFieldF64(f),
-                    Page => Op::PageGetFieldRef(f),
-                    other => return Err(format!("paged getfield into {other:?}")),
-                }
-            }
+                dst,
+                obj,
+                class,
+                field,
+            } => self.paged_field(
+                (*obj, *field, *dst),
+                *class,
+                "paged getfield",
+                [Op::PageGetFieldI32, Op::PageGetFieldI64],
+            )?,
             Instr::PageSetField {
-                obj, field, src, ..
-            } => {
-                self.paged_mode()?;
-                let f = FieldOp {
-                    obj: self.local(*obj, Page, "paged setfield")?,
-                    slot: Self::slot(*field)?,
-                    val: src.0,
-                };
-                match self.kind(*src)? {
-                    I32 => Op::PageSetFieldI32(f),
-                    I64 => Op::PageSetFieldI64(f),
-                    F64 => Op::PageSetFieldF64(f),
-                    Page => Op::PageSetFieldRef(f),
-                    other => return Err(format!("paged setfield of {other:?}")),
-                }
-            }
+                obj,
+                class,
+                field,
+                src,
+            } => self.paged_field(
+                (*obj, *field, *src),
+                *class,
+                "paged setfield",
+                [Op::PageSetFieldI32, Op::PageSetFieldI64],
+            )?,
             Instr::PageArrayGet {
                 dst,
                 arr,
@@ -789,8 +813,8 @@ impl Decoder<'_> {
                 let (want, make): (Kind, fn(R3) -> Op) = match elem {
                     Ty::I32 => (I32, Op::PageArrayGetI32),
                     Ty::I64 => (I64, Op::PageArrayGetI64),
-                    Ty::F64 => (F64, Op::PageArrayGetF64),
-                    _ => (Page, Op::PageArrayGetRef),
+                    Ty::F64 => (F64, Op::PageArrayGetI64),
+                    _ => (Page, Op::PageArrayGetI64),
                 };
                 make(R3 {
                     dst: self.local(*dst, want, "paged arrayget")?,
@@ -807,9 +831,7 @@ impl Decoder<'_> {
                 };
                 match self.kind(*src)? {
                     I32 => Op::PageArraySetI32(r),
-                    I64 => Op::PageArraySetI64(r),
-                    F64 => Op::PageArraySetF64(r),
-                    Page => Op::PageArraySetRef(r),
+                    I64 | F64 | Page => Op::PageArraySetI64(r),
                     other => return Err(format!("paged arrayset of {other:?}")),
                 }
             }
@@ -928,8 +950,9 @@ impl Decoder<'_> {
     }
 }
 
-/// Decodes `method` for a VM with the given tables; `paged` says whether the
-/// paged instruction forms are executable.
+/// Decodes `method` for a VM with the given tables and heaps, resolving
+/// field offsets in their layouts; the paged instruction forms are
+/// executable only with a `paged` heap.
 ///
 /// # Errors
 ///
@@ -939,7 +962,8 @@ impl Decoder<'_> {
 pub(crate) fn decode_method(
     program: &Program,
     tables: &Tables,
-    paged: bool,
+    heap: &Heap,
+    paged: Option<&PagedHeap>,
     method: MethodId,
 ) -> Result<DecodedMethod, VmError> {
     let (body, param_slots) = callable(program, method).map_err(VmError::IllegalInstruction)?;
@@ -966,7 +990,9 @@ pub(crate) fn decode_method(
     let mut decoder = Decoder {
         program,
         tables,
+        heap,
         paged,
+        locals: &body.locals,
         kinds: &kinds,
         args: Vec::new(),
     };

@@ -8,7 +8,7 @@ use facade_ir::{ClassId, MethodId, Program};
 use facade_runtime::{
     FacadePools, IterationId, PageRef, PagedHeap, PagedHeapConfig, TypeId as PTypeId,
 };
-use managed_heap::{ClassId as HClassId, Heap, HeapConfig, ObjRef, RootId};
+use managed_heap::{Heap, HeapConfig, ObjRef, RootId};
 
 /// Frames a run may have active at once; the call that would exceed it
 /// fails with [`VmError::CallDepthExceeded`]. Frames live on an explicit
@@ -54,12 +54,12 @@ pub struct ExecStats {
 /// The interpreter. See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Vm<'p> {
-    program: &'p Program,
+    pub(crate) program: &'p Program,
     meta: Option<&'p PagedMeta>,
-    heap: Heap,
-    paged: PagedHeap,
+    pub(crate) heap: Heap,
+    pub(crate) paged: PagedHeap,
     pools: Option<FacadePools>,
-    tables: Tables,
+    pub(crate) tables: Tables,
     iteration_stack: Vec<IterationId>,
     output: Vec<String>,
     exec_stats: ExecStats,
@@ -306,34 +306,6 @@ impl<'p> Vm<'p> {
         self.exec_stats
     }
 
-    // Crate-internal accessors used by the conversion functions.
-    pub(crate) fn heap_ref(&self) -> &Heap {
-        &self.heap
-    }
-    pub(crate) fn heap_mut(&mut self) -> &mut Heap {
-        &mut self.heap
-    }
-    pub(crate) fn paged_ref(&self) -> &PagedHeap {
-        &self.paged
-    }
-    pub(crate) fn paged_mut(&mut self) -> &mut PagedHeap {
-        &mut self.paged
-    }
-    pub(crate) fn program_ref(&self) -> &'p Program {
-        self.program
-    }
-    pub(crate) fn ir_class_of(&self, heap_class: HClassId) -> ClassId {
-        self.tables.ir_class(heap_class)
-    }
-    pub(crate) fn heap_class_of(&self, ir_class: ClassId) -> HClassId {
-        self.tables
-            .heap_class(ir_class)
-            .expect("data classes are concrete")
-    }
-    pub(crate) fn tables(&self) -> &Tables {
-        &self.tables
-    }
-
     /// The facade pools, for ops the decoder admits in paged mode only.
     fn pools_mut(&mut self) -> &mut FacadePools {
         self.pools
@@ -386,7 +358,7 @@ impl<'p> Vm<'p> {
             stacks: st,
             steps,
         } = ex;
-        let (program, paged_mode) = (self.program, self.meta.is_some());
+        let program = self.program;
         let budget = self.config.step_budget.unwrap_or(u64::MAX);
 
         // The entry arguments sit below the entry frame like a caller's
@@ -398,7 +370,7 @@ impl<'p> Vm<'p> {
 
         let slot = &mut decoded[entry.0 as usize];
         if slot.is_none() {
-            *slot = Some(decode_method(program, &self.tables, paged_mode, entry)?);
+            *slot = Some(self.decode(entry)?);
         }
         let mut cur = decoded[entry.0 as usize].as_ref().expect("decoded above");
         check_call(arg_kinds.into_iter(), None, cur.params(), cur.ret).map_err(illegal)?;
@@ -599,36 +571,28 @@ impl<'p> Vm<'p> {
                     set_obj!(dst, self.heap.alloc_array(elem, n)?);
                 }
                 Op::GetFieldI32(f) => {
-                    let o = obj!(f.obj, format!("getfield #{}", f.slot));
-                    set!(f.val, from_i32(self.heap.get_i32(o, f.slot as usize)));
+                    let o = obj!(f.obj, format!("getfield at offset {}", f.at));
+                    set!(f.val, from_i32(self.heap.get_i32_at(o, f.at)));
                 }
                 Op::GetFieldI64(f) => {
-                    let o = obj!(f.obj, format!("getfield #{}", f.slot));
-                    set!(f.val, from_i64(self.heap.get_i64(o, f.slot as usize)));
-                }
-                Op::GetFieldF64(f) => {
-                    let o = obj!(f.obj, format!("getfield #{}", f.slot));
-                    set!(f.val, of_f64(self.heap.get_f64(o, f.slot as usize)));
+                    let o = obj!(f.obj, format!("getfield at offset {}", f.at));
+                    set!(f.val, from_i64(self.heap.get_i64_at(o, f.at)));
                 }
                 Op::GetFieldRef(f) => {
-                    let o = obj!(f.obj, format!("getfield #{}", f.slot));
-                    set_obj!(f.val, self.heap.get_ref(o, f.slot as usize));
+                    let o = obj!(f.obj, format!("getfield at offset {}", f.at));
+                    set_obj!(f.val, self.heap.get_ref_at(o, f.at));
                 }
                 Op::SetFieldI32(f) => {
-                    let o = obj!(f.obj, format!("setfield #{}", f.slot));
-                    self.heap.set_i32(o, f.slot as usize, as_i32(get!(f.val)));
+                    let o = obj!(f.obj, format!("setfield at offset {}", f.at));
+                    self.heap.set_i32_at(o, f.at, as_i32(get!(f.val)));
                 }
                 Op::SetFieldI64(f) => {
-                    let o = obj!(f.obj, format!("setfield #{}", f.slot));
-                    self.heap.set_i64(o, f.slot as usize, as_i64(get!(f.val)));
-                }
-                Op::SetFieldF64(f) => {
-                    let o = obj!(f.obj, format!("setfield #{}", f.slot));
-                    self.heap.set_f64(o, f.slot as usize, f64_of(get!(f.val)));
+                    let o = obj!(f.obj, format!("setfield at offset {}", f.at));
+                    self.heap.set_i64_at(o, f.at, as_i64(get!(f.val)));
                 }
                 Op::SetFieldRef(f) => {
-                    let o = obj!(f.obj, format!("setfield #{}", f.slot));
-                    self.heap.set_ref(o, f.slot as usize, as_obj(get!(f.val)));
+                    let o = obj!(f.obj, format!("setfield at offset {}", f.at));
+                    self.heap.set_ref_at(o, f.at, as_obj(get!(f.val)));
                 }
                 Op::ArrayGetI32(r) => {
                     let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
@@ -637,10 +601,6 @@ impl<'p> Vm<'p> {
                 Op::ArrayGetI64(r) => {
                     let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
                     set!(r.dst, from_i64(self.heap.array_get_i64(a, i)));
-                }
-                Op::ArrayGetF64(r) => {
-                    let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(r.dst, of_f64(self.heap.array_get_f64(a, i)));
                 }
                 Op::ArrayGetRef(r) => {
                     let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
@@ -653,10 +613,6 @@ impl<'p> Vm<'p> {
                 Op::ArraySetI64(r) => {
                     let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
                     self.heap.array_set_i64(a, i, as_i64(get!(r.dst)));
-                }
-                Op::ArraySetF64(r) => {
-                    let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
-                    self.heap.array_set_f64(a, i, f64_of(get!(r.dst)));
                 }
                 Op::ArraySetRef(r) => {
                     let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
@@ -712,7 +668,7 @@ impl<'p> Vm<'p> {
                     // call writes the decoded-method table.
                     let slot = &mut decoded[callee_id.0 as usize];
                     if slot.is_none() {
-                        *slot = Some(decode_method(program, &self.tables, paged_mode, callee_id)?);
+                        *slot = Some(self.decode(callee_id)?);
                     }
                     let caller = decoded[caller_id.0 as usize]
                         .as_ref()
@@ -768,37 +724,20 @@ impl<'p> Vm<'p> {
                     set!(dst, self.paged.alloc_array(elem, n)?.raw());
                 }
                 Op::PageGetFieldI32(f) => {
-                    let o = page!(f.obj, format!("paged getfield #{}", f.slot));
-                    set!(f.val, from_i32(self.paged.get_i32(o, f.slot as usize)));
+                    let o = page!(f.obj, format!("paged getfield at offset {}", f.at));
+                    set!(f.val, from_i32(self.paged.get_i32_at(o, f.at)));
                 }
                 Op::PageGetFieldI64(f) => {
-                    let o = page!(f.obj, format!("paged getfield #{}", f.slot));
-                    set!(f.val, from_i64(self.paged.get_i64(o, f.slot as usize)));
-                }
-                Op::PageGetFieldF64(f) => {
-                    let o = page!(f.obj, format!("paged getfield #{}", f.slot));
-                    set!(f.val, of_f64(self.paged.get_f64(o, f.slot as usize)));
-                }
-                Op::PageGetFieldRef(f) => {
-                    let o = page!(f.obj, format!("paged getfield #{}", f.slot));
-                    set!(f.val, self.paged.get_ref(o, f.slot as usize).raw());
+                    let o = page!(f.obj, format!("paged getfield at offset {}", f.at));
+                    set!(f.val, from_i64(self.paged.get_i64_at(o, f.at)));
                 }
                 Op::PageSetFieldI32(f) => {
-                    let o = page!(f.obj, format!("paged setfield #{}", f.slot));
-                    self.paged.set_i32(o, f.slot as usize, as_i32(get!(f.val)));
+                    let o = page!(f.obj, format!("paged setfield at offset {}", f.at));
+                    self.paged.set_i32_at(o, f.at, as_i32(get!(f.val)));
                 }
                 Op::PageSetFieldI64(f) => {
-                    let o = page!(f.obj, format!("paged setfield #{}", f.slot));
-                    self.paged.set_i64(o, f.slot as usize, as_i64(get!(f.val)));
-                }
-                Op::PageSetFieldF64(f) => {
-                    let o = page!(f.obj, format!("paged setfield #{}", f.slot));
-                    self.paged.set_f64(o, f.slot as usize, f64_of(get!(f.val)));
-                }
-                Op::PageSetFieldRef(f) => {
-                    let o = page!(f.obj, format!("paged setfield #{}", f.slot));
-                    let v = PageRef::from_raw(get!(f.val));
-                    self.paged.set_ref(o, f.slot as usize, v);
+                    let o = page!(f.obj, format!("paged setfield at offset {}", f.at));
+                    self.paged.set_i64_at(o, f.at, as_i64(get!(f.val)));
                 }
                 Op::PageArrayGetI32(r) => {
                     let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
@@ -808,14 +747,6 @@ impl<'p> Vm<'p> {
                     let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
                     set!(r.dst, from_i64(self.paged.array_get_i64(a, i)));
                 }
-                Op::PageArrayGetF64(r) => {
-                    let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(r.dst, of_f64(self.paged.array_get_f64(a, i)));
-                }
-                Op::PageArrayGetRef(r) => {
-                    let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(r.dst, self.paged.array_get_ref(a, i).raw());
-                }
                 Op::PageArraySetI32(r) => {
                     let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
                     self.paged.array_set_i32(a, i, as_i32(get!(r.dst)));
@@ -823,15 +754,6 @@ impl<'p> Vm<'p> {
                 Op::PageArraySetI64(r) => {
                     let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
                     self.paged.array_set_i64(a, i, as_i64(get!(r.dst)));
-                }
-                Op::PageArraySetF64(r) => {
-                    let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
-                    self.paged.array_set_f64(a, i, f64_of(get!(r.dst)));
-                }
-                Op::PageArraySetRef(r) => {
-                    let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
-                    self.paged
-                        .array_set_ref(a, i, PageRef::from_raw(get!(r.dst)));
                 }
                 Op::PageArrayLen(r) => {
                     let a = page!(r.src, "paged arraylength");
@@ -892,6 +814,13 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// Decodes `method` against this VM's layouts; the paged forms decode
+    /// in paged mode only.
+    fn decode(&self, method: MethodId) -> Result<DecodedMethod, VmError> {
+        let paged = self.meta.map(|_| &self.paged);
+        decode_method(self.program, &self.tables, &self.heap, paged, method)
+    }
+
     /// The IR class virtual dispatch starts from: the receiver's runtime
     /// class, or for a facade the facade class of the bound record's type.
     fn receiver_class(&mut self, kind: Kind, bits: u64) -> Result<ClassId, VmError> {
@@ -939,7 +868,7 @@ impl<'p> Vm<'p> {
             Value::F64(x) => format!("{x}"),
             Value::Obj(r) if r.is_null() => "null".into(),
             Value::Obj(r) => match self.heap.class_of(r) {
-                Some(h) => self.program.class(self.ir_class_of(h)).name.clone(),
+                Some(h) => self.program.class(self.tables.ir_class(h)).name.clone(),
                 None => "array".into(),
             },
             Value::Page(r) => self.format_page(r),

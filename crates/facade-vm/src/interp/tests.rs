@@ -1,17 +1,25 @@
 //! One test per decoded op family, against hand-computed results.
 
 use super::*;
-use facade_compiler::{DataSpec, transform};
+use facade_compiler::{DataSpec, corpus, transform};
+use facade_ir::Instr;
 
 /// A program whose `Main::main` has the given locals and body, after the
 /// given class declarations.
 fn program(classes: &str, locals: &str, body: &str) -> Program {
+    let program = unverified(classes, locals, body);
+    program
+        .verify()
+        .unwrap_or_else(|e| panic!("{e}\n{classes}\n{body}"));
+    program
+}
+
+/// [`program`], parsed but not verified.
+fn unverified(classes: &str, locals: &str, body: &str) -> Program {
     let text = format!(
         "{classes}\nclass Main {{\n  static void main() {{\n   locals: {locals}\n   bb0:\n{body}\n     return\n  }}\n}}\nentry Main::main\n"
     );
-    let program = Program::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-    program.verify().unwrap_or_else(|e| panic!("{e}\n{text}"));
-    program
+    Program::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"))
 }
 
 fn run_heap(program: &Program) -> Result<Vec<String>, VmError> {
@@ -528,4 +536,143 @@ fn paged_forms_are_illegal_in_heap_mode() {
     let out = transform(&p, &DataSpec::new(["S"])).unwrap();
     let mut vm = Vm::new_heap(&out.program);
     assert!(matches!(vm.run(), Err(VmError::IllegalInstruction(_))));
+}
+
+#[test]
+fn fields_outside_the_static_class_decode_to_typed_errors_in_both_modes() {
+    // None of these verify. A slot past the class's flattened layout used
+    // to panic in the heaps' layout lookup; the others name no layout.
+    let classes = "interface I {\n}\nclass R {\n  i32 x;\n}";
+    let cases = [
+        ("slot 5 of R", "v0 = new R\n     v1 = v0.f5"),
+        ("store to slot 5 of R", "v0 = new R\n     v0.f5 = v1"),
+        ("i64 through i32 R.x", "v0 = new R\n     v2 = v0.f0"),
+        ("an array local", "v3 = null\n     v1 = v3.f0"),
+        ("an interface local", "v4 = null\n     v1 = v4.f0"),
+    ];
+    for (what, body) in cases {
+        let p = unverified(classes, "R, i32, i64, i32[], I", &format!("     {body}"));
+        let mut vm = Vm::new_heap(&p);
+        let err = vm.run();
+        assert!(matches!(err, Err(VmError::IllegalInstruction(_))), "{what}");
+        assert_eq!(vm.steps(), 2, "{what}: fails when reached, as one step");
+    }
+
+    // Paged mode: P' of a valid program, its record field slots then moved
+    // past the data class's four fields.
+    let valid = program(RECORD, "i32", "     static R::fields()");
+    let mut out = transform(&valid, &DataSpec::new(["R"])).unwrap();
+    let mut moved = 0;
+    for m in 0..out.program.method_count() {
+        let body = &mut out.program.method_mut(MethodId(m as u32)).body;
+        for instr in body
+            .iter_mut()
+            .flat_map(|b| &mut b.blocks)
+            .flat_map(|b| &mut b.instrs)
+        {
+            if let Instr::PageGetField { field, .. } | Instr::PageSetField { field, .. } = instr {
+                (*field, moved) = (5, moved + 1);
+            }
+        }
+    }
+    assert!(moved > 0, "P' reaches the records through paged field ops");
+    let mut vm = Vm::new_paged(&out.program, &out.meta);
+    assert!(matches!(vm.run(), Err(VmError::IllegalInstruction(_))));
+    assert!(vm.output().is_empty());
+}
+
+#[test]
+fn inherited_fields_keep_their_superclass_offsets_in_both_layouts() {
+    // The golden corpus has no `extends`, so a three-level hierarchy with
+    // mixed field widths (alignment padding included) runs beside it.
+    let hierarchy = program(
+        "class A {\n  i32 a;\n  i64 b;\n}\nclass B extends A {\n  i32 c;\n  B next;\n}\n\
+         class C extends B {\n  i32 d;\n  f64 e;\n}",
+        "C, i32",
+        "     v0 = new C\n     v1 = v0.f4\n     print v1",
+    );
+    let programs = corpus::all()
+        .into_iter()
+        .map(|e| (e.name, e.program, e.spec));
+    let mut inherited = 0;
+    for (name, program, spec) in
+        programs.chain([("A/B/C", hierarchy, DataSpec::new(["A", "B", "C"]))])
+    {
+        let mut heap = Heap::new(HeapConfig::with_capacity(1 << 20));
+        let tables = Tables::new(&program, None, &mut heap);
+        let meta = transform(&program, &spec).unwrap().meta;
+        for (class, def) in program.classes() {
+            let Some(sup) = def.superclass else { continue };
+            if let (Some(c), Some(s)) = (tables.heap_class(class), tables.heap_class(sup)) {
+                for i in 0..heap.layout(s).fields().len() {
+                    let (got, want) = (heap.field_offset(c, i), heap.field_offset(s, i));
+                    assert_eq!(got, want, "{name}: heap {} slot {i}", def.name);
+                    inherited += 1;
+                }
+            }
+            if let (Some(c), Some(s)) = (meta.type_ids.get(&class), meta.type_ids.get(&sup)) {
+                let (c, s) = (meta.layout(*c), meta.layout(*s));
+                for i in 0..s.fields().len() {
+                    assert_eq!(
+                        c.offset(i),
+                        s.offset(i),
+                        "{name}: record {} slot {i}",
+                        def.name
+                    );
+                    inherited += 1;
+                }
+            }
+        }
+    }
+    // A has 2 fields and B 4: C inherits 4, B 2, in each of two layouts.
+    assert_eq!(inherited, 12);
+}
+
+#[test]
+fn boundary_conversions_carry_arrays_and_shared_structure() {
+    let p = program(
+        "class H {\n  i32[] a;\n  f64[] d;\n  H[] kids;\n  static H touch(H) {
+   locals: H, i32[], f64[], H[], i32, i32, f64, H
+   bb0:
+     v1 = v0.f0
+     v2 = v0.f1
+     v3 = v0.f2
+     v4 = 1
+     v5 = v1[v4]
+     v5 = v5 Add v4
+     v1[v4] = v5
+     v6 = v2[v4]
+     v6 = v6 Add v6
+     v2[v4] = v6
+     v7 = v3[v4]
+     v7.f0 = v1
+     return v0\n  }\n}",
+        "H, i32, i32[], f64[], H[], H, f64, i32[], i32",
+        "     v1 = 2
+     v0 = new H
+     v2 = new i32[v1]
+     v3 = new f64[v1]
+     v4 = new H[v1]
+     v0.f0 = v2
+     v0.f1 = v3
+     v0.f2 = v4
+     v1 = 1
+     v5 = new H
+     v4[v1] = v5
+     v6 = 0.25f64
+     v3[v1] = v6
+     v0 = static H::touch(v0)
+     v7 = v0.f0
+     v8 = v7[v1]
+     print v8
+     v3 = v0.f1
+     v6 = v3[v1]
+     print v6
+     v4 = v0.f2
+     v5 = v4[v1]
+     v2 = v5.f0
+     v8 = v2 Eq v7
+     print v8",
+    );
+    both_print(&p, &["H"], &["1", "0.5", "1"]);
 }

@@ -433,29 +433,31 @@ mod tests {
     fn rooted_objects_survive_and_keep_data() {
         let mut h = heap(2048, 8192, 1);
         let c = h.register_class("T", &[FieldKind::I32]);
+        let f0 = h.field_offset(c, 0);
         let keep = h.alloc(c).unwrap();
-        h.set_i32(keep, 0, 777);
+        h.set_i32_at(keep, f0, 777);
         h.add_root(keep);
         for _ in 0..500 {
             h.alloc(c).unwrap();
         }
         assert!(h.is_live(keep));
-        assert_eq!(h.get_i32(keep, 0), 777);
+        assert_eq!(h.get_i32_at(keep, f0), 777);
     }
 
     #[test]
     fn reachability_is_transitive_through_fields_and_arrays() {
         let mut h = heap(2048, 8192, 1);
         let node = h.register_class("Node", &[FieldKind::I32, FieldKind::Ref]);
+        let (f0, f1) = (h.field_offset(node, 0), h.field_offset(node, 1));
         let head = h.alloc(node).unwrap();
         h.add_root(head);
         // Build a linked list threaded through an array.
         let arr = h.alloc_array(ElemKind::Ref, 8).unwrap();
-        h.set_ref(head, 1, arr);
+        h.set_ref_at(head, f1, arr);
         let mut items = Vec::new();
         for i in 0..8 {
             let n = h.alloc(node).unwrap();
-            h.set_i32(n, 0, i as i32);
+            h.set_i32_at(n, f0, i as i32);
             h.array_set_ref(arr, i, n);
             items.push(n);
         }
@@ -464,11 +466,11 @@ mod tests {
             h.alloc(node).unwrap();
         }
         assert!(h.stats().minor_collections >= 1);
-        let arr_again = h.get_ref(head, 1);
+        let arr_again = h.get_ref_at(head, f1);
         for (i, &n) in items.iter().enumerate() {
             assert!(h.is_live(n));
             assert_eq!(h.array_get_ref(arr_again, i), n);
-            assert_eq!(h.get_i32(n, 0), i as i32);
+            assert_eq!(h.get_i32_at(n, f0), i as i32);
         }
     }
 
@@ -489,6 +491,7 @@ mod tests {
     fn old_to_young_pointers_survive_minor_gc() {
         let mut h = heap(2048, 8192, 1);
         let node = h.register_class("Node", &[FieldKind::I32, FieldKind::Ref]);
+        let (f0, f1) = (h.field_offset(node, 0), h.field_offset(node, 1));
         let holder = h.alloc(node).unwrap();
         h.add_root(holder);
         // Promote the holder.
@@ -498,22 +501,23 @@ mod tests {
         // Store a young object into the old holder (write barrier path),
         // then drop all other references to it.
         let young = h.alloc(node).unwrap();
-        h.set_i32(young, 0, 31337);
-        h.set_ref(holder, 1, young);
+        h.set_i32_at(young, f0, 31337);
+        h.set_ref_at(holder, f1, young);
         h.collect_minor();
-        let target = h.get_ref(holder, 1);
+        let target = h.get_ref_at(holder, f1);
         assert!(h.is_live(target));
-        assert_eq!(h.get_i32(target, 0), 31337);
+        assert_eq!(h.get_i32_at(target, f0), 31337);
     }
 
     #[test]
     fn full_gc_compacts_and_preserves_data() {
         let mut h = heap(4096, 1 << 20, 1);
         let c = h.register_class("T", &[FieldKind::I64]);
+        let f0 = h.field_offset(c, 0);
         let mut kept = Vec::new();
         for i in 0..200 {
             let o = h.alloc(c).unwrap();
-            h.set_i64(o, 0, i);
+            h.set_i64_at(o, f0, i);
             if i % 3 == 0 {
                 h.add_root(o);
                 kept.push((o, i));
@@ -525,7 +529,7 @@ mod tests {
         assert!(h.used_bytes() <= used_after_first);
         for (o, i) in kept {
             assert!(h.is_live(o));
-            assert_eq!(h.get_i64(o, 0), i);
+            assert_eq!(h.get_i64_at(o, f0), i);
         }
         assert!(h.stats().full_collections >= 2);
     }
@@ -547,10 +551,11 @@ mod tests {
     fn cyclic_garbage_is_collected() {
         let mut h = heap(4096, 1 << 16, 1);
         let node = h.register_class("Node", &[FieldKind::Ref]);
+        let f0 = h.field_offset(node, 0);
         let a = h.alloc(node).unwrap();
         let b = h.alloc(node).unwrap();
-        h.set_ref(a, 0, b);
-        h.set_ref(b, 0, a);
+        h.set_ref_at(a, f0, b);
+        h.set_ref_at(b, f0, a);
         h.collect_full();
         assert!(!h.is_live(a));
         assert!(!h.is_live(b));

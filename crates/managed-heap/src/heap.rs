@@ -496,9 +496,8 @@ impl Heap {
     }
 
     // A field is addressed by its byte offset from the start of the object,
-    // header included. [`Heap::field_offset`] resolves it from a class and
-    // a field index; the `*_at` accessors take it as is, and the index
-    // accessors resolve it from the object's class first.
+    // header included: [`Heap::field_offset`] resolves it from a class and
+    // a field index, and the `*_at` accessors take it as is.
 
     /// The offset of field `field` in objects of `class`, header included:
     /// what the `*_at` accessors take. Fixed once the class is registered,
@@ -510,15 +509,6 @@ impl Heap {
     #[inline]
     pub fn field_offset(&self, class: ClassId, field: usize) -> u32 {
         OBJECT_HEADER_BYTES + self.classes[class.0 as usize].offset(field)
-    }
-
-    /// The offset of field `field` of object `obj`: [`Heap::field_offset`]
-    /// of the object's class, looked up in its object-table entry.
-    #[inline]
-    fn field_offset_of(&self, obj: ObjRef, field: usize) -> u32 {
-        let e = self.entry(obj);
-        debug_assert!(!e.is(F_ARRAY), "field access on array");
-        self.field_offset(ClassId(e.class), field)
     }
 
     /// The `N` bytes at header-relative offset `at` of an object or array.
@@ -544,54 +534,6 @@ impl Heap {
         };
         let base = (e.addr + at) as usize;
         space.bytes[base..base + N].copy_from_slice(&data);
-    }
-
-    /// Reads a 32-bit field.
-    #[inline]
-    pub fn get_i32(&self, obj: ObjRef, field: usize) -> i32 {
-        self.get_i32_at(obj, self.field_offset_of(obj, field))
-    }
-
-    /// Writes a 32-bit field.
-    #[inline]
-    pub fn set_i32(&mut self, obj: ObjRef, field: usize, value: i32) {
-        self.set_i32_at(obj, self.field_offset_of(obj, field), value);
-    }
-
-    /// Reads a 64-bit field.
-    #[inline]
-    pub fn get_i64(&self, obj: ObjRef, field: usize) -> i64 {
-        self.get_i64_at(obj, self.field_offset_of(obj, field))
-    }
-
-    /// Writes a 64-bit field.
-    #[inline]
-    pub fn set_i64(&mut self, obj: ObjRef, field: usize, value: i64) {
-        self.set_i64_at(obj, self.field_offset_of(obj, field), value);
-    }
-
-    /// Reads a 64-bit field as a double.
-    #[inline]
-    pub fn get_f64(&self, obj: ObjRef, field: usize) -> f64 {
-        f64::from_bits(self.get_i64(obj, field) as u64)
-    }
-
-    /// Writes a 64-bit field as a double.
-    #[inline]
-    pub fn set_f64(&mut self, obj: ObjRef, field: usize, value: f64) {
-        self.set_i64(obj, field, value.to_bits() as i64);
-    }
-
-    /// Reads a reference field.
-    #[inline]
-    pub fn get_ref(&self, obj: ObjRef, field: usize) -> ObjRef {
-        self.get_ref_at(obj, self.field_offset_of(obj, field))
-    }
-
-    /// Writes a reference field, applying the generational write barrier.
-    #[inline]
-    pub fn set_ref(&mut self, obj: ObjRef, field: usize, value: ObjRef) {
-        self.set_ref_at(obj, self.field_offset_of(obj, field), value);
     }
 
     /// Reads the 32-bit field at offset `at` (see [`Heap::field_offset`]).
@@ -728,18 +670,6 @@ impl Heap {
         self.write_at(obj, off, value.to_le_bytes());
     }
 
-    /// Reads an `I64` array element as a double.
-    #[inline]
-    pub fn array_get_f64(&self, obj: ObjRef, idx: usize) -> f64 {
-        f64::from_bits(self.array_get_i64(obj, idx) as u64)
-    }
-
-    /// Writes an `I64` array element as a double.
-    #[inline]
-    pub fn array_set_f64(&mut self, obj: ObjRef, idx: usize, value: f64) {
-        self.array_set_i64(obj, idx, value.to_bits() as i64);
-    }
-
     /// Reads a `U8` array element.
     #[inline]
     pub fn array_get_u8(&self, obj: ObjRef, idx: usize) -> u8 {
@@ -839,6 +769,7 @@ impl Heap {
     }
 
     /// The class of a plain object; `None` for arrays.
+    #[inline]
     pub fn class_of(&self, obj: ObjRef) -> Option<ClassId> {
         let e = self.entry(obj);
         if e.is(F_ARRAY) {
@@ -893,21 +824,23 @@ mod tests {
     fn alloc_and_field_roundtrip() {
         let mut h = small_heap();
         let c = h.register_class("Pair", &[FieldKind::I32, FieldKind::I64, FieldKind::Ref]);
+        let [f0, f1, f2] = [0, 1, 2].map(|i| h.field_offset(c, i));
         let o = h.alloc(c).unwrap();
-        h.set_i32(o, 0, -7);
-        h.set_i64(o, 1, 1 << 40);
-        assert_eq!(h.get_i32(o, 0), -7);
-        assert_eq!(h.get_i64(o, 1), 1 << 40);
-        assert!(h.get_ref(o, 2).is_null());
+        h.set_i32_at(o, f0, -7);
+        h.set_i64_at(o, f1, 1 << 40);
+        assert_eq!(h.get_i32_at(o, f0), -7);
+        assert_eq!(h.get_i64_at(o, f1), 1 << 40);
+        assert!(h.get_ref_at(o, f2).is_null());
     }
 
     #[test]
     fn f64_fields_roundtrip() {
         let mut h = small_heap();
         let c = h.register_class("D", &[FieldKind::I64]);
+        let f0 = h.field_offset(c, 0);
         let o = h.alloc(c).unwrap();
-        h.set_f64(o, 0, 3.25);
-        assert_eq!(h.get_f64(o, 0), 3.25);
+        h.set_i64_at(o, f0, 3.25f64.to_bits() as i64);
+        assert_eq!(f64::from_bits(h.get_i64_at(o, f0) as u64), 3.25);
     }
 
     #[test]
@@ -928,8 +861,8 @@ mod tests {
         assert_eq!(h.array_get_ref(r, 1), a);
 
         let l = h.alloc_array(ElemKind::I64, 2).unwrap();
-        h.array_set_f64(l, 0, -1.5);
-        assert_eq!(h.array_get_f64(l, 0), -1.5);
+        h.array_set_i64(l, 0, (-1.5f64).to_bits() as i64);
+        assert_eq!(f64::from_bits(h.array_get_i64(l, 0) as u64), -1.5);
     }
 
     #[test]

@@ -111,6 +111,7 @@ impl ClassLayout {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
+    #[inline]
     pub fn offset(&self, idx: usize) -> u32 {
         self.offsets[idx]
     }

@@ -40,10 +40,11 @@
 //!
 //! let mut heap = Heap::new(HeapConfig::with_capacity(1 << 20));
 //! let point = heap.register_class("Point", &[FieldKind::I32, FieldKind::I32]);
+//! let (x, y) = (heap.field_offset(point, 0), heap.field_offset(point, 1));
 //! let p = heap.alloc(point)?;
-//! heap.set_i32(p, 0, 3);
-//! heap.set_i32(p, 1, 4);
-//! assert_eq!(heap.get_i32(p, 0) + heap.get_i32(p, 1), 7);
+//! heap.set_i32_at(p, x, 3);
+//! heap.set_i32_at(p, y, 4);
+//! assert_eq!(heap.get_i32_at(p, x) + heap.get_i32_at(p, y), 7);
 //! # Ok::<(), metrics::OutOfMemory>(())
 //! ```
 

@@ -27,6 +27,7 @@ fn per_thread_heaps_share_only_the_page_pool() {
                     // (Figure 3's per-thread boxes).
                     let mut heap = PagedHeap::with_pool(PagedHeapConfig::default(), pool);
                     let ty = heap.register_type("T", &[FieldKind::I64, FieldKind::I64]);
+                    let (f0, f1) = (heap.field_offset(ty, 0), heap.field_offset(ty, 1));
                     let mut pools = FacadePools::new(&bounds);
                     let mut allocated = 0u64;
                     for round in 0..ROUNDS {
@@ -34,8 +35,8 @@ fn per_thread_heaps_share_only_the_page_pool() {
                         // Data-path churn in this thread's own pages.
                         for k in 0..20 {
                             let r = heap.alloc(ty).expect("unbounded");
-                            heap.set_i64(r, 0, (t * 1000 + round + k) as i64);
-                            assert_eq!(heap.get_i64(r, 1), 0, "records start zeroed");
+                            heap.set_i64_at(r, f0, (t * 1000 + round + k) as i64);
+                            assert_eq!(heap.get_i64_at(r, f1), 0, "records start zeroed");
                             // Exercise the bind/release discipline.
                             pools.param(TypeId(4), k % 2).bind(r);
                             let back = pools.param(TypeId(4), k % 2).release();

@@ -1,15 +1,18 @@
 //! The Hyracks jobs' control path allocates per partition, per frame and
 //! per distinct word, never per record: the Rust-heap allocations a
 //! WordCount or ExternalSort job makes beside its store barely move when
-//! its corpus doubles.
+//! its corpus doubles. The interpreter running a compiled `P'` allocates
+//! per page, not per record, either.
 //!
 //! A counting global allocator over `System` sees every allocation in the
 //! process, so this binary holds exactly one test: a second one running
 //! beside it would count into the same totals.
 
+use facade::compiler::{PassConfig, compile, corpus::sum_list};
 use facade::datagen::{CorpusSpec, corpus};
 use facade::hyracks::{Cluster, ClusterConfig};
 use facade::metrics::report::Backend;
+use facade::vm::{Value, Vm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,6 +74,30 @@ fn job_allocations(backend: Backend, words: &[String]) -> (u64, u64) {
     (wc, es)
 }
 
+/// (allocations, pages created) of a fresh `P'` VM building the `sum_list`
+/// corpus program's list of `n` records and summing it.
+fn vm_allocations(n: i32) -> (u64, u64) {
+    let entry = sum_list();
+    let compiled = compile(&entry.program, &entry.spec, &PassConfig::default()).expect("compiles");
+    let node = entry.program.class_by_name("Node").expect("Node");
+    let [build, sum] = ["build", "sum"].map(|name| {
+        let m = entry
+            .program
+            .method_by_name(node, name)
+            .expect("a Node method");
+        compiled.meta.method_map[&m]
+    });
+    let mut pages = 0;
+    let count = allocations(|| {
+        let mut vm = Vm::new_paged(&compiled.transformed, &compiled.meta);
+        let head = vm.call(build, vec![Value::I32(n)]).expect("build runs");
+        let total = vm.call(sum, vec![head.expect("a list"), Value::I32(n)]);
+        assert_eq!(total.expect("sum runs"), Some(Value::I32(n * (n - 1) / 2)));
+        pages = vm.paged().stats().pages_created;
+    });
+    (count, pages)
+}
+
 #[test]
 fn job_allocations_do_not_grow_with_the_record_count() {
     let mut words = corpus(&CorpusSpec::new(256 << 10, 3));
@@ -108,4 +135,16 @@ fn job_allocations_do_not_grow_with_the_record_count() {
             );
         }
     }
+    // The interpreter's `P'`: records live in pages, so the Rust heap grows
+    // by the pages they fill and nothing per record.
+    vm_allocations(1_000);
+    let (n1, n2) = (20_000, 40_000);
+    let ((a1, p1), (a2, p2)) = (vm_allocations(n1), vm_allocations(n2));
+    println!("VM P': {n1} → {n2} records: {a1} → {a2} allocations, {p1} → {p2} pages");
+    assert!(
+        a2 - a1 <= p2 - p1 + 8,
+        "P' allocations grew by {} for {} more pages",
+        a2 - a1,
+        p2 - p1
+    );
 }
