@@ -12,17 +12,13 @@
 //! types are attributed to an arbitrary concrete subtype.
 
 use crate::meta::PagedMeta;
-use facade_ir::{Instr, Program, Ty};
+use facade_ir::{ClassId, Instr, Program, Ty};
 use std::collections::HashMap;
 
 /// Resolves the data class a declared parameter type should be attributed
 /// to: concrete data classes attribute to themselves; data interfaces to an
 /// arbitrary concrete subtype (§3.3).
-pub(crate) fn attributed_class(
-    program: &Program,
-    meta: &PagedMeta,
-    ty: &Ty,
-) -> Option<facade_ir::ClassId> {
+fn attributed_class(program: &Program, meta: &PagedMeta, ty: &Ty) -> Option<ClassId> {
     let class = ty.as_class()?;
     if meta.type_ids.contains_key(&class) {
         return Some(class);
@@ -34,6 +30,28 @@ pub(crate) fn attributed_class(
         }
     }
     None
+}
+
+/// The pool slot each of a callee's parameters binds: for a data parameter,
+/// its attributed class and how many same-typed parameters precede it;
+/// `None` for any other parameter. The transform binds `BindParam` index
+/// `i` from this, and a type's bound is its largest slot plus one, so the
+/// two cannot disagree.
+pub(crate) fn param_slots(
+    program: &Program,
+    meta: &PagedMeta,
+    params: &[Ty],
+) -> Vec<Option<(ClassId, usize)>> {
+    let mut counts: HashMap<u16, usize> = HashMap::new();
+    params
+        .iter()
+        .map(|p| {
+            let class = attributed_class(program, meta, p)?;
+            let count = counts.entry(meta.type_id(class)).or_default();
+            *count += 1;
+            Some((class, *count - 1))
+        })
+        .collect()
 }
 
 /// Computes the per-type bounds over every call site of the program and
@@ -49,18 +67,13 @@ pub(crate) fn compute(program: &Program, meta: &mut PagedMeta) {
                     continue;
                 };
                 let callee = program.method(target.method());
-                // Count same-typed data-class parameters per call.
-                let mut counts: HashMap<u16, u16> = HashMap::new();
-                for p in &callee.params {
-                    if let Some(class) = attributed_class(program, meta, p) {
-                        *counts.entry(meta.type_id(class)).or_default() += 1;
-                    }
-                }
                 // Returning a data value binds pool facade 0 (Table 1 case
                 // 5.1), which the minimum bound of 1 already covers.
-                for (tid, count) in counts {
-                    let slot = &mut table[tid as usize];
-                    *slot = (*slot).max(count);
+                let slots = param_slots(program, meta, &callee.params);
+                for (class, index) in slots.into_iter().flatten() {
+                    let bound = u16::try_from(index + 1).expect("parameter count fits u16");
+                    let slot = &mut table[meta.type_id(class) as usize];
+                    *slot = (*slot).max(bound);
                 }
             }
         }

@@ -1,12 +1,13 @@
 //! The golden program corpus.
 //!
-//! Five small, deterministic programs that between them exercise every leg
+//! Six small, deterministic programs that between them exercise every leg
 //! of the pipeline: constructors and facade binding (`figure2`), linked
 //! records and boundary conversions (`sum_list`), interfaces and virtual
 //! dispatch through receiver facades (`shapes`), loop-heavy scratch
 //! allocation that the `epoch` and `fastalloc` passes act on
-//! (`epoch_scratch`), and a non-escaping record the `promote` pass
-//! scalar-replaces (`promote_scratch`).
+//! (`epoch_scratch`), a non-escaping record the `promote` pass
+//! scalar-replaces (`promote_scratch`), and every interaction point the
+//! transform emits (`crossings`).
 //!
 //! Each program's source is its checked-in text,
 //! `crates/facade-compiler/golden/<name>/source.ir`, parsed at load time:
@@ -40,6 +41,7 @@ pub fn all() -> Vec<CorpusEntry> {
         shapes(),
         epoch_scratch(),
         promote_scratch(),
+        crossings(),
     ]
 }
 
@@ -101,6 +103,21 @@ pub fn promote_scratch() -> CorpusEntry {
         include_str!("../golden/promote_scratch/source.ir"),
         &["Acc"],
         &["330"],
+    )
+}
+
+/// Records and arrays crossing between a control object (`Holder`) and the
+/// data path in every way the transform converts: read from and written to
+/// a control object's fields inside a data method (Table 1 cases 4.3 and
+/// 3.3), passed to a control callee that hands a record back (case 6.3),
+/// and passed as receiver, record and array arguments to data methods that
+/// return a record or an array to the control path.
+pub fn crossings() -> CorpusEntry {
+    entry(
+        "crossings",
+        include_str!("../golden/crossings/source.ir"),
+        &["Rec"],
+        &["10", "22", "5", "30"],
     )
 }
 

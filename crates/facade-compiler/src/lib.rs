@@ -201,11 +201,23 @@ fn cut_unreachable(program: &mut Program) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use facade_ir::Instr;
 
     fn without_entry(program: &Program) -> Program {
         let text = program.render();
         let (body, _entry_line) = text.rsplit_once("entry ").expect("corpus entries have one");
         Program::parse(body).expect("a render parses back")
+    }
+
+    /// The conversions in `program`'s bodies.
+    fn conversions(program: &Program) -> usize {
+        program
+            .methods()
+            .filter_map(|(_, def)| def.body.as_ref())
+            .flat_map(|body| &body.blocks)
+            .flat_map(|block| &block.instrs)
+            .filter(|i| matches!(i, Instr::ConvertToHeap { .. } | Instr::ConvertToPage { .. }))
+            .count()
     }
 
     #[test]
@@ -224,6 +236,12 @@ mod tests {
                 );
             }
             assert_eq!(out.report.methods_cut, 0, "{}", entry.name);
+            assert_eq!(
+                out.report.interaction_points,
+                conversions(&out.program),
+                "{}",
+                entry.name
+            );
             assert_eq!(
                 out.report.instructions_transformed,
                 program.instr_count(),

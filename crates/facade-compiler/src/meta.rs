@@ -56,11 +56,6 @@ impl PagedMeta {
             .copied()
     }
 
-    /// The data class a facade class was generated for.
-    pub fn data_class_of_facade(&self, facade: ClassId) -> Option<ClassId> {
-        self.data_of.get(&facade).copied()
-    }
-
     /// The record layout for type ID `ty`.
     pub fn layout(&self, ty: u16) -> &RecordLayout {
         &self.layouts[ty as usize]

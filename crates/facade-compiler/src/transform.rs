@@ -7,14 +7,14 @@
 //! call sites into the data path get conversions (interaction points, §3.5)
 //! and facade bindings inserted.
 
-use crate::bounds::attributed_class;
+use crate::bounds::param_slots;
 use crate::closed_world::is_data_interface;
 use crate::error::CompileError;
 use crate::meta::PagedMeta;
 use facade_ir::{
     Block, Body, CallTarget, ClassId, Instr, Local, MethodDef, MethodId, Program, Terminator, Ty,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// How a type participates in the data path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,11 +29,34 @@ enum Kind {
     Control,
 }
 
+impl Kind {
+    /// The class a value of this kind converts with when it crosses the
+    /// boundary: its data class, or `None` for an array. Primitive and
+    /// control values never cross.
+    fn crossing(&self) -> Option<Option<ClassId>> {
+        match self {
+            Kind::Data(c) => Some(Some(*c)),
+            Kind::DataArray => Some(None),
+            Kind::Prim | Kind::Control => None,
+        }
+    }
+}
+
+/// The direction a value crosses at an interaction point (§3.5).
+#[derive(Clone, Copy)]
+enum Cross {
+    /// A heap object (or array) becomes a page record.
+    ToPage,
+    /// A page record (or array) becomes a heap object.
+    ToHeap,
+}
+
 struct Cx<'a> {
     pr: &'a Program,
     meta: &'a PagedMeta,
     data: &'a BTreeSet<ClassId>,
     method_name: String,
+    /// Interaction points emitted so far; only [`Cx::cross`] counts.
     ips: usize,
 }
 
@@ -62,15 +85,52 @@ impl Cx<'_> {
         }
     }
 
+    /// Emits the conversion of one interaction point and counts it: the
+    /// only place `ConvertToPage` and `ConvertToHeap` are built.
+    fn cross(
+        &mut self,
+        out: &mut Vec<Instr>,
+        dir: Cross,
+        dst: Local,
+        src: Local,
+        class: Option<ClassId>,
+    ) {
+        out.push(match dir {
+            Cross::ToPage => Instr::ConvertToPage { dst, src, class },
+            Cross::ToHeap => Instr::ConvertToHeap { dst, src, class },
+        });
+        self.ips += 1;
+    }
+
+    /// [`Cx::cross`] into a fresh local of type `ty`, which it returns.
+    fn cross_fresh(
+        &mut self,
+        nb: &mut Body,
+        out: &mut Vec<Instr>,
+        dir: Cross,
+        ty: Ty,
+        src: Local,
+        class: Option<ClassId>,
+    ) -> Local {
+        let dst = nb.add_local(ty);
+        self.cross(out, dir, dst, src, class);
+        dst
+    }
+
     fn is_data_method(&self, m: MethodId) -> bool {
         let class = self.pr.method(m).class;
         self.data.contains(&class) || self.meta.facade_iface_of.contains_key(&class)
     }
 
+    /// The type of a facade of data class (or interface) `class`.
+    fn facade_ty(&self, class: ClassId) -> Ty {
+        Ty::Facade(self.meta.facade(class).expect("facade generated"))
+    }
+
     /// Maps a signature type of a data-path method into its `P'` form.
     fn map_sig_ty(&self, ty: &Ty) -> Result<Ty, CompileError> {
         Ok(match self.kind(ty)? {
-            Kind::Data(c) => Ty::Facade(self.meta.facade(c).expect("facade generated")),
+            Kind::Data(c) => self.facade_ty(c),
             Kind::DataArray => Ty::PageRef,
             Kind::Prim | Kind::Control => ty.clone(),
         })
@@ -100,44 +160,29 @@ pub(crate) fn run(program: &mut Program, meta: &mut PagedMeta) -> Result<usize, 
     }
 
     // Read-only snapshot for body construction; bodies are written back
-    // into `program` as they are finished.
+    // into `program` as they are finished. Data-path bodies become their
+    // facade methods' bodies (pass 2); control-path bodies are rewritten in
+    // place at their boundary call sites (pass 3).
     let snapshot = program.clone();
-    let mut ips = 0;
-
-    // Pass 2: transform data-path bodies into their facade methods.
-    for &m in &data_methods {
+    let mut cx = Cx {
+        pr: &snapshot,
+        meta,
+        data: &data,
+        method_name: String::new(),
+        ips: 0,
+    };
+    for &m in data_methods.iter().chain(&control_methods) {
         if snapshot.method(m).body.is_none() {
             continue;
         }
-        let mut cx = Cx {
-            pr: &snapshot,
-            meta,
-            data: &data,
-            method_name: qualified_name(&snapshot, m),
-            ips: 0,
+        cx.method_name = qualified_name(&snapshot, m);
+        let (target, body) = match cx.meta.method_map.get(&m) {
+            Some(&facade_m) => (facade_m, transform_data_body(&mut cx, m)?),
+            None => (m, rewrite_control_body(&mut cx, m)?),
         };
-        let body = transform_data_body(&mut cx, m)?;
-        ips += cx.ips;
-        let facade_m = meta.method_map[&m];
-        program.method_mut(facade_m).body = Some(body);
+        program.method_mut(target).body = Some(body);
     }
-
-    // Pass 3: rewrite control-path bodies in place (boundary call sites).
-    for &m in &control_methods {
-        if snapshot.method(m).body.is_none() {
-            continue;
-        }
-        let mut cx = Cx {
-            pr: &snapshot,
-            meta,
-            data: &data,
-            method_name: qualified_name(&snapshot, m),
-            ips: 0,
-        };
-        let body = rewrite_control_body(&mut cx, m)?;
-        ips += cx.ips;
-        program.method_mut(m).body = Some(body);
-    }
+    let ips = cx.ips;
 
     // If the entry point was a data-path method, run its facade version.
     if let Some(e) = program.entry() {
@@ -198,15 +243,14 @@ fn create_stub(
 /// Table 1 case 1 plus the whole body: builds the facade method's body for
 /// data-path method `m`.
 fn transform_data_body(cx: &mut Cx<'_>, m: MethodId) -> Result<Body, CompileError> {
-    let def = cx.pr.method(m).clone();
+    let def = cx.pr.method(m);
     let old = def.body.as_ref().expect("data body");
-    let facade_m = cx.meta.method_map[&m];
-    let fdef = cx.pr.method(facade_m).clone();
+    let fdef = cx.pr.method(cx.meta.method_map[&m]);
 
     let mut nb = Body::default();
     // Parameter slots of the facade method.
     if !fdef.is_static {
-        nb.add_local(Ty::Facade(cx.meta.facade(def.class).expect("facade")));
+        nb.add_local(cx.facade_ty(def.class));
     }
     for p in &fdef.params {
         nb.add_local(p.clone());
@@ -279,7 +323,7 @@ fn transform_terminator(
                         .any_concrete_subtype(c)
                         .filter(|cc| cx.meta.type_ids.contains_key(cc))
                         .unwrap_or(c);
-                    let rf = nb.add_local(Ty::Facade(cx.meta.facade(c).expect("facade")));
+                    let rf = nb.add_local(cx.facade_ty(c));
                     out.push(Instr::BindParam {
                         dst: rf,
                         class: concrete,
@@ -328,20 +372,10 @@ fn transform_instr(
             let (kd, ks) = (cx.kind(&t(*dst))?, cx.kind(&t(*src))?);
             match (kd, ks) {
                 (Kind::Control, Kind::Data(c)) => {
-                    out.push(ConvertToHeap {
-                        dst: v(*dst),
-                        src: v(*src),
-                        class: Some(c),
-                    });
-                    cx.ips += 1;
+                    cx.cross(out, Cross::ToHeap, v(*dst), v(*src), Some(c));
                 }
                 (Kind::Data(c), Kind::Control) => {
-                    out.push(ConvertToPage {
-                        dst: v(*dst),
-                        src: v(*src),
-                        class: Some(c),
-                    });
-                    cx.ips += 1;
+                    cx.cross(out, Cross::ToPage, v(*dst), v(*src), Some(c));
                 }
                 _ => out.push(Move {
                     dst: v(*dst),
@@ -395,36 +429,17 @@ fn transform_instr(
             }
             // Case 4.3: reading a data value out of a control object is an
             // interaction point.
-            _ => match cx.kind(&t(*dst))? {
-                Kind::Data(c) => {
+            _ => match cx.kind(&t(*dst))?.crossing() {
+                Some(class) => {
                     let tmp = nb.add_local(t(*dst));
                     out.push(GetField {
                         dst: tmp,
                         obj: v(*obj),
                         field: *field,
                     });
-                    out.push(ConvertToPage {
-                        dst: v(*dst),
-                        src: tmp,
-                        class: Some(c),
-                    });
-                    cx.ips += 1;
+                    cx.cross(out, Cross::ToPage, v(*dst), tmp, class);
                 }
-                Kind::DataArray => {
-                    let tmp = nb.add_local(t(*dst));
-                    out.push(GetField {
-                        dst: tmp,
-                        obj: v(*obj),
-                        field: *field,
-                    });
-                    out.push(ConvertToPage {
-                        dst: v(*dst),
-                        src: tmp,
-                        class: None,
-                    });
-                    cx.ips += 1;
-                }
-                _ => out.push(GetField {
+                None => out.push(GetField {
                     dst: v(*dst),
                     obj: v(*obj),
                     field: *field,
@@ -454,36 +469,16 @@ fn transform_instr(
                 });
             }
             // Case 3.3: a data value flowing into a control object converts.
-            _ => match cx.kind(&t(*src))? {
-                Kind::Data(c) => {
-                    let tmp = nb.add_local(t(*src));
-                    out.push(ConvertToHeap {
-                        dst: tmp,
-                        src: v(*src),
-                        class: Some(c),
-                    });
+            _ => match cx.kind(&t(*src))?.crossing() {
+                Some(class) => {
+                    let tmp = cx.cross_fresh(nb, out, Cross::ToHeap, t(*src), v(*src), class);
                     out.push(SetField {
                         obj: v(*obj),
                         field: *field,
                         src: tmp,
                     });
-                    cx.ips += 1;
                 }
-                Kind::DataArray => {
-                    let tmp = nb.add_local(t(*src));
-                    out.push(ConvertToHeap {
-                        dst: tmp,
-                        src: v(*src),
-                        class: None,
-                    });
-                    out.push(SetField {
-                        obj: v(*obj),
-                        field: *field,
-                        src: tmp,
-                    });
-                    cx.ips += 1;
-                }
-                _ => out.push(SetField {
+                None => out.push(SetField {
                     obj: v(*obj),
                     field: *field,
                     src: v(*src),
@@ -568,136 +563,137 @@ fn transform_call_in_data_path(
     out: &mut Vec<Instr>,
 ) -> Result<(), CompileError> {
     let v = |l: Local| var[l.0 as usize];
-    let t = |l: Local| old.local_ty(l).clone();
-    let callee_id = target.method();
-    let callee = cx.pr.method(callee_id).clone();
-
-    if cx.is_data_method(callee_id) {
-        let new_callee = cx.meta.method_map[&callee_id];
-        let mut new_args = Vec::with_capacity(args.len());
-        let mut ai = 0;
-        if target.has_receiver() {
-            // Case 6.1: resolve the receiver facade by runtime type.
-            let af = nb.add_local(Ty::Facade(
-                cx.meta.facade(callee.class).expect("facade generated"),
-            ));
-            out.push(Instr::Resolve {
-                dst: af,
-                class: callee.class,
-                src: v(args[0]),
-            });
-            new_args.push(af);
-            ai = 1;
-        }
-        let mut counts: HashMap<u16, usize> = HashMap::new();
-        for (p, &arg) in callee.params.iter().zip(&args[ai..]) {
-            match cx.kind(p)? {
-                Kind::Data(pc) => {
-                    let concrete = attributed_class(cx.pr, cx.meta, p).unwrap_or(pc);
-                    let tid = cx.meta.type_id(concrete);
-                    let slot = counts.entry(tid).or_default();
-                    let index = *slot;
-                    *slot += 1;
-                    let bf =
-                        nb.add_local(Ty::Facade(cx.meta.facade(pc).expect("facade generated")));
-                    out.push(Instr::BindParam {
-                        dst: bf,
-                        class: concrete,
-                        index,
-                        src: v(arg),
-                    });
-                    new_args.push(bf);
-                }
-                Kind::DataArray => new_args.push(v(arg)),
-                Kind::Prim => new_args.push(v(arg)),
-                Kind::Control => {
-                    // Case 6.2 — unless the *argument* is data flowing into
-                    // a control-typed parameter, which cannot happen for
-                    // data-path callees (their control params expect control
-                    // values; the verifier enforced assignability in P).
-                    new_args.push(v(arg));
-                }
-            }
-        }
-        let new_target = retarget(target, new_callee);
-        match (dst, callee.ret.as_ref()) {
-            (Some(d), Some(rty)) if matches!(cx.kind(rty)?, Kind::Data(_)) => {
-                let rc = rty.as_class().expect("data ret class");
-                let rf = nb.add_local(Ty::Facade(cx.meta.facade(rc).expect("facade generated")));
-                out.push(Instr::Call {
-                    dst: Some(rf),
-                    target: new_target,
-                    args: new_args,
-                });
-                // The caller immediately releases the returned facade.
-                out.push(Instr::ReleaseFacade {
-                    dst: v(d),
-                    facade: rf,
-                });
-            }
-            (d, _) => out.push(Instr::Call {
-                dst: d.map(v),
-                target: new_target,
-                args: new_args,
-            }),
-        }
-    } else {
-        // Case 6.3: calling into the control path — data arguments convert
-        // to heap objects.
-        let mut new_args = Vec::with_capacity(args.len());
-        let mut ai = 0;
-        if target.has_receiver() {
-            new_args.push(v(args[0]));
-            ai = 1;
-        }
-        for &arg in &args[ai..] {
-            match cx.kind(&t(arg))? {
-                Kind::Data(c) => {
-                    let tmp = nb.add_local(t(arg));
-                    out.push(Instr::ConvertToHeap {
-                        dst: tmp,
-                        src: v(arg),
-                        class: Some(c),
-                    });
-                    cx.ips += 1;
-                    new_args.push(tmp);
-                }
-                Kind::DataArray => {
-                    let tmp = nb.add_local(t(arg));
-                    out.push(Instr::ConvertToHeap {
-                        dst: tmp,
-                        src: v(arg),
-                        class: None,
-                    });
-                    cx.ips += 1;
-                    new_args.push(tmp);
-                }
-                _ => new_args.push(v(arg)),
-            }
-        }
-        match (dst, callee.ret.as_ref()) {
-            (Some(d), Some(rty)) if matches!(cx.kind(rty)?, Kind::Data(_)) => {
-                // A control method handing back a data value: convert it
-                // into a fresh record.
-                let tmp = nb.add_local(rty.clone());
-                out.push(Instr::Call {
-                    dst: Some(tmp),
-                    target,
-                    args: new_args,
-                });
-                out.push(Instr::ConvertToPage {
-                    dst: v(d),
-                    src: tmp,
-                    class: rty.as_class(),
-                });
-                cx.ips += 1;
-            }
-            (d, _) => out.push(Instr::Call {
-                dst: d.map(v),
+    if cx.is_data_method(target.method()) {
+        let args: Vec<Local> = args.iter().map(|&a| v(a)).collect();
+        return lower_facade_call(cx, nb, out, dst.map(v), target, &args, false);
+    }
+    // Case 6.3: calling into the control path — data arguments convert to
+    // heap objects, and a data result converts back from a fresh one.
+    let receivers = usize::from(target.has_receiver());
+    let mut new_args: Vec<Local> = args[..receivers].iter().map(|&a| v(a)).collect();
+    for &arg in &args[receivers..] {
+        let ty = old.local_ty(arg).clone();
+        new_args.push(match cx.kind(&ty)?.crossing() {
+            Some(class) => cx.cross_fresh(nb, out, Cross::ToHeap, ty, v(arg), class),
+            None => v(arg),
+        });
+    }
+    let ret = match (dst, &cx.pr.method(target.method()).ret) {
+        (Some(d), Some(rty)) => cx.kind(rty)?.crossing().map(|class| (d, rty, class)),
+        _ => None,
+    };
+    match ret {
+        Some((d, rty, class)) => {
+            let tmp = nb.add_local(rty.clone());
+            out.push(Instr::Call {
+                dst: Some(tmp),
                 target,
                 args: new_args,
-            }),
+            });
+            cx.cross(out, Cross::ToPage, v(d), tmp, class);
         }
+        None => out.push(Instr::Call {
+            dst: dst.map(v),
+            target,
+            args: new_args,
+        }),
+    }
+    Ok(())
+}
+
+/// Lowers a call into a data-path method onto its facade counterpart, from
+/// either path (Table 1 case 6.1 and §3.5). `dst` and `args` are locals of
+/// the new body. A control-path caller (`heap_caller`) holds heap objects,
+/// so each data operand first converts into a page record, and a data
+/// result converts back. The receiver's facade is `resolve`d by its runtime
+/// type; each data argument binds the pool facade of its per-type slot
+/// ([`param_slots`]), and a returned facade is released at once.
+fn lower_facade_call(
+    cx: &mut Cx<'_>,
+    nb: &mut Body,
+    out: &mut Vec<Instr>,
+    dst: Option<Local>,
+    target: CallTarget,
+    args: &[Local],
+    heap_caller: bool,
+) -> Result<(), CompileError> {
+    let callee = cx.pr.method(target.method());
+    let page_operand = |cx: &mut Cx<'_>, nb: &mut Body, out: &mut Vec<Instr>, src, class| {
+        if heap_caller {
+            cx.cross_fresh(nb, out, Cross::ToPage, Ty::PageRef, src, class)
+        } else {
+            src
+        }
+    };
+    let mut new_args = Vec::with_capacity(args.len());
+    let receivers = usize::from(target.has_receiver());
+    if target.has_receiver() {
+        let class = Some(callee.class).filter(|c| cx.meta.type_ids.contains_key(c));
+        let src = page_operand(cx, nb, out, args[0], class);
+        let af = nb.add_local(cx.facade_ty(callee.class));
+        out.push(Instr::Resolve {
+            dst: af,
+            class: callee.class,
+            src,
+        });
+        new_args.push(af);
+    }
+    let slots = param_slots(cx.pr, cx.meta, &callee.params);
+    for ((p, &arg), slot) in callee.params.iter().zip(&args[receivers..]).zip(slots) {
+        new_args.push(match cx.kind(p)? {
+            Kind::Data(pc) => {
+                let (class, index) = slot.expect("a data parameter has a pool slot");
+                let src = page_operand(cx, nb, out, arg, Some(class));
+                let bf = nb.add_local(cx.facade_ty(pc));
+                out.push(Instr::BindParam {
+                    dst: bf,
+                    class,
+                    index,
+                    src,
+                });
+                bf
+            }
+            Kind::DataArray => page_operand(cx, nb, out, arg, None),
+            // Case 6.2: control and primitive arguments pass unchanged.
+            Kind::Prim | Kind::Control => arg,
+        });
+    }
+    let target = retarget(target, cx.meta.method_map[&target.method()]);
+    let call = |dst| Instr::Call {
+        dst,
+        target,
+        args: new_args,
+    };
+    let (Some(d), Some(rty)) = (dst, &callee.ret) else {
+        out.push(call(dst));
+        return Ok(());
+    };
+    let kind = cx.kind(rty)?;
+    // A data result comes back in a facade, which the caller releases at
+    // once; a control-path caller receives the page reference in a fresh
+    // local and converts it.
+    let facade = match kind {
+        Kind::Data(rc) => Some(nb.add_local(cx.facade_ty(rc))),
+        _ => None,
+    };
+    let class = kind.crossing().filter(|_| heap_caller);
+    let page = if class.is_some() {
+        nb.add_local(Ty::PageRef)
+    } else {
+        d
+    };
+    match facade {
+        Some(rf) => {
+            out.push(call(Some(rf)));
+            out.push(Instr::ReleaseFacade {
+                dst: page,
+                facade: rf,
+            });
+        }
+        None => out.push(call(Some(page))),
+    }
+    if let Some(class) = class {
+        cx.cross(out, Cross::ToHeap, d, page, class);
     }
     Ok(())
 }
@@ -715,8 +711,7 @@ fn retarget(target: CallTarget, m: MethodId) -> CallTarget {
 /// "often occurs before the execution of the data path or after it is
 /// done").
 fn rewrite_control_body(cx: &mut Cx<'_>, m: MethodId) -> Result<Body, CompileError> {
-    let def = cx.pr.method(m).clone();
-    let old = def.body.expect("control body");
+    let old = cx.pr.method(m).body.as_ref().expect("control body");
     let mut nb = Body {
         locals: old.locals.clone(),
         blocks: Vec::with_capacity(old.blocks.len()),
@@ -724,118 +719,11 @@ fn rewrite_control_body(cx: &mut Cx<'_>, m: MethodId) -> Result<Body, CompileErr
     for ob in &old.blocks {
         let mut out = Vec::new();
         for instr in &ob.instrs {
-            let Instr::Call { dst, target, args } = instr else {
-                out.push(instr.clone());
-                continue;
-            };
-            let callee_id = target.method();
-            if !cx.is_data_method(callee_id) {
-                out.push(instr.clone());
-                continue;
-            }
-            let callee = cx.pr.method(callee_id).clone();
-            let new_callee = cx.meta.method_map[&callee_id];
-            let mut new_args = Vec::with_capacity(args.len());
-            let mut ai = 0;
-            if target.has_receiver() {
-                // Convert the heap receiver into a record and resolve its
-                // facade.
-                let r = nb.add_local(Ty::PageRef);
-                out.push(Instr::ConvertToPage {
-                    dst: r,
-                    src: args[0],
-                    class: Some(callee.class).filter(|c| cx.meta.type_ids.contains_key(c)),
-                });
-                cx.ips += 1;
-                let af = nb.add_local(Ty::Facade(
-                    cx.meta.facade(callee.class).expect("facade generated"),
-                ));
-                out.push(Instr::Resolve {
-                    dst: af,
-                    class: callee.class,
-                    src: r,
-                });
-                new_args.push(af);
-                ai = 1;
-            }
-            let mut counts: HashMap<u16, usize> = HashMap::new();
-            for (p, &arg) in callee.params.iter().zip(&args[ai..]) {
-                match cx.kind(p)? {
-                    Kind::Data(pc) => {
-                        let concrete = attributed_class(cx.pr, cx.meta, p).unwrap_or(pc);
-                        let r = nb.add_local(Ty::PageRef);
-                        out.push(Instr::ConvertToPage {
-                            dst: r,
-                            src: arg,
-                            class: Some(concrete),
-                        });
-                        cx.ips += 1;
-                        let tid = cx.meta.type_id(concrete);
-                        let slot = counts.entry(tid).or_default();
-                        let index = *slot;
-                        *slot += 1;
-                        let bf =
-                            nb.add_local(Ty::Facade(cx.meta.facade(pc).expect("facade generated")));
-                        out.push(Instr::BindParam {
-                            dst: bf,
-                            class: concrete,
-                            index,
-                            src: r,
-                        });
-                        new_args.push(bf);
-                    }
-                    Kind::DataArray => {
-                        let r = nb.add_local(Ty::PageRef);
-                        out.push(Instr::ConvertToPage {
-                            dst: r,
-                            src: arg,
-                            class: None,
-                        });
-                        cx.ips += 1;
-                        new_args.push(r);
-                    }
-                    _ => new_args.push(arg),
+            match instr {
+                Instr::Call { dst, target, args } if cx.is_data_method(target.method()) => {
+                    lower_facade_call(cx, &mut nb, &mut out, *dst, *target, args, true)?;
                 }
-            }
-            let new_target = retarget(*target, new_callee);
-            match (dst, callee.ret.as_ref()) {
-                (Some(d), Some(rty)) if matches!(cx.kind(rty)?, Kind::Data(_)) => {
-                    let rc = rty.as_class().expect("data ret class");
-                    let rf =
-                        nb.add_local(Ty::Facade(cx.meta.facade(rc).expect("facade generated")));
-                    out.push(Instr::Call {
-                        dst: Some(rf),
-                        target: new_target,
-                        args: new_args,
-                    });
-                    let r = nb.add_local(Ty::PageRef);
-                    out.push(Instr::ReleaseFacade { dst: r, facade: rf });
-                    out.push(Instr::ConvertToHeap {
-                        dst: *d,
-                        src: r,
-                        class: Some(rc),
-                    });
-                    cx.ips += 1;
-                }
-                (Some(d), Some(rty)) if matches!(cx.kind(rty)?, Kind::DataArray) => {
-                    let r = nb.add_local(Ty::PageRef);
-                    out.push(Instr::Call {
-                        dst: Some(r),
-                        target: new_target,
-                        args: new_args,
-                    });
-                    out.push(Instr::ConvertToHeap {
-                        dst: *d,
-                        src: r,
-                        class: None,
-                    });
-                    cx.ips += 1;
-                }
-                (d, _) => out.push(Instr::Call {
-                    dst: *d,
-                    target: new_target,
-                    args: new_args,
-                }),
+                _ => out.push(instr.clone()),
             }
         }
         nb.blocks.push(Block {

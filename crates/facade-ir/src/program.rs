@@ -236,25 +236,6 @@ impl Program {
         }
         None
     }
-
-    /// Like [`Program::try_resolve_virtual`], for call sites known valid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no implementation exists (the verifier rules this out for
-    /// well-typed programs).
-    pub fn resolve_virtual(&self, runtime_class: ClassId, declared: MethodId) -> MethodId {
-        self.try_resolve_virtual(runtime_class, declared)
-            .unwrap_or_else(|| {
-                let want = self.method(declared);
-                panic!(
-                    "no implementation of {}::{} found from class {}",
-                    self.class(want.class).name,
-                    want.name,
-                    self.class(runtime_class).name
-                )
-            })
-    }
 }
 
 #[cfg(test)]
@@ -350,10 +331,10 @@ mod tests {
             is_static: false,
             body: body(),
         });
-        assert_eq!(p.resolve_virtual(a, base), base);
-        assert_eq!(p.resolve_virtual(b, base), overridden);
+        assert_eq!(p.try_resolve_virtual(a, base), Some(base));
+        assert_eq!(p.try_resolve_virtual(b, base), Some(overridden));
         // C has no override: inherits B's.
-        assert_eq!(p.resolve_virtual(c, base), overridden);
+        assert_eq!(p.try_resolve_virtual(c, base), Some(overridden));
     }
 
     #[test]

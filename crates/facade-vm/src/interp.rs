@@ -5,9 +5,7 @@ use crate::error::VmError;
 use crate::value::{FacadeSlot, Value};
 use facade_compiler::PagedMeta;
 use facade_ir::{ClassId, MethodId, Program};
-use facade_runtime::{
-    FacadePools, IterationId, PageRef, PagedHeap, PagedHeapConfig, TypeId as PTypeId,
-};
+use facade_runtime::{FacadePools, IterationId, PageRef, PagedHeap, TypeId as PTypeId};
 use managed_heap::{Heap, HeapConfig, ObjRef, RootId};
 
 /// Frames a run may have active at once; the call that would exceed it
@@ -21,8 +19,6 @@ pub struct VmConfig {
     /// Managed-heap sizing (used in both modes; `P'` still allocates its
     /// control objects here).
     pub heap: HeapConfig,
-    /// Paged-heap sizing (paged mode only).
-    pub paged: PagedHeapConfig,
     /// Optional instruction budget; exceeded = [`VmError::StepBudgetExceeded`].
     pub step_budget: Option<u64>,
 }
@@ -31,7 +27,6 @@ impl Default for VmConfig {
     fn default() -> Self {
         Self {
             heap: HeapConfig::with_capacity(64 << 20),
-            paged: PagedHeapConfig::default(),
             step_budget: Some(500_000_000),
         }
     }
@@ -237,7 +232,7 @@ impl<'p> Vm<'p> {
     ) -> Self {
         let mut heap = Heap::new(config.heap.clone());
         let tables = Tables::new(program, meta, &mut heap);
-        let mut paged = PagedHeap::with_config(config.paged.clone());
+        let mut paged = PagedHeap::new();
         let mut pools = None;
         if let Some(meta) = meta {
             for &class in &meta.data_classes {

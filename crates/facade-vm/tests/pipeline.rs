@@ -204,7 +204,7 @@ fn golden_source_snapshots_execute_through_the_text_pipeline() {
         assert_eq!(run.output, entry.expected, "{}", entry.name);
         ran += 1;
     }
-    assert_eq!(ran, 5);
+    assert_eq!(ran, 6);
 }
 
 /// `compile_run`'s shape in small: `TEMPS` clones of `epoch_scratch`'s

@@ -136,10 +136,18 @@ fn transform_succeeds_verifies_and_preserves_semantics() {
         out.program.verify().expect("P' verifies");
 
         // Bound coverage: every emitted pool index is below the bound.
+        // Every conversion is a counted interaction point.
+        let mut conversions = 0;
         for (_, method) in out.program.methods() {
             let Some(body) = &method.body else { continue };
             for block in &body.blocks {
                 for instr in &block.instrs {
+                    if matches!(
+                        instr,
+                        Instr::ConvertToHeap { .. } | Instr::ConvertToPage { .. }
+                    ) {
+                        conversions += 1;
+                    }
                     if let Instr::BindParam { class, index, .. } = instr {
                         let tid = out.meta.type_id(*class);
                         let bound = out.meta.bounds.bound(TypeId(tid)) as usize;
@@ -151,6 +159,7 @@ fn transform_succeeds_verifies_and_preserves_semantics() {
                 }
             }
         }
+        assert_eq!(out.report.interaction_points, conversions, "case {case}");
 
         // The fan method forces the bound up to `fan`.
         let d0 = out.program.class_by_name("D0").expect("D0 exists");
