@@ -729,7 +729,7 @@ impl Store {
         let at = self.offset_of(r, field);
         match &self.inner {
             Inner::Heap { heap, .. } => Rec(heap.get_ref_at(Self::h(r), at).raw() as u64),
-            Inner::Facade { paged, .. } => Rec(paged.get_i64_at(Self::p(r), at) as u64),
+            Inner::Facade { paged, .. } => Rec(paged.get_ref_at(Self::p(r), at).raw()),
         }
     }
 
@@ -739,7 +739,7 @@ impl Store {
         let at = self.offset_of(r, field);
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.set_ref_at(Self::h(r), at, Self::h(v)),
-            Inner::Facade { paged, .. } => paged.set_i64_at(Self::p(r), at, v.0 as i64),
+            Inner::Facade { paged, .. } => paged.set_ref_at(Self::p(r), at, Self::p(v)),
         }
     }
 

@@ -8,7 +8,7 @@ use facade_runtime::{FieldKind, PoolBounds, RecordLayout};
 use std::collections::{BTreeSet, HashMap};
 
 /// Maps an IR type to its record field kind: references and arrays become
-/// 8-byte page references, matching Figure 1's layout.
+/// 4-byte page references, matching Figure 1's layout.
 pub(crate) fn field_kind(ty: &Ty) -> FieldKind {
     match ty {
         Ty::I32 => FieldKind::I32,
@@ -191,8 +191,8 @@ mod tests {
             &[FieldKind::I32, FieldKind::Ref, FieldKind::I32]
         );
         assert_eq!(layout.offset(0), 0);
-        assert_eq!(layout.offset(1), 8); // 8-byte aligned ref
-        assert_eq!(layout.offset(2), 16);
+        assert_eq!(layout.offset(1), 4); // a 4-byte ref needs no padding
+        assert_eq!(layout.offset(2), 8);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::fault::FaultPlan;
 use crate::layout::{
     ARRAY_HEADER_BYTES, ElemKind, FieldKind, RECORD_HEADER_BYTES, RecordLayout, TypeId,
 };
-use crate::page::{PAGE_BYTES, PAGE_CAPACITY, Page, PageRef};
+use crate::page::{MAX_PAGE_SLOTS, PAGE_BYTES, PAGE_CAPACITY, Page, PageRef};
 use crate::pool::{POOL_BATCH, PagePool, PooledPage};
 use crate::stats::NativeStats;
 use metrics::OutOfMemory;
@@ -411,6 +411,18 @@ impl PagedHeap {
     fn grab_page(&mut self) -> Result<u32, OutOfMemory> {
         if let Some(slot) = self.free_pages.pop() {
             return Ok(slot);
+        }
+        // A new page needs a slot a `PageRef` can name: past
+        // `MAX_PAGE_SLOTS` the reference would wrap into the oversize flag.
+        if self.vacant_slots.is_empty() && self.pages.len() >= MAX_PAGE_SLOTS as usize {
+            let addressable = u64::from(MAX_PAGE_SLOTS) * PAGE_BYTES as u64;
+            return Err(
+                OutOfMemory::new(addressable + PAGE_BYTES as u64, addressable).with_context(
+                    self.held_bytes,
+                    PAGE_BYTES as u64,
+                    "page-slots",
+                ),
+            );
         }
         let next = self.held_bytes + PAGE_BYTES as u64;
         if let Some(budget) = self.config.budget_bytes {
@@ -882,6 +894,27 @@ impl PagedHeap {
         self.record_bytes_mut(r)[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 
+    /// Reads the reference field at offset `at`: 4 bytes, since a
+    /// [`PageRef`] fits 32 bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the record's page.
+    #[inline]
+    pub fn get_ref_at(&self, r: PageRef, at: u32) -> PageRef {
+        PageRef::from_raw(u64::from(Self::u32_of(self.record_bytes(r), at as usize)))
+    }
+
+    /// Writes the reference field at offset `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field would end past the record's page.
+    #[inline]
+    pub fn set_ref_at(&mut self, r: PageRef, at: u32, v: PageRef) {
+        self.set_i32_at(r, at, v.raw() as i32);
+    }
+
     // ----- array access -----------------------------------------------------
 
     #[inline]
@@ -970,14 +1003,11 @@ impl PagedHeap {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is longer than the array.
+    /// Panics if `data` is longer than the array, or if `r` is a `Ref`
+    /// array: raw bytes written there would forge references.
     #[inline]
     pub fn array_write_bytes(&mut self, r: PageRef, data: &[u8]) {
-        let b = self.record_bytes_mut(r);
-        let len = Self::u32_of(b, 4) as usize;
-        assert!(data.len() <= len);
-        let at = ARRAY_HEADER_BYTES as usize;
-        b[at..at + data.len()].copy_from_slice(data);
+        self.array_bytes_mut(r)[..data.len()].copy_from_slice(data);
     }
 
     /// Byte range of a primitive array's element storage within its record
@@ -1025,20 +1055,20 @@ impl PagedHeap {
         &mut b[range]
     }
 
-    /// Reads a `Ref` array element.
+    /// Reads a `Ref` array element (4 bytes: a `PageRef` fits 32 bits).
     #[inline]
     pub fn array_get_ref(&self, r: PageRef, idx: usize) -> PageRef {
         let b = self.record_bytes(r);
-        let at = Self::elem_offset(b, idx, 8);
-        PageRef::from_raw(Self::u64_of(b, at))
+        let at = Self::elem_offset(b, idx, 4);
+        PageRef::from_raw(u64::from(Self::u32_of(b, at)))
     }
 
     /// Writes a `Ref` array element.
     #[inline]
     pub fn array_set_ref(&mut self, r: PageRef, idx: usize, v: PageRef) {
         let b = self.record_bytes_mut(r);
-        let at = Self::elem_offset(b, idx, 8);
-        b[at..at + 8].copy_from_slice(&v.raw().to_le_bytes());
+        let at = Self::elem_offset(b, idx, 4);
+        b[at..at + 4].copy_from_slice(&(v.raw() as u32).to_le_bytes());
     }
 }
 
@@ -1078,12 +1108,54 @@ mod tests {
         h.set_i32_at(r, f0, -5);
         h.set_i64_at(r, f1, 1 << 50);
         let other = h.alloc(t).unwrap();
-        h.set_i64_at(r, f2, other.raw() as i64);
+        h.set_ref_at(r, f2, other);
         assert_eq!(h.get_i32_at(r, f0), -5);
         assert_eq!(h.get_i64_at(r, f1), 1 << 50);
-        assert_eq!(PageRef::from_raw(h.get_i64_at(r, f2) as u64), other);
+        assert_eq!(h.get_ref_at(r, f2), other);
         assert_eq!(h.type_of(r), t);
         assert!(!h.is_array(r));
+    }
+
+    #[test]
+    fn ref_fields_and_elements_take_four_bytes() {
+        let mut h = PagedHeap::new();
+        let t = h.register_type("T", &[FieldKind::Ref, FieldKind::I32]);
+        assert_eq!(h.layout(t).record_bytes(), 12);
+        let [next, tail] = [0, 1].map(|i| h.field_offset(t, i));
+        let r = h.alloc(t).unwrap();
+        let far = h.alloc_array(ElemKind::U8, PAGE_BYTES).unwrap();
+        h.set_i32_at(r, tail, -1);
+        h.set_ref_at(r, next, far);
+        assert_eq!((h.get_ref_at(r, next), h.get_i32_at(r, tail)), (far, -1));
+        let refs = h.alloc_array(ElemKind::Ref, 3).unwrap();
+        h.array_set_ref(refs, 0, r);
+        h.array_set_ref(refs, 1, far);
+        let raw = |r: PageRef| (r.raw() as u32).to_le_bytes();
+        assert_eq!(
+            h.record_bytes(refs)[8..20],
+            [raw(r), raw(far), [0; 4]].concat()
+        );
+        assert_eq!(h.array_get_ref(refs, 2), PageRef::NULL);
+    }
+
+    #[test]
+    fn a_full_slot_table_is_a_typed_out_of_memory() {
+        let mut h = PagedHeap::new();
+        let t = h.register_type("T", &[FieldKind::I64]);
+        // Placeholders hold no page memory: the table is full, nothing is
+        // charged.
+        h.pages
+            .resize_with(MAX_PAGE_SLOTS as usize, Page::placeholder);
+        let err = h.alloc(t).expect_err("no slot left for a page");
+        assert_eq!(err.site, "page-slots");
+        assert_eq!(err.requested, PAGE_BYTES as u64);
+        assert_eq!(err.budget, u64::from(MAX_PAGE_SLOTS) * PAGE_BYTES as u64);
+        assert_eq!(h.stats().pages_created, 0);
+        // A vacated slot is reused: the first record lands on the top slot.
+        h.vacant_slots.push(MAX_PAGE_SLOTS - 1);
+        let r = h.alloc(t).unwrap();
+        assert_eq!((r.slot(), r.offset()), (MAX_PAGE_SLOTS - 1, 8));
+        assert!(!r.is_oversize());
     }
 
     #[test]
@@ -1531,42 +1603,12 @@ mod tests {
     #[test]
     fn placement_is_pinned() {
         // Recorded from the allocator before the open-page fast path and
-        // born-initialised arrays: neither may move a single record.
+        // born-initialised arrays: neither may move a single record. The
+        // values are `slot << 12 | offset / 8`.
         let expected: [u64; 34] = [
-            8,
-            24,
-            40,
-            65544,
-            65712,
-            131080,
-            131888,
-            196616,
-            201616,
-            206616,
-            211616,
-            216616,
-            221616,
-            262152,
-            267552,
-            272952,
-            278352,
-            283752,
-            289152,
-            226616,
-            327688,
-            393224,
-            458760,
-            475152,
-            9223372036854775808,
-            524296,
-            524312,
-            589832,
-            589832,
-            589848,
-            0,
-            589864,
-            458760,
-            393224,
+            1, 3, 5, 4097, 4118, 8193, 8294, 12289, 12914, 13539, 14164, 14789, 15414, 16385,
+            17060, 17735, 18410, 19085, 19760, 16039, 20481, 24577, 28673, 30722, 2147483648,
+            32769, 32771, 36865, 36865, 36867, 0, 36869, 28673, 24577,
         ];
         let (refs, created, recycled) = placement_script();
         assert_eq!(refs, expected);

@@ -2,8 +2,9 @@
 //!
 //! The layout mirrors the original object layout (§2.1: "the way a data
 //! record is stored in a page is exactly the same as the way it was stored
-//! in an object"), except that references are 8-byte page references and the
-//! header shrinks to 4 bytes (8 for arrays).
+//! in an object"), except that references are 4-byte page references (as
+//! dense as the managed heap's compressed oops) and the header shrinks to 4
+//! bytes (8 for arrays).
 
 /// Identifies a registered data type (the record's 2-byte type ID).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -16,7 +17,7 @@ pub enum FieldKind {
     I32,
     /// 64-bit integer (also `double` bit patterns).
     I64,
-    /// An 8-byte page reference to another record.
+    /// A 4-byte page reference to another record.
     Ref,
 }
 
@@ -24,8 +25,8 @@ impl FieldKind {
     /// Field size in bytes.
     pub fn size(self) -> u32 {
         match self {
-            FieldKind::I32 => 4,
-            FieldKind::I64 | FieldKind::Ref => 8,
+            FieldKind::I32 | FieldKind::Ref => 4,
+            FieldKind::I64 => 8,
         }
     }
 }
@@ -48,8 +49,8 @@ impl ElemKind {
     pub fn size(self) -> u32 {
         match self {
             ElemKind::U8 => 1,
-            ElemKind::I32 => 4,
-            ElemKind::I64 | ElemKind::Ref => 8,
+            ElemKind::I32 | ElemKind::Ref => 4,
+            ElemKind::I64 => 8,
         }
     }
 }
@@ -128,9 +129,9 @@ mod tests {
     fn offsets_follow_declaration_order() {
         let l = RecordLayout::new("T", &[FieldKind::I32, FieldKind::Ref, FieldKind::I32]);
         assert_eq!(l.offset(0), 0);
-        assert_eq!(l.offset(1), 8); // aligned
-        assert_eq!(l.offset(2), 16);
-        assert_eq!(l.body_bytes(), 20);
+        assert_eq!(l.offset(1), 4); // a 4-byte ref packs after the i32
+        assert_eq!(l.offset(2), 8);
+        assert_eq!(l.body_bytes(), 12);
     }
 
     #[test]

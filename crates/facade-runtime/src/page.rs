@@ -13,14 +13,30 @@ pub const PAGE_RESERVED: usize = 8;
 /// allocator (§3.6's special "oversize" class).
 pub const PAGE_CAPACITY: usize = PAGE_BYTES - PAGE_RESERVED;
 
-const OVERSIZE_BIT: u64 = 1 << 63;
+/// Page slots one [`crate::PagedHeap`] can address: the 19 bits of a paged
+/// reference between its offset and the oversize flag, 16 GiB of pages.
+pub const MAX_PAGE_SLOTS: u32 = 1 << 19;
+
+/// Every record size is rounded to 8 bytes, so a paged reference stores its
+/// offset in 8-byte units.
+const OFFSET_UNIT: u32 = 8;
+const OFFSET_BITS: u32 = 12;
+const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
+const OVERSIZE_BIT: u64 = 1 << 31;
+
+const _: () = assert!(PAGE_BYTES / OFFSET_UNIT as usize <= 1 << OFFSET_BITS);
+const _: () = assert!(PAGE_RESERVED >= OFFSET_UNIT as usize);
+const _: () = assert!(PAGE_RESERVED.is_multiple_of(OFFSET_UNIT as usize));
+const _: () = assert!((MAX_PAGE_SLOTS as u64) << OFFSET_BITS == OVERSIZE_BIT);
 
 /// A page-based reference to a data record (the value stored in a facade's
 /// `pageRef` field and in reference fields of records).
 ///
-/// Encoding: `(page_slot << 16) | byte_offset` for paged records, or the
-/// oversize bit plus an oversize-table index for records larger than a page.
-/// The all-zero value is null.
+/// The value fits 32 bits, so a record field or `Ref` array element holds it
+/// in 4 bytes, as a compressed oop does on the managed heap. Encoding:
+/// `(page_slot << 12) | byte_offset / 8` for paged records, or bit 31 plus
+/// an oversize-table index for records larger than a page. No record sits
+/// at offset 0 ([`PAGE_RESERVED`]), so the all-zero value is null.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageRef(pub u64);
 
@@ -31,14 +47,17 @@ impl PageRef {
     /// Builds a reference to `offset` within page `slot`.
     #[inline]
     pub fn paged(slot: u32, offset: u32) -> Self {
+        debug_assert!(slot < MAX_PAGE_SLOTS, "page slot {slot} out of range");
         debug_assert!((offset as usize) < PAGE_BYTES);
         debug_assert!(offset != 0, "offset 0 is reserved for null");
-        PageRef(((slot as u64) << 16) | offset as u64)
+        debug_assert!(offset.is_multiple_of(OFFSET_UNIT), "unaligned record");
+        PageRef(((slot as u64) << OFFSET_BITS) | (offset / OFFSET_UNIT) as u64)
     }
 
     /// Builds a reference to entry `index` of the oversize table.
     #[inline]
     pub fn oversize(index: u32) -> Self {
+        debug_assert!(u64::from(index) < OVERSIZE_BIT, "oversize index {index}");
         PageRef(OVERSIZE_BIT | index as u64)
     }
 
@@ -58,24 +77,25 @@ impl PageRef {
     #[inline]
     pub fn slot(self) -> u32 {
         debug_assert!(!self.is_oversize());
-        (self.0 >> 16) as u32
+        (self.0 >> OFFSET_BITS) as u32
     }
 
     /// Byte offset within the page of a paged reference.
     #[inline]
     pub fn offset(self) -> u32 {
         debug_assert!(!self.is_oversize());
-        (self.0 & 0xFFFF) as u32
+        (self.0 & OFFSET_MASK) as u32 * OFFSET_UNIT
     }
 
     /// Oversize-table index of an oversize reference.
     #[inline]
     pub fn oversize_index(self) -> u32 {
         debug_assert!(self.is_oversize());
-        (self.0 & 0xFFFF_FFFF) as u32
+        (self.0 & (OVERSIZE_BIT - 1)) as u32
     }
 
-    /// The raw 64-bit encoding (what gets stored into record fields).
+    /// The raw encoding, below 2^32 (its low 4 bytes are what gets stored
+    /// into record fields).
     #[inline]
     pub fn raw(self) -> u64 {
         self.0
@@ -203,9 +223,9 @@ mod tests {
 
     #[test]
     fn paged_ref_roundtrip() {
-        let r = PageRef::paged(1234, 5678);
+        let r = PageRef::paged(1234, 5680);
         assert_eq!(r.slot(), 1234);
-        assert_eq!(r.offset(), 5678);
+        assert_eq!(r.offset(), 5680);
         assert!(!r.is_null());
         assert!(!r.is_oversize());
         assert_eq!(PageRef::from_raw(r.raw()), r);
@@ -217,6 +237,41 @@ mod tests {
         assert!(r.is_oversize());
         assert_eq!(r.oversize_index(), 99);
         assert!(!r.is_null());
+    }
+
+    #[test]
+    fn extreme_refs_roundtrip_in_32_bits() {
+        let top = MAX_PAGE_SLOTS - 1;
+        for offset in [PAGE_RESERVED as u32, (PAGE_BYTES - 8) as u32] {
+            let r = PageRef::paged(top, offset);
+            assert_eq!((r.slot(), r.offset()), (top, offset));
+            assert!(!r.is_oversize());
+            assert!(r.raw() <= u64::from(u32::MAX));
+            assert_eq!(PageRef::from_raw(r.raw()), r);
+        }
+        let last = u32::MAX >> 1;
+        let r = PageRef::oversize(last);
+        assert!(r.is_oversize());
+        assert_eq!(r.oversize_index(), last);
+        assert_eq!(r.raw(), u64::from(u32::MAX));
+        assert_eq!(PageRef::from_raw(r.raw()), r);
+    }
+
+    #[test]
+    fn no_allocation_encodes_as_null() {
+        // The smallest value of each form: the first record of slot 0 and
+        // oversize entry 0. Every other allocation of a form encodes larger.
+        let first = PageRef::paged(0, PAGE_RESERVED as u32);
+        assert_eq!(first.raw(), 1);
+        assert!(!first.is_null());
+        assert!(!PageRef::oversize(0).is_null());
+        let mut h = crate::PagedHeap::new();
+        let t = h.register_type("T", &[crate::FieldKind::I32]);
+        let mut refs = vec![h.alloc(t).unwrap()];
+        refs.push(h.alloc_array(crate::ElemKind::U8, PAGE_BYTES).unwrap());
+        refs.extend((0..PAGE_BYTES / 8).map(|_| h.alloc(t).unwrap()));
+        assert_eq!(refs[..2], [first, PageRef::oversize(0)]);
+        assert!(refs.iter().all(|r| !r.is_null()));
     }
 
     #[test]

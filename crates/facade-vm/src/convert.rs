@@ -83,7 +83,7 @@ impl Vm<'_> {
                 HField::Ref => {
                     let child = self.heap.get_ref_at(obj, h_at);
                     let r = self.to_page_rec(child, memo)?;
-                    self.paged.set_i64_at(rec, p_at, r.raw() as i64);
+                    self.paged.set_ref_at(rec, p_at, r);
                 }
             }
         }
@@ -177,7 +177,7 @@ impl Vm<'_> {
                     self.heap.set_i64_at(obj, h_at, v);
                 }
                 HField::Ref => {
-                    let child = PageRef::from_raw(self.paged.get_i64_at(rec, p_at) as u64);
+                    let child = self.paged.get_ref_at(rec, p_at);
                     let o = self.to_heap_rec(child, memo, temp_roots)?;
                     self.heap.set_ref_at(obj, h_at, o);
                 }

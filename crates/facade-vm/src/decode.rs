@@ -326,15 +326,15 @@ pub(crate) enum Op {
         len: u32,
         elem: PElem,
     },
-    /// A 4-byte record field: `i32`.
+    /// A 4-byte record field: `i32` or a page reference (pages are never
+    /// traced, so a reference is plain bits, zero-extended into its local).
     PageGetFieldI32(FieldOp),
-    /// An 8-byte record field: `i64`, `f64` bits or a page reference (pages
-    /// are never traced, so a reference is plain bits).
+    /// An 8-byte record field: `i64` or `f64` bits.
     PageGetFieldI64(FieldOp),
     PageSetFieldI32(FieldOp),
     PageSetFieldI64(FieldOp),
+    /// A 4-byte element, by the same rule as [`Op::PageGetFieldI32`].
     PageArrayGetI32(R3),
-    /// An 8-byte element, by the same rule as [`Op::PageGetFieldI64`].
     PageArrayGetI64(R3),
     /// `a[b] = dst`, as for the heap forms.
     PageArraySetI32(R3),
@@ -532,7 +532,7 @@ impl<'a> Decoder<'a> {
         let (want, make) = match self.kind(val)? {
             Kind::I32 => (PField::I32, make[0]),
             Kind::I64 | Kind::F64 => (PField::I64, make[1]),
-            Kind::Page => (PField::Ref, make[1]),
+            Kind::Page => (PField::Ref, make[0]),
             other => return Err(format!("{what} of a record field as {other:?}")),
         };
         let paged = self.paged_mode()?;
@@ -814,7 +814,7 @@ impl<'a> Decoder<'a> {
                     Ty::I32 => (I32, Op::PageArrayGetI32),
                     Ty::I64 => (I64, Op::PageArrayGetI64),
                     Ty::F64 => (F64, Op::PageArrayGetI64),
-                    _ => (Page, Op::PageArrayGetI64),
+                    _ => (Page, Op::PageArrayGetI32),
                 };
                 make(R3 {
                     dst: self.local(*dst, want, "paged arrayget")?,
@@ -830,8 +830,8 @@ impl<'a> Decoder<'a> {
                     b: self.local(*idx, I32, "array index")?,
                 };
                 match self.kind(*src)? {
-                    I32 => Op::PageArraySetI32(r),
-                    I64 | F64 | Page => Op::PageArraySetI64(r),
+                    I32 | Page => Op::PageArraySetI32(r),
+                    I64 | F64 => Op::PageArraySetI64(r),
                     other => return Err(format!("paged arrayset of {other:?}")),
                 }
             }

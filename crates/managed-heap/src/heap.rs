@@ -5,6 +5,7 @@ use crate::layout::{
 };
 use crate::stats::GcStats;
 use metrics::OutOfMemory;
+use std::cell::RefCell;
 
 /// A stable reference to a heap object.
 ///
@@ -143,7 +144,7 @@ impl Entry {
 /// JVM reserves `-Xmx` and touches pages as the heap fills. Building a heap
 /// therefore costs the same whatever state the process allocator is in,
 /// and a short job pays for the bytes it uses, not for the budget.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Space {
     /// The committed prefix: every byte ever handed out. Allocation
     /// re-zeroes below its length (see the paged runtime's `Page::dirty`)
@@ -153,13 +154,46 @@ pub(crate) struct Space {
     capacity: usize,
 }
 
+/// Spaces a dropped heap leaves on its thread, at most one heap's worth.
+const SPARE_SPACES: usize = 3;
+
+thread_local! {
+    /// The spaces of this thread's last dropped heap, committed prefix and
+    /// all. The next heap built on the thread takes those of its sizes, as
+    /// a JVM running job after job keeps its heap mapped: handing them back
+    /// to the allocator would let it unmap them, and the next heap would
+    /// fault every page in again.
+    static SPARE: RefCell<Vec<Space>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Space {
+    /// A space of `capacity` bytes: a spare one of that size if this
+    /// thread has one, else a fresh reservation.
     fn new(capacity: usize) -> Self {
-        Self {
+        let spare = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let i = spare.iter().position(|s| s.capacity == capacity)?;
+            Some(spare.swap_remove(i))
+        });
+        spare.ok().flatten().unwrap_or_else(|| Self {
             bytes: Vec::with_capacity(capacity),
             top: 0,
             capacity,
-        }
+        })
+    }
+
+    /// Leaves the space to the next heap built on this thread; its bytes
+    /// stay committed and are re-zeroed as they are handed out again.
+    fn retire(mut self) {
+        self.top = 0;
+        // Once the thread's locals are torn down, the space is just freed.
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() == SPARE_SPACES {
+                spare.remove(0);
+            }
+            spare.push(self);
+        });
     }
 
     pub fn capacity(&self) -> usize {
@@ -791,6 +825,14 @@ impl Heap {
     }
 }
 
+impl Drop for Heap {
+    fn drop(&mut self) {
+        for space in [&mut self.young, &mut self.young_to, &mut self.old] {
+            std::mem::take(space).retire();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,6 +873,23 @@ mod tests {
         assert_eq!(h.get_i32_at(o, f0), -7);
         assert_eq!(h.get_i64_at(o, f1), 1 << 40);
         assert!(h.get_ref_at(o, f2).is_null());
+    }
+
+    #[test]
+    fn a_dropped_heaps_spaces_serve_the_next_heap_on_its_thread() {
+        let mut h = small_heap();
+        let c = h.register_class("T", &[FieldKind::I64]);
+        let f0 = h.field_offset(c, 0);
+        let o = h.alloc(c).unwrap();
+        h.set_i64_at(o, f0, -1);
+        let semispaces = [h.young.bytes.as_ptr(), h.young_to.bytes.as_ptr()];
+        drop(h);
+        let mut h = small_heap();
+        assert!(semispaces.contains(&h.young.bytes.as_ptr()));
+        assert!(!h.young.bytes.is_empty(), "still committed");
+        let c = h.register_class("T", &[FieldKind::I64]);
+        let o = h.alloc(c).unwrap();
+        assert_eq!(h.get_i64_at(o, f0), 0, "handed out zeroed again");
     }
 
     #[test]

@@ -388,6 +388,25 @@ fn facade_bulk_write_past_the_end_panics() {
     bulk_write_past_the_end(Backend::Facade);
 }
 
+/// Raw bytes written into a `Ref` array would forge references.
+fn bytes_into_a_ref_array(backend: Backend) {
+    let mut store = Store::builder().backend(backend).budget(1 << 20).build();
+    let refs = store.alloc_array(ElemTy::Ref, 2).unwrap();
+    store.array_write_bytes(refs, &[1, 0]);
+}
+
+#[test]
+#[should_panic(expected = "primitive array")]
+fn heap_bytes_into_a_ref_array_panic() {
+    bytes_into_a_ref_array(Backend::Heap);
+}
+
+#[test]
+#[should_panic(expected = "primitive array")]
+fn facade_bytes_into_a_ref_array_panic() {
+    bytes_into_a_ref_array(Backend::Facade);
+}
+
 /// A field value of the [`field_handles_match_vec_model`] model; doubles by
 /// bit pattern, so NaNs compare too.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -454,8 +473,12 @@ fn register_shape(store: &mut Store, shape: &[FieldTy]) -> (data_store::ClassTag
 /// and read back by index, then written by index and read back through its
 /// `Field` — with the store's own handles, and with handles resolved on
 /// another store that registered the same classes in the same order (the
-/// per-worker pattern of the engines). A collection runs before every read
-/// pass, moving the heap backend's records under the handles.
+/// per-worker pattern of the engines). Beside the records a `Ref` array of
+/// random length takes random elements, checked against a `Vec<Rec>`.
+/// References, in fields and elements, are null, records of the class,
+/// arrays on two further pages, or an oversize array. A collection runs
+/// before every read pass, moving the heap backend's records under the
+/// handles.
 #[test]
 fn field_handles_match_vec_model() {
     const TYS: [FieldTy; 4] = [FieldTy::I32, FieldTy::I64, FieldTy::F64, FieldTy::Ref];
@@ -473,13 +496,23 @@ fn field_handles_match_vec_model() {
                 drop(other);
                 for fields in [own, borrowed] {
                     let ctx = format!("case {case} {backend:?} {ground:?} {shape:?}");
-                    let targets: Vec<Rec> = (0..3)
-                        .map(|_| {
-                            let t = store.alloc(class).unwrap();
-                            store.add_root(t);
-                            t
-                        })
-                        .collect();
+                    // On the facade backend a 20 000-byte array is a large
+                    // record, so each starts a page of its own; 40 000 bytes
+                    // do not fit a page at all.
+                    let mut targets: Vec<Rec> =
+                        (0..3).map(|_| store.alloc(class).unwrap()).collect();
+                    targets.extend(
+                        [20_000, 20_000, 40_000]
+                            .map(|len| store.alloc_array(ElemTy::U8, len).unwrap()),
+                    );
+                    for &t in &targets {
+                        store.add_root(t);
+                    }
+                    let refs = store
+                        .alloc_array(ElemTy::Ref, 1 + rng.next_below(40) as usize)
+                        .unwrap();
+                    store.add_root(refs);
+                    let mut ref_model = vec![Rec::NULL; store.array_len(refs)];
                     let recs: Vec<Rec> = (0..4)
                         .map(|_| {
                             let r = store.alloc(class).unwrap();
@@ -506,7 +539,21 @@ fn field_handles_match_vec_model() {
                                 }
                             }
                         }
+                        for (i, elem) in ref_model.iter_mut().enumerate() {
+                            if rng.next_below(4) == 0 {
+                                continue;
+                            }
+                            let Val::Ref(v) = Val::random(FieldTy::Ref, &mut rng, &targets) else {
+                                unreachable!("a Ref value");
+                            };
+                            store.array_set_rec(refs, i, v);
+                            *elem = v;
+                        }
                         store.collect();
+                        for (i, &want) in ref_model.iter().enumerate() {
+                            let got = store.array_get_rec(refs, i);
+                            assert_eq!(got, want, "{ctx} round {round} element {i}");
+                        }
                         for (r, vals) in recs.iter().zip(&model) {
                             for (i, (&ty, &val)) in shape.iter().zip(vals).enumerate() {
                                 let got = if by_handle {
