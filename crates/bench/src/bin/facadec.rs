@@ -97,7 +97,7 @@ fn print_stage_table(compiled: &Compiled) {
     }
     let r = &compiled.report;
     eprintln!(
-        "transform: {} classes, {} methods ({} unreachable cut), {} interaction points, {} devirtualized calls",
+        "transform: {} data classes reached, {} methods ({} unreachable cut), {} interaction points, {} devirtualized calls",
         r.classes_transformed,
         r.methods_transformed,
         r.methods_cut,
@@ -106,8 +106,8 @@ fn print_stage_table(compiled: &Compiled) {
     );
     if let Some(e) = compiled.passes.epoch {
         eprintln!(
-            "epoch: {} reachable methods, {} bounds shrunk ({} facades removed), {} epochs inserted",
-            e.reachable_methods, e.bounds_shrunk, e.facades_removed, e.epochs_inserted
+            "epoch: {} reachable methods, {} epochs inserted",
+            e.reachable_methods, e.epochs_inserted
         );
     }
     if let Some(p) = compiled.passes.promote {

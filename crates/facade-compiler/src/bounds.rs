@@ -110,7 +110,7 @@ mod tests {
         let p = pb.finish();
         let data = closed_world::check(&p, &crate::DataSpec::new(["Student"])).unwrap();
         let mut p = p.clone();
-        let mut meta = hierarchy::generate(&mut p, &data).unwrap();
+        let mut meta = hierarchy::generate(&mut p, &data);
         compute(&p, &mut meta);
         let tid = meta.type_id(p.class_by_name("Student").unwrap());
         assert_eq!(meta.bounds.bound(TypeId(tid)), 3);
@@ -123,7 +123,7 @@ mod tests {
         let p = pb.finish();
         let data = closed_world::check(&p, &crate::DataSpec::new(["Student"])).unwrap();
         let mut p = p.clone();
-        let mut meta = hierarchy::generate(&mut p, &data).unwrap();
+        let mut meta = hierarchy::generate(&mut p, &data);
         compute(&p, &mut meta);
         let tid = meta.type_id(p.class_by_name("Student").unwrap());
         assert_eq!(meta.bounds.bound(TypeId(tid)), 1);
@@ -150,7 +150,7 @@ mod tests {
         let p = pb.finish();
         let data = closed_world::check(&p, &crate::DataSpec::new(["Circle"])).unwrap();
         let mut p = p.clone();
-        let mut meta = hierarchy::generate(&mut p, &data).unwrap();
+        let mut meta = hierarchy::generate(&mut p, &data);
         compute(&p, &mut meta);
         let tid = meta.type_id(p.class_by_name("Circle").unwrap());
         assert_eq!(meta.bounds.bound(TypeId(tid)), 2);

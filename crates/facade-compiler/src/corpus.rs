@@ -47,8 +47,8 @@ pub fn all() -> Vec<CorpusEntry> {
 
 /// The paper's Figure 2 flavour: a `Student` data class with a constructor,
 /// allocated in a loop by a static data-path driver. A deliberately
-/// unreachable control method calls a 3-`Student` callee so the
-/// whole-program pool bound is 3 — the `epoch` pass shrinks it back to 1.
+/// unreachable control method calls a 3-`Student` callee, which would make
+/// a whole-program pool bound 3; the reachable program's bound is 1.
 pub fn figure2() -> CorpusEntry {
     entry(
         "figure2",

@@ -1,7 +1,6 @@
 //! Facade class-hierarchy generation, record type IDs, and record layouts
 //! (§3.2's class hierarchy transformation).
 
-use crate::error::CompileError;
 use crate::meta::PagedMeta;
 use facade_ir::{ClassDef, ClassId, ClassKind, Program, Ty};
 use facade_runtime::{FieldKind, PoolBounds, RecordLayout};
@@ -13,22 +12,17 @@ pub(crate) fn field_kind(ty: &Ty) -> FieldKind {
     match ty {
         Ty::I32 => FieldKind::I32,
         Ty::I64 | Ty::F64 => FieldKind::I64,
-        Ty::Ref(_) | Ty::Array(_) => FieldKind::Ref,
-        Ty::PageRef | Ty::Facade(_) => FieldKind::Ref,
+        Ty::Ref(_) | Ty::Array(_) | Ty::PageRef | Ty::Facade(_) => FieldKind::Ref,
     }
 }
 
 /// Generates facade classes and interfaces, assigns record type IDs, and
 /// computes record layouts.
-pub(crate) fn generate(
-    program: &mut Program,
-    data_classes: &BTreeSet<ClassId>,
-) -> Result<PagedMeta, CompileError> {
+pub(crate) fn generate(program: &mut Program, data_classes: &BTreeSet<ClassId>) -> PagedMeta {
     // Type IDs: 0..4 are the reserved array kinds; data classes follow in
     // deterministic (ClassId) order.
     let ordered: Vec<ClassId> = data_classes.iter().copied().collect();
     let mut type_ids = HashMap::new();
-    let mut class_of_type = HashMap::new();
     let mut layouts: Vec<RecordLayout> = ["byte[]", "int[]", "long[]", "ref[]"]
         .iter()
         .map(|n| RecordLayout::new(n, &[]))
@@ -36,7 +30,6 @@ pub(crate) fn generate(
     for (i, &class) in ordered.iter().enumerate() {
         let tid = (4 + i) as u16;
         type_ids.insert(class, tid);
-        class_of_type.insert(tid, class);
         let fields: Vec<FieldKind> = program
             .flat_fields(class)
             .iter()
@@ -67,51 +60,46 @@ pub(crate) fn generate(
         facade_iface_of.insert(iface, fid);
     }
 
-    // Facade classes: created empty first so `extends` links can be wired
-    // regardless of declaration order, then linked.
-    let mut facade_of = HashMap::new();
-    let mut data_of = HashMap::new();
+    // Facade classes, in type-ID order: the facade of `ordered[i]` is class
+    // `first + i`, so an `extends` link may name one not added yet.
+    let first = program.class_count();
+    let facade_of: HashMap<ClassId, ClassId> = ordered
+        .iter()
+        .enumerate()
+        .map(|(i, &class)| (class, ClassId((first + i) as u32)))
+        .collect();
     for &class in &ordered {
-        let name = format!("{}$Facade", program.class(class).name);
-        let fid = program.add_class(ClassDef {
-            name,
+        let def = program.class(class);
+        let facade = ClassDef {
+            name: format!("{}$Facade", def.name),
             kind: ClassKind::Class,
-            superclass: None,
-            interfaces: vec![],
+            // The closed-world check guarantees the superclass is a data
+            // class, so its facade exists.
+            superclass: def.superclass.map(|s| facade_of[&s]),
+            interfaces: def
+                .interfaces
+                .iter()
+                .filter_map(|i| facade_iface_of.get(i).copied())
+                .collect(),
             // §3.2: "DFacade does not contain any instance field".
             fields: vec![],
             methods: vec![],
-        });
-        facade_of.insert(class, fid);
-        data_of.insert(fid, class);
+        };
+        program.add_class(facade);
     }
-    for &class in &ordered {
-        let fid = facade_of[&class];
-        let def = program.class(class).clone();
-        if let Some(s) = def.superclass {
-            // The closed-world check guarantees the superclass is a data
-            // class, so its facade exists.
-            program.class_mut(fid).superclass = Some(facade_of[&s]);
-        }
-        for iface in &def.interfaces {
-            if let Some(&fi) = facade_iface_of.get(iface) {
-                program.class_mut(fid).interfaces.push(fi);
-            }
-        }
-    }
+    let data_of = facade_of.iter().map(|(&d, &f)| (f, d)).collect();
 
     let n_types = 4 + ordered.len();
-    Ok(PagedMeta {
+    PagedMeta {
         data_classes: ordered,
         type_ids,
-        class_of_type,
         facade_of,
         data_of,
         facade_iface_of,
         method_map: HashMap::new(),
         layouts,
         bounds: PoolBounds::uniform(n_types, 1),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -143,7 +131,7 @@ mod tests {
     #[test]
     fn facades_mirror_the_hierarchy() {
         let (mut p, data) = setup();
-        let meta = generate(&mut p, &data).unwrap();
+        let meta = generate(&mut p, &data);
         let student = p.class_by_name("Student").unwrap();
         let grad = p.class_by_name("Grad").unwrap();
         let sf = meta.facade(student).unwrap();
@@ -157,7 +145,7 @@ mod tests {
     #[test]
     fn facade_implements_facade_interface() {
         let (mut p, data) = setup();
-        let meta = generate(&mut p, &data).unwrap();
+        let meta = generate(&mut p, &data);
         let student = p.class_by_name("Student").unwrap();
         let cmp = p.class_by_name("Comparable").unwrap();
         let sf = meta.facade(student).unwrap();
@@ -170,19 +158,19 @@ mod tests {
     #[test]
     fn type_ids_start_after_reserved_arrays() {
         let (mut p, data) = setup();
-        let meta = generate(&mut p, &data).unwrap();
+        let meta = generate(&mut p, &data);
         let student = p.class_by_name("Student").unwrap();
         let grad = p.class_by_name("Grad").unwrap();
         let (a, b) = (meta.type_id(student), meta.type_id(grad));
         assert!(a >= 4 && b >= 4);
         assert_ne!(a, b);
-        assert_eq!(meta.class_of_type[&a], student);
+        assert_eq!(meta.data_classes[usize::from(a) - 4], student);
     }
 
     #[test]
     fn layouts_flatten_superclass_fields_first() {
         let (mut p, data) = setup();
-        let meta = generate(&mut p, &data).unwrap();
+        let meta = generate(&mut p, &data);
         let grad = p.class_by_name("Grad").unwrap();
         let layout = meta.layout(meta.type_id(grad));
         // Student: id (i32), name (array => ref). Grad adds year (i32).

@@ -13,18 +13,18 @@
 //! The pipeline matches the paper:
 //!
 //! 1. closed-world checks — validate the reference- and type-closed-world
-//!    assumptions (§3.1); violations are compile errors.
-//! 2. hierarchy generation — generate the facade class hierarchy, record type IDs,
-//!    and record layouts (§3.2's class hierarchy transformation).
-//! 3. bound computation — compute the per-type facade-pool bounds by inspecting
-//!    every call site (§3.3).
-//! 4. reachability cut — every method unreachable from the entry point keeps
-//!    its declaration but loses its body, so the later steps touch only live
-//!    code (Soot's whole-program mode does the same). A program without an
-//!    entry point compiles whole.
-//! 5. [`transform`] (this crate's entry point) — rewrite instructions per Table 1: data-path methods
-//!    become facade methods over page references; control-path call sites
-//!    into the data path get conversions inserted.
+//!    assumptions (§3.1) over the whole program; violations are errors.
+//! 2. reachability cut — methods the entry point cannot reach keep their
+//!    declarations but lose their bodies (Soot's whole-program mode also
+//!    starts from the entry point). Without an entry point nothing is cut.
+//! 3. hierarchy generation — facade classes, record type IDs and layouts
+//!    (§3.2) for the data classes the live code names.
+//! 4. bound computation — per-type facade-pool bounds from every live call
+//!    site (§3.3).
+//! 5. [`transform`] (this crate's entry point) — rewrite instructions per
+//!    Table 1: data-path methods become facade methods over page
+//!    references; control-path call sites into the data path get
+//!    conversions inserted.
 //!
 //! On top of the core transformation, the [`pipeline`] module drives the
 //! whole multi-stage flow (parse → verify → transform → optimization
@@ -78,7 +78,7 @@ pub use pipeline::{
 };
 pub use report::TransformReport;
 
-use facade_ir::{MethodId, Program};
+use facade_ir::{ClassId, Instr, MethodId, Program, Ty};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -137,6 +137,9 @@ pub struct TransformOutput {
     pub program: Program,
     /// Runtime metadata for `P'`.
     pub meta: PagedMeta,
+    /// The `P'` methods the entry point reaches, a data-path method as its
+    /// facade counterpart (empty without an entry point).
+    pub reachable: BTreeSet<MethodId>,
     /// Transformation statistics.
     pub report: TransformReport,
 }
@@ -154,12 +157,23 @@ pub fn transform(program: &Program, spec: &DataSpec) -> Result<TransformOutput, 
     let data_classes = closed_world::check(program, spec)?;
     let mut program = program.clone();
     let instructions_before = program.instr_count();
-    let mut meta = hierarchy::generate(&mut program, &data_classes)?;
-    // The pool bounds stay whole-program: the cut comes after them.
+    // The one reachability walk; without an entry point all of it is live.
+    let reachable = program.entry().map(|_| passes::reachable_methods(&program));
+    let (mut methods_cut, mut instructions_cut, mut reached) = (0, 0, data_classes);
+    if let Some(live) = &reachable {
+        (methods_cut, instructions_cut) = cut_unreachable(&mut program, live);
+        reached = reached_data_classes(&program, &reached, live);
+    }
+    let mut meta = hierarchy::generate(&mut program, &reached);
     bounds::compute(&program, &mut meta);
-    let (methods_cut, instructions_cut) = cut_unreachable(&mut program);
     let ip_count = transform::run(&mut program, &mut meta)?;
     let devirt = devirt::devirtualize(&mut program);
+    // A reached data-path method runs as its facade counterpart in `P'`.
+    let reachable = reachable
+        .unwrap_or_default()
+        .into_iter()
+        .map(|m| meta.method_map.get(&m).copied().unwrap_or(m))
+        .collect();
     let duration = start.elapsed();
     let report = TransformReport {
         classes_transformed: meta.data_classes.len(),
@@ -173,29 +187,77 @@ pub fn transform(program: &Program, spec: &DataSpec) -> Result<TransformOutput, 
     Ok(TransformOutput {
         program,
         meta,
+        reachable,
         report,
     })
 }
 
-/// Strips the body of every method unreachable from the entry point and
-/// returns how many methods and instructions went. Without an entry point
-/// every method may be called, so nothing is cut.
-fn cut_unreachable(program: &mut Program) -> (usize, usize) {
-    if program.entry().is_none() {
-        return (0, 0);
-    }
-    let reachable = passes::reachable_methods(program);
-    let dead: Vec<MethodId> = program
+/// Strips the body of every method outside `reachable` and returns how
+/// many methods and instructions went.
+fn cut_unreachable(program: &mut Program, reachable: &BTreeSet<MethodId>) -> (usize, usize) {
+    let dead: Vec<(MethodId, usize)> = program
         .methods()
-        .filter(|(id, def)| def.body.is_some() && !reachable.contains(id))
-        .map(|(id, _)| id)
+        .filter(|(id, _)| !reachable.contains(id))
+        .filter_map(|(id, def)| Some((id, def.body.as_ref()?.instr_count())))
         .collect();
-    let mut instructions = 0;
-    for &m in &dead {
-        let body = program.method_mut(m).body.take();
-        instructions += body.map_or(0, |b| b.instr_count());
+    for &(m, _) in &dead {
+        program.remove_body(m);
     }
-    (dead.len(), instructions)
+    (dead.len(), dead.iter().map(|&(_, n)| n).sum())
+}
+
+/// The class a value of type `ty` (or, through arrays, its elements) is an
+/// instance of.
+fn class_of(ty: &Ty) -> Option<ClassId> {
+    match ty {
+        Ty::Ref(c) => Some(*c),
+        Ty::Array(elem) => class_of(elem),
+        _ => None,
+    }
+}
+
+/// The data classes reachable code names — a reached method's class, its
+/// signature and local types, and the classes of `new`, `instanceof` and
+/// new arrays — closed over superclasses, subclasses and data-typed fields.
+/// Every method of a data class or interface keeps a facade counterpart, so
+/// the closure also takes in their signature types and interfaces.
+fn reached_data_classes(
+    program: &Program,
+    data: &BTreeSet<ClassId>,
+    reachable: &BTreeSet<MethodId>,
+) -> BTreeSet<ClassId> {
+    let mut named: Vec<ClassId> = Vec::new();
+    for &m in reachable {
+        let def = program.method(m);
+        named.push(def.class);
+        named.extend(def.params.iter().chain(&def.ret).filter_map(class_of));
+        let Some(body) = &def.body else { continue };
+        named.extend(body.locals.iter().filter_map(class_of));
+        for instr in body.blocks.iter().flat_map(|b| &b.instrs) {
+            match instr {
+                Instr::New { class, .. } | Instr::InstanceOf { class, .. } => named.push(*class),
+                Instr::NewArray { elem, .. } => named.extend(class_of(elem)),
+                _ => {}
+            }
+        }
+    }
+    let mut seen = BTreeSet::new();
+    while let Some(c) = named.pop() {
+        let def = program.class(c);
+        if !seen.insert(c) || !(data.contains(&c) || def.is_interface()) {
+            continue;
+        }
+        named.extend(def.superclass);
+        named.extend(&def.interfaces);
+        named.extend(program.direct_subtypes(c));
+        named.extend(def.fields.iter().filter_map(|f| class_of(&f.ty)));
+        for &m in &def.methods {
+            let sig = program.method(m);
+            named.extend(sig.params.iter().chain(&sig.ret).filter_map(class_of));
+        }
+    }
+    seen.retain(|c| data.contains(c));
+    seen
 }
 
 #[cfg(test)]

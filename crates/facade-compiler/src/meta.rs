@@ -15,8 +15,6 @@ pub struct PagedMeta {
     /// `facade_runtime::FIRST_USER_TYPE`-equivalent offset 4 (the
     /// four array kinds are reserved).
     pub type_ids: HashMap<ClassId, u16>,
-    /// Inverse of `type_ids`.
-    pub class_of_type: HashMap<u16, ClassId>,
     /// Data class → generated facade class.
     pub facade_of: HashMap<ClassId, ClassId>,
     /// Generated facade class → data class.

@@ -3,12 +3,9 @@
 //! Three independently toggleable passes run after the Table 1
 //! transformation and devirtualization (see `docs/COMPILER.md`):
 //!
-//! 1. [`epoch`] — *facade-pool bound shrinking + epoch insertion*. Recomputes
-//!    the pool bounds from the `BindParam` sites actually reachable from the
-//!    entry point (devirtualization typically strands the original data-path
-//!    bodies, whose call sites inflated the static bounds), then brackets
-//!    qualifying leaf-ish methods in `iterationStart`/`iterationEnd` so the
-//!    pages they allocate are bulk-released when the frame dies — the
+//! 1. [`epoch`] — *epoch insertion*. Brackets qualifying leaf-ish methods
+//!    reachable from the entry point in `iterationStart`/`iterationEnd` so
+//!    the pages they allocate are bulk-released when the frame dies — the
 //!    lifetime-based reclamation idea applied at method granularity.
 //! 2. [`promote`] — *stack promotion of non-escaping records*. A paged
 //!    record whose reference never leaves the defining frame and whose
@@ -22,16 +19,14 @@
 //! Every pass preserves observable behaviour; the golden equivalence tests
 //! run `P'` with each pass toggled on and off and assert identical output.
 
-use crate::meta::PagedMeta;
 use facade_ir::{CallTarget, ClassId, Instr, Local, MethodId, Program, Terminator, Ty};
-use facade_runtime::PoolBounds;
 use std::collections::{BTreeSet, VecDeque};
 
 /// Which optimization passes the pipeline should run, in the fixed order
 /// `epoch → promote → fastalloc`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassConfig {
-    /// Run the bound-shrinking + epoch-insertion pass.
+    /// Run the epoch-insertion pass.
     pub epoch: bool,
     /// Run the non-escaping record promotion pass.
     pub promote: bool,
@@ -70,11 +65,6 @@ impl Default for PassConfig {
 pub struct EpochStats {
     /// Methods reachable from the entry point.
     pub reachable_methods: usize,
-    /// Pool-bound table entries lowered below their whole-program value.
-    pub bounds_shrunk: usize,
-    /// Facades removed per thread by the shrink
-    /// (`facades_per_thread` before − after).
-    pub facades_removed: usize,
     /// Methods bracketed in `iterationStart`/`iterationEnd`.
     pub epochs_inserted: usize,
 }
@@ -165,8 +155,9 @@ fn visit_locals(i: &Instr, mut f: impl FnMut(Local)) {
 }
 
 /// Methods reachable from the program entry, conservatively resolving
-/// virtual calls through every subtype override. The reachability cut of
-/// [`crate::transform`] and the [`epoch`] pass both walk with this.
+/// virtual calls through every subtype override. [`crate::transform`]
+/// walks once, before it cuts the rest; the [`epoch`] pass gets the same
+/// set in `P'` terms.
 pub(crate) fn reachable_methods(program: &Program) -> BTreeSet<MethodId> {
     let mut seen = BTreeSet::new();
     let mut queue = VecDeque::new();
@@ -212,7 +203,7 @@ pub(crate) fn reachable_methods(program: &Program) -> BTreeSet<MethodId> {
 /// Returns `true` when a method may be bracketed in a private epoch: the
 /// pages it allocates are reclaimable at return because no page reference
 /// can survive the frame.
-fn epoch_safe(program: &Program, meta: &PagedMeta, m: MethodId) -> bool {
+fn epoch_safe(program: &Program, m: MethodId) -> bool {
     let def = program.method(m);
     // A returned page reference (or facade) escapes upward.
     if matches!(def.ret, Some(Ty::PageRef) | Some(Ty::Facade(_))) {
@@ -246,56 +237,19 @@ fn epoch_safe(program: &Program, meta: &PagedMeta, m: MethodId) -> bool {
             }
         }
     }
-    let _ = meta;
     allocates
 }
 
-/// Pass 1: shrink the facade-pool bounds to what the reachable `BindParam`
-/// sites actually index, and bracket qualifying allocating methods in
-/// method-private epochs so their pages are released on return.
-pub fn epoch(program: &mut Program, meta: &mut PagedMeta) -> EpochStats {
-    let mut stats = EpochStats::default();
-    let reachable = reachable_methods(program);
-    stats.reachable_methods = reachable.len();
-
-    // (a) Bound shrinking: the safe minimum for a type is 1 + the highest
-    // parameter-pool index any reachable BindParam uses.
-    let n_types = meta.layouts.len();
-    let mut table: Vec<u16> = vec![1; n_types];
-    for &m in &reachable {
-        let Some(body) = &program.method(m).body else {
-            continue;
-        };
-        for block in &body.blocks {
-            for instr in &block.instrs {
-                if let Instr::BindParam { class, index, .. } = instr {
-                    let tid = meta.type_id(*class) as usize;
-                    table[tid] = table[tid].max(*index as u16 + 1);
-                }
-            }
-        }
-    }
-    let old = &meta.bounds;
-    let before_facades = old.facades_per_thread();
-    for (tid, slot) in table.iter_mut().enumerate() {
-        let whole_program = old.bound(facade_runtime::TypeId(tid as u16));
-        if *slot < whole_program {
-            stats.bounds_shrunk += 1;
-        }
-        // Never grow a bound: the whole-program computation is an upper
-        // bound by construction.
-        *slot = (*slot).min(whole_program);
-    }
-    meta.bounds = PoolBounds::from_table(table);
-    stats.facades_removed = before_facades - meta.bounds.facades_per_thread();
-
-    // (b) Epoch insertion over qualifying reachable methods.
+/// Pass 1: bracket each qualifying allocating method of `reachable` (the
+/// `P'` methods the entry point reaches, [`crate::TransformOutput::reachable`])
+/// in a method-private epoch, so its pages are released on return.
+pub fn epoch(program: &mut Program, reachable: &BTreeSet<MethodId>) -> EpochStats {
     let safe: Vec<MethodId> = reachable
         .iter()
         .copied()
-        .filter(|&m| epoch_safe(program, meta, m))
+        .filter(|&m| epoch_safe(program, m))
         .collect();
-    for m in safe {
+    for &m in &safe {
         let body = program
             .method_mut(m)
             .body
@@ -307,19 +261,16 @@ pub fn epoch(program: &mut Program, meta: &mut PagedMeta) -> EpochStats {
                 block.instrs.push(Instr::IterationEnd);
             }
         }
-        stats.epochs_inserted += 1;
     }
-    stats
+    EpochStats {
+        reachable_methods: reachable.len(),
+        epochs_inserted: safe.len(),
+    }
 }
 
 /// The data class allocated by `l`'s single `PageAlloc`, if `l` qualifies
 /// for promotion in `body`.
-fn promotion_candidate(
-    program: &Program,
-    meta: &PagedMeta,
-    body: &facade_ir::Body,
-    l: Local,
-) -> Option<ClassId> {
+fn promotion_candidate(program: &Program, body: &facade_ir::Body, l: Local) -> Option<ClassId> {
     let mut alloc_class: Option<ClassId> = None;
     let mut allocs = 0usize;
     let mut escaped = false;
@@ -365,12 +316,11 @@ fn promotion_candidate(
         .flat_fields(class)
         .iter()
         .all(|(_, f)| matches!(f.ty, Ty::I32 | Ty::I64 | Ty::F64));
-    let _ = meta;
     all_prim.then_some(class)
 }
 
 /// Pass 2: scalar-replace paged records that never escape their frame.
-pub fn promote(program: &mut Program, meta: &PagedMeta) -> PromoteStats {
+pub fn promote(program: &mut Program) -> PromoteStats {
     let mut stats = PromoteStats::default();
     let method_ids: Vec<MethodId> = program.methods().map(|(id, _)| id).collect();
     for m in method_ids {
@@ -392,7 +342,7 @@ pub fn promote(program: &mut Program, meta: &PagedMeta) -> PromoteStats {
         allocated.dedup();
         let candidates: Vec<(Local, ClassId)> = allocated
             .into_iter()
-            .filter_map(|l| promotion_candidate(program, meta, body, l).map(|c| (l, c)))
+            .filter_map(|l| promotion_candidate(program, body, l).map(|c| (l, c)))
             .collect();
         if candidates.is_empty() {
             continue;

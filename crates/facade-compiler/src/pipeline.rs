@@ -97,7 +97,7 @@ impl fmt::Debug for StageRender {
 /// Per-pass statistics; `None` when the pass was disabled.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PassStats {
-    /// Bound shrinking + epoch insertion.
+    /// Epoch insertion.
     pub epoch: Option<EpochStats>,
     /// Non-escaping record promotion.
     pub promote: Option<PromoteStats>,
@@ -113,7 +113,7 @@ pub struct Compiled {
     pub source: Program,
     /// The transformed, optimized, re-verified program `P'`.
     pub transformed: Program,
-    /// Runtime metadata (type IDs, layouts, possibly shrunk pool bounds).
+    /// Runtime metadata (type IDs, layouts, pool bounds).
     pub meta: PagedMeta,
     /// The Table 1 transformation's own statistics.
     pub report: TransformReport,
@@ -193,7 +193,7 @@ fn render_text(program: &Program, bounds: &[(ClassId, u16)]) -> String {
 }
 
 /// Renders `program` with a `;; bound <Class> = N` footer per data class,
-/// so bound-shrinking is visible in golden snapshots.
+/// so the bounds are pinned in golden snapshots.
 pub fn render_with_bounds(program: &Program, meta: &PagedMeta) -> String {
     render_text(program, &bounds_footer(meta))
 }
@@ -243,19 +243,19 @@ fn compile_owned(
     let start = Instant::now();
     let out = transform(&source, spec)?;
     let mut program = out.program;
-    let mut meta = out.meta;
+    let meta = out.meta;
     let report = out.report;
     stage("transformed", &program, Some(&meta), start)?;
 
     let mut pass_stats = PassStats::default();
     if config.epoch {
         let start = Instant::now();
-        pass_stats.epoch = Some(passes::epoch(&mut program, &mut meta));
+        pass_stats.epoch = Some(passes::epoch(&mut program, &out.reachable));
         stage("pass_epoch", &program, Some(&meta), start)?;
     }
     if config.promote {
         let start = Instant::now();
-        pass_stats.promote = Some(passes::promote(&mut program, &meta));
+        pass_stats.promote = Some(passes::promote(&mut program));
         stage("pass_promote", &program, Some(&meta), start)?;
     }
     if config.fastalloc {

@@ -98,6 +98,26 @@ impl Program {
         Arc::make_mut(&mut self.methods[id.0 as usize])
     }
 
+    /// Removes method `id`'s body and keeps its declaration. A definition a
+    /// clone still shares is replaced by a body-less copy, so the body is
+    /// never copied only to be dropped.
+    pub fn remove_body(&mut self, id: MethodId) {
+        let slot = &mut self.methods[id.0 as usize];
+        match Arc::get_mut(slot) {
+            Some(def) => def.body = None,
+            None => {
+                *slot = Arc::new(MethodDef {
+                    name: slot.name.clone(),
+                    class: slot.class,
+                    params: slot.params.clone(),
+                    ret: slot.ret.clone(),
+                    is_static: slot.is_static,
+                    body: None,
+                });
+            }
+        }
+    }
+
     /// Finds a class by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
         self.classes

@@ -359,6 +359,18 @@ fn unreachable_methods_lose_their_bodies_and_nothing_else_changes() {
         // Every Temp but the two called, plus Circle::perimeter.
         assert_eq!(cut, TEMPS - CALLED.len() + 1, "[{label}]");
         assert_eq!(compiled.report.methods_cut, cut, "[{label}]");
+        // Only reached data classes get a facade class and a type ID:
+        // the called Temps, and both `Shape`s, since `drive` types a local
+        // as `Shape`.
+        let reached: Vec<&str> = compiled
+            .meta
+            .data_classes
+            .iter()
+            .map(|&c| p.class(c).name.as_str())
+            .collect();
+        let mut want: Vec<String> = CALLED.map(|i| format!("Temp{i}")).into();
+        want.extend(["Circle".into(), "Square".into()]);
+        assert_eq!(reached, want, "[{label}]");
 
         let run = run_dual(p, p2, &compiled.meta, &VmConfig::default())
             .unwrap_or_else(|e| panic!("[{label}]: {e}"));

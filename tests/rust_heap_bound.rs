@@ -9,7 +9,8 @@
 //! beside it would count into the same totals.
 
 use facade::compiler::{PassConfig, compile, corpus::sum_list};
-use facade::datagen::{CorpusSpec, corpus};
+use facade::datagen::{CorpusSpec, Graph, GraphSpec, corpus};
+use facade::graphchi::{ConnectedComponents, Engine, EngineConfig, PageRank, VertexProgram};
 use facade::hyracks::{Cluster, ClusterConfig};
 use facade::metrics::report::Backend;
 use facade::vm::{Value, Vm};
@@ -98,6 +99,32 @@ fn vm_allocations(n: i32) -> (u64, u64) {
     (count, pages)
 }
 
+/// GraphChi's intervals per pass; the default budget fits each in one
+/// subinterval at both graph sizes below.
+const INTERVALS: usize = 4;
+
+/// Allocations a GraphChi subinterval may make (its windows, buffers and
+/// scope), well above the ~23 per subinterval a run averages.
+const PER_SUBINTERVAL: f64 = 32.0;
+
+/// (allocations, subintervals run, pages created) of one facade GraphChi
+/// run of `app` on one thread; the run's engine is built inside the count.
+fn graph_allocations(graph: &Graph, app: &dyn VertexProgram) -> (u64, usize, u64) {
+    let config = EngineConfig {
+        backend: Backend::Facade,
+        intervals: INTERVALS,
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    let mut out = None;
+    let count = allocations(|| {
+        let mut engine = Engine::new(graph, config);
+        out = Some(engine.execute(app).expect("GraphChi completes"));
+    });
+    let out = out.expect("the run finished");
+    (count, out.passes * INTERVALS, out.stats.pages_created)
+}
+
 #[test]
 fn job_allocations_do_not_grow_with_the_record_count() {
     let mut words = corpus(&CorpusSpec::new(256 << 10, 3));
@@ -134,6 +161,32 @@ fn job_allocations_do_not_grow_with_the_record_count() {
                 "WC made {wc_per_token:.3} allocations per added token"
             );
         }
+    }
+    // GraphChi's `P'` data path: vertices and edges live in pages, so a run
+    // allocates per subinterval and per page it fills, never per vertex or
+    // edge.
+    let small = Graph::generate(&GraphSpec::new(1_000, 8_000, 11));
+    let large = Graph::generate(&GraphSpec::new(2_000, 16_000, 11));
+    let added =
+        (large.vertices - small.vertices) as f64 + (large.edge_count() - small.edge_count()) as f64;
+    let apps: [(&str, &dyn VertexProgram); 2] = [
+        ("PR", &PageRank::new(4)),
+        ("CC", &ConnectedComponents::new(100)),
+    ];
+    for (name, app) in apps {
+        graph_allocations(&small, app);
+        let (a1, s1, p1) = graph_allocations(&small, app);
+        let (a2, s2, p2) = graph_allocations(&large, app);
+        let per_record =
+            (a2 as f64 - a1 as f64 - PER_SUBINTERVAL * (s2 as f64 - s1 as f64)) / added;
+        println!(
+            "GraphChi {name}: 2× vertices and edges: {a1} → {a2} allocations, \
+             {s1} → {s2} subintervals, {p1} → {p2} pages ({per_record:.4} per added vertex or edge)"
+        );
+        assert!(
+            per_record <= 0.01,
+            "GraphChi {name} made {per_record:.4} allocations per added vertex or edge"
+        );
     }
     // The interpreter's `P'`: records live in pages, so the Rust heap grows
     // by the pages they fill and nothing per record.
