@@ -3,15 +3,19 @@
 use crate::DataSpec;
 use crate::error::CompileError;
 use facade_ir::{ClassId, Program, Ty};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Returns `true` if `ty` is acceptable inside the data path given the set
 /// of data classes: primitives, data-class references, and arrays thereof.
-pub(crate) fn is_data_ty(program: &Program, data: &BTreeSet<ClassId>, ty: &Ty) -> bool {
+fn is_data_ty(program: &Program, data: &BTreeSet<ClassId>, subtypes: &Subtypes, ty: &Ty) -> bool {
     match ty {
         Ty::I32 | Ty::I64 | Ty::F64 => true,
-        Ty::Ref(c) => data.contains(c) || is_data_interface(program, data, *c),
-        Ty::Array(e) => is_data_ty(program, data, e),
+        Ty::Ref(c) => {
+            data.contains(c)
+                || program.class(*c).is_interface()
+                    && implemented_by_data_only(program, data, subtypes.all(*c))
+        }
+        Ty::Array(e) => is_data_ty(program, data, subtypes, e),
         Ty::PageRef | Ty::Facade(_) => true,
     }
 }
@@ -25,10 +29,17 @@ pub(crate) fn is_data_interface(
     data: &BTreeSet<ClassId>,
     iface: ClassId,
 ) -> bool {
-    if !program.class(iface).is_interface() {
-        return false;
-    }
-    let subs = program.all_subtypes(iface);
+    program.class(iface).is_interface()
+        && implemented_by_data_only(program, data, program.all_subtypes(iface))
+}
+
+/// Whether `subs`, an interface's subtypes, hold a concrete class and every
+/// concrete class among them is a data class.
+fn implemented_by_data_only(
+    program: &Program,
+    data: &BTreeSet<ClassId>,
+    subs: Vec<ClassId>,
+) -> bool {
     let mut any = false;
     for s in subs {
         if program.class(s).is_interface() {
@@ -40,6 +51,41 @@ pub(crate) fn is_data_interface(
         }
     }
     any
+}
+
+/// The hierarchy read downwards: each class's direct subtypes, in class
+/// order, built in one pass over the program, so a check asks for a
+/// class's subtypes without scanning every class.
+struct Subtypes(Vec<Vec<ClassId>>);
+
+impl Subtypes {
+    fn new(program: &Program) -> Self {
+        let mut direct: Vec<Vec<ClassId>> = vec![Vec::new(); program.class_count()];
+        for (id, class) in program.classes() {
+            for parent in class.superclass.iter().chain(&class.interfaces) {
+                let subs = &mut direct[parent.0 as usize];
+                // A class is a direct subtype of a parent once, however many
+                // times it names it.
+                if *parent != id && subs.last() != Some(&id) {
+                    subs.push(id);
+                }
+            }
+        }
+        Self(direct)
+    }
+
+    /// What [`Program::all_subtypes`] returns for `class`, in its order.
+    fn all(&self, class: ClassId) -> Vec<ClassId> {
+        let mut out = Vec::new();
+        let mut stack = self.0[class.0 as usize].clone();
+        while let Some(c) = stack.pop() {
+            if !out.contains(&c) {
+                stack.extend_from_slice(&self.0[c.0 as usize]);
+                out.push(c);
+            }
+        }
+        out
+    }
 }
 
 /// Validates the spec and both closed-world assumptions, returning the
@@ -54,10 +100,18 @@ pub(crate) fn is_data_interface(
 /// - [`CompileError::OpenHierarchy`] for type-closed-world violations: a
 ///   data class's superclasses and subclasses must be data classes.
 pub(crate) fn check(program: &Program, spec: &DataSpec) -> Result<BTreeSet<ClassId>, CompileError> {
+    // Built once: per spec name and per data class, a lookup or a scan of
+    // every class would make the check quadratic in the class count.
+    let mut by_name = HashMap::with_capacity(program.class_count());
+    for (id, class) in program.classes() {
+        by_name.entry(class.name.as_str()).or_insert(id);
+    }
+    let subtypes = Subtypes::new(program);
+
     let mut data = BTreeSet::new();
     for name in spec.names() {
-        let id = program
-            .class_by_name(name)
+        let id = *by_name
+            .get(name)
             .ok_or_else(|| CompileError::UnknownClass(name.to_string()))?;
         if program.class(id).is_interface() {
             return Err(CompileError::InterfaceInSpec(name.to_string()));
@@ -78,7 +132,7 @@ pub(crate) fn check(program: &Program, spec: &DataSpec) -> Result<BTreeSet<Class
             }
         }
         // ... and so must subclasses.
-        for sub in program.all_subtypes(class) {
+        for sub in subtypes.all(class) {
             if !program.class(sub).is_interface() && !data.contains(&sub) {
                 return Err(CompileError::OpenHierarchy {
                     class: def.name.clone(),
@@ -89,7 +143,7 @@ pub(crate) fn check(program: &Program, spec: &DataSpec) -> Result<BTreeSet<Class
         }
         // Reference-closed-world: reference fields must have data types.
         for (declaring, field) in program.flat_fields(class) {
-            if field.ty.is_reference() && !is_data_ty(program, &data, &field.ty) {
+            if field.ty.is_reference() && !is_data_ty(program, &data, &subtypes, &field.ty) {
                 return Err(CompileError::NonDataField {
                     class: program.class(declaring).name.clone(),
                     field: field.name.clone(),
@@ -184,6 +238,26 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn subtype_lists_walk_like_the_program() {
+        // Interfaces extending interfaces, a class naming one interface
+        // twice, and a diamond: `check` reports the first open subclass in
+        // this order, so it must not change.
+        let mut pb = ProgramBuilder::new();
+        let i = pb.interface("I").build();
+        let j = pb.interface("J").implements(i).build();
+        let a = pb.class("A").implements(i).implements(j).build();
+        let b = pb.class("B").extends(a).implements(j).build();
+        pb.class("C").extends(b).implements(i).build();
+        pb.class("D").implements(j).build();
+        pb.class("E").implements(j).implements(j).build();
+        let p = pb.finish();
+        let subtypes = Subtypes::new(&p);
+        for (id, _) in p.classes() {
+            assert_eq!(subtypes.all(id), p.all_subtypes(id), "{id:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::cluster::{
 use crate::hashtable::{WordTable, WordTableClasses, hash_bytes, register_classes};
 use data_store::{ClassTag, Field, FieldTy, Store};
 use metrics::{JobFailure, OutOfMemory};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The result of a completed WC job.
@@ -64,13 +63,67 @@ fn wc_schema(store: &mut Store) -> WcSchema {
     }
 }
 
+/// One frame's combiner: an open-addressing hash table over the frame's
+/// distinct words, keyed by the FNV-1a hash the token record stores.
+/// Entries sit in first-seen order; the index table maps a hash to an entry
+/// at load ≤ ½. Both buffers are reused across frames, so once they reach
+/// the largest frame's size, counting a frame allocates nothing. FNV is not
+/// collision-resistant, but [`WordTable`] already buckets by it, and a
+/// probe chain never outgrows one frame's tokens.
+#[derive(Default)]
+struct FrameCounts<'w> {
+    entries: Vec<(&'w [u8], i64)>,
+    /// `(hash, entry index)`, power-of-two length; an index of `FREE`
+    /// marks a free slot.
+    slots: Vec<(u32, u32)>,
+}
+
+impl<'w> FrameCounts<'w> {
+    const FREE: u32 = u32::MAX;
+
+    /// Empties the table and sizes it for a frame of `tokens` tokens.
+    fn reset(&mut self, tokens: usize) {
+        self.entries.clear();
+        self.slots.clear();
+        self.slots
+            .resize((2 * tokens).next_power_of_two(), (0, Self::FREE));
+    }
+
+    /// Counts one occurrence of `key`, whose hash is `hash`; a new entry
+    /// keeps `owned`, the same bytes borrowed from the input.
+    fn add(&mut self, hash: u32, key: &[u8], owned: &'w [u8]) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let (h, at) = self.slots[i];
+            if at == Self::FREE {
+                self.slots[i] = (hash, self.entries.len() as u32);
+                self.entries.push((owned, 1));
+                return;
+            }
+            if h == hash && self.entries[at as usize].0 == key {
+                self.entries[at as usize].1 += 1;
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The frame's `(word, count)` pairs in bytewise word order, the order a
+    /// word-keyed sorted map would yield them in.
+    fn sorted(&mut self) -> &[(&'w [u8], i64)] {
+        self.entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        &self.entries
+    }
+}
+
 /// One map worker: tokenizes its partition frame by frame, each frame a
 /// sub-iteration of transient token records, aggregating into a
 /// store-backed [`WordTable`] that lives for the whole operator iteration.
-fn map_worker(
+fn map_worker<'w>(
     store: &mut Store,
     schema: &WcSchema,
-    words: &[&String],
+    words: &[&'w String],
     frame_bytes: usize,
 ) -> Result<MapPartition, OutOfMemory> {
     let WcSchema {
@@ -82,47 +135,47 @@ fn map_worker(
 
     let operator = store.iteration_start();
     let mut table = WordTable::new(store, &classes, 4096)?;
+    let mut local = FrameCounts::default();
 
-    let flush =
-        |store: &mut Store, table: &mut WordTable, frame: &[&String]| -> Result<(), OutOfMemory> {
-            if frame.is_empty() {
-                return Ok(());
-            }
-            // One frame = one nested sub-iteration (§3.6): every token record
-            // allocated here dies here.
-            let sub = store.iteration_start();
-            // The frame's combiner is keyed by the frame's own input bytes,
-            // as Hyracks' frame tuple accessors address tuples in the frame
-            // buffer: counting a token allocates nothing outside the store.
-            let mut local: BTreeMap<&[u8], i64> = BTreeMap::new();
-            for word in frame {
-                // The transient churn of the original user function: a byte
-                // array and a token record per token.
-                let bytes = store.alloc_bytes(word.as_bytes())?;
-                // Count the token by the bytes read back from the store, and
-                // before the next allocation: the array is unrooted
-                // garbage-to-be, and a collection may reclaim it.
-                let read = store.array_bytes(bytes);
-                debug_assert_eq!(read, word.as_bytes());
-                match local.get_mut(read) {
-                    Some(count) => *count += 1,
-                    None => {
-                        local.insert(word.as_bytes(), 1);
-                    }
-                }
-                let token = store.alloc(token_class)?;
-                store.set_i32(token, token_len, word.len() as i32);
-                store.set_i32(token, token_hash, hash_bytes(word.as_bytes()) as i32);
-            }
-            store.iteration_end(sub);
-            // Fold the frame's combiner output into the operator-lifetime
-            // table (allocated between sub-iterations, so entries land in the
-            // operator's page manager).
-            for (w, c) in local {
-                table.add(store, w, c)?;
-            }
-            Ok(())
-        };
+    let mut flush = |store: &mut Store,
+                     table: &mut WordTable,
+                     frame: &[&'w String]|
+     -> Result<(), OutOfMemory> {
+        if frame.is_empty() {
+            return Ok(());
+        }
+        // One frame = one nested sub-iteration (§3.6): every token record
+        // allocated here dies here.
+        let sub = store.iteration_start();
+        // The frame's combiner is keyed by the frame's own input bytes,
+        // as Hyracks' frame tuple accessors address tuples in the frame
+        // buffer: counting a token allocates nothing outside the store.
+        local.reset(frame.len());
+        for &word in frame {
+            // The transient churn of the original user function: a byte
+            // array and a token record per token.
+            let bytes = store.alloc_bytes(word.as_bytes())?;
+            // Count the token by the bytes read back from the store, and
+            // before the next allocation: the array is unrooted
+            // garbage-to-be, and a collection may reclaim it.
+            let read = store.array_bytes(bytes);
+            debug_assert_eq!(read, word.as_bytes());
+            let hash = hash_bytes(read);
+            local.add(hash, read, word.as_bytes());
+            let token = store.alloc(token_class)?;
+            store.set_i32(token, token_len, word.len() as i32);
+            store.set_i32(token, token_hash, hash as i32);
+        }
+        store.iteration_end(sub);
+        // Fold the frame's combiner output into the operator-lifetime
+        // table (allocated between sub-iterations, so entries land in the
+        // operator's page manager), in word order: the table's entries,
+        // and so its pages and `extract` order, follow the fold order.
+        for &(w, c) in local.sorted() {
+            table.add(store, w, c)?;
+        }
+        Ok(())
+    };
 
     let mut frame_start = 0;
     let mut frame_fill = 0usize;
@@ -260,6 +313,7 @@ mod tests {
     use super::*;
     use datagen::{CorpusSpec, corpus};
     use metrics::report::Backend;
+    use std::collections::BTreeMap;
 
     fn small_corpus() -> Vec<String> {
         corpus(&CorpusSpec::new(40_000, 11))
@@ -335,6 +389,62 @@ mod tests {
         assert_eq!(resumed.stats.resilience.recoveries, 0);
         assert!(resumed.stats.resilience.is_clean());
         assert_eq!(resumed.total_count, base.total_count);
+    }
+
+    #[test]
+    fn data_path_and_map_checkpoint_are_pinned() {
+        // Literals recorded before the frame combiner became a hash table:
+        // the combiner must leave every store allocation, every page, every
+        // count and every map-output byte exactly where it was, on both
+        // backends and at every thread count. Pages and collections are
+        // pinned at one thread only: with more, which pool thread's store
+        // serves which partition is a race, and so is what it inherits.
+        use data_store::checkpoint::xxh64;
+        use data_store::test_support::TempDir;
+        const COUNTS: u64 = 0x263b_b8b3_df9e_c08c;
+        const MAP_CHECKPOINT: u64 = 0x1a1a_4c50_5d5a_e668;
+        let words = small_corpus();
+        for (backend, budget, records, one_thread) in [
+            (Backend::Facade, 32 << 20, 20_234, (3, 0)),
+            (Backend::Heap, 1 << 20, 29_280, (0, 3)),
+        ] {
+            for threads in [1, 2, 4] {
+                let cfg = ClusterConfig {
+                    threads,
+                    ..config(backend, budget)
+                };
+                let out = crate::Cluster::new(&cfg).word_count(&words).unwrap();
+                let s = &out.stats;
+                let at = format!("{backend:?}, {threads} threads");
+                assert_eq!(s.records_allocated, records, "{at}");
+                if threads == 1 {
+                    assert_eq!((s.pages_created, s.gc_count), one_thread, "{at}");
+                }
+                let counts = out.counts.iter().fold(0, |h, (w, c)| {
+                    xxh64(&c.to_le_bytes(), xxh64(w.as_bytes(), h))
+                });
+                assert_eq!(counts, COUNTS, "{at}");
+
+                // The map phase's checkpoint, left behind by a crash after
+                // the reduce phase.
+                let tmp = TempDir::new(&format!("wc-pin-{threads}"));
+                let crashing = ClusterConfig {
+                    env: data_store::RunEnv {
+                        checkpoint_dir: Some(tmp.path().to_path_buf()),
+                        fault_plan: Some(
+                            data_store::FaultPlan::builder(0).crash_in_phase(1).build(),
+                        ),
+                        ..Default::default()
+                    },
+                    ..cfg
+                };
+                crate::Cluster::new(&crashing)
+                    .word_count(&words)
+                    .unwrap_err();
+                let ckpt = std::fs::read(crashing.checkpoint_path("wc").unwrap()).unwrap();
+                assert_eq!(xxh64(&ckpt, 0), MAP_CHECKPOINT, "{at}");
+            }
+        }
     }
 
     #[test]

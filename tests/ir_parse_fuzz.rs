@@ -35,7 +35,7 @@ const FLIP_BYTES: &[u8] = b"{}();:,.[]=+- 0123456789vbfLxnsieA\n";
 
 /// Hand-written texts pinned beside the mutants: numerals the printer never
 /// writes, in every position the grammar reads one.
-const CASES: [(&str, &str); 10] = [
+const CASES: [(&str, &str); 15] = [
     ("label_plus", "bb+0:\n     return"),
     ("label_zero", "bb00:\n     return"),
     ("local_plus", "bb0:\n     v+0 = 5\n     return"),
@@ -55,6 +55,11 @@ const CASES: [(&str, &str); 10] = [
         "field_plus",
         "bb0:\n     v1 = new A\n     v1.f+0 = v0\n     return",
     ),
+    ("int_plus", "bb0:\n     v0 = +5\n     return"),
+    ("int_zero", "bb0:\n     v0 = 007\n     return"),
+    ("int_minus_zero", "bb0:\n     v0 = -0\n     return"),
+    ("long_plus", "bb0:\n     v0 = +5L\n     return"),
+    ("f64_exponent", "bb0:\n     v0 = 1e3f64\n     return"),
 ];
 
 /// Whole texts pinned beside the mutants: forward references, and inputs

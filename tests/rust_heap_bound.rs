@@ -157,7 +157,7 @@ fn job_allocations_do_not_grow_with_the_record_count() {
                 "ES allocations grew by {es_growth} when its records doubled"
             );
             assert!(
-                wc_per_token <= 0.1,
+                wc_per_token <= 0.01,
                 "WC made {wc_per_token:.3} allocations per added token"
             );
         }
