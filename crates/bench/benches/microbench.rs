@@ -10,10 +10,9 @@
 //! - `reclamation`: reclaiming one iteration's worth of records — a full
 //!   GC cycle vs an `iteration_end` page recycle.
 //! - `pool_contention`: the shared page supply under N-thread
-//!   acquire/release hammering on its one lock — the contention the
-//!   per-thread page cache is meant to absorb. Reported straight from the
-//!   pool's own `PoolCounters` latency accounting (per-call means across
-//!   all threads).
+//!   acquire/release hammering on its one lock, one page per acquire as a
+//!   heap takes them. Reported straight from the pool's own `PoolCounters`
+//!   latency accounting (per-call means across all threads).
 //! - `conversion`: §3.5 data conversion (heap object graph → paged records).
 //!
 //! Measured with a small in-tree harness (best-of-N batch timing) so the
@@ -214,37 +213,29 @@ fn reclamation() {
 }
 
 fn pool_contention() {
-    use facade_runtime::{NO_EPOCH, POOL_BATCH, PagePool, PooledPage};
+    use facade_runtime::{NO_EPOCH, PagePool, PooledPage};
 
     // §3.6 runs per-thread page managers over one shared page supply, so
-    // every worker's refill and retirement meets every other's on this
-    // structure. Each thread drains a batch and immediately hands it back,
-    // the worst-case ping-pong; the pool's own latency counters then give
-    // the mean per-call cost across all threads, pre-aggregated exactly as
-    // the bench reports' `pool` section records it.
+    // every worker's page adoption and retirement meets every other's on
+    // this structure. Each thread takes a page and immediately hands it
+    // back, the worst-case ping-pong; the pool's own latency counters then
+    // give the mean per-call cost across all threads, pre-aggregated
+    // exactly as the bench reports' `pool` section records it.
     const OPS_PER_THREAD: usize = 20_000;
     for threads in [1usize, 2, 4, 8] {
         let pool = PagePool::with_default_config();
-        // Seed a batch per thread so acquires mostly find pages instead of
+        // Seed a page per thread so acquires mostly find one instead of
         // coming back empty.
-        pool.release_batch(
-            (0..threads * POOL_BATCH)
-                .map(|_| PooledPage::new())
-                .collect(),
-            NO_EPOCH,
-        );
+        pool.release_batch((0..threads).map(|_| PooledPage::new()).collect(), NO_EPOCH);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
                     for _ in 0..OPS_PER_THREAD {
-                        let batch = pool.acquire_batch(POOL_BATCH, NO_EPOCH);
-                        if batch.is_empty() {
-                            // A racing sibling drained the supply; hand one
-                            // fresh page back to keep the churn honest.
-                            pool.release_batch(vec![PooledPage::new()], NO_EPOCH);
-                        } else {
-                            pool.release_batch(batch, NO_EPOCH);
-                        }
+                        // An empty pool means a racing sibling holds the
+                        // supply; hand a fresh page back to keep the churn
+                        // honest.
+                        let page = pool.acquire(NO_EPOCH).unwrap_or_default();
+                        pool.release_batch(vec![page], NO_EPOCH);
                     }
                 });
             }
@@ -252,7 +243,7 @@ fn pool_contention() {
         let counters = pool.counters();
         println!(
             "{:<45} {:>12.1} ns/op",
-            format!("pool_contention/{threads}_threads/acquire_batch"),
+            format!("pool_contention/{threads}_threads/acquire"),
             counters.mean_acquire_ns() as f64
         );
         println!(

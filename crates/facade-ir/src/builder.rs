@@ -229,12 +229,6 @@ impl MethodBuilder<'_> {
         self.current = bb;
     }
 
-    /// The block currently being emitted into.
-    pub fn current_block(&mut self) -> BlockId {
-        self.ensure_started();
-        self.current
-    }
-
     /// Emits a raw instruction into the current block.
     pub fn emit(&mut self, i: Instr) {
         self.ensure_started();

@@ -7,7 +7,7 @@ use crate::layout::{
     ARRAY_HEADER_BYTES, ElemKind, FieldKind, RECORD_HEADER_BYTES, RecordLayout, TypeId,
 };
 use crate::page::{MAX_PAGE_SLOTS, PAGE_BYTES, PAGE_CAPACITY, Page, PageRef};
-use crate::pool::{POOL_BATCH, PagePool, PooledPage};
+use crate::pool::PagePool;
 use crate::stats::NativeStats;
 use metrics::OutOfMemory;
 use std::sync::Arc;
@@ -135,14 +135,6 @@ pub struct PagedHeap {
     vacant_slots: Vec<u32>,
     /// Shared page supply; `None` for a standalone (single-thread) heap.
     pool: Option<Arc<PagePool>>,
-    /// Thread-confined cache of pooled buffers pulled from the shared pool
-    /// but not yet adopted into a slot. A cache hit costs no lock at all;
-    /// refills move whole batches so the pool lock is taken once per
-    /// [`POOL_BATCH`] pages. Cached buffers are in transit: they are not
-    /// charged against the budget, appear in no census, and are flushed
-    /// back to the pool at [`PagedHeap::release_pages_to_pool`] (and on
-    /// drop) so the pool's `pages_returned` accounting reconciles exactly.
-    page_cache: Vec<PooledPage>,
     oversize: Vec<Option<Vec<u8>>>,
     free_oversize: Vec<u32>,
     managers: Vec<PageManager>,
@@ -196,7 +188,6 @@ impl PagedHeap {
             free_pages: Vec::new(),
             vacant_slots: Vec::new(),
             pool: None,
-            page_cache: Vec::new(),
             oversize: Vec::new(),
             free_oversize: Vec::new(),
             // Manager 0 is the default ⟨⊥, t⟩ manager that lives until the
@@ -434,50 +425,34 @@ impl PagedHeap {
                 ));
             }
         }
-        // Thread-confined cache first: a hit adopts a pooled buffer that an
-        // earlier batch refill already paid the pool lock for.
-        if let Some(pooled) = self.page_cache.pop() {
+        // One page from the shared pool: a recycled page keeps its dirty
+        // watermark, so adopting it skips the full-page zeroing a fresh
+        // `calloc` pays.
+        let pooled = self
+            .pool
+            .as_ref()
+            .and_then(|p| p.acquire(self.config.job_epoch));
+        if let Some(pooled) = pooled {
+            self.stats.pages_from_pool += 1;
             return Ok(self.adopt_page(Page::from_pooled(pooled)));
-        }
-        // Refill the cache from the shared pool in batches: recycled pages
-        // keep their dirty watermark, so adopting one skips the full-page
-        // zeroing a fresh `calloc` pays. Only the adopted page is charged
-        // against the budget; the cached remainder stays uncharged (and
-        // bounded by `room`) until adopted or flushed back.
-        if let Some(pool) = self.pool.clone() {
-            let room = match self.config.budget_bytes {
-                Some(budget) => ((budget - self.held_bytes) / PAGE_BYTES as u64) as usize,
-                None => POOL_BATCH,
-            };
-            let batch = pool.acquire_batch(room.min(POOL_BATCH), self.config.job_epoch);
-            if !batch.is_empty() {
-                self.stats.pages_from_pool += batch.len() as u64;
-                self.page_cache.extend(batch);
-                let pooled = self.page_cache.pop().expect("batch was non-empty");
-                return Ok(self.adopt_page(Page::from_pooled(pooled)));
-            }
         }
         let slot = self.adopt_page(Page::new());
         self.stats.pages_created += 1;
         Ok(slot)
     }
 
-    /// Surrenders every free (recycled) page — and every cached, not-yet-
-    /// adopted buffer — to the shared pool so other threads can reuse them;
-    /// returns how many buffers were released. No-op for a heap without an
-    /// attached pool.
+    /// Surrenders every free (recycled) page to the shared pool so other
+    /// threads can reuse them; returns how many pages were released. No-op
+    /// for a heap without an attached pool.
     ///
     /// Live pages — those still owned by an active manager — are never
-    /// released; call this after `iteration_end` has recycled a scope. The
-    /// full cache flush is what keeps the pool's `pages_returned` counter
-    /// reconcilable at store retirement: nothing strands in the cache.
+    /// released; call this after `iteration_end` has recycled a scope.
     pub fn release_pages_to_pool(&mut self) -> usize {
         let Some(pool) = self.pool.clone() else {
             return 0;
         };
         let slots = std::mem::take(&mut self.free_pages);
-        let mut batch = std::mem::take(&mut self.page_cache);
-        batch.reserve(slots.len());
+        let mut batch = Vec::with_capacity(slots.len());
         for slot in slots {
             let page = std::mem::replace(&mut self.pages[slot as usize], Page::placeholder());
             batch.push(page.into_pooled());
@@ -1082,16 +1057,13 @@ impl Drop for PagedHeap {
     fn drop(&mut self) {
         // A heap dropped without retirement — the unhealthy-store path a
         // scheduler takes after a worker failure — must not strand pool
-        // supply: recycled (provably dead) pages and cached, not-yet-
-        // adopted buffers both go back, so the pool's `pages_returned`
-        // counter reconciles even when retirement was skipped. Pages still
-        // owned by a live manager (an open iteration at panic time) are
-        // the one thing deliberately dropped: their contents are suspect
-        // and their buffers unrecoverable without walking a possibly
-        // half-built record graph.
-        if self.pool.is_some() && !(self.free_pages.is_empty() && self.page_cache.is_empty()) {
-            self.release_pages_to_pool();
-        }
+        // supply: recycled (provably dead) pages go back, so the pool's
+        // `pages_returned` counter reconciles even when retirement was
+        // skipped. Pages still owned by a live manager (an open iteration
+        // at panic time) are the one thing deliberately dropped: their
+        // contents are suspect and their buffers unrecoverable without
+        // walking a possibly half-built record graph.
+        self.release_pages_to_pool();
     }
 }
 
@@ -1485,45 +1457,43 @@ mod tests {
         }
         donor.iteration_end(it);
         let supply = donor.release_pages_to_pool();
-        assert!(supply > POOL_BATCH, "donor must overfill one batch");
+        assert!(supply > 1, "donor must return more than one page");
         (pool, supply)
     }
 
     #[test]
-    fn page_cache_refills_in_batches_and_flushes_fully() {
+    fn heap_takes_from_the_pool_only_the_pages_it_adopts() {
         let (pool, supply) = primed_pool();
         let mut h = PagedHeap::with_pool(PagedHeapConfig::default(), Arc::clone(&pool));
         let t = h.register_type("T", &[FieldKind::I64; 4]);
         let it = h.iteration_start();
         h.alloc(t).unwrap();
         h.iteration_end(it);
-        // One allocation pulled a whole batch: one page adopted, the rest
-        // parked in the thread-confined cache, uncharged.
-        assert_eq!(h.stats().pages_from_pool, POOL_BATCH as u64);
+        // One allocation adopted one page; every other page stayed in the
+        // pool, free for any other heap.
+        assert_eq!(h.stats().pages_from_pool, 1);
         assert_eq!(h.page_objects(), 1);
         assert_eq!(h.bytes_held(), PAGE_BYTES as u64);
-        assert_eq!(pool.available(), supply - POOL_BATCH);
-        // Retirement flushes the recycled page AND the cached remainder:
-        // every buffer the heap ever drew goes back.
-        let released = h.release_pages_to_pool();
-        assert_eq!(released, POOL_BATCH);
+        assert_eq!(pool.available(), supply - 1);
+        assert_eq!(pool.counters().pages_handed_out, 1);
+        // Retirement returns the recycled page: every page is back.
+        assert_eq!(h.release_pages_to_pool(), 1);
         assert_eq!(pool.available(), supply);
         let c = pool.counters();
-        assert_eq!(
-            c.pages_returned - supply as u64,
-            c.pages_handed_out,
-            "pool traffic reconciles: nothing strands in the cache"
-        );
+        assert_eq!(c.pages_returned - supply as u64, c.pages_handed_out);
     }
 
     #[test]
-    fn dropped_heap_hands_cached_buffers_back() {
+    fn dropped_heap_hands_recycled_pages_back() {
         let (pool, supply) = primed_pool();
         let mut h = PagedHeap::with_pool(PagedHeapConfig::default(), Arc::clone(&pool));
         let t = h.register_type("T", &[FieldKind::I64; 4]);
         h.alloc(t).unwrap(); // default manager: the adopted page stays live
+        let it = h.iteration_start();
+        h.alloc_array(ElemKind::I64, 8).unwrap();
+        h.iteration_end(it); // the iteration's page is recycled, not yet released
         drop(h);
-        // The live page died with the heap; the cached buffers went back.
+        // The live page died with the heap; the recycled one went back.
         assert_eq!(pool.available(), supply - 1);
     }
 

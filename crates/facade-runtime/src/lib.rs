@@ -59,6 +59,6 @@ pub use heap::{FIRST_USER_TYPE, IterationId, MAX_LOCK_IDS, ManagerId, PagedHeap,
 pub use layout::{ElemKind, FieldKind, RecordLayout, TypeId};
 pub use metrics::OutOfMemory;
 pub use page::{PAGE_BYTES, PAGE_CAPACITY, PAGE_RESERVED, PageRef};
-pub use pool::{EpochLedger, NO_EPOCH, POOL_BATCH, PagePool, PoolCounters, PooledPage};
+pub use pool::{EpochLedger, NO_EPOCH, PagePool, PoolCounters, PooledPage};
 pub use pools::{Facade, FacadePools, PoolBounds};
 pub use stats::NativeStats;

@@ -7,23 +7,22 @@
 //! working set of pages instead of `threads ×` private ones.
 //!
 //! [`PagePool`] is that supply: one free list of page buffers behind one
-//! mutex. Acquire and release move *batches* of pages between a thread's
-//! [`crate::PagedHeap`] and the list, so a worker takes the lock once per
-//! ~8 pages rather than once per page. Buffers carry their dirty high-water
-//! mark across threads, preserving the partial-zeroing optimization (only
-//! bytes below the mark are re-zeroed on the next bump allocation — a page
-//! that recycles through the pool is never wholesale re-zeroed).
+//! mutex. A thread's [`crate::PagedHeap`] takes one page per
+//! [`PagePool::acquire`], when it adopts the page into a slot, and hands its
+//! recycled pages back in one [`PagePool::release_batch`]. A page is always
+//! either in a heap's slot or in the pool, never in transit between them.
+//! Buffers carry their dirty high-water mark across threads, preserving the
+//! partial-zeroing optimization (only bytes below the mark are re-zeroed on
+//! the next bump allocation — a page that recycles through the pool is
+//! never wholesale re-zeroed).
 
 use crate::page::{PAGE_BYTES, PAGE_RESERVED};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
-/// How many pages a heap pulls from / pushes to the pool per lock.
-pub const POOL_BATCH: usize = 8;
-
 /// The epoch tag of untracked page traffic. Epoch `0` is never minted by
-/// [`PagePool::begin_epoch`], so [`PagePool::acquire_batch`] /
+/// [`PagePool::begin_epoch`], so [`PagePool::acquire`] /
 /// [`PagePool::release_batch`] calls tagged with `NO_EPOCH` stay off every
 /// ledger.
 pub const NO_EPOCH: u64 = 0;
@@ -39,14 +38,6 @@ pub struct EpochLedger {
     pub pages_out: u64,
     /// Pages returned by holders tagged with this epoch.
     pub pages_in: u64,
-}
-
-impl EpochLedger {
-    /// Pages still out under this epoch, net of fresh-page donations
-    /// (negative when the epoch donated more than it drew).
-    pub fn balance(&self) -> i64 {
-        self.pages_out as i64 - self.pages_in as i64
-    }
 }
 
 /// A page buffer in transit through the pool: raw bytes plus the dirty
@@ -89,7 +80,7 @@ struct PoolState {
     /// id: a server runs a handful of jobs at once, so a linear scan beats
     /// hashing.
     epochs: Vec<(u64, EpochLedger)>,
-    /// Installed fault schedule; consulted on every batch acquire.
+    /// Installed fault schedule; consulted on every acquire.
     fault: Option<crate::fault::FaultPlan>,
 }
 
@@ -114,8 +105,7 @@ impl PoolState {
 /// use std::sync::Arc;
 ///
 /// let pool = Arc::new(PagePool::with_default_config());
-/// let pages = pool.acquire_batch(4, NO_EPOCH); // empty pool: nothing to hand out yet
-/// assert!(pages.is_empty());
+/// assert!(pool.acquire(NO_EPOCH).is_none()); // empty pool: nothing to hand out yet
 /// ```
 #[derive(Debug)]
 pub struct PagePool {
@@ -124,7 +114,7 @@ pub struct PagePool {
     next_epoch: AtomicU64,
 }
 
-/// Observability snapshot of a [`PagePool`]: traffic totals, batch-call
+/// Observability snapshot of a [`PagePool`]: traffic totals, call
 /// latencies, and the occupancy high-water mark. Taken with
 /// [`PagePool::counters`]; all counters are monotonic over the pool's
 /// lifetime.
@@ -136,7 +126,8 @@ pub struct PagePool {
 ///
 /// let pool = PagePool::with_default_config();
 /// pool.release_batch(vec![PooledPage::new(), PooledPage::new()], NO_EPOCH);
-/// pool.acquire_batch(1, NO_EPOCH);
+/// let page = pool.acquire(NO_EPOCH);
+/// assert!(page.is_some());
 /// let c = pool.counters();
 /// assert_eq!(c.pages_returned, 2);
 /// assert_eq!(c.pages_handed_out, 1);
@@ -145,15 +136,16 @@ pub struct PagePool {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// Total pages ever handed out by [`PagePool::acquire_batch`].
+    /// Total pages ever handed out by [`PagePool::acquire`].
     pub pages_handed_out: u64,
     /// Total pages ever accepted by [`PagePool::release_batch`].
     pub pages_returned: u64,
     /// Most pages ever sitting in the pool at once.
     pub occupancy_hwm: u64,
-    /// Number of batch-acquire calls (including empty-handed ones).
+    /// Number of acquire calls, one per page asked for (including
+    /// empty-handed ones).
     pub acquire_calls: u64,
-    /// Total nanoseconds spent inside batch acquires.
+    /// Total nanoseconds spent inside acquires.
     pub acquire_ns_total: u64,
     /// Number of non-empty batch-release calls.
     pub release_calls: u64,
@@ -162,7 +154,7 @@ pub struct PoolCounters {
 }
 
 impl PoolCounters {
-    /// Mean batch-acquire latency in nanoseconds (0 if no calls yet).
+    /// Mean acquire latency in nanoseconds (0 if no calls yet).
     pub fn mean_acquire_ns(&self) -> u64 {
         self.acquire_ns_total
             .checked_div(self.acquire_calls)
@@ -206,38 +198,37 @@ impl PagePool {
         guard
     }
 
-    /// Installs a fault schedule: batch acquires fail (return an empty
-    /// batch, as if the pool were drained) per the plan's pool-acquire
-    /// probability. Callers fall back to fresh pages, so an injected pool
-    /// failure is survivable by construction.
+    /// Installs a fault schedule: acquires fail (return `None`, as if the
+    /// pool were drained) per the plan's pool-acquire probability, drawn
+    /// once per page asked for. Callers fall back to fresh pages, so an
+    /// injected pool failure is survivable by construction.
     pub fn set_fault_plan(&self, plan: crate::fault::FaultPlan) {
         self.state().fault = Some(plan);
     }
 
-    /// Takes up to `max` pages from the pool (possibly fewer, possibly none
-    /// — the caller falls back to creating fresh pages), charging them to
-    /// `epoch`'s ledger (see [`PagePool::begin_epoch`]). Tagging with
-    /// [`NO_EPOCH`] — or with an epoch already retired — records nothing.
-    pub fn acquire_batch(&self, max: usize, epoch: u64) -> Vec<PooledPage> {
+    /// Takes one page from the pool (`None` if it is empty — the caller
+    /// falls back to creating a fresh page), charging it to `epoch`'s
+    /// ledger (see [`PagePool::begin_epoch`]). Tagging with [`NO_EPOCH`] —
+    /// or with an epoch already retired — records nothing.
+    pub fn acquire(&self, epoch: u64) -> Option<PooledPage> {
         let timed = Instant::now();
         let mut s = self.state();
         let failed = s
             .fault
             .as_ref()
             .is_some_and(|p| p.should_fail_pool_acquire());
-        let take = if failed { 0 } else { max.min(s.free.len()) };
-        let at = s.free.len() - take;
-        let out: Vec<PooledPage> = s.free.drain(at..).rev().collect();
-        s.note_epoch(epoch, take as u64, 0);
+        let page = if failed { None } else { s.free.pop() };
+        let taken = u64::from(page.is_some());
+        s.note_epoch(epoch, taken, 0);
         let c = &mut s.counters;
-        c.pages_handed_out += take as u64;
+        c.pages_handed_out += taken;
         c.acquire_calls += 1;
         c.acquire_ns_total += ns_since(timed);
         drop(s);
-        if take > 0 {
-            facade_trace::complete("pool_acquire", timed, &[("pages", take.into())]);
+        if page.is_some() {
+            facade_trace::complete("pool_acquire", timed, &[]);
         }
-        out
+        page
     }
 
     /// Returns pages to the pool for other threads to reuse, charging them
@@ -265,7 +256,7 @@ impl PagePool {
     // ----- job epochs -------------------------------------------------------
 
     /// Mints a fresh job epoch and opens its [`EpochLedger`]. Traffic moved
-    /// with [`acquire_batch`](Self::acquire_batch) /
+    /// with [`acquire`](Self::acquire) /
     /// [`release_batch`](Self::release_batch) under the returned id is
     /// charged to that ledger until [`retire_epoch`](Self::retire_epoch)
     /// closes it.
@@ -306,7 +297,7 @@ impl PagePool {
         self.state().free.len()
     }
 
-    /// Total pages ever handed out by [`PagePool::acquire_batch`].
+    /// Total pages ever handed out by [`PagePool::acquire`].
     pub fn pages_handed_out(&self) -> u64 {
         self.counters().pages_handed_out
     }
@@ -352,6 +343,11 @@ mod tests {
         (0..n).map(|_| PooledPage::new()).collect()
     }
 
+    /// Asks for `n` pages one call at a time; keeps those handed out.
+    fn take(pool: &PagePool, n: usize, epoch: u64) -> Vec<PooledPage> {
+        (0..n).filter_map(|_| pool.acquire(epoch)).collect()
+    }
+
     #[test]
     fn acquire_release_roundtrip_preserves_buffers() {
         let pool = PagePool::with_default_config();
@@ -360,11 +356,16 @@ mod tests {
         let (addr_a, addr_b) = (a.addr(), b.addr());
         pool.release_batch(vec![a, b], NO_EPOCH);
         assert_eq!(pool.available(), 2);
-        let got = pool.acquire_batch(8, NO_EPOCH);
+        let got = take(&pool, 3, NO_EPOCH);
         assert_eq!(got.len(), 2);
         let addrs: Vec<usize> = got.iter().map(|p| p.addr()).collect();
         assert!(addrs.contains(&addr_a) && addrs.contains(&addr_b));
         assert_eq!(pool.available(), 0);
+        assert_eq!(
+            pool.counters().acquire_calls,
+            3,
+            "one call per page asked for"
+        );
         assert_eq!(pool.pages_handed_out(), 2);
         assert_eq!(pool.pages_returned(), 2);
     }
@@ -373,8 +374,8 @@ mod tests {
     fn publish_gauges_exports_pool_state() {
         let pool = PagePool::with_default_config();
         pool.release_batch(fresh(2), NO_EPOCH);
-        let held = pool.acquire_batch(1, NO_EPOCH);
-        assert_eq!(held.len(), 1);
+        let held = pool.acquire(NO_EPOCH);
+        assert!(held.is_some());
         let registry = metrics::Registry::new();
         pool.publish_gauges(&registry, "facade_pool");
         assert_eq!(registry.gauge("facade_pool_available").get(), 1);
@@ -384,9 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn acquire_from_empty_pool_is_empty() {
+    fn acquire_from_empty_pool_is_none() {
         let pool = PagePool::with_default_config();
-        assert!(pool.acquire_batch(4, NO_EPOCH).is_empty());
+        assert!(pool.acquire(NO_EPOCH).is_none());
         assert_eq!(pool.pages_handed_out(), 0);
     }
 
@@ -395,14 +396,14 @@ mod tests {
         let pool = PagePool::with_default_config();
         pool.release_batch(fresh(6), NO_EPOCH);
         pool.release_batch(fresh(1), NO_EPOCH); // peak: 7 in pool
-        let got = pool.acquire_batch(5, NO_EPOCH);
+        let got = take(&pool, 5, NO_EPOCH);
         assert_eq!(got.len(), 5);
         pool.release_batch(got, NO_EPOCH); // back to 7, not a new peak
         let c = pool.counters();
         assert_eq!(c.occupancy_hwm, 7);
         assert_eq!(c.pages_handed_out, 5);
         assert_eq!(c.pages_returned, 12);
-        assert_eq!(c.acquire_calls, 1);
+        assert_eq!(c.acquire_calls, 5);
         assert_eq!(c.release_calls, 3);
         assert!(c.acquire_ns_total > 0 && c.release_ns_total > 0);
     }
@@ -414,9 +415,9 @@ mod tests {
         p.bytes[100] = 0xAB;
         p.dirty = 128;
         pool.release_batch(vec![p], NO_EPOCH);
-        let got = pool.acquire_batch(1, NO_EPOCH);
-        assert_eq!(got[0].dirty, 128);
-        assert_eq!(got[0].bytes[100], 0xAB, "pool does not re-zero");
+        let got = pool.acquire(NO_EPOCH).unwrap();
+        assert_eq!(got.dirty, 128);
+        assert_eq!(got.bytes[100], 0xAB, "pool does not re-zero");
     }
 
     #[test]
@@ -428,17 +429,16 @@ mod tests {
         assert_eq!(pool.live_epochs(), 1);
 
         // Untagged traffic stays off the ledger.
-        let plain = pool.acquire_batch(1, NO_EPOCH);
+        let plain = take(&pool, 1, NO_EPOCH);
         assert_eq!(pool.epoch_ledger(job), Some(EpochLedger::default()));
 
-        let got = pool.acquire_batch(3, job);
+        let got = take(&pool, 3, job);
         assert_eq!(got.len(), 3);
         pool.release_batch(got, job);
         pool.release_batch(plain, NO_EPOCH);
         let ledger = pool.epoch_ledger(job).unwrap();
         assert_eq!(ledger.pages_out, 3);
         assert_eq!(ledger.pages_in, 3);
-        assert_eq!(ledger.balance(), 0);
 
         let final_ledger = pool.retire_epoch(job).unwrap();
         assert_eq!(final_ledger, ledger);
@@ -468,18 +468,17 @@ mod tests {
     }
 
     #[test]
-    fn epoch_donations_drive_balance_negative() {
+    fn epoch_donations_return_more_than_was_drawn() {
         // A job whose heaps created fresh pages donates them at retirement:
-        // pages_in exceeds pages_out and the balance goes negative by the
-        // donation count — the reconciliation signal a server checks.
+        // pages_in exceeds pages_out by the donation count — the
+        // reconciliation signal a server checks.
         let pool = PagePool::with_default_config();
         let job = pool.begin_epoch();
         pool.release_batch(fresh(4), job);
-        let got = pool.acquire_batch(2, job);
+        let got = take(&pool, 2, job);
         assert_eq!(got.len(), 2);
         let ledger = pool.retire_epoch(job).unwrap();
         assert_eq!(ledger.pages_in, 4);
         assert_eq!(ledger.pages_out, 2);
-        assert_eq!(ledger.balance(), -2);
     }
 }

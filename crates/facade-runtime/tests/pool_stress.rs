@@ -29,7 +29,9 @@ fn concurrent_acquire_release_never_double_hands_a_page() {
             let live = Arc::clone(&live);
             std::thread::spawn(move || {
                 for round in 0..200 {
-                    let batch = pool.acquire_batch(1 + (t + round) % 4, NO_EPOCH);
+                    let batch: Vec<PooledPage> = (0..1 + (t + round) % 4)
+                        .filter_map(|_| pool.acquire(NO_EPOCH))
+                        .collect();
                     {
                         let mut live = live.lock().unwrap();
                         for p in &batch {

@@ -86,18 +86,6 @@ impl Value {
             other => panic!("expected heap reference, got {other:?}"),
         }
     }
-
-    /// The page reference payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not a `Page`.
-    pub fn as_page(self) -> PageRef {
-        match self {
-            Value::Page(r) => r,
-            other => panic!("expected page reference, got {other:?}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +98,6 @@ mod tests {
         assert_eq!(Value::I64(9).as_i64(), 9);
         assert_eq!(Value::F64(2.5).as_f64(), 2.5);
         assert_eq!(Value::Obj(ObjRef::NULL).as_obj(), ObjRef::NULL);
-        assert_eq!(Value::Page(PageRef::NULL).as_page(), PageRef::NULL);
     }
 
     #[test]

@@ -104,17 +104,6 @@ impl VertexView<'_> {
         }
     }
 
-    /// The source vertex of in-edge `i`.
-    pub fn in_neighbor(&self, i: usize) -> u32 {
-        if self.inlined {
-            let meta = self.store.get_rec(self.vertex, self.fields.in_edges);
-            self.store.array_get_i32(meta, 2 * i) as u32
-        } else {
-            let e = self.in_edge(i);
-            self.store.get_i32(e, self.fields.pointer_neighbor) as u32
-        }
-    }
-
     /// The value carried by out-edge `i`.
     pub fn out_edge_value(&self, i: usize) -> f64 {
         if self.inlined {
@@ -134,17 +123,6 @@ impl VertexView<'_> {
         } else {
             let e = self.out_edge(i);
             self.store.set_f64(e, self.fields.pointer_value, v);
-        }
-    }
-
-    /// The destination vertex of out-edge `i`.
-    pub fn out_neighbor(&self, i: usize) -> u32 {
-        if self.inlined {
-            let meta = self.store.get_rec(self.vertex, self.fields.out_edges);
-            self.store.array_get_i32(meta, 2 * i) as u32
-        } else {
-            let e = self.out_edge(i);
-            self.store.get_i32(e, self.fields.pointer_neighbor) as u32
         }
     }
 

@@ -453,8 +453,21 @@ impl Engine {
     }
 
     /// Decodes a verified manifest's sections, failing closed on any shape
-    /// that does not fit this graph.
-    fn decode_resume(&self, manifest: &Manifest) -> Result<ResumeState, RecoveryError> {
+    /// that does not fit this graph, or a cursor outside a run of `passes`
+    /// passes over `intervals` intervals.
+    fn decode_resume(
+        &self,
+        manifest: &Manifest,
+        passes: usize,
+        intervals: usize,
+    ) -> Result<ResumeState, RecoveryError> {
+        let [pass, interval] = manifest.cursor;
+        if pass >= passes as u64 || interval > intervals as u64 {
+            return Err(RecoveryError::Malformed(format!(
+                "cursor at pass {pass}, interval {interval}; the run has {passes} passes \
+                 of {intervals} intervals"
+            )));
+        }
         let values = ckpt::decode_f64s(manifest.require("values")?)?;
         let edge_values = ckpt::decode_f64s(manifest.require("edge_values")?)?;
         if values.len() != self.csr.vertices as usize
@@ -475,8 +488,8 @@ impl Engine {
         Ok(ResumeState {
             values,
             edge_values,
-            pass: manifest.cursor[0] as usize,
-            interval: manifest.cursor[1] as usize,
+            pass: pass as usize,
+            interval: interval as usize,
             edges_processed,
             changed,
         })
@@ -562,9 +575,11 @@ impl Engine {
         // A verified checkpoint replaces the cold-start state. `passes`
         // starts at the cursor's pass because every earlier pass already
         // ran to completion before the checkpoint was taken.
-        let resumed = checkpointer
-            .as_ref()
-            .and_then(|c| c.restore(&mut resilience, |m| self.decode_resume(m)));
+        let resumed = checkpointer.as_ref().and_then(|c| {
+            c.restore(&mut resilience, |m| {
+                self.decode_resume(m, app.iterations(), intervals.len())
+            })
+        });
         let (start_pass, start_interval, resumed_changed) = match resumed {
             Some(r) => {
                 values = r.values;
@@ -1269,16 +1284,31 @@ mod tests {
                     engine.execute(app.as_ref()).unwrap()
                 };
                 let seq = run_with(1);
+                // Facade runs repeat, because the page count depends on
+                // which worker takes which subinterval: every page is in one
+                // worker's store or in the shared pool, so `threads`
+                // workers never create more pages than `threads` one-thread
+                // runs.
+                let runs = if backend == Backend::Facade { 5 } else { 1 };
                 for threads in [2, 4] {
-                    let par = run_with(threads);
-                    assert_eq!(
-                        seq.values,
-                        par.values,
-                        "{} on {backend:?} must be bit-identical at {threads} threads",
-                        app.name()
-                    );
-                    assert_eq!(seq.passes, par.passes, "{}", app.name());
-                    assert_eq!(seq.edges_processed, par.edges_processed, "{}", app.name());
+                    for _ in 0..runs {
+                        let par = run_with(threads);
+                        assert_eq!(
+                            seq.values,
+                            par.values,
+                            "{} on {backend:?} must be bit-identical at {threads} threads",
+                            app.name()
+                        );
+                        assert_eq!(seq.passes, par.passes, "{}", app.name());
+                        assert_eq!(seq.edges_processed, par.edges_processed, "{}", app.name());
+                        let bound = threads as u64 * seq.stats.pages_created;
+                        assert!(
+                            par.stats.pages_created <= bound,
+                            "{} on {backend:?} at {threads} threads: {} pages created > {bound}",
+                            app.name(),
+                            par.stats.pages_created
+                        );
+                    }
                 }
             }
         }

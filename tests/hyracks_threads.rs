@@ -68,6 +68,53 @@ fn external_sort_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// Runs of each thread count a page bound is checked over.
+const BOUND_RUNS: usize = 5;
+
+/// Every page is in one store's slot or in the shared pool, so a store can
+/// always take a page another store released: `N` stores at once never
+/// need more fresh pages than `N` one-thread runs. Which store claims which
+/// partition still varies run to run, so the bound is checked over
+/// [`BOUND_RUNS`] runs of each thread count.
+fn assert_pages_bounded(job: &str, run: impl Fn(&ClusterConfig) -> u64) {
+    let cfg = config(Backend::Facade, 1);
+    let one_thread = run(&cfg);
+    assert!(one_thread > 0, "{job}: a facade run creates pages");
+    for &threads in &THREAD_COUNTS[1..] {
+        let cfg = config(Backend::Facade, threads);
+        let bound = threads.min(cfg.workers) as u64 * one_thread;
+        for attempt in 0..BOUND_RUNS {
+            let pages = run(&cfg);
+            assert!(
+                pages <= bound,
+                "{job} at {threads} threads, run {attempt}: {pages} pages created > \
+                 {bound} = min({threads}, {}) x {one_thread} at one thread",
+                cfg.workers
+            );
+        }
+    }
+}
+
+#[test]
+fn pages_created_stay_within_threads_times_one_thread() {
+    let words = corpus(&CorpusSpec::new(50_000, 17));
+    assert_pages_bounded("WC", |cfg| {
+        Cluster::new(cfg)
+            .word_count(&words)
+            .unwrap()
+            .stats
+            .pages_created
+    });
+    let words = corpus(&CorpusSpec::new(50_000, 19));
+    assert_pages_bounded("ES", |cfg| {
+        Cluster::new(cfg)
+            .external_sort(&words)
+            .unwrap()
+            .stats
+            .pages_created
+    });
+}
+
 #[test]
 fn per_worker_breakdown_sums_to_job_totals() {
     let words = corpus(&CorpusSpec::new(40_000, 23));

@@ -630,6 +630,7 @@ fn facade_iterations_isolate_allocations() {
 mod pool_epoch_model {
     use data_store::{ClassTag, EpochLedger, FieldTy, Iteration, PagePool, Store, StoreStats};
     use datagen::SplitMix64;
+    use facade_runtime::PAGE_BYTES;
     use std::sync::Arc;
 
     /// One live facade store and the stats the model has already booked.
@@ -661,6 +662,8 @@ mod pool_epoch_model {
         /// Acquires larger than the pages the epoch itself or a retired one
         /// could have left in the pool: they drew another live epoch's.
         cross_epoch_acquires: u64,
+        /// Pages created by stores already dropped.
+        dropped_created: u64,
     }
 
     impl Model {
@@ -688,7 +691,7 @@ mod pool_epoch_model {
             s.booked = now;
         }
 
-        fn check(&self, pool: &PagePool, ctx: &str) {
+        fn check(&self, pool: &PagePool, stores: &[LiveStore], ctx: &str) {
             assert_eq!(pool.live_epochs(), self.epochs.len(), "{ctx}");
             for e in &self.epochs {
                 assert_eq!(pool.epoch_ledger(e.id), Some(e.ledger), "{ctx}: {}", e.id);
@@ -697,10 +700,24 @@ mod pool_epoch_model {
             assert_eq!(pool.pages_returned(), self.returned, "{ctx}");
             let supply = self.returned - self.handed_out;
             assert_eq!(pool.available() as u64, supply, "{ctx}");
+            // Conservation: every page ever created sits in a live store's
+            // slot or in the pool, at every step, not only at retirement.
+            let (held, created) = stores.iter().fold((0, self.dropped_created), |(h, c), s| {
+                let now = s.store.stats();
+                (
+                    h + now.current_bytes / PAGE_BYTES as u64,
+                    c + now.pages_created,
+                )
+            });
+            assert_eq!(
+                pool.available() as u64 + held,
+                created,
+                "{ctx}: a page is neither in a store nor in the pool"
+            );
         }
 
-        /// Drops a store after ending its iteration: everything it holds —
-        /// recycled pages and cached pooled buffers — goes back tagged.
+        /// Drops a store after ending its iteration: every page it holds,
+        /// recycled by that end, goes back tagged.
         fn drop_store(&mut self, pool: &PagePool, mut s: LiveStore, ctx: &str) {
             if let Some(it) = s.open.take() {
                 s.store.iteration_end(it);
@@ -714,6 +731,7 @@ mod pool_epoch_model {
             self.book(s.epoch, 0, held);
             let e = self.epochs.iter_mut().find(|e| e.id == s.epoch).unwrap();
             e.created += b.pages_created;
+            self.dropped_created += b.pages_created;
         }
 
         /// Retires a live epoch whose stores are all gone.
@@ -801,7 +819,7 @@ mod pool_epoch_model {
                 }
                 _ => {}
             }
-            model.check(&pool, &ctx);
+            model.check(&pool, &stores, &ctx);
         }
         // Drain: every store goes, then every epoch retires.
         let ctx = format!("seed {seed:#x} drain");
@@ -811,7 +829,7 @@ mod pool_epoch_model {
         while !model.epochs.is_empty() {
             model.retire(&pool, 0, &ctx);
         }
-        model.check(&pool, &ctx);
+        model.check(&pool, &stores, &ctx);
         model.cross_epoch_acquires
     }
 
