@@ -342,7 +342,8 @@ impl<'a> Cursor<'a> {
 
 /// Decode and verify a manifest from its on-disk byte layout. Checks, in
 /// order: magic, version, header completeness, header checksum, payload
-/// completeness, then every section checksum.
+/// completeness, every section checksum, then that no byte follows the last
+/// payload.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, RecoveryError> {
     let mut cursor = Cursor::new(bytes);
     if cursor.take(4)? != MAGIC {
@@ -376,6 +377,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, RecoveryError> {
         }
         sections.push((name, payload.to_vec()));
     }
+    cursor.finish()?;
     Ok(Manifest {
         fingerprint,
         cursor: position,
@@ -691,6 +693,17 @@ mod tests {
                 Ok(m) => panic!("prefix of {cut} bytes decoded as {m:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_byte_after_the_last_payload_is_malformed() {
+        // Every checksum still holds: only the length gives the byte away.
+        let mut bytes = encode_manifest(&sample());
+        bytes.push(0);
+        assert!(matches!(
+            decode_manifest(&bytes),
+            Err(RecoveryError::Malformed(_))
+        ));
     }
 
     #[test]

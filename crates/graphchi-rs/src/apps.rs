@@ -7,36 +7,33 @@ use data_store::{Field, Rec, Store};
 /// once per store by `engine.rs`, which registers the classes.
 ///
 /// Both backends share the class shapes; they differ in what the edge
-/// fields point at. Under the heap backend (`P`), `in_edges`/`out_edges`
-/// are reference arrays of `ChiPointer` records — the Java object graph
-/// the paper profiles. Under the facade backend (`P'`), the compiler's
-/// record-inlining optimization (§3.6: FACADE "inlines all data records
-/// whose size can be statically determined") flattens the pointers into
-/// two parallel primitive arrays per direction: metadata
-/// (`neighbor, edge-id` interleaved) and values. An edge id is the edge's
-/// out-CSR slot (see [`crate::Csr`]).
+/// fields point at. An edge carries only its value: nothing a program
+/// reads needs more, and a neighbor id is the CSR's (`in_src`/`out_dst`),
+/// which both backends share. Under the heap backend (`P`),
+/// `in_edges`/`out_edges` are reference arrays of one-field `ChiPointer`
+/// records — the Java object graph the paper profiles. Under the facade
+/// backend (`P'`), the compiler's record-inlining optimization (§3.6:
+/// FACADE "inlines all data records whose size can be statically
+/// determined") flattens each such array into the primitive array of the
+/// pointers' values, held in the same field.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChiFields {
     pub(crate) id: Field,
     pub(crate) value: Field,
     pub(crate) num_in: Field,
     pub(crate) num_out: Field,
-    /// P: ref array of ChiPointer. P': i32 array `[nbr, eid]*`.
+    /// P: ref array of ChiPointer. P': f64 array of in-edge values.
     pub(crate) in_edges: Field,
-    /// P: ref array of ChiPointer. P': i32 array `[nbr, eid]*`.
+    /// P: ref array of ChiPointer. P': f64 array of out-edge values.
     pub(crate) out_edges: Field,
-    /// P': f64 array of in-edge values (unused under P).
-    pub(crate) in_values: Field,
-    /// P': f64 array of out-edge values (unused under P).
-    pub(crate) out_values: Field,
-    /// `ChiPointer` (P only): the neighbor, the edge id and the edge value.
-    pub(crate) pointer_neighbor: Field,
-    pub(crate) pointer_edge_id: Field,
+    /// `ChiPointer`'s one field (P only): the edge value.
     pub(crate) pointer_value: Field,
 }
 
 /// A loaded vertex: the view a [`VertexProgram`] updates. All reads and
-/// writes go through the record store — this *is* the data path.
+/// writes go through the record store — this *is* the data path. Each side
+/// of the vertex is one `ChiVertex` field: under `P` an array of
+/// `ChiPointer` records, under `P'` the inlined array of edge values.
 #[derive(Debug)]
 pub struct VertexView<'a> {
     pub(crate) store: &'a mut Store,
@@ -71,59 +68,45 @@ impl VertexView<'_> {
         self.store.get_i32(self.vertex, self.fields.num_out) as usize
     }
 
-    fn in_edge(&self, i: usize) -> Rec {
-        let arr = self.store.get_rec(self.vertex, self.fields.in_edges);
-        self.store.array_get_rec(arr, i)
+    /// The value of edge `i` of the side held in field `edges`.
+    fn edge_value(&self, edges: Field, i: usize) -> f64 {
+        let arr = self.store.get_rec(self.vertex, edges);
+        if self.inlined {
+            return self.store.array_get_f64(arr, i);
+        }
+        let e = self.store.array_get_rec(arr, i);
+        self.store.get_f64(e, self.fields.pointer_value)
     }
 
-    fn out_edge(&self, i: usize) -> Rec {
-        let arr = self.store.get_rec(self.vertex, self.fields.out_edges);
-        self.store.array_get_rec(arr, i)
+    /// Writes the value of edge `i` of the side held in field `edges`.
+    fn set_edge_value(&mut self, edges: Field, i: usize, v: f64) {
+        let arr = self.store.get_rec(self.vertex, edges);
+        if self.inlined {
+            return self.store.array_set_f64(arr, i, v);
+        }
+        let e = self.store.array_get_rec(arr, i);
+        self.store.set_f64(e, self.fields.pointer_value, v);
     }
 
     /// The value carried by in-edge `i`.
     pub fn in_edge_value(&self, i: usize) -> f64 {
-        if self.inlined {
-            let vals = self.store.get_rec(self.vertex, self.fields.in_values);
-            self.store.array_get_f64(vals, i)
-        } else {
-            let e = self.in_edge(i);
-            self.store.get_f64(e, self.fields.pointer_value)
-        }
+        self.edge_value(self.fields.in_edges, i)
     }
 
     /// Writes the value of in-edge `i` (used by undirected algorithms such
     /// as connected components).
     pub fn set_in_edge_value(&mut self, i: usize, v: f64) {
-        if self.inlined {
-            let vals = self.store.get_rec(self.vertex, self.fields.in_values);
-            self.store.array_set_f64(vals, i, v);
-        } else {
-            let e = self.in_edge(i);
-            self.store.set_f64(e, self.fields.pointer_value, v);
-        }
+        self.set_edge_value(self.fields.in_edges, i, v);
     }
 
     /// The value carried by out-edge `i`.
     pub fn out_edge_value(&self, i: usize) -> f64 {
-        if self.inlined {
-            let vals = self.store.get_rec(self.vertex, self.fields.out_values);
-            self.store.array_get_f64(vals, i)
-        } else {
-            let e = self.out_edge(i);
-            self.store.get_f64(e, self.fields.pointer_value)
-        }
+        self.edge_value(self.fields.out_edges, i)
     }
 
     /// Writes the value of out-edge `i`.
     pub fn set_out_edge_value(&mut self, i: usize, v: f64) {
-        if self.inlined {
-            let vals = self.store.get_rec(self.vertex, self.fields.out_values);
-            self.store.array_set_f64(vals, i, v);
-        } else {
-            let e = self.out_edge(i);
-            self.store.set_f64(e, self.fields.pointer_value, v);
-        }
+        self.set_edge_value(self.fields.out_edges, i, v);
     }
 
     // ----- sequential access ------------------------------------------------
@@ -135,21 +118,13 @@ impl VertexView<'_> {
     // one bulk store call over the inlined value array, under `P` the
     // `ChiPointer` records one by one.
 
-    /// Folds `f` over the values of one side's edges, in edge order. The
-    /// side is named by its two `ChiVertex` fields: the edge array (walked
-    /// under `P`) and the inlined value array (walked under `P'`).
-    fn fold_edge_values<A>(
-        &self,
-        edges: Field,
-        values: Field,
-        init: A,
-        mut f: impl FnMut(A, f64) -> A,
-    ) -> A {
-        if self.inlined {
-            let vals = self.store.get_rec(self.vertex, values);
-            return self.store.array_f64s(vals).fold(init, f);
-        }
+    /// Folds `f` over the values of the side held in field `edges`, in edge
+    /// order.
+    fn fold_edge_values<A>(&self, edges: Field, init: A, mut f: impl FnMut(A, f64) -> A) -> A {
         let arr = self.store.get_rec(self.vertex, edges);
+        if self.inlined {
+            return self.store.array_f64s(arr).fold(init, f);
+        }
         let mut acc = init;
         for i in 0..self.store.array_len(arr) {
             let e = self.store.array_get_rec(arr, i);
@@ -158,15 +133,15 @@ impl VertexView<'_> {
         acc
     }
 
-    /// Replaces the value of each of one side's edges by `f` of it, in edge
-    /// order. Under `P` an edge whose value `f` leaves unchanged is not
-    /// written, as a program testing before `setValue` would not write it.
-    fn map_edge_values(&mut self, edges: Field, values: Field, mut f: impl FnMut(f64) -> f64) {
-        if self.inlined {
-            let vals = self.store.get_rec(self.vertex, values);
-            return self.store.array_map_f64s(vals, f);
-        }
+    /// Replaces the value of each edge of the side held in field `edges` by
+    /// `f` of it, in edge order. Under `P` an edge whose value `f` leaves
+    /// unchanged is not written, as a program testing before `setValue`
+    /// would not write it.
+    fn map_edge_values(&mut self, edges: Field, mut f: impl FnMut(f64) -> f64) {
         let arr = self.store.get_rec(self.vertex, edges);
+        if self.inlined {
+            return self.store.array_map_f64s(arr, f);
+        }
         for i in 0..self.store.array_len(arr) {
             let e = self.store.array_get_rec(arr, i);
             let old = self.store.get_f64(e, self.fields.pointer_value);
@@ -177,33 +152,41 @@ impl VertexView<'_> {
         }
     }
 
+    /// Copies the values of the side held in field `edges` into `run`, in
+    /// edge order: the engine's writeback.
+    pub(crate) fn read_edge_values(&self, edges: Field, run: &mut [f64]) {
+        self.fold_edge_values(edges, 0, |i, v| {
+            run[i] = v;
+            i + 1
+        });
+    }
+
     /// Folds `f` over the in-edge values, in edge order.
     pub fn fold_in_edge_values<A>(&self, init: A, f: impl FnMut(A, f64) -> A) -> A {
-        self.fold_edge_values(self.fields.in_edges, self.fields.in_values, init, f)
+        self.fold_edge_values(self.fields.in_edges, init, f)
     }
 
     /// Folds `f` over the out-edge values, in edge order.
     pub fn fold_out_edge_values<A>(&self, init: A, f: impl FnMut(A, f64) -> A) -> A {
-        self.fold_edge_values(self.fields.out_edges, self.fields.out_values, init, f)
+        self.fold_edge_values(self.fields.out_edges, init, f)
     }
 
     /// Replaces every in-edge value by `f` of it, in edge order.
     pub fn map_in_edge_values(&mut self, f: impl FnMut(f64) -> f64) {
-        self.map_edge_values(self.fields.in_edges, self.fields.in_values, f);
+        self.map_edge_values(self.fields.in_edges, f);
     }
 
     /// Replaces every out-edge value by `f` of it, in edge order.
     pub fn map_out_edge_values(&mut self, f: impl FnMut(f64) -> f64) {
-        self.map_edge_values(self.fields.out_edges, self.fields.out_values, f);
+        self.map_edge_values(self.fields.out_edges, f);
     }
 
     /// Sets every out-edge value to `v`.
     pub fn fill_out_edge_values(&mut self, v: f64) {
-        if self.inlined {
-            let vals = self.store.get_rec(self.vertex, self.fields.out_values);
-            return self.store.array_map_f64s(vals, |_| v);
-        }
         let arr = self.store.get_rec(self.vertex, self.fields.out_edges);
+        if self.inlined {
+            return self.store.array_map_f64s(arr, |_| v);
+        }
         for i in 0..self.store.array_len(arr) {
             let e = self.store.array_get_rec(arr, i);
             self.store.set_f64(e, self.fields.pointer_value, v);

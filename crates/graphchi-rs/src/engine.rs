@@ -6,8 +6,8 @@ use crate::preprocess::Csr;
 use data_store::checkpoint::{self as ckpt, Checkpointer, Manifest};
 use data_store::recovery::{self, guarded};
 use data_store::{
-    ClassTag, ElemTy, FaultPlan, Field, FieldTy, PauseRecord, PoolCounters, Rec, RecoveryError,
-    RunEnv, Store, StoreStats,
+    ClassTag, ElemTy, FaultPlan, Field, FieldTy, PauseRecord, PoolCounters, RecoveryError, RunEnv,
+    Store, StoreStats,
 };
 use datagen::Graph;
 use metrics::report::Backend;
@@ -209,11 +209,12 @@ fn build_stores(config: &EngineConfig, threads: usize) -> (Vec<Store>, Schema) {
     (stores, schema.expect("at least one worker store"))
 }
 
-// The three data classes the paper's profiling found (§4.1). The two
-// value-array fields are only used by the facade backend's inlined
-// layout (see `apps::ChiFields`). Each field is resolved here, once per
-// store; the stores of a run register the same classes in the same order,
-// so the resolved fields of one are the fields of all.
+// The three data classes the paper's profiling found (§4.1). An edge
+// array holds `ChiPointer` refs, or under the facade backend's inlined
+// layout the pointers' values (see `apps::ChiFields`). Each field is
+// resolved here, once per store; the stores of a run register the same
+// classes in the same order, so the resolved fields of one are the fields
+// of all.
 fn register_schema(store: &mut Store) -> Schema {
     let vertex = store.register_class(
         "ChiVertex",
@@ -222,23 +223,13 @@ fn register_schema(store: &mut Store) -> Schema {
             FieldTy::F64, // value
             FieldTy::I32, // num in
             FieldTy::I32, // num out
-            FieldTy::Ref, // in-edge array (P: ChiPointer refs; P': i32 meta)
+            FieldTy::Ref, // in-edge array (P: ChiPointer refs; P': f64 values)
             FieldTy::Ref, // out-edge array
-            FieldTy::Ref, // in-edge values (P' only)
-            FieldTy::Ref, // out-edge values (P' only)
         ],
     );
-    let pointer = store.register_class(
-        "ChiPointer",
-        &[
-            FieldTy::I32, // neighbor
-            FieldTy::I32, // edge id
-            FieldTy::F64, // edge value
-        ],
-    );
+    let pointer = store.register_class("ChiPointer", &[FieldTy::F64]); // edge value
     let degree = store.register_class("VertexDegree", &[FieldTy::I32, FieldTy::I32]);
     let v = |i| store.field(vertex, i);
-    let p = |i| store.field(pointer, i);
     Schema {
         vertex,
         pointer,
@@ -250,48 +241,10 @@ fn register_schema(store: &mut Store) -> Schema {
             num_out: v(3),
             in_edges: v(4),
             out_edges: v(5),
-            in_values: v(6),
-            out_values: v(7),
-            pointer_neighbor: p(0),
-            pointer_edge_id: p(1),
-            pointer_value: p(2),
+            pointer_value: store.field(pointer, 0),
         },
         in_degree: store.field(degree, 0),
         out_degree: store.field(degree, 1),
-    }
-}
-
-/// The `[neighbor, edge id]*` metadata of a run of CSR adjacency slots, in
-/// the layout the inlined `P'` edge arrays and a [`Window`] share.
-fn gather_meta(nbr: &[u32], eid: impl Iterator<Item = u32>) -> Vec<i32> {
-    let mut meta = Vec::with_capacity(2 * nbr.len());
-    meta.extend(nbr.iter().zip(eid).flat_map(|(&n, e)| [n as i32, e as i32]));
-    meta
-}
-
-/// Copies one side of a loaded vertex's edge values into `run`, in edge
-/// order: under `P'` from the side's inlined value array, under `P` from
-/// each `ChiPointer`'s `value` field. The side is named by its two
-/// `ChiVertex` fields: the edge array and the inlined value array.
-fn read_back(
-    store: &Store,
-    vertex: Rec,
-    inlined: bool,
-    (edges, values): (Field, Field),
-    value: Field,
-    run: &mut [f64],
-) {
-    if inlined {
-        let vals = store.get_rec(vertex, values);
-        for (slot, v) in run.iter_mut().zip(store.array_f64s(vals)) {
-            *slot = v;
-        }
-        return;
-    }
-    let arr = store.get_rec(vertex, edges);
-    for (i, slot) in run.iter_mut().enumerate() {
-        let e = store.array_get_rec(arr, i);
-        *slot = store.get_f64(e, value);
     }
 }
 
@@ -317,21 +270,16 @@ struct CommitBuf {
     changed: bool,
 }
 
-/// One subinterval's shard window: the CSR-order `(neighbor, edge id)`
-/// metadata and the frozen edge-value snapshot for every in- and out-edge
-/// of the vertex range. The load streams these flat arrays into the store
-/// instead of chasing CSR indices between store calls. The content is a
-/// pure function of the CSR and the interval-start snapshot. The value runs
-/// outlive the load: the writeback overwrites them and they become the
-/// subinterval's [`CommitBuf`].
+/// One subinterval's shard window: the frozen edge-value snapshot of every
+/// in- and out-edge of the vertex range, in CSR order. The load streams
+/// these flat runs into the store instead of chasing CSR indices between
+/// store calls. The content is a pure function of the CSR and the
+/// interval-start snapshot. The runs outlive the load: the writeback
+/// overwrites them and they become the subinterval's [`CommitBuf`].
 #[derive(Debug)]
 struct Window {
-    /// `(neighbor, edge id)` pairs for every in-edge, in vertex order.
-    in_meta: Vec<i32>,
     /// Frozen edge values for every in-edge, in vertex order.
     in_vals: Vec<f64>,
-    /// `(neighbor, edge id)` pairs for every out-edge, in vertex order.
-    out_meta: Vec<i32>,
     /// Frozen edge values for every out-edge, in vertex order.
     out_vals: Vec<f64>,
 }
@@ -861,18 +809,10 @@ impl Engine {
         // each side of the window is one run; the out side's edge values
         // are one run of the snapshot too, because an edge id is its out
         // slot.
-        let ins = csr.in_slots(start, end);
-        let outs = csr.out_slots(start, end);
-        let in_eid = &csr.in_eid[ins.clone()];
-        let in_meta = gather_meta(&csr.in_src[ins], in_eid.iter().copied());
-        let in_vals = in_eid.iter().map(|&e| edge_values[e as usize]).collect();
-        let out_meta = gather_meta(&csr.out_dst[outs.clone()], outs.clone().map(|e| e as u32));
-        let out_vals = edge_values[outs].to_vec();
+        let in_eid = &csr.in_eid[csr.in_slots(start, end)];
         Window {
-            in_meta,
-            in_vals,
-            out_meta,
-            out_vals,
+            in_vals: in_eid.iter().map(|&e| edge_values[e as usize]).collect(),
+            out_vals: edge_values[csr.out_slots(start, end)].to_vec(),
         }
     }
 
@@ -923,35 +863,21 @@ impl Engine {
                 let n_out = csr.out_degree(v) as usize;
                 store.set_i32(vr, fields.num_in, n_in as i32);
                 store.set_i32(vr, fields.num_out, n_out as i32);
-                let sides = [
-                    (
-                        (fields.in_edges, fields.in_values),
-                        &window.in_meta[2 * in_seen..2 * (in_seen + n_in)],
-                        &window.in_vals[in_seen..in_seen + n_in],
-                    ),
-                    (
-                        (fields.out_edges, fields.out_values),
-                        &window.out_meta[2 * out_seen..2 * (out_seen + n_out)],
-                        &window.out_vals[out_seen..out_seen + n_out],
-                    ),
-                ];
-                for ((edges_field, values_field), meta, vals) in sides {
+                let ins = &window.in_vals[in_seen..in_seen + n_in];
+                let outs = &window.out_vals[out_seen..out_seen + n_out];
+                for (edges, vals) in [(fields.in_edges, ins), (fields.out_edges, outs)] {
                     if inlined {
                         // P': the compiler's inlining optimization flattens
-                        // the ChiPointer records into parallel primitive
-                        // arrays, each born holding its contents.
-                        let meta_arr = store.alloc_i32s(meta)?;
-                        store.set_rec(vr, edges_field, meta_arr);
-                        let vals_arr = store.alloc_f64s(vals)?;
-                        store.set_rec(vr, values_field, vals_arr);
+                        // the ChiPointer records into the array of their
+                        // values, born holding its contents.
+                        let arr = store.alloc_f64s(vals)?;
+                        store.set_rec(vr, edges, arr);
                         continue;
                     }
                     let arr = store.alloc_array(ElemTy::Ref, vals.len())?;
-                    store.set_rec(vr, edges_field, arr);
-                    for (i, (pair, &val)) in meta.chunks_exact(2).zip(vals).enumerate() {
+                    store.set_rec(vr, edges, arr);
+                    for (i, &val) in vals.iter().enumerate() {
                         let e = store.alloc(schema.pointer)?;
-                        store.set_i32(e, fields.pointer_neighbor, pair[0]);
-                        store.set_i32(e, fields.pointer_edge_id, pair[1]);
                         store.set_f64(e, fields.pointer_value, val);
                         store.array_set_rec(arr, i, e);
                     }
@@ -1007,17 +933,19 @@ impl Engine {
         let (mut in_seen, mut out_seen) = (0usize, 0usize);
         for (vi, v) in (start..end).enumerate() {
             let vr = store.array_get_rec(vertex_arr, vi);
-            new_values.push(store.get_f64(vr, fields.value));
+            let view = VertexView {
+                store,
+                vertex: vr,
+                inlined,
+                fields,
+            };
+            new_values.push(view.value());
             let n_out = csr.out_degree(v) as usize;
-            let outs = &mut out_vals[out_seen..out_seen + n_out];
-            let side = (fields.out_edges, fields.out_values);
-            read_back(store, vr, inlined, side, fields.pointer_value, outs);
+            view.read_edge_values(fields.out_edges, &mut out_vals[out_seen..out_seen + n_out]);
             out_seen += n_out;
             if writes_in {
                 let n_in = csr.in_degree(v) as usize;
-                let ins = &mut in_vals[in_seen..in_seen + n_in];
-                let side = (fields.in_edges, fields.in_values);
-                read_back(store, vr, inlined, side, fields.pointer_value, ins);
+                view.read_edge_values(fields.in_edges, &mut in_vals[in_seen..in_seen + n_in]);
                 in_seen += n_in;
             }
         }
@@ -1404,10 +1332,10 @@ mod tests {
                 Box::new(WithUpdate(ConnectedComponents::new(30), cc_per_element)),
             ),
         ];
-        // Facade `pages_created` of either program at one thread, recorded
-        // with the per-element load this engine replaced: the bulk load
+        // Facade `pages_created` of either program at one thread: the bulk
+        // and the per-element program run over the same load, which
         // allocates the same records in the same order.
-        const PAGES_BEFORE: u64 = 7;
+        const PAGES_BEFORE: u64 = 5;
         for (bulk, reference) in &pairs {
             for backend in [Backend::Heap, Backend::Facade] {
                 // Several threads claim subintervals out of order.
@@ -1620,10 +1548,56 @@ mod tests {
     fn facade_records_match_edge_and_vertex_counts() {
         let g = tiny_graph();
         let out = run(Backend::Facade, &g, &PageRank::new(1));
-        // Per pass: 5 vertices + 2×6 edge pointers (+ degree records).
-        // ChiPointer count = 12 per pass.
-        assert!(out.stats.records_allocated >= 5 + 12);
+        // Degree records for 5 vertices, then per pass a vertex and its two
+        // edge-value arrays for each of them (+ containers).
+        assert!(out.stats.records_allocated >= 5 + 3 * 5);
         assert_eq!(out.stats.heap_objects, 0);
+    }
+
+    #[test]
+    fn records_allocated_is_a_closed_form_of_the_load() {
+        let g = Graph::generate(&GraphSpec::new(300, 2_000, 11));
+        let config = |backend| EngineConfig {
+            backend,
+            budget_bytes: 16 << 20,
+            intervals: 4,
+            // A few dozen edges per subinterval.
+            bytes_per_edge: 100 << 10,
+            threads: 1,
+            ..EngineConfig::default()
+        };
+        let cfg = config(Backend::Facade);
+        let csr = Csr::build(&g);
+        let budget = Ladder::edge_budget_at(&cfg, 1, 0);
+        let subs: u64 = (csr.intervals(cfg.intervals).iter())
+            .map(|&iv| csr.subintervals(iv, budget).len() as u64)
+            .sum();
+        assert!(subs > 4 * cfg.intervals as u64, "{subs} subintervals");
+        let (n, m) = (u64::from(csr.vertices), csr.edges);
+        let apps: [Box<dyn VertexProgram>; 2] = [
+            Box::new(PageRank::new(3)),
+            Box::new(ConnectedComponents::new(30)),
+        ];
+        for app in &apps {
+            for backend in [Backend::Heap, Backend::Facade] {
+                let out = Engine::new(&g, config(backend))
+                    .execute(app.as_ref())
+                    .unwrap();
+                // The degree pass: one container and one record per vertex.
+                // Each pass: a container per subinterval, and per vertex a
+                // `ChiVertex` and its two edge arrays; under `P` also one
+                // `ChiPointer` per edge endpoint. Nothing else per edge.
+                let per_edge = if backend == Backend::Heap { 2 * m } else { 0 };
+                let per_pass = subs + 3 * n + per_edge;
+                assert_eq!(
+                    out.stats.records_allocated,
+                    1 + n + out.passes as u64 * per_pass,
+                    "{} on {backend:?} over {} passes",
+                    app.name(),
+                    out.passes
+                );
+            }
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //!
 //! - **unsealed**: byte flips, truncations, extensions, and rewritten
 //!   section-count, payload-length and name fields, checksums left as they
-//!   were. `read_manifest` must return a typed `RecoveryError` (or `Ok` for
-//!   a mutant that leaves every checksummed byte alone), and the engine run
+//!   were. `read_manifest` must return a typed `RecoveryError` (bytes
+//!   appended after the last payload are `Malformed`), and the engine run
 //!   over that directory must still reach the oracle output, with the
 //!   discard counted;
 //! - **re-sealed**: edits of the decoded manifest (payload bytes, lengths
@@ -407,11 +407,10 @@ fn mutated_manifests_fail_closed_or_recover() {
         (
             Job::PageRank,
             pinned(&[
-                ("unsealed/ok", 4),
                 ("unsealed/truncated", 12),
                 ("unsealed/manifest_checksum", 19),
                 ("unsealed/section_checksum", 9),
-                ("unsealed/malformed", 4),
+                ("unsealed/malformed", 8),
                 ("resealed/resumed", 16),
                 ("resealed/resumed_other", 4),
                 ("resealed/discarded", 28),
@@ -420,11 +419,10 @@ fn mutated_manifests_fail_closed_or_recover() {
         (
             Job::WordCount,
             pinned(&[
-                ("unsealed/ok", 6),
                 ("unsealed/truncated", 16),
                 ("unsealed/manifest_checksum", 11),
                 ("unsealed/section_checksum", 7),
-                ("unsealed/malformed", 8),
+                ("unsealed/malformed", 14),
                 ("resealed/resumed", 5),
                 ("resealed/resumed_other", 8),
                 ("resealed/discarded", 35),
@@ -433,11 +431,10 @@ fn mutated_manifests_fail_closed_or_recover() {
         (
             Job::ExternalSort,
             pinned(&[
-                ("unsealed/ok", 8),
                 ("unsealed/truncated", 17),
                 ("unsealed/manifest_checksum", 13),
                 ("unsealed/section_checksum", 8),
-                ("unsealed/malformed", 2),
+                ("unsealed/malformed", 10),
                 ("resealed/resumed", 4),
                 ("resealed/resumed_other", 4),
                 ("resealed/discarded", 40),
