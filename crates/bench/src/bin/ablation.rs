@@ -5,7 +5,9 @@
 //!    paged data path allocates one record per edge — same shape as the
 //!    heap — and the generational collector's cheap nursery reclamation
 //!    erases most of FACADE's advantage. This quantifies why the paper's
-//!    compiler bundles inlining with the transformation.
+//!    compiler bundles inlining with the transformation. ET is wall
+//!    clock; UT, LT and GT are CPU-seconds summed over the engine's worker
+//!    threads (`cpu-s`), so they need not add up to ET.
 //! 2. **Heap tenure age**: how quickly the baseline promotes survivors.
 //!    Early promotion (age 1) moves per-interval records into the old
 //!    generation, converting cheap nursery collections into mark-compact
@@ -33,7 +35,14 @@ fn main() {
 fn inlining_ablation() {
     let graph = Graph::generate(&GraphSpec::twitter_like(scale()));
     let budget = 8 * mem_unit();
-    let mut table = TextTable::new(&["Config", "ET(s)", "UT(s)", "LT(s)", "GT(s)", "records"]);
+    let mut table = TextTable::new(&[
+        "Config",
+        "ET(s)",
+        "UT(cpu-s)",
+        "LT(cpu-s)",
+        "GT(cpu-s)",
+        "records",
+    ]);
     for (label, backend, inline) in [
         ("P (heap)", Backend::Heap, true),
         ("P' inlined (paper)", Backend::Facade, true),

@@ -3,7 +3,10 @@
 //!
 //! Reported columns match the paper: total execution time (ET), engine
 //! update time (UT), data load time (LT), GC time (GT), and peak memory
-//! (PM). Expected shape: `P'` wins ET everywhere, GT collapses (the paper
+//! (PM). ET is wall clock. UT, LT and GT are CPU-seconds summed over the
+//! engine's worker threads (`cpu-s` in their headers), so at more than one
+//! thread they do not add up to ET and a `P` row's LT can exceed its ET.
+//! Expected shape: `P'` wins ET everywhere, GT collapses (the paper
 //! sees an average 5.1× GC reduction), and `P'`'s PM is roughly
 //! budget-independent while `P`'s tracks the budget.
 
@@ -34,7 +37,14 @@ fn main() {
     );
     let graph = Graph::generate(&spec);
 
-    let mut table = TextTable::new(&["App", "ET(s)", "UT(s)", "LT(s)", "GT(s)", "PM(M)"]);
+    let mut table = TextTable::new(&[
+        "App",
+        "ET(s)",
+        "UT(cpu-s)",
+        "LT(cpu-s)",
+        "GT(cpu-s)",
+        "PM(M)",
+    ]);
     let mut cells = Vec::new();
 
     let apps: Vec<(&str, Box<dyn VertexProgram>)> = vec![

@@ -501,6 +501,49 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_graph_jobs_share_one_csr_and_match_serial_runs() {
+        use crate::{ExecContext, GraphChiRunner, JobRunner};
+        use metrics::report::Backend;
+
+        // Two executors, PR and CC interleaved on both backends: the jobs
+        // race for the dataset's first CSR build and then run side by side
+        // on the one CSR it leaves.
+        let pool = Arc::new(PagePool::with_default_config());
+        let d = dispatcher(2, Some(Arc::clone(&pool)));
+        let specs: Vec<JobSpec> = (0..2)
+            .flat_map(|_| [Backend::Facade, Backend::Heap])
+            .flat_map(|backend| {
+                [
+                    Workload::PageRank { iterations: 3 },
+                    Workload::ConnectedComponents { max_iterations: 20 },
+                ]
+                .map(|workload| JobSpec {
+                    backend,
+                    ..quick_spec(workload)
+                })
+            })
+            .collect();
+        let handles: Vec<_> = specs.iter().map(|s| d.submit(s.clone()).unwrap()).collect();
+        // The same jobs one at a time, on a dataset of their own.
+        let serial = Dataset::synthetic(200, 800, 15_000, 3);
+        for (spec, h) in specs.iter().zip(&handles) {
+            let want = GraphChiRunner
+                .execute(spec, &serial, &ExecContext::default())
+                .unwrap();
+            let got = h.wait().expect("job completes");
+            assert_eq!(
+                got.output.fingerprint(),
+                want.output.fingerprint(),
+                "{} on {:?}",
+                spec.workload,
+                spec.backend
+            );
+            assert!(got.epoch.is_none_or(|e| e.reconciled));
+        }
+        d.shutdown();
+    }
+
+    #[test]
     fn canceled_queued_jobs_never_run() {
         // One executor, occupied by a slow job; the queued one is canceled
         // before it can start.

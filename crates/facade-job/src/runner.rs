@@ -91,7 +91,8 @@ fn run_env(spec: &JobSpec, ctx: &ExecContext) -> ExecContext {
     }
 }
 
-/// Routes graph workloads (PR/CC) to the GraphChi-style engine.
+/// Routes graph workloads (PR/CC) to the GraphChi-style engine, on the
+/// dataset's shared CSR ([`Dataset::csr`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GraphChiRunner;
 
@@ -123,7 +124,7 @@ impl JobRunner for GraphChiRunner {
             ..EngineConfig::default()
         };
         let started = Instant::now();
-        let mut engine = Engine::new(&data.graph, config);
+        let mut engine = Engine::with_csr(data.csr(), config);
         let outcome = match &spec.workload {
             Workload::PageRank { iterations } => engine.execute(&PageRank::new(*iterations)),
             Workload::ConnectedComponents { max_iterations } => {
@@ -235,6 +236,7 @@ pub fn default_runners() -> Vec<Box<dyn JobRunner>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphchi_rs::VertexProgram;
     use metrics::report::Backend;
 
     fn dataset() -> Dataset {
@@ -271,30 +273,56 @@ mod tests {
     fn runner_outputs_match_direct_engine_runs() {
         let data = dataset();
         let ctx = ExecContext::default();
-        // PageRank through the unified API vs. the engine called directly.
-        let report = GraphChiRunner
-            .execute(&spec(Workload::PageRank { iterations: 3 }), &data, &ctx)
-            .unwrap();
-        let direct = Engine::new(
-            &data.graph,
-            EngineConfig {
-                backend: Backend::Facade,
-                budget_bytes: 8 << 20,
-                intervals: 8,
-                threads: 2,
-                ..EngineConfig::default()
-            },
-        )
-        .execute(&PageRank::new(3))
-        .unwrap();
-        assert_eq!(
-            report.output.fingerprint(),
-            JobOutput::Vertices {
-                values: direct.values
+        // PageRank and CC through the unified API vs. the engine called
+        // directly on a CSR of its own. Every job after the first reuses
+        // the dataset's CSR; each runs twice in a row, so a job that left
+        // anything behind in the shared CSR would show in the second.
+        let jobs: [(Workload, Box<dyn VertexProgram>); 2] = [
+            (
+                Workload::PageRank { iterations: 3 },
+                Box::new(PageRank::new(3)),
+            ),
+            (
+                Workload::ConnectedComponents { max_iterations: 30 },
+                Box::new(ConnectedComponents::new(30)),
+            ),
+        ];
+        for backend in [Backend::Heap, Backend::Facade] {
+            for threads in [1, 2] {
+                for (workload, app) in &jobs {
+                    let direct = Engine::new(
+                        &data.graph,
+                        EngineConfig {
+                            backend,
+                            budget_bytes: 8 << 20,
+                            intervals: 8,
+                            threads,
+                            ..EngineConfig::default()
+                        },
+                    )
+                    .execute(app.as_ref())
+                    .unwrap();
+                    let want = JobOutput::Vertices {
+                        values: direct.values,
+                    }
+                    .fingerprint();
+                    let spec = JobSpec {
+                        backend,
+                        threads,
+                        ..spec(workload.clone())
+                    };
+                    for round in 0..2 {
+                        let report = GraphChiRunner.execute(&spec, &data, &ctx).unwrap();
+                        assert_eq!(
+                            report.output.fingerprint(),
+                            want,
+                            "{workload} on {backend:?} at {threads} threads, job {round}: \
+                             unified API output is bit-identical to the direct engine run"
+                        );
+                    }
+                }
             }
-            .fingerprint(),
-            "unified API output is bit-identical to the direct engine run"
-        );
+        }
         // WordCount likewise.
         let report = HyracksRunner
             .execute(&spec(Workload::WordCount), &data, &ctx)

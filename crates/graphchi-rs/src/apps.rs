@@ -8,8 +8,9 @@ use data_store::{Field, Rec, Store};
 ///
 /// Both backends share the class shapes; they differ in what the edge
 /// fields point at. An edge carries only its value: nothing a program
-/// reads needs more, and a neighbor id is the CSR's (`in_src`/`out_dst`),
-/// which both backends share. Under the heap backend (`P`),
+/// reads needs more, and a neighbor id is the CSR's (`out_dst`, or for an
+/// in-edge the vertex whose out run holds its `in_eid` slot), which both
+/// backends share. Under the heap backend (`P`),
 /// `in_edges`/`out_edges` are reference arrays of one-field `ChiPointer`
 /// records — the Java object graph the paper profiles. Under the facade
 /// backend (`P'`), the compiler's record-inlining optimization (§3.6:
@@ -153,12 +154,26 @@ impl VertexView<'_> {
     }
 
     /// Copies the values of the side held in field `edges` into `run`, in
-    /// edge order: the engine's writeback.
+    /// edge order: the engine's in-side writeback, over the gathered run.
     pub(crate) fn read_edge_values(&self, edges: Field, run: &mut [f64]) {
         self.fold_edge_values(edges, 0, |i, v| {
             run[i] = v;
             i + 1
         });
+    }
+
+    /// Appends the values of the side held in field `edges` to `run`, in
+    /// edge order: the engine's out-side writeback. Under `P'` one bulk
+    /// extend from the inlined value array.
+    pub(crate) fn append_edge_values(&self, edges: Field, run: &mut Vec<f64>) {
+        let arr = self.store.get_rec(self.vertex, edges);
+        if self.inlined {
+            return run.extend(self.store.array_f64s(arr));
+        }
+        run.extend((0..self.store.array_len(arr)).map(|i| {
+            let e = self.store.array_get_rec(arr, i);
+            self.store.get_f64(e, self.fields.pointer_value)
+        }));
     }
 
     /// Folds `f` over the in-edge values, in edge order.
@@ -245,6 +260,21 @@ pub trait VertexProgram: Sync {
     /// [`fold_edge_value`]: Self::fold_edge_value
     fn fold_edge_values(&self, stored: &mut [f64], written: &[f64]) {
         for (s, &w) in stored.iter_mut().zip(written) {
+            *s = self.fold_edge_value(*s, w);
+        }
+    }
+
+    /// Folds each written value into the stored value of the edge it
+    /// names — `written[i]` into `stored[slots[i]]` — in order. The engine
+    /// calls it once per vertex for its in-edges, whose out slots are
+    /// scattered, so, as in [`fold_edge_values`], [`fold_edge_value`] is
+    /// called statically here rather than through the vtable per edge.
+    ///
+    /// [`fold_edge_values`]: Self::fold_edge_values
+    /// [`fold_edge_value`]: Self::fold_edge_value
+    fn fold_scattered_edge_values(&self, stored: &mut [f64], slots: &[u32], written: &[f64]) {
+        for (&e, &w) in slots.iter().zip(written) {
+            let s = &mut stored[e as usize];
             *s = self.fold_edge_value(*s, w);
         }
     }

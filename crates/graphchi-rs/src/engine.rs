@@ -15,6 +15,7 @@ use metrics::{
     DegradationAction, FailureCause, JobFailure, OutOfMemory, PhaseTimer, ResilienceReport, phases,
 };
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// File name of the engine's checkpoint within a checkpoint directory.
@@ -251,8 +252,9 @@ fn register_schema(store: &mut Store) -> Schema {
 /// The buffered effects of one subinterval, produced against a frozen
 /// interval-start snapshot and replayed by the main thread in subinterval
 /// order — the mechanism that makes parallel runs bit-identical to
-/// sequential ones. The edge runs are the subinterval's gathered window,
-/// overwritten in place by the writeback; position addresses every value.
+/// sequential ones. The in run is the subinterval's gathered [`Window`],
+/// overwritten in place by the writeback; the out run is appended by it in
+/// slot order. Position addresses every value.
 #[derive(Debug)]
 struct CommitBuf {
     /// First vertex of the subinterval; `new_values[i]` belongs to
@@ -270,18 +272,20 @@ struct CommitBuf {
     changed: bool,
 }
 
-/// One subinterval's shard window: the frozen edge-value snapshot of every
-/// in- and out-edge of the vertex range, in CSR order. The load streams
-/// these flat runs into the store instead of chasing CSR indices between
-/// store calls. The content is a pure function of the CSR and the
-/// interval-start snapshot. The runs outlive the load: the writeback
-/// overwrites them and they become the subinterval's [`CommitBuf`].
+/// One subinterval's shard window: the frozen values of every in-edge of
+/// the vertex range, in in-slot order. An in-edge's value lives at its out
+/// slot, scattered over the snapshot, so gathering them in one tight pass
+/// lets the cache misses overlap instead of each one stalling the store
+/// calls behind it. The out side needs no window: a vertex range's out
+/// slots are one contiguous run of the snapshot, which the load reads in
+/// place. The content is a pure function of the CSR and the
+/// interval-start snapshot. The run outlives the load: the writeback of an
+/// in-edge-writing program overwrites it and it becomes the subinterval's
+/// [`CommitBuf::in_vals`].
 #[derive(Debug)]
 struct Window {
     /// Frozen edge values for every in-edge, in vertex order.
     in_vals: Vec<f64>,
-    /// Frozen edge values for every out-edge, in vertex order.
-    out_vals: Vec<f64>,
 }
 
 /// State restored from a verified checkpoint. The cursor is deliberately
@@ -321,19 +325,26 @@ fn encode_sections(
 /// one or more vertex programs.
 #[derive(Debug)]
 pub struct Engine {
-    csr: Csr,
+    csr: Arc<Csr>,
     config: EngineConfig,
 }
 
 impl Engine {
-    /// Builds the engine, running preprocessing (CSR construction — the
-    /// stand-in for shard creation; excluded from reported times, as the
-    /// paper excludes preprocessing).
+    /// Builds the engine, running preprocessing first (CSR construction —
+    /// the stand-in for shard creation). The paper excludes preprocessing
+    /// from every reported time; a host that runs many jobs on one graph
+    /// builds the CSR once and shares it through [`Engine::with_csr`], as
+    /// `facade_job::Dataset` does. This is `with_csr` over a fresh CSR.
     pub fn new(graph: &Graph, config: EngineConfig) -> Self {
-        Self {
-            csr: Csr::build(graph),
-            config,
-        }
+        Self::with_csr(Arc::new(Csr::build(graph)), config)
+    }
+
+    /// The engine over an already-built CSR, shared with every other engine
+    /// (and thread) holding it: preprocessing is paid by whoever built it,
+    /// once per graph, not once per job. The CSR is read-only; a run's
+    /// output depends on its contents, not on who else holds it.
+    pub fn with_csr(csr: Arc<Csr>, config: EngineConfig) -> Self {
+        Self { csr, config }
     }
 
     /// The checkpoint file this engine reads and writes under `dir`
@@ -770,7 +781,8 @@ impl Engine {
     /// vertex in order, its out run, then its in run. That is the order a
     /// sequential engine writes them in, so any fold — commutative or not —
     /// gives the same bits at every thread count. Without in-edge writes
-    /// the subinterval's out runs are adjacent, and fold as one run.
+    /// the subinterval's out runs are adjacent, and fold as one run. Each
+    /// side is one call into the program per vertex, not one per edge.
     fn commit(
         &self,
         app: &dyn VertexProgram,
@@ -792,27 +804,20 @@ impl Engine {
             let outs = csr.out_slots(v, v + 1);
             let written = &buf.out_vals[outs.start - out_base..outs.end - out_base];
             app.fold_edge_values(&mut edge_values[outs], written);
-            for i in csr.in_slots(v, v + 1) {
-                let eid = csr.in_eid[i] as usize;
-                edge_values[eid] = app.fold_edge_value(edge_values[eid], buf.in_vals[i - in_base]);
-            }
+            let ins = csr.in_slots(v, v + 1);
+            let written = &buf.in_vals[ins.start - in_base..ins.end - in_base];
+            app.fold_scattered_edge_values(edge_values, &csr.in_eid[ins], written);
         }
     }
 
     /// Gathers one subinterval's shard window from the frozen snapshot —
     /// the CSR-chasing, cache-missing half of `sub_load` — without touching
-    /// any store: one tight pass per side, so the misses overlap instead
-    /// of each one stalling the store calls behind it.
+    /// any store. A vertex range's in slots are contiguous in the CSR, so
+    /// the window is one run.
     fn gather_sub(&self, (start, end): (u32, u32), edge_values: &[f64]) -> Window {
-        let csr = &self.csr;
-        // A vertex range's adjacency slots are contiguous in the CSR, so
-        // each side of the window is one run; the out side's edge values
-        // are one run of the snapshot too, because an edge id is its out
-        // slot.
-        let in_eid = &csr.in_eid[csr.in_slots(start, end)];
+        let in_eid = &self.csr.in_eid[self.csr.in_slots(start, end)];
         Window {
             in_vals: in_eid.iter().map(|&e| edge_values[e as usize]).collect(),
-            out_vals: edge_values[csr.out_slots(start, end)].to_vec(),
         }
     }
 
@@ -821,7 +826,8 @@ impl Engine {
     /// dies here. Reads come from the frozen interval-start snapshot;
     /// writes go into the returned [`CommitBuf`] for the main thread to
     /// replay in order. The load phase first gathers the subinterval's
-    /// [`Window`], then streams it into the store.
+    /// [`Window`], then streams it and each vertex's out run of the
+    /// snapshot, read in place, into the store.
     #[allow(clippy::too_many_arguments)]
     fn process_subinterval(
         &self,
@@ -847,9 +853,9 @@ impl Engine {
         let window = self.gather_sub((start, end), edge_values);
         let fields = &schema.fields;
         let mut load = || -> Result<(), OutOfMemory> {
-            // Edges consumed so far from the window; its flat arrays are in
-            // vertex order.
-            let (mut in_seen, mut out_seen) = (0usize, 0usize);
+            // In-edges consumed so far from the window, which is in vertex
+            // order.
+            let mut in_seen = 0usize;
             for v in start..end {
                 let vi = (v - start) as usize;
                 let vr = store.alloc(schema.vertex)?;
@@ -864,7 +870,9 @@ impl Engine {
                 store.set_i32(vr, fields.num_in, n_in as i32);
                 store.set_i32(vr, fields.num_out, n_out as i32);
                 let ins = &window.in_vals[in_seen..in_seen + n_in];
-                let outs = &window.out_vals[out_seen..out_seen + n_out];
+                // An edge id is its out slot, so the vertex's out-edge
+                // values are one run of the snapshot.
+                let outs = &edge_values[csr.out_slots(v, v + 1)];
                 for (edges, vals) in [(fields.in_edges, ins), (fields.out_edges, outs)] {
                     if inlined {
                         // P': the compiler's inlining optimization flattens
@@ -883,7 +891,6 @@ impl Engine {
                     }
                 }
                 in_seen += n_in;
-                out_seen += n_out;
             }
             Ok(())
         };
@@ -917,20 +924,21 @@ impl Engine {
         );
 
         // ---- writeback (counted as load/IO time, like shard writes) ------
-        // Buffered rather than applied, into the window the load streamed
-        // from: each vertex's runs are overwritten in place, so a value's
+        // Buffered rather than applied: each vertex's out values are
+        // appended to a fresh run in vertex order, and its in values
+        // overwrite the window the load streamed from, so a value's
         // position names its edge and the main thread's replay folds the
         // runs in the order the sequential engine would.
         let wb_start = std::time::Instant::now();
         let writes_in = app.writes_in_edges();
         let mut new_values = Vec::with_capacity(count);
-        let mut out_vals = window.out_vals;
+        let mut out_vals = Vec::with_capacity(csr.out_slots(start, end).len());
         let mut in_vals = if writes_in {
             window.in_vals
         } else {
             Vec::new()
         };
-        let (mut in_seen, mut out_seen) = (0usize, 0usize);
+        let mut in_seen = 0usize;
         for (vi, v) in (start..end).enumerate() {
             let vr = store.array_get_rec(vertex_arr, vi);
             let view = VertexView {
@@ -940,9 +948,7 @@ impl Engine {
                 fields,
             };
             new_values.push(view.value());
-            let n_out = csr.out_degree(v) as usize;
-            view.read_edge_values(fields.out_edges, &mut out_vals[out_seen..out_seen + n_out]);
-            out_seen += n_out;
+            view.append_edge_values(fields.out_edges, &mut out_vals);
             if writes_in {
                 let n_in = csr.in_degree(v) as usize;
                 view.read_edge_values(fields.in_edges, &mut in_vals[in_seen..in_seen + n_in]);

@@ -20,9 +20,9 @@ pub struct Csr {
     pub out_dst: Vec<u32>,
     /// In-adjacency offsets, length `vertices + 1`.
     pub in_offsets: Vec<u32>,
-    /// In-neighbors (sources), ordered by destination.
-    pub in_src: Vec<u32>,
-    /// Edge id (out slot) of each in-adjacency slot's edge.
+    /// Edge id (out slot) of each in-adjacency slot's edge, ordered by
+    /// destination. An edge's source is the vertex whose out run holds
+    /// that slot.
     pub in_eid: Vec<u32>,
 }
 
@@ -45,7 +45,6 @@ impl Csr {
             in_offsets[i + 1] += in_offsets[i];
         }
         let mut out_dst = vec![0u32; m];
-        let mut in_src = vec![0u32; m];
         let mut in_eid = vec![0u32; m];
         let mut out_cursor = out_offsets.clone();
         let mut in_cursor = in_offsets.clone();
@@ -54,7 +53,6 @@ impl Csr {
             out_dst[o as usize] = d;
             out_cursor[s as usize] += 1;
             let i = in_cursor[d as usize] as usize;
-            in_src[i] = s;
             in_eid[i] = o;
             in_cursor[d as usize] += 1;
         }
@@ -64,7 +62,6 @@ impl Csr {
             out_offsets,
             out_dst,
             in_offsets,
-            in_src,
             in_eid,
         }
     }
@@ -157,6 +154,12 @@ mod tests {
         assert_eq!(nbrs, vec![1, 2]);
     }
 
+    /// The source of the edge in out slot `eid`: the vertex whose out run
+    /// holds the slot.
+    fn source_of(c: &Csr, eid: usize) -> u32 {
+        (c.out_offsets.partition_point(|&o| o as usize <= eid) - 1) as u32
+    }
+
     #[test]
     fn edge_ids_are_consistent_across_directions() {
         let c = small();
@@ -165,7 +168,10 @@ mod tests {
         // it names the same slot.
         let out_slot = c.out_slots(1, 2).find(|&i| c.out_dst[i] == 2).unwrap();
         assert_eq!(out_slot, 2);
-        let in_slot = c.in_slots(2, 3).find(|&i| c.in_src[i] == 1).unwrap();
+        let in_slot = c
+            .in_slots(2, 3)
+            .find(|&i| source_of(&c, c.in_eid[i] as usize) == 1)
+            .unwrap();
         assert_eq!(c.in_eid[in_slot], out_slot as u32);
     }
 
@@ -174,21 +180,25 @@ mod tests {
         let g = Graph::generate(&GraphSpec::new(700, 6_000, 29));
         let c = Csr::build(&g);
         let mut seen = vec![false; c.edges as usize];
+        let mut edges = Vec::with_capacity(g.edges.len());
         for d in 0..c.vertices {
             for i in c.in_slots(d, d + 1) {
-                let (src, eid) = (c.in_src[i], c.in_eid[i] as usize);
+                let eid = c.in_eid[i] as usize;
                 assert_eq!(c.out_dst[eid], d, "in slot {i} of {d}");
-                assert!(
-                    c.out_slots(src, src + 1).contains(&eid),
-                    "in slot {i} of {d}"
-                );
                 assert!(
                     !std::mem::replace(&mut seen[eid], true),
                     "out slot {eid} twice"
                 );
+                edges.push((source_of(&c, eid), d));
             }
         }
         assert!(seen.iter().all(|&s| s), "every out slot has an in slot");
+        // The in slots, read back through their out slots, are the input
+        // edge list.
+        let mut want = g.edges.clone();
+        want.sort_unstable();
+        edges.sort_unstable();
+        assert_eq!(edges, want);
     }
 
     #[test]
