@@ -12,10 +12,10 @@
 //!   site is `"fault-injection"`. It fires exactly once, so a retrying
 //!   engine survives it.
 //! - **Fail pool acquisition with probability p** — each
-//!   [`crate::PagePool`] batch acquire is failed (returns an empty batch)
-//!   with the given probability, driven by a seeded counter-based PRNG, so
-//!   runs are reproducible. Heaps fall back to fresh pages, exercising the
-//!   pool-miss path.
+//!   [`crate::PagePool`] acquire is failed (takes no page and returns
+//!   `None`) with the given probability, driven by a seeded counter-based
+//!   PRNG, so runs are reproducible. Heaps fall back to fresh pages,
+//!   exercising the pool-miss path.
 //! - **Poison recycled pages** — every recycled page has its stale region
 //!   (`[PAGE_RESERVED, dirty)`) filled with `0xDB`, so any reader of
 //!   reclaimed memory sees garbage instead of plausible stale values. The
@@ -112,8 +112,8 @@ impl FaultPlan {
         }
     }
 
-    /// Decides whether the current pool batch-acquire should fail (return
-    /// an empty batch). Deterministic in (seed, draw index).
+    /// Decides whether the current one-page pool acquire should fail
+    /// (return `None`). Deterministic in (seed, draw index).
     pub fn should_fail_pool_acquire(&self) -> bool {
         let ppm = self.inner.pool_acquire_failure_ppm;
         if ppm == 0 {
@@ -231,8 +231,8 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Fail each pool batch-acquire with probability `ppm` parts per
-    /// million (1_000_000 = always fail).
+    /// Fail each one-page pool acquire (it returns `None`) with
+    /// probability `ppm` parts per million (1_000_000 = always fail).
     #[must_use]
     pub fn pool_acquire_failure_ppm(mut self, ppm: u32) -> Self {
         self.pool_acquire_failure_ppm = ppm.min(1_000_000);

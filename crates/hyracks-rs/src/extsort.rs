@@ -92,9 +92,9 @@ fn sort_worker(
             build_result?;
         }
 
-        // Sort an out-of-page array of (normalised key prefix, key array):
-        // each record is resolved once, and a comparison reads the store
-        // only when two prefixes tie. The raw `Rec`s held here are outside
+        // Sort an out-of-page array of (normalised key prefix, key array)
+        // on the prefix alone, each record resolved once; then settle each
+        // group of equal prefixes. The raw `Rec`s held here are outside
         // the roots, which is sound because no store allocation happens
         // from here to the end of the spill, so a heap-backend collection
         // cannot run (and move them) in between.
@@ -105,10 +105,16 @@ fn sort_worker(
             })
             .collect();
         // Unstable is safe: keys that compare equal are byte-identical.
-        keys.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| store.array_bytes(a.1).cmp(store.array_bytes(b.1)))
-        });
+        keys.sort_unstable_by_key(|&(prefix, _)| prefix);
+        for group in keys.chunk_by_mut(|a, b| a.0 == b.0) {
+            // Keys of one length ≤ 8 that share a prefix are byte-identical,
+            // so the group is already in order. Longer keys, or lengths that
+            // differ only in trailing zeros (`"ab"` / `"ab\0"`), need bytes.
+            let len = store.array_len(group[0].1);
+            if len > 8 || group.iter().any(|&(_, k)| store.array_len(k) != len) {
+                group.sort_unstable_by(|a, b| store.array_bytes(a.1).cmp(store.array_bytes(b.1)));
+            }
+        }
 
         // Spill the sorted run (records leave the data path).
         let mut run = Run::with_capacity(keys.len(), chunk.iter().map(|w| w.len()).sum());
@@ -357,29 +363,53 @@ mod tests {
         ]);
         edge.extend(std::iter::repeat_n("dup".to_string(), 200));
         edge.extend(std::iter::repeat_n(String::new(), 20));
+        edge.extend(std::iter::repeat_n("twelve bytes".to_string(), 50));
         // Spread the edge keys over the corpus so they land in many runs.
         let mut words = corpus(&CorpusSpec::new(10_000, 47));
         for (i, key) in edge.into_iter().enumerate() {
             let at = (i * 7919) % words.len();
             words.insert(at, key);
         }
-        let mut expected: Vec<Vec<u8>> = words.iter().map(|w| w.as_bytes().to_vec()).collect();
-        expected.sort();
-        let words: Vec<&String> = words.iter().collect();
+        // Equal-prefix groups that only a byte sort settles, out of order at
+        // the head of the input, so that the first run holds them whole at
+        // every level: lengths ≤ 8 that differ, and two groups that share 8
+        // bytes and differ after them.
+        let head = [
+            "ab\0\0",
+            "ab",
+            "ab\0",
+            "prefix-B2",
+            "prefix-A~",
+            "prefix-B1\0",
+            "prefix-A!",
+            "prefix-B1",
+            "prefix-A",
+        ];
+        words.splice(0..0, head.map(String::from));
+        // The head of E3's smallest corpus at `table3_hyracks`' default unit
+        // (4 MiB × 0.2), where most keys are longer than their prefix.
+        let (_, e3) = &CorpusSpec::table3_series(838_860)[0];
+        let mut e3 = corpus(e3);
+        e3.truncate(1_500);
 
         // Levels 0 and 1 sort in one run, levels >= 2 in several.
         let budget = 96 * 2048;
-        assert!(words.len() < 2048 && words.len() > 2048 >> 2);
-        for backend in [Backend::Heap, Backend::Facade] {
-            for level in 0..=6 {
-                let mut store = data_store::Store::builder()
-                    .backend(backend)
-                    .budget(16 << 20)
-                    .build();
-                let line = LineRecord::register(&mut store);
-                let sorted = sort_worker(&mut store, line, &words, budget, level).unwrap();
-                let keys: Vec<&[u8]> = sorted.keys().collect();
-                assert_eq!(keys, expected, "{backend:?} level {level}");
+        for words in [words, e3] {
+            let mut expected: Vec<&[u8]> = words.iter().map(|w| w.as_bytes()).collect();
+            expected.sort();
+            let words: Vec<&String> = words.iter().collect();
+            assert!(words.len() < 2048 && words.len() > 2048 >> 2);
+            for backend in [Backend::Heap, Backend::Facade] {
+                for level in 0..=6 {
+                    let mut store = data_store::Store::builder()
+                        .backend(backend)
+                        .budget(16 << 20)
+                        .build();
+                    let line = LineRecord::register(&mut store);
+                    let sorted = sort_worker(&mut store, line, &words, budget, level).unwrap();
+                    let keys: Vec<&[u8]> = sorted.keys().collect();
+                    assert_eq!(keys, expected, "{backend:?} level {level}");
+                }
             }
         }
     }
@@ -478,23 +508,31 @@ mod tests {
         // Literals recorded before the sort moved out of page: the key
         // array must leave every store allocation, and so every page and
         // collection, exactly where it was.
+        // The `(rows, checksum)` payload was recorded before the sort settled
+        // equal-prefix groups in a pass of their own.
+        const PAYLOAD: (u64, u64) = (5_593, 0x00ca_35e5_d9bd_67c5);
         let words = corpus(&CorpusSpec::new(40_000, 43));
-        let run = |backend, per_worker_budget| {
+        let run = |backend, per_worker_budget, threads| {
             crate::Cluster::new(&ClusterConfig {
-                threads: 1,
+                threads,
                 per_worker_budget,
                 ..config(backend)
             })
             .external_sort(&words)
             .unwrap()
-            .stats
         };
-        let facade = run(Backend::Facade, 8 << 20);
-        let heap = run(Backend::Heap, 256 << 10);
+        let facade = run(Backend::Facade, 8 << 20, 1).stats;
+        let heap = run(Backend::Heap, 256 << 10, 1).stats;
         assert_eq!(facade.pages_created, 3);
         assert_eq!(facade.records_allocated, 11_190);
         assert_eq!(heap.records_allocated, 11_190);
         assert_eq!(heap.gc_count, 8);
+        for threads in [1, 2, 4] {
+            for (backend, budget) in [(Backend::Facade, 8 << 20), (Backend::Heap, 256 << 10)] {
+                let out = run(backend, budget, threads);
+                assert_eq!(out.payload(), PAYLOAD, "{backend:?}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -289,32 +289,63 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our own
-                            // writers; map lone surrogates to the
-                            // replacement character rather than erroring.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                            let unit = self.hex4()?;
+                            // A high surrogate followed by an escaped low
+                            // one is a pair: one character outside the
+                            // BMP, as other writers encode it. A lone
+                            // surrogate maps to the replacement character.
+                            let pair = (0xd800..0xdc00).contains(&unit)
+                                && self.bytes[self.pos..].starts_with(b"\\u");
+                            let c = if pair {
+                                let at = self.pos;
+                                self.pos += 2;
+                                match self.hex4()? {
+                                    low @ 0xdc00..0xe000 => char::from_u32(
+                                        0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00),
+                                    ),
+                                    _ => {
+                                        self.pos = at;
+                                        None
+                                    }
+                                }
+                            } else {
+                                char::from_u32(unit)
+                            };
+                            out.push(c.unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("unknown escape character")),
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input came from a
-                    // &str, so boundaries are valid).
+                    // Copy the run up to the next quote or backslash whole:
+                    // both are ASCII, so the run ends on a character
+                    // boundary, and each byte is validated once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let n = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..n]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += n;
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape (no sign), as a UTF-16 code
+    /// unit.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let unit = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(unit)
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
