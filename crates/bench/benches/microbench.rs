@@ -14,6 +14,9 @@
 //!   heap takes them. Reported straight from the pool's own `PoolCounters`
 //!   latency accounting (per-call means across all threads).
 //! - `conversion`: §3.5 data conversion (heap object graph → paged records).
+//! - `interpreter`: `facade-vm`'s cost per interpreted step of the
+//!   `compile_run` benchmark's allocation loop, `P'` on pages and `P` on the
+//!   managed heap.
 //!
 //! Measured with a small in-tree harness (best-of-N batch timing) so the
 //! workspace needs no external benchmark framework; run with
@@ -326,6 +329,49 @@ fn conversion() {
     });
 }
 
+fn interpreter() {
+    use facade_compiler::{DataSpec, PassConfig, compile_text};
+    use facade_vm::{Vm, VmConfig};
+
+    // One class of the `compile_run` program and a `main` making one of its
+    // `churn` calls: a nested loop allocating 100 × 300 records. The time of
+    // a whole run (VM setup included, as in the benchmark) is divided by its
+    // steps, so a change to the dispatch loop reads directly.
+    let class = include_str!("../../../benchmark/programs/temp_class.ir").replace('@', "0");
+    let text = format!(
+        "{class}class Main {{\n  static void main() {{\n   locals: i32, i32, i64\n   bb0:
+     v0 = 100\n     v1 = 300\n     v2 = static Temp0::churn(v0, v1)\n     print v2
+     return\n  }}\n}}\nentry Main::main\n"
+    );
+    let compiled =
+        compile_text(&text, &DataSpec::new(["Temp0"]), &PassConfig::all()).expect("compiles");
+    let config = VmConfig {
+        heap: managed_heap::HeapConfig::with_capacity(4 << 20),
+        ..VmConfig::default()
+    };
+    for (name, meta) in [("paged", Some(&compiled.meta)), ("heap", None)] {
+        let program = if meta.is_some() {
+            &compiled.transformed
+        } else {
+            &compiled.source
+        };
+        let mut best = Duration::MAX;
+        let mut steps = 0;
+        for _ in 0..20 {
+            let t0 = Instant::now();
+            let mut vm = Vm::with_config(program, meta, config.clone());
+            vm.run().unwrap();
+            best = best.min(t0.elapsed());
+            steps = black_box(vm.steps());
+        }
+        println!(
+            "{:<45} {:>12.2} ns/step",
+            format!("interpreter/{name}/churn"),
+            best.as_nanos() as f64 / steps as f64
+        );
+    }
+}
+
 fn main() {
     record_alloc();
     field_access();
@@ -333,4 +379,5 @@ fn main() {
     reclamation();
     pool_contention();
     conversion();
+    interpreter();
 }

@@ -9,6 +9,9 @@
 //! object the local can hold), and its jump targets as program counters. An
 //! instruction whose operands do not fit — something the verifier rejects —
 //! decodes to [`Op::Illegal`] and fails with a typed error if it is reached.
+//! One rewrite follows: an `i32` comparison whose result the block's branch
+//! tests becomes one fused op ([`CmpBranch`]), and the branch stays behind it
+//! unreached, so every pc keeps its instruction.
 
 use crate::error::VmError;
 use facade_compiler::PagedMeta;
@@ -177,6 +180,19 @@ pub(crate) struct R3 {
     pub(crate) b: u32,
 }
 
+/// An `i32` comparison fused with the [`Op::Branch`] on its result: `dst`
+/// gets the comparison of `a` and `b`, then control goes to `then_pc` if it
+/// holds, else to `else_pc`. Fused only when every field fits 16 bits, which
+/// keeps [`Op`] at 16 bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CmpBranch {
+    pub(crate) dst: u16,
+    pub(crate) a: u16,
+    pub(crate) b: u16,
+    pub(crate) then_pc: u16,
+    pub(crate) else_pc: u16,
+}
+
 /// One decoded instruction. Locals are frame-relative slot indices, jump
 /// targets are indices into [`DecodedMethod::code`].
 #[derive(Debug, Clone, Copy)]
@@ -192,6 +208,15 @@ pub(crate) enum Op {
     RetVoid,
 
     // ----- everything below is one step -------------------------------------
+    /// A comparison and the branch that ends its block, run as one op: the
+    /// comparison is the step, and the [`Op::Branch`] after it stays in
+    /// place but is never reached.
+    BranchEqI32(CmpBranch),
+    BranchNeI32(CmpBranch),
+    BranchLtI32(CmpBranch),
+    BranchLeI32(CmpBranch),
+    BranchGtI32(CmpBranch),
+    BranchGeI32(CmpBranch),
     /// Refused by the decoder; `msgs[_]` says why.
     Illegal(u32),
     Nop,
@@ -364,12 +389,45 @@ const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 impl Op {
     /// Terminators end a block and are not counted by `Vm::steps`.
-    #[inline]
-    pub(crate) fn is_terminator(&self) -> bool {
+    fn is_terminator(&self) -> bool {
         matches!(
             self,
             Op::Jump(_) | Op::Branch { .. } | Op::Ret(_) | Op::RetVoid
         )
+    }
+
+    /// `self`, an `i32` comparison, fused with `branch`, the branch that
+    /// ends its block, if the branch tests the comparison's result and the
+    /// fields fit [`CmpBranch`].
+    fn fused_with(self, branch: Op) -> Option<Op> {
+        let (make, r): (fn(CmpBranch) -> Op, R3) = match self {
+            Op::EqI32(r) => (Op::BranchEqI32, r),
+            Op::NeI32(r) => (Op::BranchNeI32, r),
+            Op::LtI32(r) => (Op::BranchLtI32, r),
+            Op::LeI32(r) => (Op::BranchLeI32, r),
+            Op::GtI32(r) => (Op::BranchGtI32, r),
+            Op::GeI32(r) => (Op::BranchGeI32, r),
+            _ => return None,
+        };
+        let Op::Branch {
+            cond,
+            then_pc,
+            else_pc,
+        } = branch
+        else {
+            return None;
+        };
+        if cond != r.dst {
+            return None;
+        }
+        let narrow = |v: u32| u16::try_from(v).ok();
+        Some(make(CmpBranch {
+            dst: narrow(r.dst)?,
+            a: narrow(r.a)?,
+            b: narrow(r.b)?,
+            then_pc: narrow(then_pc)?,
+            else_pc: narrow(else_pc)?,
+        }))
     }
 }
 
@@ -377,6 +435,10 @@ impl Op {
 #[derive(Debug)]
 pub(crate) struct DecodedMethod {
     pub(crate) code: Vec<Op>,
+    /// Per pc, the steps of the straight-line segment starting there: the
+    /// non-terminator ops up to the next terminator, or through the next
+    /// call. The interpreter charges a segment when it enters it.
+    pub(crate) charge: Vec<u32>,
     /// Argument locals of every call site, back to back.
     pub(crate) args: Vec<u32>,
     /// Why each [`Op::Illegal`] was refused.
@@ -1036,12 +1098,33 @@ pub(crate) fn decode_method(
                 None => Err("return value in void method".to_string()),
             },
         };
-        code.push(term.unwrap_or_else(&mut illegal));
+        let term = term.unwrap_or_else(&mut illegal);
+        if !block.instrs.is_empty() {
+            let last = code
+                .last_mut()
+                .expect("the block's instructions are pushed");
+            if let Some(fused) = last.fused_with(term) {
+                *last = fused;
+            }
+        }
+        code.push(term);
+    }
+
+    let mut charge = vec![0u32; code.len()];
+    let mut ahead = 0;
+    for (pc, op) in code.iter().enumerate().rev() {
+        ahead = match op {
+            op if op.is_terminator() => 0,
+            Op::Call { .. } | Op::CallVirtual { .. } => 1,
+            _ => ahead + 1,
+        };
+        charge[pc] = ahead;
     }
 
     let args = decoder.args;
     Ok(DecodedMethod {
         code,
+        charge,
         args,
         msgs,
         kinds,

@@ -291,6 +291,12 @@ impl<'p> Vm<'p> {
 
     /// Instructions executed so far: one per IR instruction reached,
     /// terminators excluded.
+    ///
+    /// The interpreter charges a straight-line run of instructions when it
+    /// enters it, yet the count reads as if taken one instruction at a
+    /// time: a run that fails part-way gives back what it did not reach, and
+    /// the step budget stops a run on the instruction that exceeds it,
+    /// counted (`budget + 1` the first time).
     pub fn steps(&self) -> u64 {
         self.exec.steps
     }
@@ -373,6 +379,23 @@ impl<'p> Vm<'p> {
         let mut code: &[Op] = &cur.code;
         let mut pc = 0usize;
 
+        // Steps are charged a straight-line segment at a time, where one
+        // starts: method entry, a jump or branch target, a call's return
+        // point. A segment that would pass the budget runs on `code` cut at
+        // the op that exceeds, so fetching that op is the trap, on the step
+        // a per-op count would stop at.
+        macro_rules! enter {
+            () => {{
+                let charge = u64::from(cur.charge[pc]);
+                *steps += charge;
+                if *steps > budget {
+                    let allowed = budget.saturating_sub(*steps - charge);
+                    code = &cur.code[..pc + allowed as usize];
+                }
+            }};
+        }
+        enter!();
+
         macro_rules! get {
             ($l:expr) => {
                 st.slots[fp + $l as usize]
@@ -399,12 +422,23 @@ impl<'p> Vm<'p> {
                 self.heap.set_root(root, r);
             }};
         }
+        // An op that fails breaks out of the loop with its error, and the
+        // ops after it in its segment are given back there (`try_op!` is
+        // `?` for that). A call ends its segment, so it returns its error.
+        macro_rules! try_op {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break VmError::from(e),
+                }
+            };
+        }
         // A non-null heap / page reference out of a local.
         macro_rules! obj {
             ($l:expr, $what:expr) => {{
                 let r = as_obj(get!($l));
                 if r.is_null() {
-                    return Err(VmError::NullDeref($what.into()));
+                    break VmError::NullDeref($what.into());
                 }
                 r
             }};
@@ -413,7 +447,7 @@ impl<'p> Vm<'p> {
             ($l:expr, $what:expr) => {{
                 let r = PageRef::from_raw(get!($l));
                 if r.is_null() {
-                    return Err(VmError::NullDeref($what.into()));
+                    break VmError::NullDeref($what.into());
                 }
                 r
             }};
@@ -421,22 +455,37 @@ impl<'p> Vm<'p> {
         macro_rules! nonzero {
             ($y:expr) => {
                 if $y == 0 {
-                    return Err(VmError::DivisionByZero);
+                    break VmError::DivisionByZero;
                 }
             };
+        }
+        // A fused `i32` comparison and branch.
+        macro_rules! cmp_branch {
+            ($c:expr, |$x:ident, $y:ident| $e:expr) => {{
+                let ($x, $y) = (as_i32(get!($c.a)), as_i32(get!($c.b)));
+                let holds = $e;
+                set!($c.dst, from_bool(holds));
+                pc = usize::from(if holds { $c.then_pc } else { $c.else_pc });
+                enter!();
+            }};
         }
         let f64_of = f64::from_bits;
         let of_f64 = f64::to_bits;
 
-        loop {
-            let op = code[pc];
-            pc += 1;
-            *steps += u64::from(!op.is_terminator());
-            if *steps > budget {
+        let failure = loop {
+            let Some(&op) = code.get(pc) else {
+                // Only a segment cut at the budget ends before its last op.
+                // The op not run is the step that exceeds; the ones after
+                // it are given back.
+                *steps -= u64::from(cur.charge[pc]) - 1;
                 return Err(VmError::StepBudgetExceeded);
-            }
+            };
+            pc += 1;
             match op {
-                Op::Jump(target) => pc = target as usize,
+                Op::Jump(target) => {
+                    pc = target as usize;
+                    enter!();
+                }
                 Op::Branch {
                     cond,
                     then_pc,
@@ -447,7 +496,14 @@ impl<'p> Vm<'p> {
                     } else {
                         else_pc
                     } as usize;
+                    enter!();
                 }
+                Op::BranchEqI32(c) => cmp_branch!(c, |x, y| x == y),
+                Op::BranchNeI32(c) => cmp_branch!(c, |x, y| x != y),
+                Op::BranchLtI32(c) => cmp_branch!(c, |x, y| x < y),
+                Op::BranchLeI32(c) => cmp_branch!(c, |x, y| x <= y),
+                Op::BranchGtI32(c) => cmp_branch!(c, |x, y| x > y),
+                Op::BranchGeI32(c) => cmp_branch!(c, |x, y| x >= y),
                 Op::Ret(_) | Op::RetVoid => {
                     let value = match op {
                         Op::Ret(l) => Some(get!(l)),
@@ -467,6 +523,7 @@ impl<'p> Vm<'p> {
                         .expect("an active frame's method is decoded");
                     code = &cur.code;
                     (pc, fp, rp) = (caller.pc, caller.fp, caller.rp);
+                    enter!();
                     match (done.ret_dst, value) {
                         (NO_LOCAL, Some(bits)) => {
                             // A discarded data-typed return: release the
@@ -485,9 +542,7 @@ impl<'p> Vm<'p> {
                         (_, None) => {}
                     }
                 }
-                Op::Illegal(msg) => {
-                    return Err(illegal(cur.msgs[msg as usize].clone()));
-                }
+                Op::Illegal(msg) => break illegal(cur.msgs[msg as usize].clone()),
                 Op::Nop => {}
                 Op::Const { dst, bits } => set!(dst, bits),
                 Op::NullObj(dst) => set_obj!(dst, ObjRef::NULL),
@@ -560,10 +615,10 @@ impl<'p> Vm<'p> {
                 Op::I32ToF64(r) => set!(r.dst, of_f64(f64::from(as_i32(get!(r.src))))),
                 Op::I64ToF64(r) => set!(r.dst, of_f64(as_i64(get!(r.src)) as f64)),
 
-                Op::New { dst, class } => set_obj!(dst, self.heap.alloc(class)?),
+                Op::New { dst, class } => set_obj!(dst, try_op!(self.heap.alloc(class))),
                 Op::NewArray { dst, len, elem } => {
                     let n = as_i32(get!(len)).max(0) as usize;
-                    set_obj!(dst, self.heap.alloc_array(elem, n)?);
+                    set_obj!(dst, try_op!(self.heap.alloc_array(elem, n)));
                 }
                 Op::GetFieldI32(f) => {
                     let o = obj!(f.obj, format!("getfield at offset {}", f.at));
@@ -687,6 +742,7 @@ impl<'p> Vm<'p> {
                     cur = callee;
                     code = &cur.code;
                     pc = 0;
+                    enter!();
                 }
 
                 Op::IterationStart => {
@@ -694,13 +750,16 @@ impl<'p> Vm<'p> {
                     self.iteration_stack.push(it);
                 }
                 Op::IterationEnd => {
-                    let it = self
-                        .iteration_stack
-                        .pop()
-                        .ok_or_else(|| illegal("unmatched iteration end"))?;
+                    let it = try_op!(
+                        self.iteration_stack
+                            .pop()
+                            .ok_or_else(|| illegal("unmatched iteration end"))
+                    );
                     self.paged.iteration_end(it);
                 }
-                Op::PageAlloc { dst, tid } => set!(dst, self.paged.alloc(PTypeId(tid))?.raw()),
+                Op::PageAlloc { dst, tid } => {
+                    set!(dst, try_op!(self.paged.alloc(PTypeId(tid))).raw())
+                }
                 Op::PageAllocFast { dst, tid } => {
                     let r = match self.paged.alloc_fast(PTypeId(tid)) {
                         Some(r) => {
@@ -709,14 +768,14 @@ impl<'p> Vm<'p> {
                         }
                         None => {
                             self.exec_stats.fast_alloc_misses += 1;
-                            self.paged.alloc(PTypeId(tid))?
+                            try_op!(self.paged.alloc(PTypeId(tid)))
                         }
                     };
                     set!(dst, r.raw());
                 }
                 Op::PageNewArray { dst, len, elem } => {
                     let n = as_i32(get!(len)).max(0) as usize;
-                    set!(dst, self.paged.alloc_array(elem, n)?.raw());
+                    set!(dst, try_op!(self.paged.alloc_array(elem, n)).raw());
                 }
                 Op::PageGetFieldI32(f) => {
                     let o = page!(f.obj, format!("paged getfield at offset {}", f.at));
@@ -776,8 +835,10 @@ impl<'p> Vm<'p> {
                     set!(r.dst, from_facade(slot));
                 }
                 Op::ReleaseFacade(r) => {
-                    let slot = as_facade(get!(r.src))
-                        .ok_or_else(|| illegal("release of an unbound facade"))?;
+                    let slot = try_op!(
+                        as_facade(get!(r.src))
+                            .ok_or_else(|| illegal("release of an unbound facade"))
+                    );
                     set!(r.dst, self.facade(slot).release().raw());
                 }
                 Op::PageInstanceOf { dst, src, class } => {
@@ -792,21 +853,25 @@ impl<'p> Vm<'p> {
                 }
                 Op::PageMonitorEnter(l) => {
                     let r = page!(l, "paged monitorenter");
-                    self.paged
-                        .monitor_enter(r)
-                        .map_err(|_| VmError::LockIdsExhausted)?;
+                    if self.paged.monitor_enter(r).is_err() {
+                        break VmError::LockIdsExhausted;
+                    }
                 }
                 Op::PageMonitorExit(l) => self.paged.monitor_exit(PageRef::from_raw(get!(l))),
                 Op::ConvertToPage(r) => {
-                    let record = self.convert_to_page(as_obj(get!(r.src)))?;
+                    let record = try_op!(self.convert_to_page(as_obj(get!(r.src))));
                     set!(r.dst, record.raw());
                 }
                 Op::ConvertToHeap(r) => {
-                    let o = self.convert_to_heap(PageRef::from_raw(get!(r.src)))?;
+                    let o = try_op!(self.convert_to_heap(PageRef::from_raw(get!(r.src))));
                     set_obj!(r.dst, o);
                 }
             }
-        }
+        };
+        // The failed op was charged with the rest of its segment: give back
+        // the ops it did not reach.
+        *steps -= u64::from(cur.charge.get(pc).copied().unwrap_or(0));
+        Err(failure)
     }
 
     /// Decodes `method` against this VM's layouts; the paged forms decode

@@ -221,6 +221,89 @@ fn comparisons_per_kind() {
 }
 
 #[test]
+fn a_comparison_fused_with_its_branch_writes_its_result_and_takes_either_edge() {
+    let cases = [("-3", "4"), ("4", "4"), ("5", "-2")];
+    for (op, want) in [
+        ("Eq", [false, true, false]),
+        ("Ne", [true, false, true]),
+        ("Lt", [true, false, false]),
+        ("Le", [true, true, false]),
+        ("Gt", [false, false, true]),
+        ("Ge", [false, true, true]),
+    ] {
+        for ((a, b), holds) in cases.into_iter().zip(want) {
+            let p = program(
+                "",
+                "i32, i32, i32, i32",
+                &format!(
+                    "     v0 = {a}\n     v1 = {b}\n     v2 = v0 {op} v1
+     if v2 then bb1 else bb2\n   bb1:\n     print v2\n     v3 = 7\n     goto bb3
+   bb2:\n     print v2\n     v3 = 8\n     goto bb3\n   bb3:\n     print v3"
+                ),
+            );
+            let vm = Vm::new_heap(&p);
+            let decoded = vm.decode(p.entry().unwrap()).unwrap();
+            let fused = decoded.code[2];
+            assert!(
+                format!("{fused:?}").starts_with(&format!("Branch{op}I32")),
+                "{op}: {fused:?}"
+            );
+            assert!(
+                matches!(decoded.code[3], Op::Branch { .. }),
+                "kept in place"
+            );
+            let mut vm = Vm::new_heap(&p);
+            vm.run().unwrap();
+            let edge = if holds { "7" } else { "8" };
+            assert_eq!(
+                vm.output(),
+                [&*u8::from(holds).to_string(), edge],
+                "{a} {op} {b}"
+            );
+            assert_eq!(vm.steps(), 6, "the fused op is the comparison's one step");
+        }
+    }
+
+    // Not fused: the branch tests another local, or the comparison is not
+    // the block's last instruction.
+    for body in [
+        "     v2 = v0 Lt v1\n     if v3 then bb1 else bb1\n   bb1:",
+        "     v2 = v0 Lt v1\n     v3 = v2\n     if v2 then bb1 else bb1\n   bb1:",
+    ] {
+        let p = program("", "i32, i32, i32, i32", body);
+        let vm = Vm::new_heap(&p);
+        let decoded = vm.decode(p.entry().unwrap()).unwrap();
+        assert!(matches!(decoded.code[0], Op::LtI32(_)), "{body}");
+    }
+
+    // Not fused: the comparison's result is a local past 16 bits.
+    let mut pb = facade_ir::ProgramBuilder::new();
+    let main_class = pb.class("Main").build();
+    let mut m = pb.method(main_class, "main").static_();
+    for _ in 0..u16::MAX {
+        m.local(facade_ir::Ty::I32);
+    }
+    let one = m.const_i32(1);
+    let holds = m.cmp(facade_ir::CmpOp::Eq, one, one);
+    assert!(holds.0 > u32::from(u16::MAX));
+    let (yes, no) = (m.block(), m.block());
+    m.branch(holds, yes, no);
+    for bb in [yes, no] {
+        m.switch_to(bb);
+        m.print(holds);
+        m.ret(None);
+    }
+    let main = m.finish();
+    let mut p = pb.finish();
+    p.set_entry(main);
+    let mut vm = Vm::new_heap(&p);
+    let decoded = vm.decode(main).unwrap();
+    assert!(matches!(decoded.code[1], Op::EqI32(_)));
+    vm.run().unwrap();
+    assert_eq!((vm.output(), vm.steps()), (&["1".to_string()][..], 3));
+}
+
+#[test]
 fn reference_identity_on_both_backends() {
     let p = program(
         "class T {\n  i32 x;\n  static void ids() {\n   locals: T, T, T, i32\n   bb0:

@@ -348,18 +348,22 @@ impl<'a> Parser<'a> {
         Ok(unit)
     }
 
+    /// A number as RFC 8259 §6 writes it, `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`, that is finite as an `f64`.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        // The integer part is one zero or does not start with one.
+        let int = self.digits();
+        if int == 0 || (int > 1 && self.bytes[self.pos - int] == b'0') {
+            return Err(self.err("invalid number"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("invalid number"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -367,8 +371,8 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("invalid number"));
             }
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
@@ -377,6 +381,15 @@ impl<'a> Parser<'a> {
             .filter(|n| n.is_finite())
             .map(Json::Num)
             .ok_or_else(|| self.err("invalid number"))
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -423,6 +436,36 @@ mod tests {
             "{\"a\": 01x}",
         ] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (good, want) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("-12.50", -12.5),
+            ("0.5", 0.5),
+            ("1e3", 1000.0),
+            ("1E+3", 1000.0),
+            ("25e-1", 2.5),
+            ("-0.0e0", 0.0),
+        ] {
+            assert_eq!(parse(good).map(|n| n.as_f64()), Ok(Some(want)), "{good}");
+        }
+        for bad in [
+            "01", "-01", "00.5", "1.", "1.e3", "-", "1e", "1e+", "-e1", "-.5", "1e400",
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.message, "invalid number", "{bad}");
+        }
+        for (bad, message) in [
+            (".5", "expected a JSON value"),
+            ("+1", "expected a JSON value"),
+            ("0x10", "trailing characters after document"),
+        ] {
+            assert_eq!(parse(bad).unwrap_err().message, message, "{bad}");
         }
     }
 

@@ -132,30 +132,70 @@ fn wordcount_matches_hashmap_oracle() {
     }
 }
 
+/// External sort's `(rows, checksum)` by a std sort, as the benchmark's
+/// oracle defines it: the corpus dealt round-robin over `partitions`, each
+/// partition sorted bytewise, and `c = c·31 + (fnv1a32(key) ^ index)` folded
+/// over the partitions in order.
+fn std_sort_payload(words: &[String], partitions: usize) -> (u64, u64) {
+    let fnv1a32 = |bytes: &[u8]| {
+        bytes.iter().fold(0x811c_9dc5u32, |h, &b| {
+            (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        })
+    };
+    let mut parts: Vec<Vec<&[u8]>> = vec![Vec::new(); partitions];
+    for (i, w) in words.iter().enumerate() {
+        parts[i % partitions].push(w.as_bytes());
+    }
+    let mut checksum = 0u64;
+    for part in &mut parts {
+        part.sort_unstable();
+        for (i, key) in part.iter().enumerate() {
+            checksum = checksum
+                .wrapping_mul(31)
+                .wrapping_add(u64::from(fnv1a32(key)) ^ i as u64);
+        }
+    }
+    (words.len() as u64, checksum)
+}
+
 #[test]
 fn external_sort_matches_std_sort() {
+    use facade::datagen::SplitMix64;
     use facade::hyracks::{Cluster, ClusterConfig};
-    let words = corpus(&CorpusSpec::new(40_000, 9));
-    let heap = Cluster::new(&ClusterConfig {
-        workers: 2,
-        backend: Backend::Heap,
-        per_worker_budget: 8 << 20,
-        frame_bytes: 8 << 10,
-        ..ClusterConfig::default()
-    })
-    .external_sort(&words)
-    .unwrap();
-    let facade = Cluster::new(&ClusterConfig {
-        workers: 2,
-        backend: Backend::Facade,
-        per_worker_budget: 8 << 20,
-        frame_bytes: 8 << 10,
-        ..ClusterConfig::default()
-    })
-    .external_sort(&words)
-    .unwrap();
-    assert_eq!(heap.total_records, words.len() as u64);
-    assert_eq!(heap.payload(), facade.payload());
+    // A natural-language corpus, and one whose keys mostly run past 8 bytes
+    // behind three shared 8-byte prefixes (with some keys cut short inside
+    // a prefix), so the run sort must order keys its 8-byte prefix ties.
+    let natural = corpus(&CorpusSpec::new(40_000, 9));
+    let mut rng = SplitMix64::new(46);
+    let prefixed: Vec<String> = (0..6_000)
+        .map(|_| {
+            let prefix = ["abcdefgh", "abcdefgi", "zzzzzzzz"][rng.next_below(3) as usize];
+            if rng.next_below(10) == 0 {
+                return prefix[..1 + rng.next_below(8) as usize].to_string();
+            }
+            let tail: String = (0..rng.next_below(13))
+                .map(|_| char::from(b'a' + rng.next_below(3) as u8))
+                .collect();
+            format!("{prefix}{tail}")
+        })
+        .collect();
+    assert!(prefixed.iter().filter(|w| w.len() > 8).count() > 4_000);
+
+    for words in [&natural, &prefixed] {
+        let want = std_sort_payload(words, 2);
+        for backend in [Backend::Heap, Backend::Facade] {
+            let out = Cluster::new(&ClusterConfig {
+                workers: 2,
+                backend,
+                per_worker_budget: 8 << 20,
+                frame_bytes: 8 << 10,
+                ..ClusterConfig::default()
+            })
+            .external_sort(words)
+            .unwrap();
+            assert_eq!(out.payload(), want, "{backend:?}");
+        }
+    }
 }
 
 #[test]

@@ -369,20 +369,20 @@ const PINS: &[(&str, usize)] = &[
     ("spec flip: json: expected ':' after object key", 45),
     ("spec flip: json: expected a JSON value", 29),
     ("spec flip: json: invalid literal", 3),
-    ("spec flip: json: invalid number", 2),
+    ("spec flip: json: invalid number", 3),
     ("spec flip: json: unknown escape character", 5),
     ("spec flip: json: unterminated string", 2),
     ("spec flip: not utf-8", 86),
-    ("spec flip: rejected", 32),
+    ("spec flip: rejected", 31),
     ("spec nest: accepted", 125),
     ("spec nest: json: expected ',' or ']' in array", 17),
     ("spec nest: json: expected ',' or '}' in object", 19),
     ("spec nest: json: nesting too deep", 223),
-    ("spec number: accepted", 115),
+    ("spec number: accepted", 87),
     ("spec number: json: expected ',' or '}' in object", 12),
     ("spec number: json: expected a JSON value", 14),
-    ("spec number: json: invalid number", 143),
-    ("spec number: rejected", 100),
+    ("spec number: json: invalid number", 175),
+    ("spec number: rejected", 96),
     ("spec oversized: accepted", 2),
     ("spec oversized: rejected", 14),
     ("spec truncate: json: expected '\"'", 43),
@@ -411,8 +411,8 @@ const PINS: &[(&str, usize)] = &[
     ("status nest: ok", 69),
     ("status number: json: expected ',' or '}' in object", 21),
     ("status number: json: expected a JSON value", 22),
-    ("status number: json: invalid number", 216),
-    ("status number: ok", 317),
+    ("status number: json: invalid number", 278),
+    ("status number: ok", 255),
     ("status oversized: ok", 24),
     ("status truncate: json: expected '\"'", 55),
     ("status truncate: json: expected ',' or ']' in array", 1),
