@@ -66,13 +66,12 @@ pub use facade_runtime::checkpoint;
 pub use facade_runtime::recovery;
 #[doc(hidden)]
 pub use facade_runtime::test_support;
-use facade_runtime::{
-    ElemKind as PElem, FieldKind as PField, PageRef, PagedHeap, PagedHeapConfig, TypeId,
-};
 pub use facade_runtime::{EpochLedger, NO_EPOCH, PagePool, PoolCounters, RecoveryError};
+use facade_runtime::{PageRef, PagedHeap, PagedHeapConfig, RECORD_HEADER_BYTES, TypeId};
 pub use managed_heap::{CensusRow, PauseRecord};
 use managed_heap::{
-    ClassId as HClassId, ElemKind as HElem, FieldKind as HField, Heap, HeapConfig, ObjRef, RootId,
+    ClassId as HClassId, ElemKind, FieldKind, Heap, HeapConfig, OBJECT_HEADER_BYTES, ObjRef,
+    RecordLayout, RootId, elem, elem_count, set_elem,
 };
 use metrics::OutOfMemory;
 pub use metrics::report::Backend;
@@ -111,7 +110,7 @@ pub enum ElemTy {
 pub struct ClassTag(pub u16);
 
 /// A record field resolved once by [`Store::field`]: its byte offset in
-/// the store's records, and the class it belongs to. An accessor given a
+/// the record's body, and the class it belongs to. An accessor given a
 /// `Field` uses the offset as is; one given a bare field index looks the
 /// offset up in the record's class on every access.
 ///
@@ -286,37 +285,20 @@ pub struct Store {
     inner: Inner,
 }
 
-fn h_field(f: FieldTy) -> HField {
+fn field_kind(f: &FieldTy) -> FieldKind {
     match f {
-        FieldTy::I32 => HField::I32,
-        FieldTy::I64 | FieldTy::F64 => HField::I64,
-        FieldTy::Ref => HField::Ref,
+        FieldTy::I32 => FieldKind::I32,
+        FieldTy::I64 | FieldTy::F64 => FieldKind::I64,
+        FieldTy::Ref => FieldKind::Ref,
     }
 }
 
-fn p_field(f: FieldTy) -> PField {
-    match f {
-        FieldTy::I32 => PField::I32,
-        FieldTy::I64 | FieldTy::F64 => PField::I64,
-        FieldTy::Ref => PField::Ref,
-    }
-}
-
-fn h_elem(e: ElemTy) -> HElem {
+fn elem_kind(e: ElemTy) -> ElemKind {
     match e {
-        ElemTy::U8 => HElem::U8,
-        ElemTy::I32 => HElem::I32,
-        ElemTy::I64 => HElem::I64,
-        ElemTy::Ref => HElem::Ref,
-    }
-}
-
-fn p_elem(e: ElemTy) -> PElem {
-    match e {
-        ElemTy::U8 => PElem::U8,
-        ElemTy::I32 => PElem::I32,
-        ElemTy::I64 => PElem::I64,
-        ElemTy::Ref => PElem::Ref,
+        ElemTy::U8 => ElemKind::U8,
+        ElemTy::I32 => ElemKind::I32,
+        ElemTy::I64 => ElemKind::I64,
+        ElemTy::Ref => ElemKind::Ref,
     }
 }
 
@@ -474,18 +456,18 @@ impl Store {
     /// Registers a record class. Classes must be registered in the same
     /// order on every store that shares record layouts.
     pub fn register_class(&mut self, name: &str, fields: &[FieldTy]) -> ClassTag {
-        match &mut self.inner {
+        let kinds: Vec<FieldKind> = fields.iter().map(field_kind).collect();
+        let registered = match &mut self.inner {
             Inner::Heap { heap, classes } => {
-                let kinds: Vec<HField> = fields.iter().copied().map(h_field).collect();
                 classes.push(heap.register_class(name, &kinds));
-                ClassTag((classes.len() - 1) as u16)
+                classes.len()
             }
             Inner::Facade { paged, classes } => {
-                let kinds: Vec<PField> = fields.iter().copied().map(p_field).collect();
                 classes.push(paged.register_type(name, &kinds));
-                ClassTag((classes.len() - 1) as u16)
+                classes.len()
             }
-        }
+        };
+        ClassTag((registered - 1) as u16)
     }
 
     /// Resolves field `index` of `class` to a [`Field`], for the accessors
@@ -509,13 +491,24 @@ impl Store {
     ///
     /// Panics if `class` is not registered or has no field `index`.
     pub fn field(&self, class: ClassTag, index: usize) -> Field {
-        let offset = match &self.inner {
-            Inner::Heap { heap, classes } => heap.field_offset(classes[class.0 as usize], index),
-            Inner::Facade { paged, classes } => {
-                paged.field_offset(classes[class.0 as usize], index)
-            }
-        };
+        let offset = self.layout(class).offset(index);
         Field { offset, class }
+    }
+
+    /// The body layout of `class`: the same on both backends.
+    fn layout(&self, class: ClassTag) -> &RecordLayout {
+        match &self.inner {
+            Inner::Heap { heap, classes } => heap.layout(classes[class.0 as usize]),
+            Inner::Facade { paged, classes } => paged.layout(classes[class.0 as usize]),
+        }
+    }
+
+    /// The body layout of record `r`'s class; `None` for a heap array.
+    fn layout_of(&self, r: Rec) -> Option<&RecordLayout> {
+        match &self.inner {
+            Inner::Heap { heap, .. } => heap.class_of(Self::h(r)).map(|c| heap.layout(c)),
+            Inner::Facade { paged, .. } => Some(paged.layout(paged.type_of(Self::p(r)))),
+        }
     }
 
     // ----- allocation -----------------------------------------------------
@@ -547,11 +540,11 @@ impl Store {
     pub fn alloc_array(&mut self, elem: ElemTy, len: usize) -> Result<Rec, OutOfMemory> {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap
-                .alloc_array(h_elem(elem), len)
+                .alloc_array(elem_kind(elem), len)
                 .map(|r| Rec(r.raw() as u64)),
-            Inner::Facade { paged, .. } => {
-                paged.alloc_array(p_elem(elem), len).map(|r| Rec(r.raw()))
-            }
+            Inner::Facade { paged, .. } => paged
+                .alloc_array(elem_kind(elem), len)
+                .map(|r| Rec(r.raw())),
         }
     }
 
@@ -605,10 +598,10 @@ impl Store {
     ) -> Result<Rec, OutOfMemory> {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap
-                .alloc_array_init(h_elem(elem), len, init)
+                .alloc_array_init(elem_kind(elem), len, init)
                 .map(|r| Rec(r.raw() as u64)),
             Inner::Facade { paged, .. } => paged
-                .alloc_array_init(p_elem(elem), len, init)
+                .alloc_array_init(elem_kind(elem), len, init)
                 .map(|r| Rec(r.raw())),
         }
     }
@@ -624,8 +617,35 @@ impl Store {
     }
 
     // ----- field access ----------------------------------------------------
+    //
+    // A record's body, its bytes after the header, is laid out the same on
+    // both backends (§2.1), and so is an array's: its 4-byte length, then
+    // its elements. So each accessor below resolves the record once through
+    // `body` / `body_mut`, the one backend match, and moves the same bytes
+    // on either backend. Reference stores are the exception: the heap's
+    // write barrier must see them.
 
-    /// The offset of `field` in record `r`: a resolved [`Field`]'s own
+    /// The body of record `r`: its bytes after the backend's header. Every
+    /// field and element access goes through here, so it is inlined into
+    /// each: the compiler can then hoist a loop's resolve out of the loop,
+    /// as it did when each accessor held its own backend match.
+    #[inline(always)]
+    fn body(&self, r: Rec) -> &[u8] {
+        match &self.inner {
+            Inner::Heap { heap, .. } => heap.body(Self::h(r)),
+            Inner::Facade { paged, .. } => paged.body(Self::p(r)),
+        }
+    }
+
+    #[inline(always)]
+    fn body_mut(&mut self, r: Rec) -> &mut [u8] {
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => heap.body_mut(Self::h(r)),
+            Inner::Facade { paged, .. } => paged.body_mut(Self::p(r)),
+        }
+    }
+
+    /// The body offset of `field` in record `r`: a resolved [`Field`]'s own
     /// (checked against `r`'s class in debug builds), or a bare index
     /// resolved against `r`'s class.
     #[inline]
@@ -637,78 +657,63 @@ impl Store {
                 }
                 f.offset
             }
-            Err(index) => match &self.inner {
-                Inner::Heap { heap, .. } => {
-                    let class = heap.class_of(Self::h(r)).expect("field access on an array");
-                    heap.field_offset(class, index)
-                }
-                Inner::Facade { paged, .. } => paged.field_offset(paged.type_of(Self::p(r)), index),
-            },
+            Err(index) => self
+                .layout_of(r)
+                .expect("field access on an array")
+                .offset(index),
         }
     }
 
     /// Panics unless `r` is a record of `class`, naming both classes.
     fn check_class(&self, r: Rec, class: ClassTag) {
-        let (expected, actual) = match &self.inner {
-            Inner::Heap { heap, classes } => {
-                let expected = classes[class.0 as usize];
-                let actual = heap.class_of(Self::h(r));
-                if actual == Some(expected) {
-                    return;
-                }
-                let actual = actual.map_or("an array", |c| heap.layout(c).name());
-                (heap.layout(expected).name(), actual)
-            }
-            Inner::Facade { paged, classes } => {
-                let expected = classes[class.0 as usize];
-                let actual = paged.type_of(Self::p(r));
-                if actual == expected {
-                    return;
-                }
-                (paged.layout(expected).name(), paged.layout(actual).name())
-            }
-        };
-        panic!("a field of class {expected} used on a record of class {actual}");
+        let expected = self.layout(class);
+        let actual = self.layout_of(r);
+        if !actual.is_some_and(|actual| std::ptr::eq(actual, expected)) {
+            let actual = actual.map_or("an array", RecordLayout::name);
+            panic!(
+                "a field of class {} used on a record of class {actual}",
+                expected.name()
+            );
+        }
+    }
+
+    /// The `N` bytes of `field` in record `r`.
+    #[inline]
+    fn read<const N: usize>(&self, r: Rec, field: impl FieldRef) -> [u8; N] {
+        let at = self.offset_of(r, field) as usize;
+        self.body(r)[at..at + N]
+            .try_into()
+            .expect("an N-byte range")
+    }
+
+    #[inline]
+    fn write<const N: usize>(&mut self, r: Rec, field: impl FieldRef, bytes: [u8; N]) {
+        let at = self.offset_of(r, field) as usize;
+        self.body_mut(r)[at..at + N].copy_from_slice(&bytes);
     }
 
     /// Reads a 32-bit field.
     #[inline]
     pub fn get_i32(&self, r: Rec, field: impl FieldRef) -> i32 {
-        let at = self.offset_of(r, field);
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.get_i32_at(Self::h(r), at),
-            Inner::Facade { paged, .. } => paged.get_i32_at(Self::p(r), at),
-        }
+        i32::from_le_bytes(self.read(r, field))
     }
 
     /// Writes a 32-bit field.
     #[inline]
     pub fn set_i32(&mut self, r: Rec, field: impl FieldRef, v: i32) {
-        let at = self.offset_of(r, field);
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.set_i32_at(Self::h(r), at, v),
-            Inner::Facade { paged, .. } => paged.set_i32_at(Self::p(r), at, v),
-        }
+        self.write(r, field, v.to_le_bytes());
     }
 
     /// Reads a 64-bit field.
     #[inline]
     pub fn get_i64(&self, r: Rec, field: impl FieldRef) -> i64 {
-        let at = self.offset_of(r, field);
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.get_i64_at(Self::h(r), at),
-            Inner::Facade { paged, .. } => paged.get_i64_at(Self::p(r), at),
-        }
+        i64::from_le_bytes(self.read(r, field))
     }
 
     /// Writes a 64-bit field.
     #[inline]
     pub fn set_i64(&mut self, r: Rec, field: impl FieldRef, v: i64) {
-        let at = self.offset_of(r, field);
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.set_i64_at(Self::h(r), at, v),
-            Inner::Facade { paged, .. } => paged.set_i64_at(Self::p(r), at, v),
-        }
+        self.write(r, field, v.to_le_bytes());
     }
 
     /// Reads a double field.
@@ -723,14 +728,10 @@ impl Store {
         self.set_i64(r, field, v.to_bits() as i64);
     }
 
-    /// Reads a reference field.
+    /// Reads a reference field: 4 bytes on either backend.
     #[inline]
     pub fn get_rec(&self, r: Rec, field: impl FieldRef) -> Rec {
-        let at = self.offset_of(r, field);
-        match &self.inner {
-            Inner::Heap { heap, .. } => Rec(heap.get_ref_at(Self::h(r), at).raw() as u64),
-            Inner::Facade { paged, .. } => Rec(paged.get_ref_at(Self::p(r), at).raw()),
-        }
+        Rec(u32::from_le_bytes(self.read(r, field)).into())
     }
 
     /// Writes a reference field.
@@ -738,8 +739,12 @@ impl Store {
     pub fn set_rec(&mut self, r: Rec, field: impl FieldRef, v: Rec) {
         let at = self.offset_of(r, field);
         match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.set_ref_at(Self::h(r), at, Self::h(v)),
-            Inner::Facade { paged, .. } => paged.set_ref_at(Self::p(r), at, Self::p(v)),
+            Inner::Heap { heap, .. } => {
+                heap.set_ref_at(Self::h(r), OBJECT_HEADER_BYTES + at, Self::h(v));
+            }
+            Inner::Facade { paged, .. } => {
+                paged.set_ref_at(Self::p(r), RECORD_HEADER_BYTES + at, Self::p(v));
+            }
         }
     }
 
@@ -748,46 +753,31 @@ impl Store {
     /// Array length in elements.
     #[inline]
     pub fn array_len(&self, r: Rec) -> usize {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.array_len(Self::h(r)),
-            Inner::Facade { paged, .. } => paged.array_len(Self::p(r)),
-        }
+        elem_count(self.body(r))
     }
 
     /// Reads an `I32` element.
     #[inline]
     pub fn array_get_i32(&self, r: Rec, i: usize) -> i32 {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.array_get_i32(Self::h(r), i),
-            Inner::Facade { paged, .. } => paged.array_get_i32(Self::p(r), i),
-        }
+        i32::from_le_bytes(elem(self.body(r), i))
     }
 
     /// Writes an `I32` element.
     #[inline]
     pub fn array_set_i32(&mut self, r: Rec, i: usize, v: i32) {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.array_set_i32(Self::h(r), i, v),
-            Inner::Facade { paged, .. } => paged.array_set_i32(Self::p(r), i, v),
-        }
+        set_elem(self.body_mut(r), i, v.to_le_bytes());
     }
 
     /// Reads an `I64` element.
     #[inline]
     pub fn array_get_i64(&self, r: Rec, i: usize) -> i64 {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.array_get_i64(Self::h(r), i),
-            Inner::Facade { paged, .. } => paged.array_get_i64(Self::p(r), i),
-        }
+        i64::from_le_bytes(elem(self.body(r), i))
     }
 
     /// Writes an `I64` element.
     #[inline]
     pub fn array_set_i64(&mut self, r: Rec, i: usize, v: i64) {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.array_set_i64(Self::h(r), i, v),
-            Inner::Facade { paged, .. } => paged.array_set_i64(Self::p(r), i, v),
-        }
+        set_elem(self.body_mut(r), i, v.to_le_bytes());
     }
 
     /// Reads an `I64` element as a double.
@@ -805,41 +795,41 @@ impl Store {
     /// Reads a `U8` element.
     #[inline]
     pub fn array_get_u8(&self, r: Rec, i: usize) -> u8 {
-        match &self.inner {
-            Inner::Heap { heap, .. } => heap.array_get_u8(Self::h(r), i),
-            Inner::Facade { paged, .. } => paged.array_get_u8(Self::p(r), i),
-        }
+        let [b] = elem(self.body(r), i);
+        b
     }
 
     /// Writes a `U8` element.
     #[inline]
     pub fn array_set_u8(&mut self, r: Rec, i: usize, v: u8) {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.array_set_u8(Self::h(r), i, v),
-            Inner::Facade { paged, .. } => paged.array_set_u8(Self::p(r), i, v),
-        }
+        set_elem(self.body_mut(r), i, [v]);
     }
 
     /// Bulk-writes bytes into a `U8` array.
     ///
     /// # Panics
     ///
-    /// Panics if `data` is longer than the array.
+    /// Panics if `data` is longer than the array, or if `r` is a `Ref`
+    /// array: raw bytes written there would forge references.
     #[inline]
     pub fn array_write_bytes(&mut self, r: Rec, data: &[u8]) {
-        match &mut self.inner {
-            Inner::Heap { heap, .. } => heap.array_write_bytes(Self::h(r), data),
-            Inner::Facade { paged, .. } => paged.array_write_bytes(Self::p(r), data),
-        }
+        let body = self.array_bytes_mut(r);
+        assert!(
+            data.len() <= body.len(),
+            "bulk write of {} bytes out of bounds (len {})",
+            data.len(),
+            body.len()
+        );
+        body[..data.len()].copy_from_slice(data);
     }
 
     // ----- bulk array access -------------------------------------------------
     //
-    // The per-element accessors above pay the backend match, a record
-    // resolve, a header read and a bounds check per element. The methods
-    // below pay them once per call and then move a whole run over the
-    // array's contiguous element storage; sequential callers (an engine
-    // filling or scanning an edge array) use these, random access keeps the
+    // The per-element accessors above resolve the record's body, read its
+    // length and check the index on every element. The methods below do
+    // that once per call and then move a whole run over the array's
+    // contiguous element storage; sequential callers (an engine filling or
+    // scanning an edge array) use these, random access keeps the
     // per-element API.
 
     /// The contents of a primitive (`U8`/`I32`/`I64`) array, borrowed:
@@ -945,10 +935,7 @@ impl Store {
     /// Reads a `Ref` element.
     #[inline]
     pub fn array_get_rec(&self, r: Rec, i: usize) -> Rec {
-        match &self.inner {
-            Inner::Heap { heap, .. } => Rec(heap.array_get_ref(Self::h(r), i).raw() as u64),
-            Inner::Facade { paged, .. } => Rec(paged.array_get_ref(Self::p(r), i).raw()),
-        }
+        Rec(u32::from_le_bytes(elem(self.body(r), i)).into())
     }
 
     /// Writes a `Ref` element.

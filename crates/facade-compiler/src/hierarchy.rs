@@ -3,16 +3,27 @@
 
 use crate::meta::PagedMeta;
 use facade_ir::{ClassDef, ClassId, ClassKind, Program, Ty};
-use facade_runtime::{FieldKind, PoolBounds, RecordLayout};
+use facade_runtime::{ElemKind, FieldKind, PoolBounds, RecordLayout};
 use std::collections::{BTreeSet, HashMap};
 
-/// Maps an IR type to its record field kind: references and arrays become
-/// 4-byte page references, matching Figure 1's layout.
-pub(crate) fn field_kind(ty: &Ty) -> FieldKind {
+/// Maps an IR type to its field kind, on either heap: a double is stored
+/// by its bit pattern, and references and arrays become 4-byte references
+/// (page references in a record, matching Figure 1's layout).
+pub fn field_kind(ty: &Ty) -> FieldKind {
     match ty {
         Ty::I32 => FieldKind::I32,
         Ty::I64 | Ty::F64 => FieldKind::I64,
         Ty::Ref(_) | Ty::Array(_) | Ty::PageRef | Ty::Facade(_) => FieldKind::Ref,
+    }
+}
+
+/// Maps an IR array's element type to its element kind, on either heap
+/// (the same widths as [`field_kind`]).
+pub fn elem_kind(ty: &Ty) -> ElemKind {
+    match field_kind(ty) {
+        FieldKind::I32 => ElemKind::I32,
+        FieldKind::I64 => ElemKind::I64,
+        FieldKind::Ref => ElemKind::Ref,
     }
 }
 
@@ -189,5 +200,8 @@ mod tests {
         assert_eq!(field_kind(&Ty::F64), FieldKind::I64);
         assert_eq!(field_kind(&Ty::Ref(ClassId(0))), FieldKind::Ref);
         assert_eq!(field_kind(&Ty::array(Ty::I64)), FieldKind::Ref);
+        assert_eq!(elem_kind(&Ty::I32), ElemKind::I32);
+        assert_eq!(elem_kind(&Ty::F64), ElemKind::I64);
+        assert_eq!(elem_kind(&Ty::PageRef), ElemKind::Ref);
     }
 }

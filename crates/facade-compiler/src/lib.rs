@@ -70,6 +70,7 @@ mod transform;
 
 pub use devirt::{DevirtReport, devirtualize};
 pub use error::CompileError;
+pub use hierarchy::{elem_kind, field_kind};
 pub use meta::PagedMeta;
 pub use passes::{EpochStats, FastAllocStats, PassConfig, PromoteStats};
 pub use pipeline::{

@@ -5,10 +5,12 @@ use crate::error::HeapError;
 use crate::fault::FaultPlan;
 use crate::layout::{
     ARRAY_HEADER_BYTES, ElemKind, FieldKind, RECORD_HEADER_BYTES, RecordLayout, TypeId,
+    record_bytes,
 };
 use crate::page::{MAX_PAGE_SLOTS, PAGE_BYTES, PAGE_CAPACITY, Page, PageRef};
 use crate::pool::PagePool;
 use crate::stats::NativeStats;
+use managed_heap::{elem, elem_count, set_elem};
 use metrics::OutOfMemory;
 use std::sync::Arc;
 
@@ -66,7 +68,7 @@ struct Shape {
 
 impl Shape {
     fn of(layout: &RecordLayout) -> Self {
-        let size = (layout.record_bytes() as usize + 7) & !7;
+        let size = (record_bytes(layout) as usize + 7) & !7;
         Shape {
             size,
             class: size_class(size),
@@ -721,6 +723,23 @@ impl PagedHeap {
         }
     }
 
+    /// The body of record `r`: its bytes after the record header, to the
+    /// end of its page (or oversize buffer). A type's fields sit at their
+    /// [`RecordLayout::offset`]s, an array's length at 0 and its elements
+    /// after it: the same bytes as the body of the object on the managed
+    /// heap (§2.1), so one caller reads both.
+    #[inline]
+    pub fn body(&self, r: PageRef) -> &[u8] {
+        &self.record_bytes(r)[RECORD_HEADER_BYTES as usize..]
+    }
+
+    /// Mutable counterpart of [`PagedHeap::body`]. Bytes written into a
+    /// reference field or a `Ref` element are taken for a page reference.
+    #[inline]
+    pub fn body_mut(&mut self, r: PageRef) -> &mut [u8] {
+        &mut self.record_bytes_mut(r)[RECORD_HEADER_BYTES as usize..]
+    }
+
     #[inline]
     fn write_u16_at(&mut self, r: PageRef, at: usize, v: u16) {
         let b = self.record_bytes_mut(r);
@@ -892,18 +911,11 @@ impl PagedHeap {
 
     // ----- array access -----------------------------------------------------
 
-    #[inline]
-    fn elem_offset(b: &[u8], idx: usize, elem_size: usize) -> usize {
-        let len = Self::u32_of(b, 4) as usize;
-        assert!(idx < len, "array index {idx} out of bounds (len {len})");
-        ARRAY_HEADER_BYTES as usize + idx * elem_size
-    }
-
     /// Length (in elements) of an array record.
     #[inline]
     pub fn array_len(&self, r: PageRef) -> usize {
         debug_assert!(self.is_array(r), "array_len on non-array record");
-        Self::u32_of(self.record_bytes(r), 4) as usize
+        elem_count(self.body(r))
     }
 
     /// Element kind of an array record.
@@ -929,60 +941,25 @@ impl PagedHeap {
     /// Reads an `I32` array element.
     #[inline]
     pub fn array_get_i32(&self, r: PageRef, idx: usize) -> i32 {
-        let b = self.record_bytes(r);
-        let at = Self::elem_offset(b, idx, 4);
-        Self::u32_of(b, at) as i32
+        i32::from_le_bytes(elem(self.body(r), idx))
     }
 
     /// Writes an `I32` array element.
     #[inline]
     pub fn array_set_i32(&mut self, r: PageRef, idx: usize, v: i32) {
-        let b = self.record_bytes_mut(r);
-        let at = Self::elem_offset(b, idx, 4);
-        b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        set_elem(self.body_mut(r), idx, v.to_le_bytes());
     }
 
     /// Reads an `I64` array element.
     #[inline]
     pub fn array_get_i64(&self, r: PageRef, idx: usize) -> i64 {
-        let b = self.record_bytes(r);
-        let at = Self::elem_offset(b, idx, 8);
-        Self::u64_of(b, at) as i64
+        i64::from_le_bytes(elem(self.body(r), idx))
     }
 
     /// Writes an `I64` array element.
     #[inline]
     pub fn array_set_i64(&mut self, r: PageRef, idx: usize, v: i64) {
-        let b = self.record_bytes_mut(r);
-        let at = Self::elem_offset(b, idx, 8);
-        b[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Reads a `U8` array element.
-    #[inline]
-    pub fn array_get_u8(&self, r: PageRef, idx: usize) -> u8 {
-        let b = self.record_bytes(r);
-        b[Self::elem_offset(b, idx, 1)]
-    }
-
-    /// Writes a `U8` array element.
-    #[inline]
-    pub fn array_set_u8(&mut self, r: PageRef, idx: usize, v: u8) {
-        let b = self.record_bytes_mut(r);
-        let at = Self::elem_offset(b, idx, 1);
-        b[at] = v;
-    }
-
-    /// Copies a byte slice into a `U8` array starting at element 0
-    /// (models `System.arraycopy`, which the paper hand-models).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is longer than the array, or if `r` is a `Ref`
-    /// array: raw bytes written there would forge references.
-    #[inline]
-    pub fn array_write_bytes(&mut self, r: PageRef, data: &[u8]) {
-        self.array_bytes_mut(r)[..data.len()].copy_from_slice(data);
+        set_elem(self.body_mut(r), idx, v.to_le_bytes());
     }
 
     /// Byte range of a primitive array's element storage within its record
@@ -1033,17 +1010,13 @@ impl PagedHeap {
     /// Reads a `Ref` array element (4 bytes: a `PageRef` fits 32 bits).
     #[inline]
     pub fn array_get_ref(&self, r: PageRef, idx: usize) -> PageRef {
-        let b = self.record_bytes(r);
-        let at = Self::elem_offset(b, idx, 4);
-        PageRef::from_raw(u64::from(Self::u32_of(b, at)))
+        PageRef::from_raw(u32::from_le_bytes(elem(self.body(r), idx)).into())
     }
 
     /// Writes a `Ref` array element.
     #[inline]
     pub fn array_set_ref(&mut self, r: PageRef, idx: usize, v: PageRef) {
-        let b = self.record_bytes_mut(r);
-        let at = Self::elem_offset(b, idx, 4);
-        b[at..at + 4].copy_from_slice(&(v.raw() as u32).to_le_bytes());
+        set_elem(self.body_mut(r), idx, (v.raw() as u32).to_le_bytes());
     }
 }
 
@@ -1086,13 +1059,18 @@ mod tests {
         assert_eq!(h.get_ref_at(r, f2), other);
         assert_eq!(h.type_of(r), t);
         assert!(!h.is_array(r));
+        assert_eq!(
+            h.body(r)[..4],
+            (-5i32).to_le_bytes(),
+            "field 0 opens the body"
+        );
     }
 
     #[test]
     fn ref_fields_and_elements_take_four_bytes() {
         let mut h = PagedHeap::new();
         let t = h.register_type("T", &[FieldKind::Ref, FieldKind::I32]);
-        assert_eq!(h.layout(t).record_bytes(), 12);
+        assert_eq!(record_bytes(h.layout(t)), 12);
         let [next, tail] = [0, 1].map(|i| h.field_offset(t, i));
         let r = h.alloc(t).unwrap();
         let far = h.alloc_array(ElemKind::U8, PAGE_BYTES).unwrap();
@@ -1151,10 +1129,9 @@ mod tests {
         assert_eq!(h.array_get_i32(a, 99), 7);
 
         let b = h.alloc_array(ElemKind::U8, 11).unwrap();
-        h.array_write_bytes(b, b"hello world");
+        h.array_bytes_mut(b).copy_from_slice(b"hello world");
         assert_eq!(h.array_bytes(b), b"hello world");
-        h.array_set_u8(b, 0, b'H');
-        assert_eq!(h.array_get_u8(b, 0), b'H');
+        assert_eq!(h.body(b)[..5], [11, 0, 0, 0, b'h'], "length, element 0");
 
         let c = h.alloc_array(ElemKind::Ref, 3).unwrap();
         h.array_set_ref(c, 2, a);

@@ -56,7 +56,7 @@ pub use checkpoint::{Checkpointer, Manifest, RecoveryError};
 pub use error::HeapError;
 pub use fault::{FaultPlan, FaultPlanBuilder};
 pub use heap::{FIRST_USER_TYPE, IterationId, MAX_LOCK_IDS, ManagerId, PagedHeap, PagedHeapConfig};
-pub use layout::{ElemKind, FieldKind, RecordLayout, TypeId};
+pub use layout::{ElemKind, FieldKind, RECORD_HEADER_BYTES, RecordLayout, TypeId};
 pub use metrics::OutOfMemory;
 pub use page::{PAGE_BYTES, PAGE_CAPACITY, PAGE_RESERVED, PageRef};
 pub use pool::{EpochLedger, NO_EPOCH, PagePool, PoolCounters, PooledPage};

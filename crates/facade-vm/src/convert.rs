@@ -7,13 +7,15 @@
 //! and writes the value into a page"; here the conversion is driven by the
 //! registered layouts, recursing through reference fields and array
 //! elements with memoization so shared structure (and cycles) convert once.
-//! A primitive array's elements are the same little-endian bytes on both
-//! backends, so they are copied as one slice.
+//! A record's body is laid out the same in an object and in a page (§2.1),
+//! and a primitive array's elements are the same little-endian bytes on
+//! both backends, so each is copied as one slice; then only its references
+//! are rewritten, at the layout's `ref_offsets`.
 
 use crate::error::VmError;
 use crate::interp::Vm;
-use facade_runtime::{ElemKind as PElem, PageRef, TypeId as PTypeId};
-use managed_heap::{ClassId as HClassId, ElemKind as HElem, FieldKind as HField, ObjRef};
+use facade_runtime::{ElemKind, PageRef, RECORD_HEADER_BYTES, TypeId as PTypeId};
+use managed_heap::{OBJECT_HEADER_BYTES, ObjRef};
 use std::collections::HashMap;
 
 impl Vm<'_> {
@@ -37,25 +39,21 @@ impl Vm<'_> {
         }
         let Some(hclass) = self.heap.class_of(obj) else {
             let len = self.heap.array_len(obj);
-            let pk = match self.heap.array_kind(obj) {
-                HElem::U8 => PElem::U8,
-                HElem::I32 => PElem::I32,
-                HElem::I64 => PElem::I64,
-                HElem::Ref => {
-                    let rec = self.paged.alloc_array(PElem::Ref, len)?;
-                    memo.insert(obj.raw(), rec);
-                    for i in 0..len {
-                        let child = self.heap.array_get_ref(obj, i);
-                        let r = self.to_page_rec(child, memo)?;
-                        self.paged.array_set_ref(rec, i, r);
-                    }
-                    return Ok(rec);
+            let kind = self.heap.array_kind(obj);
+            if kind == ElemKind::Ref {
+                let rec = self.paged.alloc_array(kind, len)?;
+                memo.insert(obj.raw(), rec);
+                for i in 0..len {
+                    let child = self.heap.array_get_ref(obj, i);
+                    let r = self.to_page_rec(child, memo)?;
+                    self.paged.array_set_ref(rec, i, r);
                 }
-            };
+                return Ok(rec);
+            }
             let bytes = self.heap.array_bytes(obj);
             let rec = self
                 .paged
-                .alloc_array_init(pk, len, |b| b.copy_from_slice(bytes))?;
+                .alloc_array_init(kind, len, |b| b.copy_from_slice(bytes))?;
             memo.insert(obj.raw(), rec);
             return Ok(rec);
         };
@@ -68,38 +66,16 @@ impl Vm<'_> {
         })?;
         let rec = self.paged.alloc(PTypeId(tid))?;
         memo.insert(obj.raw(), rec);
-        let mut i = 0;
-        while let Some((kind, h_at, p_at)) = self.field_at(hclass, PTypeId(tid), i) {
-            i += 1;
-            match kind {
-                HField::I32 => {
-                    let v = self.heap.get_i32_at(obj, h_at);
-                    self.paged.set_i32_at(rec, p_at, v);
-                }
-                HField::I64 => {
-                    let v = self.heap.get_i64_at(obj, h_at);
-                    self.paged.set_i64_at(rec, p_at, v);
-                }
-                HField::Ref => {
-                    let child = self.heap.get_ref_at(obj, h_at);
-                    let r = self.to_page_rec(child, memo)?;
-                    self.paged.set_ref_at(rec, p_at, r);
-                }
-            }
+        let n = self.heap.layout(hclass).body_bytes() as usize;
+        self.paged.body_mut(rec)[..n].copy_from_slice(&self.heap.body(obj)[..n]);
+        let mut k = 0;
+        while let Some(&at) = self.heap.layout(hclass).ref_offsets().get(k) {
+            k += 1;
+            let child = self.heap.get_ref_at(obj, OBJECT_HEADER_BYTES + at);
+            let r = self.to_page_rec(child, memo)?;
+            self.paged.set_ref_at(rec, RECORD_HEADER_BYTES + at, r);
         }
         Ok(rec)
-    }
-
-    /// Field `i` of a data class, by its two layouts (heap class `class`,
-    /// record type `ty`): its kind and its offset in each, or `None` past
-    /// the last field.
-    fn field_at(&self, class: HClassId, ty: PTypeId, i: usize) -> Option<(HField, u32, u32)> {
-        let kind = *self.heap.layout(class).fields().get(i)?;
-        Some((
-            kind,
-            self.heap.field_offset(class, i),
-            self.paged.field_offset(ty, i),
-        ))
     }
 
     /// Converts a paged record graph into heap objects (`convertToA`).
@@ -131,26 +107,21 @@ impl Vm<'_> {
         }
         if let Ok(kind) = self.paged.array_kind(rec) {
             let len = self.paged.array_len(rec);
-            let hk = match kind {
-                PElem::U8 => HElem::U8,
-                PElem::I32 => HElem::I32,
-                PElem::I64 => HElem::I64,
-                PElem::Ref => {
-                    let obj = self.heap.alloc_array(HElem::Ref, len)?;
-                    temp_roots.push(self.heap.add_root(obj));
-                    memo.insert(rec.raw(), obj);
-                    for i in 0..len {
-                        let child = self.paged.array_get_ref(rec, i);
-                        let o = self.to_heap_rec(child, memo, temp_roots)?;
-                        self.heap.array_set_ref(obj, i, o);
-                    }
-                    return Ok(obj);
+            if kind == ElemKind::Ref {
+                let obj = self.heap.alloc_array(kind, len)?;
+                temp_roots.push(self.heap.add_root(obj));
+                memo.insert(rec.raw(), obj);
+                for i in 0..len {
+                    let child = self.paged.array_get_ref(rec, i);
+                    let o = self.to_heap_rec(child, memo, temp_roots)?;
+                    self.heap.array_set_ref(obj, i, o);
                 }
-            };
+                return Ok(obj);
+            }
             let bytes = self.paged.array_bytes(rec);
             let obj = self
                 .heap
-                .alloc_array_init(hk, len, |b| b.copy_from_slice(bytes))?;
+                .alloc_array_init(kind, len, |b| b.copy_from_slice(bytes))?;
             temp_roots.push(self.heap.add_root(obj));
             memo.insert(rec.raw(), obj);
             return Ok(obj);
@@ -164,24 +135,22 @@ impl Vm<'_> {
         let obj = self.heap.alloc(hclass)?;
         temp_roots.push(self.heap.add_root(obj));
         memo.insert(rec.raw(), obj);
-        let mut i = 0;
-        while let Some((kind, h_at, p_at)) = self.field_at(hclass, tid, i) {
-            i += 1;
-            match kind {
-                HField::I32 => {
-                    let v = self.paged.get_i32_at(rec, p_at);
-                    self.heap.set_i32_at(obj, h_at, v);
-                }
-                HField::I64 => {
-                    let v = self.paged.get_i64_at(rec, p_at);
-                    self.heap.set_i64_at(obj, h_at, v);
-                }
-                HField::Ref => {
-                    let child = self.paged.get_ref_at(rec, p_at);
-                    let o = self.to_heap_rec(child, memo, temp_roots)?;
-                    self.heap.set_ref_at(obj, h_at, o);
-                }
-            }
+        let layout = self.paged.layout(tid);
+        let n = layout.body_bytes() as usize;
+        let body = &mut self.heap.body_mut(obj)[..n];
+        body.copy_from_slice(&self.paged.body(rec)[..n]);
+        // The copy left page references where the object's references go;
+        // null them before converting a child can run the collector, which
+        // would trace them as object-table indices.
+        for &at in layout.ref_offsets() {
+            body[at as usize..at as usize + 4].fill(0);
+        }
+        let mut k = 0;
+        while let Some(&at) = self.paged.layout(tid).ref_offsets().get(k) {
+            k += 1;
+            let child = self.paged.get_ref_at(rec, RECORD_HEADER_BYTES + at);
+            let o = self.to_heap_rec(child, memo, temp_roots)?;
+            self.heap.set_ref_at(obj, OBJECT_HEADER_BYTES + at, o);
         }
         Ok(obj)
     }

@@ -14,12 +14,12 @@
 //! unreached, so every pc keeps its instruction.
 
 use crate::error::VmError;
-use facade_compiler::PagedMeta;
+use facade_compiler::{PagedMeta, elem_kind, field_kind};
 use facade_ir::{
     BinOp, Body, CallTarget, ClassId, CmpOp, Instr, Local, MethodId, Program, Terminator, Ty,
 };
-use facade_runtime::{ElemKind as PElem, FieldKind as PField, PagedHeap, TypeId as PTypeId};
-use managed_heap::{ClassId as HClassId, ElemKind as HElem, FieldKind as HField, Heap};
+use facade_runtime::{PagedHeap, TypeId as PTypeId};
+use managed_heap::{ClassId as HClassId, ElemKind, FieldKind, Heap};
 
 /// "No local": a call whose result is discarded.
 pub(crate) const NO_LOCAL: u32 = u32::MAX;
@@ -52,30 +52,6 @@ impl Kind {
     }
 }
 
-fn heap_field_kind(ty: &Ty) -> HField {
-    match ty {
-        Ty::I32 => HField::I32,
-        Ty::I64 | Ty::F64 => HField::I64,
-        _ => HField::Ref,
-    }
-}
-
-fn heap_elem_kind(ty: &Ty) -> HElem {
-    match ty {
-        Ty::I32 => HElem::I32,
-        Ty::I64 | Ty::F64 => HElem::I64,
-        _ => HElem::Ref,
-    }
-}
-
-fn paged_elem_kind(ty: &Ty) -> PElem {
-    match ty {
-        Ty::I32 => PElem::I32,
-        Ty::I64 | Ty::F64 => PElem::I64,
-        _ => PElem::Ref,
-    }
-}
-
 /// Class and type ids resolved to array indices, built once per VM.
 #[derive(Debug)]
 pub(crate) struct Tables {
@@ -96,24 +72,16 @@ impl Tables {
     pub(crate) fn new(program: &Program, meta: Option<&PagedMeta>, heap: &mut Heap) -> Self {
         let mut heap_class = Vec::with_capacity(program.class_count());
         let mut ir_class = Vec::new();
-        let mut chain = Vec::new();
-        let mut kinds = Vec::new();
         for (id, class) in program.classes() {
             if class.is_interface() {
                 heap_class.push(None);
                 continue;
             }
-            chain.clear();
-            let mut cursor = Some(id);
-            while let Some(c) = cursor {
-                chain.push(c);
-                cursor = program.class(c).superclass;
-            }
-            kinds.clear();
-            for &c in chain.iter().rev() {
-                let fields = &program.class(c).fields;
-                kinds.extend(fields.iter().map(|f| heap_field_kind(&f.ty)));
-            }
+            let kinds: Vec<FieldKind> = program
+                .flat_fields(id)
+                .iter()
+                .map(|(_, f)| field_kind(&f.ty))
+                .collect();
             let hid = heap.register_class(&class.name, &kinds);
             assert_eq!(hid.0 as usize, ir_class.len(), "heap class ids are dense");
             heap_class.push(Some(hid));
@@ -291,7 +259,7 @@ pub(crate) enum Op {
     NewArray {
         dst: u32,
         len: u32,
-        elem: HElem,
+        elem: ElemKind,
     },
     /// A 4-byte field: `i32`.
     GetFieldI32(FieldOp),
@@ -349,7 +317,7 @@ pub(crate) enum Op {
     PageNewArray {
         dst: u32,
         len: u32,
-        elem: PElem,
+        elem: ElemKind,
     },
     /// A 4-byte record field: `i32` or a page reference (pages are never
     /// traced, so a reference is plain bits, zero-extended into its local).
@@ -559,9 +527,9 @@ impl<'a> Decoder<'a> {
         make: [fn(FieldOp) -> Op; 3],
     ) -> Result<Op, String> {
         let (want, make) = match self.kind(val)? {
-            Kind::I32 => (HField::I32, make[0]),
-            Kind::I64 | Kind::F64 => (HField::I64, make[1]),
-            Kind::Obj => (HField::Ref, make[2]),
+            Kind::I32 => (FieldKind::I32, make[0]),
+            Kind::I64 | Kind::F64 => (FieldKind::I64, make[1]),
+            Kind::Obj => (FieldKind::Ref, make[2]),
             other => return Err(format!("{what} of a heap object field as {other:?}")),
         };
         let obj = self.local(obj, Kind::Obj, what)?;
@@ -592,9 +560,9 @@ impl<'a> Decoder<'a> {
         make: [fn(FieldOp) -> Op; 2],
     ) -> Result<Op, String> {
         let (want, make) = match self.kind(val)? {
-            Kind::I32 => (PField::I32, make[0]),
-            Kind::I64 | Kind::F64 => (PField::I64, make[1]),
-            Kind::Page => (PField::Ref, make[0]),
+            Kind::I32 => (FieldKind::I32, make[0]),
+            Kind::I64 | Kind::F64 => (FieldKind::I64, make[1]),
+            Kind::Page => (FieldKind::Ref, make[0]),
             other => return Err(format!("{what} of a record field as {other:?}")),
         };
         let paged = self.paged_mode()?;
@@ -757,7 +725,7 @@ impl<'a> Decoder<'a> {
             Instr::NewArray { dst, elem, len } => Op::NewArray {
                 dst: self.local(*dst, Obj, "newarray")?,
                 len: self.local(*len, I32, "array length")?,
-                elem: heap_elem_kind(elem),
+                elem: elem_kind(elem),
             },
             Instr::GetField { dst, obj, field } => self.heap_field(
                 (*obj, *field, *dst),
@@ -840,7 +808,7 @@ impl<'a> Decoder<'a> {
                 Op::PageNewArray {
                     dst: self.local(*dst, Page, "paged newarray")?,
                     len: self.local(*len, I32, "array length")?,
-                    elem: paged_elem_kind(elem),
+                    elem: elem_kind(elem),
                 }
             }
             Instr::PageGetField {

@@ -764,3 +764,97 @@ fn boundary_conversions_carry_arrays_and_shared_structure() {
     );
     both_print(&p, &["H"], &["1", "0.5", "1"]);
 }
+
+#[test]
+fn boundary_conversions_copy_whole_bodies_and_rewrite_their_references() {
+    // `N`'s body has padding after `a` (`b` is aligned to 8) and ends in a
+    // scalar after the reference. `root.next` is the shared child (also
+    // `arr[1]`), whose `next` is itself. `walk` sees the records on pages,
+    // main sees them back on the heap, and both print every field.
+    let p = program(
+        "class N {\n  i32 a;\n  f64 b;\n  N next;\n  i32 c;\n  static N[] walk(N[]) {
+   locals: N[], i32, N, N, i32, f64, N
+   bb0:
+     v1 = 0
+     v2 = v0[v1]
+     v1 = 1
+     v3 = v0[v1]
+     v4 = v2.f0
+     print v4
+     v5 = v2.f1
+     print v5
+     v6 = v2.f2
+     v4 = v6.f3
+     print v4
+     v4 = v2.f3
+     print v4
+     v6 = v3.f2
+     v6 = v6.f2
+     v4 = v6.f0
+     print v4
+     v5 = v6.f1
+     print v5
+     v4 = v6.f3
+     print v4
+     v4 = 7
+     v3.f0 = v4
+     return v0\n  }\n}",
+        "N[], i32, N, N, f64, i32, N",
+        "     v1 = 2
+     v0 = new N[v1]
+     v2 = new N
+     v3 = new N
+     v1 = 0
+     v0[v1] = v2
+     v1 = 1
+     v0[v1] = v3
+     v5 = 1
+     v2.f0 = v5
+     v4 = 2.5f64
+     v2.f1 = v4
+     v2.f2 = v3
+     v5 = 3
+     v2.f3 = v5
+     v5 = 4
+     v3.f0 = v5
+     v4 = -0.125f64
+     v3.f1 = v4
+     v3.f2 = v3
+     v5 = 5
+     v3.f3 = v5
+     v0 = static N::walk(v0)
+     v1 = 0
+     v2 = v0[v1]
+     v1 = 1
+     v3 = v0[v1]
+     v5 = v2.f0
+     print v5
+     v4 = v2.f1
+     print v4
+     v6 = v2.f2
+     v5 = v6.f0
+     print v5
+     v5 = v2.f3
+     print v5
+     v6 = v3.f2
+     v5 = v6 Eq v3
+     print v5
+     v6 = v2.f2
+     v5 = v6 Eq v3
+     print v5
+     v5 = v3.f0
+     print v5
+     v4 = v3.f1
+     print v4
+     v5 = v3.f3
+     print v5",
+    );
+    both_print(
+        &p,
+        &["N"],
+        &[
+            "1", "2.5", "5", "3", "4", "-0.125", "5", // pages
+            "1", "2.5", "7", "3", "1", "1", "7", "-0.125", "5", // heap again
+        ],
+    );
+}

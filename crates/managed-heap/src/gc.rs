@@ -5,13 +5,13 @@ use crate::heap::{
     ARRAY_CLASS_BIT, Entry, F_ARRAY, F_FREE, F_MARK, F_OLD, F_REMEMBERED, Heap, Space,
     tag_elem_kind,
 };
-use crate::layout::{ARRAY_HEADER_BYTES, ClassLayout, ElemKind, OBJECT_HEADER_BYTES};
+use crate::layout::{ARRAY_HEADER_BYTES, ElemKind, OBJECT_HEADER_BYTES, RecordLayout};
 use crate::stats::{PauseKind, PauseRecord};
 use std::time::Instant;
 
 /// Reads the reference targets of an object whose bytes live in `space` at
 /// `entry.addr`, appending the non-null object-table indices to `out`.
-fn ref_targets(space: &Space, entry: &Entry, classes: &[ClassLayout], out: &mut Vec<u32>) {
+fn ref_targets(space: &Space, entry: &Entry, classes: &[RecordLayout], out: &mut Vec<u32>) {
     let read_u32 = |at: usize| -> u32 {
         u32::from_le_bytes(space.bytes[at..at + 4].try_into().expect("4-byte read"))
     };

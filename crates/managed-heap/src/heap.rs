@@ -1,7 +1,8 @@
 //! The heap proper: spaces, the object table, allocation, and field access.
 
 use crate::layout::{
-    ARRAY_HEADER_BYTES, ClassId, ClassLayout, ElemKind, FieldKind, OBJECT_HEADER_BYTES,
+    ARRAY_HEADER_BYTES, ClassId, ElemKind, FieldKind, OBJECT_HEADER_BYTES, RecordLayout, elem,
+    object_bytes, set_elem,
 };
 use crate::stats::GcStats;
 use metrics::OutOfMemory;
@@ -200,12 +201,6 @@ impl Space {
         self.capacity
     }
 
-    /// Unused bytes remaining in the space.
-    #[allow(dead_code)]
-    pub fn free(&self) -> usize {
-        self.capacity() - self.top
-    }
-
     /// Bump-allocates `size` bytes, returning the offset, or `None` if full.
     /// With `zero` the bytes read as zero afterwards; without it the part
     /// below the committed length keeps its stale bytes, and the caller
@@ -237,7 +232,7 @@ impl Space {
 #[derive(Debug)]
 pub struct Heap {
     pub(crate) config: HeapConfig,
-    pub(crate) classes: Vec<ClassLayout>,
+    pub(crate) classes: Vec<RecordLayout>,
     pub(crate) table: Vec<Entry>,
     pub(crate) free_entries: Vec<u32>,
     pub(crate) young: Space,
@@ -285,7 +280,7 @@ impl Heap {
     /// before the first allocation of that class.
     pub fn register_class(&mut self, name: &str, fields: &[FieldKind]) -> ClassId {
         let id = ClassId(self.classes.len() as u16);
-        self.classes.push(ClassLayout::new(name, fields));
+        self.classes.push(RecordLayout::new(name, fields));
         id
     }
 
@@ -294,7 +289,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `class` was not registered with this heap.
-    pub fn layout(&self, class: ClassId) -> &ClassLayout {
+    pub fn layout(&self, class: ClassId) -> &RecordLayout {
         &self.classes[class.0 as usize]
     }
 
@@ -359,7 +354,7 @@ impl Heap {
         let raw = if e.is(F_ARRAY) {
             ARRAY_HEADER_BYTES + e.len * tag_elem_kind(e.class).size()
         } else {
-            self.classes[e.class as usize].object_bytes()
+            object_bytes(&self.classes[e.class as usize])
         };
         ((raw + 7) & !7) as usize
     }
@@ -373,7 +368,7 @@ impl Heap {
     #[inline]
     pub fn alloc(&mut self, class: ClassId) -> Result<ObjRef, OutOfMemory> {
         let size = {
-            let raw = self.classes[class.0 as usize].object_bytes();
+            let raw = object_bytes(&self.classes[class.0 as usize]);
             ((raw + 7) & !7) as usize
         };
         self.stats.objects_allocated += 1;
@@ -413,10 +408,11 @@ impl Heap {
         Ok(obj)
     }
 
-    /// Allocates an array object and zeroes its in-space header and its
-    /// padding to the next 8-byte boundary; returns the object and its
-    /// element storage, which holds zeroes with `zero` and stale bytes
-    /// without.
+    /// Allocates an array object, writes its in-space header (a zeroed
+    /// object header, then the length, as a JVM lays an array out) and
+    /// zeroes its padding to the next 8-byte boundary; returns the object
+    /// and its element storage, which holds zeroes with `zero` and stale
+    /// bytes without.
     #[inline]
     fn new_array(
         &mut self,
@@ -436,7 +432,9 @@ impl Heap {
         };
         let at = e.addr as usize;
         let (header, rest) = space.bytes[at..at + size].split_at_mut(ARRAY_HEADER_BYTES as usize);
-        header.fill(0);
+        let (object_header, length) = header.split_at_mut(OBJECT_HEADER_BYTES as usize);
+        object_header.fill(0);
+        length.copy_from_slice(&(len as u32).to_le_bytes());
         let (elems, padding) = rest.split_at_mut(body);
         padding.fill(0);
         Ok((obj, elems))
@@ -557,6 +555,42 @@ impl Heap {
             .expect("an N-byte range")
     }
 
+    /// The body of `obj`: its bytes after the object header, to the end of
+    /// its space. A class's fields sit at their [`RecordLayout::offset`]s,
+    /// an array's length at 0 and its elements after it: the same bytes as
+    /// the body of the record in a page (§2.1), so one caller reads both.
+    /// The borrow keeps the collector out, so the object cannot move.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if `obj` is null or was reclaimed.
+    #[inline]
+    pub fn body(&self, obj: ObjRef) -> &[u8] {
+        let e = self.entry(obj);
+        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
+        let space = if e.is(F_OLD) { &self.old } else { &self.young };
+        &space.bytes[(e.addr + OBJECT_HEADER_BYTES) as usize..]
+    }
+
+    /// Mutable counterpart of [`Heap::body`]. A write through it skips the
+    /// write barrier, so store references with [`Heap::set_ref_at`] or
+    /// [`Heap::array_set_ref`], never through these bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if `obj` is null or was reclaimed.
+    #[inline]
+    pub fn body_mut(&mut self, obj: ObjRef) -> &mut [u8] {
+        let e = *self.entry(obj);
+        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
+        let space = if e.is(F_OLD) {
+            &mut self.old
+        } else {
+            &mut self.young
+        };
+        &mut space.bytes[(e.addr + OBJECT_HEADER_BYTES) as usize..]
+    }
+
     #[inline]
     fn write_at<const N: usize>(&mut self, obj: ObjRef, at: u32, data: [u8; N]) {
         let e = *self.entry(obj);
@@ -669,64 +703,28 @@ impl Heap {
         tag_elem_kind(e.class)
     }
 
-    /// The header-relative offset of element `idx`.
-    #[inline]
-    fn elem_offset(&self, obj: ObjRef, idx: usize) -> u32 {
-        let e = self.entry(obj);
-        debug_assert!(e.is(F_ARRAY), "element access on non-array");
-        assert!(idx < e.len as usize, "array index {idx} out of bounds");
-        ARRAY_HEADER_BYTES + idx as u32 * tag_elem_kind(e.class).size()
-    }
-
     /// Reads an `I32` array element.
     #[inline]
     pub fn array_get_i32(&self, obj: ObjRef, idx: usize) -> i32 {
-        i32::from_le_bytes(self.read_at(obj, self.elem_offset(obj, idx)))
+        i32::from_le_bytes(elem(self.body(obj), idx))
     }
 
     /// Writes an `I32` array element.
     #[inline]
     pub fn array_set_i32(&mut self, obj: ObjRef, idx: usize, value: i32) {
-        let off = self.elem_offset(obj, idx);
-        self.write_at(obj, off, value.to_le_bytes());
+        set_elem(self.body_mut(obj), idx, value.to_le_bytes());
     }
 
     /// Reads an `I64` array element.
     #[inline]
     pub fn array_get_i64(&self, obj: ObjRef, idx: usize) -> i64 {
-        i64::from_le_bytes(self.read_at(obj, self.elem_offset(obj, idx)))
+        i64::from_le_bytes(elem(self.body(obj), idx))
     }
 
     /// Writes an `I64` array element.
     #[inline]
     pub fn array_set_i64(&mut self, obj: ObjRef, idx: usize, value: i64) {
-        let off = self.elem_offset(obj, idx);
-        self.write_at(obj, off, value.to_le_bytes());
-    }
-
-    /// Reads a `U8` array element.
-    #[inline]
-    pub fn array_get_u8(&self, obj: ObjRef, idx: usize) -> u8 {
-        let [b] = self.read_at(obj, self.elem_offset(obj, idx));
-        b
-    }
-
-    /// Writes a `U8` array element.
-    #[inline]
-    pub fn array_set_u8(&mut self, obj: ObjRef, idx: usize, value: u8) {
-        let off = self.elem_offset(obj, idx);
-        self.write_at(obj, off, [value]);
-    }
-
-    /// Copies a byte slice into a `U8` array starting at element 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is longer than the array.
-    #[inline]
-    pub fn array_write_bytes(&mut self, obj: ObjRef, data: &[u8]) {
-        assert!(data.len() <= self.array_len(obj));
-        self.array_bytes_mut(obj)[..data.len()].copy_from_slice(data);
+        set_elem(self.body_mut(obj), idx, value.to_le_bytes());
     }
 
     /// Whether the array lives in the old generation, and the byte range of
@@ -784,16 +782,13 @@ impl Heap {
     /// Reads a `Ref` array element.
     #[inline]
     pub fn array_get_ref(&self, obj: ObjRef, idx: usize) -> ObjRef {
-        ObjRef(u32::from_le_bytes(
-            self.read_at(obj, self.elem_offset(obj, idx)),
-        ))
+        ObjRef(u32::from_le_bytes(elem(self.body(obj), idx)))
     }
 
     /// Writes a `Ref` array element, applying the write barrier.
     #[inline]
     pub fn array_set_ref(&mut self, obj: ObjRef, idx: usize, value: ObjRef) {
-        let off = self.elem_offset(obj, idx);
-        self.write_at(obj, off, value.0.to_le_bytes());
+        set_elem(self.body_mut(obj), idx, value.0.to_le_bytes());
         self.write_barrier(obj, value);
     }
 
@@ -873,6 +868,11 @@ mod tests {
         assert_eq!(h.get_i32_at(o, f0), -7);
         assert_eq!(h.get_i64_at(o, f1), 1 << 40);
         assert!(h.get_ref_at(o, f2).is_null());
+        assert_eq!(
+            h.body(o)[..4],
+            (-7i32).to_le_bytes(),
+            "field 0 opens the body"
+        );
     }
 
     #[test]
@@ -910,9 +910,14 @@ mod tests {
         assert_eq!(h.array_get_i32(a, 9), 42);
         assert_eq!(h.array_len(a), 10);
         assert_eq!(h.array_kind(a), ElemKind::I32);
+        assert_eq!(
+            h.body(a)[..8],
+            [10, 0, 0, 0, 0, 0, 0, 0],
+            "length, element 0"
+        );
 
         let b = h.alloc_array(ElemKind::U8, 5).unwrap();
-        h.array_write_bytes(b, b"hello");
+        h.array_bytes_mut(b).copy_from_slice(b"hello");
         assert_eq!(h.array_bytes(b), b"hello");
 
         let r = h.alloc_array(ElemKind::Ref, 3).unwrap();
@@ -963,7 +968,7 @@ mod tests {
     }
 
     #[test]
-    fn born_arrays_zero_their_header_and_padding_over_stale_bytes() {
+    fn born_arrays_write_their_header_and_zero_their_padding_over_stale_bytes() {
         let mut h = small_heap();
         let junk = h.alloc_array(ElemKind::U8, 200).unwrap();
         h.array_bytes_mut(junk).fill(0xEE);
@@ -978,7 +983,8 @@ mod tests {
         let (e, at) = (h.entry(a), h.entry(empty).addr as usize + 16);
         assert_eq!(e.addr as usize, at);
         let object = &h.young.bytes[at..at + 40];
-        assert_eq!(object[..16], [0; 16], "header");
+        assert_eq!(object[..12], [0; 12], "object header");
+        assert_eq!(object[12..16], 3u32.to_le_bytes(), "length");
         assert_eq!(object[16..28], [0x11; 12]);
         assert_eq!(object[28..32], [0; 4], "padding");
         assert_eq!(object[32..], [0xEE; 8], "the space held stale bytes");

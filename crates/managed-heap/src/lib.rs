@@ -58,6 +58,9 @@ mod stats;
 pub use census::{CensusRow, HeapCensus, array_class_name};
 pub use gclog::format_gc_log_line;
 pub use heap::{Heap, HeapConfig, ObjRef, RootId};
-pub use layout::{ClassId, ClassLayout, ElemKind, FieldKind};
+pub use layout::{
+    ARRAY_LEN_BYTES, ClassId, ElemKind, FieldKind, OBJECT_HEADER_BYTES, RecordLayout, elem,
+    elem_count, set_elem,
+};
 pub use metrics::OutOfMemory;
 pub use stats::{GcStats, PauseKind, PauseRecord};

@@ -16,9 +16,19 @@
 //! ```text
 //! FACADE_UPDATE_GOLDEN=1 cargo test --test ir_parse_fuzz
 //! ```
+//!
+//! Every input that parses goes on through `verify`; one that verifies goes
+//! through the transform and a step-budgeted run of `P` and of `P'`, which
+//! decodes each method it reaches. Each stage must give a typed error or
+//! succeed, never panic, and [`PINS`] holds the outcome counts per source
+//! and mutation kind.
 
+use facade::compiler::{DataSpec, corpus, transform};
 use facade::datagen::SplitMix64;
+use facade::heap::HeapConfig;
 use facade::ir::Program;
+use facade::vm::{Vm, VmConfig, VmError};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::panic::{AssertUnwindSafe, catch_unwind};
@@ -324,3 +334,180 @@ fn parse_errors_match_the_pinned_corpus() {
         diff.join("\n")
     );
 }
+
+/// Steps each leg may run: about ten times the longest corpus run, so a
+/// mutant that loops forever stops within it.
+const STEP_BUDGET: u64 = 30_000;
+
+/// The data classes an input is transformed with: its source's corpus spec
+/// (`D` for the runaway program, none for the hand-written texts).
+fn spec_of(source: &str) -> DataSpec {
+    match corpus::all().into_iter().find(|e| e.name == source) {
+        Some(entry) => entry.spec,
+        None if source == "runaway_recursion" => DataSpec::new(["D"]),
+        None => DataSpec::new(Vec::<&str>::new()),
+    }
+}
+
+/// The variant name of a typed error: its `Debug` up to the first field.
+fn variant(error: &impl std::fmt::Debug) -> String {
+    let debug = format!("{error:?}");
+    debug[..debug.find(['(', ' ']).unwrap_or(debug.len())].to_string()
+}
+
+/// A run's outcome: `ok`, or the variant of its typed error.
+fn ran(result: Result<Option<facade::vm::Value>, VmError>) -> String {
+    result.map_or_else(|e| variant(&e), |_| "ok".into())
+}
+
+/// What a parsed program does past the parser: `P`'s run, and unless the
+/// program fails `verify`, the transform's error or `P'`'s run. The VM
+/// runs an unverified `P` too: its decoder must turn what the verifier
+/// rejects into a typed error.
+fn deep_outcome(program: &Program, spec: &DataSpec) -> String {
+    let config = VmConfig {
+        heap: HeapConfig::with_capacity(1 << 20),
+        step_budget: Some(STEP_BUDGET),
+    };
+    let p = ran(Vm::with_config(program, None, config.clone()).run());
+    if program.verify().is_err() {
+        return format!("unverified, P {p}");
+    }
+    match transform(program, spec) {
+        Err(e) => format!("P {p}, transform {}", variant(&e)),
+        Ok(out) => {
+            let q = ran(Vm::with_config(&out.program, Some(&out.meta), config).run());
+            format!("P {p}, P' {q}")
+        }
+    }
+}
+
+#[test]
+fn parsed_inputs_verify_transform_and_run_to_a_typed_outcome() {
+    let mut got: BTreeMap<String, usize> = BTreeMap::new();
+    for (id, text) in inputs() {
+        let Ok(program) = Program::parse(&text) else {
+            continue;
+        };
+        let (group, _) = id.rsplit_once(' ').expect("ids have a last word");
+        let source = group.split(' ').next().expect("ids have a first word");
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            deep_outcome(&program, &spec_of(source))
+        }))
+        .unwrap_or_else(|_| panic!("{id}: verify, transform or run panicked on:\n{text}"));
+        *got.entry(format!("{group}: {outcome}")).or_default() += 1;
+    }
+    let want: BTreeMap<String, usize> = PINS.iter().map(|&(k, n)| (k.to_string(), n)).collect();
+    let table: String = got
+        .iter()
+        .map(|(k, n)| format!("    ({k:?}, {n}),\n"))
+        .collect();
+    assert!(got == want, "outcome counts moved; the run gave:\n{table}");
+}
+
+/// Parsed inputs per `(source, kind, outcome)`.
+const PINS: &[(&str, usize)] = &[
+    ("crossings drop: P NullDeref, P' NullDeref", 3),
+    (
+        "crossings drop: P StepBudgetExceeded, P' StepBudgetExceeded",
+        1,
+    ),
+    ("crossings drop: P ok, P' ok", 6),
+    ("crossings drop: unverified, P IllegalInstruction", 1),
+    ("crossings dup: P ok, P' ok", 8),
+    ("crossings flip: unverified, P IllegalInstruction", 1),
+    ("crossings swap: P NullDeref, P' NullDeref", 1),
+    ("crossings swap: unverified, P IllegalInstruction", 6),
+    ("crossings tokens: unverified, P IllegalInstruction", 3),
+    ("epoch_scratch drop: P NoEntry, P' NoEntry", 1),
+    ("epoch_scratch drop: P NullDeref, P' NullDeref", 2),
+    ("epoch_scratch drop: P ok, P' ok", 4),
+    ("epoch_scratch dup: P ok, P' ok", 13),
+    ("epoch_scratch flip: P ok, P' ok", 1),
+    ("epoch_scratch swap: P NullDeref, P' NullDeref", 1),
+    ("epoch_scratch swap: P ok, P' ok", 3),
+    ("epoch_scratch tokens: P ok, P' ok", 1),
+    ("epoch_scratch tokens: unverified, P IllegalInstruction", 1),
+    ("figure2 drop: P NullDeref, P' NullDeref", 1),
+    (
+        "figure2 drop: P StepBudgetExceeded, P' StepBudgetExceeded",
+        2,
+    ),
+    ("figure2 drop: P ok, P' ok", 6),
+    ("figure2 dup: P ok, P' ok", 5),
+    ("figure2 flip: P ok, P' ok", 1),
+    ("figure2 swap: P ok, P' ok", 2),
+    ("figure2 swap: unverified, P IllegalInstruction", 1),
+    (
+        "figure2 tokens: P StepBudgetExceeded, P' StepBudgetExceeded",
+        2,
+    ),
+    ("figure2 tokens: P ok, P' ok", 1),
+    ("promote_scratch drop: P NullDeref, P' NullDeref", 1),
+    (
+        "promote_scratch drop: P StepBudgetExceeded, P' StepBudgetExceeded",
+        3,
+    ),
+    ("promote_scratch drop: P ok, P' ok", 9),
+    ("promote_scratch dup: P ok, P' ok", 9),
+    ("promote_scratch flip: P ok, P' ok", 4),
+    ("promote_scratch flip: unverified, P IllegalInstruction", 1),
+    ("promote_scratch swap: P NullDeref, P' NullDeref", 2),
+    ("promote_scratch swap: P ok, P' ok", 2),
+    ("promote_scratch swap: unverified, P IllegalInstruction", 2),
+    ("promote_scratch tokens: P ok, P' ok", 1),
+    (
+        "promote_scratch tokens: unverified, P IllegalInstruction",
+        1,
+    ),
+    ("runaway_recursion drop: P NoEntry, P' NoEntry", 2),
+    (
+        "runaway_recursion drop: P StepBudgetExceeded, P' StepBudgetExceeded",
+        3,
+    ),
+    ("runaway_recursion drop: P ok, P' ok", 2),
+    (
+        "runaway_recursion dup: P StepBudgetExceeded, P' StepBudgetExceeded",
+        7,
+    ),
+    (
+        "runaway_recursion flip: P StepBudgetExceeded, P' StepBudgetExceeded",
+        9,
+    ),
+    (
+        "runaway_recursion swap: P StepBudgetExceeded, P' StepBudgetExceeded",
+        2,
+    ),
+    (
+        "runaway_recursion tokens: P StepBudgetExceeded, P' StepBudgetExceeded",
+        5,
+    ),
+    (
+        "runaway_recursion truncate: P NoEntry, transform UnknownClass",
+        10,
+    ),
+    ("shapes drop: P NullDeref, P' NullDeref", 1),
+    ("shapes drop: P ok, P' ok", 8),
+    ("shapes drop: unverified, P IllegalInstruction", 1),
+    ("shapes dup: P ok, P' ok", 10),
+    ("shapes flip: P ok, P' ok", 1),
+    ("shapes swap: P ok, P' ok", 2),
+    ("shapes tokens: unverified, P IllegalInstruction", 2),
+    ("shapes truncate: P NoEntry, transform UnknownClass", 1),
+    ("shapes truncate: P ok, P' ok", 1),
+    ("sum_list drop: P NoEntry, P' NoEntry", 1),
+    ("sum_list drop: P NullDeref, P' NullDeref", 4),
+    (
+        "sum_list drop: P StepBudgetExceeded, P' StepBudgetExceeded",
+        2,
+    ),
+    ("sum_list drop: P ok, P' ok", 5),
+    ("sum_list drop: unverified, P IllegalInstruction", 1),
+    ("sum_list dup: P ok, P' ok", 8),
+    ("sum_list flip: unverified, P IllegalInstruction", 1),
+    ("sum_list swap: unverified, P IllegalInstruction", 2),
+    ("sum_list swap: unverified, P NullDeref", 1),
+    ("sum_list tokens: unverified, P IllegalInstruction", 1),
+    ("text: P IllegalInstruction, P' IllegalInstruction", 1),
+    ("text: P ok, P' ok", 1),
+];
