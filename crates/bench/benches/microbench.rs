@@ -3,7 +3,8 @@
 //!
 //! - `record_alloc`: allocating small data records — heap objects (with the
 //!   collector absorbing the garbage) vs paged records (with iteration
-//!   resets absorbing them).
+//!   resets absorbing them), on pristine pages (`facade`, a million records
+//!   an iteration) and on recycled ones (`facade_recycled`, 500).
 //! - `field_access`: reading/writing record fields on both backends.
 //! - `array_access`: i64 array element access on both backends, and bulk
 //!   against per-element fill / fold of a 64-double array.
@@ -68,6 +69,25 @@ fn record_alloc() {
             black_box(r);
             n += 1;
             if n == 1_000_000 {
+                store.iteration_end(it);
+                it = store.iteration_start();
+                n = 0;
+            }
+        });
+    }
+    {
+        // Short iterations, as `compile_run`'s loop runs them: after the
+        // first, every record lands on a recycled page below its dirty
+        // watermark, so each allocation zeroes stale bytes.
+        let mut store = Store::builder().build();
+        let class = store.register_class("T", &[FieldTy::I32, FieldTy::I64]);
+        let mut it = store.iteration_start();
+        let mut n = 0u32;
+        bench("record_alloc/facade_recycled", 100_000, 5, || {
+            let r = store.alloc(class).unwrap();
+            black_box(r);
+            n += 1;
+            if n == 500 {
                 store.iteration_end(it);
                 it = store.iteration_start();
                 n = 0;

@@ -620,13 +620,14 @@ impl Store {
     //
     // A record's body, its bytes after the header, is laid out the same on
     // both backends (§2.1), and so is an array's: its 4-byte length, then
-    // its elements. So each accessor below resolves the record once through
-    // `body` / `body_mut`, the one backend match, and moves the same bytes
-    // on either backend. Reference stores are the exception: the heap's
+    // its elements. So each accessor below moves the same body bytes on
+    // either backend: a scalar field through `read` / `write` (the backend's
+    // `read_body` / `write_body`, one range check), an element through
+    // `body` / `body_mut`. Reference stores are the exception: the heap's
     // write barrier must see them.
 
     /// The body of record `r`: its bytes after the backend's header. Every
-    /// field and element access goes through here, so it is inlined into
+    /// element access goes through here, so it is inlined into
     /// each: the compiler can then hoist a loop's resolve out of the loop,
     /// as it did when each accessor held its own backend match.
     #[inline(always)]
@@ -677,19 +678,24 @@ impl Store {
         }
     }
 
-    /// The `N` bytes of `field` in record `r`.
+    /// The `N` bytes of `field` in record `r`: the bytes `body(r)` holds
+    /// there, read behind the backend's one range check.
     #[inline]
     fn read<const N: usize>(&self, r: Rec, field: impl FieldRef) -> [u8; N] {
-        let at = self.offset_of(r, field) as usize;
-        self.body(r)[at..at + N]
-            .try_into()
-            .expect("an N-byte range")
+        let at = self.offset_of(r, field);
+        match &self.inner {
+            Inner::Heap { heap, .. } => heap.read_body(Self::h(r), at),
+            Inner::Facade { paged, .. } => paged.read_body(Self::p(r), at),
+        }
     }
 
     #[inline]
     fn write<const N: usize>(&mut self, r: Rec, field: impl FieldRef, bytes: [u8; N]) {
-        let at = self.offset_of(r, field) as usize;
-        self.body_mut(r)[at..at + N].copy_from_slice(&bytes);
+        let at = self.offset_of(r, field);
+        match &mut self.inner {
+            Inner::Heap { heap, .. } => heap.write_body(Self::h(r), at, bytes),
+            Inner::Facade { paged, .. } => paged.write_body(Self::p(r), at, bytes),
+        }
     }
 
     /// Reads a 32-bit field.

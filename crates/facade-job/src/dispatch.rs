@@ -545,14 +545,23 @@ mod tests {
 
     #[test]
     fn canceled_queued_jobs_never_run() {
-        // One executor, occupied by a slow job; the queued one is canceled
-        // before it can start.
+        // One executor, held by a job whose completion callback waits for
+        // the test's go-ahead: whatever the timing, the executor cannot
+        // pick up the job queued behind it before that job is canceled.
+        use std::sync::mpsc::channel;
         let d = dispatcher(1, None);
+        let (release, gate) = channel::<()>();
         let slow = d
-            .submit(quick_spec(Workload::PageRank { iterations: 4 }))
+            .submit_with(
+                quick_spec(Workload::PageRank { iterations: 4 }),
+                move |_, _| {
+                    gate.recv().expect("the test releases the executor");
+                },
+            )
             .unwrap();
         let victim = d.submit(quick_spec(Workload::WordCount)).unwrap();
         assert!(victim.cancel());
+        release.send(()).unwrap();
         assert_eq!(victim.wait().unwrap_err(), JobError::Canceled);
         assert_eq!(victim.status(), JobStatus::Canceled);
         slow.wait().expect("the running job is unaffected");

@@ -143,6 +143,10 @@ pub struct PagedHeap {
     free_managers: Vec<u32>,
     /// Stack of active iterations; the top is the current allocation target.
     iteration_stack: Vec<u32>,
+    /// The open page of each size class in the current manager: always
+    /// `class_pages[c].last()` of the manager on top of `iteration_stack`,
+    /// kept here so that a bump looks up no manager.
+    open_pages: [Option<u32>; SIZE_CLASS_LIMITS.len()],
     config: PagedHeapConfig,
     stats: NativeStats,
     type_alloc_counts: Vec<u64>,
@@ -197,6 +201,7 @@ impl PagedHeap {
             managers: vec![PageManager::new(None)],
             free_managers: Vec::new(),
             iteration_stack: vec![0],
+            open_pages: [None; SIZE_CLASS_LIMITS.len()],
             config,
             stats: NativeStats::default(),
             type_alloc_counts,
@@ -308,6 +313,7 @@ impl PagedHeap {
         };
         self.managers[parent as usize].children.push(id);
         self.iteration_stack.push(id);
+        self.open_pages = [None; SIZE_CLASS_LIMITS.len()];
         self.stats.iterations_started += 1;
         IterationId(id)
     }
@@ -330,6 +336,8 @@ impl PagedHeap {
             "cannot end the default manager"
         );
         self.release_subtree(iter.0);
+        let current = &self.managers[*self.iteration_stack.last().expect("checked") as usize];
+        self.open_pages = std::array::from_fn(|c| current.class_pages[c].last().copied());
         self.stats.iterations_ended += 1;
     }
 
@@ -467,48 +475,50 @@ impl PagedHeap {
         n
     }
 
-    /// Places `size` bytes of size class `class` in the current manager
-    /// (§3.6). The common case is one bump on the class's open page, the
-    /// page [`PagedHeap::alloc_fast`] tries too. With `zero` the bytes read
-    /// as zero; without it the caller must overwrite every one of them.
+    /// Places a record of `size` bytes and size class `class` in the
+    /// current manager (§3.6), born as [`Page::bump`] writes it: `head` as
+    /// its first 8 bytes, the `kept` bytes after it left for the caller,
+    /// the rest zero. The common case is one bump on the class's open page,
+    /// the page [`PagedHeap::alloc_fast`] tries too.
     #[inline]
-    fn allocate_raw(
+    fn allocate(
         &mut self,
         size: usize,
         class: usize,
-        zero: bool,
+        head: u64,
+        kept: usize,
     ) -> Result<PageRef, OutOfMemory> {
         if size < LARGE_RECORD_BYTES {
-            if let Some(r) = self.bump_open(size, class, zero) {
+            if let Some(r) = self.bump_open(size, class, head, kept) {
                 return Ok(r);
             }
         }
-        self.allocate_after_miss(size, class, zero)
+        self.allocate_after_miss(size, class, head, kept)
     }
 
     /// One bump on the open (most recently taken) page of `class` in the
     /// current manager; `None` if the class has no page yet or it is full.
     #[inline]
-    fn bump_open(&mut self, size: usize, class: usize, zero: bool) -> Option<PageRef> {
-        let mgr_id = *self.iteration_stack.last().expect("default manager") as usize;
-        let slot = *self.managers[mgr_id].class_pages[class].last()?;
-        let offset = self.pages[slot as usize].bump(size, zero)?;
+    fn bump_open(&mut self, size: usize, class: usize, head: u64, kept: usize) -> Option<PageRef> {
+        let slot = self.open_pages[class]?;
+        let offset = self.pages[slot as usize].bump(size, head, kept)?;
         Some(PageRef::paged(slot, offset))
     }
 
-    /// [`PagedHeap::allocate_raw`] once the open page could not take the
+    /// [`PagedHeap::allocate`] once the open page could not take the
     /// record: a record no page can hold gets an oversize buffer, a large
     /// one starts on an empty page (policy 2), and a small one takes the
     /// first of the class's older pages it fits, else an empty page
-    /// (policy 1).
+    /// (policy 1), which becomes the class's open page.
     fn allocate_after_miss(
         &mut self,
         size: usize,
         class: usize,
-        zero: bool,
+        head: u64,
+        kept: usize,
     ) -> Result<PageRef, OutOfMemory> {
         if size > PAGE_CAPACITY {
-            return self.allocate_oversize(size);
+            return self.allocate_oversize(size, head);
         }
         let mgr_id = *self.iteration_stack.last().expect("default manager") as usize;
         if size < LARGE_RECORD_BYTES {
@@ -517,20 +527,21 @@ impl PagedHeap {
                 .rev()
                 .skip(1);
             for &slot in older.take(FIRST_FIT_PAGES - 1) {
-                if let Some(offset) = self.pages[slot as usize].bump(size, zero) {
+                if let Some(offset) = self.pages[slot as usize].bump(size, head, kept) {
                     return Ok(PageRef::paged(slot, offset));
                 }
             }
         }
         let slot = self.grab_page()?;
         let offset = self.pages[slot as usize]
-            .bump(size, zero)
+            .bump(size, head, kept)
             .expect("an empty page fits any record up to PAGE_CAPACITY");
         self.managers[mgr_id].class_pages[class].push(slot);
+        self.open_pages[class] = Some(slot);
         Ok(PageRef::paged(slot, offset))
     }
 
-    fn allocate_oversize(&mut self, size: usize) -> Result<PageRef, OutOfMemory> {
+    fn allocate_oversize(&mut self, size: usize, head: u64) -> Result<PageRef, OutOfMemory> {
         let next = self.held_bytes + size as u64;
         if let Some(budget) = self.config.budget_bytes {
             if next > budget {
@@ -541,7 +552,8 @@ impl PagedHeap {
                 ));
             }
         }
-        let buf = vec![0u8; size];
+        let mut buf = vec![0u8; size];
+        buf[..8].copy_from_slice(&head.to_le_bytes());
         let idx = if let Some(idx) = self.free_oversize.pop() {
             self.oversize[idx as usize] = Some(buf);
             idx
@@ -571,9 +583,7 @@ impl PagedHeap {
         self.check_alloc_fault(size)?;
         self.type_alloc_counts[ty.0 as usize] += 1;
         self.stats.records_allocated += 1;
-        let r = self.allocate_raw(size, class, true)?;
-        self.write_u16_at(r, 0, ty.0);
-        Ok(r)
+        self.allocate(size, class, u64::from(ty.0), 0)
     }
 
     /// Bump-pointer fast path for [`PagedHeap::alloc`], used by allocation
@@ -589,10 +599,9 @@ impl PagedHeap {
         if self.fault.is_some() || size >= LARGE_RECORD_BYTES {
             return None;
         }
-        let r = self.bump_open(size, class, true)?;
+        let r = self.bump_open(size, class, u64::from(ty.0), 0)?;
         self.type_alloc_counts[ty.0 as usize] += 1;
         self.stats.records_allocated += 1;
-        self.write_u16_at(r, 0, ty.0);
         Some(r)
     }
 
@@ -603,7 +612,7 @@ impl PagedHeap {
     /// Returns [`OutOfMemory`] if the configured budget would be exceeded.
     #[inline]
     pub fn alloc_array(&mut self, kind: ElemKind, len: usize) -> Result<PageRef, OutOfMemory> {
-        self.new_array(kind, len, true).map(|(r, _)| r)
+        self.new_array(kind, len, false)
     }
 
     /// Allocates an array record of `len` elements of `kind` that is born
@@ -624,22 +633,22 @@ impl PagedHeap {
         len: usize,
         init: impl FnOnce(&mut [u8]),
     ) -> Result<PageRef, OutOfMemory> {
-        let (r, elems) = self.new_array(kind, len, false)?;
-        init(elems);
+        let r = self.new_array(kind, len, true)?;
+        let at = ARRAY_HEADER_BYTES as usize;
+        init(&mut self.record_bytes_mut(r)[at..at + len * kind.size() as usize]);
         Ok(r)
     }
 
-    /// Allocates an array record and writes its 8-byte header and its
-    /// padding to the next 8-byte boundary; returns the record and its
-    /// element storage, which holds zeroes with `zero` and stale bytes
-    /// without.
+    /// Allocates an array record born with its 8-byte header and with its
+    /// padding to the next 8-byte boundary zeroed; its elements are zeroed
+    /// too, unless `keep_elems` leaves them for the caller to overwrite.
     #[inline]
     fn new_array(
         &mut self,
         kind: ElemKind,
         len: usize,
-        zero: bool,
-    ) -> Result<(PageRef, &mut [u8]), OutOfMemory> {
+        keep_elems: bool,
+    ) -> Result<PageRef, OutOfMemory> {
         let body = len * kind.size() as usize;
         let size = (ARRAY_HEADER_BYTES as usize + body + 7) & !7;
         self.check_alloc_fault(size)?;
@@ -651,19 +660,10 @@ impl PagedHeap {
         };
         self.type_alloc_counts[type_id as usize] += 1;
         self.stats.records_allocated += 1;
-        let r = self.allocate_raw(size, size_class(size), zero)?;
-        let record = &mut self.record_bytes_mut(r)[..size];
-        let (header, rest) = record.split_at_mut(ARRAY_HEADER_BYTES as usize);
-        header[..2].copy_from_slice(&type_id.to_le_bytes());
-        header[2..4].fill(0); // lock word
-        header[4..].copy_from_slice(&(len as u32).to_le_bytes());
-        let (elems, padding) = rest.split_at_mut(body);
-        // Most arrays (every `I64` one, every even-length `I32` one) end on
-        // the 8-byte boundary; skip the empty fill's call for them.
-        if !padding.is_empty() {
-            padding.fill(0);
-        }
-        Ok((r, elems))
+        // Type ID, a zero lock word, then the length.
+        let head = u64::from(type_id) | u64::from(len as u32) << 32;
+        let kept = if keep_elems { body } else { 0 };
+        self.allocate(size, size_class(size), head, kept)
     }
 
     /// Frees an oversize buffer early (§3.6: oversize pages "can be
@@ -697,30 +697,63 @@ impl PagedHeap {
 
     // ----- raw access (header-relative) ------------------------------------
 
+    /// The buffer record `r` lives in and its offset there: its page's
+    /// bytes, or its own oversize buffer from 0.
     #[inline]
-    fn record_bytes(&self, r: PageRef) -> &[u8] {
+    fn locate(&self, r: PageRef) -> (&[u8], usize) {
         debug_assert!(!r.is_null(), "null page reference");
         if r.is_oversize() {
-            self.oversize[r.oversize_index() as usize]
+            let buf = self.oversize[r.oversize_index() as usize]
                 .as_ref()
-                .expect("use after oversize free")
+                .expect("use after oversize free");
+            (buf, 0)
         } else {
-            let page = &self.pages[r.slot() as usize];
-            &page.bytes[r.offset() as usize..]
+            (&self.pages[r.slot() as usize].bytes, r.offset() as usize)
         }
     }
 
     #[inline]
-    fn record_bytes_mut(&mut self, r: PageRef) -> &mut [u8] {
+    fn locate_mut(&mut self, r: PageRef) -> (&mut [u8], usize) {
         debug_assert!(!r.is_null(), "null page reference");
         if r.is_oversize() {
-            self.oversize[r.oversize_index() as usize]
+            let buf = self.oversize[r.oversize_index() as usize]
                 .as_mut()
-                .expect("use after oversize free")
+                .expect("use after oversize free");
+            (buf, 0)
         } else {
-            let page = &mut self.pages[r.slot() as usize];
-            &mut page.bytes[r.offset() as usize..]
+            (
+                &mut self.pages[r.slot() as usize].bytes,
+                r.offset() as usize,
+            )
         }
+    }
+
+    #[inline]
+    fn record_bytes(&self, r: PageRef) -> &[u8] {
+        let (bytes, start) = self.locate(r);
+        &bytes[start..]
+    }
+
+    #[inline]
+    fn record_bytes_mut(&mut self, r: PageRef) -> &mut [u8] {
+        let (bytes, start) = self.locate_mut(r);
+        &mut bytes[start..]
+    }
+
+    /// The `N` bytes at header-relative offset `at` of record `r`, behind
+    /// one range check.
+    #[inline]
+    fn read_at<const N: usize>(&self, r: PageRef, at: usize) -> [u8; N] {
+        let (bytes, start) = self.locate(r);
+        bytes[start + at..start + at + N]
+            .try_into()
+            .expect("an N-byte range")
+    }
+
+    #[inline]
+    fn write_at<const N: usize>(&mut self, r: PageRef, at: usize, v: [u8; N]) {
+        let (bytes, start) = self.locate_mut(r);
+        bytes[start + at..start + at + N].copy_from_slice(&v);
     }
 
     /// The body of record `r`: its bytes after the record header, to the
@@ -740,10 +773,26 @@ impl PagedHeap {
         &mut self.record_bytes_mut(r)[RECORD_HEADER_BYTES as usize..]
     }
 
+    /// The `N` bytes at offset `at` of record `r`'s body: what
+    /// `body(r)[at..at + N]` reads, behind one range check instead of two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes would end past the record's page.
     #[inline]
-    fn write_u16_at(&mut self, r: PageRef, at: usize, v: u16) {
-        let b = self.record_bytes_mut(r);
-        b[at..at + 2].copy_from_slice(&v.to_le_bytes());
+    pub fn read_body<const N: usize>(&self, r: PageRef, at: u32) -> [u8; N] {
+        self.read_at(r, (RECORD_HEADER_BYTES + at) as usize)
+    }
+
+    /// Writes `v` at offset `at` of record `r`'s body: the counterpart of
+    /// [`PagedHeap::read_body`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes would end past the record's page.
+    #[inline]
+    pub fn write_body<const N: usize>(&mut self, r: PageRef, at: u32, v: [u8; N]) {
+        self.write_at(r, (RECORD_HEADER_BYTES + at) as usize, v);
     }
 
     #[inline]
@@ -756,30 +805,25 @@ impl PagedHeap {
         u32::from_le_bytes(b[at..at + 4].try_into().expect("4-byte read"))
     }
 
-    #[inline]
-    fn u64_of(b: &[u8], at: usize) -> u64 {
-        u64::from_le_bytes(b[at..at + 8].try_into().expect("8-byte read"))
-    }
-
     /// The record's type ID (first header field), used by `resolve` for
     /// virtual dispatch (§3.2).
     #[inline]
     pub fn type_of(&self, r: PageRef) -> TypeId {
-        TypeId(Self::u16_of(self.record_bytes(r), 0))
+        TypeId(u16::from_le_bytes(self.read_at(r, 0)))
     }
 
     /// Returns `true` if `r` refers to an array record.
     pub fn is_array(&self, r: PageRef) -> bool {
-        Self::u16_of(self.record_bytes(r), 0) < FIRST_USER_TYPE
+        self.type_of(r).0 < FIRST_USER_TYPE
     }
 
     /// The record's lock ID header field (0 = unlocked).
     fn lock_word(&self, r: PageRef) -> u16 {
-        Self::u16_of(self.record_bytes(r), 2)
+        u16::from_le_bytes(self.read_at(r, 2))
     }
 
     fn set_lock_word(&mut self, r: PageRef, v: u16) {
-        self.write_u16_at(r, 2, v);
+        self.write_at(r, 2, v.to_le_bytes());
     }
 
     /// `monitorenter` on a record or array (§3.4): the first entry installs
@@ -853,7 +897,7 @@ impl PagedHeap {
     /// Panics if the field would end past the record's page.
     #[inline]
     pub fn get_i32_at(&self, r: PageRef, at: u32) -> i32 {
-        Self::u32_of(self.record_bytes(r), at as usize) as i32
+        i32::from_le_bytes(self.read_at(r, at as usize))
     }
 
     /// Writes the 32-bit field at offset `at`.
@@ -863,8 +907,7 @@ impl PagedHeap {
     /// Panics if the field would end past the record's page.
     #[inline]
     pub fn set_i32_at(&mut self, r: PageRef, at: u32, v: i32) {
-        let at = at as usize;
-        self.record_bytes_mut(r)[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        self.write_at(r, at as usize, v.to_le_bytes());
     }
 
     /// Reads the 64-bit field at offset `at`.
@@ -874,7 +917,7 @@ impl PagedHeap {
     /// Panics if the field would end past the record's page.
     #[inline]
     pub fn get_i64_at(&self, r: PageRef, at: u32) -> i64 {
-        Self::u64_of(self.record_bytes(r), at as usize) as i64
+        i64::from_le_bytes(self.read_at(r, at as usize))
     }
 
     /// Writes the 64-bit field at offset `at`.
@@ -884,8 +927,7 @@ impl PagedHeap {
     /// Panics if the field would end past the record's page.
     #[inline]
     pub fn set_i64_at(&mut self, r: PageRef, at: u32, v: i64) {
-        let at = at as usize;
-        self.record_bytes_mut(r)[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        self.write_at(r, at as usize, v.to_le_bytes());
     }
 
     /// Reads the reference field at offset `at`: 4 bytes, since a
@@ -896,7 +938,7 @@ impl PagedHeap {
     /// Panics if the field would end past the record's page.
     #[inline]
     pub fn get_ref_at(&self, r: PageRef, at: u32) -> PageRef {
-        PageRef::from_raw(u64::from(Self::u32_of(self.record_bytes(r), at as usize)))
+        PageRef::from_raw(u64::from(u32::from_le_bytes(self.read_at(r, at as usize))))
     }
 
     /// Writes the reference field at offset `at`.
@@ -1563,6 +1605,85 @@ mod tests {
     }
 
     #[test]
+    fn the_open_page_follows_the_current_iteration() {
+        let mut h = PagedHeap::new();
+        let t = h.register_type("T", &[FieldKind::I64; 2]); // 4 + 16 → 24 bytes
+        let base = h.alloc(t).unwrap();
+        let outer = h.iteration_start();
+        h.alloc(t).unwrap();
+        let last = h.alloc(t).unwrap();
+        let inner = h.iteration_start();
+        let a = h.alloc(t).unwrap();
+        let b = h.alloc_fast(t).unwrap();
+        assert_ne!(
+            a.slot(),
+            last.slot(),
+            "an inner iteration has pages of its own"
+        );
+        assert_ne!(a.slot(), base.slot());
+        assert_eq!((b.slot(), b.offset()), (a.slot(), a.offset() + 24));
+        h.iteration_end(inner);
+        let after = h.alloc(t).unwrap();
+        assert_eq!(
+            (after.slot(), after.offset()),
+            (last.slot(), last.offset() + 24),
+            "right after the outer iteration's last record"
+        );
+        let fast = h.alloc_fast(t).unwrap();
+        assert_eq!(
+            (fast.slot(), fast.offset()),
+            (last.slot(), last.offset() + 48)
+        );
+        h.iteration_end(outer);
+        let again = h.alloc_fast(t).unwrap();
+        assert_eq!(
+            (again.slot(), again.offset()),
+            (base.slot(), base.offset() + 24)
+        );
+        assert_eq!(h.stats().pages_created, 3);
+    }
+
+    /// Fills a page with 0xEE bytes in an iteration that then ends, so the
+    /// next page the heap takes is that recycled page; returns its slot.
+    fn dirty_a_page(h: &mut PagedHeap) -> u32 {
+        let it = h.iteration_start();
+        let junk = h.alloc_array(ElemKind::U8, 4000).unwrap();
+        h.array_bytes_mut(junk).fill(0xEE);
+        h.iteration_end(it);
+        junk.slot()
+    }
+
+    #[test]
+    fn records_of_every_small_size_are_born_clean_on_recycled_pages() {
+        for poison in [false, true] {
+            let mut h = PagedHeap::new();
+            if poison {
+                h.set_fault_plan(FaultPlan::builder(1).poison_recycled_pages().build());
+            }
+            // 8 … 64 bytes (size class 0), then 72 (class 1).
+            for size in (8..=72).step_by(8) {
+                let fields = vec![FieldKind::I32; (size - 4) / 4];
+                let t = h.register_type("T", &fields);
+                let slot = dirty_a_page(&mut h);
+                let it = h.iteration_start();
+                for i in 0..4000 / size + 1 {
+                    let r = h.alloc(t).unwrap();
+                    assert_eq!((r.slot(), r.offset() as usize), (slot, 8 + i * size));
+                    let record = &h.record_bytes(r)[..size];
+                    let ty = t.0.to_le_bytes();
+                    assert_eq!(record[..4], [ty[0], ty[1], 0, 0], "type ID, lock word");
+                    assert!(
+                        record[4..].iter().all(|&b| b == 0),
+                        "{size}-byte record {i} (poison: {poison}): {record:?}"
+                    );
+                }
+                h.iteration_end(it);
+            }
+            assert_eq!(h.stats().pages_created, 1);
+        }
+    }
+
+    #[test]
     fn born_arrays_write_their_header_and_zero_their_padding() {
         let mut h = PagedHeap::new();
         h.set_fault_plan(FaultPlan::builder(1).poison_recycled_pages().build());
@@ -1584,5 +1705,49 @@ mod tests {
         assert_eq!(h.array_len(a), 3);
         assert_eq!(h.array_get_i32(a, 2), 0x1111_1111);
         h.iteration_end(it);
+
+        // Every kind, zeroed and born with contents, on pages recycled
+        // with and without poison.
+        let kinds = [
+            (ElemKind::U8, ARRAY_TYPE_U8),
+            (ElemKind::I32, ARRAY_TYPE_I32),
+            (ElemKind::I64, ARRAY_TYPE_I64),
+            (ElemKind::Ref, ARRAY_TYPE_REF),
+        ];
+        for poison in [false, true] {
+            let mut h = PagedHeap::new();
+            if poison {
+                h.set_fault_plan(FaultPlan::builder(1).poison_recycled_pages().build());
+            }
+            let stale = if poison { 0xDB } else { 0xEE };
+            for (kind, type_id) in kinds {
+                for len in [0, 1, 3, 5, 9] {
+                    let body = len * kind.size() as usize;
+                    let size = (8 + body + 7) & !7;
+                    for init in [false, true] {
+                        let slot = dirty_a_page(&mut h);
+                        let it = h.iteration_start();
+                        let a = if init {
+                            h.alloc_array_init(kind, len, |b| b.fill(0x11))
+                        } else {
+                            h.alloc_array(kind, len)
+                        };
+                        let a = a.unwrap();
+                        assert_eq!(a.slot(), slot, "born on the recycled page");
+                        let record = &h.record_bytes(a)[..size + 8];
+                        let [t0, t1] = type_id.to_le_bytes();
+                        let [l0, l1, l2, l3] = (len as u32).to_le_bytes();
+                        let case = format!("{kind:?}[{len}], init {init}, poison {poison}");
+                        assert_eq!(record[..8], [t0, t1, 0, 0, l0, l1, l2, l3], "{case}");
+                        let elems = if init { 0x11 } else { 0 };
+                        assert!(record[8..8 + body].iter().all(|&b| b == elems), "{case}");
+                        assert!(record[8 + body..size].iter().all(|&b| b == 0), "{case}");
+                        assert_eq!(record[size..], [stale; 8], "{case}: the next bytes");
+                        assert_eq!(h.array_len(a), len);
+                        h.iteration_end(it);
+                    }
+                }
+            }
+        }
     }
 }

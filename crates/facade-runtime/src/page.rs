@@ -197,23 +197,28 @@ impl Page {
         self.top == PAGE_RESERVED
     }
 
-    /// Bump-allocates `size` bytes; `None` if the page is full. With `zero`
-    /// the bytes read as zero afterwards (only the stale part below the
-    /// dirty watermark needs a fill). Without it they keep whatever the
-    /// page held, and the caller must overwrite every one of them.
+    /// Bump-allocates a record of `size` bytes (a multiple of 8, at least
+    /// 8) born with `head` as its first 8 bytes, little-endian: a record's
+    /// type ID, lock word and first body bytes, or an array's type ID, lock
+    /// word and length. The `kept` bytes after the head keep whatever the
+    /// page held, and the caller must overwrite every one of them; the rest
+    /// read as zero, which costs a fill only below the dirty watermark.
+    /// `None` if the page is full.
     #[inline]
-    pub fn bump(&mut self, size: usize, zero: bool) -> Option<u32> {
-        if self.top + size <= PAGE_BYTES {
-            let at = self.top;
-            self.top += size;
-            let stale_end = self.top.min(self.dirty);
-            if zero && at < stale_end {
-                self.bytes[at..stale_end].fill(0);
-            }
-            Some(at as u32)
-        } else {
-            None
+    pub fn bump(&mut self, size: usize, head: u64, kept: usize) -> Option<u32> {
+        debug_assert!(size >= 8 && size.is_multiple_of(8) && 8 + kept <= size);
+        let at = self.top;
+        let end = at + size;
+        if end > PAGE_BYTES {
+            return None;
         }
+        self.top = end;
+        self.bytes[at..at + 8].copy_from_slice(&head.to_le_bytes());
+        let (zero_from, stale_end) = (at + 8 + kept, end.min(self.dirty));
+        if zero_from < stale_end {
+            self.bytes[zero_from..stale_end].fill(0);
+        }
+        Some(at as u32)
     }
 }
 
@@ -284,33 +289,38 @@ mod tests {
     fn page_bump_respects_capacity_and_reserve() {
         let mut p = Page::new();
         assert!(p.is_empty());
-        let a = p.bump(100, true).unwrap();
+        let a = p.bump(104, 1, 0).unwrap();
         assert_eq!(a, PAGE_RESERVED as u32);
         assert!(!p.is_empty());
-        assert!(p.bump(PAGE_BYTES, true).is_none());
-        assert_eq!(p.free(), PAGE_BYTES - PAGE_RESERVED - 100);
+        assert!(p.bump(PAGE_BYTES, 1, 0).is_none());
+        assert_eq!(p.free(), PAGE_BYTES - PAGE_RESERVED - 104);
     }
 
     #[test]
     fn page_recycle_resets_top() {
         let mut p = Page::new();
-        p.bump(64, true).unwrap();
+        p.bump(64, 1, 0).unwrap();
         p.recycle();
         assert!(p.is_empty());
     }
 
     #[test]
-    fn bump_zeroes_memory() {
+    fn bump_writes_the_head_and_zeroes_all_but_the_kept_bytes() {
         let mut p = Page::new();
-        let a = p.bump(16, true).unwrap() as usize;
-        p.bytes[a..a + 16].fill(0xAB);
+        let a = p.bump(24, 0x0102, 0).unwrap() as usize;
+        p.bytes[a..a + 24].fill(0xAB);
         p.recycle();
-        let b = p.bump(16, false).unwrap() as usize;
+        let b = p.bump(24, 0x0304, 8).unwrap() as usize;
         assert_eq!(a, b);
-        assert!(p.bytes[b..b + 16].iter().all(|&x| x == 0xAB), "stale kept");
+        assert_eq!(p.bytes[b..b + 8], [4, 3, 0, 0, 0, 0, 0, 0], "head");
+        assert_eq!(p.bytes[b + 8..b + 16], [0xAB; 8], "kept bytes stay stale");
+        assert_eq!(p.bytes[b + 16..b + 24], [0; 8], "the rest is zeroed");
         p.recycle();
-        let c = p.bump(16, true).unwrap() as usize;
+        let c = p.bump(24, 0x0506, 0).unwrap() as usize;
         assert_eq!(a, c);
-        assert!(p.bytes[c..c + 16].iter().all(|&x| x == 0));
+        assert_eq!(
+            p.bytes[c..c + 24],
+            [[6, 5, 0, 0, 0, 0, 0, 0], [0; 8], [0; 8]].concat()
+        );
     }
 }

@@ -604,6 +604,29 @@ impl Heap {
         space.bytes[base..base + N].copy_from_slice(&data);
     }
 
+    /// The `N` bytes at offset `at` of `obj`'s body: what
+    /// `body(obj)[at..at + N]` reads, behind one range check instead of two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes would end past the object's space.
+    #[inline]
+    pub fn read_body<const N: usize>(&self, obj: ObjRef, at: u32) -> [u8; N] {
+        self.read_at(obj, OBJECT_HEADER_BYTES + at)
+    }
+
+    /// Writes `data` at offset `at` of `obj`'s body: the counterpart of
+    /// [`Heap::read_body`]. Like [`Heap::body_mut`] it skips the write
+    /// barrier, so it must not store a reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes would end past the object's space.
+    #[inline]
+    pub fn write_body<const N: usize>(&mut self, obj: ObjRef, at: u32, data: [u8; N]) {
+        self.write_at(obj, OBJECT_HEADER_BYTES + at, data);
+    }
+
     /// Reads the 32-bit field at offset `at` (see [`Heap::field_offset`]).
     ///
     /// # Panics
