@@ -67,11 +67,11 @@ pub use facade_runtime::recovery;
 #[doc(hidden)]
 pub use facade_runtime::test_support;
 pub use facade_runtime::{EpochLedger, NO_EPOCH, PagePool, PoolCounters, RecoveryError};
-use facade_runtime::{PageRef, PagedHeap, PagedHeapConfig, RECORD_HEADER_BYTES, TypeId};
+use facade_runtime::{PageRef, PagedHeap, PagedHeapConfig, TypeId};
 pub use managed_heap::{CensusRow, PauseRecord};
 use managed_heap::{
-    ClassId as HClassId, ElemKind, FieldKind, Heap, HeapConfig, OBJECT_HEADER_BYTES, ObjRef,
-    RecordLayout, RootId, elem, elem_count, set_elem,
+    ClassId as HClassId, ElemKind, FieldKind, Heap, HeapConfig, ObjRef, RecordLayout, RootId, elem,
+    elem_count, set_elem,
 };
 use metrics::OutOfMemory;
 pub use metrics::report::Backend;
@@ -623,8 +623,9 @@ impl Store {
     // its elements. So each accessor below moves the same body bytes on
     // either backend: a scalar field through `read` / `write` (the backend's
     // `read_body` / `write_body`, one range check), an element through
-    // `body` / `body_mut`. Reference stores are the exception: the heap's
-    // write barrier must see them.
+    // `body` / `body_mut`. A reference is 4 body bytes on either backend;
+    // only storing one on the heap takes its own call, which the write
+    // barrier must see.
 
     /// The body of record `r`: its bytes after the backend's header. Every
     /// element access goes through here, so it is inlined into
@@ -745,11 +746,9 @@ impl Store {
     pub fn set_rec(&mut self, r: Rec, field: impl FieldRef, v: Rec) {
         let at = self.offset_of(r, field);
         match &mut self.inner {
-            Inner::Heap { heap, .. } => {
-                heap.set_ref_at(Self::h(r), OBJECT_HEADER_BYTES + at, Self::h(v));
-            }
+            Inner::Heap { heap, .. } => heap.write_ref(Self::h(r), at, Self::h(v)),
             Inner::Facade { paged, .. } => {
-                paged.set_ref_at(Self::p(r), RECORD_HEADER_BYTES + at, Self::p(v));
+                paged.write_body(Self::p(r), at, (v.0 as u32).to_le_bytes())
             }
         }
     }
@@ -949,7 +948,9 @@ impl Store {
     pub fn array_set_rec(&mut self, r: Rec, i: usize, v: Rec) {
         match &mut self.inner {
             Inner::Heap { heap, .. } => heap.array_set_ref(Self::h(r), i, Self::h(v)),
-            Inner::Facade { paged, .. } => paged.array_set_ref(Self::p(r), i, Self::p(v)),
+            Inner::Facade { paged, .. } => {
+                set_elem(paged.body_mut(Self::p(r)), i, (v.0 as u32).to_le_bytes());
+            }
         }
     }
 

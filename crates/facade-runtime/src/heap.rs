@@ -10,7 +10,7 @@ use crate::layout::{
 use crate::page::{MAX_PAGE_SLOTS, PAGE_BYTES, PAGE_CAPACITY, Page, PageRef};
 use crate::pool::PagePool;
 use crate::stats::NativeStats;
-use managed_heap::{elem, elem_count, set_elem};
+use managed_heap::{elem_count, elem_range};
 use metrics::OutOfMemory;
 use std::sync::Arc;
 
@@ -695,7 +695,10 @@ impl PagedHeap {
         Ok(())
     }
 
-    // ----- raw access (header-relative) ------------------------------------
+    // ----- record access ----------------------------------------------------
+    //
+    // A record is its header, then its body. Every public accessor takes a
+    // body offset; the header is this heap's own.
 
     /// The buffer record `r` lives in and its offset there: its page's
     /// bytes, or its own oversize buffer from 0.
@@ -728,6 +731,8 @@ impl PagedHeap {
         }
     }
 
+    /// Record `r`'s bytes, header first, to the end of its page (or
+    /// oversize buffer).
     #[inline]
     fn record_bytes(&self, r: PageRef) -> &[u8] {
         let (bytes, start) = self.locate(r);
@@ -738,22 +743,6 @@ impl PagedHeap {
     fn record_bytes_mut(&mut self, r: PageRef) -> &mut [u8] {
         let (bytes, start) = self.locate_mut(r);
         &mut bytes[start..]
-    }
-
-    /// The `N` bytes at header-relative offset `at` of record `r`, behind
-    /// one range check.
-    #[inline]
-    fn read_at<const N: usize>(&self, r: PageRef, at: usize) -> [u8; N] {
-        let (bytes, start) = self.locate(r);
-        bytes[start + at..start + at + N]
-            .try_into()
-            .expect("an N-byte range")
-    }
-
-    #[inline]
-    fn write_at<const N: usize>(&mut self, r: PageRef, at: usize, v: [u8; N]) {
-        let (bytes, start) = self.locate_mut(r);
-        bytes[start + at..start + at + N].copy_from_slice(&v);
     }
 
     /// The body of record `r`: its bytes after the record header, to the
@@ -767,7 +756,8 @@ impl PagedHeap {
     }
 
     /// Mutable counterpart of [`PagedHeap::body`]. Bytes written into a
-    /// reference field or a `Ref` element are taken for a page reference.
+    /// reference field or a `Ref` element are taken for a page reference:
+    /// the 4 low bytes of [`PageRef::raw`], little-endian.
     #[inline]
     pub fn body_mut(&mut self, r: PageRef) -> &mut [u8] {
         &mut self.record_bytes_mut(r)[RECORD_HEADER_BYTES as usize..]
@@ -781,7 +771,11 @@ impl PagedHeap {
     /// Panics if the bytes would end past the record's page.
     #[inline]
     pub fn read_body<const N: usize>(&self, r: PageRef, at: u32) -> [u8; N] {
-        self.read_at(r, (RECORD_HEADER_BYTES + at) as usize)
+        let (bytes, start) = self.locate(r);
+        // Added as `usize`, the header folds into the load's displacement;
+        // a `u32` sum would cost the VM's field ops an add each.
+        let base = start + RECORD_HEADER_BYTES as usize + at as usize;
+        bytes[base..base + N].try_into().expect("an N-byte range")
     }
 
     /// Writes `v` at offset `at` of record `r`'s body: the counterpart of
@@ -792,24 +786,24 @@ impl PagedHeap {
     /// Panics if the bytes would end past the record's page.
     #[inline]
     pub fn write_body<const N: usize>(&mut self, r: PageRef, at: u32, v: [u8; N]) {
-        self.write_at(r, (RECORD_HEADER_BYTES + at) as usize, v);
+        let (bytes, start) = self.locate_mut(r);
+        let base = start + RECORD_HEADER_BYTES as usize + at as usize;
+        bytes[base..base + N].copy_from_slice(&v);
     }
 
+    /// The 2-byte header word at `at` of record bytes `b`: the type ID at
+    /// 0, the lock ID at 2.
     #[inline]
-    fn u16_of(b: &[u8], at: usize) -> u16 {
-        u16::from_le_bytes([b[at], b[at + 1]])
-    }
-
-    #[inline]
-    fn u32_of(b: &[u8], at: usize) -> u32 {
-        u32::from_le_bytes(b[at..at + 4].try_into().expect("4-byte read"))
+    fn header_word(b: &[u8], at: usize) -> u16 {
+        u16::from_le_bytes(b[at..at + 2].try_into().expect("a 2-byte word"))
     }
 
     /// The record's type ID (first header field), used by `resolve` for
     /// virtual dispatch (§3.2).
     #[inline]
     pub fn type_of(&self, r: PageRef) -> TypeId {
-        TypeId(u16::from_le_bytes(self.read_at(r, 0)))
+        let (bytes, start) = self.locate(r);
+        TypeId(Self::header_word(bytes, start))
     }
 
     /// Returns `true` if `r` refers to an array record.
@@ -819,11 +813,13 @@ impl PagedHeap {
 
     /// The record's lock ID header field (0 = unlocked).
     fn lock_word(&self, r: PageRef) -> u16 {
-        u16::from_le_bytes(self.read_at(r, 2))
+        let (bytes, start) = self.locate(r);
+        Self::header_word(bytes, start + 2)
     }
 
     fn set_lock_word(&mut self, r: PageRef, v: u16) {
-        self.write_at(r, 2, v.to_le_bytes());
+        let (bytes, start) = self.locate_mut(r);
+        bytes[start + 2..start + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// `monitorenter` on a record or array (§3.4): the first entry installs
@@ -875,82 +871,6 @@ impl PagedHeap {
         (*holds > 0).then_some(holds)
     }
 
-    // ----- field access -----------------------------------------------------
-
-    /// The offset of field `field` in records of type `ty`, header
-    /// included: what the `*_at` accessors take. Fixed once the type is
-    /// registered, so a caller resolves it once and reuses it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ty` is not registered or has no field `field`.
-    #[inline]
-    pub fn field_offset(&self, ty: TypeId, field: usize) -> u32 {
-        debug_assert!(ty.0 >= FIRST_USER_TYPE, "field access on array record");
-        RECORD_HEADER_BYTES + self.types[ty.0 as usize].offset(field)
-    }
-
-    /// Reads the 32-bit field at offset `at` (see [`PagedHeap::field_offset`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the record's page.
-    #[inline]
-    pub fn get_i32_at(&self, r: PageRef, at: u32) -> i32 {
-        i32::from_le_bytes(self.read_at(r, at as usize))
-    }
-
-    /// Writes the 32-bit field at offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the record's page.
-    #[inline]
-    pub fn set_i32_at(&mut self, r: PageRef, at: u32, v: i32) {
-        self.write_at(r, at as usize, v.to_le_bytes());
-    }
-
-    /// Reads the 64-bit field at offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the record's page.
-    #[inline]
-    pub fn get_i64_at(&self, r: PageRef, at: u32) -> i64 {
-        i64::from_le_bytes(self.read_at(r, at as usize))
-    }
-
-    /// Writes the 64-bit field at offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the record's page.
-    #[inline]
-    pub fn set_i64_at(&mut self, r: PageRef, at: u32, v: i64) {
-        self.write_at(r, at as usize, v.to_le_bytes());
-    }
-
-    /// Reads the reference field at offset `at`: 4 bytes, since a
-    /// [`PageRef`] fits 32 bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the record's page.
-    #[inline]
-    pub fn get_ref_at(&self, r: PageRef, at: u32) -> PageRef {
-        PageRef::from_raw(u64::from(u32::from_le_bytes(self.read_at(r, at as usize))))
-    }
-
-    /// Writes the reference field at offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the record's page.
-    #[inline]
-    pub fn set_ref_at(&mut self, r: PageRef, at: u32, v: PageRef) {
-        self.set_i32_at(r, at, v.raw() as i32);
-    }
-
     // ----- array access -----------------------------------------------------
 
     /// Length (in elements) of an array record.
@@ -971,7 +891,7 @@ impl PagedHeap {
 
     #[inline]
     fn kind_of(b: &[u8]) -> Result<ElemKind, HeapError> {
-        match Self::u16_of(b, 0) {
+        match Self::header_word(b, 0) {
             ARRAY_TYPE_U8 => Ok(ElemKind::U8),
             ARRAY_TYPE_I32 => Ok(ElemKind::I32),
             ARRAY_TYPE_I64 => Ok(ElemKind::I64),
@@ -980,61 +900,35 @@ impl PagedHeap {
         }
     }
 
-    /// Reads an `I32` array element.
-    #[inline]
-    pub fn array_get_i32(&self, r: PageRef, idx: usize) -> i32 {
-        i32::from_le_bytes(elem(self.body(r), idx))
-    }
-
-    /// Writes an `I32` array element.
-    #[inline]
-    pub fn array_set_i32(&mut self, r: PageRef, idx: usize, v: i32) {
-        set_elem(self.body_mut(r), idx, v.to_le_bytes());
-    }
-
-    /// Reads an `I64` array element.
-    #[inline]
-    pub fn array_get_i64(&self, r: PageRef, idx: usize) -> i64 {
-        i64::from_le_bytes(elem(self.body(r), idx))
-    }
-
-    /// Writes an `I64` array element.
-    #[inline]
-    pub fn array_set_i64(&mut self, r: PageRef, idx: usize, v: i64) {
-        set_elem(self.body_mut(r), idx, v.to_le_bytes());
-    }
-
-    /// Byte range of a primitive array's element storage within its record
-    /// slice: exactly `len × element size` bytes, so a caller that chunks
-    /// the range by the wrong width still cannot leave the record.
+    /// The body of the array whose record bytes are `b`, and the size of
+    /// its elements, which bulk access needs to be primitive.
     ///
     /// # Panics
     ///
     /// Panics if the record is not a `U8`, `I32` or `I64` array.
     #[inline]
-    fn body_range(b: &[u8]) -> std::ops::Range<usize> {
+    fn primitive_body(b: &[u8]) -> (&[u8], u32) {
         let kind = match Self::kind_of(b) {
             Ok(kind) if kind != ElemKind::Ref => kind,
             other => panic!("bulk access needs a primitive array, found {other:?}"),
         };
-        let at = ARRAY_HEADER_BYTES as usize;
-        at..at + Self::u32_of(b, 4) as usize * kind.size() as usize
+        (&b[RECORD_HEADER_BYTES as usize..], kind.size())
     }
 
     /// The element storage of a primitive (`U8`/`I32`/`I64`) array,
-    /// borrowed: little-endian elements, back to back. This is the bulk
-    /// access path — the record is resolved and its header read once, and
-    /// the caller then walks the slice with plain offset arithmetic (the
-    /// access pattern §3.2 generates, and why the paper hand-models
-    /// `System.arraycopy`).
+    /// borrowed: little-endian elements, back to back (its body's
+    /// [`elem_range`]). This is the bulk access path — the record is
+    /// resolved and its header read once, and the caller then walks the
+    /// slice with plain offset arithmetic (the access pattern §3.2
+    /// generates, and why the paper hand-models `System.arraycopy`).
     ///
     /// # Panics
     ///
     /// Panics if `r` is not a primitive array.
     #[inline]
     pub fn array_bytes(&self, r: PageRef) -> &[u8] {
-        let b = self.record_bytes(r);
-        &b[Self::body_range(b)]
+        let (body, size) = Self::primitive_body(self.record_bytes(r));
+        &body[elem_range(body, size)]
     }
 
     /// Mutable counterpart of [`PagedHeap::array_bytes`].
@@ -1045,20 +939,9 @@ impl PagedHeap {
     #[inline]
     pub fn array_bytes_mut(&mut self, r: PageRef) -> &mut [u8] {
         let b = self.record_bytes_mut(r);
-        let range = Self::body_range(b);
-        &mut b[range]
-    }
-
-    /// Reads a `Ref` array element (4 bytes: a `PageRef` fits 32 bits).
-    #[inline]
-    pub fn array_get_ref(&self, r: PageRef, idx: usize) -> PageRef {
-        PageRef::from_raw(u32::from_le_bytes(elem(self.body(r), idx)).into())
-    }
-
-    /// Writes a `Ref` array element.
-    #[inline]
-    pub fn array_set_ref(&mut self, r: PageRef, idx: usize, v: PageRef) {
-        set_elem(self.body_mut(r), idx, (v.raw() as u32).to_le_bytes());
+        let (body, size) = Self::primitive_body(b);
+        let range = elem_range(body, size);
+        &mut b[RECORD_HEADER_BYTES as usize..][range]
     }
 }
 
@@ -1085,20 +968,27 @@ impl Drop for PagedHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use managed_heap::{elem, set_elem};
+
+    /// The 4 body bytes a reference field or `Ref` element holds.
+    fn raw(r: PageRef) -> [u8; 4] {
+        (r.raw() as u32).to_le_bytes()
+    }
 
     #[test]
     fn record_roundtrip_all_field_kinds() {
         let mut h = PagedHeap::new();
         let t = h.register_type("T", &[FieldKind::I32, FieldKind::I64, FieldKind::Ref]);
-        let [f0, f1, f2] = [0, 1, 2].map(|i| h.field_offset(t, i));
+        let [f0, f1, f2] = [0, 1, 2].map(|i| h.layout(t).offset(i));
         let r = h.alloc(t).unwrap();
-        h.set_i32_at(r, f0, -5);
-        h.set_i64_at(r, f1, 1 << 50);
+        h.write_body(r, f0, (-5i32).to_le_bytes());
+        h.write_body(r, f1, (1i64 << 50).to_le_bytes());
         let other = h.alloc(t).unwrap();
-        h.set_ref_at(r, f2, other);
-        assert_eq!(h.get_i32_at(r, f0), -5);
-        assert_eq!(h.get_i64_at(r, f1), 1 << 50);
-        assert_eq!(h.get_ref_at(r, f2), other);
+        h.write_body(r, f2, raw(other));
+        assert_eq!(i32::from_le_bytes(h.read_body(r, f0)), -5);
+        assert_eq!(i64::from_le_bytes(h.read_body(r, f1)), 1 << 50);
+        let back = u32::from_le_bytes(h.read_body(r, f2));
+        assert_eq!(PageRef::from_raw(back.into()), other);
         assert_eq!(h.type_of(r), t);
         assert!(!h.is_array(r));
         assert_eq!(
@@ -1113,21 +1003,19 @@ mod tests {
         let mut h = PagedHeap::new();
         let t = h.register_type("T", &[FieldKind::Ref, FieldKind::I32]);
         assert_eq!(record_bytes(h.layout(t)), 12);
-        let [next, tail] = [0, 1].map(|i| h.field_offset(t, i));
         let r = h.alloc(t).unwrap();
         let far = h.alloc_array(ElemKind::U8, PAGE_BYTES).unwrap();
-        h.set_i32_at(r, tail, -1);
-        h.set_ref_at(r, next, far);
-        assert_eq!((h.get_ref_at(r, next), h.get_i32_at(r, tail)), (far, -1));
+        assert!(far.is_oversize(), "its reference sets bit 31");
+        h.write_body(r, 4, (-1i32).to_le_bytes());
+        h.write_body(r, 0, raw(far));
+        assert_eq!(h.body(r)[..8], [raw(far), [0xFF; 4]].concat());
         let refs = h.alloc_array(ElemKind::Ref, 3).unwrap();
-        h.array_set_ref(refs, 0, r);
-        h.array_set_ref(refs, 1, far);
-        let raw = |r: PageRef| (r.raw() as u32).to_le_bytes();
+        set_elem(h.body_mut(refs), 0, raw(r));
+        set_elem(h.body_mut(refs), 1, raw(far));
         assert_eq!(
             h.record_bytes(refs)[8..20],
-            [raw(r), raw(far), [0; 4]].concat()
+            [raw(r), raw(far), raw(PageRef::NULL)].concat()
         );
-        assert_eq!(h.array_get_ref(refs, 2), PageRef::NULL);
     }
 
     #[test]
@@ -1154,10 +1042,9 @@ mod tests {
     fn f64_roundtrip() {
         let mut h = PagedHeap::new();
         let t = h.register_type("D", &[FieldKind::I64]);
-        let f0 = h.field_offset(t, 0);
         let r = h.alloc(t).unwrap();
-        h.set_i64_at(r, f0, (-2.75f64).to_bits() as i64);
-        assert_eq!(f64::from_bits(h.get_i64_at(r, f0) as u64), -2.75);
+        h.write_body(r, 0, (-2.75f64).to_le_bytes());
+        assert_eq!(f64::from_le_bytes(h.read_body(r, 0)), -2.75);
     }
 
     #[test]
@@ -1167,8 +1054,8 @@ mod tests {
         assert!(h.is_array(a));
         assert_eq!(h.array_len(a), 100);
         assert_eq!(h.array_kind(a).unwrap(), ElemKind::I32);
-        h.array_set_i32(a, 99, 7);
-        assert_eq!(h.array_get_i32(a, 99), 7);
+        set_elem(h.body_mut(a), 99, 7i32.to_le_bytes());
+        assert_eq!(i32::from_le_bytes(elem(h.body(a), 99)), 7);
 
         let b = h.alloc_array(ElemKind::U8, 11).unwrap();
         h.array_bytes_mut(b).copy_from_slice(b"hello world");
@@ -1176,12 +1063,12 @@ mod tests {
         assert_eq!(h.body(b)[..5], [11, 0, 0, 0, b'h'], "length, element 0");
 
         let c = h.alloc_array(ElemKind::Ref, 3).unwrap();
-        h.array_set_ref(c, 2, a);
-        assert_eq!(h.array_get_ref(c, 2), a);
+        set_elem(h.body_mut(c), 2, raw(a));
+        assert_eq!(elem(h.body(c), 2), raw(a));
 
         let d = h.alloc_array(ElemKind::I64, 2).unwrap();
-        h.array_set_i64(d, 1, 0.5f64.to_bits() as i64);
-        assert_eq!(f64::from_bits(h.array_get_i64(d, 1) as u64), 0.5);
+        set_elem(h.body_mut(d), 1, 0.5f64.to_le_bytes());
+        assert_eq!(f64::from_le_bytes(elem(h.body(d), 1)), 0.5);
     }
 
     #[test]
@@ -1189,11 +1076,15 @@ mod tests {
         let mut h = PagedHeap::new();
         let a = h.alloc_array(ElemKind::I32, 3).unwrap();
         let next = h.alloc_array(ElemKind::I32, 1).unwrap();
-        h.array_set_i32(next, 0, -1);
+        set_elem(h.body_mut(next), 0, (-1i32).to_le_bytes());
         assert_eq!(h.array_bytes(a).len(), 12);
         h.array_bytes_mut(a).fill(0xAB);
-        assert_eq!(h.array_get_i32(a, 2), i32::from_le_bytes([0xAB; 4]));
-        assert_eq!(h.array_get_i32(next, 0), -1, "neighbour untouched");
+        assert_eq!(elem(h.body(a), 2), [0xAB; 4]);
+        assert_eq!(
+            elem(h.body(next), 0),
+            (-1i32).to_le_bytes(),
+            "neighbour untouched"
+        );
         let empty = h.alloc_array(ElemKind::I64, 0).unwrap();
         assert!(h.array_bytes(empty).is_empty());
         let big = h.alloc_array(ElemKind::I64, PAGE_CAPACITY).unwrap();
@@ -1214,7 +1105,7 @@ mod tests {
     fn array_bounds_are_checked() {
         let mut h = PagedHeap::new();
         let a = h.alloc_array(ElemKind::I32, 4).unwrap();
-        h.array_get_i32(a, 4);
+        elem::<4>(h.body(a), 4);
     }
 
     #[test]
@@ -1284,14 +1175,13 @@ mod tests {
     fn default_manager_allocations_persist_across_iterations() {
         let mut h = PagedHeap::new();
         let t = h.register_type("T", &[FieldKind::I32]);
-        let f0 = h.field_offset(t, 0);
         let pre = h.alloc(t).unwrap();
-        h.set_i32_at(pre, f0, 9);
+        h.write_body(pre, 0, 9i32.to_le_bytes());
         let it = h.iteration_start();
         h.alloc(t).unwrap();
         h.iteration_end(it);
         // The pre-iteration record is untouched.
-        assert_eq!(h.get_i32_at(pre, f0), 9);
+        assert_eq!(i32::from_le_bytes(h.read_body(pre, 0)), 9);
     }
 
     #[test]
@@ -1318,8 +1208,8 @@ mod tests {
         let a = h.alloc_array(ElemKind::I64, 10_000).unwrap();
         assert!(a.is_oversize());
         assert_eq!(h.array_len(a), 10_000);
-        h.array_set_i64(a, 9_999, 42);
-        assert_eq!(h.array_get_i64(a, 9_999), 42);
+        set_elem(h.body_mut(a), 9_999, 42i64.to_le_bytes());
+        assert_eq!(i64::from_le_bytes(elem(h.body(a), 9_999)), 42);
         let held = h.bytes_held();
         h.free_oversize(a).unwrap();
         assert!(h.bytes_held() < held);
@@ -1703,7 +1593,7 @@ mod tests {
         assert_eq!(record[20..24], [0; 4], "padding");
         assert_eq!(record[24..], [0xDB; 8], "the page was poisoned");
         assert_eq!(h.array_len(a), 3);
-        assert_eq!(h.array_get_i32(a, 2), 0x1111_1111);
+        assert_eq!(elem(h.body(a), 2), [0x11; 4]);
         h.iteration_end(it);
 
         // Every kind, zeroed and born with contents, on pages recycled

@@ -15,10 +15,10 @@ pub use managed_heap::{ElemKind, FieldKind, RecordLayout};
 pub struct TypeId(pub u16);
 
 /// Header of a plain record: 2-byte type ID + 2-byte lock ID (§2.1).
-pub const RECORD_HEADER_BYTES: u32 = 4;
+pub(crate) const RECORD_HEADER_BYTES: u32 = 4;
 
 /// Header of an array record: record header + 4-byte length.
-pub const ARRAY_HEADER_BYTES: u32 = RECORD_HEADER_BYTES + ARRAY_LEN_BYTES;
+pub(crate) const ARRAY_HEADER_BYTES: u32 = RECORD_HEADER_BYTES + ARRAY_LEN_BYTES;
 
 /// Size of a record of `layout`: the record header, then the body.
 pub(crate) fn record_bytes(layout: &RecordLayout) -> u32 {
@@ -28,8 +28,8 @@ pub(crate) fn record_bytes(layout: &RecordLayout) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PagedHeap;
-    use managed_heap::{Heap, HeapConfig, OBJECT_HEADER_BYTES};
+    use crate::{PageRef, PagedHeap};
+    use managed_heap::{Heap, HeapConfig, ObjRef, elem_count, set_elem};
 
     #[test]
     fn record_header_is_four_bytes() {
@@ -47,22 +47,59 @@ mod tests {
     }
 
     #[test]
-    fn a_field_sits_at_the_same_body_offset_on_both_heaps() {
-        // §2.1's identity: past the header, a record is laid out in a page
-        // as in an object, padding after the leading `i32` included.
+    fn a_body_is_the_same_bytes_on_both_heaps() {
+        // §2.1's identity: past the header, a record is stored in a page as
+        // in an object, padding after the leading `i32` included. Each heap
+        // writes it through its own body accessors at the layout's offsets;
+        // the bodies must then hold the same bytes.
         use FieldKind::{I32, I64, Ref};
         let fields = [I32, I64, Ref, I32, Ref, I64, I32];
         let mut heap = Heap::new(HeapConfig::with_capacity(1 << 20));
         let mut paged = PagedHeap::new();
         let class = heap.register_class("Mixed", &fields);
         let ty = paged.register_type("Mixed", &fields);
-        for i in 0..fields.len() {
-            assert_eq!(
-                heap.field_offset(class, i) - OBJECT_HEADER_BYTES,
-                paged.field_offset(ty, i) - RECORD_HEADER_BYTES,
-                "field {i}"
-            );
+        let layout = heap.layout(class).clone();
+        assert_eq!(layout.ref_offsets(), [16, 24]);
+        let (o, r) = (heap.alloc(class).unwrap(), paged.alloc(ty).unwrap());
+        for (i, &kind) in fields.iter().enumerate() {
+            let (at, v) = (layout.offset(i), 0x0102_0304_0506_0708 * (i as u64 + 1));
+            match kind {
+                I32 => {
+                    heap.write_body(o, at, (v as u32).to_le_bytes());
+                    paged.write_body(r, at, (v as u32).to_le_bytes());
+                }
+                I64 => {
+                    heap.write_body(o, at, v.to_le_bytes());
+                    paged.write_body(r, at, v.to_le_bytes());
+                }
+                Ref => {
+                    heap.write_ref(o, at, ObjRef::NULL);
+                    paged.write_body(r, at, (PageRef::NULL.raw() as u32).to_le_bytes());
+                }
+            }
         }
-        assert_eq!(heap.layout(class).ref_offsets(), [16, 24]);
+        let n = layout.body_bytes() as usize;
+        assert_eq!(heap.body(o)[..n], paged.body(r)[..n], "Mixed");
+
+        // An array's body is its length, then its elements.
+        fn fill<const N: usize>(body: &mut [u8]) {
+            for i in 0..elem_count(body) {
+                set_elem(body, i, [0xA0 ^ i as u8; N]);
+            }
+        }
+        for (kind, write) in [
+            (ElemKind::U8, fill::<1> as fn(&mut [u8])),
+            (ElemKind::I32, fill::<4>),
+            (ElemKind::I64, fill::<8>),
+        ] {
+            let (o, r) = (
+                heap.alloc_array(kind, 3).unwrap(),
+                paged.alloc_array(kind, 3).unwrap(),
+            );
+            write(heap.body_mut(o));
+            write(paged.body_mut(r));
+            let n = (ARRAY_LEN_BYTES + 3 * kind.size()) as usize;
+            assert_eq!(heap.body(o)[..n], paged.body(r)[..n], "{kind:?} array");
+        }
     }
 }

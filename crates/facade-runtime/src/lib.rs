@@ -29,12 +29,13 @@
 //!
 //! let mut heap = PagedHeap::new();
 //! let student = heap.register_type("Student", &[FieldKind::I32, FieldKind::Ref]);
-//! let id = heap.field_offset(student, 0); // resolved once, used per access
+//! // A body offset, resolved once: the same number in a heap object.
+//! let id = heap.layout(student).offset(0);
 //!
 //! let iter = heap.iteration_start();
 //! let s = heap.alloc(student)?;
-//! heap.set_i32_at(s, id, 42);
-//! assert_eq!(heap.get_i32_at(s, id), 42);
+//! heap.write_body(s, id, 42i32.to_le_bytes());
+//! assert_eq!(i32::from_le_bytes(heap.read_body(s, id)), 42);
 //! heap.iteration_end(iter);          // bulk-reclaims every record of the iteration
 //! # Ok::<(), metrics::OutOfMemory>(())
 //! ```
@@ -56,7 +57,7 @@ pub use checkpoint::{Checkpointer, Manifest, RecoveryError};
 pub use error::HeapError;
 pub use fault::{FaultPlan, FaultPlanBuilder};
 pub use heap::{FIRST_USER_TYPE, IterationId, MAX_LOCK_IDS, ManagerId, PagedHeap, PagedHeapConfig};
-pub use layout::{ElemKind, FieldKind, RECORD_HEADER_BYTES, RecordLayout, TypeId};
+pub use layout::{ElemKind, FieldKind, RecordLayout, TypeId};
 pub use metrics::OutOfMemory;
 pub use page::{PAGE_BYTES, PAGE_CAPACITY, PAGE_RESERVED, PageRef};
 pub use pool::{EpochLedger, NO_EPOCH, PagePool, PoolCounters, PooledPage};

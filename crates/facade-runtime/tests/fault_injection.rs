@@ -4,6 +4,7 @@
 use facade_runtime::{
     ElemKind, FaultPlan, FieldKind, PagePool, PagedHeap, PagedHeapConfig, TypeId,
 };
+use managed_heap::{elem, set_elem};
 use std::sync::Arc;
 
 fn counter_type(heap: &mut PagedHeap) -> TypeId {
@@ -75,10 +76,10 @@ fn failed_pool_acquire_falls_back_to_fresh_pages() {
     let handed_out_before = pool.pages_handed_out();
     let mut consumer = PagedHeap::with_pool(PagedHeapConfig::default(), Arc::clone(&pool));
     let ty = counter_type(&mut consumer);
-    let f0 = consumer.field_offset(ty, 0);
+    let f0 = consumer.layout(ty).offset(0);
     for i in 0..10_000u64 {
         let r = consumer.alloc(ty).expect("fresh-page fallback");
-        consumer.set_i64_at(r, f0, i as i64);
+        consumer.write_body(r, f0, i.to_le_bytes());
     }
     assert_eq!(
         pool.pages_handed_out(),
@@ -95,14 +96,14 @@ fn poisoned_recycled_pages_are_rezeroed_before_reuse() {
     let mut heap = PagedHeap::new();
     heap.set_fault_plan(plan.clone());
     let ty = counter_type(&mut heap);
-    let (f0, f1) = (heap.field_offset(ty, 0), heap.field_offset(ty, 1));
+    let (f0, f1) = (heap.layout(ty).offset(0), heap.layout(ty).offset(1));
 
     // Fill records with non-zero bytes, then reclaim them all.
     let it = heap.iteration_start();
     for _ in 0..5_000 {
         let r = heap.alloc(ty).unwrap();
-        heap.set_i64_at(r, f0, -1);
-        heap.set_i64_at(r, f1, i64::MIN);
+        heap.write_body(r, f0, (-1i64).to_le_bytes());
+        heap.write_body(r, f1, i64::MIN.to_le_bytes());
     }
     heap.iteration_end(it);
     assert!(
@@ -117,13 +118,13 @@ fn poisoned_recycled_pages_are_rezeroed_before_reuse() {
     for _ in 0..5_000 {
         let r = heap.alloc(ty).unwrap();
         assert_eq!(
-            heap.get_i64_at(r, f0),
-            0,
+            heap.read_body(r, f0),
+            [0; 8],
             "field 0 must be zeroed, not 0xDB"
         );
         assert_eq!(
-            heap.get_i64_at(r, f1),
-            0,
+            heap.read_body(r, f1),
+            [0; 8],
             "field 1 must be zeroed, not 0xDB"
         );
     }
@@ -143,7 +144,7 @@ fn poisoned_arrays_are_rezeroed_too() {
     for _ in 0..200 {
         let a = heap.alloc_array(ElemKind::I32, 500).unwrap();
         for i in 0..500 {
-            heap.array_set_i32(a, i, i32::from_le_bytes([0xDB; 4]));
+            set_elem(heap.body_mut(a), i, [0xDB; 4]);
         }
     }
     heap.iteration_end(it);
@@ -153,7 +154,7 @@ fn poisoned_arrays_are_rezeroed_too() {
     for _ in 0..200 {
         let a = heap.alloc_array(ElemKind::I32, 500).unwrap();
         for i in 0..500 {
-            assert_eq!(heap.array_get_i32(a, i), 0, "array slot {i} not zeroed");
+            assert_eq!(elem(heap.body(a), i), [0; 4], "array slot {i} not zeroed");
         }
     }
     heap.iteration_end(it);
@@ -171,14 +172,14 @@ fn all_modes_compose_in_one_plan() {
     let mut heap = PagedHeap::with_pool(PagedHeapConfig::default(), Arc::clone(&pool));
     heap.set_fault_plan(plan.clone());
     let ty = counter_type(&mut heap);
-    let f0 = heap.field_offset(ty, 0);
+    let f0 = heap.layout(ty).offset(0);
 
     let mut injected = 0u64;
     for round in 0..4 {
         let it = heap.iteration_start();
         for i in 0..2_000u64 {
             match heap.alloc(ty) {
-                Ok(r) => heap.set_i64_at(r, f0, (round * 10_000 + i) as i64),
+                Ok(r) => heap.write_body(r, f0, (round * 10_000 + i).to_le_bytes()),
                 Err(e) => {
                     assert!(e.is_injected(), "only injected faults at this budget: {e}");
                     injected += 1;

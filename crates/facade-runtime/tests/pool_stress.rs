@@ -79,13 +79,13 @@ fn shared_heaps_stress_the_pool_concurrently() {
                     pool,
                 );
                 let ty = heap.register_type("T", &[FieldKind::I64, FieldKind::I64]);
-                let (f0, f1) = (heap.field_offset(ty, 0), heap.field_offset(ty, 1));
+                let (f0, f1) = (heap.layout(ty).offset(0), heap.layout(ty).offset(1));
                 for _ in 0..ROUNDS {
                     let it = heap.iteration_start();
                     for _ in 0..RECORDS {
                         let r = heap.alloc(ty).unwrap();
-                        heap.set_i64_at(r, f0, 42);
-                        assert_eq!(heap.get_i64_at(r, f1), 0, "records start zeroed");
+                        heap.write_body(r, f0, 42i64.to_le_bytes());
+                        assert_eq!(heap.read_body(r, f1), [0; 8], "records start zeroed");
                     }
                     heap.iteration_end(it);
                     heap.release_pages_to_pool();

@@ -3,6 +3,7 @@
 //! from a seeded PRNG, one seed per case, so failures reproduce exactly.
 
 use facade_runtime::{ElemKind, FieldKind, PAGE_BYTES, PageRef, PagedHeap};
+use managed_heap::{elem, set_elem};
 
 /// A SplitMix64 stream; local so this crate stays dependency-free.
 struct Rng(u64);
@@ -54,8 +55,8 @@ fn alloc_iteration_invariants_hold() {
         let classes: Vec<_> = (0..4)
             .map(|i| heap.register_type(&format!("T{i}"), &vec![FieldKind::I64; i + 1]))
             .collect();
-        // Field 0 sits right after the header in every type.
-        let f0 = heap.field_offset(classes[0], 0);
+        // Field 0 opens the body in every type.
+        let f0 = heap.layout(classes[0]).offset(0);
         let mut depth = 0usize;
         let mut stack = Vec::new();
         let mut live: Vec<(PageRef, i64)> = Vec::new(); // current scope's records
@@ -65,7 +66,7 @@ fn alloc_iteration_invariants_hold() {
                 Op::Alloc(c) => {
                     let ty = classes[*c as usize % classes.len()];
                     let r = heap.alloc(ty).unwrap();
-                    heap.set_i64_at(r, f0, k as i64);
+                    heap.write_body(r, f0, (k as i64).to_le_bytes());
                     live.push((r, k as i64));
                     allocated += 1;
                 }
@@ -73,8 +74,8 @@ fn alloc_iteration_invariants_hold() {
                     let len = *n as usize % 8192;
                     let r = heap.alloc_array(ElemKind::I64, len).unwrap();
                     if len > 0 {
-                        heap.array_set_i64(r, len - 1, k as i64);
-                        assert_eq!(heap.array_get_i64(r, len - 1), k as i64);
+                        set_elem(heap.body_mut(r), len - 1, (k as i64).to_le_bytes());
+                        assert_eq!(elem(heap.body(r), len - 1), (k as i64).to_le_bytes());
                     }
                     assert_eq!(heap.array_len(r), len);
                     allocated += 1;
@@ -94,7 +95,7 @@ fn alloc_iteration_invariants_hold() {
             assert_eq!(heap.iteration_depth(), depth, "case {case}");
             // Records of the *current* scope stay readable with their data.
             for &(r, v) in &live {
-                assert_eq!(heap.get_i64_at(r, f0), v, "case {case}");
+                assert_eq!(i64::from_le_bytes(heap.read_body(r, f0)), v, "case {case}");
             }
         }
         assert_eq!(heap.stats().records_allocated, allocated, "case {case}");

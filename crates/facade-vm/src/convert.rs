@@ -14,8 +14,8 @@
 
 use crate::error::VmError;
 use crate::interp::Vm;
-use facade_runtime::{ElemKind, PageRef, RECORD_HEADER_BYTES, TypeId as PTypeId};
-use managed_heap::{OBJECT_HEADER_BYTES, ObjRef};
+use facade_runtime::{ElemKind, PageRef, TypeId as PTypeId};
+use managed_heap::{ObjRef, elem, set_elem};
 use std::collections::HashMap;
 
 impl Vm<'_> {
@@ -44,9 +44,9 @@ impl Vm<'_> {
                 let rec = self.paged.alloc_array(kind, len)?;
                 memo.insert(obj.raw(), rec);
                 for i in 0..len {
-                    let child = self.heap.array_get_ref(obj, i);
+                    let child = ObjRef::from_raw(u32::from_le_bytes(elem(self.heap.body(obj), i)));
                     let r = self.to_page_rec(child, memo)?;
-                    self.paged.array_set_ref(rec, i, r);
+                    set_elem(self.paged.body_mut(rec), i, (r.raw() as u32).to_le_bytes());
                 }
                 return Ok(rec);
             }
@@ -71,9 +71,10 @@ impl Vm<'_> {
         let mut k = 0;
         while let Some(&at) = self.heap.layout(hclass).ref_offsets().get(k) {
             k += 1;
-            let child = self.heap.get_ref_at(obj, OBJECT_HEADER_BYTES + at);
+            let child = ObjRef::from_raw(u32::from_le_bytes(self.heap.read_body(obj, at)));
             let r = self.to_page_rec(child, memo)?;
-            self.paged.set_ref_at(rec, RECORD_HEADER_BYTES + at, r);
+            self.paged
+                .write_body(rec, at, (r.raw() as u32).to_le_bytes());
         }
         Ok(rec)
     }
@@ -112,8 +113,8 @@ impl Vm<'_> {
                 temp_roots.push(self.heap.add_root(obj));
                 memo.insert(rec.raw(), obj);
                 for i in 0..len {
-                    let child = self.paged.array_get_ref(rec, i);
-                    let o = self.to_heap_rec(child, memo, temp_roots)?;
+                    let child = u32::from_le_bytes(elem(self.paged.body(rec), i));
+                    let o = self.to_heap_rec(PageRef::from_raw(child.into()), memo, temp_roots)?;
                     self.heap.array_set_ref(obj, i, o);
                 }
                 return Ok(obj);
@@ -148,9 +149,9 @@ impl Vm<'_> {
         let mut k = 0;
         while let Some(&at) = self.paged.layout(tid).ref_offsets().get(k) {
             k += 1;
-            let child = self.paged.get_ref_at(rec, RECORD_HEADER_BYTES + at);
-            let o = self.to_heap_rec(child, memo, temp_roots)?;
-            self.heap.set_ref_at(obj, OBJECT_HEADER_BYTES + at, o);
+            let child = u32::from_le_bytes(self.paged.read_body(rec, at));
+            let o = self.to_heap_rec(PageRef::from_raw(child.into()), memo, temp_roots)?;
+            self.heap.write_ref(obj, at, o);
         }
         Ok(obj)
     }

@@ -131,8 +131,9 @@ pub(crate) struct R2 {
     pub(crate) src: u32,
 }
 
-/// A field access: `at` is the field's header-relative byte offset, `val`
-/// the local read into or stored from.
+/// A field access: `at` is the field's body offset (its
+/// [`RecordLayout::offset`](managed_heap::RecordLayout::offset), the same
+/// number on either heap), `val` the local read into or stored from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FieldOp {
     pub(crate) obj: u32,
@@ -542,7 +543,7 @@ impl<'a> Decoder<'a> {
         if layout.fields().get(field) != Some(&want) {
             return Err(format!("`{}` has no {want:?} field {field}", layout.name()));
         }
-        let at = self.heap.field_offset(class, field);
+        let at = layout.offset(field);
         Ok(make(FieldOp {
             obj,
             at,
@@ -572,7 +573,7 @@ impl<'a> Decoder<'a> {
             return Err(format!("`{}` has no {want:?} field {field}", layout.name()));
         }
         let obj = self.local(obj, Kind::Page, what)?;
-        let at = paged.field_offset(ty, field);
+        let at = layout.offset(field);
         Ok(make(FieldOp {
             obj,
             at,

@@ -6,7 +6,7 @@ use crate::value::{FacadeSlot, Value};
 use facade_compiler::PagedMeta;
 use facade_ir::{ClassId, MethodId, Program};
 use facade_runtime::{FacadePools, IterationId, PageRef, PagedHeap, TypeId as PTypeId};
-use managed_heap::{Heap, HeapConfig, ObjRef, RootId};
+use managed_heap::{Heap, HeapConfig, ObjRef, RootId, elem, set_elem};
 
 /// Frames a run may have active at once; the call that would exceed it
 /// fails with [`VmError::CallDepthExceeded`]. Frames live on an explicit
@@ -622,47 +622,63 @@ impl<'p> Vm<'p> {
                 }
                 Op::GetFieldI32(f) => {
                     let o = obj!(f.obj, format!("getfield at offset {}", f.at));
-                    set!(f.val, from_i32(self.heap.get_i32_at(o, f.at)));
+                    set!(
+                        f.val,
+                        from_i32(i32::from_le_bytes(self.heap.read_body(o, f.at)))
+                    );
                 }
                 Op::GetFieldI64(f) => {
                     let o = obj!(f.obj, format!("getfield at offset {}", f.at));
-                    set!(f.val, from_i64(self.heap.get_i64_at(o, f.at)));
+                    set!(
+                        f.val,
+                        from_i64(i64::from_le_bytes(self.heap.read_body(o, f.at)))
+                    );
                 }
                 Op::GetFieldRef(f) => {
                     let o = obj!(f.obj, format!("getfield at offset {}", f.at));
-                    set_obj!(f.val, self.heap.get_ref_at(o, f.at));
+                    let raw = u32::from_le_bytes(self.heap.read_body(o, f.at));
+                    set_obj!(f.val, ObjRef::from_raw(raw));
                 }
                 Op::SetFieldI32(f) => {
                     let o = obj!(f.obj, format!("setfield at offset {}", f.at));
-                    self.heap.set_i32_at(o, f.at, as_i32(get!(f.val)));
+                    self.heap
+                        .write_body(o, f.at, as_i32(get!(f.val)).to_le_bytes());
                 }
                 Op::SetFieldI64(f) => {
                     let o = obj!(f.obj, format!("setfield at offset {}", f.at));
-                    self.heap.set_i64_at(o, f.at, as_i64(get!(f.val)));
+                    self.heap
+                        .write_body(o, f.at, as_i64(get!(f.val)).to_le_bytes());
                 }
                 Op::SetFieldRef(f) => {
                     let o = obj!(f.obj, format!("setfield at offset {}", f.at));
-                    self.heap.set_ref_at(o, f.at, as_obj(get!(f.val)));
+                    self.heap.write_ref(o, f.at, as_obj(get!(f.val)));
                 }
                 Op::ArrayGetI32(r) => {
                     let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(r.dst, from_i32(self.heap.array_get_i32(a, i)));
+                    set!(
+                        r.dst,
+                        from_i32(i32::from_le_bytes(elem(self.heap.body(a), i)))
+                    );
                 }
                 Op::ArrayGetI64(r) => {
                     let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(r.dst, from_i64(self.heap.array_get_i64(a, i)));
+                    set!(
+                        r.dst,
+                        from_i64(i64::from_le_bytes(elem(self.heap.body(a), i)))
+                    );
                 }
                 Op::ArrayGetRef(r) => {
                     let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
-                    set_obj!(r.dst, self.heap.array_get_ref(a, i));
+                    let raw = u32::from_le_bytes(elem(self.heap.body(a), i));
+                    set_obj!(r.dst, ObjRef::from_raw(raw));
                 }
                 Op::ArraySetI32(r) => {
                     let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
-                    self.heap.array_set_i32(a, i, as_i32(get!(r.dst)));
+                    set_elem(self.heap.body_mut(a), i, as_i32(get!(r.dst)).to_le_bytes());
                 }
                 Op::ArraySetI64(r) => {
                     let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
-                    self.heap.array_set_i64(a, i, as_i64(get!(r.dst)));
+                    set_elem(self.heap.body_mut(a), i, as_i64(get!(r.dst)).to_le_bytes());
                 }
                 Op::ArraySetRef(r) => {
                     let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
@@ -779,35 +795,49 @@ impl<'p> Vm<'p> {
                 }
                 Op::PageGetFieldI32(f) => {
                     let o = page!(f.obj, format!("paged getfield at offset {}", f.at));
-                    set!(f.val, from_i32(self.paged.get_i32_at(o, f.at)));
+                    set!(
+                        f.val,
+                        from_i32(i32::from_le_bytes(self.paged.read_body(o, f.at)))
+                    );
                 }
                 Op::PageGetFieldI64(f) => {
                     let o = page!(f.obj, format!("paged getfield at offset {}", f.at));
-                    set!(f.val, from_i64(self.paged.get_i64_at(o, f.at)));
+                    set!(
+                        f.val,
+                        from_i64(i64::from_le_bytes(self.paged.read_body(o, f.at)))
+                    );
                 }
                 Op::PageSetFieldI32(f) => {
                     let o = page!(f.obj, format!("paged setfield at offset {}", f.at));
-                    self.paged.set_i32_at(o, f.at, as_i32(get!(f.val)));
+                    self.paged
+                        .write_body(o, f.at, as_i32(get!(f.val)).to_le_bytes());
                 }
                 Op::PageSetFieldI64(f) => {
                     let o = page!(f.obj, format!("paged setfield at offset {}", f.at));
-                    self.paged.set_i64_at(o, f.at, as_i64(get!(f.val)));
+                    self.paged
+                        .write_body(o, f.at, as_i64(get!(f.val)).to_le_bytes());
                 }
                 Op::PageArrayGetI32(r) => {
                     let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(r.dst, from_i32(self.paged.array_get_i32(a, i)));
+                    set!(
+                        r.dst,
+                        from_i32(i32::from_le_bytes(elem(self.paged.body(a), i)))
+                    );
                 }
                 Op::PageArrayGetI64(r) => {
                     let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(r.dst, from_i64(self.paged.array_get_i64(a, i)));
+                    set!(
+                        r.dst,
+                        from_i64(i64::from_le_bytes(elem(self.paged.body(a), i)))
+                    );
                 }
                 Op::PageArraySetI32(r) => {
                     let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
-                    self.paged.array_set_i32(a, i, as_i32(get!(r.dst)));
+                    set_elem(self.paged.body_mut(a), i, as_i32(get!(r.dst)).to_le_bytes());
                 }
                 Op::PageArraySetI64(r) => {
                     let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
-                    self.paged.array_set_i64(a, i, as_i64(get!(r.dst)));
+                    set_elem(self.paged.body_mut(a), i, as_i64(get!(r.dst)).to_le_bytes());
                 }
                 Op::PageArrayLen(r) => {
                     let a = page!(r.src, "paged arraylength");

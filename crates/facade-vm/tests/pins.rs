@@ -407,13 +407,13 @@ entry Main::main
 const FAILURE_PINS: &[(&str, &str, u64, &[&str])] = &[
     (
         "null_deref P",
-        "NullDeref(\"getfield at offset 12\")",
+        "NullDeref(\"getfield at offset 0\")",
         4,
         &["3"],
     ),
     (
         "null_deref P'",
-        "NullDeref(\"getfield at offset 12\")",
+        "NullDeref(\"getfield at offset 0\")",
         4,
         &["3"],
     ),

@@ -403,8 +403,8 @@ impl Heap {
 
 #[cfg(test)]
 mod tests {
-    use crate::heap::{Heap, HeapConfig};
-    use crate::layout::{ElemKind, FieldKind};
+    use crate::heap::{Heap, HeapConfig, ObjRef};
+    use crate::layout::{ElemKind, FieldKind, elem};
     use crate::stats::PauseKind;
 
     fn heap(young: usize, old: usize, tenure: u8) -> Heap {
@@ -433,31 +433,30 @@ mod tests {
     fn rooted_objects_survive_and_keep_data() {
         let mut h = heap(2048, 8192, 1);
         let c = h.register_class("T", &[FieldKind::I32]);
-        let f0 = h.field_offset(c, 0);
         let keep = h.alloc(c).unwrap();
-        h.set_i32_at(keep, f0, 777);
+        h.write_body(keep, 0, 777i32.to_le_bytes());
         h.add_root(keep);
         for _ in 0..500 {
             h.alloc(c).unwrap();
         }
         assert!(h.is_live(keep));
-        assert_eq!(h.get_i32_at(keep, f0), 777);
+        assert_eq!(i32::from_le_bytes(h.read_body(keep, 0)), 777);
     }
 
     #[test]
     fn reachability_is_transitive_through_fields_and_arrays() {
         let mut h = heap(2048, 8192, 1);
         let node = h.register_class("Node", &[FieldKind::I32, FieldKind::Ref]);
-        let (f0, f1) = (h.field_offset(node, 0), h.field_offset(node, 1));
+        let (f0, f1) = (h.layout(node).offset(0), h.layout(node).offset(1));
         let head = h.alloc(node).unwrap();
         h.add_root(head);
         // Build a linked list threaded through an array.
         let arr = h.alloc_array(ElemKind::Ref, 8).unwrap();
-        h.set_ref_at(head, f1, arr);
+        h.write_ref(head, f1, arr);
         let mut items = Vec::new();
         for i in 0..8 {
             let n = h.alloc(node).unwrap();
-            h.set_i32_at(n, f0, i as i32);
+            h.write_body(n, f0, (i as i32).to_le_bytes());
             h.array_set_ref(arr, i, n);
             items.push(n);
         }
@@ -466,11 +465,11 @@ mod tests {
             h.alloc(node).unwrap();
         }
         assert!(h.stats().minor_collections >= 1);
-        let arr_again = h.get_ref_at(head, f1);
+        let arr_again = ObjRef::from_raw(u32::from_le_bytes(h.read_body(head, f1)));
         for (i, &n) in items.iter().enumerate() {
             assert!(h.is_live(n));
-            assert_eq!(h.array_get_ref(arr_again, i), n);
-            assert_eq!(h.get_i32_at(n, f0), i as i32);
+            assert_eq!(elem(h.body(arr_again), i), n.raw().to_le_bytes());
+            assert_eq!(i32::from_le_bytes(h.read_body(n, f0)), i as i32);
         }
     }
 
@@ -491,7 +490,7 @@ mod tests {
     fn old_to_young_pointers_survive_minor_gc() {
         let mut h = heap(2048, 8192, 1);
         let node = h.register_class("Node", &[FieldKind::I32, FieldKind::Ref]);
-        let (f0, f1) = (h.field_offset(node, 0), h.field_offset(node, 1));
+        let (f0, f1) = (h.layout(node).offset(0), h.layout(node).offset(1));
         let holder = h.alloc(node).unwrap();
         h.add_root(holder);
         // Promote the holder.
@@ -501,23 +500,22 @@ mod tests {
         // Store a young object into the old holder (write barrier path),
         // then drop all other references to it.
         let young = h.alloc(node).unwrap();
-        h.set_i32_at(young, f0, 31337);
-        h.set_ref_at(holder, f1, young);
+        h.write_body(young, f0, 31337i32.to_le_bytes());
+        h.write_ref(holder, f1, young);
         h.collect_minor();
-        let target = h.get_ref_at(holder, f1);
+        let target = ObjRef::from_raw(u32::from_le_bytes(h.read_body(holder, f1)));
         assert!(h.is_live(target));
-        assert_eq!(h.get_i32_at(target, f0), 31337);
+        assert_eq!(i32::from_le_bytes(h.read_body(target, f0)), 31337);
     }
 
     #[test]
     fn full_gc_compacts_and_preserves_data() {
         let mut h = heap(4096, 1 << 20, 1);
         let c = h.register_class("T", &[FieldKind::I64]);
-        let f0 = h.field_offset(c, 0);
         let mut kept = Vec::new();
-        for i in 0..200 {
+        for i in 0..200i64 {
             let o = h.alloc(c).unwrap();
-            h.set_i64_at(o, f0, i);
+            h.write_body(o, 0, i.to_le_bytes());
             if i % 3 == 0 {
                 h.add_root(o);
                 kept.push((o, i));
@@ -529,7 +527,7 @@ mod tests {
         assert!(h.used_bytes() <= used_after_first);
         for (o, i) in kept {
             assert!(h.is_live(o));
-            assert_eq!(h.get_i64_at(o, f0), i);
+            assert_eq!(i64::from_le_bytes(h.read_body(o, 0)), i);
         }
         assert!(h.stats().full_collections >= 2);
     }
@@ -551,11 +549,10 @@ mod tests {
     fn cyclic_garbage_is_collected() {
         let mut h = heap(4096, 1 << 16, 1);
         let node = h.register_class("Node", &[FieldKind::Ref]);
-        let f0 = h.field_offset(node, 0);
         let a = h.alloc(node).unwrap();
         let b = h.alloc(node).unwrap();
-        h.set_ref_at(a, f0, b);
-        h.set_ref_at(b, f0, a);
+        h.write_ref(a, 0, b);
+        h.write_ref(b, 0, a);
         h.collect_full();
         assert!(!h.is_live(a));
         assert!(!h.is_live(b));

@@ -1,8 +1,8 @@
 //! The heap proper: spaces, the object table, allocation, and field access.
 
 use crate::layout::{
-    ARRAY_HEADER_BYTES, ClassId, ElemKind, FieldKind, OBJECT_HEADER_BYTES, RecordLayout, elem,
-    object_bytes, set_elem,
+    ARRAY_HEADER_BYTES, ClassId, ElemKind, FieldKind, OBJECT_HEADER_BYTES, RecordLayout,
+    elem_range, object_bytes, set_elem,
 };
 use crate::stats::GcStats;
 use metrics::OutOfMemory;
@@ -425,13 +425,9 @@ impl Heap {
         self.stats.objects_allocated += 1;
         let obj = self.allocate_sized(elem_kind_tag(kind), len as u32, size, zero)?;
         let e = self.table[obj.0 as usize];
-        let space = if e.is(F_OLD) {
-            &mut self.old
-        } else {
-            &mut self.young
-        };
         let at = e.addr as usize;
-        let (header, rest) = space.bytes[at..at + size].split_at_mut(ARRAY_HEADER_BYTES as usize);
+        let (header, rest) =
+            self.space_mut(&e).bytes[at..at + size].split_at_mut(ARRAY_HEADER_BYTES as usize);
         let (object_header, length) = header.split_at_mut(OBJECT_HEADER_BYTES as usize);
         object_header.fill(0);
         length.copy_from_slice(&(len as u32).to_le_bytes());
@@ -527,32 +523,22 @@ impl Heap {
         &self.table[obj.0 as usize]
     }
 
-    // A field is addressed by its byte offset from the start of the object,
-    // header included: [`Heap::field_offset`] resolves it from a class and
-    // a field index, and the `*_at` accessors take it as is.
-
-    /// The offset of field `field` in objects of `class`, header included:
-    /// what the `*_at` accessors take. Fixed once the class is registered,
-    /// so a caller resolves it once and reuses it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class` is not registered or has no field `field`.
+    /// The space `e`'s object lives in.
     #[inline]
-    pub fn field_offset(&self, class: ClassId, field: usize) -> u32 {
-        OBJECT_HEADER_BYTES + self.classes[class.0 as usize].offset(field)
+    fn space(&self, e: &Entry) -> &Space {
+        debug_assert!(!e.is(F_FREE), "use after free");
+        if e.is(F_OLD) { &self.old } else { &self.young }
     }
 
-    /// The `N` bytes at header-relative offset `at` of an object or array.
+    /// Mutable counterpart of [`Heap::space`].
     #[inline]
-    fn read_at<const N: usize>(&self, obj: ObjRef, at: u32) -> [u8; N] {
-        let e = self.entry(obj);
-        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
-        let space = if e.is(F_OLD) { &self.old } else { &self.young };
-        let base = (e.addr + at) as usize;
-        space.bytes[base..base + N]
-            .try_into()
-            .expect("an N-byte range")
+    fn space_mut(&mut self, e: &Entry) -> &mut Space {
+        debug_assert!(!e.is(F_FREE), "use after free");
+        if e.is(F_OLD) {
+            &mut self.old
+        } else {
+            &mut self.young
+        }
     }
 
     /// The body of `obj`: its bytes after the object header, to the end of
@@ -567,13 +553,11 @@ impl Heap {
     #[inline]
     pub fn body(&self, obj: ObjRef) -> &[u8] {
         let e = self.entry(obj);
-        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
-        let space = if e.is(F_OLD) { &self.old } else { &self.young };
-        &space.bytes[(e.addr + OBJECT_HEADER_BYTES) as usize..]
+        &self.space(e).bytes[(e.addr + OBJECT_HEADER_BYTES) as usize..]
     }
 
     /// Mutable counterpart of [`Heap::body`]. A write through it skips the
-    /// write barrier, so store references with [`Heap::set_ref_at`] or
+    /// write barrier, so store references with [`Heap::write_ref`] or
     /// [`Heap::array_set_ref`], never through these bytes.
     ///
     /// # Panics
@@ -582,26 +566,7 @@ impl Heap {
     #[inline]
     pub fn body_mut(&mut self, obj: ObjRef) -> &mut [u8] {
         let e = *self.entry(obj);
-        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
-        let space = if e.is(F_OLD) {
-            &mut self.old
-        } else {
-            &mut self.young
-        };
-        &mut space.bytes[(e.addr + OBJECT_HEADER_BYTES) as usize..]
-    }
-
-    #[inline]
-    fn write_at<const N: usize>(&mut self, obj: ObjRef, at: u32, data: [u8; N]) {
-        let e = *self.entry(obj);
-        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
-        let space = if e.is(F_OLD) {
-            &mut self.old
-        } else {
-            &mut self.young
-        };
-        let base = (e.addr + at) as usize;
-        space.bytes[base..base + N].copy_from_slice(&data);
+        &mut self.space_mut(&e).bytes[(e.addr + OBJECT_HEADER_BYTES) as usize..]
     }
 
     /// The `N` bytes at offset `at` of `obj`'s body: what
@@ -612,7 +577,12 @@ impl Heap {
     /// Panics if the bytes would end past the object's space.
     #[inline]
     pub fn read_body<const N: usize>(&self, obj: ObjRef, at: u32) -> [u8; N] {
-        self.read_at(obj, OBJECT_HEADER_BYTES + at)
+        let e = self.entry(obj);
+        // Added as `usize`, the header folds into the load's displacement.
+        let base = e.addr as usize + OBJECT_HEADER_BYTES as usize + at as usize;
+        self.space(e).bytes[base..base + N]
+            .try_into()
+            .expect("an N-byte range")
     }
 
     /// Writes `data` at offset `at` of `obj`'s body: the counterpart of
@@ -624,68 +594,22 @@ impl Heap {
     /// Panics if the bytes would end past the object's space.
     #[inline]
     pub fn write_body<const N: usize>(&mut self, obj: ObjRef, at: u32, data: [u8; N]) {
-        self.write_at(obj, OBJECT_HEADER_BYTES + at, data);
+        let e = *self.entry(obj);
+        let base = e.addr as usize + OBJECT_HEADER_BYTES as usize + at as usize;
+        self.space_mut(&e).bytes[base..base + N].copy_from_slice(&data);
     }
 
-    /// Reads the 32-bit field at offset `at` (see [`Heap::field_offset`]).
+    /// Stores `value` in the reference field at offset `at` of `obj`'s body,
+    /// applying the generational write barrier: the one field store a
+    /// caller cannot make through [`Heap::write_body`]. A reference reads
+    /// back as the 4 bytes [`ObjRef::raw`] gives.
     ///
     /// # Panics
     ///
     /// Panics if the field would end past the object's space.
     #[inline]
-    pub fn get_i32_at(&self, obj: ObjRef, at: u32) -> i32 {
-        i32::from_le_bytes(self.read_at(obj, at))
-    }
-
-    /// Writes the 32-bit field at offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the object's space.
-    #[inline]
-    pub fn set_i32_at(&mut self, obj: ObjRef, at: u32, value: i32) {
-        self.write_at(obj, at, value.to_le_bytes());
-    }
-
-    /// Reads the 64-bit field at offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the object's space.
-    #[inline]
-    pub fn get_i64_at(&self, obj: ObjRef, at: u32) -> i64 {
-        i64::from_le_bytes(self.read_at(obj, at))
-    }
-
-    /// Writes the 64-bit field at offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the object's space.
-    #[inline]
-    pub fn set_i64_at(&mut self, obj: ObjRef, at: u32, value: i64) {
-        self.write_at(obj, at, value.to_le_bytes());
-    }
-
-    /// Reads the reference field at offset `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the object's space.
-    #[inline]
-    pub fn get_ref_at(&self, obj: ObjRef, at: u32) -> ObjRef {
-        ObjRef(u32::from_le_bytes(self.read_at(obj, at)))
-    }
-
-    /// Writes the reference field at offset `at`, applying the generational
-    /// write barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field would end past the object's space.
-    #[inline]
-    pub fn set_ref_at(&mut self, obj: ObjRef, at: u32, value: ObjRef) {
-        self.write_at(obj, at, value.0.to_le_bytes());
+    pub fn write_ref(&mut self, obj: ObjRef, at: u32, value: ObjRef) {
+        self.write_body(obj, at, value.0.to_le_bytes());
         self.write_barrier(obj, value);
     }
 
@@ -726,67 +650,23 @@ impl Heap {
         tag_elem_kind(e.class)
     }
 
-    /// Reads an `I32` array element.
-    #[inline]
-    pub fn array_get_i32(&self, obj: ObjRef, idx: usize) -> i32 {
-        i32::from_le_bytes(elem(self.body(obj), idx))
-    }
-
-    /// Writes an `I32` array element.
-    #[inline]
-    pub fn array_set_i32(&mut self, obj: ObjRef, idx: usize, value: i32) {
-        set_elem(self.body_mut(obj), idx, value.to_le_bytes());
-    }
-
-    /// Reads an `I64` array element.
-    #[inline]
-    pub fn array_get_i64(&self, obj: ObjRef, idx: usize) -> i64 {
-        i64::from_le_bytes(elem(self.body(obj), idx))
-    }
-
-    /// Writes an `I64` array element.
-    #[inline]
-    pub fn array_set_i64(&mut self, obj: ObjRef, idx: usize, value: i64) {
-        set_elem(self.body_mut(obj), idx, value.to_le_bytes());
-    }
-
-    /// Whether the array lives in the old generation, and the byte range of
-    /// its element storage within that space: exactly `len × element size`
-    /// bytes, so a caller that chunks the range by the wrong width still
-    /// cannot leave the object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` is not a `U8`, `I32` or `I64` array. `Ref` arrays
-    /// are excluded because a store into one must go through the write
-    /// barrier ([`Heap::array_set_ref`]).
-    #[inline]
-    fn body_span(&self, obj: ObjRef) -> (bool, std::ops::Range<usize>) {
-        let e = self.entry(obj);
-        debug_assert!(!e.is(F_FREE), "use after free: {obj:?}");
-        let kind = tag_elem_kind(e.class);
-        assert!(
-            e.is(F_ARRAY) && kind != ElemKind::Ref,
-            "bulk access needs a primitive array"
-        );
-        let at = (e.addr + ARRAY_HEADER_BYTES) as usize;
-        (e.is(F_OLD), at..at + e.len as usize * kind.size() as usize)
-    }
-
     /// The element storage of a primitive (`U8`/`I32`/`I64`) array,
-    /// borrowed: little-endian elements, back to back. This is the bulk
-    /// access path — the object-table entry is resolved once and the caller
-    /// then walks the slice. The borrow keeps the collector out: nothing
-    /// can allocate (and so move the array) while the slice is alive.
+    /// borrowed: little-endian elements, back to back (its body's
+    /// [`elem_range`]). This is the bulk access path — the object-table
+    /// entry is resolved once and the caller then walks the slice. The
+    /// borrow keeps the collector out: nothing can allocate (and so move
+    /// the array) while the slice is alive.
     ///
     /// # Panics
     ///
-    /// Panics if `obj` is not a primitive array.
+    /// Panics if `obj` is not a primitive array. `Ref` arrays are excluded
+    /// because a store into one must go through the write barrier
+    /// ([`Heap::array_set_ref`]).
     #[inline]
     pub fn array_bytes(&self, obj: ObjRef) -> &[u8] {
-        let (old, range) = self.body_span(obj);
-        let space = if old { &self.old } else { &self.young };
-        &space.bytes[range]
+        let size = self.primitive_elem_size(obj);
+        let body = self.body(obj);
+        &body[elem_range(body, size)]
     }
 
     /// Mutable counterpart of [`Heap::array_bytes`]. Primitive elements
@@ -797,18 +677,32 @@ impl Heap {
     /// Panics if `obj` is not a primitive array.
     #[inline]
     pub fn array_bytes_mut(&mut self, obj: ObjRef) -> &mut [u8] {
-        let (old, range) = self.body_span(obj);
-        let space = if old { &mut self.old } else { &mut self.young };
-        &mut space.bytes[range]
+        let size = self.primitive_elem_size(obj);
+        let body = self.body_mut(obj);
+        let range = elem_range(body, size);
+        &mut body[range]
     }
 
-    /// Reads a `Ref` array element.
+    /// The element size of `obj`, which bulk access needs to be a
+    /// primitive array.
     #[inline]
-    pub fn array_get_ref(&self, obj: ObjRef, idx: usize) -> ObjRef {
-        ObjRef(u32::from_le_bytes(elem(self.body(obj), idx)))
+    fn primitive_elem_size(&self, obj: ObjRef) -> u32 {
+        let e = self.entry(obj);
+        let kind = tag_elem_kind(e.class);
+        assert!(
+            e.is(F_ARRAY) && kind != ElemKind::Ref,
+            "bulk access needs a primitive array"
+        );
+        kind.size()
     }
 
-    /// Writes a `Ref` array element, applying the write barrier.
+    /// Stores `value` in element `idx` of a `Ref` array, applying the
+    /// write barrier: the one element store a caller cannot make through
+    /// [`set_elem`] over [`Heap::body_mut`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below the array's length.
     #[inline]
     pub fn array_set_ref(&mut self, obj: ObjRef, idx: usize, value: ObjRef) {
         set_elem(self.body_mut(obj), idx, value.0.to_le_bytes());
@@ -854,6 +748,7 @@ impl Drop for Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::elem;
 
     fn small_heap() -> Heap {
         Heap::new(HeapConfig {
@@ -884,13 +779,16 @@ mod tests {
     fn alloc_and_field_roundtrip() {
         let mut h = small_heap();
         let c = h.register_class("Pair", &[FieldKind::I32, FieldKind::I64, FieldKind::Ref]);
-        let [f0, f1, f2] = [0, 1, 2].map(|i| h.field_offset(c, i));
+        let [f0, f1, f2] = [0, 1, 2].map(|i| h.layout(c).offset(i));
         let o = h.alloc(c).unwrap();
-        h.set_i32_at(o, f0, -7);
-        h.set_i64_at(o, f1, 1 << 40);
-        assert_eq!(h.get_i32_at(o, f0), -7);
-        assert_eq!(h.get_i64_at(o, f1), 1 << 40);
-        assert!(h.get_ref_at(o, f2).is_null());
+        h.write_body(o, f0, (-7i32).to_le_bytes());
+        h.write_body(o, f1, (1i64 << 40).to_le_bytes());
+        assert_eq!(i32::from_le_bytes(h.read_body(o, f0)), -7);
+        assert_eq!(i64::from_le_bytes(h.read_body(o, f1)), 1 << 40);
+        assert_eq!(h.read_body(o, f2), [0; 4], "a null reference");
+        let p = h.alloc(c).unwrap();
+        h.write_ref(o, f2, p);
+        assert_eq!(h.read_body(o, f2), p.raw().to_le_bytes());
         assert_eq!(
             h.body(o)[..4],
             (-7i32).to_le_bytes(),
@@ -902,9 +800,8 @@ mod tests {
     fn a_dropped_heaps_spaces_serve_the_next_heap_on_its_thread() {
         let mut h = small_heap();
         let c = h.register_class("T", &[FieldKind::I64]);
-        let f0 = h.field_offset(c, 0);
         let o = h.alloc(c).unwrap();
-        h.set_i64_at(o, f0, -1);
+        h.write_body(o, 0, (-1i64).to_le_bytes());
         let semispaces = [h.young.bytes.as_ptr(), h.young_to.bytes.as_ptr()];
         drop(h);
         let mut h = small_heap();
@@ -912,25 +809,24 @@ mod tests {
         assert!(!h.young.bytes.is_empty(), "still committed");
         let c = h.register_class("T", &[FieldKind::I64]);
         let o = h.alloc(c).unwrap();
-        assert_eq!(h.get_i64_at(o, f0), 0, "handed out zeroed again");
+        assert_eq!(h.read_body(o, 0), [0; 8], "handed out zeroed again");
     }
 
     #[test]
     fn f64_fields_roundtrip() {
         let mut h = small_heap();
         let c = h.register_class("D", &[FieldKind::I64]);
-        let f0 = h.field_offset(c, 0);
         let o = h.alloc(c).unwrap();
-        h.set_i64_at(o, f0, 3.25f64.to_bits() as i64);
-        assert_eq!(f64::from_bits(h.get_i64_at(o, f0) as u64), 3.25);
+        h.write_body(o, 0, 3.25f64.to_le_bytes());
+        assert_eq!(f64::from_le_bytes(h.read_body(o, 0)), 3.25);
     }
 
     #[test]
     fn arrays_roundtrip_all_kinds() {
         let mut h = small_heap();
         let a = h.alloc_array(ElemKind::I32, 10).unwrap();
-        h.array_set_i32(a, 9, 42);
-        assert_eq!(h.array_get_i32(a, 9), 42);
+        set_elem(h.body_mut(a), 9, 42i32.to_le_bytes());
+        assert_eq!(i32::from_le_bytes(elem(h.body(a), 9)), 42);
         assert_eq!(h.array_len(a), 10);
         assert_eq!(h.array_kind(a), ElemKind::I32);
         assert_eq!(
@@ -945,11 +841,11 @@ mod tests {
 
         let r = h.alloc_array(ElemKind::Ref, 3).unwrap();
         h.array_set_ref(r, 1, a);
-        assert_eq!(h.array_get_ref(r, 1), a);
+        assert_eq!(elem(h.body(r), 1), a.raw().to_le_bytes());
 
         let l = h.alloc_array(ElemKind::I64, 2).unwrap();
-        h.array_set_i64(l, 0, (-1.5f64).to_bits() as i64);
-        assert_eq!(f64::from_bits(h.array_get_i64(l, 0) as u64), -1.5);
+        set_elem(h.body_mut(l), 0, (-1.5f64).to_le_bytes());
+        assert_eq!(f64::from_le_bytes(elem(h.body(l), 0)), -1.5);
     }
 
     #[test]
@@ -959,7 +855,7 @@ mod tests {
         h.add_root(a);
         let next = h.alloc_array(ElemKind::I32, 1).unwrap();
         h.add_root(next);
-        h.array_set_i32(next, 0, -1);
+        set_elem(h.body_mut(next), 0, (-1i32).to_le_bytes());
         assert_eq!(h.array_bytes(a).len(), 12);
         h.array_bytes_mut(a).fill(0xAB);
         // The collector moves (and eventually promotes) the array; the
@@ -969,7 +865,11 @@ mod tests {
             assert_eq!(h.array_bytes(a), [0xAB; 12]);
         }
         assert!(h.is_old(a));
-        assert_eq!(h.array_get_i32(next, 0), -1, "neighbour untouched");
+        assert_eq!(
+            elem(h.body(next), 0),
+            (-1i32).to_le_bytes(),
+            "neighbour untouched"
+        );
         let empty = h.alloc_array(ElemKind::I64, 0).unwrap();
         assert!(h.array_bytes(empty).is_empty());
     }
@@ -987,7 +887,7 @@ mod tests {
     fn array_bounds_checked() {
         let mut h = small_heap();
         let a = h.alloc_array(ElemKind::I32, 2).unwrap();
-        h.array_get_i32(a, 2);
+        elem::<4>(h.body(a), 2);
     }
 
     #[test]
@@ -1011,7 +911,7 @@ mod tests {
         assert_eq!(object[16..28], [0x11; 12]);
         assert_eq!(object[28..32], [0; 4], "padding");
         assert_eq!(object[32..], [0xEE; 8], "the space held stale bytes");
-        assert_eq!(h.array_get_i32(a, 2), 0x1111_1111);
+        assert_eq!(elem(h.body(a), 2), [0x11; 4]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! aligned to 8 within the body — is the same bytes in an object and in a
 //! page, and an array's body is the same too: its 4-byte length, then its
 //! elements. Only the header in front of the body differs, and each heap
-//! keeps its own: [`OBJECT_HEADER_BYTES`] here, 4 bytes in a page.
+//! keeps its own, private to it: 12 bytes here, 4 bytes in a page. Every
+//! accessor of either heap takes a body offset.
 //! `facade-runtime` re-exports [`FieldKind`], [`ElemKind`] and
 //! [`RecordLayout`] rather than defining its own.
 
@@ -71,6 +72,16 @@ pub fn elem_count(body: &[u8]) -> usize {
     u32::from_le_bytes(body[..4].try_into().expect("a 4-byte length")) as usize
 }
 
+/// The body range holding the elements of the array whose body is `body`
+/// and whose elements take `size` bytes each: exactly `len × size` bytes,
+/// so a caller that chunks it by the wrong width still cannot leave the
+/// array.
+#[inline]
+pub fn elem_range(body: &[u8], size: u32) -> std::ops::Range<usize> {
+    let at = ARRAY_LEN_BYTES as usize;
+    at..at + elem_count(body) * size as usize
+}
+
 /// The body offset of element `i` of an array of `N`-byte elements.
 ///
 /// # Panics
@@ -107,10 +118,10 @@ pub fn set_elem<const N: usize>(body: &mut [u8], i: usize, bytes: [u8; N]) {
 
 /// Size of a plain object header in the simulated JVM (mark word + class
 /// pointer with compressed oops), per §2.4 of the paper.
-pub const OBJECT_HEADER_BYTES: u32 = 12;
+pub(crate) const OBJECT_HEADER_BYTES: u32 = 12;
 
 /// Size of an array header (object header + 4-byte length).
-pub const ARRAY_HEADER_BYTES: u32 = OBJECT_HEADER_BYTES + ARRAY_LEN_BYTES;
+pub(crate) const ARRAY_HEADER_BYTES: u32 = OBJECT_HEADER_BYTES + ARRAY_LEN_BYTES;
 
 /// Size of an object of `layout`: the object header, then the body.
 pub(crate) fn object_bytes(layout: &RecordLayout) -> u32 {

@@ -17,6 +17,12 @@
 //!
 //! - Classes are registered up front with [`Heap::register_class`]; a class
 //!   is a list of [`FieldKind`]s. Arrays are allocated per element kind.
+//! - Bytes are addressed by their offset in an object's *body*, the bytes
+//!   after its header: a field at its [`RecordLayout::offset`] through
+//!   [`Heap::read_body`] / [`Heap::write_body`], an element through
+//!   [`elem`] / [`set_elem`] over [`Heap::body`] / [`Heap::body_mut`]. The
+//!   header is the heap's own; only a reference store has its own call
+//!   ([`Heap::write_ref`], [`Heap::array_set_ref`]), for the write barrier.
 //! - Objects are addressed by stable [`ObjRef`] handles (an object-table
 //!   indirection), so user code may hold references across collections.
 //! - The root set is explicit: [`Heap::add_root`] / [`Heap::remove_root`].
@@ -40,11 +46,13 @@
 //!
 //! let mut heap = Heap::new(HeapConfig::with_capacity(1 << 20));
 //! let point = heap.register_class("Point", &[FieldKind::I32, FieldKind::I32]);
-//! let (x, y) = (heap.field_offset(point, 0), heap.field_offset(point, 1));
+//! // Body offsets, resolved once: the same numbers in a page record.
+//! let (x, y) = (heap.layout(point).offset(0), heap.layout(point).offset(1));
 //! let p = heap.alloc(point)?;
-//! heap.set_i32_at(p, x, 3);
-//! heap.set_i32_at(p, y, 4);
-//! assert_eq!(heap.get_i32_at(p, x) + heap.get_i32_at(p, y), 7);
+//! heap.write_body(p, x, 3i32.to_le_bytes());
+//! heap.write_body(p, y, 4i32.to_le_bytes());
+//! let get = |at| i32::from_le_bytes(heap.read_body(p, at));
+//! assert_eq!(get(x) + get(y), 7);
 //! # Ok::<(), metrics::OutOfMemory>(())
 //! ```
 
@@ -59,8 +67,8 @@ pub use census::{CensusRow, HeapCensus, array_class_name};
 pub use gclog::format_gc_log_line;
 pub use heap::{Heap, HeapConfig, ObjRef, RootId};
 pub use layout::{
-    ARRAY_LEN_BYTES, ClassId, ElemKind, FieldKind, OBJECT_HEADER_BYTES, RecordLayout, elem,
-    elem_count, set_elem,
+    ARRAY_LEN_BYTES, ClassId, ElemKind, FieldKind, RecordLayout, elem, elem_count, elem_range,
+    set_elem,
 };
 pub use metrics::OutOfMemory;
 pub use stats::{GcStats, PauseKind, PauseRecord};

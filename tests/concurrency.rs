@@ -27,7 +27,7 @@ fn per_thread_heaps_share_only_the_page_pool() {
                     // (Figure 3's per-thread boxes).
                     let mut heap = PagedHeap::with_pool(PagedHeapConfig::default(), pool);
                     let ty = heap.register_type("T", &[FieldKind::I64, FieldKind::I64]);
-                    let (f0, f1) = (heap.field_offset(ty, 0), heap.field_offset(ty, 1));
+                    let (f0, f1) = (heap.layout(ty).offset(0), heap.layout(ty).offset(1));
                     let mut pools = FacadePools::new(&bounds);
                     let mut allocated = 0u64;
                     for round in 0..ROUNDS {
@@ -35,8 +35,9 @@ fn per_thread_heaps_share_only_the_page_pool() {
                         // Data-path churn in this thread's own pages.
                         for k in 0..20 {
                             let r = heap.alloc(ty).expect("unbounded");
-                            heap.set_i64_at(r, f0, (t * 1000 + round + k) as i64);
-                            assert_eq!(heap.get_i64_at(r, f1), 0, "records start zeroed");
+                            let v = (t * 1000 + round + k) as i64;
+                            heap.write_body(r, f0, v.to_le_bytes());
+                            assert_eq!(heap.read_body(r, f1), [0; 8], "records start zeroed");
                             // Exercise the bind/release discipline.
                             pools.param(TypeId(4), k % 2).bind(r);
                             let back = pools.param(TypeId(4), k % 2).release();
