@@ -551,7 +551,7 @@ impl Store {
     /// Allocates an `I32` array born holding `data`: on either backend the
     /// elements are written as the array is allocated, with no zero fill
     /// first. Same record, placement and counters as [`Store::alloc_array`]
-    /// followed by [`Store::array_write_i32s`].
+    /// followed by [`Store::array_set_i32`] on each element.
     ///
     /// # Errors
     ///
@@ -797,19 +797,6 @@ impl Store {
         self.array_set_i64(r, i, v.to_bits() as i64);
     }
 
-    /// Reads a `U8` element.
-    #[inline]
-    pub fn array_get_u8(&self, r: Rec, i: usize) -> u8 {
-        let [b] = elem(self.body(r), i);
-        b
-    }
-
-    /// Writes a `U8` element.
-    #[inline]
-    pub fn array_set_u8(&mut self, r: Rec, i: usize, v: u8) {
-        set_elem(self.body_mut(r), i, [v]);
-    }
-
     /// Bulk-writes bytes into a `U8` array.
     ///
     /// # Panics
@@ -861,49 +848,8 @@ impl Store {
         }
     }
 
-    /// Copies `data` into consecutive `N`-byte elements from `start` on,
+    /// Bulk-writes doubles into an `I64` array, element `start` onwards,
     /// after one bounds check for the whole run.
-    #[inline]
-    fn write_elems<const N: usize, T: Copy>(
-        &mut self,
-        r: Rec,
-        start: usize,
-        data: &[T],
-        encode: fn(T) -> [u8; N],
-    ) {
-        let body = self.array_bytes_mut(r);
-        let len = body.len() / N;
-        assert!(
-            start <= len && data.len() <= len - start,
-            "bulk write of {} elements at index {start} out of bounds (len {len})",
-            data.len()
-        );
-        encode_into(&mut body[start * N..], data, encode);
-    }
-
-    /// Bulk-writes `data` into an `I32` array, element `start` onwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics, before writing anything, if the run does not fit between
-    /// `start` and the array's end.
-    #[inline]
-    pub fn array_write_i32s(&mut self, r: Rec, start: usize, data: &[i32]) {
-        self.write_elems(r, start, data, i32::to_le_bytes);
-    }
-
-    /// Bulk-writes `data` into an `I64` array, element `start` onwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics, before writing anything, if the run does not fit between
-    /// `start` and the array's end.
-    #[inline]
-    pub fn array_write_i64s(&mut self, r: Rec, start: usize, data: &[i64]) {
-        self.write_elems(r, start, data, i64::to_le_bytes);
-    }
-
-    /// Bulk-writes doubles into an `I64` array, element `start` onwards.
     ///
     /// # Panics
     ///
@@ -911,14 +857,14 @@ impl Store {
     /// `start` and the array's end.
     #[inline]
     pub fn array_write_f64s(&mut self, r: Rec, start: usize, data: &[f64]) {
-        self.write_elems(r, start, data, f64::to_le_bytes);
-    }
-
-    /// Streams the elements of an `I32` array in index order.
-    #[inline]
-    pub fn array_i32s(&self, r: Rec) -> impl ExactSizeIterator<Item = i32> + '_ {
-        let (elems, _) = self.array_bytes(r).as_chunks::<4>();
-        elems.iter().map(|&c| i32::from_le_bytes(c))
+        let body = self.array_bytes_mut(r);
+        let len = body.len() / 8;
+        assert!(
+            start <= len && data.len() <= len - start,
+            "bulk write of {} elements at index {start} out of bounds (len {len})",
+            data.len()
+        );
+        encode_into(&mut body[start * 8..], data, f64::to_le_bytes);
     }
 
     /// Streams the elements of an `I64` array as doubles, in index order.
@@ -1193,8 +1139,8 @@ mod tests {
             let bytes = s.alloc_array(ElemTy::U8, 5).unwrap();
             s.array_write_bytes(bytes, b"abcde");
             assert_eq!(s.array_bytes(bytes), b"abcde");
-            s.array_set_u8(bytes, 4, b'!');
-            assert_eq!(s.array_get_u8(bytes, 4), b'!');
+            s.array_write_bytes(bytes, b"!");
+            assert_eq!(s.array_bytes(bytes), b"!bcde");
 
             let refs = s.alloc_array(ElemTy::Ref, 2).unwrap();
             s.array_set_rec(refs, 1, a);

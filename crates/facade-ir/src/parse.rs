@@ -27,17 +27,18 @@
 //! may carry trailing commentary (the pipeline appends pool-bound footers).
 //! Local, block and field indices are plain decimal, as printed: `v01`,
 //! `bb+1` and `f+0` are errors. So are constants the printer would write
-//! differently: `+5`, `007`, `-0`, `+5L`, `1e3f64`.
+//! differently: `+5`, `007`, `-0`, `+5L`, `1e3f64`; and so is a second
+//! `entry` line.
 //!
 //! The parser reads the text once, line by line, and builds the program as
 //! it goes: classes and methods take their ids in declaration order, and a
 //! name used above its declaration (a call into a class further down) gets
 //! a placeholder id that is patched when the text ends. A malformed text
-//! gets the diagnostic a check in sweeps would give: a structural fault
-//! (an unexpected line, an unclosed class) stops the parse at once;
-//! otherwise the first fault in text order of the earliest sweep wins —
-//! duplicate classes, then class headers and fields, then method
-//! signatures, then bodies, then the `entry` line.
+//! gets the first fault the reader meets: a bad line, a duplicate, a body
+//! that closes unfinished or an unclosed class stops the parse there. A
+//! name that is never declared is only known to be unknown when the text
+//! ends; then the earliest first use of such a class or method is
+//! reported, and after that an `entry` line that names neither.
 
 use crate::class::{Block, Body, ClassDef, ClassKind, FieldDef, MethodDef};
 use crate::instr::{BinOp, CallTarget, CmpOp, Instr, Terminator};
@@ -75,50 +76,21 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 /// The low bits index the pending table.
 const PENDING: u32 = 1 << 31;
 
-/// The sweep a non-structural fault belongs to; an earlier sweep's fault
-/// wins over any later one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Sweep {
-    DuplicateClass,
-    Header,
-    Signature,
-    Body,
-}
-
-/// How an unknown name was read, which picks its diagnostic.
-#[derive(Debug, Clone, Copy)]
-enum Role {
-    Type,
-    Class,
-}
-
-/// One use of a pending name: when (`seq`), where, and as what.
-#[derive(Debug, Clone, Copy)]
-struct Use {
-    seq: u32,
-    line: usize,
-    role: Role,
-}
-
-/// A class name used above (or without) its declaration, with its first
-/// use in each sweep.
+/// A class name used above (or without) its declaration, with the line
+/// of its first use and what it was read as there (`type` or `class`),
+/// which its diagnostic names.
 struct PendingClass<'a> {
     name: &'a str,
-    uses: [Option<Use>; 4],
+    line: usize,
+    role: &'static str,
 }
 
-/// A method named above its declaration; only bodies name methods.
+/// A method named above its declaration, with the line of its first use;
+/// only bodies name methods.
 struct PendingMethod<'a> {
     class: ClassId,
     name: &'a str,
-    first: Use,
-}
-
-/// The earliest fault so far.
-struct Fault {
-    sweep: Sweep,
-    seq: u32,
-    error: ParseError,
+    line: usize,
 }
 
 /// The method body being read.
@@ -129,7 +101,6 @@ struct Open {
     locals: Option<Vec<Ty>>,
     /// The open block's label line, until its terminator.
     block: Option<usize>,
-    failed: bool,
 }
 
 impl Program {
@@ -150,6 +121,7 @@ struct Parser<'a> {
     program: Program,
     classes: HashMap<&'a str, ClassId>,
     methods: HashMap<(ClassId, &'a str), MethodId>,
+    /// Names used above their declaration, in the order of first use.
     pending_classes: Vec<PendingClass<'a>>,
     pending_class_ids: HashMap<&'a str, ClassId>,
     pending_methods: Vec<PendingMethod<'a>>,
@@ -159,9 +131,6 @@ struct Parser<'a> {
     forward: bool,
     dirty_classes: Vec<ClassId>,
     dirty_methods: Vec<MethodId>,
-    fault: Option<Fault>,
-    /// Counts checks, so faults and uses compare in reading order.
-    seq: u32,
     /// The instruction line being read.
     line: &'a str,
     /// The open block's instructions and the open body's blocks; moved
@@ -184,17 +153,17 @@ impl<'a> Parser<'a> {
             if let Some(body) = &mut open {
                 if line == "}" {
                     let body = open.take().expect("a body is open");
-                    self.close_body(body);
-                } else if !body.failed {
-                    if let Err(e) = self.body_line(body, ln, line) {
-                        self.record(Sweep::Body, e);
-                        body.failed = true;
-                    }
+                    self.close_body(body)?;
+                } else {
+                    self.body_line(body, ln, line)?;
                 }
                 continue;
             }
             let Some(c) = class else {
                 if let Some(rest) = line.strip_prefix("entry ") {
+                    if entry.is_some() {
+                        return Err(err(ln, "duplicate `entry` line"));
+                    }
                     let (c, m) = split_str(rest, "::")
                         .ok_or_else(|| err(ln, "entry expects `Class::method`"))?;
                     entry = Some((ln, c.trim(), m.trim()));
@@ -218,9 +187,7 @@ impl<'a> Parser<'a> {
                     .rsplit_once(' ')
                     .ok_or_else(|| err(ln, "field expects `<type> <name>;`"))?;
                 self.forward = false;
-                let ty = self
-                    .ty(ty, ln, Sweep::Header)
-                    .unwrap_or_else(|e| self.record(Sweep::Header, e));
+                let ty = self.ty(ty, ln)?;
                 self.program.class_mut(c).fields.push(FieldDef {
                     name: name.trim().to_string(),
                     ty,
@@ -236,20 +203,6 @@ impl<'a> Parser<'a> {
             return Err(err(text.lines().count(), "unexpected end of input"));
         }
         self.finish(entry)
-    }
-
-    /// Keeps `error` if no fault of its sweep or an earlier one came first;
-    /// returns a stand-in type so the reader can carry on.
-    fn record(&mut self, sweep: Sweep, error: ParseError) -> Ty {
-        self.seq += 1;
-        if self.fault.as_ref().is_none_or(|f| sweep < f.sweep) {
-            self.fault = Some(Fault {
-                sweep,
-                seq: self.seq,
-                error,
-            });
-        }
-        Ty::I32
     }
 
     fn class_header(&mut self, ln: usize, line: &'a str) -> Result<ClassId, ParseError> {
@@ -274,6 +227,9 @@ impl<'a> Parser<'a> {
         if name.is_empty() || name.contains(' ') {
             return Err(err(ln, format!("bad class name `{name}`")));
         }
+        if self.classes.contains_key(name) {
+            return Err(err(ln, format!("duplicate class `{name}`")));
+        }
         let id = self.program.add_class(ClassDef {
             name: name.to_string(),
             kind: if kw == "interface" {
@@ -286,21 +242,14 @@ impl<'a> Parser<'a> {
             fields: Vec::new(),
             methods: Vec::new(),
         });
-        if self.classes.contains_key(name) {
-            self.record(
-                Sweep::DuplicateClass,
-                err(ln, format!("duplicate class `{name}`")),
-            );
-        } else {
-            self.classes.insert(name, id);
-        }
+        self.classes.insert(name, id);
         self.forward = false;
         if let Some(sup) = extends {
-            let sup = self.class_ref(sup, ln, Sweep::Header, Role::Class);
+            let sup = self.class_ref(sup, ln, "class");
             self.program.class_mut(id).superclass = Some(sup);
         }
         for iface in implements.into_iter().flat_map(|t| t.split(',')) {
-            let iface = self.class_ref(iface.trim(), ln, Sweep::Header, Role::Class);
+            let iface = self.class_ref(iface.trim(), ln, "class");
             self.program.class_mut(id).interfaces.push(iface);
         }
         if self.forward {
@@ -341,29 +290,27 @@ impl<'a> Parser<'a> {
             .strip_suffix(')')
             .ok_or_else(|| err(ln, "unclosed parameter list"))?;
 
-        let duplicate = self.methods.contains_key(&(class, name));
-        if duplicate {
-            let message = format!(
-                "duplicate method `{}::{name}` (overloads are not parseable)",
-                self.program.class(class).name
-            );
-            self.record(Sweep::Signature, err(ln, message));
+        if self.methods.contains_key(&(class, name)) {
+            return Err(err(
+                ln,
+                format!(
+                    "duplicate method `{}::{name}` (overloads are not parseable)",
+                    self.program.class(class).name
+                ),
+            ));
         }
         self.forward = false;
         let mut params = Vec::new();
         if !params_txt.trim().is_empty() {
             params.reserve(1 + params_txt.bytes().filter(|&b| b == b',').count());
             for p in params_txt.split(',') {
-                let ty = self
-                    .ty(p, ln, Sweep::Signature)
-                    .unwrap_or_else(|e| self.record(Sweep::Signature, e));
-                params.push(ty);
+                params.push(self.ty(p, ln)?);
             }
         }
-        let ret = (ret_txt != "void").then(|| {
-            self.ty(ret_txt, ln, Sweep::Signature)
-                .unwrap_or_else(|e| self.record(Sweep::Signature, e))
-        });
+        let ret = match ret_txt {
+            "void" => None,
+            ty => Some(self.ty(ty, ln)?),
+        };
         let id = self.program.add_method(MethodDef {
             name: name.to_string(),
             class,
@@ -372,9 +319,7 @@ impl<'a> Parser<'a> {
             is_static,
             body: None,
         });
-        if !duplicate {
-            self.methods.insert((class, name), id);
-        }
+        self.methods.insert((class, name), id);
         if self.forward {
             self.dirty_methods.push(id);
         }
@@ -389,7 +334,6 @@ impl<'a> Parser<'a> {
             header: ln,
             locals: None,
             block: None,
-            failed: false,
         }))
     }
 
@@ -403,7 +347,7 @@ impl<'a> Parser<'a> {
             if !list.trim().is_empty() {
                 locals.reserve(1 + list.bytes().filter(|&b| b == b',').count());
                 for t in list.split(',') {
-                    locals.push(self.ty(t, ln, Sweep::Body)?);
+                    locals.push(self.ty(t, ln)?);
                 }
             }
             open.locals = Some(locals);
@@ -440,49 +384,40 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn close_body(&mut self, open: Open) {
-        if open.failed {
-            return;
-        }
+    fn close_body(&mut self, open: Open) -> Result<(), ParseError> {
         let Some(locals) = open.locals else {
-            self.record(Sweep::Body, err(open.header, "empty method body"));
-            return;
+            return Err(err(open.header, "empty method body"));
         };
         if let Some(label) = open.block {
-            self.record(Sweep::Body, err(label, "block lacks a terminator"));
-        } else if self.blocks.is_empty() {
-            self.record(Sweep::Body, err(open.header, "method body has no blocks"));
-        } else {
-            let blocks = self.blocks.drain(..).collect();
-            self.program.method_mut(open.method).body = Some(Body { locals, blocks });
-            if self.forward {
-                self.dirty_methods.push(open.method);
-            }
+            return Err(err(label, "block lacks a terminator"));
         }
+        if self.blocks.is_empty() {
+            return Err(err(open.header, "method body has no blocks"));
+        }
+        let blocks = self.blocks.drain(..).collect();
+        self.program.method_mut(open.method).body = Some(Body { locals, blocks });
+        if self.forward {
+            self.dirty_methods.push(open.method);
+        }
+        Ok(())
     }
 
     /// The class named `name`, or a placeholder for it if it is not
     /// declared yet.
-    fn class_ref(&mut self, name: &'a str, ln: usize, sweep: Sweep, role: Role) -> ClassId {
+    fn class_ref(&mut self, name: &'a str, ln: usize, role: &'static str) -> ClassId {
         if let Some(&id) = self.classes.get(name) {
             return id;
         }
-        self.seq += 1;
         self.forward = true;
         let next = ClassId(PENDING | self.pending_classes.len() as u32);
         let id = *self.pending_class_ids.entry(name).or_insert(next);
         if id == next {
             self.pending_classes.push(PendingClass {
                 name,
-                uses: [None; 4],
+                line: ln,
+                role,
             });
         }
-        let first = &mut self.pending_classes[(id.0 & !PENDING) as usize].uses[sweep as usize];
-        first.get_or_insert(Use {
-            seq: self.seq,
-            line: ln,
-            role,
-        });
         id
     }
 
@@ -492,7 +427,6 @@ impl<'a> Parser<'a> {
         if let Some(&id) = self.methods.get(&(class, name)) {
             return id;
         }
-        self.seq += 1;
         self.forward = true;
         let next = MethodId(PENDING | self.pending_methods.len() as u32);
         let id = *self.pending_method_ids.entry((class, name)).or_insert(next);
@@ -500,20 +434,16 @@ impl<'a> Parser<'a> {
             self.pending_methods.push(PendingMethod {
                 class,
                 name,
-                first: Use {
-                    seq: self.seq,
-                    line: ln,
-                    role: Role::Class,
-                },
+                line: ln,
             });
         }
         id
     }
 
-    fn ty(&mut self, s: &'a str, ln: usize, sweep: Sweep) -> Result<Ty, ParseError> {
+    fn ty(&mut self, s: &'a str, ln: usize) -> Result<Ty, ParseError> {
         let s = s.trim();
         if let Some(base) = s.strip_suffix("[]") {
-            return Ok(Ty::array(self.ty(base, ln, sweep)?));
+            return Ok(Ty::array(self.ty(base, ln)?));
         }
         match s {
             "i32" => Ok(Ty::I32),
@@ -523,12 +453,13 @@ impl<'a> Parser<'a> {
             _ if s.starts_with("facade<") => {
                 Err(err(ln, "facade types are generated forms, not parseable"))
             }
-            name => Ok(Ty::Ref(self.class_ref(name, ln, sweep, Role::Type))),
+            name => Ok(Ty::Ref(self.class_ref(name, ln, "type"))),
         }
     }
 
-    /// Resolves every placeholder: the earliest fault wins, then the entry
-    /// line resolves, then the placeholders are patched.
+    /// Resolves every placeholder: the earliest use of a name never
+    /// declared fails, then the entry line resolves, then the placeholders
+    /// are patched.
     fn finish(mut self, entry: Option<(usize, &str, &str)>) -> Result<Program, ParseError> {
         let classes: Vec<Option<ClassId>> = self
             .pending_classes
@@ -551,52 +482,32 @@ impl<'a> Parser<'a> {
             })
             .collect();
 
-        let mut first = self.fault.take();
-        let mut consider = |sweep: Sweep, seq: u32, error: ParseError| {
-            if first
-                .as_ref()
-                .is_none_or(|f| (sweep, seq) < (f.sweep, f.seq))
-            {
-                first = Some(Fault { sweep, seq, error });
-            }
-        };
-        const SWEEPS: [Sweep; 4] = [
-            Sweep::DuplicateClass,
-            Sweep::Header,
-            Sweep::Signature,
-            Sweep::Body,
-        ];
-        for (pending, resolved) in self.pending_classes.iter().zip(&classes) {
-            if resolved.is_some() {
-                continue;
-            }
-            for (sweep, u) in SWEEPS.iter().zip(&pending.uses) {
-                let Some(u) = u else { continue };
-                let what = match u.role {
-                    Role::Type => "type",
-                    Role::Class => "class",
-                };
-                let message = format!("unknown {what} `{}`", pending.name);
-                consider(*sweep, u.seq, err(u.line, message));
-            }
-        }
-        for (pending, resolved) in self.pending_methods.iter().zip(&methods) {
-            // An unknown class already failed at this use or before it.
-            let Some(class) = real(pending.class) else {
-                continue;
-            };
-            if resolved.is_none() {
-                let class = &self.program.class(class).name;
-                let message = format!("unknown method `{class}::{}`", pending.name);
-                consider(
-                    Sweep::Body,
-                    pending.first.seq,
-                    err(pending.first.line, message),
-                );
-            }
-        }
-        if let Some(f) = first {
-            return Err(f.error);
+        // Both tables are in first-use order, so each one's first unknown
+        // name is its earliest; on a shared line the class was read first.
+        let unknown_class = self
+            .pending_classes
+            .iter()
+            .zip(&classes)
+            .find(|(_, resolved)| resolved.is_none())
+            .map(|(p, _)| err(p.line, format!("unknown {} `{}`", p.role, p.name)));
+        // A method of an unknown class is covered by that class's fault,
+        // which is at this use or before it.
+        let unknown_method = self
+            .pending_methods
+            .iter()
+            .zip(&methods)
+            .find_map(|(p, resolved)| {
+                let class = &self.program.class(real(p.class)?).name;
+                resolved
+                    .is_none()
+                    .then(|| err(p.line, format!("unknown method `{class}::{}`", p.name)))
+            });
+        if let Some(e) = unknown_class
+            .into_iter()
+            .chain(unknown_method)
+            .min_by_key(|e| e.line)
+        {
+            return Err(e);
         }
 
         if let Some((ln, cname, mname)) = entry {
@@ -756,17 +667,17 @@ impl<'a> Parser<'a> {
             // `new Elem[vN]` is an array allocation; `new Name` an object one.
             if let Some(open) = tail.rfind('[') {
                 if let Some(len) = tail[open + 1..].strip_suffix(']').and_then(parse_local) {
-                    let elem = self.ty(&tail[..open], ln, Sweep::Body)?;
+                    let elem = self.ty(&tail[..open], ln)?;
                     return Ok(Instr::NewArray { dst, elem, len });
                 }
             }
-            let class = self.class_ref(tail.trim(), ln, Sweep::Body, Role::Class);
+            let class = self.class_ref(tail.trim(), ln, "class");
             return Ok(Instr::New { dst, class });
         }
         if let Some((src, cname)) = split_str(rhs, " instanceof ") {
             let src = local(src, ln)?;
             self.not_generated(ln)?;
-            let class = self.class_ref(cname.trim(), ln, Sweep::Body, Role::Class);
+            let class = self.class_ref(cname.trim(), ln, "class");
             return Ok(Instr::InstanceOf { dst, src, class });
         }
         if matches!(head, "static" | "virtual" | "special") {
@@ -793,7 +704,7 @@ impl<'a> Parser<'a> {
                 format!("call expects `Class::method`, got `{target_txt}`"),
             )
         })?;
-        let class = self.class_ref(cname.trim(), ln, Sweep::Body, Role::Class);
+        let class = self.class_ref(cname.trim(), ln, "class");
         let method = self.method_ref(class, mname.trim(), ln);
         let target = match kind {
             "static" => CallTarget::Static(method),
@@ -1210,5 +1121,37 @@ mod tests {
         let p = Program::parse(text).unwrap();
         let entry = p.entry().unwrap();
         assert_eq!(p.method(entry).name, "go");
+        let e = Program::parse(&text.replace("Main::go\n", "Main::gone\n")).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (8, "unknown entry method `Main::gone`")
+        );
+    }
+
+    #[test]
+    fn a_second_entry_line_is_an_error() {
+        let text = "class Main {\n  static void go() {\n   locals:\n   bb0:\n     return\n  }\n}\nentry Main::go\nentry Main::go\n";
+        let e = Program::parse(text).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (9, "duplicate `entry` line"));
+    }
+
+    #[test]
+    fn the_first_fault_met_is_reported() {
+        let fault = |text: &str| {
+            let e = Program::parse(text).unwrap_err();
+            (e.line, e.message)
+        };
+        // A body fault below an undeclared type used higher up: the body
+        // fault is met first, the type is unknown only at the end.
+        let text = "class A {\n  Missing f;\n  static void m() {\n   locals: i32\n   bb0:\n     v0 = what\n     return\n  }\n}\n";
+        assert_eq!(fault(text), (6, "unrecognized instruction `what`".into()));
+        // An undeclared name on its own is reported at its first use.
+        let text = text.replace("v0 = what", "v0 = new Missing");
+        assert_eq!(fault(&text), (2, "unknown type `Missing`".into()));
+        // Of an unknown method and an unknown class, the one used first.
+        let method_first = "class A {\n  static void m() {\n   locals:\n   bb0:\n     static B::gone()\n     return\n  }\n}\nclass B extends Gone {\n}\n";
+        assert_eq!(fault(method_first), (5, "unknown method `B::gone`".into()));
+        let class_first = "class B extends Gone {\n}\nclass A {\n  static void m() {\n   locals:\n   bb0:\n     static B::gone()\n     return\n  }\n}\n";
+        assert_eq!(fault(class_first), (1, "unknown class `Gone`".into()));
     }
 }

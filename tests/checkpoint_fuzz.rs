@@ -20,6 +20,9 @@
 //! The count of every outcome kind is pinned, so a change to the format or
 //! to a decoder that moves any outcome shows up here.
 
+mod common;
+
+use common::below;
 use datagen::SplitMix64;
 use facade::datagen::{CorpusSpec, Graph, GraphSpec, corpus};
 use facade::graphchi::{Backend, Engine, EngineConfig, PageRank};
@@ -155,10 +158,6 @@ fn read_kind(read: &Result<Manifest, RecoveryError>) -> &'static str {
     }
 }
 
-fn pick(rng: &mut SplitMix64, n: usize) -> usize {
-    rng.next_below(n as u64) as usize
-}
-
 /// A value near `v` or at an extreme: what a corrupted length field holds.
 fn odd_value(rng: &mut SplitMix64, v: u64, max: u64) -> u64 {
     match rng.next_below(5) {
@@ -189,18 +188,18 @@ fn directory_offsets(manifest: &Manifest) -> Vec<usize> {
 fn unsealed(rng: &mut SplitMix64, bytes: &[u8], manifest: &Manifest) -> (&'static str, Vec<u8>) {
     let mut out = bytes.to_vec();
     let entries = directory_offsets(manifest);
-    let entry = entries[pick(rng, entries.len())];
+    let entry = entries[below(rng, entries.len())];
     let name_len = manifest.sections[entries.iter().position(|&e| e == entry).unwrap()]
         .0
         .len();
     let op = match rng.next_below(7) {
         0 => {
-            let at = pick(rng, out.len());
+            let at = below(rng, out.len());
             out[at] ^= 1 + rng.next_below(255) as u8;
             "flip"
         }
         1 => {
-            out.truncate(pick(rng, out.len()));
+            out.truncate(below(rng, out.len()));
             "truncate"
         }
         2 => {
@@ -225,7 +224,7 @@ fn unsealed(rng: &mut SplitMix64, bytes: &[u8], manifest: &Manifest) -> (&'stati
             "name_len"
         }
         _ => {
-            out[entry + 4 + pick(rng, name_len)] ^= 1 + rng.next_below(255) as u8;
+            out[entry + 4 + below(rng, name_len)] ^= 1 + rng.next_below(255) as u8;
             "name"
         }
     };
@@ -235,16 +234,16 @@ fn unsealed(rng: &mut SplitMix64, bytes: &[u8], manifest: &Manifest) -> (&'stati
 /// One edit of the decoded manifest, encoded again with fresh checksums.
 fn resealed(rng: &mut SplitMix64, manifest: &Manifest) -> (&'static str, Vec<u8>) {
     let mut m = manifest.clone();
-    let si = pick(rng, m.sections.len());
+    let si = below(rng, m.sections.len());
     let payload = &mut m.sections[si].1;
     let op = match rng.next_below(9) {
         0 if !payload.is_empty() => {
-            let at = pick(rng, payload.len());
+            let at = below(rng, payload.len());
             payload[at] ^= 1 + rng.next_below(255) as u8;
             "payload_flip"
         }
         1 => {
-            payload.truncate(pick(rng, payload.len().max(1)));
+            payload.truncate(below(rng, payload.len().max(1)));
             "payload_truncate"
         }
         2 => {
@@ -259,7 +258,7 @@ fn resealed(rng: &mut SplitMix64, manifest: &Manifest) -> (&'static str, Vec<u8>
         }
         4 if payload.len() >= 12 => {
             // A length or count field inside the payload, most often.
-            let at = 8 + pick(rng, payload.len() - 11);
+            let at = 8 + below(rng, payload.len() - 11);
             let n = odd_value(rng, 4, u64::from(u32::MAX)) as u32;
             payload[at..at + 4].copy_from_slice(&n.to_le_bytes());
             "payload_u32"
@@ -279,7 +278,7 @@ fn resealed(rng: &mut SplitMix64, manifest: &Manifest) -> (&'static str, Vec<u8>
             }
         }
         7 => {
-            let word = pick(rng, 2);
+            let word = below(rng, 2);
             m.cursor[word] = odd_value(rng, m.cursor[word], u64::MAX);
             "cursor"
         }

@@ -13,6 +13,9 @@
 //! `to_json`. The count of every outcome kind is pinned, so a change to the
 //! parser that moves any outcome shows up here.
 
+mod common;
+
+use common::{below, fnv};
 use datagen::SplitMix64;
 use facade::job::JobSpec;
 use facade::metrics::json;
@@ -124,16 +127,6 @@ fn named() -> Vec<(&'static str, String, Option<String>)> {
             None,
         ),
     ]
-}
-
-fn below(rng: &mut SplitMix64, n: usize) -> usize {
-    rng.next_below(n as u64) as usize
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 /// The byte offsets at which a value starts after a `": "` separator.

@@ -241,7 +241,11 @@ fn bulk_ops_match_model(mut store: Store, len: usize, born: bool, rng: &mut Spli
         let streamed = store.array_f64s(doubles);
         assert_eq!(streamed.len(), len);
         assert!(streamed.map(f64::to_bits).eq(doubles_model.iter().copied()));
-        assert!(store.array_i32s(ints).eq(ints_model.iter().copied()));
+        assert!(
+            (0..len)
+                .map(|i| store.array_get_i32(ints, i))
+                .eq(ints_model.iter().copied())
+        );
         assert_eq!(store.array_bytes(bytes), bytes_model);
     }
     for i in 0..len {
@@ -264,7 +268,7 @@ fn bulk_op(
     let len = doubles_model.len();
     let start = rng.next_below(len as u64 + 1) as usize;
     let run = rng.next_below((len - start) as u64 + 1) as usize;
-    match rng.next_below(6) {
+    match rng.next_below(4) {
         0 => {
             let data: Vec<f64> = (0..run).map(|_| rng.next_u64() as f64 / 7.0).collect();
             store.array_write_f64s(doubles, start, &data);
@@ -273,25 +277,13 @@ fn bulk_op(
             }
         }
         1 => {
-            let data: Vec<i64> = (0..run).map(|_| rng.next_u64() as i64).collect();
-            store.array_write_i64s(doubles, start, &data);
-            for (m, &v) in doubles_model[start..].iter_mut().zip(&data) {
-                *m = v as u64;
-            }
-        }
-        2 => {
-            let data: Vec<i32> = (0..run).map(|_| rng.next_u64() as i32).collect();
-            store.array_write_i32s(ints, start, &data);
-            ints_model[start..start + run].copy_from_slice(&data);
-        }
-        3 => {
             let f = |x: f64| x * 0.5 + 1.0;
             store.array_map_f64s(doubles, f);
             for m in doubles_model {
                 *m = f(f64::from_bits(*m)).to_bits();
             }
         }
-        4 => {
+        2 => {
             let data: Vec<u8> = (0..start).map(|_| rng.next_u64() as u8).collect();
             store.array_write_bytes(bytes, &data);
             bytes_model[..start].copy_from_slice(&data);
@@ -355,7 +347,7 @@ fn bulk_array_ops_match_vec_model() {
     assert_eq!(store.stats().records_allocated, 1);
     let doubles = store.alloc_f64s(&[0.5; 9]).unwrap();
     let bytes = store.alloc_bytes(b"born").unwrap();
-    assert!(store.array_i32s(first).eq([1, 2, 3]));
+    assert!((0..3).map(|i| store.array_get_i32(first, i)).eq([1, 2, 3]));
     assert!(store.array_f64s(doubles).eq([0.5; 9]));
     assert_eq!(store.array_bytes(bytes), b"born");
     assert_eq!(plan.faults_injected(), 1);
@@ -366,7 +358,10 @@ fn bulk_array_ops_match_vec_model() {
         let mut store = Store::builder().backend(backend).budget(1 << 20).build();
         assert!(store.alloc_bytes(&vec![1; 2 << 20]).is_err(), "{backend:?}");
         let ints = store.alloc_i32s(&[-1, 5]).unwrap();
-        assert!(store.array_i32s(ints).eq([-1, 5]), "{backend:?}");
+        assert!(
+            (0..2).map(|i| store.array_get_i32(ints, i)).eq([-1, 5]),
+            "{backend:?}"
+        );
     }
 }
 
