@@ -15,6 +15,8 @@
 //! Results are printed as paper-style text tables; the tools write their
 //! artifacts (trace, GC log, metrics exposition) under `target/experiments/`.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;

@@ -59,6 +59,8 @@
 //! assert!(worker.is_facade() && !env.canceled());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod run_env;
 
 pub use facade_runtime::FaultPlan;

@@ -14,6 +14,8 @@
 //!
 //! All generators are seeded and deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod rng;
 pub mod text;

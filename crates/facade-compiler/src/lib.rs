@@ -55,6 +55,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod bounds;
 mod closed_world;

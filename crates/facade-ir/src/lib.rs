@@ -39,6 +39,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod builder;
 mod class;

@@ -37,6 +37,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod dataset;
 mod dispatch;

@@ -40,6 +40,8 @@
 //! # Ok::<(), metrics::OutOfMemory>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 mod error;
 mod fault;

@@ -25,6 +25,7 @@
 //! [`ShutdownReport`]; [`ShutdownReport::clean`] is false if any page or
 //! admission commitment leaked (the binary exits nonzero).
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod admission;
 mod router;

@@ -20,6 +20,8 @@ use std::collections::HashMap;
 
 impl Vm<'_> {
     /// Converts a heap object graph into paged records (`convertFromA`).
+    #[cold]
+    #[inline(never)]
     pub(crate) fn convert_to_page(&mut self, root: ObjRef) -> Result<PageRef, VmError> {
         let mut memo = HashMap::new();
         self.to_page_rec(root, &mut memo)
@@ -80,6 +82,8 @@ impl Vm<'_> {
     }
 
     /// Converts a paged record graph into heap objects (`convertToA`).
+    #[cold]
+    #[inline(never)]
     pub(crate) fn convert_to_heap(&mut self, root: PageRef) -> Result<ObjRef, VmError> {
         let mut memo = HashMap::new();
         let mut temp_roots = Vec::new();

@@ -25,6 +25,16 @@ pub enum VmError {
     /// A call would have made more than 65 536 frames active at once
     /// (runaway recursion guard; the depth is fixed, not a setting).
     CallDepthExceeded,
+    /// An array element access with an index outside `0..len`, on either
+    /// heap.
+    ArrayIndexOutOfBounds {
+        /// The index the program used.
+        index: i32,
+        /// The array's length.
+        len: usize,
+    },
+    /// An array allocation with a negative length, on either heap.
+    NegativeArrayLength(i32),
     /// A paged `monitorenter` needed a lock ID while all 32 767 were held
     /// (IDs fill a 15-bit record header field; the cap is not a setting).
     LockIdsExhausted,
@@ -42,6 +52,10 @@ impl fmt::Display for VmError {
             VmError::CallDepthExceeded => {
                 write!(f, "call depth exceeded ({MAX_CALL_DEPTH} active frames)")
             }
+            VmError::ArrayIndexOutOfBounds { index, len } => {
+                write!(f, "array index {index} out of bounds (length {len})")
+            }
+            VmError::NegativeArrayLength(len) => write!(f, "negative array length {len}"),
             VmError::LockIdsExhausted => {
                 write!(
                     f,

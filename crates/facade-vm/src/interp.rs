@@ -6,7 +6,7 @@ use crate::value::{FacadeSlot, Value};
 use facade_compiler::PagedMeta;
 use facade_ir::{ClassId, MethodId, Program};
 use facade_runtime::{FacadePools, IterationId, PageRef, PagedHeap, TypeId as PTypeId};
-use managed_heap::{Heap, HeapConfig, ObjRef, RootId, elem, set_elem};
+use managed_heap::{Heap, HeapConfig, ObjRef, RootId, elem, elem_count, set_elem};
 
 /// Frames a run may have active at once; the call that would exceed it
 /// fails with [`VmError::CallDepthExceeded`]. Frames live on an explicit
@@ -209,8 +209,52 @@ fn value_of(kind: Kind, bits: u64) -> Value {
     }
 }
 
+#[cold]
 fn illegal(what: impl Into<String>) -> VmError {
     VmError::IllegalInstruction(what.into())
+}
+
+#[cold]
+#[inline(never)]
+fn null(what: &str) -> VmError {
+    VmError::NullDeref(what.into())
+}
+
+#[cold]
+#[inline(never)]
+fn null_field(what: &str, at: u32) -> VmError {
+    VmError::NullDeref(format!("{what} at offset {at}"))
+}
+
+/// An `i32` local as an index into the array whose body is `body`. A
+/// negative index wraps past any length, so one compare rejects both ends.
+#[inline]
+fn index(body: &[u8], bits: u64) -> Result<usize, VmError> {
+    let (index, len) = (as_i32(bits), elem_count(body));
+    if (index as u32 as usize) < len {
+        Ok(index as usize)
+    } else {
+        Err(VmError::ArrayIndexOutOfBounds { index, len })
+    }
+}
+
+/// An `i32` local as the length of a new array.
+#[inline]
+fn new_array_len(bits: u64) -> Result<usize, VmError> {
+    let len = as_i32(bits);
+    usize::try_from(len).map_err(|_| VmError::NegativeArrayLength(len))
+}
+
+/// Why [`Vm::run_frame`] stopped running a frame.
+enum Exit {
+    /// A `Call` or `CallVirtual` op, the last of its segment.
+    Call(Op),
+    /// The frame returned: its result's bits, unless it is void.
+    Return(Option<u64>),
+    /// An op failed; the rest of its segment was not run.
+    Fail(VmError),
+    /// The op at the pc is the step that exceeds the budget.
+    Budget,
 }
 
 impl<'p> Vm<'p> {
@@ -307,15 +351,9 @@ impl<'p> Vm<'p> {
         self.exec_stats
     }
 
-    /// The facade pools, for ops the decoder admits in paged mode only.
-    fn pools_mut(&mut self) -> &mut FacadePools {
-        self.pools
-            .as_mut()
-            .expect("the decoder admits facade ops in paged mode only")
-    }
-
+    /// A facade of the pools, for ops the decoder admits in paged mode only.
     fn facade(&mut self, slot: FacadeSlot) -> &mut facade_runtime::Facade {
-        let pools = self.pools_mut();
+        let pools = self.pools.as_mut().expect("facade ops run in paged mode");
         match slot {
             FacadeSlot::Receiver { type_id } => pools.receiver(PTypeId(type_id)),
             FacadeSlot::Param { type_id, index } => pools.param(PTypeId(type_id), index as usize),
@@ -345,9 +383,10 @@ impl<'p> Vm<'p> {
         result
     }
 
-    /// The dispatch loop: runs `entry` and everything it calls on the
-    /// explicit frame stack until the entry frame returns.
-    #[allow(clippy::too_many_lines)]
+    /// Runs `entry` and everything it calls on the explicit frame stack
+    /// until the entry frame returns. This outer loop owns the stacks: it
+    /// hands the top frame to [`Vm::run_frame`] and acts on the [`Exit`]
+    /// that ends it, so only calls, returns and failures come back here.
     fn interpret(
         &mut self,
         ex: &mut Exec,
@@ -376,8 +415,137 @@ impl<'p> Vm<'p> {
         let mut cur = decoded[entry.0 as usize].as_ref().expect("decoded above");
         check_call(arg_kinds.into_iter(), None, cur.params(), cur.ret).map_err(illegal)?;
         let (mut fp, mut rp) = st.push_frame(&mut self.heap, entry, cur, 0, &arg_locals, NO_LOCAL);
-        let mut code: &[Op] = &cur.code;
         let mut pc = 0usize;
+
+        loop {
+            // The running frame is the top one: its locals are the tail of
+            // `slots`, its roots the tail of `roots`.
+            let exit;
+            (exit, pc) =
+                self.run_frame(cur, &mut st.slots[fp..], &st.roots[rp..], pc, steps, budget);
+            match exit {
+                Exit::Call(op) => {
+                    // `virtual_argc` is set for a virtual call: its callee,
+                    // and so the callee's signature, is only known now. A
+                    // call ends its segment, so its errors give nothing back.
+                    let (dst, callee_id, args, virtual_argc) = match op {
+                        Op::Call { dst, callee, args } => (dst, callee, args, None),
+                        Op::CallVirtual {
+                            dst,
+                            declared,
+                            args,
+                        } => {
+                            let recv = cur.args[args as usize];
+                            let bits = st.slots[fp + recv as usize];
+                            let class = self.receiver_class(cur.kinds[recv as usize], bits)?;
+                            let callee = self.implementation(class, declared)?;
+                            let argc = program.method(declared).param_slot_count();
+                            (dst, callee, args, Some(argc))
+                        }
+                        _ => unreachable!("only a call op exits to a call"),
+                    };
+                    if st.frames.len() >= MAX_CALL_DEPTH {
+                        return Err(VmError::CallDepthExceeded);
+                    }
+                    let caller_id = st.frames.last().expect("a frame is running").method;
+                    // From here on `cur` is dead until reassigned: a first
+                    // call writes the decoded-method table.
+                    let slot = &mut decoded[callee_id.0 as usize];
+                    if slot.is_none() {
+                        *slot = Some(self.decode(callee_id)?);
+                    }
+                    let caller = decoded[caller_id.0 as usize]
+                        .as_ref()
+                        .expect("an active frame's method is decoded");
+                    let callee = decoded[callee_id.0 as usize]
+                        .as_ref()
+                        .expect("decoded above");
+                    // A static call site was checked against its callee when
+                    // it was decoded.
+                    let argc = virtual_argc.unwrap_or(callee.params().len());
+                    let arg_locals = &caller.args[args as usize..][..argc];
+                    if virtual_argc.is_some() {
+                        let arg_kinds = arg_locals.iter().map(|&a| caller.kinds[a as usize]);
+                        let dst_kind = (dst != NO_LOCAL).then(|| caller.kinds[dst as usize]);
+                        check_call(arg_kinds, dst_kind, callee.params(), callee.ret)
+                            .map_err(illegal)?;
+                    }
+                    st.frames.last_mut().expect("a frame is running").pc = pc;
+                    (fp, rp) =
+                        st.push_frame(&mut self.heap, callee_id, callee, fp, arg_locals, dst);
+                    cur = callee;
+                    pc = 0;
+                }
+                Exit::Return(value) => {
+                    let ret_kind = cur.ret;
+                    let done = st.frames.pop().expect("a frame is running");
+                    for root in st.roots.drain(done.rp..) {
+                        self.heap.remove_root(root);
+                    }
+                    st.slots.truncate(done.fp);
+                    let Some(caller) = st.frames.last() else {
+                        return Ok(value.zip(ret_kind).map(|(bits, kind)| value_of(kind, bits)));
+                    };
+                    cur = decoded[caller.method.0 as usize]
+                        .as_ref()
+                        .expect("an active frame's method is decoded");
+                    (pc, fp, rp) = (caller.pc, caller.fp, caller.rp);
+                    match (done.ret_dst, value) {
+                        (NO_LOCAL, Some(bits)) => {
+                            // A discarded data-typed return: release the
+                            // facade the callee bound at its return site so
+                            // the pool slot is immediately reusable.
+                            if let Some(slot) =
+                                as_facade(bits).filter(|_| ret_kind == Some(Kind::Facade))
+                            {
+                                let _ = self.facade(slot).release();
+                            }
+                        }
+                        (dst, Some(bits)) => {
+                            st.slots[fp + dst as usize] = bits;
+                            if cur.kinds[dst as usize] == Kind::Obj {
+                                let root = st.roots[rp + cur.root_of[dst as usize] as usize];
+                                self.heap.set_root(root, as_obj(bits));
+                            }
+                        }
+                        (_, None) => {}
+                    }
+                }
+                // The failed op was charged with the rest of its segment:
+                // give back the ops it did not reach.
+                Exit::Fail(failure) => {
+                    *steps -= u64::from(cur.charge.get(pc).copied().unwrap_or(0));
+                    return Err(failure);
+                }
+                // The op not run is the step that exceeds; the ones after it
+                // are given back.
+                Exit::Budget => {
+                    *steps -= u64::from(cur.charge[pc]) - 1;
+                    return Err(VmError::StepBudgetExceeded);
+                }
+            }
+        }
+    }
+
+    /// The dispatch loop of one frame activation: runs `cur` from `pc`, a
+    /// segment start, over its locals `frame` and GC `roots` until it calls,
+    /// returns or fails. Returns why, and the pc past the call or failed op
+    /// (at the op the budget cut off). Its own function, with rare ops called
+    /// out of line, so `pc`, the code slice and the frame stay in registers.
+    #[inline(never)]
+    #[allow(clippy::too_many_lines)]
+    fn run_frame(
+        &mut self,
+        cur: &DecodedMethod,
+        frame: &mut [u64],
+        roots: &[RootId],
+        mut pc: usize,
+        steps: &mut u64,
+        budget: u64,
+    ) -> (Exit, usize) {
+        let mut code: &[Op] = &cur.code;
+        let charge: &[u32] = &cur.charge;
+        let mut spent = *steps;
 
         // Steps are charged a straight-line segment at a time, where one
         // starts: method entry, a jump or branch target, a call's return
@@ -386,10 +554,10 @@ impl<'p> Vm<'p> {
         // a per-op count would stop at.
         macro_rules! enter {
             () => {{
-                let charge = u64::from(cur.charge[pc]);
-                *steps += charge;
-                if *steps > budget {
-                    let allowed = budget.saturating_sub(*steps - charge);
+                let c = u64::from(charge[pc]);
+                spent += c;
+                if spent > budget {
+                    let allowed = budget.saturating_sub(spent - c);
                     code = &cur.code[..pc + allowed as usize];
                 }
             }};
@@ -398,12 +566,12 @@ impl<'p> Vm<'p> {
 
         macro_rules! get {
             ($l:expr) => {
-                st.slots[fp + $l as usize]
+                frame[$l as usize]
             };
         }
         macro_rules! set {
             ($l:expr, $bits:expr) => {
-                st.slots[fp + $l as usize] = $bits
+                frame[$l as usize] = $bits
             };
         }
         // `dst = f(a, b)` over two locals of one kind.
@@ -418,44 +586,46 @@ impl<'p> Vm<'p> {
             ($l:expr, $r:expr) => {{
                 let r: ObjRef = $r;
                 set!($l, from_obj(r));
-                let root = st.roots[rp + cur.root_of[$l as usize] as usize];
-                self.heap.set_root(root, r);
+                self.heap
+                    .set_root(roots[cur.root_of[$l as usize] as usize], r);
             }};
         }
         // An op that fails breaks out of the loop with its error, and the
-        // ops after it in its segment are given back there (`try_op!` is
-        // `?` for that). A call ends its segment, so it returns its error.
+        // ops after it in its segment are given back (`try_op!` is `?` for
+        // that).
         macro_rules! try_op {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(e) => break VmError::from(e),
+                    Err(e) => break Exit::Fail(VmError::from(e)),
                 }
             };
         }
-        // A non-null heap / page reference out of a local.
-        macro_rules! obj {
-            ($l:expr, $what:expr) => {{
-                let r = as_obj(get!($l));
+        // A non-null heap / page reference out of a local; `$null` is the
+        // error otherwise.
+        macro_rules! nonnull {
+            ($r:expr, $null:expr) => {{
+                let r = $r;
                 if r.is_null() {
-                    break VmError::NullDeref($what.into());
+                    break Exit::Fail($null);
                 }
                 r
             }};
         }
+        macro_rules! obj {
+            ($l:expr, $null:expr) => {
+                nonnull!(as_obj(get!($l)), $null)
+            };
+        }
         macro_rules! page {
-            ($l:expr, $what:expr) => {{
-                let r = PageRef::from_raw(get!($l));
-                if r.is_null() {
-                    break VmError::NullDeref($what.into());
-                }
-                r
-            }};
+            ($l:expr, $null:expr) => {
+                nonnull!(PageRef::from_raw(get!($l)), $null)
+            };
         }
         macro_rules! nonzero {
             ($y:expr) => {
                 if $y == 0 {
-                    break VmError::DivisionByZero;
+                    break Exit::Fail(VmError::DivisionByZero);
                 }
             };
         }
@@ -472,16 +642,13 @@ impl<'p> Vm<'p> {
         let f64_of = f64::from_bits;
         let of_f64 = f64::to_bits;
 
-        let failure = loop {
-            let Some(&op) = code.get(pc) else {
-                // Only a segment cut at the budget ends before its last op.
-                // The op not run is the step that exceeds; the ones after
-                // it are given back.
-                *steps -= u64::from(cur.charge[pc]) - 1;
-                return Err(VmError::StepBudgetExceeded);
+        let exit = loop {
+            // Only a segment cut at the budget ends before its last op.
+            let Some(op) = code.get(pc) else {
+                break Exit::Budget;
             };
             pc += 1;
-            match op {
+            match *op {
                 Op::Jump(target) => {
                     pc = target as usize;
                     enter!();
@@ -504,45 +671,10 @@ impl<'p> Vm<'p> {
                 Op::BranchLeI32(c) => cmp_branch!(c, |x, y| x <= y),
                 Op::BranchGtI32(c) => cmp_branch!(c, |x, y| x > y),
                 Op::BranchGeI32(c) => cmp_branch!(c, |x, y| x >= y),
-                Op::Ret(_) | Op::RetVoid => {
-                    let value = match op {
-                        Op::Ret(l) => Some(get!(l)),
-                        _ => None,
-                    };
-                    let ret_kind = cur.ret;
-                    let done = st.frames.pop().expect("a frame is running");
-                    for root in st.roots.drain(done.rp..) {
-                        self.heap.remove_root(root);
-                    }
-                    st.slots.truncate(done.fp);
-                    let Some(caller) = st.frames.last() else {
-                        return Ok(value.zip(ret_kind).map(|(bits, kind)| value_of(kind, bits)));
-                    };
-                    cur = decoded[caller.method.0 as usize]
-                        .as_ref()
-                        .expect("an active frame's method is decoded");
-                    code = &cur.code;
-                    (pc, fp, rp) = (caller.pc, caller.fp, caller.rp);
-                    enter!();
-                    match (done.ret_dst, value) {
-                        (NO_LOCAL, Some(bits)) => {
-                            // A discarded data-typed return: release the
-                            // facade the callee bound at its return site so
-                            // the pool slot is immediately reusable.
-                            if let Some(slot) =
-                                as_facade(bits).filter(|_| ret_kind == Some(Kind::Facade))
-                            {
-                                let _ = self.facade(slot).release();
-                            }
-                        }
-                        (dst, Some(bits)) if cur.kinds[dst as usize] == Kind::Obj => {
-                            set_obj!(dst, as_obj(bits));
-                        }
-                        (dst, Some(bits)) => set!(dst, bits),
-                        (_, None) => {}
-                    }
-                }
-                Op::Illegal(msg) => break illegal(cur.msgs[msg as usize].clone()),
+                Op::Ret(l) => break Exit::Return(Some(get!(l))),
+                Op::RetVoid => break Exit::Return(None),
+                Op::Call { .. } | Op::CallVirtual { .. } => break Exit::Call(*op),
+                Op::Illegal(msg) => break Exit::Fail(illegal(cur.msgs[msg as usize].clone())),
                 Op::Nop => {}
                 Op::Const { dst, bits } => set!(dst, bits),
                 Op::NullObj(dst) => set_obj!(dst, ObjRef::NULL),
@@ -617,149 +749,81 @@ impl<'p> Vm<'p> {
 
                 Op::New { dst, class } => set_obj!(dst, try_op!(self.heap.alloc(class))),
                 Op::NewArray { dst, len, elem } => {
-                    let n = as_i32(get!(len)).max(0) as usize;
+                    let n = try_op!(new_array_len(get!(len)));
                     set_obj!(dst, try_op!(self.heap.alloc_array(elem, n)));
                 }
                 Op::GetFieldI32(f) => {
-                    let o = obj!(f.obj, format!("getfield at offset {}", f.at));
-                    set!(
-                        f.val,
-                        from_i32(i32::from_le_bytes(self.heap.read_body(o, f.at)))
-                    );
+                    let o = obj!(f.obj, null_field("getfield", f.at));
+                    let v = i32::from_le_bytes(self.heap.read_body(o, f.at));
+                    set!(f.val, from_i32(v));
                 }
                 Op::GetFieldI64(f) => {
-                    let o = obj!(f.obj, format!("getfield at offset {}", f.at));
-                    set!(
-                        f.val,
-                        from_i64(i64::from_le_bytes(self.heap.read_body(o, f.at)))
-                    );
+                    let o = obj!(f.obj, null_field("getfield", f.at));
+                    let v = i64::from_le_bytes(self.heap.read_body(o, f.at));
+                    set!(f.val, from_i64(v));
                 }
                 Op::GetFieldRef(f) => {
-                    let o = obj!(f.obj, format!("getfield at offset {}", f.at));
+                    let o = obj!(f.obj, null_field("getfield", f.at));
                     let raw = u32::from_le_bytes(self.heap.read_body(o, f.at));
                     set_obj!(f.val, ObjRef::from_raw(raw));
                 }
                 Op::SetFieldI32(f) => {
-                    let o = obj!(f.obj, format!("setfield at offset {}", f.at));
+                    let o = obj!(f.obj, null_field("setfield", f.at));
                     self.heap
                         .write_body(o, f.at, as_i32(get!(f.val)).to_le_bytes());
                 }
                 Op::SetFieldI64(f) => {
-                    let o = obj!(f.obj, format!("setfield at offset {}", f.at));
+                    let o = obj!(f.obj, null_field("setfield", f.at));
                     self.heap
                         .write_body(o, f.at, as_i64(get!(f.val)).to_le_bytes());
                 }
                 Op::SetFieldRef(f) => {
-                    let o = obj!(f.obj, format!("setfield at offset {}", f.at));
+                    let o = obj!(f.obj, null_field("setfield", f.at));
                     self.heap.write_ref(o, f.at, as_obj(get!(f.val)));
                 }
                 Op::ArrayGetI32(r) => {
-                    let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(
-                        r.dst,
-                        from_i32(i32::from_le_bytes(elem(self.heap.body(a), i)))
-                    );
+                    let body = self.heap.body(obj!(r.a, null("arrayget")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set!(r.dst, from_i32(i32::from_le_bytes(elem(body, i))));
                 }
                 Op::ArrayGetI64(r) => {
-                    let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(
-                        r.dst,
-                        from_i64(i64::from_le_bytes(elem(self.heap.body(a), i)))
-                    );
+                    let body = self.heap.body(obj!(r.a, null("arrayget")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set!(r.dst, from_i64(i64::from_le_bytes(elem(body, i))));
                 }
                 Op::ArrayGetRef(r) => {
-                    let (a, i) = (obj!(r.a, "arrayget"), as_i32(get!(r.b)) as usize);
-                    let raw = u32::from_le_bytes(elem(self.heap.body(a), i));
-                    set_obj!(r.dst, ObjRef::from_raw(raw));
+                    let body = self.heap.body(obj!(r.a, null("arrayget")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set_obj!(r.dst, ObjRef::from_raw(u32::from_le_bytes(elem(body, i))));
                 }
                 Op::ArraySetI32(r) => {
-                    let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
-                    set_elem(self.heap.body_mut(a), i, as_i32(get!(r.dst)).to_le_bytes());
+                    let body = self.heap.body_mut(obj!(r.a, null("arrayset")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set_elem(body, i, as_i32(get!(r.dst)).to_le_bytes());
                 }
                 Op::ArraySetI64(r) => {
-                    let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
-                    set_elem(self.heap.body_mut(a), i, as_i64(get!(r.dst)).to_le_bytes());
+                    let body = self.heap.body_mut(obj!(r.a, null("arrayset")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set_elem(body, i, as_i64(get!(r.dst)).to_le_bytes());
                 }
                 Op::ArraySetRef(r) => {
-                    let (a, i) = (obj!(r.a, "arrayset"), as_i32(get!(r.b)) as usize);
+                    let a = obj!(r.a, null("arrayset"));
+                    let i = try_op!(index(self.heap.body(a), get!(r.b)));
                     self.heap.array_set_ref(a, i, as_obj(get!(r.dst)));
                 }
                 Op::ArrayLen(r) => {
-                    let a = obj!(r.src, "arraylength");
+                    let a = obj!(r.src, null("arraylength"));
                     set!(r.dst, from_i32(self.heap.array_len(a) as i32));
                 }
                 Op::InstanceOf { dst, src, class } => {
-                    let r = as_obj(get!(src));
-                    let is = !r.is_null()
-                        && self
-                            .heap
-                            .class_of(r)
-                            .is_some_and(|h| program.is_subtype(self.tables.ir_class(h), class));
-                    set!(dst, from_bool(is));
+                    set!(dst, from_bool(self.instance_of(as_obj(get!(src)), class)));
                 }
                 // The interpreter is single-threaded: a heap monitor never
                 // blocks, so only the null check is observable.
                 Op::MonitorEnter(l) => {
-                    obj!(l, "monitorenter");
+                    obj!(l, null("monitorenter"));
                 }
-                Op::Print { src, kind } => {
-                    let line = self.format_slot(kind, get!(src));
-                    self.output.push(line);
-                }
-
-                Op::Call { .. } | Op::CallVirtual { .. } => {
-                    // `virtual_argc` is set for a virtual call: its callee,
-                    // and so the callee's signature, is only known now.
-                    let (dst, callee_id, args, virtual_argc) = match op {
-                        Op::Call { dst, callee, args } => (dst, callee, args, None),
-                        Op::CallVirtual {
-                            dst,
-                            declared,
-                            args,
-                        } => {
-                            let recv = cur.args[args as usize];
-                            let class =
-                                self.receiver_class(cur.kinds[recv as usize], get!(recv))?;
-                            let callee = self.implementation(class, declared)?;
-                            let argc = program.method(declared).param_slot_count();
-                            (dst, callee, args, Some(argc))
-                        }
-                        _ => unreachable!("matched as a call above"),
-                    };
-                    if st.frames.len() >= MAX_CALL_DEPTH {
-                        return Err(VmError::CallDepthExceeded);
-                    }
-                    let caller_id = st.frames.last().expect("a frame is running").method;
-                    // From here on `cur` is dead until reassigned: a first
-                    // call writes the decoded-method table.
-                    let slot = &mut decoded[callee_id.0 as usize];
-                    if slot.is_none() {
-                        *slot = Some(self.decode(callee_id)?);
-                    }
-                    let caller = decoded[caller_id.0 as usize]
-                        .as_ref()
-                        .expect("an active frame's method is decoded");
-                    let callee = decoded[callee_id.0 as usize]
-                        .as_ref()
-                        .expect("decoded above");
-                    // A static call site was checked against its callee when
-                    // it was decoded.
-                    let argc = virtual_argc.unwrap_or(callee.params().len());
-                    let arg_locals = &caller.args[args as usize..][..argc];
-                    if virtual_argc.is_some() {
-                        let arg_kinds = arg_locals.iter().map(|&a| caller.kinds[a as usize]);
-                        let dst_kind = (dst != NO_LOCAL).then(|| caller.kinds[dst as usize]);
-                        check_call(arg_kinds, dst_kind, callee.params(), callee.ret)
-                            .map_err(illegal)?;
-                    }
-                    st.frames.last_mut().expect("a frame is running").pc = pc;
-                    (fp, rp) =
-                        st.push_frame(&mut self.heap, callee_id, callee, fp, arg_locals, dst);
-                    cur = callee;
-                    code = &cur.code;
-                    pc = 0;
-                    enter!();
-                }
+                Op::Print { src, kind } => self.print(kind, get!(src)),
 
                 Op::IterationStart => {
                     let it = self.paged.iteration_start();
@@ -790,57 +854,51 @@ impl<'p> Vm<'p> {
                     set!(dst, r.raw());
                 }
                 Op::PageNewArray { dst, len, elem } => {
-                    let n = as_i32(get!(len)).max(0) as usize;
+                    let n = try_op!(new_array_len(get!(len)));
                     set!(dst, try_op!(self.paged.alloc_array(elem, n)).raw());
                 }
                 Op::PageGetFieldI32(f) => {
-                    let o = page!(f.obj, format!("paged getfield at offset {}", f.at));
-                    set!(
-                        f.val,
-                        from_i32(i32::from_le_bytes(self.paged.read_body(o, f.at)))
-                    );
+                    let o = page!(f.obj, null_field("paged getfield", f.at));
+                    let v = i32::from_le_bytes(self.paged.read_body(o, f.at));
+                    set!(f.val, from_i32(v));
                 }
                 Op::PageGetFieldI64(f) => {
-                    let o = page!(f.obj, format!("paged getfield at offset {}", f.at));
-                    set!(
-                        f.val,
-                        from_i64(i64::from_le_bytes(self.paged.read_body(o, f.at)))
-                    );
+                    let o = page!(f.obj, null_field("paged getfield", f.at));
+                    let v = i64::from_le_bytes(self.paged.read_body(o, f.at));
+                    set!(f.val, from_i64(v));
                 }
                 Op::PageSetFieldI32(f) => {
-                    let o = page!(f.obj, format!("paged setfield at offset {}", f.at));
+                    let o = page!(f.obj, null_field("paged setfield", f.at));
                     self.paged
                         .write_body(o, f.at, as_i32(get!(f.val)).to_le_bytes());
                 }
                 Op::PageSetFieldI64(f) => {
-                    let o = page!(f.obj, format!("paged setfield at offset {}", f.at));
+                    let o = page!(f.obj, null_field("paged setfield", f.at));
                     self.paged
                         .write_body(o, f.at, as_i64(get!(f.val)).to_le_bytes());
                 }
                 Op::PageArrayGetI32(r) => {
-                    let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(
-                        r.dst,
-                        from_i32(i32::from_le_bytes(elem(self.paged.body(a), i)))
-                    );
+                    let body = self.paged.body(page!(r.a, null("paged arrayget")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set!(r.dst, from_i32(i32::from_le_bytes(elem(body, i))));
                 }
                 Op::PageArrayGetI64(r) => {
-                    let (a, i) = (page!(r.a, "paged arrayget"), as_i32(get!(r.b)) as usize);
-                    set!(
-                        r.dst,
-                        from_i64(i64::from_le_bytes(elem(self.paged.body(a), i)))
-                    );
+                    let body = self.paged.body(page!(r.a, null("paged arrayget")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set!(r.dst, from_i64(i64::from_le_bytes(elem(body, i))));
                 }
                 Op::PageArraySetI32(r) => {
-                    let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
-                    set_elem(self.paged.body_mut(a), i, as_i32(get!(r.dst)).to_le_bytes());
+                    let body = self.paged.body_mut(page!(r.a, null("paged arrayset")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set_elem(body, i, as_i32(get!(r.dst)).to_le_bytes());
                 }
                 Op::PageArraySetI64(r) => {
-                    let (a, i) = (page!(r.a, "paged arrayset"), as_i32(get!(r.b)) as usize);
-                    set_elem(self.paged.body_mut(a), i, as_i64(get!(r.dst)).to_le_bytes());
+                    let body = self.paged.body_mut(page!(r.a, null("paged arrayset")));
+                    let i = try_op!(index(body, get!(r.b)));
+                    set_elem(body, i, as_i64(get!(r.dst)).to_le_bytes());
                 }
                 Op::PageArrayLen(r) => {
-                    let a = page!(r.src, "paged arraylength");
+                    let a = page!(r.src, null("paged arraylength"));
                     set!(r.dst, from_i32(self.paged.array_len(a) as i32));
                 }
                 Op::BindParam {
@@ -853,38 +911,22 @@ impl<'p> Vm<'p> {
                         type_id: tid,
                         index,
                     };
-                    self.facade(slot).bind(PageRef::from_raw(get!(src)));
-                    set!(dst, from_facade(slot));
+                    set!(dst, self.bind(slot, PageRef::from_raw(get!(src))));
                 }
                 Op::Resolve(r) => {
-                    let record = page!(r.src, "resolve");
-                    let slot = FacadeSlot::Receiver {
-                        type_id: self.paged.type_of(record).0,
-                    };
-                    self.facade(slot).bind(record);
-                    set!(r.dst, from_facade(slot));
+                    let record = page!(r.src, null("resolve"));
+                    let type_id = self.paged.type_of(record).0;
+                    set!(r.dst, self.bind(FacadeSlot::Receiver { type_id }, record));
                 }
-                Op::ReleaseFacade(r) => {
-                    let slot = try_op!(
-                        as_facade(get!(r.src))
-                            .ok_or_else(|| illegal("release of an unbound facade"))
-                    );
-                    set!(r.dst, self.facade(slot).release().raw());
-                }
+                Op::ReleaseFacade(r) => set!(r.dst, try_op!(self.release_facade(get!(r.src)))),
                 Op::PageInstanceOf { dst, src, class } => {
-                    let r = PageRef::from_raw(get!(src));
-                    // Arrays have no data class.
-                    let is = !r.is_null()
-                        && self
-                            .tables
-                            .class_of_type(self.paged.type_of(r).0)
-                            .is_some_and(|c| program.is_subtype(c, class));
+                    let is = self.page_instance_of(PageRef::from_raw(get!(src)), class);
                     set!(dst, from_bool(is));
                 }
                 Op::PageMonitorEnter(l) => {
-                    let r = page!(l, "paged monitorenter");
+                    let r = page!(l, null("paged monitorenter"));
                     if self.paged.monitor_enter(r).is_err() {
-                        break VmError::LockIdsExhausted;
+                        break Exit::Fail(VmError::LockIdsExhausted);
                     }
                 }
                 Op::PageMonitorExit(l) => self.paged.monitor_exit(PageRef::from_raw(get!(l))),
@@ -898,10 +940,47 @@ impl<'p> Vm<'p> {
                 }
             }
         };
-        // The failed op was charged with the rest of its segment: give back
-        // the ops it did not reach.
-        *steps -= u64::from(cur.charge.get(pc).copied().unwrap_or(0));
-        Err(failure)
+        *steps = spent;
+        (exit, pc)
+    }
+
+    // ----- ops `run_frame` runs out of line, to keep its registers -------
+
+    #[cold]
+    #[inline(never)]
+    fn instance_of(&self, r: ObjRef, class: ClassId) -> bool {
+        !r.is_null()
+            && self
+                .heap
+                .class_of(r)
+                .is_some_and(|h| self.program.is_subtype(self.tables.ir_class(h), class))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn page_instance_of(&self, r: PageRef, class: ClassId) -> bool {
+        // Arrays have no data class.
+        !r.is_null()
+            && self
+                .tables
+                .class_of_type(self.paged.type_of(r).0)
+                .is_some_and(|c| self.program.is_subtype(c, class))
+    }
+
+    /// Binds `slot`'s facade to `record`; returns the slot's bits.
+    #[cold]
+    #[inline(never)]
+    fn bind(&mut self, slot: FacadeSlot, record: PageRef) -> u64 {
+        self.facade(slot).bind(record);
+        from_facade(slot)
+    }
+
+    /// Unbinds the facade in slot bits `bits`; returns the record it held.
+    #[cold]
+    #[inline(never)]
+    fn release_facade(&mut self, bits: u64) -> Result<u64, VmError> {
+        let slot = as_facade(bits).ok_or_else(|| illegal("release of an unbound facade"))?;
+        Ok(self.facade(slot).release().raw())
     }
 
     /// Decodes `method` against this VM's layouts; the paged forms decode
@@ -951,8 +1030,10 @@ impl<'p> Vm<'p> {
         })
     }
 
-    fn format_slot(&mut self, kind: Kind, bits: u64) -> String {
-        match value_of(kind, bits) {
+    #[cold]
+    #[inline(never)]
+    fn print(&mut self, kind: Kind, bits: u64) {
+        let line = match value_of(kind, bits) {
             Value::I32(x) => x.to_string(),
             Value::I64(x) => x.to_string(),
             Value::F64(x) => format!("{x}"),
@@ -966,7 +1047,8 @@ impl<'p> Vm<'p> {
                 let r = self.facade(slot).peek();
                 self.format_page(r)
             }
-        }
+        };
+        self.output.push(line);
     }
 
     fn format_page(&self, r: PageRef) -> String {

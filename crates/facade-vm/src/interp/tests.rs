@@ -480,6 +480,41 @@ fn null_receivers_are_null_derefs_on_both_backends() {
     }
 }
 
+/// Runs `P` on the heap and `P'` (with `R` as the data class) on pages;
+/// both must fail with `expected`.
+fn both_fail(program: &Program, expected: &VmError) {
+    assert_eq!(&run_heap(program).unwrap_err(), expected, "heap mode");
+    let out = transform(program, &DataSpec::new(["R"])).unwrap();
+    let mut vm = Vm::new_paged(&out.program, &out.meta);
+    assert_eq!(&vm.run().unwrap_err(), expected, "paged mode");
+}
+
+#[test]
+fn array_bounds_are_typed_errors_on_both_backends() {
+    // `R::go` allocates `elem[len]` and reads or writes element `index`.
+    let go = |elem: &str, len: i32, index: i32, access: &str| {
+        let classes = format!(
+            "class R {{\n  i32 a;\n  static void go() {{
+   locals: i32, {elem}[], i32, {elem}\n   bb0:
+     v0 = {len}\n     v1 = new {elem}[v0]\n     v2 = {index}\n     {access}
+     return\n  }}\n}}"
+        );
+        program(&classes, "i32", "     static R::go()")
+    };
+    for elem in ["i32", "i64", "f64", "R"] {
+        for access in ["v3 = v1[v2]", "v1[v2] = v3"] {
+            for index in [-1, 3, i32::MAX] {
+                let p = go(elem, 3, index, access);
+                both_fail(&p, &VmError::ArrayIndexOutOfBounds { index, len: 3 });
+            }
+            let p = go(elem, 0, 0, access);
+            both_fail(&p, &VmError::ArrayIndexOutOfBounds { index: 0, len: 0 });
+        }
+        let p = go(elem, -2, 0, "v3 = v1[v2]");
+        both_fail(&p, &VmError::NegativeArrayLength(-2));
+    }
+}
+
 const SHAPES: &str = "class Shape {
   i32 tag() {
    locals: Shape, i32
@@ -857,4 +892,108 @@ fn boundary_conversions_copy_whole_bodies_and_rewrite_their_references() {
             "1", "2.5", "7", "3", "1", "1", "7", "-0.125", "5", // heap again
         ],
     );
+}
+
+/// `Mix::mix` folds one argument of each scalar kind and a heap object's
+/// field into a record it allocates; `Main::boxed` makes that object.
+const MIX: &str = "class Box {
+  i64 w;
+}
+class Mix {
+  i64 v;
+  static i64 mix(i32, i64, f64, Box) {
+   locals: i32, i64, f64, Box, i64, i64, Mix
+   bb0:
+     v4 = cast v0
+     v4 = v4 Add v1
+     v5 = cast v2
+     v4 = v4 Add v5
+     v5 = v3.f0
+     v4 = v4 Add v5
+     v6 = new Mix
+     v6.f0 = v4
+     v4 = v6.f0
+     return v4
+  }
+}
+class Main {
+  static Box boxed(i64) {
+   locals: i64, Box
+   bb0:
+     v1 = new Box
+     v1.f0 = v0
+     return v1
+  }
+  static void main() {
+   locals: i32, i64, f64, Box, i64
+   bb0:
+     v1 = 0L
+     v3 = static Main::boxed(v1)
+     v4 = static Mix::mix(v0, v1, v2, v3)
+     return
+  }
+}
+entry Main::main
+";
+
+#[test]
+fn call_passes_arguments_of_every_kind_on_both_backends() {
+    let p = Program::parse(MIX).unwrap();
+    p.verify().unwrap();
+    let out = transform(&p, &DataSpec::new(["Mix"])).unwrap();
+    let boxed = |p: &Program| p.method_by_name(p.class_by_name("Main").unwrap(), "boxed");
+    let mix = p
+        .method_by_name(p.class_by_name("Mix").unwrap(), "mix")
+        .unwrap();
+    let legs = [
+        (Vm::new_heap(&p), mix, boxed(&p).unwrap()),
+        (
+            Vm::new_paged(&out.program, &out.meta),
+            out.meta.method_map[&mix],
+            boxed(&out.program).unwrap(),
+        ),
+    ];
+    for (mut vm, mix, boxed) in legs {
+        let leg = if vm.meta.is_some() { "paged" } else { "heap" };
+        // `boxed` takes 2 steps. `mix` takes 9 whatever the arguments, and
+        // 4 more on pages, where it first copies its parameters.
+        let step = if vm.meta.is_some() { 13 } else { 9 };
+        let held = vm.call(boxed, vec![Value::I64(1 << 40)]).unwrap();
+        let Some(Value::Obj(held)) = held else {
+            panic!("{leg}: boxed returned {held:?}");
+        };
+        assert_eq!(vm.steps(), 2, "{leg}");
+        let args = |x: i32| {
+            vec![
+                Value::I32(x),
+                Value::I64(-5),
+                Value::F64(2.75),
+                Value::Obj(held),
+            ]
+        };
+        let want = |x: i64| Some(Value::I64(x - 5 + 2 + (1 << 40)));
+        assert_eq!(vm.call(mix, args(-7)).unwrap(), want(-7), "{leg}");
+        assert_eq!(vm.steps(), 2 + step, "{leg}");
+
+        let wrong_count = vm.call(mix, args(0)[..3].to_vec());
+        assert!(
+            matches!(wrong_count, Err(VmError::IllegalInstruction(ref m)) if m.contains("3 arguments")),
+            "{leg}: {wrong_count:?}"
+        );
+        let mut wrong_kind = args(0);
+        wrong_kind[1] = Value::I32(-5);
+        let wrong_kind = vm.call(mix, wrong_kind);
+        assert!(
+            matches!(wrong_kind, Err(VmError::IllegalInstruction(ref m)) if m.contains("argument 1 is I32")),
+            "{leg}: {wrong_kind:?}"
+        );
+        assert_eq!(vm.steps(), 2 + step, "{leg}: a refused call runs nothing");
+
+        assert_eq!(
+            vm.call(mix, args(i32::MIN)).unwrap(),
+            want(i32::MIN.into()),
+            "{leg}"
+        );
+        assert_eq!(vm.steps(), 2 + 2 * step, "{leg}");
+    }
 }

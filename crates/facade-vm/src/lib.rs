@@ -50,6 +50,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod convert;
 mod decode;

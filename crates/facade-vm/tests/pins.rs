@@ -399,11 +399,75 @@ entry Main::main
 ",
         None,
     ),
+    (
+        "array_index_out_of_range",
+        include_str!("array_index_out_of_range.ir"),
+        Some("D"),
+    ),
+    (
+        "negative_array_index",
+        "class D {
+  i64 x;
+  static void go() {
+   locals: i32, i64[], i32, i64
+   bb0:
+     v0 = 3
+     v1 = new i64[v0]
+     v3 = 7L
+     v2 = 2
+     v1[v2] = v3
+     print v3
+     v2 = -1
+     v1[v2] = v3
+     print v2
+     return
+  }
+}
+class Main {
+  static void main() {
+   locals: i32
+   bb0:
+     static D::go()
+     return
+  }
+}
+entry Main::main
+",
+        Some("D"),
+    ),
+    (
+        "negative_array_length",
+        "class D {
+  i32 x;
+  static void go() {
+   locals: i32, i32[], i32
+   bb0:
+     v0 = -3
+     print v0
+     v1 = new i32[v0]
+     v2 = v1.length
+     print v2
+     return
+  }
+}
+class Main {
+  static void main() {
+   locals: i32
+   bb0:
+     static D::go()
+     return
+  }
+}
+entry Main::main
+",
+        Some("D"),
+    ),
 ];
 
 /// `(error, steps(), output)` of each [`FAILURES`] program, `P` then `P'`,
 /// recorded with the interpreter that counted one step per instruction as it
-/// ran it.
+/// ran it. The three array entries came later: their steps are the
+/// instructions reached, the failing one included, counted by hand.
 const FAILURE_PINS: &[(&str, &str, u64, &[&str])] = &[
     (
         "null_deref P",
@@ -444,6 +508,42 @@ const FAILURE_PINS: &[(&str, &str, u64, &[&str])] = &[
         "IllegalInstruction(\"branch condition: v1 is I64, expected I32\")",
         4,
         &["1"],
+    ),
+    (
+        "array_index_out_of_range P",
+        "ArrayIndexOutOfBounds { index: 5, len: 2 }",
+        6,
+        &["2"],
+    ),
+    (
+        "array_index_out_of_range P'",
+        "ArrayIndexOutOfBounds { index: 5, len: 2 }",
+        6,
+        &["2"],
+    ),
+    (
+        "negative_array_index P",
+        "ArrayIndexOutOfBounds { index: -1, len: 3 }",
+        9,
+        &["7"],
+    ),
+    (
+        "negative_array_index P'",
+        "ArrayIndexOutOfBounds { index: -1, len: 3 }",
+        9,
+        &["7"],
+    ),
+    (
+        "negative_array_length P",
+        "NegativeArrayLength(-3)",
+        4,
+        &["-3"],
+    ),
+    (
+        "negative_array_length P'",
+        "NegativeArrayLength(-3)",
+        4,
+        &["-3"],
     ),
 ];
 

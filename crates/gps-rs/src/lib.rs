@@ -49,6 +49,8 @@
 //! # Ok::<(), metrics::JobFailure>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod kernels;
 

@@ -90,6 +90,8 @@
 //! assert!(!durable.env.canceled());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod apps;
 mod engine;
 mod preprocess;

@@ -54,6 +54,8 @@
 //! assert!(Cluster::new(&config).config().checkpoint_path("wc").is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod checkpoint;
 pub mod cluster;
 pub mod extsort;

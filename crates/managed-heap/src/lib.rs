@@ -56,6 +56,8 @@
 //! # Ok::<(), metrics::OutOfMemory>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod census;
 mod gc;
 mod gclog;

@@ -31,6 +31,8 @@
 //! - [`server`] — the resident multi-job daemon serving queries and job
 //!   submissions over HTTP (see `docs/SERVER.md`).
 
+#![forbid(unsafe_code)]
+
 pub use datagen;
 pub use facade_compiler as compiler;
 pub use facade_ir as ir;
